@@ -3,9 +3,11 @@
 //! added, for the `End`, `Tag++` and WRR hybrid-access programs.
 //!
 //! The interesting comparison (the one the paper's deployment story needs)
-//! is `wrr/single_packet` — the one-at-a-time path the seed used — against
-//! `wrr/batched_Nworkers`: RSS-steered, batched, with per-worker program
-//! instances and private WRR map state.
+//! is `runtime_scaling/wrr/single_packet` — one packet at a time on one
+//! thread — against `worker_pool/wrr/persistent_pool_Nw`: RSS-steered,
+//! batched, with per-worker program instances and private WRR map state.
+//! Baselines that earlier PRs measured and retired are tabulated in the
+//! README ("Retired baselines").
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ebpf_vm::MapHandle;
@@ -14,8 +16,7 @@ use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
 use netpkt::srh::SegmentRoutingHeader;
 use netpkt::{Ipv6Prefix, PacketBuf};
 use seg6_core::{Fib, LwtBpfAttachment, LwtHook, Nexthop, Seg6Datapath, Seg6LocalAction, Skb};
-use seg6_runtime::{thread_spawn_count, Ingress, PoolConfig, WorkerPool};
-use seg6_runtime::{Runtime, RuntimeConfig};
+use seg6_runtime::{Ingress, PoolConfig, WorkerPool};
 use srv6_nf::{end_program, tag_increment_program, wrr_encap_program, wrr_maps};
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
@@ -78,7 +79,7 @@ fn endpoint_datapath(prog: fn() -> ebpf_vm::Program, cpu: u32) -> Seg6Datapath {
 /// A datapath running the WRR hybrid-access scheduler on the downstream
 /// prefix, with its own private WRR state (per-worker, as each CPU of a
 /// real deployment keeps its own deficit counters).
-fn wrr_datapath_with_prog(cpu: u32) -> (Seg6Datapath, std::sync::Arc<ebpf_vm::LoadedProgram>) {
+fn wrr_datapath(cpu: u32) -> Seg6Datapath {
     let (sid0, sid1) = (addr("fc00:a::1"), addr("fc00:b::1"));
     let mut dp = Seg6Datapath::new(addr("fc00::aa")).on_cpu(cpu);
     dp.add_route(Ipv6Prefix::host(sid0), vec![Nexthop::direct(2)]);
@@ -89,18 +90,11 @@ fn wrr_datapath_with_prog(cpu: u32) -> (Seg6Datapath, std::sync::Arc<ebpf_vm::Lo
     maps.insert(2, state);
     maps.insert(3, config);
     let prog = ebpf_vm::program::load(wrr_encap_program(2, 3), &maps, &dp.helpers).expect("WRR program");
-    dp.attach_lwt_bpf(
-        "2001:db8:2::/48".parse().unwrap(),
-        LwtBpfAttachment { hook: LwtHook::Xmit, prog: prog.clone() },
-    );
-    (dp, prog)
+    dp.attach_lwt_bpf("2001:db8:2::/48".parse().unwrap(), LwtBpfAttachment { hook: LwtHook::Xmit, prog });
+    dp
 }
 
-fn wrr_datapath(cpu: u32) -> Seg6Datapath {
-    wrr_datapath_with_prog(cpu).0
-}
-
-/// Single-thread, single-packet baseline: the seed's execution model.
+/// Single-thread, single-packet reference.
 fn run_per_packet(dp: &mut Seg6Datapath, pool: &[PacketBuf]) -> u64 {
     let mut forwarded = 0;
     for packet in pool {
@@ -115,9 +109,12 @@ fn run_per_packet(dp: &mut Seg6Datapath, pool: &[PacketBuf]) -> u64 {
 /// Single-thread batched path (same datapath, batch API).
 fn run_batched(dp: &mut Seg6Datapath, pool: &[PacketBuf], batch: usize) -> u64 {
     let mut forwarded = 0;
+    let mut verdicts = Vec::with_capacity(batch);
     for chunk in pool.chunks(batch) {
         let mut skbs: Vec<Skb> = chunk.iter().map(|p| Skb::new(p.clone())).collect();
-        forwarded += dp.process_batch(&mut skbs, 0).iter().filter(|v| v.is_forward()).count() as u64;
+        verdicts.clear();
+        dp.process_batch_verdicts_into(&mut skbs, 0, &mut verdicts);
+        forwarded += verdicts.iter().filter(|b| b.verdict.is_forward()).count() as u64;
     }
     forwarded
 }
@@ -152,61 +149,16 @@ fn bench_worker_scaling(c: &mut Criterion) {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     );
 
-    // The seed's runtime model: one thread, one packet at a time, and the
-    // JIT image re-derived on every invocation (this PR moved compilation
-    // to load time; the extra `jit::compile` reproduces the removed cost).
-    let (mut dp, prog) = wrr_datapath_with_prog(0);
-    group.bench_function("wrr/single_packet_seed", |b| {
-        b.iter(|| {
-            let mut forwarded = 0u64;
-            for packet in &pool {
-                criterion::black_box(ebpf_vm::jit::compile(&prog).expect("compiles"));
-                let mut skb = Skb::new(packet.clone());
-                if dp.process(&mut skb, 0).is_forward() {
-                    forwarded += 1;
-                }
-            }
-            forwarded
-        })
-    });
-
-    // The current single-packet path (load-time compilation, no batching).
+    // One thread, one packet at a time, no batching.
     let mut dp = wrr_datapath(0);
     group.bench_function("wrr/single_packet", |b| b.iter(|| run_per_packet(&mut dp, &pool)));
-
-    // The runtime: RSS steering, batches of 32, N worker threads.
-    for workers in [1u32, 2, 4, 8] {
-        let config = RuntimeConfig { workers, batch_size: 32, ..Default::default() };
-        let mut runtime = Runtime::new(config, wrr_datapath);
-        group.bench_function(format!("wrr/batched_{workers}workers"), |b| {
-            b.iter(|| {
-                runtime.enqueue_all(pool.iter().cloned());
-                runtime.run_threaded(0).forwarded
-            })
-        });
-    }
-
-    // End.BPF through the runtime, for the endpoint-function flavour.
-    for workers in [1u32, 4] {
-        let config = RuntimeConfig { workers, batch_size: 32, ..Default::default() };
-        let mut runtime = Runtime::new(config, |cpu| endpoint_datapath(end_program, cpu));
-        let pool = srv6_pool();
-        group.bench_function(format!("end_bpf/batched_{workers}workers"), |b| {
-            b.iter(|| {
-                runtime.enqueue_all(pool.iter().cloned());
-                runtime.run_threaded(0).forwarded
-            })
-        });
-    }
     group.finish();
 }
 
-/// The headline rows of this PR: the same WRR workload through the
-/// spawn-per-run mode (`Runtime::run_threaded`, one `thread::spawn` per
-/// shard per iteration) and through the **persistent** worker pool
-/// (threads spawned once at construction, packets fed over the bounded
-/// channels). The spawn counter proves the pool's steady state performs
-/// zero thread spawns.
+/// The WRR workload through the **persistent** worker pool (threads
+/// spawned once at construction, packets fed over the descriptor rings).
+/// The pool's own spawn counter proves its steady state performs zero
+/// thread spawns.
 fn bench_worker_pool(c: &mut Criterion) {
     let mut group = c.benchmark_group("worker_pool");
     group.sample_size(20);
@@ -216,21 +168,10 @@ fn bench_worker_pool(c: &mut Criterion) {
 
     let pool = wrr_pool();
     for workers in [1u32, 2, 4, 8] {
-        // Spawn-per-run: every iteration pays `workers` thread spawns.
-        let config = RuntimeConfig { workers, batch_size: 32, ..Default::default() };
-        let mut rt = Runtime::new(config, wrr_datapath);
-        group.bench_function(format!("wrr/spawn_per_run_{workers}w"), |b| {
-            b.iter(|| {
-                rt.enqueue_all(pool.iter().cloned());
-                rt.run_threaded(0).forwarded
-            })
-        });
-
         // Persistent pool: the threads exist before the first iteration
         // and are still the same ones after the last.
         let pool_config = PoolConfig { workers, batch_size: 32, queue_depth: 2 * POOL, ..Default::default() };
         let mut wp = WorkerPool::new(pool_config, wrr_datapath);
-        let spawns_at_steady_state = thread_spawn_count();
         group.bench_function(format!("wrr/persistent_pool_{workers}w"), |b| {
             b.iter(|| {
                 wp.enqueue_all(pool.iter().cloned());
@@ -238,34 +179,26 @@ fn bench_worker_pool(c: &mut Criterion) {
             })
         });
         assert_eq!(
-            thread_spawn_count(),
-            spawns_at_steady_state,
+            wp.counters().snapshot().threads_spawned,
+            u64::from(workers),
             "the persistent pool must not spawn threads after construction"
         );
         assert_eq!(wp.rejected(), 0, "the bench never overflows a shard queue");
         wp.shutdown();
     }
     group.finish();
-    println!(
-        "thread spawns this process: {} (spawn-per-run rows keep paying; pool rows paid once)",
-        thread_spawn_count()
-    );
 }
 
-/// The PR-4 headline rows: descriptor handoff cost, transport only. The
-/// "before" is the mpsc shape the pool used to ingest with — one
-/// mutex-guarded, node-allocating `send` per descriptor into per-shard
-/// channels. The "after" is the lock-free SPSC ring with burst publish:
-/// descriptors staged per shard and released with one atomic store per
-/// burst. Rows sweep 1/2/4/8 shards and burst sizes 1/32/256; the
-/// acceptance criterion is ring-burst ≥ 32 beating mpsc per-packet send
-/// at every shard count. Consumers are real threads (spawned per row,
-/// outside the measured iteration) so both transports pay their genuine
-/// cross-thread costs.
+/// Descriptor handoff cost, transport only: the lock-free SPSC ring with
+/// burst publish — descriptors staged per shard and released with one
+/// atomic store per burst. Rows sweep 1/2/4/8 shards and burst sizes
+/// 1/32/256. Consumers are real threads (spawned per row, outside the
+/// measured iteration) so the transport pays its genuine cross-thread
+/// costs.
 fn bench_ring_ingest(c: &mut Criterion) {
     use seg6_runtime::ring::spsc_ring;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::{mpsc, Arc};
+    use std::sync::Arc;
 
     let mut group = c.benchmark_group("ring_ingest");
     group.sample_size(20);
@@ -274,40 +207,7 @@ fn bench_ring_ingest(c: &mut Criterion) {
     group.throughput(Throughput::Elements(POOL as u64));
 
     for shards in [1usize, 2, 4, 8] {
-        // --- mpsc baseline: one sync-channel send per descriptor ---
-        {
-            let processed = Arc::new(AtomicU64::new(0));
-            let mut senders = Vec::with_capacity(shards);
-            let mut consumers = Vec::with_capacity(shards);
-            for _ in 0..shards {
-                let (tx, rx) = mpsc::sync_channel::<u64>(2 * POOL);
-                let processed = Arc::clone(&processed);
-                consumers.push(std::thread::spawn(move || {
-                    // Blocking recv — the cheapest consumption mpsc offers.
-                    while rx.recv().is_ok() {
-                        processed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }));
-                senders.push(tx);
-            }
-            group.bench_function(format!("mpsc_send_{shards}w"), |b| {
-                b.iter(|| {
-                    let target = processed.load(Ordering::Relaxed) + POOL as u64;
-                    for i in 0..POOL as u64 {
-                        senders[i as usize % shards].send(i).expect("consumer alive");
-                    }
-                    while processed.load(Ordering::Relaxed) < target {
-                        std::thread::yield_now();
-                    }
-                })
-            });
-            drop(senders);
-            for consumer in consumers {
-                consumer.join().expect("mpsc consumer");
-            }
-        }
-
-        // --- SPSC ring: staged descriptors, one publish per burst ---
+        // Staged descriptors, one publish per burst.
         for burst in [1usize, 32, 256] {
             let processed = Arc::new(AtomicU64::new(0));
             let stop = Arc::new(AtomicBool::new(false));
@@ -376,13 +276,10 @@ fn bench_ring_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-/// The PR-5 headline rows: one **shared** pool serving T tenants against
-/// T single-tenant pools ("pool-per-node" — what simnet used to build),
-/// at 1/2/4 tenants × 1/2/4 shards. The workload is fixed (1024 packets
-/// split evenly across the tenants, enqueue + flush), so the comparison
-/// isolates the cost of tenancy itself: descriptor stamping, tenant-run
-/// splitting and per-tenant counters on the shared side, versus T times
-/// the thread/ring/flush-barrier footprint on the pool-per-node side.
+/// One **shared** pool serving T tenants, at 1/2/4 tenants × 1/2/4 shards.
+/// The workload is fixed (1024 packets split evenly across the tenants,
+/// enqueue + flush), so the rows isolate the cost of tenancy itself:
+/// descriptor stamping, tenant-run splitting and per-tenant counters.
 fn bench_tenant_scaling(c: &mut Criterion) {
     use seg6_runtime::{TenantId, TenantQos, TenantSpec};
 
@@ -406,8 +303,8 @@ fn bench_tenant_scaling(c: &mut Criterion) {
             let per_tenant = POOL / tenants;
             let config = PoolConfig { workers, batch_size: 32, queue_depth: 2 * POOL, ..Default::default() };
 
-            // Shared pool: T tenants on one set of shards.
-            let mut shared = WorkerPool::new(config.clone(), |cpu| tenant_datapath(1, cpu));
+            // T tenants on one set of shards.
+            let mut shared = WorkerPool::new(config, |cpu| tenant_datapath(1, cpu));
             let mut ids = vec![TenantId::DEFAULT];
             for t in 1..tenants {
                 ids.push(shared.add_tenant(TenantSpec::build_with(|cpu| tenant_datapath(1 + t as u32, cpu))));
@@ -425,28 +322,6 @@ fn bench_tenant_scaling(c: &mut Criterion) {
             });
             assert_eq!(shared.rejected(), 0, "the bench never overflows a shard queue");
             shared.shutdown();
-
-            // Pool-per-node: T pools, each with its own shard threads.
-            let mut pools: Vec<WorkerPool> = (0..tenants)
-                .map(|t| WorkerPool::new(config.clone(), |cpu| tenant_datapath(1 + t as u32, cpu)))
-                .collect();
-            group.bench_function(format!("per_node_{tenants}t_{workers}w"), |b| {
-                b.iter(|| {
-                    let mut forwarded = 0u64;
-                    for (t, pool) in pools.iter_mut().enumerate() {
-                        let chunk = &pool_packets[t * per_tenant..(t + 1) * per_tenant];
-                        pool.enqueue_all(chunk.iter().cloned());
-                    }
-                    for pool in pools.iter_mut() {
-                        forwarded += pool.flush().run.forwarded;
-                    }
-                    forwarded
-                })
-            });
-            for pool in pools {
-                assert_eq!(pool.rejected(), 0, "the bench never overflows a shard queue");
-                pool.shutdown();
-            }
         }
     }
 
@@ -483,10 +358,8 @@ fn bench_tenant_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// FIB lookup scaling: the LPM trie against the linear scan it replaced,
-/// at 10 / 1k / 100k routes. The trie rows must stay flat as the route
-/// count grows (O(prefix bits)); the linear rows degrade with O(routes) —
-/// the ≥10× advantage at 100k routes is this PR's acceptance criterion.
+/// FIB lookup scaling: the LPM trie at 10 / 1k / 100k routes. The rows must
+/// stay near-flat as the route count grows (O(prefix bits)).
 fn bench_fib_scale(c: &mut Criterion) {
     /// Deterministic xorshift64* so every run builds the same tables.
     struct Rng(u64);
@@ -503,35 +376,23 @@ fn bench_fib_scale(c: &mut Criterion) {
 
     const LOOKUPS: usize = 256;
 
-    /// A linear-scan route table: the seed's `Fib` representation.
-    type LinearFib = Vec<(Ipv6Prefix, Vec<Nexthop>)>;
-
     fn random_prefix(rng: &mut Rng) -> Ipv6Prefix {
         let len = 16 + (rng.next() % 97) as u8; // /16 ..= /112
         let addr = std::net::Ipv6Addr::from(((rng.next() as u128) << 64 | rng.next() as u128).to_be_bytes());
         Ipv6Prefix::new(addr, len).expect("valid length")
     }
 
-    /// Builds the same route set into a trie and a linear table, plus a
-    /// lookup mix of guaranteed hits (host-bit noise under installed
-    /// prefixes) and default-route traffic.
-    fn build(routes: usize) -> (Fib, LinearFib, Vec<std::net::Ipv6Addr>) {
+    /// Builds a route set into a trie, plus a lookup mix of guaranteed hits
+    /// (host-bit noise under installed prefixes) and default-route traffic.
+    fn build(routes: usize) -> (Fib, Vec<std::net::Ipv6Addr>) {
         let mut rng = Rng(0xf1b_5ca1e ^ routes as u64);
         let mut trie = Fib::new();
-        let mut linear: LinearFib = Vec::with_capacity(routes + 1);
-        let insert = |prefix: Ipv6Prefix, nexthops: Vec<Nexthop>, trie: &mut Fib, linear: &mut LinearFib| {
-            trie.insert(prefix, nexthops.clone());
-            match linear.iter_mut().find(|(p, _)| *p == prefix) {
-                Some(slot) => slot.1 = nexthops,
-                None => linear.push((prefix, nexthops)),
-            }
-        };
-        insert("::/0".parse().unwrap(), vec![Nexthop::direct(1)], &mut trie, &mut linear);
+        trie.insert("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
         let mut prefixes = Vec::with_capacity(routes);
         for i in 0..routes {
             let prefix = random_prefix(&mut rng);
             let oif = 1 + (i % 31) as u32;
-            insert(prefix, vec![Nexthop::direct(oif)], &mut trie, &mut linear);
+            trie.insert(prefix, vec![Nexthop::direct(oif)]);
             prefixes.push(prefix);
         }
         let dsts = (0..LOOKUPS)
@@ -546,29 +407,7 @@ fn bench_fib_scale(c: &mut Criterion) {
                 }
             })
             .collect();
-        (trie, linear, dsts)
-    }
-
-    /// The seed's `Fib::lookup`, verbatim: linear scan, longest prefix,
-    /// weighted ECMP selection, cloned next hop — the honest "before".
-    fn linear_lookup(
-        linear: &[(Ipv6Prefix, Vec<Nexthop>)],
-        dst: std::net::Ipv6Addr,
-        flow_hash: u64,
-    ) -> Option<(Ipv6Prefix, Nexthop, usize)> {
-        let (prefix, nexthops) =
-            linear.iter().filter(|(p, _)| p.contains(dst)).max_by_key(|(p, _)| p.len())?;
-        let total_weight: u64 = nexthops.iter().map(|n| u64::from(n.weight)).sum();
-        let mut slot = flow_hash % total_weight.max(1);
-        let mut chosen = &nexthops[0];
-        for nexthop in nexthops {
-            if slot < u64::from(nexthop.weight) {
-                chosen = nexthop;
-                break;
-            }
-            slot -= u64::from(nexthop.weight);
-        }
-        Some((*prefix, *chosen, nexthops.len()))
+        (trie, dsts)
     }
 
     let mut group = c.benchmark_group("fib_scale");
@@ -578,24 +417,13 @@ fn bench_fib_scale(c: &mut Criterion) {
     group.throughput(Throughput::Elements(LOOKUPS as u64));
 
     for (label, routes) in [("10", 10usize), ("1k", 1_000), ("100k", 100_000)] {
-        let (trie, linear, dsts) = build(routes);
+        let (trie, dsts) = build(routes);
         group.bench_function(format!("trie_{label}"), |b| {
             b.iter(|| {
                 let mut acc = 0u64;
                 for (i, dst) in dsts.iter().enumerate() {
                     if let Some(hit) = trie.lookup(*dst, i as u64) {
                         acc += u64::from(hit.nexthop.oif);
-                    }
-                }
-                acc
-            })
-        });
-        group.bench_function(format!("linear_{label}"), |b| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for (i, dst) in dsts.iter().enumerate() {
-                    if let Some((_, nexthop, _)) = linear_lookup(&linear, *dst, i as u64) {
-                        acc += u64::from(nexthop.oif);
                     }
                 }
                 acc

@@ -59,25 +59,6 @@ impl DatapathStats {
             Verdict::Drop(reason) => *self.dropped.entry(*reason).or_insert(0) += 1,
         }
     }
-
-    /// Records one processed packet's outcome — the same accounting
-    /// [`Seg6Datapath`] performs internally, exposed for consumers that
-    /// execute packets elsewhere (worker-pool shard forks) but keep an
-    /// aggregate node-level view. Keeping this here means a new counter or
-    /// work class is added in exactly one place.
-    pub fn record(&mut self, verdict: &Verdict, work: &WorkSummary) {
-        self.received += 1;
-        if work.seg6local {
-            self.seg6local_invocations += 1;
-        }
-        if work.bpf {
-            self.bpf_invocations += 1;
-        }
-        if work.transit {
-            self.transit_applied += 1;
-        }
-        self.count_verdict(verdict);
-    }
 }
 
 /// What the datapath did to one packet of a batch, summarised as the work
@@ -95,7 +76,7 @@ pub struct WorkSummary {
     pub transit: bool,
 }
 
-/// The per-packet result of [`Seg6Datapath::process_batch_verdicts`]: the
+/// The per-packet result of [`Seg6Datapath::process_batch_verdicts_into`]: the
 /// forwarding verdict plus the work the packet cost. This is the batch
 /// emit surface the worker-pool runtime and the simulator consume.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,7 +90,7 @@ pub struct BatchVerdict {
 
 /// How a destination address dispatches inside the datapath. Classification
 /// depends only on the destination and the (batch-constant) tables, which
-/// is what lets [`Seg6Datapath::process_batch`] compute it once per
+/// is what lets [`Seg6Datapath::process_batch_verdicts_into`] compute it once per
 /// destination run instead of once per packet. Every variant **borrows**
 /// from the configuration tables — classifying a packet clones nothing,
 /// however large the attached behaviour (program `Arc`s, SRH templates) is.
@@ -162,7 +143,7 @@ fn classify_dst<'a>(
 }
 
 /// A one-entry cache of the last FIB lookup, scoped to one batch (the
-/// tables cannot change while `process_batch` holds `&mut self`). Only
+/// tables cannot change while the batch holds `&mut self`). Only
 /// flow-hash-invariant results — single-path routes and misses — are
 /// cached; ECMP routes are re-selected per packet, keeping multipath
 /// spreading intact. This is the batch-scoped analogue of the kernel's
@@ -308,40 +289,16 @@ impl Seg6Datapath {
 
     /// Processes one packet, as the IPv6 receive path would, and returns the
     /// forwarding verdict. `now_ns` is the current time (it drives
-    /// `bpf_ktime_get_ns` and the `End.DM` timestamps).
+    /// `bpf_ktime_get_ns` and the `End.DM` timestamps). A batch of one:
+    /// the same per-packet step [`Seg6Datapath::process_batch_verdicts_into`]
+    /// runs, without the output buffer.
     pub fn process(&mut self, skb: &mut Skb, now_ns: u64) -> Verdict {
-        self.fib.refresh(&self.tables);
-        self.stats.received += 1;
-        let verdict = match Ipv6Header::parse(skb.packet.data()) {
-            Err(_) => Verdict::Drop(DropReason::Malformed),
-            Ok(header) => {
-                let dispatch = classify_dst(
-                    &self.local_sids,
-                    &self.lwt_bpf,
-                    &self.transit,
-                    self.local_addr,
-                    &self.host_addrs,
-                    header.dst,
-                );
-                let mut routes = RouteCache::default();
-                Exec {
-                    local_addr: self.local_addr,
-                    host_addrs: &self.host_addrs,
-                    tables: &self.tables,
-                    helpers: &self.helpers,
-                    fib: &self.fib,
-                    stats: &mut self.stats,
-                    scratch: &mut self.scratch,
-                    cpu: self.cpu_id,
-                }
-                .execute(&dispatch, skb, &header, now_ns, &mut routes)
-            }
-        };
-        self.stats.count_verdict(&verdict);
-        verdict
+        self.batch().step(skb, now_ns).verdict
     }
 
-    /// Processes a batch of packets, amortising the per-packet dispatch.
+    /// Processes a batch of packets, amortising the per-packet dispatch,
+    /// and appends one [`BatchVerdict`] per packet — the verdict plus a
+    /// [`WorkSummary`] of what the packet cost — to a caller-owned buffer.
     ///
     /// The classification step (SID table, LWT attachment and transit
     /// lookups — all linear or longest-prefix scans) depends only on the
@@ -350,88 +307,104 @@ impl Seg6Datapath {
     /// packet's classification instead of re-scanning every table. The
     /// verdicts come back in input order, and each packet's processing is
     /// byte-identical to what [`Seg6Datapath::process`] produces.
-    pub fn process_batch(&mut self, skbs: &mut [Skb], now_ns: u64) -> Vec<Verdict> {
-        self.process_batch_verdicts(skbs, now_ns).into_iter().map(|b| b.verdict).collect()
-    }
-
-    /// Like [`Seg6Datapath::process_batch`], but emits a [`BatchVerdict`]
-    /// per packet: the verdict plus a [`WorkSummary`] of what the packet
-    /// cost. Consumers that price CPU work per packet (the simulator, the
-    /// worker pool's accounting) read the summary instead of diffing
-    /// [`DatapathStats`] around every call.
-    pub fn process_batch_verdicts(&mut self, skbs: &mut [Skb], now_ns: u64) -> Vec<BatchVerdict> {
-        let mut verdicts = Vec::with_capacity(skbs.len());
-        self.process_batch_verdicts_into(skbs, now_ns, &mut verdicts);
-        verdicts
-    }
-
-    /// The allocation-free form of [`Seg6Datapath::process_batch_verdicts`]:
-    /// verdicts are appended to a caller-owned buffer (the worker pool
-    /// clears and reuses one per shard), so the steady state performs no
-    /// heap allocation per packet **or per batch**. The `alloc-counter`
-    /// test feature asserts exactly that.
+    ///
+    /// The worker pool clears and reuses one buffer per shard, so the
+    /// steady state performs no heap allocation per packet **or per
+    /// batch**. The `alloc-counter` test feature asserts exactly that.
     pub fn process_batch_verdicts_into(
         &mut self,
         skbs: &mut [Skb],
         now_ns: u64,
         out: &mut Vec<BatchVerdict>,
     ) {
-        self.fib.refresh(&self.tables);
         out.reserve(skbs.len());
-        let mut cached: Option<(Ipv6Addr, Dispatch<'_>)> = None;
-        let mut routes = RouteCache::default();
+        let mut batch = self.batch();
         for skb in skbs.iter_mut() {
-            self.stats.received += 1;
-            let before =
-                (self.stats.seg6local_invocations, self.stats.bpf_invocations, self.stats.transit_applied);
-            let verdict = match Ipv6Header::parse(skb.packet.data()) {
-                Err(_) => Verdict::Drop(DropReason::Malformed),
-                Ok(header) => {
-                    let hit = matches!(&cached, Some((dst, _)) if *dst == header.dst);
-                    if !hit {
-                        cached = Some((
-                            header.dst,
-                            classify_dst(
-                                &self.local_sids,
-                                &self.lwt_bpf,
-                                &self.transit,
-                                self.local_addr,
-                                &self.host_addrs,
-                                header.dst,
-                            ),
-                        ));
-                    }
-                    // The cached dispatch borrows the configuration tables
-                    // only; the execution state (stats, scratch) is a
-                    // disjoint set of fields, so no clone is needed.
-                    let (_, dispatch) = cached.as_ref().expect("cache filled above");
-                    Exec {
-                        local_addr: self.local_addr,
-                        host_addrs: &self.host_addrs,
-                        tables: &self.tables,
-                        helpers: &self.helpers,
-                        fib: &self.fib,
-                        stats: &mut self.stats,
-                        scratch: &mut self.scratch,
-                        cpu: self.cpu_id,
-                    }
-                    .execute(dispatch, skb, &header, now_ns, &mut routes)
-                }
-            };
-            self.stats.count_verdict(&verdict);
-            let work = WorkSummary {
-                seg6local: self.stats.seg6local_invocations > before.0,
-                bpf: self.stats.bpf_invocations > before.1,
-                transit: self.stats.transit_applied > before.2,
-            };
-            out.push(BatchVerdict { verdict, work });
+            out.push(batch.step(skb, now_ns));
+        }
+    }
+
+    /// Opens a batch: refreshes the FIB snapshot and splits `self` into the
+    /// configuration tables the cached [`Dispatch`] borrows and the
+    /// execution state each packet mutates.
+    fn batch(&mut self) -> Batch<'_> {
+        self.fib.refresh(&self.tables);
+        Batch {
+            local_sids: &self.local_sids,
+            lwt_bpf: &self.lwt_bpf,
+            transit: &self.transit,
+            exec: Exec {
+                local_addr: self.local_addr,
+                host_addrs: &self.host_addrs,
+                tables: &self.tables,
+                helpers: &self.helpers,
+                fib: &self.fib,
+                stats: &mut self.stats,
+                scratch: &mut self.scratch,
+                cpu: self.cpu_id,
+            },
+            cached: None,
+            routes: RouteCache::default(),
         }
     }
 }
 
-/// The mutable execution state for one packet, split off the configuration
-/// tables the cached [`Dispatch`] borrows. Built per packet from disjoint
-/// `Seg6Datapath` fields — it is all references, constructing it is free.
+/// One batch in flight over a [`Seg6Datapath`]: the tables cannot change
+/// while it holds the datapath's `&mut`, which is what makes the
+/// batch-scoped classification and route caches sound.
+struct Batch<'a> {
+    local_sids: &'a LocalSidTable,
+    lwt_bpf: &'a LwtBpfTable,
+    transit: &'a TransitTable,
+    exec: Exec<'a>,
+    /// The previous packet's destination and its classification.
+    cached: Option<(Ipv6Addr, Dispatch<'a>)>,
+    routes: RouteCache,
+}
+
+impl Batch<'_> {
+    /// The per-packet step: parse, classify (reusing the previous packet's
+    /// classification when the destination repeats), execute, count.
+    #[inline]
+    fn step(&mut self, skb: &mut Skb, now_ns: u64) -> BatchVerdict {
+        let stats = &mut *self.exec.stats;
+        stats.received += 1;
+        let before = (stats.seg6local_invocations, stats.bpf_invocations, stats.transit_applied);
+        let verdict = match Ipv6Header::parse(skb.packet.data()) {
+            Err(_) => Verdict::Drop(DropReason::Malformed),
+            Ok(header) => {
+                let hit = matches!(&self.cached, Some((dst, _)) if *dst == header.dst);
+                if !hit {
+                    self.cached = Some((
+                        header.dst,
+                        classify_dst(
+                            self.local_sids,
+                            self.lwt_bpf,
+                            self.transit,
+                            self.exec.local_addr,
+                            self.exec.host_addrs,
+                            header.dst,
+                        ),
+                    ));
+                }
+                let (_, dispatch) = self.cached.as_ref().expect("cache filled above");
+                self.exec.execute(dispatch, skb, &header, now_ns, &mut self.routes)
+            }
+        };
+        let stats = &mut *self.exec.stats;
+        stats.count_verdict(&verdict);
+        let work = WorkSummary {
+            seg6local: stats.seg6local_invocations > before.0,
+            bpf: stats.bpf_invocations > before.1,
+            transit: stats.transit_applied > before.2,
+        };
+        BatchVerdict { verdict, work }
+    }
+}
+
+/// The mutable execution state of a batch, split off the configuration
+/// tables the cached [`Dispatch`] borrows — disjoint `Seg6Datapath` fields,
+/// all by reference.
 struct Exec<'e> {
     local_addr: Ipv6Addr,
     host_addrs: &'e [Ipv6Addr],
@@ -837,9 +810,10 @@ mod tests {
         let single_verdicts: Vec<Verdict> = singles.iter_mut().map(|skb| dp_single.process(skb, 7)).collect();
 
         let mut batched = mixed_batch();
-        let batch_verdicts = dp_batch.process_batch(&mut batched, 7);
+        let mut batch_verdicts = Vec::new();
+        dp_batch.process_batch_verdicts_into(&mut batched, 7, &mut batch_verdicts);
 
-        assert_eq!(single_verdicts, batch_verdicts);
+        assert_eq!(single_verdicts, batch_verdicts.into_iter().map(|b| b.verdict).collect::<Vec<_>>());
         // The packets were rewritten identically too.
         for (single, batch) in singles.iter().zip(batched.iter()) {
             assert_eq!(single.packet.data(), batch.packet.data());
@@ -860,15 +834,19 @@ mod tests {
         // produce the same verdicts as individual processing.
         let mut dp = batch_router();
         let mut batch: Vec<Skb> = (0..16).map(|_| srv6_skb(&["fc00::e1", "fc00::22"])).collect();
-        let verdicts = dp.process_batch(&mut batch, 0);
-        assert!(verdicts.iter().all(|v| v.is_forward()));
+        let mut verdicts = Vec::new();
+        dp.process_batch_verdicts_into(&mut batch, 0, &mut verdicts);
+        assert_eq!(verdicts.len(), 16);
+        assert!(verdicts.iter().all(|b| b.verdict.is_forward()));
         assert_eq!(dp.stats.seg6local_invocations, 16);
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
         let mut dp = batch_router();
-        assert!(dp.process_batch(&mut [], 0).is_empty());
+        let mut verdicts = Vec::new();
+        dp.process_batch_verdicts_into(&mut [], 0, &mut verdicts);
+        assert!(verdicts.is_empty());
         assert_eq!(dp.stats.received, 0);
     }
 
@@ -888,7 +866,8 @@ mod tests {
             plain_skb("2001:db8:1::9"),                         // transit encap
             Skb::new(netpkt::PacketBuf::from_slice(&[0u8; 6])), // malformed
         ];
-        let verdicts = dp.process_batch_verdicts(&mut batch, 0);
+        let mut verdicts = Vec::new();
+        dp.process_batch_verdicts_into(&mut batch, 0, &mut verdicts);
         let works: Vec<WorkSummary> = verdicts.iter().map(|b| b.work).collect();
         assert_eq!(works[0], WorkSummary { seg6local: true, bpf: false, transit: false });
         assert_eq!(works[1], WorkSummary { seg6local: true, bpf: true, transit: false });
@@ -896,18 +875,11 @@ mod tests {
         assert_eq!(works[3], WorkSummary { seg6local: false, bpf: false, transit: true });
         assert_eq!(works[4], WorkSummary::default());
         assert_eq!(verdicts[4].verdict, Verdict::Drop(DropReason::Malformed));
-        // The verdicts agree with the plain batch API on a fresh router.
-        let plain = batch_router().process_batch(
-            &mut [
-                srv6_skb(&["fc00::e1", "fc00::22"]),
-                srv6_skb(&["fc00::e2", "fc00::22"]),
-                plain_skb("fc00::42"),
-                plain_skb("2001:db8:1::9"),
-                Skb::new(netpkt::PacketBuf::from_slice(&[0u8; 6])),
-            ],
-            0,
-        );
-        assert_eq!(plain, verdicts.into_iter().map(|b| b.verdict).collect::<Vec<_>>());
+        // The buffer is appended to, never cleared: a second batch lands
+        // after the first.
+        dp.process_batch_verdicts_into(&mut [plain_skb("fc00::42")], 0, &mut verdicts);
+        assert_eq!(verdicts.len(), 6);
+        assert!(verdicts[5].verdict.is_forward());
     }
 
     #[test]

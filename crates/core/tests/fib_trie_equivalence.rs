@@ -29,11 +29,11 @@ impl Rng {
 /// The reference: the linear-scan FIB the trie replaced, with the exact
 /// same weighted ECMP selection.
 #[derive(Default)]
-struct LinearFib {
+struct ReferenceFib {
     routes: Vec<(Ipv6Prefix, Vec<Nexthop>)>,
 }
 
-impl LinearFib {
+impl ReferenceFib {
     fn insert(&mut self, prefix: Ipv6Prefix, nexthops: Vec<Nexthop>) {
         match self.routes.iter_mut().find(|(p, _)| *p == prefix) {
             Some(slot) => slot.1 = nexthops,
@@ -114,7 +114,7 @@ fn random_nexthops(rng: &mut Rng) -> Vec<Nexthop> {
 fn trie_matches_linear_reference_over_random_workload() {
     let mut rng = Rng(0x5eed_cafe_f00d_0001);
     let mut trie = Fib::new();
-    let mut reference = LinearFib::default();
+    let mut reference = ReferenceFib::default();
 
     // ~5k random prefixes (with deliberate replacements when a prefix
     // repeats), including an explicit default route and ECMP weights.
@@ -133,7 +133,7 @@ fn trie_matches_linear_reference_over_random_workload() {
     // 10k lookups: half aimed near installed prefixes (hits), half fully
     // random (mostly default-route), each with a random flow hash so the
     // weighted ECMP selection is compared too.
-    let check = |trie: &Fib, reference: &LinearFib, rng: &mut Rng, rounds: usize| {
+    let check = |trie: &Fib, reference: &ReferenceFib, rng: &mut Rng, rounds: usize| {
         for i in 0..rounds {
             let dst = if i % 2 == 0 {
                 let base = inserted[rng.below(inserted.len() as u64) as usize].addr();

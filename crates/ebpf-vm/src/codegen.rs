@@ -17,9 +17,9 @@
 //! `host_pointer.wrapping_sub(synthetic_base)`, so the host address of a
 //! synthetic address `a` is the two-instruction `bias + a` — no compare
 //! chain on the fast path. `rbx` (callee-saved) holds the frame pointer for
-//! the whole program; BPF registers live in the frame and are loaded into
-//! scratch registers per operation, which keeps the register allocator
-//! trivial and the emitted code easy to audit.
+//! the whole program. BPF registers are ranked by use count and homed in
+//! host registers for the whole program (`RegPlan`); the frame is the
+//! spill area and the coherence point around trampoline calls.
 //!
 //! ## Verifier-derived check elision
 //!
@@ -72,38 +72,10 @@ pub const fn supported() -> bool {
     cfg!(all(target_arch = "x86_64", target_os = "linux"))
 }
 
-/// Which emitter [`compile`] uses on supported hosts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NativeMode {
-    /// The register-allocating emitter: BPF registers live in host
-    /// registers, map values are accessed directly and hot helpers are
-    /// inlined. The default.
-    RegAlloc,
-    /// The original load-op-store frame model, kept selectable (the
-    /// `SEG6_NATIVE_REGALLOC=off` kill-switch) for differential testing.
-    FrameOnly,
-}
-
-impl NativeMode {
-    /// The mode selected by the `SEG6_NATIVE_REGALLOC` environment variable
-    /// (`off` / `0` / `false` select [`NativeMode::FrameOnly`]).
-    pub fn from_env() -> NativeMode {
-        match std::env::var("SEG6_NATIVE_REGALLOC") {
-            Ok(value) => match value.trim().to_ascii_lowercase().as_str() {
-                "off" | "0" | "false" => NativeMode::FrameOnly,
-                _ => NativeMode::RegAlloc,
-            },
-            Err(_) => NativeMode::RegAlloc,
-        }
-    }
-}
-
 /// Compile-time facts about one emitted program, for the
 /// `SEG6_JIT_DEBUG=1` dump and the zero-spill assertions in tests.
 #[derive(Debug, Clone, Default)]
 pub struct NativeDebug {
-    /// Whether the register-allocating emitter produced this code.
-    pub regalloc: bool,
     /// `(bpf_reg, host_reg_name)` pairs for every register-resident value.
     pub assignments: Vec<(u8, &'static str)>,
     /// BPF registers that stayed frame-resident under register pressure.
@@ -163,38 +135,24 @@ impl std::fmt::Debug for NativeProgram {
     }
 }
 
-/// Compiles a fused program to native code with the emitter selected by
-/// `SEG6_NATIVE_REGALLOC`. Returns `Ok(None)` when the target has no native
-/// backend; callers then run the fused tier.
+/// Compiles a fused program to native code. Returns `Ok(None)` when the
+/// target has no native backend; callers then run the fused tier.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub fn compile(
     fused: &FusedProgram,
     facts: &AccessFacts,
     loaded: &LoadedProgram,
 ) -> Result<Option<NativeProgram>> {
-    compile_with(fused, facts, loaded, NativeMode::from_env())
+    x86_64::compile(fused, facts, loaded).map(Some)
 }
 
-/// Compiles a fused program to native code with an explicit emitter mode —
-/// the differential fuzz harness compiles both modes of one program in the
-/// same process. Returns `Ok(None)` when the target has no native backend.
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-pub fn compile_with(
-    fused: &FusedProgram,
-    facts: &AccessFacts,
-    loaded: &LoadedProgram,
-    mode: NativeMode,
-) -> Result<Option<NativeProgram>> {
-    x86_64::compile(fused, facts, loaded, mode).map(Some)
-}
-
-/// Compiles a fused program to native code with an explicit emitter mode.
-/// Returns `Ok(None)` when the target has no native backend.
+/// Compiles a fused program to native code. Returns `Ok(None)`: this target
+/// has no native backend, so callers run the fused tier.
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-pub fn compile_with(
+pub fn compile(
     _fused: &FusedProgram,
     _facts: &AccessFacts,
     _loaded: &LoadedProgram,
-    _mode: NativeMode,
 ) -> Result<Option<NativeProgram>> {
     Ok(None)
 }
@@ -537,11 +495,9 @@ mod x86_64 {
 
         // --- REX-aware forms (r8–r15 capable) --------------------------
         //
-        // The original frame-model emitter only touches rax..rdi and keeps
-        // its hand-assembled byte sequences; the register-allocating
-        // emitter homes BPF registers in rbp/r8–r15 and goes through these
-        // helpers, which emit a REX prefix exactly when the operands (or
-        // the 64-bit width) need one. Memory bases stay below r8 — and
+        // The emitter homes BPF registers in rbp/r8–r15 and goes through
+        // these helpers, which emit a REX prefix exactly when the operands
+        // (or the 64-bit width) need one. Memory bases stay below r8 — and
         // never rsp/rbp — so only REX.R/REX.B for the reg/rm fields and
         // REX.W for width are ever required.
 
@@ -697,620 +653,6 @@ mod x86_64 {
         FlushExit(usize),
     }
 
-    struct Emitter<'a> {
-        asm: Asm,
-        facts: &'a AccessFacts,
-        offsets: Vec<usize>,
-        fixups: Vec<Fixup>,
-    }
-
-    impl<'a> Emitter<'a> {
-        // --- frame register traffic -----------------------------------
-
-        /// `mov reg, qword [rbx + 8*bpf_reg]`
-        fn load_frame64(&mut self, reg: u8, bpf_reg: u8) {
-            self.asm.bytes(&[0x48, 0x8B]);
-            self.asm.modrm_mem(reg, RBX, 8 * i32::from(bpf_reg));
-        }
-        /// `mov reg32, dword [rbx + 8*bpf_reg]` (zero-extends).
-        fn load_frame32(&mut self, reg: u8, bpf_reg: u8) {
-            self.asm.b(0x8B);
-            self.asm.modrm_mem(reg, RBX, 8 * i32::from(bpf_reg));
-        }
-        fn load_frame(&mut self, reg: u8, bpf_reg: u8, is64: bool) {
-            if is64 {
-                self.load_frame64(reg, bpf_reg);
-            } else {
-                self.load_frame32(reg, bpf_reg);
-            }
-        }
-        /// `mov qword [rbx + 8*bpf_reg], reg`
-        fn store_frame(&mut self, bpf_reg: u8, reg: u8) {
-            self.asm.bytes(&[0x48, 0x89]);
-            self.asm.modrm_mem(reg, RBX, 8 * i32::from(bpf_reg));
-        }
-        /// `mov reg, qword [rbx + disp]` for the frame scalar fields.
-        fn load_field(&mut self, reg: u8, disp: i32) {
-            self.asm.bytes(&[0x48, 0x8B]);
-            self.asm.modrm_mem(reg, RBX, disp);
-        }
-        /// `movabs reg, imm64`
-        fn movabs(&mut self, reg: u8, imm: u64) {
-            self.asm.b(0x48);
-            self.asm.b(0xB8 + reg);
-            self.asm.u64v(imm);
-        }
-
-        // --- control flow ---------------------------------------------
-
-        /// Long `jcc rel32` with the target patched later.
-        fn jcc32(&mut self, cc: u8) -> usize {
-            self.asm.b(0x0F);
-            self.asm.b(0x80 | cc);
-            let pos = self.asm.here();
-            self.asm.i32v(0);
-            pos
-        }
-        /// Long `jmp rel32` with the target patched later.
-        fn jmp32(&mut self) -> usize {
-            self.asm.b(0xE9);
-            let pos = self.asm.here();
-            self.asm.i32v(0);
-            pos
-        }
-        /// Resolves a local forward rel32 to the current position.
-        fn bind(&mut self, pos: usize) {
-            let rel = (self.asm.here() as i64 - (pos as i64 + 4)) as i32;
-            self.asm.code[pos..pos + 4].copy_from_slice(&rel.to_le_bytes());
-        }
-        /// Short `jcc rel8` with the target patched later.
-        fn jcc8(&mut self, cc: u8) -> usize {
-            self.asm.b(0x70 | cc);
-            let pos = self.asm.here();
-            self.asm.b(0);
-            pos
-        }
-        /// Short `jmp rel8` with the target patched later.
-        fn jmp8(&mut self) -> usize {
-            self.asm.b(0xEB);
-            let pos = self.asm.here();
-            self.asm.b(0);
-            pos
-        }
-        fn bind8(&mut self, pos: usize) {
-            let rel = self.asm.here() as i64 - (pos as i64 + 1);
-            debug_assert!((-128..=127).contains(&rel));
-            self.asm.code[pos] = rel as i8 as u8;
-        }
-        /// `jcc fault` taking the branch when `cc` holds: emitted as the
-        /// inverted short jump over a `mov eax, slot+1; jmp fault` pair.
-        fn fault_if(&mut self, cc: u8, slot: usize) {
-            self.asm.b(0x70 | (cc ^ 1));
-            self.asm.b(10);
-            self.asm.b(0xB8);
-            self.asm.i32v(slot as i32 + 1);
-            self.asm.b(0xE9);
-            let pos = self.asm.here();
-            self.asm.i32v(0);
-            self.fixups.push(Fixup::Fault(pos));
-        }
-
-        // --- memory access helpers ------------------------------------
-
-        /// Width-correct load from `[base + rcx]` into `rax` (zero-extending).
-        fn load_mem_rax(&mut self, size: AccessSize, base: u8) {
-            match size {
-                AccessSize::Byte => {
-                    self.asm.bytes(&[0x0F, 0xB6]);
-                    self.asm.modrm_sib(RAX, base, RCX);
-                }
-                AccessSize::Half => {
-                    self.asm.bytes(&[0x0F, 0xB7]);
-                    self.asm.modrm_sib(RAX, base, RCX);
-                }
-                AccessSize::Word => {
-                    self.asm.b(0x8B);
-                    self.asm.modrm_sib(RAX, base, RCX);
-                }
-                AccessSize::Double => {
-                    self.asm.bytes(&[0x48, 0x8B]);
-                    self.asm.modrm_sib(RAX, base, RCX);
-                }
-            }
-        }
-        /// Width-correct store of `rax`'s low bytes to `[base + rcx]`.
-        fn store_mem_rax(&mut self, size: AccessSize, base: u8) {
-            match size {
-                AccessSize::Byte => {
-                    self.asm.b(0x88);
-                    self.asm.modrm_sib(RAX, base, RCX);
-                }
-                AccessSize::Half => {
-                    self.asm.bytes(&[0x66, 0x89]);
-                    self.asm.modrm_sib(RAX, base, RCX);
-                }
-                AccessSize::Word => {
-                    self.asm.b(0x89);
-                    self.asm.modrm_sib(RAX, base, RCX);
-                }
-                AccessSize::Double => {
-                    self.asm.bytes(&[0x48, 0x89]);
-                    self.asm.modrm_sib(RAX, base, RCX);
-                }
-            }
-        }
-        /// Computes the synthetic address `regs[base] + off` into `rcx`.
-        fn addr_to_rcx(&mut self, base: u8, off: i16) {
-            self.load_frame64(RCX, base);
-            if off != 0 {
-                // add rcx, imm32 (sign-extended, matching wrapping_add of
-                // the sign-extended 16-bit displacement)
-                self.asm.bytes(&[0x48, 0x81, 0xC1]);
-                self.asm.i32v(i32::from(off));
-            }
-        }
-        /// Emits the region dispatch for a load at `slot`; leaves the value
-        /// in `rax`. `rcx` must hold the synthetic address.
-        fn emit_load_access(&mut self, slot: usize, size: AccessSize) {
-            match self.facts.get(slot) {
-                AccessFact::Stack => {
-                    self.load_field(RDX, OFF_STACK_BIAS);
-                    self.load_mem_rax(size, RDX);
-                }
-                AccessFact::Ctx { end } => {
-                    self.emit_ctx_guard(slot, end);
-                    self.load_field(RDX, OFF_CTX_BIAS);
-                    self.load_mem_rax(size, RDX);
-                }
-                AccessFact::Packet => {
-                    // off = addr - PKT_BASE; end = off + len; fault to the
-                    // generic resolver on carry or end > pkt_len so
-                    // out-of-range addresses (including ones pointing at
-                    // other regions) behave exactly like the interpreter.
-                    self.movabs(RSI, PKT_BASE);
-                    self.asm.bytes(&[0x48, 0x8B, 0xD1]); // mov rdx, rcx
-                    self.asm.bytes(&[0x48, 0x2B, 0xD6]); // sub rdx, rsi
-                    self.asm.bytes(&[0x48, 0x8B, 0xF2]); // mov rsi, rdx
-                    self.asm.bytes(&[0x48, 0x83, 0xC6, size.bytes() as u8]); // add rsi, len
-                    let slow_carry = self.jcc32(CC_B);
-                    self.asm.bytes(&[0x48, 0x3B]); // cmp rsi, [rbx+pkt_len]
-                    self.asm.modrm_mem(RSI, RBX, OFF_PKT_LEN);
-                    let slow_len = self.jcc32(CC_A);
-                    self.load_field(RSI, OFF_PKT_BIAS);
-                    self.load_mem_rax(size, RSI);
-                    let done = self.jmp32();
-                    self.bind(slow_carry);
-                    self.bind(slow_len);
-                    self.emit_tramp_load(slot, size);
-                    self.bind(done);
-                }
-                // The frame-model emitter resolves map values generically;
-                // only the register-allocating emitter uses the MapValue
-                // fact (MapLookup is recorded at call sites, never here).
-                AccessFact::Other | AccessFact::MapValue | AccessFact::MapLookup { .. } => {
-                    self.emit_tramp_load(slot, size)
-                }
-            }
-        }
-        /// Emits the region dispatch for a store at `slot`. `rcx` must hold
-        /// the synthetic address and `rax` the value.
-        fn emit_store_access(&mut self, slot: usize, size: AccessSize) {
-            match self.facts.get(slot) {
-                AccessFact::Stack => {
-                    self.load_field(RDX, OFF_STACK_BIAS);
-                    self.store_mem_rax(size, RDX);
-                }
-                AccessFact::Ctx { end } => {
-                    self.emit_ctx_guard(slot, end);
-                    self.load_field(RDX, OFF_CTX_BIAS);
-                    self.store_mem_rax(size, RDX);
-                }
-                // Stores never carry a Packet fact (the verifier rejects
-                // direct packet writes); anything else resolves generically
-                // in this emitter (the register-allocating emitter handles
-                // MapValue directly).
-                AccessFact::Packet
-                | AccessFact::Other
-                | AccessFact::MapValue
-                | AccessFact::MapLookup { .. } => self.emit_tramp_store(slot, size),
-            }
-        }
-        /// `cmp qword [rbx+ctx_len], end; jb fault` — the only runtime cost
-        /// of a verifier-proven context access (the embedder's context may
-        /// be shorter than the verifier's maximum layout).
-        fn emit_ctx_guard(&mut self, slot: usize, end: u16) {
-            self.asm.bytes(&[0x48, 0x81]);
-            self.asm.modrm_mem(7, RBX, OFF_CTX_LEN); // cmp /7
-            self.asm.i32v(i32::from(end));
-            self.fault_if(CC_B, slot);
-        }
-        /// Calls [`tramp_load`]; the result lands in `rax`. A recorded
-        /// fault aborts to the epilogue (the trampoline already stored the
-        /// slot).
-        fn emit_tramp_load(&mut self, slot: usize, size: AccessSize) {
-            self.load_field(RDI, OFF_TRAMP);
-            self.asm.bytes(&[0x48, 0x8B, 0xF1]); // mov rsi, rcx (addr)
-            self.asm.b(0xBA); // mov edx, size
-            self.asm.i32v(size.bytes() as i32);
-            self.asm.b(0xB9); // mov ecx, slot
-            self.asm.i32v(slot as i32);
-            let f: unsafe extern "C" fn(*mut TrampCtx, u64, u32, u32) -> u64 = tramp_load;
-            self.movabs(RAX, f as usize as u64);
-            self.asm.bytes(&[0xFF, 0xD0]); // call rax
-            self.emit_fault_check();
-        }
-        /// Calls [`tramp_store`] with the value currently in `rax`.
-        fn emit_tramp_store(&mut self, slot: usize, size: AccessSize) {
-            self.load_field(RDI, OFF_TRAMP);
-            self.asm.bytes(&[0x48, 0x8B, 0xF1]); // mov rsi, rcx (addr)
-            self.asm.bytes(&[0x48, 0x8B, 0xD0]); // mov rdx, rax (value)
-            self.asm.b(0xB9); // mov ecx, size
-            self.asm.i32v(size.bytes() as i32);
-            self.asm.bytes(&[0x41, 0xB8]); // mov r8d, slot
-            self.asm.i32v(slot as i32);
-            let f: unsafe extern "C" fn(*mut TrampCtx, u64, u64, u32, u32) = tramp_store;
-            self.movabs(RAX, f as usize as u64);
-            self.asm.bytes(&[0xFF, 0xD0]); // call rax
-            self.emit_fault_check();
-        }
-        /// `cmp qword [rbx+fault], 0; jne epilogue` after a trampoline that
-        /// may have recorded a fault.
-        fn emit_fault_check(&mut self) {
-            self.asm.bytes(&[0x48, 0x83]);
-            self.asm.modrm_mem(7, RBX, OFF_FAULT); // cmp /7, imm8
-            self.asm.b(0);
-            let pos = self.jcc32(CC_NE);
-            self.fixups.push(Fixup::Epilogue(pos));
-        }
-
-        // --- operations -----------------------------------------------
-
-        fn emit_alu_imm(&mut self, op: u8, is64: bool, dst: u8, imm: u64, slot: usize) -> Result<()> {
-            if op == alu::MOV {
-                if is64 {
-                    // mov qword [rbx+8*dst], imm32 (sign-extended — BPF
-                    // immediates are sign-extended 32-bit values)
-                    self.asm.bytes(&[0x48, 0xC7]);
-                    self.asm.modrm_mem(0, RBX, 8 * i32::from(dst));
-                    self.asm.i32v(imm as i32);
-                } else {
-                    self.asm.b(0xB8); // mov eax, imm32 (zero-extends)
-                    self.asm.i32v(imm as u32 as i32);
-                    self.store_frame(dst, RAX);
-                }
-                return Ok(());
-            }
-            self.load_frame(RAX, dst, is64);
-            match op {
-                alu::ADD | alu::OR | alu::AND | alu::SUB | alu::XOR => {
-                    let ext = match op {
-                        alu::ADD => 0,
-                        alu::OR => 1,
-                        alu::AND => 4,
-                        alu::SUB => 5,
-                        _ => 6, // XOR
-                    };
-                    if is64 {
-                        self.asm.b(0x48);
-                    }
-                    self.asm.b(0x81);
-                    self.asm.b(0xC0 | (ext << 3));
-                    self.asm.i32v(imm as i32);
-                }
-                alu::MUL => {
-                    if is64 {
-                        self.asm.b(0x48);
-                    }
-                    self.asm.bytes(&[0x69, 0xC0]); // imul rax, rax, imm32
-                    self.asm.i32v(imm as i32);
-                }
-                alu::DIV | alu::MOD => {
-                    // The verifier rejects DIV/MOD by immediate zero, so no
-                    // guard is needed here.
-                    if is64 {
-                        self.asm.bytes(&[0x48, 0xC7, 0xC1]); // mov rcx, imm32 (sext)
-                        self.asm.i32v(imm as i32);
-                    } else {
-                        self.asm.b(0xB9); // mov ecx, imm32
-                        self.asm.i32v(imm as u32 as i32);
-                    }
-                    self.emit_divmod(op, is64, false);
-                }
-                alu::LSH | alu::RSH | alu::ARSH => {
-                    let ext = match op {
-                        alu::LSH => 4,
-                        alu::RSH => 5,
-                        _ => 7, // ARSH
-                    };
-                    let amount = (imm as u32) & if is64 { 63 } else { 31 };
-                    if is64 {
-                        self.asm.b(0x48);
-                    }
-                    self.asm.b(0xC1);
-                    self.asm.b(0xC0 | (ext << 3));
-                    self.asm.b(amount as u8);
-                }
-                other => {
-                    return Err(Error::runtime(slot, format!("codegen: unsupported ALU op 0x{other:x}")))
-                }
-            }
-            self.store_frame(dst, RAX);
-            Ok(())
-        }
-
-        fn emit_alu_reg(&mut self, op: u8, is64: bool, dst: u8, src: u8, slot: usize) -> Result<()> {
-            if op == alu::MOV {
-                self.load_frame(RAX, src, is64);
-                self.store_frame(dst, RAX);
-                return Ok(());
-            }
-            self.load_frame(RCX, src, is64);
-            self.load_frame(RAX, dst, is64);
-            match op {
-                alu::ADD | alu::OR | alu::AND | alu::SUB | alu::XOR => {
-                    // op rax, rcx via the /r "load" forms: add=03 or=0B
-                    // and=23 sub=2B xor=33
-                    let opcode = match op {
-                        alu::ADD => 0x03,
-                        alu::OR => 0x0B,
-                        alu::AND => 0x23,
-                        alu::SUB => 0x2B,
-                        _ => 0x33, // XOR
-                    };
-                    if is64 {
-                        self.asm.b(0x48);
-                    }
-                    self.asm.b(opcode);
-                    self.asm.b(0xC1);
-                }
-                alu::MUL => {
-                    if is64 {
-                        self.asm.b(0x48);
-                    }
-                    self.asm.bytes(&[0x0F, 0xAF, 0xC1]); // imul rax, rcx
-                }
-                alu::DIV | alu::MOD => self.emit_divmod(op, is64, true),
-                alu::LSH | alu::RSH | alu::ARSH => {
-                    // The shift count sits in cl; the hardware masks it by
-                    // 63/31, exactly matching wrapping_shl/shr semantics.
-                    let ext = match op {
-                        alu::LSH => 4,
-                        alu::RSH => 5,
-                        _ => 7, // ARSH
-                    };
-                    if is64 {
-                        self.asm.b(0x48);
-                    }
-                    self.asm.b(0xD3);
-                    self.asm.b(0xC0 | (ext << 3));
-                }
-                other => {
-                    return Err(Error::runtime(slot, format!("codegen: unsupported ALU op 0x{other:x}")))
-                }
-            }
-            self.store_frame(dst, RAX);
-            Ok(())
-        }
-
-        /// Unsigned divide/remainder of `rax` by `rcx`, with the BPF
-        /// division-by-zero semantics (quotient 0, remainder unchanged)
-        /// when `guard_zero` is set. The 32-bit dividend was loaded
-        /// zero-extending, so the remainder-unchanged path is already
-        /// width-correct.
-        fn emit_divmod(&mut self, op: u8, is64: bool, guard_zero: bool) {
-            let mut zero_jump = None;
-            if guard_zero {
-                if is64 {
-                    self.asm.bytes(&[0x48, 0x85, 0xC9]); // test rcx, rcx
-                } else {
-                    self.asm.bytes(&[0x85, 0xC9]); // test ecx, ecx
-                }
-                zero_jump = Some(self.jcc8(CC_E));
-            }
-            self.asm.bytes(&[0x33, 0xD2]); // xor edx, edx
-            if is64 {
-                self.asm.bytes(&[0x48, 0xF7, 0xF1]); // div rcx
-            } else {
-                self.asm.bytes(&[0xF7, 0xF1]); // div ecx
-            }
-            if op == alu::MOD {
-                if is64 {
-                    self.asm.bytes(&[0x48, 0x8B, 0xC2]); // mov rax, rdx
-                } else {
-                    self.asm.bytes(&[0x8B, 0xC2]); // mov eax, edx
-                }
-            }
-            if let Some(pos) = zero_jump {
-                let done = self.jmp8();
-                self.bind8(pos);
-                if op == alu::DIV {
-                    self.asm.bytes(&[0x33, 0xC0]); // xor eax, eax
-                }
-                self.bind8(done);
-            }
-        }
-
-        fn emit_byteswap(&mut self, dst: u8, bits: u8, to_be: bool, slot: usize) -> Result<()> {
-            match (bits, to_be) {
-                (16, true) => {
-                    self.load_frame64(RAX, dst);
-                    self.asm.bytes(&[0x66, 0xC1, 0xC8, 0x08]); // ror ax, 8
-                    self.asm.bytes(&[0x0F, 0xB7, 0xC0]); // movzx eax, ax
-                }
-                (16, false) => {
-                    self.load_frame64(RAX, dst);
-                    self.asm.bytes(&[0x0F, 0xB7, 0xC0]); // movzx eax, ax
-                }
-                (32, true) => {
-                    self.load_frame32(RAX, dst);
-                    self.asm.bytes(&[0x0F, 0xC8]); // bswap eax
-                }
-                (32, false) => {
-                    self.load_frame32(RAX, dst); // zero-extends = truncate
-                }
-                (64, true) => {
-                    self.load_frame64(RAX, dst);
-                    self.asm.bytes(&[0x48, 0x0F, 0xC8]); // bswap rax
-                }
-                (64, false) => return Ok(()), // identity
-                _ => return Err(Error::runtime(slot, format!("codegen: unsupported swap width {bits}"))),
-            }
-            self.store_frame(dst, RAX);
-            Ok(())
-        }
-
-        fn emit_jump_if(
-            &mut self,
-            op: u8,
-            is64: bool,
-            dst: u8,
-            rhs: Operand,
-            target: u32,
-            slot: usize,
-        ) -> Result<()> {
-            self.load_frame(RAX, dst, is64);
-            let is_set = op == jmp::JSET;
-            match rhs {
-                Operand::Imm(imm) => {
-                    if is64 {
-                        self.asm.b(0x48);
-                    }
-                    if is_set {
-                        self.asm.bytes(&[0xF7, 0xC0]); // test rax, imm32 (sext)
-                    } else {
-                        self.asm.bytes(&[0x81, 0xF8]); // cmp rax, imm32 (sext)
-                    }
-                    self.asm.i32v(imm as i32);
-                }
-                Operand::Reg(src) => {
-                    self.load_frame(RCX, src, is64);
-                    if is64 {
-                        self.asm.b(0x48);
-                    }
-                    if is_set {
-                        self.asm.bytes(&[0x85, 0xC8]); // test rax, rcx
-                    } else {
-                        self.asm.bytes(&[0x3B, 0xC1]); // cmp rax, rcx
-                    }
-                }
-            }
-            let cc = match op {
-                jmp::JEQ => CC_E,
-                jmp::JNE | jmp::JSET => CC_NE,
-                jmp::JGT => CC_A,
-                jmp::JGE => CC_AE,
-                jmp::JLT => CC_B,
-                jmp::JLE => CC_BE,
-                jmp::JSGT => CC_G,
-                jmp::JSGE => CC_GE,
-                jmp::JSLT => CC_L,
-                jmp::JSLE => CC_LE,
-                other => {
-                    return Err(Error::runtime(slot, format!("codegen: unsupported jump op 0x{other:x}")))
-                }
-            };
-            let pos = self.jcc32(cc);
-            self.fixups.push(Fixup::Slot(pos, target));
-            Ok(())
-        }
-
-        fn emit_op(&mut self, slot: usize, op: &MicroOp) -> Result<()> {
-            match *op {
-                MicroOp::AluImm { op, is64, dst, imm } => self.emit_alu_imm(op, is64, dst, imm, slot)?,
-                MicroOp::AluReg { op, is64, dst, src } => self.emit_alu_reg(op, is64, dst, src, slot)?,
-                MicroOp::Neg { is64, dst } => {
-                    self.load_frame(RAX, dst, is64);
-                    if is64 {
-                        self.asm.b(0x48);
-                    }
-                    self.asm.bytes(&[0xF7, 0xD8]); // neg rax / neg eax
-                    self.store_frame(dst, RAX);
-                }
-                MicroOp::ByteSwap { dst, bits, to_be } => self.emit_byteswap(dst, bits, to_be, slot)?,
-                MicroOp::LoadImm64 { dst, imm } => {
-                    self.movabs(RAX, imm);
-                    self.store_frame(dst, RAX);
-                }
-                MicroOp::Load { size, dst, src, off } => {
-                    self.addr_to_rcx(src, off);
-                    self.emit_load_access(slot, size);
-                    self.store_frame(dst, RAX);
-                }
-                MicroOp::StoreReg { size, dst, src, off } => {
-                    self.addr_to_rcx(dst, off);
-                    self.load_frame64(RAX, src);
-                    self.emit_store_access(slot, size);
-                }
-                MicroOp::StoreImm { size, dst, off, imm } => {
-                    self.addr_to_rcx(dst, off);
-                    self.movabs(RAX, imm);
-                    self.emit_store_access(slot, size);
-                }
-                MicroOp::Jump { target } => {
-                    let pos = self.jmp32();
-                    self.fixups.push(Fixup::Slot(pos, target));
-                }
-                MicroOp::JumpIf { op, is64, dst, rhs, target } => {
-                    self.emit_jump_if(op, is64, dst, rhs, target, slot)?
-                }
-                MicroOp::Call { idx, id: _ } => {
-                    self.load_field(RDI, OFF_TRAMP);
-                    self.asm.b(0xBE); // mov esi, idx
-                    self.asm.i32v(idx as i32);
-                    let f: unsafe extern "C" fn(*mut TrampCtx, u32) -> i64 = tramp_helper;
-                    self.movabs(RAX, f as usize as u64);
-                    self.asm.bytes(&[0xFF, 0xD0]); // call rax
-                    self.store_frame(0, RAX); // r0 = return value
-                }
-                MicroOp::Exit => {
-                    let pos = self.jmp32();
-                    self.fixups.push(Fixup::Epilogue(pos));
-                }
-                MicroOp::Nop => {}
-            }
-            Ok(())
-        }
-    }
-
-    /// The original frame-model emitter (`SEG6_NATIVE_REGALLOC=off`): BPF
-    /// registers live in the frame and are loaded per operation.
-    fn compile_frame(fused: &FusedProgram, facts: &AccessFacts) -> Result<super::NativeProgram> {
-        let ops = fused.expand();
-        let mut e =
-            Emitter { asm: Asm::default(), facts, offsets: vec![0usize; ops.len()], fixups: Vec::new() };
-        // Prologue: push rbx; mov rbx, rdi. The push realigns rsp to a
-        // 16-byte boundary, so every `call rax` below lands in the
-        // trampolines with standard ABI alignment.
-        e.asm.bytes(&[0x53, 0x48, 0x89, 0xFB]);
-        for (slot, op) in ops.iter().enumerate() {
-            e.offsets[slot] = e.asm.here();
-            e.emit_op(slot, op)?;
-        }
-        // Fell-off-the-end guard: the verifier proves this unreachable, but
-        // make it a recorded fault rather than a stray jump if it ever runs.
-        e.asm.b(0xB8);
-        e.asm.i32v(ops.len() as i32 + 1);
-        // Fault label: rax holds slot + 1; store it and fall into the
-        // epilogue.
-        let fault_label = e.asm.here();
-        e.asm.bytes(&[0x48, 0x89]);
-        e.asm.modrm_mem(RAX, RBX, OFF_FAULT);
-        // Epilogue: pop rbx; ret.
-        let epilogue_label = e.asm.here();
-        e.asm.bytes(&[0x5B, 0xC3]);
-        for fixup in std::mem::take(&mut e.fixups) {
-            let (pos, target) = match fixup {
-                Fixup::Slot(pos, slot) => (pos, e.offsets[slot as usize]),
-                Fixup::Epilogue(pos) | Fixup::FlushExit(pos) => (pos, epilogue_label),
-                Fixup::Fault(pos) => (pos, fault_label),
-            };
-            let rel = (target as i64 - (pos as i64 + 4)) as i32;
-            e.asm.code[pos..pos + 4].copy_from_slice(&rel.to_le_bytes());
-        }
-        let buf = ExecBuf::new(&e.asm.code)?;
-        Ok(super::NativeProgram { buf, debug: super::NativeDebug::default() })
-    }
-
     // -----------------------------------------------------------------
     // The register-allocating emitter
     // -----------------------------------------------------------------
@@ -1406,8 +748,7 @@ mod x86_64 {
     /// the whole program; the frame doubles as the spill area and as the
     /// coherence point around trampolines — every home is written back
     /// before a call and at the fault/exit edges, so trampolines, helpers
-    /// and the fault path see exactly the frame the frame-model emitter
-    /// would have produced.
+    /// and the fault path see the architectural BPF register file there.
     struct RegEmitter<'a> {
         asm: Asm,
         facts: &'a AccessFacts,
@@ -1672,9 +1013,8 @@ mod x86_64 {
                     self.elided_checks += 1;
                 }
                 AccessFact::Packet => {
-                    // Same shape as the frame-model emitter: carry +
-                    // length check, falling back to the generic resolver
-                    // so faults match the interpreter exactly.
+                    // Carry + length check, falling back to the generic
+                    // resolver so faults match the interpreter exactly.
                     self.asm.movabs_r(RSI, PKT_BASE);
                     self.asm.op_rr(&[0x8B], true, RDX, RCX); // mov rdx, rcx
                     self.asm.op_rr(&[0x2B], true, RDX, RSI); // sub rdx, rsi
@@ -2112,8 +1452,7 @@ mod x86_64 {
         }
     }
 
-    /// The register-allocating emitter (the default).
-    fn compile_regalloc(
+    pub(super) fn compile(
         fused: &FusedProgram,
         facts: &AccessFacts,
         loaded: &LoadedProgram,
@@ -2194,7 +1533,6 @@ mod x86_64 {
             e.asm.code[pos..pos + 4].copy_from_slice(&rel.to_le_bytes());
         }
         let debug = super::NativeDebug {
-            regalloc: true,
             assignments: e.homed.iter().map(|&(r, h)| (r, host_reg_name(h))).collect(),
             spills: plan.spills,
             elided_checks: e.elided_checks,
@@ -2203,18 +1541,6 @@ mod x86_64 {
         };
         let buf = ExecBuf::new(&e.asm.code)?;
         Ok(super::NativeProgram { buf, debug })
-    }
-
-    pub(super) fn compile(
-        fused: &FusedProgram,
-        facts: &AccessFacts,
-        loaded: &LoadedProgram,
-        mode: super::NativeMode,
-    ) -> Result<super::NativeProgram> {
-        match mode {
-            super::NativeMode::RegAlloc => compile_regalloc(fused, facts, loaded),
-            super::NativeMode::FrameOnly => compile_frame(fused, facts),
-        }
     }
 
     pub(super) fn run(

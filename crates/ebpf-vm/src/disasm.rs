@@ -258,23 +258,15 @@ pub fn disassemble_fused(prog: &FusedProgram) -> String {
 }
 
 /// Renders the native code generator's per-program compile facts — the
-/// `SEG6_JIT_DEBUG=1` dump: emitter kind, register assignment, spill count,
-/// and the elided-check / inlined-helper counters.
+/// `SEG6_JIT_DEBUG=1` dump: register assignment, spill count, and the
+/// elided-check / inlined-helper counters.
 pub fn native_report(name: &str, debug: &crate::codegen::NativeDebug) -> String {
-    let mut out = format!("jit[{name}]: emitter={}", if debug.regalloc { "regalloc" } else { "frame" });
-    if debug.regalloc {
-        let homes = debug
-            .assignments
-            .iter()
-            .map(|&(bpf, host)| format!("r{bpf}={host}"))
-            .collect::<Vec<_>>()
-            .join(" ");
-        out.push_str(&format!(
-            " homes=[{homes}] spills={} elided_checks={} inlined_helpers={} lookup_sites={}",
-            debug.spills, debug.elided_checks, debug.inlined_helpers, debug.lookup_sites
-        ));
-    }
-    out
+    let homes =
+        debug.assignments.iter().map(|&(bpf, host)| format!("r{bpf}={host}")).collect::<Vec<_>>().join(" ");
+    format!(
+        "jit[{name}]: homes=[{homes}] spills={} elided_checks={} inlined_helpers={} lookup_sites={}",
+        debug.spills, debug.elided_checks, debug.inlined_helpers, debug.lookup_sites
+    )
 }
 
 #[cfg(test)]

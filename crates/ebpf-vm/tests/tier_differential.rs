@@ -1,16 +1,11 @@
-//! Differential fuzzing across the four execution tiers and both native
-//! emitters.
+//! Differential fuzzing across the four execution tiers.
 //!
 //! A deterministic xorshift generator builds randomized, verifier-accepted
 //! LWT seg6local programs and runs each through the interpreter, the
 //! micro-op tier, the fused-superinstruction tier and the native x86-64
 //! tier (where the host has one; elsewhere `Native` transparently falls
-//! back to `Fused`, which still must agree). On hosts with a native
-//! backend, two more legs compile the program explicitly with
-//! [`NativeMode::RegAlloc`] and [`NativeMode::FrameOnly`] — the
-//! `SEG6_NATIVE_REGALLOC=off` kill-switch path — so both emitters are
-//! compared in the same process regardless of the environment. Every leg
-//! must produce an identical exit value, register file, stack image,
+//! back to `Fused`, which still must agree). Every tier must produce the
+//! interpreter's exit value, register file, stack image,
 //! context bytes, packet bytes and helper-call sequence — including on the
 //! fault paths the out-of-bounds accesses deliberately provoke.
 //!
@@ -39,7 +34,7 @@
 //! each helper call. Branches only jump forward, and every join point sees
 //! the same register typing.
 
-use ebpf_vm::codegen::{self, NativeMode, NativeProgram};
+use ebpf_vm::codegen;
 use ebpf_vm::insn::Insn;
 use ebpf_vm::maps::{ArrayMap, MapHandle, PerCpuArrayMap};
 use ebpf_vm::program::{load, LoadedProgram, Program, ProgramType, PSEUDO_MAP_FD};
@@ -682,58 +677,13 @@ fn observe_tier<E: FuzzEnv>(
         .collect()
 }
 
-/// Like [`observe_tier`], but executes an explicitly-compiled native
-/// program — the harness compiles both [`NativeMode`]s itself, so the
-/// frame-only kill-switch path is tested even when the environment selects
-/// the register-allocating emitter (and vice versa).
-fn observe_native<E: FuzzEnv>(
-    prog: &Arc<LoadedProgram>,
-    native: &NativeProgram,
-    maps: &HashMap<u32, MapHandle>,
-    runs: usize,
-) -> Vec<Observation> {
-    reset_maps(maps);
-    let mut state = RunState::new(CTX_LEN);
-    (0..runs)
-        .map(|_| {
-            let mut ctx = fresh_ctx();
-            let mut packet = fresh_packet();
-            let mut env = E::default();
-            let result = {
-                let mut rc = RunContext { ctx: &mut ctx, packet: &mut packet, env: &mut env };
-                state.reset();
-                codegen::run(native, prog, &mut rc, &mut state)
-            };
-            snapshot_run(&state, &env, result, ctx, packet, maps)
-        })
-        .collect()
-}
-
-/// Both native emitters' output for one program (`None` off x86-64 Linux).
-struct ModeLegs {
-    regalloc: Option<NativeProgram>,
-    frame_only: Option<NativeProgram>,
-}
-
-fn compile_modes(loaded: &LoadedProgram) -> ModeLegs {
-    let fused = loaded.fused().expect("fused stream");
-    let facts = loaded.access_facts();
-    ModeLegs {
-        regalloc: codegen::compile_with(fused, facts, loaded, NativeMode::RegAlloc)
-            .expect("regalloc compile"),
-        frame_only: codegen::compile_with(fused, facts, loaded, NativeMode::FrameOnly)
-            .expect("frame-only compile"),
-    }
-}
-
-/// Runs one program through every leg under environment `E` and asserts
+/// Runs one program through every tier under environment `E` and asserts
 /// they all match the interpreter. Returns whether the reference run
 /// faulted.
 fn check_parity<E: FuzzEnv>(
     prog: &Arc<LoadedProgram>,
     helpers: &HelperRegistry,
     maps: &HashMap<u32, MapHandle>,
-    modes: &ModeLegs,
     source: &str,
     runs: usize,
 ) -> bool {
@@ -741,12 +691,6 @@ fn check_parity<E: FuzzEnv>(
     for tier in [ExecTier::MicroOp, ExecTier::Fused, ExecTier::Native] {
         let got = observe_tier::<E>(prog, helpers, maps, tier, runs);
         assert_eq!(got, reference, "tier {tier:?} diverged from the interpreter on:\n{source}");
-    }
-    for (name, native) in [("regalloc", &modes.regalloc), ("frame-only", &modes.frame_only)] {
-        if let Some(native) = native {
-            let got = observe_native::<E>(prog, native, maps, runs);
-            assert_eq!(got, reference, "native emitter '{name}' diverged from the interpreter on:\n{source}");
-        }
     }
     reference[0].result.is_err()
 }
@@ -792,8 +736,7 @@ fn all_tiers_agree_on_randomized_programs() {
         let source = generate(&mut rng);
         let Some(loaded) = load_generated(&source, &maps, &helpers) else { continue };
         accepted += 1;
-        let modes = compile_modes(&loaded);
-        if check_parity::<RecordingEnv>(&loaded, &helpers, &maps, &modes, &source, 1) {
+        if check_parity::<RecordingEnv>(&loaded, &helpers, &maps, &source, 1) {
             faulted += 1;
         }
     }
@@ -801,7 +744,7 @@ fn all_tiers_agree_on_randomized_programs() {
     assert!(faulted > 0, "no generated program faulted; fault-path parity went untested");
     eprintln!(
         "tier differential: {accepted} programs ({attempts} attempts, {faulted} faulting) \
-         agreed across {:?} + both native emitters",
+         agreed across {:?}",
         ExecTier::ALL
     );
 }
@@ -824,20 +767,18 @@ fn register_pressure_programs_agree_and_spill() {
         let source = generate_pressure(&mut rng, with_calls);
         let Some(loaded) = load_generated(&source, &maps, &helpers) else { continue };
         accepted += 1;
-        let modes = compile_modes(&loaded);
-        if let Some(native) = &modes.regalloc {
+        if let Some(native) = loaded.native().expect("native compile") {
             // Ten live registers against nine homes: exactly one register
             // must have stayed frame-resident, so the parity runs below
             // exercise the spill paths on every program.
             let debug = native.debug_info();
-            assert!(debug.regalloc);
             assert_eq!(
                 debug.spills, 1,
                 "pressure program did not spill (homes {:?}):\n{source}",
                 debug.assignments
             );
         }
-        if check_parity::<RecordingEnv>(&loaded, &helpers, &maps, &modes, &source, 1) {
+        if check_parity::<RecordingEnv>(&loaded, &helpers, &maps, &source, 1) {
             faulted += 1;
         }
     }
@@ -868,8 +809,7 @@ fn helper_and_map_dense_programs_agree() {
         let source = generate_map_dense(&mut rng);
         let Some(loaded) = load_generated(&source, &maps, &helpers) else { continue };
         accepted += 1;
-        let modes = compile_modes(&loaded);
-        if let Some(native) = &modes.regalloc {
+        if let Some(native) = loaded.native().expect("native compile") {
             let debug = native.debug_info();
             if debug.lookup_sites > 0 {
                 with_lookups += 1;
@@ -880,8 +820,8 @@ fn helper_and_map_dense_programs_agree() {
         // inline environment arms the cache and the ktime/cpu fast paths;
         // the recording environment keeps every helper an observable
         // trampoline call.
-        check_parity::<RecordingEnv>(&loaded, &helpers, &maps, &modes, &source, 2);
-        check_parity::<InlineEnv>(&loaded, &helpers, &maps, &modes, &source, 2);
+        check_parity::<RecordingEnv>(&loaded, &helpers, &maps, &source, 2);
+        check_parity::<InlineEnv>(&loaded, &helpers, &maps, &source, 2);
     }
     if codegen::supported() {
         assert!(
@@ -891,6 +831,6 @@ fn helper_and_map_dense_programs_agree() {
     }
     eprintln!(
         "map-dense differential: {accepted} programs ({attempts} attempts, {with_lookups} with \
-         cached lookup sites) agreed across all legs and both environments"
+         cached lookup sites) agreed across all tiers and both environments"
     );
 }

@@ -33,31 +33,6 @@ pub struct FlowKey {
     pub dst_port: u16,
 }
 
-impl FlowKey {
-    /// Returns the key with source and destination (addresses and ports)
-    /// swapped — the key of the reverse direction of the same flow.
-    pub fn reversed(&self) -> FlowKey {
-        FlowKey {
-            src: self.dst,
-            dst: self.src,
-            protocol: self.protocol,
-            src_port: self.dst_port,
-            dst_port: self.src_port,
-        }
-    }
-
-    /// Canonical form for symmetric hashing: both directions of a flow map
-    /// to the same key (the lexicographically smaller endpoint first).
-    pub fn symmetric(&self) -> FlowKey {
-        let forward = (self.src, self.src_port) <= (self.dst, self.dst_port);
-        if forward {
-            *self
-        } else {
-            self.reversed()
-        }
-    }
-}
-
 /// Extracts the [`FlowKey`] from a raw IPv6 packet.
 ///
 /// The walk mirrors what NIC parsers do for SRv6 traffic: follow the outer
@@ -212,14 +187,6 @@ pub fn rss_hash_packet(packet: &[u8]) -> u32 {
     flow_key(packet).map_or(0, |key| rss_hash(&key))
 }
 
-/// Symmetric variant of [`rss_hash_packet`]: both directions of a flow
-/// produce the same hash, so request and response traffic steers to the
-/// same worker (needed by stateful functions such as the delay-monitoring
-/// collector).
-pub fn rss_hash_packet_symmetric(packet: &[u8]) -> u32 {
-    flow_key(packet).map_or(0, |key| rss_hash(&key.symmetric()))
-}
-
 /// Maps a flow hash to one of `queues` receive queues, as the RSS
 /// indirection table does. `queues` must be non-zero.
 pub fn steer(hash: u32, queues: usize) -> usize {
@@ -332,18 +299,6 @@ mod tests {
         // And sensitive to every element of the tuple.
         assert_ne!(h1, rss_hash_packet(&udp_packet("2001:db8::1", "2001:db8::2", 1234, 5679)));
         assert_ne!(h1, rss_hash_packet(&udp_packet("2001:db8::1", "2001:db8::3", 1234, 5678)));
-    }
-
-    #[test]
-    fn symmetric_hash_matches_in_both_directions() {
-        let fwd = udp_packet("2001:db8::1", "2001:db8::2", 1234, 5678);
-        let rev = udp_packet("2001:db8::2", "2001:db8::1", 5678, 1234);
-        // The plain hash differs per direction (as hardware RSS does)...
-        assert_ne!(rss_hash_packet(&fwd), rss_hash_packet(&rev));
-        // ...the symmetric variant does not.
-        assert_eq!(rss_hash_packet_symmetric(&fwd), rss_hash_packet_symmetric(&rev));
-        let key = flow_key(&fwd).unwrap();
-        assert_eq!(key.symmetric(), key.reversed().symmetric());
     }
 
     #[test]

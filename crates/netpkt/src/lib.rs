@@ -68,7 +68,7 @@ pub mod udp;
 pub use buf::PacketBuf;
 pub use bufpool::BufPool;
 pub use error::{Error, Result};
-pub use flow::{flow_key, rss_hash, rss_hash_packet, rss_hash_packet_symmetric, steer, FlowKey};
+pub use flow::{flow_key, rss_hash, rss_hash_packet, steer, FlowKey};
 pub use icmpv6::{Icmpv6Header, Icmpv6Type};
 pub use ipv6::{proto, Ipv6Header, IPV6_HEADER_LEN};
 pub use packet::ParsedPacket;

@@ -542,18 +542,10 @@ mod tests {
         for (prog, min_inlined) in cases {
             let name = prog.name.clone();
             let loaded = load(prog, &maps, &registry).unwrap_or_else(|e| panic!("{name} rejected: {e}"));
-            // Compile the register-allocating emitter explicitly so the
-            // assertions hold even under `SEG6_NATIVE_REGALLOC=off`.
-            let native = ebpf_vm::codegen::compile_with(
-                loaded.fused().unwrap(),
-                loaded.access_facts(),
-                &loaded,
-                ebpf_vm::codegen::NativeMode::RegAlloc,
-            )
-            .unwrap()
-            .expect("native backend available");
+            let native = ebpf_vm::codegen::compile(loaded.fused().unwrap(), loaded.access_facts(), &loaded)
+                .unwrap()
+                .expect("native backend available");
             let debug = native.debug_info();
-            assert!(debug.regalloc, "{name}: frame-only emitter selected");
             assert_eq!(
                 debug.spills, 0,
                 "{name} spilled under register allocation (homes {:?})",

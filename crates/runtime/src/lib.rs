@@ -4,31 +4,31 @@
 //! the NIC spreads flows over hardware queues with RSS, each queue is
 //! served by one CPU, programs run on every CPU concurrently, and per-CPU
 //! maps plus per-CPU perf rings keep the hot path free of shared writable
-//! state. This crate reproduces that architecture in user space:
+//! state. This crate reproduces that architecture in user space with one
+//! engine, the persistent [`WorkerPool`]:
 //!
 //! * packets are classified and hashed by [`netpkt::flow`] (Toeplitz RSS
 //!   over the 5-tuple) and steered to one of N **worker shards**;
-//! * every worker owns a full [`Seg6Datapath`] instance — its own program
-//!   instances, its own FIB handle, its own `cpu_id` — so per-CPU maps and
-//!   `BPF_F_CURRENT_CPU` perf output resolve to genuinely private slots;
-//! * workers drain their queues in **batches** through
-//!   [`Seg6Datapath::process_batch`], amortising classification;
-//! * [`Runtime::run_once`] drives all shards on the calling thread (the
-//!   deterministic mode benches and the simulator use);
-//!   [`Runtime::run_threaded`] runs every shard on its own OS thread,
-//!   spawned per call — the one-shot mode;
-//! * [`WorkerPool`] is the **persistent** flavour: shard threads spawned
-//!   once, fed over bounded channels, with backpressure accounting,
-//!   per-batch perf-drain daemons and graceful shutdown. Steady-state
-//!   traffic belongs there; [`thread_spawn_count`] lets tests prove the
-//!   pool never spawns after construction.
+//! * every shard owns a full [`Seg6Datapath`](seg6_core::Seg6Datapath)
+//!   instance per tenant — its own program instances, its own FIB handle,
+//!   its own `cpu_id` — so per-CPU maps and `BPF_F_CURRENT_CPU` perf output
+//!   resolve to genuinely private slots;
+//! * shard threads are spawned once, at construction, and fed over bounded
+//!   lock-free descriptor rings through the [`Ingress`] trait, with
+//!   backpressure accounting, per-batch perf-drain daemons and graceful
+//!   shutdown;
+//! * workers drain their rings in **batches** through
+//!   [`Seg6Datapath::process_batch_verdicts_into`](seg6_core::Seg6Datapath::process_batch_verdicts_into),
+//!   amortising classification;
+//! * [`WorkerPool::flush`] is the barrier that reports each shard's verdict
+//!   counters, in shard index order.
 //!
 //! ```
-//! use seg6_runtime::{Runtime, RuntimeConfig};
+//! use seg6_runtime::{Ingress, PoolConfig, WorkerPool};
 //! use seg6_core::{Nexthop, Seg6Datapath};
 //! use netpkt::packet::build_ipv6_udp_packet;
 //!
-//! let mut runtime = Runtime::new(RuntimeConfig { workers: 4, ..Default::default() }, |cpu| {
+//! let mut pool = WorkerPool::new(PoolConfig { workers: 4, ..Default::default() }, |cpu| {
 //!     let mut dp = Seg6Datapath::new("fc00::1".parse().unwrap()).on_cpu(cpu);
 //!     dp.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
 //!     dp
@@ -42,11 +42,11 @@
 //!         &[0u8; 64],
 //!         64,
 //!     );
-//!     runtime.enqueue(pkt);
+//!     assert!(pool.enqueue(pkt));
 //! }
-//! let report = runtime.run_once(0);
-//! assert_eq!(report.processed, 64);
-//! assert_eq!(report.forwarded, 64);
+//! let report = pool.flush();
+//! assert_eq!(report.run.processed, 64);
+//! assert_eq!(report.run.forwarded, 64);
 //! ```
 
 #![warn(missing_docs)]
@@ -57,11 +57,6 @@
 // `sched_setaffinity(2)` FFI in `affinity`.
 #![deny(unsafe_code)]
 
-use netpkt::flow::{rss_hash_packet, rss_hash_packet_symmetric, steer};
-use netpkt::PacketBuf;
-use seg6_core::{Seg6Datapath, Skb, Verdict};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 #[allow(unsafe_code)]
 pub mod affinity;
 pub mod pool;
@@ -71,49 +66,14 @@ pub mod telemetry;
 
 pub use affinity::PinPolicy;
 pub use pool::{
-    work_cost, BatchDrain, DrainReport, Ingress, PoolConfig, PoolReport, ShardFlush, ShardSetup, ShardStats,
-    Tenant, TenantId, TenantQos, TenantSpec, WorkerPool, COST_BASE, COST_BPF, COST_SEG6LOCAL, COST_TRANSIT,
+    work_cost, BatchDrain, DrainReport, Ingress, PoolConfig, PoolReport, ShardSetup, ShardStats, Tenant,
+    TenantId, TenantQos, TenantSpec, WorkerPool, COST_BASE, COST_BPF, COST_SEG6LOCAL, COST_TRANSIT,
 };
 pub use telemetry::{PoolCounters, PoolSnapshot, ShardSnapshot, TenantCounters, TenantSnapshot};
 
 /// Hard ceiling on the worker count, matching the CPU slots per-CPU maps
 /// are provisioned for by default.
 pub const MAX_WORKERS: u32 = ebpf_vm::DEFAULT_NUM_CPUS;
-
-/// Every OS thread this crate has ever spawned, process-wide.
-static THREAD_SPAWNS: AtomicU64 = AtomicU64::new(0);
-
-/// Test hook: how many OS threads the runtime has spawned so far in this
-/// process — [`Runtime::run_threaded`] adds one per shard on **every**
-/// call, a [`WorkerPool`] adds one per shard at construction and then
-/// never again. Benchmarks and the acceptance test read it around a
-/// steady-state run to prove the pool amortises spawns.
-pub fn thread_spawn_count() -> u64 {
-    THREAD_SPAWNS.load(Ordering::Relaxed)
-}
-
-pub(crate) fn count_thread_spawn() {
-    THREAD_SPAWNS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Configuration of a [`Runtime`].
-#[derive(Debug, Clone, Copy)]
-pub struct RuntimeConfig {
-    /// Number of worker shards (receive queues). Clamped to
-    /// `1..=`[`MAX_WORKERS`].
-    pub workers: u32,
-    /// Packets handed to [`Seg6Datapath::process_batch`] at a time.
-    pub batch_size: usize,
-    /// Steer with the symmetric flow hash, keeping both directions of a
-    /// flow on one worker (needed by stateful bidirectional functions).
-    pub symmetric_steering: bool,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig { workers: 1, batch_size: 32, symmetric_steering: false }
-    }
-}
 
 /// Counters of one worker shard.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -132,49 +92,6 @@ pub struct WorkerStats {
     pub batches: u64,
 }
 
-/// One worker shard: a CPU id, its queue, and its own datapath instance.
-pub struct Worker {
-    /// The shard's logical CPU id ( = its index).
-    pub id: u32,
-    /// The shard's private datapath (own program instances, `cpu_id` set).
-    pub datapath: Seg6Datapath,
-    /// Counters.
-    pub stats: WorkerStats,
-    queue: Vec<Skb>,
-}
-
-impl Worker {
-    /// Packets currently waiting in this worker's queue.
-    pub fn backlog(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Drains the queue in batches, recording verdict counts. The shard's
-    /// whole run is independent of every other shard, which is what makes
-    /// [`Runtime::run_threaded`] data-race-free by construction. Batches
-    /// are processed in place over the queue buffer — no per-batch
-    /// allocation or copying of packets.
-    fn run(&mut self, batch_size: usize, now_ns: u64) -> WorkerStats {
-        let before = self.stats;
-        let mut queue = std::mem::take(&mut self.queue);
-        for batch in queue.chunks_mut(batch_size.max(1)) {
-            for verdict in self.datapath.process_batch(batch, now_ns) {
-                self.stats.processed += 1;
-                match verdict {
-                    Verdict::Forward { .. } => self.stats.forwarded += 1,
-                    Verdict::LocalDeliver => self.stats.local_delivered += 1,
-                    Verdict::Drop(_) => self.stats.dropped += 1,
-                }
-            }
-            self.stats.batches += 1;
-        }
-        // Hand the (drained) allocation back for the next run.
-        queue.clear();
-        self.queue = queue;
-        delta(before, self.stats)
-    }
-}
-
 pub(crate) fn delta(before: WorkerStats, after: WorkerStats) -> WorkerStats {
     WorkerStats {
         steered: after.steered - before.steered,
@@ -186,8 +103,7 @@ pub(crate) fn delta(before: WorkerStats, after: WorkerStats) -> WorkerStats {
     }
 }
 
-/// Aggregate result of one [`Runtime::run_once`] / [`Runtime::run_threaded`]
-/// call.
+/// Aggregate verdict counters of one [`WorkerPool::flush`] window.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct RunReport {
     /// Packets processed across all workers.
@@ -210,340 +126,6 @@ impl RunReport {
             local_delivered: deltas.iter().map(|d| d.local_delivered).sum(),
             dropped: deltas.iter().map(|d| d.dropped).sum(),
             per_worker: deltas.iter().map(|d| d.processed).collect(),
-        }
-    }
-}
-
-/// The multi-queue packet engine: N worker shards fed by RSS steering.
-pub struct Runtime {
-    config: RuntimeConfig,
-    workers: Vec<Worker>,
-}
-
-impl Runtime {
-    /// Creates a runtime whose shards are built by `builder`, called once
-    /// per worker with the worker's CPU id. The builder constructs that
-    /// shard's private [`Seg6Datapath`] — loading its own program
-    /// instances, as one kernel would per CPU — and the runtime pins the
-    /// instance to the shard's CPU id.
-    pub fn new(config: RuntimeConfig, builder: impl FnMut(u32) -> Seg6Datapath) -> Self {
-        let mut builder = builder;
-        let workers = config.workers.clamp(1, MAX_WORKERS);
-        let config = RuntimeConfig { workers, ..config };
-        Runtime {
-            config,
-            workers: (0..workers)
-                .map(|id| {
-                    let mut datapath = builder(id);
-                    datapath.cpu_id = id;
-                    Worker { id, datapath, stats: WorkerStats::default(), queue: Vec::new() }
-                })
-                .collect(),
-        }
-    }
-
-    /// The runtime's configuration (with the worker count clamped).
-    pub fn config(&self) -> RuntimeConfig {
-        self.config
-    }
-
-    /// The worker shards.
-    pub fn workers(&self) -> &[Worker] {
-        &self.workers
-    }
-
-    /// One worker shard by id.
-    pub fn worker(&self, id: u32) -> &Worker {
-        &self.workers[id as usize]
-    }
-
-    /// The worker a packet steers to, without enqueueing it.
-    pub fn steer_to(&self, packet: &[u8]) -> u32 {
-        let hash = if self.config.symmetric_steering {
-            rss_hash_packet_symmetric(packet)
-        } else {
-            rss_hash_packet(packet)
-        };
-        steer(hash, self.workers.len()) as u32
-    }
-
-    /// Steers one packet to its worker's queue.
-    pub fn enqueue(&mut self, packet: PacketBuf) {
-        let worker = self.steer_to(packet.data()) as usize;
-        self.workers[worker].stats.steered += 1;
-        self.workers[worker].queue.push(Skb::new(packet));
-    }
-
-    /// Steers a collection of packets.
-    pub fn enqueue_all(&mut self, packets: impl IntoIterator<Item = PacketBuf>) {
-        for packet in packets {
-            self.enqueue(packet);
-        }
-    }
-
-    /// Total packets waiting across all queues.
-    pub fn backlog(&self) -> usize {
-        self.workers.iter().map(Worker::backlog).sum()
-    }
-
-    /// Drains every worker queue on the calling thread, in worker order.
-    /// Deterministic and allocation-light; the mode to use inside the
-    /// discrete-event simulator and for single-thread baselines.
-    pub fn run_once(&mut self, now_ns: u64) -> RunReport {
-        let batch = self.config.batch_size;
-        let deltas: Vec<WorkerStats> =
-            self.workers.iter_mut().map(|worker| worker.run(batch, now_ns)).collect();
-        RunReport::from_deltas(&deltas)
-    }
-
-    /// Drains every worker queue with one OS thread per shard, **spawned
-    /// on every call** — the one-shot mode [`WorkerPool`] exists to
-    /// replace for steady-state traffic (each spawn is recorded in
-    /// [`thread_spawn_count`]). Shards share no mutable state (each owns
-    /// its datapath, queue and counters; maps handed to several shards are
-    /// either internally synchronised or per-CPU), so the threads never
-    /// contend on the hot path. Shard results are joined and reported in
-    /// shard index order, whatever order the threads finish in, so the
-    /// report is byte-identical to [`Runtime::run_once`] over the same
-    /// queues.
-    pub fn run_threaded(&mut self, now_ns: u64) -> RunReport {
-        let batch = self.config.batch_size;
-        let deltas: Vec<WorkerStats> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .workers
-                .iter_mut()
-                .map(|worker| {
-                    count_thread_spawn();
-                    scope.spawn(move || worker.run(batch, now_ns))
-                })
-                .collect();
-            // Joining in spawn order keeps `per_worker[i]` = shard i.
-            handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-        });
-        RunReport::from_deltas(&deltas)
-    }
-}
-
-// A worker must be movable to its own thread: this fails to compile if any
-// datapath component loses Send.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<Worker>();
-};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ebpf_vm::helpers::ids;
-    use ebpf_vm::insn::{jmp, AccessSize};
-    use ebpf_vm::maps::PerCpuArrayMap;
-    use ebpf_vm::program::{load, retcode, ProgramType};
-    use ebpf_vm::{MapHandle, ProgramBuilder};
-    use netpkt::ipv6::proto;
-    use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
-    use netpkt::srh::SegmentRoutingHeader;
-    use seg6_core::{Nexthop, Seg6LocalAction};
-    use std::collections::HashMap;
-    use std::net::Ipv6Addr;
-    use std::sync::Arc;
-
-    fn addr(s: &str) -> Ipv6Addr {
-        s.parse().unwrap()
-    }
-
-    fn forwarding_datapath(cpu: u32) -> Seg6Datapath {
-        let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
-        dp.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
-        dp
-    }
-
-    fn flow_packet(flow: u32) -> PacketBuf {
-        build_ipv6_udp_packet(
-            addr(&format!("2001:db8::{:x}", flow + 1)),
-            addr("2001:db8:f::1"),
-            (1024 + flow % 40_000) as u16,
-            5001,
-            &[0u8; 32],
-            64,
-        )
-    }
-
-    #[test]
-    fn worker_count_is_clamped() {
-        let rt = Runtime::new(RuntimeConfig { workers: 0, ..Default::default() }, forwarding_datapath);
-        assert_eq!(rt.workers().len(), 1);
-        let rt = Runtime::new(RuntimeConfig { workers: 10_000, ..Default::default() }, forwarding_datapath);
-        assert_eq!(rt.workers().len(), MAX_WORKERS as usize);
-        // Every worker got its CPU id.
-        for (i, w) in rt.workers().iter().enumerate() {
-            assert_eq!(w.id as usize, i);
-            assert_eq!(w.datapath.cpu_id as usize, i);
-        }
-    }
-
-    #[test]
-    fn steering_is_consistent_and_spread() {
-        let mut rt = Runtime::new(RuntimeConfig { workers: 4, ..Default::default() }, forwarding_datapath);
-        for flow in 0..256 {
-            let pkt = flow_packet(flow);
-            assert_eq!(rt.steer_to(pkt.data()), rt.steer_to(pkt.data()));
-            rt.enqueue(pkt);
-        }
-        // All four shards got a share of 256 distinct flows.
-        for worker in rt.workers() {
-            assert!(worker.backlog() > 16, "imbalanced: {}", worker.backlog());
-        }
-        let report = rt.run_once(0);
-        assert_eq!(report.processed, 256);
-        assert_eq!(report.forwarded, 256);
-        assert_eq!(report.per_worker.iter().sum::<u64>(), 256);
-    }
-
-    #[test]
-    fn threaded_and_single_thread_runs_agree() {
-        let packets: Vec<PacketBuf> = (0..512).map(flow_packet).collect();
-
-        let config = RuntimeConfig { workers: 4, batch_size: 16, ..Default::default() };
-        let mut once = Runtime::new(config, forwarding_datapath);
-        once.enqueue_all(packets.iter().cloned());
-        let report_once = once.run_once(0);
-
-        let mut threaded = Runtime::new(config, forwarding_datapath);
-        threaded.enqueue_all(packets);
-        let report_threaded = threaded.run_threaded(0);
-
-        assert_eq!(report_once, report_threaded);
-        assert_eq!(report_once.processed, 512);
-        assert_eq!(report_once.dropped, 0);
-    }
-
-    #[test]
-    fn symmetric_steering_joins_both_directions() {
-        let config = RuntimeConfig { workers: 8, symmetric_steering: true, ..Default::default() };
-        let rt = Runtime::new(config, forwarding_datapath);
-        for flow in 0..64u16 {
-            let fwd = build_ipv6_udp_packet(
-                addr("2001:db8::1"),
-                addr("2001:db8::2"),
-                1000 + flow,
-                443,
-                &[0; 8],
-                64,
-            );
-            let rev = build_ipv6_udp_packet(
-                addr("2001:db8::2"),
-                addr("2001:db8::1"),
-                443,
-                1000 + flow,
-                &[0; 8],
-                64,
-            );
-            assert_eq!(rt.steer_to(fwd.data()), rt.steer_to(rev.data()));
-        }
-    }
-
-    /// An `End.BPF` program that counts invocations in entry 0 of a
-    /// per-CPU array attached as fd 1, then forwards.
-    fn counting_program() -> ebpf_vm::Program {
-        let mut b = ProgramBuilder::new();
-        b.store_imm(AccessSize::Word, 10, -4, 0);
-        b.load_map_fd(1, 1);
-        b.mov_reg(2, 10);
-        b.add_imm(2, -4);
-        b.call(ids::MAP_LOOKUP_ELEM);
-        b.jmp_imm(jmp::JEQ, 0, 0, "out");
-        b.load_mem(AccessSize::Double, 1, 0, 0);
-        b.add_imm(1, 1);
-        b.store_mem(AccessSize::Double, 0, 1, 0);
-        b.label("out");
-        b.ret(retcode::BPF_OK as i32);
-        b.build_program("count", ProgramType::LwtSeg6Local).expect("static program")
-    }
-
-    /// The acceptance-criteria test: N workers share one per-CPU map; after
-    /// a threaded run, every worker's slot holds exactly the packets that
-    /// worker processed — the slots are disjoint, with no lost or
-    /// double-counted updates.
-    #[test]
-    fn per_worker_map_state_is_disjoint() {
-        const WORKERS: u32 = 4;
-        let sid = addr("fc00::e1");
-        let counter: Arc<PerCpuArrayMap> = PerCpuArrayMap::new(8, 1, WORKERS);
-        let shared: MapHandle = counter.clone();
-
-        let config = RuntimeConfig { workers: WORKERS, batch_size: 8, ..Default::default() };
-        let mut rt = Runtime::new(config, |cpu| {
-            let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
-            dp.add_route("fc00::/16".parse().unwrap(), vec![Nexthop::direct(1)]);
-            // Each worker loads its own program instance against the shared
-            // per-CPU map, as each kernel CPU would.
-            let mut maps: HashMap<u32, MapHandle> = HashMap::new();
-            maps.insert(1, Arc::clone(&shared));
-            let prog = load(counting_program(), &maps, &dp.helpers).expect("verified program");
-            dp.add_local_sid(netpkt::Ipv6Prefix::host(sid), Seg6LocalAction::EndBpf { prog });
-            dp
-        });
-
-        // 400 packets over many flows; vary the source port so flows spread.
-        for flow in 0..400u32 {
-            let srh = SegmentRoutingHeader::from_path(proto::UDP, &[sid, addr("fc00::99")]);
-            let pkt = build_srv6_udp_packet(
-                addr(&format!("2001:db8::{:x}", flow + 1)),
-                &srh,
-                (1000 + flow) as u16,
-                5001,
-                &[0u8; 16],
-                64,
-            );
-            rt.enqueue(pkt);
-        }
-        let steered: Vec<u64> = rt.workers().iter().map(|w| w.stats.steered).collect();
-        let report = rt.run_threaded(0);
-        assert_eq!(report.processed, 400);
-        assert_eq!(report.forwarded, 400);
-
-        // Each worker's per-CPU slot counted exactly its own packets.
-        let key = 0u32.to_ne_bytes();
-        let mut total = 0;
-        for cpu in 0..WORKERS {
-            let slot = counter.lookup_cpu(&key, cpu).unwrap();
-            let count = u64::from_le_bytes(slot.try_into().unwrap());
-            assert_eq!(count, steered[cpu as usize], "worker {cpu} slot mismatch");
-            assert!(count > 0, "worker {cpu} processed nothing — steering collapsed");
-            total += count;
-        }
-        assert_eq!(total, 400);
-    }
-
-    #[test]
-    fn batch_size_does_not_change_results() {
-        for batch_size in [1, 7, 32, 1024] {
-            let config = RuntimeConfig { workers: 2, batch_size, ..Default::default() };
-            let mut rt = Runtime::new(config, forwarding_datapath);
-            rt.enqueue_all((0..100).map(flow_packet));
-            let report = rt.run_once(0);
-            assert_eq!(report.processed, 100, "batch_size {batch_size}");
-            assert_eq!(report.forwarded, 100, "batch_size {batch_size}");
-        }
-    }
-
-    #[test]
-    fn run_threaded_reports_shards_in_index_order() {
-        // Regression: whatever order shard threads finish in, the report
-        // must list per-worker results by shard index, byte-identical to
-        // the single-threaded deterministic mode.
-        let packets: Vec<PacketBuf> = (0..512).map(flow_packet).collect();
-        let config = RuntimeConfig { workers: 8, batch_size: 8, ..Default::default() };
-        let mut once = Runtime::new(config, forwarding_datapath);
-        once.enqueue_all(packets.iter().cloned());
-        let per_worker_expected: Vec<u64> = once.workers().iter().map(|w| w.backlog() as u64).collect();
-        let report_once = once.run_once(0);
-        assert_eq!(report_once.per_worker, per_worker_expected);
-
-        for _ in 0..3 {
-            let mut threaded = Runtime::new(config, forwarding_datapath);
-            threaded.enqueue_all(packets.iter().cloned());
-            assert_eq!(threaded.run_threaded(0), report_once);
         }
     }
 }

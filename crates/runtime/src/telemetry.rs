@@ -248,6 +248,10 @@ pub struct PoolSnapshot {
     /// NUMA node. Benches record this so multi-shard rows can prove they
     /// ran on real, distinct cores.
     pub placement: Vec<PlacementSnapshot>,
+    /// OS threads this pool has spawned over its whole life: exactly one
+    /// per shard, all at construction. Tenant registration, traffic and
+    /// shutdown never add to it.
+    pub threads_spawned: u64,
 }
 
 /// One shard thread's observed placement (see [`PoolSnapshot::placement`]).
@@ -340,6 +344,8 @@ pub struct PoolCounters {
     /// spawn (after its pin attempt) and sampled into
     /// [`PoolSnapshot::placement`]. `u32::MAX` encodes "none".
     placement: Box<[ShardPlacementCell]>,
+    /// Bumped by the pool at its one `thread::Builder::spawn` site.
+    threads_spawned: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -375,7 +381,13 @@ impl PoolCounters {
             workers,
             tenants: RwLock::new(vec![Arc::new(TenantCounters::new(workers))]),
             placement: (0..workers).map(|_| ShardPlacementCell::new()).collect(),
+            threads_spawned: AtomicU64::new(0),
         }
+    }
+
+    /// Records one shard-thread spawn.
+    pub(crate) fn count_thread_spawn(&self) {
+        self.threads_spawned.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records shard `shard`'s observed placement — called once by the
@@ -423,7 +435,8 @@ impl PoolCounters {
             }
         }
         let placement = self.placement.iter().map(|cell| cell.sample()).collect();
-        PoolSnapshot { tenants, shards, placement }
+        let threads_spawned = self.threads_spawned.load(Ordering::Relaxed);
+        PoolSnapshot { tenants, shards, placement, threads_spawned }
     }
 }
 

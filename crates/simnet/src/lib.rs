@@ -50,5 +50,5 @@ pub mod sim;
 
 pub use app::{AppApi, Application};
 pub use link::{Link, LinkConfig, LinkDirectionState, NS_PER_SEC};
-pub use node::{CpuProfile, Node, PacketWork, SinkStats};
+pub use node::{CpuProfile, Node, SinkStats};
 pub use sim::{SimStats, Simulator};

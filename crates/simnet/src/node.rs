@@ -3,8 +3,7 @@
 
 use netpkt::ipv6::proto;
 use netpkt::{ParsedPacket, UdpHeader};
-use seg6_core::{BatchVerdict, Seg6Datapath, Verdict};
-use seg6_runtime::{Ingress, PoolConfig, TenantId, TenantQos, WorkerPool};
+use seg6_core::{Seg6Datapath, WorkSummary};
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
@@ -75,13 +74,14 @@ impl CpuProfile {
         }
     }
 
-    /// Cost of one packet given what the datapath did with it.
-    pub fn cost_ns(&self, packet_len: usize, work: &PacketWork) -> u64 {
+    /// Cost of one packet given the work classes the datapath reported
+    /// for it (`transit` is the encapsulation / SRH-insertion class).
+    pub fn cost_ns(&self, packet_len: usize, work: &WorkSummary) -> u64 {
         let mut cost = self.forward_ns;
         if work.seg6local {
             cost += self.seg6local_ns;
         }
-        if work.encap_or_decap {
+        if work.transit {
             cost += self.encap_ns;
         }
         if work.bpf {
@@ -89,17 +89,6 @@ impl CpuProfile {
         }
         cost + (packet_len as u64 * self.per_byte_ns_x1000) / 1000
     }
-}
-
-/// What the datapath did to a packet, derived from its statistics deltas.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PacketWork {
-    /// A seg6local action ran.
-    pub seg6local: bool,
-    /// An encapsulation, SRH insertion or decapsulation happened.
-    pub encap_or_decap: bool,
-    /// An eBPF program ran.
-    pub bpf: bool,
 }
 
 /// Statistics of a UDP sink (one entry per destination port).
@@ -153,37 +142,6 @@ pub struct Node {
     pub udp_sinks: HashMap<u16, SinkStats>,
     /// Total packets locally delivered (any protocol).
     pub delivered_packets: u64,
-    /// How this node's packet *execution* is bound: the simulator-private
-    /// CPU model, a node-private worker pool, or a tenant slot on a host
-    /// pool shared with other nodes. See [`Node::enable_pool_ingestion`]
-    /// and [`crate::Simulator::share_host_pool`].
-    pub(crate) binding: PoolBinding,
-    /// QoS parameters this node carries onto a shared host pool: its DRR
-    /// weight and optional ring quota / cost budget (tenant slots are
-    /// installed with these when the simulator builds the pool). The
-    /// default — weight 1, no quota, no budget — reproduces the pre-QoS
-    /// shared-pool behaviour. Ignored by private pools, which the node
-    /// has to itself.
-    pub qos: TenantQos,
-}
-
-/// Where a node's packets execute.
-pub(crate) enum PoolBinding {
-    /// The legacy in-simulator model: the node's own datapath runs inline.
-    None,
-    /// A node-private persistent worker pool (one shard per receive
-    /// queue). Boxed: a pool is an order of magnitude larger than the
-    /// other variants and most nodes never bind one.
-    Private(Box<WorkerPool>),
-    /// A tenant of a host pool owned by the simulator and shared with
-    /// other nodes — the "one host, many VRFs" model. The tenant id is
-    /// assigned when the simulator builds the pool.
-    Shared {
-        /// Index into the simulator's host-pool table.
-        pool: usize,
-        /// This node's tenant on that pool.
-        tenant: TenantId,
-    },
 }
 
 impl Node {
@@ -200,8 +158,6 @@ impl Node {
             next_ifindex: 1,
             udp_sinks: HashMap::new(),
             delivered_packets: 0,
-            binding: PoolBinding::None,
-            qos: TenantQos::default(),
         }
     }
 
@@ -211,85 +167,6 @@ impl Node {
     /// queues never alias per-CPU map state.
     pub fn set_rx_queues(&mut self, queues: usize) {
         self.rx_queue_busy_ns = vec![0; queues.clamp(1, ebpf_vm::DEFAULT_NUM_CPUS as usize)];
-        if matches!(self.binding, PoolBinding::Private(_)) {
-            // Rebuild the pool so its shard count tracks the queue count.
-            // (Shared host pools are rebuilt by the simulator at run
-            // start, which re-reads every member's queue count.)
-            self.enable_pool_ingestion();
-        }
-    }
-
-    /// Routes this node's packet execution through the shared persistent
-    /// worker pool: one long-lived shard per receive queue, each owning a
-    /// [`Seg6Datapath::fork_for_cpu`] of this node's datapath (the FIB
-    /// stays shared, SID/transit/LWT tables are snapshots whose programs
-    /// and maps remain shared handles). Call it after setting
-    /// [`Node::set_rx_queues`]; calling `set_rx_queues` afterwards
-    /// rebuilds the pool, and the simulator re-forks every pooled node at
-    /// the start of its first run, so datapath configuration applied any
-    /// time before the first event is captured. Only reconfiguration
-    /// *mid-run* requires calling this again. The simulator keeps
-    /// modelling *time*
-    /// (per-queue busy horizons and admission) — what moves into the pool
-    /// is the packet *execution*, so simulations exercise exactly the
-    /// steering + batch code path the benches measure, with identical
-    /// verdicts to the in-simulator model.
-    pub fn enable_pool_ingestion(&mut self) {
-        self.binding = PoolBinding::Private(Box::new(WorkerPool::from_datapath(
-            sim_pool_config(self.rx_queues()),
-            &self.datapath,
-        )));
-    }
-
-    /// Whether packet execution goes through a worker pool (private or a
-    /// shared host pool).
-    pub fn pool_ingestion(&self) -> bool {
-        !matches!(self.binding, PoolBinding::None)
-    }
-
-    /// Marks this node as tenant `tenant` of the simulator-owned host
-    /// pool `pool` (the tenant id is finalised when the pool is built).
-    pub(crate) fn bind_shared_pool(&mut self, pool: usize, tenant: TenantId) {
-        self.binding = PoolBinding::Shared { pool, tenant };
-    }
-
-    /// The `(host pool, tenant)` binding, when this node shares a pool.
-    pub(crate) fn shared_binding(&self) -> Option<(usize, TenantId)> {
-        match self.binding {
-            PoolBinding::Shared { pool, tenant } => Some((pool, tenant)),
-            _ => None,
-        }
-    }
-
-    /// Executes one packet on the pool shard serving `queue`, returning
-    /// its verdict, its work summary and the (possibly rewritten) packet
-    /// bytes. `now_ns` becomes the packet's RX timestamp and processing
-    /// clock, as in the in-simulator model. The frame enters through the
-    /// pool's recycled-buffer burst path (`enqueue_bytes_at`: the bytes
-    /// are copied into storage previous packets drained, handed over on
-    /// the lock-free descriptor ring) and the output buffer is recycled
-    /// back once its bytes are copied out — so a long simulation's
-    /// ingestion reuses a handful of buffers instead of allocating one
-    /// per packet. Only the one shard is flushed (a single cross-thread
-    /// round-trip), and the result is mirrored into
-    /// `self.datapath.stats`, so a pooled node's counters stay as
-    /// observable as a legacy node's.
-    pub(crate) fn process_via_pool(
-        &mut self,
-        packet: &[u8],
-        now_ns: u64,
-        queue: usize,
-    ) -> (Verdict, PacketWork, Vec<u8>) {
-        let PoolBinding::Private(pool) = &mut self.binding else { panic!("private pool ingestion enabled") };
-        debug_assert_eq!(pool.steer_to(packet) as usize, queue, "pool and node steering agree");
-        let (bv, bytes) = execute_on_pool(pool, TenantId::DEFAULT, packet, now_ns, queue as u32);
-        // Keep the node-level statistics live: the node datapath is the
-        // configuration and accounting view, the shard forks execute.
-        self.datapath.stats.record(&bv.verdict, &bv.work);
-        {
-            let work = work_of(&bv);
-            (bv.verdict, work, bytes)
-        }
     }
 
     /// Number of receive queues (cores) this node processes packets with.
@@ -345,49 +222,6 @@ impl Node {
     }
 }
 
-/// The pool shape simnet ingestion uses: one shard per receive queue, one
-/// packet per flush (the simulator hands packets one arrival event at a
-/// time), outputs collected so verdicts and rewritten bytes come back.
-pub(crate) fn sim_pool_config(rx_queues: usize) -> PoolConfig {
-    PoolConfig {
-        workers: rx_queues as u32,
-        batch_size: 1,
-        queue_depth: 64,
-        collect_outputs: true,
-        ..Default::default()
-    }
-}
-
-/// Executes one packet on pool shard `shard` as `tenant`, returning its
-/// [`BatchVerdict`] and the (possibly rewritten) packet bytes. `now_ns`
-/// becomes the packet's RX timestamp and processing clock. The frame
-/// enters through the pool's recycled-buffer path (`enqueue_bytes_at`) and
-/// the output buffer is recycled back once its bytes are copied out, so a
-/// long simulation's ingestion reuses a handful of buffers instead of
-/// allocating one per packet. Only the one shard is flushed — a single
-/// cross-thread round-trip per packet.
-pub(crate) fn execute_on_pool(
-    pool: &mut WorkerPool,
-    tenant: TenantId,
-    packet: &[u8],
-    now_ns: u64,
-    shard: u32,
-) -> (BatchVerdict, Vec<u8>) {
-    let accepted = pool.tenant(tenant).enqueue_bytes_at(now_ns, packet);
-    debug_assert!(accepted, "one packet per flush never overflows the shard ring");
-    let mut flush = pool.flush_shard(shard);
-    let (out_tenant, skb, bv) = flush.outputs.pop().expect("the enqueued packet's output");
-    debug_assert_eq!(out_tenant, tenant, "the output belongs to the enqueuing tenant");
-    let bytes = skb.packet.data().to_vec();
-    pool.recycle(skb.into_packet());
-    (bv, bytes)
-}
-
-/// The CPU cost model's view of a [`BatchVerdict`]'s work flags.
-pub(crate) fn work_of(bv: &BatchVerdict) -> PacketWork {
-    PacketWork { seg6local: bv.work.seg6local, encap_or_decap: bv.work.transit, bpf: bv.work.bpf }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,29 +234,29 @@ mod tests {
     #[test]
     fn cpu_profile_costs_accumulate() {
         let cpu = CpuProfile::xeon();
-        let plain = cpu.cost_ns(100, &PacketWork::default());
-        let with_bpf = cpu.cost_ns(100, &PacketWork { bpf: true, ..Default::default() });
-        let full = cpu.cost_ns(100, &PacketWork { bpf: true, seg6local: true, encap_or_decap: true });
+        let plain = cpu.cost_ns(100, &WorkSummary::default());
+        let with_bpf = cpu.cost_ns(100, &WorkSummary { bpf: true, ..Default::default() });
+        let full = cpu.cost_ns(100, &WorkSummary { bpf: true, seg6local: true, transit: true });
         assert!(plain < with_bpf && with_bpf < full);
         // Disabling the JIT makes BPF work more expensive.
         let mut no_jit = cpu;
         no_jit.jit_enabled = false;
-        assert!(no_jit.cost_ns(100, &PacketWork { bpf: true, ..Default::default() }) > with_bpf);
+        assert!(no_jit.cost_ns(100, &WorkSummary { bpf: true, ..Default::default() }) > with_bpf);
     }
 
     #[test]
     fn xeon_profile_is_near_the_papers_baseline_rate() {
         // 610 kpps ≈ 1.64 µs per packet for 64-byte-payload packets.
         let cpu = CpuProfile::xeon();
-        let cost = cpu.cost_ns(150, &PacketWork::default());
+        let cost = cpu.cost_ns(150, &WorkSummary::default());
         assert!((1_400..1_800).contains(&cost), "cost {cost}");
     }
 
     #[test]
     fn per_byte_cost_matters_on_the_cpe() {
         let cpu = CpuProfile::turris_omnia();
-        let small = cpu.cost_ns(100, &PacketWork::default());
-        let large = cpu.cost_ns(1400, &PacketWork::default());
+        let small = cpu.cost_ns(100, &WorkSummary::default());
+        let large = cpu.cost_ns(1400, &WorkSummary::default());
         assert!(large > small + 2_000);
     }
 

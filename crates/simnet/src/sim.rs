@@ -10,26 +10,14 @@
 
 use crate::app::{AppApi, Application};
 use crate::link::{Link, LinkConfig};
-use crate::node::{execute_on_pool, sim_pool_config, work_of, Node, PacketWork};
+use crate::node::Node;
 use netpkt::PacketBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seg6_core::{Skb, Verdict};
-use seg6_runtime::WorkerPool;
+use seg6_core::{BatchVerdict, Skb, Verdict};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::net::Ipv6Addr;
-
-/// One shared host pool: a persistent [`WorkerPool`] serving several
-/// nodes, each as its own tenant — the "one Linux host running several
-/// VRFs" model. Built (and rebuilt, capturing late datapath
-/// configuration) at the start of the first run.
-struct HostPool {
-    /// The pool; `None` until the simulator builds it.
-    pool: Option<WorkerPool>,
-    /// Member node ids, in tenant order (member `i` is tenant `i`).
-    members: Vec<usize>,
-}
 
 /// One scheduled event.
 #[derive(Debug)]
@@ -84,8 +72,8 @@ pub struct Simulator {
     nodes: Vec<Node>,
     links: Vec<Link>,
     apps: Vec<Vec<Box<dyn Application>>>,
-    /// Shared host pools ([`Simulator::share_host_pool`]).
-    host_pools: Vec<HostPool>,
+    /// Reused output buffer of the per-packet datapath call.
+    verdicts: Vec<BatchVerdict>,
     queue: BinaryHeap<Reverse<Scheduled>>,
     now_ns: u64,
     seq: u64,
@@ -103,7 +91,7 @@ impl Simulator {
             nodes: Vec::new(),
             links: Vec::new(),
             apps: Vec::new(),
-            host_pools: Vec::new(),
+            verdicts: Vec::with_capacity(1),
             queue: BinaryHeap::new(),
             now_ns: 0,
             seq: 0,
@@ -210,10 +198,7 @@ impl Simulator {
     pub fn run_until(&mut self, horizon_ns: u64) -> u64 {
         if !self.started {
             self.started = true;
-            self.refresh_pools();
             self.start_apps();
-        } else {
-            self.sync_host_pools();
         }
         let mut processed = 0;
         while let Some(Reverse(next)) = self.queue.peek() {
@@ -238,121 +223,6 @@ impl Simulator {
     /// keep the queue non-empty forever).
     pub fn run_to_completion(&mut self) -> u64 {
         self.run_until(u64::MAX)
-    }
-
-    /// Attaches `members` to one **shared host pool**: a single persistent
-    /// [`WorkerPool`] whose shard count is the largest member's receive
-    /// queue count, with every member node registered as its own tenant
-    /// (member `i` = tenant `i`, each shard running
-    /// `fork_for_cpu` forks of that node's datapath). This models one
-    /// Linux host serving several routing contexts — VRFs — on one set of
-    /// CPUs, instead of the pool-per-node shape
-    /// [`Node::enable_pool_ingestion`] builds. Verdicts and timestamps
-    /// are identical to pool-per-node when the members' queue counts
-    /// match the pool's shard count (regression-tested).
-    ///
-    /// The pool is built — capturing each member's current datapath
-    /// configuration — at the start of the first run (or immediately,
-    /// when the simulation already started). As with private pools,
-    /// reconfiguring a member's datapath *mid-run* requires calling this
-    /// again by hand. Returns the host pool's id.
-    pub fn share_host_pool(&mut self, members: &[usize]) -> usize {
-        assert!(!members.is_empty(), "a host pool needs at least one member node");
-        let id = self.host_pools.len();
-        self.host_pools.push(HostPool { pool: None, members: members.to_vec() });
-        for &member in members {
-            // Tenant ids are finalised when the pool is built.
-            self.nodes[member].bind_shared_pool(id, seg6_runtime::TenantId::DEFAULT);
-        }
-        if self.started {
-            self.build_host_pool(id);
-        }
-        id
-    }
-
-    /// (Re)builds host pool `id` from its members' current datapaths:
-    /// member 0 becomes the default tenant, the rest register in member
-    /// order, and each node's binding records its actual tenant id. A
-    /// member whose binding has since been pointed elsewhere — a private
-    /// pool via [`Node::enable_pool_ingestion`], or a newer
-    /// [`Simulator::share_host_pool`] call — has *left* this pool: the
-    /// later explicit binding wins and the member is dropped, instead of
-    /// being silently re-captured.
-    fn build_host_pool(&mut self, id: usize) {
-        let members: Vec<usize> = self.host_pools[id]
-            .members
-            .iter()
-            .copied()
-            .filter(|&m| self.nodes[m].shared_binding().is_some_and(|(pool, _)| pool == id))
-            .collect();
-        self.host_pools[id].members = members.clone();
-        let Some(workers) = members.iter().map(|&m| self.nodes[m].rx_queues()).max() else {
-            self.host_pools[id].pool = None;
-            return;
-        };
-        let mut pool = WorkerPool::from_datapath(sim_pool_config(workers), &self.nodes[members[0]].datapath);
-        pool.update_tenant_qos(seg6_runtime::TenantId::DEFAULT, self.nodes[members[0]].qos);
-        self.nodes[members[0]].bind_shared_pool(id, seg6_runtime::TenantId::DEFAULT);
-        for &member in &members[1..] {
-            let spec = seg6_runtime::TenantSpec::from_datapath(&self.nodes[member].datapath)
-                .qos(self.nodes[member].qos);
-            let tenant = pool.add_tenant(spec);
-            self.nodes[member].bind_shared_pool(id, tenant);
-        }
-        self.host_pools[id].pool = Some(pool);
-    }
-
-    /// The shared host pool `id` (for counter/telemetry inspection);
-    /// `None` until the first run builds it.
-    pub fn host_pool(&self, id: usize) -> Option<&WorkerPool> {
-        self.host_pools[id].pool.as_ref()
-    }
-
-    /// Re-forks every pooled node's shards from its current datapath
-    /// configuration — private pools per node, shared host pools per
-    /// member — so SIDs, VRFs, transit behaviours and LWT attachments
-    /// installed between pool setup and the first event are always
-    /// captured. Reconfiguring a datapath *mid-run* still requires
-    /// re-enabling by hand.
-    fn refresh_pools(&mut self) {
-        for node in &mut self.nodes {
-            if node.shared_binding().is_none() && node.pool_ingestion() {
-                node.enable_pool_ingestion();
-            }
-        }
-        for id in 0..self.host_pools.len() {
-            self.build_host_pool(id);
-        }
-    }
-
-    /// Rebuilds any shared host pool whose shard count no longer matches
-    /// its members' receive queues — the shared-pool counterpart of the
-    /// immediate rebuild `set_rx_queues` performs on a private pool, so
-    /// the two bindings do not diverge when queues change between runs.
-    /// (A private-style *datapath* reconfiguration mid-run still requires
-    /// calling [`Simulator::share_host_pool`] again, as documented there.)
-    fn sync_host_pools(&mut self) {
-        for id in 0..self.host_pools.len() {
-            let current: Vec<usize> = self.host_pools[id]
-                .members
-                .iter()
-                .copied()
-                .filter(|&m| self.nodes[m].shared_binding().is_some_and(|(pool, _)| pool == id))
-                .collect();
-            if current.is_empty() {
-                // Every member left (re-bound privately or to a newer
-                // pool); nothing to serve.
-                self.host_pools[id].members.clear();
-                self.host_pools[id].pool = None;
-                continue;
-            }
-            let workers = current.iter().map(|&m| self.nodes[m].rx_queues()).max().expect("non-empty");
-            let stale = current != self.host_pools[id].members
-                || self.host_pools[id].pool.as_ref().is_none_or(|pool| pool.workers() as usize != workers);
-            if stale {
-                self.build_host_pool(id);
-            }
-        }
     }
 
     fn start_apps(&mut self) {
@@ -409,65 +279,29 @@ impl Simulator {
         // CPU admission: the packet's flow steers it to one receive queue
         // (RSS), each queue's core processes serially, and the packet is
         // dropped if that queue's backlog exceeds the node's limit.
-        let (queue, queue_start_ns) = {
-            let node = &mut self.nodes[node_id];
-            let queue = node.rx_queue_for(&packet);
-            let start_ns = node.rx_queue_busy_ns[queue].max(self.now_ns);
-            if start_ns - self.now_ns > node.cpu_queue_limit_ns {
-                node.cpu_drops += 1;
-                self.stats.dropped += 1;
-                return;
-            }
-            (queue, start_ns)
-        };
-        let (verdict, work, packet_after) =
-            if let Some((pool_id, tenant)) = self.nodes[node_id].shared_binding() {
-                // Shared host pool: the node is one tenant of a pool owned by
-                // the simulator — the shard's worker executes the packet on
-                // the node's forked datapath (same steering, same batch code
-                // path); only the time model stays per node.
-                let pool = self.host_pools[pool_id].pool.as_mut().expect("host pool built at run start");
-                let shard = pool.steer_to(&packet);
-                let (bv, bytes) = execute_on_pool(pool, tenant, &packet, self.now_ns, shard);
-                // Keep the node-level statistics live, as private pools do.
-                self.nodes[node_id].datapath.stats.record(&bv.verdict, &bv.work);
-                {
-                    let work = work_of(&bv);
-                    (bv.verdict, work, bytes)
-                }
-            } else {
-                let node = &mut self.nodes[node_id];
-                if node.pool_ingestion() {
-                    // Private pool ingestion: the queue's persistent worker
-                    // shard executes the packet through the same steering +
-                    // batch code path the benches measure; only the time model
-                    // (busy horizons, admission) stays in the simulator.
-                    node.process_via_pool(&packet, self.now_ns, queue)
-                } else {
-                    let before = node.datapath.stats.clone();
-                    let mut skb = Skb::received(PacketBuf::from_slice(&packet), self.now_ns, 0);
-                    // The datapath instance runs "on" the queue's core:
-                    // programs observe the queue index as their CPU id, so
-                    // per-CPU map slots and perf rings shard by queue inside
-                    // the simulator too.
-                    node.datapath.cpu_id = queue as u32;
-                    let verdict = node.datapath.process(&mut skb, self.now_ns);
-                    let after = &node.datapath.stats;
-                    let work = PacketWork {
-                        seg6local: after.seg6local_invocations > before.seg6local_invocations,
-                        encap_or_decap: after.transit_applied > before.transit_applied,
-                        bpf: after.bpf_invocations > before.bpf_invocations,
-                    };
-                    (verdict, work, skb.packet.data().to_vec())
-                }
-            };
-        let start_ns = {
-            let node = &mut self.nodes[node_id];
-            let cost = node.cpu.cost_ns(packet.len(), &work);
-            node.rx_queue_busy_ns[queue] = queue_start_ns + cost;
-            queue_start_ns + cost
-        };
-        match verdict {
+        let node = &mut self.nodes[node_id];
+        let queue = node.rx_queue_for(&packet);
+        let queue_start_ns = node.rx_queue_busy_ns[queue].max(self.now_ns);
+        if queue_start_ns - self.now_ns > node.cpu_queue_limit_ns {
+            node.cpu_drops += 1;
+            self.stats.dropped += 1;
+            return;
+        }
+        let mut skb = Skb::received(PacketBuf::from_slice(&packet), self.now_ns, 0);
+        // The datapath instance runs "on" the queue's core: programs
+        // observe the queue index as their CPU id, so per-CPU map slots
+        // and perf rings shard by queue inside the simulator too.
+        node.datapath.cpu_id = queue as u32;
+        node.datapath.process_batch_verdicts_into(
+            std::slice::from_mut(&mut skb),
+            self.now_ns,
+            &mut self.verdicts,
+        );
+        let bv = self.verdicts.pop().expect("one verdict per packet");
+        let start_ns = queue_start_ns + node.cpu.cost_ns(packet.len(), &bv.work);
+        node.rx_queue_busy_ns[queue] = start_ns;
+        let packet_after = skb.packet.data().to_vec();
+        match bv.verdict {
             Verdict::Forward { oif, .. } => {
                 let Some(link_id) = self.nodes[node_id].link_on(oif) else {
                     self.stats.dropped += 1;
@@ -669,215 +503,72 @@ mod tests {
         assert!(four > one * 3, "1 queue: {one}, 4 queues: {four}");
     }
 
-    /// The acceptance-criteria test: a multi-queue node whose packets go
-    /// through the shared persistent worker pool produces **identical
-    /// verdicts** — and therefore identical deliveries, drops, and arrival
-    /// timestamps — to the legacy in-simulator multi-queue model, over a
-    /// workload covering forwarding, seg6local, local delivery and
-    /// unroutable drops.
+    /// Simulated time is deterministic: a 4-queue router under a workload
+    /// covering forwarding, seg6local, local delivery and unroutable drops
+    /// — with a non-zero cost for every work class, so a wrong work flag
+    /// would shift busy horizons — reproduces the arrival timestamps and
+    /// counters recorded before the per-packet work summary moved into
+    /// `seg6-core`, to the nanosecond.
     #[test]
-    fn pool_ingestion_matches_the_in_simulator_model() {
+    fn multi_queue_router_timestamps_are_pinned() {
+        use crate::node::SinkStats;
         use netpkt::packet::build_srv6_udp_packet;
         use netpkt::srh::SegmentRoutingHeader;
-        use seg6_core::Seg6LocalAction;
+        use seg6_core::{DropReason, Seg6LocalAction};
 
-        fn build(pooled: bool) -> (Simulator, usize, usize) {
-            // Non-zero cost for every work class, so a work-flag mismatch
-            // between the models would shift busy horizons and timestamps.
-            let (mut sim, s1, r, s2) = three_node_chain(CpuProfile::xeon());
-            sim.node_mut(r).datapath.add_local_sid("fc00::e1/128".parse().unwrap(), Seg6LocalAction::End);
-            sim.node_mut(r).set_rx_queues(4);
-            if pooled {
-                sim.node_mut(r).enable_pool_ingestion();
-                assert!(sim.node(r).pool_ingestion());
-            }
-            for i in 0..1200u64 {
-                let flow = (1000 + i % 100) as u16;
-                let pkt = match i % 4 {
-                    // Plain forwarding through R towards the S2 sink.
-                    0..=1 => {
-                        build_ipv6_udp_packet(addr("fc00::a1"), addr("fc00::a2"), flow, 5001, &[0u8; 64], 64)
-                    }
-                    // seg6local End at R, then on to S2.
-                    2 => {
-                        let srh = SegmentRoutingHeader::from_path(
-                            netpkt::ipv6::proto::UDP,
-                            &[addr("fc00::e1"), addr("fc00::a2")],
-                        );
-                        build_srv6_udp_packet(addr("fc00::a1"), &srh, flow, 5002, &[0u8; 64], 64)
-                    }
-                    // Local delivery at R itself.
-                    _ => {
-                        build_ipv6_udp_packet(addr("fc00::a1"), addr("fc00::11"), flow, 7001, &[0u8; 32], 64)
-                    }
-                };
-                sim.inject_at(i * 300, s1, pkt);
-            }
-            // Unroutable packets: dropped at R in both models.
-            for i in 0..50u64 {
-                let pkt =
-                    build_ipv6_udp_packet(addr("fc00::a1"), addr("3001::1"), 9000, 9000, &[0u8; 32], 64);
-                sim.inject_at(i * 1_000, s1, pkt);
-            }
-            sim.run_to_completion();
-            (sim, r, s2)
+        let (mut sim, s1, r, s2) = three_node_chain(CpuProfile::xeon());
+        sim.node_mut(r).datapath.add_local_sid("fc00::e1/128".parse().unwrap(), Seg6LocalAction::End);
+        sim.node_mut(r).set_rx_queues(4);
+        for i in 0..1200u64 {
+            let flow = (1000 + i % 100) as u16;
+            let pkt = match i % 4 {
+                // Plain forwarding through R towards the S2 sink.
+                0..=1 => {
+                    build_ipv6_udp_packet(addr("fc00::a1"), addr("fc00::a2"), flow, 5001, &[0u8; 64], 64)
+                }
+                // seg6local End at R, then on to S2.
+                2 => {
+                    let srh = SegmentRoutingHeader::from_path(
+                        netpkt::ipv6::proto::UDP,
+                        &[addr("fc00::e1"), addr("fc00::a2")],
+                    );
+                    build_srv6_udp_packet(addr("fc00::a1"), &srh, flow, 5002, &[0u8; 64], 64)
+                }
+                // Local delivery at R itself.
+                _ => build_ipv6_udp_packet(addr("fc00::a1"), addr("fc00::11"), flow, 7001, &[0u8; 32], 64),
+            };
+            sim.inject_at(i * 300, s1, pkt);
         }
+        // Unroutable packets: dropped at R.
+        for i in 0..50u64 {
+            let pkt = build_ipv6_udp_packet(addr("fc00::a1"), addr("3001::1"), 9000, 9000, &[0u8; 32], 64);
+            sim.inject_at(i * 1_000, s1, pkt);
+        }
+        sim.run_to_completion();
 
-        let (legacy, lr, ls2) = build(false);
-        let (pooled, pr, ps2) = build(true);
-        // Sink statistics include first/last arrival timestamps, so this
-        // compares verdicts *and* the CPU cost model end to end.
-        assert_eq!(legacy.node(ls2).sink(5001), pooled.node(ps2).sink(5001));
-        assert_eq!(legacy.node(ls2).sink(5002), pooled.node(ps2).sink(5002));
-        assert_eq!(legacy.node(lr).sink(7001), pooled.node(pr).sink(7001));
-        assert_eq!(legacy.node(lr).delivered_packets, pooled.node(pr).delivered_packets);
-        assert_eq!(legacy.node(lr).cpu_drops, pooled.node(pr).cpu_drops);
-        assert_eq!(legacy.stats.delivered, pooled.stats.delivered);
-        assert_eq!(legacy.stats.dropped, pooled.stats.dropped);
-        assert!(legacy.stats.dropped >= 50, "the unroutable packets were dropped");
-        assert_eq!(legacy.node(ls2).sink(5001).packets, 600);
-        // Node-level datapath statistics stay observable through the pool
-        // (per-shard results are mirrored back onto the node's view).
-        let l = &legacy.node(lr).datapath.stats;
-        let p = &pooled.node(pr).datapath.stats;
-        assert_eq!(l.received, p.received);
-        assert_eq!(l.forwarded, p.forwarded);
-        assert_eq!(l.local_delivered, p.local_delivered);
-        assert_eq!(l.seg6local_invocations, p.seg6local_invocations);
-        assert_eq!(l.bpf_invocations, p.bpf_invocations);
-        assert_eq!(l.transit_applied, p.transit_applied);
-        assert_eq!(l.dropped, p.dropped);
-        assert!(p.received > 0, "the pooled node mirrored nothing");
+        let sink = |packets, payload_bytes, first_arrival_ns, last_arrival_ns| SinkStats {
+            packets,
+            payload_bytes,
+            last_arrival_ns,
+            first_arrival_ns,
+        };
+        assert_eq!(sim.node(s2).sink(5001), sink(600, 38_400, 101_684, 658_322));
+        assert_eq!(sim.node(s2).sink(5002), sink(300, 19_200, 102_501, 658_443));
+        assert_eq!(sim.node(r).sink(7001), sink(300, 9_600, 50_964, 409_764));
+        assert_eq!(sim.node(r).delivered_packets, 300);
+        assert_eq!(sim.node(r).cpu_drops, 0);
+        assert_eq!((sim.stats.events, sim.stats.delivered, sim.stats.dropped), (3400, 1200, 50));
+        let stats = &sim.node(r).datapath.stats;
+        assert_eq!((stats.received, stats.forwarded, stats.local_delivered), (1250, 900, 300));
+        assert_eq!(stats.seg6local_invocations, 300);
+        assert_eq!(stats.dropped_for(DropReason::NoRoute), 50);
     }
 
-    /// The PR-5 acceptance test: two multi-queue routers sharing **one**
-    /// host pool (each as its own tenant) produce verdicts, deliveries,
-    /// drops and arrival timestamps identical to the pool-per-node model
-    /// — and to the legacy in-simulator model — over a workload covering
-    /// forwarding, seg6local and unroutable drops on both routers.
+    /// Two routers each route through their own **VRF** via `End.T` /
+    /// `End.DT6`: the main tables would drop or mis-route, so delivery
+    /// proves each node's VRF lookup was used.
     #[test]
-    fn shared_host_pool_matches_pool_per_node() {
-        use netpkt::packet::build_srv6_udp_packet;
-        use netpkt::srh::SegmentRoutingHeader;
-        use seg6_core::Seg6LocalAction;
-
-        #[derive(PartialEq, Eq, Clone, Copy, Debug)]
-        enum Mode {
-            Legacy,
-            PoolPerNode,
-            SharedHostPool,
-        }
-
-        fn build(mode: Mode) -> (Simulator, usize, usize, usize) {
-            // S1 — R1 — R2 — S2: two multi-queue routers, non-zero CPU
-            // costs so any work-flag or verdict mismatch shifts busy
-            // horizons and timestamps.
-            let mut sim = Simulator::new(11);
-            let s1 = sim.add_node("S1", addr("fc00::a1"));
-            let r1 = sim.add_node("R1", addr("fc00::11"));
-            let r2 = sim.add_node("R2", addr("fc00::12"));
-            let s2 = sim.add_node("S2", addr("fc00::a2"));
-            sim.connect(s1, r1, LinkConfig::lab_10g());
-            let (_, r1_right, r2_left) = sim.connect(r1, r2, LinkConfig::lab_10g());
-            let (_, r2_right, _) = sim.connect(r2, s2, LinkConfig::lab_10g());
-            sim.node_mut(s1).datapath.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
-            sim.node_mut(r1).cpu = CpuProfile::xeon();
-            sim.node_mut(r2).cpu = CpuProfile::xeon();
-            sim.node_mut(r1).datapath.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(r1_right)]);
-            sim.node_mut(r1).datapath.add_local_sid("fc00::e1/128".parse().unwrap(), Seg6LocalAction::End);
-            sim.node_mut(r2)
-                .datapath
-                .add_route("fc00::a2/128".parse().unwrap(), vec![Nexthop::direct(r2_right)]);
-            sim.node_mut(r2)
-                .datapath
-                .add_route("fc00::a1/128".parse().unwrap(), vec![Nexthop::direct(r2_left)]);
-            sim.node_mut(r2).datapath.add_local_sid("fc00::e2/128".parse().unwrap(), Seg6LocalAction::End);
-            sim.node_mut(r1).set_rx_queues(4);
-            sim.node_mut(r2).set_rx_queues(4);
-            match mode {
-                Mode::Legacy => {}
-                Mode::PoolPerNode => {
-                    sim.node_mut(r1).enable_pool_ingestion();
-                    sim.node_mut(r2).enable_pool_ingestion();
-                }
-                Mode::SharedHostPool => {
-                    sim.share_host_pool(&[r1, r2]);
-                    assert!(sim.node(r1).pool_ingestion());
-                    assert!(sim.node(r2).pool_ingestion());
-                }
-            }
-            for i in 0..1200u64 {
-                let flow = (1000 + i % 100) as u16;
-                let pkt = match i % 3 {
-                    // Plain forwarding through both routers to the sink.
-                    0 => {
-                        build_ipv6_udp_packet(addr("fc00::a1"), addr("fc00::a2"), flow, 5001, &[0u8; 64], 64)
-                    }
-                    // seg6local End at R1 *and* R2, then on to S2.
-                    1 => {
-                        let srh = SegmentRoutingHeader::from_path(
-                            netpkt::ipv6::proto::UDP,
-                            &[addr("fc00::e1"), addr("fc00::e2"), addr("fc00::a2")],
-                        );
-                        build_srv6_udp_packet(addr("fc00::a1"), &srh, flow, 5002, &[0u8; 64], 64)
-                    }
-                    // Unroutable at R2 (no default route there): dropped.
-                    _ => build_ipv6_udp_packet(addr("fc00::a1"), addr("3001::1"), flow, 9000, &[0u8; 32], 64),
-                };
-                sim.inject_at(i * 400, s1, pkt);
-            }
-            sim.run_to_completion();
-            (sim, r1, r2, s2)
-        }
-
-        let (legacy, _, _, _) = build(Mode::Legacy);
-        let (per_node, pn_r1, pn_r2, pn_s2) = build(Mode::PoolPerNode);
-        let (shared, sh_r1, sh_r2, sh_s2) = build(Mode::SharedHostPool);
-
-        // Sink statistics carry first/last arrival timestamps, so these
-        // compare verdicts *and* the CPU cost model end to end.
-        assert_eq!(per_node.node(pn_s2).sink(5001), shared.node(sh_s2).sink(5001));
-        assert_eq!(per_node.node(pn_s2).sink(5002), shared.node(sh_s2).sink(5002));
-        assert_eq!(legacy.node(pn_s2).sink(5001), shared.node(sh_s2).sink(5001));
-        assert_eq!(legacy.node(pn_s2).sink(5002), shared.node(sh_s2).sink(5002));
-        assert_eq!(per_node.stats.delivered, shared.stats.delivered);
-        assert_eq!(per_node.stats.dropped, shared.stats.dropped);
-        assert_eq!(legacy.stats.dropped, shared.stats.dropped);
-        assert!(shared.stats.dropped >= 400, "the unroutable packets were dropped");
-        assert_eq!(shared.node(sh_s2).sink(5001).packets, 400);
-
-        // Per-node datapath statistics stay observable through the shared
-        // pool, identical to the per-node pools.
-        for (pn_r, sh_r) in [(pn_r1, sh_r1), (pn_r2, sh_r2)] {
-            let p = &per_node.node(pn_r).datapath.stats;
-            let s = &shared.node(sh_r).datapath.stats;
-            assert_eq!(p.received, s.received);
-            assert_eq!(p.forwarded, s.forwarded);
-            assert_eq!(p.seg6local_invocations, s.seg6local_invocations);
-            assert_eq!(p.dropped, s.dropped);
-            assert!(s.received > 0, "the shared pool mirrored nothing");
-        }
-
-        // The host pool's live counters: one row per member node (tenant),
-        // rows summing to the aggregated per-shard view, totals matching
-        // the two routers' mirrored stats.
-        let pool = shared.host_pool(0).expect("host pool built at run start");
-        assert_eq!(pool.tenants(), 2);
-        let snap = pool.counters().snapshot();
-        assert_eq!(snap.tenants.len(), 2);
-        let r1_stats = &shared.node(sh_r1).datapath.stats;
-        let r2_stats = &shared.node(sh_r2).datapath.stats;
-        assert_eq!(snap.tenants[0].totals().processed, r1_stats.received);
-        assert_eq!(snap.tenants[1].totals().processed, r2_stats.received);
-        assert_eq!(snap.processed(), r1_stats.received + r2_stats.received);
-    }
-
-    /// Tenancy end-to-end: two routers share a host pool, and each routes
-    /// through its own **VRF** via `End.T` / `End.DT6` — the same SID and
-    /// the same inner destination forward differently per tenant, proving
-    /// per-tenant FIBs never cross-route inside the shared pool.
-    #[test]
-    fn shared_pool_tenants_route_via_their_own_vrf_tables() {
+    fn routers_route_via_their_own_vrf_tables() {
         use netpkt::srh::SegmentRoutingHeader;
         use seg6_core::Seg6LocalAction;
 
@@ -917,7 +608,6 @@ mod tests {
         }
         sim.node_mut(r1).set_rx_queues(2);
         sim.node_mut(r2).set_rx_queues(2);
-        sim.share_host_pool(&[r1, r2]);
 
         // IPv6-in-IPv6: outer SRH visits R1's End.T SID then R2's End.DT6
         // SID; the decapsulated inner packet is a UDP datagram to S2.
@@ -946,106 +636,6 @@ mod tests {
         assert_eq!(sim.stats.dropped, 0);
         assert_eq!(sim.node(r1).datapath.stats.seg6local_invocations, 32);
         assert_eq!(sim.node(r2).datapath.stats.seg6local_invocations, 32);
-    }
-
-    /// A member that explicitly re-binds after `share_host_pool` — e.g.
-    /// enabling a private pool — leaves the shared pool: the later
-    /// binding wins, the host pool is built without it, and both nodes
-    /// keep forwarding.
-    #[test]
-    fn later_private_binding_wins_over_shared_membership() {
-        let (mut sim, s1, r, s2) = three_node_chain(CpuProfile::unconstrained());
-        let helper = sim.add_node("H", addr("fc00::99"));
-        sim.connect(helper, r, LinkConfig::lab_10g());
-        sim.node_mut(helper).datapath.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
-        sim.share_host_pool(&[r, helper]);
-        // The user changes their mind before the first run: R gets its own
-        // private pool. That explicit request must not be silently
-        // overridden back to the shared binding at run start.
-        sim.node_mut(r).enable_pool_ingestion();
-        for i in 0..20u64 {
-            let pkt = build_ipv6_udp_packet(addr("fc00::a1"), addr("fc00::a2"), 1000, 5001, &[0u8; 32], 64);
-            sim.inject_at(i * 1_000, s1, pkt);
-        }
-        sim.run_to_completion();
-        assert_eq!(sim.node(s2).sink(5001).packets, 20);
-        assert_eq!(sim.stats.dropped, 0);
-        // The host pool was built with the remaining member only.
-        assert_eq!(sim.host_pool(0).expect("pool built").tenants(), 1);
-        assert!(sim.node(r).pool_ingestion(), "R still executes on its private pool");
-        assert!(sim.node(r).shared_binding().is_none(), "R left the shared pool");
-        assert_eq!(sim.node(helper).shared_binding(), Some((0, seg6_runtime::TenantId::DEFAULT)));
-    }
-
-    /// Changing a shared-pool member's queue count *between runs* must
-    /// rebuild the host pool, exactly as `set_rx_queues` rebuilds a
-    /// private pool immediately — the two bindings may not diverge.
-    #[test]
-    fn shared_pool_tracks_queue_changes_between_runs() {
-        let mut sim = Simulator::new(9);
-        let s1 = sim.add_node("S1", addr("fc00::a1"));
-        let r = sim.add_node("R", addr("fc00::11"));
-        let s2 = sim.add_node("S2", addr("fc00::a2"));
-        sim.connect(s1, r, LinkConfig::lab_10g());
-        let (_, r_right, _) = sim.connect(r, s2, LinkConfig::lab_10g());
-        sim.node_mut(s1).datapath.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
-        sim.node_mut(r).datapath.add_route("fc00::a2/128".parse().unwrap(), vec![Nexthop::direct(r_right)]);
-        sim.node_mut(r).set_rx_queues(2);
-        sim.share_host_pool(&[r]);
-
-        let inject = |sim: &mut Simulator, base: u64, n: u64| {
-            for i in 0..n {
-                let pkt = build_ipv6_udp_packet(
-                    addr("fc00::a1"),
-                    addr("fc00::a2"),
-                    1000 + (i % 64) as u16,
-                    5001,
-                    &[0u8; 32],
-                    64,
-                );
-                sim.inject_at(base + i * 1_000, s1, pkt);
-            }
-        };
-        inject(&mut sim, 0, 100);
-        sim.run_until(1_000_000);
-        assert_eq!(sim.host_pool(0).unwrap().workers(), 2);
-
-        // Grow the node's queues between runs: the next run must rebuild
-        // the host pool to the new shard count and keep forwarding.
-        sim.node_mut(r).set_rx_queues(4);
-        inject(&mut sim, 2_000_000, 100);
-        sim.run_until(10_000_000);
-        assert_eq!(sim.host_pool(0).unwrap().workers(), 4, "host pool tracked the queue change");
-        assert_eq!(sim.node(s2).sink(5001).packets, 200);
-        assert_eq!(sim.stats.dropped, 0);
-    }
-
-    /// Regression: configuration added between `enable_pool_ingestion()`
-    /// and the first run must still reach the pool shards (the simulator
-    /// re-forks pools at the start of its first run).
-    #[test]
-    fn pool_refork_captures_config_added_after_enabling() {
-        use netpkt::packet::build_srv6_udp_packet;
-        use netpkt::srh::SegmentRoutingHeader;
-        use seg6_core::Seg6LocalAction;
-
-        let (mut sim, s1, r, _s2) = three_node_chain(CpuProfile::unconstrained());
-        sim.node_mut(r).set_rx_queues(2);
-        sim.node_mut(r).enable_pool_ingestion();
-        // Installed AFTER enabling the pool — the footgun case.
-        sim.node_mut(r).datapath.add_local_sid("fc00::e1/128".parse().unwrap(), Seg6LocalAction::End);
-        let srh =
-            SegmentRoutingHeader::from_path(netpkt::ipv6::proto::UDP, &[addr("fc00::e1"), addr("fc00::a2")]);
-        for i in 0..8u64 {
-            let pkt = build_srv6_udp_packet(addr("fc00::a1"), &srh, 1000 + i as u16, 5002, &[0u8; 16], 64);
-            sim.inject_at(i * 1_000, s1, pkt);
-        }
-        sim.run_to_completion();
-        // The End SID executed on the pool shards (and was mirrored onto
-        // the node's stats); nothing was mis-forwarded or dropped.
-        assert_eq!(sim.node(r).datapath.stats.seg6local_invocations, 8);
-        assert_eq!(sim.stats.delivered, 8);
-        assert_eq!(sim.stats.dropped, 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Walkthrough of the multi-queue batched runtime: RSS flow steering,
-//! per-worker datapath instances, true per-CPU map slots and per-CPU perf
-//! rings — the architecture a production End.BPF deployment runs on every
-//! core, reproduced in user space.
+//! per-shard datapath instances on a persistent worker pool, true per-CPU
+//! map slots, barrier-free live counters — the architecture a production
+//! End.BPF deployment runs on every core, reproduced in user space — and
+//! the same steering inside the simulator's multi-queue CPU model.
 //!
 //! ```text
 //! cargo run --release --example multiqueue
@@ -16,7 +17,7 @@ use netpkt::ipv6::proto;
 use netpkt::packet::build_srv6_udp_packet;
 use netpkt::srh::SegmentRoutingHeader;
 use seg6_core::{Nexthop, Seg6Datapath, Seg6LocalAction};
-use seg6_runtime::{thread_spawn_count, Ingress, PoolConfig, Runtime, RuntimeConfig, WorkerPool};
+use seg6_runtime::{Ingress, PoolConfig, WorkerPool};
 use simnet::{CpuProfile, LinkConfig, Simulator};
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
@@ -47,17 +48,22 @@ fn counting_program() -> ebpf_vm::Program {
 fn main() {
     const WORKERS: u32 = 4;
     const PACKETS: u32 = 10_000;
+    const ROUNDS: u32 = 3;
     let sid = addr("fc00::e1");
 
-    // One per-CPU map shared by every worker: each worker sees only its
-    // own slot, so the counters need no locks.
+    // One per-CPU map shared by every shard: each shard sees only its own
+    // slot, so the counters need no locks.
     let counters: Arc<PerCpuArrayMap> = PerCpuArrayMap::new(8, 1, WORKERS);
     let shared: MapHandle = counters.clone();
 
-    // Build the runtime: the closure runs once per worker and loads that
-    // worker's own program instance (compiled once, at load time).
-    let config = RuntimeConfig { workers: WORKERS, batch_size: 32, ..Default::default() };
-    let mut runtime = Runtime::new(config, |cpu| {
+    // The persistent worker pool: one long-lived thread per shard, fed
+    // over lock-free descriptor rings. The closure runs once per shard and
+    // loads that shard's own program instance (compiled once, at load
+    // time). Spawn once, then only enqueue + flush.
+    println!("persistent worker pool: {ROUNDS} rounds of {PACKETS} packets on {WORKERS} shards");
+    let pool_config =
+        PoolConfig { workers: WORKERS, batch_size: 32, queue_depth: 16_384, ..Default::default() };
+    let mut pool = WorkerPool::new(pool_config, |cpu| {
         let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
         dp.add_route("fc00::/16".parse().unwrap(), vec![Nexthop::direct(1)]);
         let mut maps: HashMap<u32, MapHandle> = HashMap::new();
@@ -66,69 +72,12 @@ fn main() {
         dp.add_local_sid(netpkt::Ipv6Prefix::host(sid), Seg6LocalAction::EndBpf { prog });
         dp
     });
-
-    // 10 000 packets over 500 flows: the Toeplitz RSS hash steers each
-    // flow to a stable worker shard.
-    for i in 0..PACKETS {
-        let srh = SegmentRoutingHeader::from_path(proto::UDP, &[sid, addr("fc00::99")]);
-        let pkt = build_srv6_udp_packet(
-            addr(&format!("2001:db8::{:x}", i % 500 + 1)),
-            &srh,
-            (1024 + i % 500) as u16,
-            5001,
-            &[0u8; 64],
-            64,
-        );
-        runtime.enqueue(pkt);
-    }
-    println!("steered {PACKETS} packets over {WORKERS} workers:");
-    for worker in runtime.workers() {
-        println!("  worker {}: backlog {}", worker.id, worker.backlog());
-    }
-
-    // Run every shard on its own OS thread, in batches of 32.
-    let report = runtime.run_threaded(0);
-    println!(
-        "\nprocessed {} packets ({} forwarded, {} dropped), per worker: {:?}",
-        report.processed, report.forwarded, report.dropped, report.per_worker
-    );
-
-    // Every worker counted in its private per-CPU slot — compare the map
-    // contents with the steering statistics.
-    println!("\nper-CPU counter slots (map shared by all workers):");
-    let key = 0u32.to_ne_bytes();
-    for worker in runtime.workers() {
-        let slot = counters.lookup_cpu(&key, worker.id).unwrap();
-        let count = u64::from_le_bytes(slot.try_into().unwrap());
-        println!(
-            "  cpu {}: counted {count:5}  (steered {:5}, batches {:3})",
-            worker.id, worker.stats.steered, worker.stats.batches
-        );
-        assert_eq!(count, worker.stats.steered, "per-CPU slots must be disjoint");
-    }
-
-    // The persistent worker pool: the same shards as long-lived threads,
-    // fed over bounded channels. Spawn once, then only enqueue + flush —
-    // the spawn counter proves the steady state costs zero thread spawns.
-    println!("\npersistent worker pool: 3 rounds of {PACKETS} packets on {WORKERS} shards");
-    let pool_counters: Arc<PerCpuArrayMap> = PerCpuArrayMap::new(8, 1, WORKERS);
-    let pool_shared: MapHandle = pool_counters.clone();
-    let pool_config =
-        PoolConfig { workers: WORKERS, batch_size: 32, queue_depth: 16_384, ..Default::default() };
-    let mut pool = WorkerPool::new(pool_config, |cpu| {
-        let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
-        dp.add_route("fc00::/16".parse().unwrap(), vec![Nexthop::direct(1)]);
-        let mut maps: HashMap<u32, MapHandle> = HashMap::new();
-        maps.insert(1, Arc::clone(&pool_shared));
-        let prog = load(counting_program(), &maps, &dp.helpers).expect("verified program");
-        dp.add_local_sid(netpkt::Ipv6Prefix::host(sid), Seg6LocalAction::EndBpf { prog });
-        dp
-    });
-    let spawns_at_steady_state = thread_spawn_count();
     // The live counter block: per-shard relaxed-atomic mirrors, readable
     // from any thread at any time — no flush barrier, no pause.
     let live = pool.counters();
-    for round in 1..=3u32 {
+    for round in 1..=ROUNDS {
+        // 10 000 packets over 500 flows: the Toeplitz RSS hash steers each
+        // flow to a stable worker shard.
         for i in 0..PACKETS {
             let srh = SegmentRoutingHeader::from_path(proto::UDP, &[sid, addr("fc00::99")]);
             let pkt = build_srv6_udp_packet(
@@ -165,17 +114,31 @@ fn main() {
     // At a quiet point the live counters agree exactly with the flushed
     // totals.
     let snap = live.snapshot();
-    assert_eq!(snap.processed(), u64::from(3 * PACKETS));
+    assert_eq!(snap.processed(), u64::from(ROUNDS * PACKETS));
     assert_eq!(snap.in_flight(), 0);
     println!(
-        "  after 3 rounds, live totals: enqueued {}, processed {}, forwarded {}, recycled {}",
+        "  after {ROUNDS} rounds, live totals: enqueued {}, processed {}, forwarded {}, recycled {}",
         snap.enqueued(),
         snap.processed(),
         snap.forwarded(),
         snap.recycled()
     );
-    assert_eq!(thread_spawn_count(), spawns_at_steady_state, "steady state spawned a thread");
-    println!("  thread spawns during the 3 rounds: 0 (pool threads live across runs)");
+    assert_eq!(snap.threads_spawned, u64::from(WORKERS), "steady state spawned a thread");
+    println!("  thread spawns after construction: 0 (pool threads live across rounds)");
+
+    // Every shard counted in its private per-CPU slot — compare the map
+    // contents with what each shard processed.
+    println!("\nper-CPU counter slots (map shared by all shards):");
+    let key = 0u32.to_ne_bytes();
+    for (cpu, shard) in snap.shards.iter().enumerate() {
+        let slot = counters.lookup_cpu(&key, cpu as u32).unwrap();
+        let count = u64::from_le_bytes(slot.try_into().unwrap());
+        println!(
+            "  cpu {cpu}: counted {count:5}  (processed {:5}, batches {:3})",
+            shard.processed, shard.batches
+        );
+        assert_eq!(count, shard.processed, "per-CPU slots must be disjoint");
+    }
     let totals = pool.shutdown();
     println!(
         "  graceful shutdown — lifetime packets per shard: {:?}",
@@ -183,10 +146,8 @@ fn main() {
     );
 
     // The same steering drives the simulator's multi-queue model: a
-    // CPU-bound router forwards ~4x more once it has four receive queues.
-    // The multi-queue case routes its packets through the persistent pool
-    // (`enable_pool_ingestion`), so the simulation exercises exactly the
-    // code path benched above.
+    // CPU-bound router forwards ~4x more once it has four receive queues,
+    // each queue's core running the node's datapath under its own CPU id.
     println!("\nsimnet: saturating a CPU-bound router for 50 ms of simulated time");
     for queues in [1usize, 4] {
         let mut sim = Simulator::new(7);
@@ -202,12 +163,6 @@ fn main() {
         }
         sim.node_mut(router).cpu = CpuProfile::xeon();
         sim.node_mut(router).set_rx_queues(queues);
-        let pooled = queues > 1;
-        if pooled {
-            // End-to-end ingestion: the router's packets are executed by
-            // the persistent worker pool, one shard per receive queue.
-            sim.node_mut(router).enable_pool_ingestion();
-        }
         for i in 0..20_000u64 {
             let pkt = netpkt::packet::build_ipv6_udp_packet(
                 addr("fc00::a1"),
@@ -222,8 +177,7 @@ fn main() {
         sim.run_to_completion();
         let delivered = sim.node(sink).sink(5001).packets;
         println!(
-            "  {queues} rx queue(s){}: delivered {delivered:6} of 20000 (cpu drops {})",
-            if pooled { " via persistent pool" } else { "" },
+            "  {queues} rx queue(s): delivered {delivered:6} of 20000 (cpu drops {})",
             sim.node(router).cpu_drops
         );
     }

@@ -42,17 +42,14 @@ if [ -z "$rows" ]; then
 fi
 
 # Regression gates: these rows must be present in every snapshot — the
-# FIB scaling group (trie vs. linear scan at 10 / 1k / 100k routes), the
-# ingestion-transport group (mpsc per-packet send vs. SPSC ring burst
-# enqueue across the shard/burst sweep), and the tenancy group (one
-# shared multi-tenant pool vs. pool-per-node across the tenant/shard
-# sweep, plus the noisy-neighbor pair comparing arrival-order against
-# QoS-scheduled admission under an 3:1 flood).
-for row in fib_scale/trie_10 fib_scale/trie_100k fib_scale/linear_100k \
-    ring_ingest/mpsc_send_1w ring_ingest/ring_burst_1w_b32 \
-    ring_ingest/mpsc_send_8w ring_ingest/ring_burst_8w_b256 \
-    tenant_scaling/shared_1t_1w tenant_scaling/per_node_1t_1w \
-    tenant_scaling/shared_4t_4w tenant_scaling/per_node_4t_4w \
+# FIB scaling group (the trie at 10 / 1k / 100k routes), the
+# ingestion-transport group (SPSC ring burst enqueue across the
+# shard/burst sweep), and the tenancy group (one shared multi-tenant pool
+# across the tenant/shard sweep, plus the noisy-neighbor pair comparing
+# arrival-order against QoS-scheduled admission under an 3:1 flood).
+for row in fib_scale/trie_10 fib_scale/trie_100k \
+    ring_ingest/ring_burst_1w_b32 ring_ingest/ring_burst_8w_b256 \
+    tenant_scaling/shared_1t_1w tenant_scaling/shared_4t_4w \
     tenant_scaling/noisy_fifo_1w tenant_scaling/noisy_qos_1w \
     srv6d_io/mem_ingest_1w srv6d_io/udp_loopback_1w \
     srv6d_io/mmsg_loopback_1w srv6d_io/udp_loopback_1w_syscalls \
