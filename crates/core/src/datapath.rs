@@ -8,21 +8,21 @@
 //! core forwarding path).
 
 use crate::fib::{flow_hash, FibCache, LookupResult, Nexthop, RouterTables, TableId, MAIN_TABLE};
-use crate::lwt_bpf::{run_lwt_bpf, LwtBpfAttachment, LwtBpfTable, LwtHook};
+use crate::lwt_bpf::{LwtBpfAttachment, LwtBpfTable, LwtHook};
 use crate::scratch::RunScratch;
-use crate::seg6local::{apply_action, ActionCtx, LocalSidTable, Seg6LocalAction};
+use crate::seg6local::{apply_action, run_bpf, ActionCtx, LocalSidTable, Seg6LocalAction};
 use crate::skb::{RouteOverride, Skb};
 use crate::srv6_ops;
 use crate::transit::{apply_transit, TransitBehaviour, TransitTable};
 use crate::verdict::{ActionOutcome, DropReason, Verdict};
 use ebpf_vm::helpers::HelperRegistry;
 use netpkt::{Ipv6Header, Ipv6Prefix};
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
-/// Counters maintained by the datapath.
-#[derive(Debug, Default, Clone)]
+/// Counters maintained by the datapath: one plain record, written once
+/// per packet from the packet's [`BatchVerdict`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DatapathStats {
     /// Packets handed to [`Seg6Datapath::process`].
     pub received: u64,
@@ -30,8 +30,9 @@ pub struct DatapathStats {
     pub forwarded: u64,
     /// Packets delivered to the local host stack.
     pub local_delivered: u64,
-    /// Packets dropped, by reason.
-    pub dropped: HashMap<DropReason, u64>,
+    /// Packets dropped, indexed by reason (`reason as usize`, the order of
+    /// [`DropReason::ALL`]).
+    pub dropped: [u64; DropReason::ALL.len()],
     /// seg6local actions executed.
     pub seg6local_invocations: u64,
     /// End.BPF / LWT-BPF programs executed.
@@ -43,29 +44,32 @@ pub struct DatapathStats {
 impl DatapathStats {
     /// Total number of dropped packets.
     pub fn total_dropped(&self) -> u64 {
-        self.dropped.values().sum()
+        self.dropped.iter().sum()
     }
 
     /// Number of packets dropped for `reason`.
     pub fn dropped_for(&self, reason: DropReason) -> u64 {
-        self.dropped.get(&reason).copied().unwrap_or(0)
+        self.dropped[reason as usize]
     }
 
-    /// Counts one verdict into the forwarded/delivered/dropped counters.
-    fn count_verdict(&mut self, verdict: &Verdict) {
-        match verdict {
+    /// Counts one processed packet: its verdict and the work it cost.
+    fn count(&mut self, packet: &BatchVerdict) {
+        self.received += 1;
+        match packet.verdict {
             Verdict::Forward { .. } => self.forwarded += 1,
             Verdict::LocalDeliver => self.local_delivered += 1,
-            Verdict::Drop(reason) => *self.dropped.entry(*reason).or_insert(0) += 1,
+            Verdict::Drop(reason) => self.dropped[reason as usize] += 1,
         }
+        self.seg6local_invocations += u64::from(packet.work.seg6local);
+        self.bpf_invocations += u64::from(packet.work.bpf);
+        self.transit_applied += u64::from(packet.work.transit);
     }
 }
 
-/// What the datapath did to one packet of a batch, summarised as the work
-/// classes CPU cost models charge for (the simulator's `CpuProfile` prices
-/// exactly these). Derived per packet from the statistics deltas, so a
-/// batch consumer no longer has to wrap every packet in its own stats
-/// snapshot.
+/// What the datapath did to one packet, summarised as the work classes CPU
+/// cost models charge for (the simulator's `CpuProfile` and the worker
+/// pool's `work_cost` price exactly these). Produced by the execution step
+/// itself, alongside the verdict.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WorkSummary {
     /// A seg6local action ran.
@@ -126,17 +130,18 @@ fn classify_dst<'a>(
     host_addrs: &[Ipv6Addr],
     dst: Ipv6Addr,
 ) -> Dispatch<'a> {
+    let lwt_at = |hook| lwt_bpf.lookup_where(dst, |a| a.hook == hook).map(|(_, attachment)| attachment);
     if let Some((sid_prefix, action)) = local_sids.lookup(dst) {
         let local_sid = (sid_prefix.len() == 128).then(|| sid_prefix.addr());
         return Dispatch::Seg6Local { local_sid, action };
     }
     if dst == local_addr || host_addrs.contains(&dst) {
-        return Dispatch::LocalIn(lwt_bpf.lookup(dst, LwtHook::In));
+        return Dispatch::LocalIn(lwt_at(LwtHook::In));
     }
-    if let Some(attachment) = lwt_bpf.lookup(dst, LwtHook::Xmit) {
+    if let Some(attachment) = lwt_at(LwtHook::Xmit) {
         return Dispatch::Xmit(attachment);
     }
-    if let Some(behaviour) = transit.lookup(dst) {
+    if let Some((_, behaviour)) = transit.lookup(dst) {
         return Dispatch::Transit(behaviour);
     }
     Dispatch::Forward
@@ -333,13 +338,13 @@ impl Seg6Datapath {
             local_sids: &self.local_sids,
             lwt_bpf: &self.lwt_bpf,
             transit: &self.transit,
+            stats: &mut self.stats,
             exec: Exec {
                 local_addr: self.local_addr,
                 host_addrs: &self.host_addrs,
                 tables: &self.tables,
                 helpers: &self.helpers,
                 fib: &self.fib,
-                stats: &mut self.stats,
                 scratch: &mut self.scratch,
                 cpu: self.cpu_id,
             },
@@ -356,6 +361,7 @@ struct Batch<'a> {
     local_sids: &'a LocalSidTable,
     lwt_bpf: &'a LwtBpfTable,
     transit: &'a TransitTable,
+    stats: &'a mut DatapathStats,
     exec: Exec<'a>,
     /// The previous packet's destination and its classification.
     cached: Option<(Ipv6Addr, Dispatch<'a>)>,
@@ -367,11 +373,10 @@ impl Batch<'_> {
     /// classification when the destination repeats), execute, count.
     #[inline]
     fn step(&mut self, skb: &mut Skb, now_ns: u64) -> BatchVerdict {
-        let stats = &mut *self.exec.stats;
-        stats.received += 1;
-        let before = (stats.seg6local_invocations, stats.bpf_invocations, stats.transit_applied);
-        let verdict = match Ipv6Header::parse(skb.packet.data()) {
-            Err(_) => Verdict::Drop(DropReason::Malformed),
+        let packet = match Ipv6Header::parse(skb.packet.data()) {
+            Err(_) => {
+                BatchVerdict { verdict: Verdict::Drop(DropReason::Malformed), work: WorkSummary::default() }
+            }
             Ok(header) => {
                 let hit = matches!(&self.cached, Some((dst, _)) if *dst == header.dst);
                 if !hit {
@@ -391,14 +396,8 @@ impl Batch<'_> {
                 self.exec.execute(dispatch, skb, &header, now_ns, &mut self.routes)
             }
         };
-        let stats = &mut *self.exec.stats;
-        stats.count_verdict(&verdict);
-        let work = WorkSummary {
-            seg6local: stats.seg6local_invocations > before.0,
-            bpf: stats.bpf_invocations > before.1,
-            transit: stats.transit_applied > before.2,
-        };
-        BatchVerdict { verdict, work }
+        self.stats.count(&packet);
+        packet
     }
 }
 
@@ -411,7 +410,6 @@ struct Exec<'e> {
     tables: &'e Arc<RouterTables>,
     helpers: &'e HelperRegistry,
     fib: &'e FibCache,
-    stats: &'e mut DatapathStats,
     scratch: &'e mut RunScratch,
     cpu: u32,
 }
@@ -421,6 +419,8 @@ impl Exec<'_> {
         dst == self.local_addr || self.host_addrs.contains(&dst)
     }
 
+    /// Runs the packet's dispatch and reports what it did: the verdict and
+    /// the work classes exercised.
     fn execute(
         &mut self,
         dispatch: &Dispatch<'_>,
@@ -428,75 +428,52 @@ impl Exec<'_> {
         header: &Ipv6Header,
         now_ns: u64,
         routes: &mut RouteCache,
-    ) -> Verdict {
+    ) -> BatchVerdict {
         let fhash = flow_hash(header.src, header.dst, header.flow_label);
-        match dispatch {
-            Dispatch::Seg6Local { local_sid, action } => {
-                self.stats.seg6local_invocations += 1;
-                if matches!(action, Seg6LocalAction::EndBpf { .. }) {
-                    self.stats.bpf_invocations += 1;
-                }
-                let actx = ActionCtx {
-                    local_sid: local_sid.unwrap_or(header.dst),
-                    tables: self.tables,
-                    helpers: self.helpers,
-                    now_ns,
-                    cpu: self.cpu,
-                };
-                let outcome = apply_action(action, skb, &actx, self.scratch);
-                self.resolve_outcome(outcome, skb, fhash, routes)
+        // A seg6local action runs as the SID that matched; the LWT hooks
+        // run as the router itself.
+        let local_sid = match dispatch {
+            Dispatch::Seg6Local { local_sid, .. } => local_sid.unwrap_or(header.dst),
+            _ => self.local_addr,
+        };
+        let actx = ActionCtx { local_sid, tables: self.tables, helpers: self.helpers, now_ns, cpu: self.cpu };
+        let mut work = WorkSummary::default();
+        let outcome = match dispatch {
+            Dispatch::Seg6Local { action, .. } => {
+                work.seg6local = true;
+                work.bpf = matches!(action, Seg6LocalAction::EndBpf { .. });
+                apply_action(action, skb, &actx, self.scratch)
             }
-            Dispatch::LocalIn(attachment) => {
-                if let Some(attachment) = attachment {
-                    self.stats.bpf_invocations += 1;
-                    match run_lwt_bpf(
-                        attachment,
-                        skb,
-                        self.local_addr,
-                        self.tables,
-                        self.helpers,
-                        now_ns,
-                        self.cpu,
-                        self.scratch,
-                    ) {
-                        ActionOutcome::Drop(reason) => return Verdict::Drop(reason),
-                        ActionOutcome::LocalDeliver | ActionOutcome::Forward { .. } => {}
+            Dispatch::LocalIn(None) => ActionOutcome::LocalDeliver,
+            Dispatch::LocalIn(Some(attachment)) => {
+                // lwt_in sees packets addressed to this node: the program
+                // may drop them, never forward them elsewhere.
+                work.bpf = true;
+                match run_bpf(&attachment.prog, false, skb, &actx, self.scratch) {
+                    dropped @ ActionOutcome::Drop(_) => dropped,
+                    ActionOutcome::LocalDeliver | ActionOutcome::Forward { .. } => {
+                        ActionOutcome::LocalDeliver
                     }
                 }
-                Verdict::LocalDeliver
             }
             Dispatch::Xmit(attachment) => {
-                self.stats.bpf_invocations += 1;
-                let outcome = run_lwt_bpf(
-                    attachment,
-                    skb,
-                    self.local_addr,
-                    self.tables,
-                    self.helpers,
-                    now_ns,
-                    self.cpu,
-                    self.scratch,
-                );
-                if matches!(
+                work.bpf = true;
+                let outcome = run_bpf(&attachment.prog, false, skb, &actx, self.scratch);
+                work.transit = matches!(
                     &outcome,
                     ActionOutcome::Forward { route_override, .. } if !route_override.is_set()
-                ) {
-                    self.stats.transit_applied += 1;
-                }
-                self.resolve_outcome(outcome, skb, fhash, routes)
+                );
+                outcome
             }
             Dispatch::Transit(behaviour) => {
-                self.stats.transit_applied += 1;
-                let outcome = apply_transit(behaviour, skb, self.local_addr, self.scratch);
-                self.resolve_outcome(outcome, skb, fhash, routes)
+                work.transit = true;
+                apply_transit(behaviour, skb, self.local_addr, self.scratch)
             }
-            Dispatch::Forward => self.resolve_outcome(
-                ActionOutcome::Forward { dst: header.dst, route_override: RouteOverride::default() },
-                skb,
-                fhash,
-                routes,
-            ),
-        }
+            Dispatch::Forward => {
+                ActionOutcome::Forward { dst: header.dst, route_override: RouteOverride::default() }
+            }
+        };
+        BatchVerdict { verdict: self.resolve_outcome(outcome, skb, fhash, routes), work }
     }
 
     /// A FIB lookup through the batch-scoped [`RouteCache`], against this
@@ -617,6 +594,37 @@ mod tests {
         assert_eq!(dp.process(&mut skb, 0), Verdict::Drop(DropReason::NoRoute));
         assert_eq!(dp.stats.dropped_for(DropReason::NoRoute), 1);
         assert_eq!(dp.stats.total_dropped(), 1);
+    }
+
+    /// Every drop reason owns one slot of the counter array. The `match`
+    /// is exhaustive on purpose: a new variant compiles only once it is
+    /// given a slot here — its position in `DropReason::ALL`, which sizes
+    /// the array.
+    #[test]
+    fn every_drop_reason_has_its_own_counter_slot() {
+        let mut stats = DatapathStats::default();
+        for (index, reason) in DropReason::ALL.into_iter().enumerate() {
+            let slot = match reason {
+                DropReason::Malformed => 0,
+                DropReason::NoSrh => 1,
+                DropReason::SegmentsLeftZero => 2,
+                DropReason::DecapFailed => 3,
+                DropReason::BpfDrop => 4,
+                DropReason::BpfError => 5,
+                DropReason::SrhValidationFailed => 6,
+                DropReason::NoRoute => 7,
+                DropReason::HopLimitExceeded => 8,
+            };
+            assert_eq!((slot, reason as usize), (index, index), "{reason:?}");
+            for _ in 0..=index {
+                stats.count(&BatchVerdict { verdict: Verdict::Drop(reason), work: WorkSummary::default() });
+            }
+        }
+        for (index, reason) in DropReason::ALL.into_iter().enumerate() {
+            assert_eq!(stats.dropped_for(reason), index as u64 + 1, "{reason:?}");
+        }
+        assert_eq!(stats.total_dropped(), 45);
+        assert_eq!(stats.received, 45);
     }
 
     #[test]

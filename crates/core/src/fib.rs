@@ -418,26 +418,11 @@ impl RouterTables {
     /// write after a [`FibCache`] refresh clones the affected table
     /// (`Arc::make_mut`), further writes before the next refresh mutate in
     /// place. Route churn under live traffic therefore costs at most one
-    /// table clone per snapshot refresh — for bulk installs, use
-    /// [`RouterTables::insert_all`] so the whole batch pays at most one.
+    /// table clone per snapshot refresh.
     pub fn insert(&self, table: TableId, prefix: Ipv6Prefix, nexthops: Vec<Nexthop>) {
         let mut guard = self.tables.write();
         let fib = guard.entry(table).or_default();
         Arc::make_mut(fib).insert(prefix, nexthops);
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// Inserts a batch of routes into table `table` under one lock
-    /// acquisition and (at most) one copy-on-write table clone — the way
-    /// to install a large route set while readers hold snapshots, where
-    /// per-route [`RouterTables::insert`] interleaved with snapshot
-    /// refreshes could clone the table repeatedly.
-    pub fn insert_all(&self, table: TableId, routes: impl IntoIterator<Item = (Ipv6Prefix, Vec<Nexthop>)>) {
-        let mut guard = self.tables.write();
-        let fib = Arc::make_mut(guard.entry(table).or_default());
-        for (prefix, nexthops) in routes {
-            fib.insert(prefix, nexthops);
-        }
         self.generation.fetch_add(1, Ordering::Release);
     }
 

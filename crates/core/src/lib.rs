@@ -18,7 +18,7 @@
 //!   `bpf_lwt_seg6_action` and `bpf_lwt_push_encap`, gated by hook exactly
 //!   as in the kernel;
 //! * the program [`ctx`] layout (the `__sk_buff` analogue) and the helper
-//!   [`env`]ironment through which programs reach the FIB, the clock and the
+//!   [`mod@env`]ironment through which programs reach the FIB, the clock and the
 //!   perf-event machinery.
 //!
 //! ## Quick example: an `End.BPF` SID running a trivial program
@@ -75,6 +75,7 @@ pub mod scratch;
 pub mod seg6local;
 pub mod skb;
 pub mod srv6_ops;
+pub mod table;
 pub mod transit;
 pub mod verdict;
 
@@ -92,5 +93,6 @@ pub use lwt_bpf::{LwtBpfAttachment, LwtBpfTable, LwtHook};
 pub use scratch::RunScratch;
 pub use seg6local::{LocalSidTable, Seg6LocalAction};
 pub use skb::{RouteOverride, Skb};
+pub use table::PrefixTable;
 pub use transit::{TransitBehaviour, TransitMode, TransitTable};
 pub use verdict::{ActionOutcome, DropReason, Verdict};

@@ -5,19 +5,13 @@
 //! the IPv6 routing process. The paper uses the xmit hook together with its
 //! new `bpf_lwt_push_encap` helper for the delay-monitoring ingress program
 //! (§4.1) and the hybrid-access WRR scheduler (§4.2).
+//!
+//! A hook runs its program through [`crate::seg6local::run_bpf`] — the
+//! `End.BPF` sequence without the SRH advance and re-validation — with the
+//! router's own address where `End.BPF` passes the matched SID.
 
-use crate::ctx;
-use crate::env::Seg6Env;
-use crate::fib::{flow_hash, RouterTables};
-use crate::scratch::RunScratch;
-use crate::skb::Skb;
-use crate::srv6_ops;
-use crate::verdict::{ActionOutcome, DropReason};
-use ebpf_vm::helpers::HelperRegistry;
-use ebpf_vm::program::{retcode, LoadedProgram};
-use ebpf_vm::vm::RunContext;
-use netpkt::{Ipv6Header, Ipv6Prefix};
-use std::net::Ipv6Addr;
+use crate::table::PrefixTable;
+use ebpf_vm::program::LoadedProgram;
 use std::sync::Arc;
 
 /// Which point of the routing process the program is attached to.
@@ -42,115 +36,27 @@ pub struct LwtBpfAttachment {
     pub prog: Arc<LoadedProgram>,
 }
 
-/// Routes with BPF programs attached, keyed by destination prefix.
-#[derive(Debug, Default, Clone)]
-pub struct LwtBpfTable {
-    entries: Vec<(Ipv6Prefix, LwtBpfAttachment)>,
-}
-
-impl LwtBpfTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches `attachment` to traffic towards `prefix`.
-    pub fn insert(&mut self, prefix: Ipv6Prefix, attachment: LwtBpfAttachment) {
-        match self.entries.iter_mut().find(|(p, _)| *p == prefix) {
-            Some(slot) => slot.1 = attachment,
-            None => self.entries.push((prefix, attachment)),
-        }
-    }
-
-    /// Removes the attachment for `prefix`.
-    pub fn remove(&mut self, prefix: &Ipv6Prefix) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|(p, _)| p != prefix);
-        self.entries.len() != before
-    }
-
-    /// Finds the attachment matching `dst` at `hook` (longest prefix wins).
-    pub fn lookup(&self, dst: Ipv6Addr, hook: LwtHook) -> Option<&LwtBpfAttachment> {
-        self.entries
-            .iter()
-            .filter(|(p, a)| p.contains(dst) && a.hook == hook)
-            .max_by_key(|(p, _)| p.len())
-            .map(|(_, a)| a)
-    }
-
-    /// Number of attachments.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no program is attached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// Runs a BPF LWT program on `skb`, reusing the caller's scratch state so
-/// the per-packet path performs no heap allocation.
-#[allow(clippy::too_many_arguments)] // mirrors ActionCtx's fields plus the skb and scratch
-pub fn run_lwt_bpf(
-    attachment: &LwtBpfAttachment,
-    skb: &mut Skb,
-    local_addr: Ipv6Addr,
-    tables: &Arc<RouterTables>,
-    helpers: &HelperRegistry,
-    now_ns: u64,
-    cpu: u32,
-    scratch: &mut RunScratch,
-) -> ActionOutcome {
-    let RunScratch { state, ctx: ctx_bytes, pkt: packet } = scratch;
-    packet.clear();
-    packet.extend_from_slice(skb.packet.data());
-    let header = match Ipv6Header::parse(packet) {
-        Ok(h) => h,
-        Err(_) => return ActionOutcome::Drop(DropReason::Malformed),
-    };
-    let fhash = flow_hash(header.src, header.dst, header.flow_label);
-    let mut env = Seg6Env::new(local_addr, Arc::clone(tables), now_ns).with_flow_hash(fhash).with_cpu(cpu);
-    if let Some((off, _)) = srv6_ops::find_srh(packet) {
-        env.srh_offset = Some(off);
-    }
-    ctx::build_context_into(skb, ctx_bytes);
-    let result = {
-        let mut rc = RunContext { ctx: ctx_bytes.as_mut_slice(), packet, env: &mut env };
-        ebpf_vm::vm::run_program_with_state(
-            &attachment.prog,
-            helpers,
-            &mut rc,
-            attachment.prog.exec_tier(),
-            state,
-        )
-    };
-    let code = match result {
-        Ok(code) => code,
-        Err(_) => return ActionOutcome::Drop(DropReason::BpfError),
-    };
-    let dst = match srv6_ops::outer_dst(packet) {
-        Ok(dst) => dst,
-        Err(_) => return ActionOutcome::Drop(DropReason::Malformed),
-    };
-    skb.packet.set_data(packet);
-    ctx::read_back(ctx_bytes, skb);
-    match code {
-        retcode::BPF_OK => ActionOutcome::Forward { dst, route_override: Default::default() },
-        retcode::BPF_REDIRECT => ActionOutcome::Forward { dst, route_override: env.out.route_override },
-        retcode::BPF_DROP => ActionOutcome::Drop(DropReason::BpfDrop),
-        _ => ActionOutcome::Drop(DropReason::BpfError),
-    }
-}
+/// Routes with BPF programs attached, keyed by destination prefix. One
+/// prefix holds one attachment; the datapath looks a hook's program up
+/// with [`PrefixTable::lookup_where`] on [`LwtBpfAttachment::hook`], so
+/// the longest prefix *attached at that hook* wins.
+pub type LwtBpfTable = PrefixTable<LwtBpfAttachment>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fib::RouterTables;
     use crate::helpers::seg6_helper_registry;
+    use crate::scratch::RunScratch;
+    use crate::seg6local::{run_bpf, ActionCtx};
+    use crate::skb::Skb;
+    use crate::verdict::{ActionOutcome, DropReason};
     use ebpf_vm::asm::assemble;
+    use ebpf_vm::helpers::HelperRegistry;
     use ebpf_vm::program::{load, Program, ProgramType};
     use netpkt::packet::build_ipv6_udp_packet;
     use std::collections::HashMap;
+    use std::net::Ipv6Addr;
 
     fn addr(s: &str) -> Ipv6Addr {
         s.parse().unwrap()
@@ -159,6 +65,12 @@ mod tests {
     fn load_xmit(source: &str, helpers: &HelperRegistry) -> Arc<LoadedProgram> {
         let prog = Program::new("lwt", ProgramType::LwtXmit, assemble(source).unwrap());
         load(prog, &HashMap::new(), helpers).unwrap()
+    }
+
+    fn run_xmit(prog: &LoadedProgram, skb: &mut Skb, helpers: &HelperRegistry) -> ActionOutcome {
+        let tables = Arc::new(RouterTables::new());
+        let actx = ActionCtx { local_sid: addr("fc00::99"), tables: &tables, helpers, now_ns: 0, cpu: 0 };
+        run_bpf(prog, false, skb, &actx, &mut RunScratch::new())
     }
 
     fn plain_skb() -> Skb {
@@ -174,9 +86,10 @@ mod tests {
             "2001:db8::/32".parse().unwrap(),
             LwtBpfAttachment { hook: LwtHook::Xmit, prog: prog.clone() },
         );
-        assert!(table.lookup(addr("2001:db8::5"), LwtHook::Xmit).is_some());
-        assert!(table.lookup(addr("2001:db8::5"), LwtHook::In).is_none());
-        assert!(table.lookup(addr("2abc::1"), LwtHook::Xmit).is_none());
+        let at = |dst, hook| table.lookup_where(addr(dst), |a| a.hook == hook);
+        assert!(at("2001:db8::5", LwtHook::Xmit).is_some());
+        assert!(at("2001:db8::5", LwtHook::In).is_none());
+        assert!(at("2abc::1", LwtHook::Xmit).is_none());
         assert_eq!(table.len(), 1);
         assert!(!table.is_empty());
         assert!(table.remove(&"2001:db8::/32".parse().unwrap()));
@@ -185,21 +98,8 @@ mod tests {
     #[test]
     fn bpf_ok_lets_the_packet_continue() {
         let helpers = seg6_helper_registry();
-        let tables = Arc::new(RouterTables::new());
         let prog = load_xmit("mov64 r0, 0\nexit", &helpers);
-        let attachment = LwtBpfAttachment { hook: LwtHook::Xmit, prog };
-        let mut skb = plain_skb();
-        let outcome = run_lwt_bpf(
-            &attachment,
-            &mut skb,
-            addr("fc00::99"),
-            &tables,
-            &helpers,
-            0,
-            0,
-            &mut RunScratch::new(),
-        );
-        match outcome {
+        match run_xmit(&prog, &mut plain_skb(), &helpers) {
             ActionOutcome::Forward { dst, .. } => assert_eq!(dst, addr("2001:db8::2")),
             other => panic!("unexpected {other:?}"),
         }
@@ -208,23 +108,8 @@ mod tests {
     #[test]
     fn bpf_drop_is_honoured() {
         let helpers = seg6_helper_registry();
-        let tables = Arc::new(RouterTables::new());
         let prog = load_xmit("mov64 r0, 2\nexit", &helpers);
-        let attachment = LwtBpfAttachment { hook: LwtHook::Xmit, prog };
-        let mut skb = plain_skb();
-        assert_eq!(
-            run_lwt_bpf(
-                &attachment,
-                &mut skb,
-                addr("fc00::99"),
-                &tables,
-                &helpers,
-                0,
-                0,
-                &mut RunScratch::new()
-            ),
-            ActionOutcome::Drop(DropReason::BpfDrop)
-        );
+        assert_eq!(run_xmit(&prog, &mut plain_skb(), &helpers), ActionOutcome::Drop(DropReason::BpfDrop));
     }
 
     #[test]

@@ -7,20 +7,23 @@
 //! `End.B6`, `End.B6.Encaps`) are re-implemented here from their SRv6
 //! network-programming definitions, and `End.BPF` advances the SRH and then
 //! hands the packet to an eBPF program exactly as §3 of the paper
-//! describes.
+//! describes. [`run_bpf`] is that sequence — and, without the advance, the
+//! sequence of the BPF LWT hooks ([`crate::lwt_bpf`]): every program the
+//! datapath runs goes through it.
 
 use crate::ctx;
 use crate::env::Seg6Env;
-use crate::fib::{flow_hash, RouterTables, TableId, MAIN_TABLE};
+use crate::fib::{flow_hash, RouterTables, TableId};
 use crate::scratch::RunScratch;
-use crate::skb::{RouteOverride, Skb};
+use crate::skb::{edit_packet, RouteOverride, Skb};
 use crate::srv6_ops;
+use crate::table::PrefixTable;
 use crate::verdict::{ActionOutcome, DropReason};
 use ebpf_vm::helpers::HelperRegistry;
 use ebpf_vm::program::{retcode, LoadedProgram};
 use ebpf_vm::vm::RunContext;
 use netpkt::srh::SegmentRoutingHeader;
-use netpkt::{Ipv6Header, Ipv6Prefix};
+use netpkt::Ipv6Header;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
@@ -101,58 +104,14 @@ impl Seg6LocalAction {
     }
 }
 
-/// The "My SID" table: local SIDs and their behaviours.
-#[derive(Debug, Default, Clone)]
-pub struct LocalSidTable {
-    entries: Vec<(Ipv6Prefix, Seg6LocalAction)>,
-}
+/// The "My SID" table: local SIDs and their behaviours (longest prefix
+/// wins on lookup; SIDs are usually /128).
+pub type LocalSidTable = PrefixTable<Seg6LocalAction>;
 
-impl LocalSidTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Binds `action` to `sid` (longest prefix wins on lookup; SIDs are
-    /// usually /128).
-    pub fn insert(&mut self, sid: Ipv6Prefix, action: Seg6LocalAction) {
-        match self.entries.iter_mut().find(|(p, _)| *p == sid) {
-            Some(slot) => slot.1 = action,
-            None => self.entries.push((sid, action)),
-        }
-    }
-
-    /// Removes the binding for `sid`.
-    pub fn remove(&mut self, sid: &Ipv6Prefix) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|(p, _)| p != sid);
-        self.entries.len() != before
-    }
-
-    /// Finds the action bound to `dst`, if any.
-    pub fn lookup(&self, dst: Ipv6Addr) -> Option<(&Ipv6Prefix, &Seg6LocalAction)> {
-        self.entries.iter().filter(|(p, _)| p.contains(dst)).max_by_key(|(p, _)| p.len()).map(|(p, a)| (p, a))
-    }
-
-    /// Number of installed SIDs.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates over the installed SIDs.
-    pub fn iter(&self) -> impl Iterator<Item = &(Ipv6Prefix, Seg6LocalAction)> {
-        self.entries.iter()
-    }
-}
-
-/// Everything an action needs from the router it runs on.
+/// Everything an action or a BPF hook needs from the router it runs on.
 pub struct ActionCtx<'a> {
-    /// The SID that matched (used as the source of pushed encapsulations).
+    /// The SID that matched — or, at the LWT hooks, the router's own
+    /// address. Used as the source of pushed encapsulations.
     pub local_sid: Ipv6Addr,
     /// The router's FIB tables.
     pub tables: &'a Arc<RouterTables>,
@@ -200,31 +159,17 @@ pub fn apply_action(
             },
             Err(_) => ActionOutcome::Drop(DropReason::DecapFailed),
         },
-        Seg6LocalAction::EndB6 { srh } => {
-            let pkt = &mut scratch.pkt;
-            pkt.clear();
-            pkt.extend_from_slice(skb.packet.data());
-            match srv6_ops::insert_srh_inline(pkt, &srh.to_bytes()) {
-                Ok(dst) => {
-                    skb.packet.set_data(pkt);
-                    ActionOutcome::Forward { dst, route_override: RouteOverride::default() }
-                }
+        Seg6LocalAction::EndB6 { srh } | Seg6LocalAction::EndB6Encaps { srh } => {
+            let encaps = matches!(action, Seg6LocalAction::EndB6Encaps { .. });
+            match edit_packet(skb, &mut scratch.pkt, |_, pkt| match encaps {
+                true => srv6_ops::push_srh_encap(pkt, &srh.to_bytes(), actx.local_sid),
+                false => srv6_ops::insert_srh_inline(pkt, &srh.to_bytes()),
+            }) {
+                Ok(dst) => ActionOutcome::Forward { dst, route_override: RouteOverride::default() },
                 Err(_) => ActionOutcome::Drop(DropReason::Malformed),
             }
         }
-        Seg6LocalAction::EndB6Encaps { srh } => {
-            let pkt = &mut scratch.pkt;
-            pkt.clear();
-            pkt.extend_from_slice(skb.packet.data());
-            match srv6_ops::push_srh_encap(pkt, &srh.to_bytes(), actx.local_sid) {
-                Ok(dst) => {
-                    skb.packet.set_data(pkt);
-                    ActionOutcome::Forward { dst, route_override: RouteOverride::default() }
-                }
-                Err(_) => ActionOutcome::Drop(DropReason::Malformed),
-            }
-        }
-        Seg6LocalAction::EndBpf { prog } => run_end_bpf(skb, prog, actx, scratch),
+        Seg6LocalAction::EndBpf { prog } => run_bpf(prog, true, skb, actx, scratch),
     }
 }
 
@@ -234,9 +179,7 @@ pub fn apply_action(
 fn with_advance(skb: &mut Skb, then: impl FnOnce(Ipv6Addr) -> ActionOutcome) -> ActionOutcome {
     match srv6_ops::advance_srh(skb.packet.data_mut()) {
         Ok(dst) => then(dst),
-        Err("packet has no SRH") => ActionOutcome::Drop(DropReason::NoSrh),
-        Err("segments_left is zero") => ActionOutcome::Drop(DropReason::SegmentsLeftZero),
-        Err(_) => ActionOutcome::Drop(DropReason::Malformed),
+        Err(reason) => ActionOutcome::Drop(reason),
     }
 }
 
@@ -248,81 +191,69 @@ fn decap_in_place(skb: &mut Skb) -> Result<Ipv6Addr, &'static str> {
     srv6_ops::outer_dst(skb.packet.data())
 }
 
-/// The `End.BPF` action (§3 of the paper): advance the SRH, run the
-/// program, validate the SRH if it was edited, and honour the program's
-/// return code (`BPF_OK` / `BPF_DROP` / `BPF_REDIRECT`).
-pub fn run_end_bpf(
-    skb: &mut Skb,
+/// Runs `prog` on `skb` at one of the datapath's BPF hooks — the one
+/// sequence §3 of the paper describes: run the program on the packet, then
+/// honour its return code (`BPF_OK` / `BPF_DROP` / `BPF_REDIRECT`).
+/// `end_bpf` selects what the `End.BPF` action adds to the plain LWT hooks
+/// (`lwt_in` / `lwt_xmit`, §2.1): the endpoint precondition and SRH advance
+/// before the program — so its SRH offset is always set — and the SRH
+/// re-validation after it, if a helper edited the SRH.
+///
+/// Helpers may resize the packet, so the program runs against the
+/// reusable scratch copy, committed back into the skb unless the packet is
+/// dropped before the return code is read; no allocation once the scratch
+/// buffers are warm.
+pub fn run_bpf(
     prog: &LoadedProgram,
+    end_bpf: bool,
+    skb: &mut Skb,
     actx: &ActionCtx<'_>,
     scratch: &mut RunScratch,
 ) -> ActionOutcome {
-    let RunScratch { state, ctx: ctx_bytes, pkt: packet } = scratch;
-    // Helpers may resize the packet, so the program runs against the
-    // reusable scratch copy and commits back into the skb on success.
-    packet.clear();
-    packet.extend_from_slice(skb.packet.data());
-    // 1. Endpoint precondition + SRH advance.
-    match srv6_ops::advance_srh(packet) {
-        Ok(_) => {}
-        Err("packet has no SRH") => return ActionOutcome::Drop(DropReason::NoSrh),
-        Err("segments_left is zero") => return ActionOutcome::Drop(DropReason::SegmentsLeftZero),
-        Err(_) => return ActionOutcome::Drop(DropReason::Malformed),
-    }
-    let Some((srh_off, _)) = srv6_ops::find_srh(packet) else {
-        return ActionOutcome::Drop(DropReason::NoSrh);
+    let RunScratch { state, ctx: ctx_bytes, pkt } = scratch;
+    let ran = edit_packet(skb, pkt, |skb, packet| {
+        if end_bpf {
+            srv6_ops::advance_srh(packet)?;
+        }
+        let header = Ipv6Header::parse(packet).map_err(|_| DropReason::Malformed)?;
+        let mut env = Seg6Env::new(actx.local_sid, Arc::clone(actx.tables), actx.now_ns)
+            .with_flow_hash(flow_hash(header.src, header.dst, header.flow_label))
+            .with_cpu(actx.cpu);
+        env.srh_offset = srv6_ops::find_srh(packet).map(|(off, _)| off);
+        ctx::build_context_into(skb, ctx_bytes);
+        let code = {
+            let mut rc = RunContext { ctx: ctx_bytes.as_mut_slice(), packet, env: &mut env };
+            ebpf_vm::vm::run_program_with_state(prog, actx.helpers, &mut rc, prog.exec_tier(), state)
+                .map_err(|_| DropReason::BpfError)?
+        };
+        // Post-program SRH validation, as the kernel performs it.
+        if end_bpf
+            && env.out.srh_modified
+            && !env.out.decapped
+            && srv6_ops::validate_after_bpf(packet).is_err()
+        {
+            return Err(DropReason::SrhValidationFailed);
+        }
+        let dst = srv6_ops::outer_dst(packet).map_err(|_| DropReason::Malformed)?;
+        Ok((code, dst, env.out.route_override))
+    });
+    let (code, dst, redirect) = match ran {
+        Ok(ran) => ran,
+        Err(reason) => return ActionOutcome::Drop(reason),
     };
-    // 2. Build the program's context and environment.
-    let header = match Ipv6Header::parse(packet) {
-        Ok(h) => h,
-        Err(_) => return ActionOutcome::Drop(DropReason::Malformed),
-    };
-    let fhash = flow_hash(header.src, header.dst, header.flow_label);
-    let mut env = Seg6Env::new(actx.local_sid, Arc::clone(actx.tables), actx.now_ns)
-        .with_srh_offset(srh_off)
-        .with_flow_hash(fhash)
-        .with_cpu(actx.cpu);
-    ctx::build_context_into(skb, ctx_bytes);
-    ctx::refresh_packet_len(ctx_bytes, packet.len());
-    // 3. Run the program on the reused VM state.
-    let result = {
-        let mut rc = RunContext { ctx: ctx_bytes.as_mut_slice(), packet, env: &mut env };
-        ebpf_vm::vm::run_program_with_state(prog, actx.helpers, &mut rc, prog.exec_tier(), state)
-    };
-    let code = match result {
-        Ok(code) => code,
-        Err(_) => return ActionOutcome::Drop(DropReason::BpfError),
-    };
-    // 4. Post-program SRH validation, as the kernel performs it.
-    if env.out.srh_modified && !env.out.decapped && srv6_ops::validate_after_bpf(packet).is_err() {
-        return ActionOutcome::Drop(DropReason::SrhValidationFailed);
-    }
-    let dst = match srv6_ops::outer_dst(packet) {
-        Ok(dst) => dst,
-        Err(_) => return ActionOutcome::Drop(DropReason::Malformed),
-    };
-    // 5. Honour the return code.
-    skb.packet.set_data(packet);
     ctx::read_back(ctx_bytes, skb);
     match code {
         retcode::BPF_OK => ActionOutcome::Forward { dst, route_override: RouteOverride::default() },
-        retcode::BPF_REDIRECT => ActionOutcome::Forward { dst, route_override: env.out.route_override },
+        retcode::BPF_REDIRECT => ActionOutcome::Forward { dst, route_override: redirect },
         retcode::BPF_DROP => ActionOutcome::Drop(DropReason::BpfDrop),
         _ => ActionOutcome::Drop(DropReason::BpfError),
-    }
-}
-
-/// Looks up `table` falling back to the main table when the id is zero.
-pub fn effective_table(table: Option<TableId>) -> TableId {
-    match table {
-        Some(0) | None => MAIN_TABLE,
-        Some(id) => id,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fib::MAIN_TABLE;
     use crate::helpers::seg6_helper_registry;
     use ebpf_vm::asm::assemble;
     use ebpf_vm::program::{load, Program, ProgramType};
@@ -585,11 +516,8 @@ mod tests {
     }
 
     #[test]
-    fn action_names_and_effective_table() {
+    fn action_names() {
         assert_eq!(Seg6LocalAction::End.name(), "End");
         assert_eq!(Seg6LocalAction::EndDT6 { table: 1 }.name(), "End.DT6");
-        assert_eq!(effective_table(None), MAIN_TABLE);
-        assert_eq!(effective_table(Some(0)), MAIN_TABLE);
-        assert_eq!(effective_table(Some(42)), 42);
     }
 }

@@ -5,6 +5,7 @@
 //! the outermost IPv6 header) so that both the static datapath and the
 //! helper functions running under the VM use exactly the same code.
 
+use crate::verdict::DropReason;
 use netpkt::ipv6::{proto, Ipv6Header, IPV6_HEADER_LEN};
 use netpkt::srh::SegmentRoutingHeader;
 use std::net::Ipv6Addr;
@@ -87,28 +88,30 @@ pub fn decrement_hop_limit(packet: &mut [u8]) -> OpResult<u8> {
 
 /// The `End`-style SRH advance: requires an SRH with `segments_left > 0`,
 /// decrements it and rewrites the outer destination to the new current
-/// segment. Returns the new destination. Operates in place — the packet
-/// never changes size, so the hot path advances without copying it.
-pub fn advance_srh(packet: &mut [u8]) -> OpResult<Ipv6Addr> {
-    let (off, len) = find_srh(packet).ok_or("packet has no SRH")?;
+/// segment. Returns the new destination, or the reason an endpoint must
+/// drop the packet for: [`DropReason::NoSrh`], [`DropReason::SegmentsLeftZero`],
+/// or [`DropReason::Malformed`] for an SRH whose segment list does not hold
+/// the next segment. Operates in place — the packet never changes size, so
+/// the hot path advances without copying it.
+pub fn advance_srh(packet: &mut [u8]) -> Result<Ipv6Addr, DropReason> {
+    let (off, len) = find_srh(packet).ok_or(DropReason::NoSrh)?;
     let segments_left = packet[off + SRH_SEGMENTS_LEFT_OFFSET];
     if segments_left == 0 {
-        return Err("segments_left is zero");
+        return Err(DropReason::SegmentsLeftZero);
     }
     let last_entry = packet[off + 4];
     let new_left = segments_left - 1;
-    if usize::from(new_left) > usize::from(last_entry) {
-        return Err("segments_left exceeds last_entry");
-    }
+    // segments_left past last_entry, or a segment list cut short of the
+    // next segment.
     let seg_off = off + 8 + 16 * usize::from(new_left);
-    if seg_off + 16 > off + len {
-        return Err("segment list truncated");
+    if new_left > last_entry || seg_off + 16 > off + len {
+        return Err(DropReason::Malformed);
     }
     packet[off + SRH_SEGMENTS_LEFT_OFFSET] = new_left;
     let mut octets = [0u8; 16];
     octets.copy_from_slice(&packet[seg_off..seg_off + 16]);
     let next = Ipv6Addr::from(octets);
-    set_outer_dst(packet, next)?;
+    set_outer_dst(packet, next).map_err(|_| DropReason::Malformed)?;
     Ok(next)
 }
 
@@ -256,13 +259,13 @@ mod tests {
         assert_eq!(outer_dst(&pkt).unwrap(), addr("fc00::2"));
         let next = advance_srh(&mut pkt).unwrap();
         assert_eq!(next, addr("fc00::3"));
-        assert_eq!(advance_srh(&mut pkt).unwrap_err(), "segments_left is zero");
+        assert_eq!(advance_srh(&mut pkt).unwrap_err(), DropReason::SegmentsLeftZero);
     }
 
     #[test]
     fn advance_requires_an_srh() {
         let mut plain = build_ipv6_udp_packet(addr("::1"), addr("::2"), 1, 2, &[0; 8], 64).data().to_vec();
-        assert_eq!(advance_srh(&mut plain).unwrap_err(), "packet has no SRH");
+        assert_eq!(advance_srh(&mut plain).unwrap_err(), DropReason::NoSrh);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! on exposes both through the `seg6` lightweight tunnel.
 
 use crate::scratch::RunScratch;
-use crate::skb::Skb;
+use crate::skb::{edit_packet, Skb};
 use crate::srv6_ops;
+use crate::table::PrefixTable;
 use crate::verdict::{ActionOutcome, DropReason};
 use netpkt::srh::SegmentRoutingHeader;
-use netpkt::Ipv6Prefix;
 use std::net::Ipv6Addr;
 
 /// How the SRH is attached to matching traffic.
@@ -55,48 +55,9 @@ impl TransitBehaviour {
 }
 
 /// The table of transit behaviours installed on a node, keyed by
-/// destination prefix (like `ip -6 route add <prefix> encap seg6 ...`).
-#[derive(Debug, Default, Clone)]
-pub struct TransitTable {
-    entries: Vec<(Ipv6Prefix, TransitBehaviour)>,
-}
-
-impl TransitTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Installs `behaviour` for traffic towards `prefix`.
-    pub fn insert(&mut self, prefix: Ipv6Prefix, behaviour: TransitBehaviour) {
-        match self.entries.iter_mut().find(|(p, _)| *p == prefix) {
-            Some(slot) => slot.1 = behaviour,
-            None => self.entries.push((prefix, behaviour)),
-        }
-    }
-
-    /// Removes the behaviour installed for `prefix`.
-    pub fn remove(&mut self, prefix: &Ipv6Prefix) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|(p, _)| p != prefix);
-        self.entries.len() != before
-    }
-
-    /// Finds the behaviour matching `dst` (longest prefix wins).
-    pub fn lookup(&self, dst: Ipv6Addr) -> Option<&TransitBehaviour> {
-        self.entries.iter().filter(|(p, _)| p.contains(dst)).max_by_key(|(p, _)| p.len()).map(|(_, b)| b)
-    }
-
-    /// Number of installed behaviours.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
+/// destination prefix (like `ip -6 route add <prefix> encap seg6 ...`);
+/// longest prefix wins on lookup.
+pub type TransitTable = PrefixTable<TransitBehaviour>;
 
 /// Applies a transit behaviour to a packet, returning the new destination
 /// the datapath must forward towards. The packet is rebuilt in the
@@ -107,18 +68,12 @@ pub fn apply_transit(
     local_addr: Ipv6Addr,
     scratch: &mut RunScratch,
 ) -> ActionOutcome {
-    let packet = &mut scratch.pkt;
-    packet.clear();
-    packet.extend_from_slice(skb.packet.data());
-    let result = match behaviour.mode {
+    let result = edit_packet(skb, &mut scratch.pkt, |_, packet| match behaviour.mode {
         TransitMode::Encap => srv6_ops::push_srh_encap(packet, &behaviour.srh.to_bytes(), local_addr),
         TransitMode::Inline => {
             // For inline insertion the original destination becomes the last
             // segment so the packet still reaches it after the detour.
-            let original_dst = match srv6_ops::outer_dst(packet) {
-                Ok(dst) => dst,
-                Err(_) => return ActionOutcome::Drop(DropReason::Malformed),
-            };
+            let original_dst = srv6_ops::outer_dst(packet)?;
             let mut srh = behaviour.srh.clone();
             if srh.segments.first() != Some(&original_dst) {
                 srh.segments.insert(0, original_dst);
@@ -127,12 +82,9 @@ pub fn apply_transit(
             }
             srv6_ops::insert_srh_inline(packet, &srh.to_bytes())
         }
-    };
+    });
     match result {
-        Ok(dst) => {
-            skb.packet.set_data(packet);
-            ActionOutcome::Forward { dst, route_override: Default::default() }
-        }
+        Ok(dst) => ActionOutcome::Forward { dst, route_override: Default::default() },
         Err(_) => ActionOutcome::Drop(DropReason::Malformed),
     }
 }
@@ -158,9 +110,9 @@ mod tests {
             "2001:db8:0:1::/64".parse().unwrap(),
             TransitBehaviour::encap_through(&[addr("fc00::2")]),
         );
-        let b = table.lookup(addr("2001:db8:0:1::9")).unwrap();
+        let (_, b) = table.lookup(addr("2001:db8:0:1::9")).unwrap();
         assert_eq!(b.srh.current_segment(), Some(addr("fc00::2")));
-        let b = table.lookup(addr("2001:db8:9::9")).unwrap();
+        let (_, b) = table.lookup(addr("2001:db8:9::9")).unwrap();
         assert_eq!(b.srh.current_segment(), Some(addr("fc00::1")));
         assert!(table.lookup(addr("2abc::1")).is_none());
         assert_eq!(table.len(), 2);

@@ -29,6 +29,23 @@ pub enum DropReason {
     HopLimitExceeded,
 }
 
+impl DropReason {
+    /// Every reason, in declaration order: `ALL[i] as usize == i`, which is
+    /// what lets drop counters be a plain array indexed by reason
+    /// ([`DatapathStats::dropped`](crate::DatapathStats::dropped)).
+    pub const ALL: [DropReason; 9] = [
+        DropReason::Malformed,
+        DropReason::NoSrh,
+        DropReason::SegmentsLeftZero,
+        DropReason::DecapFailed,
+        DropReason::BpfDrop,
+        DropReason::BpfError,
+        DropReason::SrhValidationFailed,
+        DropReason::NoRoute,
+        DropReason::HopLimitExceeded,
+    ];
+}
+
 impl fmt::Display for DropReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let text = match self {

@@ -1,0 +1,272 @@
+//! The three BPF hooks of the datapath — `End.BPF`, `lwt_in`, `lwt_xmit` —
+//! driven through [`Seg6Datapath::process`] with the same six programs:
+//! what each hook makes of `BPF_OK`, `BPF_DROP`, `BPF_REDIRECT`, an unknown
+//! return code, a runtime fault and an SRH edit that fails validation, and
+//! how each is accounted. Also pins the LWT attachment-table semantics the
+//! hooks are looked up with, and the drop reason of every way an SRH
+//! advance can fail.
+
+use ebpf_vm::helpers::ids;
+use ebpf_vm::insn::AccessSize;
+use ebpf_vm::program::{load, retcode, LoadedProgram, ProgramType};
+use ebpf_vm::ProgramBuilder;
+use netpkt::ipv6::proto;
+use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
+use netpkt::srh::{SegmentRoutingHeader, SrhTlv};
+use netpkt::{Ipv6Header, PacketBuf};
+use seg6_core::{
+    action_codes, DropReason, LwtBpfAttachment, LwtHook, Nexthop, Seg6Datapath, Seg6LocalAction, Skb, Verdict,
+};
+use std::collections::HashMap;
+use std::net::Ipv6Addr;
+use std::sync::Arc;
+
+fn addr(s: &str) -> Ipv6Addr {
+    s.parse().unwrap()
+}
+
+const SID: &str = "fc00::e1";
+const NEXT_SEGMENT: &str = "fc00::22";
+const LOCAL: &str = "fc00::11";
+const XMIT_DST: &str = "2001:db8:2::9";
+
+/// What a program does before it returns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Body {
+    /// Nothing: return `code`.
+    Return(u64),
+    /// `bpf_lwt_seg6_action(End.X, fe80::42)`, then `BPF_REDIRECT`.
+    Redirect,
+    /// Read the context past its 64 bytes (inside the verifier's static
+    /// bound): a runtime fault on every tier.
+    Fault,
+    /// Overwrite the first TLV's header with a Delay-Measurement TLV of
+    /// length 3 through `bpf_lwt_seg6_store_bytes`, then `BPF_OK`.
+    CorruptSrh,
+}
+
+/// Loads `body` as a seg6local program. (`bpf_lwt_seg6_action` is gated to
+/// that type; the hooks themselves do not look at a program's type, so the
+/// LWT rows attach the same programs.)
+fn program(dp: &Seg6Datapath, body: Body) -> Arc<LoadedProgram> {
+    let mut b = ProgramBuilder::new();
+    b.mov_reg(6, 1);
+    match body {
+        Body::Return(code) => {
+            b.ret(code as i32);
+        }
+        Body::Redirect => {
+            // fe80::42 on the stack, little-endian words.
+            b.store_imm(AccessSize::Word, 10, -16, 0x0000_80fe);
+            b.store_imm(AccessSize::Word, 10, -12, 0);
+            b.store_imm(AccessSize::Word, 10, -8, 0);
+            b.store_imm(AccessSize::Word, 10, -4, 0x4200_0000);
+            b.mov_reg(1, 6);
+            b.mov_imm(2, action_codes::END_X as i32);
+            b.mov_reg(3, 10);
+            b.add_imm(3, -16);
+            b.mov_imm(4, 16);
+            b.call(ids::LWT_SEG6_ACTION);
+            b.ret(retcode::BPF_REDIRECT as i32);
+        }
+        Body::Fault => {
+            b.load_mem(AccessSize::Double, 0, 1, 128);
+            b.ret(retcode::BPF_OK as i32);
+        }
+        Body::CorruptSrh => {
+            b.store_imm(AccessSize::Half, 10, -8, 0x037c); // bytes 124, 3
+            b.mov_reg(1, 6);
+            b.mov_imm(2, 8 + 2 * 16); // first TLV of a two-segment SRH
+            b.mov_reg(3, 10);
+            b.add_imm(3, -8);
+            b.mov_imm(4, 2);
+            b.call(ids::LWT_SEG6_STORE_BYTES);
+            b.ret(retcode::BPF_OK as i32);
+        }
+    }
+    let prog = b.build_program("hook-test", ProgramType::LwtSeg6Local).expect("static program");
+    load(prog, &HashMap::new(), &dp.helpers).expect("verified program")
+}
+
+fn router() -> Seg6Datapath {
+    let mut dp = Seg6Datapath::new(addr(LOCAL));
+    dp.add_route("fc00::/16".parse().unwrap(), vec![Nexthop::via(addr("fe80::2"), 2)]);
+    dp.add_route("2001:db8::/32".parse().unwrap(), vec![Nexthop::via(addr("fe80::3"), 3)]);
+    dp.add_route("fe80::/64".parse().unwrap(), vec![Nexthop::direct(7)]);
+    dp
+}
+
+/// SRv6 towards `first`, one more segment, and a TLV for programs to edit.
+fn srv6_skb(first: &str) -> Skb {
+    let mut srh = SegmentRoutingHeader::from_path(proto::UDP, &[addr(first), addr(NEXT_SEGMENT)]);
+    srh.tlvs.push(SrhTlv::DelayMeasurement { tx_timestamp_ns: 7 });
+    Skb::new(build_srv6_udp_packet(addr("2001:db8::1"), &srh, 1000, 2000, &[0u8; 32], 64))
+}
+
+fn plain_skb(dst: &str) -> Skb {
+    Skb::new(build_ipv6_udp_packet(addr("2001:db8::1"), addr(dst), 1, 2, &[0u8; 16], 64))
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Hook {
+    EndBpf,
+    In,
+    Xmit,
+}
+
+/// Runs one packet through a fresh router with `body` attached at `hook`
+/// and returns the verdict, the datapath (for its statistics) and the
+/// packet. The LWT hooks get an SRv6 packet too when the program edits
+/// the SRH.
+fn run(hook: Hook, body: Body) -> (Verdict, Seg6Datapath, Skb) {
+    let mut dp = router();
+    let prog = program(&dp, body);
+    let attach = |hook, prog| LwtBpfAttachment { hook, prog };
+    let mut skb = match hook {
+        Hook::EndBpf => {
+            dp.add_local_sid(format!("{SID}/128").parse().unwrap(), Seg6LocalAction::EndBpf { prog });
+            srv6_skb(SID)
+        }
+        Hook::In => {
+            dp.attach_lwt_bpf(format!("{LOCAL}/128").parse().unwrap(), attach(LwtHook::In, prog));
+            srv6_skb(LOCAL)
+        }
+        Hook::Xmit => {
+            dp.attach_lwt_bpf("2001:db8:2::/48".parse().unwrap(), attach(LwtHook::Xmit, prog));
+            match body {
+                Body::CorruptSrh => srv6_skb(XMIT_DST),
+                _ => plain_skb(XMIT_DST),
+            }
+        }
+    };
+    let verdict = dp.process(&mut skb, 0);
+    (verdict, dp, skb)
+}
+
+#[test]
+fn every_hook_honours_every_program_outcome() {
+    let drop = |reason| Verdict::Drop(reason);
+    let via = |oif, neighbour: &str| Verdict::Forward { oif, neighbour: addr(neighbour) };
+    // (hook, program, verdict, transit_applied)
+    let table = [
+        // End.BPF: advance, run, validate, honour the code.
+        (Hook::EndBpf, Body::Return(retcode::BPF_OK), via(2, "fe80::2"), 0),
+        (Hook::EndBpf, Body::Return(retcode::BPF_DROP), drop(DropReason::BpfDrop), 0),
+        (Hook::EndBpf, Body::Redirect, via(7, "fe80::42"), 0),
+        (Hook::EndBpf, Body::Return(99), drop(DropReason::BpfError), 0),
+        (Hook::EndBpf, Body::Fault, drop(DropReason::BpfError), 0),
+        (Hook::EndBpf, Body::CorruptSrh, drop(DropReason::SrhValidationFailed), 0),
+        // lwt_in: the program may drop, never forward; the SRH is not
+        // re-validated (the seg6 helpers are End.BPF's).
+        (Hook::In, Body::Return(retcode::BPF_OK), Verdict::LocalDeliver, 0),
+        (Hook::In, Body::Return(retcode::BPF_DROP), drop(DropReason::BpfDrop), 0),
+        (Hook::In, Body::Redirect, Verdict::LocalDeliver, 0),
+        (Hook::In, Body::Return(99), drop(DropReason::BpfError), 0),
+        (Hook::In, Body::Fault, drop(DropReason::BpfError), 0),
+        (Hook::In, Body::CorruptSrh, Verdict::LocalDeliver, 0),
+        // lwt_xmit: forwards like End.BPF, and counts as a transit
+        // behaviour exactly when it forwards without a route override.
+        (Hook::Xmit, Body::Return(retcode::BPF_OK), via(3, "fe80::3"), 1),
+        (Hook::Xmit, Body::Return(retcode::BPF_DROP), drop(DropReason::BpfDrop), 0),
+        (Hook::Xmit, Body::Redirect, via(7, "fe80::42"), 0),
+        (Hook::Xmit, Body::Return(99), drop(DropReason::BpfError), 0),
+        (Hook::Xmit, Body::Fault, drop(DropReason::BpfError), 0),
+        (Hook::Xmit, Body::CorruptSrh, via(3, "fe80::3"), 1),
+    ];
+    for (hook, body, verdict, transit) in table {
+        let (got, dp, skb) = run(hook, body);
+        let case = format!("{hook:?} / {body:?}");
+        assert_eq!(got, verdict, "{case}");
+        assert_eq!(dp.stats.received, 1, "{case}");
+        assert_eq!(dp.stats.bpf_invocations, 1, "{case}");
+        assert_eq!(dp.stats.seg6local_invocations, u64::from(hook == Hook::EndBpf), "{case}");
+        assert_eq!(dp.stats.transit_applied, transit, "{case}");
+        assert_eq!(dp.stats.forwarded, u64::from(verdict.is_forward()), "{case}");
+        assert_eq!(dp.stats.local_delivered, u64::from(verdict == Verdict::LocalDeliver), "{case}");
+        assert_eq!(dp.stats.total_dropped(), u64::from(verdict.drop_reason().is_some()), "{case}");
+        if let Some(reason) = verdict.drop_reason() {
+            assert_eq!(dp.stats.dropped_for(reason), 1, "{case}");
+        }
+        // End.BPF advanced the SRH of every packet it let through — and a
+        // packet dropped before the program's verdict keeps its bytes.
+        let header = Ipv6Header::parse(skb.packet.data()).unwrap();
+        match (hook, body) {
+            (Hook::EndBpf, Body::Fault | Body::CorruptSrh) => assert_eq!(header.dst, addr(SID), "{case}"),
+            (Hook::EndBpf, _) => assert_eq!(header.dst, addr(NEXT_SEGMENT), "{case}"),
+            (Hook::In, _) => assert_eq!(header.dst, addr(LOCAL), "{case}"),
+            (Hook::Xmit, _) => assert_eq!(header.dst, addr(XMIT_DST), "{case}"),
+        }
+    }
+}
+
+/// One prefix holds one attachment whatever its hook, and a hook's lookup
+/// filters by hook *before* choosing the longest prefix.
+#[test]
+fn lwt_attachments_replace_by_prefix_and_match_by_hook_first() {
+    let mut dp = router();
+    let dropper = program(&dp, Body::Return(retcode::BPF_DROP));
+    let pass = program(&dp, Body::Return(retcode::BPF_OK));
+    let attach = |dp: &mut Seg6Datapath, prefix: &str, hook, prog: &Arc<LoadedProgram>| {
+        dp.attach_lwt_bpf(prefix.parse().unwrap(), LwtBpfAttachment { hook, prog: prog.clone() });
+    };
+
+    // A longer prefix attached at another hook does not shadow the xmit
+    // program on the shorter one.
+    attach(&mut dp, "2001:db8:2::/48", LwtHook::Xmit, &dropper);
+    attach(&mut dp, "2001:db8:2::/64", LwtHook::In, &pass);
+    assert_eq!(dp.process(&mut plain_skb(XMIT_DST), 0), Verdict::Drop(DropReason::BpfDrop));
+    // Among attachments of the hook, the longest prefix wins.
+    attach(&mut dp, "2001:db8:2::/56", LwtHook::Xmit, &pass);
+    assert!(dp.process(&mut plain_skb(XMIT_DST), 0).is_forward());
+    assert_eq!(dp.lwt_bpf.len(), 3);
+
+    // Attaching at a prefix that already holds an attachment replaces it,
+    // even when the hooks differ: the /56 xmit program is gone, the /48
+    // dropper is the match again.
+    attach(&mut dp, "2001:db8:2::/56", LwtHook::In, &pass);
+    assert_eq!(dp.lwt_bpf.len(), 3);
+    assert_eq!(dp.process(&mut plain_skb(XMIT_DST), 0), Verdict::Drop(DropReason::BpfDrop));
+    assert_eq!(dp.stats.bpf_invocations, 3);
+}
+
+/// Every way the endpoint SRH advance can fail, by the reason it is
+/// dropped for — through a static `End` SID and through `End.BPF`, which
+/// advance with the same operation.
+#[test]
+fn srh_advance_failures_map_to_their_drop_reasons() {
+    let mut dp = router();
+    let prog = program(&dp, Body::Return(retcode::BPF_OK));
+    dp.add_local_sid(format!("{SID}/128").parse().unwrap(), Seg6LocalAction::EndBpf { prog });
+    dp.add_local_sid("fc00::e2/128".parse().unwrap(), Seg6LocalAction::End);
+
+    for sid in [SID, "fc00::e2"] {
+        let good = srv6_skb(sid).packet.data().to_vec();
+        let mutated = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = good.clone();
+            edit(&mut bytes);
+            Skb::new(PacketBuf::from_slice(&bytes))
+        };
+        // SRH fields sit behind the 40-byte IPv6 header: hdr_ext_len at
+        // +1, segments_left at +3, last_entry at +4.
+        let cases = [
+            ("plain IPv6, no SRH", plain_skb(sid), DropReason::NoSrh),
+            ("segments_left = 0", mutated(&|b| b[43] = 0), DropReason::SegmentsLeftZero),
+            ("segments_left > last_entry", mutated(&|b| b[43] = 3), DropReason::Malformed),
+            (
+                "segment list cut short of the next segment",
+                // hdr_ext_len says one segment; segments_left = 2 points at
+                // the second, last_entry still admits it.
+                mutated(&|b| {
+                    b[41] = 2;
+                    b[43] = 2;
+                    b[44] = 5;
+                }),
+                DropReason::Malformed,
+            ),
+        ];
+        for (what, mut skb, reason) in cases {
+            assert_eq!(dp.process(&mut skb, 0), Verdict::Drop(reason), "{sid}: {what}");
+        }
+        assert!(dp.process(&mut srv6_skb(sid), 0).is_forward(), "{sid}: the unmodified packet forwards");
+    }
+}

@@ -40,7 +40,7 @@
 //!   [`crate::vm::load_scalar`] / [`crate::vm::store_scalar`], byte-for-byte
 //!   the interpreter's path (map values, merged pointer states).
 //!
-//! Helper calls go through a trampoline that rebuilds a [`HelperApi`] and
+//! Helper calls go through a trampoline that rebuilds a [`crate::vm::HelperApi`] and
 //! dispatches through the load-time dense helper table by index — no id
 //! lookup at run time. Because helpers may grow or reallocate the packet,
 //! the trampoline refreshes the packet bias/length after every call.

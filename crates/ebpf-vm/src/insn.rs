@@ -4,7 +4,7 @@
 //! numbers, a 16-bit signed offset and a 32-bit signed immediate. The opcode
 //! is split into a 3-bit *class* plus class-specific fields, exactly as in
 //! the kernel's `Documentation/networking/filter.txt` (referenced by the
-//! paper as [3]). The 64-bit-immediate load (`lddw`) occupies two
+//! paper as \[3\]). The 64-bit-immediate load (`lddw`) occupies two
 //! consecutive instruction slots.
 
 use crate::error::{Error, Result};

@@ -392,94 +392,104 @@ pub fn run_with_state(
     let mut pc = 0usize;
     loop {
         let op = ops.get(pc).ok_or_else(|| Error::runtime(pc, "program counter out of bounds"))?;
-        match op {
-            MicroOp::AluImm { op, is64, dst, imm } => {
-                let d = usize::from(*dst);
-                state.regs[d] = alu_apply(*op, *is64, state.regs[d], *imm);
-                pc += 1;
-            }
-            MicroOp::AluReg { op, is64, dst, src } => {
-                let d = usize::from(*dst);
-                let rhs = state.regs[usize::from(*src)];
-                state.regs[d] = alu_apply(*op, *is64, state.regs[d], rhs);
-                pc += 1;
-            }
-            MicroOp::Neg { is64, dst } => {
-                let d = usize::from(*dst);
-                state.regs[d] = if *is64 {
-                    (state.regs[d] as i64).wrapping_neg() as u64
-                } else {
-                    u64::from((state.regs[d] as i32).wrapping_neg() as u32)
-                };
-                pc += 1;
-            }
-            MicroOp::ByteSwap { dst, bits, to_be } => {
-                let d = usize::from(*dst);
-                let value = state.regs[d];
-                state.regs[d] = match (bits, to_be) {
-                    (16, true) => u64::from((value as u16).swap_bytes()),
-                    (16, false) => u64::from(value as u16),
-                    (32, true) => u64::from((value as u32).swap_bytes()),
-                    (32, false) => u64::from(value as u32),
-                    (64, true) => value.swap_bytes(),
-                    _ => value,
-                };
-                pc += 1;
-            }
-            MicroOp::LoadImm64 { dst, imm } => {
-                state.regs[usize::from(*dst)] = *imm;
-                pc += 2;
-            }
-            MicroOp::Load { size, dst, src, off } => {
-                let addr = state.regs[usize::from(*src)].wrapping_add(*off as i64 as u64);
-                state.regs[usize::from(*dst)] = load_scalar(state, rc, addr, *size).map_err(|e| at(e, pc))?;
-                pc += 1;
-            }
-            MicroOp::StoreReg { size, dst, src, off } => {
-                let addr = state.regs[usize::from(*dst)].wrapping_add(*off as i64 as u64);
-                let value = state.regs[usize::from(*src)];
-                store_scalar(state, rc, addr, *size, value).map_err(|e| at(e, pc))?;
-                pc += 1;
-            }
-            MicroOp::StoreImm { size, dst, off, imm } => {
-                let addr = state.regs[usize::from(*dst)].wrapping_add(*off as i64 as u64);
-                store_scalar(state, rc, addr, *size, *imm).map_err(|e| at(e, pc))?;
-                pc += 1;
-            }
-            MicroOp::Jump { target } => {
-                pc = *target as usize;
-            }
-            MicroOp::JumpIf { op, is64, dst, rhs, target } => {
-                let lhs = state.regs[usize::from(*dst)];
-                let rhs = match rhs {
-                    Operand::Imm(v) => *v,
-                    Operand::Reg(r) => state.regs[usize::from(*r)],
-                };
-                if jump_taken(*op, *is64, lhs, rhs) {
-                    pc = *target as usize;
-                } else {
-                    pc += 1;
-                }
-            }
-            MicroOp::Call { idx, id } => {
-                let desc = loaded
-                    .helper_table()
-                    .get(*idx as usize)
-                    .ok_or_else(|| Error::runtime(pc, format!("unknown helper {id}")))?;
-                let func: HelperFn = desc.func;
-                let args = [state.regs[1], state.regs[2], state.regs[3], state.regs[4], state.regs[5]];
-                let ret = {
-                    let mut api = HelperApi { state, rc, maps: &loaded.maps };
-                    (func)(&mut api, args)
-                };
-                state.regs[0] = ret as u64;
-                pc += 1;
-            }
-            MicroOp::Exit => return Ok(state.regs[0]),
-            MicroOp::Nop => pc += 1,
+        match step(op, pc, loaded, rc, state)? {
+            Some(next) => pc = next,
+            None => return Ok(state.regs[0]),
         }
-        state.insn_executed += 1;
     }
+}
+
+/// Executes the micro-op at `pc` and returns the next program counter, or
+/// `None` when the program exits (r0 holds the result). The one definition
+/// of what each [`MicroOp`] does: both portable engines — the micro-op
+/// loop and the fused loop's unfused ops — run through it. Every op but
+/// `Exit` counts as one executed instruction.
+#[inline(always)]
+fn step(
+    op: &MicroOp,
+    pc: usize,
+    loaded: &LoadedProgram,
+    rc: &mut RunContext<'_>,
+    state: &mut RunState,
+) -> Result<Option<usize>> {
+    let mut next = pc + 1;
+    match op {
+        MicroOp::AluImm { op, is64, dst, imm } => {
+            let d = usize::from(*dst);
+            state.regs[d] = alu_apply(*op, *is64, state.regs[d], *imm);
+        }
+        MicroOp::AluReg { op, is64, dst, src } => {
+            let d = usize::from(*dst);
+            let rhs = state.regs[usize::from(*src)];
+            state.regs[d] = alu_apply(*op, *is64, state.regs[d], rhs);
+        }
+        MicroOp::Neg { is64, dst } => {
+            let d = usize::from(*dst);
+            state.regs[d] = if *is64 {
+                (state.regs[d] as i64).wrapping_neg() as u64
+            } else {
+                u64::from((state.regs[d] as i32).wrapping_neg() as u32)
+            };
+        }
+        MicroOp::ByteSwap { dst, bits, to_be } => {
+            let d = usize::from(*dst);
+            let value = state.regs[d];
+            state.regs[d] = match (bits, to_be) {
+                (16, true) => u64::from((value as u16).swap_bytes()),
+                (16, false) => u64::from(value as u16),
+                (32, true) => u64::from((value as u32).swap_bytes()),
+                (32, false) => u64::from(value as u32),
+                (64, true) => value.swap_bytes(),
+                _ => value,
+            };
+        }
+        MicroOp::LoadImm64 { dst, imm } => {
+            state.regs[usize::from(*dst)] = *imm;
+            next = pc + 2;
+        }
+        MicroOp::Load { size, dst, src, off } => {
+            let addr = state.regs[usize::from(*src)].wrapping_add(*off as i64 as u64);
+            state.regs[usize::from(*dst)] = load_scalar(state, rc, addr, *size).map_err(|e| at(e, pc))?;
+        }
+        MicroOp::StoreReg { size, dst, src, off } => {
+            let addr = state.regs[usize::from(*dst)].wrapping_add(*off as i64 as u64);
+            let value = state.regs[usize::from(*src)];
+            store_scalar(state, rc, addr, *size, value).map_err(|e| at(e, pc))?;
+        }
+        MicroOp::StoreImm { size, dst, off, imm } => {
+            let addr = state.regs[usize::from(*dst)].wrapping_add(*off as i64 as u64);
+            store_scalar(state, rc, addr, *size, *imm).map_err(|e| at(e, pc))?;
+        }
+        MicroOp::Jump { target } => next = *target as usize,
+        MicroOp::JumpIf { op, is64, dst, rhs, target } => {
+            let lhs = state.regs[usize::from(*dst)];
+            let rhs = match rhs {
+                Operand::Imm(v) => *v,
+                Operand::Reg(r) => state.regs[usize::from(*r)],
+            };
+            if jump_taken(*op, *is64, lhs, rhs) {
+                next = *target as usize;
+            }
+        }
+        MicroOp::Call { idx, id } => {
+            let desc = loaded
+                .helper_table()
+                .get(*idx as usize)
+                .ok_or_else(|| Error::runtime(pc, format!("unknown helper {id}")))?;
+            let func: HelperFn = desc.func;
+            let args = [state.regs[1], state.regs[2], state.regs[3], state.regs[4], state.regs[5]];
+            let ret = {
+                let mut api = HelperApi { state, rc, maps: &loaded.maps };
+                (func)(&mut api, args)
+            };
+            state.regs[0] = ret as u64;
+        }
+        MicroOp::Exit => return Ok(None),
+        // The second slot of an `lddw` / a fused run: never a jump target.
+        MicroOp::Nop => {}
+    }
+    state.insn_executed += 1;
+    Ok(Some(next))
 }
 
 fn at(err: Error, pc: usize) -> Error {
@@ -760,103 +770,9 @@ pub fn run_fused_with_state(
     loop {
         let op = ops.get(pc).ok_or_else(|| Error::runtime(pc, "program counter out of bounds"))?;
         match op {
-            FusedOp::Op(op) => match op {
-                MicroOp::AluImm { op, is64, dst, imm } => {
-                    let d = usize::from(*dst);
-                    state.regs[d] = alu_apply(*op, *is64, state.regs[d], *imm);
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::AluReg { op, is64, dst, src } => {
-                    let d = usize::from(*dst);
-                    let rhs = state.regs[usize::from(*src)];
-                    state.regs[d] = alu_apply(*op, *is64, state.regs[d], rhs);
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::Neg { is64, dst } => {
-                    let d = usize::from(*dst);
-                    state.regs[d] = if *is64 {
-                        (state.regs[d] as i64).wrapping_neg() as u64
-                    } else {
-                        u64::from((state.regs[d] as i32).wrapping_neg() as u32)
-                    };
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::ByteSwap { dst, bits, to_be } => {
-                    let d = usize::from(*dst);
-                    let value = state.regs[d];
-                    state.regs[d] = match (bits, to_be) {
-                        (16, true) => u64::from((value as u16).swap_bytes()),
-                        (16, false) => u64::from(value as u16),
-                        (32, true) => u64::from((value as u32).swap_bytes()),
-                        (32, false) => u64::from(value as u32),
-                        (64, true) => value.swap_bytes(),
-                        _ => value,
-                    };
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::LoadImm64 { dst, imm } => {
-                    state.regs[usize::from(*dst)] = *imm;
-                    state.insn_executed += 1;
-                    pc += 2;
-                }
-                MicroOp::Load { size, dst, src, off } => {
-                    let addr = state.regs[usize::from(*src)].wrapping_add(*off as i64 as u64);
-                    state.regs[usize::from(*dst)] =
-                        load_scalar(state, rc, addr, *size).map_err(|e| at(e, pc))?;
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::StoreReg { size, dst, src, off } => {
-                    let addr = state.regs[usize::from(*dst)].wrapping_add(*off as i64 as u64);
-                    let value = state.regs[usize::from(*src)];
-                    store_scalar(state, rc, addr, *size, value).map_err(|e| at(e, pc))?;
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::StoreImm { size, dst, off, imm } => {
-                    let addr = state.regs[usize::from(*dst)].wrapping_add(*off as i64 as u64);
-                    store_scalar(state, rc, addr, *size, *imm).map_err(|e| at(e, pc))?;
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::Jump { target } => {
-                    state.insn_executed += 1;
-                    pc = *target as usize;
-                }
-                MicroOp::JumpIf { op, is64, dst, rhs, target } => {
-                    let lhs = state.regs[usize::from(*dst)];
-                    let rhs = match rhs {
-                        Operand::Imm(v) => *v,
-                        Operand::Reg(r) => state.regs[usize::from(*r)],
-                    };
-                    state.insn_executed += 1;
-                    if jump_taken(*op, *is64, lhs, rhs) {
-                        pc = *target as usize;
-                    } else {
-                        pc += 1;
-                    }
-                }
-                MicroOp::Call { idx, id } => {
-                    let desc = loaded
-                        .helper_table()
-                        .get(*idx as usize)
-                        .ok_or_else(|| Error::runtime(pc, format!("unknown helper {id}")))?;
-                    let func: HelperFn = desc.func;
-                    let args = [state.regs[1], state.regs[2], state.regs[3], state.regs[4], state.regs[5]];
-                    let ret = {
-                        let mut api = HelperApi { state, rc, maps: &loaded.maps };
-                        (func)(&mut api, args)
-                    };
-                    state.regs[0] = ret as u64;
-                    state.insn_executed += 1;
-                    pc += 1;
-                }
-                MicroOp::Exit => return Ok(state.regs[0]),
-                MicroOp::Nop => pc += 1,
+            FusedOp::Op(op) => match step(op, pc, loaded, rc, state)? {
+                Some(next) => pc = next,
+                None => return Ok(state.regs[0]),
             },
             FusedOp::AluImmChain { len, ops: chain } => {
                 for c in &chain[..usize::from(*len)] {
@@ -907,10 +823,6 @@ pub fn run_fused_with_state(
         }
     }
 }
-
-/// Convenience: the [`Flow`] type is re-exported so embedders running both
-/// engines only import from one place.
-pub use crate::vm::Flow as _Flow;
 
 #[cfg(test)]
 mod tests {

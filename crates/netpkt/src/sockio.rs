@@ -171,9 +171,8 @@ pub trait PacketRx: Send {
 /// A batched frame transmitter — one egress destination.
 ///
 /// [`PacketTx::send_frame`] hands over one frame; callers emit a whole
-/// flush window per TX stage and call [`PacketTx::flush_tx`] once at the
-/// end of the burst. This is the seam where a gathering `sendmmsg`
-/// implementation would buffer in `send_frame` and submit in `flush_tx`.
+/// flush window per TX stage through [`PacketTx::send_frames`], which a
+/// gathering transport submits with one `sendmmsg`.
 pub trait PacketTx: Send {
     /// Sends one frame. `Ok(false)` means the frame was dropped —
     /// backpressure (a full link) or a transient transport condition (see
@@ -192,11 +191,6 @@ pub trait PacketTx: Send {
             }
         }
         Ok(sent)
-    }
-
-    /// Completes the current burst (no-op for eager transports).
-    fn flush_tx(&mut self) -> io::Result<()> {
-        Ok(())
     }
 
     /// Send syscalls issued so far (0 for syscall-free transports).
@@ -223,22 +217,6 @@ pub fn transient_send_error(e: &io::Error) -> bool {
             | io::ErrorKind::HostUnreachable
             | io::ErrorKind::NetworkUnreachable
     )
-}
-
-/// Sends every frame of a burst through `tx`, flushing once at the end.
-/// Returns how many frames the transport accepted.
-pub fn send_batch<'a>(
-    tx: &mut (impl PacketTx + ?Sized),
-    frames: impl IntoIterator<Item = &'a [u8]>,
-) -> io::Result<usize> {
-    let mut sent = 0;
-    for frame in frames {
-        if tx.send_frame(frame)? {
-            sent += 1;
-        }
-    }
-    tx.flush_tx()?;
-    Ok(sent)
 }
 
 /// Batched receive over a non-blocking UDP socket: one bound socket per
@@ -441,7 +419,8 @@ mod tests {
         let addr = rx.local_addr().unwrap();
         let mut tx = UdpTx::connect(addr).expect("connect loopback");
         let frames: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 32]).collect();
-        assert_eq!(send_batch(&mut tx, frames.iter().map(Vec::as_slice)).unwrap(), 16);
+        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+        assert_eq!(tx.send_frames(&refs).unwrap(), 16);
 
         let mut batch = FrameBatch::new(32, 64);
         let mut got = 0;
@@ -502,10 +481,10 @@ mod tests {
         drop(victim);
         let mut tx = UdpTx::connect(addr).unwrap();
         let frames: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 16]).collect();
+        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
         let mut saw_drop = false;
         for _ in 0..50 {
-            let sent = send_batch(&mut tx, frames.iter().map(Vec::as_slice))
-                .expect("refused sends are drops, not batch-aborting errors");
+            let sent = tx.send_frames(&refs).expect("refused sends are drops, not batch-aborting errors");
             if sent < frames.len() {
                 saw_drop = true;
                 break;

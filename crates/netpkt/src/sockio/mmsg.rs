@@ -2,8 +2,8 @@
 //!
 //! The std backend ([`UdpRx`](super::UdpRx)/[`UdpTx`](super::UdpTx)) pays
 //! one syscall per datagram. This module implements the same
-//! [`PacketRx`]/[`PacketTx`] seam with the kernel's multi-message calls:
-//! a whole [`FrameBatch`] is filled by a single `recvmmsg`, and a whole
+//! [`PacketRx`](super::PacketRx)/[`PacketTx`](super::PacketTx) seam with the kernel's multi-message calls:
+//! a whole [`FrameBatch`](super::FrameBatch) is filled by a single `recvmmsg`, and a whole
 //! flush window leaves through a single `sendmmsg`. The `mmsghdr`/`iovec`
 //! arrays are built once and reused; receive iovecs point directly into
 //! the batch's slot storage and transmit iovecs borrow the caller's
@@ -14,7 +14,7 @@
 //! `extern "C"` declarations of the wrappers std already links, the same
 //! pattern as srv6d's `signal(2)` handler and `ebpf-vm::codegen`'s
 //! `mmap`/`mprotect`. Non-Linux hosts compile clean: the types exist
-//! everywhere, constructors report [`io::ErrorKind::Unsupported`], and
+//! everywhere, constructors report [`std::io::ErrorKind::Unsupported`], and
 //! [`supported`] lets callers fall back without any `cfg` of their own.
 
 /// Whether this host has the mmsg backend (Linux only).
@@ -412,7 +412,7 @@ pub use imp::{MmsgRx, MmsgTx};
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use crate::sockio::{send_batch, FrameBatch, PacketRx, PacketTx};
+    use crate::sockio::{FrameBatch, PacketRx, PacketTx};
 
     fn wait_fill(rx: &mut MmsgRx, batch: &mut FrameBatch, want: usize) -> usize {
         let mut got = 0;
@@ -474,7 +474,7 @@ mod tests {
 
         let mut mmsg_rx = MmsgRx::bind("[::1]:0").unwrap();
         let mut std_tx = crate::sockio::UdpTx::connect(mmsg_rx.local_addr().unwrap()).unwrap();
-        assert_eq!(send_batch(&mut std_tx, refs.iter().copied()).unwrap(), 8);
+        assert_eq!(std_tx.send_frames(&refs).unwrap(), 8);
         let mut batch = FrameBatch::new(16, 64);
         assert_eq!(wait_fill(&mut mmsg_rx, &mut batch, 8), 8);
         let received: Vec<&[u8]> = batch.frames().collect();

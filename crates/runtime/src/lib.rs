@@ -20,8 +20,11 @@
 //! * workers drain their rings in **batches** through
 //!   [`Seg6Datapath::process_batch_verdicts_into`](seg6_core::Seg6Datapath::process_batch_verdicts_into),
 //!   amortising classification;
-//! * [`WorkerPool::flush`] is the barrier that reports each shard's verdict
-//!   counters, in shard index order.
+//! * one counter record: per-tenant × per-shard relaxed-atomic cells
+//!   ([`PoolCounters`]) written by the dispatcher (admission) and the
+//!   workers (each tenant run's datapath-statistics delta), readable at any
+//!   time; [`WorkerPool::flush`] is the barrier after which they balance,
+//!   and its report is the window's difference of those same cells.
 //!
 //! ```
 //! use seg6_runtime::{Ingress, PoolConfig, WorkerPool};
@@ -66,66 +69,11 @@ pub mod telemetry;
 
 pub use affinity::PinPolicy;
 pub use pool::{
-    work_cost, BatchDrain, DrainReport, Ingress, PoolConfig, PoolReport, ShardSetup, ShardStats, Tenant,
-    TenantId, TenantQos, TenantSpec, WorkerPool, COST_BASE, COST_BPF, COST_SEG6LOCAL, COST_TRANSIT,
+    work_cost, BatchDrain, DrainReport, Ingress, PoolConfig, PoolReport, ShardSetup, Tenant, TenantId,
+    TenantQos, TenantSpec, WorkerPool, COST_BASE, COST_BPF, COST_SEG6LOCAL, COST_TRANSIT, NAPI_BUDGET,
 };
 pub use telemetry::{PoolCounters, PoolSnapshot, ShardSnapshot, TenantCounters, TenantSnapshot};
 
 /// Hard ceiling on the worker count, matching the CPU slots per-CPU maps
 /// are provisioned for by default.
 pub const MAX_WORKERS: u32 = ebpf_vm::DEFAULT_NUM_CPUS;
-
-/// Counters of one worker shard.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Packets steered to this worker since creation.
-    pub steered: u64,
-    /// Packets processed.
-    pub processed: u64,
-    /// Packets that left with a forward verdict.
-    pub forwarded: u64,
-    /// Packets delivered locally.
-    pub local_delivered: u64,
-    /// Packets dropped (any reason).
-    pub dropped: u64,
-    /// Batches executed.
-    pub batches: u64,
-}
-
-pub(crate) fn delta(before: WorkerStats, after: WorkerStats) -> WorkerStats {
-    WorkerStats {
-        steered: after.steered - before.steered,
-        processed: after.processed - before.processed,
-        forwarded: after.forwarded - before.forwarded,
-        local_delivered: after.local_delivered - before.local_delivered,
-        dropped: after.dropped - before.dropped,
-        batches: after.batches - before.batches,
-    }
-}
-
-/// Aggregate verdict counters of one [`WorkerPool::flush`] window.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct RunReport {
-    /// Packets processed across all workers.
-    pub processed: u64,
-    /// Forward verdicts across all workers.
-    pub forwarded: u64,
-    /// Local deliveries across all workers.
-    pub local_delivered: u64,
-    /// Drops across all workers.
-    pub dropped: u64,
-    /// Per-worker processed counts, indexed by worker id.
-    pub per_worker: Vec<u64>,
-}
-
-impl RunReport {
-    pub(crate) fn from_deltas(deltas: &[WorkerStats]) -> Self {
-        RunReport {
-            processed: deltas.iter().map(|d| d.processed).sum(),
-            forwarded: deltas.iter().map(|d| d.forwarded).sum(),
-            local_delivered: deltas.iter().map(|d| d.local_delivered).sum(),
-            dropped: deltas.iter().map(|d| d.dropped).sum(),
-            per_worker: deltas.iter().map(|d| d.processed).collect(),
-        }
-    }
-}

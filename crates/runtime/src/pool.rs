@@ -43,7 +43,7 @@
 //!   admission and counted exactly as `rejected_over_budget`. Inside a
 //!   worker's poll, tenant runs are selected by **deficit round-robin**
 //!   (quantum ∝ [`TenantQos::weight`]), each run charged its actual
-//!   [`WorkSummary`](seg6_core::WorkSummary)-priced cost — a flooding
+//!   [`WorkSummary`]-priced cost — a flooding
 //!   tenant burns its own deficit, not its neighbours' latency.
 //! * The dispatcher steers packets by RSS flow hash into per-shard
 //!   **lock-free SPSC rings** ([`crate::ring`]) carrying
@@ -52,16 +52,17 @@
 //!   Batch ingestion APIs ([`WorkerPool::enqueue_all`],
 //!   [`WorkerPool::enqueue_bytes_all`] and their [`Tenant`] twins) stage
 //!   descriptors per shard and publish each shard's burst with a *single*
-//!   atomic release. A full ring rejects the packet and counts it — per
-//!   shard ([`ShardStats::rejected`]) *and* per tenant
+//!   atomic release. A full ring rejects the packet and counts it in the
+//!   (tenant, shard) cell — readable per shard
+//!   ([`WorkerPool::shard_stats`]) *and* per tenant
 //!   ([`WorkerPool::tenant_stats`]) — backpressure behaves like a NIC
 //!   dropping on a full RX ring, it never blocks the dispatcher.
 //!   [`PoolConfig::queue_depth`] rounds **up** to the next power of two
 //!   ([`WorkerPool::queue_capacity`]) and the boundary is exact.
 //! * Workers drain their rings **adaptively**, NAPI-style: each poll takes
 //!   one burst sized by the observed ring occupancy, capped at
-//!   [`PoolConfig::napi_budget`] (the budget a kernel NAPI poll gets
-//!   before it must yield), and processes it immediately — a lull's
+//!   [`NAPI_BUDGET`] (the budget a kernel NAPI poll gets before it must
+//!   yield), and processes it immediately — a lull's
 //!   packets are never delayed, a burst is amortised, and a saturated
 //!   ring cannot starve the control channel for more than one budget's
 //!   worth of work. Processing stays bounded by
@@ -82,21 +83,25 @@
 //!   moves on a **sideband channel** checked between bursts, so the
 //!   descriptor plane stays pure data. Idle workers **park** (and a
 //!   publish to a sleeping shard's ring unparks it).
-//! * Live counters are **per tenant × per shard** ([`PoolCounters`], via
-//!   [`WorkerPool::counters`]): relaxed-atomic cells readable at any time
-//!   without a flush barrier, with the tenant rows summing exactly to the
-//!   aggregated per-shard view.
+//! * The counters are **per tenant × per shard** cells ([`PoolCounters`],
+//!   via [`WorkerPool::counters`]): relaxed atomics readable at any time
+//!   without a flush barrier, and the pool's only accounting — the
+//!   dispatcher writes the admission fields at publish time, each worker
+//!   adds a tenant run's [`DatapathStats`](seg6_core::DatapathStats) delta
+//!   after the run, and every number the pool reports is read back from
+//!   them.
 //! * [`WorkerPool::flush`] is a barrier: every shard finishes what it was
-//!   handed before the barrier message and reports. Results come back **in
-//!   shard index order**; collected outputs carry their [`TenantId`].
+//!   handed before the barrier message and answers. The report is the
+//!   window's difference of the counter cells plus the collected outputs
+//!   **in shard index order**, each carrying its [`TenantId`].
 //! * Dropping or [`WorkerPool::shutdown`]ting the pool delivers a shutdown
 //!   message, lets every worker finish its backlog, runs the final drain,
 //!   and joins the threads. No packet or perf event is stranded.
 
 use crate::affinity::PinPolicy;
 use crate::ring::{self, Consumer, Producer};
-use crate::telemetry::{PoolCounters, TenantCounters};
-use crate::{RunReport, WorkerStats, MAX_WORKERS};
+use crate::telemetry::{PoolCounters, PoolSnapshot, ShardSnapshot, TenantCounters, TenantSnapshot};
+use crate::MAX_WORKERS;
 use netpkt::flow::{rss_hash_packet, steer};
 use netpkt::{BufPool, PacketBuf};
 use seg6_core::{BatchVerdict, Seg6Datapath, Skb, WorkSummary};
@@ -341,9 +346,6 @@ struct TenantAdmission {
     quota_slots: Option<u64>,
     /// The cost-budget bucket, if the tenant is metered.
     bucket: Option<TokenBucket>,
-    /// Lifetime packets shed over budget (dispatcher aggregate; the
-    /// per-shard split lives in the tenant's atomic counter rows).
-    over_budget: u64,
 }
 
 impl TenantAdmission {
@@ -351,7 +353,6 @@ impl TenantAdmission {
         TenantAdmission {
             quota_slots: qos.ring_quota.map(|share| quota_slots(queue_capacity, share)),
             bucket: qos.cost_budget.map(TokenBucket::new),
-            over_budget: 0,
         }
     }
 }
@@ -438,18 +439,6 @@ pub struct PoolConfig {
     /// the effective value). An enqueue onto a full ring is rejected and
     /// counted — the pool's backpressure signal.
     pub queue_depth: usize,
-    /// Cap on one worker poll, NAPI-style: a worker *dequeues* bursts
-    /// sized by the observed ring occupancy, up to this budget — a lull's
-    /// packets are processed immediately, a backlog is consumed
-    /// `napi_budget` descriptors at a time so control messages (flush,
-    /// tenant registration, shutdown) are serviced at least once per
-    /// budget's worth of work. Mirrors the kernel's NAPI `budget`
-    /// (default 64 there; 256 here, sized for the userspace batch emit
-    /// surface). *Processing* stays bounded by [`PoolConfig::batch_size`]:
-    /// a poll's packets execute in `batch_size`-capped batches with the
-    /// drain daemon run after each, so per-CPU perf rings provisioned
-    /// against `batch_size` keep their guarantee whatever the budget.
-    pub napi_budget: usize,
     /// Retain each processed packet and its [`BatchVerdict`] so
     /// [`WorkerPool::flush`] can return them (tagged with their
     /// [`TenantId`]). Costs one buffered `Skb` per packet per flush window
@@ -477,7 +466,6 @@ impl Default for PoolConfig {
             workers: 1,
             batch_size: 32,
             queue_depth: 1024,
-            napi_budget: 256,
             collect_outputs: false,
             pinning: PinPolicy::None,
             pin_dispatcher: None,
@@ -485,37 +473,32 @@ impl Default for PoolConfig {
     }
 }
 
-/// Admission counters, as visible to the dispatcher — kept per shard
-/// ([`WorkerPool::shard_stats`]) and per tenant
-/// ([`WorkerPool::tenant_stats`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Packets accepted into a descriptor ring.
-    pub enqueued: u64,
-    /// Packets rejected because the ring was full (backpressure).
-    pub rejected: u64,
-}
+/// Cap on one worker poll, NAPI-style: a worker *dequeues* bursts sized by
+/// the observed ring occupancy, up to this budget — a lull's packets are
+/// processed immediately, a backlog is consumed `NAPI_BUDGET` descriptors
+/// at a time so control messages (flush, tenant registration, shutdown) are
+/// serviced at least once per budget's worth of work. Mirrors the kernel's
+/// NAPI `budget` (64 there; 256 here, sized for the userspace batch emit
+/// surface). *Processing* stays bounded by [`PoolConfig::batch_size`]: a
+/// poll's packets execute in `batch_size`-capped batches with the drain
+/// daemon run after each, so per-CPU perf rings provisioned against
+/// `batch_size` keep their guarantee whatever the budget.
+pub const NAPI_BUDGET: usize = 256;
 
-/// What one shard reports at a flush barrier: its counter deltas since the
-/// previous flush, plus the processed packets when
-/// [`PoolConfig::collect_outputs`] is on.
-struct ShardFlush {
-    /// Verdict/batch counter deltas since the last flush.
-    stats: WorkerStats,
-    /// The packets processed since the last flush, with the tenant that
-    /// executed them and their verdicts, in processing order. Empty unless
-    /// [`PoolConfig::collect_outputs`].
-    outputs: Vec<(TenantId, Skb, BatchVerdict)>,
-}
+/// What one shard answers a flush barrier with: the packets it processed
+/// since the previous one, with the tenant that executed them and their
+/// verdicts, in processing order. Empty unless
+/// [`PoolConfig::collect_outputs`].
+type ShardOutputs = Vec<(TenantId, Skb, BatchVerdict)>;
 
-/// Aggregate result of one [`WorkerPool::flush`] barrier.
+/// Result of one [`WorkerPool::flush`] barrier.
 pub struct PoolReport {
-    /// Aggregated verdict counters since the previous flush, with
-    /// `per_worker` in shard index order.
-    pub run: RunReport,
+    /// The pool-wide counters of this flush window: what the live cells
+    /// ([`WorkerPool::counters`]) counted since the previous flush.
+    pub run: ShardSnapshot,
     /// Per-shard outputs, indexed by shard id. Inner vectors are empty
     /// unless [`PoolConfig::collect_outputs`] is set.
-    pub outputs: Vec<Vec<(TenantId, Skb, BatchVerdict)>>,
+    pub outputs: Vec<ShardOutputs>,
 }
 
 /// Result of a [`WorkerPool::drain`]: the pool's terminal state, produced
@@ -527,9 +510,7 @@ pub struct DrainReport {
     /// The per-tenant × per-shard counters at quiescence. Final by
     /// construction: the drain consumed the pool, so no enqueue can
     /// follow the snapshot.
-    pub counters: crate::telemetry::PoolSnapshot,
-    /// Each shard's lifetime totals, in shard index order.
-    pub worker_totals: Vec<WorkerStats>,
+    pub counters: PoolSnapshot,
 }
 
 /// Sideband control messages, delivered outside the descriptor ring and
@@ -538,7 +519,7 @@ enum Ctrl {
     /// Barrier: consume the descriptor ring dry, process everything, and
     /// report. Everything published before this message was sent is
     /// covered (the dispatcher publishes before it signals).
-    Flush(Sender<ShardFlush>),
+    Flush(Sender<ShardOutputs>),
     /// Install a new tenant's datapath (plus its live-counter row and its
     /// shared QoS cell) on this shard, then acknowledge. The dispatcher
     /// waits for every shard's acknowledgement before `add_tenant`
@@ -595,12 +576,11 @@ impl ShardTx {
 pub struct WorkerPool {
     config: PoolConfig,
     shards: Vec<ShardTx>,
-    handles: Vec<JoinHandle<WorkerStats>>,
-    /// Admission counters per shard (summed over tenants).
-    stats: Vec<ShardStats>,
-    /// Admission counters per tenant (summed over shards).
-    tenant_stats: Vec<ShardStats>,
+    handles: Vec<JoinHandle<()>>,
     counters: Arc<PoolCounters>,
+    /// The pool-wide totals of the counter cells at the previous flush
+    /// barrier — what the next [`PoolReport::run`] window starts from.
+    flushed: ShardSnapshot,
     /// Dispatcher-held per-tenant counter rows, indexed by tenant.
     tenant_cells: Vec<Arc<TenantCounters>>,
     /// The dispatcher's recycling arena, refilled from the free-rings.
@@ -616,10 +596,6 @@ pub struct WorkerPool {
     /// Per-tenant QoS cells shared with every shard (DRR weights),
     /// indexed by tenant.
     qos_cells: Vec<Arc<QosCell>>,
-    /// Cumulative per-tenant × per-shard admitted counts (tenant-major
-    /// flat layout), compared against the workers' processed counters to
-    /// estimate a quota'd tenant's ring occupancy without any lock.
-    admitted: Vec<u64>,
     queue_capacity: usize,
     /// Whether the arena has been provisioned for the byte-slice
     /// ingestion path (done once, on its first use; re-provisioned when a
@@ -649,7 +625,6 @@ impl WorkerPool {
         }
         let default_cells = counters.tenant(TenantId::DEFAULT);
         let default_qos = Arc::new(QosCell::new(1));
-        let burst = worker_burst(&config);
         let mut shards = Vec::with_capacity(workers as usize);
         let mut handles = Vec::with_capacity(workers as usize);
         for id in 0..workers {
@@ -663,18 +638,17 @@ impl WorkerPool {
             let state = ShardState {
                 id,
                 datapaths: vec![datapath],
-                queues: vec![VecDeque::with_capacity(burst)],
+                queues: vec![VecDeque::with_capacity(NAPI_BUDGET)],
                 deficit: vec![0],
                 qos: vec![Arc::clone(&default_qos)],
                 drr_next: 0,
-                rx: Vec::with_capacity(burst),
-                stats: WorkerStats::default(),
+                rx: Vec::with_capacity(NAPI_BUDGET),
                 outputs: Vec::new(),
-                verdicts: Vec::with_capacity(burst),
+                verdicts: Vec::with_capacity(NAPI_BUDGET),
                 drain: setup.drain,
                 free: free_tx,
-                free_staging: Vec::with_capacity(burst),
-                free_tenants: Vec::with_capacity(burst),
+                free_staging: Vec::with_capacity(NAPI_BUDGET),
+                free_tenants: Vec::with_capacity(NAPI_BUDGET),
                 tenant_cells: vec![Arc::clone(&default_cells)],
                 recycled_scratch: vec![0],
                 sleeping: Arc::clone(&sleeping),
@@ -707,16 +681,14 @@ impl WorkerPool {
             config,
             shards,
             handles,
-            stats: vec![ShardStats::default(); workers as usize],
-            tenant_stats: vec![ShardStats::default()],
             counters,
+            flushed: ShardSnapshot::default(),
             tenant_cells: vec![default_cells],
             bufs,
             reclaim_scratch: Vec::new(),
             ingress_scratch: vec![IngressRow::default()],
             admission: vec![TenantAdmission::from_qos(&TenantQos::default(), queue_capacity)],
             qos_cells: vec![default_qos],
-            admitted: vec![0; workers as usize],
             queue_capacity,
             bytes_arena_ready: false,
         }
@@ -735,7 +707,7 @@ impl WorkerPool {
         // can never exceed the ring's own capacity however large the NAPI
         // budget is — without the cap, small-ring pools would
         // over-provision the arena several-fold.
-        let poll = worker_burst(config).min(queue_capacity);
+        let poll = NAPI_BUDGET.min(queue_capacity);
         config.workers as usize * (queue_capacity + poll + config.batch_size.max(1)) + tenants
     }
 
@@ -793,11 +765,9 @@ impl WorkerPool {
             ack.recv().expect("worker installed the tenant");
         }
         self.tenant_cells.push(cells);
-        self.tenant_stats.push(ShardStats::default());
         self.ingress_scratch.push(IngressRow::default());
         self.admission.push(TenantAdmission::from_qos(&qos, self.queue_capacity));
         self.qos_cells.push(qos_cell);
-        self.admitted.extend(std::iter::repeat_n(0, self.config.workers as usize));
         let bound = Self::in_flight_bound(&self.config, self.queue_capacity, self.tenant_cells.len());
         self.bufs.set_max_retained(bound);
         if self.bytes_arena_ready {
@@ -860,18 +830,30 @@ impl WorkerPool {
         self.queue_capacity
     }
 
-    /// Dispatcher-side admission counters, indexed by shard id (summed
-    /// over tenants).
-    pub fn shard_stats(&self) -> &[ShardStats] {
-        &self.stats
+    /// The pool-wide totals of the live counter cells.
+    fn totals(&self) -> ShardSnapshot {
+        let mut total = ShardSnapshot::default();
+        for cells in &self.tenant_cells {
+            for shard in 0..self.config.workers {
+                total.accumulate(&cells.shard(shard).sample());
+            }
+        }
+        total
     }
 
-    /// Dispatcher-side admission counters, indexed by tenant id (summed
-    /// over shards). The per-tenant backpressure view: a noisy tenant's
-    /// rejections are visible without a barrier and without decoding the
-    /// per-shard split.
-    pub fn tenant_stats(&self) -> &[ShardStats] {
-        &self.tenant_stats
+    /// The live counters summed over tenants, indexed by shard id —
+    /// `counters().snapshot().shards`. Readable without a barrier; the
+    /// admission fields (`enqueued`, `rejected`, `rejected_over_budget`)
+    /// are exact at any time on the dispatcher thread, which writes them.
+    pub fn shard_stats(&self) -> Vec<ShardSnapshot> {
+        self.counters.snapshot().shards
+    }
+
+    /// The live counters summed over shards, indexed by tenant id. The
+    /// per-tenant backpressure view: a noisy tenant's rejections are
+    /// visible without a barrier and without decoding the per-shard split.
+    pub fn tenant_stats(&self) -> Vec<ShardSnapshot> {
+        self.counters.snapshot().tenants.iter().map(TenantSnapshot::totals).collect()
     }
 
     /// Total packets rejected by full shard rings (backpressure),
@@ -879,21 +861,16 @@ impl WorkerPool {
     /// a ring is backpressure scoped to that tenant. Cost-budget sheds
     /// are counted separately ([`WorkerPool::rejected_over_budget`]).
     pub fn rejected(&self) -> u64 {
-        self.stats.iter().map(|s| s.rejected).sum()
+        self.totals().rejected
     }
 
     /// Total packets shed at admission by tenants' cost budgets.
     pub fn rejected_over_budget(&self) -> u64 {
-        self.admission.iter().map(|a| a.over_budget).sum()
+        self.totals().rejected_over_budget
     }
 
-    /// Packets of `tenant` shed at admission by its cost budget.
-    pub fn tenant_over_budget(&self, tenant: TenantId) -> u64 {
-        self.admission[tenant.index()].over_budget
-    }
-
-    /// The pool's live counters: per-tenant × per-shard relaxed-atomic
-    /// mirrors of the enqueue/reject/verdict counts, readable from any
+    /// The pool's counters: per-tenant × per-shard relaxed-atomic cells
+    /// holding the enqueue/reject/verdict counts, readable from any
     /// thread at any time **without** a flush barrier. The `Arc` stays
     /// valid after shutdown.
     pub fn counters(&self) -> Arc<PoolCounters> {
@@ -1041,14 +1018,15 @@ impl WorkerPool {
     /// Publishes shard `shard`'s staged descriptors with one atomic
     /// release, after the per-tenant QoS admission pass: ring-quota'd
     /// tenants are capped at their slot share of this shard's ring
-    /// (occupancy estimated lock-free from the dispatcher's admitted
-    /// count minus the worker's relaxed processed counter — the estimate
-    /// lags towards *under*-admission, never over), budgeted tenants
+    /// (occupancy estimated lock-free from the cell's `enqueued` count —
+    /// which only the dispatcher writes — minus the worker's relaxed
+    /// processed counter; the estimate lags towards *under*-admission,
+    /// never over), budgeted tenants
     /// spend [`COST_BASE`] per packet from their token bucket (refilled
     /// on the packets' own RX clocks, trued-up with the workers' measured
     /// surcharges). Everything shed or ring-rejected is accounted exactly
-    /// — per shard *and* per tenant, budget sheds on their own counter —
-    /// and its buffer goes back to the arena. Wakes the worker when
+    /// in the (tenant, shard) counter cell — budget sheds on their own
+    /// counter — and its buffer goes back to the arena. Wakes the worker when
     /// anything was published; returns the accepted count. No locks, no
     /// allocation: every structure touched is pre-sized per tenant.
     fn publish_shard(&mut self, shard: usize) -> usize {
@@ -1056,7 +1034,6 @@ impl WorkerPool {
         if tx.staging.is_empty() {
             return 0;
         }
-        let workers = self.config.workers as usize;
         for row in &mut self.ingress_scratch {
             *row = IngressRow::default();
         }
@@ -1075,8 +1052,8 @@ impl WorkerPool {
             row.allowance = match admission.quota_slots {
                 None => u64::MAX,
                 Some(slots) => {
-                    let processed = self.tenant_cells[tenant].shard(shard as u32).processed_relaxed();
-                    let occupancy = self.admitted[tenant * workers + shard].saturating_sub(processed);
+                    let cell = self.tenant_cells[tenant].shard(shard as u32);
+                    let occupancy = cell.enqueued_relaxed().saturating_sub(cell.processed_relaxed());
                     slots.saturating_sub(occupancy)
                 }
             };
@@ -1124,23 +1101,14 @@ impl WorkerPool {
             self.ingress_scratch[desc.tenant.index()].ring_rejected += 1;
             self.bufs.put(desc.skb.into_packet());
         }
-        self.stats[shard].enqueued += accepted as u64;
         for (tenant, row) in self.ingress_scratch.iter().enumerate() {
             if row.staged == 0 {
                 continue;
             }
             let tenant_accepted = row.staged - row.shed_quota - row.shed_budget - row.ring_rejected;
-            let tenant_rejected = row.shed_quota + row.ring_rejected;
-            self.admitted[tenant * workers + shard] += tenant_accepted;
-            self.stats[shard].rejected += tenant_rejected;
-            self.tenant_stats[tenant].enqueued += tenant_accepted;
-            self.tenant_stats[tenant].rejected += tenant_rejected;
-            self.admission[tenant].over_budget += row.shed_budget;
             let cell = self.tenant_cells[tenant].shard(shard as u32);
-            cell.add_ingress(tenant_accepted, tenant_rejected);
-            if row.shed_budget > 0 {
-                cell.add_over_budget(row.shed_budget);
-            }
+            cell.add_ingress(tenant_accepted, row.shed_quota + row.ring_rejected);
+            cell.add_over_budget(row.shed_budget);
         }
         if accepted > 0 {
             self.shards[shard].wake();
@@ -1165,15 +1133,15 @@ impl WorkerPool {
     }
 
     /// Barrier: waits until every shard has processed everything enqueued
-    /// before this call, and returns the counter deltas (and outputs, when
-    /// collected) since the previous flush — always in shard index order,
-    /// regardless of which shard finished first.
+    /// before this call, and returns what the counter cells counted since
+    /// the previous flush, plus the outputs (when collected) — always in
+    /// shard index order, regardless of which shard finished first.
     pub fn flush(&mut self) -> PoolReport {
         self.publish_all();
         // Hand every shard its barrier first, then collect in index order:
         // the shards drain concurrently, the ordering is imposed only on
         // the collection side.
-        let replies: Vec<Receiver<ShardFlush>> = self
+        let replies: Vec<Receiver<ShardOutputs>> = self
             .shards
             .iter()
             .map(|tx| {
@@ -1183,23 +1151,26 @@ impl WorkerPool {
                 reply_rx
             })
             .collect();
-        let mut deltas = Vec::with_capacity(replies.len());
-        let mut outputs = Vec::with_capacity(replies.len());
-        for reply in replies {
-            let flush = reply.recv().expect("worker answers the barrier");
-            deltas.push(flush.stats);
-            outputs.push(flush.outputs);
-        }
-        PoolReport { run: RunReport::from_deltas(&deltas), outputs }
+        let outputs = replies.iter().map(|reply| reply.recv().expect("worker answers the barrier")).collect();
+        // Every worker added its runs to the cells before it answered, and
+        // the reply channel orders those writes before these reads.
+        let totals = self.totals();
+        let run = totals.since(&self.flushed);
+        self.flushed = totals;
+        PoolReport { run, outputs }
     }
 
     /// Graceful shutdown: every worker finishes its backlog, runs its
     /// final drain, and exits; the threads are joined. Returns each
-    /// shard's lifetime totals, in shard index order. Dropping the pool
-    /// does the same, minus the report.
-    pub fn shutdown(mut self) -> Vec<WorkerStats> {
+    /// shard's lifetime totals (the counter cells summed over tenants), in
+    /// shard index order. Dropping the pool does the same, minus the
+    /// report.
+    pub fn shutdown(mut self) -> Vec<ShardSnapshot> {
         self.stop();
-        self.handles.drain(..).map(|h| h.join().expect("worker thread panicked")).collect()
+        for handle in self.handles.drain(..) {
+            handle.join().expect("worker thread panicked");
+        }
+        self.shard_stats()
     }
 
     /// Graceful drain, the daemon's shutdown sequence in one call: run a
@@ -1211,8 +1182,8 @@ impl WorkerPool {
     pub fn drain(mut self) -> DrainReport {
         let last_flush = self.flush();
         let counters = self.counters.snapshot();
-        let worker_totals = self.shutdown();
-        DrainReport { last_flush, counters, worker_totals }
+        self.shutdown();
+        DrainReport { last_flush, counters }
     }
 
     fn stop(&mut self) {
@@ -1237,7 +1208,7 @@ impl Drop for WorkerPool {
 /// [`WorkerPool::tenant`]): its [`Ingress`] methods stamp every
 /// descriptor with the tenant's id, so the worker executes them on that
 /// tenant's datapath and the admission/verdict counters land in the
-/// tenant's rows.
+/// tenant's rows ([`WorkerPool::tenant_stats`]).
 pub struct Tenant<'p> {
     pool: &'p mut WorkerPool,
     id: TenantId,
@@ -1247,16 +1218,6 @@ impl Tenant<'_> {
     /// The tenant this guard enqueues as.
     pub fn id(&self) -> TenantId {
         self.id
-    }
-
-    /// This tenant's admission counters (summed over shards).
-    pub fn stats(&self) -> ShardStats {
-        self.pool.tenant_stats[self.id.index()]
-    }
-
-    /// Packets of this tenant shed at admission by its cost budget.
-    pub fn over_budget(&self) -> u64 {
-        self.pool.tenant_over_budget(self.id)
     }
 }
 
@@ -1331,11 +1292,6 @@ impl Ingress for Tenant<'_> {
     }
 }
 
-/// The worker-side poll burst: how many descriptors one dequeue may move.
-fn worker_burst(config: &PoolConfig) -> usize {
-    config.napi_budget.max(1)
-}
-
 /// How long a parked worker sleeps before re-checking its inputs on its
 /// own. Wakeups are explicit (publish/control unpark the thread); the
 /// timeout only bounds the damage if the dispatcher vanishes without a
@@ -1372,8 +1328,7 @@ struct ShardState {
     /// Dequeue scratch: descriptors straight off the ring, before they
     /// are sorted into the per-tenant `queues`.
     rx: Vec<Desc>,
-    stats: WorkerStats,
-    outputs: Vec<(TenantId, Skb, BatchVerdict)>,
+    outputs: ShardOutputs,
     verdicts: Vec<BatchVerdict>,
     drain: Option<BatchDrain>,
     /// Free-ring back to the dispatcher: drained packet buffers.
@@ -1398,39 +1353,23 @@ struct ShardState {
 /// report. Control messages (flush barriers, tenant registration,
 /// shutdown) ride the sideband channel and are checked between bursts; an
 /// idle shard parks.
-fn worker_loop(
-    config: PoolConfig,
-    mut shard: ShardState,
-    ctrl: Receiver<Ctrl>,
-    mut ring: Consumer<Desc>,
-) -> WorkerStats {
-    let mut reported = WorkerStats::default();
+fn worker_loop(config: PoolConfig, mut shard: ShardState, ctrl: Receiver<Ctrl>, mut ring: Consumer<Desc>) {
     let mut clock: u64 = 0;
+    // Disconnection without a shutdown message means the dispatcher
+    // vanished mid-panic — same exit path.
+    let next_ctrl = || match ctrl.try_recv() {
+        Ok(msg) => Some(msg),
+        Err(TryRecvError::Disconnected) => Some(Ctrl::Shutdown),
+        Err(TryRecvError::Empty) => None,
+    };
     loop {
         // Sideband control, between bursts: the descriptor plane never
         // carries anything but packets.
-        match ctrl.try_recv() {
-            Ok(Ctrl::Flush(reply)) => {
-                flush_barrier(&mut shard, &mut ring, &mut clock, &config, &mut reported, reply);
-                continue;
+        if let Some(msg) = next_ctrl() {
+            if !serve_ctrl(msg, &mut shard, &mut ring, &mut clock, &config) {
+                return;
             }
-            Ok(Ctrl::AddTenant { datapath, cells, qos, done }) => {
-                install_tenant(&mut shard, *datapath, cells, qos, done, worker_burst(&config));
-                continue;
-            }
-            Ok(Ctrl::Provision { count, headroom, done }) => {
-                provision_segment(count, headroom, done);
-                continue;
-            }
-            Ok(Ctrl::Shutdown) | Err(TryRecvError::Disconnected) => {
-                // Finish the backlog and the final drain, so no packet or
-                // perf event is stranded. Disconnection without a shutdown
-                // message means the dispatcher vanished mid-panic — same
-                // exit path.
-                drain_ring(&mut shard, &mut ring, &mut clock, &config);
-                return shard.stats;
-            }
-            Err(TryRecvError::Empty) => {}
+            continue;
         }
         // One adaptive poll: a burst sized by the ring's occupancy, capped
         // at the NAPI budget, processed immediately. Batching amortises
@@ -1450,30 +1389,48 @@ fn worker_loop(
             shard.sleeping.store(false, Ordering::SeqCst);
             continue;
         }
-        match ctrl.try_recv() {
-            Ok(Ctrl::Flush(reply)) => {
+        match next_ctrl() {
+            Some(msg) => {
                 shard.sleeping.store(false, Ordering::SeqCst);
-                flush_barrier(&mut shard, &mut ring, &mut clock, &config, &mut reported, reply);
+                if !serve_ctrl(msg, &mut shard, &mut ring, &mut clock, &config) {
+                    return;
+                }
             }
-            Ok(Ctrl::AddTenant { datapath, cells, qos, done }) => {
-                shard.sleeping.store(false, Ordering::SeqCst);
-                install_tenant(&mut shard, *datapath, cells, qos, done, worker_burst(&config));
-            }
-            Ok(Ctrl::Provision { count, headroom, done }) => {
-                shard.sleeping.store(false, Ordering::SeqCst);
-                provision_segment(count, headroom, done);
-            }
-            Ok(Ctrl::Shutdown) | Err(TryRecvError::Disconnected) => {
-                shard.sleeping.store(false, Ordering::SeqCst);
-                drain_ring(&mut shard, &mut ring, &mut clock, &config);
-                return shard.stats;
-            }
-            Err(TryRecvError::Empty) => {
+            None => {
                 std::thread::park_timeout(PARK_TIMEOUT);
                 shard.sleeping.store(false, Ordering::SeqCst);
             }
         }
     }
+}
+
+/// Serves one control message on the shard's thread. Returns `false` when
+/// the message was the shutdown: the backlog is finished and the final
+/// drain has run — no packet or perf event is stranded — and the worker
+/// must exit.
+fn serve_ctrl(
+    msg: Ctrl,
+    shard: &mut ShardState,
+    ring: &mut Consumer<Desc>,
+    clock: &mut u64,
+    config: &PoolConfig,
+) -> bool {
+    match msg {
+        Ctrl::Flush(reply) => {
+            // Barrier: drain everything published before it, then hand
+            // over the window's outputs. The run counters are already in
+            // the live cells.
+            drain_ring(shard, ring, clock, config);
+            let _ = reply.send(std::mem::take(&mut shard.outputs));
+        }
+        Ctrl::AddTenant { datapath, cells, qos, done } => install_tenant(shard, *datapath, cells, qos, done),
+        Ctrl::Provision { count, headroom, done } => provision_segment(count, headroom, done),
+        Ctrl::Shutdown => {
+            drain_ring(shard, ring, clock, config);
+            return false;
+        }
+    }
+    true
 }
 
 /// Mints one shard's arena segment *on the shard's own thread*. The
@@ -1509,12 +1466,11 @@ fn install_tenant(
     cells: Arc<TenantCounters>,
     qos: Arc<QosCell>,
     done: Sender<()>,
-    burst: usize,
 ) {
     shard.datapaths.push(datapath);
     shard.tenant_cells.push(cells);
     shard.recycled_scratch.push(0);
-    shard.queues.push(VecDeque::with_capacity(burst));
+    shard.queues.push(VecDeque::with_capacity(NAPI_BUDGET));
     shard.deficit.push(0);
     shard.qos.push(qos);
     let _ = done.send(());
@@ -1529,15 +1485,13 @@ fn poll_once(
     clock: &mut u64,
     config: &PoolConfig,
 ) -> bool {
-    let got = ring.dequeue_burst(&mut shard.rx, worker_burst(config));
-    if got == 0 {
+    if ring.dequeue_burst(&mut shard.rx, NAPI_BUDGET) == 0 {
         return false;
     }
     // Sort descriptors into the per-tenant run queues (arrival order
     // preserved within a tenant); the shard clock advances per run inside
     // `run_scheduler`, not per poll, so a large NAPI burst does not
     // time-stamp its first run with its last packet's arrival.
-    shard.stats.steered += got as u64;
     for desc in shard.rx.drain(..) {
         shard.queues[desc.tenant.index()].push_back(desc.skb);
     }
@@ -1551,22 +1505,6 @@ fn poll_once(
 fn drain_ring(shard: &mut ShardState, ring: &mut Consumer<Desc>, clock: &mut u64, config: &PoolConfig) {
     while poll_once(shard, ring, clock, config) {}
     run_drain(shard);
-}
-
-/// Serves one flush barrier: drain everything published before it, then
-/// report the deltas since the previous barrier.
-fn flush_barrier(
-    shard: &mut ShardState,
-    ring: &mut Consumer<Desc>,
-    clock: &mut u64,
-    config: &PoolConfig,
-    reported: &mut WorkerStats,
-    reply: Sender<ShardFlush>,
-) {
-    drain_ring(shard, ring, clock, config);
-    let delta = crate::delta(*reported, shard.stats);
-    *reported = shard.stats;
-    let _ = reply.send(ShardFlush { stats: delta, outputs: std::mem::take(&mut shard.outputs) });
 }
 
 /// Runs the shard's drain daemon, if any.
@@ -1649,8 +1587,8 @@ fn run_scheduler(shard: &mut ShardState, clock: &mut u64, config: &PoolConfig) {
 /// to the run's newest RX timestamp first (the clock a kernel softirq
 /// batch would run under — bounded by `batch_size`, like the run itself,
 /// so `bpf_ktime_get_ns`/End.DM never see the timestamp spread of a whole
-/// NAPI burst). Mirrors the run's deltas and its priced cost into the
-/// tenant's live counters, runs the drain daemon, and emits the processed
+/// NAPI burst). Adds the run — the delta of the datapath's own statistics —
+/// and its priced cost to the tenant's counter cell, runs the drain daemon, and emits the processed
 /// packets — into the collected outputs (processing order, tagged with
 /// the tenant) or onto the free-ring staging. Returns the run's total
 /// [`work_cost`], which the DRR loop charges against the tenant's
@@ -1671,25 +1609,15 @@ fn process_run(
     for skb in batch.iter() {
         *clock = (*clock).max(skb.rx_timestamp_ns);
     }
-    let before = shard.stats;
+    let datapath = &mut shard.datapaths[t];
+    let before = datapath.stats;
     // The verdict buffer is shard-owned and reused, index-aligned with
     // the run: no allocation per run, no allocation per packet.
     shard.verdicts.clear();
-    shard.datapaths[t].process_batch_verdicts_into(batch, *clock, &mut shard.verdicts);
-    let mut cost = 0u64;
-    for bv in &shard.verdicts {
-        shard.stats.processed += 1;
-        match bv.verdict {
-            seg6_core::Verdict::Forward { .. } => shard.stats.forwarded += 1,
-            seg6_core::Verdict::LocalDeliver => shard.stats.local_delivered += 1,
-            seg6_core::Verdict::Drop(_) => shard.stats.dropped += 1,
-        }
-        cost += work_cost(&bv.work);
-    }
-    shard.stats.batches += 1;
-    let cells = shard.tenant_cells[t].shard(shard.id);
-    cells.add_batch(&crate::delta(before, shard.stats));
-    cells.add_cost(cost);
+    datapath.process_batch_verdicts_into(batch, *clock, &mut shard.verdicts);
+    let cost: u64 = shard.verdicts.iter().map(|bv| work_cost(&bv.work)).sum();
+    // The datapath counted every packet of the run; its delta is the run.
+    shard.tenant_cells[t].shard(shard.id).add_run(&before, &datapath.stats, cost);
     // The drain daemon runs batch-aware: after every `batch_size`-bounded
     // run's events are in the perf ring, on the worker that produced
     // them.
@@ -1785,28 +1713,62 @@ mod tests {
         )
     }
 
+    /// The verdict counters of a cell or window:
+    /// `[processed, forwarded, local_delivered, dropped]`.
+    fn verdict_counts(s: &ShardSnapshot) -> [u64; 4] {
+        [s.processed, s.forwarded, s.local_delivered, s.dropped]
+    }
+
+    /// The admission counters of a cell: `(enqueued, rejected)`.
+    fn admission(s: &ShardSnapshot) -> (u64, u64) {
+        (s.enqueued, s.rejected)
+    }
+
     /// The oracle the pool is held to: one datapath per shard from
     /// `builder`, every packet steered by RSS hash and run through
     /// per-packet [`Seg6Datapath::process`] on its shard's datapath, in
-    /// arrival order.
-    fn reference_report(
+    /// arrival order. Returns each shard's [`verdict_counts`].
+    fn reference_counts(
         workers: u32,
         packets: &[PacketBuf],
         builder: impl Fn(u32) -> Seg6Datapath,
-    ) -> RunReport {
+    ) -> Vec<[u64; 4]> {
         let mut shards: Vec<Seg6Datapath> = (0..workers).map(builder).collect();
-        let mut deltas = vec![WorkerStats::default(); shards.len()];
+        let mut counts = vec![[0u64; 4]; shards.len()];
         for packet in packets {
             let shard = steer(rss_hash_packet(packet.data()), shards.len());
-            let stats = &mut deltas[shard];
-            stats.processed += 1;
+            counts[shard][0] += 1;
             match shards[shard].process(&mut Skb::new(packet.clone()), 0) {
-                Verdict::Forward { .. } => stats.forwarded += 1,
-                Verdict::LocalDeliver => stats.local_delivered += 1,
-                Verdict::Drop(_) => stats.dropped += 1,
+                Verdict::Forward { .. } => counts[shard][1] += 1,
+                Verdict::LocalDeliver => counts[shard][2] += 1,
+                Verdict::Drop(_) => counts[shard][3] += 1,
             }
         }
-        RunReport::from_deltas(&deltas)
+        counts
+    }
+
+    /// Runs `packets` through one enqueue/flush window of `pool` (which
+    /// must be quiet) and returns each shard's [`verdict_counts`] for the
+    /// window, after checking that the report's pool-wide window is their
+    /// sum.
+    fn window_counts(pool: &mut WorkerPool, enqueue: impl FnOnce(&mut WorkerPool)) -> Vec<[u64; 4]> {
+        let before = pool.shard_stats();
+        enqueue(pool);
+        let report = pool.flush();
+        let shards: Vec<[u64; 4]> = pool
+            .shard_stats()
+            .iter()
+            .zip(&before)
+            .map(|(now, then)| verdict_counts(&now.since(then)))
+            .collect();
+        let mut total = [0u64; 4];
+        for shard in &shards {
+            for (sum, count) in total.iter_mut().zip(shard) {
+                *sum += count;
+            }
+        }
+        assert_eq!(verdict_counts(&report.run), total, "the report is the sum of the shards' windows");
+        shards
     }
 
     /// Satellite regression: the pool must agree with per-packet
@@ -1815,21 +1777,20 @@ mod tests {
     #[test]
     fn pool_flush_matches_per_packet_processing_in_shard_index_order() {
         let packets: Vec<PacketBuf> = (0..512).map(flow_packet).collect();
-        let expected = reference_report(4, &packets, forwarding_datapath);
-        assert_eq!(expected.processed, 512);
-        assert_eq!(expected.forwarded, 512);
+        let expected = reference_counts(4, &packets, forwarding_datapath);
+        assert_eq!(expected.iter().map(|c| c[0]).sum::<u64>(), 512);
+        assert_eq!(expected.iter().map(|c| c[1]).sum::<u64>(), 512);
 
         let config = PoolConfig { workers: 4, batch_size: 16, ..Default::default() };
         let mut pool = WorkerPool::new(config, forwarding_datapath);
-        assert_eq!(pool.enqueue_all(packets.iter().cloned()), 512);
         for _ in 0..5 {
             // Repeat to give out-of-order shard completions a chance to
-            // show up; the report must stay identical every time.
-            let report = pool.flush();
-            assert_eq!(report.run, expected);
-            pool.enqueue_all(packets.iter().cloned());
+            // show up; the windows must stay identical every time.
+            let window = window_counts(&mut pool, |pool| {
+                assert_eq!(pool.enqueue_all(packets.iter().cloned()), 512);
+            });
+            assert_eq!(window, expected);
         }
-        pool.flush();
     }
 
     /// The acceptance-criteria test: the pool spawns one thread per shard
@@ -1880,7 +1841,8 @@ mod tests {
         let report = pool.flush();
         assert_eq!(report.run.processed, 256);
         assert_eq!(report.run.forwarded, 256);
-        assert_eq!(report.run.per_worker, expected, "shards reported in index order");
+        let processed: Vec<u64> = pool.shard_stats().iter().map(|s| s.processed).collect();
+        assert_eq!(processed, expected, "each shard processed exactly what was steered to it");
     }
 
     /// The worker count is clamped to `1..=MAX_WORKERS`, and the builder
@@ -1903,12 +1865,14 @@ mod tests {
     #[test]
     fn batch_size_does_not_change_results() {
         let packets: Vec<PacketBuf> = (0..100).map(flow_packet).collect();
-        let expected = reference_report(2, &packets, forwarding_datapath);
+        let expected = reference_counts(2, &packets, forwarding_datapath);
         for batch_size in [1, 7, 32, 1024] {
             let config = PoolConfig { workers: 2, batch_size, ..Default::default() };
             let mut pool = WorkerPool::new(config, forwarding_datapath);
-            assert_eq!(pool.enqueue_all(packets.iter().cloned()), 100);
-            assert_eq!(pool.flush().run, expected, "batch_size {batch_size}");
+            let window = window_counts(&mut pool, |pool| {
+                assert_eq!(pool.enqueue_all(packets.iter().cloned()), 100);
+            });
+            assert_eq!(window, expected, "batch_size {batch_size}");
         }
     }
 
@@ -2018,13 +1982,12 @@ mod tests {
         assert!(!pool.enqueue(flow_packet(5)));
         assert!(!pool.enqueue(flow_packet(6)));
         assert_eq!(pool.rejected(), 2);
-        assert_eq!(pool.shard_stats()[0], ShardStats { enqueued: 5, rejected: 2 });
-        // The default tenant carries all of it — per-tenant admission
-        // accounting agrees with the per-shard view.
-        assert_eq!(pool.tenant_stats()[0], ShardStats { enqueued: 5, rejected: 2 });
-        // The live mirrors agree with the dispatcher's view, mid-run and
-        // without any barrier.
-        assert_eq!(pool.counters().snapshot().shards[0].as_shard_stats(), pool.shard_stats()[0]);
+        // Exact mid-run and without any barrier: the dispatcher wrote
+        // these cells itself.
+        assert_eq!(admission(&pool.shard_stats()[0]), (5, 2));
+        // The default tenant carries all of it — the per-tenant view of
+        // the same cells.
+        assert_eq!(admission(&pool.tenant_stats()[0]), (5, 2));
 
         // Unblock every future drain call and let the barrier confirm that
         // accepted packets — and only those — were processed.
@@ -2061,7 +2024,7 @@ mod tests {
             assert!(pool.enqueue(flow_packet(flow)), "packet {flow} of exactly capacity fits");
         }
         assert!(!pool.enqueue(flow_packet(9)), "capacity + 1 is rejected");
-        assert_eq!(pool.shard_stats()[0], ShardStats { enqueued: 9, rejected: 1 });
+        assert_eq!(admission(&pool.shard_stats()[0]), (9, 1));
 
         drop(release_tx);
         let report = pool.flush();
@@ -2099,23 +2062,22 @@ mod tests {
     /// occupancy-sized dequeue bursts capped at the NAPI budget, while
     /// *processing* (and the drain-daemon cadence) stays bounded by
     /// `batch_size` — so the batch count is exactly
-    /// `ceil(backlog / min(batch_size, napi_budget))`, flush semantics and
+    /// `ceil(backlog / min(batch_size, NAPI_BUDGET))`, flush semantics and
     /// verdict totals are unchanged, and perf rings provisioned against
     /// `batch_size` can never overflow between drains.
     #[test]
     fn adaptive_bursts_respect_the_napi_budget_and_batch_bound() {
-        const BACKLOG: u32 = 512;
-        // (batch_size, napi_budget) → expected batch bound
-        // min(batch_size, budget): the budget caps a poll's dequeue, the
-        // batch size caps each processed (and drained) batch within it.
-        for (batch_size, budget, bound) in [(32usize, 64usize, 32u64), (256, 64, 64)] {
+        const BACKLOG: u32 = 2 * NAPI_BUDGET as u32;
+        // batch_size → expected batch bound min(batch_size, NAPI_BUDGET):
+        // the budget caps a poll's dequeue, the batch size caps each
+        // processed (and drained) batch within it.
+        for (batch_size, bound) in [(32usize, 32u64), (4 * NAPI_BUDGET, NAPI_BUDGET as u64)] {
             let (entered_tx, entered_rx) = mpsc::channel::<()>();
             let (release_tx, release_rx) = mpsc::channel::<()>();
             let release_rx = Arc::new(std::sync::Mutex::new(release_rx));
             let config = PoolConfig {
                 workers: 1,
                 batch_size,
-                napi_budget: budget,
                 queue_depth: 2 * BACKLOG as usize,
                 ..Default::default()
             };
@@ -2137,7 +2099,7 @@ mod tests {
             assert_eq!(pool.enqueue_all((1..=BACKLOG).map(flow_packet)), BACKLOG as usize);
             // Release the worker batch by batch, counting drain entries —
             // one per processed batch, so the backlog must take exactly
-            // 512 / bound of them.
+            // BACKLOG / bound of them.
             for _ in 0..BACKLOG as u64 / bound {
                 release_tx.send(()).expect("worker waits in the drain");
                 entered_rx.recv_timeout(std::time::Duration::from_secs(10)).expect("one drain per batch");
@@ -2150,7 +2112,7 @@ mod tests {
             assert_eq!(
                 totals[0].batches,
                 1 + u64::from(BACKLOG) / bound,
-                "batch_size {batch_size} budget {budget}: batches must be {bound}-bounded"
+                "batch_size {batch_size}: batches must be {bound}-bounded"
             );
         }
     }
@@ -2186,8 +2148,8 @@ mod tests {
         assert_eq!(seen, [64, 64]);
 
         // Admission accounting: per-tenant and per-shard views agree.
-        assert_eq!(pool.tenant_stats()[0], ShardStats { enqueued: 64, rejected: 0 });
-        assert_eq!(pool.tenant_stats()[1], ShardStats { enqueued: 64, rejected: 0 });
+        assert_eq!(admission(&pool.tenant_stats()[0]), (64, 0));
+        assert_eq!(admission(&pool.tenant_stats()[1]), (64, 0));
         let total_enqueued: u64 = pool.shard_stats().iter().map(|s| s.enqueued).sum();
         assert_eq!(total_enqueued, 128);
 
@@ -2248,45 +2210,41 @@ mod tests {
         let totals = pool.shutdown();
         assert_eq!(totals.len(), 4);
         for (shard, (stats, expected)) in totals.iter().zip(enqueued).enumerate() {
-            assert_eq!(stats.steered, expected, "shard {shard} consumed its ring");
             assert_eq!(stats.processed, expected, "shard {shard} processed its backlog");
         }
         assert_eq!(totals.iter().map(|s| s.processed).sum::<u64>(), 100);
     }
 
-    /// Live telemetry satellite: at every quiet point (after a flush
-    /// barrier), the barrier-free counter snapshot agrees exactly with the
-    /// dispatcher's stats and the accumulated flush deltas — and reading
-    /// it mid-run needs no barrier at all.
+    /// Live telemetry satellite: the counter cells are readable mid-run
+    /// without a barrier, and at every quiet point (after a flush barrier)
+    /// every cell balances — `enqueued = processed = forwarded +
+    /// local_delivered + dropped` — and the flush windows add up to it.
     #[test]
-    fn live_counters_agree_with_flush_totals() {
+    fn live_counters_balance_at_every_flush() {
         let config = PoolConfig { workers: 4, batch_size: 16, ..Default::default() };
         let mut pool = WorkerPool::new(config, forwarding_datapath);
         let counters = pool.counters();
-        let mut flushed = RunReport::default();
+        let mut flushed = ShardSnapshot::default();
         for round in 1..=3u64 {
             pool.enqueue_all((0..256).map(flow_packet));
             // A mid-traffic sample must be readable without a barrier and
             // never exceed what was enqueued.
             let live = counters.snapshot();
             assert!(live.processed() <= live.enqueued());
-            let report = pool.flush();
-            flushed.processed += report.run.processed;
-            flushed.forwarded += report.run.forwarded;
+            flushed.accumulate(&pool.flush().run);
 
             let quiet = counters.snapshot();
             assert_eq!(quiet.enqueued(), 256 * round);
-            assert_eq!(quiet.processed(), flushed.processed);
-            assert_eq!(quiet.forwarded(), flushed.forwarded);
+            assert_eq!(quiet.totals(), flushed, "the windows add up to the cells");
             assert_eq!(quiet.in_flight(), 0);
-            for (shard, sample) in quiet.shards.iter().enumerate() {
-                assert_eq!(sample.as_shard_stats(), pool.shard_stats()[shard], "shard {shard}");
+            for (shard, cell) in quiet.shards.iter().enumerate() {
+                assert_eq!(cell.enqueued, cell.processed, "shard {shard}");
+                assert_eq!(cell.processed, cell.forwarded + cell.local_delivered + cell.dropped);
             }
         }
         // Counters survive (and stay exact across) shutdown.
         let totals = pool.shutdown();
-        let after = counters.snapshot();
-        assert_eq!(after.processed(), totals.iter().map(|s| s.processed).sum::<u64>());
+        assert_eq!(counters.snapshot().shards, totals);
     }
 
     /// Recycling satellite: byte-slice ingestion reuses worker-returned
@@ -2326,8 +2284,10 @@ mod tests {
         // Verdicts are identical to per-packet processing of the same
         // packets in steering order.
         let packets: Vec<PacketBuf> = (0..128).map(flow_packet).collect();
-        pool.enqueue_bytes_all(0, frames.iter().copied());
-        assert_eq!(pool.flush().run, reference_report(2, &packets, forwarding_datapath));
+        let window = window_counts(&mut pool, |pool| {
+            pool.enqueue_bytes_all(0, frames.iter().copied());
+        });
+        assert_eq!(window, reference_counts(2, &packets, forwarding_datapath));
     }
 
     /// An `End.BPF` program that bumps this CPU's slot of the per-CPU

@@ -11,10 +11,16 @@
 //! [`PoolCounters`] reproduces that, with **tenancy** as the outer
 //! dimension: one [`TenantCounters`] block per registered tenant, each a
 //! row of [`ShardCounters`] cells (one per shard), each cell a set of
-//! relaxed atomics. The dispatcher adds its enqueue/reject accounting at
-//! publish time; each worker adds its processed/verdict/recycle deltas
-//! once per tenant run within a batch (batch-local sums, one `fetch_add`
-//! per counter per run — nothing per packet). The hot path never touches
+//! relaxed atomics. These cells are the pool's **only** accounting — every
+//! number [`WorkerPool`](crate::WorkerPool) reports (`flush().run`,
+//! `shard_stats()`, `tenant_stats()`, `rejected()`, `shutdown()`) is read
+//! back from them. Each field has one writer: the dispatcher adds
+//! `enqueued` / `rejected` / `rejected_over_budget` at publish time; the
+//! shard's worker adds `processed` / `forwarded` / `local_delivered` /
+//! `dropped` / `batches` / `cost` once per tenant run — the run's delta of
+//! the tenant datapath's own [`DatapathStats`], one `fetch_add` per
+//! counter per run, nothing per packet — and `recycled` once per poll. The
+//! hot path never touches
 //! a lock: the dispatcher and every worker hold direct `Arc`s to their
 //! tenants' cell blocks (handed over on the control channel when a tenant
 //! registers); only registration and [`PoolCounters::snapshot`] take the
@@ -24,14 +30,14 @@
 //! thread); a snapshot taken *while traffic is moving* may straddle a
 //! batch (e.g. `enqueued` already includes packets whose `processed`
 //! increment has not landed yet). At any quiet point — after a
-//! [`flush`](crate::WorkerPool::flush) barrier returns — a snapshot
-//! agrees exactly with the dispatcher's [`ShardStats`] and the sum of all
-//! flushed [`WorkerStats`] deltas, and the per-tenant rows sum exactly to
-//! the aggregated per-shard view (regression-tested in the pool and
-//! tenant-isolation tests).
+//! [`flush`](crate::WorkerPool::flush) barrier returns — every cell
+//! balances, per tenant and per shard: `enqueued = processed = forwarded +
+//! local_delivered + dropped` (regression-tested in the pool and
+//! tenant-isolation tests). The per-tenant rows sum to the aggregated
+//! per-shard view by construction.
 
 use crate::pool::TenantId;
-use crate::{ShardStats, WorkerStats};
+use seg6_core::DatapathStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -75,14 +81,16 @@ impl ShardCounters {
         }
     }
 
-    /// Worker-side accounting: one call per processed tenant run, with the
-    /// run's verdict deltas.
-    pub(crate) fn add_batch(&self, delta: &WorkerStats) {
-        self.processed.fetch_add(delta.processed, Ordering::Relaxed);
-        self.forwarded.fetch_add(delta.forwarded, Ordering::Relaxed);
-        self.local_delivered.fetch_add(delta.local_delivered, Ordering::Relaxed);
-        self.dropped.fetch_add(delta.dropped, Ordering::Relaxed);
-        self.batches.fetch_add(delta.batches, Ordering::Relaxed);
+    /// Worker-side accounting: one call per processed tenant run, with
+    /// the tenant datapath's counters before and after the run and the
+    /// run's priced cost.
+    pub(crate) fn add_run(&self, before: &DatapathStats, after: &DatapathStats, cost: u64) {
+        self.processed.fetch_add(after.received - before.received, Ordering::Relaxed);
+        self.forwarded.fetch_add(after.forwarded - before.forwarded, Ordering::Relaxed);
+        self.local_delivered.fetch_add(after.local_delivered - before.local_delivered, Ordering::Relaxed);
+        self.dropped.fetch_add(after.total_dropped() - before.total_dropped(), Ordering::Relaxed);
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.cost.fetch_add(cost, Ordering::Relaxed);
     }
 
     /// Worker-side accounting: how many of this tenant's buffers went to
@@ -101,15 +109,14 @@ impl ShardCounters {
         }
     }
 
-    /// Worker-side accounting: cost-model units charged for one tenant run.
-    pub(crate) fn add_cost(&self, cost: u64) {
-        if cost > 0 {
-            self.cost.fetch_add(cost, Ordering::Relaxed);
-        }
+    /// Relaxed read of the enqueued counter, by its only writer (the
+    /// dispatcher): what it has admitted into this shard's ring so far.
+    pub(crate) fn enqueued_relaxed(&self) -> u64 {
+        self.enqueued.load(Ordering::Relaxed)
     }
 
     /// Relaxed read of the processed counter — the dispatcher's ring
-    /// occupancy estimate subtracts this from its own admitted count.
+    /// occupancy estimate subtracts this from what it has admitted.
     pub(crate) fn processed_relaxed(&self) -> u64 {
         self.processed.load(Ordering::Relaxed)
     }
@@ -165,10 +172,21 @@ pub struct ShardSnapshot {
 }
 
 impl ShardSnapshot {
-    /// The dispatcher-side view of this sample, for comparison with
-    /// [`ShardStats`].
-    pub fn as_shard_stats(&self) -> ShardStats {
-        ShardStats { enqueued: self.enqueued, rejected: self.rejected }
+    /// What was counted between the `earlier` sample of the same cells and
+    /// this one — a flush window's counters.
+    pub fn since(&self, earlier: &ShardSnapshot) -> ShardSnapshot {
+        ShardSnapshot {
+            enqueued: self.enqueued - earlier.enqueued,
+            rejected: self.rejected - earlier.rejected,
+            processed: self.processed - earlier.processed,
+            forwarded: self.forwarded - earlier.forwarded,
+            local_delivered: self.local_delivered - earlier.local_delivered,
+            dropped: self.dropped - earlier.dropped,
+            batches: self.batches - earlier.batches,
+            recycled: self.recycled - earlier.recycled,
+            rejected_over_budget: self.rejected_over_budget - earlier.rejected_over_budget,
+            cost: self.cost - earlier.cost,
+        }
     }
 
     /// Adds another sample cell-by-cell (summing tenants into the global
@@ -232,9 +250,8 @@ impl TenantSnapshot {
 /// A consistent-at-quiescence sample of the whole pool: the per-tenant
 /// rows plus the aggregated per-shard view (each `shards[q]` is the sum of
 /// every tenant's cell on shard `q`, so the tenant rows always sum exactly
-/// to the global view — by construction at sample time, and exactly equal
-/// to the flush/`ShardStats` totals at quiet points). See the
-/// [module docs](self) for what "consistent" means while traffic moves.
+/// to the global view by construction). See the [module docs](self) for
+/// what "consistent" means while traffic moves.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PoolSnapshot {
     /// Per-tenant rows, indexed by tenant id.
@@ -450,15 +467,10 @@ mod tests {
         let row = counters.tenant(TenantId::DEFAULT);
         row.shard(0).add_ingress(10, 2);
         row.shard(1).add_ingress(5, 0);
-        let batch = WorkerStats {
-            steered: 10,
-            processed: 10,
-            forwarded: 8,
-            local_delivered: 1,
-            dropped: 1,
-            batches: 2,
-        };
-        row.shard(0).add_batch(&batch);
+        let mut after =
+            DatapathStats { received: 10, forwarded: 8, local_delivered: 1, ..Default::default() };
+        after.dropped[seg6_core::DropReason::NoRoute as usize] = 1;
+        row.shard(0).add_run(&DatapathStats::default(), &after, 12);
         row.shard(0).add_recycled(10);
         let snap = counters.snapshot();
         assert_eq!(snap.shards.len(), 2);
@@ -467,14 +479,20 @@ mod tests {
         assert_eq!(snap.shards[0].rejected, 2);
         assert_eq!(snap.shards[0].processed, 10);
         assert_eq!(snap.shards[0].forwarded, 8);
+        assert_eq!(snap.shards[0].local_delivered, 1);
+        assert_eq!(snap.shards[0].dropped, 1);
+        assert_eq!((snap.shards[0].batches, snap.shards[0].cost), (1, 12));
         assert_eq!(snap.shards[0].recycled, 10);
         assert_eq!(snap.shards[1].enqueued, 5);
         assert_eq!(snap.enqueued(), 15);
         assert_eq!(snap.rejected(), 2);
         assert_eq!(snap.processed(), 10);
         assert_eq!(snap.in_flight(), 5);
-        assert_eq!(snap.shards[0].as_shard_stats(), ShardStats { enqueued: 10, rejected: 2 });
         assert_eq!(snap.tenants[0].totals().enqueued, 15);
+        // A window is the difference of two samples of the same cells.
+        row.shard(0).add_ingress(4, 1);
+        let window = counters.snapshot().shards[0].since(&snap.shards[0]);
+        assert_eq!(window, ShardSnapshot { enqueued: 4, rejected: 1, ..Default::default() });
     }
 
     #[test]
@@ -501,8 +519,8 @@ mod tests {
     #[test]
     fn in_flight_saturates() {
         let counters = PoolCounters::new(1);
-        let batch = WorkerStats { processed: 3, ..Default::default() };
-        counters.tenant(TenantId::DEFAULT).shard(0).add_batch(&batch);
+        let after = DatapathStats { received: 3, ..Default::default() };
+        counters.tenant(TenantId::DEFAULT).shard(0).add_run(&DatapathStats::default(), &after, 3);
         // Processed can transiently exceed enqueued in a torn mid-traffic
         // sample; the backlog estimate must not wrap.
         assert_eq!(counters.snapshot().in_flight(), 0);

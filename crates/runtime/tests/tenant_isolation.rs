@@ -4,9 +4,11 @@
 //! 1. per-tenant FIBs and SID tables never cross-route — every output's
 //!    verdict matches the tenant whose handle enqueued it, for arbitrary
 //!    interleavings of the two tenants' traffic;
-//! 2. per-tenant admission counters and per-tenant live-counter rows sum
-//!    exactly to the global per-shard view ([`WorkerPool::shard_stats`])
-//!    and to the flush totals at quiet points.
+//! 2. there is one set of books: after every flush, the pool's reports
+//!    (`flush().run`, [`WorkerPool::shard_stats`],
+//!    [`WorkerPool::tenant_stats`], `rejected*()`) are sums over the live
+//!    counter cells, and every (tenant, shard) cell balances —
+//!    `enqueued = processed = forwarded + local_delivered + dropped`.
 //!
 //! Both tenants see the *same* packets; what distinguishes them is only
 //! their routing context: tenant A routes everything out of interfaces
@@ -20,13 +22,18 @@ use netpkt::PacketBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seg6_core::{Nexthop, Seg6Datapath, Seg6LocalAction, Verdict};
-use seg6_runtime::{Ingress, PoolConfig, ShardStats, TenantId, TenantQos, TenantSpec, WorkerPool};
+use seg6_runtime::{Ingress, PoolConfig, ShardSnapshot, TenantId, TenantQos, TenantSpec, WorkerPool};
 use std::net::Ipv6Addr;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 
 fn addr(s: &str) -> Ipv6Addr {
     s.parse().unwrap()
+}
+
+/// The admission counters of a cell: `(enqueued, rejected)`.
+fn admission(s: &ShardSnapshot) -> (u64, u64) {
+    (s.enqueued, s.rejected)
 }
 
 const SID: &str = "fc00::e1";
@@ -127,6 +134,7 @@ fn randomized_two_tenant_run_never_cross_routes() {
 
     let mut enqueued = [0u64; 2]; // per tenant
     let mut processed = [0u64; 2];
+    let mut flushed = ShardSnapshot::default();
     for round in 0..ROUNDS {
         // A random interleaving: each packet picks a tenant, a kind, and
         // a flow; singles and bursts mix so tenant runs of every length
@@ -145,6 +153,7 @@ fn randomized_two_tenant_run_never_cross_routes() {
             enqueued[tenant.index()] += 1;
         }
         let mut report = pool.flush();
+        flushed.accumulate(&report.run);
         for outputs in report.outputs.iter_mut() {
             for (tenant, skb, bv) in outputs.drain(..) {
                 // Recover the packet kind from the wire bytes (an SRH is
@@ -156,23 +165,28 @@ fn randomized_two_tenant_run_never_cross_routes() {
             }
         }
 
-        // Quiet point: every accounting plane agrees.
-        // 1. Dispatcher per-tenant admission sums to per-shard admission.
-        let tenant_total: u64 = pool.tenant_stats().iter().map(|s| s.enqueued).sum();
-        let shard_total: u64 = pool.shard_stats().iter().map(|s| s.enqueued).sum();
-        assert_eq!(tenant_total, shard_total, "round {round}");
-        assert_eq!(pool.tenant_stats()[0], ShardStats { enqueued: enqueued[0], rejected: 0 });
-        assert_eq!(pool.tenant_stats()[1], ShardStats { enqueued: enqueued[1], rejected: 0 });
-        // 2. Live counter rows: per-tenant × per-shard sums to the global
-        //    per-shard cells, and to the dispatcher's view.
+        // Quiet point: one set of books.
+        // 1. Everything the pool reports is a sum over the live cells.
         let snap = counters.snapshot();
+        assert_eq!(flushed, snap.totals(), "round {round}: the flush windows add up to the cells");
+        assert_eq!(pool.shard_stats(), snap.shards, "round {round}");
+        let tenant_totals: Vec<ShardSnapshot> = snap.tenants.iter().map(|t| t.totals()).collect();
+        assert_eq!(pool.tenant_stats(), tenant_totals, "round {round}");
+        assert_eq!(pool.rejected(), snap.rejected());
+        assert_eq!(pool.rejected_over_budget(), snap.rejected_over_budget());
+        assert_eq!(admission(&tenant_totals[0]), (enqueued[0], 0));
+        assert_eq!(admission(&tenant_totals[1]), (enqueued[1], 0));
+        // 2. The per-tenant rows sum to the per-shard view, and every cell
+        //    — hence every tenant and every shard — balances.
         for (shard, aggregate) in snap.shards.iter().enumerate() {
-            let mut summed = seg6_runtime::ShardSnapshot::default();
+            let mut summed = ShardSnapshot::default();
             for tenant_row in &snap.tenants {
-                summed.accumulate(&tenant_row.shards[shard]);
+                let cell = &tenant_row.shards[shard];
+                assert_eq!(cell.enqueued, cell.processed, "round {round} shard {shard}");
+                assert_eq!(cell.processed, cell.forwarded + cell.local_delivered + cell.dropped);
+                summed.accumulate(cell);
             }
             assert_eq!(&summed, aggregate, "round {round} shard {shard}");
-            assert_eq!(aggregate.as_shard_stats(), pool.shard_stats()[shard]);
         }
         // 3. Per-tenant processed counts match what came back out.
         assert_eq!(snap.tenants[0].totals().processed, processed[0]);
@@ -182,8 +196,8 @@ fn randomized_two_tenant_run_never_cross_routes() {
     assert_eq!(processed[0] + processed[1], (ROUNDS * PACKETS_PER_ROUND) as u64);
     assert!(processed.iter().all(|&n| n > 0), "both tenants saw traffic: {processed:?}");
 
-    // The totals survive shutdown: lifetime worker stats equal the sum of
-    // both tenants' rows.
+    // The totals survive shutdown: the shards' lifetime totals equal the
+    // sum of both tenants' rows.
     let totals = pool.shutdown();
     let lifetime: u64 = totals.iter().map(|s| s.processed).sum();
     assert_eq!(lifetime, processed[0] + processed[1]);
@@ -233,13 +247,11 @@ fn per_tenant_rejection_accounting_is_exact() {
     for flow in 0..2 {
         assert!(!pool.tenant(b).enqueue(plain_packet(flow + 150)));
     }
-    assert_eq!(pool.tenant_stats()[0], ShardStats { enqueued: 5, rejected: 3 });
-    assert_eq!(pool.tenant_stats()[1], ShardStats { enqueued: 4, rejected: 2 });
-    assert_eq!(pool.shard_stats()[0], ShardStats { enqueued: 9, rejected: 5 });
-    // The live rows agree, mid-run, without a barrier.
-    let snap = pool.counters().snapshot();
-    assert_eq!(snap.tenants[0].totals().as_shard_stats(), pool.tenant_stats()[0]);
-    assert_eq!(snap.tenants[1].totals().as_shard_stats(), pool.tenant_stats()[1]);
+    // Exact mid-run, without a barrier: admission is the dispatcher's own
+    // half of the cells.
+    assert_eq!(admission(&pool.tenant_stats()[0]), (5, 3));
+    assert_eq!(admission(&pool.tenant_stats()[1]), (4, 2));
+    assert_eq!(admission(&pool.shard_stats()[0]), (9, 5));
 
     drop(release_tx);
     let report = pool.flush();
@@ -297,11 +309,8 @@ fn qos_bounds_the_quiet_tenant_under_a_noisy_neighbor() {
     // packet, and every shed lands on the flooder's `rejected` row — the
     // budget counter is untouched (nobody here is cost-metered).
     assert_eq!(accepted, QUIET, "quota'd flooder cannot displace the quiet tenant");
-    assert_eq!(
-        pool.tenant_stats()[0],
-        ShardStats { enqueued: 1 + RING as u64 / 2, rejected: u64::from(FLOOD) - RING as u64 / 2 }
-    );
-    assert_eq!(pool.tenant_stats()[1], ShardStats { enqueued: QUIET as u64, rejected: 0 });
+    assert_eq!(admission(&pool.tenant_stats()[0]), (1 + RING as u64 / 2, u64::from(FLOOD) - RING as u64 / 2));
+    assert_eq!(admission(&pool.tenant_stats()[1]), (QUIET as u64, 0));
     assert_eq!(pool.rejected_over_budget(), 0);
 
     drop(release_tx);
@@ -341,7 +350,7 @@ fn default_knobs_let_the_flood_starve_the_quiet_tenant() {
     assert_eq!(pool.enqueue_all((0..512u32).map(plain_packet)), RING);
     let accepted = pool.tenant(quiet).enqueue_all((0..64u32).map(plain_packet));
     assert_eq!(accepted, 0, "an unquota'd flood owns the whole ring");
-    assert_eq!(pool.tenant_stats()[1], ShardStats { enqueued: 0, rejected: 64 });
+    assert_eq!(admission(&pool.tenant_stats()[1]), (0, 64));
 
     drop(release_tx);
     let report = pool.flush();
@@ -371,10 +380,10 @@ fn cost_budget_sheds_exactly_and_refills_on_the_shard_clock() {
     // The 20-token surcharge is debited at the next publish, emptying the
     // bucket — all 25 plain packets shed over budget, none as `rejected`.
     assert_eq!(pool.tenant(b).enqueue_all((0..25).map(plain_packet)), 0);
-    assert_eq!(pool.tenant_over_budget(b), 25);
+    assert_eq!(pool.tenant_stats()[b.index()].rejected_over_budget, 25);
     assert_eq!(pool.rejected_over_budget(), 25);
     assert_eq!(pool.rejected(), 0, "budget sheds are not backpressure");
-    assert_eq!(pool.tenant_stats()[1], ShardStats { enqueued: 10, rejected: 0 });
+    assert_eq!(admission(&pool.tenant_stats()[1]), (10, 0));
 
     // The unmetered default tenant is untouched by b's empty bucket.
     assert!(pool.enqueue(plain_packet(7)));
@@ -384,7 +393,7 @@ fn cost_budget_sheds_exactly_and_refills_on_the_shard_clock() {
     for flow in 0..25 {
         assert!(pool.tenant(b).enqueue_at(1_000_000_000, plain_packet(flow)));
     }
-    assert_eq!(pool.tenant_over_budget(b), 25, "no further sheds after the refill");
+    assert_eq!(pool.rejected_over_budget(), 25, "no further sheds after the refill");
     let report = pool.flush();
     assert_eq!(report.run.processed, 26);
 

@@ -229,7 +229,6 @@ impl Srv6Daemon {
             collect_outputs: true,
             pinning: cfg.daemon.pinning.clone(),
             pin_dispatcher: cfg.daemon.pin_dispatcher,
-            ..Default::default()
         };
         let template = build_datapath(first);
         let mut pool = WorkerPool::from_datapath(pool_config, &template);
@@ -300,7 +299,7 @@ impl Srv6Daemon {
                 // descriptor ring. Rejected frames (full ring, quota or
                 // budget sheds) are counted by the pool's per-tenant
                 // counters.
-                ingest_burst(&mut self.pool.tenant(tenant.id), now_ns, self.batch.frames());
+                self.pool.tenant(tenant.id).enqueue_bytes_all(now_ns, self.batch.frames());
                 tenant.io.rx_frames.fetch_add(got as u64, Ordering::Relaxed);
                 pass.rx_frames += got;
             }
@@ -312,11 +311,6 @@ impl Srv6Daemon {
                 emit_outputs(&mut self.tenants, report.outputs, |packet| pool.recycle(packet));
             pass.tx_frames += sent;
             pass.tx_drops += drops;
-            for tenant in &mut self.tenants {
-                for (_, tx) in &mut tenant.tx {
-                    let _ = tx.flush_tx();
-                }
-            }
         }
         pass
     }
@@ -425,11 +419,6 @@ impl Srv6Daemon {
         let mut drain = pool.drain();
         // The pool is quiesced — the final window's buffers just drop.
         emit_outputs(&mut tenants, std::mem::take(&mut drain.last_flush.outputs), |_packet| {});
-        for tenant in &mut tenants {
-            for (_, tx) in &mut tenant.tx {
-                let _ = tx.flush_tx();
-            }
-        }
         if let Some(stats) = stats {
             stats.stop();
         }
@@ -473,17 +462,6 @@ impl Srv6Daemon {
                 .collect(),
         );
     }
-}
-
-/// Feeds one RX burst into any ingress endpoint. The daemon is written
-/// against the pool's [`Ingress`] trait rather than a concrete handle, so
-/// the same path serves a tenant handle or a bare (default-tenant) pool.
-fn ingest_burst<'a>(
-    ingress: &mut impl Ingress,
-    now_ns: u64,
-    frames: impl IntoIterator<Item = &'a [u8]>,
-) -> usize {
-    ingress.enqueue_bytes_all(now_ns, frames)
 }
 
 /// Emits a flush window's `Forward` verdicts, batched: outputs are

@@ -4,7 +4,7 @@
 //! loopback UDP or the deterministic in-memory backend.
 
 use netpkt::packet::build_ipv6_udp_packet;
-use netpkt::sockio::{send_batch, FrameBatch, PacketRx, UdpRx, UdpTx};
+use netpkt::sockio::{FrameBatch, PacketRx, PacketTx, UdpRx, UdpTx};
 use srv6d::{Config, MemBackend, Srv6Daemon, UdpBackend};
 use std::net::Ipv6Addr;
 use std::time::{Duration, Instant};
@@ -69,9 +69,10 @@ fn loopback_end_to_end_counts_every_frame() {
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut received = 0;
         for burst in frames.chunks(64) {
-            let (a, b) = burst.split_at(burst.len() / 2);
-            assert_eq!(send_batch(q0, a.iter().map(Vec::as_slice)).unwrap(), a.len());
-            assert_eq!(send_batch(q1, b.iter().map(Vec::as_slice)).unwrap(), b.len());
+            let refs: Vec<&[u8]> = burst.iter().map(Vec::as_slice).collect();
+            let (a, b) = refs.split_at(refs.len() / 2);
+            assert_eq!(q0.send_frames(a).unwrap(), a.len());
+            assert_eq!(q1.send_frames(b).unwrap(), b.len());
             daemon.service();
             batch.clear();
             received += capture.fill(&mut batch).expect("capture fill");
@@ -245,9 +246,12 @@ fn drain_stops_intake_and_reports_final_counters() {
     assert_eq!(solo.tx_drops, 0);
     assert_eq!(report.drain.counters.in_flight(), 0, "nothing left in flight after the barrier");
     assert_eq!(mem.egress_backlog("solo", 1), N as usize);
-    // Worker lifetime totals agree with the per-tenant accounting.
-    let worker_sum: u64 = report.drain.worker_totals.iter().map(|w| w.processed).sum();
-    assert_eq!(worker_sum, N);
+    // The per-shard view of the same cells balances too.
+    for shard in &report.drain.counters.shards {
+        assert_eq!(shard.enqueued, shard.processed);
+        assert_eq!(shard.processed, shard.forwarded + shard.local_delivered + shard.dropped);
+    }
+    assert_eq!(report.drain.counters.processed(), N);
 }
 
 /// The stats socket serves Prometheus text and accepts control verbs.

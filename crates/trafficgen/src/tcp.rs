@@ -172,7 +172,7 @@ impl TcpBulkSender {
     /// Sets the number of duplicate ACKs that triggers a fast retransmit.
     ///
     /// Plain Reno uses 3. Fast retransmit is additionally gated by the
-    /// RACK-style time window of [`Self::reordering_window_ns`], so raising
+    /// RACK-style reordering window (a quarter of the minimum RTT), so raising
     /// this is rarely necessary.
     pub fn set_dupack_threshold(&mut self, threshold: u32) {
         self.dupack_threshold = threshold.max(1);

@@ -72,10 +72,12 @@ fn main() {
         dp.add_local_sid(netpkt::Ipv6Prefix::host(sid), Seg6LocalAction::EndBpf { prog });
         dp
     });
-    // The live counter block: per-shard relaxed-atomic mirrors, readable
+    // The live counter block: per-shard relaxed-atomic cells, readable
     // from any thread at any time — no flush barrier, no pause.
     let live = pool.counters();
     for round in 1..=ROUNDS {
+        // Quiet since the last flush: the round's window starts here.
+        let before = pool.shard_stats();
         // 10 000 packets over 500 flows: the Toeplitz RSS hash steers each
         // flow to a stable worker shard.
         for i in 0..PACKETS {
@@ -103,16 +105,18 @@ fn main() {
             snap.shards.iter().map(|s| s.processed).collect::<Vec<_>>()
         );
         let report = pool.flush();
+        let per_shard: Vec<u64> =
+            pool.shard_stats().iter().zip(&before).map(|(now, then)| now.since(then).processed).collect();
         println!(
             "  round {round}: processed {} ({} forwarded), per shard {:?}, backpressure drops {}",
             report.run.processed,
             report.run.forwarded,
-            report.run.per_worker,
+            per_shard,
             pool.rejected()
         );
     }
-    // At a quiet point the live counters agree exactly with the flushed
-    // totals.
+    // At a quiet point the live counters balance: everything enqueued
+    // has been processed.
     let snap = live.snapshot();
     assert_eq!(snap.processed(), u64::from(ROUNDS * PACKETS));
     assert_eq!(snap.in_flight(), 0);

@@ -30,16 +30,6 @@ fn addr(s: &str) -> Ipv6Addr {
     s.parse().unwrap()
 }
 
-/// Streams one chunk of frames into any [`Ingress`] endpoint — the replay
-/// front-end only needs the trait, not a concrete pool or tenant handle.
-fn stream_chunk<'a>(
-    ingress: &mut impl Ingress,
-    now_ns: u64,
-    frames: impl IntoIterator<Item = &'a [u8]>,
-) -> usize {
-    ingress.enqueue_bytes_all(now_ns, frames)
-}
-
 /// A datapath routing everything out of `oif` — the two tenants get
 /// different interfaces so the replay's per-tenant verdicts are
 /// distinguishable in the counters.
@@ -98,7 +88,7 @@ fn main() {
         // Even chunks replay as the default tenant, odd chunks as tenant
         // B — one capture serving two routing contexts.
         let tenant = if index.is_multiple_of(2) { TenantId::DEFAULT } else { tenant_b };
-        stream_chunk(&mut pool.tenant(tenant), now_ns, chunk.iter().map(Vec::as_slice))
+        pool.tenant(tenant).enqueue_bytes_all(now_ns, chunk.iter().map(Vec::as_slice))
     };
     let replay_start = Instant::now();
     let mut max_lag = std::time::Duration::ZERO;
@@ -143,7 +133,7 @@ fn main() {
         "flush: processed {} ({} forwarded), per shard {:?}, backpressure drops {}",
         report.run.processed,
         report.run.forwarded,
-        report.run.per_worker,
+        pool.shard_stats().iter().map(|s| s.processed).collect::<Vec<_>>(),
         pool.rejected()
     );
     assert_eq!(report.run.processed as usize + pool.rejected() as usize, FRAMES);
