@@ -7,7 +7,7 @@
 //! directly (the lab in §3.2 measures exactly this single-router, single
 //! core forwarding path).
 
-use crate::fib::{flow_hash, FibCache, LookupResult, Nexthop, RouterTables, TableId, MAIN_TABLE};
+use crate::fib::{EcmpKey, FibCache, LookupResult, Nexthop, RouterTables, TableId, MAIN_TABLE};
 use crate::lwt_bpf::{LwtBpfAttachment, LwtBpfTable, LwtHook};
 use crate::scratch::RunScratch;
 use crate::seg6local::{apply_action, run_bpf, ActionCtx, LocalSidTable, Seg6LocalAction};
@@ -429,14 +429,17 @@ impl Exec<'_> {
         now_ns: u64,
         routes: &mut RouteCache,
     ) -> BatchVerdict {
-        let fhash = flow_hash(header.src, header.dst, header.flow_label);
+        // The flow as it arrived: what ECMP selection hashes, if a lookup
+        // lands on a multipath route at all.
+        let flow = EcmpKey::of(header);
         // A seg6local action runs as the SID that matched; the LWT hooks
         // run as the router itself.
         let local_sid = match dispatch {
             Dispatch::Seg6Local { local_sid, .. } => local_sid.unwrap_or(header.dst),
             _ => self.local_addr,
         };
-        let actx = ActionCtx { local_sid, tables: self.tables, helpers: self.helpers, now_ns, cpu: self.cpu };
+        let actx =
+            ActionCtx { local_sid, tables: self.tables, helpers: self.helpers, now_ns, cpu: self.cpu, flow };
         let mut work = WorkSummary::default();
         let outcome = match dispatch {
             Dispatch::Seg6Local { action, .. } => {
@@ -473,26 +476,26 @@ impl Exec<'_> {
                 ActionOutcome::Forward { dst: header.dst, route_override: RouteOverride::default() }
             }
         };
-        BatchVerdict { verdict: self.resolve_outcome(outcome, skb, fhash, routes), work }
+        BatchVerdict { verdict: self.resolve_outcome(outcome, skb, &flow, routes), work }
     }
 
     /// A FIB lookup through the batch-scoped [`RouteCache`], against this
     /// shard's lock-free snapshot. Results that cannot depend on the flow
-    /// hash (single next hop, or no route) are remembered; ECMP results
-    /// always re-select.
+    /// (single next hop, or no route) are remembered and never hash it;
+    /// ECMP results always re-select.
     fn lookup_cached(
         &self,
         routes: &mut RouteCache,
         table: u32,
         dst: Ipv6Addr,
-        fhash: u64,
+        flow: &EcmpKey,
     ) -> Option<LookupResult> {
         if let Some((cached_table, cached_dst, result)) = &routes.entry {
             if *cached_table == table && *cached_dst == dst {
                 return *result;
             }
         }
-        let result = self.fib.lookup(table, dst, fhash);
+        let result = self.fib.lookup_with(table, dst, || flow.hash());
         if result.as_ref().is_none_or(|r| r.ecmp_width == 1) {
             routes.entry = Some((table, dst, result));
         }
@@ -505,7 +508,7 @@ impl Exec<'_> {
         &mut self,
         outcome: ActionOutcome,
         skb: &mut Skb,
-        fhash: u64,
+        flow: &EcmpKey,
         routes: &mut RouteCache,
     ) -> Verdict {
         let (dst, over) = match outcome {
@@ -529,7 +532,7 @@ impl Exec<'_> {
         // Next hop known but not the interface: find the interface by
         // looking the next hop itself up.
         if let Some(nexthop) = over.nexthop {
-            return match self.lookup_cached(routes, MAIN_TABLE, nexthop, fhash) {
+            return match self.lookup_cached(routes, MAIN_TABLE, nexthop, flow) {
                 Some(result) => Verdict::Forward { oif: result.nexthop.oif, neighbour: nexthop },
                 None => Verdict::Drop(DropReason::NoRoute),
             };
@@ -537,7 +540,7 @@ impl Exec<'_> {
         // Otherwise: ordinary lookup of the destination in the requested
         // table (End.T / End.DT6) or the main one.
         let table = over.table.unwrap_or(MAIN_TABLE);
-        match self.lookup_cached(routes, table, dst, fhash) {
+        match self.lookup_cached(routes, table, dst, flow) {
             Some(result) => {
                 Verdict::Forward { oif: result.nexthop.oif, neighbour: result.nexthop.neighbour(dst) }
             }

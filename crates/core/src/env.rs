@@ -8,7 +8,7 @@
 //! helpers (`bpf_ktime_get_ns`, `bpf_get_prandom_u32`, ...) work too, and
 //! the SRv6 helpers recover it by downcasting.
 
-use crate::fib::RouterTables;
+use crate::fib::{EcmpKey, FibCache, LookupResult, RouterTables, TableId};
 use crate::skb::RouteOverride;
 use ebpf_vm::vm::{EnvSnapshot, VmEnv};
 use std::any::Any;
@@ -34,21 +34,26 @@ pub struct EnvOutcome {
     pub seg6_action: Option<u32>,
 }
 
-/// The environment for one eBPF invocation on the SRv6 data plane.
+/// The environment eBPF programs run in on the SRv6 data plane. A hook
+/// keeps one per router and [`rearm`](Seg6Env::rearm)s it for every
+/// packet; what identifies the router (its tables and their snapshot)
+/// stays put.
+#[derive(Debug)]
 pub struct Seg6Env {
     /// Current time in nanoseconds (drives `bpf_ktime_get_ns`).
     pub now_ns: u64,
     /// Address of the local SID (or of the router, for LWT hooks); used as
     /// the source of encapsulated packets.
     pub local_addr: Ipv6Addr,
-    /// The router's FIB tables, shared with the datapath.
-    pub tables: Arc<RouterTables>,
+    /// The router's FIB tables, shared with the datapath. Private: `fib`
+    /// is a snapshot of exactly these.
+    tables: Arc<RouterTables>,
     /// Byte offset of the outermost SRH inside the packet, when there is
     /// one. The seg6 helpers refuse to run without it.
     pub srh_offset: Option<usize>,
-    /// Hash identifying the flow, used when a helper performs an ECMP FIB
-    /// lookup.
-    pub flow_hash: u64,
+    /// The flow the packet belongs to, hashed if a helper's FIB lookup
+    /// lands on a multipath route. [`EcmpKey::default`] until a hook sets it.
+    pub flow: EcmpKey,
     /// Logical CPU (worker shard) the program runs on: selects per-CPU map
     /// slots and the perf ring `BPF_F_CURRENT_CPU` targets.
     pub cpu: u32,
@@ -57,6 +62,14 @@ pub struct Seg6Env {
     /// Messages emitted through `bpf_trace_printk`.
     pub traces: Vec<String>,
     rng_state: u64,
+    /// This environment's lock-free snapshot of `tables`, refreshed when
+    /// routes change: helper lookups take no lock and clone no `Arc`.
+    fib: FibCache,
+}
+
+/// The `bpf_get_prandom_u32` state an invocation at `now_ns` starts from.
+fn rng_seed(now_ns: u64) -> u64 {
+    0x853c_49e6_748f_ea9b ^ now_ns.max(1)
 }
 
 impl Seg6Env {
@@ -68,12 +81,19 @@ impl Seg6Env {
             local_addr,
             tables,
             srh_offset: None,
-            flow_hash: 0,
+            flow: EcmpKey::default(),
             cpu: 0,
             out: EnvOutcome::default(),
             traces: Vec::new(),
-            rng_state: 0x853c_49e6_748f_ea9b ^ now_ns.max(1),
+            rng_state: rng_seed(now_ns),
+            fib: FibCache::new(),
         }
+    }
+
+    /// The router's FIB tables, for helpers that need more of them than
+    /// [`Seg6Env::lookup`].
+    pub fn tables(&self) -> &Arc<RouterTables> {
+        &self.tables
     }
 
     /// Sets the SRH offset (used by the seg6local hook before running the
@@ -83,16 +103,34 @@ impl Seg6Env {
         self
     }
 
-    /// Sets the flow hash used for ECMP decisions taken by helpers.
-    pub fn with_flow_hash(mut self, hash: u64) -> Self {
-        self.flow_hash = hash;
-        self
+    /// Makes the environment the next invocation's: everything a program
+    /// or helper can observe is what [`Seg6Env::new`] at `now_ns` would
+    /// hand it (no decisions, no traces, the same `bpf_get_prandom_u32`
+    /// sequence); the tables and their snapshot are kept.
+    pub fn rearm(
+        &mut self,
+        local_addr: Ipv6Addr,
+        now_ns: u64,
+        cpu: u32,
+        srh_offset: Option<usize>,
+        flow: EcmpKey,
+    ) {
+        self.now_ns = now_ns;
+        self.local_addr = local_addr;
+        self.srh_offset = srh_offset;
+        self.flow = flow;
+        self.cpu = cpu;
+        self.out = EnvOutcome::default();
+        self.traces.clear();
+        self.rng_state = rng_seed(now_ns);
     }
 
-    /// Sets the logical CPU (worker shard) the program runs on.
-    pub fn with_cpu(mut self, cpu: u32) -> Self {
-        self.cpu = cpu;
-        self
+    /// Looks `dst` up in `table` for a helper: against this environment's
+    /// own snapshot, hashing [`Seg6Env::flow`] only on a multipath route.
+    pub fn lookup(&mut self, table: TableId, dst: Ipv6Addr) -> Option<LookupResult> {
+        self.fib.refresh(&self.tables);
+        let flow = &self.flow;
+        self.fib.lookup_with(table, dst, || flow.hash())
     }
 }
 
@@ -166,9 +204,48 @@ mod tests {
 
     #[test]
     fn builder_methods_set_fields() {
-        let e = env().with_srh_offset(40).with_flow_hash(99);
+        let e = env().with_srh_offset(40);
         assert_eq!(e.srh_offset, Some(40));
-        assert_eq!(e.flow_hash, 99);
+        assert_eq!(e.flow, EcmpKey::default());
         assert!(!e.out.route_override.is_set());
+    }
+
+    /// The `owd_encap` sampling decision reads `bpf_get_prandom_u32`: a
+    /// re-armed environment must replay exactly what a fresh one yields.
+    #[test]
+    fn rearmed_env_is_indistinguishable_from_a_fresh_one() {
+        let tables = Arc::new(RouterTables::new());
+        let mut kept = Seg6Env::new("fc00::9".parse().unwrap(), Arc::clone(&tables), 5);
+        for now_ns in [0u64, 1, 1_000, 123_456_789, u64::MAX] {
+            // Leave residue behind, as a previous packet's program would.
+            kept.prandom_u32();
+            kept.trace("stale");
+            kept.out.srh_modified = true;
+            kept.out.seg6_action = Some(3);
+            let flow = EcmpKey { flow_label: 7, ..EcmpKey::default() };
+            kept.rearm("fc00::1".parse().unwrap(), now_ns, 2, Some(40), flow);
+            let mut fresh = Seg6Env::new("fc00::1".parse().unwrap(), Arc::clone(&tables), now_ns);
+            let draws = |e: &mut Seg6Env| (0..8).map(|_| e.prandom_u32()).collect::<Vec<u32>>();
+            assert_eq!(draws(&mut kept), draws(&mut fresh), "now_ns {now_ns}");
+            assert_eq!((kept.now_ns, kept.local_addr), (fresh.now_ns, fresh.local_addr));
+            assert_eq!((kept.cpu, kept.srh_offset, kept.flow), (2, Some(40), flow));
+            assert!(kept.traces.is_empty());
+            assert!(!kept.out.srh_modified && kept.out.seg6_action.is_none());
+            assert!(!kept.out.route_override.is_set());
+        }
+    }
+
+    #[test]
+    fn helper_lookups_follow_route_changes_and_hash_only_multipath() {
+        use crate::fib::{Nexthop, MAIN_TABLE};
+        let tables = Arc::new(RouterTables::new());
+        let mut e = Seg6Env::new("fc00::1".parse().unwrap(), Arc::clone(&tables), 0);
+        assert!(e.lookup(MAIN_TABLE, "fc00::2".parse().unwrap()).is_none());
+        tables.insert_main("fc00::/16".parse().unwrap(), vec![Nexthop::direct(1), Nexthop::direct(2)]);
+        for label in 0..32 {
+            e.flow = EcmpKey { flow_label: label, ..EcmpKey::default() };
+            let dst = "fc00::2".parse().unwrap();
+            assert_eq!(e.lookup(MAIN_TABLE, dst), tables.lookup_main(dst, e.flow.hash()));
+        }
     }
 }

@@ -245,14 +245,21 @@ impl Fib {
     /// returned hit borrows from the table — the per-packet path performs
     /// no clone and no allocation.
     pub fn lookup(&self, dst: Ipv6Addr, flow_hash: u64) -> Option<LookupHit<'_>> {
+        self.lookup_with(dst, || flow_hash)
+    }
+
+    /// [`Fib::lookup`] with the flow hash computed on demand: `flow_hash`
+    /// is called only when the matched route has more than one next hop,
+    /// which is the only case that reads it.
+    pub fn lookup_with(&self, dst: Ipv6Addr, flow_hash: impl FnOnce() -> u64) -> Option<LookupHit<'_>> {
         let node = self.best_match(dst)?;
         // Single-path routes (the overwhelmingly common case) skip the
-        // weighted selection entirely.
+        // hash and the weighted selection entirely.
         let chosen = if node.nexthops.len() == 1 {
             &node.nexthops[0]
         } else {
             let total_weight: u64 = node.nexthops.iter().map(|n| u64::from(n.weight)).sum();
-            let mut slot = flow_hash % total_weight.max(1);
+            let mut slot = flow_hash() % total_weight.max(1);
             let mut chosen = &node.nexthops[0];
             for nexthop in &node.nexthops {
                 if slot < u64::from(nexthop.weight) {
@@ -346,29 +353,58 @@ fn collect_rec(slot: &Option<Box<TrieNode>>, out: &mut Vec<Route>) {
     collect_rec(&node.children[1], out);
 }
 
-/// Computes the flow hash used for ECMP next-hop selection, following the
+/// What identifies a flow for ECMP next-hop selection, following the
 /// 5-tuple-agnostic approach of RFC 6438: source, destination and flow
-/// label. A stable hash keeps a flow on a single path (avoiding the
-/// reordering the paper's §4.2 works around), while Paris-traceroute-style
-/// probing can vary the flow label to explore all paths.
-pub fn flow_hash(src: Ipv6Addr, dst: Ipv6Addr, flow_label: u32) -> u64 {
-    // FNV-1a over the concatenated fields: cheap, deterministic, good enough
-    // dispersion for path selection.
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    };
-    for byte in src.octets() {
-        mix(byte);
+/// label. The datapath carries the key (three copies out of the header it
+/// has already parsed) and a lookup hashes it only when it lands on a
+/// multipath route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EcmpKey {
+    /// Source address.
+    pub src: Ipv6Addr,
+    /// Destination address.
+    pub dst: Ipv6Addr,
+    /// The 20-bit flow label.
+    pub flow_label: u32,
+}
+
+impl Default for EcmpKey {
+    /// The all-zero key: what an environment built outside the datapath
+    /// hashes until a flow is set.
+    fn default() -> Self {
+        EcmpKey { src: Ipv6Addr::UNSPECIFIED, dst: Ipv6Addr::UNSPECIFIED, flow_label: 0 }
     }
-    for byte in dst.octets() {
-        mix(byte);
+}
+
+impl EcmpKey {
+    /// The key of the flow `header` belongs to.
+    pub fn of(header: &netpkt::Ipv6Header) -> Self {
+        EcmpKey { src: header.src, dst: header.dst, flow_label: header.flow_label }
     }
-    for byte in flow_label.to_be_bytes() {
-        mix(byte);
+
+    /// The hash selecting among equal-cost next hops. A stable hash keeps
+    /// a flow on a single path (avoiding the reordering the paper's §4.2
+    /// works around), while Paris-traceroute-style probing can vary the
+    /// flow label to explore all paths.
+    pub fn hash(&self) -> u64 {
+        // FNV-1a over the concatenated fields: cheap, deterministic, good
+        // enough dispersion for path selection.
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |byte: u8| {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x1000_0000_01b3);
+        };
+        for byte in self.src.octets() {
+            mix(byte);
+        }
+        for byte in self.dst.octets() {
+            mix(byte);
+        }
+        for byte in self.flow_label.to_be_bytes() {
+            mix(byte);
+        }
+        hash
     }
-    hash
 }
 
 // ---------------------------------------------------------------------------
@@ -585,7 +621,18 @@ impl FibCache {
 
     /// Longest-prefix-match lookup in the cached snapshot of `table`.
     pub fn lookup(&self, table: TableId, dst: Ipv6Addr, flow_hash: u64) -> Option<LookupResult> {
-        self.table(table)?.lookup(dst, flow_hash).map(LookupHit::to_result)
+        self.lookup_with(table, dst, || flow_hash)
+    }
+
+    /// [`FibCache::lookup`] with the flow hash computed on demand — only
+    /// a multipath route calls `flow_hash` (see [`Fib::lookup_with`]).
+    pub fn lookup_with(
+        &self,
+        table: TableId,
+        dst: Ipv6Addr,
+        flow_hash: impl FnOnce() -> u64,
+    ) -> Option<LookupResult> {
+        self.table(table)?.lookup_with(dst, flow_hash).map(LookupHit::to_result)
     }
 }
 
@@ -708,11 +755,37 @@ mod tests {
 
     #[test]
     fn flow_hash_is_stable_and_label_sensitive() {
-        let a = flow_hash(addr("2001::1"), addr("2001::2"), 5);
-        let b = flow_hash(addr("2001::1"), addr("2001::2"), 5);
-        let c = flow_hash(addr("2001::1"), addr("2001::2"), 6);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
+        let key = EcmpKey { src: addr("2001::1"), dst: addr("2001::2"), flow_label: 5 };
+        assert_eq!(key.hash(), key.hash());
+        assert_ne!(key.hash(), EcmpKey { flow_label: 6, ..key }.hash());
+        // The FNV-1a chain over src ‖ dst ‖ label, pinned: ECMP placement
+        // must not move under a refactor.
+        assert_eq!(EcmpKey::default().hash(), {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for _ in 0..36 {
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+            h
+        });
+    }
+
+    #[test]
+    fn lazy_lookup_hashes_only_on_multipath_routes() {
+        let mut fib = Fib::new();
+        fib.insert(prefix("fc00::/16"), vec![Nexthop::direct(1)]);
+        fib.insert(prefix("fd00::/16"), vec![Nexthop::direct(2), Nexthop::direct(3)]);
+        let hit = fib.lookup_with(addr("fc00::1"), || panic!("single-path route asked for a hash"));
+        assert_eq!(hit.unwrap().nexthop.oif, 1);
+        assert!(fib.lookup_with(addr("2001::1"), || panic!("a miss asked for a hash")).is_none());
+        for hash in 0..8u64 {
+            let mut asked = 0;
+            let lazy = fib.lookup_with(addr("fd00::1"), || {
+                asked += 1;
+                hash
+            });
+            assert_eq!(lazy, fib.lookup(addr("fd00::1"), hash));
+            assert_eq!(asked, 1);
+        }
     }
 
     #[test]

@@ -233,12 +233,10 @@ pub fn helper_seg6_action(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
     let action = args[1] as u32;
     let param_len = args[3] as usize;
 
-    // Snapshot what we need from the environment up front to keep borrows
-    // short; decisions are written back at the end.
-    let (local_addr, tables, flow_hash) = match env_of(api) {
-        Some(env) => (env.local_addr, env.tables.clone(), env.flow_hash),
-        None => return -1,
-    };
+    // Decisions are written back to the environment at the end; FIB
+    // lookups go through its own snapshot of the tables.
+    let Some(local_addr) = env_of(api).map(|env| env.local_addr) else { return -1 };
+    let lookup = |api: &mut HelperApi<'_, '_>, table, dst| env_of(api).and_then(|env| env.lookup(table, dst));
 
     let mut decapped = false;
     let mut pushed = false;
@@ -267,7 +265,7 @@ pub fn helper_seg6_action(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
                     decapped = true;
                 }
                 let dst = srv6_ops::outer_dst(api.packet()).map_err(|_| ())?;
-                let result = tables.lookup(table, dst, flow_hash).ok_or(())?;
+                let result = lookup(api, table, dst).ok_or(())?;
                 over.table = Some(table);
                 over.nexthop = Some(result.nexthop.neighbour(dst));
                 over.oif = Some(result.nexthop.oif);
@@ -277,7 +275,7 @@ pub fn helper_seg6_action(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
                 let param = read_param(api, args[2], param_len, &mut pbuf).ok_or(())?;
                 let dst = srv6_ops::insert_srh_inline(api.packet_mut(), &param).map_err(|_| ())?;
                 pushed = true;
-                if let Some(result) = tables.lookup(MAIN_TABLE, dst, flow_hash) {
+                if let Some(result) = lookup(api, MAIN_TABLE, dst) {
                     over.nexthop = Some(result.nexthop.neighbour(dst));
                     over.oif = Some(result.nexthop.oif);
                 }
@@ -287,7 +285,7 @@ pub fn helper_seg6_action(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
                 let param = read_param(api, args[2], param_len, &mut pbuf).ok_or(())?;
                 let dst = srv6_ops::push_srh_encap(api.packet_mut(), &param, local_addr).map_err(|_| ())?;
                 pushed = true;
-                if let Some(result) = tables.lookup(MAIN_TABLE, dst, flow_hash) {
+                if let Some(result) = lookup(api, MAIN_TABLE, dst) {
                     over.nexthop = Some(result.nexthop.neighbour(dst));
                     over.oif = Some(result.nexthop.oif);
                 }

@@ -86,7 +86,8 @@ pub use datapath::{BatchVerdict, DatapathStats, Seg6Datapath, WorkSummary};
 pub use env::{EnvOutcome, Seg6Env};
 pub use error::{Error, Result};
 pub use fib::{
-    Fib, FibCache, LookupHit, LookupResult, Nexthop, Route, RouterTables, TableId, MAIN_TABLE, VRF_TABLE_BASE,
+    EcmpKey, Fib, FibCache, LookupHit, LookupResult, Nexthop, Route, RouterTables, TableId, MAIN_TABLE,
+    VRF_TABLE_BASE,
 };
 pub use helpers::{action_codes, encap_modes, seg6_helper_registry};
 pub use lwt_bpf::{LwtBpfAttachment, LwtBpfTable, LwtHook};

@@ -69,7 +69,14 @@ mod tests {
 
     fn run_xmit(prog: &LoadedProgram, skb: &mut Skb, helpers: &HelperRegistry) -> ActionOutcome {
         let tables = Arc::new(RouterTables::new());
-        let actx = ActionCtx { local_sid: addr("fc00::99"), tables: &tables, helpers, now_ns: 0, cpu: 0 };
+        let actx = ActionCtx {
+            local_sid: addr("fc00::99"),
+            tables: &tables,
+            helpers,
+            now_ns: 0,
+            cpu: 0,
+            flow: Default::default(),
+        };
         run_bpf(prog, false, skb, &actx, &mut RunScratch::new())
     }
 

@@ -2,11 +2,13 @@
 //!
 //! Everything a packet's journey through the datapath used to allocate —
 //! the VM register/stack state, the program context buffer, the working
-//! copy of the packet bytes — lives here once per datapath instance (one
-//! per worker shard) and is reused for every packet. After the first
-//! packet warms the buffers up, the steady-state hot path performs no heap
-//! allocation; the `alloc-counter` test feature proves it.
+//! copy of the packet bytes, the helper environment — lives here once per
+//! datapath instance (one per worker shard) and is reused for every
+//! packet. After the first packet warms the buffers up, the steady-state
+//! hot path performs no heap allocation; the `alloc-counter` test feature
+//! proves it.
 
+use crate::env::Seg6Env;
 use ebpf_vm::vm::RunState;
 
 /// Scratch buffers reused across packets by one datapath instance.
@@ -19,13 +21,16 @@ pub struct RunScratch {
     pub ctx: Vec<u8>,
     /// Working copy of the packet bytes for actions that resize it.
     pub pkt: Vec<u8>,
+    /// The helper environment of the router this scratch serves, built by
+    /// the first program run and re-armed for every one after it.
+    pub env: Option<Seg6Env>,
 }
 
 impl RunScratch {
     /// Fresh scratch state; buffers grow to their steady-state sizes on
     /// first use and stay there.
     pub fn new() -> Self {
-        RunScratch { state: RunState::new(0), ctx: Vec::new(), pkt: Vec::new() }
+        RunScratch { state: RunState::new(0), ctx: Vec::new(), pkt: Vec::new(), env: None }
     }
 }
 

@@ -13,17 +13,16 @@
 
 use crate::ctx;
 use crate::env::Seg6Env;
-use crate::fib::{flow_hash, RouterTables, TableId};
+use crate::fib::{EcmpKey, RouterTables, TableId};
 use crate::scratch::RunScratch;
 use crate::skb::{edit_packet, RouteOverride, Skb};
-use crate::srv6_ops;
+use crate::srv6_ops::{self, SRH_OFFSET};
 use crate::table::PrefixTable;
 use crate::verdict::{ActionOutcome, DropReason};
 use ebpf_vm::helpers::HelperRegistry;
 use ebpf_vm::program::{retcode, LoadedProgram};
 use ebpf_vm::vm::RunContext;
 use netpkt::srh::SegmentRoutingHeader;
-use netpkt::Ipv6Header;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
@@ -56,15 +55,18 @@ pub enum Seg6LocalAction {
         /// Routing table id.
         table: TableId,
     },
-    /// `End.B6`: insert a new SRH on top of the existing one.
+    /// `End.B6`: insert a new SRH on top of the existing one; build it
+    /// with [`Seg6LocalAction::end_b6`].
     EndB6 {
-        /// The SRH to insert (segments in wire order).
-        srh: SegmentRoutingHeader,
+        /// The SRH to insert, in wire format — serialised once, when the
+        /// behaviour is bound, as the kernel keeps it.
+        srh: Vec<u8>,
     },
-    /// `End.B6.Encaps`: encapsulate in an outer IPv6 header with a new SRH.
+    /// `End.B6.Encaps`: encapsulate in an outer IPv6 header with a new
+    /// SRH; build it with [`Seg6LocalAction::end_b6_encaps`].
     EndB6Encaps {
-        /// The SRH of the outer encapsulation.
-        srh: SegmentRoutingHeader,
+        /// The SRH of the outer encapsulation, in wire format.
+        srh: Vec<u8>,
     },
     /// `End.BPF`: advance to the next segment, then run the attached eBPF
     /// program (the paper's new action). The execution tier comes from the
@@ -87,6 +89,16 @@ impl Seg6LocalAction {
     /// destination up in `table` (numeric or VRF-registered).
     pub fn end_dt6(table: TableId) -> Self {
         Seg6LocalAction::EndDT6 { table }
+    }
+
+    /// An `End.B6` behaviour inserting `srh` (segments in wire order).
+    pub fn end_b6(srh: &SegmentRoutingHeader) -> Self {
+        Seg6LocalAction::EndB6 { srh: srh.to_bytes() }
+    }
+
+    /// An `End.B6.Encaps` behaviour encapsulating with `srh`.
+    pub fn end_b6_encaps(srh: &SegmentRoutingHeader) -> Self {
+        Seg6LocalAction::EndB6Encaps { srh: srh.to_bytes() }
     }
 
     /// Short name, as `ip -6 route` would print it.
@@ -122,6 +134,9 @@ pub struct ActionCtx<'a> {
     /// Logical CPU (worker shard) executing the action; End.BPF programs
     /// see it as their processor id and per-CPU map slot.
     pub cpu: u32,
+    /// The packet's flow, from the header the datapath parsed on arrival;
+    /// a program's helpers hash it if their FIB lookups need to.
+    pub flow: EcmpKey,
 }
 
 /// Applies a seg6local action to `skb`. `scratch` supplies the reusable VM
@@ -159,17 +174,22 @@ pub fn apply_action(
             },
             Err(_) => ActionOutcome::Drop(DropReason::DecapFailed),
         },
-        Seg6LocalAction::EndB6 { srh } | Seg6LocalAction::EndB6Encaps { srh } => {
-            let encaps = matches!(action, Seg6LocalAction::EndB6Encaps { .. });
-            match edit_packet(skb, &mut scratch.pkt, |_, pkt| match encaps {
-                true => srv6_ops::push_srh_encap(pkt, &srh.to_bytes(), actx.local_sid),
-                false => srv6_ops::insert_srh_inline(pkt, &srh.to_bytes()),
-            }) {
-                Ok(dst) => ActionOutcome::Forward { dst, route_override: RouteOverride::default() },
-                Err(_) => ActionOutcome::Drop(DropReason::Malformed),
-            }
+        Seg6LocalAction::EndB6 { srh } => {
+            forward_to(edit_packet(skb, &mut scratch.pkt, |_, pkt| srv6_ops::insert_srh_inline(pkt, srh)))
+        }
+        Seg6LocalAction::EndB6Encaps { srh } => {
+            forward_to(srv6_ops::push_srh_encap_buf(&mut skb.packet, srh, actx.local_sid))
         }
         Seg6LocalAction::EndBpf { prog } => run_bpf(prog, true, skb, actx, scratch),
+    }
+}
+
+/// The outcome of `End.B6` / `End.B6.Encaps`: forward towards the pushed
+/// SRH's first segment, or drop a packet that could not take it.
+fn forward_to(pushed: srv6_ops::OpResult<Ipv6Addr>) -> ActionOutcome {
+    match pushed {
+        Ok(dst) => ActionOutcome::Forward { dst, route_override: RouteOverride::default() },
+        Err(_) => ActionOutcome::Drop(DropReason::Malformed),
     }
 }
 
@@ -201,8 +221,9 @@ fn decap_in_place(skb: &mut Skb) -> Result<Ipv6Addr, &'static str> {
 ///
 /// Helpers may resize the packet, so the program runs against the
 /// reusable scratch copy, committed back into the skb unless the packet is
-/// dropped before the return code is read; no allocation once the scratch
-/// buffers are warm.
+/// dropped before the return code is read. The environment is the
+/// scratch's too, re-armed per packet with what the caller and the SRH
+/// advance already know; no allocation once the scratch is warm.
 pub fn run_bpf(
     prog: &LoadedProgram,
     end_bpf: bool,
@@ -210,19 +231,25 @@ pub fn run_bpf(
     actx: &ActionCtx<'_>,
     scratch: &mut RunScratch,
 ) -> ActionOutcome {
-    let RunScratch { state, ctx: ctx_bytes, pkt } = scratch;
+    let RunScratch { state, ctx: ctx_bytes, pkt, env } = scratch;
+    let env = match env {
+        Some(env) if Arc::ptr_eq(env.tables(), actx.tables) => env,
+        _ => env.insert(Seg6Env::new(actx.local_sid, Arc::clone(actx.tables), actx.now_ns)),
+    };
     let ran = edit_packet(skb, pkt, |skb, packet| {
-        if end_bpf {
-            srv6_ops::advance_srh(packet)?;
-        }
-        let header = Ipv6Header::parse(packet).map_err(|_| DropReason::Malformed)?;
-        let mut env = Seg6Env::new(actx.local_sid, Arc::clone(actx.tables), actx.now_ns)
-            .with_flow_hash(flow_hash(header.src, header.dst, header.flow_label))
-            .with_cpu(actx.cpu);
-        env.srh_offset = srv6_ops::find_srh(packet).map(|(off, _)| off);
+        // Helpers look routes up for the flow as the program sees it:
+        // End.BPF's advance has already moved the destination on.
+        let mut flow = actx.flow;
+        let srh_offset = if end_bpf {
+            flow.dst = srv6_ops::advance_srh(packet)?;
+            Some(SRH_OFFSET)
+        } else {
+            srv6_ops::find_srh(packet).map(|(off, _)| off)
+        };
+        env.rearm(actx.local_sid, actx.now_ns, actx.cpu, srh_offset, flow);
         ctx::build_context_into(skb, ctx_bytes);
         let code = {
-            let mut rc = RunContext { ctx: ctx_bytes.as_mut_slice(), packet, env: &mut env };
+            let mut rc = RunContext { ctx: ctx_bytes.as_mut_slice(), packet, env: &mut *env };
             ebpf_vm::vm::run_program_with_state(prog, actx.helpers, &mut rc, prog.exec_tier(), state)
                 .map_err(|_| DropReason::BpfError)?
         };
@@ -282,7 +309,8 @@ mod tests {
     }
 
     fn actx<'a>(tables: &'a Arc<RouterTables>, helpers: &'a HelperRegistry) -> ActionCtx<'a> {
-        ActionCtx { local_sid: addr("fc00::11"), tables, helpers, now_ns: 1_000, cpu: 0 }
+        let flow = EcmpKey::default();
+        ActionCtx { local_sid: addr("fc00::11"), tables, helpers, now_ns: 1_000, cpu: 0, flow }
     }
 
     fn load_seg6_prog(source: &str, helpers: &HelperRegistry) -> Arc<LoadedProgram> {
@@ -411,7 +439,7 @@ mod tests {
         let before = skb.len();
         let srh = SegmentRoutingHeader::from_path(proto::IPV6, &[addr("fd00::1"), addr("fd00::2")]);
         let outcome = apply_action(
-            &Seg6LocalAction::EndB6Encaps { srh: srh.clone() },
+            &Seg6LocalAction::end_b6_encaps(&srh),
             &mut skb,
             &actx(&tables, &helpers),
             &mut RunScratch::new(),

@@ -3,11 +3,15 @@
 //!
 //! All functions operate on the raw packet bytes (a `Vec<u8>` starting at
 //! the outermost IPv6 header) so that both the static datapath and the
-//! helper functions running under the VM use exactly the same code.
+//! helper functions running under the VM use exactly the same code. The
+//! one exception is [`push_srh_encap_buf`]: a static encapsulation is not
+//! bound to the VM's `Vec`, so it prepends into the packet buffer's
+//! headroom instead of moving the payload.
 
 use crate::verdict::DropReason;
 use netpkt::ipv6::{proto, Ipv6Header, IPV6_HEADER_LEN};
-use netpkt::srh::SegmentRoutingHeader;
+use netpkt::srh::{SegmentRoutingHeader, SrhView};
+use netpkt::PacketBuf;
 use std::net::Ipv6Addr;
 
 /// Default hop limit of headers pushed by encapsulation.
@@ -22,6 +26,10 @@ const NEXT_HEADER_OFFSET: usize = 6;
 /// Offset of the segments-left field within an SRH.
 const SRH_SEGMENTS_LEFT_OFFSET: usize = 3;
 
+/// Offset of the outermost SRH in a packet that has one: this data plane
+/// only looks for it directly behind the fixed IPv6 header.
+pub const SRH_OFFSET: usize = IPV6_HEADER_LEN;
+
 /// Result alias with static reasons, convenient for drop accounting.
 pub type OpResult<T> = std::result::Result<T, &'static str>;
 
@@ -33,7 +41,7 @@ pub fn find_srh(packet: &[u8]) -> Option<(usize, usize)> {
     if packet[NEXT_HEADER_OFFSET] != proto::ROUTING {
         return None;
     }
-    let off = IPV6_HEADER_LEN;
+    let off = SRH_OFFSET;
     if packet.len() < off + 8 {
         return None;
     }
@@ -150,45 +158,81 @@ pub fn decap_outer(packet: &mut Vec<u8>) -> OpResult<Ipv6Addr> {
     outer_dst(packet)
 }
 
-/// Pushes an outer IPv6 header and the given SRH in front of the packet
-/// (SRv6 "encap" mode). The outer source is `src`, the outer destination is
-/// the SRH's current segment. Returns the new outer destination.
-pub fn push_srh_encap(packet: &mut Vec<u8>, srh_bytes: &[u8], src: Ipv6Addr) -> OpResult<Ipv6Addr> {
-    let srh = SegmentRoutingHeader::parse(srh_bytes).map_err(|_| "invalid SRH for encapsulation")?;
-    if srh.next_header != proto::IPV6 {
+/// Lengthens `packet` by `by` zero bytes. A buffer too small grows to
+/// exactly the new length, not amortised: callers keep these buffers (a
+/// recycled working copy, a list of built frames), packet sizes are
+/// bounded, and doubling a 1.4 kB packet's allocation is memory held for
+/// nothing.
+fn grow(packet: &mut Vec<u8>, by: usize) {
+    packet.reserve_exact(by);
+    packet.resize(packet.len() + by, 0);
+}
+
+/// What an encapsulation prepends to an `inner_len`-byte packet: the outer
+/// IPv6 header (source `src`, destination the SRH's current segment), the
+/// SRH's bytes, and that destination. Borrows from `srh_bytes`; fails —
+/// before the caller has touched the packet — on an invalid SRH, one not
+/// chaining to IPv6, or a payload the 16-bit length field cannot express.
+fn encap_headers(
+    srh_bytes: &[u8],
+    src: Ipv6Addr,
+    inner_len: usize,
+) -> OpResult<(Ipv6Header, &[u8], Ipv6Addr)> {
+    let srh = SrhView::parse(srh_bytes).map_err(|_| "invalid SRH for encapsulation")?;
+    if srh.next_header() != proto::IPV6 {
         return Err("encap SRH must carry IPv6 as next header");
     }
-    let dst = srh.current_segment().ok_or("SRH has no current segment")?;
-    let srh_len = 8 + usize::from(srh.hdr_ext_len()) * 8;
-    let outer = Ipv6Header::new(src, dst, proto::ROUTING, (srh_len + packet.len()) as u16, ENCAP_HOP_LIMIT);
-    let mut new_packet = Vec::with_capacity(IPV6_HEADER_LEN + srh_len + packet.len());
-    new_packet.extend_from_slice(&outer.to_bytes());
-    new_packet.extend_from_slice(&srh_bytes[..srh_len]);
-    new_packet.extend_from_slice(packet);
-    *packet = new_packet;
+    let dst = srh.current_segment();
+    let payload_len = u16::try_from(srh.wire_len() + inner_len).map_err(|_| "payload length out of range")?;
+    Ok((Ipv6Header::new(src, dst, proto::ROUTING, payload_len, ENCAP_HOP_LIMIT), srh.as_bytes(), dst))
+}
+
+/// Pushes an outer IPv6 header and the given SRH in front of the packet
+/// (SRv6 "encap" mode). The outer source is `src`, the outer destination is
+/// the SRH's current segment. Returns the new outer destination. The
+/// packet grows and shifts in place — no allocation once its `Vec` has the
+/// capacity — and is left untouched on `Err`.
+pub fn push_srh_encap(packet: &mut Vec<u8>, srh_bytes: &[u8], src: Ipv6Addr) -> OpResult<Ipv6Addr> {
+    let inner_len = packet.len();
+    let (outer, srh, dst) = encap_headers(srh_bytes, src, inner_len)?;
+    let pushed = IPV6_HEADER_LEN + srh.len();
+    grow(packet, pushed);
+    packet.copy_within(..inner_len, pushed);
+    outer.write_to(packet);
+    packet[IPV6_HEADER_LEN..pushed].copy_from_slice(srh);
+    Ok(dst)
+}
+
+/// [`push_srh_encap`] for the static behaviours (`seg6` encap transit,
+/// `End.B6.Encaps`), which own the packet buffer: the two headers go into
+/// its headroom, `skb_push`-style, and the payload does not move.
+pub fn push_srh_encap_buf(packet: &mut PacketBuf, srh_bytes: &[u8], src: Ipv6Addr) -> OpResult<Ipv6Addr> {
+    let (outer, srh, dst) = encap_headers(srh_bytes, src, packet.len())?;
+    packet.push_header(srh);
+    packet.push_header(&outer.to_bytes());
     Ok(dst)
 }
 
 /// Inserts the given SRH between the existing IPv6 header and its payload
 /// (SRv6 "inline" mode). The SRH's last segment should be the original
 /// destination; the outer destination is rewritten to the SRH's current
-/// segment. Returns the new destination.
+/// segment and the inserted SRH chains to whatever the IPv6 header
+/// carried. Returns the new destination. The payload shifts in place — no
+/// allocation once the packet's `Vec` has the capacity — and the packet
+/// is left untouched on `Err`.
 pub fn insert_srh_inline(packet: &mut Vec<u8>, srh_bytes: &[u8]) -> OpResult<Ipv6Addr> {
-    if packet.len() < IPV6_HEADER_LEN {
-        return Err("packet shorter than an IPv6 header");
-    }
-    let mut srh = SegmentRoutingHeader::parse(srh_bytes).map_err(|_| "invalid SRH for inline insertion")?;
-    let dst = srh.current_segment().ok_or("SRH has no current segment")?;
-    // The inserted SRH must chain to whatever the IPv6 header carried.
-    srh.next_header = packet[NEXT_HEADER_OFFSET];
-    let srh_bytes = srh.to_bytes();
+    let srh = SrhView::parse(srh_bytes).map_err(|_| "invalid SRH for inline insertion")?;
+    let dst = srh.current_segment();
+    let srh = srh.as_bytes();
+    // The first write, and the only step that can still fail.
+    adjust_payload_length(packet, srh.len() as isize)?;
+    let old_len = packet.len();
+    let srh_end = SRH_OFFSET + srh.len();
+    grow(packet, srh.len());
+    packet.copy_within(SRH_OFFSET..old_len, srh_end);
+    packet[SRH_OFFSET..srh_end].copy_from_slice(srh);
+    packet[SRH_OFFSET] = packet[NEXT_HEADER_OFFSET];
     packet[NEXT_HEADER_OFFSET] = proto::ROUTING;
-    let payload_len = u16::from_be_bytes([packet[PAYLOAD_LEN_OFFSET], packet[PAYLOAD_LEN_OFFSET + 1]]);
-    let new_len = payload_len as usize + srh_bytes.len();
-    packet[PAYLOAD_LEN_OFFSET..PAYLOAD_LEN_OFFSET + 2].copy_from_slice(&(new_len as u16).to_be_bytes());
-    let tail = packet.split_off(IPV6_HEADER_LEN);
-    packet.extend_from_slice(&srh_bytes);
-    packet.extend_from_slice(&tail);
     set_outer_dst(packet, dst)?;
     Ok(dst)
 }
@@ -294,6 +338,73 @@ mod tests {
         let mut pkt = build_ipv6_udp_packet(addr("::1"), addr("::2"), 1, 2, &[0; 8], 64).data().to_vec();
         let srh = SegmentRoutingHeader::from_path(proto::UDP, &[addr("fc00::a")]);
         assert!(push_srh_encap(&mut pkt, &srh.to_bytes(), addr("fc00::99")).is_err());
+    }
+
+    /// A packet of `len` bytes with a consistent payload length (`len` may
+    /// exceed what a real link carries; the length field is the limit).
+    fn packet_of_len(len: usize) -> Vec<u8> {
+        let mut pkt = vec![0u8; len];
+        Ipv6Header::new(addr("2001:db8::1"), addr("2001:db8::2"), proto::NONE, (len - 40) as u16, 64)
+            .write_to(&mut pkt);
+        pkt
+    }
+
+    #[test]
+    fn encapsulation_past_the_payload_length_field_fails_and_leaves_the_packet_untouched() {
+        let encap = SegmentRoutingHeader::from_path(proto::IPV6, &[addr("fc00::a")]).to_bytes();
+        let inline = SegmentRoutingHeader::from_path(proto::NONE, &[addr("fc00::a")]).to_bytes();
+        let src = addr("fc00::99");
+        let limit = usize::from(u16::MAX);
+
+        // Encap: the outer payload is SRH + whole inner packet.
+        let mut fits = packet_of_len(limit - encap.len());
+        push_srh_encap(&mut fits, &encap, src).unwrap();
+        assert_eq!(Ipv6Header::parse(&fits).unwrap().payload_length, u16::MAX);
+        let mut fits = PacketBuf::from_slice(&packet_of_len(limit - encap.len()));
+        push_srh_encap_buf(&mut fits, &encap, src).unwrap();
+        assert_eq!(Ipv6Header::parse(fits.data()).unwrap().payload_length, u16::MAX);
+        let too_long = packet_of_len(limit - encap.len() + 1);
+        let mut pkt = too_long.clone();
+        assert!(push_srh_encap(&mut pkt, &encap, src).is_err());
+        assert_eq!(pkt, too_long);
+        let mut buf = PacketBuf::from_slice(&too_long);
+        assert!(push_srh_encap_buf(&mut buf, &encap, src).is_err());
+        assert_eq!(buf.data(), too_long);
+
+        // Inline: the existing payload grows by the SRH.
+        let mut fits = packet_of_len(40 + limit - inline.len());
+        insert_srh_inline(&mut fits, &inline).unwrap();
+        assert_eq!(Ipv6Header::parse(&fits).unwrap().payload_length, u16::MAX);
+        assert_eq!(fits.len(), 40 + limit);
+        let too_long = packet_of_len(40 + limit - inline.len() + 1);
+        let mut pkt = too_long.clone();
+        assert!(insert_srh_inline(&mut pkt, &inline).is_err());
+        assert_eq!(pkt, too_long);
+        // The range check `bpf_lwt_seg6_adjust_srh` relies on is the same one.
+        assert!(adjust_payload_length(&mut pkt, inline.len() as isize).is_err());
+        assert_eq!(pkt, too_long);
+    }
+
+    #[test]
+    fn headroom_encap_matches_the_in_place_one() {
+        let inner = build_ipv6_udp_packet(addr("2001:db8::1"), addr("2001:db8::2"), 5, 6, &[9u8; 16], 64);
+        let srh =
+            SegmentRoutingHeader::from_path(proto::IPV6, &[addr("fc00::a"), addr("fc00::b")]).to_bytes();
+        let mut shifted = inner.data().to_vec();
+        let mut pushed = inner.clone();
+        // Twice: the second encapsulation outgrows the default headroom.
+        for _ in 0..2 {
+            let dst = push_srh_encap(&mut shifted, &srh, addr("fc00::99")).unwrap();
+            assert_eq!(push_srh_encap_buf(&mut pushed, &srh, addr("fc00::99")).unwrap(), dst);
+            assert_eq!(pushed.data(), shifted);
+        }
+        // An invalid SRH is refused before either touches the packet.
+        let mut bad = srh.clone();
+        bad[3] = 9;
+        assert!(push_srh_encap(&mut shifted.clone(), &bad, addr("fc00::99")).is_err());
+        let before = pushed.clone();
+        assert!(push_srh_encap_buf(&mut pushed, &bad, addr("fc00::99")).is_err());
+        assert_eq!(pushed, before);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 
 use crate::scratch::RunScratch;
 use crate::skb::{edit_packet, Skb};
-use crate::srv6_ops;
+use crate::srv6_ops::{self, SRH_OFFSET};
 use crate::table::PrefixTable;
 use crate::verdict::{ActionOutcome, DropReason};
-use netpkt::srh::SegmentRoutingHeader;
+use netpkt::srh::{SegmentRoutingHeader, SRH_FIXED_LEN};
 use std::net::Ipv6Addr;
 
 /// How the SRH is attached to matching traffic.
@@ -24,33 +24,53 @@ pub enum TransitMode {
     Inline,
 }
 
-/// A transit behaviour: the SRH to attach and how.
+/// A transit behaviour: the SRH to attach and how. The SRH is serialised
+/// once, here, not per packet.
 #[derive(Debug, Clone)]
 pub struct TransitBehaviour {
-    /// Attachment mode.
-    pub mode: TransitMode,
-    /// The SRH to attach (in wire order).
-    pub srh: SegmentRoutingHeader,
+    mode: TransitMode,
+    srh: SegmentRoutingHeader,
+    /// `srh` in wire format.
+    wire: Vec<u8>,
+    /// Inline mode: `srh` with one more (zeroed) `Segment List[0]` — the
+    /// slot a packet's original destination is written into.
+    wire_via_dst: Vec<u8>,
 }
 
 impl TransitBehaviour {
     /// An encap-mode behaviour routing matching traffic through `path`
     /// (given in visiting order).
     pub fn encap_through(path: &[Ipv6Addr]) -> Self {
-        TransitBehaviour {
-            mode: TransitMode::Encap,
-            srh: SegmentRoutingHeader::from_path(netpkt::proto::IPV6, path),
-        }
+        let srh = SegmentRoutingHeader::from_path(netpkt::proto::IPV6, path);
+        TransitBehaviour { mode: TransitMode::Encap, wire: srh.to_bytes(), wire_via_dst: Vec::new(), srh }
     }
 
     /// An inline-mode behaviour routing matching traffic through `path`.
-    /// The original destination must be appended by the caller as the last
-    /// segment, as SRv6 inline insertion requires.
+    /// A packet whose destination is not already the path's last segment
+    /// gets it appended as the final one, so it still reaches it after
+    /// the detour, as SRv6 inline insertion requires.
     pub fn inline_through(path: &[Ipv6Addr]) -> Self {
+        let srh = SegmentRoutingHeader::from_path(netpkt::proto::NONE, path);
+        let mut via_dst = srh.clone();
+        via_dst.segments.insert(0, Ipv6Addr::UNSPECIFIED);
+        via_dst.last_entry = (via_dst.segments.len() - 1) as u8;
+        via_dst.segments_left = via_dst.last_entry;
         TransitBehaviour {
             mode: TransitMode::Inline,
-            srh: SegmentRoutingHeader::from_path(netpkt::proto::NONE, path),
+            wire: srh.to_bytes(),
+            wire_via_dst: via_dst.to_bytes(),
+            srh,
         }
+    }
+
+    /// Attachment mode.
+    pub fn mode(&self) -> TransitMode {
+        self.mode
+    }
+
+    /// The SRH to attach (in wire order).
+    pub fn srh(&self) -> &SegmentRoutingHeader {
+        &self.srh
     }
 }
 
@@ -60,29 +80,35 @@ impl TransitBehaviour {
 pub type TransitTable = PrefixTable<TransitBehaviour>;
 
 /// Applies a transit behaviour to a packet, returning the new destination
-/// the datapath must forward towards. The packet is rebuilt in the
-/// caller's scratch buffer and committed back without a fresh allocation.
+/// the datapath must forward towards. An encapsulation goes into the
+/// packet's headroom; an inline insertion shifts the payload in the
+/// caller's scratch buffer and is committed back. Neither allocates once
+/// the buffers are warm, and a packet that cannot take the SRH is left
+/// as it arrived.
 pub fn apply_transit(
     behaviour: &TransitBehaviour,
     skb: &mut Skb,
     local_addr: Ipv6Addr,
     scratch: &mut RunScratch,
 ) -> ActionOutcome {
-    let result = edit_packet(skb, &mut scratch.pkt, |_, packet| match behaviour.mode {
-        TransitMode::Encap => srv6_ops::push_srh_encap(packet, &behaviour.srh.to_bytes(), local_addr),
-        TransitMode::Inline => {
-            // For inline insertion the original destination becomes the last
-            // segment so the packet still reaches it after the detour.
+    let result = match behaviour.mode {
+        TransitMode::Encap => srv6_ops::push_srh_encap_buf(&mut skb.packet, &behaviour.wire, local_addr),
+        TransitMode::Inline => edit_packet(skb, &mut scratch.pkt, |_, packet| {
             let original_dst = srv6_ops::outer_dst(packet)?;
-            let mut srh = behaviour.srh.clone();
-            if srh.segments.first() != Some(&original_dst) {
-                srh.segments.insert(0, original_dst);
-                srh.last_entry = (srh.segments.len() - 1) as u8;
-                srh.segments_left = srh.last_entry;
+            if behaviour.srh.segments.first() == Some(&original_dst) {
+                return srv6_ops::insert_srh_inline(packet, &behaviour.wire);
             }
-            srv6_ops::insert_srh_inline(packet, &srh.to_bytes())
-        }
-    });
+            let dst = srv6_ops::insert_srh_inline(packet, &behaviour.wire_via_dst)?;
+            let slot = SRH_OFFSET + SRH_FIXED_LEN;
+            packet[slot..slot + 16].copy_from_slice(&original_dst.octets());
+            if !behaviour.srh.segments.is_empty() {
+                return Ok(dst);
+            }
+            // An empty path: the slot is the whole list, hence current.
+            srv6_ops::set_outer_dst(packet, original_dst)?;
+            Ok(original_dst)
+        }),
+    };
     match result {
         Ok(dst) => ActionOutcome::Forward { dst, route_override: Default::default() },
         Err(_) => ActionOutcome::Drop(DropReason::Malformed),
@@ -111,9 +137,9 @@ mod tests {
             TransitBehaviour::encap_through(&[addr("fc00::2")]),
         );
         let (_, b) = table.lookup(addr("2001:db8:0:1::9")).unwrap();
-        assert_eq!(b.srh.current_segment(), Some(addr("fc00::2")));
+        assert_eq!(b.srh().current_segment(), Some(addr("fc00::2")));
         let (_, b) = table.lookup(addr("2001:db8:9::9")).unwrap();
-        assert_eq!(b.srh.current_segment(), Some(addr("fc00::1")));
+        assert_eq!(b.srh().current_segment(), Some(addr("fc00::1")));
         assert!(table.lookup(addr("2abc::1")).is_none());
         assert_eq!(table.len(), 2);
         assert!(table.remove(&"2001:db8::/32".parse().unwrap()));
@@ -151,5 +177,52 @@ mod tests {
         assert_eq!(srh.segments[0], addr("2001:db8::2"));
         assert_eq!(srh.path().last().copied(), Some(addr("2001:db8::2")));
         assert!(parsed.inner.is_none());
+    }
+
+    /// The pre-serialised templates must put on the wire exactly what
+    /// building the SRH per packet did: the configured SRH as is when the
+    /// packet already heads for its last segment, otherwise the SRH with
+    /// the original destination as one more final segment.
+    #[test]
+    fn inline_templates_match_a_per_packet_built_srh() {
+        let original = plain_skb();
+        let original_dst = addr("2001:db8::2");
+        for path in [vec![addr("fc00::a"), addr("fc00::b")], vec![addr("fc00::a"), original_dst], vec![]] {
+            let behaviour = TransitBehaviour::inline_through(&path);
+            let mut srh = behaviour.srh().clone();
+            if srh.segments.first() != Some(&original_dst) {
+                srh.segments.insert(0, original_dst);
+                srh.last_entry = (srh.segments.len() - 1) as u8;
+                srh.segments_left = srh.last_entry;
+            }
+            let mut expected = original.packet.data().to_vec();
+            let expected_dst = srv6_ops::insert_srh_inline(&mut expected, &srh.to_bytes()).unwrap();
+
+            let mut skb = original.clone();
+            let outcome = apply_transit(&behaviour, &mut skb, addr("fc00::99"), &mut RunScratch::new());
+            assert_eq!(
+                outcome,
+                ActionOutcome::Forward { dst: expected_dst, route_override: Default::default() },
+                "path {path:?}"
+            );
+            assert_eq!(skb.packet.data(), expected, "path {path:?}");
+        }
+    }
+
+    #[test]
+    fn a_packet_that_cannot_take_the_srh_is_dropped_untouched() {
+        // 65 535 bytes of payload already: no room for any SRH.
+        let mut bytes = vec![0u8; 40 + usize::from(u16::MAX)];
+        netpkt::Ipv6Header::new(addr("2001:db8::1"), addr("2001:db8::2"), netpkt::proto::NONE, u16::MAX, 64)
+            .write_to(&mut bytes);
+        for behaviour in [
+            TransitBehaviour::encap_through(&[addr("fc00::a")]),
+            TransitBehaviour::inline_through(&[addr("fc00::a")]),
+        ] {
+            let mut skb = Skb::new(netpkt::PacketBuf::from_slice(&bytes));
+            let outcome = apply_transit(&behaviour, &mut skb, addr("fc00::99"), &mut RunScratch::new());
+            assert_eq!(outcome, ActionOutcome::Drop(DropReason::Malformed), "{:?}", behaviour.mode());
+            assert_eq!(skb.packet.data(), bytes);
+        }
     }
 }

@@ -5,8 +5,13 @@
 //! warm-up batch fills every reusable buffer, a steady-state
 //! `process_batch_verdicts_into` call must perform **zero** heap
 //! allocations, whatever mix of forwarding, seg6local endpoint actions and
-//! End.BPF programs the batch exercises.
+//! End.BPF programs the batch exercises. The second half holds the shipped
+//! programs and the static behaviours that resize a packet to the same
+//! zero — and `End.DM` to exactly the one allocation its perf record is.
 #![cfg(feature = "alloc-counter")]
+
+#[path = "common/nf_paths.rs"]
+mod nf_paths;
 
 use ebpf_vm::helpers::ids;
 use ebpf_vm::insn::{jmp, AccessSize};
@@ -196,4 +201,74 @@ fn steady_state_process_is_allocation_free() {
     }
     let allocations = thread_allocations() - before;
     assert_eq!(allocations, 0, "steady-state process() allocated {allocations} times");
+}
+
+/// Refills `skbs` with `frames` the way the pool's arena recycles a
+/// buffer: reset, then copy the frame in. Storage a previous round grew
+/// stays grown, which is what "steady state" means for a packet that gets
+/// longer on its way through.
+fn refill(skbs: &mut [Skb], frames: &[Vec<u8>]) {
+    for (skb, frame) in skbs.iter_mut().zip(frames) {
+        skb.packet.reset(netpkt::buf::DEFAULT_HEADROOM);
+        skb.packet.append(frame);
+        skb.mark = 0;
+        skb.route_override = Default::default();
+    }
+}
+
+/// Allocations of one `process_batch_verdicts_into` over `frames`, after
+/// two warm-up rounds; every packet must be forwarded.
+fn steady_round_allocations(
+    dp: &mut Seg6Datapath,
+    frames: &[Vec<u8>],
+    mut between_rounds: impl FnMut(),
+) -> u64 {
+    let mut skbs: Vec<Skb> = frames.iter().map(|_| Skb::new(netpkt::PacketBuf::new())).collect();
+    let mut verdicts: Vec<BatchVerdict> = Vec::with_capacity(frames.len());
+    let mut allocations = 0;
+    for round in 0..3 {
+        refill(&mut skbs, frames);
+        verdicts.clear();
+        between_rounds();
+        let before = thread_allocations();
+        dp.process_batch_verdicts_into(&mut skbs, 7 + round, &mut verdicts);
+        allocations = thread_allocations() - before;
+        for (index, packet) in verdicts.iter().enumerate() {
+            assert!(packet.verdict.is_forward(), "round {round}: packet {index} got {:?}", packet.verdict);
+        }
+    }
+    allocations
+}
+
+/// `tag_increment`, `add_tlv`, `end_t`, `wrr_encap`, the static
+/// `encap_through` / `inline_through` transits, `End.B6.Encaps` and
+/// `End.B6`: nothing on any of these paths may allocate once the scratch
+/// buffers and the packets' storage are warm, on any tier.
+#[test]
+fn programs_and_encapsulations_are_allocation_free_on_every_tier() {
+    let frames = nf_paths::steady_frames(4);
+    for tier in ebpf_vm::ExecTier::ALL {
+        let (mut dp, _perf) = nf_paths::router(0, Some(tier));
+        let allocations = steady_round_allocations(&mut dp, &frames, || {});
+        assert_eq!(allocations, 0, "tier {}: {} packets", tier.name(), frames.len());
+        assert_eq!(dp.stats.bpf_invocations as usize, 3 * frames.len() / 2, "half the paths run a program");
+    }
+}
+
+/// `End.DM` allocates **exactly once** per probe: `bpf_perf_event_output`
+/// boxes the 40-byte report into `PerfEvent { cpu, data: Vec<u8> }`, a
+/// shape the benchmark constructs by struct literal and so pins. Zero
+/// here means the probes stopped reporting; two means something new
+/// allocates beside the record. (The ring itself is a `VecDeque` whose
+/// capacity the warm-up rounds have already grown.)
+#[test]
+fn end_dm_allocates_exactly_its_perf_record() {
+    const PROBES: u16 = 16;
+    let frames = nf_paths::probe_frames(PROBES);
+    for tier in ebpf_vm::ExecTier::ALL {
+        let (mut dp, perf) = nf_paths::router(0, Some(tier));
+        let allocations = steady_round_allocations(&mut dp, &frames, || drop(perf.drain()));
+        assert_eq!(allocations, u64::from(PROBES), "tier {}", tier.name());
+        assert_eq!(perf.len(), usize::from(PROBES), "every probe of the last round reported");
+    }
 }

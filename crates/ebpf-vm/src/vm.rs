@@ -481,13 +481,11 @@ impl<'r, 'a> HelperApi<'r, 'a> {
     }
 
     /// Resolves an opaque map pointer (produced by a pseudo-map-fd `lddw`)
-    /// to the attached map.
-    pub fn map_by_ptr(&self, ptr: u64) -> Result<MapHandle> {
+    /// to the attached map — a borrow of the program's own handle, which
+    /// outlives the call, so a helper takes no reference count per call.
+    pub fn map_by_ptr(&self, ptr: u64) -> Result<&'r MapHandle> {
         let fd = fd_from_map_ptr(ptr).ok_or_else(|| Error::Helper("argument is not a map pointer".into()))?;
-        self.maps
-            .get(&fd)
-            .cloned()
-            .ok_or_else(|| Error::Helper(format!("map fd {fd} not attached to this program")))
+        self.maps.get(&fd).ok_or_else(|| Error::Helper(format!("map fd {fd} not attached to this program")))
     }
 
     /// Makes a map value accessible to the program and returns its address.

@@ -175,10 +175,13 @@ impl PacketBuf {
         }
     }
 
+    /// Opens `extra` more bytes of headroom by shifting the packet towards
+    /// the tail, in place: a recycled buffer that has grown once has the
+    /// capacity and does not allocate again.
     fn grow_headroom(&mut self, extra: usize) {
-        let mut storage = vec![0u8; self.storage.len() + extra];
-        storage[extra + self.offset..].copy_from_slice(&self.storage[self.offset..]);
-        self.storage = storage;
+        let end = self.storage.len();
+        self.storage.resize(end + extra, 0);
+        self.storage.copy_within(self.offset..end, self.offset + extra);
         self.offset += extra;
     }
 }

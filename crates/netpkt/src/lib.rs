@@ -75,6 +75,6 @@ pub use packet::ParsedPacket;
 pub use prefix::Ipv6Prefix;
 pub use sockio::mmsg::{MmsgRx, MmsgTx};
 pub use sockio::{FrameBatch, MemRx, MemTx, PacketRx, PacketTx, UdpRx, UdpTx};
-pub use srh::{SegmentRoutingHeader, SrhTlv, TlvKind, SRH_FIXED_LEN};
+pub use srh::{SegmentRoutingHeader, SrhTlv, SrhView, TlvKind, SRH_FIXED_LEN};
 pub use tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
 pub use udp::{UdpHeader, UDP_HEADER_LEN};

@@ -150,42 +150,147 @@ impl SrhTlv {
         }
     }
 
-    fn parse_one(buf: &[u8]) -> Result<(SrhTlv, usize)> {
-        ensure_len(buf, 1)?;
-        let kind = buf[0];
-        if kind == TLV_TYPE_PAD1 {
-            return Ok((SrhTlv::Pad1, 1));
-        }
-        ensure_len(buf, 2)?;
-        let len = usize::from(buf[1]);
-        ensure_len(buf, 2 + len)?;
-        let value = &buf[2..2 + len];
-        let tlv = match kind {
-            TLV_TYPE_PADN => SrhTlv::PadN { len: len as u8 },
+    /// Copies a borrowed TLV the walker has already length-checked.
+    fn from_raw(raw: RawTlv<'_>) -> SrhTlv {
+        let RawTlv { kind, value } = raw;
+        let addr_port = || {
+            let mut addr = [0u8; 16];
+            addr.copy_from_slice(&value[..16]);
+            (Ipv6Addr::from(addr), u16::from_be_bytes([value[16], value[17]]))
+        };
+        match kind {
+            TLV_TYPE_PAD1 => SrhTlv::Pad1,
+            TLV_TYPE_PADN => SrhTlv::PadN { len: value.len() as u8 },
             TLV_TYPE_DM => {
-                if len != 8 {
-                    return Err(Error::BadTlv("DM TLV value must be 8 bytes"));
-                }
                 let mut ts = [0u8; 8];
                 ts.copy_from_slice(value);
                 SrhTlv::DelayMeasurement { tx_timestamp_ns: u64::from_be_bytes(ts) }
             }
-            TLV_TYPE_CONTROLLER | TLV_TYPE_OAM_REPLY_TO => {
-                if len != 18 {
-                    return Err(Error::BadTlv("address TLV value must be 18 bytes"));
-                }
-                let mut addr = [0u8; 16];
-                addr.copy_from_slice(&value[..16]);
-                let port = u16::from_be_bytes([value[16], value[17]]);
-                if kind == TLV_TYPE_CONTROLLER {
-                    SrhTlv::Controller { addr: Ipv6Addr::from(addr), port }
-                } else {
-                    SrhTlv::OamReplyTo { addr: Ipv6Addr::from(addr), port }
-                }
+            TLV_TYPE_CONTROLLER => {
+                let (addr, port) = addr_port();
+                SrhTlv::Controller { addr, port }
+            }
+            TLV_TYPE_OAM_REPLY_TO => {
+                let (addr, port) = addr_port();
+                SrhTlv::OamReplyTo { addr, port }
             }
             other => SrhTlv::Opaque { kind: other, value: value.to_vec() },
-        };
-        Ok((tlv, 2 + len))
+        }
+    }
+}
+
+/// One TLV borrowed from a raw SRH: the type octet and the value bytes
+/// (empty for Pad1, which has no length octet).
+#[derive(Debug, Clone, Copy)]
+struct RawTlv<'a> {
+    kind: u8,
+    value: &'a [u8],
+}
+
+impl<'a> RawTlv<'a> {
+    /// Reads the TLV at the start of `buf`, holding the types this
+    /// workspace defines to their fixed value lengths. Returns the TLV and
+    /// the bytes it occupies.
+    fn read(buf: &'a [u8]) -> Result<(RawTlv<'a>, usize)> {
+        ensure_len(buf, 1)?;
+        let kind = buf[0];
+        if kind == TLV_TYPE_PAD1 {
+            return Ok((RawTlv { kind, value: &[] }, 1));
+        }
+        ensure_len(buf, 2)?;
+        let len = usize::from(buf[1]);
+        ensure_len(buf, 2 + len)?;
+        match kind {
+            TLV_TYPE_DM if len != 8 => Err(Error::BadTlv("DM TLV value must be 8 bytes")),
+            TLV_TYPE_CONTROLLER | TLV_TYPE_OAM_REPLY_TO if len != 18 => {
+                Err(Error::BadTlv("address TLV value must be 18 bytes"))
+            }
+            _ => Ok((RawTlv { kind, value: &buf[2..2 + len] }, 2 + len)),
+        }
+    }
+}
+
+/// A raw SRH that passed every check [`SegmentRoutingHeader::parse`]
+/// makes, borrowed: the per-packet paths (post-program validation,
+/// encapsulation) read the few fields they need from it and own nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct SrhView<'a> {
+    /// Exactly the header's declared length.
+    bytes: &'a [u8],
+}
+
+impl<'a> SrhView<'a> {
+    /// Validates the SRH at the start of `buf` (trailing bytes beyond its
+    /// declared length are ignored), accepting exactly what
+    /// [`SegmentRoutingHeader::parse`] accepts. Allocates nothing.
+    pub fn parse(buf: &'a [u8]) -> Result<Self> {
+        Self::walk(buf, |_| {})
+    }
+
+    /// The one SRH walker: checks the fixed part and the segment list,
+    /// then hands every TLV to `on_tlv`. The owning parser and the
+    /// borrowing validator are both this function, so they cannot drift.
+    fn walk(buf: &'a [u8], mut on_tlv: impl FnMut(RawTlv<'a>)) -> Result<Self> {
+        ensure_len(buf, SRH_FIXED_LEN)?;
+        let total_len = 8 + usize::from(buf[1]) * 8;
+        ensure_len(buf, total_len)?;
+        if buf[2] != SRH_ROUTING_TYPE {
+            return Err(Error::Malformed("routing type is not 4 (Segment Routing)"));
+        }
+        let n_segments = usize::from(buf[4]) + 1;
+        let seg_end = SRH_FIXED_LEN + 16 * n_segments;
+        if seg_end > total_len {
+            return Err(Error::BadLength("segment list exceeds SRH length"));
+        }
+        if usize::from(buf[3]) >= n_segments {
+            return Err(Error::Malformed("segments_left exceeds last_entry"));
+        }
+        let mut off = seg_end;
+        while off < total_len {
+            let (tlv, consumed) = RawTlv::read(&buf[off..total_len])?;
+            off += consumed;
+            on_tlv(tlv);
+        }
+        Ok(SrhView { bytes: &buf[..total_len] })
+    }
+
+    /// The header's bytes, exactly [`SrhView::wire_len`] of them.
+    pub fn as_bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// Total length of the header in bytes.
+    pub fn wire_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Protocol of the header following the SRH.
+    pub fn next_header(&self) -> u8 {
+        self.bytes[0]
+    }
+
+    /// Index of the currently active segment.
+    fn segments_left(&self) -> u8 {
+        self.bytes[3]
+    }
+
+    /// Index of the last element of the segment list.
+    fn last_entry(&self) -> u8 {
+        self.bytes[4]
+    }
+
+    /// `Segment List[index]`; `index` must not exceed `last_entry`.
+    fn segment(&self, index: u8) -> Ipv6Addr {
+        let start = SRH_FIXED_LEN + 16 * usize::from(index);
+        let mut octets = [0u8; 16];
+        octets.copy_from_slice(&self.bytes[start..start + 16]);
+        Ipv6Addr::from(octets)
+    }
+
+    /// The currently active segment, `Segment List[segments_left]` — the
+    /// walk has checked that it exists.
+    pub fn current_segment(&self) -> Ipv6Addr {
+        self.segment(self.segments_left())
     }
 }
 
@@ -315,55 +420,29 @@ impl SegmentRoutingHeader {
     }
 
     /// Parses an SRH from the start of `buf`. Trailing bytes beyond the
-    /// header's declared length are ignored.
+    /// header's declared length are ignored. This is [`SrhView::parse`]'s
+    /// walk, collecting what it visits.
     pub fn parse(buf: &[u8]) -> Result<Self> {
-        ensure_len(buf, SRH_FIXED_LEN)?;
-        let next_header = buf[0];
-        let hdr_ext_len = usize::from(buf[1]);
-        let total_len = 8 + hdr_ext_len * 8;
-        ensure_len(buf, total_len)?;
-        if buf[2] != SRH_ROUTING_TYPE {
-            return Err(Error::Malformed("routing type is not 4 (Segment Routing)"));
-        }
-        let segments_left = buf[3];
-        let last_entry = buf[4];
-        let flags = buf[5];
-        let tag = u16::from_be_bytes([buf[6], buf[7]]);
-        let n_segments = usize::from(last_entry) + 1;
-        let seg_end = SRH_FIXED_LEN + 16 * n_segments;
-        if seg_end > total_len {
-            return Err(Error::BadLength("segment list exceeds SRH length"));
-        }
-        if usize::from(segments_left) >= n_segments {
-            return Err(Error::Malformed("segments_left exceeds last_entry"));
-        }
-        let mut segments = Vec::with_capacity(n_segments);
-        for i in 0..n_segments {
-            let start = SRH_FIXED_LEN + 16 * i;
-            let mut octets = [0u8; 16];
-            octets.copy_from_slice(&buf[start..start + 16]);
-            segments.push(Ipv6Addr::from(octets));
-        }
         let mut tlvs = Vec::new();
-        let mut off = seg_end;
-        while off < total_len {
-            let (tlv, consumed) = SrhTlv::parse_one(&buf[off..total_len])?;
-            off += consumed;
-            tlvs.push(tlv);
-        }
-        if off != total_len {
-            return Err(Error::BadTlv("TLV walk overran the SRH"));
-        }
-        Ok(SegmentRoutingHeader { next_header, segments_left, last_entry, flags, tag, segments, tlvs })
+        let view = SrhView::walk(buf, |tlv| tlvs.push(SrhTlv::from_raw(tlv)))?;
+        Ok(SegmentRoutingHeader {
+            next_header: view.next_header(),
+            segments_left: view.segments_left(),
+            last_entry: view.last_entry(),
+            flags: view.bytes[SRH_FLAGS_OFFSET],
+            tag: u16::from_be_bytes([view.bytes[SRH_TAG_OFFSET], view.bytes[SRH_TAG_OFFSET + 1]]),
+            segments: (0..=view.last_entry()).map(|i| view.segment(i)).collect(),
+            tlvs,
+        })
     }
 
     /// Validates a raw SRH in place, as the kernel does after an `End.BPF`
     /// program has edited it: the declared length must cover the segment
     /// list, `segments_left` must stay within bounds and the TLV area must
-    /// parse end-to-end. Returns the total SRH length on success.
+    /// parse end-to-end. Returns the total SRH length on success. Borrows
+    /// only — see [`SrhView`].
     pub fn validate_raw(buf: &[u8]) -> Result<usize> {
-        let parsed = Self::parse(buf)?;
-        Ok(8 + usize::from(parsed.hdr_ext_len()) * 8)
+        SrhView::parse(buf).map(|view| view.wire_len())
     }
 
     /// Finds the first TLV of the given kind.
@@ -476,6 +555,138 @@ mod tests {
         let tlv_off = srh.tlv_offset();
         bytes[tlv_off + 1] = 200;
         assert!(SegmentRoutingHeader::validate_raw(&bytes).is_err());
+    }
+
+    /// SplitMix64: the differential test's only source of randomness.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random well-formed SRH: 1–6 segments, any `segments_left` in
+    /// range, up to four TLVs of every kind (the serialiser adds the
+    /// Pad1/PadN tail).
+    fn random_srh(rng: &mut Mix) -> SegmentRoutingHeader {
+        let n = 1 + rng.below(6) as usize;
+        let segments = (0..n).map(|_| Ipv6Addr::from(u128::from(rng.next()) << 64 | 1)).collect();
+        let mut srh = SegmentRoutingHeader::new(rng.next() as u8, segments, rng.below(n as u64) as u8);
+        srh.flags = rng.next() as u8;
+        srh.tag = rng.next() as u16;
+        for _ in 0..rng.below(5) {
+            srh.tlvs.push(match rng.below(6) {
+                0 => SrhTlv::Pad1,
+                1 => SrhTlv::PadN { len: rng.below(6) as u8 },
+                2 => SrhTlv::DelayMeasurement { tx_timestamp_ns: rng.next() },
+                3 => SrhTlv::Controller { addr: addr("2001:db8::c0"), port: rng.next() as u16 },
+                4 => SrhTlv::OamReplyTo { addr: addr("2001:db8::0a"), port: rng.next() as u16 },
+                _ => SrhTlv::Opaque {
+                    kind: 130 + rng.below(100) as u8,
+                    value: (0..rng.below(12)).map(|i| i as u8).collect(),
+                },
+            });
+        }
+        srh
+    }
+
+    /// The accept set written out once more, independently of the walker
+    /// (this is the owning parser as it stood before it was rebuilt on
+    /// [`SrhView`], reduced to its checks): the declared length if the
+    /// bytes are an acceptable SRH.
+    fn oracle(buf: &[u8]) -> Option<usize> {
+        let total = 8 + usize::from(*buf.get(1)?) * 8;
+        let n_segments = usize::from(*buf.get(4)?) + 1;
+        if buf.len() < total
+            || buf[2] != 4
+            || 8 + 16 * n_segments > total
+            || usize::from(buf[3]) >= n_segments
+        {
+            return None;
+        }
+        let mut off = 8 + 16 * n_segments;
+        while off < total {
+            if buf[off] == TLV_TYPE_PAD1 {
+                off += 1;
+                continue;
+            }
+            let len = usize::from(*buf[..total].get(off + 1)?);
+            let fixed = match buf[off] {
+                TLV_TYPE_DM => Some(8),
+                TLV_TYPE_CONTROLLER | TLV_TYPE_OAM_REPLY_TO => Some(18),
+                _ => None,
+            };
+            if off + 2 + len > total || fixed.is_some_and(|f| f != len) {
+                return None;
+            }
+            off += 2 + len;
+        }
+        Some(total)
+    }
+
+    /// The borrowing validator and the owning parser must accept and
+    /// reject the same bytes — the set the oracle spells out — and agree
+    /// on the length.
+    fn assert_same_verdict(bytes: &[u8]) {
+        assert_eq!(SegmentRoutingHeader::validate_raw(bytes).ok(), oracle(bytes), "{bytes:02x?}");
+        let owned = SegmentRoutingHeader::parse(bytes);
+        match (SegmentRoutingHeader::validate_raw(bytes), &owned) {
+            (Ok(len), Ok(parsed)) => {
+                assert_eq!(len, 8 + usize::from(bytes[1]) * 8);
+                assert_eq!(len, parsed.wire_len(), "{bytes:02x?}");
+                let view = SrhView::parse(bytes).unwrap();
+                assert_eq!(view.as_bytes(), &bytes[..len]);
+                assert_eq!(Some(view.current_segment()), parsed.current_segment());
+                assert_eq!(view.next_header(), parsed.next_header);
+            }
+            (Err(borrowed), Err(owned)) => assert_eq!(&borrowed, owned, "{bytes:02x?}"),
+            (borrowed, owned) => panic!("validate_raw {borrowed:?} but parse {owned:?} on {bytes:02x?}"),
+        }
+    }
+
+    #[test]
+    fn borrowing_validator_agrees_with_the_owning_parser() {
+        let mut rng = Mix(0x5eed_0016);
+        for _ in 0..400 {
+            let srh = random_srh(&mut rng);
+            let bytes = srh.to_bytes();
+            assert_eq!(SegmentRoutingHeader::validate_raw(&bytes).unwrap(), bytes.len());
+            assert_same_verdict(&bytes);
+            // Every truncation, and trailing bytes past the declared length.
+            for cut in 0..bytes.len() {
+                assert_same_verdict(&bytes[..cut]);
+            }
+            let mut longer = bytes.clone();
+            longer.extend_from_slice(&[0xee; 5]);
+            assert_same_verdict(&longer);
+            // Single-byte mutations: the four structural octets get every
+            // interesting value, every other byte (segment, TLV type, TLV
+            // length, padding) a few random ones.
+            for at in 0..bytes.len() {
+                let values: Vec<u8> = match at {
+                    1 | 3 | 4 => {
+                        let near = bytes[at];
+                        vec![0, 1, near.wrapping_sub(1), near.wrapping_add(1), near.wrapping_add(2), 127, 255]
+                    }
+                    2 => vec![0, 3, 5],
+                    _ => (0..3).map(|_| rng.next() as u8).chain([0, 4, 124, 125, 126]).collect(),
+                };
+                for value in values {
+                    let mut mutated = bytes.clone();
+                    mutated[at] = value;
+                    assert_same_verdict(&mutated);
+                }
+            }
+        }
     }
 
     #[test]

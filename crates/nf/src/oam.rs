@@ -35,7 +35,7 @@ pub fn helper_fib_ecmp_nexthops(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> 
     // At most 16 next hops of 16 bytes each: a stack buffer filled while
     // the FIB read lock is held — no allocation per call.
     let mut out = [0u8; 16 * 16];
-    let written = env.tables.with_ecmp_nexthops(dst, |nexthops| {
+    let written = env.tables().with_ecmp_nexthops(dst, |nexthops| {
         let mut written = 0usize;
         for nexthop in nexthops.iter().take(max) {
             // Report the gateway when there is one, the destination itself

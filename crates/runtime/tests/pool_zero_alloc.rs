@@ -23,7 +23,17 @@
 //!    stamping, tenant-run splitting and the per-tenant × per-shard
 //!    counters must all stay allocation-free, and the arena must stay
 //!    mint-flat.
+//! 4. **Program and encapsulation rounds** — a third tenant runs the
+//!    shipped programs (`tag_increment`, `add_tlv`, `end_t`, `wrr_encap`)
+//!    and the static `encap_through` / `inline_through` / `End.B6*`
+//!    behaviours (the paths `seg6-core`'s `zero_alloc.rs` holds to zero
+//!    on one thread): packets that grow on their way through must not
+//!    cost the recycled buffers or the workers' scratch an allocation.
 #![cfg(feature = "alloc-counter")]
+
+#[path = "../../core/tests/common/nf_paths.rs"]
+#[allow(dead_code)]
+mod nf_paths;
 
 use netpkt::packet::build_ipv6_udp_packet;
 use netpkt::PacketBuf;
@@ -202,5 +212,49 @@ fn pool_steady_state_does_not_allocate_per_packet() {
     let snap = pool.counters().snapshot();
     assert!(snap.tenants[0].totals().processed > 0);
     assert!(snap.tenants[1].totals().processed > 0);
+
+    // --- Phase 4: programs and encapsulations through the pool ---
+
+    let nf_tenant = pool.add_tenant(TenantSpec::build_with(|cpu| nf_paths::router(cpu, None).0));
+    let nf_frames = nf_paths::steady_frames((PACKETS_PER_ROUND / 8) as u16);
+    assert_eq!(nf_frames.len(), PACKETS_PER_ROUND);
+    let forwarded_before = pool.counters().snapshot().tenants[nf_tenant.index()].totals().forwarded;
+    for _ in 0..3 {
+        // Warm-up: every recycled buffer and every shard's scratch grows
+        // to what the longest encapsulation needs.
+        assert_eq!(
+            pool.tenant(nf_tenant).enqueue_bytes_all(0, nf_frames.iter().map(Vec::as_slice)),
+            PACKETS_PER_ROUND
+        );
+        pool.flush();
+    }
+    let minted_after_nf = pool.buf_pool().allocations();
+
+    let before = global_allocations();
+    let mut processed = 0u64;
+    for _ in 0..MEASURED_ROUNDS {
+        assert_eq!(
+            pool.tenant(nf_tenant).enqueue_bytes_all(0, nf_frames.iter().map(Vec::as_slice)),
+            PACKETS_PER_ROUND
+        );
+        processed += pool.flush().run.processed;
+    }
+    let allocations = global_allocations() - before;
+
+    assert_eq!(processed as usize, MEASURED_ROUNDS * PACKETS_PER_ROUND);
+    assert_eq!(pool.buf_pool().allocations(), minted_after_nf, "program rounds minted fresh packet buffers");
+    let forwarded =
+        pool.counters().snapshot().tenants[nf_tenant.index()].totals().forwarded - forwarded_before;
+    assert_eq!(
+        forwarded as usize,
+        (3 + MEASURED_ROUNDS) * PACKETS_PER_ROUND,
+        "every program-path packet forwards"
+    );
+    assert!(
+        allocations <= budget,
+        "program and encapsulation rounds allocated {allocations} times over {MEASURED_ROUNDS} rounds \
+         ({PACKETS_PER_ROUND} packets each); budget {budget} — an End.BPF, LWT or static encap path \
+         is allocating per packet"
+    );
     pool.shutdown();
 }

@@ -132,7 +132,7 @@ impl DaemonShared {
             snapshot.tenants.iter().map(|t| t.shards.iter().map(|s| s.cost).sum()).collect();
         let rates = self.cost_rates(&cost_now);
 
-        counter(&mut out, "tenant_active", "Whether the tenant slot is currently serving (gauge).");
+        gauge(&mut out, "tenant_active", "Whether the tenant slot is currently serving.");
         for (slot, meta) in metas.iter().enumerate() {
             let _ = writeln!(
                 out,

@@ -328,6 +328,14 @@ fn metrics_expose_cost_rates_and_placement() {
     assert!(headroom < 1_000_000.0, "headroom = budget - rate: {metrics}");
     assert!((headroom - (1_000_000.0 - rate)).abs() < 1e-6, "{headroom} vs {rate}");
 
+    // Every family is typed as what it is: monotonic `_total`s are
+    // counters, everything else (the tenant's serving flag included) a gauge.
+    assert!(metrics.contains("# TYPE srv6d_tenant_active gauge"), "{metrics}");
+    for line in metrics.lines().filter(|l| l.starts_with("# TYPE ")) {
+        let (name, kind) = line["# TYPE ".len()..].split_once(' ').expect("name and type");
+        assert_eq!(kind, if name.ends_with("_total") { "counter" } else { "gauge" }, "{line}");
+    }
+
     // No `pin =` key: both shards report the -1 sentinels.
     for shard in 0..2 {
         assert_eq!(metric_value(&metrics, &format!("srv6d_shard_pinned_core{{shard=\"{shard}\"}}")), -1.0);
