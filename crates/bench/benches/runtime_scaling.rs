@@ -581,13 +581,13 @@ fn srh_walk_body(packet_len: usize) -> String {
     body
 }
 
-/// The execution-tier rows: one verified program, four tiers.
+/// The execution-tier rows: one verified program, three tiers.
 ///
 /// `srh_walk_*` is a compute-heavy straight-line program (an unrolled walk
 /// over the SRH and payload bytes, three ALU ops per byte) measured at the
 /// VM level with `run_program_with_state`, so the row isolates pure
-/// execution cost: interpreter dispatch vs. pre-decoded micro-ops vs. fused
-/// superinstructions vs. native x86-64 code with verifier-elided checks.
+/// execution cost: interpreter dispatch vs. pre-decoded micro-ops vs.
+/// native x86-64 code with verifier-elided checks.
 /// `bench-smoke.sh` gates `srh_walk_native` at `MIN_JIT_SPEEDUP`× (default
 /// 3×) over `srh_walk_interp`. The `*_dp_*` rows run endpoint programs
 /// through the full datapath: the shipped `End`, `End.X` and `End.T`

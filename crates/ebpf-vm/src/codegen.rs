@@ -1,7 +1,7 @@
 //! Native x86-64 code generation — the `Native` execution tier.
 //!
-//! This module lowers a program's fused micro-op stream
-//! ([`crate::jit::FusedProgram`]) to x86-64 machine code in an executable
+//! This module lowers a program's micro-op stream
+//! ([`crate::jit::JitProgram`]) to x86-64 machine code in an executable
 //! page region. The pages are obtained with `mmap(PROT_READ|PROT_WRITE)`,
 //! the code is copied in, and the region is sealed with
 //! `mprotect(PROT_READ|PROT_EXEC)` before the first execution — W^X
@@ -57,14 +57,12 @@
 //! verifier already rejects.
 //!
 //! On non-x86-64 (or non-Linux) hosts the module compiles to a stub whose
-//! [`compile`] returns `Ok(None)`; callers fall back to the fused tier with
-//! no `cfg` of their own.
+//! [`compile`] returns `Ok(None)`; callers fall back to the micro-op tier
+//! with no `cfg` of their own.
 #![allow(unsafe_code)]
 
 use crate::error::Result;
-use crate::jit::FusedProgram;
 use crate::program::LoadedProgram;
-use crate::verifier::AccessFacts;
 use crate::vm::{RunContext, RunState};
 
 /// Whether this build can emit and execute native code.
@@ -135,25 +133,19 @@ impl std::fmt::Debug for NativeProgram {
     }
 }
 
-/// Compiles a fused program to native code. Returns `Ok(None)` when the
-/// target has no native backend; callers then run the fused tier.
+/// Compiles a loaded program's micro-op stream ([`LoadedProgram::jit`]),
+/// with the verifier's [`LoadedProgram::access_facts`], to native code.
+/// Returns `Ok(None)` when the target has no native backend; callers then
+/// run the micro-op tier.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-pub fn compile(
-    fused: &FusedProgram,
-    facts: &AccessFacts,
-    loaded: &LoadedProgram,
-) -> Result<Option<NativeProgram>> {
-    x86_64::compile(fused, facts, loaded).map(Some)
+pub fn compile(loaded: &LoadedProgram) -> Result<Option<NativeProgram>> {
+    x86_64::compile(loaded).map(Some)
 }
 
-/// Compiles a fused program to native code. Returns `Ok(None)`: this target
-/// has no native backend, so callers run the fused tier.
+/// Compiles a loaded program to native code. Returns `Ok(None)`: this
+/// target has no native backend, so callers run the micro-op tier.
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
-pub fn compile(
-    _fused: &FusedProgram,
-    _facts: &AccessFacts,
-    _loaded: &LoadedProgram,
-) -> Result<Option<NativeProgram>> {
+pub fn compile(_loaded: &LoadedProgram) -> Result<Option<NativeProgram>> {
     Ok(None)
 }
 
@@ -187,7 +179,7 @@ mod x86_64 {
     use crate::error::{Error, Result};
     use crate::helpers::ids;
     use crate::insn::{alu, jmp, AccessSize, NUM_REGS, STACK_SIZE};
-    use crate::jit::{FusedProgram, MicroOp, Operand};
+    use crate::jit::{MicroOp, Operand};
     use crate::maps::MapType;
     use crate::program::LoadedProgram;
     use crate::verifier::{AccessFact, AccessFacts};
@@ -1452,13 +1444,10 @@ mod x86_64 {
         }
     }
 
-    pub(super) fn compile(
-        fused: &FusedProgram,
-        facts: &AccessFacts,
-        loaded: &LoadedProgram,
-    ) -> Result<super::NativeProgram> {
-        let ops = fused.expand();
-        let plan = plan_registers(&ops, facts);
+    pub(super) fn compile(loaded: &LoadedProgram) -> Result<super::NativeProgram> {
+        let ops = loaded.jit()?.ops();
+        let facts = loaded.access_facts();
+        let plan = plan_registers(ops, facts);
         let mut e = RegEmitter {
             asm: Asm::default(),
             facts,
@@ -1626,8 +1615,7 @@ mod tests {
     fn run_native(prog: Program, ctx: &mut [u8], pkt: &mut Vec<u8>) -> Result<u64> {
         let helpers = HelperRegistry::with_base_helpers();
         let loaded = load(prog, &HashMap::new(), &helpers).unwrap();
-        let fused = crate::jit::fuse(loaded.jit().unwrap());
-        let native = compile(&fused, loaded.access_facts(), &loaded).unwrap().expect("x86-64 backend");
+        let native = compile(&loaded).unwrap().expect("x86-64 backend");
         let mut env = NullEnv;
         let mut rc = crate::vm::RunContext { ctx, packet: pkt, env: &mut env };
         let mut state = RunState::new(rc.ctx.len());

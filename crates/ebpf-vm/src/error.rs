@@ -33,6 +33,10 @@ pub enum Error {
     Map(String),
     /// A helper reported a fatal error that must abort the program.
     Helper(String),
+    /// The process environment asks for something this build does not have
+    /// (an unknown `SEG6_EXEC_TIER` value); every load fails until it is
+    /// corrected.
+    Config(String),
 }
 
 impl Error {
@@ -56,6 +60,7 @@ impl fmt::Display for Error {
             Error::Runtime { insn, message } => write!(f, "runtime fault at instruction {insn}: {message}"),
             Error::Map(msg) => write!(f, "map error: {msg}"),
             Error::Helper(msg) => write!(f, "helper error: {msg}"),
+            Error::Config(msg) => write!(f, "configuration error: {msg}"),
         }
     }
 }

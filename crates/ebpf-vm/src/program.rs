@@ -96,26 +96,26 @@ impl Program {
 /// How a loaded program is executed.
 ///
 /// The loader auto-selects the best tier the host supports —
-/// [`ExecTier::Native`] on x86-64 Linux, [`ExecTier::Fused`] elsewhere —
+/// [`ExecTier::Native`] on x86-64 Linux, [`ExecTier::MicroOp`] elsewhere —
 /// and every tier's artifact is built eagerly at load time, so switching
 /// tiers later (tests, benchmarks, the `SEG6_EXEC_TIER` override) never
 /// allocates on the packet path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecTier {
-    /// The faithful per-instruction interpreter ([`crate::interp`]).
+    /// The faithful per-instruction interpreter ([`crate::interp`]) — the
+    /// oracle the other tiers are differential-tested against.
     Interp,
-    /// The pre-decoded micro-op stream ([`crate::jit`]).
+    /// The pre-decoded micro-op stream ([`crate::jit`]) — the portable tier.
     MicroOp,
-    /// The superinstruction-fused micro-op stream ([`crate::jit::fuse`]).
-    Fused,
-    /// Native x86-64 machine code ([`crate::codegen`]); execution falls
-    /// back to [`ExecTier::Fused`] when the host has no backend.
+    /// Native x86-64 machine code lowered from the micro-op stream
+    /// ([`crate::codegen`]); execution falls back to [`ExecTier::MicroOp`]
+    /// when the host has no backend.
     Native,
 }
 
 impl ExecTier {
     /// All tiers, in increasing order of sophistication.
-    pub const ALL: [ExecTier; 4] = [ExecTier::Interp, ExecTier::MicroOp, ExecTier::Fused, ExecTier::Native];
+    pub const ALL: [ExecTier; 3] = [ExecTier::Interp, ExecTier::MicroOp, ExecTier::Native];
 
     /// Short lowercase name, as accepted by the `SEG6_EXEC_TIER`
     /// environment override.
@@ -123,7 +123,6 @@ impl ExecTier {
         match self {
             ExecTier::Interp => "interp",
             ExecTier::MicroOp => "microop",
-            ExecTier::Fused => "fused",
             ExecTier::Native => "native",
         }
     }
@@ -133,19 +132,18 @@ impl ExecTier {
         match name {
             "interp" => Some(ExecTier::Interp),
             "microop" => Some(ExecTier::MicroOp),
-            "fused" => Some(ExecTier::Fused),
             "native" => Some(ExecTier::Native),
             _ => None,
         }
     }
 
     /// The tier the loader picks on this host absent any override: native
-    /// where a backend exists, fused elsewhere.
+    /// where a backend exists, micro-op elsewhere.
     pub fn best_supported() -> ExecTier {
         if crate::codegen::supported() {
             ExecTier::Native
         } else {
-            ExecTier::Fused
+            ExecTier::MicroOp
         }
     }
 
@@ -153,8 +151,7 @@ impl ExecTier {
         match self {
             ExecTier::Interp => 0,
             ExecTier::MicroOp => 1,
-            ExecTier::Fused => 2,
-            ExecTier::Native => 3,
+            ExecTier::Native => 2,
         }
     }
 
@@ -162,7 +159,6 @@ impl ExecTier {
         match value {
             0 => ExecTier::Interp,
             1 => ExecTier::MicroOp,
-            2 => ExecTier::Fused,
             _ => ExecTier::Native,
         }
     }
@@ -218,8 +214,6 @@ pub struct LoadedProgram {
     jit_cache: OnceLock<crate::jit::JitProgram>,
     /// The interpreter's wire-form image, likewise built once.
     interp_cache: OnceLock<crate::interp::InterpreterImage>,
-    /// The superinstruction-fused stream, built once (at load time).
-    fused_cache: OnceLock<crate::jit::FusedProgram>,
     /// The native code, built once (at load time); `None` on hosts without
     /// a backend. Shared behind an `Arc` so cloning a program shares the
     /// executable pages instead of re-emitting them.
@@ -263,22 +257,12 @@ impl LoadedProgram {
         &self.access_facts
     }
 
-    /// The superinstruction-fused micro-op stream, built on the first call
-    /// (the loader calls this eagerly).
-    pub fn fused(&self) -> Result<&crate::jit::FusedProgram> {
-        if self.fused_cache.get().is_none() {
-            let fused = crate::jit::fuse(self.jit()?);
-            let _ = self.fused_cache.set(fused);
-        }
-        Ok(self.fused_cache.get().expect("cache populated above"))
-    }
-
     /// The native code for this program, or `None` when the host has no
     /// backend. Built on the first call (the loader calls this eagerly);
     /// the per-packet dispatch is a cache read.
     pub fn native(&self) -> Result<Option<&crate::codegen::NativeProgram>> {
         if self.native_cache.get().is_none() {
-            let native = crate::codegen::compile(self.fused()?, &self.access_facts, self)?;
+            let native = crate::codegen::compile(self)?;
             let _ = self.native_cache.set(native.map(Arc::new));
         }
         Ok(self.native_cache.get().expect("cache populated above").as_deref())
@@ -296,7 +280,7 @@ impl LoadedProgram {
 
     /// Overrides the execution tier (tests, benchmarks, the CI matrix).
     /// Selecting [`ExecTier::Native`] on a host without a backend is
-    /// allowed; execution falls back to the fused tier.
+    /// allowed; execution falls back to the micro-op tier.
     pub fn set_exec_tier(&self, tier: ExecTier) {
         self.tier.set(tier);
     }
@@ -321,6 +305,8 @@ pub fn load(
     maps: &HashMap<u32, MapHandle>,
     helpers: &HelperRegistry,
 ) -> Result<Arc<LoadedProgram>> {
+    let switches = env_switches();
+    let tier = *switches.tier.as_ref().map_err(|message| Error::Config(message.clone()))?;
     // Every pseudo-map-fd lddw must resolve to a provided map.
     let mut used = HashMap::new();
     for (idx, insn) in program.insns.iter().enumerate() {
@@ -365,10 +351,9 @@ pub fn load(
         helper_table,
         helper_ids,
         access_facts,
-        tier: TierCell::new(default_tier()),
+        tier: TierCell::new(tier),
         jit_cache: OnceLock::new(),
         interp_cache: OnceLock::new(),
-        fused_cache: OnceLock::new(),
         native_cache: OnceLock::new(),
         uid: NEXT_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
     });
@@ -377,26 +362,50 @@ pub fn load(
     // a later tier switch (tests, the CI matrix) allocates nothing.
     let _ = loaded.interp_image();
     loaded.jit()?;
-    loaded.fused()?;
     if let Some(native) = loaded.native()? {
-        if std::env::var("SEG6_JIT_DEBUG").is_ok_and(|v| v == "1") {
+        if switches.jit_debug {
             eprintln!("{}", crate::disasm::native_report(&loaded.program.name, native.debug_info()));
         }
     }
     Ok(loaded)
 }
 
-/// The tier new programs start on: the `SEG6_EXEC_TIER` environment
-/// variable (`interp`, `microop`, `fused`, `native`) when set — the CI
-/// matrix uses it to force every tier through the full test suites — and
-/// the best tier the host supports otherwise. A forced `native` on a host
-/// without a backend falls back to `fused` at dispatch, so the override is
-/// portable.
-fn default_tier() -> ExecTier {
-    match std::env::var("SEG6_EXEC_TIER") {
-        Ok(name) => ExecTier::parse(name.trim()).unwrap_or_else(ExecTier::best_supported),
-        Err(_) => ExecTier::best_supported(),
-    }
+/// The two process-wide switches [`load`] honours. They are read from the
+/// environment once per process, by the first `load()`, and nowhere else:
+///
+/// * `SEG6_EXEC_TIER` = `interp` | `microop` | `native` — the tier every
+///   new program starts on; the CI matrix uses it to force each tier
+///   through the full test suites. Unset, programs start on
+///   [`ExecTier::best_supported`]. Any other value fails every `load()`: a
+///   mistyped or retired name must not quietly test the default. A forced
+///   `native` on a host without a backend falls back to `microop` at
+///   dispatch, so the override is portable.
+/// * `SEG6_JIT_DEBUG=1` — print each program's
+///   [`crate::disasm::native_report`] to stderr as it loads.
+struct EnvSwitches {
+    tier: std::result::Result<ExecTier, String>,
+    jit_debug: bool,
+}
+
+fn env_switches() -> &'static EnvSwitches {
+    static SWITCHES: OnceLock<EnvSwitches> = OnceLock::new();
+    SWITCHES.get_or_init(|| {
+        let tier = std::env::var_os("SEG6_EXEC_TIER");
+        EnvSwitches {
+            tier: starting_tier(tier.as_ref().map(|v| v.to_string_lossy()).as_deref()),
+            jit_debug: std::env::var_os("SEG6_JIT_DEBUG").is_some_and(|v| v == "1"),
+        }
+    })
+}
+
+/// The tier new programs start on, given the value of `SEG6_EXEC_TIER`
+/// (`None` when unset).
+fn starting_tier(value: Option<&str>) -> std::result::Result<ExecTier, String> {
+    let Some(name) = value else { return Ok(ExecTier::best_supported()) };
+    ExecTier::parse(name.trim()).ok_or_else(|| {
+        let valid = ExecTier::ALL.map(ExecTier::name).join(", ");
+        format!("SEG6_EXEC_TIER={name:?} is not an execution tier (valid values: {valid})")
+    })
 }
 
 #[cfg(test)]
@@ -409,6 +418,36 @@ mod tests {
     fn program_type_names() {
         assert_eq!(ProgramType::LwtSeg6Local.name(), "lwt_seg6local");
         assert_eq!(ProgramType::LwtXmit.name(), "lwt_xmit");
+    }
+
+    #[test]
+    fn tier_names_round_trip_and_retired_names_do_not_parse() {
+        assert_eq!(ExecTier::ALL.len(), 3);
+        for tier in ExecTier::ALL {
+            assert_eq!(ExecTier::parse(tier.name()), Some(tier));
+            assert_eq!(ExecTier::from_u8(tier.to_u8()), tier);
+        }
+        assert_eq!(ExecTier::parse("fused"), None);
+    }
+
+    #[test]
+    fn exec_tier_override_accepts_the_three_names_and_rejects_the_rest() {
+        assert_eq!(starting_tier(None), Ok(ExecTier::best_supported()));
+        for (value, tier) in [
+            ("interp", ExecTier::Interp),
+            ("microop", ExecTier::MicroOp),
+            ("native", ExecTier::Native),
+            (" native\n", ExecTier::Native),
+        ] {
+            assert_eq!(starting_tier(Some(value)), Ok(tier), "{value:?}");
+        }
+        for value in ["fused", "", "Native", "jit", "interp,native", "2"] {
+            let message = starting_tier(Some(value)).expect_err(value);
+            assert!(message.contains(&format!("{value:?}")), "{message}");
+            for valid in ["interp", "microop", "native"] {
+                assert!(message.contains(valid), "{message}");
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Differential fuzzing across the four execution tiers.
+//! Differential fuzzing across the three execution tiers.
 //!
 //! A deterministic xorshift generator builds randomized, verifier-accepted
 //! LWT seg6local programs and runs each through the interpreter, the
-//! micro-op tier, the fused-superinstruction tier and the native x86-64
-//! tier (where the host has one; elsewhere `Native` transparently falls
-//! back to `Fused`, which still must agree). Every tier must produce the
-//! interpreter's exit value, register file, stack image,
-//! context bytes, packet bytes and helper-call sequence — including on the
-//! fault paths the out-of-bounds accesses deliberately provoke.
+//! micro-op tier and the native x86-64 tier (where the host has one;
+//! elsewhere `Native` transparently falls back to `MicroOp`, which still
+//! must agree). Every tier must produce the interpreter's exit value,
+//! register file, stack image, context bytes, packet bytes and helper-call
+//! sequence — including on the fault paths the out-of-bounds accesses
+//! deliberately provoke.
 //!
 //! Three generators feed the harness:
 //!
@@ -688,7 +688,7 @@ fn check_parity<E: FuzzEnv>(
     runs: usize,
 ) -> bool {
     let reference = observe_tier::<E>(prog, helpers, maps, ExecTier::Interp, runs);
-    for tier in [ExecTier::MicroOp, ExecTier::Fused, ExecTier::Native] {
+    for tier in [ExecTier::MicroOp, ExecTier::Native] {
         let got = observe_tier::<E>(prog, helpers, maps, tier, runs);
         assert_eq!(got, reference, "tier {tier:?} diverged from the interpreter on:\n{source}");
     }

@@ -542,9 +542,7 @@ mod tests {
         for (prog, min_inlined) in cases {
             let name = prog.name.clone();
             let loaded = load(prog, &maps, &registry).unwrap_or_else(|e| panic!("{name} rejected: {e}"));
-            let native = ebpf_vm::codegen::compile(loaded.fused().unwrap(), loaded.access_facts(), &loaded)
-                .unwrap()
-                .expect("native backend available");
+            let native = ebpf_vm::codegen::compile(&loaded).unwrap().expect("native backend available");
             let debug = native.debug_info();
             assert_eq!(
                 debug.spills, 0,

@@ -106,7 +106,7 @@ impl Default for DaemonConfig {
             queue_depth: 1024,
             rx_burst: 64,
             stats_socket: None,
-            io_backend: IoBackendChoice::Std,
+            io_backend: IoBackendChoice::default(),
             pinning: PinPolicy::None,
             pin_dispatcher: None,
         }
@@ -117,15 +117,16 @@ impl Default for DaemonConfig {
 /// opens its tenant queues with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoBackendChoice {
-    /// Standard-library UDP sockets, one syscall per datagram. The
-    /// default: works everywhere, and what every deployment ran before
-    /// the mmsg backend existed.
-    #[default]
+    /// Standard-library UDP sockets, one syscall per datagram. Works
+    /// everywhere; what `auto` resolves to off Linux.
     Std,
     /// Raw `recvmmsg(2)`/`sendmmsg(2)`, one syscall per burst. Linux
     /// only; configuring it elsewhere is a start-time error.
     Mmsg,
-    /// `mmsg` where supported, `std` elsewhere.
+    /// `mmsg` where supported, `std` elsewhere. The default: the backend
+    /// that measures best on the host (`mmsg` moves a burst in two
+    /// syscalls where `std` needs one per datagram).
+    #[default]
     Auto,
 }
 
@@ -881,7 +882,7 @@ route = ::/0 dev 7
         let text = GOOD.replace("rx-burst = 32", "rx-burst = 32\nio_backend = mmsg");
         assert_eq!(Config::parse(&text).unwrap().daemon.io_backend, IoBackendChoice::Mmsg);
         let cfg = Config::parse(GOOD).unwrap();
-        assert_eq!(cfg.daemon.io_backend, IoBackendChoice::Std);
+        assert_eq!(cfg.daemon.io_backend, IoBackendChoice::Auto);
         assert_eq!(cfg.daemon.pinning, PinPolicy::None);
         assert_eq!(cfg.daemon.pin_dispatcher, None);
     }

@@ -55,7 +55,7 @@ for row in fib_scale/trie_10 fib_scale/trie_100k \
     srv6d_io/mmsg_loopback_1w srv6d_io/udp_loopback_1w_syscalls \
     srv6d_io/mmsg_loopback_1w_syscalls \
     jit_speedup/srh_walk_interp jit_speedup/srh_walk_microop \
-    jit_speedup/srh_walk_fused jit_speedup/srh_walk_native \
+    jit_speedup/srh_walk_native \
     jit_speedup/end_dp_interp jit_speedup/end_dp_native \
     jit_speedup/end_x_dp_interp jit_speedup/end_x_dp_native \
     jit_speedup/end_t_dp_interp jit_speedup/end_t_dp_native \
@@ -68,9 +68,9 @@ done
 
 # Execution-tier ratio gate: the native tier must beat the interpreter by
 # at least MIN_JIT_SPEEDUP× on the compute-heavy VM-level row. On hosts
-# without an x86-64 backend the native tier falls back to the fused
-# interpreter; set MIN_JIT_SPEEDUP (and the MIN_DP_* knobs below)
-# accordingly there.
+# without an x86-64 backend the native tier falls back to the micro-op
+# tier; set MIN_JIT_SPEEDUP (and the MIN_DP_* knobs below) accordingly
+# there.
 MIN_JIT_SPEEDUP="${MIN_JIT_SPEEDUP:-3.0}"
 row_ns() {
     # One object per line (split on '}'), so a row's name and its
