@@ -155,10 +155,17 @@ impl PacketBuf {
     /// headroom, **reusing the existing allocation**. This is the recycle
     /// primitive of [`BufPool`](crate::BufPool): a drained buffer returns
     /// to the arena with its storage intact, so refilling it with a
-    /// same-sized packet performs no allocation.
+    /// same-sized packet performs no allocation. Nothing is written: the
+    /// storage is cut back to the headroom, whose stale bytes stay behind
+    /// `offset` — [`PacketBuf::data`] never reaches them and
+    /// [`PacketBuf::push_header`] overwrites every byte it opens. Only a
+    /// buffer whose storage is shorter than `headroom` is extended.
     pub fn reset(&mut self, headroom: usize) {
-        self.storage.clear();
-        self.storage.resize(headroom, 0);
+        if self.storage.len() < headroom {
+            self.storage.resize(headroom, 0);
+        } else {
+            self.storage.truncate(headroom);
+        }
         self.offset = headroom;
     }
 
@@ -263,5 +270,41 @@ mod tests {
         assert_eq!(buf.headroom(), 6);
         buf.pull(4).unwrap();
         assert_eq!(buf.headroom(), 10);
+    }
+
+    /// `reset` keeps the allocation, restores the headroom and leaves no
+    /// byte of the previous packet reachable through `data()` — without
+    /// writing the headroom.
+    #[test]
+    fn reset_keeps_the_allocation_and_hides_the_previous_packet() {
+        let mut buf = PacketBuf::from_slice(&[0xee; 1400]);
+        buf.push_header(&[0xaa; 40]);
+        let capacity = buf.storage_capacity();
+        buf.reset(DEFAULT_HEADROOM);
+        assert!(buf.is_empty());
+        assert_eq!(buf.headroom(), DEFAULT_HEADROOM);
+        assert_eq!(buf.storage_capacity(), capacity, "the allocation is reused");
+        buf.append(&[1, 2, 3]);
+        assert_eq!(buf.data(), &[1, 2, 3]);
+        // The headroom still holds the old header; a push overwrites
+        // exactly what it opens.
+        buf.push_header(&[7, 8]);
+        assert_eq!(buf.data(), &[7, 8, 1, 2, 3]);
+    }
+
+    /// The `resize` arm: storage shorter than the requested headroom (a
+    /// buffer built with less, or one whose packet was pulled away).
+    #[test]
+    fn reset_extends_storage_shorter_than_the_headroom() {
+        let mut buf = PacketBuf::with_headroom(8);
+        buf.append(&[5; 4]);
+        buf.reset(DEFAULT_HEADROOM);
+        assert!(buf.is_empty());
+        assert_eq!(buf.headroom(), DEFAULT_HEADROOM);
+        buf.append(&[9]);
+        buf.push_header(&[0xab; DEFAULT_HEADROOM]);
+        assert_eq!(buf.headroom(), 0);
+        assert_eq!(buf.len(), DEFAULT_HEADROOM + 1);
+        assert_eq!(buf.data()[DEFAULT_HEADROOM], 9);
     }
 }

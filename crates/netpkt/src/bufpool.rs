@@ -168,4 +168,36 @@ mod tests {
         assert_eq!(buf.headroom(), 32);
         assert_eq!(pool.recycle_hits(), 1);
     }
+
+    /// A buffer that carried a pushed header and a 1.4 kB payload comes
+    /// back through `put` → `take_filled` as if new: default headroom, the
+    /// new bytes exactly, the old allocation, nothing of the old packet.
+    #[test]
+    fn put_then_take_filled_shows_only_the_new_packet() {
+        let mut pool = BufPool::new(4);
+        let mut buf = pool.take_filled(&[0xee; 1400]);
+        buf.push_header(&[0xaa; 48]);
+        let capacity = buf.storage_capacity();
+        pool.put(buf);
+        let fresh: Vec<u8> = (0..64).collect();
+        let buf = pool.take_filled(&fresh);
+        assert_eq!(pool.recycle_hits(), 1);
+        assert_eq!(buf.headroom(), DEFAULT_HEADROOM);
+        assert_eq!(buf.data(), fresh.as_slice(), "no byte of the previous packet shows");
+        assert!(buf.storage_capacity() >= capacity);
+    }
+
+    /// A buffer minted with less headroom than the arena hands out is
+    /// extended, not truncated, on its way in.
+    #[test]
+    fn put_restores_the_headroom_of_a_short_buffer() {
+        let mut pool = BufPool::new(4);
+        let mut short = PacketBuf::with_headroom(16);
+        short.append(&[1, 2, 3]);
+        short.pull(3).unwrap();
+        pool.put(short);
+        let buf = pool.take_filled(&[4, 5]);
+        assert_eq!(buf.headroom(), DEFAULT_HEADROOM);
+        assert_eq!(buf.data(), &[4, 5]);
+    }
 }

@@ -32,7 +32,10 @@
 //!   [`Ingress`] as the single-tenant shorthand (tenant 0,
 //!   [`TenantId::DEFAULT`]).
 //! * **Per-tenant QoS** rides the same descriptor plane with no extra
-//!   locks. At admission, a tenant with a [`TenantQos::ring_quota`] can
+//!   locks, and costs only the tenants that asked for it: a tenant with
+//!   neither a quota nor a budget is admitted on ring capacity alone (one
+//!   burst enqueue and one counter update per publish), whatever its
+//!   neighbours configured. At admission, a tenant with a [`TenantQos::ring_quota`] can
 //!   never hold more than its share of a shard's descriptor ring in
 //!   flight (the dispatcher compares its cumulative admitted count with
 //!   the worker's relaxed-atomic processed counter — an estimate that only
@@ -45,7 +48,9 @@
 //!   (quantum ∝ [`TenantQos::weight`]), each run charged its actual
 //!   [`WorkSummary`]-priced cost — a flooding
 //!   tenant burns its own deficit, not its neighbours' latency.
-//! * The dispatcher steers packets by RSS flow hash into per-shard
+//! * The dispatcher steers packets by RSS flow hash — computed only when
+//!   there is more than one shard to choose from; a one-shard pool never
+//!   reads the frame to steer it — into per-shard
 //!   **lock-free SPSC rings** ([`crate::ring`]) carrying
 //!   `(tenant, packet)` descriptors — no per-descriptor rendezvous with
 //!   shared channel state, no blocking paths, wait-free on both sides.
@@ -79,7 +84,7 @@
 //!   byte-slice ingestion performs **zero heap allocations end-to-end**
 //!   however many tenants share the pool (proven by the `alloc-counter`
 //!   gate, `tests/pool_zero_alloc.rs`).
-//! * Control traffic (flush barriers, tenant registration, shutdown)
+//! * Control traffic (tenant registration, arena provisioning, shutdown)
 //!   moves on a **sideband channel** checked between bursts, so the
 //!   descriptor plane stays pure data. Idle workers **park** (and a
 //!   publish to a sleeping shard's ring unparks it).
@@ -91,9 +96,16 @@
 //!   after the run, and every number the pool reports is read back from
 //!   them.
 //! * [`WorkerPool::flush`] is a barrier: every shard finishes what it was
-//!   handed before the barrier message and answers. The report is the
-//!   window's difference of the counter cells plus the collected outputs
-//!   **in shard index order**, each carrying its [`TenantId`].
+//!   handed before the barrier was requested and answers. The barrier
+//!   builds nothing per call: each shard shares a request/done **sequence
+//!   pair** and an outputs slot with the dispatcher, the request wakes the
+//!   worker exactly as a ring publish does, and the dispatcher parks until
+//!   `done` catches up (checking that the worker is still alive, so a dead
+//!   shard fails the flush loudly instead of hanging it). The report is
+//!   the window's difference of the counter cells plus the collected
+//!   outputs **in shard index order**, each carrying its [`TenantId`]; a
+//!   shard hands its outputs vector over and starts the next window at the
+//!   same capacity, so a steady window never regrows it.
 //! * Dropping or [`WorkerPool::shutdown`]ting the pool delivers a shutdown
 //!   message, lets every worker finish its backlog, runs the final drain,
 //!   and joins the threads. No packet or perf event is stranded.
@@ -106,9 +118,9 @@ use netpkt::flow::{rss_hash_packet, steer};
 use netpkt::{BufPool, PacketBuf};
 use seg6_core::{BatchVerdict, Seg6Datapath, Skb, WorkSummary};
 use std::collections::VecDeque;
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -364,22 +376,6 @@ fn quota_slots(queue_capacity: usize, share: f64) -> u64 {
     ((queue_capacity as f64 * share) as u64).clamp(1, cap)
 }
 
-/// One tenant's reused per-publish admission accounting row.
-#[derive(Debug, Default, Clone, Copy)]
-struct IngressRow {
-    /// Descriptors staged for this publish.
-    staged: u64,
-    /// Shed at admission: the tenant was at its ring-quota slot cap.
-    shed_quota: u64,
-    /// Shed at admission: the tenant's cost-budget bucket was empty.
-    shed_budget: u64,
-    /// Admitted past QoS but refused by the full ring itself.
-    ring_rejected: u64,
-    /// Remaining admissions this publish may grant the tenant
-    /// (`u64::MAX` when unquota'd).
-    allowance: u64,
-}
-
 /// One ring descriptor: the packet plus the tenant whose datapath must
 /// execute it.
 struct Desc {
@@ -476,8 +472,8 @@ impl Default for PoolConfig {
 /// Cap on one worker poll, NAPI-style: a worker *dequeues* bursts sized by
 /// the observed ring occupancy, up to this budget — a lull's packets are
 /// processed immediately, a backlog is consumed `NAPI_BUDGET` descriptors
-/// at a time so control messages (flush, tenant registration, shutdown) are
-/// serviced at least once per budget's worth of work. Mirrors the kernel's
+/// at a time so flush barriers and control messages (tenant registration,
+/// shutdown) are serviced at least once per budget's worth of work. Mirrors the kernel's
 /// NAPI `budget` (64 there; 256 here, sized for the userspace batch emit
 /// surface). *Processing* stays bounded by [`PoolConfig::batch_size`]: a
 /// poll's packets execute in `batch_size`-capped batches with the drain
@@ -513,13 +509,66 @@ pub struct DrainReport {
     pub counters: PoolSnapshot,
 }
 
+/// One shard's flush barrier, shared by the dispatcher and the shard's
+/// worker: a request/done sequence pair and a slot for the window's
+/// outputs. The dispatcher bumps `requested` (after everything it published)
+/// and wakes the worker the way a ring publish does; the worker, between
+/// bursts, sees the new sequence, consumes its ring dry, moves its outputs
+/// into the slot, stores the sequence into `done` and unparks the
+/// dispatcher. Nothing is built per barrier — no channel, no message.
+#[derive(Default)]
+struct Barrier {
+    /// Barriers asked for so far. Written by the dispatcher only.
+    requested: AtomicU64,
+    /// The last barrier the worker answered. Written by the worker only,
+    /// after the slot holds that barrier's outputs.
+    done: AtomicU64,
+    slot: Mutex<BarrierSlot>,
+}
+
+#[derive(Default)]
+struct BarrierSlot {
+    /// The answered window's outputs, until the dispatcher takes them.
+    outputs: ShardOutputs,
+    /// The dispatcher thread waiting on this barrier, for the unpark.
+    waiter: Option<std::thread::Thread>,
+}
+
+impl Barrier {
+    /// Dispatcher side: asks for barrier `seq`. Everything published
+    /// before this call is covered by the answer.
+    fn request(&self, seq: u64) {
+        self.slot.lock().expect("worker answers the barrier").waiter = Some(std::thread::current());
+        self.requested.store(seq, Ordering::Release);
+    }
+
+    /// Dispatcher side: waits for the answer to barrier `seq` and takes
+    /// its outputs. A worker that died instead of answering panics here.
+    fn wait(&self, seq: u64, worker: &JoinHandle<()>) -> ShardOutputs {
+        while self.done.load(Ordering::Acquire) != seq {
+            assert!(!worker.is_finished(), "worker answers the barrier");
+            std::thread::park_timeout(PARK_TIMEOUT);
+        }
+        std::mem::take(&mut self.slot.lock().expect("worker answers the barrier").outputs)
+    }
+
+    /// Worker side: answers barrier `seq` with the window's `outputs`.
+    fn answer(&self, seq: u64, outputs: ShardOutputs) {
+        let waiter = {
+            let mut slot = self.slot.lock().expect("dispatcher holds no lock across a panic");
+            slot.outputs = outputs;
+            slot.waiter.take()
+        };
+        self.done.store(seq, Ordering::Release);
+        if let Some(waiter) = waiter {
+            waiter.unpark();
+        }
+    }
+}
+
 /// Sideband control messages, delivered outside the descriptor ring and
 /// checked by the worker between bursts.
 enum Ctrl {
-    /// Barrier: consume the descriptor ring dry, process everything, and
-    /// report. Everything published before this message was sent is
-    /// covered (the dispatcher publishes before it signals).
-    Flush(Sender<ShardOutputs>),
     /// Install a new tenant's datapath (plus its live-counter row and its
     /// shared QoS cell) on this shard, then acknowledge. The dispatcher
     /// waits for every shard's acknowledgement before `add_tenant`
@@ -546,8 +595,11 @@ struct ShardTx {
     freelist: Consumer<PacketBuf>,
     /// Sideband control channel.
     ctrl: Sender<Ctrl>,
-    /// Staged descriptors not yet published (always empty between public
-    /// API calls; batch ingestion fills it up to one burst).
+    /// The flush barrier shared with the worker.
+    barrier: Arc<Barrier>,
+    /// Staged descriptors not yet published: batch ingestion fills it up
+    /// to one burst, for one tenant, and publishes the remainder before it
+    /// returns — always empty between public API calls.
     staging: Vec<Desc>,
     /// The worker thread, for unparking.
     thread: std::thread::Thread,
@@ -581,15 +633,12 @@ pub struct WorkerPool {
     /// The pool-wide totals of the counter cells at the previous flush
     /// barrier — what the next [`PoolReport::run`] window starts from.
     flushed: ShardSnapshot,
+    /// Flush barriers asked for so far: the sequence the shards answer.
+    barriers: u64,
     /// Dispatcher-held per-tenant counter rows, indexed by tenant.
     tenant_cells: Vec<Arc<TenantCounters>>,
     /// The dispatcher's recycling arena, refilled from the free-rings.
     bufs: BufPool,
-    /// Reused scratch for draining free-rings.
-    reclaim_scratch: Vec<PacketBuf>,
-    /// Reused per-tenant admission rows for exact per-tenant accounting
-    /// at publish time.
-    ingress_scratch: Vec<IngressRow>,
     /// Per-tenant admission state: ring-quota slot caps and cost-budget
     /// buckets, indexed by tenant.
     admission: Vec<TenantAdmission>,
@@ -635,6 +684,7 @@ impl WorkerPool {
             let (free_tx, free_rx) = ring::spsc_ring::<PacketBuf>(queue_capacity);
             let (ctrl_tx, ctrl_rx) = channel();
             let sleeping = Arc::new(AtomicBool::new(false));
+            let barrier = Arc::new(Barrier::default());
             let state = ShardState {
                 id,
                 datapaths: vec![datapath],
@@ -642,7 +692,6 @@ impl WorkerPool {
                 deficit: vec![0],
                 qos: vec![Arc::clone(&default_qos)],
                 drr_next: 0,
-                rx: Vec::with_capacity(NAPI_BUDGET),
                 outputs: Vec::new(),
                 verdicts: Vec::with_capacity(NAPI_BUDGET),
                 drain: setup.drain,
@@ -652,6 +701,8 @@ impl WorkerPool {
                 tenant_cells: vec![Arc::clone(&default_cells)],
                 recycled_scratch: vec![0],
                 sleeping: Arc::clone(&sleeping),
+                barrier: Arc::clone(&barrier),
+                barriers_answered: 0,
             };
             counters.count_thread_spawn();
             let worker_config = config.clone();
@@ -670,6 +721,7 @@ impl WorkerPool {
                 ring: ring_tx,
                 freelist: free_rx,
                 ctrl: ctrl_tx,
+                barrier,
                 staging: Vec::with_capacity(config.batch_size.max(1)),
                 thread: handle.thread().clone(),
                 sleeping,
@@ -683,10 +735,9 @@ impl WorkerPool {
             handles,
             counters,
             flushed: ShardSnapshot::default(),
+            barriers: 0,
             tenant_cells: vec![default_cells],
             bufs,
-            reclaim_scratch: Vec::new(),
-            ingress_scratch: vec![IngressRow::default()],
             admission: vec![TenantAdmission::from_qos(&TenantQos::default(), queue_capacity)],
             qos_cells: vec![default_qos],
             queue_capacity,
@@ -765,7 +816,6 @@ impl WorkerPool {
             ack.recv().expect("worker installed the tenant");
         }
         self.tenant_cells.push(cells);
-        self.ingress_scratch.push(IngressRow::default());
         self.admission.push(TenantAdmission::from_qos(&qos, self.queue_capacity));
         self.qos_cells.push(qos_cell);
         let bound = Self::in_flight_bound(&self.config, self.queue_capacity, self.tenant_cells.len());
@@ -895,15 +945,19 @@ impl WorkerPool {
     /// The shard a packet steers to, without enqueueing it. Identical
     /// steering to simnet's per-node RSS model: the Toeplitz hash of the
     /// 5-tuple, modulo the shard count. Steering is tenant-independent —
-    /// tenants share the shards, like VRFs share a host's CPUs.
+    /// tenants share the shards, like VRFs share a host's CPUs. A
+    /// one-shard pool has no choice to make and does not read the frame.
     pub fn steer_to(&self, packet: &[u8]) -> u32 {
+        if self.shards.len() == 1 {
+            return 0;
+        }
         steer(rss_hash_packet(packet), self.shards.len()) as u32
     }
 
     fn enqueue_at_as(&mut self, tenant: TenantId, now_ns: u64, packet: PacketBuf) -> bool {
         let shard = self.steer_to(packet.data()) as usize;
         self.shards[shard].staging.push(Desc { tenant, skb: Skb::received(packet, now_ns, 0) });
-        self.publish_shard(shard) == 1
+        self.publish_shard(shard, tenant) == 1
     }
 
     fn enqueue_all_as(&mut self, tenant: TenantId, packets: impl IntoIterator<Item = PacketBuf>) -> usize {
@@ -913,10 +967,10 @@ impl WorkerPool {
             let shard = self.steer_to(packet.data()) as usize;
             self.shards[shard].staging.push(Desc { tenant, skb: Skb::received(packet, 0, 0) });
             if self.shards[shard].staging.len() >= burst {
-                accepted += self.publish_shard(shard);
+                accepted += self.publish_shard(shard, tenant);
             }
         }
-        accepted + self.publish_all()
+        accepted + self.publish_all(tenant)
     }
 
     /// First use of the byte-slice ingestion path: provision the arena
@@ -1009,126 +1063,105 @@ impl WorkerPool {
             let shard = self.steer_to(packet.data()) as usize;
             self.shards[shard].staging.push(Desc { tenant, skb: Skb::received(packet, now_ns, 0) });
             if self.shards[shard].staging.len() >= burst {
-                accepted += self.publish_shard(shard);
+                accepted += self.publish_shard(shard, tenant);
             }
         }
-        accepted + self.publish_all()
+        accepted + self.publish_all(tenant)
     }
 
-    /// Publishes shard `shard`'s staged descriptors with one atomic
-    /// release, after the per-tenant QoS admission pass: ring-quota'd
-    /// tenants are capped at their slot share of this shard's ring
-    /// (occupancy estimated lock-free from the cell's `enqueued` count —
-    /// which only the dispatcher writes — minus the worker's relaxed
-    /// processed counter; the estimate lags towards *under*-admission,
-    /// never over), budgeted tenants
-    /// spend [`COST_BASE`] per packet from their token bucket (refilled
-    /// on the packets' own RX clocks, trued-up with the workers' measured
+    /// Publishes shard `shard`'s staged descriptors — all `tenant`'s, since
+    /// every ingestion call stages for one tenant and publishes before it
+    /// returns — with one atomic release. A tenant with no
+    /// [`TenantQos::ring_quota`] and no [`TenantQos::cost_budget`] is
+    /// admitted on ring capacity alone: one burst enqueue, one counter
+    /// update. Only a tenant that asked for QoS pays the admission pass
+    /// first: a ring-quota'd tenant is capped at its slot share of this
+    /// shard's ring (occupancy estimated lock-free from the cell's
+    /// `enqueued` count — which only the dispatcher writes — minus the
+    /// worker's relaxed processed counter; the estimate lags towards
+    /// *under*-admission, never over), a budgeted tenant spends
+    /// [`COST_BASE`] per packet from its token bucket (refilled on the
+    /// packets' own RX clocks, trued-up with the workers' measured
     /// surcharges). Everything shed or ring-rejected is accounted exactly
     /// in the (tenant, shard) counter cell — budget sheds on their own
-    /// counter — and its buffer goes back to the arena. Wakes the worker when
-    /// anything was published; returns the accepted count. No locks, no
-    /// allocation: every structure touched is pre-sized per tenant.
-    fn publish_shard(&mut self, shard: usize) -> usize {
+    /// counter — and its buffer goes back to the arena. Wakes the worker
+    /// when anything was published; returns the accepted count. No locks,
+    /// no allocation.
+    fn publish_shard(&mut self, shard: usize, tenant: TenantId) -> usize {
         let tx = &mut self.shards[shard];
         if tx.staging.is_empty() {
             return 0;
         }
-        for row in &mut self.ingress_scratch {
-            *row = IngressRow::default();
-        }
-        for desc in &tx.staging {
-            self.ingress_scratch[desc.tenant.index()].staged += 1;
-        }
-        // Per-tenant allowances for this publish: remaining quota slots
-        // (for quota'd tenants only — unquota'd tenants skip the atomic
-        // reads entirely) and the budget true-up of worker-measured work
-        // surcharges.
-        for (tenant, row) in self.ingress_scratch.iter_mut().enumerate() {
-            if row.staged == 0 {
-                continue;
-            }
-            let admission = &mut self.admission[tenant];
-            row.allowance = match admission.quota_slots {
-                None => u64::MAX,
-                Some(slots) => {
-                    let cell = self.tenant_cells[tenant].shard(shard as u32);
-                    let occupancy = cell.enqueued_relaxed().saturating_sub(cell.processed_relaxed());
-                    slots.saturating_sub(occupancy)
-                }
-            };
+        debug_assert!(tx.staging.iter().all(|desc| desc.tenant == tenant), "staging holds one tenant");
+        let cells = &self.tenant_cells[tenant.index()];
+        let cell = cells.shard(shard as u32);
+        let admission = &mut self.admission[tenant.index()];
+        let (mut shed_quota, mut shed_budget) = (0u64, 0u64);
+        if admission.quota_slots.is_some() || admission.bucket.is_some() {
+            // This publish's allowance: the remaining quota slots, and the
+            // budget true-up of worker-measured work surcharges.
+            let mut allowance = admission.quota_slots.map_or(u64::MAX, |slots| {
+                slots.saturating_sub(cell.enqueued_relaxed().saturating_sub(cell.processed_relaxed()))
+            });
             if let Some(bucket) = &mut admission.bucket {
-                bucket.debit_surcharge(&self.tenant_cells[tenant], self.config.workers);
+                bucket.debit_surcharge(cells, self.config.workers);
             }
-        }
-        // In-place admission filter: admitted descriptors compact to the
-        // front (their relative order — and each tenant's FIFO order — is
-        // preserved; only shed descriptors scramble in the tail).
-        let mut kept = 0;
-        for i in 0..tx.staging.len() {
-            let tenant = tx.staging[i].tenant.index();
-            let row = &mut self.ingress_scratch[tenant];
-            let admit = if row.allowance == 0 {
-                row.shed_quota += 1;
-                false
-            } else {
-                match &mut self.admission[tenant].bucket {
-                    None => true,
-                    Some(bucket) => {
-                        bucket.refill(tx.staging[i].skb.rx_timestamp_ns);
-                        if bucket.try_spend(COST_BASE) {
-                            true
-                        } else {
-                            row.shed_budget += 1;
-                            false
+            // In-place admission filter: admitted descriptors compact to
+            // the front in FIFO order; only shed descriptors scramble in
+            // the tail.
+            let mut kept = 0;
+            for i in 0..tx.staging.len() {
+                let admit = if allowance == 0 {
+                    shed_quota += 1;
+                    false
+                } else {
+                    match &mut admission.bucket {
+                        None => true,
+                        Some(bucket) => {
+                            bucket.refill(tx.staging[i].skb.rx_timestamp_ns);
+                            let paid = bucket.try_spend(COST_BASE);
+                            shed_budget += u64::from(!paid);
+                            paid
                         }
                     }
+                };
+                if admit {
+                    if allowance != u64::MAX {
+                        allowance -= 1;
+                    }
+                    if kept != i {
+                        tx.staging.swap(kept, i);
+                    }
+                    kept += 1;
                 }
-            };
-            if admit {
-                if row.allowance != u64::MAX {
-                    row.allowance -= 1;
-                }
-                tx.staging.swap(kept, i);
-                kept += 1;
             }
-        }
-        for desc in tx.staging.drain(kept..) {
-            self.bufs.put(desc.skb.into_packet());
+            for desc in tx.staging.drain(kept..) {
+                self.bufs.put(desc.skb.into_packet());
+            }
         }
         let accepted = tx.ring.enqueue_burst(&mut tx.staging);
+        let ring_rejected = tx.staging.len() as u64;
         for desc in tx.staging.drain(..) {
-            self.ingress_scratch[desc.tenant.index()].ring_rejected += 1;
             self.bufs.put(desc.skb.into_packet());
         }
-        for (tenant, row) in self.ingress_scratch.iter().enumerate() {
-            if row.staged == 0 {
-                continue;
-            }
-            let tenant_accepted = row.staged - row.shed_quota - row.shed_budget - row.ring_rejected;
-            let cell = self.tenant_cells[tenant].shard(shard as u32);
-            cell.add_ingress(tenant_accepted, row.shed_quota + row.ring_rejected);
-            cell.add_over_budget(row.shed_budget);
-        }
+        cell.add_ingress(accepted as u64, shed_quota + ring_rejected);
+        cell.add_over_budget(shed_budget);
         if accepted > 0 {
-            self.shards[shard].wake();
+            tx.wake();
         }
         accepted
     }
 
-    /// Publishes every shard's remaining staged descriptors.
-    fn publish_all(&mut self) -> usize {
-        (0..self.shards.len()).map(|shard| self.publish_shard(shard)).sum()
+    /// Publishes every shard's remaining staged descriptors (all
+    /// `tenant`'s; see [`WorkerPool::publish_shard`]).
+    fn publish_all(&mut self, tenant: TenantId) -> usize {
+        (0..self.shards.len()).map(|shard| self.publish_shard(shard, tenant)).sum()
     }
 
     /// Drains every shard's free-ring into the recycling arena.
     fn reclaim(&mut self) {
         for tx in &mut self.shards {
-            while tx.freelist.dequeue_burst(&mut self.reclaim_scratch, 64) > 0 {
-                for buf in self.reclaim_scratch.drain(..) {
-                    self.bufs.put(buf);
-                }
-            }
+            while tx.freelist.dequeue_with(64, |buf| self.bufs.put(buf)) > 0 {}
         }
     }
 
@@ -1137,23 +1170,22 @@ impl WorkerPool {
     /// the previous flush, plus the outputs (when collected) — always in
     /// shard index order, regardless of which shard finished first.
     pub fn flush(&mut self) -> PoolReport {
-        self.publish_all();
         // Hand every shard its barrier first, then collect in index order:
         // the shards drain concurrently, the ordering is imposed only on
         // the collection side.
-        let replies: Vec<Receiver<ShardOutputs>> = self
+        self.barriers += 1;
+        for tx in &self.shards {
+            tx.barrier.request(self.barriers);
+            tx.wake();
+        }
+        let outputs = self
             .shards
             .iter()
-            .map(|tx| {
-                let (reply_tx, reply_rx) = channel();
-                tx.ctrl.send(Ctrl::Flush(reply_tx)).expect("worker alive");
-                tx.wake();
-                reply_rx
-            })
+            .zip(&self.handles)
+            .map(|(tx, worker)| tx.barrier.wait(self.barriers, worker))
             .collect();
-        let outputs = replies.iter().map(|reply| reply.recv().expect("worker answers the barrier")).collect();
         // Every worker added its runs to the cells before it answered, and
-        // the reply channel orders those writes before these reads.
+        // its `done` store orders those writes before these reads.
         let totals = self.totals();
         let run = totals.since(&self.flushed);
         self.flushed = totals;
@@ -1187,7 +1219,6 @@ impl WorkerPool {
     }
 
     fn stop(&mut self) {
-        self.publish_all();
         for tx in self.shards.drain(..) {
             let _ = tx.ctrl.send(Ctrl::Shutdown);
             tx.wake();
@@ -1293,9 +1324,10 @@ impl Ingress for Tenant<'_> {
 }
 
 /// How long a parked worker sleeps before re-checking its inputs on its
-/// own. Wakeups are explicit (publish/control unpark the thread); the
-/// timeout only bounds the damage if the dispatcher vanishes without a
-/// shutdown message.
+/// own, and a dispatcher waiting on a flush barrier before re-checking
+/// that the worker is alive. Wakeups are explicit (publish/control/answer
+/// unpark the thread); the timeout only bounds the damage if the other
+/// side vanishes without a word.
 const PARK_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// The state one shard thread owns for its whole life. The batch, verdict
@@ -1325,9 +1357,6 @@ struct ShardState {
     /// Round-robin cursor of the DRR scheduler: the next tenant to
     /// credit. Persists across polls so the rotation is fair over time.
     drr_next: usize,
-    /// Dequeue scratch: descriptors straight off the ring, before they
-    /// are sorted into the per-tenant `queues`.
-    rx: Vec<Desc>,
     outputs: ShardOutputs,
     verdicts: Vec<BatchVerdict>,
     drain: Option<BatchDrain>,
@@ -1346,13 +1375,17 @@ struct ShardState {
     recycled_scratch: Vec<u64>,
     /// Park handshake; see [`ShardTx::sleeping`].
     sleeping: Arc<AtomicBool>,
+    /// The flush barrier shared with the dispatcher, and the last sequence
+    /// this shard answered.
+    barrier: Arc<Barrier>,
+    barriers_answered: u64,
 }
 
 /// One shard's thread body: NAPI-style occupancy-sized burst dequeue,
 /// then `batch_size`-bounded batches per tenant run, recycle, drain,
-/// report. Control messages (flush barriers, tenant registration,
-/// shutdown) ride the sideband channel and are checked between bursts; an
-/// idle shard parks.
+/// report. Control messages (tenant registration, shutdown) ride the
+/// sideband channel and the flush barrier its sequence pair; both are
+/// checked between bursts. An idle shard parks.
 fn worker_loop(config: PoolConfig, mut shard: ShardState, ctrl: Receiver<Ctrl>, mut ring: Consumer<Desc>) {
     let mut clock: u64 = 0;
     // Disconnection without a shutdown message means the dispatcher
@@ -1371,6 +1404,9 @@ fn worker_loop(config: PoolConfig, mut shard: ShardState, ctrl: Receiver<Ctrl>, 
             }
             continue;
         }
+        if answer_barrier(&mut shard, &mut ring, &mut clock, &config) {
+            continue;
+        }
         // One adaptive poll: a burst sized by the ring's occupancy, capped
         // at the NAPI budget, processed immediately. Batching amortises
         // bursts, it never delays a lull's packets; the budget bounds how
@@ -1379,13 +1415,13 @@ fn worker_loop(config: PoolConfig, mut shard: ShardState, ctrl: Receiver<Ctrl>, 
             continue;
         }
         // Idle: park. The pre-park protocol pairs with `ShardTx::wake` —
-        // set the flag, fence, then re-check both inputs; the dispatcher
-        // publishes/sends first, fences, then checks the flag. Whatever
-        // the interleaving, either this sees the work or the dispatcher
-        // sees the flag and unparks.
+        // set the flag, fence, then re-check every input; the dispatcher
+        // publishes/sends/requests first, fences, then checks the flag.
+        // Whatever the interleaving, either this sees the work or the
+        // dispatcher sees the flag and unparks.
         shard.sleeping.store(true, Ordering::SeqCst);
         fence(Ordering::SeqCst);
-        if !ring.is_empty() {
+        if !ring.is_empty() || shard.barrier.requested.load(Ordering::Acquire) != shard.barriers_answered {
             shard.sleeping.store(false, Ordering::SeqCst);
             continue;
         }
@@ -1416,13 +1452,6 @@ fn serve_ctrl(
     config: &PoolConfig,
 ) -> bool {
     match msg {
-        Ctrl::Flush(reply) => {
-            // Barrier: drain everything published before it, then hand
-            // over the window's outputs. The run counters are already in
-            // the live cells.
-            drain_ring(shard, ring, clock, config);
-            let _ = reply.send(std::mem::take(&mut shard.outputs));
-        }
         Ctrl::AddTenant { datapath, cells, qos, done } => install_tenant(shard, *datapath, cells, qos, done),
         Ctrl::Provision { count, headroom, done } => provision_segment(count, headroom, done),
         Ctrl::Shutdown => {
@@ -1430,6 +1459,31 @@ fn serve_ctrl(
             return false;
         }
     }
+    true
+}
+
+/// Answers the dispatcher's flush barrier, if it asked for one since the
+/// last answer: drains everything published before the request, then
+/// hands over the window's outputs (the run counters are already in the
+/// live cells). Returns whether a barrier was answered. Kept out of line:
+/// the loop that calls it runs once per poll, this body once per barrier.
+#[inline(never)]
+fn answer_barrier(
+    shard: &mut ShardState,
+    ring: &mut Consumer<Desc>,
+    clock: &mut u64,
+    config: &PoolConfig,
+) -> bool {
+    let requested = shard.barrier.requested.load(Ordering::Acquire);
+    if requested == shard.barriers_answered {
+        return false;
+    }
+    drain_ring(shard, ring, clock, config);
+    // The next window usually collects as many as this one did: start it
+    // at that size rather than regrowing from empty.
+    let next = Vec::with_capacity(shard.outputs.len());
+    shard.barrier.answer(requested, std::mem::replace(&mut shard.outputs, next));
+    shard.barriers_answered = requested;
     true
 }
 
@@ -1485,15 +1539,13 @@ fn poll_once(
     clock: &mut u64,
     config: &PoolConfig,
 ) -> bool {
-    if ring.dequeue_burst(&mut shard.rx, NAPI_BUDGET) == 0 {
+    // Descriptors go straight off the ring into the per-tenant run queues
+    // (arrival order preserved within a tenant); the shard clock advances
+    // per run inside `run_scheduler`, not per poll, so a large NAPI burst
+    // does not time-stamp its first run with its last packet's arrival.
+    let queues = &mut shard.queues;
+    if ring.dequeue_with(NAPI_BUDGET, |desc| queues[desc.tenant.index()].push_back(desc.skb)) == 0 {
         return false;
-    }
-    // Sort descriptors into the per-tenant run queues (arrival order
-    // preserved within a tenant); the shard clock advances per run inside
-    // `run_scheduler`, not per poll, so a large NAPI burst does not
-    // time-stamp its first run with its last packet's arrival.
-    for desc in shard.rx.drain(..) {
-        shard.queues[desc.tenant.index()].push_back(desc.skb);
     }
     run_scheduler(shard, clock, config);
     true
@@ -1565,7 +1617,7 @@ fn run_scheduler(shard: &mut ShardState, clock: &mut u64, config: &PoolConfig) {
         if recycled > 0 {
             // The free-ring took the emission-order prefix; attribute the
             // recycled buffers to their tenants exactly (pre-sized
-            // scratch, one fetch_add per tenant with any).
+            // scratch, one counter update per tenant with any).
             for count in &mut shard.recycled_scratch {
                 *count = 0;
             }
@@ -1774,22 +1826,43 @@ mod tests {
     /// Satellite regression: the pool must agree with per-packet
     /// processing in steering order — same verdicts, and per-shard results
     /// reported in shard index order no matter which shard finishes first.
+    /// With one shard (where the pool never hashes a frame) the oracle's
+    /// `steer(hash, 1)` and the pool's short-circuit must still agree.
     #[test]
     fn pool_flush_matches_per_packet_processing_in_shard_index_order() {
         let packets: Vec<PacketBuf> = (0..512).map(flow_packet).collect();
-        let expected = reference_counts(4, &packets, forwarding_datapath);
-        assert_eq!(expected.iter().map(|c| c[0]).sum::<u64>(), 512);
-        assert_eq!(expected.iter().map(|c| c[1]).sum::<u64>(), 512);
+        for workers in [1, 4] {
+            let expected = reference_counts(workers, &packets, forwarding_datapath);
+            assert_eq!(expected.iter().map(|c| c[0]).sum::<u64>(), 512);
+            assert_eq!(expected.iter().map(|c| c[1]).sum::<u64>(), 512);
 
-        let config = PoolConfig { workers: 4, batch_size: 16, ..Default::default() };
-        let mut pool = WorkerPool::new(config, forwarding_datapath);
-        for _ in 0..5 {
-            // Repeat to give out-of-order shard completions a chance to
-            // show up; the windows must stay identical every time.
-            let window = window_counts(&mut pool, |pool| {
-                assert_eq!(pool.enqueue_all(packets.iter().cloned()), 512);
-            });
-            assert_eq!(window, expected);
+            let config = PoolConfig { workers, batch_size: 16, ..Default::default() };
+            let mut pool = WorkerPool::new(config, forwarding_datapath);
+            for _ in 0..5 {
+                // Repeat to give out-of-order shard completions a chance
+                // to show up; the windows must stay identical every time.
+                let window = window_counts(&mut pool, |pool| {
+                    assert_eq!(pool.enqueue_all(packets.iter().cloned()), 512);
+                });
+                assert_eq!(window, expected, "{workers} workers");
+            }
+        }
+    }
+
+    /// Steering reads the frame only when there is a shard to choose: a
+    /// one-shard pool answers 0 for anything, a four-shard pool answers
+    /// exactly the RSS hash's shard.
+    #[test]
+    fn steering_hashes_only_when_there_is_a_choice() {
+        let one = WorkerPool::new(PoolConfig::default(), forwarding_datapath);
+        let well_formed = flow_packet(7);
+        for frame in [&[][..], &[0x60][..], well_formed.data()] {
+            assert_eq!(one.steer_to(frame), 0);
+        }
+        let four = WorkerPool::new(PoolConfig { workers: 4, ..Default::default() }, forwarding_datapath);
+        for flow in 0..1000 {
+            let packet = flow_packet(flow);
+            assert_eq!(four.steer_to(packet.data()), steer(rss_hash_packet(packet.data()), 4) as u32);
         }
     }
 

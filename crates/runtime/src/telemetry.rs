@@ -18,10 +18,11 @@
 //! `enqueued` / `rejected` / `rejected_over_budget` at publish time; the
 //! shard's worker adds `processed` / `forwarded` / `local_delivered` /
 //! `dropped` / `batches` / `cost` once per tenant run — the run's delta of
-//! the tenant datapath's own [`DatapathStats`], one `fetch_add` per
-//! counter per run, nothing per packet — and `recycled` once per poll. The
-//! hot path never touches
-//! a lock: the dispatcher and every worker hold direct `Arc`s to their
+//! the tenant datapath's own [`DatapathStats`], one plain load + store per
+//! counter per run (a single writer needs no locked read-modify-write),
+//! nothing per packet — and `recycled` once per poll; the two writers'
+//! fields sit on separate cache lines. The hot path never touches a lock:
+//! the dispatcher and every worker hold direct `Arc`s to their
 //! tenants' cell blocks (handed over on the control channel when a tenant
 //! registers); only registration and [`PoolCounters::snapshot`] take the
 //! tenant-list lock.
@@ -37,19 +38,38 @@
 //! per-shard view by construction.
 
 use crate::pool::TenantId;
+use crate::ring::CachePadded;
 use seg6_core::DatapathStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Live counters of one (tenant, shard) cell. All cells are relaxed
 /// atomics: written by exactly one thread each (dispatcher or the shard's
-/// worker), readable by anyone at any time.
+/// worker), readable by anyone at any time. Because each field has one
+/// writer, an update is a plain load + store — no locked read-modify-write
+/// — and the two writers' fields live on separate cache lines, so a
+/// publish never takes the line a tenant run is counting on.
 #[derive(Debug, Default)]
 pub struct ShardCounters {
-    /// Packets accepted into the shard's descriptor ring (dispatcher).
+    ingress: CachePadded<IngressCounters>,
+    work: CachePadded<WorkCounters>,
+}
+
+/// The fields the dispatcher writes, at publish time.
+#[derive(Debug, Default)]
+struct IngressCounters {
+    /// Packets accepted into the shard's descriptor ring.
     enqueued: AtomicU64,
-    /// Packets rejected because the ring was full (dispatcher).
+    /// Packets rejected because the ring was full.
     rejected: AtomicU64,
+    /// Packets shed at admission because the tenant's cost budget was
+    /// exhausted. Not included in `rejected`.
+    rejected_over_budget: AtomicU64,
+}
+
+/// The fields the shard's worker writes.
+#[derive(Debug, Default)]
+struct WorkCounters {
     /// Packets processed by the worker.
     processed: AtomicU64,
     /// Forward verdicts.
@@ -62,22 +82,24 @@ pub struct ShardCounters {
     batches: AtomicU64,
     /// Packet buffers handed back to the dispatcher through the free-ring.
     recycled: AtomicU64,
-    /// Packets shed at admission because the tenant's cost budget was
-    /// exhausted (dispatcher). Not included in `rejected`.
-    rejected_over_budget: AtomicU64,
-    /// Cost-model units charged for processed work (worker), priced by
+    /// Cost-model units charged for processed work, priced by
     /// [`work_cost`](crate::work_cost) from the emitted `WorkSummary`s.
     cost: AtomicU64,
+}
+
+/// Adds `n` to a counter only the calling thread writes.
+fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 impl ShardCounters {
     /// Dispatcher-side accounting: one call per published burst.
     pub(crate) fn add_ingress(&self, enqueued: u64, rejected: u64) {
         if enqueued > 0 {
-            self.enqueued.fetch_add(enqueued, Ordering::Relaxed);
+            bump(&self.ingress.0.enqueued, enqueued);
         }
         if rejected > 0 {
-            self.rejected.fetch_add(rejected, Ordering::Relaxed);
+            bump(&self.ingress.0.rejected, rejected);
         }
     }
 
@@ -85,19 +107,20 @@ impl ShardCounters {
     /// the tenant datapath's counters before and after the run and the
     /// run's priced cost.
     pub(crate) fn add_run(&self, before: &DatapathStats, after: &DatapathStats, cost: u64) {
-        self.processed.fetch_add(after.received - before.received, Ordering::Relaxed);
-        self.forwarded.fetch_add(after.forwarded - before.forwarded, Ordering::Relaxed);
-        self.local_delivered.fetch_add(after.local_delivered - before.local_delivered, Ordering::Relaxed);
-        self.dropped.fetch_add(after.total_dropped() - before.total_dropped(), Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.cost.fetch_add(cost, Ordering::Relaxed);
+        let work = &self.work.0;
+        bump(&work.processed, after.received - before.received);
+        bump(&work.forwarded, after.forwarded - before.forwarded);
+        bump(&work.local_delivered, after.local_delivered - before.local_delivered);
+        bump(&work.dropped, after.total_dropped() - before.total_dropped());
+        bump(&work.batches, 1);
+        bump(&work.cost, cost);
     }
 
     /// Worker-side accounting: how many of this tenant's buffers went to
     /// the free-ring in one batch publish.
     pub(crate) fn add_recycled(&self, recycled: u64) {
         if recycled > 0 {
-            self.recycled.fetch_add(recycled, Ordering::Relaxed);
+            bump(&self.work.0.recycled, recycled);
         }
     }
 
@@ -105,42 +128,43 @@ impl ShardCounters {
     /// budget was exhausted.
     pub(crate) fn add_over_budget(&self, shed: u64) {
         if shed > 0 {
-            self.rejected_over_budget.fetch_add(shed, Ordering::Relaxed);
+            bump(&self.ingress.0.rejected_over_budget, shed);
         }
     }
 
     /// Relaxed read of the enqueued counter, by its only writer (the
     /// dispatcher): what it has admitted into this shard's ring so far.
     pub(crate) fn enqueued_relaxed(&self) -> u64 {
-        self.enqueued.load(Ordering::Relaxed)
+        self.ingress.0.enqueued.load(Ordering::Relaxed)
     }
 
     /// Relaxed read of the processed counter — the dispatcher's ring
     /// occupancy estimate subtracts this from what it has admitted.
     pub(crate) fn processed_relaxed(&self) -> u64 {
-        self.processed.load(Ordering::Relaxed)
+        self.work.0.processed.load(Ordering::Relaxed)
     }
 
     /// Relaxed read of the charged cost — the dispatcher's budget true-up
     /// debits the surcharge (cost beyond the base already charged at
     /// admission) against the tenant's token bucket.
     pub(crate) fn cost_relaxed(&self) -> u64 {
-        self.cost.load(Ordering::Relaxed)
+        self.work.0.cost.load(Ordering::Relaxed)
     }
 
     /// Samples this cell's counters.
     pub fn sample(&self) -> ShardSnapshot {
+        let (ingress, work) = (&self.ingress.0, &self.work.0);
         ShardSnapshot {
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            processed: self.processed.load(Ordering::Relaxed),
-            forwarded: self.forwarded.load(Ordering::Relaxed),
-            local_delivered: self.local_delivered.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            recycled: self.recycled.load(Ordering::Relaxed),
-            rejected_over_budget: self.rejected_over_budget.load(Ordering::Relaxed),
-            cost: self.cost.load(Ordering::Relaxed),
+            enqueued: ingress.enqueued.load(Ordering::Relaxed),
+            rejected: ingress.rejected.load(Ordering::Relaxed),
+            processed: work.processed.load(Ordering::Relaxed),
+            forwarded: work.forwarded.load(Ordering::Relaxed),
+            local_delivered: work.local_delivered.load(Ordering::Relaxed),
+            dropped: work.dropped.load(Ordering::Relaxed),
+            batches: work.batches.load(Ordering::Relaxed),
+            recycled: work.recycled.load(Ordering::Relaxed),
+            rejected_over_budget: ingress.rejected_over_budget.load(Ordering::Relaxed),
+            cost: work.cost.load(Ordering::Relaxed),
         }
     }
 }

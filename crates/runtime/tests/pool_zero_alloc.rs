@@ -1,8 +1,12 @@
 //! Worker-pool steady-state allocation regression test.
 //!
-//! Run with `cargo test -p seg6-runtime --features alloc-counter`. Three
+//! Run with `cargo test -p seg6-runtime --features alloc-counter`. Five
 //! phases share one test (the counter is **process-wide**, so no other
-//! test may run concurrently in this binary):
+//! test may run concurrently in this binary). Every phase is held to an
+//! **exact** count: a round allocates the flush report's outer vector and
+//! nothing else — the barrier itself (a per-shard sequence pair, no
+//! channel) allocates nothing — plus, when outputs are collected, the one
+//! pre-sized vector each shard starts its next window with.
 //!
 //! 1. **Owned-buffer rounds** — pre-built `PacketBuf`s enqueued in bursts
 //!    and flushed: the SPSC descriptor ring, the per-shard staging, the
@@ -13,8 +17,8 @@
 //!    recycled buffers from the free-ring-fed arena, processed, and their
 //!    storage returned by the workers. A whole steady-state round —
 //!    dispatch → ring → worker → free-ring → dispatch — performs **zero**
-//!    buffer allocations; only the flush barrier's reply channel costs a
-//!    small per-round constant.
+//!    buffer allocations; the flush report's outer vector is the round's
+//!    only allocation.
 //! 3. **Multi-tenant rounds** — the PR-5 acceptance gate: a second tenant
 //!    registers (its one-time installation cost and the arena's
 //!    re-provision to the larger in-flight bound happen *outside* the
@@ -29,6 +33,11 @@
 //!    behaviours (the paths `seg6-core`'s `zero_alloc.rs` holds to zero
 //!    on one thread): packets that grow on their way through must not
 //!    cost the recycled buffers or the workers' scratch an allocation.
+//! 5. **Collected-output rounds** — a second pool with
+//!    [`PoolConfig::collect_outputs`]: every shard hands its window's
+//!    vector to the report and starts the next one at the same capacity
+//!    (one allocation per shard per round, not a regrowth from empty),
+//!    and the caller's `recycle` closes the buffer loop mint-free.
 #![cfg(feature = "alloc-counter")]
 
 #[path = "../../core/tests/common/nf_paths.rs"]
@@ -71,11 +80,10 @@ fn pool_steady_state_does_not_allocate_per_packet() {
     const WORKERS: u32 = 4;
     const PACKETS_PER_ROUND: usize = 1024;
     const MEASURED_ROUNDS: usize = 8;
-    // Flush barriers create reply channels and report vectors; everything
-    // else must be reuse. The budget is generous per **round** and tiny
-    // per packet — a single stray per-packet allocation would blow through
-    // it 20× over.
-    const ROUND_BUDGET: u64 = 256;
+    // What one round may allocate: the flush report's outer vector.
+    // Everything else — rings, staging, batch and verdict buffers, the
+    // barrier — must be reuse.
+    const ROUND_ALLOCS: u64 = 1;
 
     let config = PoolConfig {
         workers: WORKERS,
@@ -109,11 +117,11 @@ fn pool_steady_state_does_not_allocate_per_packet() {
 
     assert_eq!(processed as usize, MEASURED_ROUNDS * PACKETS_PER_ROUND);
     assert_eq!(pool.rejected(), 0);
-    let budget = MEASURED_ROUNDS as u64 * ROUND_BUDGET;
-    assert!(
-        allocations <= budget,
+    let expected = MEASURED_ROUNDS as u64 * ROUND_ALLOCS;
+    assert_eq!(
+        allocations, expected,
         "pool steady state allocated {allocations} times over {MEASURED_ROUNDS} rounds \
-         ({PACKETS_PER_ROUND} packets each); budget {budget} — the per-packet path is allocating"
+         ({PACKETS_PER_ROUND} packets each) — the per-packet path or the barrier is allocating"
     );
 
     // --- Phase 2: the zero-allocation ingestion loop (PR-4 gate) ---
@@ -151,11 +159,11 @@ fn pool_steady_state_does_not_allocate_per_packet() {
         minted_after_warmup,
         "steady-state ingestion minted fresh packet buffers instead of recycling"
     );
-    assert!(
-        allocations <= budget,
+    assert_eq!(
+        allocations, expected,
         "recycled ingestion allocated {allocations} times over {MEASURED_ROUNDS} rounds \
-         ({PACKETS_PER_ROUND} packets each); budget {budget} — the dispatch → ring → worker → \
-         free-ring loop is allocating"
+         ({PACKETS_PER_ROUND} packets each) — the dispatch → ring → worker → free-ring loop is \
+         allocating"
     );
 
     // --- Phase 3: the multi-tenant gate (PR-5) ---
@@ -201,11 +209,11 @@ fn pool_steady_state_does_not_allocate_per_packet() {
         minted_after_tenants,
         "multi-tenant steady state minted fresh packet buffers instead of recycling"
     );
-    assert!(
-        allocations <= budget,
+    assert_eq!(
+        allocations, expected,
         "multi-tenant ingestion allocated {allocations} times over {MEASURED_ROUNDS} rounds \
-         ({PACKETS_PER_ROUND} packets each, 2 tenants); budget {budget} — tenant stamping, \
-         tenant-run splitting or the per-tenant counters are allocating"
+         ({PACKETS_PER_ROUND} packets each, 2 tenants) — tenant stamping, tenant-run splitting or \
+         the per-tenant counters are allocating"
     );
 
     // Both tenants really ran: the per-tenant rows carry the split.
@@ -250,11 +258,53 @@ fn pool_steady_state_does_not_allocate_per_packet() {
         (3 + MEASURED_ROUNDS) * PACKETS_PER_ROUND,
         "every program-path packet forwards"
     );
-    assert!(
-        allocations <= budget,
+    assert_eq!(
+        allocations, expected,
         "program and encapsulation rounds allocated {allocations} times over {MEASURED_ROUNDS} rounds \
-         ({PACKETS_PER_ROUND} packets each); budget {budget} — an End.BPF, LWT or static encap path \
-         is allocating per packet"
+         ({PACKETS_PER_ROUND} packets each) — an End.BPF, LWT or static encap path is allocating \
+         per packet"
+    );
+    pool.shutdown();
+
+    // --- Phase 5: collected outputs ---
+
+    let config = PoolConfig {
+        workers: WORKERS,
+        batch_size: 32,
+        queue_depth: 2 * PACKETS_PER_ROUND,
+        collect_outputs: true,
+        ..Default::default()
+    };
+    let mut pool = WorkerPool::new(config, forwarding_datapath);
+    let round = |pool: &mut WorkerPool| {
+        assert_eq!(pool.enqueue_bytes_all(0, frames.iter().map(Vec::as_slice)), PACKETS_PER_ROUND);
+        let report = pool.flush();
+        assert!(report.outputs.iter().all(|shard| !shard.is_empty()), "every shard saw traffic");
+        let mut collected = 0;
+        for (_, skb, _) in report.outputs.into_iter().flatten() {
+            pool.recycle(skb.into_packet());
+            collected += 1;
+        }
+        assert_eq!(collected, PACKETS_PER_ROUND);
+    };
+    for _ in 0..3 {
+        round(&mut pool);
+    }
+    let minted_after_warmup = pool.buf_pool().allocations();
+
+    let before = global_allocations();
+    for _ in 0..MEASURED_ROUNDS {
+        round(&mut pool);
+    }
+    let allocations = global_allocations() - before;
+
+    assert_eq!(pool.buf_pool().allocations(), minted_after_warmup, "collected rounds minted packet buffers");
+    assert_eq!(
+        allocations,
+        MEASURED_ROUNDS as u64 * (ROUND_ALLOCS + u64::from(WORKERS)),
+        "collected-output rounds allocated {allocations} times over {MEASURED_ROUNDS} rounds: more \
+         than the report vector plus one pre-sized output vector per shard — a shard is regrowing \
+         its outputs, or the barrier is allocating"
     );
     pool.shutdown();
 }

@@ -25,8 +25,9 @@ impl Rng {
 }
 
 /// Drives `total` sequence-numbered descriptors through a ring of
-/// `capacity` slots, with bursts of up to `max_burst`, and asserts the
-/// consumer observes exactly `0..total` in order.
+/// `capacity` slots, with bursts of up to `max_burst` — the consumer
+/// picking `dequeue_burst` or the closure-taking `dequeue_with` at random —
+/// and asserts the consumer observes exactly `0..total` in order.
 fn stress(total: u64, capacity: usize, max_burst: usize, seed: u64) {
     let (mut tx, mut rx) = spsc_ring::<u64>(capacity);
     let producer = thread::spawn(move || {
@@ -59,7 +60,14 @@ fn stress(total: u64, capacity: usize, max_burst: usize, seed: u64) {
         while expected < total {
             let burst = 1 + (rng.next() as usize % max_burst);
             out.clear();
-            if rx.dequeue_burst(&mut out, burst) == 0 {
+            // Both dequeue forms, mixed at random on the same ring.
+            let moved = if rng.next() & 1 == 0 {
+                rx.dequeue_burst(&mut out, burst)
+            } else {
+                rx.dequeue_with(burst, |v| out.push(v))
+            };
+            assert_eq!(moved, out.len());
+            if moved == 0 {
                 empty_polls += 1;
                 if empty_polls.is_multiple_of(64) {
                     thread::yield_now();

@@ -21,8 +21,10 @@ use netpkt::srh::SegmentRoutingHeader;
 use netpkt::PacketBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seg6_core::{Nexthop, Seg6Datapath, Seg6LocalAction, Verdict};
-use seg6_runtime::{Ingress, PoolConfig, ShardSnapshot, TenantId, TenantQos, TenantSpec, WorkerPool};
+use seg6_core::{BatchVerdict, Nexthop, Seg6Datapath, Seg6LocalAction, Verdict};
+use seg6_runtime::{
+    Ingress, PoolConfig, PoolSnapshot, ShardSnapshot, TenantId, TenantQos, TenantSpec, WorkerPool,
+};
 use std::net::Ipv6Addr;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -256,6 +258,123 @@ fn per_tenant_rejection_accounting_is_exact() {
     drop(release_tx);
     let report = pool.flush();
     assert_eq!(report.run.processed, 9, "exactly the accepted packets were processed");
+}
+
+/// The admission pass runs only for a tenant that asked for QoS, so QoS
+/// that never binds must change nothing: the same seeded two-tenant
+/// traffic through a pool whose tenants have no QoS and through one whose
+/// tenants hold a quota of the whole ring and a budget that cannot run dry
+/// yields the same outputs in the same order and the same counter cells.
+/// (`batches` is left out: how a window splits into runs depends on when
+/// the worker polled, in either pool.)
+#[test]
+fn qos_that_never_binds_is_equivalent_to_no_qos() {
+    const ROUNDS: u64 = 60;
+    let config = PoolConfig {
+        workers: 2,
+        batch_size: 8,
+        queue_depth: 256,
+        collect_outputs: true,
+        ..Default::default()
+    };
+    let unbinding = TenantQos { weight: 1, ring_quota: Some(1.0), cost_budget: Some(u64::MAX) };
+    let mut open = WorkerPool::new(config.clone(), tenant_a);
+    let b = open.add_tenant(TenantSpec::build_with(tenant_b));
+    let mut metered = WorkerPool::new(config, tenant_a);
+    metered.update_tenant_qos(TenantId::DEFAULT, unbinding);
+    assert_eq!(metered.add_tenant(TenantSpec::build_with(tenant_b).qos(unbinding)), b);
+
+    fn without_batches(mut snap: PoolSnapshot) -> PoolSnapshot {
+        let rows = snap.tenants.iter_mut().flat_map(|t| t.shards.iter_mut());
+        rows.chain(snap.shards.iter_mut()).for_each(|cell| cell.batches = 0);
+        snap
+    }
+
+    /// One window: `burst` enqueued as `tenant` (both ingestion fronts,
+    /// alternating by round) and flushed. Returns the window's counters
+    /// and, per shard, each output's tenant, bytes and verdict.
+    type Output = (TenantId, Vec<u8>, BatchVerdict);
+    fn window(
+        pool: &mut WorkerPool,
+        tenant: TenantId,
+        round: u64,
+        burst: &[PacketBuf],
+    ) -> (ShardSnapshot, Vec<Vec<Output>>) {
+        let accepted = if round.is_multiple_of(2) {
+            pool.tenant(tenant).enqueue_bytes_all(round * 1_000_000, burst.iter().map(|p| p.data()))
+        } else {
+            pool.tenant(tenant).enqueue_all(burst.iter().cloned())
+        };
+        assert_eq!(accepted, burst.len(), "round {round}: nothing binds, nothing is shed");
+        let report = pool.flush();
+        let mut outputs = Vec::new();
+        for shard in report.outputs {
+            let mut collected = Vec::new();
+            for (tenant, skb, bv) in shard {
+                collected.push((tenant, skb.packet.data().to_vec(), bv));
+                pool.recycle(skb.into_packet());
+            }
+            outputs.push(collected);
+        }
+        (ShardSnapshot { batches: 0, ..report.run }, outputs)
+    }
+
+    let mut rng = StdRng::seed_from_u64(0x0a11_0ca7);
+    for round in 0..ROUNDS {
+        // One tenant's burst per window, so each shard's outputs are that
+        // tenant's packets in arrival order however the worker polled.
+        let tenant = if rng.gen_bool(0.5) { TenantId::DEFAULT } else { b };
+        let burst: Vec<PacketBuf> = (0..rng.gen_range(1usize..100))
+            .map(|_| {
+                let flow = rng.gen_range(0u32..512);
+                if rng.gen_bool(0.3) {
+                    srv6_packet(flow)
+                } else {
+                    plain_packet(flow)
+                }
+            })
+            .collect();
+        assert_eq!(
+            window(&mut open, tenant, round, &burst),
+            window(&mut metered, tenant, round, &burst),
+            "round {round}"
+        );
+    }
+    let (open, metered) = (open.drain().counters, metered.drain().counters);
+    assert_eq!(open.processed(), metered.processed());
+    assert!(open.tenants.iter().all(|t| t.totals().processed > 0), "both tenants saw traffic");
+    assert_eq!(without_batches(open), without_batches(metered));
+}
+
+/// QoS is read at every publish: a tenant admitted on ring capacity alone
+/// that gains a ring quota through `update_tenant_qos` mid-run is shed
+/// from the very next publish on — and admitted again once the quota is
+/// lifted — while its neighbour is untouched throughout.
+#[test]
+fn a_quota_gained_mid_run_binds_from_the_next_publish() {
+    let config = PoolConfig { workers: 1, batch_size: 4, queue_depth: 16, ..Default::default() };
+    let (mut pool, entered_rx, release_tx) = stallable_pool(config);
+    let b = pool.add_tenant(TenantSpec::build_with(tenant_b));
+    assert!(pool.enqueue(plain_packet(0)));
+    entered_rx.recv().expect("worker stalled in the drain");
+
+    // No QoS: six of B's packets sit in the stalled 16-slot ring.
+    assert_eq!(pool.tenant(b).enqueue_all((0..6).map(plain_packet)), 6);
+    assert_eq!(admission(&pool.tenant_stats()[1]), (6, 0));
+    // A quarter of the ring is four slots; B already holds six.
+    pool.update_tenant_qos(b, TenantQos { ring_quota: Some(0.25), ..TenantQos::default() });
+    assert_eq!(pool.tenant(b).enqueue_all((6..11).map(plain_packet)), 0);
+    assert_eq!(admission(&pool.tenant_stats()[1]), (6, 5));
+    assert_eq!(pool.enqueue_all((20..23).map(plain_packet)), 3, "tenant A has no quota");
+    pool.update_tenant_qos(b, TenantQos::default());
+    assert_eq!(pool.tenant(b).enqueue_all((11..13).map(plain_packet)), 2);
+    assert_eq!(admission(&pool.tenant_stats()[1]), (8, 5));
+    assert_eq!(admission(&pool.tenant_stats()[0]), (4, 0));
+
+    drop(release_tx);
+    let report = pool.flush();
+    assert_eq!(report.run.processed, 12, "exactly the accepted packets were processed");
+    assert_eq!((pool.rejected(), pool.rejected_over_budget()), (5, 0));
 }
 
 /// The adversarial noisy-neighbor run the QoS redesign exists for: a

@@ -5,8 +5,8 @@
 //! service pass — in-memory socket fill → `FrameBatch` slots →
 //! `enqueue_bytes_all` (recycled `BufPool` storage) → rings → workers →
 //! flush barrier → TX emit → output-buffer recycle — must cost a small
-//! per-**round** constant (barrier reply channels, output vector
-//! regrowth), never a per-packet allocation. The in-memory backend
+//! per-**round** constant (the flush report, one pre-sized output vector
+//! per shard), never a per-packet allocation. The in-memory backend
 //! recycles frame storage on both link directions, so any steady-state
 //! allocation the counter sees belongs to the daemon path itself.
 
@@ -30,8 +30,8 @@ fn daemon_service_loop_does_not_allocate_per_packet() {
     const WORKERS: u32 = 2;
     const FRAMES_PER_ROUND: usize = 256;
     const MEASURED_ROUNDS: usize = 8;
-    // Per round: one flush barrier (a reply channel per shard), the
-    // collected-output vectors' regrowth, and the mem-link bookkeeping.
+    // Per round: the flush report, each shard's pre-sized collected-output
+    // vector, and the mem-link bookkeeping.
     // Tiny per packet — one stray per-packet allocation would exceed the
     // whole budget several times over.
     const ROUND_BUDGET: u64 = 512;
