@@ -440,7 +440,7 @@ fn bench_fib_scale(c: &mut Criterion) {
 /// loopback (the deployable configuration, kernel socket costs included).
 fn bench_srv6d_io(c: &mut Criterion) {
     use netpkt::sockio::FrameBatch;
-    use srv6d::{Config, MemBackend, Srv6Daemon, UdpBackend};
+    use srv6d::{resolve_backend, Config, IoBackendChoice, MemBackend, Srv6Daemon};
 
     /// Frames pushed through the daemon per measured iteration.
     const BURST: usize = 256;
@@ -501,24 +501,19 @@ fn bench_srv6d_io(c: &mut Criterion) {
         assert_eq!(report.drain.counters.in_flight(), 0);
     }
 
-    // --- Kernel sockets over loopback: the deployable configurations ----
-    // One row per backend, plus a derived syscalls-per-kiloframe figure:
-    // wall-clock on loopback is dominated by the copies either way, but
-    // the syscall count is deterministic — `recvmmsg`/`sendmmsg` move a
-    // burst per call where the std backend pays one call per datagram —
-    // so the smoke gate checks the ratio on that number, not on time.
-    let socket_row = |group: &mut criterion::BenchmarkGroup<'_>,
-                      name: &str,
-                      backend: Box<dyn srv6d::IoBackend>,
-                      listen_port: u16,
-                      peer_port: u16|
-     -> f64 {
+    // --- Kernel sockets over loopback: the deployable configuration -----
+    // The backend `io-backend = auto` resolves to (`recvmmsg`/`sendmmsg`
+    // on Linux), plus a derived syscalls-per-kiloframe figure: unlike
+    // wall-clock, the syscall count is deterministic.
+    let mmsg_rate = {
+        let (listen_port, peer_port) = (47020, 47120);
         let config = Config::parse(&format!(
             "[daemon]\nworkers = 1\nbatch-size = 32\nqueue-depth = 1024\nrx-burst = 64\n\
              [tenant edge]\nlocal = fc00::1\nlisten = [::1]:{listen_port}\npeer = 1 [::1]:{peer_port}\n\
              route = ::/0 dev 1"
         ))
         .expect("valid config");
+        let (backend, _) = resolve_backend(IoBackendChoice::Auto).expect("a kernel backend");
         // The capture socket must exist before the daemon connects its TX.
         let capture = std::net::UdpSocket::bind(format!("[::1]:{peer_port}")).expect("bind capture");
         capture.set_nonblocking(true).expect("nonblocking capture");
@@ -527,7 +522,7 @@ fn bench_srv6d_io(c: &mut Criterion) {
         sender.connect(format!("[::1]:{listen_port}")).expect("connect sender");
         let mut buf = vec![0u8; 2048];
         let mut moved = 0u64;
-        group.bench_function(name, |b| {
+        group.bench_function("mmsg_loopback_1w", |b| {
             b.iter(|| {
                 let mut sent = 0usize;
                 let mut captured = 0usize;
@@ -550,23 +545,18 @@ fn bench_srv6d_io(c: &mut Criterion) {
         assert_eq!(report.drain.counters.in_flight(), 0);
         syscalls as f64 * 1000.0 / moved.max(1) as f64
     };
-    let udp_rate = socket_row(&mut group, "udp_loopback_1w", Box::new(UdpBackend), 47010, 47110);
-    let mmsg_rate = socket_row(&mut group, "mmsg_loopback_1w", Box::new(srv6d::MmsgBackend), 47020, 47120);
     group.finish();
 
-    // Emit the syscall figures as extra BENCH_JSON rows (same shape as
-    // the shim's) so bench-smoke.sh can gate on the deterministic count.
+    // Emit the syscall figure as an extra BENCH_JSON row (same shape as
+    // the shim's), so the snapshot keeps the deterministic count.
     if std::env::var_os("CRITERION_JSON").is_some() {
         let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
         let utc = std::env::var("BENCH_UTC").unwrap_or_default();
-        for (name, rate) in [("udp_loopback_1w_syscalls", udp_rate), ("mmsg_loopback_1w_syscalls", mmsg_rate)]
-        {
-            println!(
-                "BENCH_JSON {{\"name\":\"srv6d_io/{name}\",\"ns_per_iter\":{rate:.1},\"iters\":1,\
-                 \"throughput_per_s\":0,\"throughput_unit\":\"syscalls/kframe\",\
-                 \"host_parallelism\":{parallelism},\"utc\":\"{utc}\"}}"
-            );
-        }
+        println!(
+            "BENCH_JSON {{\"name\":\"srv6d_io/mmsg_loopback_1w_syscalls\",\"ns_per_iter\":{mmsg_rate:.1},\
+             \"iters\":1,\"throughput_per_s\":0,\"throughput_unit\":\"syscalls/kframe\",\
+             \"host_parallelism\":{parallelism},\"utc\":\"{utc}\"}}"
+        );
     }
 }
 

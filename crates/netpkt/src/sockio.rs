@@ -18,11 +18,10 @@
 //!   daemon can hold `Box<dyn PacketRx>` per receive queue and swap the
 //!   transport per deployment — and so tests can run the whole daemon on
 //!   an in-memory link with deterministic delivery.
-//! * [`UdpRx`] / [`UdpTx`] are the standard-library UDP implementation:
-//!   non-blocking sockets drained (and fed) in bursts. Each datagram
-//!   still costs one `recvfrom`/`send` syscall — the trait is exactly
-//!   the seam where a `recvmmsg`/`sendmmsg` implementation would slot in
-//!   without touching any caller.
+//! * [`mmsg::MmsgRx`] / [`mmsg::MmsgTx`] move a whole burst per
+//!   `recvmmsg`/`sendmmsg` syscall (Linux). [`UdpRx`] / [`UdpTx`] are the
+//!   portable standard-library fallback: non-blocking sockets drained
+//!   (and fed) in bursts, one `recvfrom`/`send` syscall per datagram.
 //! * [`mem_link`] builds the in-memory fake: a bounded SPSC-style frame
 //!   queue with buffer recycling, so steady-state traffic through the
 //!   fake performs zero allocations too (the daemon's `alloc-counter`

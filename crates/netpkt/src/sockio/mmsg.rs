@@ -1,7 +1,7 @@
 //! Raw `recvmmsg(2)`/`sendmmsg(2)` socket backend: one syscall per burst.
 //!
-//! The std backend ([`UdpRx`](super::UdpRx)/[`UdpTx`](super::UdpTx)) pays
-//! one syscall per datagram. This module implements the same
+//! The portable fallback ([`UdpRx`](super::UdpRx)/[`UdpTx`](super::UdpTx))
+//! pays one syscall per datagram. This module implements the same
 //! [`PacketRx`](super::PacketRx)/[`PacketTx`](super::PacketTx) seam with the kernel's multi-message calls:
 //! a whole [`FrameBatch`](super::FrameBatch) is filled by a single `recvmmsg`, and a whole
 //! flush window leaves through a single `sendmmsg`. The `mmsghdr`/`iovec`
@@ -280,7 +280,7 @@ mod imp {
     impl PacketTx for MmsgTx {
         fn send_frame(&mut self, frame: &[u8]) -> io::Result<bool> {
             // Single frames go through the plain send path — identical
-            // drop semantics to the std backend, still one syscall.
+            // drop semantics to `UdpTx`, still one syscall.
             self.syscalls += 1;
             match self.socket.send(frame) {
                 Ok(_) => Ok(true),
@@ -321,8 +321,8 @@ mod imp {
                     }
                     if e.kind() == io::ErrorKind::WouldBlock {
                         // Backpressure: the rest of the burst is dropped,
-                        // exactly what the std backend's per-frame
-                        // `Ok(false)` loop would report.
+                        // exactly what `UdpTx`'s per-frame `Ok(false)`
+                        // loop would report.
                         break;
                     }
                     if transient_send_error(&e) {

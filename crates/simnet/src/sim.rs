@@ -124,11 +124,6 @@ impl Simulator {
         &mut self.nodes[id]
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Immutable access to a link.
     pub fn link(&self, id: usize) -> &Link {
         &self.links[id]
@@ -181,11 +176,6 @@ impl Simulator {
     pub fn inject_at(&mut self, time_ns: u64, node: usize, packet: PacketBuf) {
         self.stats.injected += 1;
         self.schedule(time_ns, Event::Inject { node, packet: packet.data().to_vec() });
-    }
-
-    /// Schedules an application timer at absolute time `time_ns`.
-    pub fn schedule_app_timer(&mut self, time_ns: u64, node: usize, app: usize, timer_id: u64) {
-        self.schedule(time_ns, Event::Timer { node, app, timer_id });
     }
 
     fn schedule(&mut self, time_ns: u64, event: Event) {

@@ -12,7 +12,7 @@
 //! queue-depth = 1024       # descriptor ring slots per shard
 //! rx-burst = 64            # frames pulled per socket read burst
 //! stats-socket = /tmp/srv6d.sock
-//! io-backend = auto        # std | mmsg | auto (raw recvmmsg/sendmmsg bursts)
+//! io-backend = auto        # mmsg | auto (recvmmsg/sendmmsg bursts; auto falls back off Linux)
 //! pin = compact            # none | compact | spread | explicit core list (0,2,4)
 //! pin-dispatcher = 0       # optionally pin the dispatcher thread too
 //!
@@ -88,8 +88,7 @@ pub struct DaemonConfig {
     pub rx_burst: usize,
     /// Unix socket path for the stats/control endpoint (optional).
     pub stats_socket: Option<PathBuf>,
-    /// Socket backend: per-datagram std sockets, raw `recvmmsg`/`sendmmsg`
-    /// bursts, or auto-pick (`io-backend = std|mmsg|auto`). Resolved by
+    /// Socket backend (`io-backend = mmsg|auto`). Resolved by
     /// [`crate::io::resolve_backend`] at start; not live-reloadable.
     pub io_backend: IoBackendChoice,
     /// Shard-thread pin policy (`pin = none|compact|spread|<core list>`).
@@ -113,19 +112,15 @@ impl Default for DaemonConfig {
     }
 }
 
-/// The `io-backend =` choice: which socket implementation the daemon
-/// opens its tenant queues with.
+/// The `io-backend =` choice: whether the daemon insists on the batched
+/// kernel backend or takes the best one the host has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoBackendChoice {
-    /// Standard-library UDP sockets, one syscall per datagram. Works
-    /// everywhere; what `auto` resolves to off Linux.
-    Std,
     /// Raw `recvmmsg(2)`/`sendmmsg(2)`, one syscall per burst. Linux
     /// only; configuring it elsewhere is a start-time error.
     Mmsg,
-    /// `mmsg` where supported, `std` elsewhere. The default: the backend
-    /// that measures best on the host (`mmsg` moves a burst in two
-    /// syscalls where `std` needs one per datagram).
+    /// `mmsg` where supported; elsewhere standard-library UDP sockets,
+    /// one syscall per datagram. The default.
     #[default]
     Auto,
 }
@@ -133,7 +128,6 @@ pub enum IoBackendChoice {
 impl fmt::Display for IoBackendChoice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            IoBackendChoice::Std => "std",
             IoBackendChoice::Mmsg => "mmsg",
             IoBackendChoice::Auto => "auto",
         })
@@ -283,13 +277,6 @@ impl TenantConfig {
         } else {
             TenantDiff::Identical
         }
-    }
-
-    /// Whether `other` differs from `self` **only** in its route list —
-    /// the narrow pre-QoS reload predicate, kept for callers that do not
-    /// care about the QoS keys. See [`TenantConfig::diff`].
-    pub fn differs_only_in_routes(&self, other: &TenantConfig) -> bool {
-        self.diff(other) == TenantDiff::Tunable { routes_changed: true, qos_changed: false }
     }
 }
 
@@ -453,15 +440,14 @@ fn daemon_key(daemon: &mut DaemonConfig, num: usize, key: &str, value: &str) -> 
         "queue-depth" => daemon.queue_depth = parse_num("queue-depth")?.max(1),
         "rx-burst" => daemon.rx_burst = parse_num("rx-burst")?.max(1),
         "stats-socket" => daemon.stats_socket = Some(PathBuf::from(value)),
-        "io-backend" | "io_backend" => {
+        "io-backend" => {
             daemon.io_backend = match value {
-                "std" => IoBackendChoice::Std,
                 "mmsg" => IoBackendChoice::Mmsg,
                 "auto" => IoBackendChoice::Auto,
                 other => {
                     return Err(ConfigError::at(
                         num,
-                        format!("`io-backend` must be std, mmsg or auto (got `{other}`)"),
+                        format!("`io-backend` must be mmsg or auto (got `{other}`)"),
                     ))
                 }
             }
@@ -470,7 +456,7 @@ fn daemon_key(daemon: &mut DaemonConfig, num: usize, key: &str, value: &str) -> 
             daemon.pinning =
                 value.parse::<PinPolicy>().map_err(|e| ConfigError::at(num, format!("`pin`: {e}")))?
         }
-        "pin-dispatcher" | "pin_dispatcher" => {
+        "pin-dispatcher" => {
             daemon.pin_dispatcher = Some(
                 value
                     .parse::<u32>()
@@ -830,7 +816,10 @@ route = ::/0 dev 7
             TenantDiff::Tunable { routes_changed: false, qos_changed: true },
             "a weight-only change must take the live-tune fast path"
         );
-        assert!(!edge.differs_only_in_routes(&weight_only));
+
+        let mut routes_only = edge.clone();
+        routes_only.routes.pop();
+        assert_eq!(edge.diff(&routes_only), TenantDiff::Tunable { routes_changed: true, qos_changed: false });
 
         let mut both = edge.clone();
         both.qos.budget = None;
@@ -843,18 +832,6 @@ route = ::/0 dev 7
         let mut structural_plus_qos = structural.clone();
         structural_plus_qos.qos.weight = 2;
         assert_eq!(edge.diff(&structural_plus_qos), TenantDiff::Structural);
-    }
-
-    #[test]
-    fn route_only_diffs_are_detected() {
-        let base = Config::parse(GOOD).unwrap();
-        let mut routed = base.clone();
-        routed.tenants[0].routes.pop();
-        assert!(base.tenants[0].differs_only_in_routes(&routed.tenants[0]));
-        let mut moved = base.clone();
-        moved.tenants[0].listen.set_port(12_000);
-        assert!(!base.tenants[0].differs_only_in_routes(&moved.tenants[0]));
-        assert!(!base.tenants[0].differs_only_in_routes(&base.tenants[0]), "identical is not a diff");
     }
 
     #[test]
@@ -877,10 +854,10 @@ route = ::/0 dev 7
         assert_eq!(cfg.daemon.pinning, PinPolicy::Explicit(vec![0, 2]));
         assert_eq!(cfg.daemon.pin_dispatcher, Some(1));
 
-        // Underscore spellings are accepted, and the defaults hold when the
-        // keys are absent.
-        let text = GOOD.replace("rx-burst = 32", "rx-burst = 32\nio_backend = mmsg");
+        let text = GOOD.replace("rx-burst = 32", "rx-burst = 32\nio-backend = mmsg");
         assert_eq!(Config::parse(&text).unwrap().daemon.io_backend, IoBackendChoice::Mmsg);
+
+        // The defaults hold when the keys are absent.
         let cfg = Config::parse(GOOD).unwrap();
         assert_eq!(cfg.daemon.io_backend, IoBackendChoice::Auto);
         assert_eq!(cfg.daemon.pinning, PinPolicy::None);
@@ -890,9 +867,12 @@ route = ::/0 dev 7
     #[test]
     fn io_backend_and_pinning_keys_reject_bad_values() {
         for (bad, needle) in [
-            ("io-backend = dpdk", "`io-backend` must be"),
+            ("io-backend = dpdk", "`io-backend` must be mmsg or auto"),
+            ("io-backend = std", "`io-backend` must be mmsg or auto"),
+            ("io_backend = mmsg", "unknown [daemon] key `io_backend`"),
             ("pin = diagonal", "`pin`:"),
             ("pin-dispatcher = many", "`pin-dispatcher` must be a core number"),
+            ("pin_dispatcher = 1", "unknown [daemon] key `pin_dispatcher`"),
         ] {
             let text = GOOD.replace("rx-burst = 32", &format!("rx-burst = 32\n{bad}"));
             let err = Config::parse(&text).unwrap_err().to_string();

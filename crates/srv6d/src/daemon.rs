@@ -316,9 +316,10 @@ impl Srv6Daemon {
     }
 
     /// Lifetime socket syscalls issued by the daemon's RX/TX endpoints —
-    /// zero on backends that do not hit the kernel (mem), one per
-    /// datagram on `std`, one per burst on `mmsg`. The benches gate the
-    /// mmsg speedup on this number.
+    /// zero on [`crate::MemBackend`]; on `mmsg`, one `recvmmsg` per RX
+    /// queue per [`Srv6Daemon::service`] pass plus one `sendmmsg` per
+    /// (tenant, interface) group emitted and per partial-send resume.
+    /// `backend_differential` holds the kernel run to that bound.
     pub fn io_syscalls(&self) -> u64 {
         self.tenants
             .iter()

@@ -2,10 +2,12 @@
 //!
 //! [`IoBackend`] is the factory the daemon asks for one receiver per
 //! (tenant, RX queue) and one transmitter per (tenant, egress interface).
-//! [`UdpBackend`] is the real thing — bound/connected UDP sockets over
-//! [`netpkt::sockio`] — and [`MemBackend`] is the deterministic in-memory
-//! fabric lifecycle tests run the whole daemon on: same daemon code, no
-//! network, every injected frame observable on the far side.
+//! [`resolve_backend`] hands out the kernel one — `recvmmsg`/`sendmmsg`
+//! bursts over [`netpkt::sockio::mmsg`] on Linux, per-datagram
+//! [`netpkt::sockio`] UDP sockets where that is unavailable — and
+//! [`MemBackend`] is the deterministic in-memory fabric lifecycle tests run
+//! the whole daemon on: same daemon code, no network, every injected frame
+//! observable on the far side.
 
 use crate::config::IoBackendChoice;
 use netpkt::sockio::mmsg::{self, MmsgRx, MmsgTx};
@@ -27,10 +29,10 @@ pub trait IoBackend: Send {
     fn open_tx(&mut self, tenant: &str, oif: u32, peer: SocketAddr) -> io::Result<Box<dyn PacketTx>>;
 }
 
-/// The production backend: one non-blocking UDP socket bound per RX
-/// queue, one connected UDP socket per egress interface.
-#[derive(Debug, Default)]
-pub struct UdpBackend;
+/// The fallback off Linux: one non-blocking UDP socket bound per RX
+/// queue, one connected UDP socket per egress interface, one syscall per
+/// datagram.
+struct UdpBackend;
 
 impl IoBackend for UdpBackend {
     fn open_rx(&mut self, _tenant: &str, _queue: u32, listen: SocketAddr) -> io::Result<Box<dyn PacketRx>> {
@@ -42,11 +44,9 @@ impl IoBackend for UdpBackend {
     }
 }
 
-/// The raw-syscall backend: `recvmmsg(2)`/`sendmmsg(2)` sockets from
-/// [`netpkt::sockio::mmsg`], moving a whole burst per syscall. Linux
-/// only — [`resolve_backend`] decides whether to hand this one out.
-#[derive(Debug, Default)]
-pub struct MmsgBackend;
+/// The Linux backend: `recvmmsg(2)`/`sendmmsg(2)` sockets from
+/// [`netpkt::sockio::mmsg`], moving a whole burst per syscall.
+struct MmsgBackend;
 
 impl IoBackend for MmsgBackend {
     fn open_rx(&mut self, _tenant: &str, _queue: u32, listen: SocketAddr) -> io::Result<Box<dyn PacketRx>> {
@@ -58,32 +58,22 @@ impl IoBackend for MmsgBackend {
     }
 }
 
-/// Resolves the configured `io-backend` choice to a concrete backend plus
-/// the name `srv6d check` and the startup banner print. `std` and `mmsg`
-/// are literal; `auto` takes mmsg where the host supports it and falls
-/// back to std elsewhere — the callers never `cfg` on the platform, the
-/// same pattern as the exec-tier auto-pick. Asking for `mmsg` explicitly
-/// on a host without it is a start-time error, not a silent downgrade.
+/// Resolves the configured `io-backend` choice to the kernel backend plus
+/// the name `srv6d check` and the startup banner print. `auto` takes mmsg
+/// where the host supports it and falls back to per-datagram `std`
+/// sockets elsewhere — the callers never `cfg` on the platform, the same
+/// pattern as the exec-tier auto-pick. Asking for `mmsg` explicitly on a
+/// host without it is a start-time error, not a silent downgrade.
 pub fn resolve_backend(choice: IoBackendChoice) -> io::Result<(Box<dyn IoBackend>, &'static str)> {
+    if mmsg::supported() {
+        return Ok((Box::new(MmsgBackend), "mmsg"));
+    }
     match choice {
-        IoBackendChoice::Std => Ok((Box::new(UdpBackend), "std")),
-        IoBackendChoice::Mmsg => {
-            if mmsg::supported() {
-                Ok((Box::new(MmsgBackend), "mmsg"))
-            } else {
-                Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "io-backend = mmsg requires Linux (use 'auto' to fall back)",
-                ))
-            }
-        }
-        IoBackendChoice::Auto => {
-            if mmsg::supported() {
-                Ok((Box::new(MmsgBackend), "mmsg"))
-            } else {
-                Ok((Box::new(UdpBackend), "std"))
-            }
-        }
+        IoBackendChoice::Mmsg => Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "io-backend = mmsg requires Linux (use 'auto' to fall back)",
+        )),
+        IoBackendChoice::Auto => Ok((Box::new(UdpBackend), "std")),
     }
 }
 

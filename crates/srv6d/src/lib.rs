@@ -6,12 +6,13 @@
 //! long-running daemon that
 //!
 //! * binds one UDP/IPv6 socket per (tenant, RX queue) and ingests with
-//!   `recvmmsg`-style batched reads ([`netpkt::sockio`]) straight into
-//!   recycled `BufPool` storage via the pool's `enqueue_bytes_all` — one
-//!   copy in, zero allocations after warmup;
+//!   one `recvmmsg(2)` per burst ([`netpkt::sockio::mmsg`]; per-datagram
+//!   reads off Linux) straight into recycled `BufPool` storage via the
+//!   pool's `enqueue_bytes_all` — one copy in, zero allocations after
+//!   warmup;
 //! * runs the multi-tenant [`seg6_runtime::WorkerPool`] datapath and
-//!   emits every `Forward` verdict back out of a per-interface TX socket
-//!   with batched sends;
+//!   emits every `Forward` verdict back out of a per-interface TX socket,
+//!   one `sendmmsg(2)` per (tenant, interface) group;
 //! * reads a declarative config ([`config`]) — tenants, VRFs, routes,
 //!   local SIDs, queue/shard counts — with strict load-time validation;
 //! * applies live reloads as diffs ([`Srv6Daemon::reload`]): route
@@ -26,7 +27,8 @@
 //! The binary (`src/main.rs`) adds signal handling (SIGHUP → reload,
 //! SIGTERM/SIGINT → drain), a `check` mode and a `ctl` client. The
 //! library is the daemon minus the process shell, so integration tests
-//! drive the identical code over loopback UDP or the in-memory
+//! drive the identical code over loopback UDP (through the same
+//! [`resolve_backend`] call the binary makes) or the in-memory
 //! [`io::MemBackend`].
 
 #![warn(missing_docs)]
@@ -41,5 +43,5 @@ pub use config::{
     Config, ConfigError, DaemonConfig, IoBackendChoice, RouteSpec, SidBehaviour, SidSpec, TenantConfig,
 };
 pub use daemon::{DaemonDrainReport, DaemonError, ReloadReport, ServicePass, Srv6Daemon, TenantFinal};
-pub use io::{resolve_backend, IoBackend, MemBackend, MmsgBackend, UdpBackend};
+pub use io::{resolve_backend, IoBackend, MemBackend};
 pub use stats::{control, ControlFlags, DaemonShared, StatsServer, TenantIo, TenantMeta};

@@ -5,7 +5,7 @@
 
 use netpkt::packet::build_ipv6_udp_packet;
 use netpkt::sockio::{FrameBatch, PacketRx, PacketTx, UdpRx, UdpTx};
-use srv6d::{Config, MemBackend, Srv6Daemon, UdpBackend};
+use srv6d::{resolve_backend, Config, IoBackendChoice, MemBackend, Srv6Daemon};
 use std::net::Ipv6Addr;
 use std::time::{Duration, Instant};
 
@@ -56,7 +56,8 @@ fn loopback_end_to_end_counts_every_frame() {
 
     // The peer capture socket must exist before the daemon connects to it.
     let mut capture = UdpRx::bind("[::1]:41100").expect("bind capture");
-    let mut daemon = Srv6Daemon::start(config, Box::new(UdpBackend)).expect("daemon starts");
+    let (backend, _) = resolve_backend(IoBackendChoice::Auto).expect("a kernel backend");
+    let mut daemon = Srv6Daemon::start(config, backend).expect("daemon starts");
 
     // Two RX queues: frames alternate between the bound ports. Sends,
     // daemon service passes and egress reads interleave in small bursts

@@ -29,6 +29,9 @@ pub const INITIAL_WINDOW_SEGMENTS: u64 = 10;
 pub const MIN_RTO_NS: u64 = 200_000_000;
 /// Maximum retransmission timeout.
 pub const MAX_RTO_NS: u64 = 10_000_000_000;
+/// Duplicate ACKs that trigger a fast retransmit (plain Reno's 3; the
+/// RACK-style reordering window gates it further).
+const DUPACK_THRESHOLD: u32 = 3;
 
 #[allow(clippy::too_many_arguments)]
 fn build_tcp_packet(
@@ -113,7 +116,6 @@ pub struct TcpBulkSender {
     cwnd: f64,
     ssthresh: f64,
     dup_acks: u32,
-    dupack_threshold: u32,
     dup_ack_since_ns: Option<u64>,
     in_recovery: bool,
     recover: u64,
@@ -154,7 +156,6 @@ impl TcpBulkSender {
             cwnd: (INITIAL_WINDOW_SEGMENTS * DEFAULT_MSS as u64) as f64,
             ssthresh: f64::MAX / 4.0,
             dup_acks: 0,
-            dupack_threshold: 3,
             dup_ack_since_ns: None,
             in_recovery: false,
             recover: 0,
@@ -167,15 +168,6 @@ impl TcpBulkSender {
             stats: Arc::clone(&stats),
         };
         (sender, stats)
-    }
-
-    /// Sets the number of duplicate ACKs that triggers a fast retransmit.
-    ///
-    /// Plain Reno uses 3. Fast retransmit is additionally gated by the
-    /// RACK-style reordering window (a quarter of the minimum RTT), so raising
-    /// this is rarely necessary.
-    pub fn set_dupack_threshold(&mut self, threshold: u32) {
-        self.dupack_threshold = threshold.max(1);
     }
 
     /// RACK-style reordering tolerance (RFC 8985): duplicate ACKs only
@@ -313,7 +305,7 @@ impl TcpBulkSender {
             }
             let gap_age_ns = now_ns.saturating_sub(self.dup_ack_since_ns.unwrap_or(now_ns));
             let past_reordering_window = gap_age_ns >= self.reordering_window_ns();
-            if self.dup_acks >= self.dupack_threshold && past_reordering_window && !self.in_recovery {
+            if self.dup_acks >= DUPACK_THRESHOLD && past_reordering_window && !self.in_recovery {
                 self.ssthresh = (self.flight() as f64 / 2.0).max(2.0 * self.mss_u64() as f64);
                 self.cwnd = self.ssthresh + 3.0 * self.mss_u64() as f64;
                 self.in_recovery = true;

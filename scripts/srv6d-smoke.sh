@@ -10,8 +10,7 @@
 #   scripts/srv6d-smoke.sh
 #
 # Environment:
-#   SRV6D       path to a prebuilt srv6d binary (default: builds --release)
-#   IO_BACKEND  io-backend config value: std (default), mmsg, or auto
+#   SRV6D  path to a prebuilt srv6d binary (default: builds --release)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -33,15 +32,12 @@ cfg="$work/srv6d.conf"
 sock="$work/stats.sock"
 log="$work/srv6d.log"
 
-IO_BACKEND="${IO_BACKEND:-std}"
-
 cat >"$cfg" <<CONF
 [daemon]
 workers = 1
 batch-size = 32
 queue-depth = 1024
 rx-burst = 64
-io-backend = $IO_BACKEND
 pin = compact
 
 [tenant edge]
@@ -64,7 +60,7 @@ printf '%s\n' "$check_out" | grep -q '^ok: 1 tenants' || {
     echo "srv6d check rejected a valid config" >&2
     exit 1
 }
-printf '%s\n' "$check_out" | grep -q "^io-backend: .* (configured $IO_BACKEND)" || {
+printf '%s\n' "$check_out" | grep -q '^io-backend: mmsg (configured auto)$' || {
     echo "srv6d check did not report the resolved io-backend:" >&2
     printf '%s\n' "$check_out" >&2
     exit 1
