@@ -35,7 +35,9 @@ pub mod offsets {
     pub const SIZE: usize = 64;
 }
 
-/// Builds the context byte buffer for one program invocation.
+/// Builds the context byte buffer for one program invocation, in a fresh
+/// allocation (tests only; the hooks reuse a buffer).
+#[cfg(test)]
 pub fn build_context(skb: &Skb) -> Vec<u8> {
     let mut ctx = Vec::new();
     build_context_into(skb, &mut ctx);

@@ -131,7 +131,7 @@ pub fn helper_seg6_store_bytes(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i
     let Some(bytes) = read_param(api, args[2], len, &mut pbuf) else { return -1 };
     let Some(env) = env_of(api) else { return -1 };
     let Some(srh_off) = env.srh_offset else { return -1 };
-    let srh_modified_flag = {
+    {
         // Parse enough of the SRH to know which byte ranges are editable.
         let packet = api.packet();
         if packet.len() < srh_off + 8 {
@@ -150,12 +150,11 @@ pub fn helper_seg6_store_bytes(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i
         if srh_off + end > packet.len() {
             return -1;
         }
-        true
-    };
+    }
     let packet = api.packet_mut();
     packet[srh_off + offset..srh_off + offset + len].copy_from_slice(&bytes);
     if let Some(env) = env_of(api) {
-        env.out.srh_modified = srh_modified_flag;
+        env.out.srh_modified = true;
     }
     0
 }

@@ -19,7 +19,8 @@ pub struct RunScratch {
     pub state: RunState,
     /// The program context buffer (the `__sk_buff` analogue).
     pub ctx: Vec<u8>,
-    /// Working copy of the packet bytes for actions that resize it.
+    /// Working copy of the packet bytes for programs and for actions that
+    /// resize the packet.
     pub pkt: Vec<u8>,
     /// The helper environment of the router this scratch serves, built by
     /// the first program run and re-armed for every one after it.

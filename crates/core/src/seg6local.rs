@@ -175,7 +175,7 @@ pub fn apply_action(
             Err(_) => ActionOutcome::Drop(DropReason::DecapFailed),
         },
         Seg6LocalAction::EndB6 { srh } => {
-            forward_to(edit_packet(skb, &mut scratch.pkt, |_, pkt| srv6_ops::insert_srh_inline(pkt, srh)))
+            forward_to(edit_packet(skb, &mut scratch.pkt, |pkt| srv6_ops::insert_srh_inline(pkt, srh)))
         }
         Seg6LocalAction::EndB6Encaps { srh } => {
             forward_to(srv6_ops::push_srh_encap_buf(&mut skb.packet, srh, actx.local_sid))
@@ -220,10 +220,13 @@ fn decap_in_place(skb: &mut Skb) -> Result<Ipv6Addr, &'static str> {
 /// re-validation after it, if a helper edited the SRH.
 ///
 /// Helpers may resize the packet, so the program runs against the
-/// reusable scratch copy, committed back into the skb unless the packet is
-/// dropped before the return code is read. The environment is the
-/// scratch's too, re-armed per packet with what the caller and the SRH
-/// advance already know; no allocation once the scratch is warm.
+/// reusable scratch copy. The skb is written only once the run has
+/// succeeded — a fault or a failed SRH re-validation leaves it exactly as
+/// it arrived — and then only with what changed: the whole copy if a
+/// helper took write access to the packet (whatever it returned), else
+/// just End.BPF's SRH advance, in place. The environment is the scratch's
+/// too, re-armed per packet with what the caller and the SRH advance
+/// already know; no allocation once the scratch is warm.
 pub fn run_bpf(
     prog: &LoadedProgram,
     end_bpf: bool,
@@ -236,38 +239,45 @@ pub fn run_bpf(
         Some(env) if Arc::ptr_eq(env.tables(), actx.tables) => env,
         _ => env.insert(Seg6Env::new(actx.local_sid, Arc::clone(actx.tables), actx.now_ns)),
     };
-    let ran = edit_packet(skb, pkt, |skb, packet| {
+    pkt.clear();
+    pkt.extend_from_slice(skb.packet.data());
+    let ran = (|| {
         // Helpers look routes up for the flow as the program sees it:
         // End.BPF's advance has already moved the destination on.
         let mut flow = actx.flow;
         let srh_offset = if end_bpf {
-            flow.dst = srv6_ops::advance_srh(packet)?;
+            flow.dst = srv6_ops::advance_srh(pkt)?;
             Some(SRH_OFFSET)
         } else {
-            srv6_ops::find_srh(packet).map(|(off, _)| off)
+            srv6_ops::find_srh(pkt).map(|(off, _)| off)
         };
         env.rearm(actx.local_sid, actx.now_ns, actx.cpu, srh_offset, flow);
         ctx::build_context_into(skb, ctx_bytes);
         let code = {
-            let mut rc = RunContext { ctx: ctx_bytes.as_mut_slice(), packet, env: &mut *env };
+            let mut rc = RunContext { ctx: ctx_bytes.as_mut_slice(), packet: pkt, env: &mut *env };
             ebpf_vm::vm::run_program_with_state(prog, actx.helpers, &mut rc, prog.exec_tier(), state)
                 .map_err(|_| DropReason::BpfError)?
         };
         // Post-program SRH validation, as the kernel performs it.
-        if end_bpf
-            && env.out.srh_modified
-            && !env.out.decapped
-            && srv6_ops::validate_after_bpf(packet).is_err()
+        if end_bpf && env.out.srh_modified && !env.out.decapped && srv6_ops::validate_after_bpf(pkt).is_err()
         {
             return Err(DropReason::SrhValidationFailed);
         }
-        let dst = srv6_ops::outer_dst(packet).map_err(|_| DropReason::Malformed)?;
+        let dst = srv6_ops::outer_dst(pkt).map_err(|_| DropReason::Malformed)?;
         Ok((code, dst, env.out.route_override))
-    });
+    })();
     let (code, dst, redirect) = match ran {
         Ok(ran) => ran,
         Err(reason) => return ActionOutcome::Drop(reason),
     };
+    // Not `env.out`: a helper can change the packet and still fail (an
+    // End.DT6 whose inner lookup misses has already decapsulated).
+    if state.packet_written() {
+        skb.packet.set_data(pkt);
+    } else if end_bpf {
+        let span = srv6_ops::ADVANCE_SPAN;
+        skb.packet.data_mut()[..span].copy_from_slice(&pkt[..span]);
+    }
     ctx::read_back(ctx_bytes, skb);
     match code {
         retcode::BPF_OK => ActionOutcome::Forward { dst, route_override: RouteOverride::default() },

@@ -84,20 +84,20 @@ impl Skb {
     }
 }
 
-/// The copy-edit-commit step of every behaviour that may resize the
-/// packet: `edit` works on a copy of the packet bytes in the reusable
-/// buffer `work` (it also gets the untouched skb, for its metadata), and
-/// only an `Ok` result is committed back into the skb — a packet whose
-/// edit failed is left exactly as it arrived. No allocation once `work`
-/// and the skb's storage have grown to their steady-state sizes.
+/// The copy-edit-commit step of every static behaviour that may resize
+/// the packet: `edit` works on a copy of the packet bytes in the reusable
+/// buffer `work`, and only an `Ok` result is committed back into the skb —
+/// a packet whose edit failed is left exactly as it arrived. No allocation
+/// once `work` and the skb's storage have grown to their steady-state
+/// sizes.
 pub fn edit_packet<T, E>(
     skb: &mut Skb,
     work: &mut Vec<u8>,
-    edit: impl FnOnce(&Skb, &mut Vec<u8>) -> Result<T, E>,
+    edit: impl FnOnce(&mut Vec<u8>) -> Result<T, E>,
 ) -> Result<T, E> {
     work.clear();
     work.extend_from_slice(skb.packet.data());
-    let out = edit(skb, work)?;
+    let out = edit(work)?;
     skb.packet.set_data(work);
     Ok(out)
 }

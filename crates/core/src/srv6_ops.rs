@@ -30,6 +30,12 @@ const SRH_SEGMENTS_LEFT_OFFSET: usize = 3;
 /// only looks for it directly behind the fixed IPv6 header.
 pub const SRH_OFFSET: usize = IPV6_HEADER_LEN;
 
+/// Length of the packet prefix an [`advance_srh`] can change: it writes
+/// the outer destination and the SRH's segments-left field, the last byte
+/// of which ends here. Copying this prefix from an advanced copy of a
+/// packet applies the advance to the original.
+pub const ADVANCE_SPAN: usize = SRH_OFFSET + SRH_SEGMENTS_LEFT_OFFSET + 1;
+
 /// Result alias with static reasons, convenient for drop accounting.
 pub type OpResult<T> = std::result::Result<T, &'static str>;
 
@@ -298,9 +304,14 @@ mod tests {
     fn advance_srh_updates_destination_and_segments_left() {
         let mut pkt = srv6_packet();
         assert_eq!(outer_dst(&pkt).unwrap(), addr("fc00::1"));
+        let before = pkt.clone();
         let next = advance_srh(&mut pkt).unwrap();
         assert_eq!(next, addr("fc00::2"));
         assert_eq!(outer_dst(&pkt).unwrap(), addr("fc00::2"));
+        // Everything the advance wrote lies in the first ADVANCE_SPAN
+        // bytes, and the last of them is segments_left.
+        assert_eq!(pkt[ADVANCE_SPAN..], before[ADVANCE_SPAN..]);
+        assert_ne!(pkt[ADVANCE_SPAN - 1], before[ADVANCE_SPAN - 1]);
         let next = advance_srh(&mut pkt).unwrap();
         assert_eq!(next, addr("fc00::3"));
         assert_eq!(advance_srh(&mut pkt).unwrap_err(), DropReason::SegmentsLeftZero);

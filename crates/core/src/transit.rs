@@ -93,7 +93,7 @@ pub fn apply_transit(
 ) -> ActionOutcome {
     let result = match behaviour.mode {
         TransitMode::Encap => srv6_ops::push_srh_encap_buf(&mut skb.packet, &behaviour.wire, local_addr),
-        TransitMode::Inline => edit_packet(skb, &mut scratch.pkt, |_, packet| {
+        TransitMode::Inline => edit_packet(skb, &mut scratch.pkt, |packet| {
             let original_dst = srv6_ops::outer_dst(packet)?;
             if behaviour.srh.segments.first() == Some(&original_dst) {
                 return srv6_ops::insert_srh_inline(packet, &behaviour.wire);

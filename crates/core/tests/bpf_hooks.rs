@@ -1,10 +1,11 @@
 //! The three BPF hooks of the datapath — `End.BPF`, `lwt_in`, `lwt_xmit` —
 //! driven through [`Seg6Datapath::process`] with the same six programs:
 //! what each hook makes of `BPF_OK`, `BPF_DROP`, `BPF_REDIRECT`, an unknown
-//! return code, a runtime fault and an SRH edit that fails validation, and
-//! how each is accounted. Also pins the LWT attachment-table semantics the
-//! hooks are looked up with, and the drop reason of every way an SRH
-//! advance can fail.
+//! return code, a runtime fault and an SRH edit that fails validation, how
+//! each is accounted and which bytes leave — plus `End.BPF` keeping a
+//! helper's edit although the helper failed. Also pins the LWT
+//! attachment-table semantics the hooks are looked up with, and the drop
+//! reason of every way an SRH advance can fail.
 
 use ebpf_vm::helpers::ids;
 use ebpf_vm::insn::AccessSize;
@@ -13,9 +14,10 @@ use ebpf_vm::ProgramBuilder;
 use netpkt::ipv6::proto;
 use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
 use netpkt::srh::{SegmentRoutingHeader, SrhTlv};
-use netpkt::{Ipv6Header, PacketBuf};
+use netpkt::PacketBuf;
 use seg6_core::{
-    action_codes, DropReason, LwtBpfAttachment, LwtHook, Nexthop, Seg6Datapath, Seg6LocalAction, Skb, Verdict,
+    action_codes, srv6_ops, DropReason, LwtBpfAttachment, LwtHook, Nexthop, Seg6Datapath, Seg6LocalAction,
+    Skb, Verdict,
 };
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
@@ -29,6 +31,10 @@ const SID: &str = "fc00::e1";
 const NEXT_SEGMENT: &str = "fc00::22";
 const LOCAL: &str = "fc00::11";
 const XMIT_DST: &str = "2001:db8:2::9";
+/// Inner destination of the encapsulated packet: routed in the main table.
+const INNER_DST: &str = "2001:db8::2";
+/// A table with no routes at all.
+const EMPTY_TABLE: i32 = 100;
 
 /// What a program does before it returns.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,6 +49,10 @@ enum Body {
     /// Overwrite the first TLV's header with a Delay-Measurement TLV of
     /// length 3 through `bpf_lwt_seg6_store_bytes`, then `BPF_OK`.
     CorruptSrh,
+    /// `bpf_lwt_seg6_action(End.DT6, table 100)` on an encapsulated packet:
+    /// the helper decapsulates, misses its lookup in the empty table and
+    /// fails — the packet already decapsulated — then `BPF_OK`.
+    DecapMiss,
 }
 
 /// Loads `body` as a seg6local program. (`bpf_lwt_seg6_action` is gated to
@@ -83,6 +93,16 @@ fn program(dp: &Seg6Datapath, body: Body) -> Arc<LoadedProgram> {
             b.call(ids::LWT_SEG6_STORE_BYTES);
             b.ret(retcode::BPF_OK as i32);
         }
+        Body::DecapMiss => {
+            b.store_imm(AccessSize::Word, 10, -4, EMPTY_TABLE);
+            b.mov_reg(1, 6);
+            b.mov_imm(2, action_codes::END_DT6 as i32);
+            b.mov_reg(3, 10);
+            b.add_imm(3, -4);
+            b.mov_imm(4, 4);
+            b.call(ids::LWT_SEG6_ACTION);
+            b.ret(retcode::BPF_OK as i32);
+        }
     }
     let prog = b.build_program("hook-test", ProgramType::LwtSeg6Local).expect("static program");
     load(prog, &HashMap::new(), &dp.helpers).expect("verified program")
@@ -107,6 +127,44 @@ fn plain_skb(dst: &str) -> Skb {
     Skb::new(build_ipv6_udp_packet(addr("2001:db8::1"), addr(dst), 1, 2, &[0u8; 16], 64))
 }
 
+/// The IPv6/UDP packet [`encapsulated_skb`] carries.
+fn inner_packet() -> Vec<u8> {
+    plain_skb(INNER_DST).packet.data().to_vec()
+}
+
+/// [`inner_packet`] encapsulated towards `first`, then one more segment.
+fn encapsulated_skb(first: &str) -> Skb {
+    let mut packet = inner_packet();
+    let srh = SegmentRoutingHeader::from_path(proto::IPV6, &[addr(first), addr(NEXT_SEGMENT)]);
+    srv6_ops::push_srh_encap(&mut packet, &srh.to_bytes(), addr("fc00::99")).unwrap();
+    Skb::new(PacketBuf::from_slice(&packet))
+}
+
+/// The bytes `input` must leave with: End.BPF's SRH advance on every packet
+/// it let through (segments_left 1 → 0 at byte 43, the next segment as
+/// destination), the program's own edits, and the hop-limit decrement of
+/// a forwarded packet. A packet dropped before the program's verdict
+/// keeps its bytes.
+fn expected_bytes(hook: Hook, body: Body, input: &[u8], verdict: Verdict) -> Vec<u8> {
+    let mut want = input.to_vec();
+    match (hook, body) {
+        (Hook::EndBpf, Body::Fault | Body::CorruptSrh) => {}
+        (Hook::EndBpf, Body::DecapMiss) => want = inner_packet(),
+        (Hook::EndBpf, _) => {
+            want[43] = 0;
+            want[24..40].copy_from_slice(&addr(NEXT_SEGMENT).octets());
+        }
+        // The first TLV sits behind the SRH's 8-byte header and two
+        // segments; only End.BPF re-validates what the program wrote.
+        (_, Body::CorruptSrh) => want[40 + 8 + 32..40 + 8 + 34].copy_from_slice(&[124, 3]),
+        _ => {}
+    }
+    if verdict.is_forward() {
+        want[7] -= 1;
+    }
+    want
+}
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Hook {
     EndBpf,
@@ -115,17 +173,20 @@ enum Hook {
 }
 
 /// Runs one packet through a fresh router with `body` attached at `hook`
-/// and returns the verdict, the datapath (for its statistics) and the
-/// packet. The LWT hooks get an SRv6 packet too when the program edits
-/// the SRH.
-fn run(hook: Hook, body: Body) -> (Verdict, Seg6Datapath, Skb) {
+/// and returns the verdict, the datapath (for its statistics), the packet
+/// and the bytes it arrived with. The LWT hooks get an SRv6 packet too
+/// when the program edits the SRH.
+fn run(hook: Hook, body: Body) -> (Verdict, Seg6Datapath, Skb, Vec<u8>) {
     let mut dp = router();
     let prog = program(&dp, body);
     let attach = |hook, prog| LwtBpfAttachment { hook, prog };
     let mut skb = match hook {
         Hook::EndBpf => {
             dp.add_local_sid(format!("{SID}/128").parse().unwrap(), Seg6LocalAction::EndBpf { prog });
-            srv6_skb(SID)
+            match body {
+                Body::DecapMiss => encapsulated_skb(SID),
+                _ => srv6_skb(SID),
+            }
         }
         Hook::In => {
             dp.attach_lwt_bpf(format!("{LOCAL}/128").parse().unwrap(), attach(LwtHook::In, prog));
@@ -139,8 +200,9 @@ fn run(hook: Hook, body: Body) -> (Verdict, Seg6Datapath, Skb) {
             }
         }
     };
+    let input = skb.packet.data().to_vec();
     let verdict = dp.process(&mut skb, 0);
-    (verdict, dp, skb)
+    (verdict, dp, skb, input)
 }
 
 #[test]
@@ -156,6 +218,9 @@ fn every_hook_honours_every_program_outcome() {
         (Hook::EndBpf, Body::Return(99), drop(DropReason::BpfError), 0),
         (Hook::EndBpf, Body::Fault, drop(DropReason::BpfError), 0),
         (Hook::EndBpf, Body::CorruptSrh, drop(DropReason::SrhValidationFailed), 0),
+        // The helper failed after it decapsulated: what it wrote stands,
+        // and the inner packet is forwarded on its own destination.
+        (Hook::EndBpf, Body::DecapMiss, via(3, "fe80::3"), 0),
         // lwt_in: the program may drop, never forward; the SRH is not
         // re-validated (the seg6 helpers are End.BPF's).
         (Hook::In, Body::Return(retcode::BPF_OK), Verdict::LocalDeliver, 0),
@@ -174,7 +239,7 @@ fn every_hook_honours_every_program_outcome() {
         (Hook::Xmit, Body::CorruptSrh, via(3, "fe80::3"), 1),
     ];
     for (hook, body, verdict, transit) in table {
-        let (got, dp, skb) = run(hook, body);
+        let (got, dp, skb, input) = run(hook, body);
         let case = format!("{hook:?} / {body:?}");
         assert_eq!(got, verdict, "{case}");
         assert_eq!(dp.stats.received, 1, "{case}");
@@ -187,15 +252,7 @@ fn every_hook_honours_every_program_outcome() {
         if let Some(reason) = verdict.drop_reason() {
             assert_eq!(dp.stats.dropped_for(reason), 1, "{case}");
         }
-        // End.BPF advanced the SRH of every packet it let through — and a
-        // packet dropped before the program's verdict keeps its bytes.
-        let header = Ipv6Header::parse(skb.packet.data()).unwrap();
-        match (hook, body) {
-            (Hook::EndBpf, Body::Fault | Body::CorruptSrh) => assert_eq!(header.dst, addr(SID), "{case}"),
-            (Hook::EndBpf, _) => assert_eq!(header.dst, addr(NEXT_SEGMENT), "{case}"),
-            (Hook::In, _) => assert_eq!(header.dst, addr(LOCAL), "{case}"),
-            (Hook::Xmit, _) => assert_eq!(header.dst, addr(XMIT_DST), "{case}"),
-        }
+        assert_eq!(skb.packet.data(), expected_bytes(hook, body, &input, verdict), "{case}");
     }
 }
 

@@ -96,6 +96,12 @@ pub struct NativeProgram {
     buf: x86_64::ExecBuf,
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     debug: NativeDebug,
+    /// The registers a run carries between the state and the frame (bit
+    /// `i` = `r_i`): those the code mentions, or all of them when a helper
+    /// call exposes the whole register file. The rest are never read or
+    /// written, so their frame words may be stale.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    live_regs: u16,
     #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
     _unconstructable: std::convert::Infallible,
 }
@@ -148,6 +154,50 @@ pub fn compile(loaded: &LoadedProgram) -> Result<Option<NativeProgram>> {
 pub fn compile(_loaded: &LoadedProgram) -> Result<Option<NativeProgram>> {
     Ok(None)
 }
+
+/// What a [`RunState`] keeps for the native tier between runs: the frame
+/// the generated code runs on and the trampoline context, in one heap
+/// block allocated by the state's first native run. Its address never
+/// changes, so the links between the two and the stack bias are written
+/// once; a run writes only what changes per run (registers, ctx / packet
+/// bias and length, the environment snapshot).
+#[derive(Debug)]
+pub(crate) struct NativeSlot {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    bound: *mut x86_64::Bound,
+}
+
+impl Default for NativeSlot {
+    fn default() -> Self {
+        NativeSlot {
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            bound: std::ptr::null_mut(),
+        }
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+impl Drop for NativeSlot {
+    fn drop(&mut self) {
+        if !self.bound.is_null() {
+            // SAFETY: a non-null `bound` came from `Box::into_raw` in
+            // `x86_64::bind` and is owned by this slot alone.
+            drop(unsafe { Box::from_raw(self.bound) });
+        }
+    }
+}
+
+// SAFETY: the slot exclusively owns its block (freed in `Drop`, never
+// shared or cloned). The block holds plain words and raw pointers: those
+// into the block itself stay valid wherever the state moves, and those
+// out of it (state, run context, program) are rewritten at the start of
+// every run before the generated code or a trampoline dereferences them.
+// `&NativeSlot` exposes nothing, so sharing it is harmless too.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+unsafe impl Send for NativeSlot {}
+// SAFETY: see `Send` above.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+unsafe impl Sync for NativeSlot {}
 
 /// Executes a native program against a caller-owned state (not reset here;
 /// [`crate::vm::run_program_with_state`] resets it first, like the other
@@ -289,15 +339,67 @@ mod x86_64 {
     const OFF_INLINE_CPU_TAG: i32 = OFF_STACK_BIAS + 96;
 
     /// Everything the slow-path trampolines need to re-enter safe Rust.
-    /// Lives on `run`'s stack for the duration of one invocation; the
-    /// generated code only ever passes its address back to the trampolines
-    /// below.
+    /// Lives in the state's [`Bound`] block beside the frame; the generated
+    /// code only ever passes its address back to the trampolines below.
     struct TrampCtx {
         frame: *mut NativeFrame,
         state: *mut RunState,
         rc: *mut RunContext<'static>,
         loaded: *const LoadedProgram,
         error: Option<Error>,
+    }
+
+    /// The block behind [`super::NativeSlot`]: frame and trampoline
+    /// context, linked to each other once.
+    pub(super) struct Bound {
+        frame: NativeFrame,
+        tc: TrampCtx,
+        /// The program whose lookup-site cache `frame.site_cache` points
+        /// at (0: none yet). Programs without lookup sites never read it.
+        site_uid: u64,
+    }
+
+    /// The state's [`Bound`] block, allocated and linked on its first
+    /// native run.
+    fn bind(state: &mut RunState) -> *mut Bound {
+        if state.native.bound.is_null() {
+            let stack_bias = (state.stack_ptr() as u64).wrapping_sub(STACK_BASE);
+            let bound = Box::into_raw(Box::new(Bound {
+                frame: NativeFrame {
+                    regs: [0; NUM_REGS],
+                    stack_bias,
+                    ctx_bias: 0,
+                    ctx_len: 0,
+                    pkt_bias: 0,
+                    pkt_len: 0,
+                    tramp_ctx: 0,
+                    fault: 0,
+                    region_tbl: 0,
+                    site_cache: 0,
+                    inline_flags: 0,
+                    inline_ktime: 0,
+                    inline_cpu: 0,
+                    inline_cpu_tag: 0,
+                },
+                tc: TrampCtx {
+                    frame: std::ptr::null_mut(),
+                    state: std::ptr::null_mut(),
+                    rc: std::ptr::null_mut(),
+                    loaded: std::ptr::null(),
+                    error: None,
+                },
+                site_uid: 0,
+            }));
+            // SAFETY: `bound` is the fresh, uniquely owned allocation made
+            // above; the two fields link to each other by address, which
+            // the heap block keeps for its whole life.
+            unsafe {
+                (*bound).frame.tramp_ctx = std::ptr::addr_of_mut!((*bound).tc) as u64;
+                (*bound).tc.frame = std::ptr::addr_of_mut!((*bound).frame);
+            }
+            state.native.bound = bound;
+        }
+        state.native.bound
     }
 
     fn decode_size(size: u32) -> AccessSize {
@@ -342,6 +444,26 @@ mod x86_64 {
         }
     }
 
+    /// Every BPF register, as a [`copy_regs`] mask.
+    const ALL_REGS: u16 = (1 << NUM_REGS) - 1;
+
+    /// Copies the registers in `mask` (bit `i` = `r_i`) one word at a
+    /// time. The generated code stores and loads frame registers as
+    /// single words, so a vectorised copy right after (or right before)
+    /// it reads 16 bytes across two of its 8-byte stores, which defeats
+    /// store-to-load forwarding: the stall cost several nanoseconds per
+    /// run of a two-instruction program, on entry, on exit and around
+    /// every helper call. Volatile keeps the compiler from merging the
+    /// words into vector moves.
+    fn copy_regs(dst: &mut [u64; NUM_REGS], src: &[u64; NUM_REGS], mut mask: u16) {
+        while mask != 0 {
+            let r = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            // SAFETY: both are references, hence valid and aligned.
+            unsafe { std::ptr::write_volatile(&mut dst[r], std::ptr::read_volatile(&src[r])) };
+        }
+    }
+
     /// Helper-call trampoline: args come from the frame registers, the
     /// helper runs with the same [`HelperApi`] every other tier uses, and
     /// the packet bias/length are refreshed afterwards (helpers may grow or
@@ -354,14 +476,14 @@ mod x86_64 {
         let loaded = &*tc.loaded;
         // Keep the RunState registers coherent around the call so a helper
         // that inspects them sees exactly what the interpreter would show.
-        state.regs = frame.regs;
+        copy_regs(&mut state.regs, &frame.regs, ALL_REGS);
         let args = [frame.regs[1], frame.regs[2], frame.regs[3], frame.regs[4], frame.regs[5]];
         let func = loaded.helper_table()[idx as usize].func;
         let ret = {
             let mut api = HelperApi { state, rc, maps: &loaded.maps };
             func(&mut api, args)
         };
-        frame.regs = state.regs;
+        copy_regs(&mut frame.regs, &state.regs, ALL_REGS);
         frame.pkt_bias = (rc.packet.as_mut_ptr() as u64).wrapping_sub(PKT_BASE);
         frame.pkt_len = rc.packet.len() as u64;
         // A lookup helper may have registered a new value region, growing
@@ -1528,8 +1650,17 @@ mod x86_64 {
             inlined_helpers: e.inlined_helpers,
             lookup_sites: e.lookup_sites,
         };
+        let live_regs = if ops.iter().any(|op| matches!(op, MicroOp::Call { .. })) {
+            ALL_REGS
+        } else {
+            let mut mask = 0u16;
+            for op in ops {
+                op.for_each_reg(|r| mask |= 1 << r);
+            }
+            mask
+        };
         let buf = ExecBuf::new(&e.asm.code)?;
-        Ok(super::NativeProgram { buf, debug })
+        Ok(super::NativeProgram { buf, debug, live_regs })
     }
 
     pub(super) fn run(
@@ -1538,60 +1669,69 @@ mod x86_64 {
         rc: &mut RunContext<'_>,
         state: &mut RunState,
     ) -> Result<u64> {
-        // Per-invocation environment snapshot: when the environment opts
-        // in, inline helper fast paths read these frame fields instead of
-        // calling back into Rust. Recording environments return `None`,
-        // which zeroes `inline_flags` and sends every helper through the
-        // trampoline — their observable call sequence is unchanged.
-        let snapshot = rc.env.snapshot();
+        // The code below writes the stack directly, never below the depth
+        // the verifier proved; everything else goes through `write_bytes`.
+        state.dirty_stack_from(STACK_SIZE.saturating_sub(loaded.verifier_stats.stack_depth));
+        let bound = bind(state);
         let sites = native.debug.lookup_sites as usize;
-        let site_cache =
-            if sites > 0 && snapshot.is_some() { state.lookup_cache(loaded.uid(), sites) as u64 } else { 0 };
-        let (inline_flags, inline_ktime, inline_cpu) = match snapshot {
-            Some(s) => (1u64, s.ktime_ns, u64::from(s.cpu_id)),
-            None => (0, 0, 0),
-        };
-        let mut frame = NativeFrame {
-            regs: state.regs,
-            stack_bias: (state.stack.as_mut_ptr() as u64).wrapping_sub(STACK_BASE),
-            ctx_bias: (rc.ctx.as_mut_ptr() as u64).wrapping_sub(CTX_BASE),
-            ctx_len: rc.ctx.len() as u64,
-            pkt_bias: (rc.packet.as_mut_ptr() as u64).wrapping_sub(PKT_BASE),
-            pkt_len: rc.packet.len() as u64,
-            tramp_ctx: 0,
-            fault: 0,
-            region_tbl: state.region_bias_ptr() as u64,
-            site_cache,
-            inline_flags,
-            inline_ktime,
-            inline_cpu,
-            // Tag salt: (cpu + 1) << 32 keeps tags nonzero and disjoint
-            // across CPUs; the key occupies the low 32 bits.
-            inline_cpu_tag: (inline_cpu + 1) << 32,
-        };
-        let frame_ptr: *mut NativeFrame = &mut frame;
-        let mut tc = TrampCtx {
-            frame: frame_ptr,
-            state: state as *mut RunState,
-            // The lifetime is erased for storage only; the pointer never
-            // outlives this call.
-            rc: (rc as *mut RunContext<'_>).cast(),
-            loaded,
-            error: None,
-        };
-        frame.tramp_ctx = (&mut tc as *mut TrampCtx) as u64;
+        // SAFETY: `bound` is the state's own block (see `bind`), not
+        // aliased by any live reference: the state reaches it only through
+        // its raw pointer, and the trampolines only through the frame's.
+        unsafe {
+            if sites > 0 && (*bound).site_uid != loaded.uid() {
+                (*bound).frame.site_cache = state.lookup_cache(loaded.uid(), sites) as u64;
+                (*bound).site_uid = loaded.uid();
+            }
+            let frame = &mut (*bound).frame;
+            // Per-invocation environment snapshot, for programs with
+            // inline helper fast paths (and lookup-site caches) only — the
+            // sole readers of these fields. When the environment opts in,
+            // they read the snapshot instead of calling back into Rust;
+            // recording environments return `None`, which zeroes
+            // `inline_flags` and sends every helper through the
+            // trampoline, so their observable call sequence is unchanged.
+            if native.debug.inlined_helpers > 0 {
+                let (flags, ktime, cpu) = match rc.env.snapshot() {
+                    Some(s) => (1u64, s.ktime_ns, u64::from(s.cpu_id)),
+                    None => (0, 0, 0),
+                };
+                frame.inline_flags = flags;
+                frame.inline_ktime = ktime;
+                frame.inline_cpu = cpu;
+                // Tag salt: (cpu + 1) << 32 keeps tags nonzero and
+                // disjoint across CPUs; the key occupies the low 32 bits.
+                frame.inline_cpu_tag = (cpu + 1) << 32;
+            }
+            copy_regs(&mut frame.regs, &state.regs, native.live_regs);
+            frame.ctx_bias = (rc.ctx.as_mut_ptr() as u64).wrapping_sub(CTX_BASE);
+            frame.ctx_len = rc.ctx.len() as u64;
+            frame.pkt_bias = (rc.packet.as_mut_ptr() as u64).wrapping_sub(PKT_BASE);
+            frame.pkt_len = rc.packet.len() as u64;
+            frame.fault = 0;
+            // Re-read per run: `register_value_region` is public and may
+            // move the table between runs.
+            frame.region_tbl = state.region_bias_ptr() as u64;
+            let tc = &mut (*bound).tc;
+            tc.state = state as *mut RunState;
+            // The lifetime is erased for storage only; the trampolines
+            // dereference it during this call alone.
+            tc.rc = (rc as *mut RunContext<'_>).cast();
+            tc.loaded = loaded;
+        }
         // SAFETY: the buffer holds code emitted by `compile` for this
         // program, sealed RX; the entry point has the declared signature.
-        // All raw pointers stored above outlive the call, and the generated
-        // code only dereferences memory the verifier proved (or the emitted
-        // guards / trampolines check) to be inside the frame, stack, ctx or
-        // packet buffers.
+        // Every pointer in the frame and trampoline context was written
+        // above for this call, and the generated code only dereferences
+        // memory the verifier proved (or the emitted guards / trampolines
+        // check) to be inside the frame, stack, ctx or packet buffers.
         unsafe {
             let entry: unsafe extern "C" fn(*mut NativeFrame) =
                 std::mem::transmute::<*mut u8, unsafe extern "C" fn(*mut NativeFrame)>(native.buf.ptr);
-            entry(frame_ptr);
+            entry(std::ptr::addr_of_mut!((*bound).frame));
         }
-        state.regs = frame.regs;
+        // SAFETY: the call returned; nothing else refers to the block.
+        let (frame, tc) = unsafe { (&(*bound).frame, &mut (*bound).tc) };
+        copy_regs(&mut state.regs, &frame.regs, native.live_regs);
         if frame.fault != 0 {
             let insn = (frame.fault - 1) as usize;
             return Err(tc

@@ -143,13 +143,33 @@ pub struct RunContext<'a> {
     pub env: &'a mut dyn VmEnv,
 }
 
+/// The registers every run starts from: `r1` at the context, `r10` at the
+/// top of the stack, everything else zero.
+const INITIAL_REGS: [u64; NUM_REGS] = {
+    let mut regs = [0u64; NUM_REGS];
+    regs[1] = CTX_BASE;
+    regs[10] = STACK_BASE + STACK_SIZE as u64;
+    regs
+};
+
 /// Per-invocation machine state.
 #[derive(Debug)]
 pub struct RunState {
     /// General-purpose registers r0–r10.
     pub regs: [u64; NUM_REGS],
-    /// The 512-byte stack.
-    pub stack: Vec<u8>,
+    /// The 512-byte stack, all zero after every [`RunState::reset`].
+    /// Private so that nothing writes it behind `stack_dirty`: the
+    /// interpreter, the micro-op tier and every helper write it through
+    /// [`write_bytes`] / [`copy_from_packet`], and native code only within
+    /// the verifier's stack depth, which its run records first.
+    stack: Box<[u8; STACK_SIZE]>,
+    /// Low-water mark of the stack writes since the last reset: every byte
+    /// below it is still zero, so a reset zeroes `stack[stack_dirty..]`
+    /// only — nothing at all after a program that never touched its stack.
+    stack_dirty: usize,
+    /// Whether a helper took mutable access to the packet
+    /// ([`HelperApi::packet_mut`]) since the last reset.
+    packet_written: bool,
     /// Map-value regions made visible to the program by lookups.
     value_regions: Vec<ValueRef>,
     /// Per-region bias (`host data pointer - synthetic region base`), kept
@@ -162,6 +182,9 @@ pub struct RunState {
     /// Native-tier array-lookup site caches, keyed by program uid. Entries
     /// are `[tag, addr]` pairs per call site (see `codegen`).
     site_caches: Vec<(u64, Box<[u64]>)>,
+    /// The native tier's frame and trampoline context, bound to this state
+    /// by its first native run.
+    pub(crate) native: crate::codegen::NativeSlot,
     /// Number of instructions executed so far.
     pub insn_executed: u64,
     /// Maximum number of instructions before aborting.
@@ -172,17 +195,17 @@ impl RunState {
     /// Creates a fresh state with `r1` pointing at the context and `r10` at
     /// the top of the stack.
     pub fn new(ctx_len: usize) -> Self {
-        let mut regs = [0u64; NUM_REGS];
-        regs[1] = CTX_BASE;
-        regs[10] = STACK_BASE + STACK_SIZE as u64;
         let _ = ctx_len;
         RunState {
-            regs,
-            stack: vec![0u8; STACK_SIZE],
+            regs: INITIAL_REGS,
+            stack: Box::new([0u8; STACK_SIZE]),
+            stack_dirty: STACK_SIZE,
+            packet_written: false,
             value_regions: Vec::new(),
             region_bias: Vec::new(),
             region_dedup: HashMap::new(),
             site_caches: Vec::new(),
+            native: Default::default(),
             insn_executed: 0,
             insn_budget: DEFAULT_INSN_BUDGET,
         }
@@ -193,10 +216,12 @@ impl RunState {
     /// invocations (the per-packet hot path keeps one per datapath instead
     /// of allocating a 512-byte stack per packet).
     pub fn reset(&mut self) {
-        self.regs = [0u64; NUM_REGS];
-        self.regs[1] = CTX_BASE;
-        self.regs[10] = STACK_BASE + STACK_SIZE as u64;
-        self.stack.fill(0);
+        self.regs = INITIAL_REGS;
+        if self.stack_dirty < STACK_SIZE {
+            self.stack[self.stack_dirty..].fill(0);
+            self.stack_dirty = STACK_SIZE;
+        }
+        self.packet_written = false;
         // Map-value regions deliberately persist across runs: like kernel
         // map-value pointers, the addresses handed out stay valid, repeated
         // lookups of the same value return the same address (the dedup
@@ -204,6 +229,33 @@ impl RunState {
         // both. The set is bounded by the distinct values ever looked up.
         self.insn_executed = 0;
         self.insn_budget = DEFAULT_INSN_BUDGET;
+    }
+
+    /// The stack image: as the last run left it, or all zero right after a
+    /// [`RunState::reset`].
+    pub fn stack(&self) -> &[u8] {
+        &self.stack[..]
+    }
+
+    /// Records that `stack[offset..]` may be written before the next
+    /// reset, which must then zero it.
+    #[inline]
+    pub(crate) fn dirty_stack_from(&mut self, offset: usize) {
+        self.stack_dirty = self.stack_dirty.min(offset);
+    }
+
+    /// Host address of the first stack byte, for the native tier's stack
+    /// bias. Stable for the life of the state.
+    pub(crate) fn stack_ptr(&mut self) -> *mut u8 {
+        self.stack.as_mut_ptr()
+    }
+
+    /// Whether a helper took mutable access to the packet since the last
+    /// reset — the conservative signal that the packet bytes may differ
+    /// from what the run started with. A hook that handed the program a
+    /// working copy needs to commit it only then.
+    pub fn packet_written(&self) -> bool {
+        self.packet_written
     }
 
     /// Registers a map value region and returns the synthetic address the
@@ -347,7 +399,10 @@ pub fn copy_from_packet(
         return Err(Error::Runtime { insn: 0, message: "packet read out of bounds".into() });
     }
     match resolve(state, rc, dst, len)? {
-        Target::Stack(off) => state.stack[off..off + len].copy_from_slice(&rc.packet[pkt_off..pkt_off + len]),
+        Target::Stack(off) => {
+            state.dirty_stack_from(off);
+            state.stack[off..off + len].copy_from_slice(&rc.packet[pkt_off..pkt_off + len]);
+        }
         Target::Ctx(off) => {
             let RunContext { ctx, packet, .. } = rc;
             ctx[off..off + len].copy_from_slice(&packet[pkt_off..pkt_off + len]);
@@ -368,7 +423,10 @@ pub fn copy_from_packet(
 /// design forbids direct packet writes from seg6local programs.
 pub fn write_bytes(state: &mut RunState, rc: &mut RunContext<'_>, addr: u64, bytes: &[u8]) -> Result<()> {
     match resolve(state, rc, addr, bytes.len())? {
-        Target::Stack(off) => state.stack[off..off + bytes.len()].copy_from_slice(bytes),
+        Target::Stack(off) => {
+            state.dirty_stack_from(off);
+            state.stack[off..off + bytes.len()].copy_from_slice(bytes);
+        }
         Target::Ctx(off) => rc.ctx[off..off + bytes.len()].copy_from_slice(bytes),
         Target::Packet(_) => {
             return Err(Error::Runtime {
@@ -454,8 +512,12 @@ impl<'r, 'a> HelperApi<'r, 'a> {
         self.rc.packet
     }
 
-    /// Mutable access to the packet bytes — only helpers may modify packets.
+    /// Mutable access to the packet bytes — only helpers may modify
+    /// packets, and only through this call: taking the access is what
+    /// [`RunState::packet_written`] reports, so a helper that validates
+    /// before it writes should take it only once it will write.
     pub fn packet_mut(&mut self) -> &mut Vec<u8> {
+        self.state.packet_written = true;
         self.rc.packet
     }
 

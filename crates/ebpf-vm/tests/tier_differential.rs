@@ -642,7 +642,7 @@ fn snapshot_run<E: FuzzEnv>(
     Observation {
         result: result.map_err(|e| error_key(&e)),
         regs: state.regs,
-        stack: state.stack.clone(),
+        stack: state.stack().to_vec(),
         ctx,
         packet,
         helper_log: env.log().to_vec(),
