@@ -264,4 +264,99 @@ mod tests {
             Ok(())
         });
     }
+
+    /// The unrolled SRH + payload byte walk (one load plus two ALU ops per
+    /// byte, packet pointer in `r8`, accumulators in `r0`/`r3`): a program
+    /// whose cost is almost all execution, so the tier ratio shows.
+    fn srh_walk_body(packet_len: usize) -> String {
+        (40..packet_len - 8).map(|off| format!("ldxb r2, [r8+{off}]\nadd64 r0, r2\nxor64 r3, r0\n")).collect()
+    }
+
+    fn assemble(name: &str, source: &str) -> ebpf_vm::Program {
+        let insns = ebpf_vm::asm::assemble(source).expect("gate program assembles");
+        ebpf_vm::Program::new(name, ebpf_vm::ProgramType::LwtSeg6Local, insns)
+    }
+
+    /// The Figure 2 router with `prog` as its End.BPF action, run on `tier`.
+    fn end_bpf_scenario(prog: ebpf_vm::Program, tier: ebpf_vm::ExecTier) -> Fig2Scenario {
+        let mut scenario = build_scenario(Fig2Variant::EndStatic);
+        let dp = &mut scenario.datapath;
+        dp.add_route("fe80::/10".parse().unwrap(), vec![Nexthop::direct(7)]);
+        let action = load_bpf(dp, prog, tier);
+        dp.add_local_sid(netpkt::Ipv6Prefix::host(endpoint_sid()), action);
+        scenario
+    }
+
+    /// The execution-tier ratio gates, native against the interpreter:
+    /// ≥ 3× on `srh_walk` run alone through `run_program_with_state`;
+    /// ≥ 1.15× on `end_scan`, the same walk as an End.BPF action through the
+    /// datapath; and a 0.80× non-regression floor on the shipped `End`,
+    /// `End.X` and `End.T` programs, a dozen instructions each, whose
+    /// per-packet datapath work dominates both tiers.
+    #[test]
+    #[ignore = "wall-clock ratios; run in release mode by the bench gate"]
+    fn native_tier_outpaces_the_interpreter() {
+        use ebpf_vm::vm::{run_program_with_state, NullEnv, RunContext, RunState, PKT_BASE};
+        use ebpf_vm::ExecTier;
+
+        if ExecTier::best_supported() != ExecTier::Native {
+            println!("no native backend on this host: native runs as micro-op, tier gates skipped");
+            return;
+        }
+        let template = build_scenario(Fig2Variant::EndStatic).template;
+        let walk = srh_walk_body(template.len());
+
+        let source =
+            format!("mov64 r9, r1\nldxdw r8, [r9+0]\nmov64 r0, 0\nmov64 r3, 0\n{walk}xor64 r0, r3\nexit\n");
+        let helpers = ebpf_vm::HelperRegistry::new();
+        let srh_walk = ebpf_vm::program::load(assemble("srh_walk", &source), &HashMap::new(), &helpers)
+            .expect("verifies");
+        let mut ctx = vec![0u8; 64];
+        ctx[0..8].copy_from_slice(&PKT_BASE.to_le_bytes());
+        ctx[8..16].copy_from_slice(&(PKT_BASE + template.len() as u64).to_le_bytes());
+        let walk_ns = |tier: ExecTier| {
+            let (mut ctx, mut packet, mut state) = (ctx.clone(), template.clone(), RunState::new(ctx.len()));
+            crate::measure_rate(2_000, || {
+                let mut rc = RunContext { ctx: &mut ctx, packet: &mut packet, env: &mut NullEnv };
+                run_program_with_state(&srh_walk, &helpers, &mut rc, tier, &mut state)
+                    .expect("srh_walk runs");
+            })
+            .1
+        };
+
+        // `end_scan` guards the walk with the context `len` field and
+        // returns `BPF_OK`.
+        let end_scan = format!(
+            "mov64 r9, r1\nldxdw r8, [r9+0]\nldxw r7, [r9+16]\nmov64 r0, 0\nmov64 r3, 0\n\
+             jlt r7, {}, short\n{walk}short:\nmov64 r0, 0\nexit\n",
+            template.len()
+        );
+        let datapath_rows = [
+            ("end_scan", assemble("end_scan", &end_scan), 2_000, 1.15),
+            ("end", end_program(), 20_000, 0.80),
+            ("end_x", srv6_nf::end_x_program("fe80::42".parse().unwrap()), 20_000, 0.80),
+            ("end_t", end_t_program(100), 20_000, 0.80),
+        ];
+        let datapath_ns = |prog: &ebpf_vm::Program, count: usize, tier: ExecTier| {
+            let mut scenario = end_bpf_scenario(prog.clone(), tier);
+            crate::measure_rate(count, || scenario.forward_one()).1
+        };
+
+        crate::assert_eventually(5, || {
+            let ratio = walk_ns(ExecTier::Interp) / walk_ns(ExecTier::Native);
+            println!("srh_walk: native {ratio:.2}x interpreter (minimum 3x)");
+            if ratio < 3.0 {
+                return Err(format!("srh_walk: native only {ratio:.2}x the interpreter"));
+            }
+            for (name, prog, count, min) in &datapath_rows {
+                let ratio =
+                    datapath_ns(prog, *count, ExecTier::Interp) / datapath_ns(prog, *count, ExecTier::Native);
+                println!("{name}: native {ratio:.2}x interpreter (minimum {min}x)");
+                if ratio < *min {
+                    return Err(format!("{name}: native only {ratio:.2}x the interpreter (minimum {min}x)"));
+                }
+            }
+            Ok(())
+        });
+    }
 }

@@ -1,14 +1,18 @@
 //! # bench — the experiment harness
 //!
-//! Scenario builders and measurement routines shared by the Criterion
-//! benches and by the `figures` binary, one per element of the paper's
-//! evaluation:
+//! Scenario builders and measurement routines behind the `figures` binary
+//! (`cargo run --release -p bench --bin figures`), one per element of the
+//! paper's evaluation:
 //!
 //! * [`fig2`] — the endpoint-function forwarding microbenchmark (Figure 2
 //!   and the §3.2 JIT factor);
 //! * [`fig3`] — the delay-monitoring overhead benchmark (Figure 3);
 //! * [`hybrid`] — the hybrid-access simulation (Figure 4 and the §4.2 TCP
 //!   numbers).
+//!
+//! The wall-clock halves of their checks — Figure 2/3 orderings and the
+//! execution-tier ratio gates — are `#[ignore]`d tests, run in release
+//! mode with `cargo test --release -p bench -- --ignored`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
