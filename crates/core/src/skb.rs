@@ -64,10 +64,9 @@ impl Skb {
     }
 
     /// Consumes the skb and hands its packet buffer back — the recycle
-    /// hand-off of the ingestion loop: a worker that has emitted a
-    /// packet's verdict pushes the drained storage into its free-ring (and
-    /// a dispatcher that has copied an output out returns it to the
-    /// `netpkt::BufPool` arena), so the next packet reuses the allocation.
+    /// hand-off of the ingestion loop: after the flush barrier, the
+    /// dispatcher returns each processed packet's storage to the
+    /// `netpkt::BufPool` arena, so the next packet reuses the allocation.
     /// The metadata (timestamps, overrides) is dropped with the skb.
     pub fn into_packet(self) -> PacketBuf {
         self.packet

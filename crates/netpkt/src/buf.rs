@@ -16,8 +16,7 @@ pub const DEFAULT_HEADROOM: usize = 128;
 /// A packet buffer with headroom, similar to the kernel's `sk_buff`.
 ///
 /// The packet's bytes live in `storage[offset..]`. Pushing a header moves
-/// `offset` towards zero; pulling a header moves it forward. Middle-of-packet
-/// insertion and removal (needed by the SRH TLV helpers) are also supported.
+/// `offset` towards zero; pulling a header moves it forward.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketBuf {
     storage: Vec<u8>,
@@ -96,40 +95,6 @@ impl PacketBuf {
             return Err(Error::Truncated { needed: len, available: self.len() });
         }
         self.offset += len;
-        Ok(())
-    }
-
-    /// Inserts `len` zero bytes at `at` (an offset inside the packet data).
-    ///
-    /// This is the primitive behind `bpf_lwt_seg6_adjust_srh` with a positive
-    /// delta: the TLV area of the SRH grows in the middle of the packet.
-    pub fn expand_at(&mut self, at: usize, len: usize) -> Result<()> {
-        if at > self.len() {
-            return Err(Error::NoSpace("expand offset beyond end of packet"));
-        }
-        let abs = self.offset + at;
-        self.storage.splice(abs..abs, std::iter::repeat_n(0u8, len));
-        Ok(())
-    }
-
-    /// Removes `len` bytes starting at `at` (an offset inside the packet
-    /// data). This is `bpf_lwt_seg6_adjust_srh` with a negative delta.
-    pub fn shrink_at(&mut self, at: usize, len: usize) -> Result<()> {
-        if at.checked_add(len).is_none_or(|end| end > self.len()) {
-            return Err(Error::Truncated { needed: at + len, available: self.len() });
-        }
-        let abs = self.offset + at;
-        self.storage.drain(abs..abs + len);
-        Ok(())
-    }
-
-    /// Copies `bytes` into the packet at offset `at`.
-    pub fn write_at(&mut self, at: usize, bytes: &[u8]) -> Result<()> {
-        if at.checked_add(bytes.len()).is_none_or(|end| end > self.len()) {
-            return Err(Error::NoSpace("write beyond end of packet"));
-        }
-        let abs = self.offset + at;
-        self.storage[abs..abs + bytes.len()].copy_from_slice(bytes);
         Ok(())
     }
 
@@ -230,26 +195,9 @@ mod tests {
     }
 
     #[test]
-    fn expand_at_inserts_zeroes_in_the_middle() {
-        let mut buf = PacketBuf::from_slice(&[1, 2, 3, 4]);
-        buf.expand_at(2, 3).unwrap();
-        assert_eq!(buf.data(), &[1, 2, 0, 0, 0, 3, 4]);
-    }
-
-    #[test]
-    fn shrink_at_removes_middle_bytes() {
-        let mut buf = PacketBuf::from_slice(&[1, 2, 3, 4, 5]);
-        buf.shrink_at(1, 3).unwrap();
-        assert_eq!(buf.data(), &[1, 5]);
-        assert!(buf.shrink_at(1, 5).is_err());
-    }
-
-    #[test]
-    fn write_at_and_slice() {
-        let mut buf = PacketBuf::from_slice(&[0; 6]);
-        buf.write_at(2, &[0xaa, 0xbb]).unwrap();
+    fn slice_stays_inside_the_packet() {
+        let buf = PacketBuf::from_slice(&[0, 0, 0xaa, 0xbb, 0, 0]);
         assert_eq!(buf.slice(2, 2).unwrap(), &[0xaa, 0xbb]);
-        assert!(buf.write_at(5, &[1, 2]).is_err());
         assert!(buf.slice(5, 2).is_err());
     }
 

@@ -9,13 +9,14 @@
 //! `alloc-counter` gates in `seg6-core` and `seg6-runtime` prove.
 //!
 //! The pool itself is single-threaded by design (one per dispatcher); the
-//! cross-thread leg of the recycle loop — workers handing drained buffers
-//! back — is a lock-free free-ring owned by the runtime crate. The full
+//! cross-thread leg of the recycle loop — workers handing processed
+//! buffers back — is the runtime crate's flush barrier. The full
 //! descriptor lifecycle is: dispatcher [`take`](BufPool::take) →
-//! descriptor ring → worker (process, drain) → free-ring →
+//! descriptor ring → worker (process, drain) → flush barrier →
 //! dispatcher [`put`](BufPool::put) → [`take`](BufPool::take) again.
 
 use crate::buf::{PacketBuf, DEFAULT_HEADROOM};
+use crate::sockio::DEFAULT_FRAME_CAP;
 
 /// A recycling arena of [`PacketBuf`]s. See the [module docs](self).
 #[derive(Debug)]
@@ -30,18 +31,23 @@ pub struct BufPool {
 impl BufPool {
     /// Creates an arena retaining at most `max_retained` free buffers
     /// (excess [`put`](BufPool::put)s fall through to the allocator), with
-    /// [`DEFAULT_HEADROOM`] on every buffer it hands out.
+    /// [`DEFAULT_HEADROOM`] on every buffer it hands out. The free list is
+    /// reserved to the cap here, so `put` never grows it.
     pub fn new(max_retained: usize) -> Self {
         Self::with_headroom(max_retained, DEFAULT_HEADROOM)
     }
 
     /// [`BufPool::new`] with an explicit per-buffer headroom.
     pub fn with_headroom(max_retained: usize, headroom: usize) -> Self {
-        BufPool { free: Vec::new(), headroom, max_retained, allocated: 0, recycled: 0 }
+        BufPool { free: Vec::with_capacity(max_retained), headroom, max_retained, allocated: 0, recycled: 0 }
     }
 
     /// Takes an empty buffer: recycled storage when the free list has
-    /// any, a fresh allocation otherwise.
+    /// any, a fresh allocation otherwise. A fresh buffer owns storage for
+    /// the headroom plus a [`DEFAULT_FRAME_CAP`] frame (written once, then
+    /// reset), so no frame a socket can deliver — nor the headers a
+    /// datapath pushes onto it — grows it later: once warm, the arena's
+    /// buffers never reallocate, whichever packet lands in which buffer.
     pub fn take(&mut self) -> PacketBuf {
         match self.free.pop() {
             Some(buf) => {
@@ -50,7 +56,10 @@ impl BufPool {
             }
             None => {
                 self.allocated += 1;
-                PacketBuf::with_headroom(self.headroom)
+                let mut buf = PacketBuf::with_headroom(self.headroom);
+                buf.append(&[0; DEFAULT_FRAME_CAP]);
+                buf.reset(self.headroom);
+                buf
             }
         }
     }
@@ -88,44 +97,16 @@ impl BufPool {
         self.recycled
     }
 
-    /// The headroom every buffer this arena hands out carries.
-    pub fn headroom(&self) -> usize {
-        self.headroom
-    }
-
-    /// Adds an externally minted buffer to the free list, counted as an
-    /// allocation (it is one — just performed elsewhere, e.g. on a worker
-    /// thread first-touching its arena segment so the pages land on that
-    /// worker's NUMA node). Buffers beyond the retention cap are dropped
-    /// like excess [`put`](BufPool::put)s.
-    pub fn adopt(&mut self, mut buf: PacketBuf) {
-        self.allocated += 1;
-        if self.free.len() < self.max_retained {
-            buf.reset(self.headroom);
-            self.free.push(buf);
-        }
-    }
-
-    /// Raises (or lowers) the retention cap. The worker pool calls this
-    /// when a tenant registers: the in-flight bound — and therefore the
-    /// number of buffers the arena must be able to retain for the steady
-    /// state to stay mint-free — grows with the tenant count. Lowering the
-    /// cap does not drop already-retained buffers; they drain naturally as
-    /// excess `put`s are refused.
+    /// Raises (or lowers) the retention cap, reserving the free list to
+    /// it. The worker pool calls this when a tenant registers: the
+    /// in-flight bound — and therefore the number of buffers the arena
+    /// must be able to retain for the steady state to stay mint-free —
+    /// grows with the tenant count. Lowering the cap does not drop
+    /// already-retained buffers; they drain naturally as excess `put`s are
+    /// refused.
     pub fn set_max_retained(&mut self, max_retained: usize) {
         self.max_retained = max_retained;
-    }
-
-    /// Grows the free list to at least `n` retained buffers (counted as
-    /// allocations), paying the whole mint cost up front — provision the
-    /// arena with its workload's in-flight bound and the steady state
-    /// becomes mint-free *deterministically*, not merely when the
-    /// consumers keep up.
-    pub fn prefill(&mut self, n: usize) {
-        while self.free.len() < n.min(self.max_retained) {
-            self.allocated += 1;
-            self.free.push(PacketBuf::with_headroom(self.headroom));
-        }
+        self.free.reserve(max_retained.saturating_sub(self.free.len()));
     }
 }
 
@@ -159,14 +140,20 @@ mod tests {
         assert_eq!(pool.available(), 2);
     }
 
+    /// A minted buffer is empty, carries the arena's headroom and already
+    /// holds a full socket frame, so filling it never reallocates.
     #[test]
-    fn prefill_respects_the_cap() {
+    fn minted_buffers_hold_a_full_frame() {
         let mut pool = BufPool::with_headroom(4, 32);
-        pool.prefill(10);
-        assert_eq!(pool.available(), 4);
         let buf = pool.take();
+        assert_eq!(pool.allocations(), 1);
         assert_eq!(buf.headroom(), 32);
-        assert_eq!(pool.recycle_hits(), 1);
+        assert!(buf.is_empty());
+        let capacity = buf.storage_capacity();
+        assert!(capacity >= 32 + DEFAULT_FRAME_CAP, "room for any socket frame");
+        pool.put(buf);
+        let buf = pool.take_filled(&[0x5a; DEFAULT_FRAME_CAP]);
+        assert_eq!(buf.storage_capacity(), capacity, "a full frame fits without growing");
     }
 
     /// A buffer that carried a pushed header and a 1.4 kB payload comes

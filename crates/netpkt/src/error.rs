@@ -16,9 +16,6 @@ pub enum Error {
     Malformed(&'static str),
     /// A length field is inconsistent with the rest of the packet.
     BadLength(&'static str),
-    /// The requested operation does not fit in the buffer (e.g. not enough
-    /// headroom to push a header).
-    NoSpace(&'static str),
     /// An SRH TLV walk failed validation.
     BadTlv(&'static str),
     /// A field value was out of the range representable on the wire.
@@ -33,7 +30,6 @@ impl fmt::Display for Error {
             }
             Error::Malformed(what) => write!(f, "malformed header: {what}"),
             Error::BadLength(what) => write!(f, "inconsistent length: {what}"),
-            Error::NoSpace(what) => write!(f, "no space in buffer: {what}"),
             Error::BadTlv(what) => write!(f, "invalid SRH TLV: {what}"),
             Error::ValueOutOfRange(what) => write!(f, "value out of range: {what}"),
         }

@@ -1,17 +1,16 @@
-//! CPU affinity and NUMA placement for shard threads.
+//! CPU affinity for shard threads.
 //!
 //! A shard thread that migrates between cores drags its cache footprint
-//! (and, on multi-socket hosts, its memory locality) along with it. This
-//! module gives the pool the two placement primitives real datapaths use:
-//! `sched_setaffinity(2)` to pin each shard to one core, and the sysfs
-//! NUMA topology (`/sys/devices/system/node/`) to report which node a
-//! pinned core's first-touch allocations land on.
+//! along with it. This module gives the pool the placement primitive real
+//! datapaths use: `sched_setaffinity(2)` to pin each shard to one core,
+//! resolved by a [`PinPolicy`] against the cores the process may use.
 //!
 //! The syscall FFI is libc-free in the repository's sense — `extern "C"`
 //! declarations of the wrappers std already links, like srv6d's
 //! `signal(2)` and `ebpf-vm::codegen`'s `mmap`. Non-Linux hosts compile
 //! clean: pinning reports [`std::io::ErrorKind::Unsupported`] and the
-//! topology probes return nothing, so callers need no `cfg` of their own.
+//! core list falls back to `available_parallelism`, so callers need no
+//! `cfg` of their own.
 
 use std::io;
 use std::str::FromStr;
@@ -193,61 +192,6 @@ pub fn available_cores() -> Vec<u32> {
     (0..n as u32).collect()
 }
 
-/// The NUMA node `cpu` belongs to, from sysfs
-/// (`/sys/devices/system/node/node<k>/cpulist`). `None` when the topology
-/// is not exposed (non-Linux, or a kernel without NUMA).
-pub fn numa_node_of_cpu(cpu: u32) -> Option<u32> {
-    numa_nodes().into_iter().find(|(_, cpus)| cpus.contains(&cpu)).map(|(node, _)| node)
-}
-
-/// The host's NUMA topology: each node id with its CPU list, ascending.
-/// Empty when sysfs does not expose one.
-pub fn numa_nodes() -> Vec<(u32, Vec<u32>)> {
-    let mut nodes = Vec::new();
-    let Ok(entries) = std::fs::read_dir("/sys/devices/system/node") else {
-        return nodes;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(id) = name.to_str().and_then(|n| n.strip_prefix("node")) else {
-            continue;
-        };
-        let Ok(id) = id.parse::<u32>() else {
-            continue;
-        };
-        let Ok(list) = std::fs::read_to_string(entry.path().join("cpulist")) else {
-            continue;
-        };
-        nodes.push((id, parse_cpulist(&list)));
-    }
-    nodes.sort_by_key(|(id, _)| *id);
-    nodes
-}
-
-/// Parses the kernel's cpulist format: `0-3,8,10-11`.
-fn parse_cpulist(list: &str) -> Vec<u32> {
-    let mut cpus = Vec::new();
-    for part in list.trim().split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        match part.split_once('-') {
-            Some((lo, hi)) => {
-                if let (Ok(lo), Ok(hi)) = (lo.parse::<u32>(), hi.parse::<u32>()) {
-                    cpus.extend(lo..=hi);
-                }
-            }
-            None => {
-                if let Ok(cpu) = part.parse::<u32>() {
-                    cpus.push(cpu);
-                }
-            }
-        }
-    }
-    cpus
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,13 +223,6 @@ mod tests {
         assert_eq!(PinPolicy::Compact.plan(2, &[3, 9]), vec![Some(3), Some(9)]);
         // No visible cores → nothing to pin to.
         assert_eq!(PinPolicy::Compact.plan(2, &[]), vec![None, None]);
-    }
-
-    #[test]
-    fn cpulist_parser_handles_ranges() {
-        assert_eq!(parse_cpulist("0-3,8,10-11\n"), vec![0, 1, 2, 3, 8, 10, 11]);
-        assert_eq!(parse_cpulist("0"), vec![0]);
-        assert_eq!(parse_cpulist(""), Vec::<u32>::new());
     }
 
     #[cfg(target_os = "linux")]

@@ -70,7 +70,7 @@ pub mod telemetry;
 pub use affinity::PinPolicy;
 pub use pool::{
     work_cost, BatchDrain, DrainReport, Ingress, PoolConfig, PoolReport, ShardSetup, Tenant, TenantId,
-    TenantQos, TenantSpec, WorkerPool, COST_BASE, COST_BPF, COST_SEG6LOCAL, COST_TRANSIT, NAPI_BUDGET,
+    TenantQos, WorkerPool, COST_BASE, COST_BPF, COST_SEG6LOCAL, COST_TRANSIT, NAPI_BUDGET,
 };
 pub use telemetry::{PoolCounters, PoolSnapshot, ShardSnapshot, TenantCounters, TenantSnapshot};
 

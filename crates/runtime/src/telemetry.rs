@@ -20,8 +20,8 @@
 //! `dropped` / `batches` / `cost` once per tenant run — the run's delta of
 //! the tenant datapath's own [`DatapathStats`], one plain load + store per
 //! counter per run (a single writer needs no locked read-modify-write),
-//! nothing per packet — and `recycled` once per poll; the two writers'
-//! fields sit on separate cache lines. The hot path never touches a lock:
+//! nothing per packet; the two writers' fields sit on separate cache
+//! lines. The hot path never touches a lock:
 //! the dispatcher and every worker hold direct `Arc`s to their
 //! tenants' cell blocks (handed over on the control channel when a tenant
 //! registers); only registration and [`PoolCounters::snapshot`] take the
@@ -80,8 +80,6 @@ struct WorkCounters {
     dropped: AtomicU64,
     /// Batches (tenant runs) executed by the worker.
     batches: AtomicU64,
-    /// Packet buffers handed back to the dispatcher through the free-ring.
-    recycled: AtomicU64,
     /// Cost-model units charged for processed work, priced by
     /// [`work_cost`](crate::work_cost) from the emitted `WorkSummary`s.
     cost: AtomicU64,
@@ -114,14 +112,6 @@ impl ShardCounters {
         bump(&work.dropped, after.total_dropped() - before.total_dropped());
         bump(&work.batches, 1);
         bump(&work.cost, cost);
-    }
-
-    /// Worker-side accounting: how many of this tenant's buffers went to
-    /// the free-ring in one batch publish.
-    pub(crate) fn add_recycled(&self, recycled: u64) {
-        if recycled > 0 {
-            bump(&self.work.0.recycled, recycled);
-        }
     }
 
     /// Dispatcher-side accounting: packets shed because the tenant's cost
@@ -162,7 +152,6 @@ impl ShardCounters {
             local_delivered: work.local_delivered.load(Ordering::Relaxed),
             dropped: work.dropped.load(Ordering::Relaxed),
             batches: work.batches.load(Ordering::Relaxed),
-            recycled: work.recycled.load(Ordering::Relaxed),
             rejected_over_budget: ingress.rejected_over_budget.load(Ordering::Relaxed),
             cost: work.cost.load(Ordering::Relaxed),
         }
@@ -186,8 +175,6 @@ pub struct ShardSnapshot {
     pub dropped: u64,
     /// Batches (tenant runs) executed.
     pub batches: u64,
-    /// Packet buffers recycled back to the dispatcher's arena.
-    pub recycled: u64,
     /// Packets shed at admission by an exhausted cost budget (distinct
     /// from `rejected`, which counts ring-full and quota sheds).
     pub rejected_over_budget: u64,
@@ -207,7 +194,6 @@ impl ShardSnapshot {
             local_delivered: self.local_delivered - earlier.local_delivered,
             dropped: self.dropped - earlier.dropped,
             batches: self.batches - earlier.batches,
-            recycled: self.recycled - earlier.recycled,
             rejected_over_budget: self.rejected_over_budget - earlier.rejected_over_budget,
             cost: self.cost - earlier.cost,
         }
@@ -223,7 +209,6 @@ impl ShardSnapshot {
         self.local_delivered += other.local_delivered;
         self.dropped += other.dropped;
         self.batches += other.batches;
-        self.recycled += other.recycled;
         self.rejected_over_budget += other.rejected_over_budget;
         self.cost += other.cost;
     }
@@ -284,10 +269,9 @@ pub struct PoolSnapshot {
     /// shard id.
     pub shards: Vec<ShardSnapshot>,
     /// Where each shard thread landed, indexed by shard id: the core it
-    /// pinned to (if [`PoolConfig::pinning`](crate::PoolConfig::pinning)
-    /// asked for one and `sched_setaffinity` succeeded) and that core's
-    /// NUMA node. Benches record this so multi-shard rows can prove they
-    /// ran on real, distinct cores.
+    /// pinned to, if [`PoolConfig::pinning`](crate::PoolConfig::pinning)
+    /// asked for one and `sched_setaffinity` succeeded. srv6d exports it
+    /// as `srv6d_shard_pinned_core`.
     pub placement: Vec<PlacementSnapshot>,
     /// OS threads this pool has spawned over its whole life: exactly one
     /// per shard, all at construction. Tenant registration, traffic and
@@ -301,8 +285,6 @@ pub struct PlacementSnapshot {
     /// The core the shard thread successfully pinned itself to, `None`
     /// when unpinned (policy `None`, or the pin failed).
     pub pinned_core: Option<u32>,
-    /// The pinned core's NUMA node, where sysfs exposes one.
-    pub numa_node: Option<u32>,
 }
 
 impl PoolSnapshot {
@@ -350,11 +332,6 @@ impl PoolSnapshot {
         self.total(|s| s.dropped)
     }
 
-    /// Total buffers recycled through the free-rings.
-    pub fn recycled(&self) -> u64 {
-        self.total(|s| s.recycled)
-    }
-
     /// Total packets shed at admission by exhausted cost budgets.
     pub fn rejected_over_budget(&self) -> u64 {
         self.total(|s| s.rejected_over_budget)
@@ -381,39 +358,16 @@ impl PoolSnapshot {
 pub struct PoolCounters {
     workers: u32,
     tenants: RwLock<Vec<Arc<TenantCounters>>>,
-    /// Per-shard placement cells, written once by each worker thread at
+    /// Per-shard pinned cores, written once by each worker thread at
     /// spawn (after its pin attempt) and sampled into
-    /// [`PoolSnapshot::placement`]. `u32::MAX` encodes "none".
-    placement: Box<[ShardPlacementCell]>,
+    /// [`PoolSnapshot::placement`]. `UNPINNED` encodes "none".
+    pinned_cores: Box<[AtomicU64]>,
     /// Bumped by the pool at its one `thread::Builder::spawn` site.
     threads_spawned: AtomicU64,
 }
 
-#[derive(Debug)]
-struct ShardPlacementCell {
-    pinned_core: AtomicU64,
-    numa_node: AtomicU64,
-}
-
-/// Sentinel for "no core / no node" in the placement cells.
-const PLACEMENT_NONE: u64 = u64::MAX;
-
-impl ShardPlacementCell {
-    fn new() -> Self {
-        ShardPlacementCell {
-            pinned_core: AtomicU64::new(PLACEMENT_NONE),
-            numa_node: AtomicU64::new(PLACEMENT_NONE),
-        }
-    }
-
-    fn sample(&self) -> PlacementSnapshot {
-        let decode = |v: u64| if v == PLACEMENT_NONE { None } else { Some(v as u32) };
-        PlacementSnapshot {
-            pinned_core: decode(self.pinned_core.load(Ordering::Relaxed)),
-            numa_node: decode(self.numa_node.load(Ordering::Relaxed)),
-        }
-    }
-}
+/// Sentinel for "no core" in the pinned-core cells.
+const UNPINNED: u64 = u64::MAX;
 
 impl PoolCounters {
     /// A counter block with one (default) tenant row.
@@ -421,7 +375,7 @@ impl PoolCounters {
         PoolCounters {
             workers,
             tenants: RwLock::new(vec![Arc::new(TenantCounters::new(workers))]),
-            placement: (0..workers).map(|_| ShardPlacementCell::new()).collect(),
+            pinned_cores: (0..workers).map(|_| AtomicU64::new(UNPINNED)).collect(),
             threads_spawned: AtomicU64::new(0),
         }
     }
@@ -433,11 +387,8 @@ impl PoolCounters {
 
     /// Records shard `shard`'s observed placement — called once by the
     /// worker thread itself, right after its pin attempt.
-    pub(crate) fn record_placement(&self, shard: u32, core: Option<u32>, numa: Option<u32>) {
-        let cell = &self.placement[shard as usize];
-        let encode = |v: Option<u32>| v.map_or(PLACEMENT_NONE, u64::from);
-        cell.pinned_core.store(encode(core), Ordering::Relaxed);
-        cell.numa_node.store(encode(numa), Ordering::Relaxed);
+    pub(crate) fn record_placement(&self, shard: u32, core: Option<u32>) {
+        self.pinned_cores[shard as usize].store(core.map_or(UNPINNED, u64::from), Ordering::Relaxed);
     }
 
     /// Appends a fresh tenant row and returns it (the pool hands the `Arc`
@@ -475,7 +426,14 @@ impl PoolCounters {
                 aggregate.accumulate(cell);
             }
         }
-        let placement = self.placement.iter().map(|cell| cell.sample()).collect();
+        let placement = self
+            .pinned_cores
+            .iter()
+            .map(|cell| {
+                let core = cell.load(Ordering::Relaxed);
+                PlacementSnapshot { pinned_core: (core != UNPINNED).then_some(core as u32) }
+            })
+            .collect();
         let threads_spawned = self.threads_spawned.load(Ordering::Relaxed);
         PoolSnapshot { tenants, shards, placement, threads_spawned }
     }
@@ -495,7 +453,6 @@ mod tests {
             DatapathStats { received: 10, forwarded: 8, local_delivered: 1, ..Default::default() };
         after.dropped[seg6_core::DropReason::NoRoute as usize] = 1;
         row.shard(0).add_run(&DatapathStats::default(), &after, 12);
-        row.shard(0).add_recycled(10);
         let snap = counters.snapshot();
         assert_eq!(snap.shards.len(), 2);
         assert_eq!(snap.tenants.len(), 1);
@@ -506,7 +463,6 @@ mod tests {
         assert_eq!(snap.shards[0].local_delivered, 1);
         assert_eq!(snap.shards[0].dropped, 1);
         assert_eq!((snap.shards[0].batches, snap.shards[0].cost), (1, 12));
-        assert_eq!(snap.shards[0].recycled, 10);
         assert_eq!(snap.shards[1].enqueued, 5);
         assert_eq!(snap.enqueued(), 15);
         assert_eq!(snap.rejected(), 2);

@@ -2,42 +2,40 @@
 //!
 //! Run with `cargo test -p seg6-runtime --features alloc-counter`. Five
 //! phases share one test (the counter is **process-wide**, so no other
-//! test may run concurrently in this binary). Every phase is held to an
-//! **exact** count: a round allocates the flush report's outer vector and
-//! nothing else — the barrier itself (a per-shard sequence pair, no
-//! channel) allocates nothing — plus, when outputs are collected, the one
-//! pre-sized vector each shard starts its next window with.
+//! test may run concurrently in this binary). Every phase is held to the
+//! same **exact** count per round: the flush report's outer vector plus
+//! the one pre-sized vector each shard starts its next window with (a
+//! shard hands its window's packets over at the barrier whether or not
+//! they are collected). The barrier itself — a per-shard sequence pair, no
+//! channel — allocates nothing.
 //!
 //! 1. **Owned-buffer rounds** — pre-built `PacketBuf`s enqueued in bursts
-//!    and flushed: the SPSC descriptor ring, the per-shard staging, the
-//!    reused batch/verdict buffers and the park/unpark wakeups must not
-//!    allocate per packet.
-//! 2. **Recycled-ingestion rounds** — the PR-4 acceptance gate: frames
-//!    enter as *byte slices* through `enqueue_bytes_all`, are copied into
-//!    recycled buffers from the free-ring-fed arena, processed, and their
-//!    storage returned by the workers. A whole steady-state round —
-//!    dispatch → ring → worker → free-ring → dispatch — performs **zero**
-//!    buffer allocations; the flush report's outer vector is the round's
-//!    only allocation.
-//! 3. **Multi-tenant rounds** — the PR-5 acceptance gate: a second tenant
-//!    registers (its one-time installation cost and the arena's
-//!    re-provision to the larger in-flight bound happen *outside* the
-//!    measurement), then both tenants' byte-slice traffic interleaves
-//!    through the same rings and the same arena. Per-tenant descriptor
-//!    stamping, tenant-run splitting and the per-tenant × per-shard
-//!    counters must all stay allocation-free, and the arena must stay
-//!    mint-flat.
+//!    and flushed, on a pool of their own: the SPSC descriptor ring, the
+//!    per-shard staging, the reused batch/verdict buffers, the park/unpark
+//!    wakeups and the flush putting every buffer into the arena (its free
+//!    list reserved to the retention cap) must not allocate per packet.
+//! 2. **Recycled-ingestion rounds** — frames enter as *byte slices*
+//!    through `enqueue_bytes_all`, are copied into buffers from the
+//!    arena, processed, and put back by the flush barrier. A whole
+//!    steady-state round — dispatch → ring → worker → barrier → arena —
+//!    performs **zero** buffer allocations.
+//! 3. **Multi-tenant rounds** — a second tenant registers (its one-time
+//!    installation cost and the arena's larger retention cap happen
+//!    *outside* the measurement), then both tenants'
+//!    byte-slice traffic interleaves through the same rings and the same
+//!    arena. Per-tenant descriptor stamping, tenant-run splitting and the
+//!    per-tenant × per-shard counters must all stay allocation-free, and
+//!    the arena must stay mint-flat.
 //! 4. **Program and encapsulation rounds** — a third tenant runs the
 //!    shipped programs (`tag_increment`, `add_tlv`, `end_t`, `wrr_encap`)
 //!    and the static `encap_through` / `inline_through` / `End.B6*`
 //!    behaviours (the paths `seg6-core`'s `zero_alloc.rs` holds to zero
 //!    on one thread): packets that grow on their way through must not
-//!    cost the recycled buffers or the workers' scratch an allocation.
-//! 5. **Collected-output rounds** — a second pool with
-//!    [`PoolConfig::collect_outputs`]: every shard hands its window's
-//!    vector to the report and starts the next one at the same capacity
-//!    (one allocation per shard per round, not a regrowth from empty),
-//!    and the caller's `recycle` closes the buffer loop mint-free.
+//!    cost the arena's full-frame buffers or the workers' scratch an
+//!    allocation, whichever packet lands in which buffer.
+//! 5. **Collected-output rounds** — a pool with
+//!    [`PoolConfig::collect_outputs`]: the report carries every shard's
+//!    window, and the caller's `recycle` closes the buffer loop mint-free.
 #![cfg(feature = "alloc-counter")]
 
 #[path = "../../core/tests/common/nf_paths.rs"]
@@ -48,7 +46,7 @@ use netpkt::packet::build_ipv6_udp_packet;
 use netpkt::PacketBuf;
 use seg6_core::alloc_counter::{global_allocations, CountingAllocator};
 use seg6_core::{Nexthop, Seg6Datapath};
-use seg6_runtime::{Ingress, PoolConfig, TenantSpec, WorkerPool};
+use seg6_runtime::{Ingress, PoolConfig, TenantQos, WorkerPool};
 use std::net::Ipv6Addr;
 
 #[global_allocator]
@@ -80,10 +78,10 @@ fn pool_steady_state_does_not_allocate_per_packet() {
     const WORKERS: u32 = 4;
     const PACKETS_PER_ROUND: usize = 1024;
     const MEASURED_ROUNDS: usize = 8;
-    // What one round may allocate: the flush report's outer vector.
-    // Everything else — rings, staging, batch and verdict buffers, the
-    // barrier — must be reuse.
-    const ROUND_ALLOCS: u64 = 1;
+    // What one round may allocate: the flush report's outer vector and one
+    // pre-sized window vector per shard. Everything else — rings, staging,
+    // batch and verdict buffers, the arena, the barrier — must be reuse.
+    const ROUND_ALLOCS: u64 = 1 + WORKERS as u64;
 
     let config = PoolConfig {
         workers: WORKERS,
@@ -91,13 +89,16 @@ fn pool_steady_state_does_not_allocate_per_packet() {
         queue_depth: 2 * PACKETS_PER_ROUND,
         ..Default::default()
     };
-    let mut pool = WorkerPool::new(config, forwarding_datapath);
 
     // --- Phase 1: owned pre-built buffers through the descriptor ring ---
 
+    // A pool of its own: the caller's small pre-built buffers end up in
+    // its arena, where the byte-slice phases would draw them instead of
+    // the full-frame buffers the arena mints.
+    let mut pool = WorkerPool::new(config.clone(), forwarding_datapath);
     // Pre-build every measured packet so the measurement sees only the
     // pool's own work, then warm the pool up (scratch buffers, batch and
-    // verdict capacities, staging, the recycling arena).
+    // verdict capacities, staging).
     let mut rounds: Vec<Vec<PacketBuf>> =
         (0..MEASURED_ROUNDS).map(|_| (0..PACKETS_PER_ROUND as u32).map(flow_packet).collect()).collect();
     for _ in 0..3 {
@@ -123,15 +124,17 @@ fn pool_steady_state_does_not_allocate_per_packet() {
         "pool steady state allocated {allocations} times over {MEASURED_ROUNDS} rounds \
          ({PACKETS_PER_ROUND} packets each) — the per-packet path or the barrier is allocating"
     );
+    pool.shutdown();
 
-    // --- Phase 2: the zero-allocation ingestion loop (PR-4 gate) ---
+    // --- Phase 2: the zero-allocation ingestion loop ---
 
     // Frames enter as byte slices: every packet buffer must come out of
-    // the free-ring-fed arena. The first bytes-path call provisions the
-    // arena to the pool's in-flight bound (all minting happens here, in
-    // the unmeasured warm-up), which makes the flat-mint assertion below
-    // deterministic rather than scheduling-dependent. Pre-render the
-    // frames outside the measurement.
+    // the arena the flush barrier refills. Buffers come back at the
+    // barrier only, so the first warm-up round mints exactly one buffer
+    // per frame and no later round of the same size mints any: the
+    // flat-mint assertion below is deterministic rather than
+    // scheduling-dependent. Pre-render the frames outside the measurement.
+    let mut pool = WorkerPool::new(config.clone(), forwarding_datapath);
     let frames: Vec<Vec<u8>> =
         (0..PACKETS_PER_ROUND as u32).map(|f| flow_packet(f).data().to_vec()).collect();
     for _ in 0..3 {
@@ -162,20 +165,18 @@ fn pool_steady_state_does_not_allocate_per_packet() {
     assert_eq!(
         allocations, expected,
         "recycled ingestion allocated {allocations} times over {MEASURED_ROUNDS} rounds \
-         ({PACKETS_PER_ROUND} packets each) — the dispatch → ring → worker → free-ring loop is \
-         allocating"
+         ({PACKETS_PER_ROUND} packets each) — the dispatch → ring → worker → barrier → arena loop \
+         is allocating"
     );
 
-    // --- Phase 3: the multi-tenant gate (PR-5) ---
+    // --- Phase 3: the multi-tenant gate ---
 
     // Registering the tenant allocates (datapath forks, counter row, the
-    // arena's re-provision to the larger in-flight bound) — all of it
-    // one-time cost outside the measurement.
-    let tenant_b = pool.add_tenant(TenantSpec::build_with(|cpu| {
-        let mut dp = Seg6Datapath::new(addr("fc00::2")).on_cpu(cpu);
-        dp.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(2)]);
-        dp
-    }));
+    // arena's free list reserved to the larger in-flight bound) — all of
+    // it one-time cost outside the measurement.
+    let mut template_b = Seg6Datapath::new(addr("fc00::2"));
+    template_b.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(2)]);
+    let tenant_b = pool.add_tenant(&template_b, TenantQos::default());
     let half = PACKETS_PER_ROUND / 2;
     for _ in 0..3 {
         // Warm-up: both tenants' paths touch every reused buffer once.
@@ -223,13 +224,13 @@ fn pool_steady_state_does_not_allocate_per_packet() {
 
     // --- Phase 4: programs and encapsulations through the pool ---
 
-    let nf_tenant = pool.add_tenant(TenantSpec::build_with(|cpu| nf_paths::router(cpu, None).0));
+    let nf_tenant = pool.add_tenant(&nf_paths::router(0, None).0, TenantQos::default());
     let nf_frames = nf_paths::steady_frames((PACKETS_PER_ROUND / 8) as u16);
     assert_eq!(nf_frames.len(), PACKETS_PER_ROUND);
     let forwarded_before = pool.counters().snapshot().tenants[nf_tenant.index()].totals().forwarded;
     for _ in 0..3 {
-        // Warm-up: every recycled buffer and every shard's scratch grows
-        // to what the longest encapsulation needs.
+        // Warm-up: every shard's scratch grows to what the longest
+        // encapsulation needs (the arena's buffers already hold it).
         assert_eq!(
             pool.tenant(nf_tenant).enqueue_bytes_all(0, nf_frames.iter().map(Vec::as_slice)),
             PACKETS_PER_ROUND
@@ -268,14 +269,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
 
     // --- Phase 5: collected outputs ---
 
-    let config = PoolConfig {
-        workers: WORKERS,
-        batch_size: 32,
-        queue_depth: 2 * PACKETS_PER_ROUND,
-        collect_outputs: true,
-        ..Default::default()
-    };
-    let mut pool = WorkerPool::new(config, forwarding_datapath);
+    let mut pool = WorkerPool::new(PoolConfig { collect_outputs: true, ..config }, forwarding_datapath);
     let round = |pool: &mut WorkerPool| {
         assert_eq!(pool.enqueue_bytes_all(0, frames.iter().map(Vec::as_slice)), PACKETS_PER_ROUND);
         let report = pool.flush();
@@ -300,8 +294,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
 
     assert_eq!(pool.buf_pool().allocations(), minted_after_warmup, "collected rounds minted packet buffers");
     assert_eq!(
-        allocations,
-        MEASURED_ROUNDS as u64 * (ROUND_ALLOCS + u64::from(WORKERS)),
+        allocations, expected,
         "collected-output rounds allocated {allocations} times over {MEASURED_ROUNDS} rounds: more \
          than the report vector plus one pre-sized output vector per shard — a shard is regrowing \
          its outputs, or the barrier is allocating"

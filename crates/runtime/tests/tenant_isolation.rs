@@ -22,9 +22,7 @@ use netpkt::PacketBuf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seg6_core::{BatchVerdict, Nexthop, Seg6Datapath, Seg6LocalAction, Verdict};
-use seg6_runtime::{
-    Ingress, PoolConfig, PoolSnapshot, ShardSnapshot, TenantId, TenantQos, TenantSpec, WorkerPool,
-};
+use seg6_runtime::{Ingress, PoolConfig, PoolSnapshot, ShardSnapshot, TenantId, TenantQos, WorkerPool};
 use std::net::Ipv6Addr;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -131,7 +129,7 @@ fn randomized_two_tenant_run_never_cross_routes() {
         ..Default::default()
     };
     let mut pool = WorkerPool::new(config, tenant_a);
-    let tenant_b_id = pool.add_tenant(TenantSpec::build_with(tenant_b));
+    let tenant_b_id = pool.add_tenant(&tenant_b(0), TenantQos::default());
     let counters = pool.counters();
 
     let mut enqueued = [0u64; 2]; // per tenant
@@ -233,7 +231,7 @@ fn stallable_pool(config: PoolConfig) -> (WorkerPool, mpsc::Receiver<()>, mpsc::
 fn per_tenant_rejection_accounting_is_exact() {
     let config = PoolConfig { workers: 1, batch_size: 1, queue_depth: 8, ..Default::default() };
     let (mut pool, entered_rx, release_tx) = stallable_pool(config);
-    let b = pool.add_tenant(TenantSpec::build_with(tenant_b));
+    let b = pool.add_tenant(&tenant_b(0), TenantQos::default());
 
     // Stall the worker, then alternate tenants into the 8-slot ring: 4 A
     // + 4 B fit, the next 3 A and 2 B are rejected.
@@ -279,10 +277,10 @@ fn qos_that_never_binds_is_equivalent_to_no_qos() {
     };
     let unbinding = TenantQos { weight: 1, ring_quota: Some(1.0), cost_budget: Some(u64::MAX) };
     let mut open = WorkerPool::new(config.clone(), tenant_a);
-    let b = open.add_tenant(TenantSpec::build_with(tenant_b));
+    let b = open.add_tenant(&tenant_b(0), TenantQos::default());
     let mut metered = WorkerPool::new(config, tenant_a);
     metered.update_tenant_qos(TenantId::DEFAULT, unbinding);
-    assert_eq!(metered.add_tenant(TenantSpec::build_with(tenant_b).qos(unbinding)), b);
+    assert_eq!(metered.add_tenant(&tenant_b(0), unbinding), b);
 
     fn without_batches(mut snap: PoolSnapshot) -> PoolSnapshot {
         let rows = snap.tenants.iter_mut().flat_map(|t| t.shards.iter_mut());
@@ -354,7 +352,7 @@ fn qos_that_never_binds_is_equivalent_to_no_qos() {
 fn a_quota_gained_mid_run_binds_from_the_next_publish() {
     let config = PoolConfig { workers: 1, batch_size: 4, queue_depth: 16, ..Default::default() };
     let (mut pool, entered_rx, release_tx) = stallable_pool(config);
-    let b = pool.add_tenant(TenantSpec::build_with(tenant_b));
+    let b = pool.add_tenant(&tenant_b(0), TenantQos::default());
     assert!(pool.enqueue(plain_packet(0)));
     entered_rx.recv().expect("worker stalled in the drain");
 
@@ -398,7 +396,7 @@ fn qos_bounds_the_quiet_tenant_under_a_noisy_neighbor() {
     // Run-alone baseline: the quiet tenant with the worker to itself.
     let (baseline_accepted, baseline_last) = {
         let mut pool = WorkerPool::new(config(), tenant_a);
-        let quiet = pool.add_tenant(TenantSpec::build_with(tenant_b).weight(4));
+        let quiet = pool.add_tenant(&tenant_b(0), TenantQos { weight: 4, ..TenantQos::default() });
         let accepted = pool.tenant(quiet).enqueue_all((0..QUIET as u32).map(plain_packet));
         let report = pool.flush();
         let last = report.outputs[0].iter().rposition(|(t, _, _)| *t == quiet).map_or(0, |i| i + 1);
@@ -417,7 +415,7 @@ fn qos_bounds_the_quiet_tenant_under_a_noisy_neighbor() {
         TenantId::DEFAULT,
         TenantQos { weight: 1, ring_quota: Some(0.5), cost_budget: None },
     );
-    let quiet = pool.add_tenant(TenantSpec::build_with(tenant_b).weight(4));
+    let quiet = pool.add_tenant(&tenant_b(0), TenantQos { weight: 4, ..TenantQos::default() });
 
     assert!(pool.enqueue(plain_packet(0)));
     entered_rx.recv().expect("worker stalled in the drain");
@@ -462,7 +460,7 @@ fn default_knobs_let_the_flood_starve_the_quiet_tenant() {
     const RING: usize = 256;
     let config = PoolConfig { workers: 1, batch_size: 32, queue_depth: RING, ..Default::default() };
     let (mut pool, entered_rx, release_tx) = stallable_pool(config);
-    let quiet = pool.add_tenant(TenantSpec::build_with(tenant_b));
+    let quiet = pool.add_tenant(&tenant_b(0), TenantQos::default());
 
     assert!(pool.enqueue(plain_packet(0)));
     entered_rx.recv().expect("worker stalled in the drain");
@@ -486,7 +484,7 @@ fn default_knobs_let_the_flood_starve_the_quiet_tenant() {
 fn cost_budget_sheds_exactly_and_refills_on_the_shard_clock() {
     let config = PoolConfig { workers: 1, batch_size: 32, queue_depth: 1024, ..Default::default() };
     let mut pool = WorkerPool::new(config, tenant_a);
-    let b = pool.add_tenant(TenantSpec::build_with(tenant_b).cost_budget(30));
+    let b = pool.add_tenant(&tenant_b(0), TenantQos { cost_budget: Some(30), ..TenantQos::default() });
 
     // Shard clock 0: ten End-SID packets spend 10 base tokens at
     // admission, leaving 20 of the 30-token burst.

@@ -27,7 +27,7 @@ use crate::stats::{DaemonShared, StatsServer, TenantIo, TenantMeta};
 use netpkt::sockio::{FrameBatch, PacketRx, PacketTx};
 use netpkt::Ipv6Prefix;
 use seg6_core::{BatchVerdict, Nexthop, Seg6Datapath, Seg6LocalAction, Verdict, MAIN_TABLE};
-use seg6_runtime::{DrainReport, Ingress, PoolConfig, ShardSnapshot, TenantId, TenantSpec, WorkerPool};
+use seg6_runtime::{DrainReport, Ingress, PoolConfig, ShardSnapshot, TenantId, WorkerPool};
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -238,7 +238,7 @@ impl Srv6Daemon {
         tenants.push(open_tenant(&mut *backend, &cfg, first.clone(), TenantId::DEFAULT, template)?);
         for tenant_cfg in &cfg.tenants[1..] {
             let template = build_datapath(tenant_cfg);
-            let id = pool.add_tenant(TenantSpec::from_datapath(&template).qos(tenant_cfg.qos.runtime()));
+            let id = pool.add_tenant(&template, tenant_cfg.qos.runtime());
             tenants.push(open_tenant(&mut *backend, &cfg, tenant_cfg.clone(), id, template)?);
         }
 
@@ -443,7 +443,7 @@ impl Srv6Daemon {
     /// index, an invariant reloads preserve by never removing slots).
     fn spawn_tenant(&mut self, cfg: &Config, tenant_cfg: &TenantConfig) -> Result<(), DaemonError> {
         let template = build_datapath(tenant_cfg);
-        let id = self.pool.add_tenant(TenantSpec::from_datapath(&template).qos(tenant_cfg.qos.runtime()));
+        let id = self.pool.add_tenant(&template, tenant_cfg.qos.runtime());
         debug_assert_eq!(id.index(), self.tenants.len(), "slot/tenant index alignment");
         let runtime = open_tenant(&mut *self.backend, cfg, tenant_cfg.clone(), id, template)?;
         self.tenants.push(runtime);

@@ -138,25 +138,8 @@ fn check(args: &[String]) -> ExitCode {
             );
             for (shard, core) in plan.iter().enumerate() {
                 match core {
-                    Some(core) => {
-                        let node = seg6_runtime::affinity::numa_node_of_cpu(*core)
-                            .map(|n| format!(" (numa {n})"))
-                            .unwrap_or_default();
-                        println!("  shard {shard} -> cpu{core}{node}");
-                    }
+                    Some(core) => println!("  shard {shard} -> cpu{core}"),
                     None => println!("  shard {shard} -> unpinned"),
-                }
-            }
-            let nodes = seg6_runtime::affinity::numa_nodes();
-            if nodes.is_empty() {
-                println!("numa: topology not exposed by this host");
-            } else {
-                for (node, cpus) in nodes {
-                    println!(
-                        "numa: node {} -> cpus {}",
-                        node,
-                        cpus.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(",")
-                    );
                 }
             }
             ExitCode::SUCCESS

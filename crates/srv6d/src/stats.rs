@@ -210,15 +210,6 @@ impl DaemonShared {
             let core = placement.pinned_core.map_or(-1, i64::from);
             let _ = writeln!(out, "srv6d_shard_pinned_core{{shard=\"{shard}\"}} {core}");
         }
-        gauge(
-            &mut out,
-            "shard_numa_node",
-            "NUMA node backing the shard's arena segment (-1 = unknown/unpinned).",
-        );
-        for (shard, placement) in snapshot.placement.iter().enumerate() {
-            let node = placement.numa_node.map_or(-1, i64::from);
-            let _ = writeln!(out, "srv6d_shard_numa_node{{shard=\"{shard}\"}} {node}");
-        }
         out
     }
 }

@@ -298,8 +298,8 @@ fn metric_value(metrics: &str, prefix: &str) -> f64 {
 
 /// The derived gauges: `srv6d_cost_rate` differentiates the cost counter
 /// over the scrape window, `srv6d_budget_headroom` subtracts it from the
-/// configured budget, and the placement gauges report each shard's
-/// pin/NUMA state (-1 sentinels when unpinned, as in this unpinned run).
+/// configured budget, and the placement gauge reports each shard's pinned
+/// core (-1 when unpinned, as in this unpinned run).
 #[test]
 fn metrics_expose_cost_rates_and_placement() {
     let mem = MemBackend::new(512);
@@ -337,10 +337,9 @@ fn metrics_expose_cost_rates_and_placement() {
         assert_eq!(kind, if name.ends_with("_total") { "counter" } else { "gauge" }, "{line}");
     }
 
-    // No `pin =` key: both shards report the -1 sentinels.
+    // No `pin =` key: both shards report the -1 sentinel.
     for shard in 0..2 {
         assert_eq!(metric_value(&metrics, &format!("srv6d_shard_pinned_core{{shard=\"{shard}\"}}")), -1.0);
-        assert_eq!(metric_value(&metrics, &format!("srv6d_shard_numa_node{{shard=\"{shard}\"}}")), -1.0);
     }
     daemon.drain();
 }

@@ -121,11 +121,10 @@ fn main() {
     assert_eq!(snap.processed(), u64::from(ROUNDS * PACKETS));
     assert_eq!(snap.in_flight(), 0);
     println!(
-        "  after {ROUNDS} rounds, live totals: enqueued {}, processed {}, forwarded {}, recycled {}",
+        "  after {ROUNDS} rounds, live totals: enqueued {}, processed {}, forwarded {}",
         snap.enqueued(),
         snap.processed(),
-        snap.forwarded(),
-        snap.recycled()
+        snap.forwarded()
     );
     assert_eq!(snap.threads_spawned, u64::from(WORKERS), "steady state spawned a thread");
     println!("  thread spawns after construction: 0 (pool threads live across rounds)");

@@ -20,7 +20,7 @@
 //! ```
 
 use seg6_core::{Nexthop, Seg6Datapath};
-use seg6_runtime::{Ingress, PoolConfig, TenantId, TenantSpec, WorkerPool};
+use seg6_runtime::{Ingress, PoolConfig, TenantId, TenantQos, WorkerPool};
 use std::net::Ipv6Addr;
 use std::time::Instant;
 use trafficgen::capture::{CaptureReader, CaptureWriter};
@@ -33,8 +33,8 @@ fn addr(s: &str) -> Ipv6Addr {
 /// A datapath routing everything out of `oif` — the two tenants get
 /// different interfaces so the replay's per-tenant verdicts are
 /// distinguishable in the counters.
-fn oif_datapath(oif: u32, cpu: u32) -> Seg6Datapath {
-    let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
+fn oif_datapath(oif: u32) -> Seg6Datapath {
+    let mut dp = Seg6Datapath::new(addr("fc00::1"));
     dp.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(oif)]);
     dp
 }
@@ -65,11 +65,13 @@ fn main() {
     let config = PoolConfig {
         workers: WORKERS,
         batch_size: 32,
-        queue_depth: FRAMES / WORKERS as usize,
+        // Each chunk is flushed before the next: a ring must hold one
+        // chunk, even one that all steers to a single shard.
+        queue_depth: CHUNK,
         ..Default::default()
     };
-    let mut pool = WorkerPool::new(config, |cpu| oif_datapath(1, cpu));
-    let tenant_b = pool.add_tenant(TenantSpec::build_with(|cpu| oif_datapath(2, cpu)));
+    let mut pool = WorkerPool::from_datapath(config, &oif_datapath(1));
+    let tenant_b = pool.add_tenant(&oif_datapath(2), TenantQos::default());
     println!(
         "replaying into a {WORKERS}-shard pool shared by {} tenants (alternating chunks)",
         pool.tenants()
@@ -84,11 +86,16 @@ fn main() {
     let mut chunk_index = 0u64;
     let mut chunk_clock_ns = 0u64;
     let mut accepted = 0usize;
-    let replay = |pool: &mut WorkerPool, chunk: &[Vec<u8>], index: u64, now_ns: u64| -> usize {
+    let mut processed = 0u64;
+    let mut replay = |pool: &mut WorkerPool, chunk: &[Vec<u8>], index: u64, now_ns: u64| -> usize {
         // Even chunks replay as the default tenant, odd chunks as tenant
         // B — one capture serving two routing contexts.
         let tenant = if index.is_multiple_of(2) { TenantId::DEFAULT } else { tenant_b };
-        pool.tenant(tenant).enqueue_bytes_all(now_ns, chunk.iter().map(Vec::as_slice))
+        let accepted = pool.tenant(tenant).enqueue_bytes_all(now_ns, chunk.iter().map(Vec::as_slice));
+        // One flush barrier per chunk, as srv6d flushes once per pass: it
+        // puts every buffer of the chunk back into the arena.
+        processed += pool.flush().run.processed;
+        accepted
     };
     let replay_start = Instant::now();
     let mut max_lag = std::time::Duration::ZERO;
@@ -116,9 +123,9 @@ fn main() {
         max_lag
     );
 
-    // --- Observe: live per-tenant rows, then the flush barrier ------------
-    let live = pool.counters().snapshot();
-    for (tenant, row) in live.tenants.iter().enumerate() {
+    // --- Observe: the per-tenant rows the flush barriers balanced ---------
+    let counters = pool.counters().snapshot();
+    for (tenant, row) in counters.tenants.iter().enumerate() {
         let totals = row.totals();
         println!(
             "  tenant {tenant}: enqueued {:5}, processed {:5}, forwarded {:5}, per shard {:?}",
@@ -128,15 +135,13 @@ fn main() {
             row.shards.iter().map(|s| s.processed).collect::<Vec<_>>()
         );
     }
-    let report = pool.flush();
     println!(
-        "flush: processed {} ({} forwarded), per shard {:?}, backpressure drops {}",
-        report.run.processed,
-        report.run.forwarded,
+        "flushes: processed {processed} ({} forwarded), per shard {:?}, backpressure drops {}",
+        counters.forwarded(),
         pool.shard_stats().iter().map(|s| s.processed).collect::<Vec<_>>(),
         pool.rejected()
     );
-    assert_eq!(report.run.processed as usize + pool.rejected() as usize, FRAMES);
+    assert_eq!(processed as usize + pool.rejected() as usize, FRAMES);
     // The recycling arena served the replay from a bounded buffer set.
     println!(
         "buffer arena: {} minted, {} recycle hits",
