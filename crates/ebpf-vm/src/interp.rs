@@ -8,7 +8,6 @@
 //! of Figure 2 and the Turris Omnia ARM32 case of §4.2).
 
 use crate::error::{Error, Result};
-use crate::helpers::HelperRegistry;
 use crate::insn::{class, encode_program, jmp, Insn};
 use crate::program::LoadedProgram;
 use crate::vm::{execute_insn, Flow, HelperApi, RunContext, RunState};
@@ -46,14 +45,9 @@ impl InterpreterImage {
 }
 
 /// Runs `image` to completion and returns r0.
-pub fn run(
-    image: &InterpreterImage,
-    loaded: &LoadedProgram,
-    helpers: &HelperRegistry,
-    rc: &mut RunContext<'_>,
-) -> Result<u64> {
+pub fn run(image: &InterpreterImage, loaded: &LoadedProgram, rc: &mut RunContext<'_>) -> Result<u64> {
     let mut state = RunState::new(rc.ctx.len());
-    run_with_state(image, loaded, helpers, rc, &mut state)
+    run_with_state(image, loaded, rc, &mut state)
 }
 
 /// Runs `image` with a caller-provided state (so callers can inspect the
@@ -61,13 +55,11 @@ pub fn run(
 ///
 /// Helper calls dispatch through the program's **load-time** helper table
 /// ([`LoadedProgram::helper_table`]), exactly like the JIT — helpers are
-/// fixed at verification, as in the kernel, so the two engines cannot
-/// diverge when a caller runs a program under a different registry than it
-/// was loaded with.
+/// fixed at verification, as in the kernel, so no engine can run a program
+/// under a different registry than it was loaded with.
 pub fn run_with_state(
     image: &InterpreterImage,
     loaded: &LoadedProgram,
-    helpers: &HelperRegistry,
     rc: &mut RunContext<'_>,
     state: &mut RunState,
 ) -> Result<u64> {
@@ -96,7 +88,7 @@ pub fn run_with_state(
             continue;
         }
         let next = if insn.is_lddw() { Some(image.fetch(pc + 1)?) } else { None };
-        match execute_insn(state, rc, &loaded.maps, helpers, &insn, next.as_ref(), pc)? {
+        match execute_insn(state, rc, &insn, next.as_ref(), pc)? {
             Flow::Next => pc += 1,
             Flow::SkipOne => pc += 2,
             Flow::Branch(delta) => {
@@ -128,7 +120,7 @@ mod tests {
         let mut ctx = vec![0u8; 32];
         let mut env = NullEnv;
         let mut rc = RunContext { ctx: &mut ctx, packet, env: &mut env };
-        run(&image, &loaded, &helpers, &mut rc)
+        run(&image, &loaded, &mut rc)
     }
 
     #[test]
@@ -177,7 +169,7 @@ mod tests {
             ctx[8..16].copy_from_slice(&(PKT_BASE + pkt.len() as u64).to_le_bytes());
             let mut env = NullEnv;
             let mut rc = RunContext { ctx: &mut ctx, packet: pkt, env: &mut env };
-            run(&image, &loaded, &helpers, &mut rc).unwrap()
+            run(&image, &loaded, &mut rc).unwrap()
         };
         let mut pkt = vec![0x60u8, 0, 0, 0, 0, 0, 0, 0];
         assert_eq!(run_lwt(insns.clone(), &mut pkt), 0x60);

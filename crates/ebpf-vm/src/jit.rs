@@ -18,7 +18,7 @@
 //! discussion).
 
 use crate::error::{Error, Result};
-use crate::helpers::{HelperFn, HelperRegistry};
+use crate::helpers::HelperFn;
 use crate::insn::{alu, class, jmp, src, AccessSize, Insn};
 use crate::program::LoadedProgram;
 use crate::vm::{jump_taken, load_scalar, store_scalar, HelperApi, RunContext, RunState};
@@ -368,24 +368,16 @@ fn alu_apply(op: u8, is64: bool, dst: u64, rhs: u64) -> u64 {
 }
 
 /// Runs a compiled program and returns r0.
-pub fn run(
-    compiled: &JitProgram,
-    loaded: &LoadedProgram,
-    helpers: &HelperRegistry,
-    rc: &mut RunContext<'_>,
-) -> Result<u64> {
+pub fn run(compiled: &JitProgram, loaded: &LoadedProgram, rc: &mut RunContext<'_>) -> Result<u64> {
     let mut state = RunState::new(rc.ctx.len());
-    run_with_state(compiled, loaded, helpers, rc, &mut state)
+    run_with_state(compiled, loaded, rc, &mut state)
 }
 
-/// Runs a compiled program with a caller-provided state. The registry is
-/// unused here — helper calls dispatch through the program's load-time
-/// table — but kept in the signature so the two engines stay
-/// interchangeable.
+/// Runs a compiled program with a caller-provided state. Helper calls
+/// dispatch through the program's load-time table.
 pub fn run_with_state(
     compiled: &JitProgram,
     loaded: &LoadedProgram,
-    _helpers: &HelperRegistry,
     rc: &mut RunContext<'_>,
     state: &mut RunState,
 ) -> Result<u64> {
@@ -510,10 +502,9 @@ mod tests {
     use crate::vm::{NullEnv, RunContext, PKT_BASE};
     use std::collections::HashMap;
 
-    fn load_prog(insns: Vec<Insn>) -> (std::sync::Arc<LoadedProgram>, HelperRegistry) {
-        let helpers = HelperRegistry::with_base_helpers();
+    fn load_prog(insns: Vec<Insn>) -> std::sync::Arc<LoadedProgram> {
         let prog = Program::new("jit-test", ProgramType::LwtXmit, insns);
-        (load(prog, &HashMap::new(), &helpers).unwrap(), helpers)
+        load(prog, &HashMap::new(), &HelperRegistry::with_base_helpers()).unwrap()
     }
 
     fn lwt_ctx(packet_len: usize) -> Vec<u8> {
@@ -524,7 +515,7 @@ mod tests {
     }
 
     fn run_both(insns: Vec<Insn>, packet: Vec<u8>) -> (u64, u64) {
-        let (loaded, helpers) = load_prog(insns);
+        let loaded = load_prog(insns);
         let compiled = compile(&loaded).unwrap();
         let image = interp::InterpreterImage::new(&loaded);
 
@@ -533,13 +524,13 @@ mod tests {
         let mut pkt1 = packet.clone();
         let jit_result = {
             let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt1, env: &mut env };
-            run(&compiled, &loaded, &helpers, &mut rc).unwrap()
+            run(&compiled, &loaded, &mut rc).unwrap()
         };
         let mut ctx2 = lwt_ctx(packet.len());
         let mut pkt2 = packet;
         let interp_result = {
             let mut rc = RunContext { ctx: &mut ctx2, packet: &mut pkt2, env: &mut env };
-            interp::run(&image, &loaded, &helpers, &mut rc).unwrap()
+            interp::run(&image, &loaded, &mut rc).unwrap()
         };
         (jit_result, interp_result)
     }
@@ -587,7 +578,7 @@ mod tests {
             Insn::mov64_imm(0, 1),
             Insn::exit(),
         ];
-        let (loaded, _) = load_prog(insns);
+        let loaded = load_prog(insns);
         let compiled = compile(&loaded).unwrap();
         match compiled.ops()[1] {
             MicroOp::JumpIf { target, .. } => assert_eq!(target, 3),
@@ -600,7 +591,7 @@ mod tests {
     #[test]
     fn lddw_second_slot_becomes_nop() {
         let insns = vec![Insn::lddw_lo(0, 5), Insn::lddw_hi(5), Insn::exit()];
-        let (loaded, _) = load_prog(insns);
+        let loaded = load_prog(insns);
         let compiled = compile(&loaded).unwrap();
         assert_eq!(compiled.ops()[1], MicroOp::Nop);
     }

@@ -3,9 +3,9 @@
 //! This module defines the synthetic address space programs see, the
 //! per-invocation run state (registers, stack, map-value regions), the
 //! [`RunContext`] an embedder supplies (context struct, packet bytes and a
-//! [`VmEnv`] for kernel-side services), and [`execute_insn`], the single
-//! instruction-execution routine shared by the interpreter and the
-//! pre-decoded "JIT".
+//! [`VmEnv`] for kernel-side services), and [`execute_insn`], the
+//! interpreter's instruction-execution routine for everything but helper
+//! calls.
 //!
 //! ## Address space
 //!
@@ -668,12 +668,12 @@ pub fn jump_taken(op: u8, is64: bool, dst: u64, srcv: u64) -> bool {
 }
 
 /// Executes one instruction. `next` is the instruction that would follow in
-/// program order (needed only by `lddw` to fetch its second slot).
+/// program order (needed only by `lddw` to fetch its second slot). Helper
+/// calls are not executed here: the interpreter dispatches every `CALL`
+/// itself, through the program's load-time helper table.
 pub fn execute_insn(
     state: &mut RunState,
     rc: &mut RunContext<'_>,
-    maps: &HashMap<u32, MapHandle>,
-    helpers: &HelperRegistry,
     insn: &Insn,
     next: Option<&Insn>,
     pc: usize,
@@ -733,16 +733,7 @@ pub fn execute_insn(
             let is64 = insn.class() == class::JMP;
             let op = insn.opcode & 0xf0;
             match op {
-                jmp::CALL => {
-                    let id = insn.imm as u32;
-                    let args = [state.regs[1], state.regs[2], state.regs[3], state.regs[4], state.regs[5]];
-                    let func =
-                        helpers.get(id).ok_or_else(|| Error::runtime(pc, format!("unknown helper {id}")))?;
-                    let mut api = HelperApi { state, rc, maps };
-                    let ret = (func.func)(&mut api, args);
-                    state.regs[0] = ret as u64;
-                    Ok(Flow::Next)
-                }
+                jmp::CALL => Err(Error::runtime(pc, "helper calls dispatch through the load-time table")),
                 jmp::EXIT => Ok(Flow::Exit),
                 jmp::JA => Ok(Flow::Branch(i64::from(insn.off))),
                 _ => {
@@ -771,7 +762,8 @@ fn relocate(err: Error, pc: usize) -> Error {
 /// ([`LoadedProgram::exec_tier`]). This is the highest-level convenience
 /// entry point; the dedicated [`crate::interp`], [`crate::jit`] and
 /// [`crate::codegen`] modules expose the engines separately for
-/// benchmarking.
+/// benchmarking. `helpers` is not consulted at run time: every tier calls
+/// through the table the program was bound to at load.
 pub fn run_program(loaded: &LoadedProgram, helpers: &HelperRegistry, rc: &mut RunContext<'_>) -> Result<u64> {
     let mut state = RunState::new(rc.ctx.len());
     run_program_with_state(loaded, helpers, rc, loaded.exec_tier(), &mut state)
@@ -780,12 +772,13 @@ pub fn run_program(loaded: &LoadedProgram, helpers: &HelperRegistry, rc: &mut Ru
 /// Like [`run_program`], but reuses a caller-owned [`RunState`] (resetting
 /// it first) instead of allocating a fresh one, and takes the tier
 /// explicitly — the per-packet entry point of the zero-allocation datapath.
+/// As there, `helpers` is not consulted at run time.
 /// Every tier's artifact was built at load time, so no branch of this
 /// dispatch allocates. [`crate::program::ExecTier::Native`] falls back to
 /// the micro-op tier on hosts without a native backend.
 pub fn run_program_with_state(
     loaded: &LoadedProgram,
-    helpers: &HelperRegistry,
+    _helpers: &HelperRegistry,
     rc: &mut RunContext<'_>,
     tier: crate::program::ExecTier,
     state: &mut RunState,
@@ -793,11 +786,11 @@ pub fn run_program_with_state(
     use crate::program::ExecTier;
     state.reset();
     match tier {
-        ExecTier::Interp => crate::interp::run_with_state(loaded.interp_image(), loaded, helpers, rc, state),
-        ExecTier::MicroOp => crate::jit::run_with_state(loaded.jit()?, loaded, helpers, rc, state),
+        ExecTier::Interp => crate::interp::run_with_state(loaded.interp_image(), loaded, rc, state),
+        ExecTier::MicroOp => crate::jit::run_with_state(loaded.jit()?, loaded, rc, state),
         ExecTier::Native => match loaded.native()? {
             Some(native) => crate::codegen::run(native, loaded, rc, state),
-            None => crate::jit::run_with_state(loaded.jit()?, loaded, helpers, rc, state),
+            None => crate::jit::run_with_state(loaded.jit()?, loaded, rc, state),
         },
     }
 }
@@ -903,26 +896,13 @@ mod tests {
         let (mut state, mut ctx, mut pkt) = state_and_ctx();
         let mut env = NullEnv;
         let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
-        let maps = HashMap::new();
-        let helpers = HelperRegistry::with_base_helpers();
         let insn = Insn::mov64_imm(0, 41);
-        assert_eq!(execute_insn(&mut state, &mut rc, &maps, &helpers, &insn, None, 0).unwrap(), Flow::Next);
+        assert_eq!(execute_insn(&mut state, &mut rc, &insn, None, 0).unwrap(), Flow::Next);
         let insn = Insn::alu64_imm(alu::ADD, 0, 1);
-        execute_insn(&mut state, &mut rc, &maps, &helpers, &insn, None, 1).unwrap();
+        execute_insn(&mut state, &mut rc, &insn, None, 1).unwrap();
         assert_eq!(state.regs[0], 42);
         let insn = Insn::exit();
-        assert_eq!(execute_insn(&mut state, &mut rc, &maps, &helpers, &insn, None, 2).unwrap(), Flow::Exit);
-    }
-
-    #[test]
-    fn execute_unknown_helper_faults() {
-        let (mut state, mut ctx, mut pkt) = state_and_ctx();
-        let mut env = NullEnv;
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
-        let maps = HashMap::new();
-        let helpers = HelperRegistry::with_base_helpers();
-        let insn = Insn::call(9999);
-        assert!(execute_insn(&mut state, &mut rc, &maps, &helpers, &insn, None, 0).is_err());
+        assert_eq!(execute_insn(&mut state, &mut rc, &insn, None, 2).unwrap(), Flow::Exit);
     }
 
     #[test]
@@ -931,11 +911,9 @@ mod tests {
         state.insn_budget = 2;
         let mut env = NullEnv;
         let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
-        let maps = HashMap::new();
-        let helpers = HelperRegistry::with_base_helpers();
         let insn = Insn::mov64_imm(0, 0);
-        assert!(execute_insn(&mut state, &mut rc, &maps, &helpers, &insn, None, 0).is_ok());
-        assert!(execute_insn(&mut state, &mut rc, &maps, &helpers, &insn, None, 0).is_ok());
-        assert!(execute_insn(&mut state, &mut rc, &maps, &helpers, &insn, None, 0).is_err());
+        assert!(execute_insn(&mut state, &mut rc, &insn, None, 0).is_ok());
+        assert!(execute_insn(&mut state, &mut rc, &insn, None, 0).is_ok());
+        assert!(execute_insn(&mut state, &mut rc, &insn, None, 0).is_err());
     }
 }

@@ -45,7 +45,7 @@
 //!         &[0u8; 64],
 //!         64,
 //!     );
-//!     assert!(pool.enqueue(pkt));
+//!     assert!(pool.enqueue_bytes_at(0, pkt.data()));
 //! }
 //! let report = pool.flush();
 //! assert_eq!(report.run.processed, 64);

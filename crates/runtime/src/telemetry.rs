@@ -13,8 +13,9 @@
 //! row of [`ShardCounters`] cells (one per shard), each cell a set of
 //! relaxed atomics. These cells are the pool's **only** accounting — every
 //! number [`WorkerPool`](crate::WorkerPool) reports (`flush().run`,
-//! `shard_stats()`, `tenant_stats()`, `rejected()`, `shutdown()`) is read
-//! back from them. Each field has one writer: the dispatcher adds
+//! `shutdown()`, `drain().counters`) is read back from them, and callers
+//! read them through [`PoolCounters::snapshot`]. Each field has one
+//! writer: the dispatcher adds
 //! `enqueued` / `rejected` / `rejected_over_budget` at publish time; the
 //! shard's worker adds `processed` / `forwarded` / `local_delivered` /
 //! `dropped` / `batches` / `cost` once per tenant run — the run's delta of

@@ -1,6 +1,6 @@
 //! Worker-pool steady-state allocation regression test.
 //!
-//! Run with `cargo test -p seg6-runtime --features alloc-counter`. Five
+//! Run with `cargo test -p seg6-runtime --features alloc-counter`. Four
 //! phases share one test (the counter is **process-wide**, so no other
 //! test may run concurrently in this binary). Every phase is held to the
 //! same **exact** count per round: the flush report's outer vector plus
@@ -9,31 +9,29 @@
 //! they are collected). The barrier itself — a per-shard sequence pair, no
 //! channel — allocates nothing.
 //!
-//! 1. **Owned-buffer rounds** — pre-built `PacketBuf`s enqueued in bursts
-//!    and flushed, on a pool of their own: the SPSC descriptor ring, the
-//!    per-shard staging, the reused batch/verdict buffers, the park/unpark
-//!    wakeups and the flush putting every buffer into the arena (its free
-//!    list reserved to the retention cap) must not allocate per packet.
-//! 2. **Recycled-ingestion rounds** — frames enter as *byte slices*
+//! 1. **Recycled-ingestion rounds** — frames enter as byte slices
 //!    through `enqueue_bytes_all`, are copied into buffers from the
-//!    arena, processed, and put back by the flush barrier. A whole
+//!    arena, staged per shard, published through the SPSC descriptor
+//!    rings, processed with the reused batch/verdict buffers, and put
+//!    back by the flush barrier (the arena's free list reserved to the
+//!    retention cap), with park/unpark wakeups in between. A whole
 //!    steady-state round — dispatch → ring → worker → barrier → arena —
 //!    performs **zero** buffer allocations.
-//! 3. **Multi-tenant rounds** — a second tenant registers (its one-time
+//! 2. **Multi-tenant rounds** — a second tenant registers (its one-time
 //!    installation cost and the arena's larger retention cap happen
 //!    *outside* the measurement), then both tenants'
 //!    byte-slice traffic interleaves through the same rings and the same
 //!    arena. Per-tenant descriptor stamping, tenant-run splitting and the
 //!    per-tenant × per-shard counters must all stay allocation-free, and
 //!    the arena must stay mint-flat.
-//! 4. **Program and encapsulation rounds** — a third tenant runs the
+//! 3. **Program and encapsulation rounds** — a third tenant runs the
 //!    shipped programs (`tag_increment`, `add_tlv`, `end_t`, `wrr_encap`)
 //!    and the static `encap_through` / `inline_through` / `End.B6*`
 //!    behaviours (the paths `seg6-core`'s `zero_alloc.rs` holds to zero
 //!    on one thread): packets that grow on their way through must not
 //!    cost the arena's full-frame buffers or the workers' scratch an
 //!    allocation, whichever packet lands in which buffer.
-//! 5. **Collected-output rounds** — a pool with
+//! 4. **Collected-output rounds** — a pool with
 //!    [`PoolConfig::collect_outputs`]: the report carries every shard's
 //!    window, and the caller's `recycle` closes the buffer loop mint-free.
 #![cfg(feature = "alloc-counter")]
@@ -90,43 +88,10 @@ fn pool_steady_state_does_not_allocate_per_packet() {
         ..Default::default()
     };
 
-    // --- Phase 1: owned pre-built buffers through the descriptor ring ---
-
-    // A pool of its own: the caller's small pre-built buffers end up in
-    // its arena, where the byte-slice phases would draw them instead of
-    // the full-frame buffers the arena mints.
-    let mut pool = WorkerPool::new(config.clone(), forwarding_datapath);
-    // Pre-build every measured packet so the measurement sees only the
-    // pool's own work, then warm the pool up (scratch buffers, batch and
-    // verdict capacities, staging).
-    let mut rounds: Vec<Vec<PacketBuf>> =
-        (0..MEASURED_ROUNDS).map(|_| (0..PACKETS_PER_ROUND as u32).map(flow_packet).collect()).collect();
-    for _ in 0..3 {
-        let warmup: Vec<PacketBuf> = (0..PACKETS_PER_ROUND as u32).map(flow_packet).collect();
-        assert_eq!(pool.enqueue_all(warmup), PACKETS_PER_ROUND);
-        let report = pool.flush();
-        assert_eq!(report.run.processed as usize, PACKETS_PER_ROUND);
-    }
-
-    let before = global_allocations();
-    let mut processed = 0u64;
-    for round in rounds.drain(..) {
-        assert_eq!(pool.enqueue_all(round), PACKETS_PER_ROUND);
-        processed += pool.flush().run.processed;
-    }
-    let allocations = global_allocations() - before;
-
-    assert_eq!(processed as usize, MEASURED_ROUNDS * PACKETS_PER_ROUND);
-    assert_eq!(pool.rejected(), 0);
     let expected = MEASURED_ROUNDS as u64 * ROUND_ALLOCS;
-    assert_eq!(
-        allocations, expected,
-        "pool steady state allocated {allocations} times over {MEASURED_ROUNDS} rounds \
-         ({PACKETS_PER_ROUND} packets each) — the per-packet path or the barrier is allocating"
-    );
-    pool.shutdown();
+    let rejected = |pool: &WorkerPool| pool.counters().snapshot().rejected();
 
-    // --- Phase 2: the zero-allocation ingestion loop ---
+    // --- Phase 1: the zero-allocation ingestion loop ---
 
     // Frames enter as byte slices: every packet buffer must come out of
     // the arena the flush barrier refills. Buffers come back at the
@@ -156,7 +121,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
     let allocations = global_allocations() - before;
 
     assert_eq!(processed as usize, MEASURED_ROUNDS * PACKETS_PER_ROUND);
-    assert_eq!(pool.rejected(), 0);
+    assert_eq!(rejected(&pool), 0);
     assert_eq!(
         pool.buf_pool().allocations(),
         minted_after_warmup,
@@ -169,7 +134,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
          is allocating"
     );
 
-    // --- Phase 3: the multi-tenant gate ---
+    // --- Phase 2: the multi-tenant gate ---
 
     // Registering the tenant allocates (datapath forks, counter row, the
     // arena's free list reserved to the larger in-flight bound) — all of
@@ -204,7 +169,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
     let allocations = global_allocations() - before;
 
     assert_eq!(processed as usize, MEASURED_ROUNDS * PACKETS_PER_ROUND);
-    assert_eq!(pool.rejected(), 0);
+    assert_eq!(rejected(&pool), 0);
     assert_eq!(
         pool.buf_pool().allocations(),
         minted_after_tenants,
@@ -222,7 +187,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
     assert!(snap.tenants[0].totals().processed > 0);
     assert!(snap.tenants[1].totals().processed > 0);
 
-    // --- Phase 4: programs and encapsulations through the pool ---
+    // --- Phase 3: programs and encapsulations through the pool ---
 
     let nf_tenant = pool.add_tenant(&nf_paths::router(0, None).0, TenantQos::default());
     let nf_frames = nf_paths::steady_frames((PACKETS_PER_ROUND / 8) as u16);
@@ -267,7 +232,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
     );
     pool.shutdown();
 
-    // --- Phase 5: collected outputs ---
+    // --- Phase 4: collected outputs ---
 
     let mut pool = WorkerPool::new(PoolConfig { collect_outputs: true, ..config }, forwarding_datapath);
     let round = |pool: &mut WorkerPool| {

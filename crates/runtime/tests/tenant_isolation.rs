@@ -5,10 +5,10 @@
 //!    verdict matches the tenant whose handle enqueued it, for arbitrary
 //!    interleavings of the two tenants' traffic;
 //! 2. there is one set of books: after every flush, the pool's reports
-//!    (`flush().run`, [`WorkerPool::shard_stats`],
-//!    [`WorkerPool::tenant_stats`], `rejected*()`) are sums over the live
-//!    counter cells, and every (tenant, shard) cell balances —
-//!    `enqueued = processed = forwarded + local_delivered + dropped`.
+//!    (`flush().run`, `shutdown()`) are sums over the live counter cells
+//!    of [`WorkerPool::counters`], and every (tenant, shard) cell
+//!    balances — `enqueued = processed = forwarded + local_delivered +
+//!    dropped`.
 //!
 //! Both tenants see the *same* packets; what distinguishes them is only
 //! their routing context: tenant A routes everything out of interfaces
@@ -34,6 +34,18 @@ fn addr(s: &str) -> Ipv6Addr {
 /// The admission counters of a cell: `(enqueued, rejected)`.
 fn admission(s: &ShardSnapshot) -> (u64, u64) {
     (s.enqueued, s.rejected)
+}
+
+/// Enqueues `packets`' bytes through `ingress` in one burst at clock 0;
+/// returns how many were admitted.
+fn enqueue_packets(ingress: &mut impl Ingress, packets: impl IntoIterator<Item = PacketBuf>) -> usize {
+    let packets: Vec<PacketBuf> = packets.into_iter().collect();
+    ingress.enqueue_bytes_all(0, packets.iter().map(PacketBuf::data))
+}
+
+/// Tenant `t`'s live counters summed over shards.
+fn tenant_totals(pool: &WorkerPool, t: usize) -> ShardSnapshot {
+    pool.counters().snapshot().tenants[t].totals()
 }
 
 const SID: &str = "fc00::e1";
@@ -145,9 +157,9 @@ fn randomized_two_tenant_run_never_cross_routes() {
             let flow = rng.gen_range(0u32..512);
             let packet = if srv6 { srv6_packet(flow) } else { plain_packet(flow) };
             let accepted = if rng.gen_bool(0.25) {
-                pool.tenant(tenant).enqueue(packet)
+                pool.tenant(tenant).enqueue_bytes_at(0, packet.data())
             } else {
-                pool.tenant(tenant).enqueue_all([packet]) == 1
+                pool.tenant(tenant).enqueue_bytes_all(0, [packet.data()]) == 1
             };
             assert!(accepted, "rings sized for the round never reject");
             enqueued[tenant.index()] += 1;
@@ -169,11 +181,7 @@ fn randomized_two_tenant_run_never_cross_routes() {
         // 1. Everything the pool reports is a sum over the live cells.
         let snap = counters.snapshot();
         assert_eq!(flushed, snap.totals(), "round {round}: the flush windows add up to the cells");
-        assert_eq!(pool.shard_stats(), snap.shards, "round {round}");
         let tenant_totals: Vec<ShardSnapshot> = snap.tenants.iter().map(|t| t.totals()).collect();
-        assert_eq!(pool.tenant_stats(), tenant_totals, "round {round}");
-        assert_eq!(pool.rejected(), snap.rejected());
-        assert_eq!(pool.rejected_over_budget(), snap.rejected_over_budget());
         assert_eq!(admission(&tenant_totals[0]), (enqueued[0], 0));
         assert_eq!(admission(&tenant_totals[1]), (enqueued[1], 0));
         // 2. The per-tenant rows sum to the per-shard view, and every cell
@@ -235,23 +243,23 @@ fn per_tenant_rejection_accounting_is_exact() {
 
     // Stall the worker, then alternate tenants into the 8-slot ring: 4 A
     // + 4 B fit, the next 3 A and 2 B are rejected.
-    assert!(pool.enqueue(plain_packet(0)));
+    assert!(pool.enqueue_bytes_at(0, plain_packet(0).data()));
     entered_rx.recv().expect("worker stalled in the drain");
     for flow in 0..4 {
-        assert!(pool.enqueue(plain_packet(flow + 1)));
-        assert!(pool.tenant(b).enqueue(plain_packet(flow + 100)));
+        assert!(pool.enqueue_bytes_at(0, plain_packet(flow + 1).data()));
+        assert!(pool.tenant(b).enqueue_bytes_at(0, plain_packet(flow + 100).data()));
     }
     for flow in 0..3 {
-        assert!(!pool.enqueue(plain_packet(flow + 50)));
+        assert!(!pool.enqueue_bytes_at(0, plain_packet(flow + 50).data()));
     }
     for flow in 0..2 {
-        assert!(!pool.tenant(b).enqueue(plain_packet(flow + 150)));
+        assert!(!pool.tenant(b).enqueue_bytes_at(0, plain_packet(flow + 150).data()));
     }
     // Exact mid-run, without a barrier: admission is the dispatcher's own
     // half of the cells.
-    assert_eq!(admission(&pool.tenant_stats()[0]), (5, 3));
-    assert_eq!(admission(&pool.tenant_stats()[1]), (4, 2));
-    assert_eq!(admission(&pool.shard_stats()[0]), (9, 5));
+    assert_eq!(admission(&tenant_totals(&pool, 0)), (5, 3));
+    assert_eq!(admission(&tenant_totals(&pool, 1)), (4, 2));
+    assert_eq!(admission(&pool.counters().snapshot().shards[0]), (9, 5));
 
     drop(release_tx);
     let report = pool.flush();
@@ -298,10 +306,12 @@ fn qos_that_never_binds_is_equivalent_to_no_qos() {
         round: u64,
         burst: &[PacketBuf],
     ) -> (ShardSnapshot, Vec<Vec<Output>>) {
+        let now_ns = round * 1_000_000;
+        let mut ingress = pool.tenant(tenant);
         let accepted = if round.is_multiple_of(2) {
-            pool.tenant(tenant).enqueue_bytes_all(round * 1_000_000, burst.iter().map(|p| p.data()))
+            ingress.enqueue_bytes_all(now_ns, burst.iter().map(|p| p.data()))
         } else {
-            pool.tenant(tenant).enqueue_all(burst.iter().cloned())
+            burst.iter().filter(|p| ingress.enqueue_bytes_at(now_ns, p.data())).count()
         };
         assert_eq!(accepted, burst.len(), "round {round}: nothing binds, nothing is shed");
         let report = pool.flush();
@@ -353,26 +363,27 @@ fn a_quota_gained_mid_run_binds_from_the_next_publish() {
     let config = PoolConfig { workers: 1, batch_size: 4, queue_depth: 16, ..Default::default() };
     let (mut pool, entered_rx, release_tx) = stallable_pool(config);
     let b = pool.add_tenant(&tenant_b(0), TenantQos::default());
-    assert!(pool.enqueue(plain_packet(0)));
+    assert!(pool.enqueue_bytes_at(0, plain_packet(0).data()));
     entered_rx.recv().expect("worker stalled in the drain");
 
     // No QoS: six of B's packets sit in the stalled 16-slot ring.
-    assert_eq!(pool.tenant(b).enqueue_all((0..6).map(plain_packet)), 6);
-    assert_eq!(admission(&pool.tenant_stats()[1]), (6, 0));
+    assert_eq!(enqueue_packets(&mut pool.tenant(b), (0..6).map(plain_packet)), 6);
+    assert_eq!(admission(&tenant_totals(&pool, 1)), (6, 0));
     // A quarter of the ring is four slots; B already holds six.
     pool.update_tenant_qos(b, TenantQos { ring_quota: Some(0.25), ..TenantQos::default() });
-    assert_eq!(pool.tenant(b).enqueue_all((6..11).map(plain_packet)), 0);
-    assert_eq!(admission(&pool.tenant_stats()[1]), (6, 5));
-    assert_eq!(pool.enqueue_all((20..23).map(plain_packet)), 3, "tenant A has no quota");
+    assert_eq!(enqueue_packets(&mut pool.tenant(b), (6..11).map(plain_packet)), 0);
+    assert_eq!(admission(&tenant_totals(&pool, 1)), (6, 5));
+    assert_eq!(enqueue_packets(&mut pool, (20..23).map(plain_packet)), 3, "tenant A has no quota");
     pool.update_tenant_qos(b, TenantQos::default());
-    assert_eq!(pool.tenant(b).enqueue_all((11..13).map(plain_packet)), 2);
-    assert_eq!(admission(&pool.tenant_stats()[1]), (8, 5));
-    assert_eq!(admission(&pool.tenant_stats()[0]), (4, 0));
+    assert_eq!(enqueue_packets(&mut pool.tenant(b), (11..13).map(plain_packet)), 2);
+    assert_eq!(admission(&tenant_totals(&pool, 1)), (8, 5));
+    assert_eq!(admission(&tenant_totals(&pool, 0)), (4, 0));
 
     drop(release_tx);
     let report = pool.flush();
     assert_eq!(report.run.processed, 12, "exactly the accepted packets were processed");
-    assert_eq!((pool.rejected(), pool.rejected_over_budget()), (5, 0));
+    let snap = pool.counters().snapshot();
+    assert_eq!((snap.rejected(), snap.rejected_over_budget()), (5, 0));
 }
 
 /// The adversarial noisy-neighbor run the QoS redesign exists for: a
@@ -397,7 +408,7 @@ fn qos_bounds_the_quiet_tenant_under_a_noisy_neighbor() {
     let (baseline_accepted, baseline_last) = {
         let mut pool = WorkerPool::new(config(), tenant_a);
         let quiet = pool.add_tenant(&tenant_b(0), TenantQos { weight: 4, ..TenantQos::default() });
-        let accepted = pool.tenant(quiet).enqueue_all((0..QUIET as u32).map(plain_packet));
+        let accepted = enqueue_packets(&mut pool.tenant(quiet), (0..QUIET as u32).map(plain_packet));
         let report = pool.flush();
         let last = report.outputs[0].iter().rposition(|(t, _, _)| *t == quiet).map_or(0, |i| i + 1);
         pool.shutdown();
@@ -417,18 +428,21 @@ fn qos_bounds_the_quiet_tenant_under_a_noisy_neighbor() {
     );
     let quiet = pool.add_tenant(&tenant_b(0), TenantQos { weight: 4, ..TenantQos::default() });
 
-    assert!(pool.enqueue(plain_packet(0)));
+    assert!(pool.enqueue_bytes_at(0, plain_packet(0).data()));
     entered_rx.recv().expect("worker stalled in the drain");
-    assert_eq!(pool.enqueue_all((0..FLOOD).map(plain_packet)), RING / 2, "quota caps the flood");
-    let accepted = pool.tenant(quiet).enqueue_all((0..QUIET as u32).map(plain_packet));
+    assert_eq!(enqueue_packets(&mut pool, (0..FLOOD).map(plain_packet)), RING / 2, "quota caps the flood");
+    let accepted = enqueue_packets(&mut pool.tenant(quiet), (0..QUIET as u32).map(plain_packet));
 
     // Admission envelope: the flood cannot displace a single quiet
     // packet, and every shed lands on the flooder's `rejected` row — the
     // budget counter is untouched (nobody here is cost-metered).
     assert_eq!(accepted, QUIET, "quota'd flooder cannot displace the quiet tenant");
-    assert_eq!(admission(&pool.tenant_stats()[0]), (1 + RING as u64 / 2, u64::from(FLOOD) - RING as u64 / 2));
-    assert_eq!(admission(&pool.tenant_stats()[1]), (QUIET as u64, 0));
-    assert_eq!(pool.rejected_over_budget(), 0);
+    assert_eq!(
+        admission(&tenant_totals(&pool, 0)),
+        (1 + RING as u64 / 2, u64::from(FLOOD) - RING as u64 / 2)
+    );
+    assert_eq!(admission(&tenant_totals(&pool, 1)), (QUIET as u64, 0));
+    assert_eq!(pool.counters().snapshot().rejected_over_budget(), 0);
 
     drop(release_tx);
     let report = pool.flush();
@@ -462,12 +476,12 @@ fn default_knobs_let_the_flood_starve_the_quiet_tenant() {
     let (mut pool, entered_rx, release_tx) = stallable_pool(config);
     let quiet = pool.add_tenant(&tenant_b(0), TenantQos::default());
 
-    assert!(pool.enqueue(plain_packet(0)));
+    assert!(pool.enqueue_bytes_at(0, plain_packet(0).data()));
     entered_rx.recv().expect("worker stalled in the drain");
-    assert_eq!(pool.enqueue_all((0..512u32).map(plain_packet)), RING);
-    let accepted = pool.tenant(quiet).enqueue_all((0..64u32).map(plain_packet));
+    assert_eq!(enqueue_packets(&mut pool, (0..512u32).map(plain_packet)), RING);
+    let accepted = enqueue_packets(&mut pool.tenant(quiet), (0..64u32).map(plain_packet));
     assert_eq!(accepted, 0, "an unquota'd flood owns the whole ring");
-    assert_eq!(admission(&pool.tenant_stats()[1]), (0, 64));
+    assert_eq!(admission(&tenant_totals(&pool, 1)), (0, 64));
 
     drop(release_tx);
     let report = pool.flush();
@@ -488,7 +502,7 @@ fn cost_budget_sheds_exactly_and_refills_on_the_shard_clock() {
 
     // Shard clock 0: ten End-SID packets spend 10 base tokens at
     // admission, leaving 20 of the 30-token burst.
-    assert_eq!(pool.tenant(b).enqueue_all((0..10).map(srv6_packet)), 10);
+    assert_eq!(enqueue_packets(&mut pool.tenant(b), (0..10).map(srv6_packet)), 10);
     let report = pool.flush();
     assert_eq!(report.run.processed, 10);
 
@@ -496,21 +510,22 @@ fn cost_budget_sheds_exactly_and_refills_on_the_shard_clock() {
     // = 3 tokens: the workers charged 30 for work admission priced at 10.
     // The 20-token surcharge is debited at the next publish, emptying the
     // bucket — all 25 plain packets shed over budget, none as `rejected`.
-    assert_eq!(pool.tenant(b).enqueue_all((0..25).map(plain_packet)), 0);
-    assert_eq!(pool.tenant_stats()[b.index()].rejected_over_budget, 25);
-    assert_eq!(pool.rejected_over_budget(), 25);
-    assert_eq!(pool.rejected(), 0, "budget sheds are not backpressure");
-    assert_eq!(admission(&pool.tenant_stats()[1]), (10, 0));
+    assert_eq!(enqueue_packets(&mut pool.tenant(b), (0..25).map(plain_packet)), 0);
+    assert_eq!(tenant_totals(&pool, b.index()).rejected_over_budget, 25);
+    let snap = pool.counters().snapshot();
+    assert_eq!(snap.rejected_over_budget(), 25);
+    assert_eq!(snap.rejected(), 0, "budget sheds are not backpressure");
+    assert_eq!(admission(&tenant_totals(&pool, 1)), (10, 0));
 
     // The unmetered default tenant is untouched by b's empty bucket.
-    assert!(pool.enqueue(plain_packet(7)));
+    assert!(pool.enqueue_bytes_at(0, plain_packet(7).data()));
 
     // One shard-clock second later the bucket holds one second's rate
     // again: 25 plain packets admit (spending 25 of the 30 tokens).
     for flow in 0..25 {
-        assert!(pool.tenant(b).enqueue_at(1_000_000_000, plain_packet(flow)));
+        assert!(pool.tenant(b).enqueue_bytes_at(1_000_000_000, plain_packet(flow).data()));
     }
-    assert_eq!(pool.rejected_over_budget(), 25, "no further sheds after the refill");
+    assert_eq!(pool.counters().snapshot().rejected_over_budget(), 25, "no further sheds after the refill");
     let report = pool.flush();
     assert_eq!(report.run.processed, 26);
 

@@ -210,6 +210,8 @@ pub struct Srv6Daemon {
     backend: Box<dyn IoBackend>,
     shared: Arc<DaemonShared>,
     batch: FrameBatch,
+    /// The TX emit's grouping storage, reused across passes.
+    pending: Vec<Pending>,
     epoch: Instant,
     stats: Option<StatsServer>,
 }
@@ -248,7 +250,17 @@ impl Srv6Daemon {
             None => None,
         };
         let batch = FrameBatch::with_capacity(cfg.daemon.rx_burst);
-        let daemon = Srv6Daemon { cfg, pool, tenants, backend, shared, batch, epoch: Instant::now(), stats };
+        let daemon = Srv6Daemon {
+            cfg,
+            pool,
+            tenants,
+            backend,
+            shared,
+            batch,
+            pending: Vec::new(),
+            epoch: Instant::now(),
+            stats,
+        };
         daemon.sync_shared();
         Ok(daemon)
     }
@@ -308,7 +320,9 @@ impl Srv6Daemon {
             let report = self.pool.flush();
             let pool = &mut self.pool;
             let (sent, drops) =
-                emit_outputs(&mut self.tenants, report.outputs, |packet| pool.recycle(packet));
+                emit_outputs(&mut self.tenants, &mut self.pending, report.outputs, |packet| {
+                    pool.recycle(packet)
+                });
             pass.tx_frames += sent;
             pass.tx_drops += drops;
         }
@@ -416,10 +430,11 @@ impl Srv6Daemon {
         for tenant in &mut self.tenants {
             tenant.rx.clear();
         }
-        let Srv6Daemon { pool, mut tenants, stats, .. } = self;
+        let Srv6Daemon { pool, mut tenants, mut pending, stats, .. } = self;
         let mut drain = pool.drain();
         // The pool is quiesced — the final window's buffers just drop.
-        emit_outputs(&mut tenants, std::mem::take(&mut drain.last_flush.outputs), |_packet| {});
+        let outputs = std::mem::take(&mut drain.last_flush.outputs);
+        emit_outputs(&mut tenants, &mut pending, outputs, |_packet| {});
         if let Some(stats) = stats {
             stats.stop();
         }
@@ -465,6 +480,10 @@ impl Srv6Daemon {
     }
 }
 
+/// A forwarded packet awaiting TX: (tenant slot, egress interface, its
+/// position in the flush window, the packet).
+type Pending = (usize, u32, usize, seg6_core::Skb);
+
 /// Emits a flush window's `Forward` verdicts, batched: outputs are
 /// grouped by (tenant slot, egress interface) and each group moves
 /// through one [`PacketTx::send_frames`] call — a single `sendmmsg(2)`
@@ -472,8 +491,12 @@ impl Srv6Daemon {
 /// socket could not take (backpressure, transient errors, no socket for
 /// the interface) count as TX drops, exactly as the per-frame path did.
 /// Every skb is handed to `recycle` afterwards; returns (sent, dropped).
+/// `pending` is the caller's grouping storage, empty on entry and on
+/// return; the one vector built per call holds a group's frame slices,
+/// which borrow the packets they send.
 fn emit_outputs(
     tenants: &mut [TenantRuntime],
+    pending: &mut Vec<Pending>,
     outputs: Vec<Vec<(TenantId, seg6_core::Skb, BatchVerdict)>>,
     mut recycle: impl FnMut(netpkt::PacketBuf),
 ) -> (usize, usize) {
@@ -482,29 +505,21 @@ fn emit_outputs(
     // Split the window: forwards keep their skbs alive (the TX iovecs
     // borrow the packet bytes in place — no copy), everything else is
     // recycled straight away.
-    let mut pending: Vec<(TenantId, u32, seg6_core::Skb)> = Vec::new();
-    for window in outputs {
-        for (tenant_id, skb, batch_verdict) in window {
-            match batch_verdict.verdict {
-                Verdict::Forward { oif, .. } => pending.push((tenant_id, oif, skb)),
-                _ => recycle(skb.into_packet()),
-            }
+    for (tenant_id, skb, batch_verdict) in outputs.into_iter().flatten() {
+        match batch_verdict.verdict {
+            Verdict::Forward { oif, .. } => pending.push((tenant_id.index(), oif, pending.len(), skb)),
+            _ => recycle(skb.into_packet()),
         }
     }
-    // Stable sort gathers each (slot, oif) group while keeping the
-    // frames of a group in emission order.
-    pending.sort_by_key(|(tenant_id, oif, _)| (tenant_id.index(), *oif));
-    let mut frames: Vec<&[u8]> = Vec::new();
-    let mut start = 0;
-    while start < pending.len() {
-        let (tenant_id, oif, _) = pending[start];
-        let mut end = start;
+    // Sorting on the window position too gathers each (slot, oif) group
+    // with its frames in emission order, without a stable sort's scratch.
+    pending.sort_unstable_by_key(|&(slot, oif, seq, _)| (slot, oif, seq));
+    let mut frames: Vec<&[u8]> = Vec::with_capacity(pending.len());
+    for group in pending.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        let (slot, oif) = (group[0].0, group[0].1);
         frames.clear();
-        while end < pending.len() && pending[end].0 == tenant_id && pending[end].1 == oif {
-            frames.push(pending[end].2.packet.data());
-            end += 1;
-        }
-        match tenants.get_mut(tenant_id.index()) {
+        frames.extend(group.iter().map(|(_, _, _, skb)| skb.packet.data()));
+        match tenants.get_mut(slot) {
             Some(tenant) => {
                 let sent = match tenant.tx.iter_mut().find(|(i, _)| *i == oif) {
                     Some((_, tx)) => tx.send_frames(&frames).unwrap_or(0),
@@ -517,9 +532,8 @@ fn emit_outputs(
             }
             None => drops += frames.len(),
         }
-        start = end;
     }
-    for (_, _, skb) in pending {
+    for (_, _, _, skb) in pending.drain(..) {
         recycle(skb.into_packet());
     }
     (sent_total, drops)

@@ -79,11 +79,12 @@ pub fn resolve_backend(choice: IoBackendChoice) -> io::Result<(Box<dyn IoBackend
 
 /// The far ends of every link a [`MemBackend`] has opened: injectors for
 /// the daemon's RX queues, taps on its egress interfaces. Keys are what
-/// the daemon asked for — `(tenant name, queue)` and `(tenant name, oif)`.
+/// the daemon asked for — tenant name, then queue or oif — nested so a
+/// lookup by `&str` allocates nothing.
 #[derive(Default)]
 struct MemFabric {
-    ingress: HashMap<(String, u32), MemTx>,
-    egress: HashMap<(String, u32), MemRx>,
+    ingress: HashMap<String, HashMap<u32, MemTx>>,
+    egress: HashMap<String, HashMap<u32, MemRx>>,
 }
 
 /// In-memory [`IoBackend`]: every `open_rx`/`open_tx` mints a bounded
@@ -106,7 +107,7 @@ impl MemBackend {
     /// link is full (backpressure) or the queue was never opened.
     pub fn inject(&self, tenant: &str, queue: u32, frame: &[u8]) -> bool {
         let mut fabric = self.fabric.lock().expect("mem fabric lock");
-        match fabric.ingress.get_mut(&(tenant.to_string(), queue)) {
+        match fabric.ingress.get_mut(tenant).and_then(|queues| queues.get_mut(&queue)) {
             Some(tx) => tx.send_frame(frame).unwrap_or(false),
             None => false,
         }
@@ -116,7 +117,7 @@ impl MemBackend {
     /// `batch`, returning how many arrived.
     pub fn drain_egress(&self, tenant: &str, oif: u32, batch: &mut FrameBatch) -> usize {
         let mut fabric = self.fabric.lock().expect("mem fabric lock");
-        match fabric.egress.get_mut(&(tenant.to_string(), oif)) {
+        match fabric.egress.get_mut(tenant).and_then(|oifs| oifs.get_mut(&oif)) {
             Some(rx) => rx.fill(batch).unwrap_or(0),
             None => 0,
         }
@@ -125,25 +126,28 @@ impl MemBackend {
     /// Frames emitted on `tenant`'s interface `oif` and not yet drained.
     pub fn egress_backlog(&self, tenant: &str, oif: u32) -> usize {
         let fabric = self.fabric.lock().expect("mem fabric lock");
-        fabric.egress.get(&(tenant.to_string(), oif)).map_or(0, MemRx::backlog)
+        fabric.egress.get(tenant).and_then(|oifs| oifs.get(&oif)).map_or(0, MemRx::backlog)
     }
 
     /// Whether `tenant`'s RX queue `queue` has been opened by the daemon.
     pub fn has_rx(&self, tenant: &str, queue: u32) -> bool {
-        self.fabric.lock().expect("mem fabric lock").ingress.contains_key(&(tenant.to_string(), queue))
+        let fabric = self.fabric.lock().expect("mem fabric lock");
+        fabric.ingress.get(tenant).is_some_and(|queues| queues.contains_key(&queue))
     }
 }
 
 impl IoBackend for MemBackend {
     fn open_rx(&mut self, tenant: &str, queue: u32, _listen: SocketAddr) -> io::Result<Box<dyn PacketRx>> {
         let (tx, rx) = mem_link(self.capacity);
-        self.fabric.lock().expect("mem fabric lock").ingress.insert((tenant.to_string(), queue), tx);
+        let mut fabric = self.fabric.lock().expect("mem fabric lock");
+        fabric.ingress.entry(tenant.to_string()).or_default().insert(queue, tx);
         Ok(Box::new(rx))
     }
 
     fn open_tx(&mut self, tenant: &str, oif: u32, _peer: SocketAddr) -> io::Result<Box<dyn PacketTx>> {
         let (tx, rx) = mem_link(self.capacity);
-        self.fabric.lock().expect("mem fabric lock").egress.insert((tenant.to_string(), oif), rx);
+        let mut fabric = self.fabric.lock().expect("mem fabric lock");
+        fabric.egress.entry(tenant.to_string()).or_default().insert(oif, rx);
         Ok(Box::new(tx))
     }
 }

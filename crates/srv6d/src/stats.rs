@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Asynchronous control intents, settable from a signal handler, the
 /// control socket, or a test — the main loop polls them between service
@@ -49,7 +49,7 @@ pub struct TenantMeta {
     /// The slot's socket I/O counters.
     pub io: Arc<TenantIo>,
     /// The tenant's configured cost budget (tokens/second), when capped —
-    /// drives the `srv6d_budget_headroom` gauge.
+    /// exported as the `srv6d_cost_budget` gauge.
     pub budget: Option<u64>,
 }
 
@@ -60,46 +60,12 @@ pub struct DaemonShared {
     pub flags: ControlFlags,
     counters: Arc<PoolCounters>,
     tenants: Mutex<Vec<TenantMeta>>,
-    /// The previous scrape's per-slot cost totals and timestamp — the
-    /// window the `srv6d_cost_rate` gauge differentiates over.
-    rate_window: Mutex<Option<(Instant, Vec<u64>)>>,
 }
 
 impl DaemonShared {
     /// Builds the shared state over the pool's live counters.
     pub fn new(counters: Arc<PoolCounters>) -> Arc<Self> {
-        Arc::new(DaemonShared {
-            flags: ControlFlags::default(),
-            counters,
-            tenants: Mutex::new(Vec::new()),
-            rate_window: Mutex::new(None),
-        })
-    }
-
-    /// Per-slot cost rates (tokens/second) since the previous scrape,
-    /// advancing the window. The first scrape has no window yet and
-    /// reports 0 everywhere rather than a lifetime average.
-    fn cost_rates(&self, cost_now: &[u64]) -> Vec<f64> {
-        let now = Instant::now();
-        let mut window = self.rate_window.lock().expect("rate window lock");
-        let rates = match window.as_ref() {
-            Some((at, prev)) => {
-                let secs = now.duration_since(*at).as_secs_f64();
-                cost_now
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, &cost)| {
-                        if secs <= 0.0 {
-                            return 0.0;
-                        }
-                        cost.saturating_sub(prev.get(slot).copied().unwrap_or(0)) as f64 / secs
-                    })
-                    .collect()
-            }
-            None => vec![0.0; cost_now.len()],
-        };
-        *window = Some((now, cost_now.to_vec()));
-        rates
+        Arc::new(DaemonShared { flags: ControlFlags::default(), counters, tenants: Mutex::new(Vec::new()) })
     }
 
     /// Replaces the tenant listing (called by the daemon at start and
@@ -114,8 +80,12 @@ impl DaemonShared {
     }
 
     /// Renders the Prometheus text exposition of the current state: the
-    /// per-tenant × per-shard pool counters plus each slot's socket I/O
-    /// totals and an `active` gauge.
+    /// per-tenant × per-shard pool counters, each slot's socket I/O
+    /// totals, an `active` gauge and the configured cost budgets. A
+    /// render reads state and keeps none: two scrapes with no traffic in
+    /// between are byte-identical, so any number of scrapers can share the
+    /// endpoint. Rates are the scraper's job — budget headroom is
+    /// `srv6d_cost_budget - rate(srv6d_cost_total[1m])`.
     pub fn render_metrics(&self) -> String {
         let snapshot = self.counters.snapshot();
         let metas = self.tenants();
@@ -128,10 +98,6 @@ impl DaemonShared {
             let _ = writeln!(out, "# HELP srv6d_{name} {help}");
             let _ = writeln!(out, "# TYPE srv6d_{name} gauge");
         };
-        let cost_now: Vec<u64> =
-            snapshot.tenants.iter().map(|t| t.shards.iter().map(|s| s.cost).sum()).collect();
-        let rates = self.cost_rates(&cost_now);
-
         gauge(&mut out, "tenant_active", "Whether the tenant slot is currently serving.");
         for (slot, meta) in metas.iter().enumerate() {
             let _ = writeln!(
@@ -184,25 +150,15 @@ impl DaemonShared {
                 let _ = writeln!(out, "srv6d_{name}{{tenant=\"{}\",slot=\"{slot}\"}} {value}", meta.name);
             }
         }
-        gauge(&mut out, "cost_rate", "Cost-model tokens charged per second over the scrape window.");
-        for (slot, rate) in rates.iter().enumerate() {
-            let label = metas.get(slot).map_or("?", |m| m.name.as_str());
-            let _ = writeln!(out, "srv6d_cost_rate{{tenant=\"{label}\",slot=\"{slot}\"}} {rate:.3}");
-        }
         gauge(
             &mut out,
-            "budget_headroom",
-            "Configured cost budget minus the observed cost rate (budgeted tenants only; \
-             negative while the shedder is clamping).",
+            "cost_budget",
+            "Configured cost budget in cost-model tokens per second (budgeted tenants only).",
         );
         for (slot, meta) in metas.iter().enumerate() {
             if let Some(budget) = meta.budget {
-                let headroom = budget as f64 - rates.get(slot).copied().unwrap_or(0.0);
-                let _ = writeln!(
-                    out,
-                    "srv6d_budget_headroom{{tenant=\"{}\",slot=\"{slot}\"}} {headroom:.3}",
-                    meta.name
-                );
+                let _ =
+                    writeln!(out, "srv6d_cost_budget{{tenant=\"{}\",slot=\"{slot}\"}} {budget}", meta.name);
             }
         }
         gauge(&mut out, "shard_pinned_core", "CPU core the shard thread is pinned to (-1 = unpinned).");

@@ -296,38 +296,36 @@ fn metric_value(metrics: &str, prefix: &str) -> f64 {
     line.rsplit(' ').next().unwrap().parse().expect("numeric metric value")
 }
 
-/// The derived gauges: `srv6d_cost_rate` differentiates the cost counter
-/// over the scrape window, `srv6d_budget_headroom` subtracts it from the
-/// configured budget, and the placement gauge reports each shard's pinned
-/// core (-1 when unpinned, as in this unpinned run).
+/// The configuration gauges: `srv6d_cost_budget` exports a budgeted
+/// tenant's configured rate (headroom is the scraper's
+/// `srv6d_cost_budget - rate(srv6d_cost_total[1m])`), and the placement
+/// gauge reports each shard's pinned core (-1 when unpinned, as in this
+/// unpinned run).
 #[test]
-fn metrics_expose_cost_rates_and_placement() {
+fn metrics_expose_cost_budgets_and_placement() {
     let mem = MemBackend::new(512);
     let config = Config::parse(
         "[daemon]\nworkers = 2\n\
          [tenant edge]\nlocal = fc00::1\nlisten = [::1]:44200\npeer = 1 [::1]:44300\n\
-         budget = 1000000\nroute = ::/0 dev 1",
+         budget = 1000000\nroute = ::/0 dev 1\n\
+         [tenant open]\nlocal = fc00::2\nlisten = [::1]:44210\npeer = 1 [::1]:44310\nroute = ::/0 dev 1",
     )
     .unwrap();
     let mut daemon = Srv6Daemon::start(config, Box::new(mem.clone())).expect("starts");
     let shared = daemon.shared();
 
-    // First scrape opens the rate window: no history yet, rate is 0.
-    let first = shared.render_metrics();
-    assert_eq!(metric_value(&first, "srv6d_cost_rate{tenant=\"edge\",slot=\"0\"}"), 0.0);
-
     for flow in 0..64 {
         assert!(mem.inject("edge", 0, &frame_to("2001:db8:f::1", flow)));
     }
     service_until_processed(&mut daemon, 0, 64);
-    std::thread::sleep(Duration::from_millis(20));
 
     let metrics = shared.render_metrics();
-    let rate = metric_value(&metrics, "srv6d_cost_rate{tenant=\"edge\",slot=\"0\"}");
-    assert!(rate > 0.0, "cost accrued this window must show as a positive rate: {metrics}");
-    let headroom = metric_value(&metrics, "srv6d_budget_headroom{tenant=\"edge\",slot=\"0\"}");
-    assert!(headroom < 1_000_000.0, "headroom = budget - rate: {metrics}");
-    assert!((headroom - (1_000_000.0 - rate)).abs() < 1e-6, "{headroom} vs {rate}");
+    assert_eq!(metric_value(&metrics, "srv6d_cost_budget{tenant=\"edge\",slot=\"0\"}"), 1_000_000.0);
+    assert!(
+        !metrics.contains("srv6d_cost_budget{tenant=\"open\""),
+        "unbudgeted tenants have no row: {metrics}"
+    );
+    assert!(metric_value(&metrics, "srv6d_cost_total{tenant=\"edge\",slot=\"0\",shard=\"0\"}") > 0.0);
 
     // Every family is typed as what it is: monotonic `_total`s are
     // counters, everything else (the tenant's serving flag included) a gauge.
@@ -341,5 +339,33 @@ fn metrics_expose_cost_rates_and_placement() {
     for shard in 0..2 {
         assert_eq!(metric_value(&metrics, &format!("srv6d_shard_pinned_core{{shard=\"{shard}\"}}")), -1.0);
     }
+    daemon.drain();
+}
+
+/// A scrape reads state and keeps none: after traffic, two renders with
+/// nothing in between are byte-identical, however many scrapers share
+/// the endpoint.
+#[test]
+fn metrics_render_is_stateless() {
+    let mem = MemBackend::new(512);
+    let config = Config::parse(
+        "[daemon]\nworkers = 2\n\
+         [tenant edge]\nlocal = fc00::1\nlisten = [::1]:44400\npeer = 1 [::1]:44500\n\
+         budget = 1000000\nroute = ::/0 dev 1",
+    )
+    .unwrap();
+    let mut daemon = Srv6Daemon::start(config, Box::new(mem.clone())).expect("starts");
+    let shared = daemon.shared();
+    // A scraper that was already watching before the traffic.
+    let idle = shared.render_metrics();
+
+    for flow in 0..64 {
+        assert!(mem.inject("edge", 0, &frame_to("2001:db8:f::1", flow)));
+    }
+    service_until_processed(&mut daemon, 0, 64);
+    let first = shared.render_metrics();
+    assert_ne!(first, idle, "the traffic shows in the counters");
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(shared.render_metrics(), first, "a second scrape changed what the first one saw");
     daemon.drain();
 }

@@ -77,7 +77,7 @@ fn main() {
     let live = pool.counters();
     for round in 1..=ROUNDS {
         // Quiet since the last flush: the round's window starts here.
-        let before = pool.shard_stats();
+        let before = live.snapshot().shards;
         // 10 000 packets over 500 flows: the Toeplitz RSS hash steers each
         // flow to a stable worker shard.
         for i in 0..PACKETS {
@@ -90,7 +90,7 @@ fn main() {
                 &[0u8; 64],
                 64,
             );
-            pool.enqueue(pkt);
+            pool.enqueue_bytes_at(0, pkt.data());
         }
         // Mid-run, before any barrier: the workers are still chewing on
         // this round, yet the snapshot is immediately readable — the
@@ -105,14 +105,15 @@ fn main() {
             snap.shards.iter().map(|s| s.processed).collect::<Vec<_>>()
         );
         let report = pool.flush();
+        let snap = live.snapshot();
         let per_shard: Vec<u64> =
-            pool.shard_stats().iter().zip(&before).map(|(now, then)| now.since(then).processed).collect();
+            snap.shards.iter().zip(&before).map(|(now, then)| now.since(then).processed).collect();
         println!(
             "  round {round}: processed {} ({} forwarded), per shard {:?}, backpressure drops {}",
             report.run.processed,
             report.run.forwarded,
             per_shard,
-            pool.rejected()
+            snap.rejected()
         );
     }
     // At a quiet point the live counters balance: everything enqueued

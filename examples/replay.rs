@@ -138,10 +138,10 @@ fn main() {
     println!(
         "flushes: processed {processed} ({} forwarded), per shard {:?}, backpressure drops {}",
         counters.forwarded(),
-        pool.shard_stats().iter().map(|s| s.processed).collect::<Vec<_>>(),
-        pool.rejected()
+        counters.shards.iter().map(|s| s.processed).collect::<Vec<_>>(),
+        counters.rejected()
     );
-    assert_eq!(processed as usize + pool.rejected() as usize, FRAMES);
+    assert_eq!(processed as usize + counters.rejected() as usize, FRAMES);
     // The recycling arena served the replay from a bounded buffer set.
     println!(
         "buffer arena: {} minted, {} recycle hits",

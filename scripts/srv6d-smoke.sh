@@ -107,12 +107,8 @@ printf '%s\n' "$metrics" | grep -q 'srv6d_rejected_over_budget_total{tenant="edg
     echo "metrics missing the QoS over-budget counter rows" >&2
     exit 1
 }
-printf '%s\n' "$metrics" | grep -q 'srv6d_cost_rate{tenant="edge",slot="0"}' || {
-    echo "metrics missing the per-tenant cost-rate gauge" >&2
-    exit 1
-}
-printf '%s\n' "$metrics" | grep -q 'srv6d_budget_headroom{tenant="edge",slot="0"}' || {
-    echo "metrics missing the budget-headroom gauge (tenant has a budget)" >&2
+printf '%s\n' "$metrics" | grep -q 'srv6d_cost_budget{tenant="edge",slot="0"} 500000' || {
+    echo "metrics missing the configured cost-budget gauge (tenant has a budget)" >&2
     exit 1
 }
 
