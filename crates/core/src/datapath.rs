@@ -182,8 +182,8 @@ pub struct Seg6Datapath {
     /// what eBPF programs see in `bpf_get_smp_processor_id` and what
     /// per-CPU maps index.
     pub cpu_id: u32,
-    /// Reusable per-packet buffers (VM state, context, packet working
-    /// copy) — the reason the steady state allocates nothing.
+    /// Reusable per-packet buffers (VM state, context, saved packet head)
+    /// — the reason the steady state allocates nothing.
     scratch: RunScratch,
     /// This instance's lock-free snapshot of the FIB tables, refreshed
     /// from `tables` only when routes change.
@@ -470,7 +470,7 @@ impl Exec<'_> {
             }
             Dispatch::Transit(behaviour) => {
                 work.transit = true;
-                apply_transit(behaviour, skb, self.local_addr, self.scratch)
+                apply_transit(behaviour, skb, self.local_addr)
             }
             Dispatch::Forward => {
                 ActionOutcome::Forward { dst: header.dst, route_override: RouteOverride::default() }

@@ -59,22 +59,34 @@ static LWT_HOOKS: &[ProgramType] = &[ProgramType::LwtIn, ProgramType::LwtOut, Pr
 
 /// Builds a helper registry with the base kernel helpers plus the four SRv6
 /// helpers, gated by program type exactly as the paper's kernel patch does.
+/// All four may change the packet, so the verifier invalidates packet
+/// pointers across them, as the kernel's `bpf_helper_changes_pkt_data` does.
 pub fn seg6_helper_registry() -> HelperRegistry {
     let mut registry = HelperRegistry::with_base_helpers();
-    registry.register(
+    registry.register_packet_changing(
         ids::LWT_SEG6_STORE_BYTES,
         "bpf_lwt_seg6_store_bytes",
         helper_seg6_store_bytes,
         Some(SEG6LOCAL_ONLY),
     );
-    registry.register(
+    registry.register_packet_changing(
         ids::LWT_SEG6_ADJUST_SRH,
         "bpf_lwt_seg6_adjust_srh",
         helper_seg6_adjust_srh,
         Some(SEG6LOCAL_ONLY),
     );
-    registry.register(ids::LWT_SEG6_ACTION, "bpf_lwt_seg6_action", helper_seg6_action, Some(SEG6LOCAL_ONLY));
-    registry.register(ids::LWT_PUSH_ENCAP, "bpf_lwt_push_encap", helper_lwt_push_encap, Some(LWT_HOOKS));
+    registry.register_packet_changing(
+        ids::LWT_SEG6_ACTION,
+        "bpf_lwt_seg6_action",
+        helper_seg6_action,
+        Some(SEG6LOCAL_ONLY),
+    );
+    registry.register_packet_changing(
+        ids::LWT_PUSH_ENCAP,
+        "bpf_lwt_push_encap",
+        helper_lwt_push_encap,
+        Some(LWT_HOOKS),
+    );
     registry
 }
 
@@ -151,8 +163,7 @@ pub fn helper_seg6_store_bytes(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i
             return -1;
         }
     }
-    let packet = api.packet_mut();
-    packet[srh_off + offset..srh_off + offset + len].copy_from_slice(&bytes);
+    api.packet_mut().bytes_mut()[srh_off + offset..srh_off + offset + len].copy_from_slice(&bytes);
     if let Some(env) = env_of(api) {
         env.out.srh_modified = true;
     }
@@ -167,10 +178,12 @@ pub fn helper_seg6_store_bytes(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i
 /// the SRH header length and the program's view of the packet (`data_end`,
 /// `len`) are all updated. The newly allocated space is zero-filled and must
 /// be turned into valid TLVs by the program before it returns, otherwise the
-/// End.BPF post-validation drops the packet.
+/// End.BPF post-validation drops the packet. Every check comes before the
+/// first write: a call that fails leaves the packet and the context as they
+/// were.
 pub fn helper_seg6_adjust_srh(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
     let offset = args[1] as usize;
-    let delta = args[2] as i64 as i32 as i64; // sign-extend the 32-bit argument
+    let delta = args[2] as i64 as i32 as isize; // sign-extend the 32-bit argument
     if delta == 0 {
         return 0;
     }
@@ -179,7 +192,7 @@ pub fn helper_seg6_adjust_srh(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i6
     }
     let Some(env) = env_of(api) else { return -1 };
     let Some(srh_off) = env.srh_offset else { return -1 };
-    {
+    let (new_hdrlen, payload_len) = {
         let packet = api.packet();
         if packet.len() < srh_off + 8 {
             return -1;
@@ -187,32 +200,29 @@ pub fn helper_seg6_adjust_srh(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i6
         let srh_len = 8 + usize::from(packet[srh_off + 1]) * 8;
         let last_entry = usize::from(packet[srh_off + 4]);
         let tlv_start = 8 + 16 * (last_entry + 1);
-        // Only offsets after the segment list are accepted.
-        if offset < tlv_start || offset > srh_len {
+        // Only offsets after the segment list are accepted, inside an SRH
+        // the packet holds whole.
+        if offset < tlv_start || offset > srh_len || srh_off + srh_len > packet.len() {
             return -1;
         }
-        if delta < 0 && offset.saturating_add(delta.unsigned_abs() as usize) > srh_len {
+        if delta < 0 && offset.saturating_add(delta.unsigned_abs()) > srh_len {
             return -1;
         }
-        let new_hdrlen = (srh_len as i64 + delta - 8) / 8;
-        if !(0..=255).contains(&new_hdrlen) {
-            return -1;
-        }
-    }
+        // The SRH header length counts 8-octet units past the first 8.
+        let Ok(new_hdrlen) = u8::try_from((srh_len as isize + delta - 8) / 8) else { return -1 };
+        let Ok(payload_len) = srv6_ops::payload_length_after(packet, delta) else { return -1 };
+        (new_hdrlen, payload_len)
+    };
+    // The header fields sit in front of the edit and move with the front.
     let abs_off = srh_off + offset;
-    {
-        let packet = api.packet_mut();
-        if delta > 0 {
-            packet.splice(abs_off..abs_off, std::iter::repeat_n(0u8, delta as usize));
-        } else {
-            packet.drain(abs_off..abs_off + delta.unsigned_abs() as usize);
-        }
-        // Update the SRH header length (in 8-octet units past the first 8).
-        let new_srh_units = i64::from(packet[srh_off + 1]) + delta / 8;
-        packet[srh_off + 1] = new_srh_units as u8;
-        if srv6_ops::adjust_payload_length(packet, delta as isize).is_err() {
-            return -1;
-        }
+    let packet = api.packet_mut();
+    let bytes = packet.bytes_mut();
+    bytes[srh_off + 1] = new_hdrlen;
+    srv6_ops::set_payload_length(bytes, payload_len);
+    if delta > 0 {
+        packet.insert(abs_off, delta as usize);
+    } else {
+        packet.remove(abs_off, delta.unsigned_abs());
     }
     let new_len = api.packet().len();
     ctx::refresh_packet_len(api.ctx_mut(), new_len);
@@ -342,6 +352,7 @@ mod tests {
     use crate::ctx::build_context;
     use crate::fib::{Nexthop, RouterTables};
     use crate::skb::Skb;
+    use ebpf_vm::program::Program;
     use ebpf_vm::vm::{RunContext, RunState, STACK_BASE};
     use netpkt::ipv6::proto;
     use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
@@ -448,6 +459,80 @@ mod tests {
         // Misaligned deltas and offsets inside the segment list are refused.
         assert_eq!(h.call(helper_seg6_adjust_srh, [0, srh_len as u64, 4, 0, 0]), -1);
         assert_eq!(h.call(helper_seg6_adjust_srh, [0, 8, 8, 0, 0]), -1);
+    }
+
+    /// A near-64 KiB packet whose IPv6 payload length cannot take eight
+    /// more bytes: the helper fails having written nothing — not the
+    /// packet, not the context, not even the write-access flag.
+    #[test]
+    fn adjust_srh_past_the_payload_length_field_writes_nothing() {
+        let srh = SegmentRoutingHeader::from_path(proto::UDP, &[addr("fc00::1")]).to_bytes();
+        let payload_len = u16::MAX - 7;
+        let mut packet = vec![0u8; 40 + usize::from(payload_len)];
+        netpkt::Ipv6Header::new(addr("2001:db8::1"), addr("fc00::1"), proto::ROUTING, payload_len, 64)
+            .write_to(&mut packet);
+        packet[40..40 + srh.len()].copy_from_slice(&srh);
+        let mut h = Harness::new(packet.clone(), Arc::new(RouterTables::new()));
+        let ctx = h.ctx.clone();
+        assert_eq!(h.call(helper_seg6_adjust_srh, [0, srh.len() as u64, 8, 0, 0]), -1);
+        assert!(h.packet == packet, "the packet is unchanged");
+        assert_eq!(h.ctx, ctx);
+        assert!(!h.state.packet_written());
+        assert!(!h.env.out.srh_modified);
+    }
+
+    /// An SRH header length claiming more bytes than the packet holds (what
+    /// `srh_offset` points at after a decapsulation may be anything) is
+    /// refused, not edited past the packet's end.
+    #[test]
+    fn adjust_srh_refuses_an_srh_longer_than_the_packet() {
+        let mut packet = srv6_packet_with_tlv();
+        packet[41] = 200;
+        let mut h = Harness::new(packet.clone(), Arc::new(RouterTables::new()));
+        let claimed = 8 + 200 * 8;
+        assert_eq!(h.call(helper_seg6_adjust_srh, [0, claimed, 8, 0, 0]), -1);
+        assert_eq!(h.call(helper_seg6_adjust_srh, [0, claimed - 8, (-8i64) as u64, 0, 0]), -1);
+        assert!(h.packet == packet && !h.state.packet_written());
+    }
+
+    /// All four SRv6 helpers may move the packet, so the verifier holds a
+    /// packet pointer stale across a call to any of them, as the kernel
+    /// does: reading through it is rejected, re-deriving `data` from the
+    /// context is the way.
+    #[test]
+    fn packet_pointers_do_not_survive_a_packet_changing_helper() {
+        let helpers = seg6_helper_registry();
+        for id in
+            [ids::LWT_SEG6_STORE_BYTES, ids::LWT_SEG6_ADJUST_SRH, ids::LWT_SEG6_ACTION, ids::LWT_PUSH_ENCAP]
+        {
+            assert!(helpers.changes_packet(id), "{:?}", helpers.name_of(id));
+        }
+        assert!(!helpers.changes_packet(ids::SKB_LOAD_BYTES));
+        let program = |after_the_call: &str| {
+            let source = format!(
+                "mov64 r9, r1\n\
+                 ldxdw r6, [r1]\n\
+                 mov64 r2, {}\n\
+                 mov64 r3, r10\n\
+                 add64 r3, -24\n\
+                 mov64 r4, 24\n\
+                 call {}\n\
+                 {after_the_call}\n\
+                 ldxb r0, [r6]\n\
+                 exit",
+                encap_modes::SEG6,
+                ids::LWT_PUSH_ENCAP
+            );
+            let insns = ebpf_vm::asm::assemble(&source).unwrap();
+            ebpf_vm::program::load(
+                Program::new("stale", ProgramType::LwtXmit, insns),
+                &HashMap::new(),
+                &helpers,
+            )
+        };
+        let stale = program("mov64 r0, 0").unwrap_err();
+        assert!(stale.to_string().contains("non-pointer"), "{stale}");
+        program("ldxdw r6, [r9]").expect("data re-derived from the context");
     }
 
     #[test]

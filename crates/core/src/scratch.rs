@@ -1,14 +1,16 @@
 //! Reusable per-datapath scratch state.
 //!
 //! Everything a packet's journey through the datapath used to allocate —
-//! the VM register/stack state, the program context buffer, the working
-//! copy of the packet bytes, the helper environment — lives here once per
-//! datapath instance (one per worker shard) and is reused for every
-//! packet. After the first packet warms the buffers up, the steady-state
-//! hot path performs no heap allocation; the `alloc-counter` test feature
-//! proves it.
+//! the VM register/stack state, the program context buffer, the saved
+//! packet head a failed run is undone with, the helper environment — lives
+//! here once per datapath instance (one per worker shard) and is reused for
+//! every packet. Programs and helpers edit the skb itself, so no working
+//! copy of the packet exists. After the first packet warms the buffers up,
+//! the steady-state hot path performs no heap allocation; the
+//! `alloc-counter` test feature proves it.
 
 use crate::env::Seg6Env;
+use crate::skb::SavedHead;
 use ebpf_vm::vm::RunState;
 
 /// Scratch buffers reused across packets by one datapath instance.
@@ -19,9 +21,9 @@ pub struct RunScratch {
     pub state: RunState,
     /// The program context buffer (the `__sk_buff` analogue).
     pub ctx: Vec<u8>,
-    /// Working copy of the packet bytes for programs and for actions that
-    /// resize the packet.
-    pub pkt: Vec<u8>,
+    /// The head of the packet a program runs on, saved before the hook's
+    /// first write and put back if the run fails.
+    pub head: SavedHead,
     /// The helper environment of the router this scratch serves, built by
     /// the first program run and re-armed for every one after it.
     pub env: Option<Seg6Env>,
@@ -31,7 +33,7 @@ impl RunScratch {
     /// Fresh scratch state; buffers grow to their steady-state sizes on
     /// first use and stay there.
     pub fn new() -> Self {
-        RunScratch { state: RunState::new(0), ctx: Vec::new(), pkt: Vec::new(), env: None }
+        RunScratch { state: RunState::new(0), ctx: Vec::new(), head: SavedHead::default(), env: None }
     }
 }
 

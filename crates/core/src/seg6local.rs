@@ -15,7 +15,7 @@ use crate::ctx;
 use crate::env::Seg6Env;
 use crate::fib::{EcmpKey, RouterTables, TableId};
 use crate::scratch::RunScratch;
-use crate::skb::{edit_packet, RouteOverride, Skb};
+use crate::skb::{RouteOverride, Skb, SkbPacket};
 use crate::srv6_ops::{self, SRH_OFFSET};
 use crate::table::PrefixTable;
 use crate::verdict::{ActionOutcome, DropReason};
@@ -139,9 +139,9 @@ pub struct ActionCtx<'a> {
     pub flow: EcmpKey,
 }
 
-/// Applies a seg6local action to `skb`. `scratch` supplies the reusable VM
-/// state and packet/context buffers; no per-packet allocation happens here
-/// once the buffers are warm.
+/// Applies a seg6local action to `skb`, in place. `scratch` supplies
+/// `End.BPF`'s reusable VM state, context buffer and saved head; no
+/// per-packet allocation happens here once the buffers are warm.
 pub fn apply_action(
     action: &Seg6LocalAction,
     skb: &mut Skb,
@@ -160,14 +160,14 @@ pub fn apply_action(
             dst,
             route_override: RouteOverride { table: Some(*table), ..Default::default() },
         }),
-        Seg6LocalAction::EndDX6 { nexthop } => match decap_in_place(skb) {
+        Seg6LocalAction::EndDX6 { nexthop } => match srv6_ops::decap_outer(&mut SkbPacket(&mut skb.packet)) {
             Ok(inner_dst) => ActionOutcome::Forward {
                 dst: inner_dst,
                 route_override: RouteOverride { nexthop: Some(*nexthop), ..Default::default() },
             },
             Err(_) => ActionOutcome::Drop(DropReason::DecapFailed),
         },
-        Seg6LocalAction::EndDT6 { table } => match decap_in_place(skb) {
+        Seg6LocalAction::EndDT6 { table } => match srv6_ops::decap_outer(&mut SkbPacket(&mut skb.packet)) {
             Ok(inner_dst) => ActionOutcome::Forward {
                 dst: inner_dst,
                 route_override: RouteOverride { table: Some(*table), ..Default::default() },
@@ -175,10 +175,10 @@ pub fn apply_action(
             Err(_) => ActionOutcome::Drop(DropReason::DecapFailed),
         },
         Seg6LocalAction::EndB6 { srh } => {
-            forward_to(edit_packet(skb, &mut scratch.pkt, |pkt| srv6_ops::insert_srh_inline(pkt, srh)))
+            forward_to(srv6_ops::insert_srh_inline(&mut SkbPacket(&mut skb.packet), srh))
         }
         Seg6LocalAction::EndB6Encaps { srh } => {
-            forward_to(srv6_ops::push_srh_encap_buf(&mut skb.packet, srh, actx.local_sid))
+            forward_to(srv6_ops::push_srh_encap(&mut SkbPacket(&mut skb.packet), srh, actx.local_sid))
         }
         Seg6LocalAction::EndBpf { prog } => run_bpf(prog, true, skb, actx, scratch),
     }
@@ -203,14 +203,6 @@ fn with_advance(skb: &mut Skb, then: impl FnOnce(Ipv6Addr) -> ActionOutcome) -> 
     }
 }
 
-/// Decapsulation as an `skb_pull`: validate, then move the packet's start
-/// forward — the headroom absorbs the removed headers, nothing reallocates.
-fn decap_in_place(skb: &mut Skb) -> Result<Ipv6Addr, &'static str> {
-    let inner_off = srv6_ops::decap_offset(skb.packet.data())?;
-    skb.packet.pull(inner_off).map_err(|_| "pull failed")?;
-    srv6_ops::outer_dst(skb.packet.data())
-}
-
 /// Runs `prog` on `skb` at one of the datapath's BPF hooks — the one
 /// sequence §3 of the paper describes: run the program on the packet, then
 /// honour its return code (`BPF_OK` / `BPF_DROP` / `BPF_REDIRECT`).
@@ -219,14 +211,15 @@ fn decap_in_place(skb: &mut Skb) -> Result<Ipv6Addr, &'static str> {
 /// before the program — so its SRH offset is always set — and the SRH
 /// re-validation after it, if a helper edited the SRH.
 ///
-/// Helpers may resize the packet, so the program runs against the
-/// reusable scratch copy. The skb is written only once the run has
-/// succeeded — a fault or a failed SRH re-validation leaves it exactly as
-/// it arrived — and then only with what changed: the whole copy if a
-/// helper took write access to the packet (whatever it returned), else
-/// just End.BPF's SRH advance, in place. The environment is the scratch's
-/// too, re-armed per packet with what the caller and the SRH advance
-/// already know; no allocation once the scratch is warm.
+/// The program runs on the skb itself: helpers edit its buffer in place
+/// through [`SkbPacket`], as the kernel's do. Before the first write — the
+/// SRH advance, or a helper's — the packet's head is saved in the scratch,
+/// and a fault or a failed SRH re-validation puts it back, which leaves
+/// the packet exactly as it arrived. A helper's edit otherwise stands,
+/// whatever the helper returned (an End.DT6 whose inner lookup misses has
+/// already decapsulated). The environment is the scratch's too, re-armed
+/// per packet with what the caller and the SRH advance already know; no
+/// allocation once the scratch is warm.
 pub fn run_bpf(
     prog: &LoadedProgram,
     end_bpf: bool,
@@ -234,50 +227,49 @@ pub fn run_bpf(
     actx: &ActionCtx<'_>,
     scratch: &mut RunScratch,
 ) -> ActionOutcome {
-    let RunScratch { state, ctx: ctx_bytes, pkt, env } = scratch;
+    let RunScratch { state, ctx: ctx_bytes, head, env } = scratch;
     let env = match env {
         Some(env) if Arc::ptr_eq(env.tables(), actx.tables) => env,
         _ => env.insert(Seg6Env::new(actx.local_sid, Arc::clone(actx.tables), actx.now_ns)),
     };
-    pkt.clear();
-    pkt.extend_from_slice(skb.packet.data());
+    head.save(skb.packet.data());
     let ran = (|| {
         // Helpers look routes up for the flow as the program sees it:
         // End.BPF's advance has already moved the destination on.
         let mut flow = actx.flow;
         let srh_offset = if end_bpf {
-            flow.dst = srv6_ops::advance_srh(pkt)?;
+            flow.dst = srv6_ops::advance_srh(skb.packet.data_mut())?;
             Some(SRH_OFFSET)
         } else {
-            srv6_ops::find_srh(pkt).map(|(off, _)| off)
+            srv6_ops::find_srh(skb.packet.data()).map(|(off, _)| off)
         };
         env.rearm(actx.local_sid, actx.now_ns, actx.cpu, srh_offset, flow);
         ctx::build_context_into(skb, ctx_bytes);
         let code = {
-            let mut rc = RunContext { ctx: ctx_bytes.as_mut_slice(), packet: pkt, env: &mut *env };
+            let packet = &mut SkbPacket(&mut skb.packet);
+            let mut rc = RunContext { ctx: ctx_bytes.as_mut_slice(), packet, env: &mut *env };
             ebpf_vm::vm::run_program_with_state(prog, actx.helpers, &mut rc, prog.exec_tier(), state)
                 .map_err(|_| DropReason::BpfError)?
         };
+        let packet = skb.packet.data();
         // Post-program SRH validation, as the kernel performs it.
-        if end_bpf && env.out.srh_modified && !env.out.decapped && srv6_ops::validate_after_bpf(pkt).is_err()
+        if end_bpf
+            && env.out.srh_modified
+            && !env.out.decapped
+            && srv6_ops::validate_after_bpf(packet).is_err()
         {
             return Err(DropReason::SrhValidationFailed);
         }
-        let dst = srv6_ops::outer_dst(pkt).map_err(|_| DropReason::Malformed)?;
+        let dst = srv6_ops::outer_dst(packet).map_err(|_| DropReason::Malformed)?;
         Ok((code, dst, env.out.route_override))
     })();
     let (code, dst, redirect) = match ran {
         Ok(ran) => ran,
-        Err(reason) => return ActionOutcome::Drop(reason),
+        Err(reason) => {
+            head.restore(&mut skb.packet);
+            return ActionOutcome::Drop(reason);
+        }
     };
-    // Not `env.out`: a helper can change the packet and still fail (an
-    // End.DT6 whose inner lookup misses has already decapsulated).
-    if state.packet_written() {
-        skb.packet.set_data(pkt);
-    } else if end_bpf {
-        let span = srv6_ops::ADVANCE_SPAN;
-        skb.packet.data_mut()[..span].copy_from_slice(&pkt[..span]);
-    }
     ctx::read_back(ctx_bytes, skb);
     match code {
         retcode::BPF_OK => ActionOutcome::Forward { dst, route_override: RouteOverride::default() },

@@ -4,9 +4,14 @@
 //! alongside them: receive timestamp, ingress interface, mark, and — central
 //! to the paper's `BPF_REDIRECT` semantics — the destination/next-hop
 //! override that `bpf_lwt_seg6_action` installs so that the default
-//! endpoint lookup is skipped after the program returns.
+//! endpoint lookup is skipped after the program returns. [`SkbPacket`] is
+//! how everything that resizes the packet edits it in place, and
+//! [`SavedHead`] how a hook undoes a run that failed.
 
 use crate::fib::TableId;
+use crate::srv6_ops;
+use ebpf_vm::Packet;
+use netpkt::ipv6::IPV6_HEADER_LEN;
 use netpkt::PacketBuf;
 use std::net::Ipv6Addr;
 
@@ -83,22 +88,71 @@ impl Skb {
     }
 }
 
-/// The copy-edit-commit step of every static behaviour that may resize
-/// the packet: `edit` works on a copy of the packet bytes in the reusable
-/// buffer `work`, and only an `Ok` result is committed back into the skb —
-/// a packet whose edit failed is left exactly as it arrived. No allocation
-/// once `work` and the skb's storage have grown to their steady-state
-/// sizes.
-pub fn edit_packet<T, E>(
-    skb: &mut Skb,
-    work: &mut Vec<u8>,
-    edit: impl FnOnce(&mut Vec<u8>) -> Result<T, E>,
-) -> Result<T, E> {
-    work.clear();
-    work.extend_from_slice(skb.packet.data());
-    let out = edit(work)?;
-    skb.packet.set_data(work);
-    Ok(out)
+/// The skb's packet as programs, helpers and the static behaviours edit
+/// it: in place, in its [`PacketBuf`]. A resize moves the bytes in front
+/// of the edit through the headroom (`skb_push` / `skb_pull` plus a header
+/// memmove) and leaves everything behind it where it is — an encapsulation
+/// writes only its headers, a decapsulation is a pull.
+#[derive(Debug)]
+pub struct SkbPacket<'a>(pub &'a mut PacketBuf);
+
+impl Packet for SkbPacket<'_> {
+    fn bytes(&self) -> &[u8] {
+        self.0.data()
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        self.0.data_mut()
+    }
+
+    fn insert(&mut self, at: usize, n: usize) {
+        self.0.insert(at, n);
+    }
+
+    fn remove(&mut self, at: usize, n: usize) {
+        self.0.remove(at, n);
+    }
+}
+
+/// A packet's head — its IPv6 header and SRH, or the IPv6 header alone —
+/// saved before a hook's first write, so a run that fails can be undone.
+///
+/// [`SkbPacket`]'s edits move only the bytes in front of them, and every
+/// write lands in the head: the SRH advance, the helpers' SRH edits, pushed
+/// and pulled headers. The bytes behind the head are never written and can
+/// only move as one block, so the saved head put back in front of them is
+/// the packet exactly as it arrived. (One program can reach behind it: one
+/// that decapsulates with `bpf_lwt_seg6_action` and then edits the inner
+/// packet's SRH. If it then faults, the restored packet keeps that edit.)
+/// The buffer is reused across packets: no allocation once it has grown to
+/// the largest head seen.
+#[derive(Debug, Default)]
+pub struct SavedHead {
+    head: Vec<u8>,
+    /// Length of the whole packet when it was saved.
+    len: usize,
+}
+
+impl SavedHead {
+    /// Saves the head of `packet`.
+    pub fn save(&mut self, packet: &[u8]) {
+        let head = srv6_ops::find_srh(packet).map_or(IPV6_HEADER_LEN, |(off, len)| off + len);
+        self.head.clear();
+        self.head.extend_from_slice(&packet[..head.min(packet.len())]);
+        self.len = packet.len();
+    }
+
+    /// Puts the saved head back in front of the untouched tail: the
+    /// packet's length and bytes are again those [`SavedHead::save`] saw.
+    pub fn restore(&self, packet: &mut PacketBuf) {
+        let len = packet.len();
+        if len > self.len {
+            packet.remove(0, len - self.len);
+        } else {
+            packet.insert(0, self.len - len);
+        }
+        packet.data_mut()[..self.head.len()].copy_from_slice(&self.head);
+    }
 }
 
 #[cfg(test)]
@@ -127,5 +181,75 @@ mod tests {
         assert!(o.is_set());
         let o = RouteOverride { nexthop: Some("fe80::1".parse().unwrap()), ..Default::default() };
         assert!(o.is_set());
+    }
+
+    /// Seeded fuzz of in-place editing: random `insert` / `remove` /
+    /// `bytes_mut` sequences inside a packet's head give the same bytes
+    /// through the skb view, which moves the front, as through a `Vec`,
+    /// which moves the tail — after every step, whatever headroom the
+    /// buffer starts with (short ones must grow). After every sequence,
+    /// restoring the saved head gives back the packet exactly as it
+    /// arrived.
+    #[test]
+    fn in_place_edits_match_a_vec_and_roll_back_exactly() {
+        use netpkt::buf::DEFAULT_HEADROOM;
+        use netpkt::ipv6::proto;
+        use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
+        use netpkt::srh::SegmentRoutingHeader;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5eed_0028);
+        let addr = |rng: &mut StdRng| Ipv6Addr::from((u128::from(rng.next_u64()) << 64) | 1);
+        let mut saved = SavedHead::default();
+        for case in 0..400 {
+            let payload: Vec<u8> = (0..rng.gen_range(0usize..160)).map(|_| rng.next_u64() as u8).collect();
+            let (src, dst) = (addr(&mut rng), addr(&mut rng));
+            let input = if rng.gen_bool(0.25) {
+                build_ipv6_udp_packet(src, dst, 1, 2, &payload, 64)
+            } else {
+                let path: Vec<Ipv6Addr> = (0..rng.gen_range(1usize..=4)).map(|_| addr(&mut rng)).collect();
+                let srh = SegmentRoutingHeader::from_path(proto::UDP, &path);
+                build_srv6_udp_packet(src, &srh, 1, 2, &payload, 64)
+            }
+            .data()
+            .to_vec();
+            let mut buf = PacketBuf::with_headroom(rng.gen_range(0usize..=DEFAULT_HEADROOM));
+            buf.append(&input);
+            let mut vec = input.clone();
+            saved.save(buf.data());
+            // The head as the edits so far have reshaped it.
+            let mut head = saved.head.len();
+            for step in 0..rng.gen_range(1usize..=8) {
+                let view = &mut SkbPacket(&mut buf);
+                match rng.gen_range(0u32..3) {
+                    0 => {
+                        let (at, n) = (rng.gen_range(0..=head), rng.gen_range(1usize..=64));
+                        view.insert(at, n);
+                        Packet::insert(&mut vec, at, n);
+                        head += n;
+                    }
+                    1 if head > 0 => {
+                        let at = rng.gen_range(0..head);
+                        let n = rng.gen_range(1..=head - at);
+                        view.remove(at, n);
+                        Packet::remove(&mut vec, at, n);
+                        head -= n;
+                    }
+                    _ if head > 0 => {
+                        let at = rng.gen_range(0..head);
+                        for i in at..rng.gen_range(at + 1..=head) {
+                            let byte = rng.next_u64() as u8;
+                            view.bytes_mut()[i] = byte;
+                            vec.bytes_mut()[i] = byte;
+                        }
+                    }
+                    _ => {}
+                }
+                assert_eq!(buf.data(), vec, "case {case}, step {step}");
+            }
+            saved.restore(&mut buf);
+            assert_eq!(buf.data(), input, "case {case}: rollback");
+        }
     }
 }

@@ -1,17 +1,20 @@
 //! Low-level SRv6 packet operations shared by the static seg6local actions,
 //! the seg6 transit behaviours and the eBPF helpers.
 //!
-//! All functions operate on the raw packet bytes (a `Vec<u8>` starting at
-//! the outermost IPv6 header) so that both the static datapath and the
-//! helper functions running under the VM use exactly the same code. The
-//! one exception is [`push_srh_encap_buf`]: a static encapsulation is not
-//! bound to the VM's `Vec`, so it prepends into the packet buffer's
-//! headroom instead of moving the payload.
+//! Every function works on the packet in place, starting at the outermost
+//! IPv6 header: the fixed-size edits on its bytes, the resizing ones
+//! ([`push_srh_encap`], [`insert_srh_inline`], [`decap_outer`]) on an
+//! [`ebpf_vm::Packet`]. In the datapath that is a view of the skb's buffer
+//! ([`crate::skb::SkbPacket`]), so the static behaviours and the helpers
+//! running under the VM share one code path, and a resize moves only the
+//! headers in front of the edit: an encapsulation is written into the
+//! headroom, a decapsulation is a pull. Each validates before its first
+//! write and leaves the packet untouched on `Err`.
 
 use crate::verdict::DropReason;
+use ebpf_vm::Packet;
 use netpkt::ipv6::{proto, Ipv6Header, IPV6_HEADER_LEN};
 use netpkt::srh::{SegmentRoutingHeader, SrhView};
-use netpkt::PacketBuf;
 use std::net::Ipv6Addr;
 
 /// Default hop limit of headers pushed by encapsulation.
@@ -29,12 +32,6 @@ const SRH_SEGMENTS_LEFT_OFFSET: usize = 3;
 /// Offset of the outermost SRH in a packet that has one: this data plane
 /// only looks for it directly behind the fixed IPv6 header.
 pub const SRH_OFFSET: usize = IPV6_HEADER_LEN;
-
-/// Length of the packet prefix an [`advance_srh`] can change: it writes
-/// the outer destination and the SRH's segments-left field, the last byte
-/// of which ends here. Copying this prefix from an advanced copy of a
-/// packet applies the advance to the original.
-pub const ADVANCE_SPAN: usize = SRH_OFFSET + SRH_SEGMENTS_LEFT_OFFSET + 1;
 
 /// Result alias with static reasons, convenient for drop accounting.
 pub type OpResult<T> = std::result::Result<T, &'static str>;
@@ -131,10 +128,8 @@ pub fn advance_srh(packet: &mut [u8]) -> Result<Ipv6Addr, DropReason> {
 
 /// Validates that the packet is an IPv6-in-IPv6 (possibly via an SRH)
 /// encapsulation and returns the byte offset of the inner IPv6 header —
-/// the amount a decapsulation pulls off the front. Splitting the check
-/// from the removal lets `PacketBuf`-based callers decapsulate with a
-/// headroom adjustment instead of a reallocation.
-pub fn decap_offset(packet: &[u8]) -> OpResult<usize> {
+/// the amount a decapsulation pulls off the front.
+fn decap_offset(packet: &[u8]) -> OpResult<usize> {
     if packet.len() < IPV6_HEADER_LEN {
         return Err("packet shorter than an IPv6 header");
     }
@@ -158,20 +153,10 @@ pub fn decap_offset(packet: &[u8]) -> OpResult<usize> {
 /// IPv6 packet. Returns the inner destination. This is the decapsulation
 /// performed by `End.DT6` / `End.DX6` and natively by the kernel on the
 /// hybrid-access CPE (§4.2).
-pub fn decap_outer(packet: &mut Vec<u8>) -> OpResult<Ipv6Addr> {
-    let inner_off = decap_offset(packet)?;
-    packet.drain(..inner_off);
-    outer_dst(packet)
-}
-
-/// Lengthens `packet` by `by` zero bytes. A buffer too small grows to
-/// exactly the new length, not amortised: callers keep these buffers (a
-/// recycled working copy, a list of built frames), packet sizes are
-/// bounded, and doubling a 1.4 kB packet's allocation is memory held for
-/// nothing.
-fn grow(packet: &mut Vec<u8>, by: usize) {
-    packet.reserve_exact(by);
-    packet.resize(packet.len() + by, 0);
+pub fn decap_outer(packet: &mut (impl Packet + ?Sized)) -> OpResult<Ipv6Addr> {
+    let inner_off = decap_offset(packet.bytes())?;
+    packet.remove(0, inner_off);
+    outer_dst(packet.bytes())
 }
 
 /// What an encapsulation prepends to an `inner_len`-byte packet: the outer
@@ -195,27 +180,20 @@ fn encap_headers(
 
 /// Pushes an outer IPv6 header and the given SRH in front of the packet
 /// (SRv6 "encap" mode). The outer source is `src`, the outer destination is
-/// the SRH's current segment. Returns the new outer destination. The
-/// packet grows and shifts in place — no allocation once its `Vec` has the
-/// capacity — and is left untouched on `Err`.
-pub fn push_srh_encap(packet: &mut Vec<u8>, srh_bytes: &[u8], src: Ipv6Addr) -> OpResult<Ipv6Addr> {
-    let inner_len = packet.len();
-    let (outer, srh, dst) = encap_headers(srh_bytes, src, inner_len)?;
+/// the SRH's current segment. Returns the new outer destination. On a view
+/// of the skb the two headers go into its headroom, `skb_push`-style, and
+/// the payload does not move.
+pub fn push_srh_encap(
+    packet: &mut (impl Packet + ?Sized),
+    srh_bytes: &[u8],
+    src: Ipv6Addr,
+) -> OpResult<Ipv6Addr> {
+    let (outer, srh, dst) = encap_headers(srh_bytes, src, packet.bytes().len())?;
     let pushed = IPV6_HEADER_LEN + srh.len();
-    grow(packet, pushed);
-    packet.copy_within(..inner_len, pushed);
-    outer.write_to(packet);
-    packet[IPV6_HEADER_LEN..pushed].copy_from_slice(srh);
-    Ok(dst)
-}
-
-/// [`push_srh_encap`] for the static behaviours (`seg6` encap transit,
-/// `End.B6.Encaps`), which own the packet buffer: the two headers go into
-/// its headroom, `skb_push`-style, and the payload does not move.
-pub fn push_srh_encap_buf(packet: &mut PacketBuf, srh_bytes: &[u8], src: Ipv6Addr) -> OpResult<Ipv6Addr> {
-    let (outer, srh, dst) = encap_headers(srh_bytes, src, packet.len())?;
-    packet.push_header(srh);
-    packet.push_header(&outer.to_bytes());
+    packet.insert(0, pushed);
+    let bytes = packet.bytes_mut();
+    outer.write_to(bytes);
+    bytes[IPV6_HEADER_LEN..pushed].copy_from_slice(srh);
     Ok(dst)
 }
 
@@ -223,23 +201,21 @@ pub fn push_srh_encap_buf(packet: &mut PacketBuf, srh_bytes: &[u8], src: Ipv6Add
 /// (SRv6 "inline" mode). The SRH's last segment should be the original
 /// destination; the outer destination is rewritten to the SRH's current
 /// segment and the inserted SRH chains to whatever the IPv6 header
-/// carried. Returns the new destination. The payload shifts in place — no
-/// allocation once the packet's `Vec` has the capacity — and the packet
-/// is left untouched on `Err`.
-pub fn insert_srh_inline(packet: &mut Vec<u8>, srh_bytes: &[u8]) -> OpResult<Ipv6Addr> {
+/// carried. Returns the new destination. On a view of the skb only the
+/// IPv6 header moves, into the headroom; the payload stays where it is.
+pub fn insert_srh_inline(packet: &mut (impl Packet + ?Sized), srh_bytes: &[u8]) -> OpResult<Ipv6Addr> {
     let srh = SrhView::parse(srh_bytes).map_err(|_| "invalid SRH for inline insertion")?;
     let dst = srh.current_segment();
     let srh = srh.as_bytes();
     // The first write, and the only step that can still fail.
-    adjust_payload_length(packet, srh.len() as isize)?;
-    let old_len = packet.len();
+    adjust_payload_length(packet.bytes_mut(), srh.len() as isize)?;
     let srh_end = SRH_OFFSET + srh.len();
-    grow(packet, srh.len());
-    packet.copy_within(SRH_OFFSET..old_len, srh_end);
-    packet[SRH_OFFSET..srh_end].copy_from_slice(srh);
-    packet[SRH_OFFSET] = packet[NEXT_HEADER_OFFSET];
-    packet[NEXT_HEADER_OFFSET] = proto::ROUTING;
-    set_outer_dst(packet, dst)?;
+    packet.insert(SRH_OFFSET, srh.len());
+    let bytes = packet.bytes_mut();
+    bytes[SRH_OFFSET..srh_end].copy_from_slice(srh);
+    bytes[SRH_OFFSET] = bytes[NEXT_HEADER_OFFSET];
+    bytes[NEXT_HEADER_OFFSET] = proto::ROUTING;
+    set_outer_dst(bytes, dst)?;
     Ok(dst)
 }
 
@@ -258,26 +234,38 @@ pub fn validate_after_bpf(packet: &[u8]) -> OpResult<()> {
     Ok(())
 }
 
-/// Updates the IPv6 payload-length field after the packet grew or shrank by
-/// `delta` bytes behind the IPv6 header.
-pub fn adjust_payload_length(packet: &mut [u8], delta: isize) -> OpResult<()> {
+/// The IPv6 payload length once the packet grows or shrinks by `delta`
+/// bytes behind the IPv6 header, or why the field cannot express it. A
+/// check only: nothing is written.
+pub fn payload_length_after(packet: &[u8], delta: isize) -> OpResult<u16> {
     if packet.len() < IPV6_HEADER_LEN {
         return Err("packet shorter than an IPv6 header");
     }
     let current = u16::from_be_bytes([packet[PAYLOAD_LEN_OFFSET], packet[PAYLOAD_LEN_OFFSET + 1]]) as isize;
-    let updated = current + delta;
-    if updated < 0 || updated > u16::MAX as isize {
-        return Err("payload length out of range");
-    }
-    packet[PAYLOAD_LEN_OFFSET..PAYLOAD_LEN_OFFSET + 2].copy_from_slice(&(updated as u16).to_be_bytes());
+    u16::try_from(current + delta).map_err(|_| "payload length out of range")
+}
+
+/// Writes the IPv6 payload-length field of a packet at least an IPv6
+/// header long.
+pub fn set_payload_length(packet: &mut [u8], len: u16) {
+    packet[PAYLOAD_LEN_OFFSET..PAYLOAD_LEN_OFFSET + 2].copy_from_slice(&len.to_be_bytes());
+}
+
+/// Updates the IPv6 payload-length field after the packet grew or shrank by
+/// `delta` bytes behind the IPv6 header; writes nothing on `Err`.
+pub fn adjust_payload_length(packet: &mut [u8], delta: isize) -> OpResult<()> {
+    let len = payload_length_after(packet, delta)?;
+    set_payload_length(packet, len);
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::skb::SkbPacket;
     use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
     use netpkt::srh::SegmentRoutingHeader;
+    use netpkt::PacketBuf;
 
     fn addr(s: &str) -> Ipv6Addr {
         s.parse().unwrap()
@@ -308,10 +296,10 @@ mod tests {
         let next = advance_srh(&mut pkt).unwrap();
         assert_eq!(next, addr("fc00::2"));
         assert_eq!(outer_dst(&pkt).unwrap(), addr("fc00::2"));
-        // Everything the advance wrote lies in the first ADVANCE_SPAN
-        // bytes, and the last of them is segments_left.
-        assert_eq!(pkt[ADVANCE_SPAN..], before[ADVANCE_SPAN..]);
-        assert_ne!(pkt[ADVANCE_SPAN - 1], before[ADVANCE_SPAN - 1]);
+        // Everything the advance wrote lies in the IPv6 header and the SRH:
+        // the head a hook saves for its rollback.
+        let (off, len) = find_srh(&before).unwrap();
+        assert_eq!(pkt[off + len..], before[off + len..]);
         let next = advance_srh(&mut pkt).unwrap();
         assert_eq!(next, addr("fc00::3"));
         assert_eq!(advance_srh(&mut pkt).unwrap_err(), DropReason::SegmentsLeftZero);
@@ -372,14 +360,14 @@ mod tests {
         push_srh_encap(&mut fits, &encap, src).unwrap();
         assert_eq!(Ipv6Header::parse(&fits).unwrap().payload_length, u16::MAX);
         let mut fits = PacketBuf::from_slice(&packet_of_len(limit - encap.len()));
-        push_srh_encap_buf(&mut fits, &encap, src).unwrap();
+        push_srh_encap(&mut SkbPacket(&mut fits), &encap, src).unwrap();
         assert_eq!(Ipv6Header::parse(fits.data()).unwrap().payload_length, u16::MAX);
         let too_long = packet_of_len(limit - encap.len() + 1);
         let mut pkt = too_long.clone();
         assert!(push_srh_encap(&mut pkt, &encap, src).is_err());
         assert_eq!(pkt, too_long);
         let mut buf = PacketBuf::from_slice(&too_long);
-        assert!(push_srh_encap_buf(&mut buf, &encap, src).is_err());
+        assert!(push_srh_encap(&mut SkbPacket(&mut buf), &encap, src).is_err());
         assert_eq!(buf.data(), too_long);
 
         // Inline: the existing payload grows by the SRH.
@@ -391,11 +379,17 @@ mod tests {
         let mut pkt = too_long.clone();
         assert!(insert_srh_inline(&mut pkt, &inline).is_err());
         assert_eq!(pkt, too_long);
+        let mut buf = PacketBuf::from_slice(&too_long);
+        assert!(insert_srh_inline(&mut SkbPacket(&mut buf), &inline).is_err());
+        assert_eq!(buf.data(), too_long);
         // The range check `bpf_lwt_seg6_adjust_srh` relies on is the same one.
         assert!(adjust_payload_length(&mut pkt, inline.len() as isize).is_err());
         assert_eq!(pkt, too_long);
     }
 
+    /// The same edits through the skb view, which moves the packet's
+    /// front, and through a `Vec`, which moves its tail: same bytes, and
+    /// the view leaves the payload where it was.
     #[test]
     fn headroom_encap_matches_the_in_place_one() {
         let inner = build_ipv6_udp_packet(addr("2001:db8::1"), addr("2001:db8::2"), 5, 6, &[9u8; 16], 64);
@@ -403,19 +397,28 @@ mod tests {
             SegmentRoutingHeader::from_path(proto::IPV6, &[addr("fc00::a"), addr("fc00::b")]).to_bytes();
         let mut shifted = inner.data().to_vec();
         let mut pushed = inner.clone();
+        let last_byte = pushed.data().as_ptr_range().end;
         // Twice: the second encapsulation outgrows the default headroom.
-        for _ in 0..2 {
+        for round in 0..2 {
             let dst = push_srh_encap(&mut shifted, &srh, addr("fc00::99")).unwrap();
-            assert_eq!(push_srh_encap_buf(&mut pushed, &srh, addr("fc00::99")).unwrap(), dst);
+            assert_eq!(push_srh_encap(&mut SkbPacket(&mut pushed), &srh, addr("fc00::99")).unwrap(), dst);
             assert_eq!(pushed.data(), shifted);
+            if round == 0 {
+                assert_eq!(pushed.data().as_ptr_range().end, last_byte, "the payload did not move");
+            }
         }
         // An invalid SRH is refused before either touches the packet.
         let mut bad = srh.clone();
         bad[3] = 9;
         assert!(push_srh_encap(&mut shifted.clone(), &bad, addr("fc00::99")).is_err());
         let before = pushed.clone();
-        assert!(push_srh_encap_buf(&mut pushed, &bad, addr("fc00::99")).is_err());
+        assert!(push_srh_encap(&mut SkbPacket(&mut pushed), &bad, addr("fc00::99")).is_err());
         assert_eq!(pushed, before);
+        // Decapsulating through the view is a pull: back to the inner packet.
+        let mut view = SkbPacket(&mut pushed);
+        decap_outer(&mut view).unwrap();
+        decap_outer(&mut view).unwrap();
+        assert_eq!(pushed.data(), inner.data());
     }
 
     #[test]

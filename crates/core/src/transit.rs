@@ -7,11 +7,11 @@
 //! does with `bpf_lwt_push_encap`; the Linux implementation the paper builds
 //! on exposes both through the `seg6` lightweight tunnel.
 
-use crate::scratch::RunScratch;
-use crate::skb::{edit_packet, Skb};
+use crate::skb::{Skb, SkbPacket};
 use crate::srv6_ops::{self, SRH_OFFSET};
 use crate::table::PrefixTable;
 use crate::verdict::{ActionOutcome, DropReason};
+use ebpf_vm::Packet;
 use netpkt::srh::{SegmentRoutingHeader, SRH_FIXED_LEN};
 use std::net::Ipv6Addr;
 
@@ -80,34 +80,32 @@ impl TransitBehaviour {
 pub type TransitTable = PrefixTable<TransitBehaviour>;
 
 /// Applies a transit behaviour to a packet, returning the new destination
-/// the datapath must forward towards. An encapsulation goes into the
-/// packet's headroom; an inline insertion shifts the payload in the
-/// caller's scratch buffer and is committed back. Neither allocates once
-/// the buffers are warm, and a packet that cannot take the SRH is left
-/// as it arrived.
-pub fn apply_transit(
-    behaviour: &TransitBehaviour,
-    skb: &mut Skb,
-    local_addr: Ipv6Addr,
-    scratch: &mut RunScratch,
-) -> ActionOutcome {
+/// the datapath must forward towards. Both modes edit the skb in place:
+/// an encapsulation goes into the packet's headroom, an inline insertion
+/// moves only the IPv6 header in front of the new SRH. Neither allocates
+/// once the packet's buffer is warm, and a packet that cannot take the SRH
+/// is left as it arrived.
+pub fn apply_transit(behaviour: &TransitBehaviour, skb: &mut Skb, local_addr: Ipv6Addr) -> ActionOutcome {
+    let packet = &mut SkbPacket(&mut skb.packet);
     let result = match behaviour.mode {
-        TransitMode::Encap => srv6_ops::push_srh_encap_buf(&mut skb.packet, &behaviour.wire, local_addr),
-        TransitMode::Inline => edit_packet(skb, &mut scratch.pkt, |packet| {
-            let original_dst = srv6_ops::outer_dst(packet)?;
+        TransitMode::Encap => srv6_ops::push_srh_encap(packet, &behaviour.wire, local_addr),
+        TransitMode::Inline => (|| {
+            let original_dst = srv6_ops::outer_dst(packet.bytes())?;
             if behaviour.srh.segments.first() == Some(&original_dst) {
                 return srv6_ops::insert_srh_inline(packet, &behaviour.wire);
             }
             let dst = srv6_ops::insert_srh_inline(packet, &behaviour.wire_via_dst)?;
+            // The insertion succeeded: nothing below can fail.
+            let bytes = packet.bytes_mut();
             let slot = SRH_OFFSET + SRH_FIXED_LEN;
-            packet[slot..slot + 16].copy_from_slice(&original_dst.octets());
+            bytes[slot..slot + 16].copy_from_slice(&original_dst.octets());
             if !behaviour.srh.segments.is_empty() {
                 return Ok(dst);
             }
             // An empty path: the slot is the whole list, hence current.
-            srv6_ops::set_outer_dst(packet, original_dst)?;
+            srv6_ops::set_outer_dst(bytes, original_dst)?;
             Ok(original_dst)
-        }),
+        })(),
     };
     match result {
         Ok(dst) => ActionOutcome::Forward { dst, route_override: Default::default() },
@@ -151,7 +149,7 @@ mod tests {
         let mut skb = plain_skb();
         let before = skb.len();
         let behaviour = TransitBehaviour::encap_through(&[addr("fc00::a"), addr("fc00::b")]);
-        let outcome = apply_transit(&behaviour, &mut skb, addr("fc00::99"), &mut RunScratch::new());
+        let outcome = apply_transit(&behaviour, &mut skb, addr("fc00::99"));
         match outcome {
             ActionOutcome::Forward { dst, .. } => assert_eq!(dst, addr("fc00::a")),
             other => panic!("unexpected {other:?}"),
@@ -166,7 +164,7 @@ mod tests {
     fn inline_mode_keeps_original_destination_reachable() {
         let mut skb = plain_skb();
         let behaviour = TransitBehaviour::inline_through(&[addr("fc00::a")]);
-        let outcome = apply_transit(&behaviour, &mut skb, addr("fc00::99"), &mut RunScratch::new());
+        let outcome = apply_transit(&behaviour, &mut skb, addr("fc00::99"));
         match outcome {
             ActionOutcome::Forward { dst, .. } => assert_eq!(dst, addr("fc00::a")),
             other => panic!("unexpected {other:?}"),
@@ -199,7 +197,7 @@ mod tests {
             let expected_dst = srv6_ops::insert_srh_inline(&mut expected, &srh.to_bytes()).unwrap();
 
             let mut skb = original.clone();
-            let outcome = apply_transit(&behaviour, &mut skb, addr("fc00::99"), &mut RunScratch::new());
+            let outcome = apply_transit(&behaviour, &mut skb, addr("fc00::99"));
             assert_eq!(
                 outcome,
                 ActionOutcome::Forward { dst: expected_dst, route_override: Default::default() },
@@ -220,7 +218,7 @@ mod tests {
             TransitBehaviour::inline_through(&[addr("fc00::a")]),
         ] {
             let mut skb = Skb::new(netpkt::PacketBuf::from_slice(&bytes));
-            let outcome = apply_transit(&behaviour, &mut skb, addr("fc00::99"), &mut RunScratch::new());
+            let outcome = apply_transit(&behaviour, &mut skb, addr("fc00::99"));
             assert_eq!(outcome, ActionOutcome::Drop(DropReason::Malformed), "{:?}", behaviour.mode());
             assert_eq!(skb.packet.data(), bytes);
         }

@@ -4,20 +4,26 @@
 //! return code, a runtime fault and an SRH edit that fails validation, how
 //! each is accounted and which bytes leave — plus `End.BPF` keeping a
 //! helper's edit although the helper failed. Also pins the LWT
-//! attachment-table semantics the hooks are looked up with, and the drop
-//! reason of every way an SRH advance can fail.
+//! attachment-table semantics the hooks are looked up with, the drop
+//! reason of every way an SRH advance can fail, and what running in place
+//! means: every tier reads the same bytes after a helper moved the
+//! packet's front, and no path moves the packet's payload.
+
+#[path = "common/nf_paths.rs"]
+#[allow(dead_code)]
+mod nf_paths;
 
 use ebpf_vm::helpers::ids;
-use ebpf_vm::insn::AccessSize;
-use ebpf_vm::program::{load, retcode, LoadedProgram, ProgramType};
+use ebpf_vm::insn::{alu, jmp, AccessSize};
+use ebpf_vm::program::{load, retcode, ExecTier, LoadedProgram, ProgramType};
 use ebpf_vm::ProgramBuilder;
 use netpkt::ipv6::proto;
 use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
 use netpkt::srh::{SegmentRoutingHeader, SrhTlv};
 use netpkt::PacketBuf;
 use seg6_core::{
-    action_codes, srv6_ops, DropReason, LwtBpfAttachment, LwtHook, Nexthop, Seg6Datapath, Seg6LocalAction,
-    Skb, Verdict,
+    action_codes, ctx, encap_modes, srv6_ops, DropReason, LwtBpfAttachment, LwtHook, Nexthop, Seg6Datapath,
+    Seg6LocalAction, Skb, Verdict,
 };
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
@@ -325,5 +331,150 @@ fn srh_advance_failures_map_to_their_drop_reasons() {
             assert_eq!(dp.process(&mut skb, 0), Verdict::Drop(reason), "{sid}: {what}");
         }
         assert!(dp.process(&mut srv6_skb(sid), 0).is_forward(), "{sid}: the unmodified packet forwards");
+    }
+}
+
+/// The SRH the in-place parity programs push: one segment, `fc00::a1`,
+/// carrying IPv6.
+fn encap_srh() -> Vec<u8> {
+    SegmentRoutingHeader::from_path(proto::IPV6, &[addr("fc00::a1")]).to_bytes()
+}
+
+/// A PadN TLV filling the eight bytes `adjust_srh` opens.
+const PAD_TLV: [u8; 8] = [4, 6, 0, 0, 0, 0, 0, 0];
+
+/// What [`in_place_program`] leaves in the mark, computed from the bytes it
+/// saw: the first destination word and the SRH's `hdr_ext_len` — at the new
+/// front — and the payload's last word.
+fn fold(packet: &[u8]) -> u32 {
+    let word = |at: usize| u64::from(u32::from_le_bytes(packet[at..at + 4].try_into().unwrap()));
+    (((word(24) ^ u64::from(packet[41])).wrapping_mul(31)) ^ word(packet.len() - 4)) as u32
+}
+
+/// An `lwt_xmit` program that pushes [`encap_srh`] with `bpf_lwt_push_encap`,
+/// or an `End.BPF` one that grows the SRH by a [`PAD_TLV`] with
+/// `bpf_lwt_seg6_adjust_srh` + `bpf_lwt_seg6_store_bytes`; then each
+/// re-derives `data` from its context and stores [`fold`] of what it reads
+/// in the mark.
+fn in_place_program(dp: &Seg6Datapath, end_bpf: bool) -> Arc<LoadedProgram> {
+    let mut b = ProgramBuilder::new();
+    b.mov_reg(9, 1);
+    if end_bpf {
+        // r7 = SRH length = 8 + 8 * hdr_ext_len: append the TLV there.
+        b.load_mem(AccessSize::Double, 6, 1, 0);
+        b.load_mem(AccessSize::Byte, 7, 6, 41);
+        b.alu_imm(alu::LSH, 7, 3);
+        b.add_imm(7, 8);
+        b.mov_reg(2, 7);
+        b.mov_imm(3, 8);
+        b.call(ids::LWT_SEG6_ADJUST_SRH);
+        b.jmp_imm(jmp::JNE, 0, 0, "drop");
+        b.load_imm64(2, u64::from_le_bytes(PAD_TLV));
+        b.store_mem(AccessSize::Double, 10, 2, -8);
+        b.mov_reg(1, 9);
+        b.mov_reg(2, 7);
+        b.mov_reg(3, 10);
+        b.add_imm(3, -8);
+        b.mov_imm(4, 8);
+        b.call(ids::LWT_SEG6_STORE_BYTES);
+    } else {
+        let srh = encap_srh();
+        for (i, word) in srh.chunks(8).enumerate() {
+            b.load_imm64(2, u64::from_le_bytes(word.try_into().unwrap()));
+            b.store_mem(AccessSize::Double, 10, 2, -24 + 8 * i as i16);
+        }
+        b.mov_imm(2, encap_modes::SEG6 as i32);
+        b.mov_reg(3, 10);
+        b.add_imm(3, -24);
+        b.mov_imm(4, srh.len() as i32);
+        b.call(ids::LWT_PUSH_ENCAP);
+    }
+    b.jmp_imm(jmp::JNE, 0, 0, "drop");
+    // Re-derive the packet pointer: the helper moved the packet's front.
+    b.load_mem(AccessSize::Double, 6, 9, ctx::offsets::DATA);
+    b.load_mem(AccessSize::Word, 0, 6, 24);
+    b.load_mem(AccessSize::Byte, 2, 6, 41);
+    b.alu_reg(alu::XOR, 0, 2);
+    b.alu_imm(alu::MUL, 0, 31);
+    b.load_mem(AccessSize::Word, 7, 9, ctx::offsets::LEN);
+    b.alu_reg(alu::ADD, 6, 7);
+    b.load_mem(AccessSize::Word, 2, 6, -4);
+    b.alu_reg(alu::XOR, 0, 2);
+    b.store_mem(AccessSize::Word, 9, 0, ctx::offsets::MARK);
+    b.ret(retcode::BPF_OK as i32);
+    b.label("drop");
+    b.ret(retcode::BPF_DROP as i32);
+    let prog_type = if end_bpf { ProgramType::LwtSeg6Local } else { ProgramType::LwtXmit };
+    let prog = b.build_program("in-place", prog_type).expect("static program");
+    load(prog, &HashMap::new(), &dp.helpers).expect("verified program")
+}
+
+/// The bytes [`in_place_program`] must leave: the input with End.BPF's SRH
+/// advance and the grown SRH, or the pushed encapsulation, then the
+/// forwarding hop-limit decrement.
+fn in_place_expected(end_bpf: bool, input: &[u8]) -> Vec<u8> {
+    let mut want = input.to_vec();
+    if end_bpf {
+        srv6_ops::advance_srh(&mut want).unwrap();
+        let srh_end = 40 + 8 + 8 * usize::from(want[41]);
+        want.splice(srh_end..srh_end, PAD_TLV);
+        want[41] += 1;
+        srv6_ops::adjust_payload_length(&mut want, 8).unwrap();
+    } else {
+        srv6_ops::push_srh_encap(&mut want, &encap_srh(), addr(LOCAL)).unwrap();
+    }
+    want[7] -= 1;
+    want
+}
+
+/// The native tier rebases its packet pointer after every helper; the
+/// other tiers resolve each access afresh. A program that reads the packet
+/// right after a helper moved its front — into just enough headroom, or
+/// into too little, which moves (and may reallocate) the whole buffer —
+/// must see the same bytes, and leave the same ones, on every tier.
+#[test]
+fn every_tier_reads_the_moved_packet_after_a_resizing_helper() {
+    for end_bpf in [false, true] {
+        let input = if end_bpf { srv6_skb(SID) } else { plain_skb(XMIT_DST) }.packet.data().to_vec();
+        let want = in_place_expected(end_bpf, &input);
+        let moved_front = want.len() - input.len();
+        for headroom in [moved_front, moved_front - 1] {
+            for tier in ExecTier::ALL {
+                let mut dp = router();
+                let prog = in_place_program(&dp, end_bpf);
+                prog.set_exec_tier(tier);
+                if end_bpf {
+                    dp.add_local_sid(format!("{SID}/128").parse().unwrap(), Seg6LocalAction::EndBpf { prog });
+                } else {
+                    let attachment = LwtBpfAttachment { hook: LwtHook::Xmit, prog };
+                    dp.attach_lwt_bpf("2001:db8:2::/48".parse().unwrap(), attachment);
+                }
+                let mut packet = PacketBuf::with_headroom(headroom);
+                packet.append(&input);
+                let mut skb = Skb::new(packet);
+                let case = format!("End.BPF {end_bpf}, headroom {headroom}, tier {}", tier.name());
+                assert!(dp.process(&mut skb, 0).is_forward(), "{case}");
+                assert_eq!(skb.packet.data(), want, "{case}");
+                assert_eq!(skb.mark, fold(&want), "{case}");
+            }
+        }
+    }
+}
+
+/// Every path of the allocation gates — the shipped programs that store,
+/// grow an SRH or push an encapsulation, the static encap and inline
+/// transits, `End.B6` and `End.B6.Encaps` — edits the packet in place by
+/// moving its front: the payload, and so the packet's last byte, stays at
+/// its address. (A working copy of the packet would move it.)
+#[test]
+fn no_path_moves_the_payload() {
+    for tier in ExecTier::ALL {
+        let (mut dp, _perf) = nf_paths::router(0, Some(tier));
+        for (path, frame) in nf_paths::steady_frames(1).iter().enumerate() {
+            let mut skb = Skb::new(PacketBuf::from_slice(frame));
+            let last_byte = skb.packet.data().as_ptr_range().end;
+            assert!(dp.process(&mut skb, 0).is_forward(), "path {path}, tier {}", tier.name());
+            assert_eq!(skb.packet.data().as_ptr_range().end, last_byte, "path {path}, tier {}", tier.name());
+        }
     }
 }

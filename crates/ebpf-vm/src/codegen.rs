@@ -42,8 +42,9 @@
 //!
 //! Helper calls go through a trampoline that rebuilds a [`crate::vm::HelperApi`] and
 //! dispatches through the load-time dense helper table by index — no id
-//! lookup at run time. Because helpers may grow or reallocate the packet,
-//! the trampoline refreshes the packet bias/length after every call.
+//! lookup at run time. Because helpers edit the packet where it lives —
+//! moving its front through the headroom, or reallocating it — the
+//! trampoline rebases the packet bias/length after every call.
 //!
 //! ## Safety argument
 //!
@@ -464,10 +465,18 @@ mod x86_64 {
         }
     }
 
+    /// Points the frame's packet bias and length at where the packet's
+    /// bytes are now: at entry, and after every helper, which may have
+    /// moved the packet's front through its headroom or reallocated it.
+    fn rebase_packet(frame: &mut NativeFrame, rc: &mut RunContext<'_>) {
+        let bytes = rc.packet.bytes_mut();
+        frame.pkt_bias = (bytes.as_mut_ptr() as u64).wrapping_sub(PKT_BASE);
+        frame.pkt_len = bytes.len() as u64;
+    }
+
     /// Helper-call trampoline: args come from the frame registers, the
     /// helper runs with the same [`HelperApi`] every other tier uses, and
-    /// the packet bias/length are refreshed afterwards (helpers may grow or
-    /// reallocate the packet).
+    /// the packet is rebased afterwards.
     unsafe extern "C" fn tramp_helper(tc: *mut TrampCtx, idx: u32) -> i64 {
         let tc = &mut *tc;
         let frame = &mut *tc.frame;
@@ -484,8 +493,7 @@ mod x86_64 {
             func(&mut api, args)
         };
         copy_regs(&mut frame.regs, &state.regs, ALL_REGS);
-        frame.pkt_bias = (rc.packet.as_mut_ptr() as u64).wrapping_sub(PKT_BASE);
-        frame.pkt_len = rc.packet.len() as u64;
+        rebase_packet(frame, rc);
         // A lookup helper may have registered a new value region, growing
         // (and possibly moving) the bias table.
         frame.region_tbl = state.region_bias_ptr() as u64;
@@ -1705,8 +1713,7 @@ mod x86_64 {
             copy_regs(&mut frame.regs, &state.regs, native.live_regs);
             frame.ctx_bias = (rc.ctx.as_mut_ptr() as u64).wrapping_sub(CTX_BASE);
             frame.ctx_len = rc.ctx.len() as u64;
-            frame.pkt_bias = (rc.packet.as_mut_ptr() as u64).wrapping_sub(PKT_BASE);
-            frame.pkt_len = rc.packet.len() as u64;
+            rebase_packet(frame, rc);
             frame.fault = 0;
             // Re-read per run: `register_value_region` is public and may
             // move the table between runs.

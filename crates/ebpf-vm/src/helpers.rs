@@ -61,6 +61,10 @@ pub struct HelperDesc {
     pub func: HelperFn,
     /// Hooks allowed to call this helper; `None` means every hook.
     pub allowed: Option<&'static [ProgramType]>,
+    /// Whether the helper may move or resize the packet (the kernel's
+    /// `bpf_helper_changes_pkt_data`): the verifier invalidates every
+    /// packet pointer a program holds across a call to it.
+    pub changes_packet: bool,
 }
 
 /// The set of helpers available to programs at verification and run time.
@@ -110,11 +114,29 @@ impl HelperRegistry {
         func: HelperFn,
         allowed: Option<&'static [ProgramType]>,
     ) {
+        self.insert(id, HelperDesc { name, func, allowed, changes_packet: false });
+    }
+
+    /// Registers (or replaces) a helper that may move or resize the
+    /// packet, like the paper's four SRv6 helpers: after a call to it the
+    /// verifier holds no packet pointer valid, and a program must re-derive
+    /// `data` from its context, as kernel programs must.
+    pub fn register_packet_changing(
+        &mut self,
+        id: u32,
+        name: &'static str,
+        func: HelperFn,
+        allowed: Option<&'static [ProgramType]>,
+    ) {
+        self.insert(id, HelperDesc { name, func, allowed, changes_packet: true });
+    }
+
+    fn insert(&mut self, id: u32, desc: HelperDesc) {
         let idx = id as usize;
         if idx >= self.helpers.len() {
             self.helpers.resize(idx + 1, None);
         }
-        self.helpers[idx] = Some(HelperDesc { name, func, allowed });
+        self.helpers[idx] = Some(desc);
     }
 
     /// Looks a helper up by id — a direct table index.
@@ -128,6 +150,11 @@ impl HelperRegistry {
             None => false,
             Some(desc) => desc.allowed.is_none_or(|types| types.contains(&prog_type)),
         }
+    }
+
+    /// Whether helper `id` may move or resize the packet.
+    pub fn changes_packet(&self, id: u32) -> bool {
+        self.get(id).is_some_and(|desc| desc.changes_packet)
     }
 
     /// Name of a helper, for diagnostics.

@@ -78,4 +78,6 @@ pub use maps::{
 pub use perf::{PerfEvent, PerfEventBuffer};
 pub use program::{load, retcode, ExecTier, LoadedProgram, Program, ProgramType};
 pub use verifier::{AccessFact, AccessFacts, VerifierStats};
-pub use vm::{run_program, HelperApi, NullEnv, RunContext, RunState, VmEnv, CTX_BASE, PKT_BASE, STACK_BASE};
+pub use vm::{
+    run_program, HelperApi, NullEnv, Packet, RunContext, RunState, VmEnv, CTX_BASE, PKT_BASE, STACK_BASE,
+};

@@ -17,7 +17,10 @@
 //!   objects with statically-known offsets, packet memory is read-only,
 //!   map-value pointers must be null-checked before being dereferenced;
 //! * helper gating: only helpers registered for the program's hook may be
-//!   called, and map file descriptors must resolve.
+//!   called, and map file descriptors must resolve;
+//! * packet-pointer invalidation: a call to a helper registered as
+//!   changing the packet turns every packet pointer into a scalar, so a
+//!   program must re-derive `data` from its context after it.
 //!
 //! Compared to the kernel the main simplification is bounds tracking for
 //! variable packet offsets: packet reads at offsets that are not statically
@@ -732,6 +735,15 @@ impl<'a> Verifier<'a> {
                 // r1-r5 are clobbered, r0 carries the result.
                 for r in 1..=5 {
                     regs.regs[r] = RegType::Uninit;
+                }
+                // A helper that may move the packet leaves every packet
+                // pointer stale: like the kernel's `clear_all_pkt_pointers`,
+                // they become unknown scalars, and the program re-derives
+                // `data` from its context.
+                if self.helpers.changes_packet(id) {
+                    for reg in regs.regs.iter_mut().filter(|reg| matches!(reg, RegType::PtrToPacket(_))) {
+                        *reg = RegType::Scalar(None);
+                    }
                 }
                 regs.regs[0] = if id == ids::MAP_LOOKUP_ELEM {
                     RegType::PtrToMapValue { maybe_null: true, offset: Some(0), value_size }

@@ -132,13 +132,58 @@ impl VmEnv for NullEnv {
     }
 }
 
+/// The packet a program runs on: readable by the program, resizable and
+/// writable by helpers only.
+///
+/// Embedders implement it for wherever the packet lives. `Vec<u8>` grows
+/// and shrinks at the tail; `seg6-core` implements it for a view of the
+/// skb's headroom buffer, which moves the *front* of the packet instead,
+/// like the kernel's `skb_push` / `skb_pull`. Either way the bytes
+/// [`Packet::bytes`] returns after an edit are the same.
+pub trait Packet {
+    /// The packet bytes.
+    fn bytes(&self) -> &[u8];
+    /// The packet bytes, for writing in place.
+    fn bytes_mut(&mut self) -> &mut [u8];
+    /// Opens `n` zero bytes at offset `at` (`at <= len`); the bytes from
+    /// `at` on follow them.
+    fn insert(&mut self, at: usize, n: usize);
+    /// Removes the `n` bytes at offset `at` (`at + n <= len`).
+    fn remove(&mut self, at: usize, n: usize);
+}
+
+impl Packet for Vec<u8> {
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        self
+    }
+
+    /// Shifts the tail. A buffer too small grows to exactly the new
+    /// length, not amortised: packet sizes are bounded, and doubling a
+    /// 1.4 kB packet's allocation is memory held for nothing.
+    fn insert(&mut self, at: usize, n: usize) {
+        let old_len = self.len();
+        self.reserve_exact(n);
+        self.resize(old_len + n, 0);
+        self.copy_within(at..old_len, at + n);
+        self[at..at + n].fill(0);
+    }
+
+    fn remove(&mut self, at: usize, n: usize) {
+        self.drain(at..at + n);
+    }
+}
+
 /// Everything the embedder passes for one program invocation.
 pub struct RunContext<'a> {
     /// The context structure (e.g. the `__sk_buff`-like layout built by the
     /// seg6local hook). `r1` points at its first byte.
     pub ctx: &'a mut [u8],
-    /// The packet bytes, readable by the program and mutable by helpers.
-    pub packet: &'a mut Vec<u8>,
+    /// The packet, readable by the program and editable by helpers.
+    pub packet: &'a mut dyn Packet,
     /// Kernel-side services.
     pub env: &'a mut dyn VmEnv,
 }
@@ -332,9 +377,9 @@ fn resolve(state: &RunState, rc: &RunContext<'_>, addr: u64, len: usize) -> Resu
         if end_ok(off, rc.ctx.len()) {
             return Ok(Target::Ctx(off));
         }
-    } else if addr >= PKT_BASE && addr < PKT_BASE + rc.packet.len() as u64 {
-        let off = (addr - PKT_BASE) as usize;
-        if end_ok(off, rc.packet.len()) {
+    } else if (PKT_BASE..STACK_BASE).contains(&addr) {
+        let (off, packet_len) = ((addr - PKT_BASE) as usize, rc.packet.bytes().len());
+        if off < packet_len && end_ok(off, packet_len) {
             return Ok(Target::Packet(off));
         }
     } else if (MAP_VALUE_BASE..MAP_PTR_BASE).contains(&addr) {
@@ -364,7 +409,7 @@ pub fn with_bytes<R>(
     match resolve(state, rc, addr, len)? {
         Target::Stack(off) => Ok(f(&state.stack[off..off + len])),
         Target::Ctx(off) => Ok(f(&rc.ctx[off..off + len])),
-        Target::Packet(off) => Ok(f(&rc.packet[off..off + len])),
+        Target::Packet(off) => Ok(f(&rc.packet.bytes()[off..off + len])),
         Target::MapValue { region, offset } => {
             let guard = state.value_regions[region].read();
             Ok(f(&guard[offset..offset + len]))
@@ -395,26 +440,27 @@ pub fn copy_from_packet(
     len: usize,
     dst: u64,
 ) -> Result<()> {
-    if pkt_off.checked_add(len).is_none_or(|end| end > rc.packet.len()) {
+    if pkt_off.checked_add(len).is_none_or(|end| end > rc.packet.bytes().len()) {
         return Err(Error::Runtime { insn: 0, message: "packet read out of bounds".into() });
     }
-    match resolve(state, rc, dst, len)? {
+    let target = resolve(state, rc, dst, len)?;
+    let RunContext { ctx, packet, .. } = rc;
+    let src = &packet.bytes()[pkt_off..pkt_off + len];
+    match target {
         Target::Stack(off) => {
             state.dirty_stack_from(off);
-            state.stack[off..off + len].copy_from_slice(&rc.packet[pkt_off..pkt_off + len]);
+            state.stack[off..off + len].copy_from_slice(src);
         }
-        Target::Ctx(off) => {
-            let RunContext { ctx, packet, .. } = rc;
-            ctx[off..off + len].copy_from_slice(&packet[pkt_off..pkt_off + len]);
-        }
+        Target::Ctx(off) => ctx[off..off + len].copy_from_slice(src),
         Target::Packet(_) => {
             return Err(Error::Runtime {
                 insn: 0,
                 message: "direct packet writes are not allowed; use a seg6 helper".into(),
             })
         }
-        Target::MapValue { region, offset } => state.value_regions[region].write()[offset..offset + len]
-            .copy_from_slice(&rc.packet[pkt_off..pkt_off + len]),
+        Target::MapValue { region, offset } => {
+            state.value_regions[region].write()[offset..offset + len].copy_from_slice(src)
+        }
     }
     Ok(())
 }
@@ -509,16 +555,16 @@ impl<'r, 'a> HelperApi<'r, 'a> {
 
     /// The packet bytes.
     pub fn packet(&self) -> &[u8] {
-        self.rc.packet
+        self.rc.packet.bytes()
     }
 
-    /// Mutable access to the packet bytes — only helpers may modify
+    /// The packet, for editing in place — only helpers may modify
     /// packets, and only through this call: taking the access is what
     /// [`RunState::packet_written`] reports, so a helper that validates
     /// before it writes should take it only once it will write.
-    pub fn packet_mut(&mut self) -> &mut Vec<u8> {
+    pub fn packet_mut(&mut self) -> &mut dyn Packet {
         self.state.packet_written = true;
-        self.rc.packet
+        &mut *self.rc.packet
     }
 
     /// The context structure bytes.

@@ -6,6 +6,9 @@
 //! of the packet. [`PacketBuf`] mirrors the relevant parts of the kernel's
 //! `sk_buff`: a contiguous allocation with spare *headroom* in front of the
 //! packet data so that prepending a header usually does not reallocate.
+//! Edits in the middle ([`PacketBuf::insert`], [`PacketBuf::remove`]) move
+//! the bytes in front of them through the headroom, never the payload
+//! behind them — headers are short, payloads are not.
 
 use crate::error::{Error, Result};
 
@@ -82,11 +85,8 @@ impl PacketBuf {
     ///
     /// Grows the headroom if the buffer does not have enough of it.
     pub fn push_header(&mut self, header: &[u8]) {
-        if header.len() > self.offset {
-            self.grow_headroom(header.len().max(DEFAULT_HEADROOM));
-        }
-        self.offset -= header.len();
-        self.storage[self.offset..self.offset + header.len()].copy_from_slice(header);
+        self.insert(0, header.len());
+        self.data_mut()[..header.len()].copy_from_slice(header);
     }
 
     /// Removes `len` bytes from the front of the packet, like `skb_pull`.
@@ -98,22 +98,48 @@ impl PacketBuf {
         Ok(())
     }
 
+    /// Opens `n` zero bytes at offset `at` by moving the `at` bytes in
+    /// front of it `n` bytes into the headroom — `skb_push` plus a header
+    /// memmove. The bytes from `at` on stay where they are, unless the
+    /// headroom is short and has to grow, which moves the whole packet once.
+    ///
+    /// # Panics
+    ///
+    /// If `at` is past the end of the packet.
+    pub fn insert(&mut self, at: usize, n: usize) {
+        assert!(at <= self.len(), "insert at {at} past the end of a {}-byte packet", self.len());
+        if n > self.offset {
+            self.grow_headroom(n.max(DEFAULT_HEADROOM));
+        }
+        let front = self.offset;
+        self.offset -= n;
+        self.storage.copy_within(front..front + at, self.offset);
+        self.storage[self.offset + at..front + at].fill(0);
+    }
+
+    /// Removes the `n` bytes at offset `at` by moving the `at` bytes in
+    /// front of them `n` bytes towards the tail — a header memmove plus
+    /// `skb_pull`. The bytes behind the removed ones do not move.
+    ///
+    /// # Panics
+    ///
+    /// If the range runs past the end of the packet.
+    pub fn remove(&mut self, at: usize, n: usize) {
+        assert!(
+            at.checked_add(n).is_some_and(|end| end <= self.len()),
+            "remove of {n} bytes at {at} past the end of a {}-byte packet",
+            self.len()
+        );
+        self.storage.copy_within(self.offset..self.offset + at, self.offset + n);
+        self.offset += n;
+    }
+
     /// Returns `len` bytes starting at offset `at`.
     pub fn slice(&self, at: usize, len: usize) -> Result<&[u8]> {
         if at.checked_add(len).is_none_or(|end| end > self.len()) {
             return Err(Error::Truncated { needed: at + len, available: self.len() });
         }
         Ok(&self.data()[at..at + len])
-    }
-
-    /// Replaces the packet bytes with `data`, reusing the buffer's existing
-    /// allocation and keeping its current headroom. This is the
-    /// write-back primitive of the zero-allocation datapath: a worker that
-    /// rebuilt a packet in a scratch buffer commits it without a fresh
-    /// `PacketBuf`.
-    pub fn set_data(&mut self, data: &[u8]) {
-        self.storage.truncate(self.offset);
-        self.storage.extend_from_slice(data);
     }
 
     /// Resets the buffer to an empty packet with `headroom` bytes of
@@ -208,6 +234,30 @@ mod tests {
         assert_eq!(buf.data(), &[1, 2]);
         buf.truncate(10);
         assert_eq!(buf.data(), &[1, 2]);
+    }
+
+    /// `insert` / `remove` edit the middle of the packet by moving only
+    /// the bytes in front of the edit; the tail keeps its address.
+    #[test]
+    fn insert_and_remove_move_only_the_front() {
+        let mut buf = PacketBuf::from_slice(&[1, 2, 3, 4, 5, 6]);
+        let tail = buf.data()[3..].as_ptr();
+        buf.insert(3, 2);
+        assert_eq!(buf.data(), &[1, 2, 3, 0, 0, 4, 5, 6]);
+        assert_eq!(buf.headroom(), DEFAULT_HEADROOM - 2);
+        assert_eq!(buf.data()[5..].as_ptr(), tail);
+        buf.remove(1, 3);
+        assert_eq!(buf.data(), &[1, 0, 4, 5, 6]);
+        assert_eq!(buf.data()[2..].as_ptr(), tail);
+        buf.remove(0, 2);
+        assert_eq!(buf.data(), &[4, 5, 6]);
+        assert_eq!(buf.headroom(), DEFAULT_HEADROOM + 3);
+        // Past the headroom, the packet moves once, into a larger one.
+        let mut buf = PacketBuf::with_headroom(2);
+        buf.append(&[7, 8, 9]);
+        buf.insert(1, 3);
+        assert_eq!(buf.data(), &[7, 0, 0, 0, 8, 9]);
+        assert!(buf.headroom() >= DEFAULT_HEADROOM - 3);
     }
 
     #[test]
