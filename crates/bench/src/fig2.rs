@@ -300,7 +300,7 @@ mod tests {
         use ebpf_vm::ExecTier;
 
         if ExecTier::best_supported() != ExecTier::Native {
-            println!("no native backend on this host: native runs as micro-op, tier gates skipped");
+            println!("no native backend on this host: native runs as the interpreter, tier gates skipped");
             return;
         }
         let template = build_scenario(Fig2Variant::EndStatic).template;

@@ -169,13 +169,8 @@ fn steady_state_is_allocation_free_with_interpreter() {
 }
 
 #[test]
-fn steady_state_is_allocation_free_with_microop() {
-    assert_zero_alloc_steady_state(ebpf_vm::ExecTier::MicroOp);
-}
-
-#[test]
 fn steady_state_is_allocation_free_with_native() {
-    // Falls back to the micro-op tier on hosts without a backend, which must
+    // Falls back to the interpreter on hosts without a backend, which must
     // be allocation-free either way.
     assert_zero_alloc_steady_state(ebpf_vm::ExecTier::Native);
 }

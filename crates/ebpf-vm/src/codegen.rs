@@ -1,7 +1,7 @@
 //! Native x86-64 code generation — the `Native` execution tier.
 //!
 //! This module lowers a program's micro-op stream
-//! ([`crate::jit::JitProgram`]) to x86-64 machine code in an executable
+//! ([`crate::jit::compile`]) to x86-64 machine code in an executable
 //! page region. The pages are obtained with `mmap(PROT_READ|PROT_WRITE)`,
 //! the code is copied in, and the region is sealed with
 //! `mprotect(PROT_READ|PROT_EXEC)` before the first execution — W^X
@@ -58,7 +58,7 @@
 //! verifier already rejects.
 //!
 //! On non-x86-64 (or non-Linux) hosts the module compiles to a stub whose
-//! [`compile`] returns `Ok(None)`; callers fall back to the micro-op tier
+//! [`compile`] returns `Ok(None)`; callers fall back to the interpreter
 //! with no `cfg` of their own.
 #![allow(unsafe_code)]
 
@@ -140,17 +140,17 @@ impl std::fmt::Debug for NativeProgram {
     }
 }
 
-/// Compiles a loaded program's micro-op stream ([`LoadedProgram::jit`]),
-/// with the verifier's [`LoadedProgram::access_facts`], to native code.
-/// Returns `Ok(None)` when the target has no native backend; callers then
-/// run the micro-op tier.
+/// Lowers a loaded program to micro-ops ([`crate::jit::compile`]) and
+/// compiles them, with the verifier's [`LoadedProgram::access_facts`], to
+/// native code. Returns `Ok(None)` when the target has no native backend;
+/// callers then run the interpreter.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub fn compile(loaded: &LoadedProgram) -> Result<Option<NativeProgram>> {
     x86_64::compile(loaded).map(Some)
 }
 
 /// Compiles a loaded program to native code. Returns `Ok(None)`: this
-/// target has no native backend, so callers run the micro-op tier.
+/// target has no native backend, so callers run the interpreter.
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 pub fn compile(_loaded: &LoadedProgram) -> Result<Option<NativeProgram>> {
     Ok(None)
@@ -1575,7 +1575,8 @@ mod x86_64 {
     }
 
     pub(super) fn compile(loaded: &LoadedProgram) -> Result<super::NativeProgram> {
-        let ops = loaded.jit()?.ops();
+        let jit = crate::jit::compile(loaded)?;
+        let ops = jit.ops();
         let facts = loaded.access_facts();
         let plan = plan_registers(ops, facts);
         let mut e = RegEmitter {

@@ -1,13 +1,8 @@
 //! A disassembler producing the same mnemonics the [`crate::asm`] assembler
 //! accepts, so `assemble(disassemble(p)) == p` for every supported
 //! instruction.
-//!
-//! Beyond raw instructions, [`disassemble_micro_op`] renders the pre-decoded
-//! stream ([`crate::jit`]) with the same mnemonics; its branch targets are
-//! absolute micro-op slots (`=> N`).
 
 use crate::insn::{alu, class, jmp, src, AccessSize, Insn};
-use crate::jit::{MicroOp, Operand};
 
 fn alu_name(op: u8) -> &'static str {
     match op {
@@ -135,57 +130,6 @@ pub fn disassemble(insns: &[Insn]) -> String {
     out
 }
 
-fn wide(is64: bool) -> &'static str {
-    if is64 {
-        "64"
-    } else {
-        "32"
-    }
-}
-
-fn operand(rhs: &Operand) -> String {
-    match rhs {
-        Operand::Imm(v) => format!("{}", *v as i64),
-        Operand::Reg(r) => format!("r{r}"),
-    }
-}
-
-/// Renders a single pre-decoded micro-op with the assembler's mnemonics.
-/// Branch targets are absolute micro-op slots, rendered as `=> N` (the
-/// micro-op stream has no labels to name).
-pub fn disassemble_micro_op(op: &MicroOp) -> String {
-    match op {
-        MicroOp::AluImm { op, is64, dst, imm } => {
-            format!("{}{} r{}, {}", alu_name(*op), wide(*is64), dst, *imm as i64)
-        }
-        MicroOp::AluReg { op, is64, dst, src } => {
-            format!("{}{} r{}, r{}", alu_name(*op), wide(*is64), dst, src)
-        }
-        MicroOp::Neg { is64, dst } => format!("neg{} r{}", wide(*is64), dst),
-        MicroOp::ByteSwap { dst, bits, to_be } => {
-            format!("{}{} r{}", if *to_be { "be" } else { "le" }, bits, dst)
-        }
-        MicroOp::LoadImm64 { dst, imm } => format!("lddw r{}, 0x{:x}", dst, imm),
-        MicroOp::Load { size, dst, src, off } => {
-            format!("ldx{} r{}, [r{}{:+}]", size_suffix(*size), dst, src, off)
-        }
-        MicroOp::StoreReg { size, dst, src, off } => {
-            format!("stx{} [r{}{:+}], r{}", size_suffix(*size), dst, off, src)
-        }
-        MicroOp::StoreImm { size, dst, off, imm } => {
-            format!("st{} [r{}{:+}], {}", size_suffix(*size), dst, off, *imm as i64)
-        }
-        MicroOp::Jump { target } => format!("ja => {target}"),
-        MicroOp::JumpIf { op, is64, dst, rhs, target } => {
-            let w = if *is64 { "" } else { "32" };
-            format!("{}{} r{}, {}, => {}", jmp_name(*op), w, dst, operand(rhs), target)
-        }
-        MicroOp::Call { idx, id } => format!("call {id} ; table[{idx}]"),
-        MicroOp::Exit => "exit".to_string(),
-        MicroOp::Nop => "nop".to_string(),
-    }
-}
-
 /// Renders the native code generator's per-program compile facts — the
 /// `SEG6_JIT_DEBUG=1` dump: register assignment, spill count, and the
 /// elided-check / inlined-helper counters.
@@ -226,25 +170,5 @@ mod tests {
         let text = disassemble(&insns);
         assert!(text.contains("lddw r1, 0xdeadbeef00000001"));
         assert_eq!(text.lines().count(), 2);
-    }
-
-    #[test]
-    fn renders_micro_ops_with_slot_targets() {
-        assert_eq!(
-            disassemble_micro_op(&MicroOp::JumpIf {
-                op: jmp::JNE,
-                is64: true,
-                dst: 3,
-                rhs: Operand::Imm(0),
-                target: 11
-            }),
-            "jne r3, 0, => 11"
-        );
-        assert_eq!(disassemble_micro_op(&MicroOp::Jump { target: 4 }), "ja => 4");
-        assert_eq!(disassemble_micro_op(&MicroOp::Call { idx: 0, id: 6 }), "call 6 ; table[0]");
-        assert_eq!(
-            disassemble_micro_op(&MicroOp::Load { size: AccessSize::Word, dst: 2, src: 1, off: 8 }),
-            "ldxw r2, [r1+8]"
-        );
     }
 }

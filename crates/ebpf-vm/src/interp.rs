@@ -9,7 +9,7 @@
 
 use crate::error::{Error, Result};
 use crate::insn::{class, encode_program, jmp, Insn};
-use crate::program::LoadedProgram;
+use crate::program::{LoadedProgram, Program};
 use crate::vm::{execute_insn, Flow, HelperApi, RunContext, RunState};
 
 /// A program stored in wire form, ready for interpretation.
@@ -20,10 +20,10 @@ pub struct InterpreterImage {
 }
 
 impl InterpreterImage {
-    /// Encodes a loaded program into its interpretable image.
-    pub fn new(loaded: &LoadedProgram) -> Self {
-        let raw = encode_program(&loaded.program.insns);
-        InterpreterImage { insn_count: loaded.program.insns.len(), raw }
+    /// Encodes a program into its interpretable image.
+    pub fn new(program: &Program) -> Self {
+        let raw = encode_program(&program.insns);
+        InterpreterImage { insn_count: program.insns.len(), raw }
     }
 
     /// Number of instructions in the image.
@@ -116,7 +116,7 @@ mod tests {
         let prog = Program::new("test", ProgramType::SocketFilter, insns);
         let helpers = HelperRegistry::with_base_helpers();
         let loaded = load(prog, &HashMap::new(), &helpers).expect("verifier");
-        let image = InterpreterImage::new(&loaded);
+        let image = InterpreterImage::new(&loaded.program);
         let mut ctx = vec![0u8; 32];
         let mut env = NullEnv;
         let mut rc = RunContext { ctx: &mut ctx, packet, env: &mut env };
@@ -163,7 +163,7 @@ mod tests {
             let prog = Program::new("pkt", ProgramType::LwtXmit, insns);
             let helpers = HelperRegistry::with_base_helpers();
             let loaded = load(prog, &HashMap::new(), &helpers).expect("verifier");
-            let image = InterpreterImage::new(&loaded);
+            let image = InterpreterImage::new(&loaded.program);
             let mut ctx = vec![0u8; 32];
             ctx[0..8].copy_from_slice(&PKT_BASE.to_le_bytes());
             ctx[8..16].copy_from_slice(&(PKT_BASE + pkt.len() as u64).to_le_bytes());

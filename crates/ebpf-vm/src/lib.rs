@@ -11,11 +11,11 @@
 //!   [`asm`]sembler, a [`disasm`]sembler and a typed [`builder`];
 //! * a **static verifier** ([`verifier`]) enforcing the kernel-era rules the
 //!   paper relies on (no loops, no invalid memory accesses, helper gating);
-//! * three execution tiers ([`program::ExecTier`]): a faithful
-//!   **interpreter** ([`interp`], the oracle), a pre-decoded **micro-op**
-//!   stream ([`jit`], the portable tier) and a **native x86-64** code
-//!   generator lowering that stream ([`codegen`]), auto-selected at load
-//!   time (non-x86-64 hosts fall back to the micro-op tier);
+//! * two execution tiers ([`program::ExecTier`]), as in the kernel: a
+//!   faithful **interpreter** ([`interp`], the oracle) and a **native
+//!   x86-64** code generator ([`codegen`]) lowering the pre-decoded
+//!   micro-op stream ([`jit`]), auto-selected at load time (other hosts
+//!   run the interpreter);
 //! * **maps** ([`maps`]): array, hash, LPM-trie, per-CPU array and
 //!   perf-event arrays, with both the program-side pointer semantics and the
 //!   user-space copy semantics;

@@ -13,7 +13,7 @@ use crate::insn::{class, jmp, Insn};
 use crate::maps::MapHandle;
 use crate::verifier::{self, AccessFacts, VerifierStats};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// The source-register value marking an `lddw` as a pseudo map-fd load,
@@ -96,93 +96,74 @@ impl Program {
 /// How a loaded program is executed.
 ///
 /// The loader auto-selects the best tier the host supports —
-/// [`ExecTier::Native`] on x86-64 Linux, [`ExecTier::MicroOp`] elsewhere —
-/// and every tier's artifact is built eagerly at load time, so switching
-/// tiers later (tests, benchmarks, the `SEG6_EXEC_TIER` override) never
-/// allocates on the packet path.
+/// [`ExecTier::Native`] on x86-64 Linux, [`ExecTier::Interp`] elsewhere, as
+/// the kernel runs its interpreter without `CONFIG_BPF_JIT` — and every
+/// tier's artifact is built eagerly at load time, so switching tiers later
+/// (tests, benchmarks, the `SEG6_EXEC_TIER` override) never allocates on
+/// the packet path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecTier {
     /// The faithful per-instruction interpreter ([`crate::interp`]) — the
-    /// oracle the other tiers are differential-tested against.
+    /// oracle the native tier is differential-tested against.
     Interp,
-    /// The pre-decoded micro-op stream ([`crate::jit`]) — the portable tier.
-    MicroOp,
     /// Native x86-64 machine code lowered from the micro-op stream
-    /// ([`crate::codegen`]); execution falls back to [`ExecTier::MicroOp`]
+    /// ([`crate::codegen`]); execution falls back to [`ExecTier::Interp`]
     /// when the host has no backend.
     Native,
 }
 
 impl ExecTier {
     /// All tiers, in increasing order of sophistication.
-    pub const ALL: [ExecTier; 3] = [ExecTier::Interp, ExecTier::MicroOp, ExecTier::Native];
+    pub const ALL: [ExecTier; 2] = [ExecTier::Interp, ExecTier::Native];
 
     /// Short lowercase name, as accepted by the `SEG6_EXEC_TIER`
     /// environment override.
     pub fn name(self) -> &'static str {
         match self {
             ExecTier::Interp => "interp",
-            ExecTier::MicroOp => "microop",
             ExecTier::Native => "native",
         }
     }
 
     /// Parses a tier name (the `SEG6_EXEC_TIER` values).
     pub fn parse(name: &str) -> Option<ExecTier> {
-        match name {
-            "interp" => Some(ExecTier::Interp),
-            "microop" => Some(ExecTier::MicroOp),
-            "native" => Some(ExecTier::Native),
-            _ => None,
-        }
+        ExecTier::ALL.into_iter().find(|tier| tier.name() == name)
     }
 
     /// The tier the loader picks on this host absent any override: native
-    /// where a backend exists, micro-op elsewhere.
+    /// where a backend exists, the interpreter elsewhere.
     pub fn best_supported() -> ExecTier {
         if crate::codegen::supported() {
             ExecTier::Native
         } else {
-            ExecTier::MicroOp
-        }
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            ExecTier::Interp => 0,
-            ExecTier::MicroOp => 1,
-            ExecTier::Native => 2,
-        }
-    }
-
-    fn from_u8(value: u8) -> ExecTier {
-        match value {
-            0 => ExecTier::Interp,
-            1 => ExecTier::MicroOp,
-            _ => ExecTier::Native,
+            ExecTier::Interp
         }
     }
 }
 
 /// The program's current tier selection — atomic so tests and benchmarks
 /// can flip a shared `Arc<LoadedProgram>` without synchronisation.
-struct TierCell(AtomicU8);
+struct TierCell(AtomicBool);
 
 impl TierCell {
     fn new(tier: ExecTier) -> Self {
-        TierCell(AtomicU8::new(tier.to_u8()))
+        TierCell(AtomicBool::new(tier == ExecTier::Native))
     }
     fn get(&self) -> ExecTier {
-        ExecTier::from_u8(self.0.load(Ordering::Relaxed))
+        if self.0.load(Ordering::Relaxed) {
+            ExecTier::Native
+        } else {
+            ExecTier::Interp
+        }
     }
     fn set(&self, tier: ExecTier) {
-        self.0.store(tier.to_u8(), Ordering::Relaxed);
+        self.0.store(tier == ExecTier::Native, Ordering::Relaxed);
     }
 }
 
 impl Clone for TierCell {
     fn clone(&self) -> Self {
-        TierCell(AtomicU8::new(self.0.load(Ordering::Relaxed)))
+        TierCell(AtomicBool::new(self.0.load(Ordering::Relaxed)))
     }
 }
 
@@ -208,16 +189,13 @@ pub struct LoadedProgram {
     access_facts: AccessFacts,
     /// The selected execution tier.
     tier: TierCell,
-    /// The pre-decoded JIT image, built once on first use — the kernel
-    /// compiles at load time, and re-deriving the image per invocation is
-    /// pure overhead on the per-packet hot path.
-    jit_cache: OnceLock<crate::jit::JitProgram>,
-    /// The interpreter's wire-form image, likewise built once.
-    interp_cache: OnceLock<crate::interp::InterpreterImage>,
-    /// The native code, built once (at load time); `None` on hosts without
-    /// a backend. Shared behind an `Arc` so cloning a program shares the
-    /// executable pages instead of re-emitting them.
-    native_cache: OnceLock<Option<Arc<crate::codegen::NativeProgram>>>,
+    /// The interpreter's wire-form image, built at load time.
+    interp: crate::interp::InterpreterImage,
+    /// The native code, built at load time as the kernel JIT compiles at
+    /// `BPF_PROG_LOAD`; `None` on hosts without a backend. Shared behind an
+    /// `Arc` so cloning a program shares the executable pages instead of
+    /// re-emitting them.
+    native: Option<Arc<crate::codegen::NativeProgram>>,
     /// Process-unique load identity. Per-state native caches (the
     /// map-lookup site cache) are keyed by this rather than by pointer —
     /// a freed program's address can be reused by a later load, which
@@ -235,21 +213,10 @@ impl LoadedProgram {
     pub fn helper_index(&self, id: u32) -> Option<u32> {
         self.helper_ids.iter().position(|&h| h == id).map(|idx| idx as u32)
     }
-    /// The program's compiled (pre-decoded JIT) image, compiling it on the
-    /// first call. Each `LoadedProgram` instance owns its own image, so a
-    /// worker shard that loads its own program instance also owns its own
-    /// compiled code, as each CPU's JIT output is private in the kernel.
-    pub fn jit(&self) -> Result<&crate::jit::JitProgram> {
-        if self.jit_cache.get().is_none() {
-            let compiled = crate::jit::compile(self)?;
-            let _ = self.jit_cache.set(compiled);
-        }
-        Ok(self.jit_cache.get().expect("cache populated above"))
-    }
 
-    /// The program's interpreter image, encoding it on the first call.
+    /// The program's interpreter image.
     pub fn interp_image(&self) -> &crate::interp::InterpreterImage {
-        self.interp_cache.get_or_init(|| crate::interp::InterpreterImage::new(self))
+        &self.interp
     }
 
     /// The verifier's per-memory-instruction bounds facts.
@@ -258,14 +225,11 @@ impl LoadedProgram {
     }
 
     /// The native code for this program, or `None` when the host has no
-    /// backend. Built on the first call (the loader calls this eagerly);
-    /// the per-packet dispatch is a cache read.
-    pub fn native(&self) -> Result<Option<&crate::codegen::NativeProgram>> {
-        if self.native_cache.get().is_none() {
-            let native = crate::codegen::compile(self)?;
-            let _ = self.native_cache.set(native.map(Arc::new));
-        }
-        Ok(self.native_cache.get().expect("cache populated above").as_deref())
+    /// backend. Each `LoadedProgram` owns its own code, so a worker shard
+    /// that loads its own program instance also owns its own code, as each
+    /// CPU's JIT output is private in the kernel.
+    pub fn native(&self) -> Option<&crate::codegen::NativeProgram> {
+        self.native.as_deref()
     }
 
     /// Process-unique identity of this load, for per-state native caches.
@@ -280,7 +244,7 @@ impl LoadedProgram {
 
     /// Overrides the execution tier (tests, benchmarks, the CI matrix).
     /// Selecting [`ExecTier::Native`] on a host without a backend is
-    /// allowed; execution falls back to the micro-op tier.
+    /// allowed; execution falls back to the interpreter.
     pub fn set_exec_tier(&self, tier: ExecTier) {
         self.tier.set(tier);
     }
@@ -344,7 +308,8 @@ pub fn load(
         helper_table.push(*desc);
     }
     static NEXT_UID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-    let loaded = Arc::new(LoadedProgram {
+    let interp = crate::interp::InterpreterImage::new(&program);
+    let mut loaded = LoadedProgram {
         program,
         maps: used,
         verifier_stats,
@@ -352,33 +317,31 @@ pub fn load(
         helper_ids,
         access_facts,
         tier: TierCell::new(tier),
-        jit_cache: OnceLock::new(),
-        interp_cache: OnceLock::new(),
-        native_cache: OnceLock::new(),
+        interp,
+        native: None,
         uid: NEXT_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-    });
+    };
     // Build every tier's artifact now, as the kernel JIT compiles at
-    // BPF_PROG_LOAD time: the per-packet path only ever reads caches, and
-    // a later tier switch (tests, the CI matrix) allocates nothing.
-    let _ = loaded.interp_image();
-    loaded.jit()?;
-    if let Some(native) = loaded.native()? {
+    // BPF_PROG_LOAD time: the per-packet path only reads them, and a later
+    // tier switch (tests, the CI matrix) allocates nothing.
+    loaded.native = crate::codegen::compile(&loaded)?.map(Arc::new);
+    if let Some(native) = loaded.native() {
         if switches.jit_debug {
             eprintln!("{}", crate::disasm::native_report(&loaded.program.name, native.debug_info()));
         }
     }
-    Ok(loaded)
+    Ok(Arc::new(loaded))
 }
 
 /// The two process-wide switches [`load`] honours. They are read from the
 /// environment once per process, by the first `load()`, and nowhere else:
 ///
-/// * `SEG6_EXEC_TIER` = `interp` | `microop` | `native` — the tier every
+/// * `SEG6_EXEC_TIER` = `interp` | `native` — the tier every
 ///   new program starts on; the CI matrix uses it to force each tier
 ///   through the full test suites. Unset, programs start on
 ///   [`ExecTier::best_supported`]. Any other value fails every `load()`: a
 ///   mistyped or retired name must not quietly test the default. A forced
-///   `native` on a host without a backend falls back to `microop` at
+///   `native` on a host without a backend falls back to `interp` at
 ///   dispatch, so the override is portable.
 /// * `SEG6_JIT_DEBUG=1` — print each program's
 ///   [`crate::disasm::native_report`] to stderr as it loads.
@@ -422,29 +385,29 @@ mod tests {
 
     #[test]
     fn tier_names_round_trip_and_retired_names_do_not_parse() {
-        assert_eq!(ExecTier::ALL.len(), 3);
+        assert_eq!(ExecTier::ALL, [ExecTier::Interp, ExecTier::Native]);
         for tier in ExecTier::ALL {
             assert_eq!(ExecTier::parse(tier.name()), Some(tier));
-            assert_eq!(ExecTier::from_u8(tier.to_u8()), tier);
+            let cell = TierCell::new(ExecTier::Interp);
+            cell.set(tier);
+            assert_eq!(cell.get(), tier);
         }
         assert_eq!(ExecTier::parse("fused"), None);
+        assert_eq!(ExecTier::parse("microop"), None);
     }
 
     #[test]
-    fn exec_tier_override_accepts_the_three_names_and_rejects_the_rest() {
+    fn exec_tier_override_accepts_the_two_names_and_rejects_the_rest() {
         assert_eq!(starting_tier(None), Ok(ExecTier::best_supported()));
-        for (value, tier) in [
-            ("interp", ExecTier::Interp),
-            ("microop", ExecTier::MicroOp),
-            ("native", ExecTier::Native),
-            (" native\n", ExecTier::Native),
-        ] {
+        for (value, tier) in
+            [("interp", ExecTier::Interp), ("native", ExecTier::Native), (" native\n", ExecTier::Native)]
+        {
             assert_eq!(starting_tier(Some(value)), Ok(tier), "{value:?}");
         }
-        for value in ["fused", "", "Native", "jit", "interp,native", "2"] {
+        for value in ["fused", "microop", "", "Native", "jit", "interp,native", "2"] {
             let message = starting_tier(Some(value)).expect_err(value);
             assert!(message.contains(&format!("{value:?}")), "{message}");
-            for valid in ["interp", "microop", "native"] {
+            for valid in ["interp", "native"] {
                 assert!(message.contains(valid), "{message}");
             }
         }

@@ -204,7 +204,7 @@ pub struct RunState {
     pub regs: [u64; NUM_REGS],
     /// The 512-byte stack, all zero after every [`RunState::reset`].
     /// Private so that nothing writes it behind `stack_dirty`: the
-    /// interpreter, the micro-op tier and every helper write it through
+    /// interpreter and every helper write it through
     /// [`write_bytes`] / [`copy_from_packet`], and native code only within
     /// the verifier's stack depth, which its run records first.
     stack: Box<[u8; STACK_SIZE]>,
@@ -806,10 +806,10 @@ fn relocate(err: Error, pc: usize) -> Error {
 
 /// Executes a loaded program on its selected execution tier
 /// ([`LoadedProgram::exec_tier`]). This is the highest-level convenience
-/// entry point; the dedicated [`crate::interp`], [`crate::jit`] and
-/// [`crate::codegen`] modules expose the engines separately for
-/// benchmarking. `helpers` is not consulted at run time: every tier calls
-/// through the table the program was bound to at load.
+/// entry point; the dedicated [`crate::interp`] and [`crate::codegen`]
+/// modules expose the engines separately. `helpers` is not consulted at run
+/// time: every tier calls through the table the program was bound to at
+/// load.
 pub fn run_program(loaded: &LoadedProgram, helpers: &HelperRegistry, rc: &mut RunContext<'_>) -> Result<u64> {
     let mut state = RunState::new(rc.ctx.len());
     run_program_with_state(loaded, helpers, rc, loaded.exec_tier(), &mut state)
@@ -821,7 +821,7 @@ pub fn run_program(loaded: &LoadedProgram, helpers: &HelperRegistry, rc: &mut Ru
 /// As there, `helpers` is not consulted at run time.
 /// Every tier's artifact was built at load time, so no branch of this
 /// dispatch allocates. [`crate::program::ExecTier::Native`] falls back to
-/// the micro-op tier on hosts without a native backend.
+/// the interpreter on hosts without a native backend.
 pub fn run_program_with_state(
     loaded: &LoadedProgram,
     _helpers: &HelperRegistry,
@@ -831,13 +831,9 @@ pub fn run_program_with_state(
 ) -> Result<u64> {
     use crate::program::ExecTier;
     state.reset();
-    match tier {
-        ExecTier::Interp => crate::interp::run_with_state(loaded.interp_image(), loaded, rc, state),
-        ExecTier::MicroOp => crate::jit::run_with_state(loaded.jit()?, loaded, rc, state),
-        ExecTier::Native => match loaded.native()? {
-            Some(native) => crate::codegen::run(native, loaded, rc, state),
-            None => crate::jit::run_with_state(loaded.jit()?, loaded, rc, state),
-        },
+    match (tier, loaded.native()) {
+        (ExecTier::Native, Some(native)) => crate::codegen::run(native, loaded, rc, state),
+        _ => crate::interp::run_with_state(loaded.interp_image(), loaded, rc, state),
     }
 }
 

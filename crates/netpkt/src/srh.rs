@@ -653,6 +653,16 @@ mod tests {
         }
     }
 
+    /// An accepted header serialises to its own length and re-parses equal
+    /// (PadN values come back zeroed, which the owned form does not record).
+    fn assert_reparses_equal(bytes: &[u8]) {
+        if let Ok(parsed) = SegmentRoutingHeader::parse(bytes) {
+            let reserialised = parsed.to_bytes();
+            assert_eq!(reserialised.len(), 8 + usize::from(bytes[1]) * 8, "{bytes:02x?}");
+            assert_eq!(SegmentRoutingHeader::parse(&reserialised).unwrap(), parsed, "{bytes:02x?}");
+        }
+    }
+
     #[test]
     fn borrowing_validator_agrees_with_the_owning_parser() {
         let mut rng = Mix(0x5eed_0016);
@@ -684,8 +694,31 @@ mod tests {
                     let mut mutated = bytes.clone();
                     mutated[at] = value;
                     assert_same_verdict(&mutated);
+                    if !(SRH_FIXED_LEN..srh.tlv_offset()).contains(&at) {
+                        assert_reparses_equal(&mutated);
+                    }
                 }
             }
+        }
+    }
+
+    /// Hostile bytes: random buffers, half of them shaped to get past the
+    /// routing-type and length checks so the segment and TLV walks see
+    /// garbage too. Neither parser may panic, both give one verdict, and
+    /// what they accept re-parses equal.
+    #[test]
+    fn random_bytes_get_one_verdict_from_both_parsers() {
+        let mut rng = Mix(0x5eed_0029);
+        for _ in 0..20_000 {
+            let mut bytes: Vec<u8> = (0..rng.below(120)).map(|_| rng.next() as u8).collect();
+            if bytes.len() >= SRH_FIXED_LEN && rng.below(2) == 0 {
+                bytes[1] = rng.below(bytes.len() as u64 / 8 + 1) as u8;
+                bytes[2] = SRH_ROUTING_TYPE;
+                bytes[4] = rng.below(4) as u8;
+                bytes[3] = rng.below(u64::from(bytes[4]) + 2) as u8;
+            }
+            assert_same_verdict(&bytes);
+            assert_reparses_equal(&bytes);
         }
     }
 

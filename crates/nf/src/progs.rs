@@ -517,15 +517,19 @@ mod tests {
         let (state, config) = wrr_maps(5, 3, addr("fd00::a1"), addr("fd00::a2"));
         maps.insert(2u32, state);
         maps.insert(3u32, config);
-        // `(program, minimum inlined-helper sites)`: `owd_encap` calls
-        // `bpf_ktime_get_ns`, `wrr_encap` performs two array-map lookups
-        // that must each get the cached fast path.
+        // The exact native facts of each shipped program: `(micro-ops,
+        // code bytes, spills, elided checks, inlined helper sites, cached
+        // lookup sites)`. None spills; `owd_encap` inlines
+        // `bpf_ktime_get_ns`, and `wrr_encap`'s two array-map lookups each
+        // get the cached fast path. A change to the lowering, the emitter
+        // or the verifier's facts shows here as a diff of numbers; update
+        // the table only with the reason.
         let cases = [
-            (end_program(), 0),
-            (end_t_program(254), 0),
-            (end_x_program(addr("fe80::42")), 0),
-            (tag_increment_program(), 0),
-            (add_tlv_program(), 0),
+            (end_program(), (2, 36, 0, 0, 0, 0)),
+            (end_t_program(254), (11, 258, 0, 1, 0, 0)),
+            (end_x_program(addr("fe80::42")), (16, 303, 0, 2, 0, 0)),
+            (tag_increment_program(), (19, 509, 0, 3, 0, 0)),
+            (add_tlv_program(), (24, 640, 0, 3, 0, 0)),
             (
                 owd_encap_program(OwdEncapConfig {
                     dm_sid: addr("fc00::d1"),
@@ -533,27 +537,27 @@ mod tests {
                     controller_port: 9999,
                     ratio: 100,
                 }),
-                1,
+                (43, 1208, 0, 15, 1, 0),
             ),
-            (end_dm_program(1), 0),
-            (wrr_encap_program(2, 3), 2),
-            (end_oamp_program(1), 0),
+            (end_dm_program(1), (35, 1276, 0, 12, 0, 0)),
+            (wrr_encap_program(2, 3), (37, 1002, 0, 6, 2, 2)),
+            (end_oamp_program(1), (38, 1707, 0, 14, 0, 0)),
         ];
-        for (prog, min_inlined) in cases {
+        for (prog, expected) in cases {
             let name = prog.name.clone();
             let loaded = load(prog, &maps, &registry).unwrap_or_else(|e| panic!("{name} rejected: {e}"));
-            let native = ebpf_vm::codegen::compile(&loaded).unwrap().expect("native backend available");
+            let micro_ops = ebpf_vm::jit::compile(&loaded).unwrap().len();
+            let native = loaded.native().expect("native backend available");
             let debug = native.debug_info();
-            assert_eq!(
-                debug.spills, 0,
-                "{name} spilled under register allocation (homes {:?})",
-                debug.assignments
+            let facts = (
+                micro_ops,
+                native.code_len(),
+                debug.spills,
+                debug.elided_checks,
+                debug.inlined_helpers,
+                debug.lookup_sites,
             );
-            assert!(
-                debug.inlined_helpers >= min_inlined,
-                "{name}: {} inlined helper sites, expected at least {min_inlined}",
-                debug.inlined_helpers
-            );
+            assert_eq!(facts, expected, "{name}: native facts moved (homes {:?})", debug.assignments);
             let report = ebpf_vm::disasm::native_report(&name, debug);
             assert!(report.contains("spills=0"), "unexpected debug report: {report}");
         }

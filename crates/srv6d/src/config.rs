@@ -7,10 +7,10 @@
 //! ```text
 //! # srv6d.conf — one [daemon] section, then one [tenant NAME] per tenant.
 //! [daemon]
-//! workers = 2              # worker shards = RX queues per tenant
-//! batch-size = 32          # packets per processing batch
-//! queue-depth = 1024       # descriptor ring slots per shard
-//! rx-burst = 64            # frames pulled per socket read burst
+//! workers = 2              # worker shards = RX queues per tenant (1..=MAX_WORKERS)
+//! batch-size = 32          # packets per processing batch (≤ MAX_BATCH_SIZE)
+//! queue-depth = 1024       # descriptor ring slots per shard (≤ MAX_QUEUE_DEPTH)
+//! rx-burst = 64            # frames pulled per socket read burst (≤ MAX_RX_BURST)
 //! stats-socket = /tmp/srv6d.sock
 //! io-backend = auto        # mmsg | auto (recvmmsg/sendmmsg bursts; auto falls back off Linux)
 //! pin = compact            # none | compact | spread | explicit core list (0,2,4)
@@ -43,6 +43,19 @@ use seg6_runtime::{PinPolicy, MAX_WORKERS};
 use std::fmt;
 use std::net::{Ipv6Addr, SocketAddr};
 use std::path::{Path, PathBuf};
+
+/// Largest `queue-depth`: descriptor ring slots per shard. `start`
+/// allocates the ring (rounded up to a power of two) for every shard, so an
+/// unbounded value would be an unbounded allocation.
+pub const MAX_QUEUE_DEPTH: usize = 65_536;
+
+/// Largest `batch-size`: a batch never holds more than one full ring of
+/// descriptors.
+pub const MAX_BATCH_SIZE: usize = MAX_QUEUE_DEPTH;
+
+/// Largest `rx-burst`: frames per socket read burst, at most `UIO_MAXIOV`
+/// (1024), the most iovecs or messages one `recvmmsg(2)` call takes.
+pub const MAX_RX_BURST: usize = 1_024;
 
 /// A configuration error, with the 1-based line it was found on when the
 /// problem is attributable to one line.
@@ -425,20 +438,26 @@ impl Parser {
 }
 
 fn daemon_key(daemon: &mut DaemonConfig, num: usize, key: &str, value: &str) -> Result<(), ConfigError> {
-    let parse_num = |what: &str| -> Result<usize, ConfigError> {
-        value.parse::<usize>().map_err(|_| ConfigError::at(num, format!("`{what}` must be a number")))
+    // A size of 0 means 1; anything above `max` is refused.
+    let parse_size = |what: &str, max: usize| -> Result<usize, ConfigError> {
+        let size =
+            value.parse::<usize>().map_err(|_| ConfigError::at(num, format!("`{what}` must be a number")))?;
+        if size > max {
+            return Err(ConfigError::at(num, format!("`{what}` must be at most {max}")));
+        }
+        Ok(size.max(1))
     };
     match key {
         "workers" => {
-            let workers = parse_num("workers")? as u32;
-            if workers == 0 || workers > MAX_WORKERS {
-                return Err(ConfigError::at(num, format!("`workers` must be 1..={MAX_WORKERS}")));
-            }
-            daemon.workers = workers;
+            daemon.workers = value
+                .parse::<u32>()
+                .ok()
+                .filter(|workers| (1..=MAX_WORKERS).contains(workers))
+                .ok_or_else(|| ConfigError::at(num, format!("`workers` must be 1..={MAX_WORKERS}")))?;
         }
-        "batch-size" => daemon.batch_size = parse_num("batch-size")?.max(1),
-        "queue-depth" => daemon.queue_depth = parse_num("queue-depth")?.max(1),
-        "rx-burst" => daemon.rx_burst = parse_num("rx-burst")?.max(1),
+        "batch-size" => daemon.batch_size = parse_size("batch-size", MAX_BATCH_SIZE)?,
+        "queue-depth" => daemon.queue_depth = parse_size("queue-depth", MAX_QUEUE_DEPTH)?,
+        "rx-burst" => daemon.rx_burst = parse_size("rx-burst", MAX_RX_BURST)?,
         "stats-socket" => daemon.stats_socket = Some(PathBuf::from(value)),
         "io-backend" => {
             daemon.io_backend = match value {
@@ -778,6 +797,116 @@ route = ::/0 dev 7
         assert_eq!(err_line("[daemon]\nworkers = 1"), None, "no tenants");
         let dup = "[tenant a]\nlocal = ::1\nlisten = [::1]:1\n[tenant a]\nlocal = ::1\nlisten = [::1]:5";
         assert_eq!(err_line(dup), None);
+    }
+
+    #[test]
+    fn sizes_are_bounded_and_workers_do_not_wrap() {
+        let parse = |line: &str, setting: &str| Config::parse(&GOOD.replace(line, setting));
+        // 2^32 + 1 workers used to wrap to 1 worker.
+        for workers in ["4294967297", "4294967296", "18446744073709551617"] {
+            let err = parse("workers = 2", &format!("workers = {workers}")).expect_err(workers);
+            assert_eq!(err.line, Some(4), "{err}");
+            assert!(err.message.contains("`workers` must be 1..="), "{err}");
+        }
+        for (line, num, max) in [
+            ("batch-size = 16", 5, MAX_BATCH_SIZE),
+            ("queue-depth = 256", 6, MAX_QUEUE_DEPTH),
+            ("rx-burst = 32", 7, MAX_RX_BURST),
+        ] {
+            let key = line.split(" = ").next().unwrap();
+            let daemon = parse(line, &format!("{key} = {max}")).expect(key).daemon;
+            let size = match key {
+                "batch-size" => daemon.batch_size,
+                "queue-depth" => daemon.queue_depth,
+                _ => daemon.rx_burst,
+            };
+            assert_eq!(size, max);
+            for too_big in [format!("{}", max + 1), "1000000000000".to_string()] {
+                let err = parse(line, &format!("{key} = {too_big}")).expect_err(key);
+                assert_eq!(err.line, Some(num), "{err}");
+                assert_eq!(err.message, format!("`{key}` must be at most {max}"));
+            }
+        }
+        // The largest values the daemon's tests, smoke script and benchmark use.
+        let used = GOOD
+            .replace("batch-size = 16", "batch-size = 32")
+            .replace("queue-depth = 256", "queue-depth = 2048")
+            .replace("rx-burst = 32", "rx-burst = 128");
+        assert!(Config::parse(&used).is_ok());
+    }
+
+    /// Hostile config text: the test config with lines dropped, duplicated
+    /// and swapped, values replaced by extreme numerals, and bytes flipped.
+    /// Parsing never panics, and whatever it accepts is inside the bounds
+    /// `start` relies on.
+    #[test]
+    fn hostile_config_text_never_panics_and_stays_in_bounds() {
+        const NUMERALS: [&str; 16] = [
+            "0",
+            "1",
+            "-1",
+            "+2",
+            "1024",
+            "1025",
+            "65536",
+            "65537",
+            "4294967295",
+            "4294967297",
+            "18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999999999",
+            "0x10",
+            "1e3",
+            "٣",
+        ];
+        let mut state = 0x5eed_c0f1_u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let check = |text: &str| {
+            if let Ok(config) = Config::parse(text) {
+                let daemon = &config.daemon;
+                assert!((1..=MAX_WORKERS).contains(&daemon.workers), "{text}");
+                assert!((1..=MAX_BATCH_SIZE).contains(&daemon.batch_size), "{text}");
+                assert!((1..=MAX_QUEUE_DEPTH).contains(&daemon.queue_depth), "{text}");
+                assert!((1..=MAX_RX_BURST).contains(&daemon.rx_burst), "{text}");
+            }
+        };
+        let good: Vec<String> = GOOD.lines().map(str::to_string).collect();
+        for _ in 0..2_000 {
+            let mut lines = good.clone();
+            for _ in 0..1 + next(3) {
+                if lines.is_empty() {
+                    break;
+                }
+                let at = next(lines.len());
+                match next(4) {
+                    0 => drop(lines.remove(at)),
+                    1 => lines.insert(next(lines.len()), lines[at].clone()),
+                    2 => {
+                        let other = next(lines.len());
+                        lines.swap(at, other);
+                    }
+                    _ => {
+                        if let Some((key, _)) = lines[at].split_once('=') {
+                            lines[at] = format!("{key}= {}", NUMERALS[next(NUMERALS.len())]);
+                        }
+                    }
+                }
+            }
+            check(&lines.join("\n"));
+        }
+        for _ in 0..2_000 {
+            let mut bytes = GOOD.as_bytes().to_vec();
+            for _ in 0..1 + next(3) {
+                let at = next(bytes.len());
+                bytes[at] ^= 1 + next(255) as u8;
+            }
+            check(&String::from_utf8_lossy(&bytes));
+        }
     }
 
     #[test]

@@ -102,14 +102,25 @@ impl<R: Read> CaptureReader<R> {
 
     /// Reads the next frame into `frame` (cleared and refilled — reuse one
     /// buffer across the whole replay) and returns its capture timestamp;
-    /// `None` at a clean end of file. A truncated or oversized record is
-    /// an error, never a silent partial frame.
+    /// `None` at a clean end of file, i.e. only when no byte of a next
+    /// record is left. A truncated or oversized record is an error, never a
+    /// silent partial frame.
     pub fn next_frame(&mut self, frame: &mut Vec<u8>) -> io::Result<Option<u64>> {
         let mut timestamp = [0u8; 8];
-        match self.source.read_exact(&mut timestamp) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(e),
+        let mut filled = 0;
+        while filled < timestamp.len() {
+            match self.source.read(&mut timestamp[filled..]) {
+                Ok(0) if filled == 0 => return Ok(None),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "capture record truncated inside its timestamp",
+                    ))
+                }
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
         let mut len = [0u8; 4];
         self.source.read_exact(&mut len)?;
@@ -193,6 +204,59 @@ mod tests {
         let mut reader = CaptureReader::new(truncated).unwrap();
         let mut buf = Vec::new();
         assert!(reader.next_frame(&mut buf).is_err());
+    }
+
+    #[test]
+    fn a_record_cut_inside_its_timestamp_is_an_error_not_eof() {
+        let mut bytes = CAPTURE_MAGIC.to_vec();
+        bytes.extend_from_slice(&[0x11, 0x22, 0x33]);
+        let mut reader = CaptureReader::new(bytes.as_slice()).unwrap();
+        let err = reader.next_frame(&mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The magic alone is an empty capture.
+        let mut reader = CaptureReader::new(&CAPTURE_MAGIC[..]).unwrap();
+        assert_eq!(reader.next_frame(&mut Vec::new()).unwrap(), None);
+    }
+
+    /// A valid capture cut at every length: the read ends `Ok(None)` exactly
+    /// when the cut falls on a record boundary, and with an error
+    /// everywhere else — never a panic, never a partial frame.
+    #[test]
+    fn every_truncation_ends_cleanly_only_at_a_record_boundary() {
+        let frames: Vec<(u64, Vec<u8>)> =
+            (0..6u64).map(|i| (i << 40 | i, vec![i as u8; i as usize * 7])).collect();
+        let mut writer = CaptureWriter::new(Vec::new()).unwrap();
+        let mut boundaries = vec![CAPTURE_MAGIC.len()];
+        for (ts, frame) in &frames {
+            writer.write_frame(*ts, frame).unwrap();
+            boundaries.push(boundaries.last().unwrap() + 12 + frame.len());
+        }
+        let bytes = writer.finish().unwrap();
+        assert_eq!(*boundaries.last().unwrap(), bytes.len());
+        let mut buf = Vec::new();
+        for cut in 0..=bytes.len() {
+            let Ok(mut reader) = CaptureReader::new(&bytes[..cut]) else {
+                assert!(cut < CAPTURE_MAGIC.len(), "cut {cut}: the magic was refused");
+                continue;
+            };
+            let mut read = 0;
+            let end = loop {
+                match reader.next_frame(&mut buf) {
+                    Ok(Some(ts)) => {
+                        assert_eq!((ts, &buf), (frames[read].0, &frames[read].1), "cut {cut}");
+                        read += 1;
+                    }
+                    other => break other,
+                }
+            };
+            match boundaries.iter().position(|&b| b == cut) {
+                Some(records) => {
+                    assert_eq!(end.unwrap(), None, "cut {cut}");
+                    assert_eq!(read, records, "cut {cut}");
+                }
+                None => assert!(end.is_err(), "cut {cut} inside a record read as {end:?}"),
+            }
+        }
     }
 
     #[test]
