@@ -22,6 +22,7 @@ use crate::verdict::{ActionOutcome, DropReason};
 use ebpf_vm::helpers::HelperRegistry;
 use ebpf_vm::program::{retcode, LoadedProgram};
 use ebpf_vm::vm::RunContext;
+use netpkt::packet::HeaderChain;
 use netpkt::srh::SegmentRoutingHeader;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -194,8 +195,10 @@ fn forward_to(pushed: srv6_ops::OpResult<Ipv6Addr>) -> ActionOutcome {
 }
 
 /// Shared "endpoint" precondition handling: the packet must carry an SRH
-/// with `segments_left > 0`; the SRH is advanced **in place** (it never
-/// changes size) and `then` builds the outcome from the new destination.
+/// that [`netpkt::SrhView::parse`] accepts, with `segments_left > 0`; the
+/// SRH is advanced **in place** (it never changes size) and `then` builds
+/// the outcome from the new destination. A packet that fails is dropped
+/// unwritten.
 fn with_advance(skb: &mut Skb, then: impl FnOnce(Ipv6Addr) -> ActionOutcome) -> ActionOutcome {
     match srv6_ops::advance_srh(skb.packet.data_mut()) {
         Ok(dst) => then(dst),
@@ -209,7 +212,8 @@ fn with_advance(skb: &mut Skb, then: impl FnOnce(Ipv6Addr) -> ActionOutcome) -> 
 /// `end_bpf` selects what the `End.BPF` action adds to the plain LWT hooks
 /// (`lwt_in` / `lwt_xmit`, §2.1): the endpoint precondition and SRH advance
 /// before the program — so its SRH offset is always set — and the SRH
-/// re-validation after it, if a helper edited the SRH.
+/// re-validation after it, if a helper edited the SRH. At the LWT hooks the
+/// SRH offset is set only for an SRH [`HeaderChain::srh`] accepts.
 ///
 /// The program runs on the skb itself: helpers edit its buffer in place
 /// through [`SkbPacket`], as the kernel's do. Before the first write — the
@@ -241,7 +245,8 @@ pub fn run_bpf(
             flow.dst = srv6_ops::advance_srh(skb.packet.data_mut())?;
             Some(SRH_OFFSET)
         } else {
-            srv6_ops::find_srh(skb.packet.data()).map(|(off, _)| off)
+            let packet = skb.packet.data();
+            HeaderChain::walk(packet).srh(packet).ok().flatten().map(|_| SRH_OFFSET)
         };
         env.rearm(actx.local_sid, actx.now_ns, actx.cpu, srh_offset, flow);
         ctx::build_context_into(skb, ctx_bytes);
@@ -542,6 +547,45 @@ mod tests {
                 &mut RunScratch::new(),
             );
             assert!(matches!(outcome, ActionOutcome::Forward { .. }), "tier {}", tier.name());
+        }
+    }
+
+    /// As in the kernel, whose endpoints act only on an SRH
+    /// `seg6_validate_srh` accepts: every advancing endpoint drops a routing
+    /// header of another type (RFC 5095's type 0, Mobile IPv6's type 2) as
+    /// `NoSrh`, and an SRH whose TLV area does not parse as `Malformed`,
+    /// before writing a byte.
+    #[test]
+    fn endpoints_act_only_on_an_srh_srh_view_accepts() {
+        let tables = Arc::new(RouterTables::new());
+        let helpers = seg6_helper_registry();
+        let prog = load_seg6_prog("mov64 r0, 0\nexit", &helpers);
+        let actions = [
+            Seg6LocalAction::End,
+            Seg6LocalAction::EndX { nexthop: addr("fe80::1") },
+            Seg6LocalAction::EndT { table: 9 },
+            Seg6LocalAction::EndBpf { prog },
+        ];
+        let mut srh = SegmentRoutingHeader::from_path(proto::UDP, &[addr("fc00::11"), addr("fc00::22")]);
+        srh.tlvs.push(netpkt::SrhTlv::DelayMeasurement { tx_timestamp_ns: 7 });
+        let with_tlv = build_srv6_udp_packet(addr("2001:db8::1"), &srh, 1000, 2000, &[0u8; 32], 64);
+        let mut cases = Vec::new();
+        for routing_type in [0, 2] {
+            let mut skb = srv6_skb(&["fc00::11", "fc00::22"]);
+            skb.packet.data_mut()[SRH_OFFSET + 2] = routing_type;
+            cases.push((skb, DropReason::NoSrh));
+        }
+        let mut bad_tlv = Skb::new(with_tlv);
+        bad_tlv.packet.data_mut()[SRH_OFFSET + srh.tlv_offset() + 1] = 7; // the DM value is 8 bytes
+        cases.push((bad_tlv, DropReason::Malformed));
+        for (mut skb, reason) in cases {
+            let before = skb.packet.data().to_vec();
+            for action in &actions {
+                let outcome =
+                    apply_action(action, &mut skb, &actx(&tables, &helpers), &mut RunScratch::new());
+                assert_eq!(outcome, ActionOutcome::Drop(reason), "{}", action.name());
+                assert_eq!(skb.packet.data(), before, "{} wrote to a packet it dropped", action.name());
+            }
         }
     }
 

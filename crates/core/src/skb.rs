@@ -9,9 +9,9 @@
 //! [`SavedHead`] how a hook undoes a run that failed.
 
 use crate::fib::TableId;
-use crate::srv6_ops;
 use ebpf_vm::Packet;
 use netpkt::ipv6::IPV6_HEADER_LEN;
+use netpkt::packet::HeaderChain;
 use netpkt::PacketBuf;
 use std::net::Ipv6Addr;
 
@@ -114,8 +114,9 @@ impl Packet for SkbPacket<'_> {
     }
 }
 
-/// A packet's head — its IPv6 header and SRH, or the IPv6 header alone —
-/// saved before a hook's first write, so a run that fails can be undone.
+/// A packet's head — its IPv6 header and the routing header behind it, or
+/// the IPv6 header alone — saved before a hook's first write, so a run that
+/// fails can be undone.
 ///
 /// [`SkbPacket`]'s edits move only the bytes in front of them, and every
 /// write lands in the head: the SRH advance, the helpers' SRH edits, pushed
@@ -136,7 +137,7 @@ pub struct SavedHead {
 impl SavedHead {
     /// Saves the head of `packet`.
     pub fn save(&mut self, packet: &[u8]) {
-        let head = srv6_ops::find_srh(packet).map_or(IPV6_HEADER_LEN, |(off, len)| off + len);
+        let head = HeaderChain::walk(packet).routing().map_or(IPV6_HEADER_LEN, |routing| routing.end);
         self.head.clear();
         self.head.extend_from_slice(&packet[..head.min(packet.len())]);
         self.len = packet.len();
@@ -152,6 +153,12 @@ impl SavedHead {
             packet.insert(0, self.len - len);
         }
         packet.data_mut()[..self.head.len()].copy_from_slice(&self.head);
+    }
+
+    /// How many bytes the last [`SavedHead::save`] kept.
+    #[cfg(test)]
+    pub(crate) fn head_len(&self) -> usize {
+        self.head.len()
     }
 }
 

@@ -9,12 +9,16 @@
 //! running under the VM share one code path, and a resize moves only the
 //! headers in front of the edit: an encapsulation is written into the
 //! headroom, a decapsulation is a pull. Each validates before its first
-//! write and leaves the packet untouched on `Err`.
+//! write and leaves the packet untouched on `Err`. Each finds the headers
+//! behind the outer IPv6 one with [`HeaderChain::walk`], and sees an SRH
+//! only where [`HeaderChain::srh`] — that is, [`SrhView::parse`] — accepts
+//! one, as the kernel acts only on an SRH `seg6_validate_srh` accepts.
 
 use crate::verdict::DropReason;
 use ebpf_vm::Packet;
 use netpkt::ipv6::{proto, Ipv6Header, IPV6_HEADER_LEN};
-use netpkt::srh::{SegmentRoutingHeader, SrhView};
+use netpkt::packet::HeaderChain;
+use netpkt::srh::{SrhView, SRH_FIXED_LEN};
 use std::net::Ipv6Addr;
 
 /// Default hop limit of headers pushed by encapsulation.
@@ -35,25 +39,6 @@ pub const SRH_OFFSET: usize = IPV6_HEADER_LEN;
 
 /// Result alias with static reasons, convenient for drop accounting.
 pub type OpResult<T> = std::result::Result<T, &'static str>;
-
-/// Locates the outermost SRH: returns `(offset, length_in_bytes)`.
-pub fn find_srh(packet: &[u8]) -> Option<(usize, usize)> {
-    if packet.len() < IPV6_HEADER_LEN {
-        return None;
-    }
-    if packet[NEXT_HEADER_OFFSET] != proto::ROUTING {
-        return None;
-    }
-    let off = SRH_OFFSET;
-    if packet.len() < off + 8 {
-        return None;
-    }
-    let len = 8 + usize::from(packet[off + 1]) * 8;
-    if packet.len() < off + len {
-        return None;
-    }
-    Some((off, len))
-}
 
 /// Reads the outer destination address.
 pub fn outer_dst(packet: &[u8]) -> OpResult<Ipv6Addr> {
@@ -100,62 +85,32 @@ pub fn decrement_hop_limit(packet: &mut [u8]) -> OpResult<u8> {
 /// The `End`-style SRH advance: requires an SRH with `segments_left > 0`,
 /// decrements it and rewrites the outer destination to the new current
 /// segment. Returns the new destination, or the reason an endpoint must
-/// drop the packet for: [`DropReason::NoSrh`], [`DropReason::SegmentsLeftZero`],
-/// or [`DropReason::Malformed`] for an SRH whose segment list does not hold
-/// the next segment. Operates in place — the packet never changes size, so
-/// the hot path advances without copying it.
+/// drop the packet for: [`DropReason::NoSrh`] when there is no routing
+/// header or one of another routing type, [`DropReason::Malformed`] for a
+/// type-4 routing header [`SrhView::parse`] rejects, and
+/// [`DropReason::SegmentsLeftZero`]. Nothing is written before the SRH is
+/// validated. Operates in place — the packet never changes size, so the
+/// hot path advances without copying it.
 pub fn advance_srh(packet: &mut [u8]) -> Result<Ipv6Addr, DropReason> {
-    let (off, len) = find_srh(packet).ok_or(DropReason::NoSrh)?;
-    let segments_left = packet[off + SRH_SEGMENTS_LEFT_OFFSET];
-    if segments_left == 0 {
-        return Err(DropReason::SegmentsLeftZero);
-    }
-    let last_entry = packet[off + 4];
-    let new_left = segments_left - 1;
-    // segments_left past last_entry, or a segment list cut short of the
-    // next segment.
-    let seg_off = off + 8 + 16 * usize::from(new_left);
-    if new_left > last_entry || seg_off + 16 > off + len {
-        return Err(DropReason::Malformed);
-    }
-    packet[off + SRH_SEGMENTS_LEFT_OFFSET] = new_left;
+    let chain = HeaderChain::walk(packet);
+    let srh = chain.srh(packet).map_err(|_| DropReason::Malformed)?.ok_or(DropReason::NoSrh)?;
+    let left = srh.segments_left().checked_sub(1).ok_or(DropReason::SegmentsLeftZero)?;
+    // The walk checked that the segment list holds Segment List[left].
+    let seg = SRH_OFFSET + SRH_FIXED_LEN + 16 * usize::from(left);
     let mut octets = [0u8; 16];
-    octets.copy_from_slice(&packet[seg_off..seg_off + 16]);
-    let next = Ipv6Addr::from(octets);
-    set_outer_dst(packet, next).map_err(|_| DropReason::Malformed)?;
-    Ok(next)
+    octets.copy_from_slice(&packet[seg..seg + 16]);
+    packet[SRH_OFFSET + SRH_SEGMENTS_LEFT_OFFSET] = left;
+    packet[DST_OFFSET..DST_OFFSET + 16].copy_from_slice(&octets);
+    Ok(Ipv6Addr::from(octets))
 }
 
-/// Validates that the packet is an IPv6-in-IPv6 (possibly via an SRH)
-/// encapsulation and returns the byte offset of the inner IPv6 header —
-/// the amount a decapsulation pulls off the front.
-fn decap_offset(packet: &[u8]) -> OpResult<usize> {
-    if packet.len() < IPV6_HEADER_LEN {
-        return Err("packet shorter than an IPv6 header");
-    }
-    let mut inner_off = IPV6_HEADER_LEN;
-    let mut next = packet[NEXT_HEADER_OFFSET];
-    if next == proto::ROUTING {
-        let (off, len) = find_srh(packet).ok_or("truncated SRH")?;
-        next = packet[off];
-        inner_off = off + len;
-    }
-    if next != proto::IPV6 {
-        return Err("no inner IPv6 packet to decapsulate");
-    }
-    if packet.len() < inner_off + IPV6_HEADER_LEN {
-        return Err("inner IPv6 header truncated");
-    }
-    Ok(inner_off)
-}
-
-/// Removes the outer IPv6 header (and its SRH, if any), leaving the inner
-/// IPv6 packet. Returns the inner destination. This is the decapsulation
-/// performed by `End.DT6` / `End.DX6` and natively by the kernel on the
-/// hybrid-access CPE (§4.2).
+/// Removes the outer IPv6 header (and its routing header, if any), leaving
+/// the inner IPv6 packet. Returns the inner destination. This is the
+/// decapsulation performed by `End.DT6` / `End.DX6` and natively by the
+/// kernel on the hybrid-access CPE (§4.2).
 pub fn decap_outer(packet: &mut (impl Packet + ?Sized)) -> OpResult<Ipv6Addr> {
-    let inner_off = decap_offset(packet.bytes())?;
-    packet.remove(0, inner_off);
+    let inner = HeaderChain::walk(packet.bytes()).inner().ok_or("no inner IPv6 packet to decapsulate")?;
+    packet.remove(0, inner);
     outer_dst(packet.bytes())
 }
 
@@ -224,8 +179,7 @@ pub fn insert_srh_inline(packet: &mut (impl Packet + ?Sized), srh_bytes: &[u8]) 
 /// checks that the IPv6 payload length is consistent with the actual packet
 /// length.
 pub fn validate_after_bpf(packet: &[u8]) -> OpResult<()> {
-    let (off, len) = find_srh(packet).ok_or("SRH disappeared")?;
-    SegmentRoutingHeader::validate_raw(&packet[off..off + len]).map_err(|_| "SRH failed validation")?;
+    HeaderChain::walk(packet).srh(packet).map_err(|_| "SRH failed validation")?.ok_or("SRH disappeared")?;
     let payload_len =
         u16::from_be_bytes([packet[PAYLOAD_LEN_OFFSET], packet[PAYLOAD_LEN_OFFSET + 1]]) as usize;
     if payload_len + IPV6_HEADER_LEN != packet.len() {
@@ -264,7 +218,7 @@ mod tests {
     use super::*;
     use crate::skb::SkbPacket;
     use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
-    use netpkt::srh::SegmentRoutingHeader;
+    use netpkt::srh::{SegmentRoutingHeader, SrhTlv};
     use netpkt::PacketBuf;
 
     fn addr(s: &str) -> Ipv6Addr {
@@ -278,14 +232,14 @@ mod tests {
     }
 
     #[test]
-    fn find_srh_locates_and_rejects() {
+    fn the_walk_locates_the_srh_and_rejects_a_cut_one() {
         let pkt = srv6_packet();
-        let (off, len) = find_srh(&pkt).unwrap();
-        assert_eq!(off, IPV6_HEADER_LEN);
-        assert_eq!(len, 8 + 3 * 16);
+        let chain = HeaderChain::walk(&pkt);
+        assert_eq!(chain.routing(), Some(SRH_OFFSET..SRH_OFFSET + 8 + 3 * 16));
+        assert!(chain.srh(&pkt).unwrap().is_some());
         let plain = build_ipv6_udp_packet(addr("::1"), addr("::2"), 1, 2, &[0; 8], 64);
-        assert!(find_srh(plain.data()).is_none());
-        assert!(find_srh(&pkt[..45]).is_none());
+        assert!(HeaderChain::walk(plain.data()).routing().is_none());
+        assert!(HeaderChain::walk(&pkt[..45]).routing().is_none());
     }
 
     #[test]
@@ -298,8 +252,8 @@ mod tests {
         assert_eq!(outer_dst(&pkt).unwrap(), addr("fc00::2"));
         // Everything the advance wrote lies in the IPv6 header and the SRH:
         // the head a hook saves for its rollback.
-        let (off, len) = find_srh(&before).unwrap();
-        assert_eq!(pkt[off + len..], before[off + len..]);
+        let srh_end = HeaderChain::walk(&before).routing().unwrap().end;
+        assert_eq!(pkt[srh_end..], before[srh_end..]);
         let next = advance_srh(&mut pkt).unwrap();
         assert_eq!(next, addr("fc00::3"));
         assert_eq!(advance_srh(&mut pkt).unwrap_err(), DropReason::SegmentsLeftZero);
@@ -461,6 +415,209 @@ mod tests {
         // Corrupt the SRH hdrlen: validation must fail.
         pkt[IPV6_HEADER_LEN + 1] = 200;
         assert!(validate_after_bpf(&pkt).is_err());
+    }
+
+    // --- the callers of the walk against the byte walks they replaced -----
+
+    use crate::skb::SavedHead;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `find_srh` before the walk replaced it: the oracle.
+    fn parent_find_srh(packet: &[u8]) -> Option<(usize, usize)> {
+        if packet.len() < IPV6_HEADER_LEN {
+            return None;
+        }
+        if packet[NEXT_HEADER_OFFSET] != proto::ROUTING {
+            return None;
+        }
+        let off = SRH_OFFSET;
+        if packet.len() < off + 8 {
+            return None;
+        }
+        let len = 8 + usize::from(packet[off + 1]) * 8;
+        if packet.len() < off + len {
+            return None;
+        }
+        Some((off, len))
+    }
+
+    /// `decap_offset` before the walk replaced it: the oracle.
+    fn parent_decap_offset(packet: &[u8]) -> OpResult<usize> {
+        if packet.len() < IPV6_HEADER_LEN {
+            return Err("packet shorter than an IPv6 header");
+        }
+        let mut inner_off = IPV6_HEADER_LEN;
+        let mut next = packet[NEXT_HEADER_OFFSET];
+        if next == proto::ROUTING {
+            let (off, len) = parent_find_srh(packet).ok_or("truncated SRH")?;
+            next = packet[off];
+            inner_off = off + len;
+        }
+        if next != proto::IPV6 {
+            return Err("no inner IPv6 packet to decapsulate");
+        }
+        if packet.len() < inner_off + IPV6_HEADER_LEN {
+            return Err("inner IPv6 header truncated");
+        }
+        Ok(inner_off)
+    }
+
+    /// The parent's `advance_srh`, on [`parent_find_srh`].
+    fn parent_advance_srh(packet: &mut [u8]) -> Result<Ipv6Addr, DropReason> {
+        let (off, len) = parent_find_srh(packet).ok_or(DropReason::NoSrh)?;
+        let segments_left = packet[off + SRH_SEGMENTS_LEFT_OFFSET];
+        if segments_left == 0 {
+            return Err(DropReason::SegmentsLeftZero);
+        }
+        let last_entry = packet[off + 4];
+        let new_left = segments_left - 1;
+        let seg_off = off + 8 + 16 * usize::from(new_left);
+        if new_left > last_entry || seg_off + 16 > off + len {
+            return Err(DropReason::Malformed);
+        }
+        packet[off + SRH_SEGMENTS_LEFT_OFFSET] = new_left;
+        let mut octets = [0u8; 16];
+        octets.copy_from_slice(&packet[seg_off..seg_off + 16]);
+        let next = Ipv6Addr::from(octets);
+        set_outer_dst(packet, next).map_err(|_| DropReason::Malformed)?;
+        Ok(next)
+    }
+
+    /// The parent's `validate_after_bpf`, on [`parent_find_srh`].
+    fn parent_validate_after_bpf(packet: &[u8]) -> OpResult<()> {
+        let (off, len) = parent_find_srh(packet).ok_or("SRH disappeared")?;
+        SrhView::parse(&packet[off..off + len]).map_err(|_| "SRH failed validation")?;
+        let payload_len =
+            u16::from_be_bytes([packet[PAYLOAD_LEN_OFFSET], packet[PAYLOAD_LEN_OFFSET + 1]]) as usize;
+        if payload_len + IPV6_HEADER_LEN != packet.len() {
+            return Err("IPv6 payload length inconsistent with packet length");
+        }
+        Ok(())
+    }
+
+    fn random_addr(rng: &mut StdRng) -> Ipv6Addr {
+        Ipv6Addr::from(u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64()))
+    }
+
+    /// 1–4 segments, any `segments_left`, and up to three TLVs.
+    fn random_srh(rng: &mut StdRng, next_header: u8) -> SegmentRoutingHeader {
+        let path: Vec<Ipv6Addr> = (0..rng.gen_range(1usize..=4)).map(|_| random_addr(rng)).collect();
+        let mut srh = SegmentRoutingHeader::from_path(next_header, &path);
+        srh.segments_left = rng.gen_range(0..=u32::from(srh.last_entry)) as u8;
+        for _ in 0..rng.gen_range(0usize..=3) {
+            srh.tlvs.push(match rng.gen_range(0u32..3) {
+                0 => SrhTlv::DelayMeasurement { tx_timestamp_ns: rng.next_u64() },
+                1 => SrhTlv::Controller { addr: random_addr(rng), port: rng.next_u64() as u16 },
+                _ => SrhTlv::Opaque { kind: 200, value: vec![7; rng.gen_range(0usize..12)] },
+            });
+        }
+        srh
+    }
+
+    /// A well-formed plain or SRv6 UDP packet, encapsulated once half the
+    /// time — behind an SRH (with TLVs) or directly behind the outer header.
+    fn random_packet(rng: &mut StdRng) -> Vec<u8> {
+        let payload: Vec<u8> = (0..rng.gen_range(0usize..48)).map(|_| rng.next_u64() as u8).collect();
+        let (src, dst) = (random_addr(rng), random_addr(rng));
+        let mut packet = if rng.gen_bool(0.5) {
+            build_ipv6_udp_packet(src, dst, 1, 2, &payload, 64)
+        } else {
+            build_srv6_udp_packet(src, &random_srh(rng, proto::UDP), 1, 2, &payload, 64)
+        }
+        .data()
+        .to_vec();
+        match rng.gen_range(0u32..4) {
+            0 => {
+                let srh = random_srh(rng, proto::IPV6).to_bytes();
+                push_srh_encap(&mut packet, &srh, random_addr(rng)).unwrap();
+            }
+            1 => {
+                let outer = Ipv6Header::new(src, dst, proto::IPV6, packet.len() as u16, 64);
+                packet.splice(0..0, outer.to_bytes());
+            }
+            _ => {}
+        }
+        packet
+    }
+
+    /// A well-formed packet cut short, or with a few header bytes flipped —
+    /// the routing type, next-header and length octets most often.
+    fn hostile_packet(rng: &mut StdRng) -> Vec<u8> {
+        let mut packet = random_packet(rng);
+        if rng.gen_bool(0.3) {
+            packet.truncate(rng.gen_range(0..=packet.len()));
+            return packet;
+        }
+        for _ in 0..rng.gen_range(1u32..=3) {
+            let at = match rng.gen_range(0u32..3) {
+                0 => [6, 40, 41, 42, 43, 44][rng.gen_range(0usize..6)],
+                1 => rng.gen_range(40..packet.len().min(120)),
+                _ => rng.gen_range(0..packet.len()),
+            };
+            packet[at] =
+                [proto::ROUTING, proto::IPV6, 0, 2, 4, rng.next_u64() as u8][rng.gen_range(0usize..6)];
+        }
+        packet
+    }
+
+    /// Every caller against its parent: the same answers and bytes, except
+    /// where the outer routing header is one `SrhView::parse` rejects. An
+    /// endpoint's advance then refuses it — `NoSrh` for another routing
+    /// type, `Malformed` for a bad SRH — and writes nothing.
+    fn assert_callers_agree(packet: &[u8]) {
+        let rejected = parent_find_srh(packet)
+            .is_some_and(|(off, len)| SrhView::parse(&packet[off..off + len]).is_err());
+        let (mut new, mut old) = (packet.to_vec(), packet.to_vec());
+        let (advanced, parent) = (advance_srh(&mut new), parent_advance_srh(&mut old));
+        if rejected {
+            let reason = if packet[SRH_OFFSET + 2] == 4 { DropReason::Malformed } else { DropReason::NoSrh };
+            assert_eq!(advanced, Err(reason), "{packet:02x?}");
+            assert_eq!(new, packet, "a refused advance writes nothing");
+        } else {
+            assert_eq!((advanced, &new), (parent, &old), "{packet:02x?}");
+        }
+
+        let mut decapped = packet.to_vec();
+        match (decap_outer(&mut decapped), parent_decap_offset(packet)) {
+            (Ok(_), Ok(inner)) => assert_eq!(decapped, packet[inner..]),
+            (Err(_), Err(_)) => assert_eq!(decapped, packet),
+            (new, parent) => panic!("decap {new:?}, parent {parent:?}: {packet:02x?}"),
+        }
+
+        assert_eq!(
+            validate_after_bpf(packet).is_ok(),
+            parent_validate_after_bpf(packet).is_ok(),
+            "{packet:02x?}"
+        );
+
+        let mut head = SavedHead::default();
+        head.save(packet);
+        let parent_head = parent_find_srh(packet).map_or(IPV6_HEADER_LEN, |(off, len)| off + len);
+        assert_eq!(head.head_len(), parent_head.min(packet.len()), "{packet:02x?}");
+    }
+
+    #[test]
+    fn callers_of_the_walk_give_the_parent_answers_on_well_formed_packets() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0030);
+        for _ in 0..2_000 {
+            let packet = random_packet(&mut rng);
+            let mut advanced = packet.clone();
+            assert_eq!(advance_srh(&mut advanced), parent_advance_srh(&mut packet.clone()));
+            assert_eq!(
+                parent_find_srh(&packet).is_some(),
+                HeaderChain::walk(&packet).srh(&packet).unwrap().is_some()
+            );
+            assert_callers_agree(&packet);
+        }
+    }
+
+    #[test]
+    fn callers_of_the_walk_survive_hostile_bytes() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_0031);
+        for _ in 0..10_000 {
+            assert_callers_agree(&hostile_packet(&mut rng));
+        }
     }
 
     #[test]

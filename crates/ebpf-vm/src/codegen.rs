@@ -71,8 +71,8 @@ pub const fn supported() -> bool {
     cfg!(all(target_arch = "x86_64", target_os = "linux"))
 }
 
-/// Compile-time facts about one emitted program, for the
-/// `SEG6_JIT_DEBUG=1` dump and the zero-spill assertions in tests.
+/// Compile-time facts about one emitted program, for
+/// [`crate::disasm::native_report`] and the zero-spill assertions in tests.
 #[derive(Debug, Clone, Default)]
 pub struct NativeDebug {
     /// `(bpf_reg, host_reg_name)` pairs for every register-resident value.

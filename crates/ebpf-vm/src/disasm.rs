@@ -130,9 +130,8 @@ pub fn disassemble(insns: &[Insn]) -> String {
     out
 }
 
-/// Renders the native code generator's per-program compile facts — the
-/// `SEG6_JIT_DEBUG=1` dump: register assignment, spill count, and the
-/// elided-check / inlined-helper counters.
+/// Renders the native code generator's per-program compile facts: register
+/// assignment, spill count, and the elided-check / inlined-helper counters.
 pub fn native_report(name: &str, debug: &crate::codegen::NativeDebug) -> String {
     let homes =
         debug.assignments.iter().map(|&(bpf, host)| format!("r{bpf}={host}")).collect::<Vec<_>>().join(" ");

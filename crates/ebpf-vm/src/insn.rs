@@ -14,10 +14,6 @@ use std::fmt;
 pub const NUM_REGS: usize = 11;
 /// The read-only frame pointer register.
 pub const REG_FP: u8 = 10;
-/// Register carrying the context pointer at program entry.
-pub const REG_CTX: u8 = 1;
-/// Register carrying the return value.
-pub const REG_RET: u8 = 0;
 /// Size of the per-invocation stack, in bytes.
 pub const STACK_SIZE: usize = 512;
 /// Maximum number of instructions accepted by the verifier.

@@ -13,7 +13,6 @@
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// A single record pushed by `bpf_perf_event_output`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,9 +149,6 @@ impl PerfEventBuffer {
         self.rings.iter().map(|ring| ring.lock().total).sum()
     }
 }
-
-/// Convenience alias for sharing a buffer between the datapath and daemons.
-pub type SharedPerfBuffer = Arc<PerfEventBuffer>;
 
 #[cfg(test)]
 mod tests {

@@ -269,8 +269,7 @@ pub fn load(
     maps: &HashMap<u32, MapHandle>,
     helpers: &HelperRegistry,
 ) -> Result<Arc<LoadedProgram>> {
-    let switches = env_switches();
-    let tier = *switches.tier.as_ref().map_err(|message| Error::Config(message.clone()))?;
+    let tier = *env_tier().as_ref().map_err(|message| Error::Config(message.clone()))?;
     // Every pseudo-map-fd lddw must resolve to a provided map.
     let mut used = HashMap::new();
     for (idx, insn) in program.insns.iter().enumerate() {
@@ -325,39 +324,22 @@ pub fn load(
     // BPF_PROG_LOAD time: the per-packet path only reads them, and a later
     // tier switch (tests, the CI matrix) allocates nothing.
     loaded.native = crate::codegen::compile(&loaded)?.map(Arc::new);
-    if let Some(native) = loaded.native() {
-        if switches.jit_debug {
-            eprintln!("{}", crate::disasm::native_report(&loaded.program.name, native.debug_info()));
-        }
-    }
     Ok(Arc::new(loaded))
 }
 
-/// The two process-wide switches [`load`] honours. They are read from the
-/// environment once per process, by the first `load()`, and nowhere else:
-///
-/// * `SEG6_EXEC_TIER` = `interp` | `native` — the tier every
-///   new program starts on; the CI matrix uses it to force each tier
-///   through the full test suites. Unset, programs start on
-///   [`ExecTier::best_supported`]. Any other value fails every `load()`: a
-///   mistyped or retired name must not quietly test the default. A forced
-///   `native` on a host without a backend falls back to `interp` at
-///   dispatch, so the override is portable.
-/// * `SEG6_JIT_DEBUG=1` — print each program's
-///   [`crate::disasm::native_report`] to stderr as it loads.
-struct EnvSwitches {
-    tier: std::result::Result<ExecTier, String>,
-    jit_debug: bool,
-}
-
-fn env_switches() -> &'static EnvSwitches {
-    static SWITCHES: OnceLock<EnvSwitches> = OnceLock::new();
-    SWITCHES.get_or_init(|| {
+/// The one process-wide switch [`load`] honours, read from the environment
+/// once per process, by the first `load()`, and nowhere else:
+/// `SEG6_EXEC_TIER` = `interp` | `native` — the tier every new program
+/// starts on; the CI matrix uses it to force each tier through the full
+/// test suites. Unset, programs start on [`ExecTier::best_supported`]. Any
+/// other value fails every `load()`: a mistyped or retired name must not
+/// quietly test the default. A forced `native` on a host without a backend
+/// falls back to `interp` at dispatch, so the override is portable.
+fn env_tier() -> &'static std::result::Result<ExecTier, String> {
+    static TIER: OnceLock<std::result::Result<ExecTier, String>> = OnceLock::new();
+    TIER.get_or_init(|| {
         let tier = std::env::var_os("SEG6_EXEC_TIER");
-        EnvSwitches {
-            tier: starting_tier(tier.as_ref().map(|v| v.to_string_lossy()).as_deref()),
-            jit_debug: std::env::var_os("SEG6_JIT_DEBUG").is_some_and(|v| v == "1"),
-        }
+        starting_tier(tier.as_ref().map(|v| v.to_string_lossy()).as_deref())
     })
 }
 

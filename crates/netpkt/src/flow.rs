@@ -12,6 +12,7 @@
 //! maps in the paper's End.BPF datapath.
 
 use crate::ipv6::{proto, IPV6_HEADER_LEN};
+use crate::packet::HeaderChain;
 use std::net::Ipv6Addr;
 
 /// The identity of a transport flow: the classic 5-tuple.
@@ -35,54 +36,29 @@ pub struct FlowKey {
 
 /// Extracts the [`FlowKey`] from a raw IPv6 packet.
 ///
-/// The walk mirrors what NIC parsers do for SRv6 traffic: follow the outer
-/// header through a routing extension header and at most one level of
-/// IPv6-in-IPv6 encapsulation, then read the transport ports. Hashing the
-/// *inner* addresses keeps a flow on the same queue before and after
-/// encapsulation or decapsulation, which matters when a probe or tunnel
-/// traverses several runtime nodes.
+/// The key is what NIC parsers read from SRv6 traffic: the addresses of
+/// the innermost IPv6 header [`HeaderChain::walk`] reaches (through a
+/// routing header and at most one level of IPv6-in-IPv6 encapsulation) and
+/// the ports of the transport header behind it. Hashing the *inner*
+/// addresses keeps a flow on the same queue before and after encapsulation
+/// or decapsulation, which matters when a probe or tunnel traverses several
+/// runtime nodes. The walk validates and allocates nothing, as steering
+/// runs once per packet before any processing.
 ///
 /// Returns `None` only when the buffer does not even hold an IPv6 header.
 pub fn flow_key(packet: &[u8]) -> Option<FlowKey> {
-    // Direct byte walk rather than the full header parsers: steering runs
-    // once per packet before any processing, and the flow key needs no
-    // validation or allocation (the SRH parser would build a segment list
-    // per packet, pure waste here). NIC RSS parsers do the same.
+    if packet.len() < IPV6_HEADER_LEN || packet[0] >> 4 != 6 {
+        return None;
+    }
     let addr_at = |offset: usize| {
         let mut octets = [0u8; 16];
         octets.copy_from_slice(&packet[offset..offset + 16]);
         Ipv6Addr::from(octets)
     };
-    if packet.len() < IPV6_HEADER_LEN || packet[0] >> 4 != 6 {
-        return None;
-    }
-    let mut offset = IPV6_HEADER_LEN;
-    let mut next = packet[6];
-    let (mut src_off, mut dst_off) = (8usize, 24usize);
-    // Follow routing headers and one encapsulation level. Bounded loop: at
-    // most one SRH per IPv6 header and one inner header.
-    for _ in 0..2 {
-        if next == proto::ROUTING {
-            if packet.len() < offset + 8 {
-                break;
-            }
-            let ext_len = 8 + usize::from(packet[offset + 1]) * 8;
-            next = packet[offset];
-            offset += ext_len;
-        }
-        if next == proto::IPV6 {
-            if packet.len() < offset + IPV6_HEADER_LEN {
-                break;
-            }
-            next = packet[offset + 6];
-            src_off = offset + 8;
-            dst_off = offset + 24;
-            offset += IPV6_HEADER_LEN;
-        } else {
-            break;
-        }
-    }
-    let (src_port, dst_port) = match next {
+    let chain = HeaderChain::walk(packet);
+    let ip = chain.inner().unwrap_or(0);
+    let (protocol, offset) = chain.transport();
+    let (src_port, dst_port) = match protocol {
         proto::UDP | proto::TCP if packet.len() >= offset + 4 => {
             let sp = u16::from_be_bytes([packet[offset], packet[offset + 1]]);
             let dp = u16::from_be_bytes([packet[offset + 2], packet[offset + 3]]);
@@ -90,7 +66,7 @@ pub fn flow_key(packet: &[u8]) -> Option<FlowKey> {
         }
         _ => (0, 0),
     };
-    Some(FlowKey { src: addr_at(src_off), dst: addr_at(dst_off), protocol: next, src_port, dst_port })
+    Some(FlowKey { src: addr_at(ip + 8), dst: addr_at(ip + 24), protocol, src_port, dst_port })
 }
 
 /// The Microsoft RSS reference hash key, as programmed into NICs by default

@@ -16,8 +16,6 @@ pub mod proto {
     pub const UDP: u8 = 17;
     /// IPv6-in-IPv6 encapsulation, used by SRv6 encap mode.
     pub const IPV6: u8 = 41;
-    /// ICMPv6.
-    pub const ICMPV6: u8 = 58;
     /// No next header.
     pub const NONE: u8 = 59;
 }

@@ -1,10 +1,11 @@
 //! # netpkt — wire formats for the SRv6 eBPF reproduction
 //!
 //! This crate provides the packet formats used throughout the workspace:
-//! IPv6, the Segment Routing Header (SRH) with its TLVs, UDP, TCP and
-//! ICMPv6, plus a small `skb`-like packet buffer ([`PacketBuf`]) that
-//! supports pushing and pulling headers the way the Linux kernel does when
-//! encapsulating and decapsulating SRv6 traffic.
+//! IPv6, the Segment Routing Header (SRH) with its TLVs, UDP and TCP, the
+//! one walk of an IPv6 header chain ([`HeaderChain`]) every caller that
+//! looks past the fixed header goes through, plus a small `skb`-like packet
+//! buffer ([`PacketBuf`]) that supports pushing and pulling headers the way
+//! the Linux kernel does when encapsulating and decapsulating SRv6 traffic.
 //!
 //! Everything here is plain, allocation-friendly Rust: packets are built
 //! and parsed in memory and handed to the `seg6-core` data plane or to the
@@ -56,7 +57,6 @@ pub mod bufpool;
 pub mod checksum;
 pub mod error;
 pub mod flow;
-pub mod icmpv6;
 pub mod ipv6;
 pub mod packet;
 pub mod prefix;
@@ -69,9 +69,8 @@ pub use buf::PacketBuf;
 pub use bufpool::BufPool;
 pub use error::{Error, Result};
 pub use flow::{flow_key, rss_hash, rss_hash_packet, steer, FlowKey};
-pub use icmpv6::{Icmpv6Header, Icmpv6Type};
 pub use ipv6::{proto, Ipv6Header, IPV6_HEADER_LEN};
-pub use packet::ParsedPacket;
+pub use packet::{HeaderChain, ParsedPacket};
 pub use prefix::Ipv6Prefix;
 pub use sockio::mmsg::{MmsgRx, MmsgTx};
 pub use sockio::{FrameBatch, MemRx, MemTx, PacketRx, PacketTx, UdpRx, UdpTx};

@@ -191,6 +191,7 @@ impl<'a> RawTlv<'a> {
     /// Reads the TLV at the start of `buf`, holding the types this
     /// workspace defines to their fixed value lengths. Returns the TLV and
     /// the bytes it occupies.
+    #[inline]
     fn read(buf: &'a [u8]) -> Result<(RawTlv<'a>, usize)> {
         ensure_len(buf, 1)?;
         let kind = buf[0];
@@ -211,8 +212,9 @@ impl<'a> RawTlv<'a> {
 }
 
 /// A raw SRH that passed every check [`SegmentRoutingHeader::parse`]
-/// makes, borrowed: the per-packet paths (post-program validation,
-/// encapsulation) read the few fields they need from it and own nothing.
+/// makes, borrowed: the per-packet paths (the endpoint advance,
+/// post-program validation, encapsulation) read the few fields they need
+/// from it and own nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct SrhView<'a> {
     /// Exactly the header's declared length.
@@ -223,6 +225,7 @@ impl<'a> SrhView<'a> {
     /// Validates the SRH at the start of `buf` (trailing bytes beyond its
     /// declared length are ignored), accepting exactly what
     /// [`SegmentRoutingHeader::parse`] accepts. Allocates nothing.
+    #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<Self> {
         Self::walk(buf, |_| {})
     }
@@ -269,8 +272,10 @@ impl<'a> SrhView<'a> {
         self.bytes[0]
     }
 
-    /// Index of the currently active segment.
-    fn segments_left(&self) -> u8 {
+    /// Index of the currently active segment; the walk has checked that
+    /// `Segment List[segments_left]` exists.
+    #[inline]
+    pub fn segments_left(&self) -> u8 {
         self.bytes[3]
     }
 
@@ -436,15 +441,6 @@ impl SegmentRoutingHeader {
         })
     }
 
-    /// Validates a raw SRH in place, as the kernel does after an `End.BPF`
-    /// program has edited it: the declared length must cover the segment
-    /// list, `segments_left` must stay within bounds and the TLV area must
-    /// parse end-to-end. Returns the total SRH length on success. Borrows
-    /// only — see [`SrhView`].
-    pub fn validate_raw(buf: &[u8]) -> Result<usize> {
-        SrhView::parse(buf).map(|view| view.wire_len())
-    }
-
     /// Finds the first TLV of the given kind.
     pub fn find_tlv(&self, kind: TlvKind) -> Option<&SrhTlv> {
         self.tlvs.iter().find(|t| t.kind() == kind)
@@ -452,7 +448,7 @@ impl SegmentRoutingHeader {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn addr(s: &str) -> Ipv6Addr {
@@ -461,6 +457,11 @@ mod tests {
 
     fn sample() -> SegmentRoutingHeader {
         SegmentRoutingHeader::from_path(17, &[addr("fc00::1"), addr("fc00::2"), addr("fc00::3")])
+    }
+
+    /// The borrowing validator's verdict on a raw SRH: its length.
+    fn validate_raw(buf: &[u8]) -> Result<usize> {
+        SrhView::parse(buf).map(|view| view.wire_len())
     }
 
     #[test]
@@ -550,18 +551,18 @@ mod tests {
         let mut srh = sample();
         srh.tlvs.push(SrhTlv::DelayMeasurement { tx_timestamp_ns: 1 });
         let mut bytes = srh.to_bytes();
-        assert!(SegmentRoutingHeader::validate_raw(&bytes).is_ok());
+        assert!(validate_raw(&bytes).is_ok());
         // Corrupt the DM TLV length so the walk overruns.
         let tlv_off = srh.tlv_offset();
         bytes[tlv_off + 1] = 200;
-        assert!(SegmentRoutingHeader::validate_raw(&bytes).is_err());
+        assert!(validate_raw(&bytes).is_err());
     }
 
-    /// SplitMix64: the differential test's only source of randomness.
-    struct Mix(u64);
+    /// SplitMix64: the differential tests' only source of randomness.
+    pub(crate) struct Mix(pub(crate) u64);
 
     impl Mix {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -569,7 +570,7 @@ mod tests {
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: u64) -> u64 {
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
             self.next() % n
         }
     }
@@ -577,7 +578,7 @@ mod tests {
     /// A random well-formed SRH: 1–6 segments, any `segments_left` in
     /// range, up to four TLVs of every kind (the serialiser adds the
     /// Pad1/PadN tail).
-    fn random_srh(rng: &mut Mix) -> SegmentRoutingHeader {
+    pub(crate) fn random_srh(rng: &mut Mix) -> SegmentRoutingHeader {
         let n = 1 + rng.below(6) as usize;
         let segments = (0..n).map(|_| Ipv6Addr::from(u128::from(rng.next()) << 64 | 1)).collect();
         let mut srh = SegmentRoutingHeader::new(rng.next() as u8, segments, rng.below(n as u64) as u8);
@@ -637,9 +638,9 @@ mod tests {
     /// reject the same bytes — the set the oracle spells out — and agree
     /// on the length.
     fn assert_same_verdict(bytes: &[u8]) {
-        assert_eq!(SegmentRoutingHeader::validate_raw(bytes).ok(), oracle(bytes), "{bytes:02x?}");
+        assert_eq!(validate_raw(bytes).ok(), oracle(bytes), "{bytes:02x?}");
         let owned = SegmentRoutingHeader::parse(bytes);
-        match (SegmentRoutingHeader::validate_raw(bytes), &owned) {
+        match (validate_raw(bytes), &owned) {
             (Ok(len), Ok(parsed)) => {
                 assert_eq!(len, 8 + usize::from(bytes[1]) * 8);
                 assert_eq!(len, parsed.wire_len(), "{bytes:02x?}");
@@ -669,7 +670,7 @@ mod tests {
         for _ in 0..400 {
             let srh = random_srh(&mut rng);
             let bytes = srh.to_bytes();
-            assert_eq!(SegmentRoutingHeader::validate_raw(&bytes).unwrap(), bytes.len());
+            assert_eq!(validate_raw(&bytes).unwrap(), bytes.len());
             assert_same_verdict(&bytes);
             // Every truncation, and trailing bytes past the declared length.
             for cut in 0..bytes.len() {
@@ -708,8 +709,19 @@ mod tests {
     /// what they accept re-parses equal.
     #[test]
     fn random_bytes_get_one_verdict_from_both_parsers() {
+        random_bytes_round(20_000);
+    }
+
+    /// The same fuzz on 50 times the cases.
+    #[test]
+    #[ignore = "long fuzz run: cargo test --release -- --ignored"]
+    fn random_bytes_get_one_verdict_from_both_parsers_long() {
+        random_bytes_round(1_000_000);
+    }
+
+    fn random_bytes_round(cases: usize) {
         let mut rng = Mix(0x5eed_0029);
-        for _ in 0..20_000 {
+        for _ in 0..cases {
             let mut bytes: Vec<u8> = (0..rng.below(120)).map(|_| rng.next() as u8).collect();
             if bytes.len() >= SRH_FIXED_LEN && rng.below(2) == 0 {
                 bytes[1] = rng.below(bytes.len() as u64 / 8 + 1) as u8;

@@ -378,7 +378,7 @@ impl Parser {
                 .strip_suffix(']')
                 .ok_or_else(|| ConfigError::at(num, "unterminated section header"))?
                 .trim();
-            self.close_section(num)?;
+            self.close_section()?;
             self.section = Some(match header {
                 "daemon" => {
                     if self.seen_daemon {
@@ -421,16 +421,15 @@ impl Parser {
         }
     }
 
-    fn close_section(&mut self, num: usize) -> Result<(), ConfigError> {
+    fn close_section(&mut self) -> Result<(), ConfigError> {
         if let Some(Section::Tenant(draft)) = self.section.take() {
-            self.tenants.push(validate_tenant(*draft, self.daemon.workers)?);
+            self.tenants.push(validate_tenant(*draft)?);
         }
-        let _ = num;
         Ok(())
     }
 
     fn finish(mut self) -> Result<Config, ConfigError> {
-        self.close_section(0)?;
+        self.close_section()?;
         let config = Config { daemon: self.daemon, tenants: self.tenants };
         validate_config(&config)?;
         Ok(config)
@@ -636,7 +635,7 @@ fn parse_sockaddr(s: &str) -> Option<SocketAddr> {
     addr.is_ipv6().then_some(addr)
 }
 
-fn validate_tenant(draft: TenantDraft, workers: u32) -> Result<TenantConfig, ConfigError> {
+fn validate_tenant(draft: TenantDraft) -> Result<TenantConfig, ConfigError> {
     let line = draft.line;
     let local = draft
         .local
@@ -644,13 +643,6 @@ fn validate_tenant(draft: TenantDraft, workers: u32) -> Result<TenantConfig, Con
     let listen = draft.listen.ok_or_else(|| {
         ConfigError::at(line, format!("tenant `{}` needs `listen = [addr]:port`", draft.name))
     })?;
-    // Queue q binds port+q: the whole range must stay a valid port.
-    if u32::from(listen.port()) + workers > u32::from(u16::MAX) {
-        return Err(ConfigError::at(
-            line,
-            format!("tenant `{}` listen port range overflows a u16 with {workers} queues", draft.name),
-        ));
-    }
     for route in &draft.routes {
         if draft.peers.iter().all(|(oif, _)| *oif != route.oif) {
             return Err(ConfigError::at(
@@ -674,11 +666,20 @@ fn validate_tenant(draft: TenantDraft, workers: u32) -> Result<TenantConfig, Con
     })
 }
 
+/// The checks that need the whole file (`[daemon]` may follow the tenants).
 fn validate_config(config: &Config) -> Result<(), ConfigError> {
     if config.tenants.is_empty() {
         return Err(ConfigError::global("at least one [tenant NAME] section is required"));
     }
+    let workers = config.daemon.workers;
     for (i, tenant) in config.tenants.iter().enumerate() {
+        // Queue q binds port+q: the whole range must stay a valid port.
+        if u32::from(tenant.listen.port()) + workers > u32::from(u16::MAX) {
+            return Err(ConfigError::global(format!(
+                "tenant `{}` listen port range overflows a u16 with {workers} queues",
+                tenant.name
+            )));
+        }
         for other in &config.tenants[i + 1..] {
             if tenant.name == other.name {
                 return Err(ConfigError::global(format!("duplicate tenant `{}`", tenant.name)));
@@ -687,11 +688,10 @@ fn validate_config(config: &Config) -> Result<(), ConfigError> {
             // tenants on the same IP must not overlap.
             let same_ip = tenant.listen.ip() == other.listen.ip();
             let (a, b) = (u32::from(tenant.listen.port()), u32::from(other.listen.port()));
-            let overlap = a < b + config.daemon.workers && b < a + config.daemon.workers;
-            if same_ip && overlap {
+            if same_ip && a < b + workers && b < a + workers {
                 return Err(ConfigError::global(format!(
-                    "tenants `{}` and `{}` have overlapping listen port ranges ({} queues each)",
-                    tenant.name, other.name, config.daemon.workers
+                    "tenants `{}` and `{}` have overlapping listen port ranges ({workers} queues each)",
+                    tenant.name, other.name
                 )));
             }
         }
@@ -835,12 +835,36 @@ route = ::/0 dev 7
         assert!(Config::parse(&used).is_ok());
     }
 
+    /// A `[daemon]` section may follow the tenants it sizes: their port
+    /// ranges are checked against its `workers`, not the default.
+    #[test]
+    fn a_daemon_section_after_the_tenants_still_bounds_their_ports() {
+        let text = "[tenant a]\nlocal = fc00::1\nlisten = [::1]:65534\n[daemon]\nworkers = 4";
+        let err = Config::parse(text).expect_err("queues 1..3 would bind ports past 65535");
+        assert!(err.message.contains("overflows a u16 with 4 queues"), "{err}");
+        let fits = text.replace("65534", "65531");
+        let config = Config::parse(&fits).unwrap();
+        assert_eq!(config.tenants[0].listen_addr(3).port(), 65534);
+    }
+
     /// Hostile config text: the test config with lines dropped, duplicated
-    /// and swapped, values replaced by extreme numerals, and bytes flipped.
+    /// and swapped, values replaced by extreme numerals, bytes flipped, and
+    /// sections reordered around extreme `workers` and `listen` values.
     /// Parsing never panics, and whatever it accepts is inside the bounds
     /// `start` relies on.
     #[test]
     fn hostile_config_text_never_panics_and_stays_in_bounds() {
+        hostile_config_round(2_000);
+    }
+
+    /// The same fuzz on 50 times the cases.
+    #[test]
+    #[ignore = "long fuzz run: cargo test --release -- --ignored"]
+    fn hostile_config_text_never_panics_and_stays_in_bounds_long() {
+        hostile_config_round(100_000);
+    }
+
+    fn hostile_config_round(cases: usize) {
         const NUMERALS: [&str; 16] = [
             "0",
             "1",
@@ -873,10 +897,29 @@ route = ::/0 dev 7
                 assert!((1..=MAX_BATCH_SIZE).contains(&daemon.batch_size), "{text}");
                 assert!((1..=MAX_QUEUE_DEPTH).contains(&daemon.queue_depth), "{text}");
                 assert!((1..=MAX_RX_BURST).contains(&daemon.rx_burst), "{text}");
+                for tenant in &config.tenants {
+                    for queue in 0..daemon.workers {
+                        let port = u32::from(tenant.listen_addr(queue).port());
+                        assert_eq!(port, u32::from(tenant.listen.port()) + queue, "{text}");
+                    }
+                }
             }
         };
+        // The `[daemon]` section and the two tenants, in every order.
+        let sections: Vec<String> = GOOD.split("\n[").skip(1).map(|s| format!("[{s}")).collect();
+        for _ in 0..cases {
+            let mut order: Vec<&String> = sections.iter().collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, next(i + 1));
+            }
+            let mut text = order.iter().map(|s| s.as_str()).collect::<Vec<_>>().join("\n");
+            let workers = [1, 2, 4, 64, MAX_WORKERS][next(5)];
+            text = text.replace("workers = 2", &format!("workers = {workers}"));
+            text = text.replace(":9000", &format!(":{}", 65_535 - next(80)));
+            check(&text);
+        }
         let good: Vec<String> = GOOD.lines().map(str::to_string).collect();
-        for _ in 0..2_000 {
+        for _ in 0..cases {
             let mut lines = good.clone();
             for _ in 0..1 + next(3) {
                 if lines.is_empty() {
@@ -899,7 +942,7 @@ route = ::/0 dev 7
             }
             check(&lines.join("\n"));
         }
-        for _ in 0..2_000 {
+        for _ in 0..cases {
             let mut bytes = GOOD.as_bytes().to_vec();
             for _ in 0..1 + next(3) {
                 let at = next(bytes.len());

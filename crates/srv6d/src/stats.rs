@@ -286,3 +286,127 @@ pub fn control(path: impl AsRef<Path>, command: &str) -> std::io::Result<String>
     stream.read_to_string(&mut reply)?;
     Ok(reply)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use seg6_core::Seg6Datapath;
+    use seg6_runtime::{PoolConfig, WorkerPool};
+    use std::net::Shutdown;
+
+    /// A hostile control request: random bytes, invalid UTF-8, a command
+    /// with no newline, more than 4 KiB, NULs, padding — around the real
+    /// command words and `GET` prefixes.
+    fn hostile_request(next: &mut impl FnMut(usize) -> usize) -> Vec<u8> {
+        const WORDS: [&str; 9] =
+            ["reload", "drain", "ping", "metrics", "GET", "GET ", "GET /metrics HTTP/1.1", "", "reloads"];
+        const PADS: [&str; 5] = ["", " ", "\t", "  \r", "\r"];
+        let word = WORDS[next(WORDS.len())].as_bytes();
+        match next(7) {
+            0 => (0..next(96)).map(|_| next(256) as u8).collect(),
+            1 => [&[0xff, 0xc3][..], word, b"\n"].concat(),
+            2 => word.to_vec(),
+            3 => {
+                let mut long = vec![b'x'; 4097 + next(4096)];
+                if next(2) == 0 {
+                    long.splice(0..0, [word, b"\n"].concat());
+                }
+                long
+            }
+            4 => {
+                let mut with_nul = [word, b"\n"].concat();
+                with_nul.insert(next(with_nul.len() + 1), 0);
+                with_nul
+            }
+            5 => [PADS[next(PADS.len())].as_bytes(), word, PADS[next(PADS.len())].as_bytes(), b"\n"].concat(),
+            _ => [word, b"\n"].concat(),
+        }
+    }
+
+    /// Sends seeded hostile requests, 32 connections at a time, each client
+    /// half-closing its write side so the server never waits on its read
+    /// timeout. Every reply is the metrics text (bare or behind an HTTP
+    /// header), an `ok …` line or `err unknown command …`, as the request's
+    /// first line decides; only exact `reload` / `drain` lines set their
+    /// flags; and the server still answers `ping` afterwards.
+    fn hostile_ctl_round(requests: usize) {
+        let pool =
+            WorkerPool::from_datapath(PoolConfig::default(), &Seg6Datapath::new("fc00::1".parse().unwrap()));
+        let shared = DaemonShared::new(pool.counters());
+        let path =
+            std::env::temp_dir().join(format!("srv6d-ctl-fuzz-{}-{requests}.sock", std::process::id()));
+        let server = StatsServer::spawn(&path, Arc::clone(&shared)).unwrap();
+        let metrics = shared.render_metrics();
+        let http = format!(
+            "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\n\r\n{metrics}",
+            metrics.len()
+        );
+        let mut state = 0x5eed_0c71_u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n.max(1) as u64) as usize
+        };
+        let mut sent = 0;
+        while sent < requests {
+            let batch: Vec<Vec<u8>> =
+                (0..32.min(requests - sent)).map(|_| hostile_request(&mut next)).collect();
+            sent += batch.len();
+            let streams: Vec<UnixStream> = batch
+                .iter()
+                .map(|request| {
+                    // The server may stop reading a long request, and close,
+                    // before the client has finished writing it.
+                    let mut stream = UnixStream::connect(&path).unwrap();
+                    let _ = stream.write_all(request);
+                    let _ = stream.shutdown(Shutdown::Write);
+                    stream
+                })
+                .collect();
+            let (mut reload, mut drain) = (false, false);
+            for (request, mut stream) in batch.iter().zip(streams) {
+                let mut reply = Vec::new();
+                // A server that stops reading a long request may reset the
+                // connection once it has replied; the reply stands.
+                let _ = stream.read_to_end(&mut reply);
+                let reply = String::from_utf8(reply).unwrap();
+                let text = String::from_utf8_lossy(request);
+                let want = match text.lines().next().unwrap_or("").trim() {
+                    "" | "metrics" => metrics.as_str(),
+                    command if command.starts_with("GET ") => http.as_str(),
+                    "reload" => {
+                        reload = true;
+                        "ok reload scheduled\n"
+                    }
+                    "drain" => {
+                        drain = true;
+                        "ok draining\n"
+                    }
+                    "ping" => "ok\n",
+                    _ => {
+                        assert!(reply.starts_with("err unknown command `"), "{request:02x?}: {reply}");
+                        continue;
+                    }
+                };
+                assert_eq!(reply, want, "{request:02x?}");
+            }
+            assert_eq!(shared.flags.reload.swap(false, Ordering::Relaxed), reload, "{batch:02x?}");
+            assert_eq!(shared.flags.stop.swap(false, Ordering::Relaxed), drain, "{batch:02x?}");
+        }
+        assert_eq!(control(&path, "ping").unwrap(), "ok\n");
+        server.stop();
+    }
+
+    #[test]
+    fn hostile_bytes_on_the_ctl_socket_get_one_of_the_three_replies() {
+        hostile_ctl_round(256);
+    }
+
+    /// The same fuzz on 50 times the requests.
+    #[test]
+    #[ignore = "long fuzz run: cargo test --release -- --ignored"]
+    fn hostile_bytes_on_the_ctl_socket_get_one_of_the_three_replies_long() {
+        hostile_ctl_round(12_800);
+    }
+}

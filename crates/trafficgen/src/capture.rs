@@ -225,9 +225,32 @@ mod tests {
     fn every_truncation_ends_cleanly_only_at_a_record_boundary() {
         let frames: Vec<(u64, Vec<u8>)> =
             (0..6u64).map(|i| (i << 40 | i, vec![i as u8; i as usize * 7])).collect();
+        assert_every_truncation_ends_cleanly(&frames);
+    }
+
+    /// The same check on 64 seeded captures of random frames.
+    #[test]
+    #[ignore = "long fuzz run: cargo test --release -- --ignored"]
+    fn every_truncation_ends_cleanly_only_at_a_record_boundary_long() {
+        let mut state = 0x5eed_ca97_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..64 {
+            let frames: Vec<(u64, Vec<u8>)> = (0..1 + next() % 8)
+                .map(|_| (next(), (0..next() % 64).map(|_| next() as u8).collect()))
+                .collect();
+            assert_every_truncation_ends_cleanly(&frames);
+        }
+    }
+
+    fn assert_every_truncation_ends_cleanly(frames: &[(u64, Vec<u8>)]) {
         let mut writer = CaptureWriter::new(Vec::new()).unwrap();
         let mut boundaries = vec![CAPTURE_MAGIC.len()];
-        for (ts, frame) in &frames {
+        for (ts, frame) in frames {
             writer.write_frame(*ts, frame).unwrap();
             boundaries.push(boundaries.last().unwrap() + 12 + frame.len());
         }

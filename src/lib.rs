@@ -5,7 +5,8 @@
 //! the workspace crates so examples and downstream users can depend on a
 //! single crate:
 //!
-//! * [`netpkt`] — IPv6 / SRH / UDP / TCP / ICMPv6 wire formats;
+//! * [`netpkt`] — IPv6 / SRH / UDP / TCP wire formats and the one walk of
+//!   an IPv6 header chain;
 //! * [`ebpf_vm`] — the eBPF virtual machine (ISA, verifier, interpreter,
 //!   JIT, maps, helpers, perf events);
 //! * [`seg6_core`] — the SRv6 data plane with the `End.BPF` action and the
