@@ -59,8 +59,6 @@ pub struct Seg6Env {
     pub cpu: u32,
     /// Decisions taken by helpers.
     pub out: EnvOutcome,
-    /// Messages emitted through `bpf_trace_printk`.
-    pub traces: Vec<String>,
     rng_state: u64,
     /// This environment's lock-free snapshot of `tables`, refreshed when
     /// routes change: helper lookups take no lock and clone no `Arc`.
@@ -84,7 +82,6 @@ impl Seg6Env {
             flow: EcmpKey::default(),
             cpu: 0,
             out: EnvOutcome::default(),
-            traces: Vec::new(),
             rng_state: rng_seed(now_ns),
             fib: FibCache::new(),
         }
@@ -105,8 +102,8 @@ impl Seg6Env {
 
     /// Makes the environment the next invocation's: everything a program
     /// or helper can observe is what [`Seg6Env::new`] at `now_ns` would
-    /// hand it (no decisions, no traces, the same `bpf_get_prandom_u32`
-    /// sequence); the tables and their snapshot are kept.
+    /// hand it (no decisions, the same `bpf_get_prandom_u32` sequence); the
+    /// tables and their snapshot are kept.
     pub fn rearm(
         &mut self,
         local_addr: Ipv6Addr,
@@ -121,7 +118,6 @@ impl Seg6Env {
         self.flow = flow;
         self.cpu = cpu;
         self.out = EnvOutcome::default();
-        self.traces.clear();
         self.rng_state = rng_seed(now_ns);
     }
 
@@ -158,10 +154,6 @@ impl VmEnv for Seg6Env {
         (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) as u32
     }
 
-    fn trace(&mut self, message: &str) {
-        self.traces.push(message.to_string());
-    }
-
     fn snapshot(&mut self) -> Option<EnvSnapshot> {
         // `now_ns` and `cpu` are fixed for the lifetime of one invocation,
         // so the native tier may inline them (prandom mutates state and
@@ -195,14 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn traces_are_collected() {
-        let mut e = env();
-        e.trace("hello");
-        e.trace("world");
-        assert_eq!(e.traces, vec!["hello", "world"]);
-    }
-
-    #[test]
     fn builder_methods_set_fields() {
         let e = env().with_srh_offset(40);
         assert_eq!(e.srh_offset, Some(40));
@@ -219,7 +203,6 @@ mod tests {
         for now_ns in [0u64, 1, 1_000, 123_456_789, u64::MAX] {
             // Leave residue behind, as a previous packet's program would.
             kept.prandom_u32();
-            kept.trace("stale");
             kept.out.srh_modified = true;
             kept.out.seg6_action = Some(3);
             let flow = EcmpKey { flow_label: 7, ..EcmpKey::default() };
@@ -229,7 +212,6 @@ mod tests {
             assert_eq!(draws(&mut kept), draws(&mut fresh), "now_ns {now_ns}");
             assert_eq!((kept.now_ns, kept.local_addr), (fresh.now_ns, fresh.local_addr));
             assert_eq!((kept.cpu, kept.srh_offset, kept.flow), (2, Some(40), flow));
-            assert!(kept.traces.is_empty());
             assert!(!kept.out.srh_modified && kept.out.seg6_action.is_none());
             assert!(!kept.out.route_override.is_set());
         }

@@ -55,7 +55,7 @@ pub mod encap_modes {
 }
 
 static SEG6LOCAL_ONLY: &[ProgramType] = &[ProgramType::LwtSeg6Local];
-static LWT_HOOKS: &[ProgramType] = &[ProgramType::LwtIn, ProgramType::LwtOut, ProgramType::LwtXmit];
+static LWT_HOOKS: &[ProgramType] = &[ProgramType::LwtIn, ProgramType::LwtXmit];
 
 /// Builds a helper registry with the base kernel helpers plus the four SRv6
 /// helpers, gated by program type exactly as the paper's kernel patch does.

@@ -1,8 +1,11 @@
-//! The BPF lightweight-tunnel hooks (`lwt_in` / `lwt_out` / `lwt_xmit`).
+//! The BPF lightweight-tunnel hooks the datapath runs (`lwt_in` /
+//! `lwt_xmit`).
 //!
 //! These hooks pre-date the paper (§2.1 calls them "BPF LWT"); they run an
 //! eBPF program for traffic matching a route, at the ingress or egress of
-//! the IPv6 routing process. The paper uses the xmit hook together with its
+//! the IPv6 routing process. The kernel's third hook, `lwt_out`, runs on
+//! locally generated packets, which this datapath does not originate, so
+//! it is not offered. The paper uses the xmit hook together with its
 //! new `bpf_lwt_push_encap` helper for the delay-monitoring ingress program
 //! (§4.1) and the hybrid-access WRR scheduler (§4.2).
 //!
@@ -14,13 +17,12 @@ use crate::table::PrefixTable;
 use ebpf_vm::program::LoadedProgram;
 use std::sync::Arc;
 
-/// Which point of the routing process the program is attached to.
+/// Which point of the routing process the program is attached to: the
+/// two hooks the datapath dispatches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LwtHook {
     /// After the route lookup, for packets addressed to the local host.
     In,
-    /// After the route lookup, for locally generated packets.
-    Out,
     /// Just before transmission of forwarded packets.
     Xmit,
 }

@@ -3,14 +3,15 @@
 //! Helpers are the proxies between eBPF programs and the kernel (§2.1 of
 //! the paper). A program calls them by numeric id with the `call`
 //! instruction; the verifier only accepts ids that are registered for the
-//! program's hook. This module provides the base helpers every hook gets
-//! (map access, time, randomness, perf events, `skb_load_bytes`) and the
+//! program's hook. This module provides the six base helpers every hook
+//! gets — `bpf_map_lookup_elem`, `bpf_ktime_get_ns`, `bpf_get_prandom_u32`,
+//! `bpf_get_smp_processor_id`, `bpf_perf_event_output` and
+//! `bpf_skb_load_bytes`, the ones the paper's use cases (§4) call — and the
 //! registry that embedders — the `seg6-core` crate in this workspace —
 //! extend with their own helpers, exactly as the paper added four SRv6
 //! helpers to the kernel.
 
-use crate::error::Result;
-use crate::maps::{MapType, UpdateFlags};
+use crate::maps::MapType;
 use crate::perf::PerfEvent;
 use crate::program::ProgramType;
 use crate::vm::HelperApi;
@@ -22,14 +23,8 @@ use std::borrow::Cow;
 pub mod ids {
     /// `bpf_map_lookup_elem`
     pub const MAP_LOOKUP_ELEM: u32 = 1;
-    /// `bpf_map_update_elem`
-    pub const MAP_UPDATE_ELEM: u32 = 2;
-    /// `bpf_map_delete_elem`
-    pub const MAP_DELETE_ELEM: u32 = 3;
     /// `bpf_ktime_get_ns`
     pub const KTIME_GET_NS: u32 = 5;
-    /// `bpf_trace_printk`
-    pub const TRACE_PRINTK: u32 = 6;
     /// `bpf_get_prandom_u32`
     pub const GET_PRANDOM_U32: u32 = 7;
     /// `bpf_get_smp_processor_id`
@@ -90,10 +85,7 @@ impl HelperRegistry {
     pub fn with_base_helpers() -> Self {
         let mut registry = Self::new();
         registry.register(ids::MAP_LOOKUP_ELEM, "bpf_map_lookup_elem", helper_map_lookup_elem, None);
-        registry.register(ids::MAP_UPDATE_ELEM, "bpf_map_update_elem", helper_map_update_elem, None);
-        registry.register(ids::MAP_DELETE_ELEM, "bpf_map_delete_elem", helper_map_delete_elem, None);
         registry.register(ids::KTIME_GET_NS, "bpf_ktime_get_ns", helper_ktime_get_ns, None);
-        registry.register(ids::TRACE_PRINTK, "bpf_trace_printk", helper_trace_printk, None);
         registry.register(ids::GET_PRANDOM_U32, "bpf_get_prandom_u32", helper_get_prandom_u32, None);
         registry.register(
             ids::GET_SMP_PROCESSOR_ID,
@@ -177,15 +169,9 @@ impl HelperRegistry {
 // Base helper implementations
 // ---------------------------------------------------------------------------
 
-fn ok_or_minus_one(result: Result<()>) -> i64 {
-    match result {
-        Ok(()) => 0,
-        Err(_) => -1,
-    }
-}
-
-/// Largest map key / value read through a stack buffer by [`read_param`].
-/// Every map in this workspace fits; jumbo values fall back to a heap read.
+/// Largest parameter read through a stack buffer by [`read_param`]. Every
+/// map key in this workspace fits; jumbo parameters fall back to a heap
+/// read.
 pub const MAX_STACK_PARAM: usize = 64;
 
 /// Reads `len` program-memory bytes through a caller-provided stack buffer
@@ -220,54 +206,9 @@ fn helper_map_lookup_elem(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
     }
 }
 
-/// `long bpf_map_update_elem(map, key, value, flags)`. A program updating a
-/// per-CPU map writes its own CPU's slot, as in the kernel.
-fn helper_map_update_elem(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
-    let Ok(map) = api.map_by_ptr(args[0]) else { return -1 };
-    let mut kb = [0u8; MAX_STACK_PARAM];
-    let Some(key) = read_param(api, args[1], map.key_size(), &mut kb) else { return -1 };
-    let mut vb = [0u8; MAX_STACK_PARAM];
-    let Some(value) = read_param(api, args[2], map.value_size(), &mut vb) else { return -1 };
-    let flags = match args[3] {
-        0 => UpdateFlags::Any,
-        1 => UpdateFlags::NoExist,
-        2 => UpdateFlags::Exist,
-        _ => return -1,
-    };
-    if map.map_type() == MapType::PerCpuArray {
-        let cpu = api.env().cpu_id();
-        match map.lookup_ref_cpu(&key, cpu) {
-            Some(slot) if flags != UpdateFlags::NoExist => {
-                slot.write().copy_from_slice(&value);
-                return 0;
-            }
-            _ => return -1,
-        }
-    }
-    ok_or_minus_one(map.update(&key, &value, flags))
-}
-
-/// `long bpf_map_delete_elem(map, key)`.
-fn helper_map_delete_elem(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
-    let Ok(map) = api.map_by_ptr(args[0]) else { return -1 };
-    let mut kb = [0u8; MAX_STACK_PARAM];
-    let Some(key) = read_param(api, args[1], map.key_size(), &mut kb) else { return -1 };
-    ok_or_minus_one(map.delete(&key))
-}
-
 /// `u64 bpf_ktime_get_ns(void)`.
 fn helper_ktime_get_ns(api: &mut HelperApi<'_, '_>, _args: [u64; 5]) -> i64 {
     api.env().ktime_ns() as i64
-}
-
-/// `long bpf_trace_printk(fmt, fmt_size, ...)` — reads a message from the
-/// program and hands it to the environment's trace sink.
-fn helper_trace_printk(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
-    let len = (args[1] as usize).min(256);
-    let Ok(bytes) = api.read_bytes(args[0], len) else { return -1 };
-    let message = String::from_utf8_lossy(&bytes).trim_end_matches('\0').to_string();
-    api.env().trace(&message);
-    message.len() as i64
 }
 
 /// `u32 bpf_get_prandom_u32(void)`.
@@ -342,7 +283,7 @@ fn helper_skb_load_bytes(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maps::{ArrayMap, Map, MapHandle, PerfEventArray};
+    use crate::maps::{ArrayMap, Map, MapHandle, PerfEventArray, UpdateFlags};
     use crate::vm::{map_ptr_value, NullEnv, RunContext, RunState, STACK_BASE};
     use std::collections::HashMap as StdHashMap;
     use std::sync::Arc;
@@ -355,10 +296,20 @@ mod tests {
     #[test]
     fn registry_contains_base_helpers() {
         let registry = HelperRegistry::with_base_helpers();
-        assert!(registry.len() >= 8);
+        // Exactly the helpers the paper's use cases call, and no others.
+        let base = [
+            (ids::MAP_LOOKUP_ELEM, "bpf_map_lookup_elem"),
+            (ids::KTIME_GET_NS, "bpf_ktime_get_ns"),
+            (ids::GET_PRANDOM_U32, "bpf_get_prandom_u32"),
+            (ids::GET_SMP_PROCESSOR_ID, "bpf_get_smp_processor_id"),
+            (ids::PERF_EVENT_OUTPUT, "bpf_perf_event_output"),
+            (ids::SKB_LOAD_BYTES, "bpf_skb_load_bytes"),
+        ];
+        assert_eq!(registry.len(), base.len());
+        for (id, name) in base {
+            assert_eq!(registry.name_of(id), Some(name));
+        }
         assert!(!registry.is_empty());
-        assert_eq!(registry.name_of(ids::MAP_LOOKUP_ELEM), Some("bpf_map_lookup_elem"));
-        assert!(registry.get(ids::KTIME_GET_NS).is_some());
         assert!(registry.get(424242).is_none());
         // Unrestricted helpers are allowed everywhere; unknown ids nowhere.
         assert!(registry.allowed_for(ids::KTIME_GET_NS, ProgramType::LwtSeg6Local));
@@ -385,27 +336,22 @@ mod tests {
         let (mut state, mut ctx, mut pkt) = setup(&maps);
         let mut env = NullEnv;
         let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
-
-        // Write key 1 to the stack.
+        // User space fills the array; the program looks it up and updates
+        // the value through the returned pointer.
+        map.update(&1u32.to_ne_bytes(), &[9u8; 8], UpdateFlags::Any).unwrap();
         let key_addr = STACK_BASE + 8;
         {
             let mut api = HelperApi { state: &mut state, rc: &mut rc, maps: &maps };
             api.write_bytes(key_addr, &1u32.to_ne_bytes()).unwrap();
-            let value_addr = STACK_BASE + 16;
-            api.write_bytes(value_addr, &[9u8; 8]).unwrap();
-            // update elem
-            let ret = helper_map_update_elem(&mut api, [map_ptr_value(3), key_addr, value_addr, 0, 0]);
-            assert_eq!(ret, 0);
-            // lookup returns a readable pointer
+            // lookup returns a readable, writable pointer
             let ptr = helper_map_lookup_elem(&mut api, [map_ptr_value(3), key_addr, 0, 0, 0]);
             assert!(ptr > 0);
             assert_eq!(api.read_bytes(ptr as u64, 8).unwrap(), vec![9u8; 8]);
+            api.write_bytes(ptr as u64, &[7u8; 8]).unwrap();
             // unknown fd fails cleanly
             assert_eq!(helper_map_lookup_elem(&mut api, [map_ptr_value(9), key_addr, 0, 0, 0]), 0);
-            // delete is not supported on arrays
-            assert_eq!(helper_map_delete_elem(&mut api, [map_ptr_value(3), key_addr, 0, 0, 0]), -1);
         }
-        assert_eq!(map.lookup(&1u32.to_ne_bytes()), Some(vec![9u8; 8]));
+        assert_eq!(map.lookup(&1u32.to_ne_bytes()), Some(vec![7u8; 8]));
     }
 
     #[test]
@@ -533,33 +479,5 @@ mod tests {
         let mut api = HelperApi { state: &mut state, rc: &mut rc, maps: &maps };
         assert_eq!(helper_ktime_get_ns(&mut api, [0; 5]), 424242);
         assert_eq!(helper_get_prandom_u32(&mut api, [0; 5]), 7);
-    }
-
-    #[test]
-    fn trace_printk_reads_message() {
-        #[derive(Default)]
-        struct Collecting {
-            messages: Vec<String>,
-        }
-        impl crate::vm::VmEnv for Collecting {
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-            fn trace(&mut self, message: &str) {
-                self.messages.push(message.to_string());
-            }
-        }
-        let maps = StdHashMap::new();
-        let mut state = RunState::new(0);
-        let mut ctx = vec![0u8; 4];
-        let mut pkt = vec![0u8; 4];
-        let mut env = Collecting::default();
-        {
-            let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
-            let mut api = HelperApi { state: &mut state, rc: &mut rc, maps: &maps };
-            api.write_bytes(STACK_BASE, b"hello\0\0\0").unwrap();
-            assert_eq!(helper_trace_printk(&mut api, [STACK_BASE, 8, 0, 0, 0]), 5);
-        }
-        assert_eq!(env.messages, vec!["hello".to_string()]);
     }
 }

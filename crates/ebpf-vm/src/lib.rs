@@ -16,12 +16,13 @@
 //!   x86-64** code generator ([`codegen`]) lowering the pre-decoded
 //!   micro-op stream ([`jit`]), auto-selected at load time (other hosts
 //!   run the interpreter);
-//! * **maps** ([`maps`]): array, hash, LPM-trie, per-CPU array and
-//!   perf-event arrays, with both the program-side pointer semantics and the
-//!   user-space copy semantics;
-//! * **helpers** ([`helpers`]): the base kernel helpers plus a registry that
-//!   embedders (the `seg6-core` crate) extend with their own, exactly as the
-//!   paper added four SRv6 helpers to the kernel;
+//! * **maps** ([`maps`]): array, per-CPU array and perf-event array — the
+//!   three the paper's use cases need — with both the program-side pointer
+//!   semantics and the user-space copy semantics;
+//! * **helpers** ([`helpers`]): six base kernel helpers (map lookup, time,
+//!   randomness, CPU id, perf output, `skb_load_bytes`) plus a registry
+//!   that embedders (the `seg6-core` crate) extend with their own, exactly
+//!   as the paper added four SRv6 helpers to the kernel;
 //! * a **perf-event ring buffer** ([`perf`]) for pushing data to user-space
 //!   daemons.
 //!
@@ -72,8 +73,7 @@ pub use error::{Error, Result};
 pub use helpers::{ids as helper_ids, HelperRegistry};
 pub use insn::{AccessSize, Insn};
 pub use maps::{
-    ArrayMap, HashMap as BpfHashMap, LpmTrieMap, Map, MapHandle, MapType, PerCpuArrayMap, PerfEventArray,
-    UpdateFlags, DEFAULT_NUM_CPUS,
+    ArrayMap, Map, MapHandle, MapType, PerCpuArrayMap, PerfEventArray, UpdateFlags, DEFAULT_NUM_CPUS,
 };
 pub use perf::{PerfEvent, PerfEventBuffer};
 pub use program::{load, retcode, ExecTier, LoadedProgram, Program, ProgramType};

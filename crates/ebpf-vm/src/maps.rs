@@ -3,15 +3,17 @@
 //! The paper (§2.1) relies on maps for two things: keeping state across
 //! program invocations (the WRR scheduler's weights and last-chosen path)
 //! and exchanging data with user-space daemons. This module implements the
-//! map types the use cases need — arrays, hash maps, longest-prefix-match
-//! tries, per-CPU arrays and perf-event arrays — behind a common [`Map`]
-//! trait with both copy semantics (the user-space `bpf()` syscall view) and
-//! pointer semantics (`bpf_map_lookup_elem` returning a value reference).
+//! three map types the use cases need — arrays, per-CPU arrays and
+//! perf-event arrays — behind a common [`Map`] trait with both copy
+//! semantics (the user-space `bpf()` syscall view) and pointer semantics
+//! (`bpf_map_lookup_elem` returning a value reference). Programs only look
+//! values up and write through the returned pointer; user space fills
+//! arrays with [`Map::update`]. No map deletes entries: array entries
+//! always exist, as in the kernel.
 
 use crate::error::{Error, Result};
 use crate::perf::PerfEventBuffer;
 use parking_lot::RwLock;
-use std::collections::HashMap as StdHashMap;
 use std::sync::Arc;
 
 /// Shared, mutable reference to a map value, handed to programs by
@@ -21,15 +23,12 @@ pub type ValueRef = Arc<RwLock<Vec<u8>>>;
 /// Shared handle to a map.
 pub type MapHandle = Arc<dyn Map>;
 
-/// The map types implemented by this crate.
+/// The map types implemented by this crate: the array family the paper's
+/// use cases (§4) need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MapType {
     /// Fixed-size array indexed by a 32-bit key.
     Array,
-    /// Hash map with arbitrary fixed-size keys.
-    Hash,
-    /// Longest-prefix-match trie (e.g. for per-destination policies).
-    LpmTrie,
     /// Per-CPU array: every entry holds one independent value slot per
     /// logical CPU (worker shard), and programs transparently address the
     /// slot of the CPU they run on.
@@ -77,10 +76,9 @@ pub trait Map: Send + Sync {
     fn num_cpus(&self) -> u32 {
         1
     }
-    /// Insert or update an element.
+    /// Overwrite an element (user space only; programs write through the
+    /// pointer `bpf_map_lookup_elem` returns).
     fn update(&self, key: &[u8], value: &[u8], flags: UpdateFlags) -> Result<()>;
-    /// Delete an element.
-    fn delete(&self, key: &[u8]) -> Result<()>;
     /// Snapshot of the current keys (user-space iteration).
     fn keys(&self) -> Vec<Vec<u8>>;
     /// The perf-event buffer, for [`MapType::PerfEventArray`] maps only.
@@ -171,9 +169,6 @@ impl Map for ArrayMap {
         let idx = self.index(key).ok_or_else(|| Error::Map("array index out of bounds".into()))?;
         self.values[idx].write().copy_from_slice(value);
         Ok(())
-    }
-    fn delete(&self, _key: &[u8]) -> Result<()> {
-        Err(Error::Map("array entries cannot be deleted".into()))
     }
     fn keys(&self) -> Vec<Vec<u8>> {
         (0..self.values.len() as u32).map(|i| i.to_ne_bytes().to_vec()).collect()
@@ -302,203 +297,8 @@ impl Map for PerCpuArrayMap {
         }
         Ok(())
     }
-    fn delete(&self, _key: &[u8]) -> Result<()> {
-        Err(Error::Map("array entries cannot be deleted".into()))
-    }
     fn keys(&self) -> Vec<Vec<u8>> {
         (0..self.values.len() as u32).map(|i| i.to_ne_bytes().to_vec()).collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hash map
-// ---------------------------------------------------------------------------
-
-/// `BPF_MAP_TYPE_HASH`: a bounded hash map with fixed-size keys and values.
-pub struct HashMap {
-    entries: RwLock<StdHashMap<Vec<u8>, ValueRef>>,
-    key_size: usize,
-    value_size: usize,
-    max_entries: usize,
-}
-
-impl HashMap {
-    /// Creates an empty hash map.
-    pub fn new(key_size: usize, value_size: usize, max_entries: usize) -> Arc<Self> {
-        Arc::new(HashMap { entries: RwLock::new(StdHashMap::new()), key_size, value_size, max_entries })
-    }
-}
-
-impl Map for HashMap {
-    fn map_type(&self) -> MapType {
-        MapType::Hash
-    }
-    fn key_size(&self) -> usize {
-        self.key_size
-    }
-    fn value_size(&self) -> usize {
-        self.value_size
-    }
-    fn max_entries(&self) -> usize {
-        self.max_entries
-    }
-    fn lookup(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.entries.read().get(key).map(|v| v.read().clone())
-    }
-    fn lookup_ref(&self, key: &[u8]) -> Option<ValueRef> {
-        self.entries.read().get(key).map(Arc::clone)
-    }
-    fn update(&self, key: &[u8], value: &[u8], flags: UpdateFlags) -> Result<()> {
-        check_key(self, key)?;
-        check_value(self, value)?;
-        let mut entries = self.entries.write();
-        let exists = entries.contains_key(key);
-        match flags {
-            UpdateFlags::NoExist if exists => return Err(Error::Map("key already exists".into())),
-            UpdateFlags::Exist if !exists => return Err(Error::Map("key does not exist".into())),
-            _ => {}
-        }
-        if !exists && entries.len() >= self.max_entries {
-            return Err(Error::Map("hash map is full".into()));
-        }
-        match entries.get(key) {
-            Some(slot) => slot.write().copy_from_slice(value),
-            None => {
-                entries.insert(key.to_vec(), Arc::new(RwLock::new(value.to_vec())));
-            }
-        }
-        Ok(())
-    }
-    fn delete(&self, key: &[u8]) -> Result<()> {
-        check_key(self, key)?;
-        if self.entries.write().remove(key).is_none() {
-            return Err(Error::Map("key does not exist".into()));
-        }
-        Ok(())
-    }
-    fn keys(&self) -> Vec<Vec<u8>> {
-        self.entries.read().keys().cloned().collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// LPM trie
-// ---------------------------------------------------------------------------
-
-/// `BPF_MAP_TYPE_LPM_TRIE`: keys are a 32-bit prefix length (host endian)
-/// followed by the key data; lookups return the entry with the longest
-/// prefix covering the searched key.
-pub struct LpmTrieMap {
-    /// (prefix_len_bits, data) -> value, kept as a flat list; the entry count
-    /// in our workloads is small enough that a linear longest-match scan is
-    /// not a bottleneck and keeps the structure obviously correct.
-    entries: RwLock<Vec<(u32, Vec<u8>, ValueRef)>>,
-    key_size: usize,
-    value_size: usize,
-    max_entries: usize,
-}
-
-impl LpmTrieMap {
-    /// Creates an empty LPM trie. `key_size` includes the 4-byte prefix
-    /// length field, as in the kernel ABI.
-    pub fn new(key_size: usize, value_size: usize, max_entries: usize) -> Arc<Self> {
-        assert!(key_size > 4, "LPM trie keys must include the 4-byte prefix length");
-        Arc::new(LpmTrieMap { entries: RwLock::new(Vec::new()), key_size, value_size, max_entries })
-    }
-
-    fn split_key<'k>(&self, key: &'k [u8]) -> Result<(u32, &'k [u8])> {
-        if key.len() != self.key_size {
-            return Err(Error::Map("LPM key size mismatch".into()));
-        }
-        let prefix_len = u32::from_ne_bytes([key[0], key[1], key[2], key[3]]);
-        let data = &key[4..];
-        if prefix_len as usize > data.len() * 8 {
-            return Err(Error::Map("LPM prefix length exceeds key width".into()));
-        }
-        Ok((prefix_len, data))
-    }
-
-    fn matches(prefix_len: u32, prefix: &[u8], key: &[u8]) -> bool {
-        let full_bytes = (prefix_len / 8) as usize;
-        let rem_bits = prefix_len % 8;
-        if prefix[..full_bytes] != key[..full_bytes] {
-            return false;
-        }
-        if rem_bits == 0 {
-            return true;
-        }
-        let mask = 0xffu8 << (8 - rem_bits);
-        (prefix[full_bytes] & mask) == (key[full_bytes] & mask)
-    }
-}
-
-impl Map for LpmTrieMap {
-    fn map_type(&self) -> MapType {
-        MapType::LpmTrie
-    }
-    fn key_size(&self) -> usize {
-        self.key_size
-    }
-    fn value_size(&self) -> usize {
-        self.value_size
-    }
-    fn max_entries(&self) -> usize {
-        self.max_entries
-    }
-    fn lookup(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.lookup_ref(key).map(|v| v.read().clone())
-    }
-    fn lookup_ref(&self, key: &[u8]) -> Option<ValueRef> {
-        let (_, data) = self.split_key(key).ok()?;
-        let entries = self.entries.read();
-        entries
-            .iter()
-            .filter(|(len, prefix, _)| Self::matches(*len, prefix, data))
-            .max_by_key(|(len, _, _)| *len)
-            .map(|(_, _, value)| Arc::clone(value))
-    }
-    fn update(&self, key: &[u8], value: &[u8], flags: UpdateFlags) -> Result<()> {
-        check_value(self, value)?;
-        let (prefix_len, data) = self.split_key(key)?;
-        let mut entries = self.entries.write();
-        let existing = entries.iter().position(|(len, prefix, _)| *len == prefix_len && prefix == data);
-        match (existing, flags) {
-            (Some(_), UpdateFlags::NoExist) => Err(Error::Map("prefix already exists".into())),
-            (None, UpdateFlags::Exist) => Err(Error::Map("prefix does not exist".into())),
-            (Some(idx), _) => {
-                entries[idx].2.write().copy_from_slice(value);
-                Ok(())
-            }
-            (None, _) => {
-                if entries.len() >= self.max_entries {
-                    return Err(Error::Map("LPM trie is full".into()));
-                }
-                entries.push((prefix_len, data.to_vec(), Arc::new(RwLock::new(value.to_vec()))));
-                Ok(())
-            }
-        }
-    }
-    fn delete(&self, key: &[u8]) -> Result<()> {
-        let (prefix_len, data) = self.split_key(key)?;
-        let mut entries = self.entries.write();
-        match entries.iter().position(|(len, prefix, _)| *len == prefix_len && prefix == data) {
-            Some(idx) => {
-                entries.remove(idx);
-                Ok(())
-            }
-            None => Err(Error::Map("prefix does not exist".into())),
-        }
-    }
-    fn keys(&self) -> Vec<Vec<u8>> {
-        self.entries
-            .read()
-            .iter()
-            .map(|(len, data, _)| {
-                let mut key = len.to_ne_bytes().to_vec();
-                key.extend_from_slice(data);
-                key
-            })
-            .collect()
     }
 }
 
@@ -550,9 +350,6 @@ impl Map for PerfEventArray {
     fn update(&self, _key: &[u8], _value: &[u8], _flags: UpdateFlags) -> Result<()> {
         Err(Error::Map("perf event arrays are not updated directly".into()))
     }
-    fn delete(&self, _key: &[u8]) -> Result<()> {
-        Err(Error::Map("perf event arrays are not updated directly".into()))
-    }
     fn keys(&self) -> Vec<Vec<u8>> {
         Vec::new()
     }
@@ -572,8 +369,14 @@ mod tests {
         map.update(&2u32.to_ne_bytes(), &[1, 2, 3, 4, 5, 6, 7, 8], UpdateFlags::Any).unwrap();
         assert_eq!(map.lookup(&2u32.to_ne_bytes()), Some(vec![1, 2, 3, 4, 5, 6, 7, 8]));
         assert_eq!(map.lookup(&9u32.to_ne_bytes()), None);
-        assert!(map.delete(&0u32.to_ne_bytes()).is_err());
         assert_eq!(map.keys().len(), 4);
+        // Exhaustive on purpose: the VM offers exactly the array family, so
+        // a new map type must come with a reason to change this match.
+        for map in [map as MapHandle, PerCpuArrayMap::new(4, 1, 2), PerfEventArray::new(1)] {
+            match map.map_type() {
+                MapType::Array | MapType::PerCpuArray | MapType::PerfEventArray => {}
+            }
+        }
     }
 
     #[test]
@@ -590,75 +393,6 @@ mod tests {
         let slot = map.lookup_ref(&0u32.to_ne_bytes()).unwrap();
         slot.write().copy_from_slice(&[9, 9, 9, 9]);
         assert_eq!(map.lookup(&0u32.to_ne_bytes()), Some(vec![9, 9, 9, 9]));
-    }
-
-    #[test]
-    fn hash_map_update_flags() {
-        let map = HashMap::new(2, 2, 2);
-        map.update(&[1, 1], &[10, 10], UpdateFlags::NoExist).unwrap();
-        assert!(map.update(&[1, 1], &[11, 11], UpdateFlags::NoExist).is_err());
-        assert!(map.update(&[2, 2], &[20, 20], UpdateFlags::Exist).is_err());
-        map.update(&[1, 1], &[12, 12], UpdateFlags::Exist).unwrap();
-        assert_eq!(map.lookup(&[1, 1]), Some(vec![12, 12]));
-    }
-
-    #[test]
-    fn hash_map_capacity_and_delete() {
-        let map = HashMap::new(1, 1, 2);
-        map.update(&[1], &[1], UpdateFlags::Any).unwrap();
-        map.update(&[2], &[2], UpdateFlags::Any).unwrap();
-        assert!(map.update(&[3], &[3], UpdateFlags::Any).is_err());
-        map.delete(&[1]).unwrap();
-        assert!(map.delete(&[1]).is_err());
-        map.update(&[3], &[3], UpdateFlags::Any).unwrap();
-        assert_eq!(map.keys().len(), 2);
-    }
-
-    #[test]
-    fn lpm_trie_longest_match_wins() {
-        // Keys are 4-byte prefix length + 4 bytes of data (an IPv4-sized key
-        // keeps the test readable; the semantics are length-generic).
-        let map = LpmTrieMap::new(8, 1, 16);
-        let key = |len: u32, data: [u8; 4]| {
-            let mut k = len.to_ne_bytes().to_vec();
-            k.extend_from_slice(&data);
-            k
-        };
-        map.update(&key(8, [10, 0, 0, 0]), &[1], UpdateFlags::Any).unwrap();
-        map.update(&key(16, [10, 1, 0, 0]), &[2], UpdateFlags::Any).unwrap();
-        map.update(&key(0, [0, 0, 0, 0]), &[3], UpdateFlags::Any).unwrap();
-        assert_eq!(map.lookup(&key(32, [10, 1, 2, 3])), Some(vec![2]));
-        assert_eq!(map.lookup(&key(32, [10, 9, 2, 3])), Some(vec![1]));
-        assert_eq!(map.lookup(&key(32, [192, 168, 0, 1])), Some(vec![3]));
-    }
-
-    #[test]
-    fn lpm_trie_partial_byte_prefixes() {
-        let map = LpmTrieMap::new(8, 1, 16);
-        let key = |len: u32, data: [u8; 4]| {
-            let mut k = len.to_ne_bytes().to_vec();
-            k.extend_from_slice(&data);
-            k
-        };
-        // /12 prefix: second byte only matches on its top nibble.
-        map.update(&key(12, [10, 0x40, 0, 0]), &[7], UpdateFlags::Any).unwrap();
-        assert_eq!(map.lookup(&key(32, [10, 0x4f, 1, 1])), Some(vec![7]));
-        assert_eq!(map.lookup(&key(32, [10, 0x50, 1, 1])), None);
-    }
-
-    #[test]
-    fn lpm_trie_delete_and_errors() {
-        let map = LpmTrieMap::new(8, 1, 1);
-        let mut key = 8u32.to_ne_bytes().to_vec();
-        key.extend_from_slice(&[10, 0, 0, 0]);
-        map.update(&key, &[1], UpdateFlags::Any).unwrap();
-        assert!(map.update(&key, &[2], UpdateFlags::NoExist).is_err());
-        map.delete(&key).unwrap();
-        assert!(map.delete(&key).is_err());
-        // Prefix length beyond the key width is rejected.
-        let mut bad = 64u32.to_ne_bytes().to_vec();
-        bad.extend_from_slice(&[0, 0, 0, 0]);
-        assert!(map.update(&bad, &[1], UpdateFlags::Any).is_err());
     }
 
     #[test]
@@ -703,7 +437,6 @@ mod tests {
         // Out-of-range CPU ids wrap.
         assert_eq!(map.lookup_cpu(&key, 4), Some(vec![9, 9]));
         assert!(map.update_cpu(&key, 0, &[1]).is_err());
-        assert!(map.delete(&key).is_err());
         assert_eq!(map.keys().len(), 1);
     }
 

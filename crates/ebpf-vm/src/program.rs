@@ -28,8 +28,6 @@ pub enum ProgramType {
     LwtSeg6Local,
     /// Lightweight-tunnel input hook.
     LwtIn,
-    /// Lightweight-tunnel output hook.
-    LwtOut,
     /// Lightweight-tunnel transmit hook (where `bpf_lwt_push_encap` lives).
     LwtXmit,
     /// Classic socket filter (used in tests).
@@ -42,7 +40,6 @@ impl ProgramType {
         match self {
             ProgramType::LwtSeg6Local => "lwt_seg6local",
             ProgramType::LwtIn => "lwt_in",
-            ProgramType::LwtOut => "lwt_out",
             ProgramType::LwtXmit => "lwt_xmit",
             ProgramType::SocketFilter => "socket_filter",
         }

@@ -565,7 +565,6 @@ impl<'a> Verifier<'a> {
                     self.program.prog_type,
                     crate::program::ProgramType::LwtSeg6Local
                         | crate::program::ProgramType::LwtIn
-                        | crate::program::ProgramType::LwtOut
                         | crate::program::ProgramType::LwtXmit
                 );
                 let result = match base {
@@ -717,8 +716,12 @@ impl<'a> Verifier<'a> {
                 // (the key pointer) hold *before* the call clobbers them —
                 // the native tier uses these facts for its inline fast path
                 // and to bound later dereferences of the returned pointer.
+                // A path without a known map handle in r1 records `Other`,
+                // so the merge degrades the site: the fast path reads the
+                // key through r2 unchecked, and must hold on every path.
                 let mut value_size = 0u32;
                 if id == ids::MAP_LOOKUP_ELEM {
+                    let mut fact = AccessFact::Other;
                     if let RegType::MapPtr(fd) = regs.regs[1] {
                         if let Some(map) = self.maps.get(&fd) {
                             value_size = map.value_size() as u32;
@@ -728,9 +731,10 @@ impl<'a> Verifier<'a> {
                                 }
                                 _ => false,
                             };
-                            self.facts.record(pc, AccessFact::MapLookup { fd, key_in_stack });
+                            fact = AccessFact::MapLookup { fd, key_in_stack };
                         }
                     }
+                    self.facts.record(pc, fact);
                 }
                 // r1-r5 are clobbered, r0 carries the result.
                 for r in 1..=5 {

@@ -104,8 +104,6 @@ pub trait VmEnv {
     fn prandom_u32(&mut self) -> u32 {
         0x9e37_79b9
     }
-    /// Sink for `bpf_trace_printk`.
-    fn trace(&mut self, _message: &str) {}
 
     /// Environments whose `ktime_ns`/`cpu_id` are stable for the duration of
     /// one program run may return a snapshot of them, which lets the native

@@ -32,16 +32,25 @@
 //! snippet boundary: `r0`–`r7` hold scalars, `r8` holds the packet pointer,
 //! `r9` holds the context pointer, and `r1`–`r5` are re-initialised after
 //! each helper call. Branches only jump forward, and every join point sees
-//! the same register typing.
+//! the same register typing — except one, on purpose:
+//! [`emit_joined_lookup`] (map-dense only) reaches one `call
+//! bpf_map_lookup_elem` from two paths, one with a map handle and a stack
+//! key, the other with a scalar or another map's handle in `r1` and a
+//! non-stack value in `r2`. The context byte [`RUN_BYTE`] picks the path
+//! and differs between the two runs of a leg, so one run can fill the
+//! native lookup cache that the other run's path must not trust.
+//!
+//! Each test has an `#[ignore]`d `…_long` twin on 50 times the programs:
+//! `cargo test --release -p ebpf-vm -- --ignored`.
 
 use ebpf_vm::codegen;
-use ebpf_vm::insn::Insn;
+use ebpf_vm::insn::{class, jmp, Insn};
 use ebpf_vm::maps::{ArrayMap, MapHandle, PerCpuArrayMap};
 use ebpf_vm::program::{load, LoadedProgram, Program, ProgramType, PSEUDO_MAP_FD};
 use ebpf_vm::vm::{
     map_ptr_value, run_program_with_state, EnvSnapshot, RunContext, RunState, VmEnv, PKT_BASE,
 };
-use ebpf_vm::{Error, ExecTier, HelperRegistry};
+use ebpf_vm::{AccessFact, Error, ExecTier, HelperRegistry};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,12 +60,18 @@ use std::sync::Arc;
 const PROGRAMS: usize = 1000;
 /// Programs per specialised generator (pressure, map-dense).
 const SPECIAL_PROGRAMS: usize = 120;
+/// How many times the programs each `…_long` twin runs.
+const LONG_FACTOR: usize = 50;
 /// Generation attempts before giving up (the generators are tuned so nearly
 /// every program verifies; this is a backstop, not a budget).
 const MAX_ATTEMPTS_FACTOR: usize = 3;
 
 const PACKET_LEN: usize = 150;
 const CTX_LEN: usize = 64;
+/// Context byte set to the run's index within a leg (0, then 1). No
+/// generated store reaches it, so a branch on it takes one side on the
+/// first run and the other side on the second.
+const RUN_BYTE: usize = 60;
 
 // ---------------------------------------------------------------------------
 // Deterministic RNG
@@ -501,13 +516,55 @@ fn emit_map_lookup(out: &mut String, rng: &mut Rng, label: usize) {
         }
     }
     out.push_str(&format!("m{label}:\n"));
-    // Both paths reach here with different r0 types (value pointer vs the
-    // null scalar); re-scalarise it, and restore the r1-r5 invariant the
-    // call clobbered.
+    rescalarise_after_lookup(out, rng);
+}
+
+/// Both paths out of a lookup reach its null-check join with different r0
+/// types (value pointer vs the null scalar); re-scalarise it, and restore
+/// the r1-r5 invariant the call clobbered.
+fn rescalarise_after_lookup(out: &mut String, rng: &mut Rng) {
     out.push_str(&format!("mov64 r0, {}\n", rng.below(512)));
     for r in 1..=5 {
         out.push_str(&format!("mov64 r{r}, {}\n", rng.below(512)));
     }
+}
+
+/// One `call bpf_map_lookup_elem` that two forward paths reach, picked by
+/// [`RUN_BYTE`]. One path carries a map handle and a stack key; the other
+/// carries a scalar or another map's handle in `r1`, and a constant, a
+/// context pointer or a packet pointer in `r2`. The verifier must not hand
+/// the native tier a lookup fact that only the first path earned: the
+/// cache one run fills is then read on the other path's run.
+fn emit_joined_lookup(out: &mut String, rng: &mut Rng, label: usize) {
+    let fd = rng.below(MAP_FDS.len() as u64) as usize;
+    let slot = -8 * (1 + rng.below(4) as i32);
+    let branch = if rng.chance(50) { "jne" } else { "jeq" };
+    out.push_str(&format!("ldxb r1, [r9+{RUN_BYTE}]\n"));
+    out.push_str(&format!("{branch} r1, 0, pb{label}\n"));
+    out.push_str(&format!("stw [r10{slot}], {}\n", rng.below(MAP_ENTRIES + 2)));
+    out.push_str(&format!("lddw r1, 0x{:x}\n", MAP_SENTINEL | u64::from(MAP_FDS[fd])));
+    out.push_str("mov64 r2, r10\n");
+    out.push_str(&format!("add64 r2, {slot}\n"));
+    out.push_str(&format!("ja pj{label}\n"));
+    out.push_str(&format!("pb{label}:\n"));
+    if rng.chance(50) {
+        out.push_str(&format!("mov64 r1, {}\n", rng.below(512)));
+    } else {
+        let other = MAP_FDS[(fd + 1 + rng.below(MAP_FDS.len() as u64 - 1) as usize) % MAP_FDS.len()];
+        out.push_str(&format!("lddw r1, 0x{:x}\n", MAP_SENTINEL | u64::from(other)));
+    }
+    match rng.below(3) {
+        0 => out.push_str(&format!("lddw r2, 0x{:x}\n", rng.next())),
+        1 => out.push_str(&format!("mov64 r2, r9\nadd64 r2, {RUN_BYTE}\n")),
+        _ => out.push_str(&format!("mov64 r2, r8\nadd64 r2, {}\n", rng.below(PACKET_LEN as u64 - 4))),
+    }
+    out.push_str(&format!("pj{label}:\n"));
+    out.push_str("call 1\n");
+    // The value may belong to either map (or to none): count hits only.
+    out.push_str(&format!("jeq r0, 0, m{label}\n"));
+    out.push_str("add64 r6, 1\n");
+    out.push_str(&format!("m{label}:\n"));
+    rescalarise_after_lookup(out, rng);
 }
 
 /// Helper- and map-dense generator: roughly a third of the instruction
@@ -524,8 +581,12 @@ fn generate_map_dense(rng: &mut Rng) -> String {
         s.push_str(&format!("s{i}:\n"));
         for _ in 0..(2 + rng.below(3)) {
             match rng.below(100) {
-                0..=34 => {
+                0..=27 => {
                     emit_map_lookup(&mut s, rng, label);
+                    label += 1;
+                }
+                28..=34 => {
+                    emit_joined_lookup(&mut s, rng, label);
                     label += 1;
                 }
                 35..=54 => emit_helper_call(&mut s, rng),
@@ -551,8 +612,9 @@ fn generate_map_dense(rng: &mut Rng) -> String {
 // Differential harness
 // ---------------------------------------------------------------------------
 
-fn fresh_ctx() -> Vec<u8> {
+fn fresh_ctx(run: usize) -> Vec<u8> {
     let mut ctx = vec![0u8; CTX_LEN];
+    ctx[RUN_BYTE] = run as u8;
     ctx[0..8].copy_from_slice(&PKT_BASE.to_le_bytes());
     ctx[8..16].copy_from_slice(&(PKT_BASE + PACKET_LEN as u64).to_le_bytes());
     ctx[16..20].copy_from_slice(&(PACKET_LEN as u32).to_le_bytes());
@@ -664,8 +726,8 @@ fn observe_tier<E: FuzzEnv>(
     reset_maps(maps);
     let mut state = RunState::new(CTX_LEN);
     (0..runs)
-        .map(|_| {
-            let mut ctx = fresh_ctx();
+        .map(|run| {
+            let mut ctx = fresh_ctx(run);
             let mut packet = fresh_packet();
             let mut env = E::default();
             let result = {
@@ -719,16 +781,27 @@ fn load_generated(
 
 #[test]
 fn all_tiers_agree_on_randomized_programs() {
+    randomized_round(PROGRAMS);
+}
+
+/// The same fuzz on 50 times the programs.
+#[test]
+#[ignore = "long fuzz run: cargo test --release -- --ignored"]
+fn all_tiers_agree_on_randomized_programs_long() {
+    randomized_round(LONG_FACTOR * PROGRAMS);
+}
+
+fn randomized_round(programs: usize) {
     let helpers = HelperRegistry::with_base_helpers();
     let maps = HashMap::new();
     let mut accepted = 0usize;
     let mut faulted = 0usize;
     let mut attempts = 0usize;
     let mut rng = Rng::new(0x5eed_cafe);
-    while accepted < PROGRAMS {
+    while accepted < programs {
         attempts += 1;
         assert!(
-            attempts <= MAX_ATTEMPTS_FACTOR * PROGRAMS,
+            attempts <= MAX_ATTEMPTS_FACTOR * programs,
             "generator accept rate collapsed: {accepted}/{attempts} verified"
         );
         let source = generate(&mut rng);
@@ -749,16 +822,27 @@ fn all_tiers_agree_on_randomized_programs() {
 
 #[test]
 fn register_pressure_programs_agree_and_spill() {
+    pressure_round(SPECIAL_PROGRAMS);
+}
+
+/// The same fuzz on 50 times the programs.
+#[test]
+#[ignore = "long fuzz run: cargo test --release -- --ignored"]
+fn register_pressure_programs_agree_and_spill_long() {
+    pressure_round(LONG_FACTOR * SPECIAL_PROGRAMS);
+}
+
+fn pressure_round(programs: usize) {
     let helpers = HelperRegistry::with_base_helpers();
     let maps = HashMap::new();
     let mut accepted = 0usize;
     let mut faulted = 0usize;
     let mut attempts = 0usize;
     let mut rng = Rng::new(0x1337_5b11);
-    while accepted < SPECIAL_PROGRAMS {
+    while accepted < programs {
         attempts += 1;
         assert!(
-            attempts <= MAX_ATTEMPTS_FACTOR * SPECIAL_PROGRAMS,
+            attempts <= MAX_ATTEMPTS_FACTOR * programs,
             "pressure generator accept rate collapsed: {accepted}/{attempts} verified"
         );
         let with_calls = accepted.is_multiple_of(2);
@@ -789,6 +873,17 @@ fn register_pressure_programs_agree_and_spill() {
 
 #[test]
 fn helper_and_map_dense_programs_agree() {
+    map_dense_round(SPECIAL_PROGRAMS);
+}
+
+/// The same fuzz on 50 times the programs.
+#[test]
+#[ignore = "long fuzz run: cargo test --release -- --ignored"]
+fn helper_and_map_dense_programs_agree_long() {
+    map_dense_round(LONG_FACTOR * SPECIAL_PROGRAMS);
+}
+
+fn map_dense_round(programs: usize) {
     let helpers = HelperRegistry::with_base_helpers();
     let mut maps: HashMap<u32, MapHandle> = HashMap::new();
     maps.insert(MAP_FDS[0], ArrayMap::new(MAP_VALUE_SIZE as usize, MAP_ENTRIES as usize));
@@ -798,10 +893,10 @@ fn helper_and_map_dense_programs_agree() {
     let mut attempts = 0usize;
     let mut with_lookups = 0usize;
     let mut rng = Rng::new(0xdeed_beef);
-    while accepted < SPECIAL_PROGRAMS {
+    while accepted < programs {
         attempts += 1;
         assert!(
-            attempts <= MAX_ATTEMPTS_FACTOR * SPECIAL_PROGRAMS,
+            attempts <= MAX_ATTEMPTS_FACTOR * programs,
             "map-dense generator accept rate collapsed: {accepted}/{attempts} verified"
         );
         let source = generate_map_dense(&mut rng);
@@ -823,7 +918,7 @@ fn helper_and_map_dense_programs_agree() {
     }
     if codegen::supported() {
         assert!(
-            with_lookups > SPECIAL_PROGRAMS / 2,
+            with_lookups > programs / 2,
             "only {with_lookups}/{accepted} programs compiled cacheable lookup sites"
         );
     }
@@ -831,4 +926,56 @@ fn helper_and_map_dense_programs_agree() {
         "map-dense differential: {accepted} programs ({attempts} attempts, {with_lookups} with \
          cached lookup sites) agreed across all tiers and both environments"
     );
+}
+
+/// Pinned regression: one `call bpf_map_lookup_elem` reached from a path
+/// with a map handle and a stack key in `r1`/`r2` (context byte 0 clear)
+/// and from a path with scalars there (byte 0 set). The native tier's
+/// cached lookup reads the key through `r2` plus the stack bias unchecked,
+/// so this site must get no `MapLookup` fact: with one, the scalar path's
+/// run after a map-handle run dereferences a wild host address.
+#[test]
+fn a_lookup_reached_without_a_map_handle_gets_no_lookup_fact() {
+    let source = format!(
+        "ldxb r3, [r1+0]\n\
+         jne r3, 0, scalars\n\
+         stw [r10-4], 0\n\
+         lddw r1, 0x{:x}\n\
+         mov64 r2, r10\n\
+         add64 r2, -4\n\
+         ja join\n\
+         scalars:\n\
+         mov64 r1, 7\n\
+         lddw r2, 0x414141414141\n\
+         join:\n\
+         call 1\n\
+         jeq r0, 0, out\n\
+         mov64 r0, 1\n\
+         out:\n\
+         exit\n",
+        MAP_SENTINEL | 1
+    );
+    let helpers = HelperRegistry::with_base_helpers();
+    let mut maps: HashMap<u32, MapHandle> = HashMap::new();
+    maps.insert(1, ArrayMap::new(8, 4));
+    let loaded = load_generated(&source, &maps, &helpers).expect("the probe verifies");
+    let call =
+        loaded.program.insns.iter().position(|insn| insn.opcode == class::JMP | jmp::CALL).expect("one call");
+    assert_eq!(loaded.access_facts().get(call), AccessFact::Other);
+
+    // Path A first, to fill the cache the scalar path must not read.
+    let results = |tier| {
+        let mut state = RunState::new(CTX_LEN);
+        [0u8, 1, 0, 1].map(|path| {
+            let mut ctx = vec![0u8; CTX_LEN];
+            ctx[0] = path;
+            let mut packet = fresh_packet();
+            let mut env = InlineEnv::default();
+            let mut rc = RunContext { ctx: &mut ctx, packet: &mut packet, env: &mut env };
+            run_program_with_state(&loaded, &helpers, &mut rc, tier, &mut state).map_err(|e| error_key(&e))
+        })
+    };
+    let reference = results(ExecTier::Interp);
+    assert_eq!(reference, [Ok(1), Ok(0), Ok(1), Ok(0)]);
+    assert_eq!(results(ExecTier::Native), reference);
 }
