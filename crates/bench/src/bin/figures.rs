@@ -9,7 +9,6 @@
 //! Available experiments: `fig2`, `jit`, `fig3`, `fig4`, `tcp`, `sloc`.
 
 use bench::{fig2, fig3, hybrid};
-use simnet::NS_PER_SEC;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -103,7 +102,7 @@ fn print_fig4() {
 
 fn print_tcp() {
     println!("== §4.2: TCP goodput over the hybrid access links ==");
-    let duration = 10 * NS_PER_SEC;
+    let (duration, seed) = (hybrid::TCP_DURATION_NS, hybrid::TCP_SEED);
     let (owd0, owd1) = hybrid::measure_path_delays(0x1dea);
     println!(
         "measured one-way delays: path0 = {:.1} ms, path1 = {:.1} ms",
@@ -111,11 +110,11 @@ fn print_tcp() {
         owd1 as f64 / 1e6
     );
     println!("{:34} {:>14} {:>14}", "configuration", "goodput Mbps", "paper Mbps");
-    let naive = hybrid::run_tcp(false, 1, duration, 0x7c9);
+    let naive = hybrid::run_tcp(false, 1, duration, seed);
     println!("{:34} {:>14.1} {:>14}", "naive WRR, 1 flow", naive.goodput_mbps, "3.8");
-    let comp1 = hybrid::run_tcp(true, 1, duration, 0x7c9);
+    let comp1 = hybrid::run_tcp(true, 1, duration, seed);
     println!("{:34} {:>14.1} {:>14}", "compensated WRR, 1 flow", comp1.goodput_mbps, "68");
-    let comp4 = hybrid::run_tcp(true, 4, duration, 0x7c9);
+    let comp4 = hybrid::run_tcp(true, 4, duration, seed);
     println!("{:34} {:>14.1} {:>14}", "compensated WRR, 4 flows", comp4.goodput_mbps, "70");
     println!(
         "(compensation applied: {:.1} ms on the fast path; naive run saw {} out-of-order segments)",

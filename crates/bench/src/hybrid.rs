@@ -273,6 +273,12 @@ pub fn hybrid_access_links() -> (LinkConfig, LinkConfig) {
     )
 }
 
+/// Simulated length of the §4.2 TCP runs `figures tcp` and the
+/// `hybrid_access` example report.
+pub const TCP_DURATION_NS: u64 = 10 * NS_PER_SEC;
+/// Seed of those runs.
+pub const TCP_SEED: u64 = 0x7c9;
+
 /// Result of one TCP hybrid-access run.
 #[derive(Debug, Clone)]
 pub struct TcpRunResult {

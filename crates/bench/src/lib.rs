@@ -8,7 +8,14 @@
 //!   and the §3.2 JIT factor);
 //! * [`fig3`] — the delay-monitoring overhead benchmark (Figure 3);
 //! * [`hybrid`] — the hybrid-access simulation (Figure 4 and the §4.2 TCP
-//!   numbers).
+//!   numbers);
+//! * [`delay`] and [`ecmp`] — the delay-monitoring (§4.1) and
+//!   ECMP-discovery (§4.3) use cases, each one scenario in simulated time.
+//!
+//! Each §4 use case is built here and nowhere else: the `delay_monitoring`,
+//! `hybrid_access` and `ecmp_traceroute` examples and the workspace's
+//! `tests/use_cases.rs` run these scenarios and print or check their
+//! results.
 //!
 //! The wall-clock halves of their checks — Figure 2/3 orderings and the
 //! execution-tier ratio gates — are `#[ignore]`d tests, run in release
@@ -17,6 +24,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod delay;
+pub mod ecmp;
 pub mod fig2;
 pub mod fig3;
 pub mod hybrid;

@@ -16,6 +16,7 @@ use crate::srv6_ops;
 use crate::transit::{apply_transit, TransitBehaviour, TransitTable};
 use crate::verdict::{ActionOutcome, DropReason, Verdict};
 use ebpf_vm::helpers::HelperRegistry;
+use ebpf_vm::program::{LoadedProgram, ProgramType};
 use netpkt::{Ipv6Header, Ipv6Prefix};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -147,6 +148,18 @@ fn classify_dst<'a>(
     Dispatch::Forward
 }
 
+/// Refuses to bind `prog` where a program of type `want` must run.
+fn assert_prog_type(prog: &LoadedProgram, want: ProgramType, hook: &str) {
+    let got = prog.program.prog_type;
+    assert!(
+        got == want,
+        "{hook} runs only {} programs, and `{}` is {}",
+        want.name(),
+        prog.program.name,
+        got.name()
+    );
+}
+
 /// A one-entry cache of the last FIB lookup, scoped to one batch (the
 /// tables cannot change while the batch holds `&mut self`). Only
 /// flow-hash-invariant results — single-path routes and misses — are
@@ -273,7 +286,15 @@ impl Seg6Datapath {
     }
 
     /// Binds a seg6local action to a SID.
+    ///
+    /// # Panics
+    ///
+    /// If the action is `End.BPF` with a program that is not of type
+    /// [`ProgramType::LwtSeg6Local`], as the kernel's attach refuses it.
     pub fn add_local_sid(&mut self, sid: Ipv6Prefix, action: Seg6LocalAction) {
+        if let Seg6LocalAction::EndBpf { prog } = &action {
+            assert_prog_type(prog, ProgramType::LwtSeg6Local, "End.BPF");
+        }
         self.local_sids.insert(sid, action);
     }
 
@@ -283,7 +304,14 @@ impl Seg6Datapath {
     }
 
     /// Attaches a BPF LWT program to traffic towards `prefix`.
+    ///
+    /// # Panics
+    ///
+    /// If the program is not of the type its hook runs
+    /// ([`LwtHook::program_type`]: `LwtIn` at `In`, `LwtXmit` at `Xmit`),
+    /// as the kernel's attach refuses it.
     pub fn attach_lwt_bpf(&mut self, prefix: Ipv6Prefix, attachment: LwtBpfAttachment) {
+        assert_prog_type(&attachment.prog, attachment.hook.program_type(), "an LWT hook");
         self.lwt_bpf.insert(prefix, attachment);
     }
 
@@ -462,10 +490,7 @@ impl Exec<'_> {
             Dispatch::Xmit(attachment) => {
                 work.bpf = true;
                 let outcome = run_bpf(&attachment.prog, false, skb, &actx, self.scratch);
-                work.transit = matches!(
-                    &outcome,
-                    ActionOutcome::Forward { route_override, .. } if !route_override.is_set()
-                );
+                work.transit = matches!(outcome, ActionOutcome::Forward { .. });
                 outcome
             }
             Dispatch::Transit(behaviour) => {

@@ -23,15 +23,9 @@ pub struct EnvOutcome {
     pub route_override: RouteOverride,
     /// The outer IPv6 header (and SRH) were removed (End.DT6 / End.DX6).
     pub decapped: bool,
-    /// An SRH (and possibly an outer IPv6 header) was pushed
-    /// (`bpf_lwt_push_encap`, End.B6, End.B6.Encaps).
-    pub pushed_encap: bool,
     /// `bpf_lwt_seg6_store_bytes` or `bpf_lwt_seg6_adjust_srh` touched the
     /// SRH; End.BPF re-validates it before forwarding.
     pub srh_modified: bool,
-    /// Which `bpf_lwt_seg6_action` action was applied, if any (for stats and
-    /// tests).
-    pub seg6_action: Option<u32>,
 }
 
 /// The environment eBPF programs run in on the SRv6 data plane. A hook
@@ -204,7 +198,7 @@ mod tests {
             // Leave residue behind, as a previous packet's program would.
             kept.prandom_u32();
             kept.out.srh_modified = true;
-            kept.out.seg6_action = Some(3);
+            kept.out.decapped = true;
             let flow = EcmpKey { flow_label: 7, ..EcmpKey::default() };
             kept.rearm("fc00::1".parse().unwrap(), now_ns, 2, Some(40), flow);
             let mut fresh = Seg6Env::new("fc00::1".parse().unwrap(), Arc::clone(&tables), now_ns);
@@ -212,7 +206,7 @@ mod tests {
             assert_eq!(draws(&mut kept), draws(&mut fresh), "now_ns {now_ns}");
             assert_eq!((kept.now_ns, kept.local_addr), (fresh.now_ns, fresh.local_addr));
             assert_eq!((kept.cpu, kept.srh_offset, kept.flow), (2, Some(40), flow));
-            assert!(!kept.out.srh_modified && kept.out.seg6_action.is_none());
+            assert!(!kept.out.srh_modified && !kept.out.decapped);
             assert!(!kept.out.route_override.is_set());
         }
     }

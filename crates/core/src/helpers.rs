@@ -10,7 +10,9 @@
 //!   IPv6 traffic from a BPF LWT program (inline or encap mode).
 //!
 //! The first three are restricted to `End.BPF` (`lwt_seg6local`) programs;
-//! the last one to the LWT hooks, mirroring the kernel's gating.
+//! the last one to the LWT hooks' types, mirroring the kernel's gating. The
+//! datapath attaches each type at its own hook only, so the gate is also a
+//! statement about where a helper runs.
 
 use crate::ctx;
 use crate::env::Seg6Env;
@@ -248,7 +250,6 @@ pub fn helper_seg6_action(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
     let lookup = |api: &mut HelperApi<'_, '_>, table, dst| env_of(api).and_then(|env| env.lookup(table, dst));
 
     let mut decapped = false;
-    let mut pushed = false;
     let outcome: Result<crate::skb::RouteOverride, ()> = (|| {
         let mut over = crate::skb::RouteOverride::default();
         match action {
@@ -283,7 +284,6 @@ pub fn helper_seg6_action(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
                 let mut pbuf = [0u8; PARAM_STACK];
                 let param = read_param(api, args[2], param_len, &mut pbuf).ok_or(())?;
                 let dst = srv6_ops::insert_srh_inline(api.packet_mut(), &param).map_err(|_| ())?;
-                pushed = true;
                 if let Some(result) = lookup(api, MAIN_TABLE, dst) {
                     over.nexthop = Some(result.nexthop.neighbour(dst));
                     over.oif = Some(result.nexthop.oif);
@@ -293,7 +293,6 @@ pub fn helper_seg6_action(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
                 let mut pbuf = [0u8; PARAM_STACK];
                 let param = read_param(api, args[2], param_len, &mut pbuf).ok_or(())?;
                 let dst = srv6_ops::push_srh_encap(api.packet_mut(), &param, local_addr).map_err(|_| ())?;
-                pushed = true;
                 if let Some(result) = lookup(api, MAIN_TABLE, dst) {
                     over.nexthop = Some(result.nexthop.neighbour(dst));
                     over.oif = Some(result.nexthop.oif);
@@ -310,8 +309,6 @@ pub fn helper_seg6_action(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
     if let Some(env) = env_of(api) {
         env.out.route_override = over;
         env.out.decapped = decapped;
-        env.out.pushed_encap = pushed;
-        env.out.seg6_action = Some(action);
     }
     0
 }
@@ -340,9 +337,6 @@ pub fn helper_lwt_push_encap(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64
     }
     let new_len = api.packet().len();
     ctx::refresh_packet_len(api.ctx_mut(), new_len);
-    if let Some(env) = env_of(api) {
-        env.out.pushed_encap = true;
-    }
     0
 }
 
@@ -542,8 +536,8 @@ mod tests {
         let nh = addr("fe80::42");
         let from = h.stage(&nh.octets());
         assert_eq!(h.call(helper_seg6_action, [0, action_codes::END_X as u64, from, 16, 0]), 0);
-        assert_eq!(h.env.out.route_override.nexthop, Some(nh));
-        assert_eq!(h.env.out.seg6_action, Some(action_codes::END_X));
+        let over = crate::skb::RouteOverride { nexthop: Some(nh), ..Default::default() };
+        assert_eq!(h.env.out.route_override, over, "End.X sets the next hop alone");
         assert!(!h.env.out.decapped);
     }
 
@@ -592,7 +586,7 @@ mod tests {
         tables.insert_main("fd00::/16".parse().unwrap(), vec![Nexthop::via(addr("fe80::b"), 9)]);
         let packet = srv6_packet_with_tlv();
         let original_len = packet.len();
-        let mut h = Harness::new(packet, tables);
+        let mut h = Harness::new(packet.clone(), tables);
         let new_srh = SegmentRoutingHeader::from_path(proto::IPV6, &[addr("fd00::1"), addr("fd00::2")]);
         let from = h.stage(&new_srh.to_bytes());
         assert_eq!(
@@ -602,9 +596,10 @@ mod tests {
             ),
             0
         );
-        assert!(h.env.out.pushed_encap);
         assert_eq!(h.packet.len(), original_len + 40 + new_srh.wire_len());
         assert_eq!(srv6_ops::outer_dst(&h.packet).unwrap(), addr("fd00::1"));
+        assert_eq!(srv6_ops::outer_src(&h.packet).unwrap(), addr("fc00::1"));
+        assert_eq!(h.packet[40 + new_srh.wire_len()..], packet[..], "the packet follows the pushed headers");
         assert_eq!(h.env.out.route_override.oif, Some(9));
     }
 
@@ -628,7 +623,6 @@ mod tests {
         let srh = SegmentRoutingHeader::from_path(proto::IPV6, &[addr("fc00::a"), addr("2001:db8::2")]);
         let from = h.stage(&srh.to_bytes());
         assert_eq!(h.call(helper_lwt_push_encap, [0, encap_modes::SEG6, from, srh.wire_len() as u64, 0]), 0);
-        assert!(h.env.out.pushed_encap);
         assert_eq!(srv6_ops::outer_dst(&h.packet).unwrap(), addr("fc00::a"));
         assert_eq!(srv6_ops::outer_src(&h.packet).unwrap(), addr("fc00::1"));
         assert_eq!(h.packet.len(), plain.len() + 40 + srh.wire_len());

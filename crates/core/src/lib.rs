@@ -15,8 +15,10 @@
 //!   **`End.BPF`** action;
 //! * the four SRv6 eBPF helpers of §3.1 ([`helpers`]):
 //!   `bpf_lwt_seg6_store_bytes`, `bpf_lwt_seg6_adjust_srh`,
-//!   `bpf_lwt_seg6_action` and `bpf_lwt_push_encap`, gated by hook exactly
-//!   as in the kernel;
+//!   `bpf_lwt_seg6_action` and `bpf_lwt_push_encap`, gated by program type
+//!   exactly as in the kernel, whose attach pairs each hook with one type
+//!   (`End.BPF` ↔ `lwt_seg6local`, `lwt_in`, `lwt_xmit`) as
+//!   [`datapath::Seg6Datapath`] does;
 //! * the program [`ctx`] layout (the `__sk_buff` analogue) and the helper
 //!   [`mod@env`]ironment through which programs reach the FIB, the clock and the
 //!   perf-event machinery.

@@ -12,9 +12,16 @@
 //! A hook runs its program through [`crate::seg6local::run_bpf`] — the
 //! `End.BPF` sequence without the SRH advance and re-validation — with the
 //! router's own address where `End.BPF` passes the matched SID.
+//!
+//! Each hook runs programs of its own type only ([`LwtHook::program_type`]):
+//! [`crate::Seg6Datapath::attach_lwt_bpf`] refuses any other, as the
+//! kernel's attach does. So a program at these hooks may call
+//! `bpf_lwt_push_encap` but none of the `End.BPF`-only SRv6 helpers, and it
+//! runs with no SRH offset in its environment: that offset is the kernel's
+//! `seg6_bpf_srh_state`, which only `End.BPF` sets.
 
 use crate::table::PrefixTable;
-use ebpf_vm::program::LoadedProgram;
+use ebpf_vm::program::{LoadedProgram, ProgramType};
 use std::sync::Arc;
 
 /// Which point of the routing process the program is attached to: the
@@ -25,6 +32,17 @@ pub enum LwtHook {
     In,
     /// Just before transmission of forwarded packets.
     Xmit,
+}
+
+impl LwtHook {
+    /// The one program type the hook runs, as the kernel's attach requires:
+    /// [`ProgramType::LwtIn`] at `In`, [`ProgramType::LwtXmit`] at `Xmit`.
+    pub fn program_type(self) -> ProgramType {
+        match self {
+            LwtHook::In => ProgramType::LwtIn,
+            LwtHook::Xmit => ProgramType::LwtXmit,
+        }
+    }
 }
 
 /// A BPF program attached to a route.
@@ -55,7 +73,7 @@ mod tests {
     use crate::verdict::{ActionOutcome, DropReason};
     use ebpf_vm::asm::assemble;
     use ebpf_vm::helpers::HelperRegistry;
-    use ebpf_vm::program::{load, Program, ProgramType};
+    use ebpf_vm::program::{load, Program};
     use netpkt::packet::build_ipv6_udp_packet;
     use std::collections::HashMap;
     use std::net::Ipv6Addr;

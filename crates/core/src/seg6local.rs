@@ -9,7 +9,9 @@
 //! hands the packet to an eBPF program exactly as §3 of the paper
 //! describes. [`run_bpf`] is that sequence — and, without the advance, the
 //! sequence of the BPF LWT hooks ([`crate::lwt_bpf`]): every program the
-//! datapath runs goes through it.
+//! datapath runs goes through it. `End.BPF` runs `lwt_seg6local` programs
+//! only, the type the three SRH helpers and `bpf_lwt_seg6_action` are
+//! gated to; [`crate::Seg6Datapath::add_local_sid`] refuses any other.
 
 use crate::ctx;
 use crate::env::Seg6Env;
@@ -22,7 +24,6 @@ use crate::verdict::{ActionOutcome, DropReason};
 use ebpf_vm::helpers::HelperRegistry;
 use ebpf_vm::program::{retcode, LoadedProgram};
 use ebpf_vm::vm::RunContext;
-use netpkt::packet::HeaderChain;
 use netpkt::srh::SegmentRoutingHeader;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -213,7 +214,9 @@ fn with_advance(skb: &mut Skb, then: impl FnOnce(Ipv6Addr) -> ActionOutcome) -> 
 /// (`lwt_in` / `lwt_xmit`, §2.1): the endpoint precondition and SRH advance
 /// before the program — so its SRH offset is always set — and the SRH
 /// re-validation after it, if a helper edited the SRH. At the LWT hooks the
-/// SRH offset is set only for an SRH [`HeaderChain::srh`] accepts.
+/// SRH offset is never set: the datapath attaches only `lwt_in` / `lwt_xmit`
+/// programs there, and no helper those types may call reads it, as in the
+/// kernel, where only `End.BPF` fills `seg6_bpf_srh_state`.
 ///
 /// The program runs on the skb itself: helpers edit its buffer in place
 /// through [`SkbPacket`], as the kernel's do. Before the first write — the
@@ -245,8 +248,7 @@ pub fn run_bpf(
             flow.dst = srv6_ops::advance_srh(skb.packet.data_mut())?;
             Some(SRH_OFFSET)
         } else {
-            let packet = skb.packet.data();
-            HeaderChain::walk(packet).srh(packet).ok().flatten().map(|_| SRH_OFFSET)
+            None
         };
         env.rearm(actx.local_sid, actx.now_ns, actx.cpu, srh_offset, flow);
         ctx::build_context_into(skb, ctx_bytes);

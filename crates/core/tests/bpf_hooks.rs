@@ -1,13 +1,15 @@
 //! The three BPF hooks of the datapath — `End.BPF`, `lwt_in`, `lwt_xmit` —
-//! driven through [`Seg6Datapath::process`] with the same six programs:
-//! what each hook makes of `BPF_OK`, `BPF_DROP`, `BPF_REDIRECT`, an unknown
-//! return code, a runtime fault and an SRH edit that fails validation, how
-//! each is accounted and which bytes leave — plus `End.BPF` keeping a
-//! helper's edit although the helper failed. Also pins the LWT
-//! attachment-table semantics the hooks are looked up with, the drop
-//! reason of every way an SRH advance can fail, and what running in place
-//! means: every tier reads the same bytes after a helper moved the
-//! packet's front, and no path moves the packet's payload.
+//! driven through [`Seg6Datapath::process`]: what each hook makes of
+//! `BPF_OK`, `BPF_DROP`, `BPF_REDIRECT`, an unknown return code and a
+//! runtime fault, what `End.BPF` makes of a redirect by
+//! `bpf_lwt_seg6_action` and of an SRH edit that fails validation, how each
+//! is accounted and which bytes leave — plus `End.BPF` keeping a helper's
+//! edit although the helper failed. Each hook takes programs of its own
+//! type only. Also pins the LWT attachment-table semantics the hooks are
+//! looked up with, the drop reason of every way an SRH advance can fail,
+//! and what running in place means: every tier reads the same bytes after
+//! a helper moved the packet's front, and no path moves the packet's
+//! payload.
 
 #[path = "common/nf_paths.rs"]
 #[allow(dead_code)]
@@ -61,10 +63,9 @@ enum Body {
     DecapMiss,
 }
 
-/// Loads `body` as a seg6local program. (`bpf_lwt_seg6_action` is gated to
-/// that type; the hooks themselves do not look at a program's type, so the
-/// LWT rows attach the same programs.)
-fn program(dp: &Seg6Datapath, body: Body) -> Arc<LoadedProgram> {
+/// Loads `body` as a program of the type `hook` runs. The bodies that call
+/// the `End.BPF`-only helpers load only as `lwt_seg6local` programs.
+fn program(dp: &Seg6Datapath, hook: Hook, body: Body) -> Arc<LoadedProgram> {
     let mut b = ProgramBuilder::new();
     b.mov_reg(6, 1);
     match body {
@@ -110,7 +111,12 @@ fn program(dp: &Seg6Datapath, body: Body) -> Arc<LoadedProgram> {
             b.ret(retcode::BPF_OK as i32);
         }
     }
-    let prog = b.build_program("hook-test", ProgramType::LwtSeg6Local).expect("static program");
+    let prog_type = match hook {
+        Hook::EndBpf => ProgramType::LwtSeg6Local,
+        Hook::In => LwtHook::In.program_type(),
+        Hook::Xmit => LwtHook::Xmit.program_type(),
+    };
+    let prog = b.build_program("hook-test", prog_type).expect("static program");
     load(prog, &HashMap::new(), &dp.helpers).expect("verified program")
 }
 
@@ -160,9 +166,6 @@ fn expected_bytes(hook: Hook, body: Body, input: &[u8], verdict: Verdict) -> Vec
             want[43] = 0;
             want[24..40].copy_from_slice(&addr(NEXT_SEGMENT).octets());
         }
-        // The first TLV sits behind the SRH's 8-byte header and two
-        // segments; only End.BPF re-validates what the program wrote.
-        (_, Body::CorruptSrh) => want[40 + 8 + 32..40 + 8 + 34].copy_from_slice(&[124, 3]),
         _ => {}
     }
     if verdict.is_forward() {
@@ -180,11 +183,10 @@ enum Hook {
 
 /// Runs one packet through a fresh router with `body` attached at `hook`
 /// and returns the verdict, the datapath (for its statistics), the packet
-/// and the bytes it arrived with. The LWT hooks get an SRv6 packet too
-/// when the program edits the SRH.
+/// and the bytes it arrived with.
 fn run(hook: Hook, body: Body) -> (Verdict, Seg6Datapath, Skb, Vec<u8>) {
     let mut dp = router();
-    let prog = program(&dp, body);
+    let prog = program(&dp, hook, body);
     let attach = |hook, prog| LwtBpfAttachment { hook, prog };
     let mut skb = match hook {
         Hook::EndBpf => {
@@ -200,10 +202,7 @@ fn run(hook: Hook, body: Body) -> (Verdict, Seg6Datapath, Skb, Vec<u8>) {
         }
         Hook::Xmit => {
             dp.attach_lwt_bpf("2001:db8:2::/48".parse().unwrap(), attach(LwtHook::Xmit, prog));
-            match body {
-                Body::CorruptSrh => srv6_skb(XMIT_DST),
-                _ => plain_skb(XMIT_DST),
-            }
+            plain_skb(XMIT_DST)
         }
     };
     let input = skb.packet.data().to_vec();
@@ -227,22 +226,20 @@ fn every_hook_honours_every_program_outcome() {
         // The helper failed after it decapsulated: what it wrote stands,
         // and the inner packet is forwarded on its own destination.
         (Hook::EndBpf, Body::DecapMiss, via(3, "fe80::3"), 0),
-        // lwt_in: the program may drop, never forward; the SRH is not
-        // re-validated (the seg6 helpers are End.BPF's).
+        // lwt_in: the program may drop, never forward.
         (Hook::In, Body::Return(retcode::BPF_OK), Verdict::LocalDeliver, 0),
         (Hook::In, Body::Return(retcode::BPF_DROP), drop(DropReason::BpfDrop), 0),
-        (Hook::In, Body::Redirect, Verdict::LocalDeliver, 0),
+        (Hook::In, Body::Return(retcode::BPF_REDIRECT), Verdict::LocalDeliver, 0),
         (Hook::In, Body::Return(99), drop(DropReason::BpfError), 0),
         (Hook::In, Body::Fault, drop(DropReason::BpfError), 0),
-        (Hook::In, Body::CorruptSrh, Verdict::LocalDeliver, 0),
         // lwt_xmit: forwards like End.BPF, and counts as a transit
-        // behaviour exactly when it forwards without a route override.
+        // behaviour whenever it forwards. No helper an lwt_xmit program may
+        // call sets a route, so a redirect forwards on the FIB too.
         (Hook::Xmit, Body::Return(retcode::BPF_OK), via(3, "fe80::3"), 1),
         (Hook::Xmit, Body::Return(retcode::BPF_DROP), drop(DropReason::BpfDrop), 0),
-        (Hook::Xmit, Body::Redirect, via(7, "fe80::42"), 0),
+        (Hook::Xmit, Body::Return(retcode::BPF_REDIRECT), via(3, "fe80::3"), 1),
         (Hook::Xmit, Body::Return(99), drop(DropReason::BpfError), 0),
         (Hook::Xmit, Body::Fault, drop(DropReason::BpfError), 0),
-        (Hook::Xmit, Body::CorruptSrh, via(3, "fe80::3"), 1),
     ];
     for (hook, body, verdict, transit) in table {
         let (got, dp, skb, input) = run(hook, body);
@@ -267,8 +264,9 @@ fn every_hook_honours_every_program_outcome() {
 #[test]
 fn lwt_attachments_replace_by_prefix_and_match_by_hook_first() {
     let mut dp = router();
-    let dropper = program(&dp, Body::Return(retcode::BPF_DROP));
-    let pass = program(&dp, Body::Return(retcode::BPF_OK));
+    let dropper = program(&dp, Hook::Xmit, Body::Return(retcode::BPF_DROP));
+    let pass = program(&dp, Hook::Xmit, Body::Return(retcode::BPF_OK));
+    let pass_in = program(&dp, Hook::In, Body::Return(retcode::BPF_OK));
     let attach = |dp: &mut Seg6Datapath, prefix: &str, hook, prog: &Arc<LoadedProgram>| {
         dp.attach_lwt_bpf(prefix.parse().unwrap(), LwtBpfAttachment { hook, prog: prog.clone() });
     };
@@ -276,7 +274,7 @@ fn lwt_attachments_replace_by_prefix_and_match_by_hook_first() {
     // A longer prefix attached at another hook does not shadow the xmit
     // program on the shorter one.
     attach(&mut dp, "2001:db8:2::/48", LwtHook::Xmit, &dropper);
-    attach(&mut dp, "2001:db8:2::/64", LwtHook::In, &pass);
+    attach(&mut dp, "2001:db8:2::/64", LwtHook::In, &pass_in);
     assert_eq!(dp.process(&mut plain_skb(XMIT_DST), 0), Verdict::Drop(DropReason::BpfDrop));
     // Among attachments of the hook, the longest prefix wins.
     attach(&mut dp, "2001:db8:2::/56", LwtHook::Xmit, &pass);
@@ -286,10 +284,59 @@ fn lwt_attachments_replace_by_prefix_and_match_by_hook_first() {
     // Attaching at a prefix that already holds an attachment replaces it,
     // even when the hooks differ: the /56 xmit program is gone, the /48
     // dropper is the match again.
-    attach(&mut dp, "2001:db8:2::/56", LwtHook::In, &pass);
+    attach(&mut dp, "2001:db8:2::/56", LwtHook::In, &pass_in);
     assert_eq!(dp.lwt_bpf.len(), 3);
     assert_eq!(dp.process(&mut plain_skb(XMIT_DST), 0), Verdict::Drop(DropReason::BpfDrop));
     assert_eq!(dp.stats.bpf_invocations, 3);
+}
+
+/// Attaches `prog` at `hook` on a fresh router and reports whether the
+/// datapath refused it with a panic.
+fn refused(hook: Hook, prog: Arc<LoadedProgram>) -> bool {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut dp = router();
+        match hook {
+            Hook::EndBpf => {
+                dp.add_local_sid(format!("{SID}/128").parse().unwrap(), Seg6LocalAction::EndBpf { prog })
+            }
+            Hook::In => {
+                dp.attach_lwt_bpf(LOCAL.parse().unwrap(), LwtBpfAttachment { hook: LwtHook::In, prog })
+            }
+            Hook::Xmit => {
+                dp.attach_lwt_bpf(XMIT_DST.parse().unwrap(), LwtBpfAttachment { hook: LwtHook::Xmit, prog })
+            }
+        }
+    }))
+    .is_err()
+}
+
+/// As the kernel's attach requires, an LWT hook refuses an `End.BPF`
+/// (`lwt_seg6local`) program, which could call the SRH helpers there, and
+/// a program of the other LWT hook's type.
+#[test]
+fn an_lwt_hook_refuses_a_program_of_another_type() {
+    let dp = router();
+    for hook in [Hook::In, Hook::Xmit] {
+        for from in [Hook::EndBpf, Hook::In, Hook::Xmit] {
+            let prog = program(&dp, from, Body::Return(retcode::BPF_OK));
+            assert_eq!(refused(hook, prog), from != hook, "{from:?} program at {hook:?}");
+        }
+    }
+    let redirect = program(&dp, Hook::EndBpf, Body::Redirect);
+    assert!(refused(Hook::Xmit, redirect));
+}
+
+/// `End.BPF` refuses a program of either LWT type: it would run without
+/// the SRH helpers its hook exists for, and with `bpf_lwt_push_encap`.
+#[test]
+fn end_bpf_refuses_an_lwt_program() {
+    let dp = router();
+    for from in [Hook::EndBpf, Hook::In, Hook::Xmit] {
+        let prog = program(&dp, from, Body::Return(retcode::BPF_OK));
+        assert_eq!(refused(Hook::EndBpf, prog), from != Hook::EndBpf, "{from:?} program as End.BPF");
+    }
+    let push = in_place_program(&dp, false);
+    assert!(refused(Hook::EndBpf, push));
 }
 
 /// Every way the endpoint SRH advance can fail, by the reason it is
@@ -298,7 +345,7 @@ fn lwt_attachments_replace_by_prefix_and_match_by_hook_first() {
 #[test]
 fn srh_advance_failures_map_to_their_drop_reasons() {
     let mut dp = router();
-    let prog = program(&dp, Body::Return(retcode::BPF_OK));
+    let prog = program(&dp, Hook::EndBpf, Body::Return(retcode::BPF_OK));
     dp.add_local_sid(format!("{SID}/128").parse().unwrap(), Seg6LocalAction::EndBpf { prog });
     dp.add_local_sid("fc00::e2/128".parse().unwrap(), Seg6LocalAction::End);
 

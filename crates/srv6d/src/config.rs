@@ -387,10 +387,20 @@ impl Parser {
                     self.seen_daemon = true;
                     Section::Daemon
                 }
-                other => match other.strip_prefix("tenant") {
-                    Some(name) if !name.trim().is_empty() => Section::Tenant(Box::new(TenantDraft {
+                "tenant" => return Err(ConfigError::at(num, "[tenant] needs a name: [tenant NAME]")),
+                other => {
+                    let name =
+                        other.strip_prefix("tenant").filter(|rest| rest.starts_with(char::is_whitespace));
+                    let Some(name) = name.map(str::trim_start) else {
+                        return Err(ConfigError::at(num, format!("unknown section [{other}]")));
+                    };
+                    if !is_tenant_name(name) {
+                        let message = format!("tenant name `{name}` must match [A-Za-z0-9_.-]+");
+                        return Err(ConfigError::at(num, message));
+                    }
+                    Section::Tenant(Box::new(TenantDraft {
                         line: num,
-                        name: name.trim().to_string(),
+                        name: name.to_string(),
                         local: None,
                         listen: None,
                         peers: Vec::new(),
@@ -398,10 +408,8 @@ impl Parser {
                         routes: Vec::new(),
                         sids: Vec::new(),
                         qos: TenantQosConfig::default(),
-                    })),
-                    Some(_) => return Err(ConfigError::at(num, "[tenant] needs a name: [tenant NAME]")),
-                    None => return Err(ConfigError::at(num, format!("unknown section [{other}]"))),
-                },
+                    }))
+                }
             });
             return Ok(());
         }
@@ -434,6 +442,12 @@ impl Parser {
         validate_config(&config)?;
         Ok(config)
     }
+}
+
+/// Whether `name` may name a tenant: `/metrics` writes it into label
+/// values unescaped, so only `[A-Za-z0-9_.-]+`.
+fn is_tenant_name(name: &str) -> bool {
+    !name.is_empty() && name.bytes().all(|b| b.is_ascii_alphanumeric() || b"_.-".contains(&b))
 }
 
 fn daemon_key(daemon: &mut DaemonConfig, num: usize, key: &str, value: &str) -> Result<(), ConfigError> {
@@ -799,6 +813,22 @@ route = ::/0 dev 7
         assert_eq!(err_line(dup), None);
     }
 
+    /// A tenant's name goes unescaped into `/metrics` labels: `tenant` must
+    /// be followed by whitespace, and the name must match
+    /// `[A-Za-z0-9_.-]+`.
+    #[test]
+    fn tenant_names_are_separated_and_label_safe() {
+        let tenant =
+            |header: &str| format!("[daemon]\nworkers = 1\n{header}\nlocal = ::1\nlisten = [::1]:9000");
+        assert_eq!(err_line(&tenant("[tenants]")), Some(3), "`[tenants]` is not a tenant named `s`");
+        assert_eq!(err_line(&tenant("[tenant]")), Some(3));
+        for hostile in ["x\",evil=\"1", "a b", "a}", "ä", "a\\n"] {
+            assert_eq!(err_line(&tenant(&format!("[tenant {hostile}]"))), Some(3), "{hostile}");
+        }
+        let config = Config::parse(&tenant("[tenant\tEdge-1.a_b]")).expect("a label-safe name");
+        assert_eq!(config.tenants[0].name, "Edge-1.a_b");
+    }
+
     #[test]
     fn sizes_are_bounded_and_workers_do_not_wrap() {
         let parse = |line: &str, setting: &str| Config::parse(&GOOD.replace(line, setting));
@@ -898,6 +928,7 @@ route = ::/0 dev 7
                 assert!((1..=MAX_QUEUE_DEPTH).contains(&daemon.queue_depth), "{text}");
                 assert!((1..=MAX_RX_BURST).contains(&daemon.rx_burst), "{text}");
                 for tenant in &config.tenants {
+                    assert!(is_tenant_name(&tenant.name), "{text}");
                     for queue in 0..daemon.workers {
                         let port = u32::from(tenant.listen_addr(queue).port());
                         assert_eq!(port, u32::from(tenant.listen.port()) + queue, "{text}");

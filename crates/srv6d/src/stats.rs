@@ -42,7 +42,8 @@ pub struct TenantIo {
 /// stay listed with `active = false` so their counters remain scrapeable.
 #[derive(Debug, Clone)]
 pub struct TenantMeta {
-    /// Tenant name from the config.
+    /// Tenant name from the config, which admits only `[A-Za-z0-9_.-]+`:
+    /// it goes into label values unescaped.
     pub name: String,
     /// Whether the slot is currently serving (false once retired).
     pub active: bool,

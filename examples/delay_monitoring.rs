@@ -4,97 +4,26 @@
 //! encapsulates one packet in N with an SRH carrying a DM (timestamp) TLV;
 //! the router at the end of the monitored path runs `End.DM` (an `End.BPF`
 //! program) that reports the one-way delay to a user-space daemon through a
-//! perf event and decapsulates the probe.
+//! perf event and decapsulates the probe. The scenario is
+//! [`bench::delay`]'s.
 //!
 //! ```text
 //! cargo run --example delay_monitoring
 //! ```
 
-use ebpf_vm::maps::{Map, MapHandle, PerfEventArray};
-use netpkt::packet::build_ipv6_udp_packet;
-use seg6_core::{LwtBpfAttachment, LwtHook, Nexthop, Seg6LocalAction};
-use simnet::{LinkConfig, Simulator};
-use srv6_nf::{end_dm_program, owd_encap_program, DelayCollector, OwdEncapConfig};
-use std::collections::HashMap;
-use std::net::Ipv6Addr;
+use bench::delay;
 
 fn main() {
-    let ingress_addr: Ipv6Addr = "fc00::a".parse().unwrap();
-    let dm_sid: Ipv6Addr = "fc00::d1".parse().unwrap();
-    let client: Ipv6Addr = "2001:db8:2::9".parse().unwrap();
-    let server: Ipv6Addr = "2001:db8:1::1".parse().unwrap();
-    let controller: Ipv6Addr = "2001:db8:ffff::c0".parse().unwrap();
-
-    // Topology: server — ingress — egress(DM) — client, with a 20 ms link in
-    // the middle so the measured one-way delay is visible.
-    let mut sim = Simulator::new(42);
-    let s = sim.add_node("server", server);
-    let ingress = sim.add_node("ingress", ingress_addr);
-    let egress = sim.add_node("egress", dm_sid);
-    let c = sim.add_node("client", client);
-    sim.connect(s, ingress, LinkConfig::gigabit());
-    sim.connect(ingress, egress, LinkConfig::new(1_000_000_000, 20));
-    sim.connect(egress, c, LinkConfig::gigabit());
-
-    sim.node_mut(s).datapath.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
-    sim.node_mut(c).datapath.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
-    {
-        let dp = &mut sim.node_mut(ingress).datapath;
-        dp.add_route("2001:db8:1::/48".parse().unwrap(), vec![Nexthop::direct(1)]);
-        dp.add_route("2001:db8:2::/48".parse().unwrap(), vec![Nexthop::direct(2)]);
-        dp.add_route("fc00::d1/128".parse().unwrap(), vec![Nexthop::direct(2)]);
-    }
-    {
-        let dp = &mut sim.node_mut(egress).datapath;
-        dp.add_route("2001:db8:2::/48".parse().unwrap(), vec![Nexthop::direct(2)]);
-        dp.add_route("2001:db8:1::/48".parse().unwrap(), vec![Nexthop::direct(1)]);
-    }
-
-    // Ingress: the sampling encapsulation program on the LWT xmit hook
-    // (1:10 probing ratio so this short run produces a few reports).
-    let encap = owd_encap_program(OwdEncapConfig { dm_sid, controller, controller_port: 9999, ratio: 10 });
-    let encap = {
-        let dp = &mut sim.node_mut(ingress).datapath;
-        ebpf_vm::program::load(encap, &HashMap::new(), &dp.helpers).expect("encap program verifies")
-    };
-    sim.node_mut(ingress).datapath.attach_lwt_bpf(
-        "2001:db8:2::/48".parse().unwrap(),
-        LwtBpfAttachment { hook: LwtHook::Xmit, prog: encap },
-    );
-
-    // Egress: End.DM bound to the DM SID, reporting through a perf map.
-    let perf = PerfEventArray::new(1024);
-    let perf_handle: MapHandle = perf.clone();
-    let mut maps = HashMap::new();
-    maps.insert(1u32, perf_handle);
-    let dm = {
-        let dp = &mut sim.node_mut(egress).datapath;
-        ebpf_vm::program::load(end_dm_program(1), &maps, &dp.helpers).expect("End.DM verifies")
-    };
-    sim.node_mut(egress)
-        .datapath
-        .add_local_sid(netpkt::Ipv6Prefix::host(dm_sid), Seg6LocalAction::EndBpf { prog: dm });
-
-    // The user-space daemon (the paper's bcc/Python collector).
-    let mut collector = DelayCollector::new(perf.perf_buffer().expect("perf buffer"));
-
-    // Traffic: 2000 UDP packets from the server to the client.
-    for i in 0..2000u64 {
-        let pkt = build_ipv6_udp_packet(server, client, 1024, 5001, &[0u8; 256], 64);
-        sim.inject_at(i * 100_000, s, pkt);
-    }
-    sim.run_to_completion();
-
-    let parsed = collector.poll();
-    println!("client received {} datagrams", sim.node(c).sink(5001).packets);
-    println!("delay reports collected: {parsed}");
-    if let (Some(mean), Some(max)) = (collector.mean_owd_ns(), collector.max_owd_ns()) {
+    let run = delay::run();
+    println!("client received {} of {} datagrams", run.received, delay::DATAGRAMS);
+    println!("delay reports collected: {}", run.reports);
+    if let (Some(mean), Some(max)) = (run.mean_owd_ns, run.max_owd_ns) {
         println!("one-way delay: mean = {:.3} ms, max = {:.3} ms", mean as f64 / 1e6, max as f64 / 1e6);
     }
-    assert!(parsed > 50, "expected a sampled subset of 2000 packets to be probed");
+    assert!(run.reports > 50, "expected a sampled subset of the datagrams to be probed");
     assert!(
-        collector.mean_owd_ns().unwrap() >= 20_000_000,
-        "the 20 ms link must dominate the measured delay"
+        run.mean_owd_ns.unwrap() >= delay::LINK_DELAY_MS * 1_000_000,
+        "the monitored link must dominate the measured delay"
     );
     println!("delay_monitoring OK: probes were sampled, measured and decapsulated transparently");
 }

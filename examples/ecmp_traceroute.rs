@@ -4,71 +4,25 @@
 //! ECMP paths. Hops that expose the `End.OAMP` SID answer with the full
 //! list of equal-cost next hops (via a perf event consumed by the
 //! traceroute client); other hops fall back to the legacy ICMP behaviour.
+//! The scenario is [`bench::ecmp`]'s.
 //!
 //! ```text
 //! cargo run --example ecmp_traceroute
 //! ```
 
-use ebpf_vm::maps::{Map, MapHandle, PerfEventArray};
-use netpkt::packet::build_srv6_udp_packet;
-use netpkt::srh::{SegmentRoutingHeader, SrhTlv};
-use seg6_core::{Nexthop, Seg6Datapath, Seg6LocalAction, Skb};
-use srv6_nf::{end_oamp_program, oam_helper_registry, EcmpTraceroute, OamEvent};
-use std::collections::HashMap;
-use std::net::Ipv6Addr;
-
 fn main() {
-    let prober: Ipv6Addr = "2001:db8::50".parse().unwrap();
-    let target: Ipv6Addr = "2001:db8:9::1".parse().unwrap();
+    let run = bench::ecmp::run();
+    println!("target received {} probe(s)", run.delivered);
+    println!("\nenhanced traceroute to {}:", run.target);
+    print!("{}", run.traceroute.render());
 
-    // Hop 2 of the path is an SRv6 router exposing End.OAMP; it has two
-    // equal-cost next hops towards the target.
-    let oamp_sid: Ipv6Addr = "fc00::21".parse().unwrap();
-    let mut hop2 = Seg6Datapath::new(oamp_sid);
-    hop2.helpers = oam_helper_registry();
-    hop2.add_route(
-        "2001:db8:9::/48".parse().unwrap(),
-        vec![Nexthop::via("fe80::31".parse().unwrap(), 1), Nexthop::via("fe80::32".parse().unwrap(), 2)],
-    );
-    let perf = PerfEventArray::new(64);
-    let perf_handle: MapHandle = perf.clone();
-    let mut maps = HashMap::new();
-    maps.insert(1u32, perf_handle);
-    let prog = ebpf_vm::program::load(end_oamp_program(1), &maps, &hop2.helpers).expect("End.OAMP verifies");
-    hop2.add_local_sid(netpkt::Ipv6Prefix::host(oamp_sid), Seg6LocalAction::EndBpf { prog });
-
-    // The enhanced traceroute client.
-    let mut traceroute = EcmpTraceroute::new();
-
-    // Hop 1 does not support End.OAMP: record the legacy ICMP answer.
-    traceroute.record_icmp(1, Some("fc00::11".parse().unwrap()));
-
-    // Hop 2: send an SRv6 probe through the OAMP SID with a reply-to TLV.
-    let mut srh = SegmentRoutingHeader::from_path(netpkt::proto::UDP, &[oamp_sid, target]);
-    srh.tlvs.push(SrhTlv::OamReplyTo { addr: prober, port: 33434 });
-    let probe = build_srv6_udp_packet(prober, &srh, 33434, 33434, &[0u8; 16], 64);
-    let mut skb = Skb::new(probe);
-    let verdict = hop2.process(&mut skb, 0);
-    println!("probe verdict at hop 2: {verdict:?}");
-
-    // The hop's daemon relays the perf event back to the prober; here the
-    // client reads it directly.
-    let event = perf.perf_buffer().unwrap().poll().expect("End.OAMP must report");
-    let report = OamEvent::parse(&event.data).expect("well-formed OAM event");
-    traceroute.record_oamp(2, oamp_sid, &report);
-
-    // Hop 3 (the destination's router) falls back to ICMP again.
-    traceroute.record_icmp(3, Some("fc00::31".parse().unwrap()));
-
-    println!("\nenhanced traceroute to {target}:");
-    print!("{}", traceroute.render());
-
-    let hops = traceroute.hops();
-    assert_eq!(hops.len(), 3);
-    assert!(hops[1].via_oamp);
-    assert_eq!(hops[1].ecmp_nexthops.len(), 2);
+    let hops = run.traceroute.hops();
+    assert_eq!(hops.len(), 2);
+    assert!(hops[0].via_oamp, "hop 1 must answer through End.OAMP");
+    assert_eq!(hops[0].ecmp_nexthops.len(), 2);
     println!(
-        "\necmp_traceroute OK: hop 2 reported {} equal-cost next hops via End.OAMP",
-        hops[1].ecmp_nexthops.len()
+        "\necmp_traceroute OK: {} reported {} equal-cost next hops via End.OAMP",
+        run.oamp_sid,
+        hops[0].ecmp_nexthops.len()
     );
 }

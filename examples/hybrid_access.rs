@@ -4,130 +4,24 @@
 //! access links (xDSL-like and LTE-like) with the per-packet WRR eBPF
 //! scheduler; the CPE decapsulates natively. Without delay compensation the
 //! different link latencies reorder TCP segments and the goodput collapses;
-//! after compensating the latency difference on the fast path, TCP uses the
-//! aggregated capacity.
+//! after compensating the measured latency difference on the fast path,
+//! TCP uses the aggregated capacity. The runs are [`bench::hybrid`]'s, with
+//! the arguments of `figures tcp`.
 //!
 //! ```text
 //! cargo run --release --example hybrid_access
 //! ```
 
-use ebpf_vm::maps::MapHandle;
-use seg6_core::{LwtBpfAttachment, LwtHook, Nexthop, Seg6LocalAction};
-use simnet::{CpuProfile, LinkConfig, Simulator, NS_PER_SEC};
-use srv6_nf::{compute_compensation, wrr_encap_program, wrr_maps};
-use std::collections::HashMap;
-use std::net::Ipv6Addr;
-use trafficgen::{TcpBulkReceiver, TcpBulkSender};
-
-struct Topology {
-    sim: Simulator,
-    s1: usize,
-    agg: usize,
-    s2: usize,
-    links: [usize; 2],
-}
-
-fn build(seed: u64) -> Topology {
-    let s1_addr: Ipv6Addr = "2001:db8:1::1".parse().unwrap();
-    let s2_addr: Ipv6Addr = "2001:db8:2::1".parse().unwrap();
-    let agg_addr: Ipv6Addr = "fc00::a".parse().unwrap();
-    let cpe_addr: Ipv6Addr = "fc00::b".parse().unwrap();
-
-    let mut sim = Simulator::new(seed);
-    let s1 = sim.add_node("S1", s1_addr);
-    let agg = sim.add_node("A", agg_addr);
-    let cpe = sim.add_node("M", cpe_addr);
-    let s2 = sim.add_node("S2", s2_addr);
-
-    // 50 Mbps / 30 ms RTT and 30 Mbps / 5 ms RTT access links (one-way
-    // delays are half the RTT), as in the paper.
-    let xdsl = LinkConfig::new(50_000_000, 15).with_jitter_ns(2_500_000).with_queue_bytes(128 * 1024);
-    let lte = LinkConfig::new(30_000_000, 2).with_jitter_ns(1_000_000).with_queue_bytes(128 * 1024);
-
-    let (_, _, agg_if_s1) = sim.connect(s1, agg, LinkConfig::gigabit());
-    let (l0, agg_if_l0, _cpe_if_l0) = sim.connect(agg, cpe, xdsl);
-    let (l1, agg_if_l1, cpe_if_l1) = sim.connect(agg, cpe, lte);
-    let (_, cpe_if_s2, _) = sim.connect(cpe, s2, LinkConfig::gigabit());
-    sim.node_mut(cpe).cpu = CpuProfile::turris_omnia();
-
-    sim.node_mut(s1).datapath.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
-    sim.node_mut(s2).datapath.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
-    {
-        let dp = &mut sim.node_mut(agg).datapath;
-        dp.add_route("2001:db8:1::/48".parse().unwrap(), vec![Nexthop::direct(agg_if_s1)]);
-        dp.add_route("fd00::b1/128".parse().unwrap(), vec![Nexthop::direct(agg_if_l0)]);
-        dp.add_route("fd00::b2/128".parse().unwrap(), vec![Nexthop::direct(agg_if_l1)]);
-        dp.add_route("2001:db8:2::/48".parse().unwrap(), vec![Nexthop::direct(agg_if_l0)]);
-    }
-    {
-        let dp = &mut sim.node_mut(cpe).datapath;
-        dp.add_route("2001:db8:2::/48".parse().unwrap(), vec![Nexthop::direct(cpe_if_s2)]);
-        dp.add_route("2001:db8:1::/48".parse().unwrap(), vec![Nexthop::direct(cpe_if_l1)]);
-        // The CPE's two decapsulation SIDs — "the SRv6 decapsulation is
-        // natively performed by the kernel".
-        dp.add_local_sid(
-            "fd00::b1".parse().unwrap(),
-            Seg6LocalAction::EndDT6 { table: seg6_core::MAIN_TABLE },
-        );
-        dp.add_local_sid(
-            "fd00::b2".parse().unwrap(),
-            Seg6LocalAction::EndDT6 { table: seg6_core::MAIN_TABLE },
-        );
-    }
-
-    // The WRR eBPF scheduler on the aggregation box, weights 5:3 matching
-    // the 50/30 Mbps uplink capacities.
-    let (state, config) = wrr_maps(5, 3, "fd00::b1".parse().unwrap(), "fd00::b2".parse().unwrap());
-    let mut maps: HashMap<u32, MapHandle> = HashMap::new();
-    maps.insert(2, state);
-    maps.insert(3, config);
-    let prog = {
-        let dp = &mut sim.node_mut(agg).datapath;
-        ebpf_vm::program::load(wrr_encap_program(2, 3), &maps, &dp.helpers).expect("WRR program verifies")
-    };
-    sim.node_mut(agg)
-        .datapath
-        .attach_lwt_bpf("2001:db8:2::/48".parse().unwrap(), LwtBpfAttachment { hook: LwtHook::Xmit, prog });
-
-    Topology { sim, s1, agg, s2, links: [l0, l1] }
-}
-
-fn run_transfer(compensate: bool) -> f64 {
-    let mut topo = build(0xbeef);
-    if compensate {
-        // The TWD daemon's conclusion for these links: the xDSL path is
-        // ~13 ms slower one-way; delay the LTE path by the difference.
-        let comp = compute_compensation(30_000_000, 5_000_000);
-        topo.sim.set_link_extra_delay(topo.links[comp.delay_path], topo.agg, comp.extra_delay_ns);
-        println!(
-            "applying {:.1} ms of extra delay on path {}",
-            comp.extra_delay_ns as f64 / 1e6,
-            comp.delay_path
-        );
-    }
-    let duration = 8 * NS_PER_SEC;
-    let (sender, _) = TcpBulkSender::new(
-        "2001:db8:1::1".parse().unwrap(),
-        "2001:db8:2::1".parse().unwrap(),
-        40_000,
-        5201,
-        u64::MAX / 2,
-        duration,
-    );
-    let (receiver, receiver_stats) = TcpBulkReceiver::new("2001:db8:2::1".parse().unwrap(), 5201);
-    topo.sim.add_app(topo.s1, Box::new(sender));
-    topo.sim.add_app(topo.s2, Box::new(receiver));
-    topo.sim.run_until(duration);
-    let stats = receiver_stats.lock();
-    stats.delivered_bytes as f64 * 8.0 / (duration as f64 / 1e9) / 1e6
-}
+use bench::hybrid::{run_tcp, TCP_DURATION_NS, TCP_SEED};
 
 fn main() {
     println!("hybrid access: bulk TCP download over 50 Mbps (30 ms RTT) + 30 Mbps (5 ms RTT)");
-    let naive = run_transfer(false);
-    println!("naive per-packet WRR            : {naive:6.1} Mbps   (paper: 3.8 Mbps)");
-    let compensated = run_transfer(true);
-    println!("WRR + delay compensation        : {compensated:6.1} Mbps   (paper: ~68 Mbps)");
-    assert!(compensated > naive, "compensation must improve goodput");
+    println!("{:34} {:>14} {:>14}", "configuration", "goodput Mbps", "paper Mbps");
+    let naive = run_tcp(false, 1, TCP_DURATION_NS, TCP_SEED);
+    println!("{:34} {:>14.1} {:>14}", "naive WRR, 1 flow", naive.goodput_mbps, "3.8");
+    let compensated = run_tcp(true, 1, TCP_DURATION_NS, TCP_SEED);
+    println!("{:34} {:>14.1} {:>14}", "compensated WRR, 1 flow", compensated.goodput_mbps, "68");
+    println!("(compensation applied: {:.1} ms on the fast path)", compensated.compensation_ns as f64 / 1e6);
+    assert!(compensated.goodput_mbps > naive.goodput_mbps, "compensation must improve goodput");
     println!("hybrid_access OK: delay compensation recovered the aggregated capacity");
 }

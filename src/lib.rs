@@ -23,7 +23,9 @@
 //!
 //! See the `examples/` directory for runnable walkthroughs of each use case
 //! and the `bench` crate for the harness regenerating every figure of the
-//! paper's evaluation.
+//! paper's evaluation. The §4 use cases are built once, as `bench`'s
+//! `delay`, `hybrid` and `ecmp` scenarios: the examples print their results
+//! and `tests/use_cases.rs` checks them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,144 +1,46 @@
-//! End-to-end integration tests of the three use cases over the simulator,
-//! spanning every crate of the workspace.
+//! End-to-end checks of the §4.1 and §4.3 use cases, on the scenarios
+//! `bench` builds for the examples (§4.2 is checked in `bench::hybrid`).
 
-use ebpf_vm::maps::{Map, MapHandle, PerfEventArray};
-use netpkt::packet::build_ipv6_udp_packet;
-use seg6_core::{LwtBpfAttachment, LwtHook, Nexthop, Seg6LocalAction};
-use simnet::{LinkConfig, Simulator, NS_PER_SEC};
-use srv6_nf::{end_dm_program, owd_encap_program, DelayCollector, OwdEncapConfig};
-use std::collections::HashMap;
-use std::net::Ipv6Addr;
+use bench::{delay, ecmp};
 
-fn addr(s: &str) -> Ipv6Addr {
-    s.parse().unwrap()
-}
-
-/// §4.1 end to end: the ingress samples and timestamps traffic, the egress
-/// End.DM reports the one-way delay and transparently decapsulates, and the
+/// §4.1: the ingress samples and timestamps traffic, the egress End.DM
+/// reports the one-way delay and transparently decapsulates, and the
 /// client still receives every datagram.
 #[test]
 fn delay_monitoring_use_case_end_to_end() {
-    let mut sim = Simulator::new(99);
-    let server = sim.add_node("server", addr("2001:db8:1::1"));
-    let ingress = sim.add_node("ingress", addr("fc00::a"));
-    let egress = sim.add_node("egress", addr("fc00::d1"));
-    let client = sim.add_node("client", addr("2001:db8:2::9"));
-    sim.connect(server, ingress, LinkConfig::gigabit());
-    sim.connect(ingress, egress, LinkConfig::new(1_000_000_000, 10));
-    sim.connect(egress, client, LinkConfig::gigabit());
-
-    sim.node_mut(server).datapath.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
-    sim.node_mut(client).datapath.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
-    {
-        let dp = &mut sim.node_mut(ingress).datapath;
-        dp.add_route("2001:db8:2::/48".parse().unwrap(), vec![Nexthop::direct(2)]);
-        dp.add_route("fc00::d1/128".parse().unwrap(), vec![Nexthop::direct(2)]);
-        dp.add_route("2001:db8:1::/48".parse().unwrap(), vec![Nexthop::direct(1)]);
-    }
-    {
-        let dp = &mut sim.node_mut(egress).datapath;
-        dp.add_route("2001:db8:2::/48".parse().unwrap(), vec![Nexthop::direct(2)]);
-        dp.add_route("2001:db8:1::/48".parse().unwrap(), vec![Nexthop::direct(1)]);
-    }
-
-    // Ingress program: sample 1 packet in 5.
-    let encap = owd_encap_program(OwdEncapConfig {
-        dm_sid: addr("fc00::d1"),
-        controller: addr("2001:db8:ffff::c0"),
-        controller_port: 9999,
-        ratio: 5,
-    });
-    let encap = {
-        let dp = &sim.node_mut(ingress).datapath;
-        ebpf_vm::program::load(encap, &HashMap::new(), &dp.helpers).unwrap()
-    };
-    sim.node_mut(ingress).datapath.attach_lwt_bpf(
-        "2001:db8:2::/48".parse().unwrap(),
-        LwtBpfAttachment { hook: LwtHook::Xmit, prog: encap },
+    let run = delay::run();
+    // Every datagram reaches the client, probes included (End.DM
+    // decapsulates them).
+    assert_eq!(run.received, delay::DATAGRAMS);
+    let expected = delay::DATAGRAMS / u64::from(delay::SAMPLING_RATIO);
+    assert!(
+        (expected / 2..expected * 2).contains(&(run.reports as u64)),
+        "sampling 1:{} over {} datagrams, got {} reports",
+        delay::SAMPLING_RATIO,
+        delay::DATAGRAMS,
+        run.reports
     );
-
-    // Egress End.DM.
-    let perf = PerfEventArray::new(1024);
-    let perf_handle: MapHandle = perf.clone();
-    let mut maps = HashMap::new();
-    maps.insert(1u32, perf_handle);
-    let dm = {
-        let dp = &sim.node_mut(egress).datapath;
-        ebpf_vm::program::load(end_dm_program(1), &maps, &dp.helpers).unwrap()
-    };
-    sim.node_mut(egress)
-        .datapath
-        .add_local_sid("fc00::d1/128".parse().unwrap(), Seg6LocalAction::EndBpf { prog: dm });
-
-    let total = 500u64;
-    for i in 0..total {
-        let pkt =
-            build_ipv6_udp_packet(addr("2001:db8:1::1"), addr("2001:db8:2::9"), 1024, 5001, &[0u8; 128], 64);
-        sim.inject_at(i * 50_000, server, pkt);
-    }
-    sim.run_until(NS_PER_SEC);
-
-    // Every datagram reaches the client, probes included (they are
-    // decapsulated by End.DM).
-    assert_eq!(sim.node(client).sink(5001).packets, total);
-    let mut collector = DelayCollector::new(perf.perf_buffer().unwrap());
-    let reports = collector.poll();
-    assert!(reports > 20, "sampling 1:5 over 500 packets must produce reports, got {reports}");
-    // The 10 ms link dominates the measured one-way delay.
-    let mean = collector.mean_owd_ns().unwrap();
-    assert!(mean >= 10_000_000, "mean OWD {mean}");
-    assert!(mean < 50_000_000, "mean OWD {mean}");
+    // The monitored link dominates the measured one-way delay.
+    let link_ns = delay::LINK_DELAY_MS * 1_000_000;
+    let mean = run.mean_owd_ns.unwrap();
+    assert!((link_ns..link_ns + 10_000_000).contains(&mean), "mean OWD {mean}");
+    assert!(run.max_owd_ns.unwrap() >= mean);
 }
 
-/// §4.3 end to end inside a simulated ECMP topology: the probe traverses the
-/// OAMP hop and the report lists both equal-cost next hops.
+/// §4.3: the probe traverses the OAMP hop and reaches the target, and the
+/// report lists both equal-cost next hops of the probe's destination.
 #[test]
 fn ecmp_discovery_use_case_end_to_end() {
-    use netpkt::srh::{SegmentRoutingHeader, SrhTlv};
-
-    let mut sim = Simulator::new(5);
-    let prober = sim.add_node("prober", addr("2001:db8::50"));
-    let hop = sim.add_node("hop", addr("fc00::21"));
-    let target = sim.add_node("target", addr("2001:db8:9::1"));
-    sim.connect(prober, hop, LinkConfig::gigabit());
-    sim.connect(hop, target, LinkConfig::gigabit());
-
-    sim.node_mut(prober).datapath.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
-    {
-        let dp = &mut sim.node_mut(hop).datapath;
-        dp.helpers = srv6_nf::oam_helper_registry();
-        dp.add_route(
-            "2001:db8:9::/48".parse().unwrap(),
-            vec![Nexthop::direct(2), Nexthop::via(addr("fe80::bac"), 2)],
-        );
-        dp.add_route("2001:db8::/40".parse().unwrap(), vec![Nexthop::direct(1)]);
-    }
-
-    let perf = PerfEventArray::new(64);
-    let perf_handle: MapHandle = perf.clone();
-    let mut maps = HashMap::new();
-    maps.insert(1u32, perf_handle);
-    let prog = {
-        let dp = &sim.node_mut(hop).datapath;
-        ebpf_vm::program::load(srv6_nf::end_oamp_program(1), &maps, &dp.helpers).unwrap()
-    };
-    sim.node_mut(hop)
-        .datapath
-        .add_local_sid("fc00::21/128".parse().unwrap(), Seg6LocalAction::EndBpf { prog });
-
-    // The probe: SRv6 packet through the hop's OAMP SID with a reply-to TLV.
-    let mut srh =
-        SegmentRoutingHeader::from_path(netpkt::proto::UDP, &[addr("fc00::21"), addr("2001:db8:9::1")]);
-    srh.tlvs.push(SrhTlv::OamReplyTo { addr: addr("2001:db8::50"), port: 33434 });
-    let probe =
-        netpkt::packet::build_srv6_udp_packet(addr("2001:db8::50"), &srh, 33434, 33434, &[0u8; 8], 64);
-    sim.inject_at(0, prober, probe);
-    sim.run_to_completion();
-
-    // The probe reached the target and the report was emitted.
-    assert_eq!(sim.node(target).sink(33434).packets, 1);
-    let event = perf.perf_buffer().unwrap().poll().expect("OAMP report");
-    let report = srv6_nf::OamEvent::parse(&event.data).unwrap();
-    assert_eq!(report.queried_dst, addr("2001:db8:9::1"));
-    assert_eq!(report.nexthops.len(), 2);
+    let run = ecmp::run();
+    assert_eq!(run.delivered, 1);
+    let report = run.report.expect("End.OAMP reports");
+    assert_eq!(report.queried_dst, run.target);
+    assert_eq!(
+        report.nexthops,
+        ["fe80::31".parse::<std::net::Ipv6Addr>().unwrap(), "fe80::32".parse().unwrap()]
+    );
+    let hops = run.traceroute.hops();
+    assert_eq!(hops.len(), 2);
+    assert!(hops[0].via_oamp && !hops[1].via_oamp);
+    assert_eq!(hops[0].hop, Some(run.oamp_sid));
 }
