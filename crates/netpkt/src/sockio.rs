@@ -29,8 +29,8 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::sync::{Arc, Mutex};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, ToSocketAddrs, UdpSocket};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 #[allow(unsafe_code)]
 pub mod mmsg;
@@ -165,6 +165,13 @@ pub trait PacketRx: Send {
     fn syscalls(&self) -> u64 {
         0
     }
+
+    /// Datagrams dropped so far because they did not fit a batch slot: a
+    /// cut packet is never committed as a frame. 0 for transports that
+    /// cannot tell.
+    fn truncated(&self) -> u64 {
+        0
+    }
 }
 
 /// A batched frame transmitter — one egress destination.
@@ -281,8 +288,11 @@ impl UdpTx {
     pub fn connect(peer: impl ToSocketAddrs) -> io::Result<Self> {
         let mut last = None;
         for peer in peer.to_socket_addrs()? {
-            let bind_addr: SocketAddr =
-                if peer.is_ipv6() { "[::]:0".parse().unwrap() } else { "0.0.0.0:0".parse().unwrap() };
+            let bind_addr = if peer.is_ipv6() {
+                SocketAddr::from((Ipv6Addr::UNSPECIFIED, 0))
+            } else {
+                SocketAddr::from((Ipv4Addr::UNSPECIFIED, 0))
+            };
             match UdpSocket::bind(bind_addr).and_then(|s| {
                 s.connect(peer)?;
                 s.set_nonblocking(true)?;
@@ -327,6 +337,12 @@ struct MemLinkState {
     free: Vec<Vec<u8>>,
 }
 
+/// Locks a link's state. A panic elsewhere cannot leave the queue half
+/// edited, so a poisoned lock still guards consistent state.
+fn lock(state: &Mutex<MemLinkState>) -> MutexGuard<'_, MemLinkState> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One direction of an in-memory link (see [`mem_link`]).
 #[derive(Debug)]
 pub struct MemTx {
@@ -338,6 +354,7 @@ pub struct MemTx {
 #[derive(Debug)]
 pub struct MemRx {
     state: Arc<Mutex<MemLinkState>>,
+    truncated: u64,
 }
 
 /// Builds an in-memory frame link holding at most `capacity` undelivered
@@ -348,12 +365,12 @@ pub struct MemRx {
 /// nothing once every buffer has been minted.
 pub fn mem_link(capacity: usize) -> (MemTx, MemRx) {
     let state = Arc::new(Mutex::new(MemLinkState::default()));
-    (MemTx { state: Arc::clone(&state), capacity: capacity.max(1) }, MemRx { state })
+    (MemTx { state: Arc::clone(&state), capacity: capacity.max(1) }, MemRx { state, truncated: 0 })
 }
 
 impl PacketTx for MemTx {
     fn send_frame(&mut self, frame: &[u8]) -> io::Result<bool> {
-        let mut state = self.state.lock().expect("mem link lock");
+        let mut state = lock(&self.state);
         if state.filled.len() >= self.capacity {
             return Ok(false);
         }
@@ -367,10 +384,15 @@ impl PacketTx for MemTx {
 
 impl PacketRx for MemRx {
     fn fill(&mut self, batch: &mut FrameBatch) -> io::Result<usize> {
-        let mut state = self.state.lock().expect("mem link lock");
+        let mut state = lock(&self.state);
         let mut got = 0;
         while !batch.is_full() {
             match state.filled.pop_front() {
+                // Like a socket receiver, never commit a cut frame.
+                Some(buf) if buf.len() > batch.frame_cap() => {
+                    self.truncated += 1;
+                    state.free.push(buf);
+                }
                 Some(buf) => {
                     batch.push(&buf);
                     state.free.push(buf);
@@ -381,12 +403,16 @@ impl PacketRx for MemRx {
         }
         Ok(got)
     }
+
+    fn truncated(&self) -> u64 {
+        self.truncated
+    }
 }
 
 impl MemRx {
     /// Undelivered frames currently queued on the link.
     pub fn backlog(&self) -> usize {
-        self.state.lock().expect("mem link lock").filled.len()
+        lock(&self.state).filled.len()
     }
 }
 
@@ -491,6 +517,18 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert!(saw_drop, "ICMP refusal on loopback reported as drops");
+    }
+
+    #[test]
+    fn mem_link_drops_and_counts_frames_larger_than_a_slot() {
+        let (mut tx, mut rx) = mem_link(4);
+        for frame in [&[1u8; 8][..], &[2; 20], &[3; 16]] {
+            assert!(tx.send_frame(frame).unwrap());
+        }
+        let mut batch = FrameBatch::new(4, 16);
+        assert_eq!(rx.fill(&mut batch).unwrap(), 2);
+        assert_eq!(batch.frames().collect::<Vec<_>>(), vec![&[1u8; 8][..], &[3; 16]]);
+        assert_eq!(rx.truncated(), 1);
     }
 
     #[test]

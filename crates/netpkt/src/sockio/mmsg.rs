@@ -1,4 +1,5 @@
-//! Raw `recvmmsg(2)`/`sendmmsg(2)` socket backend: one syscall per burst.
+//! Raw `recvmmsg(2)`/`sendmmsg(2)` socket backend: one syscall per burst,
+//! one datagram per run of equal-length frames.
 //!
 //! The portable fallback ([`UdpRx`](super::UdpRx)/[`UdpTx`](super::UdpTx))
 //! pays one syscall per datagram. This module implements the same
@@ -9,6 +10,38 @@
 //! the batch's slot storage and transmit iovecs borrow the caller's
 //! frames in place, so batching adds zero copies and zero steady-state
 //! allocations.
+//!
+//! **Transmit: one datagram per run (UDP GSO).** With batching, the
+//! syscall is paid per burst but the kernel's transmit path still runs
+//! once per datagram. So [`MmsgTx`]'s `send_frames` gives each run of
+//! consecutive frames one `sendmmsg` message with a `UDP_SEGMENT` control
+//! message, and the kernel sends the run as one GSO skb, cut into
+//! datagrams only where it leaves the host (or, on loopback, where a
+//! socket without `UDP_GRO` receives it). A run is frames of exactly the
+//! first frame's length, optionally closed by one shorter non-empty frame
+//! (the kernel's segment rule), with at most 64 segments and a 16-bit
+//! UDP length; a lone frame carries no control message. Receivers see
+//! the same datagrams in the same order as without grouping.
+//!
+//! - A socket groups only if it accepts `setsockopt(SOL_UDP,
+//!   UDP_SEGMENT, 0)` at construction. A Unix datagram socket or a
+//!   pre-4.18 kernel does not, and sends one datagram per frame.
+//! - A grouped message that fails with `EMSGSIZE`/`EINVAL` (a segment
+//!   plus headers over the path MTU, where a plain send would fragment)
+//!   is re-sent frame by frame; grouping never drops a frame.
+//! - `EIO` (egress without checksum offload) does the same and turns
+//!   grouping off for that socket.
+//! - Backpressure and transient errors drop frames exactly as they do
+//!   ungrouped: a whole group at a time.
+//!
+//! **Receive: no GRO, and cut datagrams are dropped.** `UDP_GRO` would
+//! hand back up-to-64 KiB super-datagrams, which the batch's fixed
+//! 2 KiB slots cannot take without a copy through a 64 KiB landing buffer
+//! per message (≈ 1 MiB for four receive sockets), for runs that average
+//! two frames on this repository's traffic. A datagram larger than its
+//! slot arrives with `MSG_TRUNC`: [`MmsgRx`] drops it and counts it in
+//! [`PacketRx::truncated`](super::PacketRx::truncated) instead of
+//! committing the cut bytes as a frame.
 //!
 //! The FFI is libc-free in the repository's sense — no `libc` crate, just
 //! `extern "C"` declarations of the wrappers std already links, the same
@@ -26,13 +59,28 @@ pub fn supported() -> bool {
 mod imp {
     use crate::sockio::{transient_send_error, FrameBatch, PacketRx, PacketTx};
     use std::io;
-    use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
+    use std::mem::{offset_of, size_of};
+    use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, ToSocketAddrs, UdpSocket};
     use std::os::fd::{AsRawFd, RawFd};
     use std::ptr;
 
     const MSG_DONTWAIT: i32 = 0x40;
+    const MSG_TRUNC: i32 = 0x20;
     const SOL_SOCKET: i32 = 1;
     const SO_SNDBUF: i32 = 7;
+    const SOL_UDP: i32 = 17;
+    const UDP_SEGMENT: i32 = 103;
+    const EIO: i32 = 5;
+    const EINVAL: i32 = 22;
+    const EMSGSIZE: i32 = 90;
+
+    /// Most segments one GSO datagram may carry: the kernel's
+    /// `UDP_MAX_SEGMENTS` since 4.18 (some newer kernels allow more).
+    pub(super) const MAX_SEGMENTS: usize = 64;
+
+    /// Most payload bytes one GSO datagram may carry: the 16-bit IP length
+    /// less the IPv4 and UDP headers, which also fits IPv6's UDP length.
+    pub(super) const MAX_GSO_BYTES: usize = u16::MAX as usize - 20 - 8;
 
     /// `struct iovec`.
     #[repr(C)]
@@ -64,10 +112,39 @@ mod imp {
         len: u32,
     }
 
+    /// One `UDP_SEGMENT` control message: a `struct cmsghdr` followed by
+    /// the `u16` segment size, padded to `CMSG_SPACE(2)`.
+    #[repr(C)]
+    #[derive(Clone, Copy, Debug)]
+    struct SegmentCmsg {
+        len: usize,
+        level: i32,
+        kind: i32,
+        segment: u16,
+        pad: [u8; 6],
+    }
+
+    impl SegmentCmsg {
+        fn new(segment: u16) -> Self {
+            // `cmsg_len` is `CMSG_LEN(2)`: the header plus the bare u16.
+            let len = offset_of!(SegmentCmsg, segment) + size_of::<u16>();
+            SegmentCmsg { len, level: SOL_UDP, kind: UDP_SEGMENT, segment, pad: [0; 6] }
+        }
+    }
+
     extern "C" {
         fn recvmmsg(fd: RawFd, msgvec: *mut Mmsghdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
         fn sendmmsg(fd: RawFd, msgvec: *mut Mmsghdr, vlen: u32, flags: i32) -> i32;
         fn setsockopt(fd: RawFd, level: i32, optname: i32, optval: *const u8, optlen: u32) -> i32;
+    }
+
+    fn set_int_option(fd: RawFd, level: i32, name: i32, value: i32) -> io::Result<()> {
+        // SAFETY: optval points at 4 valid bytes and optlen says so.
+        let rc = unsafe { setsockopt(fd, level, name, &value as *const i32 as *const u8, 4) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
     fn null_mmsghdr() -> Mmsghdr {
@@ -85,13 +162,12 @@ mod imp {
         }
     }
 
-    /// Grows the reused header arrays to hold at least `want` messages.
-    /// Only ever allocates on growth, so steady-state bursts of a stable
-    /// size never touch the allocator.
-    fn ensure_slots(iovs: &mut Vec<IoVec>, hdrs: &mut Vec<Mmsghdr>, want: usize) {
-        if iovs.len() < want {
-            iovs.resize(want, IoVec { base: ptr::null_mut(), len: 0 });
-            hdrs.resize(want, null_mmsghdr());
+    /// Grows a reused array to at least `want` entries. Only ever
+    /// allocates on growth, so steady-state bursts of a stable size never
+    /// touch the allocator.
+    fn ensure<T: Copy>(v: &mut Vec<T>, want: usize, fill: T) {
+        if v.len() < want {
+            v.resize(want, fill);
         }
     }
 
@@ -110,11 +186,37 @@ mod imp {
             let mut hdr = null_mmsghdr();
             // SAFETY: `i < n <= iovs.len()`, so the pointer stays inside
             // the reused iovec array, which outlives the syscall it is
-            // handed to (both live in the same Rx/Tx struct).
+            // handed to (both live in the same Rx struct).
             hdr.hdr.iov = unsafe { iov_base.add(i) };
             hdr.hdr.iovlen = 1;
             hdrs[i] = hdr;
         }
+    }
+
+    /// How many of `frames` the first datagram carries: a run of frames of
+    /// exactly the first frame's length, optionally closed by one shorter
+    /// non-empty frame, at most [`MAX_SEGMENTS`] frames and
+    /// [`MAX_GSO_BYTES`] bytes. The kernel cuts a GSO datagram into
+    /// segments of the first length and a shorter tail, so these frames
+    /// come out as the same datagrams they went in as. An empty frame is
+    /// never grouped; `0` only for no frames at all.
+    pub(super) fn group_len(frames: &[&[u8]]) -> usize {
+        let Some(first) = frames.first() else { return 0 };
+        let segment = first.len();
+        let mut bytes = segment;
+        let mut n = 1;
+        for frame in frames.iter().skip(1) {
+            let len = frame.len();
+            if segment == 0 || len == 0 || len > segment || n == MAX_SEGMENTS || bytes + len > MAX_GSO_BYTES {
+                break;
+            }
+            n += 1;
+            bytes += len;
+            if len < segment {
+                break;
+            }
+        }
+        n
     }
 
     /// Batched receive via `recvmmsg(2)`: one syscall fills a whole
@@ -126,6 +228,7 @@ mod imp {
         iovs: Vec<IoVec>,
         hdrs: Vec<Mmsghdr>,
         syscalls: u64,
+        truncated: u64,
     }
 
     // SAFETY: the raw pointers in `iovs`/`hdrs` are only ever written and
@@ -144,7 +247,7 @@ mod imp {
         /// Wraps an already-bound socket (switched to non-blocking).
         pub fn from_socket(socket: UdpSocket) -> io::Result<Self> {
             socket.set_nonblocking(true)?;
-            Ok(MmsgRx { socket, iovs: Vec::new(), hdrs: Vec::new(), syscalls: 0 })
+            Ok(MmsgRx { socket, iovs: Vec::new(), hdrs: Vec::new(), syscalls: 0, truncated: 0 })
         }
 
         /// The bound local address (useful after binding port 0).
@@ -161,7 +264,8 @@ mod imp {
                 if free == 0 {
                     return Ok(got);
                 }
-                ensure_slots(&mut self.iovs, &mut self.hdrs, free);
+                ensure(&mut self.iovs, free, IoVec { base: ptr::null_mut(), len: 0 });
+                ensure(&mut self.hdrs, free, null_mmsghdr());
                 let frame_cap = batch.frame_cap();
                 let first = batch.len();
                 let storage = batch.storage.as_mut_ptr();
@@ -192,11 +296,24 @@ mod imp {
                         _ => return Err(e),
                     }
                 }
-                let n = n as usize;
-                for hdr in &self.hdrs[..n] {
-                    batch.commit_frame(hdr.len as usize);
+                let n = (n as usize).min(free);
+                for (i, hdr) in self.hdrs[..n].iter().enumerate() {
+                    if hdr.hdr.flags & MSG_TRUNC != 0 {
+                        // The datagram did not fit its slot: the kernel
+                        // kept only its first `frame_cap` bytes, and a cut
+                        // packet must not be forwarded.
+                        self.truncated += 1;
+                        continue;
+                    }
+                    let (from, to) = ((first + i) * frame_cap, batch.len() * frame_cap);
+                    let len = (hdr.len as usize).min(frame_cap);
+                    if from != to {
+                        // Close the gap a dropped datagram left.
+                        batch.storage.copy_within(from..from + len, to);
+                    }
+                    batch.commit_frame(len);
+                    got += 1;
                 }
-                got += n;
                 if n < free {
                     // The kernel returned fewer than it had room for: the
                     // queue is drained, no second syscall needed.
@@ -208,21 +325,35 @@ mod imp {
         fn syscalls(&self) -> u64 {
             self.syscalls
         }
+
+        fn truncated(&self) -> u64 {
+            self.truncated
+        }
     }
 
     /// Batched transmit via `sendmmsg(2)` over a connected, non-blocking
-    /// UDP socket: one syscall drains a whole flush window, with partial
+    /// UDP socket: one syscall drains a whole flush window, each run of
+    /// equal-length frames leaving as one GSO datagram, with partial
     /// sends resumed where the kernel stopped.
     #[derive(Debug)]
     pub struct MmsgTx {
         socket: UdpSocket,
+        /// Whether runs go out as GSO datagrams: the socket accepted
+        /// `UDP_SEGMENT` at construction and no send has failed with `EIO`.
+        gso: bool,
+        /// One iovec per frame.
         iovs: Vec<IoVec>,
+        /// One header, control message and frame count per datagram.
         hdrs: Vec<Mmsghdr>,
+        cmsgs: Vec<SegmentCmsg>,
+        groups: Vec<usize>,
         syscalls: u64,
     }
 
-    // SAFETY: as for `MmsgRx` — the header pointers borrow the frames
-    // passed to one `send_frames` call and are stale between calls.
+    // SAFETY: as for `MmsgRx` — the pointers in `iovs`/`hdrs` borrow the
+    // frames passed to one `send_frames` call and this struct's own
+    // `iovs`/`cmsgs`, and are stale between calls. `cmsgs` and `groups`
+    // hold plain values.
     unsafe impl Send for MmsgTx {}
 
     impl MmsgTx {
@@ -230,16 +361,16 @@ mod imp {
         pub fn connect(peer: impl ToSocketAddrs) -> io::Result<Self> {
             let mut last = None;
             for peer in peer.to_socket_addrs()? {
-                let bind_addr: SocketAddr =
-                    if peer.is_ipv6() { "[::]:0".parse().unwrap() } else { "0.0.0.0:0".parse().unwrap() };
+                let bind_addr = if peer.is_ipv6() {
+                    SocketAddr::from((Ipv6Addr::UNSPECIFIED, 0))
+                } else {
+                    SocketAddr::from((Ipv4Addr::UNSPECIFIED, 0))
+                };
                 match UdpSocket::bind(bind_addr).and_then(|s| {
                     s.connect(peer)?;
-                    s.set_nonblocking(true)?;
-                    Ok(s)
+                    Self::from_socket(s)
                 }) {
-                    Ok(socket) => {
-                        return Ok(MmsgTx { socket, iovs: Vec::new(), hdrs: Vec::new(), syscalls: 0 })
-                    }
+                    Ok(tx) => return Ok(tx),
                     Err(e) => last = Some(e),
                 }
             }
@@ -250,10 +381,22 @@ mod imp {
         /// Wraps an already-connected datagram socket (switched to
         /// non-blocking). `sendmmsg` is family-agnostic, so this also
         /// accepts a Unix datagram socket smuggled in as a `UdpSocket` —
-        /// the fault-injection tests use that for real backpressure.
+        /// the fault-injection tests use that for real backpressure. Only
+        /// a socket that accepts `UDP_SEGMENT` groups runs of frames.
         pub fn from_socket(socket: UdpSocket) -> io::Result<Self> {
             socket.set_nonblocking(true)?;
-            Ok(MmsgTx { socket, iovs: Vec::new(), hdrs: Vec::new(), syscalls: 0 })
+            // A zero segment size sends nothing as GSO by itself; the call
+            // only asks whether this socket and kernel (≥ 4.18) have it.
+            let gso = set_int_option(socket.as_raw_fd(), SOL_UDP, UDP_SEGMENT, 0).is_ok();
+            Ok(MmsgTx {
+                socket,
+                gso,
+                iovs: Vec::new(),
+                hdrs: Vec::new(),
+                cmsgs: Vec::new(),
+                groups: Vec::new(),
+                syscalls: 0,
+            })
         }
 
         /// The connected local address.
@@ -265,15 +408,75 @@ mod imp {
         /// injector for tests: a tiny `SO_SNDBUF` makes `sendmmsg` stop
         /// mid-burst with a partial send or `EAGAIN` on loopback.
         pub fn set_send_buffer(&self, bytes: usize) -> io::Result<()> {
-            let val = bytes as i32;
-            // SAFETY: optval points at 4 valid bytes and optlen says so.
-            let rc = unsafe {
-                setsockopt(self.socket.as_raw_fd(), SOL_SOCKET, SO_SNDBUF, &val as *const i32 as *const u8, 4)
-            };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
+            let val = i32::try_from(bytes).unwrap_or(i32::MAX);
+            set_int_option(self.socket.as_raw_fd(), SOL_SOCKET, SO_SNDBUF, val)
+        }
+
+        /// Points one header per datagram at `frames`, grouped by
+        /// [`group_len`] while grouping is on, and returns the datagram
+        /// count. Nothing is copied: the iovecs borrow the frames.
+        fn arm(&mut self, frames: &[&[u8]]) -> usize {
+            // At most one datagram per frame; sized before any pointer is
+            // taken, so no array moves while the headers point into it.
+            ensure(&mut self.iovs, frames.len(), IoVec { base: ptr::null_mut(), len: 0 });
+            ensure(&mut self.hdrs, frames.len(), null_mmsghdr());
+            ensure(&mut self.cmsgs, frames.len(), SegmentCmsg::new(0));
+            ensure(&mut self.groups, frames.len(), 0);
+            for (iov, frame) in self.iovs.iter_mut().zip(frames) {
+                // The kernel never writes through a send iovec; the cast
+                // to *mut is the C API's, not a mutation.
+                *iov = IoVec { base: frame.as_ptr() as *mut u8, len: frame.len() };
             }
-            Ok(())
+            let (iov_base, cmsg_base) = (self.iovs.as_mut_ptr(), self.cmsgs.as_mut_ptr());
+            let (mut at, mut m) = (0, 0);
+            while at < frames.len() {
+                let n = if self.gso { group_len(&frames[at..]) } else { 1 };
+                let mut hdr = null_mmsghdr();
+                // SAFETY: `at + n <= frames.len() <= iovs.len()`, so the
+                // datagram's iovecs lie inside the reused array, which
+                // outlives the syscall it is handed to.
+                hdr.hdr.iov = unsafe { iov_base.add(at) };
+                hdr.hdr.iovlen = n;
+                if n > 1 {
+                    // SAFETY: `m < frames.len() <= cmsgs.len()`; the
+                    // control message lives in the reused array beside
+                    // the header that points at it. `group_len` keeps a
+                    // grouped segment inside 16 bits.
+                    unsafe {
+                        let cmsg = cmsg_base.add(m);
+                        cmsg.write(SegmentCmsg::new(frames[at].len() as u16));
+                        hdr.hdr.control = cmsg as *mut u8;
+                    }
+                    hdr.hdr.controllen = size_of::<SegmentCmsg>();
+                }
+                self.hdrs[m] = hdr;
+                self.groups[m] = n;
+                at += n;
+                m += 1;
+            }
+            m
+        }
+
+        /// Arms `frames` and reads back each datagram as (frames it
+        /// carries, its `UDP_SEGMENT` size if it has a control message).
+        #[cfg(test)]
+        pub(super) fn armed(&mut self, frames: &[&[u8]]) -> Vec<(usize, Option<u16>)> {
+            let datagrams = self.arm(frames);
+            self.hdrs[..datagrams]
+                .iter()
+                .zip(&self.cmsgs)
+                .map(|(hdr, cmsg)| (hdr.hdr.iovlen, (hdr.hdr.controllen > 0).then_some(cmsg.segment)))
+                .collect()
+        }
+
+        /// Sends `frames` one `send(2)` each; returns how many were
+        /// accepted.
+        fn send_each(&mut self, frames: &[&[u8]]) -> io::Result<usize> {
+            let mut sent = 0;
+            for frame in frames {
+                sent += usize::from(self.send_frame(frame)?);
+            }
+            Ok(sent)
         }
     }
 
@@ -291,52 +494,58 @@ mod imp {
         }
 
         fn send_frames(&mut self, frames: &[&[u8]]) -> io::Result<usize> {
-            if frames.is_empty() {
-                return Ok(0);
-            }
-            ensure_slots(&mut self.iovs, &mut self.hdrs, frames.len());
-            arm_headers(&mut self.iovs, &mut self.hdrs, frames.len(), |i| {
-                // The kernel never writes through a send iovec; the cast
-                // to *mut is the C API's, not a mutation.
-                (frames[i].as_ptr() as *mut u8, frames[i].len())
-            });
-            let mut sent = 0;
-            let mut off = 0;
-            while off < frames.len() {
+            let datagrams = self.arm(frames);
+            // `off` is the first unsent datagram, `first` its first frame.
+            let (mut sent, mut off, mut first) = (0, 0, 0);
+            while off < datagrams {
                 self.syscalls += 1;
-                // SAFETY: headers `off..frames.len()` were armed above and
-                // their iovecs borrow `frames`, alive for this whole call.
+                // SAFETY: headers `off..datagrams` were armed above; their
+                // iovecs borrow `frames` and their control messages sit in
+                // `cmsgs`, both alive and unmoved for this whole call.
                 let n = unsafe {
                     sendmmsg(
                         self.socket.as_raw_fd(),
                         self.hdrs.as_mut_ptr().add(off),
-                        (frames.len() - off) as u32,
+                        (datagrams - off) as u32,
                         MSG_DONTWAIT,
                     )
                 };
-                if n < 0 {
-                    let e = io::Error::last_os_error();
-                    if e.kind() == io::ErrorKind::Interrupted {
-                        continue;
-                    }
-                    if e.kind() == io::ErrorKind::WouldBlock {
-                        // Backpressure: the rest of the burst is dropped,
-                        // exactly what `UdpTx`'s per-frame `Ok(false)`
-                        // loop would report.
-                        break;
-                    }
-                    if transient_send_error(&e) {
-                        // sendmmsg only errors when the *first* datagram
-                        // fails: drop that one and resume with the rest.
-                        off += 1;
-                        continue;
-                    }
-                    return Err(e);
+                if n >= 0 {
+                    // Partial send: the kernel took the first `n`, resume
+                    // at the first unsent datagram.
+                    let n = (n as usize).min(datagrams - off);
+                    let frames_sent: usize = self.groups[off..off + n].iter().sum();
+                    sent += frames_sent;
+                    first += frames_sent;
+                    off += n;
+                    continue;
                 }
-                // Partial send: the kernel took the first `n`, resume at
-                // the first unsent frame.
-                sent += n as usize;
-                off += n as usize;
+                let e = io::Error::last_os_error();
+                // sendmmsg only errors when the *first* datagram fails.
+                let group = self.groups[off];
+                match (e.kind(), e.raw_os_error()) {
+                    (io::ErrorKind::Interrupted, _) => continue,
+                    // Backpressure: the rest of the burst is dropped,
+                    // exactly what `UdpTx`'s per-frame `Ok(false)` loop
+                    // would report.
+                    (io::ErrorKind::WouldBlock, _) => break,
+                    // A grouped datagram the path cannot take whole (a
+                    // segment over the MTU, or egress without checksum
+                    // offload: `EIO`, which also ends grouping here) goes
+                    // out frame by frame, never dropped for its grouping.
+                    (_, Some(code @ (EMSGSIZE | EINVAL | EIO))) if group > 1 => {
+                        if code == EIO {
+                            self.gso = false;
+                        }
+                        sent += self.send_each(&frames[first..first + group])?;
+                    }
+                    // A transient error drops that datagram's frames; the
+                    // rest of the burst goes on.
+                    _ if transient_send_error(&e) => {}
+                    _ => return Err(e),
+                }
+                off += 1;
+                first += group;
             }
             Ok(sent)
         }
@@ -522,5 +731,114 @@ mod tests {
         // transport recovered, nothing was poisoned by the EAGAIN.
         let resent = tx.send_frames(&refs[sent..sent + 1]).unwrap();
         assert_eq!(resent, 1);
+    }
+
+    /// Sends `frames` through `tx` and checks `rx` gets each one back,
+    /// byte-identical and in order.
+    fn assert_delivered_in_order(tx: &mut MmsgTx, rx: &mut MmsgRx, frames: &[Vec<u8>]) {
+        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+        assert_eq!(tx.send_frames(&refs).unwrap(), frames.len(), "the burst is accepted whole");
+        let mut batch = FrameBatch::new(frames.len(), 2048);
+        assert_eq!(wait_fill(rx, &mut batch, frames.len()), frames.len(), "every frame arrives");
+        for (i, frame) in batch.frames().enumerate() {
+            assert_eq!(frame, &frames[i][..], "frame {i} intact and in order");
+        }
+    }
+
+    #[test]
+    fn runs_group_by_the_kernel_segment_rule() {
+        use super::imp::{group_len, MAX_GSO_BYTES, MAX_SEGMENTS};
+        let frames = |lens: &[usize]| -> Vec<Vec<u8>> { lens.iter().map(|&n| vec![7; n]).collect() };
+        let group = |lens: &[usize]| {
+            let frames = frames(lens);
+            let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+            group_len(&refs)
+        };
+        assert_eq!(group(&[]), 0);
+        assert_eq!(group(&[32]), 1);
+        assert_eq!(group(&[32, 32, 32]), 3, "an equal run is one datagram");
+        assert_eq!(group(&[32, 32, 24, 24]), 3, "a shorter frame closes the run");
+        assert_eq!(group(&[32, 48]), 1, "a longer frame starts a new run");
+        assert_eq!(group(&[0, 0]), 1, "empty frames are never grouped");
+        assert_eq!(group(&[32, 0]), 1, "an empty frame does not close a run");
+        assert_eq!(group(&vec![8; MAX_SEGMENTS + 5]), MAX_SEGMENTS, "segment cap");
+        let per_run = MAX_GSO_BYTES / 1400;
+        assert_eq!(group(&vec![1400; per_run + 5]), per_run, "byte cap");
+        let room = MAX_GSO_BYTES - 1400 * per_run;
+        let closed = |closer: usize| [vec![1400; per_run], vec![closer]].concat();
+        assert_eq!(group(&closed(room)), per_run + 1, "a shorter closer that fits joins the run");
+        assert_eq!(group(&closed(room + 1)), per_run, "one past the byte cap starts the next run");
+
+        // Only grouped datagrams carry a control message, sized by the
+        // run's first frame; singletons go out as plain datagrams.
+        let mut tx = MmsgTx::connect("[::1]:9").unwrap();
+        let frames = frames(&[152, 152, 176, 112, 40, 0, 0, 64, 64]);
+        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+        assert_eq!(
+            tx.armed(&refs),
+            vec![(2, Some(152)), (2, Some(176)), (1, None), (1, None), (1, None), (2, Some(64))]
+        );
+    }
+
+    #[test]
+    fn mixed_length_bursts_arrive_as_the_frames_sent() {
+        let mut rx = MmsgRx::bind("[::1]:0").unwrap();
+        let mut tx = MmsgTx::connect(rx.local_addr().unwrap()).unwrap();
+        // Every rule: equal runs, shorter closers, longer restarts, empty
+        // frames, and a run past the segment cap.
+        let mut lens = vec![152, 152, 176, 112, 152, 152, 112, 112, 0, 64, 0, 0, 1200, 1200, 64];
+        lens.extend([96; 70]);
+        lens.extend([32, 2000, 2000, 1999, 1]);
+        let frames: Vec<Vec<u8>> =
+            lens.iter().enumerate().map(|(i, &n)| (0..n).map(|b| (i * 31 + b) as u8).collect()).collect();
+        assert_delivered_in_order(&mut tx, &mut rx, &frames);
+        assert!(tx.syscalls() <= 2, "still one sendmmsg per burst (saw {})", tx.syscalls());
+    }
+
+    #[test]
+    fn runs_over_the_path_mtu_fall_back_to_one_datagram_per_frame() {
+        use std::os::fd::AsRawFd;
+        extern "C" {
+            fn setsockopt(fd: i32, level: i32, name: i32, value: *const u8, len: u32) -> i32;
+        }
+        const IPPROTO_IPV6: i32 = 41;
+        const IPV6_MTU: i32 = 24;
+
+        let mut rx = MmsgRx::bind("[::1]:0").unwrap();
+        let socket = std::net::UdpSocket::bind("[::1]:0").unwrap();
+        socket.connect(rx.local_addr().unwrap()).unwrap();
+        let mtu: i32 = 1280;
+        // SAFETY: the option value is 4 valid bytes and the length says so.
+        let rc =
+            unsafe { setsockopt(socket.as_raw_fd(), IPPROTO_IPV6, IPV6_MTU, &mtu as *const i32 as _, 4) };
+        assert_eq!(rc, 0, "set IPV6_MTU");
+        let mut tx = MmsgTx::from_socket(socket).unwrap();
+
+        // A 1300 B segment plus headers exceeds the 1280 B path MTU: the
+        // kernel refuses the GSO datagram, while a plain send fragments.
+        let frames: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 1300]).collect();
+        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+        let grouped = tx.armed(&refs) == vec![(8, Some(1300))];
+        assert_delivered_in_order(&mut tx, &mut rx, &frames);
+        if grouped {
+            assert_eq!(tx.syscalls(), 1 + 8, "the refused datagram was re-sent frame by frame");
+        }
+    }
+
+    #[test]
+    fn datagrams_larger_than_a_slot_are_counted_not_forwarded() {
+        let mut rx = MmsgRx::bind("[::1]:0").unwrap();
+        let tx = std::net::UdpSocket::bind("[::1]:0").unwrap();
+        tx.connect(rx.local_addr().unwrap()).unwrap();
+        for frame in [&[1u8; 40][..], &[2; 3000], &[3; 60]] {
+            tx.send(frame).unwrap();
+        }
+        let mut batch = FrameBatch::new(8, 2048);
+        assert_eq!(wait_fill(&mut rx, &mut batch, 2), 2, "both small frames arrive");
+        assert_eq!(batch.frame(0), &[1; 40]);
+        assert_eq!(batch.frame(1), &[3; 60], "the frame after the cut one moved into its slot");
+        assert_eq!(rx.truncated(), 1, "the 3000 B datagram is counted");
+        batch.clear();
+        assert_eq!(rx.fill(&mut batch).unwrap(), 0, "and never delivered");
     }
 }

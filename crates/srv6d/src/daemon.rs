@@ -300,7 +300,13 @@ impl Srv6Daemon {
             }
             for rx in &mut tenant.rx {
                 self.batch.clear();
-                let got = match rx.fill(&mut self.batch) {
+                let truncated = rx.truncated();
+                let filled = rx.fill(&mut self.batch);
+                let cut = rx.truncated() - truncated;
+                if cut > 0 {
+                    tenant.io.rx_truncated.fetch_add(cut, Ordering::Relaxed);
+                }
+                let got = match filled {
                     Ok(got) => got,
                     Err(_) => continue,
                 };
@@ -332,7 +338,8 @@ impl Srv6Daemon {
     /// Lifetime socket syscalls issued by the daemon's RX/TX endpoints —
     /// zero on [`crate::MemBackend`]; on `mmsg`, one `recvmmsg` per RX
     /// queue per [`Srv6Daemon::service`] pass plus one `sendmmsg` per
-    /// (tenant, interface) group emitted and per partial-send resume.
+    /// (tenant, interface) group emitted and per partial-send resume, and
+    /// one `send` per frame of a GSO datagram the path refuses.
     /// `backend_differential` holds the kernel run to that bound.
     pub fn io_syscalls(&self) -> u64 {
         self.tenants

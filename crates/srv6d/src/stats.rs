@@ -30,6 +30,9 @@ pub struct ControlFlags {
 pub struct TenantIo {
     /// Frames read off the tenant's RX sockets.
     pub rx_frames: AtomicU64,
+    /// Datagrams dropped on receive because they did not fit a frame
+    /// slot (never forwarded cut).
+    pub rx_truncated: AtomicU64,
     /// Frames emitted out of the tenant's TX sockets.
     pub tx_frames: AtomicU64,
     /// Forwarded packets that could not be emitted (backpressure, no
@@ -141,13 +144,15 @@ impl DaemonShared {
         }
         for (name, help, pick) in [
             ("rx_frames_total", "Frames read off RX sockets.", 0usize),
-            ("tx_frames_total", "Frames emitted out of TX sockets.", 1),
-            ("tx_drops_total", "Forwarded packets not emitted (backpressure or no peer).", 2),
+            ("rx_truncated_total", "Datagrams dropped on receive for not fitting a frame slot.", 1),
+            ("tx_frames_total", "Frames emitted out of TX sockets.", 2),
+            ("tx_drops_total", "Forwarded packets not emitted (backpressure or no peer).", 3),
         ] {
             counter(&mut out, name, help);
             for (slot, meta) in metas.iter().enumerate() {
-                let value =
-                    [&meta.io.rx_frames, &meta.io.tx_frames, &meta.io.tx_drops][pick].load(Ordering::Relaxed);
+                let io = &meta.io;
+                let value = [&io.rx_frames, &io.rx_truncated, &io.tx_frames, &io.tx_drops][pick]
+                    .load(Ordering::Relaxed);
                 let _ = writeln!(out, "srv6d_{name}{{tenant=\"{}\",slot=\"{slot}\"}} {value}", meta.name);
             }
         }

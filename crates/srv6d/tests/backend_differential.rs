@@ -28,6 +28,12 @@ fn addr(s: &str) -> Ipv6Addr {
     s.parse().unwrap()
 }
 
+/// Payload lengths, cycled. The TX side sends each run of equal-length
+/// frames (closed by at most one shorter frame) as one GSO datagram, so
+/// mixed lengths make runs end, close and restart. Five lengths against
+/// the every-fourth expired frame vary which length goes missing.
+const PAYLOADS: [usize; 5] = [32, 32, 24, 48, 48];
+
 /// The shared traffic profile: 3 forwardable frames (hop limit 64) to
 /// every 1 already-expired frame (hop limit 0, dropped at forward).
 fn traffic() -> Vec<Vec<u8>> {
@@ -39,7 +45,7 @@ fn traffic() -> Vec<Vec<u8>> {
                 addr("2001:db8:f::1"),
                 (1024 + flow % 40_000) as u16,
                 5001,
-                &[0u8; 32],
+                &[0u8; 48][..PAYLOADS[flow as usize % PAYLOADS.len()]],
                 hops,
             )
             .data()
@@ -161,7 +167,9 @@ impl SyscallTally {
     ///   run cannot hit a partial send: loopback UDP orphans each skb at
     ///   transmit, so the send buffer never fills (netpkt's partial-send
     ///   test needs a Unix socketpair for exactly that reason), and the
-    ///   resume term is dropped.
+    ///   resume term is dropped. Nor can loopback's 64 KiB MTU refuse a
+    ///   GSO datagram, so no frame-by-frame resend happens either: GSO
+    ///   cuts datagrams, not syscalls.
     ///
     /// A per-datagram transport pays one syscall per frame each way plus
     /// an `EAGAIN` per drain, far above this.

@@ -124,6 +124,62 @@ fn loopback_end_to_end_counts_every_frame() {
     assert_eq!(report.drain.counters.in_flight(), 0, "the drain barrier left packets in flight");
 }
 
+/// A datagram too large for a frame slot is dropped at the socket and
+/// counted in `/metrics`, never forwarded cut; the frames on either side
+/// of it go through.
+#[test]
+fn oversized_datagrams_are_counted_and_never_forwarded() {
+    let config = Config::parse(
+        "[daemon]\nworkers = 1\n\
+         [tenant edge]\nlocal = fc00::1\nlisten = [::1]:44600\npeer = 1 [::1]:44700\nroute = ::/0 dev 1",
+    )
+    .expect("valid config");
+    let mut capture = UdpRx::bind("[::1]:44700").expect("bind capture");
+    let (backend, name) = resolve_backend(IoBackendChoice::Auto).expect("a kernel backend");
+    if name != "mmsg" {
+        // Only `recvmmsg` reports `MSG_TRUNC`; the std fallback cannot tell.
+        return;
+    }
+    let mut daemon = Srv6Daemon::start(config, backend).expect("daemon starts");
+    let shared = daemon.shared();
+
+    let small = [frame_to("2001:db8:f::1", 1), frame_to("2001:db8:f::1", 2)];
+    let big =
+        build_ipv6_udp_packet(addr("2001:db8::99"), addr("2001:db8:f::1"), 1024, 5001, &[0u8; 2900], 64)
+            .data()
+            .to_vec();
+    assert!(big.len() > netpkt::sockio::DEFAULT_FRAME_CAP);
+    let sender = std::net::UdpSocket::bind("[::1]:0").expect("bind sender");
+    sender.connect("[::1]:44600").expect("connect sender");
+    for frame in [&small[0], &big, &small[1]] {
+        sender.send(frame).expect("loopback send");
+    }
+
+    let mut batch = FrameBatch::new(8, 4096);
+    let mut egress = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while egress.len() < 2 {
+        daemon.service();
+        batch.clear();
+        capture.fill(&mut batch).expect("capture fill");
+        egress.extend(batch.frames().map(<[u8]>::to_vec));
+        assert!(Instant::now() < deadline, "egress timed out at {}/2", egress.len());
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let mut expected = small.to_vec();
+    for frame in &mut expected {
+        frame[7] -= 1; // forwarding decrements the hop limit
+    }
+    assert_eq!(egress, expected, "both small frames forwarded, in order");
+
+    let metrics = shared.render_metrics();
+    assert_eq!(metric_value(&metrics, "srv6d_rx_truncated_total{tenant=\"edge\",slot=\"0\"}"), 1.0);
+    assert_eq!(metric_value(&metrics, "srv6d_rx_frames_total{tenant=\"edge\",slot=\"0\"}"), 2.0);
+    let report = daemon.drain();
+    assert_eq!(report.tenants[0].totals.processed, 2, "the cut datagram never reached the datapath");
+    assert_eq!(report.tenants[0].tx_frames, 2);
+}
+
 const RELOAD_BASE: &str = "[daemon]\nworkers = 1\nbatch-size = 16\nqueue-depth = 1024\n\
     [tenant keep]\nlocal = fc00::1\nlisten = [::1]:42000\npeer = 1 [::1]:42100\nroute = ::/0 dev 1\n\
     [tenant change]\nlocal = fc00::2\nlisten = [::1]:42010\npeer = 1 [::1]:42110\n\
