@@ -9,8 +9,9 @@
 //! transport:
 //!
 //! * [`FrameBatch`] is the reusable burst buffer: a fixed set of
-//!   fixed-size frame slots allocated once, filled by a receiver and
-//!   drained as `&[u8]` slices. After construction it never allocates —
+//!   fixed-size datagram slots allocated once, filled by a receiver and
+//!   drained as `&[u8]` frames, one per slot or several when the kernel
+//!   coalesced a run. After construction it never allocates —
 //!   the property the pool's zero-allocation byte-ingestion path
 //!   ([`enqueue_bytes_all`](https://docs.rs) in `seg6-runtime`) wants
 //!   from its feeder.
@@ -35,13 +36,36 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 #[allow(unsafe_code)]
 pub mod mmsg;
 
-/// Default size of one receive-frame slot: enough for any packet this
-/// lab builds, far below a jumbo frame.
+/// Default size of one receive slot: enough for any packet this lab
+/// builds, far below a jumbo frame.
 pub const DEFAULT_FRAME_CAP: usize = 2048;
 
-/// A reusable burst of received frames: `capacity` slots of `frame_cap`
-/// bytes each, allocated once at construction. Receivers fill slots in
-/// place ([`FrameBatch::begin_frame`] / [`FrameBatch::commit_frame`] or
+/// Segments per datagram this module plans for: the kernel's cap for a
+/// UDP GSO send (`UDP_MAX_SEGMENTS`, 64 since 4.18; some newer kernels
+/// allow more) and for a GRO receive (`UDP_GRO_CNT_MAX`). `MmsgTx` sends
+/// at most this many, and a [`FrameBatch`] reserves this many frame
+/// entries per slot; a datagram with more still arrives whole.
+pub(crate) const MAX_SEGMENTS: usize = 64;
+
+/// A reusable burst of received frames.
+///
+/// **Slots and frames.** The batch has `capacity` slots of `frame_cap`
+/// bytes, allocated once at construction. Each slot takes one received
+/// datagram, and a datagram holds one frame or, when the kernel
+/// coalesced a run (UDP GRO, see [`mmsg`]), several frames cut at its
+/// segment size. The frames stay where the kernel wrote them; the batch
+/// keeps an index of `(offset, len)` ranges over them, preallocated for
+/// 64 frames per slot (the kernel's segment cap). So
+/// [`FrameBatch::capacity`] counts slots, and [`FrameBatch::len`] counts
+/// frames and may exceed it.
+///
+/// A GRO datagram can be longer than its slot; the part past the slot
+/// lands in the batch's *spill*, an anonymous mapping that costs no
+/// resident memory until such a datagram arrives and is released again
+/// by [`FrameBatch::clear`]. Every frame is still a single slice.
+///
+/// Receivers that take one frame per datagram fill slots in place
+/// ([`FrameBatch::begin_frame`] / [`FrameBatch::commit_frame`] or
 /// [`FrameBatch::push`]); consumers iterate [`FrameBatch::frames`] and
 /// [`FrameBatch::clear`] for the next burst. No method allocates after
 /// construction.
@@ -50,8 +74,14 @@ pub struct FrameBatch {
     /// Slot storage, `capacity * frame_cap` bytes, slot `i` at
     /// `i * frame_cap`.
     storage: Vec<u8>,
-    /// Filled length of each committed slot.
-    lens: Vec<usize>,
+    /// Each committed frame as `(start, len)`. A start below
+    /// `storage.len()` is an offset into the slot storage; one at or past
+    /// it is `storage.len()` plus an offset into the spill.
+    frames: Vec<(usize, usize)>,
+    /// Slots holding a committed datagram.
+    slots: usize,
+    /// Where datagrams longer than their slot continue.
+    spill: mmsg::Spill,
     frame_cap: usize,
     capacity: usize,
 }
@@ -63,7 +93,9 @@ impl FrameBatch {
         let frame_cap = frame_cap.max(1);
         FrameBatch {
             storage: vec![0; capacity * frame_cap],
-            lens: Vec::with_capacity(capacity),
+            frames: Vec::with_capacity(capacity * MAX_SEGMENTS),
+            slots: 0,
+            spill: mmsg::Spill::default(),
             frame_cap,
             capacity,
         }
@@ -76,32 +108,35 @@ impl FrameBatch {
 
     /// Number of committed frames.
     pub fn len(&self) -> usize {
-        self.lens.len()
+        self.frames.len()
     }
 
     /// Whether no frame has been committed.
     pub fn is_empty(&self) -> bool {
-        self.lens.is_empty()
+        self.frames.is_empty()
     }
 
     /// Whether every slot is committed (the burst is complete).
     pub fn is_full(&self) -> bool {
-        self.lens.len() == self.capacity
+        self.slots == self.capacity
     }
 
-    /// Slot count.
+    /// Slot count: the most datagrams one burst takes.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Per-slot byte capacity.
+    /// Per-slot byte capacity, and the longest frame the batch accepts.
     pub fn frame_cap(&self) -> usize {
         self.frame_cap
     }
 
-    /// Forgets every committed frame (the storage is reused).
+    /// Forgets every committed frame (the storage is reused) and hands
+    /// back to the kernel any spill pages the last burst touched.
     pub fn clear(&mut self) {
-        self.lens.clear();
+        self.frames.clear();
+        self.slots = 0;
+        self.spill.release();
     }
 
     /// The next free slot, for a receiver to fill in place. `None` when
@@ -111,15 +146,16 @@ impl FrameBatch {
         if self.is_full() {
             return None;
         }
-        let start = self.lens.len() * self.frame_cap;
+        let start = self.slots * self.frame_cap;
         Some(&mut self.storage[start..start + self.frame_cap])
     }
 
     /// Commits the slot handed out by the last [`FrameBatch::begin_frame`]
-    /// with its received length (clamped to the slot capacity).
+    /// as one frame of its received length (clamped to the slot capacity).
     pub fn commit_frame(&mut self, len: usize) {
         debug_assert!(!self.is_full(), "commit without a begin_frame slot");
-        self.lens.push(len.min(self.frame_cap));
+        self.frames.push((self.slots * self.frame_cap, len.min(self.frame_cap)));
+        self.slots += 1;
     }
 
     /// Copies one frame into the next slot (truncating at the slot
@@ -136,17 +172,60 @@ impl FrameBatch {
         }
     }
 
+    /// Commits the datagram a receiver wrote into the next slot and, past
+    /// its end, into that slot's span of the spill: `len` bytes cut into
+    /// frames of `segment` bytes and a shorter tail, or one frame when
+    /// `segment` is 0. A frame longer than `frame_cap` is dropped. A frame
+    /// that starts in the slot and ends in the spill has its head copied
+    /// in front of its tail, so it reads as one slice. Returns how many
+    /// frames were dropped.
+    fn commit_datagram(&mut self, len: usize, segment: usize) -> u64 {
+        let slot = self.slots;
+        debug_assert!(slot < self.capacity, "commit past the last slot");
+        self.slots += 1;
+        let segment = if segment == 0 { len } else { segment };
+        let (slot_at, spill_at) = (slot * self.frame_cap, slot * mmsg::DATAGRAM_SPAN);
+        if len > self.frame_cap {
+            self.spill.touch();
+        }
+        let mut dropped = 0;
+        let mut at = 0;
+        loop {
+            let n = segment.min(len - at);
+            if n > self.frame_cap {
+                dropped += 1;
+            } else if at + n <= self.frame_cap {
+                self.frames.push((slot_at + at, n));
+            } else {
+                if at < self.frame_cap {
+                    let head = &self.storage[slot_at + at..slot_at + self.frame_cap];
+                    self.spill.bytes_mut(spill_at + at, head.len()).copy_from_slice(head);
+                }
+                self.frames.push((self.storage.len() + spill_at + at, n));
+            }
+            at += n;
+            if at >= len {
+                return dropped;
+            }
+        }
+    }
+
+    /// The bytes of one `(start, len)` index entry.
+    fn bytes(&self, (start, len): (usize, usize)) -> &[u8] {
+        match start.checked_sub(self.storage.len()) {
+            None => &self.storage[start..start + len],
+            Some(at) => self.spill.bytes(at, len),
+        }
+    }
+
     /// The committed frames, in arrival order.
     pub fn frames(&self) -> impl Iterator<Item = &[u8]> {
-        self.lens
-            .iter()
-            .enumerate()
-            .map(move |(i, len)| &self.storage[i * self.frame_cap..i * self.frame_cap + len])
+        self.frames.iter().map(move |&range| self.bytes(range))
     }
 
     /// One committed frame by index.
     pub fn frame(&self, index: usize) -> &[u8] {
-        &self.storage[index * self.frame_cap..index * self.frame_cap + self.lens[index]]
+        self.bytes(self.frames[index])
     }
 }
 
@@ -166,8 +245,13 @@ pub trait PacketRx: Send {
         0
     }
 
-    /// Datagrams dropped so far because they did not fit a batch slot: a
-    /// cut packet is never committed as a frame. 0 for transports that
+    /// Datagrams read so far. Equal to the frames read unless the
+    /// transport takes a run of frames as one datagram (UDP GRO), so
+    /// frames ÷ datagrams is the coalescing.
+    fn datagrams(&self) -> u64;
+
+    /// Frames dropped so far because they were longer than a batch slot:
+    /// a cut packet is never committed as a frame. 0 for transports that
     /// cannot tell.
     fn truncated(&self) -> u64 {
         0
@@ -231,6 +315,7 @@ pub fn transient_send_error(e: &io::Error) -> bool {
 pub struct UdpRx {
     socket: UdpSocket,
     syscalls: u64,
+    datagrams: u64,
 }
 
 impl UdpRx {
@@ -238,13 +323,13 @@ impl UdpRx {
     pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let socket = UdpSocket::bind(addr)?;
         socket.set_nonblocking(true)?;
-        Ok(UdpRx { socket, syscalls: 0 })
+        Ok(UdpRx { socket, syscalls: 0, datagrams: 0 })
     }
 
     /// Wraps an already-bound socket (switched to non-blocking).
     pub fn from_socket(socket: UdpSocket) -> io::Result<Self> {
         socket.set_nonblocking(true)?;
-        Ok(UdpRx { socket, syscalls: 0 })
+        Ok(UdpRx { socket, syscalls: 0, datagrams: 0 })
     }
 
     /// The bound local address (useful after binding port 0).
@@ -262,6 +347,7 @@ impl PacketRx for UdpRx {
                 Ok((len, _from)) => {
                     batch.commit_frame(len);
                     got += 1;
+                    self.datagrams += 1;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) => return Err(e),
@@ -272,6 +358,10 @@ impl PacketRx for UdpRx {
 
     fn syscalls(&self) -> u64 {
         self.syscalls
+    }
+
+    fn datagrams(&self) -> u64 {
+        self.datagrams
     }
 }
 
@@ -354,6 +444,8 @@ pub struct MemTx {
 #[derive(Debug)]
 pub struct MemRx {
     state: Arc<Mutex<MemLinkState>>,
+    /// Frames taken off the link, delivered or dropped.
+    frames: u64,
     truncated: u64,
 }
 
@@ -365,7 +457,7 @@ pub struct MemRx {
 /// nothing once every buffer has been minted.
 pub fn mem_link(capacity: usize) -> (MemTx, MemRx) {
     let state = Arc::new(Mutex::new(MemLinkState::default()));
-    (MemTx { state: Arc::clone(&state), capacity: capacity.max(1) }, MemRx { state, truncated: 0 })
+    (MemTx { state: Arc::clone(&state), capacity: capacity.max(1) }, MemRx { state, frames: 0, truncated: 0 })
 }
 
 impl PacketTx for MemTx {
@@ -400,8 +492,13 @@ impl PacketRx for MemRx {
                 }
                 None => break,
             }
+            self.frames += 1;
         }
         Ok(got)
+    }
+
+    fn datagrams(&self) -> u64 {
+        self.frames
     }
 
     fn truncated(&self) -> u64 {

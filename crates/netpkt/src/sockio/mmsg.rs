@@ -1,5 +1,5 @@
 //! Raw `recvmmsg(2)`/`sendmmsg(2)` socket backend: one syscall per burst,
-//! one datagram per run of equal-length frames.
+//! one datagram per run of equal-length frames, each way.
 //!
 //! The portable fallback ([`UdpRx`](super::UdpRx)/[`UdpTx`](super::UdpTx))
 //! pays one syscall per datagram. This module implements the same
@@ -34,14 +34,30 @@
 //! - Backpressure and transient errors drop frames exactly as they do
 //!   ungrouped: a whole group at a time.
 //!
-//! **Receive: no GRO, and cut datagrams are dropped.** `UDP_GRO` would
-//! hand back up-to-64 KiB super-datagrams, which the batch's fixed
-//! 2 KiB slots cannot take without a copy through a 64 KiB landing buffer
-//! per message (≈ 1 MiB for four receive sockets), for runs that average
-//! two frames on this repository's traffic. A datagram larger than its
-//! slot arrives with `MSG_TRUNC`: [`MmsgRx`] drops it and counts it in
-//! [`PacketRx::truncated`](super::PacketRx::truncated) instead of
-//! committing the cut bytes as a frame.
+//! **Receive: one datagram per run (UDP GRO).** A socket without
+//! `UDP_GRO` makes the kernel cut every GSO run back into one skb per
+//! frame before it is queued. So [`MmsgRx`] turns `UDP_GRO` on, the
+//! kernel queues a run as one datagram, and one `recvmmsg` message takes
+//! it whole; `fill` reads the segment size from the `UDP_GRO` control
+//! message and cuts the datagram into its frames in user space, where
+//! they stay (the batch indexes them, see
+//! [`FrameBatch`](super::FrameBatch)). A batch of N slots still takes N
+//! datagrams per call.
+//!
+//! - A socket coalesces only if it accepts `setsockopt(SOL_UDP,
+//!   UDP_GRO, 1)` at construction (Linux ≥ 5.0). A Unix datagram socket
+//!   or an older kernel does not, and reads one frame per message.
+//! - A GRO datagram can reach 64 KiB. Each message gets a second iovec
+//!   into its slot's span of the batch's spill: an anonymous
+//!   `MAP_NORESERVE` mapping that costs no resident memory until a
+//!   datagram runs past its slot, and is `madvise(MADV_DONTNEED)`d when
+//!   the batch is cleared after such a burst. A frame that straddles the
+//!   slot and the spill has its head copied in front of its tail; that is
+//!   the only copy, and this traffic never takes it.
+//! - A message without the control message is one frame. A frame longer
+//!   than the slot is never committed: [`MmsgRx`] drops it and counts it
+//!   in [`PacketRx::truncated`](super::PacketRx::truncated), per frame,
+//!   and the frames around it are delivered in order.
 //!
 //! The FFI is libc-free in the repository's sense — no `libc` crate, just
 //! `extern "C"` declarations of the wrappers std already links, the same
@@ -55,8 +71,16 @@ pub fn supported() -> bool {
     cfg!(target_os = "linux")
 }
 
+/// Bytes one received datagram may occupy: its slot, then the rest of
+/// its span in the spill. A UDP payload's length fits in 16 bits, so a
+/// GRO datagram always fits; slot `i`'s span starts at `i * DATAGRAM_SPAN`
+/// in the spill.
+pub(crate) const DATAGRAM_SPAN: usize = 1 << 16;
+
 #[cfg(target_os = "linux")]
 mod imp {
+    use super::DATAGRAM_SPAN;
+    pub(super) use crate::sockio::MAX_SEGMENTS;
     use crate::sockio::{transient_send_error, FrameBatch, PacketRx, PacketTx};
     use std::io;
     use std::mem::{offset_of, size_of};
@@ -70,13 +94,16 @@ mod imp {
     const SO_SNDBUF: i32 = 7;
     const SOL_UDP: i32 = 17;
     const UDP_SEGMENT: i32 = 103;
+    const UDP_GRO: i32 = 104;
     const EIO: i32 = 5;
     const EINVAL: i32 = 22;
     const EMSGSIZE: i32 = 90;
-
-    /// Most segments one GSO datagram may carry: the kernel's
-    /// `UDP_MAX_SEGMENTS` since 4.18 (some newer kernels allow more).
-    pub(super) const MAX_SEGMENTS: usize = 64;
+    const PROT_READ: i32 = 1;
+    const PROT_WRITE: i32 = 2;
+    const MAP_PRIVATE: i32 = 0x02;
+    const MAP_ANONYMOUS: i32 = 0x20;
+    const MAP_NORESERVE: i32 = 0x4000;
+    const MADV_DONTNEED: i32 = 4;
 
     /// Most payload bytes one GSO datagram may carry: the 16-bit IP length
     /// less the IPv4 and UDP headers, which also fits IPv6's UDP length.
@@ -112,23 +139,44 @@ mod imp {
         len: u32,
     }
 
-    /// One `UDP_SEGMENT` control message: a `struct cmsghdr` followed by
-    /// the `u16` segment size, padded to `CMSG_SPACE(2)`.
+    /// One `SOL_UDP` control message: a `struct cmsghdr` followed by
+    /// its data, padded to `CMSG_SPACE(4)`. A sent `UDP_SEGMENT` carries
+    /// a `u16` segment size, a received `UDP_GRO` an `int`.
     #[repr(C)]
     #[derive(Clone, Copy, Debug)]
-    struct SegmentCmsg {
+    struct UdpCmsg {
         len: usize,
         level: i32,
         kind: i32,
-        segment: u16,
-        pad: [u8; 6],
+        data: [u8; 8],
     }
 
-    impl SegmentCmsg {
-        fn new(segment: u16) -> Self {
+    impl UdpCmsg {
+        /// A `UDP_SEGMENT` message for a GSO send.
+        fn segment(segment: u16) -> Self {
             // `cmsg_len` is `CMSG_LEN(2)`: the header plus the bare u16.
-            let len = offset_of!(SegmentCmsg, segment) + size_of::<u16>();
-            SegmentCmsg { len, level: SOL_UDP, kind: UDP_SEGMENT, segment, pad: [0; 6] }
+            let len = offset_of!(UdpCmsg, data) + size_of::<u16>();
+            let mut data = [0; 8];
+            data[..2].copy_from_slice(&segment.to_ne_bytes());
+            UdpCmsg { len, level: SOL_UDP, kind: UDP_SEGMENT, data }
+        }
+
+        /// The segment size a sent `UDP_SEGMENT` message carries.
+        #[cfg(test)]
+        fn sent_segment(&self) -> u16 {
+            u16::from_ne_bytes([self.data[0], self.data[1]])
+        }
+
+        /// The segment size of a received GRO datagram, or 0 if the
+        /// kernel wrote no `UDP_GRO` message (`controllen` is the control
+        /// length it reported).
+        fn gro_segment(&self, controllen: usize) -> usize {
+            let len = offset_of!(UdpCmsg, data) + size_of::<i32>();
+            if controllen < len || self.len < len || self.level != SOL_UDP || self.kind != UDP_GRO {
+                return 0;
+            }
+            let segment = i32::from_ne_bytes([self.data[0], self.data[1], self.data[2], self.data[3]]);
+            usize::try_from(segment).unwrap_or(0)
         }
     }
 
@@ -136,6 +184,110 @@ mod imp {
         fn recvmmsg(fd: RawFd, msgvec: *mut Mmsghdr, vlen: u32, flags: i32, timeout: *mut u8) -> i32;
         fn sendmmsg(fd: RawFd, msgvec: *mut Mmsghdr, vlen: u32, flags: i32) -> i32;
         fn setsockopt(fd: RawFd, level: i32, optname: i32, optval: *const u8, optlen: u32) -> i32;
+        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
+        fn munmap(addr: *mut u8, len: usize) -> i32;
+        fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
+    }
+
+    /// A [`FrameBatch`]'s spill: [`DATAGRAM_SPAN`] bytes per slot in one
+    /// private anonymous mapping, reserved with `MAP_NORESERVE` by the
+    /// first GRO receive into the batch. Untouched pages cost no resident
+    /// memory; after a burst that wrote into it, its pages are handed back
+    /// with `MADV_DONTNEED` when the batch is cleared, and the mapping is
+    /// unmapped on drop. Not a `Vec`: a large heap chunk would be zeroed
+    /// on every construction once glibc has raised its mmap threshold.
+    #[derive(Debug)]
+    pub(crate) struct Spill {
+        base: *mut u8,
+        len: usize,
+        /// Whether a datagram wrote into the spill since the last release.
+        touched: bool,
+    }
+
+    // SAFETY: the mapping is owned by exactly one `Spill` and reached only
+    // through `&self`/`&mut self`, like a `Box<[u8]>`; the kernel writes
+    // into it only inside `MmsgRx::fill`, which holds the batch `&mut`.
+    unsafe impl Send for Spill {}
+    unsafe impl Sync for Spill {}
+
+    impl Default for Spill {
+        fn default() -> Self {
+            Spill { base: ptr::null_mut(), len: 0, touched: false }
+        }
+    }
+
+    impl Spill {
+        /// The spill's base for `slots` spans, mapped on first use; `None`
+        /// if the mapping fails (datagrams then end at their slot).
+        fn map(&mut self, slots: usize) -> Option<*mut u8> {
+            if self.base.is_null() {
+                let len = slots * DATAGRAM_SPAN;
+                // SAFETY: a fresh private anonymous mapping aliases nothing.
+                let base = unsafe {
+                    mmap(
+                        ptr::null_mut(),
+                        len,
+                        PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
+                        -1,
+                        0,
+                    )
+                };
+                if base as isize == -1 {
+                    return None;
+                }
+                (self.base, self.len) = (base, len);
+            }
+            Some(self.base)
+        }
+
+        /// Records that a datagram ran past its slot into its span.
+        pub(crate) fn touch(&mut self) {
+            self.touched = true;
+        }
+
+        /// `len` bytes at offset `at`.
+        pub(crate) fn bytes(&self, at: usize, len: usize) -> &[u8] {
+            assert!(at + len <= self.len, "spill range out of the mapping");
+            // SAFETY: the range lies inside the live mapping (checked
+            // above), and `&self` excludes every writer.
+            unsafe { std::slice::from_raw_parts(self.base.add(at), len) }
+        }
+
+        /// `len` writable bytes at offset `at`.
+        pub(crate) fn bytes_mut(&mut self, at: usize, len: usize) -> &mut [u8] {
+            assert!(at + len <= self.len, "spill range out of the mapping");
+            // SAFETY: as for `bytes`, with `&mut self` excluding readers.
+            unsafe { std::slice::from_raw_parts_mut(self.base.add(at), len) }
+        }
+
+        /// Hands the spill's pages back to the kernel if a datagram wrote
+        /// into them; they read as zero and cost nothing until written
+        /// again.
+        pub(crate) fn release(&mut self) {
+            if !self.touched || self.base.is_null() {
+                return;
+            }
+            // SAFETY: `base`/`len` are exactly the (page-aligned) mapping,
+            // and no slice into it is alive while the batch is borrowed
+            // `&mut` for `clear`.
+            unsafe {
+                madvise(self.base, self.len, MADV_DONTNEED);
+            }
+            self.touched = false;
+        }
+    }
+
+    impl Drop for Spill {
+        fn drop(&mut self) {
+            if !self.base.is_null() {
+                // SAFETY: `base`/`len` are exactly the mapping made in
+                // `map`, and nothing borrows the spill any more.
+                unsafe {
+                    munmap(self.base, self.len);
+                }
+            }
+        }
     }
 
     fn set_int_option(fd: RawFd, level: i32, name: i32, value: i32) -> io::Result<()> {
@@ -171,28 +323,6 @@ mod imp {
         }
     }
 
-    /// Points `iovs[..n]`/`hdrs[..n]` at `n` single-iovec messages whose
-    /// bases are produced by `base(i)`.
-    fn arm_headers(
-        iovs: &mut [IoVec],
-        hdrs: &mut [Mmsghdr],
-        n: usize,
-        mut slot: impl FnMut(usize) -> (*mut u8, usize),
-    ) {
-        let iov_base = iovs.as_mut_ptr();
-        for i in 0..n {
-            let (base, len) = slot(i);
-            iovs[i] = IoVec { base, len };
-            let mut hdr = null_mmsghdr();
-            // SAFETY: `i < n <= iovs.len()`, so the pointer stays inside
-            // the reused iovec array, which outlives the syscall it is
-            // handed to (both live in the same Rx struct).
-            hdr.hdr.iov = unsafe { iov_base.add(i) };
-            hdr.hdr.iovlen = 1;
-            hdrs[i] = hdr;
-        }
-    }
-
     /// How many of `frames` the first datagram carries: a run of frames of
     /// exactly the first frame's length, optionally closed by one shorter
     /// non-empty frame, at most [`MAX_SEGMENTS`] frames and
@@ -221,20 +351,28 @@ mod imp {
 
     /// Batched receive via `recvmmsg(2)`: one syscall fills a whole
     /// [`FrameBatch`], with the kernel scattering each datagram straight
-    /// into its slot storage.
+    /// into its slot (and, for a long GRO datagram, on into the spill).
     #[derive(Debug)]
     pub struct MmsgRx {
         socket: UdpSocket,
+        /// Whether the socket accepted `UDP_GRO` at construction, so the
+        /// kernel queues a GSO run as one datagram.
+        gro: bool,
+        /// Two iovecs per message: its slot, then its span of the spill.
         iovs: Vec<IoVec>,
         hdrs: Vec<Mmsghdr>,
+        /// One control buffer per message, for its `UDP_GRO` segment size.
+        cmsgs: Vec<UdpCmsg>,
         syscalls: u64,
+        datagrams: u64,
         truncated: u64,
     }
 
     // SAFETY: the raw pointers in `iovs`/`hdrs` are only ever written and
     // handed to the kernel inside one `fill` call, against a `FrameBatch`
-    // borrowed for that call; between calls they are stale and never
-    // dereferenced. The socket itself is `Send`.
+    // borrowed for that call and this struct's own `iovs`/`cmsgs`; between
+    // calls they are stale and never dereferenced. The socket itself is
+    // `Send`.
     unsafe impl Send for MmsgRx {}
 
     impl MmsgRx {
@@ -244,40 +382,87 @@ mod imp {
             Self::from_socket(socket)
         }
 
-        /// Wraps an already-bound socket (switched to non-blocking).
+        /// Wraps an already-bound socket (switched to non-blocking), with
+        /// `UDP_GRO` on if the socket accepts it.
         pub fn from_socket(socket: UdpSocket) -> io::Result<Self> {
             socket.set_nonblocking(true)?;
-            Ok(MmsgRx { socket, iovs: Vec::new(), hdrs: Vec::new(), syscalls: 0, truncated: 0 })
+            let gro = set_int_option(socket.as_raw_fd(), SOL_UDP, UDP_GRO, 1).is_ok();
+            Ok(MmsgRx {
+                socket,
+                gro,
+                iovs: Vec::new(),
+                hdrs: Vec::new(),
+                cmsgs: Vec::new(),
+                syscalls: 0,
+                datagrams: 0,
+                truncated: 0,
+            })
         }
 
         /// The bound local address (useful after binding port 0).
         pub fn local_addr(&self) -> io::Result<SocketAddr> {
             self.socket.local_addr()
         }
+
+        /// Whether the kernel hands this socket GSO runs as one datagram
+        /// (`UDP_GRO` accepted at construction).
+        pub fn gro(&self) -> bool {
+            self.gro
+        }
+
+        /// Points one header per free slot of `batch` at that slot and,
+        /// with a spill, at the slot's span past it; returns the count.
+        fn arm(&mut self, batch: &mut FrameBatch) -> usize {
+            let (first, free, frame_cap) = (batch.slots, batch.capacity - batch.slots, batch.frame_cap);
+            let spill =
+                if self.gro && frame_cap < DATAGRAM_SPAN { batch.spill.map(batch.capacity) } else { None };
+            // Sized before any pointer is taken, so no array moves while
+            // the headers point into it.
+            ensure(&mut self.iovs, 2 * free, IoVec { base: ptr::null_mut(), len: 0 });
+            ensure(&mut self.hdrs, free, null_mmsghdr());
+            ensure(&mut self.cmsgs, free, UdpCmsg::segment(0));
+            let storage = batch.storage.as_mut_ptr();
+            let (iov_base, cmsg_base) = (self.iovs.as_mut_ptr(), self.cmsgs.as_mut_ptr());
+            for i in 0..free {
+                let slot = first + i;
+                // SAFETY: `slot < capacity`, so the slot lies inside the
+                // batch's `capacity * frame_cap` storage and its span
+                // inside the `capacity * DATAGRAM_SPAN` spill; the span's
+                // first `frame_cap` bytes are left for a straddling
+                // frame's head. `2 * i + 1 < iovs.len()` and
+                // `i < cmsgs.len()`: both arrays are reused, unmoved, and
+                // outlive the syscall they are handed to.
+                unsafe {
+                    iov_base.add(2 * i).write(IoVec { base: storage.add(slot * frame_cap), len: frame_cap });
+                    if let Some(spill) = spill {
+                        iov_base.add(2 * i + 1).write(IoVec {
+                            base: spill.add(slot * DATAGRAM_SPAN + frame_cap),
+                            len: DATAGRAM_SPAN - frame_cap,
+                        });
+                    }
+                    let mut hdr = null_mmsghdr();
+                    hdr.hdr.iov = iov_base.add(2 * i);
+                    hdr.hdr.iovlen = if spill.is_some() { 2 } else { 1 };
+                    if self.gro {
+                        hdr.hdr.control = cmsg_base.add(i) as *mut u8;
+                        hdr.hdr.controllen = size_of::<UdpCmsg>();
+                    }
+                    self.hdrs[i] = hdr;
+                }
+            }
+            free
+        }
     }
 
     impl PacketRx for MmsgRx {
         fn fill(&mut self, batch: &mut FrameBatch) -> io::Result<usize> {
-            let mut got = 0;
-            loop {
-                let free = batch.capacity() - batch.len();
-                if free == 0 {
-                    return Ok(got);
-                }
-                ensure(&mut self.iovs, free, IoVec { base: ptr::null_mut(), len: 0 });
-                ensure(&mut self.hdrs, free, null_mmsghdr());
-                let frame_cap = batch.frame_cap();
-                let first = batch.len();
-                let storage = batch.storage.as_mut_ptr();
-                arm_headers(&mut self.iovs, &mut self.hdrs, free, |i| {
-                    // SAFETY: slot `first + i` lies inside the batch's
-                    // `capacity * frame_cap` storage because
-                    // `first + free == capacity`.
-                    (unsafe { storage.add((first + i) * frame_cap) }, frame_cap)
-                });
+            let before = batch.len();
+            while !batch.is_full() {
+                let free = self.arm(batch);
                 self.syscalls += 1;
                 // SAFETY: every header points at one in-bounds batch slot
-                // armed above; the null timeout means "don't wait", and
+                // (and spill span) and its own control buffer, armed
+                // above; the null timeout means "don't wait", and
                 // MSG_DONTWAIT keeps even the first message non-blocking.
                 let n = unsafe {
                     recvmmsg(
@@ -291,39 +476,39 @@ mod imp {
                 if n < 0 {
                     let e = io::Error::last_os_error();
                     match e.kind() {
-                        io::ErrorKind::WouldBlock => return Ok(got),
+                        io::ErrorKind::WouldBlock => break,
                         io::ErrorKind::Interrupted => continue,
                         _ => return Err(e),
                     }
                 }
                 let n = (n as usize).min(free);
-                for (i, hdr) in self.hdrs[..n].iter().enumerate() {
+                for (hdr, cmsg) in self.hdrs[..n].iter().zip(&self.cmsgs) {
+                    let (len, segment) = (hdr.len as usize, cmsg.gro_segment(hdr.hdr.controllen));
+                    self.datagrams += 1;
                     if hdr.hdr.flags & MSG_TRUNC != 0 {
-                        // The datagram did not fit its slot: the kernel
-                        // kept only its first `frame_cap` bytes, and a cut
-                        // packet must not be forwarded.
-                        self.truncated += 1;
+                        // Longer than everything armed for it: the kernel
+                        // cut it, and a cut packet must not be forwarded.
+                        batch.slots += 1;
+                        self.truncated += if segment == 0 { 1 } else { len.div_ceil(segment) as u64 };
                         continue;
                     }
-                    let (from, to) = ((first + i) * frame_cap, batch.len() * frame_cap);
-                    let len = (hdr.len as usize).min(frame_cap);
-                    if from != to {
-                        // Close the gap a dropped datagram left.
-                        batch.storage.copy_within(from..from + len, to);
-                    }
-                    batch.commit_frame(len);
-                    got += 1;
+                    self.truncated += batch.commit_datagram(len, segment);
                 }
                 if n < free {
                     // The kernel returned fewer than it had room for: the
                     // queue is drained, no second syscall needed.
-                    return Ok(got);
+                    break;
                 }
             }
+            Ok(batch.len() - before)
         }
 
         fn syscalls(&self) -> u64 {
             self.syscalls
+        }
+
+        fn datagrams(&self) -> u64 {
+            self.datagrams
         }
 
         fn truncated(&self) -> u64 {
@@ -345,7 +530,7 @@ mod imp {
         iovs: Vec<IoVec>,
         /// One header, control message and frame count per datagram.
         hdrs: Vec<Mmsghdr>,
-        cmsgs: Vec<SegmentCmsg>,
+        cmsgs: Vec<UdpCmsg>,
         groups: Vec<usize>,
         syscalls: u64,
     }
@@ -420,7 +605,7 @@ mod imp {
             // taken, so no array moves while the headers point into it.
             ensure(&mut self.iovs, frames.len(), IoVec { base: ptr::null_mut(), len: 0 });
             ensure(&mut self.hdrs, frames.len(), null_mmsghdr());
-            ensure(&mut self.cmsgs, frames.len(), SegmentCmsg::new(0));
+            ensure(&mut self.cmsgs, frames.len(), UdpCmsg::segment(0));
             ensure(&mut self.groups, frames.len(), 0);
             for (iov, frame) in self.iovs.iter_mut().zip(frames) {
                 // The kernel never writes through a send iovec; the cast
@@ -444,10 +629,10 @@ mod imp {
                     // grouped segment inside 16 bits.
                     unsafe {
                         let cmsg = cmsg_base.add(m);
-                        cmsg.write(SegmentCmsg::new(frames[at].len() as u16));
+                        cmsg.write(UdpCmsg::segment(frames[at].len() as u16));
                         hdr.hdr.control = cmsg as *mut u8;
                     }
-                    hdr.hdr.controllen = size_of::<SegmentCmsg>();
+                    hdr.hdr.controllen = size_of::<UdpCmsg>();
                 }
                 self.hdrs[m] = hdr;
                 self.groups[m] = n;
@@ -465,7 +650,7 @@ mod imp {
             self.hdrs[..datagrams]
                 .iter()
                 .zip(&self.cmsgs)
-                .map(|(hdr, cmsg)| (hdr.hdr.iovlen, (hdr.hdr.controllen > 0).then_some(cmsg.segment)))
+                .map(|(hdr, cmsg)| (hdr.hdr.iovlen, (hdr.hdr.controllen > 0).then_some(cmsg.sent_segment())))
                 .collect()
         }
 
@@ -566,6 +751,25 @@ mod imp {
         io::Error::new(io::ErrorKind::Unsupported, "mmsg backend requires Linux")
     }
 
+    /// Stub on non-Linux hosts: no receiver writes past a slot, so the
+    /// spill is never mapped and no frame points into it.
+    #[derive(Debug, Default)]
+    pub(crate) struct Spill {}
+
+    impl Spill {
+        pub(crate) fn touch(&mut self) {}
+
+        pub(crate) fn bytes(&self, _at: usize, _len: usize) -> &[u8] {
+            unreachable!("no frame lies in the spill off Linux")
+        }
+
+        pub(crate) fn bytes_mut(&mut self, _at: usize, _len: usize) -> &mut [u8] {
+            unreachable!("no frame lies in the spill off Linux")
+        }
+
+        pub(crate) fn release(&mut self) {}
+    }
+
     /// Stub on non-Linux hosts: constructors report `Unsupported`.
     #[derive(Debug)]
     pub struct MmsgRx {}
@@ -580,11 +784,20 @@ mod imp {
         pub fn local_addr(&self) -> io::Result<SocketAddr> {
             Err(unsupported())
         }
+
+        /// Never on off Linux.
+        pub fn gro(&self) -> bool {
+            false
+        }
     }
 
     impl PacketRx for MmsgRx {
         fn fill(&mut self, _batch: &mut FrameBatch) -> io::Result<usize> {
             Err(unsupported())
+        }
+
+        fn datagrams(&self) -> u64 {
+            0
         }
     }
 
@@ -616,6 +829,7 @@ mod imp {
     }
 }
 
+pub(crate) use imp::Spill;
 pub use imp::{MmsgRx, MmsgTx};
 
 #[cfg(all(test, target_os = "linux"))]
@@ -822,6 +1036,112 @@ mod tests {
         assert_delivered_in_order(&mut tx, &mut rx, &frames);
         if grouped {
             assert_eq!(tx.syscalls(), 1 + 8, "the refused datagram was re-sent frame by frame");
+        }
+    }
+
+    /// Frames of the given lengths, each with its own byte pattern.
+    fn patterned(lens: &[usize]) -> Vec<Vec<u8>> {
+        lens.iter().enumerate().map(|(i, &n)| (0..n).map(|b| (i * 37 + b * 7) as u8).collect()).collect()
+    }
+
+    /// Fills `batch` from `rx`, clearing it whenever it is full, until
+    /// `want` frames or the deadline; returns every frame read, in order.
+    fn drain_frames(rx: &mut MmsgRx, batch: &mut FrameBatch, want: usize) -> Vec<Vec<u8>> {
+        let mut got = Vec::new();
+        for _ in 0..500 {
+            if rx.fill(batch).expect("recvmmsg burst") == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            if batch.is_full() || got.len() + batch.len() >= want {
+                got.extend(batch.frames().map(<[u8]>::to_vec));
+                batch.clear();
+            }
+            if got.len() >= want {
+                break;
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn gro_is_on_wherever_the_kernel_has_it() {
+        let release = std::fs::read_to_string("/proc/sys/kernel/osrelease").expect("kernel release");
+        let mut parts = release.trim().split(['.', '-']).map(|p| p.parse::<u32>().unwrap_or(0));
+        let (major, minor) = (parts.next().unwrap_or(0), parts.next().unwrap_or(0));
+        let rx = MmsgRx::bind("[::1]:0").unwrap();
+        if (major, minor) >= (5, 0) {
+            assert!(rx.gro(), "Linux {major}.{minor} has UDP_GRO, and the probe must find it");
+        }
+        // A Unix datagram socket refuses the option and reads one frame
+        // per message.
+        use std::os::fd::{FromRawFd, IntoRawFd};
+        let (a, _b) = std::os::unix::net::UnixDatagram::pair().expect("socketpair");
+        // SAFETY: the raw fd is a valid, owned datagram socket whose
+        // ownership moves into exactly one UdpSocket.
+        let unix = unsafe { std::net::UdpSocket::from_raw_fd(a.into_raw_fd()) };
+        assert!(!MmsgRx::from_socket(unix).unwrap().gro());
+    }
+
+    #[test]
+    fn a_run_of_forty_frames_arrives_as_forty_frames() {
+        let mut rx = MmsgRx::bind("[::1]:0").unwrap();
+        let mut tx = MmsgTx::connect(rx.local_addr().unwrap()).unwrap();
+        let frames = patterned(&[1400; 40]);
+        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+        assert_eq!(tx.send_frames(&refs).unwrap(), 40);
+        // 56 000 B in one datagram: one frame in the 2 KiB slot, one
+        // straddling it and the spill, the rest in the spill. Without
+        // GRO (Linux < 5.0) it is 40 datagrams, one per slot.
+        let mut batch = FrameBatch::new(if rx.gro() { 4 } else { 40 }, 2048);
+        assert_eq!(wait_fill(&mut rx, &mut batch, 40), 40, "every frame arrives");
+        assert_eq!(batch.frames().collect::<Vec<_>>(), refs, "intact and in order");
+        assert_eq!(rx.truncated(), 0);
+        if rx.gro() {
+            assert_eq!(rx.datagrams(), 1, "the run crossed the receive path once");
+            assert!(batch.len() > batch.capacity(), "one slot held many frames");
+        }
+        // Clearing hands the spill back; the next burst lands the same.
+        batch.clear();
+        assert_eq!(tx.send_frames(&refs[..3]).unwrap(), 3);
+        assert_eq!(wait_fill(&mut rx, &mut batch, 3), 3);
+        assert_eq!(batch.frames().collect::<Vec<_>>(), refs[..3]);
+    }
+
+    #[test]
+    fn segments_longer_than_a_slot_are_counted_and_their_neighbours_delivered() {
+        let mut rx = MmsgRx::bind("[::1]:0").unwrap();
+        let mut tx = MmsgTx::connect(rx.local_addr().unwrap()).unwrap();
+        // Datagrams [100] [1500, 1500, 1000] [200, 200] into 1 KiB slots:
+        // the two 1500 B segments cannot be committed, the 1000 B tail of
+        // their datagram and everything around it can.
+        let frames = patterned(&[100, 1500, 1500, 1000, 200, 200]);
+        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+        assert_eq!(tx.send_frames(&refs).unwrap(), 6);
+        let mut batch = FrameBatch::new(8, 1024);
+        assert_eq!(wait_fill(&mut rx, &mut batch, 4), 4);
+        let kept = [refs[0], refs[3], refs[4], refs[5]];
+        assert_eq!(batch.frames().collect::<Vec<_>>(), kept, "the frames around the long ones, in order");
+        assert_eq!(rx.truncated(), 2, "counted per frame");
+    }
+
+    #[test]
+    fn datagrams_with_more_frames_than_slots_all_arrive_in_order() {
+        let mut rx = MmsgRx::bind("[::1]:0").unwrap();
+        let mut tx = MmsgTx::connect(rx.local_addr().unwrap()).unwrap();
+        let mut lens = vec![100; 10];
+        lens.extend([300; 5]);
+        lens.extend([64, 900, 50]);
+        lens.extend([50; 7]);
+        lens.extend([1800; 33]);
+        let frames = patterned(&lens);
+        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+        assert_eq!(tx.send_frames(&refs).unwrap(), frames.len());
+        let mut batch = FrameBatch::new(2, 2048);
+        let got = drain_frames(&mut rx, &mut batch, frames.len());
+        assert_eq!(got, frames, "every frame, in order, through a two-slot batch");
+        assert_eq!(rx.truncated(), 0);
+        if rx.gro() {
+            assert!(rx.datagrams() < frames.len() as u64 / 4, "{} datagrams", rx.datagrams());
         }
     }
 

@@ -564,6 +564,79 @@ mod tests {
     }
 
     #[test]
+    fn shipped_programs_execute_pinned_instruction_counts_under_the_interpreter() {
+        use ebpf_vm::ExecTier;
+        use seg6_core::seg6local::{run_bpf, ActionCtx};
+        use seg6_core::{ActionOutcome, EcmpKey, RunScratch};
+
+        let perf: MapHandle = PerfEventArray::new(16);
+        let mut maps = HashMap::new();
+        maps.insert(1u32, perf);
+        let (state, config) = wrr_maps(5, 3, addr("fd00::a1"), addr("fd00::a2"));
+        maps.insert(2u32, state);
+        maps.insert(3u32, config);
+        let mut dp = router();
+        dp.helpers = oam_helper_registry();
+        dp.add_route("fe80::/10".parse().unwrap(), vec![Nexthop::direct(7)]);
+        let actx = ActionCtx {
+            local_sid: addr("fc00::11"),
+            tables: &dp.tables,
+            helpers: &dp.helpers,
+            now_ns: 1_000,
+            cpu: 0,
+            flow: EcmpKey::default(),
+        };
+        let plain = || {
+            Skb::new(build_ipv6_udp_packet(addr("2001:db8::1"), addr("2001:db8:2::9"), 1, 2, &[0u8; 32], 64))
+        };
+        let probe = || {
+            let mut srh =
+                SegmentRoutingHeader::from_path(proto::UDP, &[addr("fc00::21"), addr("2001:db8::99")]);
+            srh.tlvs.push(SrhTlv::OamReplyTo { addr: addr("2001:db8::50"), port: 33434 });
+            Skb::new(build_srv6_udp_packet(addr("2001:db8::50"), &srh, 33434, 33434, &[0u8; 16], 64))
+        };
+        let owd = OwdEncapConfig {
+            dm_sid: addr("fc00::d1"),
+            controller: addr("2001:db8::c0"),
+            controller_port: 9999,
+            ratio: 1,
+        };
+        // Instructions the interpreter executes for each shipped program
+        // on one canonical packet: an SRv6 packet with two segments left
+        // for the End.BPF programs, a plain IPv6 packet for the LWT ones,
+        // `owd_encap`'s own output for `End.DM` (the packet runs both, in
+        // that order, as in §4.1) and a reply-to probe for `End.OAMP`.
+        // A change to a program, a helper's calling convention or the
+        // interpreter's counting shows here; update the table only with
+        // the reason.
+        let cases = [
+            (end_program(), true, Some(srv6_skb(&["fc00::e1", "fc00::22"])), 2),
+            (end_t_program(254), true, Some(srv6_skb(&["fc00::e2", "fc00::22"])), 9),
+            (end_x_program(addr("fe80::42")), true, Some(srv6_skb(&["fc00::e3", "fc00::22"])), 12),
+            (tag_increment_program(), true, Some(srv6_skb(&["fc00::e3", "fc00::22"])), 17),
+            (add_tlv_program(), true, Some(srv6_skb(&["fc00::e4", "fc00::22"])), 21),
+            (owd_encap_program(owd), false, Some(plain()), 36),
+            // `None`: the packet the previous program left.
+            (end_dm_program(1), true, None, 31),
+            (wrr_encap_program(2, 3), false, Some(plain()), 28),
+            (end_oamp_program(1), true, Some(probe()), 36),
+        ];
+        let mut skb = plain();
+        for (prog, end_bpf, canonical, expected) in cases {
+            let name = prog.name.clone();
+            let loaded = load(prog, &maps, &dp.helpers).unwrap_or_else(|e| panic!("{name} rejected: {e}"));
+            loaded.set_exec_tier(ExecTier::Interp);
+            if let Some(canonical) = canonical {
+                skb = canonical;
+            }
+            let mut scratch = RunScratch::new();
+            let outcome = run_bpf(&loaded, end_bpf, &mut skb, &actx, &mut scratch);
+            assert!(matches!(outcome, ActionOutcome::Forward { .. }), "{name}: {outcome:?}");
+            assert_eq!(scratch.state.insn_executed, expected, "{name}: executed instructions moved");
+        }
+    }
+
+    #[test]
     fn end_bpf_forwards_like_static_end() {
         let mut dp = router();
         let prog = load(end_program(), &HashMap::new(), &dp.helpers).unwrap();

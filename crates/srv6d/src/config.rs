@@ -10,7 +10,7 @@
 //! workers = 2              # worker shards = RX queues per tenant (1..=MAX_WORKERS)
 //! batch-size = 32          # packets per processing batch (≤ MAX_BATCH_SIZE)
 //! queue-depth = 1024       # descriptor ring slots per shard (≤ MAX_QUEUE_DEPTH)
-//! rx-burst = 64            # frames pulled per socket read burst (≤ MAX_RX_BURST)
+//! rx-burst = 64            # datagrams pulled per socket read burst (≤ MAX_RX_BURST)
 //! stats-socket = /tmp/srv6d.sock
 //! io-backend = auto        # mmsg | auto (recvmmsg/sendmmsg bursts; auto falls back off Linux)
 //! pin = compact            # none | compact | spread | explicit core list (0,2,4)
@@ -53,8 +53,8 @@ pub const MAX_QUEUE_DEPTH: usize = 65_536;
 /// descriptors.
 pub const MAX_BATCH_SIZE: usize = MAX_QUEUE_DEPTH;
 
-/// Largest `rx-burst`: frames per socket read burst, at most `UIO_MAXIOV`
-/// (1024), the most iovecs or messages one `recvmmsg(2)` call takes.
+/// Largest `rx-burst`: datagrams per socket read burst, at most
+/// `UIO_MAXIOV` (1024), the most messages one `recvmmsg(2)` call takes.
 pub const MAX_RX_BURST: usize = 1_024;
 
 /// A configuration error, with the 1-based line it was found on when the
@@ -97,7 +97,9 @@ pub struct DaemonConfig {
     pub batch_size: usize,
     /// Descriptor ring slots per shard.
     pub queue_depth: usize,
-    /// Frames pulled from a socket per read burst.
+    /// Datagrams pulled from a socket per read burst: the receive
+    /// batch's slot count. A coalesced (GRO) datagram carries several
+    /// frames, so a burst may hold more frames than this.
     pub rx_burst: usize,
     /// Unix socket path for the stats/control endpoint (optional).
     pub stats_socket: Option<PathBuf>,

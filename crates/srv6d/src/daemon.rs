@@ -300,11 +300,15 @@ impl Srv6Daemon {
             }
             for rx in &mut tenant.rx {
                 self.batch.clear();
-                let truncated = rx.truncated();
+                let (truncated, datagrams) = (rx.truncated(), rx.datagrams());
                 let filled = rx.fill(&mut self.batch);
                 let cut = rx.truncated() - truncated;
                 if cut > 0 {
                     tenant.io.rx_truncated.fetch_add(cut, Ordering::Relaxed);
+                }
+                let read = rx.datagrams() - datagrams;
+                if read > 0 {
+                    tenant.io.rx_datagrams.fetch_add(read, Ordering::Relaxed);
                 }
                 let got = match filled {
                     Ok(got) => got,

@@ -30,8 +30,11 @@ pub struct ControlFlags {
 pub struct TenantIo {
     /// Frames read off the tenant's RX sockets.
     pub rx_frames: AtomicU64,
-    /// Datagrams dropped on receive because they did not fit a frame
-    /// slot (never forwarded cut).
+    /// Datagrams read off the tenant's RX sockets: fewer than the frames
+    /// when the kernel coalesced runs (UDP GRO), equal when it did not.
+    pub rx_datagrams: AtomicU64,
+    /// Frames dropped on receive because they did not fit a frame slot
+    /// (never forwarded cut).
     pub rx_truncated: AtomicU64,
     /// Frames emitted out of the tenant's TX sockets.
     pub tx_frames: AtomicU64,
@@ -144,14 +147,20 @@ impl DaemonShared {
         }
         for (name, help, pick) in [
             ("rx_frames_total", "Frames read off RX sockets.", 0usize),
-            ("rx_truncated_total", "Datagrams dropped on receive for not fitting a frame slot.", 1),
-            ("tx_frames_total", "Frames emitted out of TX sockets.", 2),
-            ("tx_drops_total", "Forwarded packets not emitted (backpressure or no peer).", 3),
+            (
+                "rx_datagrams_total",
+                "Datagrams read off RX sockets; frames per datagram above 1 is receive coalescing (GRO).",
+                1,
+            ),
+            ("rx_truncated_total", "Frames dropped on receive for not fitting a frame slot.", 2),
+            ("tx_frames_total", "Frames emitted out of TX sockets.", 3),
+            ("tx_drops_total", "Forwarded packets not emitted (backpressure or no peer).", 4),
         ] {
             counter(&mut out, name, help);
             for (slot, meta) in metas.iter().enumerate() {
                 let io = &meta.io;
-                let value = [&io.rx_frames, &io.rx_truncated, &io.tx_frames, &io.tx_drops][pick]
+                let value = [&io.rx_frames, &io.rx_datagrams, &io.rx_truncated, &io.tx_frames, &io.tx_drops]
+                    [pick]
                     .load(Ordering::Relaxed);
                 let _ = writeln!(out, "srv6d_{name}{{tenant=\"{}\",slot=\"{slot}\"}} {value}", meta.name);
             }

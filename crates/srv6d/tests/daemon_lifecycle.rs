@@ -180,6 +180,56 @@ fn oversized_datagrams_are_counted_and_never_forwarded() {
     assert_eq!(report.tenants[0].tx_frames, 2);
 }
 
+/// GSO runs sent to the daemon arrive as one datagram each on the `mmsg`
+/// backend (UDP GRO): `/metrics` reads fewer datagrams than frames, and
+/// every frame is still forwarded.
+#[test]
+fn coalesced_runs_show_fewer_datagrams_than_frames() {
+    const N: usize = 64;
+    let config = Config::parse(
+        "[daemon]\nworkers = 1\n\
+         [tenant edge]\nlocal = fc00::1\nlisten = [::1]:45200\npeer = 1 [::1]:45300\nroute = ::/0 dev 1",
+    )
+    .expect("valid config");
+    let mut capture = UdpRx::bind("[::1]:45300").expect("bind capture");
+    let (backend, name) = resolve_backend(IoBackendChoice::Auto).expect("a kernel backend");
+    if name != "mmsg" {
+        return;
+    }
+    let gro = netpkt::MmsgRx::bind("[::1]:0").expect("probe socket").gro();
+    let mut daemon = Srv6Daemon::start(config, backend).expect("daemon starts");
+    let shared = daemon.shared();
+
+    // Equal-length frames: `MmsgTx` sends each burst as one GSO datagram.
+    let frames: Vec<Vec<u8>> = (0..N as u32).map(|f| frame_to("2001:db8:f::1", f)).collect();
+    let mut sender = netpkt::MmsgTx::connect("[::1]:45200").expect("connect sender");
+    for burst in frames.chunks(16) {
+        let refs: Vec<&[u8]> = burst.iter().map(Vec::as_slice).collect();
+        assert_eq!(sender.send_frames(&refs).unwrap(), burst.len());
+    }
+    let mut batch = FrameBatch::new(64, 2048);
+    let mut received = 0;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while received < N {
+        daemon.service();
+        batch.clear();
+        received += capture.fill(&mut batch).expect("capture fill");
+        assert!(Instant::now() < deadline, "egress timed out at {received}/{N}");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+
+    let metrics = shared.render_metrics();
+    let frames_in = metric_value(&metrics, "srv6d_rx_frames_total{tenant=\"edge\",slot=\"0\"}");
+    let datagrams = metric_value(&metrics, "srv6d_rx_datagrams_total{tenant=\"edge\",slot=\"0\"}");
+    assert_eq!(frames_in, N as f64);
+    if gro {
+        assert!(datagrams < frames_in, "{datagrams} datagrams carried {frames_in} frames");
+    } else {
+        assert_eq!(datagrams, frames_in);
+    }
+    assert_eq!(daemon.drain().tenants[0].tx_frames, N as u64);
+}
+
 const RELOAD_BASE: &str = "[daemon]\nworkers = 1\nbatch-size = 16\nqueue-depth = 1024\n\
     [tenant keep]\nlocal = fc00::1\nlisten = [::1]:42000\npeer = 1 [::1]:42100\nroute = ::/0 dev 1\n\
     [tenant change]\nlocal = fc00::2\nlisten = [::1]:42010\npeer = 1 [::1]:42110\n\
