@@ -277,6 +277,49 @@ mod tests {
         ebpf_vm::Program::new(name, ebpf_vm::ProgramType::LwtSeg6Local, insns)
     }
 
+    /// `srh_walk`: the byte walk over a `packet_len`-byte packet, run
+    /// alone; the context's `data` pointer in `r8`.
+    fn srh_walk_program(packet_len: usize) -> ebpf_vm::Program {
+        let walk = srh_walk_body(packet_len);
+        let source =
+            format!("mov64 r9, r1\nldxdw r8, [r9+0]\nmov64 r0, 0\nmov64 r3, 0\n{walk}xor64 r0, r3\nexit\n");
+        assemble("srh_walk", &source)
+    }
+
+    /// `srh_walk`'s exact native facts on the Figure 2 packet: `(micro-ops,
+    /// code bytes, spills, elided checks, inlined helper sites, cached
+    /// lookup sites)`, as the shipped programs' are pinned in
+    /// `srv6_nf::progs`. A change to the lowering, the emitter or the
+    /// verifier's facts shows here as a diff of numbers; update the tuple
+    /// only with the reason.
+    #[test]
+    fn srh_walk_compiles_to_its_pinned_native_facts() {
+        if !ebpf_vm::codegen::supported() {
+            return;
+        }
+        let template = build_scenario(Fig2Variant::EndStatic).template;
+        let helpers = ebpf_vm::HelperRegistry::new();
+        let loaded = ebpf_vm::program::load(srh_walk_program(template.len()), &HashMap::new(), &helpers)
+            .expect("verifies");
+        let micro_ops = ebpf_vm::jit::compile(&loaded).unwrap().len();
+        let native = loaded.native().expect("native backend available");
+        let debug = native.debug_info();
+        let facts = (
+            micro_ops,
+            native.code_len(),
+            debug.spills,
+            debug.elided_checks,
+            debug.inlined_helpers,
+            debug.lookup_sites,
+        );
+        assert_eq!(
+            facts,
+            (318, 15538, 0, 105, 0, 0),
+            "srh_walk: native facts moved (homes {:?})",
+            debug.assignments
+        );
+    }
+
     /// The Figure 2 router with `prog` as its End.BPF action, run on `tier`.
     fn end_bpf_scenario(prog: ebpf_vm::Program, tier: ebpf_vm::ExecTier) -> Fig2Scenario {
         let mut scenario = build_scenario(Fig2Variant::EndStatic);
@@ -305,11 +348,8 @@ mod tests {
         }
         let template = build_scenario(Fig2Variant::EndStatic).template;
         let walk = srh_walk_body(template.len());
-
-        let source =
-            format!("mov64 r9, r1\nldxdw r8, [r9+0]\nmov64 r0, 0\nmov64 r3, 0\n{walk}xor64 r0, r3\nexit\n");
         let helpers = ebpf_vm::HelperRegistry::new();
-        let srh_walk = ebpf_vm::program::load(assemble("srh_walk", &source), &HashMap::new(), &helpers)
+        let srh_walk = ebpf_vm::program::load(srh_walk_program(template.len()), &HashMap::new(), &helpers)
             .expect("verifies");
         let mut ctx = vec![0u8; 64];
         ctx[0..8].copy_from_slice(&PKT_BASE.to_le_bytes());

@@ -472,6 +472,17 @@ impl<'a> Verifier<'a> {
         Ok(())
     }
 
+    /// Whether the program runs on an LWT-style context, whose first two
+    /// fields are the packet's `data` / `data_end` pointers.
+    fn is_lwt(&self) -> bool {
+        matches!(
+            self.program.prog_type,
+            crate::program::ProgramType::LwtSeg6Local
+                | crate::program::ProgramType::LwtIn
+                | crate::program::ProgramType::LwtXmit
+        )
+    }
+
     fn check_mem_access(
         &mut self,
         pc: usize,
@@ -498,6 +509,19 @@ impl<'a> Verifier<'a> {
                     return Err(Error::verifier(
                         pc,
                         format!("context access out of bounds at offset {start}"),
+                    ));
+                }
+                // An LWT context's `data` / `data_end` pointers are the
+                // packet's bounds: a reload of `data` is typed as a packet
+                // pointer, so no program may store its own value there.
+                if is_store
+                    && self.is_lwt()
+                    && start < crate::vm::CTX_OFF_DATA_END + 8
+                    && start + len > crate::vm::CTX_OFF_DATA
+                {
+                    return Err(Error::verifier(
+                        pc,
+                        format!("store to the read-only packet pointers of the context at offset {start}"),
                     ));
                 }
                 self.facts.record(pc, AccessFact::Ctx { end: (start + len) as u16 });
@@ -561,15 +585,9 @@ impl<'a> Verifier<'a> {
                 // Loading the `data` field of an LWT context yields a packet
                 // pointer (the run-time value is PKT_BASE); everything else
                 // is a scalar.
-                let is_lwt = matches!(
-                    self.program.prog_type,
-                    crate::program::ProgramType::LwtSeg6Local
-                        | crate::program::ProgramType::LwtIn
-                        | crate::program::ProgramType::LwtXmit
-                );
                 let result = match base {
                     RegType::PtrToCtx(ctx_off)
-                        if is_lwt
+                        if self.is_lwt()
                             && size == AccessSize::Double
                             && ctx_off + i64::from(insn.off) == crate::vm::CTX_OFF_DATA =>
                     {
@@ -931,6 +949,49 @@ mod tests {
             Insn::exit()
         ])
         .is_ok());
+    }
+
+    /// An LWT program may not overwrite its context's `data` / `data_end`
+    /// pointers: a reload of `data` is typed as a packet pointer, so a
+    /// stored address would be trusted as one. The pinned probe stores an
+    /// arbitrary address into `data`, reloads it and reads through it; it
+    /// is refused at load, on every LWT type. Stores past the two pointers
+    /// (`len` at 16, `mark` at 24) still load, and a socket filter's
+    /// context has no packet pointers to protect.
+    #[test]
+    fn lwt_programs_cannot_store_to_the_context_packet_pointers() {
+        let probe = |x: u64| {
+            vec![
+                Insn::lddw_lo(2, x),
+                Insn::lddw_hi(x),
+                Insn::store_reg(AccessSize::Double, 1, 2, 0),
+                Insn::load(AccessSize::Double, 3, 1, 0),
+                Insn::load(AccessSize::Byte, 0, 3, 0),
+                Insn::exit(),
+            ]
+        };
+        let store_at = |size: AccessSize, off: i16| {
+            vec![Insn::store_imm(size, 1, off, 0), Insn::mov64_imm(0, 0), Insn::exit()]
+        };
+        let helpers = HelperRegistry::with_base_helpers();
+        let load = |prog_type: ProgramType, insns: Vec<Insn>| {
+            crate::program::load(Program::new("t", prog_type, insns), &HashMap::new(), &helpers)
+        };
+        for prog_type in [ProgramType::LwtSeg6Local, ProgramType::LwtIn, ProgramType::LwtXmit] {
+            for x in [crate::vm::PKT_BASE - 8, 0x7fff_0000_0000] {
+                let err = load(prog_type, probe(x)).expect_err("the ctx.data probe must not load");
+                assert!(err.to_string().contains("read-only packet pointers"), "{err}");
+            }
+            for (size, off) in [(AccessSize::Word, 4), (AccessSize::Double, 8), (AccessSize::Byte, 15)] {
+                assert!(load(prog_type, store_at(size, off)).is_err(), "{prog_type:?} store at {off}");
+            }
+            for off in [16, 24] {
+                load(prog_type, store_at(AccessSize::Word, off))
+                    .unwrap_or_else(|e| panic!("{prog_type:?} store at {off}: {e}"));
+            }
+        }
+        load(ProgramType::SocketFilter, store_at(AccessSize::Double, 0))
+            .expect("no packet pointers to protect");
     }
 
     #[test]

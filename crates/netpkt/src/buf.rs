@@ -43,6 +43,16 @@ impl PacketBuf {
         PacketBuf { storage: vec![0; headroom], offset: headroom }
     }
 
+    /// Creates an empty buffer with `headroom` bytes reserved in front, in
+    /// storage of exactly `capacity` bytes (at least the headroom). The
+    /// storage is one zeroed allocation and nothing is copied into it, so
+    /// memory fresh from the kernel is not touched until a packet lands.
+    pub fn with_capacity(headroom: usize, capacity: usize) -> Self {
+        let mut storage = vec![0; capacity.max(headroom)];
+        storage.truncate(headroom);
+        PacketBuf { storage, offset: headroom }
+    }
+
     /// Creates a buffer holding `data`, with [`DEFAULT_HEADROOM`] bytes of
     /// headroom in front of it.
     pub fn from_slice(data: &[u8]) -> Self {

@@ -83,12 +83,14 @@
 //!   [`WorkerPool::flush`] either returns them
 //!   ([`PoolConfig::collect_outputs`]; the caller hands each buffer back
 //!   with [`WorkerPool::recycle`]) or puts every buffer back into the
-//!   dispatcher's [`BufPool`] arena itself. Every buffer in the arena is
-//!   one it minted at full-frame size, and it mints only when it is empty;
-//!   it retains up to an in-flight bound sized for the worker count *and*
-//!   the tenant count. Since buffers come back at one point only, a window
-//!   needs exactly the buffers it enqueued, so after the first window
-//!   steady-state ingestion performs **zero heap allocations end-to-end**
+//!   dispatcher's [`BufPool`] arena itself. The arena sizes each buffer
+//!   to its frame, in two size classes (small frames, and anything up to a
+//!   full socket frame); it mints only when no free buffer of the frame's
+//!   class or a larger one is left, and it retains per class up to an
+//!   in-flight bound sized for the worker count *and* the tenant count.
+//!   Since buffers come back at one point only, a window needs exactly the
+//!   buffers it enqueued, so after the first window steady-state ingestion
+//!   of a stationary mix performs **zero heap allocations end-to-end**
 //!   however many tenants share the pool (proven by the `alloc-counter`
 //!   gate, `tests/pool_zero_alloc.rs`).
 //! * Control traffic (tenant registration, shutdown)
@@ -353,16 +355,17 @@ impl WorkerPool {
         }
     }
 
-    /// The arena's retention cap: per shard a full descriptor ring, the
-    /// worker's current poll and the dispatcher's staging, plus one slack
-    /// buffer **per tenant** (each tenant's ingestion path can hold one
-    /// buffer in hand mid-enqueue). Buffers come back only at the flush
-    /// barrier, so the invariant is: a caller that flushes (and recycles
-    /// collected outputs) at least once per [`WorkerPool::queue_capacity`]
-    /// packets per shard never has more buffers out than this, so the
-    /// arena never drops one it will need again — once it has served a
-    /// window of each size it mints nothing, whatever the worker
-    /// scheduling and however the tenants interleave.
+    /// The arena's retention cap, per size class: per shard a full
+    /// descriptor ring, the worker's current poll and the dispatcher's
+    /// staging, plus one slack buffer **per tenant** (each tenant's
+    /// ingestion path can hold one buffer in hand mid-enqueue). Buffers
+    /// come back only at the flush barrier, so the invariant is: a caller
+    /// that flushes (and recycles collected outputs) at least once per
+    /// [`WorkerPool::queue_capacity`] packets per shard never has more
+    /// buffers out than this, so the arena never drops one it will need
+    /// again — once it has served a window of a stationary mix it mints
+    /// nothing, whatever the worker scheduling and however the tenants
+    /// interleave.
     fn in_flight_bound(config: &PoolConfig, queue_capacity: usize, tenants: usize) -> usize {
         // A worker holds at most one dequeued poll at a time, and a poll
         // can never exceed the ring's own capacity however large the NAPI
@@ -501,8 +504,10 @@ impl WorkerPool {
     /// Hands a collected output's buffer back to the recycling arena — the
     /// way to return [`PoolConfig::collect_outputs`] buffers after reading
     /// them, closing the zero-allocation loop for output-collecting
-    /// callers. Only the pool's own outputs belong here: the arena's
-    /// buffers are all ones it minted at full-frame size.
+    /// callers. The pool's own outputs belong here: each goes back to the
+    /// size class its storage holds. Any other buffer is accepted, and one
+    /// too small for either class is grown into the small one on the way
+    /// in ([`BufPool::put`]).
     pub fn recycle(&mut self, buf: PacketBuf) {
         self.bufs.put(buf);
     }

@@ -1,6 +1,6 @@
 //! Worker-pool steady-state allocation regression test.
 //!
-//! Run with `cargo test -p seg6-runtime --features alloc-counter`. Four
+//! Run with `cargo test -p seg6-runtime --features alloc-counter`. Five
 //! phases share one test (the counter is **process-wide**, so no other
 //! test may run concurrently in this binary). Every phase is held to the
 //! same **exact** count per round: the flush report's outer vector plus
@@ -13,7 +13,7 @@
 //!    through `enqueue_bytes_all`, are copied into buffers from the
 //!    arena, staged per shard, published through the SPSC descriptor
 //!    rings, processed with the reused batch/verdict buffers, and put
-//!    back by the flush barrier (the arena's free list reserved to the
+//!    back by the flush barrier (the arena's free lists reserved to the
 //!    retention cap), with park/unpark wakeups in between. A whole
 //!    steady-state round — dispatch → ring → worker → barrier → arena —
 //!    performs **zero** buffer allocations.
@@ -29,18 +29,24 @@
 //!    and the static `encap_through` / `inline_through` / `End.B6*`
 //!    behaviours (the paths `seg6-core`'s `zero_alloc.rs` holds to zero
 //!    on one thread): packets that grow on their way through must not
-//!    cost the arena's full-frame buffers or the workers' scratch an
-//!    allocation, whichever packet lands in which buffer.
+//!    cost the arena's buffers or the workers' scratch an allocation,
+//!    whichever packet lands in which buffer.
 //! 4. **Collected-output rounds** — a pool with
 //!    [`PoolConfig::collect_outputs`]: the report carries every shard's
 //!    window, and the caller's `recycle` closes the buffer loop mint-free.
+//! 5. **Mixed-size rounds** — 64-byte and 1400-byte frames interleave in
+//!    every window: each lands in a buffer of its own size class, and once
+//!    both classes have warmed no round mints a buffer of either.
 #![cfg(feature = "alloc-counter")]
 
 #[path = "../../core/tests/common/nf_paths.rs"]
 #[allow(dead_code)]
 mod nf_paths;
 
+use netpkt::buf::DEFAULT_HEADROOM;
+use netpkt::bufpool::SMALL_FRAME;
 use netpkt::packet::build_ipv6_udp_packet;
+use netpkt::sockio::DEFAULT_FRAME_CAP;
 use netpkt::PacketBuf;
 use seg6_core::alloc_counter::{global_allocations, CountingAllocator};
 use seg6_core::{Nexthop, Seg6Datapath};
@@ -61,12 +67,17 @@ fn forwarding_datapath(cpu: u32) -> Seg6Datapath {
 }
 
 fn flow_packet(flow: u32) -> PacketBuf {
+    sized_flow_packet(flow, 80)
+}
+
+/// `flow`'s IPv6/UDP packet, `len` bytes long on the wire.
+fn sized_flow_packet(flow: u32, len: usize) -> PacketBuf {
     build_ipv6_udp_packet(
         addr(&format!("2001:db8::{:x}", flow + 1)),
         addr("2001:db8:f::1"),
         (1024 + flow % 40_000) as u16,
         5001,
-        &[0u8; 32],
+        &vec![0u8; len - 48],
         64,
     )
 }
@@ -137,7 +148,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
     // --- Phase 2: the multi-tenant gate ---
 
     // Registering the tenant allocates (datapath forks, counter row, the
-    // arena's free list reserved to the larger in-flight bound) — all of
+    // arena's free lists reserved to the larger in-flight bound) — all of
     // it one-time cost outside the measurement.
     let mut template_b = Seg6Datapath::new(addr("fc00::2"));
     template_b.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(2)]);
@@ -234,7 +245,8 @@ fn pool_steady_state_does_not_allocate_per_packet() {
 
     // --- Phase 4: collected outputs ---
 
-    let mut pool = WorkerPool::new(PoolConfig { collect_outputs: true, ..config }, forwarding_datapath);
+    let mut pool =
+        WorkerPool::new(PoolConfig { collect_outputs: true, ..config.clone() }, forwarding_datapath);
     let round = |pool: &mut WorkerPool| {
         assert_eq!(pool.enqueue_bytes_all(0, frames.iter().map(Vec::as_slice)), PACKETS_PER_ROUND);
         let report = pool.flush();
@@ -263,6 +275,50 @@ fn pool_steady_state_does_not_allocate_per_packet() {
         "collected-output rounds allocated {allocations} times over {MEASURED_ROUNDS} rounds: more \
          than the report vector plus one pre-sized output vector per shard — a shard is regrowing \
          its outputs, or the barrier is allocating"
+    );
+    pool.shutdown();
+
+    // --- Phase 5: a stationary mix of both buffer classes ---
+
+    // 64-byte and 1400-byte frames interleave in every window, so the
+    // arena's small and full classes warm side by side. Outputs are
+    // collected to read each buffer's storage: a 64-byte frame must sit in
+    // a small buffer and a 1400-byte one in a full buffer, and once both
+    // classes have warmed no round mints either.
+    let small = DEFAULT_HEADROOM + SMALL_FRAME;
+    let full = DEFAULT_HEADROOM + DEFAULT_FRAME_CAP;
+    let mixed: Vec<Vec<u8>> = (0..PACKETS_PER_ROUND as u32)
+        .map(|f| sized_flow_packet(f, if f % 2 == 0 { 64 } else { 1400 }).data().to_vec())
+        .collect();
+    let mut pool = WorkerPool::new(PoolConfig { collect_outputs: true, ..config }, forwarding_datapath);
+    let round = |pool: &mut WorkerPool| {
+        assert_eq!(pool.enqueue_bytes_all(0, mixed.iter().map(Vec::as_slice)), PACKETS_PER_ROUND);
+        let report = pool.flush();
+        let mut misfiled = 0;
+        for (_, skb, _) in report.outputs.into_iter().flatten() {
+            let expected = if skb.packet.len() == 64 { small } else { full };
+            misfiled += usize::from(skb.packet.storage_capacity() != expected);
+            pool.recycle(skb.into_packet());
+        }
+        assert_eq!(misfiled, 0, "a frame sat in a buffer of the wrong class");
+    };
+    for _ in 0..3 {
+        round(&mut pool);
+    }
+    let minted_after_warmup = pool.buf_pool().allocations();
+    assert_eq!(minted_after_warmup, PACKETS_PER_ROUND as u64, "the first window minted one buffer per frame");
+
+    let before = global_allocations();
+    for _ in 0..MEASURED_ROUNDS {
+        round(&mut pool);
+    }
+    let allocations = global_allocations() - before;
+
+    assert_eq!(pool.buf_pool().allocations(), minted_after_warmup, "mixed-size rounds minted packet buffers");
+    assert_eq!(
+        allocations, expected,
+        "mixed-size rounds allocated {allocations} times over {MEASURED_ROUNDS} rounds: a size class \
+         is minting or a buffer is growing"
     );
     pool.shutdown();
 }
