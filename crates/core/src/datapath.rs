@@ -333,12 +333,10 @@ impl Seg6Datapath {
     /// and appends one [`BatchVerdict`] per packet — the verdict plus a
     /// [`WorkSummary`] of what the packet cost — to a caller-owned buffer.
     ///
-    /// The classification step (SID table, LWT attachment and transit
-    /// lookups — all linear or longest-prefix scans) depends only on the
-    /// destination address, so consecutive packets of one flow — exactly
-    /// what RSS steering delivers to a worker shard — reuse the previous
-    /// packet's classification instead of re-scanning every table. The
-    /// verdicts come back in input order, and each packet's processing is
+    /// The batch refreshes the FIB snapshot once and keeps a one-entry
+    /// route cache across its packets; each packet is classified (SID
+    /// table, LWT attachment and transit lookups) on its own. The verdicts
+    /// come back in input order, and each packet's processing is
     /// byte-identical to what [`Seg6Datapath::process`] produces.
     ///
     /// The worker pool clears and reuses one buffer per shard, so the
@@ -358,7 +356,7 @@ impl Seg6Datapath {
     }
 
     /// Opens a batch: refreshes the FIB snapshot and splits `self` into the
-    /// configuration tables the cached [`Dispatch`] borrows and the
+    /// configuration tables a packet's [`Dispatch`] borrows and the
     /// execution state each packet mutates.
     fn batch(&mut self) -> Batch<'_> {
         self.fib.refresh(&self.tables);
@@ -376,7 +374,6 @@ impl Seg6Datapath {
                 scratch: &mut self.scratch,
                 cpu: self.cpu_id,
             },
-            cached: None,
             routes: RouteCache::default(),
         }
     }
@@ -384,21 +381,18 @@ impl Seg6Datapath {
 
 /// One batch in flight over a [`Seg6Datapath`]: the tables cannot change
 /// while it holds the datapath's `&mut`, which is what makes the
-/// batch-scoped classification and route caches sound.
+/// batch-scoped route cache sound.
 struct Batch<'a> {
     local_sids: &'a LocalSidTable,
     lwt_bpf: &'a LwtBpfTable,
     transit: &'a TransitTable,
     stats: &'a mut DatapathStats,
     exec: Exec<'a>,
-    /// The previous packet's destination and its classification.
-    cached: Option<(Ipv6Addr, Dispatch<'a>)>,
     routes: RouteCache,
 }
 
 impl Batch<'_> {
-    /// The per-packet step: parse, classify (reusing the previous packet's
-    /// classification when the destination repeats), execute, count.
+    /// The per-packet step: parse, classify, execute, count.
     #[inline]
     fn step(&mut self, skb: &mut Skb, now_ns: u64) -> BatchVerdict {
         let packet = match Ipv6Header::parse(skb.packet.data()) {
@@ -406,22 +400,15 @@ impl Batch<'_> {
                 BatchVerdict { verdict: Verdict::Drop(DropReason::Malformed), work: WorkSummary::default() }
             }
             Ok(header) => {
-                let hit = matches!(&self.cached, Some((dst, _)) if *dst == header.dst);
-                if !hit {
-                    self.cached = Some((
-                        header.dst,
-                        classify_dst(
-                            self.local_sids,
-                            self.lwt_bpf,
-                            self.transit,
-                            self.exec.local_addr,
-                            self.exec.host_addrs,
-                            header.dst,
-                        ),
-                    ));
-                }
-                let (_, dispatch) = self.cached.as_ref().expect("cache filled above");
-                self.exec.execute(dispatch, skb, &header, now_ns, &mut self.routes)
+                let dispatch = classify_dst(
+                    self.local_sids,
+                    self.lwt_bpf,
+                    self.transit,
+                    self.exec.local_addr,
+                    self.exec.host_addrs,
+                    header.dst,
+                );
+                self.exec.execute(&dispatch, skb, &header, now_ns, &mut self.routes)
             }
         };
         self.stats.count(&packet);
@@ -430,7 +417,7 @@ impl Batch<'_> {
 }
 
 /// The mutable execution state of a batch, split off the configuration
-/// tables the cached [`Dispatch`] borrows — disjoint `Seg6Datapath` fields,
+/// tables a packet's [`Dispatch`] borrows — disjoint `Seg6Datapath` fields,
 /// all by reference.
 struct Exec<'e> {
     local_addr: Ipv6Addr,
@@ -865,7 +852,7 @@ mod tests {
     }
 
     #[test]
-    fn process_batch_of_one_flow_reuses_classification() {
+    fn process_batch_of_one_flow_forwards_every_packet() {
         // Same-destination packets (what RSS steers to one worker) must
         // produce the same verdicts as individual processing.
         let mut dp = batch_router();

@@ -73,7 +73,7 @@ pub use ipv6::{proto, Ipv6Header, IPV6_HEADER_LEN};
 pub use packet::{HeaderChain, ParsedPacket};
 pub use prefix::Ipv6Prefix;
 pub use sockio::mmsg::{MmsgRx, MmsgTx};
-pub use sockio::{FrameBatch, MemRx, MemTx, PacketRx, PacketTx, UdpRx, UdpTx};
+pub use sockio::{FrameBatch, MemRx, MemTx, PacketRx, PacketTx};
 pub use srh::{SegmentRoutingHeader, SrhTlv, SrhView, TlvKind, SRH_FIXED_LEN};
 pub use tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
 pub use udp::{UdpHeader, UDP_HEADER_LEN};

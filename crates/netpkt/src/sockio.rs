@@ -19,10 +19,9 @@
 //!   daemon can hold `Box<dyn PacketRx>` per receive queue and swap the
 //!   transport per deployment — and so tests can run the whole daemon on
 //!   an in-memory link with deterministic delivery.
-//! * [`mmsg::MmsgRx`] / [`mmsg::MmsgTx`] move a whole burst per
-//!   `recvmmsg`/`sendmmsg` syscall (Linux). [`UdpRx`] / [`UdpTx`] are the
-//!   portable standard-library fallback: non-blocking sockets drained
-//!   (and fed) in bursts, one `recvfrom`/`send` syscall per datagram.
+//! * [`mmsg::MmsgRx`] / [`mmsg::MmsgTx`] are the kernel transport: a
+//!   whole burst per `recvmmsg`/`sendmmsg` syscall. Linux only; elsewhere
+//!   their constructors report [`io::ErrorKind::Unsupported`].
 //! * [`mem_link`] builds the in-memory fake: a bounded SPSC-style frame
 //!   queue with buffer recycling, so steady-state traffic through the
 //!   fake performs zero allocations too (the daemon's `alloc-counter`
@@ -30,7 +29,6 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 #[allow(unsafe_code)]
@@ -64,11 +62,9 @@ pub(crate) const MAX_SEGMENTS: usize = 64;
 /// resident memory until such a datagram arrives and is released again
 /// by [`FrameBatch::clear`]. Every frame is still a single slice.
 ///
-/// Receivers that take one frame per datagram fill slots in place
-/// ([`FrameBatch::begin_frame`] / [`FrameBatch::commit_frame`] or
-/// [`FrameBatch::push`]); consumers iterate [`FrameBatch::frames`] and
-/// [`FrameBatch::clear`] for the next burst. No method allocates after
-/// construction.
+/// An in-memory receiver copies frames in with [`FrameBatch::push`];
+/// consumers iterate [`FrameBatch::frames`] and [`FrameBatch::clear`] for
+/// the next burst. No method allocates after construction.
 #[derive(Debug)]
 pub struct FrameBatch {
     /// Slot storage, `capacity * frame_cap` bytes, slot `i` at
@@ -139,37 +135,18 @@ impl FrameBatch {
         self.spill.release();
     }
 
-    /// The next free slot, for a receiver to fill in place. `None` when
-    /// the burst is full. Follow with [`FrameBatch::commit_frame`] once
-    /// the received length is known.
-    pub fn begin_frame(&mut self) -> Option<&mut [u8]> {
-        if self.is_full() {
-            return None;
-        }
-        let start = self.slots * self.frame_cap;
-        Some(&mut self.storage[start..start + self.frame_cap])
-    }
-
-    /// Commits the slot handed out by the last [`FrameBatch::begin_frame`]
-    /// as one frame of its received length (clamped to the slot capacity).
-    pub fn commit_frame(&mut self, len: usize) {
-        debug_assert!(!self.is_full(), "commit without a begin_frame slot");
-        self.frames.push((self.slots * self.frame_cap, len.min(self.frame_cap)));
-        self.slots += 1;
-    }
-
     /// Copies one frame into the next slot (truncating at the slot
     /// capacity). Returns `false` when the burst is full.
     pub fn push(&mut self, frame: &[u8]) -> bool {
-        match self.begin_frame() {
-            Some(slot) => {
-                let len = frame.len().min(slot.len());
-                slot[..len].copy_from_slice(&frame[..len]);
-                self.commit_frame(len);
-                true
-            }
-            None => false,
+        if self.is_full() {
+            return false;
         }
+        let start = self.slots * self.frame_cap;
+        let len = frame.len().min(self.frame_cap);
+        self.storage[start..start + len].copy_from_slice(&frame[..len]);
+        self.frames.push((start, len));
+        self.slots += 1;
+        true
     }
 
     /// Commits the datagram a receiver wrote into the next slot and, past
@@ -251,11 +228,8 @@ pub trait PacketRx: Send {
     fn datagrams(&self) -> u64;
 
     /// Frames dropped so far because they were longer than a batch slot:
-    /// a cut packet is never committed as a frame. 0 for transports that
-    /// cannot tell.
-    fn truncated(&self) -> u64 {
-        0
-    }
+    /// a cut packet is never committed as a frame.
+    fn truncated(&self) -> u64;
 }
 
 /// A batched frame transmitter — one egress destination.
@@ -296,9 +270,8 @@ pub trait PacketTx: Send {
 /// Connected UDP surfaces ICMP errors from an earlier datagram on the
 /// *next* send: the peer being momentarily gone (`ECONNREFUSED`) or
 /// unroutable (`EHOSTUNREACH`/`ENETUNREACH`) is exactly the packet loss a
-/// NIC would eat silently, not a reason to stop transmitting. Both the
-/// std and mmsg backends classify with this one predicate so their drop
-/// accounting stays identical.
+/// NIC would eat silently, not a reason to stop transmitting.
+/// [`mmsg::MmsgTx`] drops on exactly these kinds.
 pub fn transient_send_error(e: &io::Error) -> bool {
     matches!(
         e.kind(),
@@ -307,116 +280,6 @@ pub fn transient_send_error(e: &io::Error) -> bool {
             | io::ErrorKind::HostUnreachable
             | io::ErrorKind::NetworkUnreachable
     )
-}
-
-/// Batched receive over a non-blocking UDP socket: one bound socket per
-/// receive queue, drained a burst at a time.
-#[derive(Debug)]
-pub struct UdpRx {
-    socket: UdpSocket,
-    syscalls: u64,
-    datagrams: u64,
-}
-
-impl UdpRx {
-    /// Binds `addr` and puts the socket in non-blocking mode.
-    pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let socket = UdpSocket::bind(addr)?;
-        socket.set_nonblocking(true)?;
-        Ok(UdpRx { socket, syscalls: 0, datagrams: 0 })
-    }
-
-    /// Wraps an already-bound socket (switched to non-blocking).
-    pub fn from_socket(socket: UdpSocket) -> io::Result<Self> {
-        socket.set_nonblocking(true)?;
-        Ok(UdpRx { socket, syscalls: 0, datagrams: 0 })
-    }
-
-    /// The bound local address (useful after binding port 0).
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
-    }
-}
-
-impl PacketRx for UdpRx {
-    fn fill(&mut self, batch: &mut FrameBatch) -> io::Result<usize> {
-        let mut got = 0;
-        while let Some(slot) = batch.begin_frame() {
-            self.syscalls += 1;
-            match self.socket.recv_from(slot) {
-                Ok((len, _from)) => {
-                    batch.commit_frame(len);
-                    got += 1;
-                    self.datagrams += 1;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(got)
-    }
-
-    fn syscalls(&self) -> u64 {
-        self.syscalls
-    }
-
-    fn datagrams(&self) -> u64 {
-        self.datagrams
-    }
-}
-
-/// Batched transmit over a connected, non-blocking UDP socket — one
-/// egress interface's emitter, pointed at a fixed peer.
-#[derive(Debug)]
-pub struct UdpTx {
-    socket: UdpSocket,
-    syscalls: u64,
-}
-
-impl UdpTx {
-    /// Binds an ephemeral local socket and connects it to `peer`.
-    pub fn connect(peer: impl ToSocketAddrs) -> io::Result<Self> {
-        let mut last = None;
-        for peer in peer.to_socket_addrs()? {
-            let bind_addr = if peer.is_ipv6() {
-                SocketAddr::from((Ipv6Addr::UNSPECIFIED, 0))
-            } else {
-                SocketAddr::from((Ipv4Addr::UNSPECIFIED, 0))
-            };
-            match UdpSocket::bind(bind_addr).and_then(|s| {
-                s.connect(peer)?;
-                s.set_nonblocking(true)?;
-                Ok(s)
-            }) {
-                Ok(socket) => return Ok(UdpTx { socket, syscalls: 0 }),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.unwrap_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address to connect to")))
-    }
-
-    /// The connected local address.
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
-    }
-}
-
-impl PacketTx for UdpTx {
-    fn send_frame(&mut self, frame: &[u8]) -> io::Result<bool> {
-        self.syscalls += 1;
-        match self.socket.send(frame) {
-            Ok(_) => Ok(true),
-            // A full socket buffer is backpressure, not an error — the
-            // same drop-and-count a NIC TX ring performs.
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(false),
-            Err(e) if transient_send_error(&e) => Ok(false),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn syscalls(&self) -> u64 {
-        self.syscalls
-    }
 }
 
 /// Shared state of one in-memory link: a bounded queue of filled frames
@@ -521,9 +384,7 @@ mod tests {
     fn frame_batch_fills_and_drains_in_place() {
         let mut batch = FrameBatch::new(3, 8);
         assert!(batch.push(&[1, 2, 3]));
-        let slot = batch.begin_frame().unwrap();
-        slot[..2].copy_from_slice(&[9, 9]);
-        batch.commit_frame(2);
+        assert!(batch.push(&[9, 9]));
         assert!(batch.push(&[0xaa; 16]), "oversized frames truncate at the slot cap");
         assert!(batch.is_full());
         assert!(!batch.push(&[7]));
@@ -533,34 +394,6 @@ mod tests {
         batch.clear();
         assert!(batch.is_empty());
         assert_eq!(batch.frames().count(), 0);
-    }
-
-    #[test]
-    fn udp_pair_moves_bursts_over_loopback() {
-        let mut rx = UdpRx::bind("[::1]:0").expect("bind loopback");
-        let addr = rx.local_addr().unwrap();
-        let mut tx = UdpTx::connect(addr).expect("connect loopback");
-        let frames: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 32]).collect();
-        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
-        assert_eq!(tx.send_frames(&refs).unwrap(), 16);
-
-        let mut batch = FrameBatch::new(32, 64);
-        let mut got = 0;
-        for _ in 0..200 {
-            got += rx.fill(&mut batch).expect("recv burst");
-            if got == 16 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(got, 16, "all frames arrive on loopback");
-        let received: Vec<&[u8]> = batch.frames().collect();
-        for (i, frame) in received.iter().enumerate() {
-            assert_eq!(*frame, &frames[i][..], "frame {i} intact and in order");
-        }
-        // An idle socket reports an empty burst, never a block.
-        batch.clear();
-        assert_eq!(rx.fill(&mut batch).unwrap(), 0);
     }
 
     #[test]
@@ -593,27 +426,6 @@ mod tests {
         for kind in [K::WouldBlock, K::PermissionDenied, K::InvalidInput, K::AddrNotAvailable] {
             assert!(!transient_send_error(&io::Error::from(kind)), "{kind:?} is not a drop");
         }
-
-        // A vanished peer surfaces ICMP port-unreachable as
-        // ConnectionRefused on a *later* send. The burst must keep going
-        // with the refused frames counted as drops (`Ok(false)`), never
-        // abort the flush mid-batch with an `Err`.
-        let victim = UdpRx::bind("[::1]:0").unwrap();
-        let addr = victim.local_addr().unwrap();
-        drop(victim);
-        let mut tx = UdpTx::connect(addr).unwrap();
-        let frames: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 16]).collect();
-        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
-        let mut saw_drop = false;
-        for _ in 0..50 {
-            let sent = tx.send_frames(&refs).expect("refused sends are drops, not batch-aborting errors");
-            if sent < frames.len() {
-                saw_drop = true;
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(saw_drop, "ICMP refusal on loopback reported as drops");
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Raw `recvmmsg(2)`/`sendmmsg(2)` socket backend: one syscall per burst,
 //! one datagram per run of equal-length frames, each way.
 //!
-//! The portable fallback ([`UdpRx`](super::UdpRx)/[`UdpTx`](super::UdpTx))
-//! pays one syscall per datagram. This module implements the same
-//! [`PacketRx`](super::PacketRx)/[`PacketTx`](super::PacketTx) seam with the kernel's multi-message calls:
-//! a whole [`FrameBatch`](super::FrameBatch) is filled by a single `recvmmsg`, and a whole
-//! flush window leaves through a single `sendmmsg`. The `mmsghdr`/`iovec`
+//! This module implements the [`PacketRx`](super::PacketRx)/[`PacketTx`](super::PacketTx)
+//! seam with the kernel's multi-message calls: a whole
+//! [`FrameBatch`](super::FrameBatch) is filled by a single `recvmmsg`, and
+//! a whole flush window leaves through a single `sendmmsg`. The `mmsghdr`/`iovec`
 //! arrays are built once and reused; receive iovecs point directly into
 //! the batch's slot storage and transmit iovecs borrow the caller's
 //! frames in place, so batching adds zero copies and zero steady-state
@@ -63,13 +62,9 @@
 //! `extern "C"` declarations of the wrappers std already links, the same
 //! pattern as srv6d's `signal(2)` handler and `ebpf-vm::codegen`'s
 //! `mmap`/`mprotect`. Non-Linux hosts compile clean: the types exist
-//! everywhere, constructors report [`std::io::ErrorKind::Unsupported`], and
-//! [`supported`] lets callers fall back without any `cfg` of their own.
-
-/// Whether this host has the mmsg backend (Linux only).
-pub fn supported() -> bool {
-    cfg!(target_os = "linux")
-}
+//! everywhere and their constructors report
+//! [`std::io::ErrorKind::Unsupported`], so a daemon started there fails
+//! at its first bind.
 
 /// Bytes one received datagram may occupy: its slot, then the rest of
 /// its span in the spill. A UDP payload's length fits in 16 bits, so a
@@ -667,8 +662,8 @@ mod imp {
 
     impl PacketTx for MmsgTx {
         fn send_frame(&mut self, frame: &[u8]) -> io::Result<bool> {
-            // Single frames go through the plain send path — identical
-            // drop semantics to `UdpTx`, still one syscall.
+            // Single frames go through the plain send path: the same
+            // drops as `send_frames`, still one syscall.
             self.syscalls += 1;
             match self.socket.send(frame) {
                 Ok(_) => Ok(true),
@@ -711,8 +706,8 @@ mod imp {
                 match (e.kind(), e.raw_os_error()) {
                     (io::ErrorKind::Interrupted, _) => continue,
                     // Backpressure: the rest of the burst is dropped,
-                    // exactly what `UdpTx`'s per-frame `Ok(false)` loop
-                    // would report.
+                    // exactly what a per-frame `send_frame` loop would
+                    // report.
                     (io::ErrorKind::WouldBlock, _) => break,
                     // A grouped datagram the path cannot take whole (a
                     // segment over the MTU, or egress without checksum
@@ -799,6 +794,10 @@ mod imp {
         fn datagrams(&self) -> u64 {
             0
         }
+
+        fn truncated(&self) -> u64 {
+            0
+        }
     }
 
     /// Stub on non-Linux hosts: constructors report `Unsupported`.
@@ -851,7 +850,6 @@ mod tests {
 
     #[test]
     fn mmsg_pair_moves_bursts_over_loopback() {
-        assert!(supported());
         let mut rx = MmsgRx::bind("[::1]:0").expect("bind loopback");
         let addr = rx.local_addr().unwrap();
         let mut tx = MmsgTx::connect(addr).expect("connect loopback");
@@ -876,34 +874,71 @@ mod tests {
     }
 
     #[test]
-    fn mmsg_interops_with_std_backend() {
-        // mmsg TX → std RX and std TX → mmsg RX: it is the same wire
-        // format, only the syscall shape differs.
-        let mut std_rx = crate::sockio::UdpRx::bind("[::1]:0").unwrap();
+    fn mmsg_interops_with_std_sockets() {
+        // mmsg TX → a plain std socket and a plain std socket → mmsg RX:
+        // it is the same wire format, only the syscall shape differs. The
+        // std socket has no `UDP_GRO`, so it reads one frame per datagram.
+        let std_rx = std::net::UdpSocket::bind("[::1]:0").unwrap();
+        std_rx.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
         let mut tx = MmsgTx::connect(std_rx.local_addr().unwrap()).unwrap();
         let frames: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i ^ 0x5a; 24]).collect();
         let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
         assert_eq!(tx.send_frames(&refs).unwrap(), 8);
-        let mut batch = FrameBatch::new(16, 64);
-        let mut got = 0;
-        for _ in 0..500 {
-            got += std_rx.fill(&mut batch).unwrap();
-            if got >= 8 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        let mut buf = [0u8; 64];
+        for (i, frame) in frames.iter().enumerate() {
+            let len = std_rx.recv(&mut buf).expect("datagram from mmsg");
+            assert_eq!(&buf[..len], &frame[..], "frame {i} intact and in order");
         }
-        assert_eq!(got, 8);
 
         let mut mmsg_rx = MmsgRx::bind("[::1]:0").unwrap();
-        let mut std_tx = crate::sockio::UdpTx::connect(mmsg_rx.local_addr().unwrap()).unwrap();
-        assert_eq!(std_tx.send_frames(&refs).unwrap(), 8);
+        let std_tx = std::net::UdpSocket::bind("[::1]:0").unwrap();
+        std_tx.connect(mmsg_rx.local_addr().unwrap()).unwrap();
+        for frame in &frames {
+            assert_eq!(std_tx.send(frame).unwrap(), frame.len());
+        }
         let mut batch = FrameBatch::new(16, 64);
         assert_eq!(wait_fill(&mut mmsg_rx, &mut batch, 8), 8);
         let received: Vec<&[u8]> = batch.frames().collect();
         for (i, frame) in received.iter().enumerate() {
             assert_eq!(*frame, &frames[i][..]);
         }
+    }
+
+    #[test]
+    fn refused_sends_are_drops_not_errors() {
+        // A vanished peer surfaces ICMP port-unreachable as
+        // ConnectionRefused on a *later* send. The burst must keep going
+        // with the refused frames counted as drops (`Ok(n < len)`), never
+        // abort the flush mid-batch with an `Err`: not from the grouped
+        // `sendmmsg` path, nor from the single-frame path.
+        let victim = std::net::UdpSocket::bind("[::1]:0").unwrap();
+        let addr = victim.local_addr().unwrap();
+        drop(victim);
+        let mut tx = MmsgTx::connect(addr).unwrap();
+        // Two GSO groups: a run of 24 B closed by a shorter frame, then a
+        // run of 32 B.
+        let frames: Vec<Vec<u8>> =
+            [24, 24, 24, 16, 32, 32, 32, 32].iter().enumerate().map(|(i, &len)| vec![i as u8; len]).collect();
+        let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+        let mut saw_drop = false;
+        for _ in 0..50 {
+            let sent = tx.send_frames(&refs).expect("refused sends are drops, not batch-aborting errors");
+            if sent < frames.len() {
+                saw_drop = true;
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(saw_drop, "ICMP refusal on loopback reported as drops");
+        let mut refused_single = false;
+        for _ in 0..50 {
+            if !tx.send_frame(&frames[0]).expect("a refused frame is a drop, not an error") {
+                refused_single = true;
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(refused_single, "ICMP refusal on the single-frame path reported as a drop");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! queue-depth = 1024       # descriptor ring slots per shard (≤ MAX_QUEUE_DEPTH)
 //! rx-burst = 64            # datagrams pulled per socket read burst (≤ MAX_RX_BURST)
 //! stats-socket = /tmp/srv6d.sock
-//! io-backend = auto        # mmsg | auto (recvmmsg/sendmmsg bursts; auto falls back off Linux)
+//! io-backend = mmsg        # recvmmsg/sendmmsg bursts, the one backend (`auto` is read as mmsg)
 //! pin = compact            # none | compact | spread | explicit core list (0,2,4)
 //! pin-dispatcher = 0       # optionally pin the dispatcher thread too
 //!
@@ -103,8 +103,9 @@ pub struct DaemonConfig {
     pub rx_burst: usize,
     /// Unix socket path for the stats/control endpoint (optional).
     pub stats_socket: Option<PathBuf>,
-    /// Socket backend (`io-backend = mmsg|auto`). Resolved by
-    /// [`crate::io::resolve_backend`] at start; not live-reloadable.
+    /// Socket backend (`io-backend = mmsg`; `auto` is a synonym kept so
+    /// older configs load). Resolved by [`crate::io::resolve_backend`] at
+    /// start.
     pub io_backend: IoBackendChoice,
     /// Shard-thread pin policy (`pin = none|compact|spread|<core list>`).
     pub pinning: PinPolicy,
@@ -127,25 +128,19 @@ impl Default for DaemonConfig {
     }
 }
 
-/// The `io-backend =` choice: whether the daemon insists on the batched
-/// kernel backend or takes the best one the host has.
+/// The `io-backend =` value. There is one kernel backend, so there is
+/// one value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoBackendChoice {
     /// Raw `recvmmsg(2)`/`sendmmsg(2)`, one syscall per burst. Linux
-    /// only; configuring it elsewhere is a start-time error.
-    Mmsg,
-    /// `mmsg` where supported; elsewhere standard-library UDP sockets,
-    /// one syscall per datagram. The default.
+    /// only: elsewhere the daemon fails to start at its first socket.
     #[default]
-    Auto,
+    Mmsg,
 }
 
 impl fmt::Display for IoBackendChoice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            IoBackendChoice::Mmsg => "mmsg",
-            IoBackendChoice::Auto => "auto",
-        })
+        f.write_str("mmsg")
     }
 }
 
@@ -334,7 +329,7 @@ impl Config {
         if self.daemon != other.daemon {
             return Err(ConfigError::global(
                 "[daemon] settings (workers / batch-size / queue-depth / rx-burst / stats-socket / \
-                 io-backend / pin / pin-dispatcher) cannot change across a live reload — restart \
+                 pin / pin-dispatcher) cannot change across a live reload — restart \
                  the daemon",
             ));
         }
@@ -476,8 +471,7 @@ fn daemon_key(daemon: &mut DaemonConfig, num: usize, key: &str, value: &str) -> 
         "stats-socket" => daemon.stats_socket = Some(PathBuf::from(value)),
         "io-backend" => {
             daemon.io_backend = match value {
-                "mmsg" => IoBackendChoice::Mmsg,
-                "auto" => IoBackendChoice::Auto,
+                "mmsg" | "auto" => IoBackendChoice::Mmsg,
                 other => {
                     return Err(ConfigError::at(
                         num,
@@ -1055,16 +1049,20 @@ route = ::/0 dev 7
             "stats-socket = /tmp/srv6d-test.sock\nio-backend = auto\npin = 0,2\npin-dispatcher = 1",
         );
         let cfg = Config::parse(&text).unwrap();
-        assert_eq!(cfg.daemon.io_backend, IoBackendChoice::Auto);
+        assert_eq!(cfg.daemon.io_backend, IoBackendChoice::Mmsg, "`auto` is read as mmsg");
         assert_eq!(cfg.daemon.pinning, PinPolicy::Explicit(vec![0, 2]));
         assert_eq!(cfg.daemon.pin_dispatcher, Some(1));
 
         let text = GOOD.replace("rx-burst = 32", "rx-burst = 32\nio-backend = mmsg");
         assert_eq!(Config::parse(&text).unwrap().daemon.io_backend, IoBackendChoice::Mmsg);
+        // Spelling it `auto` or `mmsg` is the same config: a live reload
+        // between the two is no change.
+        let auto = GOOD.replace("rx-burst = 32", "rx-burst = 32\nio-backend = auto");
+        assert!(Config::parse(&text).unwrap().reloadable_from(&Config::parse(&auto).unwrap()).is_ok());
 
         // The defaults hold when the keys are absent.
         let cfg = Config::parse(GOOD).unwrap();
-        assert_eq!(cfg.daemon.io_backend, IoBackendChoice::Auto);
+        assert_eq!(cfg.daemon.io_backend, IoBackendChoice::Mmsg);
         assert_eq!(cfg.daemon.pinning, PinPolicy::None);
         assert_eq!(cfg.daemon.pin_dispatcher, None);
     }
@@ -1087,15 +1085,11 @@ route = ::/0 dev 7
     }
 
     #[test]
-    fn reload_guard_rejects_backend_and_pinning_changes() {
+    fn reload_guard_rejects_pinning_changes() {
         let base = Config::parse(GOOD).unwrap();
-        let mut flipped = base.clone();
-        flipped.daemon.io_backend = IoBackendChoice::Mmsg;
-        let err = base.reloadable_from(&flipped).unwrap_err().to_string();
-        assert!(err.contains("io-backend"), "{err}");
-
         let mut pinned = base.clone();
         pinned.daemon.pinning = PinPolicy::Compact;
-        assert!(base.reloadable_from(&pinned).is_err());
+        let err = base.reloadable_from(&pinned).unwrap_err().to_string();
+        assert!(err.contains("pin"), "{err}");
     }
 }

@@ -3,15 +3,14 @@
 //! [`IoBackend`] is the factory the daemon asks for one receiver per
 //! (tenant, RX queue) and one transmitter per (tenant, egress interface).
 //! [`resolve_backend`] hands out the kernel one — `recvmmsg`/`sendmmsg`
-//! bursts over [`netpkt::sockio::mmsg`] on Linux, per-datagram
-//! [`netpkt::sockio`] UDP sockets where that is unavailable — and
+//! bursts over [`netpkt::sockio::mmsg`], which needs Linux — and
 //! [`MemBackend`] is the deterministic in-memory fabric lifecycle tests run
 //! the whole daemon on: same daemon code, no network, every injected frame
 //! observable on the far side.
 
 use crate::config::IoBackendChoice;
-use netpkt::sockio::mmsg::{self, MmsgRx, MmsgTx};
-use netpkt::sockio::{mem_link, FrameBatch, MemRx, MemTx, PacketRx, PacketTx, UdpRx, UdpTx};
+use netpkt::sockio::mmsg::{MmsgRx, MmsgTx};
+use netpkt::sockio::{mem_link, FrameBatch, MemRx, MemTx, PacketRx, PacketTx};
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
@@ -29,23 +28,9 @@ pub trait IoBackend: Send {
     fn open_tx(&mut self, tenant: &str, oif: u32, peer: SocketAddr) -> io::Result<Box<dyn PacketTx>>;
 }
 
-/// The fallback off Linux: one non-blocking UDP socket bound per RX
-/// queue, one connected UDP socket per egress interface, one syscall per
-/// datagram.
-struct UdpBackend;
-
-impl IoBackend for UdpBackend {
-    fn open_rx(&mut self, _tenant: &str, _queue: u32, listen: SocketAddr) -> io::Result<Box<dyn PacketRx>> {
-        Ok(Box::new(UdpRx::bind(listen)?))
-    }
-
-    fn open_tx(&mut self, _tenant: &str, _oif: u32, peer: SocketAddr) -> io::Result<Box<dyn PacketTx>> {
-        Ok(Box::new(UdpTx::connect(peer)?))
-    }
-}
-
-/// The Linux backend: `recvmmsg(2)`/`sendmmsg(2)` sockets from
-/// [`netpkt::sockio::mmsg`], moving a whole burst per syscall.
+/// The kernel backend: `recvmmsg(2)`/`sendmmsg(2)` sockets from
+/// [`netpkt::sockio::mmsg`], moving a whole burst per syscall. Off Linux
+/// every open fails with `Unsupported`.
 struct MmsgBackend;
 
 impl IoBackend for MmsgBackend {
@@ -58,23 +43,11 @@ impl IoBackend for MmsgBackend {
     }
 }
 
-/// Resolves the configured `io-backend` choice to the kernel backend plus
-/// the name `srv6d check` and the startup banner print. `auto` takes mmsg
-/// where the host supports it and falls back to per-datagram `std`
-/// sockets elsewhere — the callers never `cfg` on the platform, the same
-/// pattern as the exec-tier auto-pick. Asking for `mmsg` explicitly on a
-/// host without it is a start-time error, not a silent downgrade.
-pub fn resolve_backend(choice: IoBackendChoice) -> io::Result<(Box<dyn IoBackend>, &'static str)> {
-    if mmsg::supported() {
-        return Ok((Box::new(MmsgBackend), "mmsg"));
-    }
-    match choice {
-        IoBackendChoice::Mmsg => Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "io-backend = mmsg requires Linux (use 'auto' to fall back)",
-        )),
-        IoBackendChoice::Auto => Ok((Box::new(UdpBackend), "std")),
-    }
+/// The kernel backend for the configured `io-backend`, plus the name the
+/// startup banner prints. There is one choice, so this never fails; off
+/// Linux the daemon's first socket open reports `Unsupported` instead.
+pub fn resolve_backend(_choice: IoBackendChoice) -> io::Result<(Box<dyn IoBackend>, &'static str)> {
+    Ok((Box::new(MmsgBackend), "mmsg"))
 }
 
 /// The far ends of every link a [`MemBackend`] has opened: injectors for

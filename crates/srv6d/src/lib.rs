@@ -6,8 +6,8 @@
 //! long-running daemon that
 //!
 //! * binds one UDP/IPv6 socket per (tenant, RX queue) and ingests with
-//!   one `recvmmsg(2)` per burst ([`netpkt::sockio::mmsg`]; per-datagram
-//!   reads off Linux) straight into recycled `BufPool` storage via the
+//!   one `recvmmsg(2)` per burst ([`netpkt::sockio::mmsg`], Linux only)
+//!   straight into recycled `BufPool` storage via the
 //!   pool's `enqueue_bytes_all` — one copy in, zero allocations after
 //!   warmup;
 //! * runs the multi-tenant [`seg6_runtime::WorkerPool`] datapath and

@@ -112,18 +112,7 @@ fn check(args: &[String]) -> ExitCode {
                 config.tenants.iter().map(|t| t.routes.len()).sum::<usize>(),
                 config.tenants.iter().map(|t| t.sids.len()).sum::<usize>()
             );
-            // Resolve the io-backend exactly as `run` would, so a config
-            // that cannot start here (mmsg on a non-Linux host) fails the
-            // check rather than the deploy.
-            match resolve_backend(config.daemon.io_backend) {
-                Ok((_, name)) => {
-                    println!("io-backend: {} (configured {})", name, config.daemon.io_backend)
-                }
-                Err(e) => {
-                    eprintln!("io-backend: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+            println!("io-backend: {}", config.daemon.io_backend);
             let cores = seg6_runtime::affinity::available_cores();
             let plan = config.daemon.pinning.plan(config.daemon.workers, &cores);
             println!(

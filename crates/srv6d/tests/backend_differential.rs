@@ -1,6 +1,6 @@
 //! Differential backend test: the same traffic profile pushed through
-//! the in-memory fabric and through the kernel backend `io-backend =
-//! auto` resolves to (`recvmmsg`/`sendmmsg` on Linux) must leave the
+//! the in-memory fabric and through the kernel backend
+//! (`recvmmsg`/`sendmmsg`) must leave the
 //! daemon in the same state — identical verdict counters, identical
 //! socket I/O totals, the identical multiset of emitted frames, and a
 //! mint-flat buffer arena after warmup on both. The backends differ only
@@ -9,7 +9,8 @@
 //! daemon's syscall count to the bound its code allows per service pass.
 
 use netpkt::packet::build_ipv6_udp_packet;
-use netpkt::sockio::{FrameBatch, PacketRx, UdpRx};
+use netpkt::sockio::{FrameBatch, PacketRx};
+use netpkt::MmsgRx;
 use srv6d::{resolve_backend, Config, IoBackend, IoBackendChoice, MemBackend, Srv6Daemon};
 use std::net::Ipv6Addr;
 use std::time::{Duration, Instant};
@@ -188,7 +189,7 @@ fn run_socket(
     frames: &[Vec<u8>],
 ) -> (Outcome, SyscallTally) {
     // The capture socket must exist before the daemon connects to it.
-    let mut capture = UdpRx::bind(format!("[::1]:{peer_port}")).expect("bind capture");
+    let mut capture = MmsgRx::bind(format!("[::1]:{peer_port}")).expect("bind capture");
     let mut daemon = Srv6Daemon::start(daemon_config(listen_port, peer_port), backend).expect("starts");
     let sender = std::net::UdpSocket::bind("[::1]:0").expect("bind sender");
     let dest = format!("[::1]:{listen_port}");
@@ -250,17 +251,12 @@ fn all_backends_reach_the_same_state_on_the_same_traffic() {
     assert_eq!(mem.egress.len(), 2 * FORWARDED_PER_PASS);
     assert_eq!(mem.minted_in_pass_two, 0, "steady-state pass minted arena buffers");
 
-    let (backend, name) = resolve_backend(IoBackendChoice::Auto).expect("a kernel backend");
+    let (backend, name) = resolve_backend(IoBackendChoice::Mmsg).expect("the kernel backend");
     let (kernel, tally) = run_socket(backend, 46400, 46500, &frames);
     assert_eq!(kernel, mem, "{name} backend diverged from the in-memory reference");
-
-    // The bound is the batched backend's; off Linux `auto` falls back to
-    // per-datagram sockets, which it is meant to reject.
-    if name == "mmsg" {
-        assert!(
-            tally.syscalls <= tally.bound(),
-            "{name} exceeded the {} syscalls its code allows: {tally:?}",
-            tally.bound()
-        );
-    }
+    assert!(
+        tally.syscalls <= tally.bound(),
+        "{name} exceeded the {} syscalls its code allows: {tally:?}",
+        tally.bound()
+    );
 }

@@ -4,7 +4,8 @@
 //! loopback UDP or the deterministic in-memory backend.
 
 use netpkt::packet::build_ipv6_udp_packet;
-use netpkt::sockio::{FrameBatch, PacketRx, PacketTx, UdpRx, UdpTx};
+use netpkt::sockio::{FrameBatch, PacketRx, PacketTx};
+use netpkt::{MmsgRx, MmsgTx};
 use srv6d::{resolve_backend, Config, IoBackendChoice, MemBackend, Srv6Daemon};
 use std::net::Ipv6Addr;
 use std::time::{Duration, Instant};
@@ -55,18 +56,18 @@ fn loopback_end_to_end_counts_every_frame() {
     .expect("valid config");
 
     // The peer capture socket must exist before the daemon connects to it.
-    let mut capture = UdpRx::bind("[::1]:41100").expect("bind capture");
-    let (backend, _) = resolve_backend(IoBackendChoice::Auto).expect("a kernel backend");
+    let mut capture = MmsgRx::bind("[::1]:41100").expect("bind capture");
+    let (backend, _) = resolve_backend(IoBackendChoice::Mmsg).expect("the kernel backend");
     let mut daemon = Srv6Daemon::start(config, backend).expect("daemon starts");
 
     // Two RX queues: frames alternate between the bound ports. Sends,
     // daemon service passes and egress reads interleave in small bursts
     // so no loopback socket buffer ever has to absorb a whole phase.
-    let mut q0 = UdpTx::connect("[::1]:41000").expect("connect queue 0");
-    let mut q1 = UdpTx::connect("[::1]:41001").expect("connect queue 1");
+    let mut q0 = MmsgTx::connect("[::1]:41000").expect("connect queue 0");
+    let mut q1 = MmsgTx::connect("[::1]:41001").expect("connect queue 1");
     let frames: Vec<Vec<u8>> = (0..N as u32).map(|f| frame_to("2001:db8:f::1", f)).collect();
     let mut batch = FrameBatch::new(64, 2048);
-    let mut run_phase = |daemon: &mut Srv6Daemon, capture: &mut UdpRx, q0: &mut UdpTx, q1: &mut UdpTx| {
+    let mut run_phase = |daemon: &mut Srv6Daemon, capture: &mut MmsgRx, q0: &mut MmsgTx, q1: &mut MmsgTx| {
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut received = 0;
         for burst in frames.chunks(64) {
@@ -134,12 +135,8 @@ fn oversized_datagrams_are_counted_and_never_forwarded() {
          [tenant edge]\nlocal = fc00::1\nlisten = [::1]:44600\npeer = 1 [::1]:44700\nroute = ::/0 dev 1",
     )
     .expect("valid config");
-    let mut capture = UdpRx::bind("[::1]:44700").expect("bind capture");
-    let (backend, name) = resolve_backend(IoBackendChoice::Auto).expect("a kernel backend");
-    if name != "mmsg" {
-        // Only `recvmmsg` reports `MSG_TRUNC`; the std fallback cannot tell.
-        return;
-    }
+    let mut capture = MmsgRx::bind("[::1]:44700").expect("bind capture");
+    let (backend, _) = resolve_backend(IoBackendChoice::Mmsg).expect("the kernel backend");
     let mut daemon = Srv6Daemon::start(config, backend).expect("daemon starts");
     let shared = daemon.shared();
 
@@ -191,18 +188,15 @@ fn coalesced_runs_show_fewer_datagrams_than_frames() {
          [tenant edge]\nlocal = fc00::1\nlisten = [::1]:45200\npeer = 1 [::1]:45300\nroute = ::/0 dev 1",
     )
     .expect("valid config");
-    let mut capture = UdpRx::bind("[::1]:45300").expect("bind capture");
-    let (backend, name) = resolve_backend(IoBackendChoice::Auto).expect("a kernel backend");
-    if name != "mmsg" {
-        return;
-    }
-    let gro = netpkt::MmsgRx::bind("[::1]:0").expect("probe socket").gro();
+    let mut capture = MmsgRx::bind("[::1]:45300").expect("bind capture");
+    let (backend, _) = resolve_backend(IoBackendChoice::Mmsg).expect("the kernel backend");
+    let gro = capture.gro();
     let mut daemon = Srv6Daemon::start(config, backend).expect("daemon starts");
     let shared = daemon.shared();
 
     // Equal-length frames: `MmsgTx` sends each burst as one GSO datagram.
     let frames: Vec<Vec<u8>> = (0..N as u32).map(|f| frame_to("2001:db8:f::1", f)).collect();
-    let mut sender = netpkt::MmsgTx::connect("[::1]:45200").expect("connect sender");
+    let mut sender = MmsgTx::connect("[::1]:45200").expect("connect sender");
     for burst in frames.chunks(16) {
         let refs: Vec<&[u8]> = burst.iter().map(Vec::as_slice).collect();
         assert_eq!(sender.send_frames(&refs).unwrap(), burst.len());

@@ -12,7 +12,7 @@
 //! cover a datagram that runs past its slot into the batch's spill and
 //! datagrams that carry more frames than the batch has slots.
 
-#![cfg(feature = "alloc-counter")]
+#![cfg(all(feature = "alloc-counter", target_os = "linux"))]
 
 use netpkt::sockio::{FrameBatch, PacketRx, PacketTx};
 use netpkt::{MmsgRx, MmsgTx};
@@ -65,9 +65,6 @@ fn refs(frames: &[Vec<u8>]) -> Vec<&[u8]> {
 fn mmsg_send_and_fill_do_not_allocate_once_warm() {
     const BURST: usize = 128;
     const MEASURED_ROUNDS: usize = 32;
-    if !netpkt::sockio::mmsg::supported() {
-        return;
-    }
     let mut rx = MmsgRx::bind("[::1]:0").expect("bind loopback");
     let mut tx = MmsgTx::connect(rx.local_addr().expect("bound address")).expect("connect loopback");
     // The daemon's own output lengths per tenant window (152, 152, 112,

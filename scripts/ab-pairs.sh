@@ -11,12 +11,22 @@
 # checkout root. Odd pairs run the parent first, even pairs the change, so
 # a slow or fast phase of the host lands on both sides alike.
 #
-# Prints one line per pair: each side's four end-to-end metrics and
-# `correct`/`failed`. Then, per metric, each side's median and IQR (the
-# distance between the quartiles), the ratio of the medians (change ÷
-# parent) and in how many pairs the change was better. A claimed gain
-# holds when the change wins at least nine pairs in ten and its median
-# beats the parent's by more than the parent's IQR.
+# The end-to-end metrics, which way each is better and its bound come
+# from the change's BENCHMARK.json (`end_to_end`). Prints one line per
+# pair: each side's end-to-end metrics and `correct`/`failed`. Then, per
+# metric, each side's median and IQR (the distance between the quartiles,
+# also as a percentage of that side's median), the ratio of the medians
+# (change ÷ parent), in how many pairs the change was better, and one
+# verdict:
+#
+#   gain        the change wins at least nine pairs in ten and its median
+#               beats the parent's by more than the parent's IQR;
+#   worse       the change's median is worse than the parent's by more
+#               than the metric's bound;
+#   unresolved  either side's IQR is wider than the bound, and the runs
+#               do not all order the same way (every change run better
+#               than every parent run, or every one worse);
+#   no move     none of the above.
 #
 # Needs bash, cargo and jq; reads and writes nothing under benchmark/.
 set -euo pipefail
@@ -51,9 +61,14 @@ run_side() {
         <<<"$result" >>"$work/log.jsonl"
 }
 
-metrics='["pps", "cpu_ns_per_pkt", "setup_s", "peak_rss_mb"]'
-printf '%-4s %-6s %-7s %14s %14s %14s %14s  %s\n' \
-    pair first side pps cpu_ns_per_pkt setup_s peak_rss_mb correct/failed
+# [{name, better, bound}] of every end-to-end metric.
+rules="$(jq -c '[.end_to_end[] | {name, better, bound}]' "$change/BENCHMARK.json")"
+metrics="$(jq -c 'map(.name)' <<<"$rules")"
+{
+    printf '%-4s %-6s %-7s' pair first side
+    jq -r '.[]' <<<"$metrics" | while read -r name; do printf ' %14s' "$name"; done
+    printf '  %s\n' correct/failed
+}
 for pair in $(seq 1 "$pairs"); do
     if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
     for side in $order; do
@@ -65,28 +80,49 @@ for pair in $(seq 1 "$pairs"); do
           + [.result.metrics[$m[]].value | tostring]
           + ["\(.result.correct)/\(.result.failed)"]
         | @tsv' "$work/log.jsonl" |
-        while IFS=$'\t' read -r p f s a b c d ok; do
-            printf '%-4s %-6s %-7s %14.6g %14.6g %14.6g %14.6g  %s\n' "$p" "$f" "$s" "$a" "$b" "$c" "$d" "$ok"
+        while IFS=$'\t' read -r -a row; do
+            printf '%-4s %-6s %-7s' "${row[@]:0:3}"
+            printf ' %14.6g' "${row[@]:3:${#row[@]}-4}"
+            printf '  %s\n' "${row[-1]}"
         done
 done
 
 echo
-jq -rs --argjson m "$metrics" --arg workload "$workload" '
+jq -rs --argjson rules "$rules" --arg workload "$workload" '
     def quantile(p): sort as $s | ($s | length) as $n | (($n - 1) * p) as $h | ($h | floor) as $lo
         | $s[$lo] + ($h - $lo) * ($s[[$lo + 1, $n - 1] | min] - $s[$lo]);
     def sig: if . == 0 then 0 else (pow(10; 3 - (fabs | log10 | floor))) as $f | (. * $f | round) / $f end;
-    def higher_is_better: . == "pps";
+    def iqr: (quantile(0.75)) - (quantile(0.25));
+    # The IQR as a share of the median (0 when the median is 0).
+    def spread: (quantile(0.5)) as $med | if $med == 0 then 0 else (iqr / ($med | fabs)) end;
+    def pct: . * 1000 | round / 10 | tostring + " %";
     (map(select(.side == "parent")) | sort_by(.pair)) as $p
     | (map(select(.side == "change")) | sort_by(.pair)) as $c
     | "\($workload): \($p | length) pairs; all correct: \(all(.[]; .result.correct)); failed: \(map(.result.failed) | add)",
-      ($m[] as $name
+      ($rules[] as $rule
+        | $rule.name as $name
+        # +1 where higher is better, -1 where lower is: sign * (x - y) > 0
+        # means x is better than y.
+        | (if $rule.better == "higher" then 1 else -1 end) as $sign
         | ($p | map(.result.metrics[$name].value)) as $pv
         | ($c | map(.result.metrics[$name].value)) as $cv
-        | ([range(0; $pv | length)]
-            | map(if ($name | higher_is_better) then $cv[.] > $pv[.] else $cv[.] < $pv[.] end)
-            | map(select(.)) | length) as $wins
-        | "\($name): parent median \($pv | quantile(0.5) | sig) IQR \(($pv | quantile(0.75)) - ($pv | quantile(0.25)) | sig)"
-          + " | change median \($cv | quantile(0.5) | sig) IQR \(($cv | quantile(0.75)) - ($cv | quantile(0.25)) | sig)"
-          + " | ratio \(($cv | quantile(0.5)) / ($pv | quantile(0.5)) | sig)"
-          + " | change better in \($wins)/\($pv | length)")
+        | ($pv | length) as $n
+        | ([range(0; $n) | select($sign * ($cv[.] - $pv[.]) > 0)] | length) as $wins
+        # Every change run better (or every one worse) than every parent
+        # run: the order holds whatever the spread.
+        | ($pv | map($sign * .)) as $ps
+        | ($cv | map($sign * .)) as $cs
+        | (($cs | min) > ($ps | max) or ($cs | max) < ($ps | min)) as $ordered
+        | ($pv | quantile(0.5)) as $pmed
+        | ($cv | quantile(0.5)) as $cmed
+        | (if $wins * 10 >= $n * 9 and $sign * ($cmed - $pmed) > ($pv | iqr) then "gain"
+           elif $sign * ($pmed - $cmed) > $rule.bound * ($pmed | fabs) then "worse"
+           elif (($pv | spread) > $rule.bound or ($cv | spread) > $rule.bound)
+                and ($ordered | not) then "unresolved"
+           else "no move" end) as $verdict
+        | "\($name): parent median \($pmed | sig) IQR \($pv | iqr | sig) (\($pv | spread | pct))"
+          + " | change median \($cmed | sig) IQR \($cv | iqr | sig) (\($cv | spread | pct))"
+          + " | ratio \(if $pmed == 0 then "-" else ($cmed / $pmed | sig) end)"
+          + " | change better in \($wins)/\($n)"
+          + " | bound \($rule.bound * 100) % | \($verdict)")
 ' "$work/log.jsonl"
