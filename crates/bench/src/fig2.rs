@@ -287,8 +287,8 @@ mod tests {
     }
 
     /// `srh_walk`'s exact native facts on the Figure 2 packet: `(micro-ops,
-    /// code bytes, spills, elided checks, inlined helper sites, cached
-    /// lookup sites)`, as the shipped programs' are pinned in
+    /// code bytes, spills, elided checks, inlined helper sites)`, as the
+    /// shipped programs' are pinned in
     /// `srv6_nf::progs`. A change to the lowering, the emitter or the
     /// verifier's facts shows here as a diff of numbers; update the tuple
     /// only with the reason.
@@ -304,17 +304,10 @@ mod tests {
         let micro_ops = ebpf_vm::jit::compile(&loaded).unwrap().len();
         let native = loaded.native().expect("native backend available");
         let debug = native.debug_info();
-        let facts = (
-            micro_ops,
-            native.code_len(),
-            debug.spills,
-            debug.elided_checks,
-            debug.inlined_helpers,
-            debug.lookup_sites,
-        );
+        let facts = (micro_ops, native.code_len(), debug.spills, debug.elided_checks, debug.inlined_helpers);
         assert_eq!(
             facts,
-            (318, 15538, 0, 105, 0, 0),
+            (318, 15538, 0, 105, 0),
             "srh_walk: native facts moved (homes {:?})",
             debug.assignments
         );
@@ -356,8 +349,9 @@ mod tests {
         ctx[8..16].copy_from_slice(&(PKT_BASE + template.len() as u64).to_le_bytes());
         let walk_ns = |tier: ExecTier| {
             let (mut ctx, mut packet, mut state) = (ctx.clone(), template.clone(), RunState::new(ctx.len()));
+            let mut env = NullEnv;
             crate::measure_rate(2_000, || {
-                let mut rc = RunContext { ctx: &mut ctx, packet: &mut packet, env: &mut NullEnv };
+                let mut rc = RunContext::new(&mut ctx, &mut packet, &mut env);
                 run_program_with_state(&srh_walk, &helpers, &mut rc, tier, &mut state)
                     .expect("srh_walk runs");
             })

@@ -392,7 +392,7 @@ pub fn run_tcp(compensated: bool, flows: usize, duration_ns: u64, seed: u64) -> 
     let mut goodput = 0.0;
     let mut out_of_order = 0;
     for handle in &receiver_handles {
-        let stats = handle.lock();
+        let stats = handle.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         goodput += stats.delivered_bytes as f64 * 8.0 / (duration_ns as f64 / 1e9);
         out_of_order += stats.out_of_order_segments;
     }

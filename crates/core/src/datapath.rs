@@ -495,7 +495,7 @@ impl Exec<'_> {
     /// shard's lock-free snapshot. Results that cannot depend on the flow
     /// (single next hop, or no route) are remembered and never hash it;
     /// ECMP results always re-select.
-    fn lookup_cached(
+    fn lookup_route(
         &self,
         routes: &mut RouteCache,
         table: u32,
@@ -544,7 +544,7 @@ impl Exec<'_> {
         // Next hop known but not the interface: find the interface by
         // looking the next hop itself up.
         if let Some(nexthop) = over.nexthop {
-            return match self.lookup_cached(routes, MAIN_TABLE, nexthop, flow) {
+            return match self.lookup_route(routes, MAIN_TABLE, nexthop, flow) {
                 Some(result) => Verdict::Forward { oif: result.nexthop.oif, neighbour: nexthop },
                 None => Verdict::Drop(DropReason::NoRoute),
             };
@@ -552,7 +552,7 @@ impl Exec<'_> {
         // Otherwise: ordinary lookup of the destination in the requested
         // table (End.T / End.DT6) or the main one.
         let table = over.table.unwrap_or(MAIN_TABLE);
-        match self.lookup_cached(routes, table, dst, flow) {
+        match self.lookup_route(routes, table, dst, flow) {
             Some(result) => {
                 Verdict::Forward { oif: result.nexthop.oif, neighbour: result.nexthop.neighbour(dst) }
             }

@@ -23,11 +23,10 @@
 //! shards touch no shared lock at all.
 
 use netpkt::Ipv6Prefix;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Identifier of one routing table, as `End.T` / `End.DT6` reference it
 /// (mirrors the kernel's numeric `rt_table` ids).
@@ -456,7 +455,7 @@ impl RouterTables {
     /// place. Route churn under live traffic therefore costs at most one
     /// table clone per snapshot refresh.
     pub fn insert(&self, table: TableId, prefix: Ipv6Prefix, nexthops: Vec<Nexthop>) {
-        let mut guard = self.tables.write();
+        let mut guard = self.tables.write().unwrap_or_else(PoisonError::into_inner);
         let fib = guard.entry(table).or_default();
         Arc::make_mut(fib).insert(prefix, nexthops);
         self.generation.fetch_add(1, Ordering::Release);
@@ -475,15 +474,15 @@ impl RouterTables {
     /// name return the same id. This is the tenancy hook: one VRF per
     /// tenant, `End.T` / `End.DT6` bound to the returned id.
     pub fn register_vrf(&self, name: &str) -> TableId {
-        if let Some(id) = self.vrfs.read().names.get(name) {
+        if let Some(id) = self.vrfs.read().unwrap_or_else(PoisonError::into_inner).names.get(name) {
             return *id;
         }
         // Lock order: vrfs before tables (the only place both are held).
-        let mut vrfs = self.vrfs.write();
+        let mut vrfs = self.vrfs.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(id) = vrfs.names.get(name) {
             return *id;
         }
-        let mut tables = self.tables.write();
+        let mut tables = self.tables.write().unwrap_or_else(PoisonError::into_inner);
         let mut id = vrfs.next.max(VRF_TABLE_BASE);
         while tables.contains_key(&id) {
             id += 1;
@@ -498,14 +497,20 @@ impl RouterTables {
 
     /// The table id of VRF `name`, if it was registered.
     pub fn vrf(&self, name: &str) -> Option<TableId> {
-        self.vrfs.read().names.get(name).copied()
+        self.vrfs.read().unwrap_or_else(PoisonError::into_inner).names.get(name).copied()
     }
 
     /// Every registered VRF as `(name, table id)`, sorted by id (stable
     /// output for inspection and export).
     pub fn vrf_names(&self) -> Vec<(String, TableId)> {
-        let mut out: Vec<(String, TableId)> =
-            self.vrfs.read().names.iter().map(|(name, id)| (name.clone(), *id)).collect();
+        let mut out: Vec<(String, TableId)> = self
+            .vrfs
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .names
+            .iter()
+            .map(|(name, id)| (name.clone(), *id))
+            .collect();
         out.sort_by_key(|(_, id)| *id);
         out
     }
@@ -526,7 +531,7 @@ impl RouterTables {
 
     /// Removes a route from table `table`.
     pub fn remove(&self, table: TableId, prefix: &Ipv6Prefix) -> bool {
-        let mut guard = self.tables.write();
+        let mut guard = self.tables.write().unwrap_or_else(PoisonError::into_inner);
         let removed = guard.get_mut(&table).is_some_and(|fib| Arc::make_mut(fib).remove(prefix));
         if removed {
             self.generation.fetch_add(1, Ordering::Release);
@@ -543,7 +548,7 @@ impl RouterTables {
     /// Snapshots the current tables (cheap `Arc` clones, one per table)
     /// into `out`, returning the generation the snapshot corresponds to.
     pub fn snapshot_into(&self, out: &mut Vec<(TableId, Arc<Fib>)>) -> u64 {
-        let guard = self.tables.read();
+        let guard = self.tables.read().unwrap_or_else(PoisonError::into_inner);
         out.clear();
         out.extend(guard.iter().map(|(id, fib)| (*id, Arc::clone(fib))));
         // Read under the same lock writers bump it under, so the snapshot
@@ -553,7 +558,12 @@ impl RouterTables {
 
     /// Looks `dst` up in table `table`.
     pub fn lookup(&self, table: TableId, dst: Ipv6Addr, flow_hash: u64) -> Option<LookupResult> {
-        self.tables.read().get(&table).and_then(|fib| fib.lookup(dst, flow_hash)).map(LookupHit::to_result)
+        self.tables
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&table)
+            .and_then(|fib| fib.lookup(dst, flow_hash))
+            .map(LookupHit::to_result)
     }
 
     /// Looks `dst` up in the main table.
@@ -572,14 +582,14 @@ impl RouterTables {
     /// the read lock is held — the allocation-free form of
     /// [`RouterTables::ecmp_nexthops`] for per-packet helpers.
     pub fn with_ecmp_nexthops<R>(&self, dst: Ipv6Addr, f: impl FnOnce(&[Nexthop]) -> R) -> R {
-        let guard = self.tables.read();
+        let guard = self.tables.read().unwrap_or_else(PoisonError::into_inner);
         let nexthops = guard.get(&MAIN_TABLE).map(|fib| fib.ecmp_nexthops(dst)).unwrap_or(&[]);
         f(nexthops)
     }
 
     /// Number of routes across all tables.
     pub fn total_routes(&self) -> usize {
-        self.tables.read().values().map(|fib| fib.len()).sum()
+        self.tables.read().unwrap_or_else(PoisonError::into_inner).values().map(|fib| fib.len()).sum()
     }
 }
 

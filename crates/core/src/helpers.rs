@@ -370,7 +370,7 @@ mod tests {
         ctx: Vec<u8>,
         packet: Vec<u8>,
         state: RunState,
-        maps: HashMap<u32, ebpf_vm::MapHandle>,
+        maps: ebpf_vm::maps::ProgramMaps,
     }
 
     impl Harness {
@@ -378,18 +378,18 @@ mod tests {
             let skb = Skb::new(PacketBuf::from_slice(&packet));
             let ctx = build_context(&skb);
             let env = Seg6Env::new(addr("fc00::1"), tables, 1000).with_srh_offset(40);
-            Harness { env, ctx, packet, state: RunState::new(64), maps: HashMap::new() }
+            Harness { env, ctx, packet, state: RunState::new(64), maps: Default::default() }
         }
 
         fn call(&mut self, f: ebpf_vm::helpers::HelperFn, args: [u64; 5]) -> i64 {
-            let mut rc = RunContext { ctx: &mut self.ctx, packet: &mut self.packet, env: &mut self.env };
+            let mut rc = RunContext::new(&mut self.ctx, &mut self.packet, &mut self.env);
             let mut api = HelperApi { state: &mut self.state, rc: &mut rc, maps: &self.maps };
             f(&mut api, args)
         }
 
         fn stage(&mut self, bytes: &[u8]) -> u64 {
             let addr = STACK_BASE + 64;
-            let mut rc = RunContext { ctx: &mut self.ctx, packet: &mut self.packet, env: &mut self.env };
+            let mut rc = RunContext::new(&mut self.ctx, &mut self.packet, &mut self.env);
             let mut api = HelperApi { state: &mut self.state, rc: &mut rc, maps: &self.maps };
             api.write_bytes(addr, bytes).unwrap();
             addr

@@ -254,7 +254,7 @@ pub fn run_bpf(
         ctx::build_context_into(skb, ctx_bytes);
         let code = {
             let packet = &mut SkbPacket(&mut skb.packet);
-            let mut rc = RunContext { ctx: ctx_bytes.as_mut_slice(), packet, env: &mut *env };
+            let mut rc = RunContext::new(ctx_bytes.as_mut_slice(), packet, &mut *env);
             ebpf_vm::vm::run_program_with_state(prog, actx.helpers, &mut rc, prog.exec_tier(), state)
                 .map_err(|_| DropReason::BpfError)?
         };

@@ -197,7 +197,7 @@ mod tests {
         let mut ctx = vec![0u8; 16];
         let mut pkt = vec![0u8; 16];
         let mut env = NullEnv;
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
+        let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
         assert_eq!(run_program(&loaded, &helpers, &mut rc).unwrap(), 42);
     }
 

@@ -36,26 +36,35 @@
 //!   compare against `pkt_len` (with a carry check for wrap-around) and
 //!   falls back to the generic resolver on failure so out-of-range
 //!   addresses fault exactly like the interpreter.
-//! * **Other** — the access goes through a trampoline back into
-//!   [`crate::vm::load_scalar`] / [`crate::vm::store_scalar`], byte-for-byte
-//!   the interpreter's path (map values, merged pointer states).
+//! * **MapValue** — the access is inside one value of the map its pointer
+//!   came from; the host address is the synthetic one plus a constant,
+//!   the map's arena address minus its region's base.
+//! * **Other** — the access goes through a trampoline back into the
+//!   interpreter's resolver, byte-for-byte its path (unbounded map-value
+//!   offsets, merged pointer states).
 //!
 //! Helper calls go through a trampoline that rebuilds a [`crate::vm::HelperApi`] and
 //! dispatches through the load-time dense helper table by index — no id
 //! lookup at run time. Because helpers edit the packet where it lives —
 //! moving its front through the headroom, or reallocating it — the
-//! trampoline rebases the packet bias/length after every call.
+//! trampoline rebases the packet bias/length after every call. Three
+//! helpers are inlined instead: `bpf_ktime_get_ns` and
+//! `bpf_get_smp_processor_id` read the environment snapshot, and
+//! `bpf_map_lookup_elem` on an array-family map the verifier pinned to the
+//! call site ([`crate::verifier::AccessFact::MapLookup`]) is the bounds
+//! compare plus multiply of the kernel's `array_map_gen_lookup`.
 //!
 //! ## Safety argument
 //!
 //! Only verifier-accepted programs reach the emitter, and every memory
-//! access is either (a) proven in-bounds by the verifier (stack), (b)
-//! guarded by an emitted bounds check (ctx, packet), or (c) routed through
-//! the same safe Rust resolver the interpreter uses. The verifier also
-//! guarantees termination (no back-edges, ≤ [`crate::insn::MAX_INSNS`]
-//! instructions), which is why native code does not maintain the
-//! instruction budget counter: the budget exists to bound runaway loops the
-//! verifier already rejects.
+//! access is either (a) proven in-bounds by the verifier (stack, map
+//! values, whose arenas the program's maps keep alive), (b) guarded by an
+//! emitted bounds check (ctx, packet, a lookup's key and index), or (c)
+//! routed through the same safe Rust resolver the interpreter uses. The
+//! verifier also guarantees termination (no back-edges, ≤
+//! [`crate::insn::MAX_INSNS`] instructions), which is why native code does
+//! not maintain the instruction budget counter: the budget exists to
+//! bound runaway loops the verifier already rejects.
 //!
 //! On non-x86-64 (or non-Linux) hosts the module compiles to a stub whose
 //! [`compile`] returns `Ok(None)`; callers fall back to the interpreter
@@ -82,10 +91,9 @@ pub struct NativeDebug {
     /// Memory accesses emitted without a trampoline (stack, guarded ctx,
     /// packet fast path, direct map values).
     pub elided_checks: u32,
-    /// Helper call sites emitted with an inline fast path.
+    /// Helper call sites emitted with an inline fast path (environment
+    /// reads and array-map lookups).
     pub inlined_helpers: u32,
-    /// Array-map lookup sites with a per-state result cache.
-    pub lookup_sites: u32,
 }
 
 /// A program lowered to executable machine code.
@@ -231,10 +239,10 @@ mod x86_64 {
     use crate::helpers::ids;
     use crate::insn::{alu, jmp, AccessSize, NUM_REGS, STACK_SIZE};
     use crate::jit::{MicroOp, Operand};
-    use crate::maps::MapType;
+    use crate::maps::ArenaLayout;
     use crate::program::LoadedProgram;
     use crate::verifier::{AccessFact, AccessFacts};
-    use crate::vm::{HelperApi, RunContext, RunState, CTX_BASE, MAP_VALUE_BASE, PKT_BASE, STACK_BASE};
+    use crate::vm::{HelperApi, RunContext, RunState, CTX_BASE, PKT_BASE, STACK_BASE};
     use core::ffi::c_void;
 
     // -----------------------------------------------------------------
@@ -317,12 +325,9 @@ mod x86_64 {
         pkt_len: u64,          // 120
         tramp_ctx: u64,        // 128
         fault: u64,            // 136: 0 = ok, otherwise faulting slot + 1
-        region_tbl: u64,       // 144: RunState's per-region bias table
-        site_cache: u64,       // 152: per-(state, program) lookup cache
-        inline_flags: u64,     // 160: bit 0 = env snapshot valid
-        inline_ktime: u64,     // 168: snapshot ktime_ns
-        inline_cpu: u64,       // 176: snapshot cpu_id
-        inline_cpu_tag: u64,   // 184: (cpu_id + 1) << 32, the cache tag salt
+        inline_flags: u64,     // 144: bit 0 = env snapshot valid
+        inline_ktime: u64,     // 152: snapshot ktime_ns
+        inline_cpu: u64,       // 160: snapshot cpu_id
     }
 
     const OFF_STACK_BIAS: i32 = 8 * NUM_REGS as i32;
@@ -332,12 +337,9 @@ mod x86_64 {
     const OFF_PKT_LEN: i32 = OFF_STACK_BIAS + 32;
     const OFF_TRAMP: i32 = OFF_STACK_BIAS + 40;
     const OFF_FAULT: i32 = OFF_STACK_BIAS + 48;
-    const OFF_REGION_TBL: i32 = OFF_STACK_BIAS + 56;
-    const OFF_SITE_CACHE: i32 = OFF_STACK_BIAS + 64;
-    const OFF_INLINE_FLAGS: i32 = OFF_STACK_BIAS + 72;
-    const OFF_INLINE_KTIME: i32 = OFF_STACK_BIAS + 80;
-    const OFF_INLINE_CPU: i32 = OFF_STACK_BIAS + 88;
-    const OFF_INLINE_CPU_TAG: i32 = OFF_STACK_BIAS + 96;
+    const OFF_INLINE_FLAGS: i32 = OFF_STACK_BIAS + 56;
+    const OFF_INLINE_KTIME: i32 = OFF_STACK_BIAS + 64;
+    const OFF_INLINE_CPU: i32 = OFF_STACK_BIAS + 72;
 
     /// Everything the slow-path trampolines need to re-enter safe Rust.
     /// Lives in the state's [`Bound`] block beside the frame; the generated
@@ -350,14 +352,21 @@ mod x86_64 {
         error: Option<Error>,
     }
 
+    impl TrampCtx {
+        /// The helper view of the run the context is bound to.
+        ///
+        /// # Safety
+        /// Only during that run: [`run`] writes the pointers for it.
+        unsafe fn api(&mut self) -> HelperApi<'_, 'static> {
+            HelperApi { state: &mut *self.state, rc: &mut *self.rc, maps: &(*self.loaded).maps }
+        }
+    }
+
     /// The block behind [`super::NativeSlot`]: frame and trampoline
     /// context, linked to each other once.
     pub(super) struct Bound {
         frame: NativeFrame,
         tc: TrampCtx,
-        /// The program whose lookup-site cache `frame.site_cache` points
-        /// at (0: none yet). Programs without lookup sites never read it.
-        site_uid: u64,
     }
 
     /// The state's [`Bound`] block, allocated and linked on its first
@@ -375,12 +384,9 @@ mod x86_64 {
                     pkt_len: 0,
                     tramp_ctx: 0,
                     fault: 0,
-                    region_tbl: 0,
-                    site_cache: 0,
                     inline_flags: 0,
                     inline_ktime: 0,
                     inline_cpu: 0,
-                    inline_cpu_tag: 0,
                 },
                 tc: TrampCtx {
                     frame: std::ptr::null_mut(),
@@ -389,7 +395,6 @@ mod x86_64 {
                     loaded: std::ptr::null(),
                     error: None,
                 },
-                site_uid: 0,
             }));
             // SAFETY: `bound` is the fresh, uniquely owned allocation made
             // above; the two fields link to each other by address, which
@@ -419,13 +424,13 @@ mod x86_64 {
         }
     }
 
-    /// Generic load slow path: exact interpreter semantics via
-    /// [`crate::vm::load_scalar`]. On error, records the faulting slot in
-    /// the frame so the generated code exits, and parks the error for
-    /// [`run`] to return.
+    /// Generic load slow path: exact interpreter semantics via the
+    /// interpreter's resolver. On error, records the faulting slot in the
+    /// frame so the generated code exits, and parks the error for [`run`]
+    /// to return.
     unsafe extern "C" fn tramp_load(tc: *mut TrampCtx, addr: u64, size: u32, slot: u32) -> u64 {
         let tc = &mut *tc;
-        match crate::vm::load_scalar(&*tc.state, &*tc.rc, addr, decode_size(size)) {
+        match tc.api().load_scalar(addr, decode_size(size)) {
             Ok(value) => value,
             Err(err) => {
                 (*tc.frame).fault = u64::from(slot) + 1;
@@ -438,8 +443,7 @@ mod x86_64 {
     /// Generic store slow path, mirroring [`tramp_load`].
     unsafe extern "C" fn tramp_store(tc: *mut TrampCtx, addr: u64, value: u64, size: u32, slot: u32) {
         let tc = &mut *tc;
-        if let Err(err) = crate::vm::store_scalar(&mut *tc.state, &mut *tc.rc, addr, decode_size(size), value)
-        {
+        if let Err(err) = tc.api().store_scalar(addr, decode_size(size), value) {
             (*tc.frame).fault = u64::from(slot) + 1;
             tc.error = Some(at_slot(err, slot));
         }
@@ -494,33 +498,6 @@ mod x86_64 {
         };
         copy_regs(&mut frame.regs, &state.regs, ALL_REGS);
         rebase_packet(frame, rc);
-        // A lookup helper may have registered a new value region, growing
-        // (and possibly moving) the bias table.
-        frame.region_tbl = state.region_bias_ptr() as u64;
-        ret
-    }
-
-    /// The array-map lookup trampoline: runs the real helper, then — when
-    /// the environment snapshot is active — records the result in this call
-    /// site's cache slot so the next lookup of the same key (and CPU) is an
-    /// inline compare + load. Only emitted for sites the verifier proved to
-    /// read a stack-resident u32 key from an array-family map.
-    unsafe extern "C" fn tramp_helper_cached(tc: *mut TrampCtx, idx: u32, site: u32) -> i64 {
-        let ret = tramp_helper(tc, idx);
-        let tc = &mut *tc;
-        let frame = &mut *tc.frame;
-        if ret != 0 && frame.inline_flags & 1 != 0 && frame.site_cache != 0 {
-            // r2 still holds the key pointer (lookup helpers don't touch
-            // registers) and the verifier proved it readable.
-            if let Ok(key) = crate::vm::load_scalar(&*tc.state, &*tc.rc, frame.regs[2], AccessSize::Word) {
-                // key + 1 must stay within the low 32 tag bits.
-                if key < u64::from(u32::MAX) {
-                    let entry = (frame.site_cache as *mut u64).add(site as usize * 2);
-                    *entry = frame.inline_cpu_tag.wrapping_add(key + 1);
-                    *entry.add(1) = ret as u64;
-                }
-            }
-        }
         ret
     }
 
@@ -660,14 +637,6 @@ mod x86_64 {
             self.rex(w, reg, base);
             self.bytes(opcodes);
             self.modrm_sib(reg & 7, base, index);
-        }
-        /// `mov reg, qword [base + index*8]` — the region-bias table read.
-        fn load64_sib8(&mut self, reg: u8, base: u8, index: u8) {
-            debug_assert!(base < 8 && (base & 7) != 5 && index < 8 && index != 4);
-            self.rex(true, reg, base);
-            self.b(0x8B);
-            self.b(((reg & 7) << 3) | 0b100);
-            self.b(0b1100_0000 | ((index & 7) << 3) | (base & 7));
         }
         /// Immediate-group `0x81 /ext rm, imm32` (add/or/and/sub/xor/cmp).
         fn grp81(&mut self, w: bool, ext: u8, rm: u8, imm: i32) {
@@ -832,10 +801,7 @@ mod x86_64 {
             has_calls |= match op {
                 MicroOp::Call { .. } => true,
                 MicroOp::Load { .. } | MicroOp::StoreReg { .. } | MicroOp::StoreImm { .. } => {
-                    matches!(
-                        facts.get(slot),
-                        AccessFact::Packet | AccessFact::Other | AccessFact::MapLookup { .. }
-                    )
+                    matches!(facts.get(slot), AccessFact::Packet | AccessFact::Other)
                 }
                 _ => false,
             };
@@ -882,7 +848,6 @@ mod x86_64 {
         caller_homed: Vec<(u8, u8)>,
         elided_checks: u32,
         inlined_helpers: u32,
-        lookup_sites: u32,
     }
 
     impl<'a> RegEmitter<'a> {
@@ -1095,26 +1060,24 @@ mod x86_64 {
                 AccessSize::Double => self.asm.op_sib(&[0x89], true, value, base, RCX),
             }
         }
-        /// Resolves the synthetic map-value address in `rcx` to a bias in
-        /// `rdx` via the per-state region table: the region index is the
-        /// address's upper word minus the `MAP_VALUE_BASE` tag. No bounds
-        /// check is needed — the `MapValue` fact proves offset and size,
-        /// and the pointer came from a lookup in this run, so the region
-        /// is registered (and [`tramp_helper`] refreshes the table pointer
-        /// after every helper call).
-        fn emit_region_bias_to_rdx(&mut self) {
-            self.asm.op_rr(&[0x8B], true, RDX, RCX); // mov rdx, rcx
-            self.asm.shift_imm(true, 5, RDX, 32); // shr rdx, 32
-            self.asm.grp81(true, 5, RDX, (MAP_VALUE_BASE >> 32) as i32); // sub
-            self.load_field(RSI, OFF_REGION_TBL);
-            self.asm.load64_sib8(RDX, RSI, RDX); // mov rdx, [rsi + rdx*8]
+        /// The verifier's fact for the access at `slot`. A map-value fact
+        /// needs the map's arena, whose bias `host − synthetic` is a
+        /// constant for the program's life and needs no bounds check: the
+        /// fact proves offset and size against the map's value. A map
+        /// without one looks up only NULL, so its accesses never run, and
+        /// stay on the generic path.
+        fn access_fact(&self, slot: usize) -> AccessFact {
+            match self.facts.get(slot) {
+                AccessFact::MapValue { fd } if self.loaded.maps.bias(fd).is_none() => AccessFact::Other,
+                fact => fact,
+            }
         }
         /// Region dispatch for a load at `slot`; `rcx` holds the synthetic
         /// address, and the result lands directly in `dst`'s home (or its
         /// frame slot).
         fn emit_load_access(&mut self, slot: usize, size: AccessSize, dst: u8) {
             let dest = self.home_of(dst).unwrap_or(RAX);
-            match self.facts.get(slot) {
+            match self.access_fact(slot) {
                 AccessFact::Stack => {
                     self.load_field(RDX, OFF_STACK_BIAS);
                     self.load_mem(size, RDX, dest);
@@ -1128,8 +1091,8 @@ mod x86_64 {
                     self.write_reg(dst, dest);
                     self.elided_checks += 1;
                 }
-                AccessFact::MapValue => {
-                    self.emit_region_bias_to_rdx();
+                AccessFact::MapValue { fd } => {
+                    self.asm.movabs_r(RDX, self.loaded.maps.bias(fd).expect("an arena"));
                     self.load_mem(size, RDX, dest);
                     self.write_reg(dst, dest);
                     self.elided_checks += 1;
@@ -1165,7 +1128,7 @@ mod x86_64 {
         /// Region dispatch for a store at `slot`; `rcx` holds the
         /// synthetic address and `value` the host register with the value.
         fn emit_store_access(&mut self, slot: usize, size: AccessSize, value: u8) {
-            match self.facts.get(slot) {
+            match self.access_fact(slot) {
                 AccessFact::Stack => {
                     self.load_field(RDX, OFF_STACK_BIAS);
                     self.store_mem(size, RDX, value);
@@ -1177,8 +1140,8 @@ mod x86_64 {
                     self.store_mem(size, RDX, value);
                     self.elided_checks += 1;
                 }
-                AccessFact::MapValue => {
-                    self.emit_region_bias_to_rdx();
+                AccessFact::MapValue { fd } => {
+                    self.asm.movabs_r(RDX, self.loaded.maps.bias(fd).expect("an arena"));
                     self.store_mem(size, RDX, value);
                     self.elided_checks += 1;
                 }
@@ -1206,42 +1169,55 @@ mod x86_64 {
             self.reload_homes();
             self.write_reg(0, RAX);
         }
-        /// Array-map lookup with a per-site result cache: tag = cpu_tag +
-        /// key + 1, hit = compare + load, miss = [`tramp_helper_cached`]
-        /// (which fills the site on success). The hit path needs no bounds
-        /// check — only successful lookups are ever cached.
-        fn emit_cached_lookup(&mut self, idx: u32) {
-            let site = self.lookup_sites;
-            self.lookup_sites += 1;
+        /// `bpf_map_lookup_elem` on an array-family map, inlined as the
+        /// kernel's `array_map_gen_lookup` does: `r0 = key < max_entries ?
+        /// base + (cpu % cpus) × block + key × elem : 0`, with `base` the
+        /// map's region and `cpu` the environment snapshot's. The key read
+        /// is a checked stack access; a key outside the stack, or a per-CPU
+        /// map without a snapshot, takes the helper call.
+        fn emit_inline_lookup(&mut self, idx: u32, base: u64, layout: ArenaLayout) {
             self.inlined_helpers += 1;
-            let disp = site as i32 * 16;
-            let slow = self.flag_check();
-            // rcx = host address of the stack-resident key; ecx = key.
+            let mut slow = Vec::new();
+            if layout.cpus > 1 {
+                slow.push(self.flag_check());
+            }
+            // rcx = the key's address; its four bytes must lie in the stack.
             self.read_reg(RCX, 2, true);
+            self.asm.movabs_r(RSI, STACK_BASE);
+            self.asm.op_rr(&[0x8B], true, RDX, RCX); // mov rdx, rcx
+            self.asm.op_rr(&[0x2B], true, RDX, RSI); // sub rdx, rsi
+            self.asm.grp81(true, 7, RDX, STACK_SIZE as i32 - 4); // cmp
+            slow.push(self.asm.jcc32(CC_A));
             self.asm.op_rm(&[0x03], true, RCX, RBX, OFF_STACK_BIAS); // add
             self.asm.op_rm(&[0x8B], false, RCX, RCX, 0); // mov ecx, [rcx]
-            self.load_field(RDX, OFF_INLINE_CPU_TAG);
-            self.asm.op_rr(&[0x03], true, RDX, RCX); // add rdx, rcx
-            self.asm.bytes(&[0x48, 0xFF, 0xC2]); // inc rdx
-            self.load_field(RSI, OFF_SITE_CACHE);
-            self.asm.op_rm(&[0x3B], true, RDX, RSI, disp); // cmp rdx, [..]
-            let miss = self.asm.jcc32(CC_NE);
-            self.asm.op_rm(&[0x8B], true, RAX, RSI, disp + 8); // cached ptr
+            self.asm.grp81(false, 7, RCX, layout.max_entries as i32); // cmp
+            let null = self.asm.jcc32(CC_AE);
+            self.asm.b(0xBA); // mov edx, elem
+            self.asm.i32v(layout.elem as i32);
+            self.asm.op_rr(&[0x0F, 0xAF], true, RCX, RDX); // imul rcx, rdx
+            if layout.cpus > 1 {
+                // rcx += (cpu % cpus) * block
+                self.load_field(RAX, OFF_INLINE_CPU);
+                self.asm.bytes(&[0x33, 0xD2]); // xor edx, edx
+                self.asm.b(0xBE); // mov esi, cpus
+                self.asm.i32v(layout.cpus as i32);
+                self.asm.bytes(&[0xF7, 0xF6]); // div esi
+                self.asm.movabs_r(RSI, layout.block());
+                self.asm.op_rr(&[0x0F, 0xAF], true, RDX, RSI); // imul rdx, rsi
+                self.asm.op_rr(&[0x03], true, RCX, RDX); // add rcx, rdx
+            }
+            self.asm.movabs_r(RAX, base);
+            self.asm.op_rr(&[0x03], true, RAX, RCX); // add rax, rcx
+            let hit = self.asm.jmp8();
+            self.asm.bind(null);
+            self.asm.bytes(&[0x33, 0xC0]); // xor eax, eax
+            self.asm.bind8(hit);
             self.write_reg(0, RAX);
             let done = self.asm.jmp32();
-            self.asm.bind(slow);
-            self.asm.bind(miss);
-            self.flush_homes();
-            self.load_field(RDI, OFF_TRAMP);
-            self.asm.b(0xBE); // mov esi, idx
-            self.asm.i32v(idx as i32);
-            self.asm.b(0xBA); // mov edx, site
-            self.asm.i32v(site as i32);
-            let f: unsafe extern "C" fn(*mut TrampCtx, u32, u32) -> i64 = tramp_helper_cached;
-            self.asm.movabs_r(RAX, f as usize as u64);
-            self.asm.bytes(&[0xFF, 0xD0]); // call rax
-            self.reload_homes();
-            self.write_reg(0, RAX);
+            for pos in slow {
+                self.asm.bind(pos);
+            }
+            self.emit_helper_tramp(idx);
             self.asm.bind(done);
         }
         fn emit_call(&mut self, slot: usize, idx: u32, id: u32) {
@@ -1261,18 +1237,12 @@ mod x86_64 {
                 self.inlined_helpers += 1;
                 return;
             }
-            // Array-family lookups with a verifier-proven stack-resident
-            // u32 key get the per-site cache fast path.
-            if id == ids::MAP_LOOKUP_ELEM {
-                if let AccessFact::MapLookup { fd, key_in_stack: true } = self.facts.get(slot) {
-                    if let Some(map) = self.loaded.maps.get(&fd) {
-                        if matches!(map.map_type(), MapType::Array | MapType::PerCpuArray)
-                            && map.key_size() == 4
-                        {
-                            self.emit_cached_lookup(idx);
-                            return;
-                        }
-                    }
+            // A lookup whose map the verifier pinned is arithmetic on that
+            // map's region, if it has one.
+            if let AccessFact::MapLookup { fd } = self.facts.get(slot) {
+                if let Some((base, layout)) = self.loaded.maps.region(fd) {
+                    self.emit_inline_lookup(idx, base, layout);
+                    return;
                 }
             }
             self.emit_helper_tramp(idx);
@@ -1590,7 +1560,6 @@ mod x86_64 {
             caller_homed: plan.caller_homed.clone(),
             elided_checks: 0,
             inlined_helpers: 0,
-            lookup_sites: 0,
         };
         // Prologue: push rbx + the callee-saved homes. Entry rsp is at
         // 8 mod 16, so an odd push count re-aligns it for the trampoline
@@ -1657,7 +1626,6 @@ mod x86_64 {
             spills: plan.spills,
             elided_checks: e.elided_checks,
             inlined_helpers: e.inlined_helpers,
-            lookup_sites: e.lookup_sites,
         };
         let live_regs = if ops.iter().any(|op| matches!(op, MicroOp::Call { .. })) {
             ALL_REGS
@@ -1682,23 +1650,18 @@ mod x86_64 {
         // the verifier proved; everything else goes through `write_bytes`.
         state.dirty_stack_from(STACK_SIZE.saturating_sub(loaded.verifier_stats.stack_depth));
         let bound = bind(state);
-        let sites = native.debug.lookup_sites as usize;
         // SAFETY: `bound` is the state's own block (see `bind`), not
         // aliased by any live reference: the state reaches it only through
         // its raw pointer, and the trampolines only through the frame's.
         unsafe {
-            if sites > 0 && (*bound).site_uid != loaded.uid() {
-                (*bound).frame.site_cache = state.lookup_cache(loaded.uid(), sites) as u64;
-                (*bound).site_uid = loaded.uid();
-            }
             let frame = &mut (*bound).frame;
             // Per-invocation environment snapshot, for programs with
-            // inline helper fast paths (and lookup-site caches) only — the
-            // sole readers of these fields. When the environment opts in,
-            // they read the snapshot instead of calling back into Rust;
-            // recording environments return `None`, which zeroes
-            // `inline_flags` and sends every helper through the
-            // trampoline, so their observable call sequence is unchanged.
+            // inline helper fast paths only — the sole readers of these
+            // fields. When the environment opts in, they read the snapshot
+            // instead of calling back into Rust; recording environments
+            // return `None`, which zeroes `inline_flags` and sends every
+            // environment read (and per-CPU lookup) through the trampoline,
+            // so their observable call sequence is unchanged.
             if native.debug.inlined_helpers > 0 {
                 let (flags, ktime, cpu) = match rc.env.snapshot() {
                     Some(s) => (1u64, s.ktime_ns, u64::from(s.cpu_id)),
@@ -1707,18 +1670,12 @@ mod x86_64 {
                 frame.inline_flags = flags;
                 frame.inline_ktime = ktime;
                 frame.inline_cpu = cpu;
-                // Tag salt: (cpu + 1) << 32 keeps tags nonzero and
-                // disjoint across CPUs; the key occupies the low 32 bits.
-                frame.inline_cpu_tag = (cpu + 1) << 32;
             }
             copy_regs(&mut frame.regs, &state.regs, native.live_regs);
             frame.ctx_bias = (rc.ctx.as_mut_ptr() as u64).wrapping_sub(CTX_BASE);
             frame.ctx_len = rc.ctx.len() as u64;
             rebase_packet(frame, rc);
             frame.fault = 0;
-            // Re-read per run: `register_value_region` is public and may
-            // move the table between runs.
-            frame.region_tbl = state.region_bias_ptr() as u64;
             let tc = &mut (*bound).tc;
             tc.state = state as *mut RunState;
             // The lifetime is erased for storage only; the trampolines
@@ -1765,7 +1722,7 @@ mod tests {
         let loaded = load(prog, &HashMap::new(), &helpers).unwrap();
         let native = compile(&loaded).unwrap().expect("x86-64 backend");
         let mut env = NullEnv;
-        let mut rc = crate::vm::RunContext { ctx, packet: pkt, env: &mut env };
+        let mut rc = crate::vm::RunContext::new(ctx, pkt, &mut env);
         let mut state = RunState::new(rc.ctx.len());
         run(&native, &loaded, &mut rc, &mut state)
     }

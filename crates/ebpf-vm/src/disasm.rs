@@ -131,13 +131,14 @@ pub fn disassemble(insns: &[Insn]) -> String {
 }
 
 /// Renders the native code generator's per-program compile facts: register
-/// assignment, spill count, and the elided-check / inlined-helper counters.
+/// assignment, spill count, and the elided-check / inlined-helper counters
+/// (inlined helpers count array-map lookups, which keep no cache).
 pub fn native_report(name: &str, debug: &crate::codegen::NativeDebug) -> String {
     let homes =
         debug.assignments.iter().map(|&(bpf, host)| format!("r{bpf}={host}")).collect::<Vec<_>>().join(" ");
     format!(
-        "jit[{name}]: homes=[{homes}] spills={} elided_checks={} inlined_helpers={} lookup_sites={}",
-        debug.spills, debug.elided_checks, debug.inlined_helpers, debug.lookup_sites
+        "jit[{name}]: homes=[{homes}] spills={} elided_checks={} inlined_helpers={}",
+        debug.spills, debug.elided_checks, debug.inlined_helpers
     )
 }
 

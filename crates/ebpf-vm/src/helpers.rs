@@ -194,16 +194,16 @@ pub fn read_param<'b>(
 }
 
 /// `void *bpf_map_lookup_elem(map, key)` — returns a pointer to the value or
-/// NULL. Per-CPU maps resolve to the slot of the CPU the program runs on.
+/// NULL: arithmetic on the map's region of the program's address space
+/// ([`crate::maps::ProgramMaps::lookup`]). Per-CPU maps resolve to the slot
+/// of the CPU the program runs on.
 fn helper_map_lookup_elem(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
-    let Ok(map) = api.map_by_ptr(args[0]) else { return 0 };
-    let mut kb = [0u8; MAX_STACK_PARAM];
-    let Some(key) = read_param(api, args[1], map.key_size(), &mut kb) else { return 0 };
-    let cpu = api.env().cpu_id();
-    match map.lookup_ref_cpu(&key, cpu) {
-        Some(value) => api.register_value_region(value) as i64,
-        None => 0,
+    let mut key = [0u8; 4];
+    if api.read_into(args[1], &mut key).is_err() {
+        return 0;
     }
+    let maps = api.maps;
+    maps.lookup(args[0], u32::from_ne_bytes(key), || api.env().cpu_id()) as i64
 }
 
 /// `u64 bpf_ktime_get_ns(void)`.
@@ -257,8 +257,12 @@ fn helper_perf_event_output(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 
     if size > 4096 {
         return -1;
     }
-    let Ok(data) = api.read_bytes(args[3], size) else { return -1 };
-    buffer.push(PerfEvent { cpu, data });
+    let mut buf = [0u8; MAX_STACK_PARAM];
+    match read_param(api, args[3], size, &mut buf) {
+        Some(Cow::Borrowed(data)) => buffer.push_bytes(cpu, data),
+        Some(Cow::Owned(data)) => buffer.push(PerfEvent { cpu, data }),
+        None => return -1,
+    }
     0
 }
 
@@ -283,14 +287,14 @@ fn helper_skb_load_bytes(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maps::{ArrayMap, Map, MapHandle, PerfEventArray, UpdateFlags};
+    use crate::maps::{ArrayMap, Map, MapHandle, PerfEventArray, ProgramMaps, UpdateFlags};
     use crate::vm::{map_ptr_value, NullEnv, RunContext, RunState, STACK_BASE};
-    use std::collections::HashMap as StdHashMap;
-    use std::sync::Arc;
 
-    fn setup(maps: &StdHashMap<u32, MapHandle>) -> (RunState, Vec<u8>, Vec<u8>) {
-        let _ = maps;
-        (RunState::new(16), vec![0u8; 16], (0u8..64).collect())
+    /// A fresh state, context and packet, and `maps` laid out as one
+    /// program's.
+    fn setup(maps: &[(u32, MapHandle)]) -> (RunState, Vec<u8>, Vec<u8>, ProgramMaps) {
+        let maps = ProgramMaps::new(maps.iter().map(|(fd, map)| (fd, map))).unwrap();
+        (RunState::new(16), vec![0u8; 16], (0u8..64).collect(), maps)
     }
 
     #[test]
@@ -331,11 +335,9 @@ mod tests {
     #[test]
     fn map_lookup_and_update_through_helpers() {
         let map: MapHandle = ArrayMap::new(8, 2);
-        let mut maps = StdHashMap::new();
-        maps.insert(3u32, Arc::clone(&map));
-        let (mut state, mut ctx, mut pkt) = setup(&maps);
+        let (mut state, mut ctx, mut pkt, maps) = setup(&[(3, map.clone())]);
         let mut env = NullEnv;
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
+        let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
         // User space fills the array; the program looks it up and updates
         // the value through the returned pointer.
         map.update(&1u32.to_ne_bytes(), &[9u8; 8], UpdateFlags::Any).unwrap();
@@ -357,12 +359,9 @@ mod tests {
     #[test]
     fn perf_event_output_pushes_to_ring() {
         let perf = PerfEventArray::new(8);
-        let map: MapHandle = perf.clone();
-        let mut maps = StdHashMap::new();
-        maps.insert(1u32, Arc::clone(&map));
-        let (mut state, mut ctx, mut pkt) = setup(&maps);
+        let (mut state, mut ctx, mut pkt, maps) = setup(&[(1, perf.clone())]);
         let mut env = NullEnv;
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
+        let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
         let mut api = HelperApi { state: &mut state, rc: &mut rc, maps: &maps };
         api.write_bytes(STACK_BASE, &[1, 2, 3, 4]).unwrap();
         let ret = helper_perf_event_output(&mut api, [0, map_ptr_value(1), 0, STACK_BASE, 4]);
@@ -384,13 +383,11 @@ mod tests {
     #[test]
     fn map_lookup_resolves_the_current_cpus_slot() {
         let map: MapHandle = crate::maps::PerCpuArrayMap::new(8, 1, 4);
-        let mut maps = StdHashMap::new();
-        maps.insert(3u32, Arc::clone(&map));
-        let (mut state, mut ctx, mut pkt) = setup(&maps);
+        let (mut state, mut ctx, mut pkt, maps) = setup(&[(3, map.clone())]);
         let key_addr = STACK_BASE + 8;
         for cpu in [0u32, 2] {
             let mut env = CpuEnv(cpu);
-            let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
+            let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
             let mut api = HelperApi { state: &mut state, rc: &mut rc, maps: &maps };
             api.write_bytes(key_addr, &0u32.to_ne_bytes()).unwrap();
             let ptr = helper_map_lookup_elem(&mut api, [map_ptr_value(3), key_addr, 0, 0, 0]);
@@ -407,10 +404,9 @@ mod tests {
 
     #[test]
     fn smp_processor_id_reads_the_environment() {
-        let maps = StdHashMap::new();
-        let (mut state, mut ctx, mut pkt) = setup(&maps);
+        let (mut state, mut ctx, mut pkt, maps) = setup(&[]);
         let mut env = CpuEnv(5);
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
+        let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
         let mut api = HelperApi { state: &mut state, rc: &mut rc, maps: &maps };
         assert_eq!(helper_get_smp_processor_id(&mut api, [0; 5]), 5);
     }
@@ -418,12 +414,9 @@ mod tests {
     #[test]
     fn perf_event_output_honours_the_cpu_index() {
         let perf = PerfEventArray::per_cpu(8, 4);
-        let map: MapHandle = perf.clone();
-        let mut maps = StdHashMap::new();
-        maps.insert(1u32, Arc::clone(&map));
-        let (mut state, mut ctx, mut pkt) = setup(&maps);
+        let (mut state, mut ctx, mut pkt, maps) = setup(&[(1, perf.clone())]);
         let mut env = CpuEnv(3);
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
+        let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
         let mut api = HelperApi { state: &mut state, rc: &mut rc, maps: &maps };
         api.write_bytes(STACK_BASE, &[9]).unwrap();
         // BPF_F_CURRENT_CPU routes to the env's CPU ring.
@@ -443,10 +436,9 @@ mod tests {
 
     #[test]
     fn skb_load_bytes_copies_packet_data() {
-        let maps = StdHashMap::new();
-        let (mut state, mut ctx, mut pkt) = setup(&maps);
+        let (mut state, mut ctx, mut pkt, maps) = setup(&[]);
         let mut env = NullEnv;
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
+        let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
         let mut api = HelperApi { state: &mut state, rc: &mut rc, maps: &maps };
         let dst = STACK_BASE + 64;
         assert_eq!(helper_skb_load_bytes(&mut api, [0, 10, dst, 4, 0]), 0);
@@ -470,12 +462,12 @@ mod tests {
                 7
             }
         }
-        let maps = StdHashMap::new();
+        let maps = ProgramMaps::default();
         let mut state = RunState::new(0);
         let mut ctx = vec![0u8; 4];
         let mut pkt = vec![0u8; 4];
         let mut env = FixedEnv;
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
+        let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
         let mut api = HelperApi { state: &mut state, rc: &mut rc, maps: &maps };
         assert_eq!(helper_ktime_get_ns(&mut api, [0; 5]), 424242);
         assert_eq!(helper_get_prandom_u32(&mut api, [0; 5]), 7);

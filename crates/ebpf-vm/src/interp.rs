@@ -88,7 +88,7 @@ pub fn run_with_state(
             continue;
         }
         let next = if insn.is_lddw() { Some(image.fetch(pc + 1)?) } else { None };
-        match execute_insn(state, rc, &insn, next.as_ref(), pc)? {
+        match execute_insn(state, rc, &loaded.maps, &insn, next.as_ref(), pc)? {
             Flow::Next => pc += 1,
             Flow::SkipOne => pc += 2,
             Flow::Branch(delta) => {
@@ -119,7 +119,7 @@ mod tests {
         let image = InterpreterImage::new(&loaded.program);
         let mut ctx = vec![0u8; 32];
         let mut env = NullEnv;
-        let mut rc = RunContext { ctx: &mut ctx, packet, env: &mut env };
+        let mut rc = RunContext::new(&mut ctx, packet, &mut env);
         run(&image, &loaded, &mut rc)
     }
 
@@ -168,7 +168,7 @@ mod tests {
             ctx[0..8].copy_from_slice(&PKT_BASE.to_le_bytes());
             ctx[8..16].copy_from_slice(&(PKT_BASE + pkt.len() as u64).to_le_bytes());
             let mut env = NullEnv;
-            let mut rc = RunContext { ctx: &mut ctx, packet: pkt, env: &mut env };
+            let mut rc = RunContext::new(&mut ctx, pkt, &mut env);
             run(&image, &loaded, &mut rc).unwrap()
         };
         let mut pkt = vec![0x60u8, 0, 0, 0, 0, 0, 0, 0];

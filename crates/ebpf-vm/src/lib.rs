@@ -43,14 +43,15 @@
 //! let mut ctx = vec![0u8; 16];
 //! let mut packet = vec![0u8; 64];
 //! let mut env = NullEnv;
-//! let mut rc = RunContext { ctx: &mut ctx, packet: &mut packet, env: &mut env };
+//! let mut rc = RunContext::new(&mut ctx, &mut packet, &mut env);
 //! assert_eq!(run_program(&loaded, &helpers, &mut rc).unwrap(), 42);
 //! ```
 
 #![warn(missing_docs)]
 // Unsafe code is confined to the `codegen` module (executable-page
-// management and the native-code entry point); everything else stays
-// statically free of it.
+// management and the native-code entry point) and the `maps` arenas
+// (byte copies through raw pointers); everything else stays statically
+// free of it.
 #![deny(unsafe_code)]
 
 pub mod asm;

@@ -4,21 +4,43 @@
 //! program invocations (the WRR scheduler's weights and last-chosen path)
 //! and exchanging data with user-space daemons. This module implements the
 //! three map types the use cases need — arrays, per-CPU arrays and
-//! perf-event arrays — behind a common [`Map`] trait with both copy
-//! semantics (the user-space `bpf()` syscall view) and pointer semantics
-//! (`bpf_map_lookup_elem` returning a value reference). Programs only look
-//! values up and write through the returned pointer; user space fills
-//! arrays with [`Map::update`]. No map deletes entries: array entries
-//! always exist, as in the kernel.
+//! perf-event arrays — behind a common [`Map`] trait. User space copies
+//! values in and out ([`Map::lookup`], [`Map::update`]); programs look a
+//! value up with `bpf_map_lookup_elem` and read and write it in place. No
+//! map deletes entries: array entries always exist, as in the kernel.
+//!
+//! ## Layout
+//!
+//! An array map is laid out as the kernel lays out `struct bpf_array`: one
+//! [`Arena`] of `max_entries` elements of `round_up(value_size, 8)` bytes,
+//! 8-byte aligned. A per-CPU array has one such block per CPU, one after
+//! the other. Loading a program makes each map it references one region of
+//! its address space ([`ProgramMaps`]), so a lookup is arithmetic on the
+//! arena's shape — `key < max_entries ? base + (cpu % cpus) × block +
+//! key × elem : NULL` — the sequence the kernel's `array_map_gen_lookup`
+//! inlines, and two lookups of one key return one address. A program
+//! reaches only the first `value_size` bytes of an element: the padding
+//! behind them faults.
+//!
+//! ## Memory model
+//!
+//! Programs write values in place — native code with plain stores — while
+//! user space may copy the same values in and out on another thread. The
+//! kernel takes no lock there either: a concurrent reader sees racy bytes,
+//! possibly a torn value, and `BPF_F_LOCK` (out of scope here) is its
+//! opt-in remedy. So the arena is `UnsafeCell` memory that nothing ever
+//! borrows: every access — the interpreter's, a helper's, user space's —
+//! is a byte copy through a raw pointer after a bounds check against the
+//! layout, and there is no lock for a writer to ignore. A per-CPU map
+//! gives each CPU (worker shard) its own block, so programs on different
+//! shards never write the same bytes.
+#![allow(unsafe_code)]
 
 use crate::error::{Error, Result};
 use crate::perf::PerfEventBuffer;
-use parking_lot::RwLock;
+use crate::vm::{fd_from_map_ptr, MAP_VALUE_BASE, MAP_VALUE_STRIDE};
+use std::cell::UnsafeCell;
 use std::sync::Arc;
-
-/// Shared, mutable reference to a map value, handed to programs by
-/// `bpf_map_lookup_elem`.
-pub type ValueRef = Arc<RwLock<Vec<u8>>>;
 
 /// Shared handle to a map.
 pub type MapHandle = Arc<dyn Map>;
@@ -62,16 +84,6 @@ pub trait Map: Send + Sync {
     /// Copy-out lookup (user-space view). For per-CPU maps this returns the
     /// concatenation of every CPU's slot, as the `bpf()` syscall does.
     fn lookup(&self, key: &[u8]) -> Option<Vec<u8>>;
-    /// Reference lookup (program view, as `bpf_map_lookup_elem` returns a
-    /// pointer into the value).
-    fn lookup_ref(&self, key: &[u8]) -> Option<ValueRef>;
-    /// Reference lookup on behalf of a program running on `cpu`. Ordinary
-    /// maps have one shared slot and ignore the CPU; per-CPU maps return
-    /// the slot owned by that CPU.
-    fn lookup_ref_cpu(&self, key: &[u8], cpu: u32) -> Option<ValueRef> {
-        let _ = cpu;
-        self.lookup_ref(key)
-    }
     /// Number of per-CPU slots each entry holds (1 for ordinary maps).
     fn num_cpus(&self) -> u32 {
         1
@@ -83,6 +95,10 @@ pub trait Map: Send + Sync {
     fn keys(&self) -> Vec<Vec<u8>>;
     /// The perf-event buffer, for [`MapType::PerfEventArray`] maps only.
     fn perf_buffer(&self) -> Option<Arc<PerfEventBuffer>> {
+        None
+    }
+    /// Where the values live, for the maps programs look values up in.
+    fn arena(&self) -> Option<&Arena> {
         None
     }
 }
@@ -106,199 +122,241 @@ fn check_value(map: &dyn Map, value: &[u8]) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Array map
+// Arenas
 // ---------------------------------------------------------------------------
 
-/// `BPF_MAP_TYPE_ARRAY`: a fixed-size array of zero-initialised values,
-/// indexed by a host-endian 32-bit key. Entries can never be deleted.
-pub struct ArrayMap {
-    values: Vec<ValueRef>,
-    value_size: usize,
+/// The shape of an [`Arena`]: `cpus` blocks of `max_entries` elements of
+/// `elem` bytes, of which a program reaches the first `value_size`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ArenaLayout {
+    /// Bytes of one value.
+    pub value_size: u32,
+    /// Bytes from one element to the next: `value_size` rounded up to 8.
+    pub elem: u32,
+    /// Elements per block.
+    pub max_entries: u32,
+    /// Blocks, one per CPU (1 for a plain array).
+    pub cpus: u32,
 }
 
-impl ArrayMap {
-    /// Creates an array map with `max_entries` zeroed values of
-    /// `value_size` bytes.
-    pub fn new(value_size: usize, max_entries: usize) -> Arc<Self> {
-        Arc::new(ArrayMap {
-            values: (0..max_entries).map(|_| Arc::new(RwLock::new(vec![0u8; value_size]))).collect(),
-            value_size,
+impl ArenaLayout {
+    /// Bytes of one CPU's block.
+    pub(crate) fn block(&self) -> u64 {
+        u64::from(self.max_entries) * u64::from(self.elem)
+    }
+
+    /// Bytes of the whole arena.
+    fn size(&self) -> u64 {
+        self.block() * u64::from(self.cpus)
+    }
+
+    /// Offset of `key`'s value for `cpu` from the arena's start; `None`
+    /// (a NULL lookup) past `max_entries`. CPU ids wrap rather than fault:
+    /// programs obtain the id from the environment, which the embedder
+    /// already bounds, and wrapping keeps a map usable if it was
+    /// provisioned for fewer CPUs than the runtime grew to.
+    fn offset(&self, key: u32, cpu: u32) -> Option<u64> {
+        (key < self.max_entries)
+            .then(|| u64::from(cpu % self.cpus) * self.block() + u64::from(key) * u64::from(self.elem))
+    }
+
+    /// Whether the `len` bytes at `offset` lie inside one value, not in
+    /// the padding behind it or past the arena.
+    fn holds(&self, offset: u64, len: usize) -> bool {
+        offset < self.size() && offset % u64::from(self.elem) + len as u64 <= u64::from(self.value_size)
+    }
+}
+
+/// The values of one array-family map, for every CPU: zeroed, 8-byte
+/// aligned memory that is only ever copied through raw pointers (see the
+/// module's memory model).
+pub struct Arena {
+    words: Box<[UnsafeCell<u64>]>,
+    layout: ArenaLayout,
+}
+
+// SAFETY: nothing borrows the words; every access is a raw-pointer copy
+// inside the layout (`copy_out` / `copy_in`, and native code within the
+// bounds the verifier or the emitted checks prove), and concurrent copies
+// race only as the module documents.
+unsafe impl Sync for Arena {}
+
+impl Arena {
+    fn new(value_size: usize, max_entries: usize, cpus: u32) -> Arena {
+        let elem = value_size.max(1).next_multiple_of(8);
+        let words = max_entries * elem * cpus as usize / 8;
+        Arena {
+            words: (0..words).map(|_| UnsafeCell::new(0)).collect(),
+            layout: ArenaLayout {
+                value_size: value_size as u32,
+                elem: elem as u32,
+                max_entries: max_entries as u32,
+                cpus,
+            },
+        }
+    }
+
+    /// Host address of the first byte, stable for the arena's life.
+    pub(crate) fn host(&self) -> u64 {
+        self.words.as_ptr() as u64
+    }
+
+    /// Copies the value bytes at `offset` into `out`, if they lie inside
+    /// one value.
+    fn copy_out(&self, offset: u64, out: &mut [u8]) -> Option<()> {
+        self.layout.holds(offset, out.len()).then(|| {
+            // SAFETY: the bytes lie inside the arena (checked above), which
+            // `self` keeps alive; see the module's memory model for races.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    (self.host() + offset) as *const u8,
+                    out.as_mut_ptr(),
+                    out.len(),
+                )
+            }
         })
     }
 
-    /// Creates a per-CPU array map sized for [`DEFAULT_NUM_CPUS`] logical
-    /// CPUs. Use [`PerCpuArrayMap::new`] to pick the CPU count explicitly.
-    pub fn new_per_cpu(value_size: usize, max_entries: usize) -> Arc<PerCpuArrayMap> {
-        PerCpuArrayMap::new(value_size, max_entries, DEFAULT_NUM_CPUS)
-    }
-
-    fn index(&self, key: &[u8]) -> Option<usize> {
-        if key.len() != 4 {
-            return None;
-        }
-        let idx = u32::from_ne_bytes([key[0], key[1], key[2], key[3]]) as usize;
-        (idx < self.values.len()).then_some(idx)
-    }
-}
-
-impl Map for ArrayMap {
-    fn map_type(&self) -> MapType {
-        MapType::Array
-    }
-    fn key_size(&self) -> usize {
-        4
-    }
-    fn value_size(&self) -> usize {
-        self.value_size
-    }
-    fn max_entries(&self) -> usize {
-        self.values.len()
-    }
-    fn lookup(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.index(key).map(|i| self.values[i].read().clone())
-    }
-    fn lookup_ref(&self, key: &[u8]) -> Option<ValueRef> {
-        self.index(key).map(|i| Arc::clone(&self.values[i]))
-    }
-    fn update(&self, key: &[u8], value: &[u8], flags: UpdateFlags) -> Result<()> {
-        check_key(self, key)?;
-        check_value(self, value)?;
-        if flags == UpdateFlags::NoExist {
-            return Err(Error::Map("array entries always exist".into()));
-        }
-        let idx = self.index(key).ok_or_else(|| Error::Map("array index out of bounds".into()))?;
-        self.values[idx].write().copy_from_slice(value);
-        Ok(())
-    }
-    fn keys(&self) -> Vec<Vec<u8>> {
-        (0..self.values.len() as u32).map(|i| i.to_ne_bytes().to_vec()).collect()
+    /// Copies `bytes` over the value bytes at `offset`, if they lie inside
+    /// one value.
+    fn copy_in(&self, offset: u64, bytes: &[u8]) -> Option<()> {
+        self.layout.holds(offset, bytes.len()).then(|| {
+            // SAFETY: as in `copy_out`; the arena is `UnsafeCell` memory,
+            // so writing through a shared reference is allowed.
+            unsafe {
+                std::ptr::copy_nonoverlapping(bytes.as_ptr(), (self.host() + offset) as *mut u8, bytes.len())
+            }
+        })
     }
 }
 
 // ---------------------------------------------------------------------------
-// Per-CPU array map
+// Array and per-CPU array maps
 // ---------------------------------------------------------------------------
+
+/// The array family: a fixed-size array of zero-initialised values indexed
+/// by a host-endian 32-bit key, one [`Arena`] holding them. Entries can
+/// never be deleted. Used through its two shapes, [`ArrayMap`] and
+/// [`PerCpuArrayMap`].
+pub struct Array<const PER_CPU: bool> {
+    arena: Arena,
+}
+
+/// `BPF_MAP_TYPE_ARRAY`: one value per entry, shared by every CPU.
+pub type ArrayMap = Array<false>;
+
+/// `BPF_MAP_TYPE_PERCPU_ARRAY`: every entry holds one independent value
+/// slot *per logical CPU*.
+///
+/// A program calling `bpf_map_lookup_elem` receives a pointer to the slot
+/// of the CPU it runs on, so concurrent workers never contend or race on
+/// shared state — the property the paper's End.BPF datapath gets from the
+/// kernel and that the multi-queue runtime reproduces by giving each worker
+/// shard its own CPU id. User-space reads see every slot at once, as the
+/// `bpf()` syscall does.
+pub type PerCpuArrayMap = Array<true>;
 
 /// Default number of logical CPUs a per-CPU map is provisioned for when the
 /// embedder does not say. Large enough for any worker count the runtime
 /// accepts.
 pub const DEFAULT_NUM_CPUS: u32 = 64;
 
-/// `BPF_MAP_TYPE_PERCPU_ARRAY`: a fixed-size array where every entry holds
-/// one independent value slot *per logical CPU*.
-///
-/// A program calling `bpf_map_lookup_elem` receives a pointer to the slot
-/// of the CPU it runs on ([`Map::lookup_ref_cpu`] with the environment's
-/// CPU id), so concurrent workers never contend or race on shared state —
-/// the property the paper's End.BPF datapath gets from the kernel and that
-/// the multi-queue runtime reproduces by giving each worker shard its own
-/// CPU id. User-space reads see every slot at once, as the `bpf()` syscall
-/// does.
-pub struct PerCpuArrayMap {
-    /// `values[entry][cpu]`.
-    values: Vec<Vec<ValueRef>>,
-    value_size: usize,
+impl ArrayMap {
+    /// Creates an array map with `max_entries` zeroed values of
+    /// `value_size` bytes.
+    pub fn new(value_size: usize, max_entries: usize) -> Arc<Self> {
+        Arc::new(Array { arena: Arena::new(value_size, max_entries, 1) })
+    }
+
+    /// Creates a per-CPU array map sized for [`DEFAULT_NUM_CPUS`] logical
+    /// CPUs. Use [`PerCpuArrayMap`]'s `new` to pick the CPU count.
+    pub fn new_per_cpu(value_size: usize, max_entries: usize) -> Arc<PerCpuArrayMap> {
+        PerCpuArrayMap::new(value_size, max_entries, DEFAULT_NUM_CPUS)
+    }
 }
 
 impl PerCpuArrayMap {
     /// Creates a per-CPU array with `max_entries` entries of `value_size`
     /// bytes, one slot per CPU for `num_cpus` CPUs.
     pub fn new(value_size: usize, max_entries: usize, num_cpus: u32) -> Arc<Self> {
-        let num_cpus = num_cpus.max(1);
-        Arc::new(PerCpuArrayMap {
-            values: (0..max_entries)
-                .map(|_| (0..num_cpus).map(|_| Arc::new(RwLock::new(vec![0u8; value_size]))).collect())
-                .collect(),
-            value_size,
-        })
-    }
-
-    fn index(&self, key: &[u8]) -> Option<usize> {
-        if key.len() != 4 {
-            return None;
-        }
-        let idx = u32::from_ne_bytes([key[0], key[1], key[2], key[3]]) as usize;
-        (idx < self.values.len()).then_some(idx)
-    }
-
-    fn cpu_slot(&self, entry: usize, cpu: u32) -> &ValueRef {
-        // Out-of-range CPU ids wrap rather than fault: programs obtain the
-        // id from the environment, which the embedder already bounds, and
-        // wrapping keeps the map usable if it was provisioned for fewer
-        // CPUs than the runtime grew to.
-        let slots = &self.values[entry];
-        &slots[cpu as usize % slots.len()]
+        Arc::new(Array { arena: Arena::new(value_size, max_entries, num_cpus.max(1)) })
     }
 
     /// User-space view of one CPU's slot.
     pub fn lookup_cpu(&self, key: &[u8], cpu: u32) -> Option<Vec<u8>> {
-        self.index(key).map(|i| self.cpu_slot(i, cpu).read().clone())
+        let mut out = vec![0; self.value_size()];
+        self.arena.copy_out(self.offset(key, cpu)?, &mut out)?;
+        Some(out)
     }
 
     /// User-space update of one CPU's slot.
     pub fn update_cpu(&self, key: &[u8], cpu: u32, value: &[u8]) -> Result<()> {
-        if value.len() != self.value_size {
-            return Err(Error::Map(format!(
-                "value size mismatch: expected {}, got {}",
-                self.value_size,
-                value.len()
-            )));
-        }
-        let idx = self.index(key).ok_or_else(|| Error::Map("array index out of bounds".into()))?;
-        self.cpu_slot(idx, cpu).write().copy_from_slice(value);
-        Ok(())
+        check_value(self, value)?;
+        self.update_slot(key, cpu, value)
     }
 }
 
-impl Map for PerCpuArrayMap {
+impl<const PER_CPU: bool> Array<PER_CPU> {
+    fn offset(&self, key: &[u8], cpu: u32) -> Option<u64> {
+        self.arena.layout.offset(u32::from_ne_bytes(key.try_into().ok()?), cpu)
+    }
+
+    /// Copies a `value_size` value into `key`'s slot for `cpu`.
+    fn update_slot(&self, key: &[u8], cpu: u32, value: &[u8]) -> Result<()> {
+        let offset = self.offset(key, cpu).ok_or_else(|| Error::Map("array index out of bounds".into()))?;
+        self.arena.copy_in(offset, value).ok_or_else(|| Error::Map("value size mismatch".into()))
+    }
+}
+
+impl<const PER_CPU: bool> Map for Array<PER_CPU> {
     fn map_type(&self) -> MapType {
-        MapType::PerCpuArray
+        if PER_CPU {
+            MapType::PerCpuArray
+        } else {
+            MapType::Array
+        }
     }
     fn key_size(&self) -> usize {
         4
     }
     fn value_size(&self) -> usize {
-        self.value_size
+        self.arena.layout.value_size as usize
     }
     fn max_entries(&self) -> usize {
-        self.values.len()
+        self.arena.layout.max_entries as usize
     }
     fn num_cpus(&self) -> u32 {
-        self.values.first().map_or(1, |slots| slots.len() as u32)
+        self.arena.layout.cpus
     }
     /// The user-space view: all CPU slots of the entry, concatenated in CPU
     /// order (the layout `bpf_map_lookup_elem` presents to the syscall).
     fn lookup(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let idx = self.index(key)?;
-        let mut out = Vec::with_capacity(self.value_size * self.values[idx].len());
-        for slot in &self.values[idx] {
-            out.extend_from_slice(&slot.read());
+        self.offset(key, 0)?;
+        let mut out = vec![0; self.value_size() * self.num_cpus() as usize];
+        for (cpu, slot) in out.chunks_mut(self.value_size().max(1)).enumerate() {
+            self.arena.copy_out(self.offset(key, cpu as u32)?, slot)?;
         }
         Some(out)
     }
-    fn lookup_ref(&self, key: &[u8]) -> Option<ValueRef> {
-        self.lookup_ref_cpu(key, 0)
-    }
-    fn lookup_ref_cpu(&self, key: &[u8], cpu: u32) -> Option<ValueRef> {
-        self.index(key).map(|i| Arc::clone(self.cpu_slot(i, cpu)))
-    }
     /// User-space update: writes the same value into *every* CPU slot (the
-    /// common initialisation pattern). Use [`PerCpuArrayMap::update_cpu`]
-    /// to touch one slot.
+    /// common initialisation pattern). Use [`PerCpuArrayMap`]'s
+    /// `update_cpu` to touch one slot.
     fn update(&self, key: &[u8], value: &[u8], flags: UpdateFlags) -> Result<()> {
         check_key(self, key)?;
         check_value(self, value)?;
         if flags == UpdateFlags::NoExist {
             return Err(Error::Map("array entries always exist".into()));
         }
-        let idx = self.index(key).ok_or_else(|| Error::Map("array index out of bounds".into()))?;
-        for slot in &self.values[idx] {
-            slot.write().copy_from_slice(value);
+        for cpu in 0..self.num_cpus() {
+            self.update_slot(key, cpu, value)?;
         }
         Ok(())
     }
     fn keys(&self) -> Vec<Vec<u8>> {
-        (0..self.values.len() as u32).map(|i| i.to_ne_bytes().to_vec()).collect()
+        (0..self.arena.layout.max_entries).map(|i| i.to_ne_bytes().to_vec()).collect()
+    }
+    fn arena(&self) -> Option<&Arena> {
+        Some(&self.arena)
     }
 }
 
@@ -344,9 +402,6 @@ impl Map for PerfEventArray {
     fn lookup(&self, _key: &[u8]) -> Option<Vec<u8>> {
         None
     }
-    fn lookup_ref(&self, _key: &[u8]) -> Option<ValueRef> {
-        None
-    }
     fn update(&self, _key: &[u8], _value: &[u8], _flags: UpdateFlags) -> Result<()> {
         Err(Error::Map("perf event arrays are not updated directly".into()))
     }
@@ -358,9 +413,97 @@ impl Map for PerfEventArray {
     }
 }
 
+// ---------------------------------------------------------------------------
+// A program's maps
+// ---------------------------------------------------------------------------
+
+/// The maps one loaded program references, keyed by the fd its bytecode
+/// uses, laid out at load as the program's map-value address space: the
+/// `i`-th map in fd order is the region at `MAP_VALUE_BASE + i ×
+/// MAP_VALUE_STRIDE`, and a map without an arena (a perf-event array) is
+/// an empty region. The layout belongs to the program, not to a run
+/// state: one state serves several programs, and fds repeat across
+/// programs. (Every map takes an `lddw`, two of the at most
+/// [`crate::insn::MAX_INSNS`] slots, so the regions never run out.)
+#[derive(Clone, Default)]
+pub struct ProgramMaps {
+    maps: Vec<(u32, MapHandle)>,
+}
+
+impl ProgramMaps {
+    /// Lays out `maps`, fd → map. Fails if an arena outgrows its region.
+    pub fn new<'a>(maps: impl IntoIterator<Item = (&'a u32, &'a MapHandle)>) -> Result<ProgramMaps> {
+        let mut maps: Vec<(u32, MapHandle)> =
+            maps.into_iter().map(|(&fd, map)| (fd, Arc::clone(map))).collect();
+        maps.sort_unstable_by_key(|&(fd, _)| fd);
+        match maps.iter().find(|(_, map)| map.arena().is_some_and(|a| a.layout.size() > MAP_VALUE_STRIDE)) {
+            Some((fd, _)) => Err(Error::Map(format!("map fd {fd} is larger than a map-value region"))),
+            None => Ok(ProgramMaps { maps }),
+        }
+    }
+
+    /// The map with file descriptor `fd`.
+    pub fn get(&self, fd: u32) -> Option<&MapHandle> {
+        self.maps.iter().find(|(f, _)| *f == fd).map(|(_, map)| map)
+    }
+
+    /// The attached fds, in region order.
+    pub(crate) fn fds(&self) -> impl Iterator<Item = u32> + '_ {
+        self.maps.iter().map(|&(fd, _)| fd)
+    }
+
+    /// Map `fd`'s region base and arena, if it has one.
+    fn arena(&self, fd: u32) -> Option<(u64, &Arena)> {
+        let region = self.maps.iter().position(|&(f, _)| f == fd)?;
+        Some((MAP_VALUE_BASE + region as u64 * MAP_VALUE_STRIDE, self.maps[region].1.arena()?))
+    }
+
+    /// The region of map `fd`, if it has an arena: its synthetic base and
+    /// the arena's layout. A lookup of `key` on `cpu` returns `base +
+    /// layout.offset(key, cpu)`, or NULL.
+    pub(crate) fn region(&self, fd: u32) -> Option<(u64, ArenaLayout)> {
+        self.arena(fd).map(|(base, arena)| (base, arena.layout))
+    }
+
+    /// `host address − synthetic address` in map `fd`'s region, constant
+    /// for the program's life: native code adds it to a map-value address.
+    pub(crate) fn bias(&self, fd: u32) -> Option<u64> {
+        self.arena(fd).map(|(base, arena)| arena.host().wrapping_sub(base))
+    }
+
+    /// `bpf_map_lookup_elem` on the map `map_ptr` names (a pseudo-map-fd
+    /// `lddw` value): the value's address, or 0. `cpu` is asked for only
+    /// when the map is per-CPU.
+    pub(crate) fn lookup(&self, map_ptr: u64, key: u32, cpu: impl FnOnce() -> u32) -> u64 {
+        let Some((base, layout)) = fd_from_map_ptr(map_ptr).and_then(|fd| self.region(fd)) else { return 0 };
+        let cpu = if layout.cpus > 1 { cpu() } else { 0 };
+        layout.offset(key, cpu).map_or(0, |offset| base + offset)
+    }
+
+    /// The arena and offset a map-value address `addr` falls in.
+    fn resolve(&self, addr: u64) -> Option<(&Arena, u64)> {
+        let region = addr.checked_sub(MAP_VALUE_BASE)? / MAP_VALUE_STRIDE;
+        Some((self.maps.get(region as usize)?.1.arena()?, (addr - MAP_VALUE_BASE) % MAP_VALUE_STRIDE))
+    }
+
+    /// Copies the value bytes at `addr` into `out`; `None` unless they lie
+    /// inside one value of one of the program's maps.
+    pub(crate) fn read(&self, addr: u64, out: &mut [u8]) -> Option<()> {
+        let (arena, offset) = self.resolve(addr)?;
+        arena.copy_out(offset, out)
+    }
+
+    /// Copies `bytes` over the value bytes at `addr`, as [`Self::read`].
+    pub(crate) fn write(&self, addr: u64, bytes: &[u8]) -> Option<()> {
+        let (arena, offset) = self.resolve(addr)?;
+        arena.copy_in(offset, bytes)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vm::map_ptr_value;
 
     #[test]
     fn array_lookup_update_roundtrip() {
@@ -388,11 +531,24 @@ mod tests {
     }
 
     #[test]
-    fn array_lookup_ref_aliases_storage() {
-        let map = ArrayMap::new(4, 1);
-        let slot = map.lookup_ref(&0u32.to_ne_bytes()).unwrap();
-        slot.write().copy_from_slice(&[9, 9, 9, 9]);
-        assert_eq!(map.lookup(&0u32.to_ne_bytes()), Some(vec![9, 9, 9, 9]));
+    fn array_arena_aliases_storage() {
+        let map: MapHandle = ArrayMap::new(12, 3);
+        let maps = ProgramMaps::new([(&7u32, &map)]).unwrap();
+        // Elements are 16 bytes apart; a value's 12 bytes are reachable,
+        // its padding is not.
+        let (base, layout) = maps.region(7).unwrap();
+        assert_eq!((layout.elem, layout.block(), base), (16, 48, MAP_VALUE_BASE));
+        let addr = maps.lookup(map_ptr_value(7), 2, || unreachable!("a plain array asks for no CPU"));
+        assert_eq!(addr, base + 32);
+        maps.write(addr + 8, &[9, 9, 9, 9]).unwrap();
+        assert_eq!(map.lookup(&2u32.to_ne_bytes()).unwrap()[8..], [9, 9, 9, 9]);
+        assert!(maps.write(addr + 12, &[1]).is_none());
+        assert!(maps.read(addr + 9, &mut [0; 4]).is_none());
+        assert!(maps.read(base + layout.size(), &mut [0]).is_none());
+        for key in [3, u32::MAX] {
+            assert_eq!(maps.lookup(map_ptr_value(7), key, || 0), 0);
+        }
+        assert_eq!(maps.lookup(map_ptr_value(8), 0, || 0), 0);
     }
 
     #[test]
@@ -409,10 +565,12 @@ mod tests {
         assert_eq!(map.map_type(), MapType::PerCpuArray);
         assert_eq!(map.num_cpus(), 4);
         let key = 1u32.to_ne_bytes();
-        // Writes through a CPU's reference land only in that CPU's slot.
+        // Writes through a CPU's address land only in that CPU's slot.
+        let handle: MapHandle = map.clone();
+        let maps = ProgramMaps::new([(&1u32, &handle)]).unwrap();
         for cpu in 0..4u32 {
-            let slot = map.lookup_ref_cpu(&key, cpu).unwrap();
-            slot.write().copy_from_slice(&[cpu as u8; 4]);
+            let addr = maps.lookup(map_ptr_value(1), 1, || cpu);
+            maps.write(addr, &[cpu as u8; 4]).unwrap();
         }
         for cpu in 0..4u32 {
             assert_eq!(map.lookup_cpu(&key, cpu), Some(vec![cpu as u8; 4]));
@@ -421,6 +579,8 @@ mod tests {
         assert_ne!(map.lookup_cpu(&key, 0), map.lookup_cpu(&key, 1));
         // User-space sees every slot concatenated in CPU order.
         assert_eq!(map.lookup(&key), Some(vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]));
+        // A CPU id past the map's CPUs wraps.
+        assert_eq!(maps.lookup(map_ptr_value(1), 1, || 6), maps.lookup(map_ptr_value(1), 1, || 2));
     }
 
     #[test]

@@ -80,6 +80,12 @@ impl PerfEventBuffer {
         ring.events.push_back(event);
     }
 
+    /// Pushes a copy of `data` into `cpu`'s ring, as
+    /// [`push`](Self::push) does.
+    pub fn push_bytes(&self, cpu: u32, data: &[u8]) {
+        self.push(PerfEvent { cpu, data: data.to_vec() });
+    }
+
     /// Removes and returns the oldest event across all rings (scanning in
     /// CPU order), if any.
     pub fn poll(&self) -> Option<PerfEvent> {

@@ -4,13 +4,15 @@
 //! the [`crate::asm`] assembler or the [`crate::builder::ProgramBuilder`]).
 //! Loading it — as `bpf(BPF_PROG_LOAD)` does in the kernel — runs the
 //! verifier and resolves the map file descriptors referenced by
-//! `lddw`-with-pseudo-map-fd instructions, producing a [`LoadedProgram`]
-//! that the interpreter or the JIT can execute.
+//! `lddw`-with-pseudo-map-fd instructions, laying each map out as one
+//! region of the program's address space
+//! ([`crate::maps::ProgramMaps`]), producing a [`LoadedProgram`] that the
+//! interpreter or the JIT can execute.
 
 use crate::error::{Error, Result};
 use crate::helpers::{HelperDesc, HelperRegistry};
 use crate::insn::{class, jmp, Insn};
-use crate::maps::MapHandle;
+use crate::maps::{MapHandle, ProgramMaps};
 use crate::verifier::{self, AccessFacts, VerifierStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -169,8 +171,9 @@ impl Clone for TierCell {
 pub struct LoadedProgram {
     /// The original program.
     pub program: Program,
-    /// Maps referenced by the program, keyed by the fd used in the bytecode.
-    pub maps: HashMap<u32, MapHandle>,
+    /// Maps referenced by the program, keyed by the fd used in the bytecode
+    /// and laid out as the program's map-value regions.
+    pub maps: ProgramMaps,
     /// Statistics reported by the verifier.
     pub verifier_stats: VerifierStats,
     /// The helpers this program calls, resolved from the registry once at
@@ -193,11 +196,6 @@ pub struct LoadedProgram {
     /// `Arc` so cloning a program shares the executable pages instead of
     /// re-emitting them.
     native: Option<Arc<crate::codegen::NativeProgram>>,
-    /// Process-unique load identity. Per-state native caches (the
-    /// map-lookup site cache) are keyed by this rather than by pointer —
-    /// a freed program's address can be reused by a later load, which
-    /// would let a persistent state serve another program's cache entries.
-    uid: u64,
 }
 
 impl LoadedProgram {
@@ -229,11 +227,6 @@ impl LoadedProgram {
         self.native.as_deref()
     }
 
-    /// Process-unique identity of this load, for per-state native caches.
-    pub fn uid(&self) -> u64 {
-        self.uid
-    }
-
     /// The execution tier [`crate::vm::run_program`] will use.
     pub fn exec_tier(&self) -> ExecTier {
         self.tier.get()
@@ -253,7 +246,7 @@ impl std::fmt::Debug for LoadedProgram {
             .field("name", &self.program.name)
             .field("type", &self.program.prog_type)
             .field("insns", &self.program.insns.len())
-            .field("maps", &self.maps.keys().collect::<Vec<_>>())
+            .field("maps", &self.maps.fds().collect::<Vec<_>>())
             .finish()
     }
 }
@@ -303,11 +296,10 @@ pub fn load(
         helper_ids.push(id);
         helper_table.push(*desc);
     }
-    static NEXT_UID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
     let interp = crate::interp::InterpreterImage::new(&program);
     let mut loaded = LoadedProgram {
         program,
-        maps: used,
+        maps: ProgramMaps::new(&used)?,
         verifier_stats,
         helper_table,
         helper_ids,
@@ -315,7 +307,6 @@ pub fn load(
         tier: TierCell::new(tier),
         interp,
         native: None,
-        uid: NEXT_UID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
     };
     // Build every tier's artifact now, as the kernel JIT compiles at
     // BPF_PROG_LOAD time: the per-packet path only reads them, and a later
@@ -398,7 +389,7 @@ mod tests {
         assert_eq!(prog.len(), 2);
         assert!(!prog.is_empty());
         let loaded = load(prog, &HashMap::new(), &HelperRegistry::with_base_helpers()).unwrap();
-        assert!(loaded.maps.is_empty());
+        assert_eq!(loaded.maps.fds().count(), 0);
         assert!(loaded.verifier_stats.insns_processed >= 2);
     }
 

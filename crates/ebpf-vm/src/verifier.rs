@@ -84,20 +84,21 @@ pub enum AccessFact {
     /// Every path reaches the insn with a packet pointer (loads only —
     /// packet stores are rejected outright).
     Packet,
-    /// Every path reaches the insn with a null-checked map-value pointer
-    /// whose statically-known offset plus access size fits inside the
-    /// map's value: the native tier accesses the value bytes directly
-    /// through the per-run region table, no trampoline needed.
-    MapValue,
+    /// Every path reaches the insn with a null-checked pointer into a value
+    /// of the same map, at a statically-known offset that, plus the access
+    /// size, fits inside the value: the native tier accesses the value
+    /// bytes directly at the map's host address, no trampoline needed.
+    MapValue {
+        /// The map the pointer points into on every path.
+        fd: u32,
+    },
     /// Recorded at the `call bpf_map_lookup_elem` instruction itself (not a
     /// load/store): every path reaches the call with the same map handle in
-    /// `r1`. The native tier uses this to emit the array-lookup fast path.
+    /// `r1` — what the kernel keeps as the call's `map_ptr_state`. The
+    /// native tier inlines the lookup as arithmetic on that map's region.
     MapLookup {
         /// The map file descriptor `r1` holds on every path.
         fd: u32,
-        /// Whether `r2` (the key pointer) is a statically-bounded stack
-        /// pointer on every path — required for the inline key read.
-        key_in_stack: bool,
     },
 }
 
@@ -154,9 +155,9 @@ enum RegType {
         /// Byte offset from the start of the value; `None` once the program
         /// added a non-constant amount to the pointer.
         offset: Option<i64>,
-        /// Size of the map's values, captured from the map handle at the
-        /// lookup call site (0 when the map could not be identified).
-        value_size: u32,
+        /// The map the lookup call site had in `r1` (`None` when it was
+        /// not a map handle), as the kernel's register state keeps it.
+        map: Option<u32>,
     },
     /// Opaque map handle loaded by a pseudo-map-fd `lddw`.
     MapPtr(u32),
@@ -536,7 +537,7 @@ impl<'a> Verifier<'a> {
                 self.facts.record(pc, AccessFact::Packet);
                 Ok(())
             }
-            RegType::PtrToMapValue { maybe_null, offset, value_size } => {
+            RegType::PtrToMapValue { maybe_null, offset, map } => {
                 if maybe_null {
                     return Err(Error::verifier(pc, "possible NULL map-value dereference; add a null check"));
                 }
@@ -544,9 +545,10 @@ impl<'a> Verifier<'a> {
                 // direct-access fact; anything the symbolic execution could
                 // not bound stays on the generic run-time path (which
                 // faults out-of-bounds accesses exactly as before).
-                let fact = match offset {
-                    Some(o) if o + off >= 0 && value_size > 0 && o + off + len <= i64::from(value_size) => {
-                        AccessFact::MapValue
+                let value_size = |fd| self.maps.get(&fd).map_or(0, |map| map.value_size() as i64);
+                let fact = match (offset, map) {
+                    (Some(o), Some(fd)) if o + off >= 0 && o + off + len <= value_size(fd) => {
+                        AccessFact::MapValue { fd }
                     }
                     _ => AccessFact::Other,
                 };
@@ -661,7 +663,7 @@ impl<'a> Verifier<'a> {
                 (RegType::PtrToStack(_) | RegType::PtrToCtx(_), None) => {
                     return Err(Error::verifier(pc, "variable offset into stack or context is not allowed"));
                 }
-                (RegType::PtrToMapValue { maybe_null, offset, value_size }, delta) => {
+                (RegType::PtrToMapValue { maybe_null, offset, map }, delta) => {
                     if maybe_null {
                         return Err(Error::verifier(pc, "arithmetic on a possibly-NULL map value pointer"));
                     }
@@ -669,7 +671,7 @@ impl<'a> Verifier<'a> {
                         (Some(o), Some(d)) => Some(o + d),
                         _ => None,
                     };
-                    RegType::PtrToMapValue { maybe_null: false, offset, value_size }
+                    RegType::PtrToMapValue { maybe_null: false, offset, map }
                 }
                 (RegType::MapPtr(_), _) => {
                     return Err(Error::verifier(pc, "arithmetic on map handles is not allowed"));
@@ -730,29 +732,18 @@ impl<'a> Verifier<'a> {
                         ),
                     ));
                 }
-                // For map lookups, capture what r1 (the map handle) and r2
-                // (the key pointer) hold *before* the call clobbers them —
-                // the native tier uses these facts for its inline fast path
-                // and to bound later dereferences of the returned pointer.
-                // A path without a known map handle in r1 records `Other`,
-                // so the merge degrades the site: the fast path reads the
-                // key through r2 unchecked, and must hold on every path.
-                let mut value_size = 0u32;
+                // For map lookups, capture the map handle r1 holds *before*
+                // the call clobbers it: the native tier inlines the lookup
+                // for that map, and the returned pointer remembers it, so
+                // its value size bounds later dereferences. A path without
+                // a map handle in r1 records `Other`, so the merge degrades
+                // the site to the helper call.
+                let map = match regs.regs[1] {
+                    RegType::MapPtr(fd) => Some(fd),
+                    _ => None,
+                };
                 if id == ids::MAP_LOOKUP_ELEM {
-                    let mut fact = AccessFact::Other;
-                    if let RegType::MapPtr(fd) = regs.regs[1] {
-                        if let Some(map) = self.maps.get(&fd) {
-                            value_size = map.value_size() as u32;
-                            let key_in_stack = match regs.regs[2] {
-                                RegType::PtrToStack(off) => {
-                                    off >= 0 && off + map.key_size() as i64 <= STACK_SIZE as i64
-                                }
-                                _ => false,
-                            };
-                            fact = AccessFact::MapLookup { fd, key_in_stack };
-                        }
-                    }
-                    self.facts.record(pc, fact);
+                    self.facts.record(pc, map.map_or(AccessFact::Other, |fd| AccessFact::MapLookup { fd }));
                 }
                 // r1-r5 are clobbered, r0 carries the result.
                 for r in 1..=5 {
@@ -768,7 +759,7 @@ impl<'a> Verifier<'a> {
                     }
                 }
                 regs.regs[0] = if id == ids::MAP_LOOKUP_ELEM {
-                    RegType::PtrToMapValue { maybe_null: true, offset: Some(0), value_size }
+                    RegType::PtrToMapValue { maybe_null: true, offset: Some(0), map }
                 } else {
                     RegType::Scalar(None)
                 };
@@ -786,8 +777,8 @@ impl<'a> Verifier<'a> {
                 // Null-check refinement: `if (ptr == 0)` / `if (ptr != 0)`
                 // clears `maybe_null` on the branch where the pointer is
                 // known to be non-NULL.
-                if let RegType::PtrToMapValue { maybe_null: true, offset, value_size } = dst_type {
-                    let non_null = RegType::PtrToMapValue { maybe_null: false, offset, value_size };
+                if let RegType::PtrToMapValue { maybe_null: true, offset, map } = dst_type {
+                    let non_null = RegType::PtrToMapValue { maybe_null: false, offset, map };
                     if compares_to_zero_imm && op == jmp::JEQ {
                         // taken: ptr is NULL; fallthrough: non-NULL.
                         taken_regs.regs[usize::from(insn.dst)] = RegType::Scalar(Some(0));
@@ -1079,9 +1070,9 @@ mod tests {
         let mut maps: HashMap<u32, MapHandle> = HashMap::new();
         maps.insert(1, ArrayMap::new(8, 4));
         let (_, facts) = verify_with_facts(&prog, &HelperRegistry::with_base_helpers(), &maps).unwrap();
-        assert_eq!(facts.get(5), AccessFact::MapLookup { fd: 1, key_in_stack: true });
-        assert_eq!(facts.get(7), AccessFact::MapValue);
-        assert_eq!(facts.get(8), AccessFact::MapValue);
+        assert_eq!(facts.get(5), AccessFact::MapLookup { fd: 1 });
+        assert_eq!(facts.get(7), AccessFact::MapValue { fd: 1 });
+        assert_eq!(facts.get(8), AccessFact::MapValue { fd: 1 });
         assert_eq!(facts.get(10), AccessFact::Other, "unknown offset must stay generic");
     }
 

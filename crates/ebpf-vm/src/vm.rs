@@ -1,7 +1,7 @@
 //! The virtual-machine execution core.
 //!
 //! This module defines the synthetic address space programs see, the
-//! per-invocation run state (registers, stack, map-value regions), the
+//! per-invocation run state (registers and stack), the
 //! [`RunContext`] an embedder supplies (context struct, packet bytes and a
 //! [`VmEnv`] for kernel-side services), and [`execute_insn`], the
 //! interpreter's instruction-execution routine for everything but helper
@@ -18,16 +18,21 @@
 //! | context     | [`CTX_BASE`]      | read/write |
 //! | packet      | [`PKT_BASE`]      | read-only (writes must go through helpers, as the paper mandates) |
 //! | stack       | [`STACK_BASE`]    | read/write |
-//! | map values  | [`MAP_VALUE_BASE`]| read/write |
+//! | map values  | [`MAP_VALUE_BASE`]| read/write, the first `value_size` bytes of each element |
 //! | map handles | [`MAP_PTR_BASE`]  | opaque (only passed to helpers) |
+//!
+//! The map-value space holds one region per map the program references,
+//! laid out at load ([`ProgramMaps`]): region `i` is the `i`-th map's
+//! whole arena, at `MAP_VALUE_BASE + i × MAP_VALUE_STRIDE`. The regions
+//! belong to the loaded program, so a run allocates and registers nothing,
+//! and `bpf_map_lookup_elem` is arithmetic on them.
 
 use crate::error::{Error, Result};
 use crate::helpers::HelperRegistry;
 use crate::insn::{alu, class, jmp, src, AccessSize, Insn, NUM_REGS, STACK_SIZE};
-use crate::maps::{MapHandle, ValueRef};
+use crate::maps::{MapHandle, ProgramMaps};
 use crate::program::LoadedProgram;
 use std::any::Any;
-use std::collections::HashMap;
 
 /// Base address of the context structure.
 pub const CTX_BASE: u64 = 0x1000_0000_0000;
@@ -35,11 +40,13 @@ pub const CTX_BASE: u64 = 0x1000_0000_0000;
 pub const PKT_BASE: u64 = 0x2000_0000_0000;
 /// Base address of the stack; `r10` points at `STACK_BASE + STACK_SIZE`.
 pub const STACK_BASE: u64 = 0x3000_0000_0000;
-/// Base address of map-value regions returned by `bpf_map_lookup_elem`.
+/// Base address of the map-value regions, one per map a program
+/// references (see [`ProgramMaps`]).
 pub const MAP_VALUE_BASE: u64 = 0x4000_0000_0000;
 /// Base of the opaque map-handle pointers loaded by pseudo-map-fd `lddw`.
 pub const MAP_PTR_BASE: u64 = 0x5000_0000_0000;
-/// Address stride between two map-value regions.
+/// Address stride between two map-value regions: the largest arena a map
+/// may have.
 pub const MAP_VALUE_STRIDE: u64 = 0x1_0000_0000;
 
 /// Default instruction budget per invocation, matching the kernel's
@@ -71,8 +78,8 @@ pub fn fd_from_map_ptr(value: u64) -> Option<u32> {
 
 /// A per-invocation snapshot of the trivially-pure helper results, used by
 /// the native tier to inline `bpf_ktime_get_ns` / `bpf_get_smp_processor_id`
-/// (and to tag the array-map lookup cache) as direct loads instead of
-/// trampoline calls.
+/// as direct loads instead of trampoline calls, and to pick the CPU's block
+/// in an inline per-CPU array lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnvSnapshot {
     /// The value `ktime_ns()` returns for the whole invocation.
@@ -186,6 +193,13 @@ pub struct RunContext<'a> {
     pub env: &'a mut dyn VmEnv,
 }
 
+impl<'a> RunContext<'a> {
+    /// The invocation's context structure, packet and environment.
+    pub fn new(ctx: &'a mut [u8], packet: &'a mut dyn Packet, env: &'a mut dyn VmEnv) -> Self {
+        RunContext { ctx, packet, env }
+    }
+}
+
 /// The registers every run starts from: `r1` at the context, `r10` at the
 /// top of the stack, everything else zero.
 const INITIAL_REGS: [u64; NUM_REGS] = {
@@ -213,18 +227,6 @@ pub struct RunState {
     /// Whether a helper took mutable access to the packet
     /// ([`HelperApi::packet_mut`]) since the last reset.
     packet_written: bool,
-    /// Map-value regions made visible to the program by lookups.
-    value_regions: Vec<ValueRef>,
-    /// Per-region bias (`host data pointer - synthetic region base`), kept
-    /// parallel to `value_regions` so the native tier can turn a synthetic
-    /// map-value address into a host address with one table load.
-    region_bias: Vec<u64>,
-    /// Dedup index from the `ValueRef` allocation to its region, so repeated
-    /// lookups of the same value return the same synthetic address.
-    region_dedup: HashMap<usize, u64>,
-    /// Native-tier array-lookup site caches, keyed by program uid. Entries
-    /// are `[tag, addr]` pairs per call site (see `codegen`).
-    site_caches: Vec<(u64, Box<[u64]>)>,
     /// The native tier's frame and trampoline context, bound to this state
     /// by its first native run.
     pub(crate) native: crate::codegen::NativeSlot,
@@ -244,10 +246,6 @@ impl RunState {
             stack: Box::new([0u8; STACK_SIZE]),
             stack_dirty: STACK_SIZE,
             packet_written: false,
-            value_regions: Vec::new(),
-            region_bias: Vec::new(),
-            region_dedup: HashMap::new(),
-            site_caches: Vec::new(),
             native: Default::default(),
             insn_executed: 0,
             insn_budget: DEFAULT_INSN_BUDGET,
@@ -265,11 +263,9 @@ impl RunState {
             self.stack_dirty = STACK_SIZE;
         }
         self.packet_written = false;
-        // Map-value regions deliberately persist across runs: like kernel
-        // map-value pointers, the addresses handed out stay valid, repeated
-        // lookups of the same value return the same address (the dedup
-        // below), and the native tier's per-site lookup cache relies on
-        // both. The set is bounded by the distinct values ever looked up.
+        // Nothing about maps lives here: each program's map-value regions
+        // are laid out once, at load, and a lookup only computes an
+        // address in them.
         self.insn_executed = 0;
         self.insn_budget = DEFAULT_INSN_BUDGET;
     }
@@ -300,43 +296,6 @@ impl RunState {
     pub fn packet_written(&self) -> bool {
         self.packet_written
     }
-
-    /// Registers a map value region and returns the synthetic address the
-    /// program can use to access it. Registering the same value twice
-    /// returns the same address.
-    pub fn register_value_region(&mut self, value: ValueRef) -> u64 {
-        let key = std::sync::Arc::as_ptr(&value) as *const u8 as usize;
-        if let Some(&idx) = self.region_dedup.get(&key) {
-            return MAP_VALUE_BASE + idx * MAP_VALUE_STRIDE;
-        }
-        let idx = self.value_regions.len() as u64;
-        let base = MAP_VALUE_BASE + idx * MAP_VALUE_STRIDE;
-        // The buffer pointer is stable: map values are fixed-size and
-        // updated in place, so the Vec behind the lock never reallocates.
-        self.region_bias.push((value.read().as_ptr() as u64).wrapping_sub(base));
-        self.region_dedup.insert(key, idx);
-        self.value_regions.push(value);
-        base
-    }
-
-    /// Base pointer of the per-region bias table (see `region_bias`). The
-    /// table may move when a new region is registered, so the native tier
-    /// re-reads this after every helper call.
-    pub(crate) fn region_bias_ptr(&self) -> *const u64 {
-        self.region_bias.as_ptr()
-    }
-
-    /// Returns (creating it on first use) the array-lookup site cache for
-    /// the program identified by `uid`, with room for `sites` entries of
-    /// two words each. The cache persists with the state, like the regions
-    /// its cached addresses point into.
-    pub(crate) fn lookup_cache(&mut self, uid: u64, sites: usize) -> *mut u64 {
-        if let Some(pos) = self.site_caches.iter().position(|(u, _)| *u == uid) {
-            return self.site_caches[pos].1.as_mut_ptr();
-        }
-        self.site_caches.push((uid, vec![0u64; sites * 2].into_boxed_slice()));
-        self.site_caches.last_mut().expect("just pushed").1.as_mut_ptr()
-    }
 }
 
 /// Control-flow outcome of one instruction.
@@ -360,10 +319,15 @@ enum Target {
     Stack(usize),
     Ctx(usize),
     Packet(usize),
-    MapValue { region: usize, offset: usize },
+    /// A map-value address, bounds-checked by the copy into or out of it.
+    Map,
 }
 
-fn resolve(state: &RunState, rc: &RunContext<'_>, addr: u64, len: usize) -> Result<Target> {
+fn fault(addr: u64, len: usize) -> Error {
+    Error::Runtime { insn: 0, message: format!("invalid memory access at 0x{addr:x} len {len}") }
+}
+
+fn resolve(rc: &RunContext<'_>, addr: u64, len: usize) -> Result<Target> {
     let end_ok = |start: usize, region_len: usize| start.checked_add(len).is_some_and(|e| e <= region_len);
     if (STACK_BASE..STACK_BASE + STACK_SIZE as u64).contains(&addr) {
         let off = (addr - STACK_BASE) as usize;
@@ -381,130 +345,33 @@ fn resolve(state: &RunState, rc: &RunContext<'_>, addr: u64, len: usize) -> Resu
             return Ok(Target::Packet(off));
         }
     } else if (MAP_VALUE_BASE..MAP_PTR_BASE).contains(&addr) {
-        let region = ((addr - MAP_VALUE_BASE) / MAP_VALUE_STRIDE) as usize;
-        let offset = ((addr - MAP_VALUE_BASE) % MAP_VALUE_STRIDE) as usize;
-        if let Some(value) = state.value_regions.get(region) {
-            if end_ok(offset, value.read().len()) {
-                return Ok(Target::MapValue { region, offset });
-            }
-        }
+        return Ok(Target::Map);
     }
-    Err(Error::Runtime { insn: 0, message: format!("invalid memory access at 0x{addr:x} len {len}") })
+    Err(fault(addr, len))
 }
 
-/// Runs `f` over the `len` bytes at `addr` without copying them: the slice
-/// borrows straight from the resolved region (stack, context, packet or a
-/// map value, the latter under its read guard). This is the borrow surface
-/// the allocation-free hot path is built on; [`read_into`] and
-/// [`read_bytes`] are conveniences layered on top of it.
-pub fn with_bytes<R>(
-    state: &RunState,
-    rc: &RunContext<'_>,
-    addr: u64,
-    len: usize,
-    f: impl FnOnce(&[u8]) -> R,
-) -> Result<R> {
-    match resolve(state, rc, addr, len)? {
-        Target::Stack(off) => Ok(f(&state.stack[off..off + len])),
-        Target::Ctx(off) => Ok(f(&rc.ctx[off..off + len])),
-        Target::Packet(off) => Ok(f(&rc.packet.bytes()[off..off + len])),
-        Target::MapValue { region, offset } => {
-            let guard = state.value_regions[region].read();
-            Ok(f(&guard[offset..offset + len]))
-        }
-    }
-}
-
-/// Copies the bytes at `addr` into `buf` — the allocation-free read used for
-/// fixed-size helper parameters (IPv6 addresses, table ids, map keys), which
-/// land in stack arrays instead of fresh `Vec`s.
-pub fn read_into(state: &RunState, rc: &RunContext<'_>, addr: u64, buf: &mut [u8]) -> Result<()> {
-    with_bytes(state, rc, addr, buf.len(), |bytes| buf.copy_from_slice(bytes))
-}
-
-/// Reads `len` bytes at `addr` into a freshly allocated buffer. Prefer
-/// [`with_bytes`] / [`read_into`] anywhere the read happens per packet.
-pub fn read_bytes(state: &RunState, rc: &RunContext<'_>, addr: u64, len: usize) -> Result<Vec<u8>> {
-    with_bytes(state, rc, addr, len, |bytes| bytes.to_vec())
-}
-
-/// Copies `len` packet bytes starting at `pkt_off` directly into program
-/// memory at `dst` — what `bpf_skb_load_bytes` does, without the
-/// intermediate buffer the old `read_bytes`/`write_bytes` pairing required.
-pub fn copy_from_packet(
+/// Copies `src` to program memory at `addr`, which resolved to `target`.
+/// The packet region is rejected: the paper's design forbids direct packet
+/// writes from seg6local programs.
+fn store(
     state: &mut RunState,
-    rc: &mut RunContext<'_>,
-    pkt_off: usize,
-    len: usize,
-    dst: u64,
+    ctx: &mut [u8],
+    maps: &ProgramMaps,
+    (target, addr): (Target, u64),
+    src: &[u8],
 ) -> Result<()> {
-    if pkt_off.checked_add(len).is_none_or(|end| end > rc.packet.bytes().len()) {
-        return Err(Error::Runtime { insn: 0, message: "packet read out of bounds".into() });
-    }
-    let target = resolve(state, rc, dst, len)?;
-    let RunContext { ctx, packet, .. } = rc;
-    let src = &packet.bytes()[pkt_off..pkt_off + len];
     match target {
         Target::Stack(off) => {
             state.dirty_stack_from(off);
-            state.stack[off..off + len].copy_from_slice(src);
+            state.stack[off..off + src.len()].copy_from_slice(src);
         }
-        Target::Ctx(off) => ctx[off..off + len].copy_from_slice(src),
+        Target::Ctx(off) => ctx[off..off + src.len()].copy_from_slice(src),
         Target::Packet(_) => {
-            return Err(Error::Runtime {
-                insn: 0,
-                message: "direct packet writes are not allowed; use a seg6 helper".into(),
-            })
+            return Err(Error::runtime(0, "direct packet writes are not allowed; use a seg6 helper"))
         }
-        Target::MapValue { region, offset } => {
-            state.value_regions[region].write()[offset..offset + len].copy_from_slice(src)
-        }
+        Target::Map => maps.write(addr, src).ok_or_else(|| fault(addr, src.len()))?,
     }
     Ok(())
-}
-
-/// Writes `bytes` at `addr`. The packet region is rejected: the paper's
-/// design forbids direct packet writes from seg6local programs.
-pub fn write_bytes(state: &mut RunState, rc: &mut RunContext<'_>, addr: u64, bytes: &[u8]) -> Result<()> {
-    match resolve(state, rc, addr, bytes.len())? {
-        Target::Stack(off) => {
-            state.dirty_stack_from(off);
-            state.stack[off..off + bytes.len()].copy_from_slice(bytes);
-        }
-        Target::Ctx(off) => rc.ctx[off..off + bytes.len()].copy_from_slice(bytes),
-        Target::Packet(_) => {
-            return Err(Error::Runtime {
-                insn: 0,
-                message: "direct packet writes are not allowed; use a seg6 helper".into(),
-            })
-        }
-        Target::MapValue { region, offset } => {
-            state.value_regions[region].write()[offset..offset + bytes.len()].copy_from_slice(bytes)
-        }
-    }
-    Ok(())
-}
-
-/// Loads an unsigned little-endian value of the given width. Reads borrow
-/// straight from the resolved region — this is the `LDX` hot path and it
-/// performs no heap allocation.
-pub fn load_scalar(state: &RunState, rc: &RunContext<'_>, addr: u64, size: AccessSize) -> Result<u64> {
-    let len = size.bytes();
-    let mut buf = [0u8; 8];
-    with_bytes(state, rc, addr, len, |bytes| buf[..len].copy_from_slice(bytes))?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-/// Stores the low bytes of `value` little-endian at `addr`.
-pub fn store_scalar(
-    state: &mut RunState,
-    rc: &mut RunContext<'_>,
-    addr: u64,
-    size: AccessSize,
-    value: u64,
-) -> Result<()> {
-    let bytes = value.to_le_bytes();
-    write_bytes(state, rc, addr, &bytes[..size.bytes()])
 }
 
 // ---------------------------------------------------------------------------
@@ -513,42 +380,67 @@ pub fn store_scalar(
 
 /// The view of the machine a helper function receives.
 pub struct HelperApi<'r, 'a> {
-    /// The run state (registers, stack, value regions).
+    /// The run state (registers and stack).
     pub state: &'r mut RunState,
     /// The embedder-provided context, packet and environment.
     pub rc: &'r mut RunContext<'a>,
-    /// Maps attached to the program, keyed by fd.
-    pub maps: &'r HashMap<u32, MapHandle>,
+    /// The program's maps and their map-value regions.
+    pub maps: &'r ProgramMaps,
 }
 
 impl<'r, 'a> HelperApi<'r, 'a> {
     /// Reads program-visible memory (stack, ctx, packet or map values) into
-    /// a fresh allocation. Prefer [`HelperApi::read_into`] /
-    /// [`HelperApi::with_bytes`] for per-packet reads.
+    /// a fresh allocation. Prefer [`HelperApi::read_into`] for per-packet
+    /// reads.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Result<Vec<u8>> {
-        read_bytes(self.state, self.rc, addr, len)
+        let mut out = vec![0; len];
+        self.read_into(addr, &mut out)?;
+        Ok(out)
     }
 
     /// Copies program-visible memory into `buf` — the allocation-free read
-    /// for fixed-size parameters (addresses, table ids, map keys).
+    /// behind every load and every fixed-size helper parameter (addresses,
+    /// table ids, map keys).
     pub fn read_into(&self, addr: u64, buf: &mut [u8]) -> Result<()> {
-        read_into(self.state, self.rc, addr, buf)
+        let len = buf.len();
+        match resolve(self.rc, addr, len)? {
+            Target::Stack(off) => buf.copy_from_slice(&self.state.stack[off..off + len]),
+            Target::Ctx(off) => buf.copy_from_slice(&self.rc.ctx[off..off + len]),
+            Target::Packet(off) => buf.copy_from_slice(&self.rc.packet.bytes()[off..off + len]),
+            Target::Map => self.maps.read(addr, buf).ok_or_else(|| fault(addr, len))?,
+        }
+        Ok(())
     }
 
-    /// Runs `f` over program-visible memory without copying it.
-    pub fn with_bytes<R>(&self, addr: u64, len: usize, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        with_bytes(self.state, self.rc, addr, len, f)
-    }
-
-    /// Copies packet bytes straight into program memory (the
-    /// `bpf_skb_load_bytes` primitive), with no intermediate buffer.
+    /// Copies `len` packet bytes from `pkt_off` straight into program
+    /// memory at `dst` (the `bpf_skb_load_bytes` primitive), with no
+    /// intermediate buffer.
     pub fn copy_from_packet(&mut self, pkt_off: usize, len: usize, dst: u64) -> Result<()> {
-        copy_from_packet(self.state, self.rc, pkt_off, len, dst)
+        if pkt_off.checked_add(len).is_none_or(|end| end > self.rc.packet.bytes().len()) {
+            return Err(Error::runtime(0, "packet read out of bounds"));
+        }
+        let target = resolve(self.rc, dst, len)?;
+        let RunContext { ctx, packet, .. } = &mut *self.rc;
+        store(self.state, ctx, self.maps, (target, dst), &packet.bytes()[pkt_off..pkt_off + len])
     }
 
     /// Writes program-visible memory (everything but the packet).
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) -> Result<()> {
-        write_bytes(self.state, self.rc, addr, bytes)
+        let target = resolve(self.rc, addr, bytes.len())?;
+        store(self.state, self.rc.ctx, self.maps, (target, addr), bytes)
+    }
+
+    /// Loads an unsigned little-endian value of the given width — the `LDX`
+    /// path, which performs no heap allocation.
+    pub(crate) fn load_scalar(&self, addr: u64, size: AccessSize) -> Result<u64> {
+        let mut buf = [0u8; 8];
+        self.read_into(addr, &mut buf[..size.bytes()])?;
+        Ok(u64::from_le_bytes(buf))
+    }
+
+    /// Stores the low bytes of `value` little-endian at `addr`.
+    pub(crate) fn store_scalar(&mut self, addr: u64, size: AccessSize, value: u64) -> Result<()> {
+        self.write_bytes(addr, &value.to_le_bytes()[..size.bytes()])
     }
 
     /// The packet bytes.
@@ -591,12 +483,7 @@ impl<'r, 'a> HelperApi<'r, 'a> {
     /// outlives the call, so a helper takes no reference count per call.
     pub fn map_by_ptr(&self, ptr: u64) -> Result<&'r MapHandle> {
         let fd = fd_from_map_ptr(ptr).ok_or_else(|| Error::Helper("argument is not a map pointer".into()))?;
-        self.maps.get(&fd).ok_or_else(|| Error::Helper(format!("map fd {fd} not attached to this program")))
-    }
-
-    /// Makes a map value accessible to the program and returns its address.
-    pub fn register_value_region(&mut self, value: ValueRef) -> u64 {
-        self.state.register_value_region(value)
+        self.maps.get(fd).ok_or_else(|| Error::Helper(format!("map fd {fd} not attached to this program")))
     }
 }
 
@@ -718,6 +605,7 @@ pub fn jump_taken(op: u8, is64: bool, dst: u64, srcv: u64) -> bool {
 pub fn execute_insn(
     state: &mut RunState,
     rc: &mut RunContext<'_>,
+    maps: &ProgramMaps,
     insn: &Insn,
     next: Option<&Insn>,
     pc: usize,
@@ -763,14 +651,15 @@ pub fn execute_insn(
         class::LDX => {
             let size = AccessSize::from_opcode(insn.opcode);
             let addr = state.regs[srcr].wrapping_add(insn.off as i64 as u64);
-            state.regs[dst] = load_scalar(state, rc, addr, size).map_err(|e| relocate(e, pc))?;
+            let api = HelperApi { state: &mut *state, rc, maps };
+            state.regs[dst] = api.load_scalar(addr, size).map_err(|e| relocate(e, pc))?;
             Ok(Flow::Next)
         }
         class::ST | class::STX => {
             let size = AccessSize::from_opcode(insn.opcode);
             let addr = state.regs[dst].wrapping_add(insn.off as i64 as u64);
             let value = if insn.class() == class::STX { state.regs[srcr] } else { insn.imm as i64 as u64 };
-            store_scalar(state, rc, addr, size, value).map_err(|e| relocate(e, pc))?;
+            HelperApi { state, rc, maps }.store_scalar(addr, size, value).map_err(|e| relocate(e, pc))?;
             Ok(Flow::Next)
         }
         class::JMP | class::JMP32 => {
@@ -839,7 +728,6 @@ pub fn run_program_with_state(
 mod tests {
     use super::*;
     use crate::insn::Insn;
-    use crate::maps::Map;
 
     fn state_and_ctx() -> (RunState, Vec<u8>, Vec<u8>) {
         (RunState::new(16), vec![0u8; 16], vec![0xaa; 32])
@@ -856,43 +744,55 @@ mod tests {
     fn stack_read_write_roundtrip() {
         let (mut state, mut ctx, mut pkt) = state_and_ctx();
         let mut env = NullEnv;
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
+        let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
+        let mut api = HelperApi { state: &mut state, rc: &mut rc, maps: &ProgramMaps::default() };
         let addr = STACK_BASE + 100;
-        store_scalar(&mut state, &mut rc, addr, AccessSize::Double, 0xdead_beef_1234_5678).unwrap();
-        assert_eq!(load_scalar(&state, &rc, addr, AccessSize::Double).unwrap(), 0xdead_beef_1234_5678);
-        assert_eq!(load_scalar(&state, &rc, addr, AccessSize::Byte).unwrap(), 0x78);
+        api.store_scalar(addr, AccessSize::Double, 0xdead_beef_1234_5678).unwrap();
+        assert_eq!(api.load_scalar(addr, AccessSize::Double).unwrap(), 0xdead_beef_1234_5678);
+        assert_eq!(api.load_scalar(addr, AccessSize::Byte).unwrap(), 0x78);
     }
 
     #[test]
     fn packet_is_read_only() {
         let (mut state, mut ctx, mut pkt) = state_and_ctx();
         let mut env = NullEnv;
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
-        assert_eq!(load_scalar(&state, &rc, PKT_BASE, AccessSize::Byte).unwrap(), 0xaa);
-        assert!(store_scalar(&mut state, &mut rc, PKT_BASE, AccessSize::Byte, 1).is_err());
+        let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
+        let mut api = HelperApi { state: &mut state, rc: &mut rc, maps: &ProgramMaps::default() };
+        assert_eq!(api.load_scalar(PKT_BASE, AccessSize::Byte).unwrap(), 0xaa);
+        assert!(api.store_scalar(PKT_BASE, AccessSize::Byte, 1).is_err());
     }
 
     #[test]
     fn out_of_bounds_accesses_fault() {
         let (mut state, mut ctx, mut pkt) = state_and_ctx();
         let mut env = NullEnv;
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
-        assert!(load_scalar(&state, &rc, PKT_BASE + 31, AccessSize::Word).is_err());
-        assert!(load_scalar(&state, &rc, STACK_BASE + STACK_SIZE as u64, AccessSize::Byte).is_err());
-        assert!(load_scalar(&state, &rc, 0x42, AccessSize::Byte).is_err());
-        assert!(store_scalar(&mut state, &mut rc, CTX_BASE + 15, AccessSize::Word, 0).is_err());
+        let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
+        let mut api = HelperApi { state: &mut state, rc: &mut rc, maps: &ProgramMaps::default() };
+        assert!(api.load_scalar(PKT_BASE + 31, AccessSize::Word).is_err());
+        assert!(api.load_scalar(STACK_BASE + STACK_SIZE as u64, AccessSize::Byte).is_err());
+        assert!(api.load_scalar(0x42, AccessSize::Byte).is_err());
+        assert!(api.store_scalar(CTX_BASE + 15, AccessSize::Word, 0).is_err());
     }
 
     #[test]
     fn map_value_regions_are_shared_with_the_map() {
         let (mut state, mut ctx, mut pkt) = state_and_ctx();
         let mut env = NullEnv;
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
-        let map = crate::maps::ArrayMap::new(8, 1);
-        let slot = map.lookup_ref(&0u32.to_ne_bytes()).unwrap();
-        let addr = state.register_value_region(slot);
-        store_scalar(&mut state, &mut rc, addr, AccessSize::Word, 0x0102_0304).unwrap();
-        assert_eq!(map.lookup(&0u32.to_ne_bytes()).unwrap()[..4], [4, 3, 2, 1]);
+        let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
+        let map: MapHandle = crate::maps::ArrayMap::new(12, 2);
+        let maps = ProgramMaps::new([(&4u32, &map)]).unwrap();
+        let mut api = HelperApi { state: &mut state, rc: &mut rc, maps: &maps };
+        let addr = maps.lookup(map_ptr_value(4), 1, || 0);
+        assert_eq!(addr, MAP_VALUE_BASE + 16, "elements are 12 bytes rounded up to 16");
+        api.store_scalar(addr, AccessSize::Word, 0x0102_0304).unwrap();
+        assert_eq!(map.lookup(&1u32.to_ne_bytes()).unwrap()[..4], [4, 3, 2, 1]);
+        assert_eq!(api.load_scalar(addr + 8, AccessSize::Word).unwrap(), 0);
+        // The padding between two values, and the memory past the arena,
+        // fault like any unmapped address.
+        assert!(api.load_scalar(addr + 12, AccessSize::Byte).is_err());
+        assert!(api.store_scalar(addr + 10, AccessSize::Word, 0).is_err());
+        assert!(api.load_scalar(addr + 16, AccessSize::Byte).is_err());
+        assert!(api.load_scalar(MAP_VALUE_BASE + MAP_VALUE_STRIDE, AccessSize::Byte).is_err());
     }
 
     #[test]
@@ -935,14 +835,20 @@ mod tests {
     fn execute_simple_alu_and_exit() {
         let (mut state, mut ctx, mut pkt) = state_and_ctx();
         let mut env = NullEnv;
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
+        let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
         let insn = Insn::mov64_imm(0, 41);
-        assert_eq!(execute_insn(&mut state, &mut rc, &insn, None, 0).unwrap(), Flow::Next);
+        assert_eq!(
+            execute_insn(&mut state, &mut rc, &ProgramMaps::default(), &insn, None, 0).unwrap(),
+            Flow::Next
+        );
         let insn = Insn::alu64_imm(alu::ADD, 0, 1);
-        execute_insn(&mut state, &mut rc, &insn, None, 1).unwrap();
+        execute_insn(&mut state, &mut rc, &ProgramMaps::default(), &insn, None, 1).unwrap();
         assert_eq!(state.regs[0], 42);
         let insn = Insn::exit();
-        assert_eq!(execute_insn(&mut state, &mut rc, &insn, None, 2).unwrap(), Flow::Exit);
+        assert_eq!(
+            execute_insn(&mut state, &mut rc, &ProgramMaps::default(), &insn, None, 2).unwrap(),
+            Flow::Exit
+        );
     }
 
     #[test]
@@ -950,10 +856,10 @@ mod tests {
         let (mut state, mut ctx, mut pkt) = state_and_ctx();
         state.insn_budget = 2;
         let mut env = NullEnv;
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
+        let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
         let insn = Insn::mov64_imm(0, 0);
-        assert!(execute_insn(&mut state, &mut rc, &insn, None, 0).is_ok());
-        assert!(execute_insn(&mut state, &mut rc, &insn, None, 0).is_ok());
-        assert!(execute_insn(&mut state, &mut rc, &insn, None, 0).is_err());
+        assert!(execute_insn(&mut state, &mut rc, &ProgramMaps::default(), &insn, None, 0).is_ok());
+        assert!(execute_insn(&mut state, &mut rc, &ProgramMaps::default(), &insn, None, 0).is_ok());
+        assert!(execute_insn(&mut state, &mut rc, &ProgramMaps::default(), &insn, None, 0).is_err());
     }
 }

@@ -13,7 +13,7 @@
 use ebpf_vm::helpers::ids;
 use ebpf_vm::insn::{alu, AccessSize, STACK_SIZE};
 use ebpf_vm::program::{load, ExecTier, LoadedProgram, ProgramType};
-use ebpf_vm::vm::{run_program_with_state, with_bytes, NullEnv, RunContext, RunState, STACK_BASE};
+use ebpf_vm::vm::{run_program_with_state, NullEnv, RunContext, RunState, STACK_BASE};
 use ebpf_vm::{HelperRegistry, ProgramBuilder};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -86,12 +86,12 @@ fn dirtied_offset(way: Dirt) -> usize {
     }
 }
 
-fn stack_byte(state: &RunState, rc: &RunContext<'_>, offset: usize) -> u8 {
-    with_bytes(state, rc, STACK_BASE + offset as u64, 1, |b| b[0]).expect("stack is readable")
+fn stack_byte(state: &RunState, offset: usize) -> u8 {
+    state.stack()[offset]
 }
 
-fn stack_is_zero(state: &RunState, rc: &RunContext<'_>) -> bool {
-    with_bytes(state, rc, STACK_BASE, STACK_SIZE, |b| b.iter().all(|&x| x == 0)).expect("stack is readable")
+fn stack_is_zero(state: &RunState) -> bool {
+    state.stack().iter().all(|&x| x == 0)
 }
 
 #[test]
@@ -107,7 +107,7 @@ fn every_run_starts_from_an_all_zero_stack_on_every_tier() {
             let mut ctx = vec![0u8; 64];
             let mut packet = vec![0xa5u8; 64];
             let mut env = NullEnv;
-            let mut rc = RunContext { ctx: &mut ctx, packet: &mut packet, env: &mut env };
+            let mut rc = RunContext::new(&mut ctx, &mut packet, &mut env);
             // One state for both programs, as a datapath shares one across
             // every program it runs.
             let mut state = RunState::new(64);
@@ -116,14 +116,14 @@ fn every_run_starts_from_an_all_zero_stack_on_every_tier() {
                 assert_eq!(ret.expect("dirtier runs"), 0, "{case}, round {round}");
                 for &way in ways {
                     let offset = dirtied_offset(way);
-                    assert_ne!(stack_byte(&state, &rc, offset), 0, "{case}: {way:?} wrote nothing");
+                    assert_ne!(stack_byte(&state, offset), 0, "{case}: {way:?} wrote nothing");
                 }
                 let seen = run_program_with_state(&read, &helpers, &mut rc, tier, &mut state);
                 assert_eq!(seen.expect("reader runs"), 0, "{case}, round {round}: stale stack bytes");
 
                 run_program_with_state(&dirty, &helpers, &mut rc, tier, &mut state).expect("dirtier runs");
                 state.reset();
-                assert!(stack_is_zero(&state, &rc), "{case}, round {round}: reset left stack bytes");
+                assert!(stack_is_zero(&state), "{case}, round {round}: reset left stack bytes");
             }
         }
     }

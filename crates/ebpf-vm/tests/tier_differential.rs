@@ -22,11 +22,13 @@
 //!   trampolines.
 //! * [`generate_map_dense`] — helper- and map-dense programs with real
 //!   array maps attached, driving the verifier's `MapValue`/`MapLookup`
-//!   facts, the direct map-value access path and the per-state array-map
-//!   lookup cache. These run twice against one `RunState` so the second
-//!   run takes the cache-hit path, and run under both a plain recording
-//!   environment and one that opts into the inline `ktime`/`cpu` fast
-//!   paths via [`EnvSnapshot`].
+//!   facts, the direct map-value access path and the inline array-map
+//!   lookup. One array's 12-byte values sit 16 bytes apart, so accesses
+//!   land in the padding between values too; the per-CPU array has fewer
+//!   CPUs than one environment's CPU id, which wraps. These run twice
+//!   against one `RunState`, with the map state the first run left, and
+//!   under both a plain recording environment and one that opts into the
+//!   inline `ktime`/`cpu` fast paths via [`EnvSnapshot`].
 //!
 //! The generators keep the invariants the verifier cares about at every
 //! snippet boundary: `r0`–`r7` hold scalars, `r8` holds the packet pointer,
@@ -37,18 +39,19 @@
 //! bpf_map_lookup_elem` from two paths, one with a map handle and a stack
 //! key, the other with a scalar or another map's handle in `r1` and a
 //! non-stack value in `r2`. The context byte [`RUN_BYTE`] picks the path
-//! and differs between the two runs of a leg, so one run can fill the
-//! native lookup cache that the other run's path must not trust.
+//! and differs between the two runs of a leg, so each path runs after the
+//! other one has.
 //!
 //! Each test has an `#[ignore]`d `…_long` twin on 50 times the programs:
 //! `cargo test --release -p ebpf-vm -- --ignored`.
 
 use ebpf_vm::codegen;
 use ebpf_vm::insn::{class, jmp, Insn};
-use ebpf_vm::maps::{ArrayMap, MapHandle, PerCpuArrayMap};
+use ebpf_vm::maps::{ArrayMap, Map, MapHandle, PerCpuArrayMap, UpdateFlags};
 use ebpf_vm::program::{load, LoadedProgram, Program, ProgramType, PSEUDO_MAP_FD};
 use ebpf_vm::vm::{
-    map_ptr_value, run_program_with_state, EnvSnapshot, RunContext, RunState, VmEnv, PKT_BASE,
+    map_ptr_value, run_program_with_state, EnvSnapshot, RunContext, RunState, VmEnv, MAP_VALUE_BASE,
+    MAP_VALUE_STRIDE, PKT_BASE,
 };
 use ebpf_vm::{AccessFact, Error, ExecTier, HelperRegistry};
 use std::any::Any;
@@ -157,8 +160,8 @@ impl FuzzEnv for RecordingEnv {
 /// invocation constants published through [`VmEnv::snapshot`] and are *not*
 /// logged (the inlined code never calls the env, so logging them would make
 /// the comparison diverge by design), while `prandom` mutates state and
-/// stays an observable real call on every leg. A `Some` snapshot also arms
-/// the per-state array-map lookup cache.
+/// stays an observable real call on every leg. A `Some` snapshot also lets
+/// native code inline per-CPU array lookups.
 #[derive(Default)]
 struct InlineEnv {
     log: Vec<(u8, u64)>,
@@ -457,10 +460,15 @@ fn generate_pressure(rng: &mut Rng, with_calls: bool) -> String {
     s
 }
 
-/// Map fds the dense generator references; attached by the test.
-const MAP_FDS: [u32; 3] = [1, 2, 3];
+/// Map fds the dense generator references, with their value sizes;
+/// attached by [`fuzz_maps`]. Fd 3 is the per-CPU array; fd 4's values are
+/// not a multiple of 8 bytes, so 4 bytes of padding follow each.
+const MAP_FDS: [u32; 4] = [1, 2, 3, 4];
+const MAP_VALUE_SIZES: [i64; 4] = [64, 64, 64, 12];
 const MAP_ENTRIES: u64 = 4;
-const MAP_VALUE_SIZE: i64 = 64;
+/// CPUs of the per-CPU array: [`RecordingEnv`]'s CPU id is in range,
+/// [`InlineEnv`]'s wraps.
+const MAP_CPUS: u32 = 4;
 
 /// `lddw` immediates with this pattern in the upper half are rewritten into
 /// pseudo-map-fd loads after assembly (the assembler has no map syntax).
@@ -491,7 +499,8 @@ fn patch_map_loads(insns: &mut [Insn]) {
 /// stores on the hit path. Keys sometimes exceed `max_entries` so the null
 /// path runs too. `label` disambiguates the inner join labels.
 fn emit_map_lookup(out: &mut String, rng: &mut Rng, label: usize) {
-    let fd = MAP_FDS[rng.below(MAP_FDS.len() as u64) as usize];
+    let which = rng.below(MAP_FDS.len() as u64) as usize;
+    let (fd, value_size) = (MAP_FDS[which], MAP_VALUE_SIZES[which]);
     let slot = -8 * (1 + rng.below(4) as i32);
     let key = rng.below(MAP_ENTRIES + 2);
     out.push_str(&format!("stw [r10{slot}], {key}\n"));
@@ -502,7 +511,10 @@ fn emit_map_lookup(out: &mut String, rng: &mut Rng, label: usize) {
     out.push_str(&format!("jeq r0, 0, m{label}\n"));
     for _ in 0..(1 + rng.below(3)) {
         let (sz, bytes) = [("b", 1i64), ("h", 2), ("w", 4), ("dw", 8)][rng.below(4) as usize];
-        let off = rng.below((MAP_VALUE_SIZE / bytes) as u64) as i64 * bytes;
+        // Now and then reach into the padding behind a value: every tier
+        // must fault there.
+        let span = if value_size % 8 != 0 && rng.chance(15) { (value_size + 7) / 8 * 8 } else { value_size };
+        let off = rng.below(((span - bytes) / bytes + 1) as u64) as i64 * bytes;
         if rng.chance(60) {
             // Not into r0 (it is the value pointer) or r1-r5 reads later —
             // loads may target r1-r7, they only write.
@@ -643,36 +655,73 @@ struct Observation {
     maps: Vec<u8>,
 }
 
+/// The maps a generated program may reference: every handle by fd, and
+/// the per-CPU arrays again by type, so that each CPU's slot can be seeded
+/// on its own.
+#[derive(Default)]
+struct FuzzMaps {
+    by_fd: HashMap<u32, MapHandle>,
+    per_cpu: Vec<(u32, Arc<PerCpuArrayMap>)>,
+}
+
+/// The dense generator's maps: [`MAP_FDS`], fd 3 per-CPU.
+fn fuzz_maps() -> FuzzMaps {
+    let mut maps = FuzzMaps::default();
+    for (&fd, &value_size) in MAP_FDS.iter().zip(&MAP_VALUE_SIZES) {
+        let map: MapHandle = if fd == 3 {
+            let per_cpu = PerCpuArrayMap::new(value_size as usize, MAP_ENTRIES as usize, MAP_CPUS);
+            maps.per_cpu.push((fd, Arc::clone(&per_cpu)));
+            per_cpu
+        } else {
+            ArrayMap::new(value_size as usize, MAP_ENTRIES as usize)
+        };
+        maps.by_fd.insert(fd, map);
+    }
+    maps
+}
+
+/// The deterministic pattern [`reset_maps`] seeds `fd`'s value for `key`
+/// on `cpu` with.
+fn seed_value(fd: u32, key: &[u8], cpu: u32, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|i| {
+            (fd as u8)
+                .wrapping_mul(37)
+                .wrapping_add(key[0].wrapping_mul(11))
+                .wrapping_add(cpu as u8)
+                .wrapping_add(i as u8)
+        })
+        .collect()
+}
+
 /// Re-seeds every map value to a deterministic per-entry pattern, so each
 /// leg starts from identical map state no matter what the previous leg
 /// stored. Values persist *within* one leg's repeated runs, like
 /// consecutive packets sharing a datapath map.
-fn reset_maps(maps: &HashMap<u32, MapHandle>) {
-    for (fd, map) in maps {
+fn reset_maps(maps: &FuzzMaps) {
+    for (&fd, map) in &maps.by_fd {
+        for key in map.keys() {
+            let value = seed_value(fd, &key, 0, map.value_size());
+            map.update(&key, &value, UpdateFlags::Any).expect("array entries always exist");
+        }
+    }
+    for (fd, map) in &maps.per_cpu {
         for key in map.keys() {
             for cpu in 0..map.num_cpus() {
-                if let Some(value) = map.lookup_ref_cpu(&key, cpu) {
-                    let mut guard = value.write();
-                    for (i, byte) in guard.iter_mut().enumerate() {
-                        *byte = (*fd as u8)
-                            .wrapping_mul(37)
-                            .wrapping_add(key[0].wrapping_mul(11))
-                            .wrapping_add(cpu as u8)
-                            .wrapping_add(i as u8);
-                    }
-                }
+                let value = seed_value(*fd, &key, cpu, map.value_size());
+                map.update_cpu(&key, cpu, &value).expect("array entries always exist");
             }
         }
     }
 }
 
 /// Snapshot of every attached map's contents, in a stable order.
-fn map_image(maps: &HashMap<u32, MapHandle>) -> Vec<u8> {
-    let mut fds: Vec<u32> = maps.keys().copied().collect();
+fn map_image(maps: &FuzzMaps) -> Vec<u8> {
+    let mut fds: Vec<u32> = maps.by_fd.keys().copied().collect();
     fds.sort_unstable();
     let mut out = Vec::new();
     for fd in fds {
-        let map = &maps[&fd];
+        let map = &maps.by_fd[&fd];
         let mut keys = map.keys();
         keys.sort();
         for key in keys {
@@ -699,7 +748,7 @@ fn snapshot_run<E: FuzzEnv>(
     result: Result<u64, Error>,
     ctx: Vec<u8>,
     packet: Vec<u8>,
-    maps: &HashMap<u32, MapHandle>,
+    maps: &FuzzMaps,
 ) -> Observation {
     Observation {
         result: result.map_err(|e| error_key(&e)),
@@ -713,13 +762,12 @@ fn snapshot_run<E: FuzzEnv>(
 }
 
 /// Runs a program `runs` times through one tier against a single
-/// [`RunState`] (fresh ctx/packet/env per run). Reusing the state lets
-/// repeated runs hit the per-state array-map lookup cache, exactly like
-/// consecutive packets on the datapath.
+/// [`RunState`] (fresh ctx/packet/env per run), exactly like consecutive
+/// packets on the datapath.
 fn observe_tier<E: FuzzEnv>(
     prog: &Arc<LoadedProgram>,
     helpers: &HelperRegistry,
-    maps: &HashMap<u32, MapHandle>,
+    maps: &FuzzMaps,
     tier: ExecTier,
     runs: usize,
 ) -> Vec<Observation> {
@@ -731,7 +779,7 @@ fn observe_tier<E: FuzzEnv>(
             let mut packet = fresh_packet();
             let mut env = E::default();
             let result = {
-                let mut rc = RunContext { ctx: &mut ctx, packet: &mut packet, env: &mut env };
+                let mut rc = RunContext::new(&mut ctx, &mut packet, &mut env);
                 run_program_with_state(prog, helpers, &mut rc, tier, &mut state)
             };
             snapshot_run(&state, &env, result, ctx, packet, maps)
@@ -745,7 +793,7 @@ fn observe_tier<E: FuzzEnv>(
 fn check_parity<E: FuzzEnv>(
     prog: &Arc<LoadedProgram>,
     helpers: &HelperRegistry,
-    maps: &HashMap<u32, MapHandle>,
+    maps: &FuzzMaps,
     source: &str,
     runs: usize,
 ) -> bool {
@@ -793,7 +841,7 @@ fn all_tiers_agree_on_randomized_programs_long() {
 
 fn randomized_round(programs: usize) {
     let helpers = HelperRegistry::with_base_helpers();
-    let maps = HashMap::new();
+    let maps = FuzzMaps::default();
     let mut accepted = 0usize;
     let mut faulted = 0usize;
     let mut attempts = 0usize;
@@ -805,7 +853,7 @@ fn randomized_round(programs: usize) {
             "generator accept rate collapsed: {accepted}/{attempts} verified"
         );
         let source = generate(&mut rng);
-        let Some(loaded) = load_generated(&source, &maps, &helpers) else { continue };
+        let Some(loaded) = load_generated(&source, &maps.by_fd, &helpers) else { continue };
         accepted += 1;
         if check_parity::<RecordingEnv>(&loaded, &helpers, &maps, &source, 1) {
             faulted += 1;
@@ -834,7 +882,7 @@ fn register_pressure_programs_agree_and_spill_long() {
 
 fn pressure_round(programs: usize) {
     let helpers = HelperRegistry::with_base_helpers();
-    let maps = HashMap::new();
+    let maps = FuzzMaps::default();
     let mut accepted = 0usize;
     let mut faulted = 0usize;
     let mut attempts = 0usize;
@@ -847,7 +895,7 @@ fn pressure_round(programs: usize) {
         );
         let with_calls = accepted.is_multiple_of(2);
         let source = generate_pressure(&mut rng, with_calls);
-        let Some(loaded) = load_generated(&source, &maps, &helpers) else { continue };
+        let Some(loaded) = load_generated(&source, &maps.by_fd, &helpers) else { continue };
         accepted += 1;
         if let Some(native) = loaded.native() {
             // Ten live registers against nine homes: exactly one register
@@ -885,10 +933,7 @@ fn helper_and_map_dense_programs_agree_long() {
 
 fn map_dense_round(programs: usize) {
     let helpers = HelperRegistry::with_base_helpers();
-    let mut maps: HashMap<u32, MapHandle> = HashMap::new();
-    maps.insert(MAP_FDS[0], ArrayMap::new(MAP_VALUE_SIZE as usize, MAP_ENTRIES as usize));
-    maps.insert(MAP_FDS[1], ArrayMap::new(MAP_VALUE_SIZE as usize, MAP_ENTRIES as usize));
-    maps.insert(MAP_FDS[2], PerCpuArrayMap::new(MAP_VALUE_SIZE as usize, MAP_ENTRIES as usize, 8));
+    let maps = fuzz_maps();
     let mut accepted = 0usize;
     let mut attempts = 0usize;
     let mut with_lookups = 0usize;
@@ -900,40 +945,46 @@ fn map_dense_round(programs: usize) {
             "map-dense generator accept rate collapsed: {accepted}/{attempts} verified"
         );
         let source = generate_map_dense(&mut rng);
-        let Some(loaded) = load_generated(&source, &maps, &helpers) else { continue };
+        let Some(loaded) = load_generated(&source, &maps.by_fd, &helpers) else { continue };
         accepted += 1;
         if let Some(native) = loaded.native() {
-            let debug = native.debug_info();
-            if debug.lookup_sites > 0 {
+            // Every inlined helper site past the ktime/cpu ones is an
+            // inlined lookup.
+            let environment_reads = loaded
+                .program
+                .insns
+                .iter()
+                .filter(|insn| insn.opcode == class::JMP | jmp::CALL && matches!(insn.imm, 5 | 8))
+                .count();
+            if native.debug_info().inlined_helpers as usize > environment_reads {
                 with_lookups += 1;
             }
         }
-        // Two runs per leg against one state: the second native run takes
-        // the lookup-cache hit path where the first one filled it. The
-        // inline environment arms the cache and the ktime/cpu fast paths;
-        // the recording environment keeps every helper an observable
-        // trampoline call.
+        // Two runs per leg against one state, the second on the map state
+        // the first left. The inline environment arms the per-CPU lookup
+        // and the ktime/cpu fast paths; the recording environment keeps
+        // every environment read an observable trampoline call.
         check_parity::<RecordingEnv>(&loaded, &helpers, &maps, &source, 2);
         check_parity::<InlineEnv>(&loaded, &helpers, &maps, &source, 2);
     }
     if codegen::supported() {
         assert!(
             with_lookups > programs / 2,
-            "only {with_lookups}/{accepted} programs compiled cacheable lookup sites"
+            "only {with_lookups}/{accepted} programs compiled inlined lookup sites"
         );
     }
     eprintln!(
         "map-dense differential: {accepted} programs ({attempts} attempts, {with_lookups} with \
-         cached lookup sites) agreed across all tiers and both environments"
+         inlined lookup sites) agreed across all tiers and both environments"
     );
 }
 
 /// Pinned regression: one `call bpf_map_lookup_elem` reached from a path
 /// with a map handle and a stack key in `r1`/`r2` (context byte 0 clear)
-/// and from a path with scalars there (byte 0 set). The native tier's
-/// cached lookup reads the key through `r2` plus the stack bias unchecked,
-/// so this site must get no `MapLookup` fact: with one, the scalar path's
-/// run after a map-handle run dereferences a wild host address.
+/// and from a path with scalars there (byte 0 set). The native tier
+/// inlines a lookup as arithmetic on the map the `MapLookup` fact names,
+/// so this site must get no fact: with one, the scalar path would look up
+/// a map it does not hold.
 #[test]
 fn a_lookup_reached_without_a_map_handle_gets_no_lookup_fact() {
     let source = format!(
@@ -963,7 +1014,7 @@ fn a_lookup_reached_without_a_map_handle_gets_no_lookup_fact() {
         loaded.program.insns.iter().position(|insn| insn.opcode == class::JMP | jmp::CALL).expect("one call");
     assert_eq!(loaded.access_facts().get(call), AccessFact::Other);
 
-    // Path A first, to fill the cache the scalar path must not read.
+    // Each path runs after the other.
     let results = |tier| {
         let mut state = RunState::new(CTX_LEN);
         [0u8, 1, 0, 1].map(|path| {
@@ -971,11 +1022,167 @@ fn a_lookup_reached_without_a_map_handle_gets_no_lookup_fact() {
             ctx[0] = path;
             let mut packet = fresh_packet();
             let mut env = InlineEnv::default();
-            let mut rc = RunContext { ctx: &mut ctx, packet: &mut packet, env: &mut env };
+            let mut rc = RunContext::new(&mut ctx, &mut packet, &mut env);
             run_program_with_state(&loaded, &helpers, &mut rc, tier, &mut state).map_err(|e| error_key(&e))
         })
     };
     let reference = results(ExecTier::Interp);
     assert_eq!(reference, [Ok(1), Ok(0), Ok(1), Ok(0)]);
     assert_eq!(results(ExecTier::Native), reference);
+}
+
+/// Runs `source` on `tier` once per context in `runs`, all against one
+/// [`RunState`], with `maps` attached: the results, faults by instruction.
+fn run_pinned<E: FuzzEnv>(
+    source: &str,
+    maps: &HashMap<u32, MapHandle>,
+    tier: ExecTier,
+    runs: impl IntoIterator<Item = Vec<u8>>,
+) -> Vec<Result<u64, (u8, usize)>> {
+    let helpers = HelperRegistry::with_base_helpers();
+    let loaded = load_generated(source, maps, &helpers).expect("the pinned program verifies");
+    let mut state = RunState::new(CTX_LEN);
+    runs.into_iter()
+        .map(|mut ctx| {
+            let mut packet = fresh_packet();
+            let mut env = E::default();
+            let mut rc = RunContext::new(&mut ctx, &mut packet, &mut env);
+            run_program_with_state(&loaded, &helpers, &mut rc, tier, &mut state).map_err(|e| error_key(&e))
+        })
+        .collect()
+}
+
+/// A context whose u32 at offset 24 is `key`.
+fn key_ctx(key: u32) -> Vec<u8> {
+    let mut ctx = vec![0u8; CTX_LEN];
+    ctx[24..28].copy_from_slice(&key.to_le_bytes());
+    ctx
+}
+
+/// Looks up the key at context offset 24 in map `fd`, leaving the value
+/// pointer in `r0` and the key on the stack at `r10 - 4`.
+fn lookup_ctx_key(fd: u32) -> String {
+    format!(
+        "ldxw r3, [r1+24]\n\
+         stxw [r10-4], r3\n\
+         lddw r1, 0x{:x}\n\
+         mov64 r2, r10\n\
+         add64 r2, -4\n\
+         call 1\n",
+        MAP_SENTINEL | u64::from(fd)
+    )
+}
+
+/// Pinned regression: 5 000 distinct keys of an 8 192-entry array looked
+/// up through one `RunState`, each run bumping its key's value and
+/// returning 1. When every distinct value a state had looked up was a
+/// region of that state, the 4 097th value's address was the map handles'
+/// base, and the interpreter faulted from key 4 096 on while the native
+/// tier went on.
+#[test]
+fn five_thousand_distinct_keys_look_up_through_one_state_on_every_tier() {
+    const KEYS: u32 = 5_000;
+    let map = ArrayMap::new(8, 8_192);
+    let maps: HashMap<u32, MapHandle> = [(1, map.clone() as MapHandle)].into();
+    let source = format!(
+        "{}mov64 r6, 0\n\
+         jeq r0, 0, out\n\
+         ldxdw r3, [r0+0]\n\
+         add64 r3, 1\n\
+         stxdw [r0+0], r3\n\
+         mov64 r6, 1\n\
+         out:\n\
+         mov64 r0, r6\n\
+         exit\n",
+        lookup_ctx_key(1)
+    );
+    for tier in ExecTier::ALL {
+        let results = run_pinned::<InlineEnv>(&source, &maps, tier, (0..KEYS).map(key_ctx));
+        for (key, result) in results.into_iter().enumerate() {
+            assert_eq!(result, Ok(1), "{tier:?}, key {key}");
+        }
+    }
+    for key in 0..KEYS {
+        let value = map.lookup(&key.to_ne_bytes()).unwrap();
+        assert_eq!(value, 2u64.to_le_bytes(), "key {key}: one bump per tier");
+    }
+}
+
+/// The edges of the array layout, pinned on both tiers and both
+/// environments: a 12-byte value reaches bytes 0..12 and faults on the
+/// padding at 12..16; keys `max_entries` and `u32::MAX` look up NULL; two
+/// lookups of one key return one address, `base + key × 16`; and a per-CPU
+/// array with fewer CPUs than the environment's id wraps the id.
+#[test]
+fn array_layout_edges_agree_across_tiers() {
+    fn both_envs(
+        source: &str,
+        maps: &HashMap<u32, MapHandle>,
+        ctxs: &[Vec<u8>],
+    ) -> Vec<Result<u64, (u8, usize)>> {
+        let reference = run_pinned::<InlineEnv>(source, maps, ExecTier::Interp, ctxs.to_vec());
+        for tier in ExecTier::ALL {
+            assert_eq!(
+                run_pinned::<InlineEnv>(source, maps, tier, ctxs.to_vec()),
+                reference,
+                "{tier:?}\n{source}"
+            );
+            assert_eq!(
+                run_pinned::<RecordingEnv>(source, maps, tier, ctxs.to_vec()),
+                reference,
+                "{tier:?}\n{source}"
+            );
+        }
+        reference
+    }
+    let padded = ArrayMap::new(12, 4);
+    let per_cpu = PerCpuArrayMap::new(8, 2, 2);
+    let maps: HashMap<u32, MapHandle> =
+        [(1, padded.clone() as MapHandle), (2, per_cpu.clone() as MapHandle)].into();
+    // Each program below references one map, which is therefore its
+    // region 0.
+
+    // Accesses at value offsets: in the value, or (partly) in the padding.
+    // The access is the ninth instruction (the `lddw` takes two slots).
+    for (access, faults) in [
+        ("ldxw r0, [r0+8]", false),
+        ("ldxb r0, [r0+12]", true),
+        ("ldxdw r0, [r0+8]", true),
+        ("sth [r0+14], 7", true),
+        ("stxw [r0+10], r6", true),
+    ] {
+        let source =
+            format!("mov64 r6, 0\n{}jeq r0, 0, out\n{access}\nmov64 r0, 1\nout:\nexit\n", lookup_ctx_key(1));
+        let expected = if faults { Err((0, 9)) } else { Ok(1) };
+        assert_eq!(both_envs(&source, &maps, &[key_ctx(1)]), [expected], "{access}");
+    }
+
+    // NULL past max_entries; otherwise one address per key, every time.
+    let twice = format!(
+        "{}mov64 r6, r0\n\
+         lddw r1, 0x{:x}\n\
+         mov64 r2, r10\n\
+         add64 r2, -4\n\
+         call 1\n\
+         jeq r0, r6, same\n\
+         mov64 r0, 1\n\
+         same:\n\
+         exit\n",
+        lookup_ctx_key(1),
+        MAP_SENTINEL | 1
+    );
+    let ctxs = [3, 4, u32::MAX, 0].map(key_ctx);
+    assert_eq!(both_envs(&twice, &maps, &ctxs), [Ok(MAP_VALUE_BASE + 48), Ok(0), Ok(0), Ok(MAP_VALUE_BASE)]);
+
+    // Both environments' CPU ids (3 and 5) wrap to the per-CPU map's CPU
+    // 1: the value lands in that CPU's slot, whose address is one block
+    // (two 8-byte values) past the region's base. A second map referenced
+    // by the same program is its region 1.
+    let store = format!("{}jeq r0, 0, out\nstdw [r0+0], 77\nout:\nexit\n", lookup_ctx_key(2));
+    assert_eq!(both_envs(&store, &maps, &[key_ctx(1)]), [Ok(MAP_VALUE_BASE + 16 + 8)]);
+    let both_maps = format!("lddw r7, 0x{:x}\n{store}", MAP_SENTINEL | 1);
+    assert_eq!(both_envs(&both_maps, &maps, &[key_ctx(1)]), [Ok(MAP_VALUE_BASE + MAP_VALUE_STRIDE + 16 + 8)]);
+    assert_eq!(per_cpu.lookup_cpu(&1u32.to_ne_bytes(), 1), Some(77u64.to_le_bytes().to_vec()));
+    assert_eq!(per_cpu.lookup_cpu(&1u32.to_ne_bytes(), 0), Some(vec![0; 8]));
+    assert_eq!(padded.lookup(&1u32.to_ne_bytes()), Some(vec![0; 12]), "no faulting store landed");
 }

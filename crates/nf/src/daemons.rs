@@ -197,7 +197,6 @@ impl EcmpTraceroute {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ebpf_vm::perf::PerfEvent;
 
     #[test]
     fn delay_collector_aggregates_reports() {
@@ -208,10 +207,10 @@ mod tests {
             controller: "2001:db8::c0".parse().unwrap(),
             controller_port: 9,
         };
-        buffer.push(PerfEvent { cpu: 0, data: event.to_bytes().to_vec() });
+        buffer.push_bytes(0, &event.to_bytes());
         let slow = DelayEvent { rx_timestamp_ns: 1_100, ..event };
-        buffer.push(PerfEvent { cpu: 0, data: slow.to_bytes().to_vec() });
-        buffer.push(PerfEvent { cpu: 0, data: vec![1, 2, 3] });
+        buffer.push_bytes(0, &slow.to_bytes());
+        buffer.push_bytes(0, &[1, 2, 3]);
         let mut collector = DelayCollector::new(buffer);
         assert_eq!(collector.poll(), 2);
         assert_eq!(collector.reports().len(), 2);
@@ -231,8 +230,8 @@ mod tests {
             controller: "2001:db8::c0".parse().unwrap(),
             controller_port: 9,
         };
-        buffer.push(PerfEvent { cpu: 0, data: event.to_bytes().to_vec() });
-        buffer.push(PerfEvent { cpu: 1, data: event.to_bytes().to_vec() });
+        buffer.push_bytes(0, &event.to_bytes());
+        buffer.push_bytes(1, &event.to_bytes());
         let mut collector = DelayCollector::new(Arc::clone(&buffer));
         assert_eq!(collector.poll_cpu(1), 1);
         assert_eq!(buffer.len_cpu(0), 1, "cpu 0's ring is untouched");

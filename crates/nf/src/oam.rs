@@ -69,7 +69,6 @@ mod tests {
     use super::*;
     use ebpf_vm::vm::{RunContext, RunState, STACK_BASE};
     use seg6_core::{Nexthop, RouterTables};
-    use std::collections::HashMap;
     use std::sync::Arc;
 
     #[test]
@@ -91,8 +90,8 @@ mod tests {
         let mut state = RunState::new(0);
         let mut ctx = vec![0u8; 64];
         let mut pkt = vec![0u8; 64];
-        let maps = HashMap::new();
-        let mut rc = RunContext { ctx: &mut ctx, packet: &mut pkt, env: &mut env };
+        let maps = ebpf_vm::maps::ProgramMaps::default();
+        let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
         let mut api = HelperApi { state: &mut state, rc: &mut rc, maps: &maps };
         let dst: Ipv6Addr = "2001:db8::42".parse().unwrap();
         api.write_bytes(STACK_BASE, &dst.octets()).unwrap();

@@ -15,11 +15,10 @@
 use netpkt::ipv6::proto;
 use netpkt::tcp::{TcpFlags, TcpHeader, TCP_HEADER_LEN};
 use netpkt::{Ipv6Header, PacketBuf, ParsedPacket};
-use parking_lot::Mutex;
 use simnet::{AppApi, Application};
 use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default maximum segment size (payload bytes per segment).
 pub const DEFAULT_MSS: usize = 1400;
@@ -277,7 +276,7 @@ impl TcpBulkSender {
                 } else {
                     // Partial ACK: retransmit the next missing segment.
                     self.send_segment(api, self.snd_una);
-                    self.stats.lock().retransmissions += 1;
+                    self.stats.lock().unwrap_or_else(PoisonError::into_inner).retransmissions += 1;
                 }
             } else if self.cwnd < self.ssthresh {
                 self.cwnd += newly.min(self.mss_u64()) as f64;
@@ -285,7 +284,7 @@ impl TcpBulkSender {
                 self.cwnd += (self.mss_u64() * self.mss_u64()) as f64 / self.cwnd;
             }
             {
-                let mut stats = self.stats.lock();
+                let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
                 stats.acked_bytes = self.snd_una;
                 stats.end_ns = now_ns;
                 stats.srtt_ns = self.srtt_ns as u64;
@@ -312,7 +311,7 @@ impl TcpBulkSender {
                 self.recover = self.snd_nxt;
                 self.cwnd += 3.0 * self.mss_u64() as f64;
                 self.send_segment(api, self.snd_una);
-                let mut stats = self.stats.lock();
+                let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
                 stats.fast_retransmits += 1;
                 stats.retransmissions += 1;
             } else if self.in_recovery {
@@ -325,7 +324,7 @@ impl TcpBulkSender {
 
 impl Application for TcpBulkSender {
     fn on_start(&mut self, api: &mut AppApi<'_>) {
-        self.stats.lock().start_ns = api.now_ns;
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner).start_ns = api.now_ns;
         self.send_window(api);
         self.arm_rto(api);
     }
@@ -366,7 +365,7 @@ impl Application for TcpBulkSender {
         self.rto_ns = (self.rto_ns * 2).min(MAX_RTO_NS);
         self.rtt_probe = None;
         {
-            let mut stats = self.stats.lock();
+            let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
             stats.timeouts += 1;
             stats.retransmissions += 1;
         }
@@ -447,7 +446,7 @@ impl Application for TcpBulkReceiver {
             duplicate = true;
         }
         {
-            let mut stats = self.stats.lock();
+            let mut stats = self.stats.lock().unwrap_or_else(PoisonError::into_inner);
             if stats.first_data_ns == 0 {
                 stats.first_data_ns = api.now_ns;
             }
@@ -499,8 +498,8 @@ mod tests {
         sim.add_app(a, Box::new(sender));
         sim.add_app(b, Box::new(receiver));
         sim.run_until(60 * NS_PER_SEC);
-        let s = sender_stats.lock();
-        let r = receiver_stats.lock();
+        let s = sender_stats.lock().unwrap_or_else(PoisonError::into_inner);
+        let r = receiver_stats.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(s.finished, "transfer did not finish: acked {}", s.acked_bytes);
         assert_eq!(s.acked_bytes, total);
         assert_eq!(r.delivered_bytes, total);
@@ -519,10 +518,10 @@ mod tests {
         sim.add_app(a, Box::new(sender));
         sim.add_app(b, Box::new(receiver));
         sim.run_until(120 * NS_PER_SEC);
-        let s = sender_stats.lock();
+        let s = sender_stats.lock().unwrap_or_else(PoisonError::into_inner);
         assert!(s.finished, "acked only {}", s.acked_bytes);
         assert!(s.retransmissions > 0);
-        assert_eq!(receiver_stats.lock().delivered_bytes, total);
+        assert_eq!(receiver_stats.lock().unwrap_or_else(PoisonError::into_inner).delivered_bytes, total);
     }
 
     #[test]
@@ -534,7 +533,7 @@ mod tests {
         sim.add_app(a, Box::new(sender));
         sim.add_app(b, Box::new(receiver));
         sim.run_until(60 * NS_PER_SEC);
-        let srtt = sender_stats.lock().srtt_ns;
+        let srtt = sender_stats.lock().unwrap_or_else(PoisonError::into_inner).srtt_ns;
         // One-way delay 20 ms each way -> RTT around 40 ms.
         assert!((35_000_000..80_000_000).contains(&srtt), "srtt {srtt}");
     }
@@ -550,8 +549,8 @@ mod tests {
         sim.add_app(a, Box::new(sender));
         sim.add_app(b, Box::new(receiver));
         sim.run_until(60 * NS_PER_SEC);
-        assert!(sender_stats.lock().finished);
-        let goodput = receiver_stats.lock().goodput_bps();
+        assert!(sender_stats.lock().unwrap_or_else(PoisonError::into_inner).finished);
+        let goodput = receiver_stats.lock().unwrap_or_else(PoisonError::into_inner).goodput_bps();
         assert!(goodput < 10_000_000.0, "goodput {goodput}");
         assert!(goodput > 3_000_000.0, "goodput {goodput}");
     }
@@ -569,7 +568,7 @@ mod tests {
         };
         receiver.on_packet(&mut api, &seg(100)); // out of order
         receiver.on_packet(&mut api, &seg(0)); // fills the gap
-        let s = stats.lock();
+        let s = stats.lock().unwrap_or_else(PoisonError::into_inner);
         assert_eq!(s.delivered_bytes, 200);
         assert_eq!(s.out_of_order_segments, 1);
         assert_eq!(s.dup_acks_sent, 1);
