@@ -6,23 +6,32 @@
 //! cargo run --release -p bench --bin figures -- fig2    # one experiment
 //! ```
 //!
-//! Available experiments: `fig2`, `jit`, `fig3`, `fig4`, `tcp`, `sloc`.
+//! Available experiments: `fig2`, `jit`, `fig3`, `fig4`, `tcp`, `sloc`; any
+//! other name prints this list and exits with status 2.
 
+use bench::fidelity::Row;
 use bench::{fig2, fig3, hybrid};
+use std::process::ExitCode;
 
-fn main() {
+/// Every experiment, in the order they print.
+const EXPERIMENTS: [&str; 6] = ["fig2", "jit", "fig3", "fig4", "tcp", "sloc"];
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let all = args.is_empty();
-    let want = |name: &str| all || args.iter().any(|a| a == name);
+    if let Some(unknown) = args.iter().find(|a| !EXPERIMENTS.contains(&a.as_str())) {
+        eprintln!("figures: unknown experiment `{unknown}`; available: {}", EXPERIMENTS.join(" "));
+        return ExitCode::from(2);
+    }
+    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
 
     if want("fig2") {
-        print_fig2();
+        print_rows("Figure 2: ns a BPF endpoint function adds over its static counterpart", fig2::rows());
     }
     if want("jit") {
-        print_jit();
+        print_rows("§3.2: ns the interpreter adds over the JIT (Add TLV)", vec![fig2::jit_row()]);
     }
     if want("fig3") {
-        print_fig3();
+        print_rows("Figure 3: ns the delay-monitoring programs add over plain forwarding", fig3::rows());
     }
     if want("fig4") {
         print_fig4();
@@ -33,46 +42,23 @@ fn main() {
     if want("sloc") {
         print_sloc();
     }
+    ExitCode::SUCCESS
 }
 
-fn print_fig2() {
-    println!("== Figure 2: forwarding rate of simple endpoint functions (normalised) ==");
-    println!("{:30} {:>12} {:>12} {:>12}", "variant", "measured pps", "normalised", "paper");
-    let rows = fig2::run(200_000);
-    for row in rows {
+/// One line per row: ns added here, the ns the paper's bars imply it
+/// added there, and the rate ratio as a read-out.
+fn print_rows(title: &str, rows: Vec<Row>) {
+    println!("== {title} ==");
+    println!("{:16} {:16} {:>10} {:>10} {:>8}", "variant", "over", "ns added", "paper ns", "ratio");
+    for mut row in rows {
+        let added = row.measure();
         println!(
-            "{:30} {:>12.0} {:>12.3} {:>12.2}",
-            row.variant.label(),
-            row.pps,
-            row.normalized,
-            row.paper_normalized
-        );
-    }
-    println!();
-}
-
-fn print_jit() {
-    println!("== §3.2: JIT vs interpreter (Add TLV) ==");
-    let mut with_jit = fig2::build_scenario(fig2::Fig2Variant::AddTlvBpf);
-    let mut no_jit = fig2::build_scenario(fig2::Fig2Variant::AddTlvBpfNoJit);
-    let jit_pps = with_jit.measure_pps(200_000);
-    let nojit_pps = no_jit.measure_pps(200_000);
-    println!("Add TLV with JIT     : {jit_pps:>12.0} pps");
-    println!("Add TLV interpreter  : {nojit_pps:>12.0} pps");
-    println!("throughput ratio     : {:>12.2}  (paper: 1.8)", jit_pps / nojit_pps);
-    println!();
-}
-
-fn print_fig3() {
-    println!("== Figure 3: impact of the delay-monitoring programs (normalised) ==");
-    println!("{:30} {:>12} {:>12} {:>12}", "variant", "measured pps", "normalised", "paper");
-    for row in fig3::run(200_000) {
-        println!(
-            "{:30} {:>12.0} {:>12.3} {:>12.3}",
-            row.variant.label(),
-            row.pps,
-            row.normalized,
-            row.paper_normalized
+            "{:16} {:16} {:>10.1} {:>10.0} {:>8.3}",
+            row.name,
+            row.over,
+            added.ns,
+            row.paper_added_ns(),
+            added.ratio()
         );
     }
     println!();

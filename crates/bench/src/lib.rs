@@ -4,9 +4,12 @@
 //! (`cargo run --release -p bench --bin figures`), one per element of the
 //! paper's evaluation:
 //!
-//! * [`fig2`] — the endpoint-function forwarding microbenchmark (Figure 2
-//!   and the §3.2 JIT factor);
-//! * [`fig3`] — the delay-monitoring overhead benchmark (Figure 3);
+//! * [`fidelity`] — the one way this crate times the datapath:
+//!   [`fidelity::added_ns`], the ns a function adds over its counterpart,
+//!   measured on batches of 32 packets in alternating rounds;
+//! * [`fig2`] — the endpoint-function scenarios of Figure 2 and the §3.2
+//!   JIT row;
+//! * [`fig3`] — the delay-monitoring scenarios of Figure 3;
 //! * [`hybrid`] — the hybrid-access simulation (Figure 4 and the §4.2 TCP
 //!   numbers);
 //! * [`delay`] and [`ecmp`] — the delay-monitoring (§4.1) and
@@ -17,20 +20,20 @@
 //! `tests/use_cases.rs` run these scenarios and print or check their
 //! results.
 //!
-//! The wall-clock halves of their checks — Figure 2/3 orderings and the
-//! execution-tier ratio gates — are `#[ignore]`d tests, run in release
-//! mode with `cargo test --release -p bench -- --ignored`.
+//! The wall-clock checks — Figure 2/3 orderings and the execution-tier
+//! ratio gates, all through [`fidelity::added_ns`] — are `#[ignore]`d
+//! tests, run in release mode with `cargo test --release -p bench --
+//! --ignored`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod delay;
 pub mod ecmp;
+pub mod fidelity;
 pub mod fig2;
 pub mod fig3;
 pub mod hybrid;
-
-use std::time::Instant;
 
 /// Runs a timing-sensitive check up to `attempts` times, passing if any
 /// attempt returns `Ok`. Relative-rate assertions (fig2/fig3 orderings
@@ -49,35 +52,4 @@ pub(crate) fn assert_eventually(attempts: usize, check: impl Fn() -> Result<(), 
         }
     }
     panic!("failed {attempts} consecutive measurement attempts: {last}");
-}
-
-/// Measures how many times `iteration` can run per second, by running it
-/// `count` times and timing the whole batch with a monotonic clock. Returns
-/// (rate per second, mean nanoseconds per iteration).
-pub fn measure_rate(count: usize, mut iteration: impl FnMut()) -> (f64, f64) {
-    // A short warm-up so one-time allocations do not pollute the figure.
-    for _ in 0..count.min(1_000) {
-        iteration();
-    }
-    let start = Instant::now();
-    for _ in 0..count {
-        iteration();
-    }
-    let elapsed = start.elapsed();
-    let ns = elapsed.as_nanos() as f64 / count as f64;
-    (1e9 / ns, ns)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn measure_rate_returns_consistent_values() {
-        let mut counter = 0u64;
-        let (rate, ns) = measure_rate(10_000, || counter = counter.wrapping_add(1));
-        assert!(rate > 0.0);
-        assert!(ns > 0.0);
-        assert!((rate - 1e9 / ns).abs() / rate < 1e-6);
-    }
 }

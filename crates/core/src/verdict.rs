@@ -44,6 +44,21 @@ impl DropReason {
         DropReason::NoRoute,
         DropReason::HopLimitExceeded,
     ];
+
+    /// The reason's snake_case name, as metric labels carry it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            DropReason::Malformed => "malformed",
+            DropReason::NoSrh => "no_srh",
+            DropReason::SegmentsLeftZero => "segments_left_zero",
+            DropReason::DecapFailed => "decap_failed",
+            DropReason::BpfDrop => "bpf_drop",
+            DropReason::BpfError => "bpf_error",
+            DropReason::SrhValidationFailed => "srh_validation_failed",
+            DropReason::NoRoute => "no_route",
+            DropReason::HopLimitExceeded => "hop_limit_exceeded",
+        }
+    }
 }
 
 impl fmt::Display for DropReason {

@@ -91,7 +91,7 @@ fn live_tenant(pool: &WorkerPool, t: usize) -> ShardSnapshot {
 /// The verdict counters of a cell or window:
 /// `[processed, forwarded, local_delivered, dropped]`.
 fn verdict_counts(s: &ShardSnapshot) -> [u64; 4] {
-    [s.processed, s.forwarded, s.local_delivered, s.dropped]
+    [s.processed, s.forwarded, s.local_delivered, s.total_dropped()]
 }
 
 /// The admission counters of a cell: `(enqueued, rejected)`.
@@ -631,7 +631,7 @@ fn live_counters_balance_at_every_flush() {
         assert_eq!(quiet.in_flight(), 0);
         for (shard, cell) in quiet.shards.iter().enumerate() {
             assert_eq!(cell.enqueued, cell.processed, "shard {shard}");
-            assert_eq!(cell.processed, cell.forwarded + cell.local_delivered + cell.dropped);
+            assert_eq!(cell.processed, cell.forwarded + cell.local_delivered + cell.total_dropped());
         }
     }
     // Counters survive (and stay exact across) shutdown.

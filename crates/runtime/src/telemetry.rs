@@ -18,7 +18,8 @@
 //! writer: the dispatcher adds
 //! `enqueued` / `rejected` / `rejected_over_budget` at publish time; the
 //! shard's worker adds `processed` / `forwarded` / `local_delivered` /
-//! `dropped` / `batches` / `cost` once per tenant run — the run's delta of
+//! `dropped` (one cell per [`DropReason`]) / `batches` / `cost` once per
+//! tenant run — the run's delta of
 //! the tenant datapath's own [`DatapathStats`], one plain load + store per
 //! counter per run (a single writer needs no locked read-modify-write),
 //! nothing per packet; the two writers' fields sit on separate cache
@@ -34,13 +35,13 @@
 //! increment has not landed yet). At any quiet point — after a
 //! [`flush`](crate::WorkerPool::flush) barrier returns — every cell
 //! balances, per tenant and per shard: `enqueued = processed = forwarded +
-//! local_delivered + dropped` (regression-tested in the pool and
+//! local_delivered + Σ dropped` (regression-tested in the pool and
 //! tenant-isolation tests). The per-tenant rows sum to the aggregated
 //! per-shard view by construction.
 
 use crate::pool::TenantId;
 use crate::ring::CachePadded;
-use seg6_core::DatapathStats;
+use seg6_core::{DatapathStats, DropReason};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -77,8 +78,9 @@ struct WorkCounters {
     forwarded: AtomicU64,
     /// Local-delivery verdicts.
     local_delivered: AtomicU64,
-    /// Drop verdicts.
-    dropped: AtomicU64,
+    /// Drop verdicts, indexed by reason as [`DatapathStats::dropped`] is.
+    /// The drop total is their sum; there is no second counter.
+    dropped: [AtomicU64; DropReason::ALL.len()],
     /// Batches (tenant runs) executed by the worker.
     batches: AtomicU64,
     /// Cost-model units charged for processed work, priced by
@@ -110,7 +112,12 @@ impl ShardCounters {
         bump(&work.processed, after.received - before.received);
         bump(&work.forwarded, after.forwarded - before.forwarded);
         bump(&work.local_delivered, after.local_delivered - before.local_delivered);
-        bump(&work.dropped, after.total_dropped() - before.total_dropped());
+        for ((cell, after), before) in work.dropped.iter().zip(after.dropped).zip(before.dropped) {
+            let delta = after - before;
+            if delta > 0 {
+                bump(cell, delta);
+            }
+        }
         bump(&work.batches, 1);
         bump(&work.cost, cost);
     }
@@ -151,7 +158,7 @@ impl ShardCounters {
             processed: work.processed.load(Ordering::Relaxed),
             forwarded: work.forwarded.load(Ordering::Relaxed),
             local_delivered: work.local_delivered.load(Ordering::Relaxed),
-            dropped: work.dropped.load(Ordering::Relaxed),
+            dropped: work.dropped.each_ref().map(|cell| cell.load(Ordering::Relaxed)),
             batches: work.batches.load(Ordering::Relaxed),
             rejected_over_budget: ingress.rejected_over_budget.load(Ordering::Relaxed),
             cost: work.cost.load(Ordering::Relaxed),
@@ -172,8 +179,9 @@ pub struct ShardSnapshot {
     pub forwarded: u64,
     /// Local-delivery verdicts.
     pub local_delivered: u64,
-    /// Drop verdicts.
-    pub dropped: u64,
+    /// Drop verdicts, indexed by reason (`reason as usize`, the order of
+    /// [`DropReason::ALL`]).
+    pub dropped: [u64; DropReason::ALL.len()],
     /// Batches (tenant runs) executed.
     pub batches: u64,
     /// Packets shed at admission by an exhausted cost budget (distinct
@@ -184,6 +192,16 @@ pub struct ShardSnapshot {
 }
 
 impl ShardSnapshot {
+    /// Drop verdicts, every reason summed.
+    pub fn total_dropped(&self) -> u64 {
+        self.dropped.iter().sum()
+    }
+
+    /// Drop verdicts for `reason`.
+    pub fn dropped_for(&self, reason: DropReason) -> u64 {
+        self.dropped[reason as usize]
+    }
+
     /// What was counted between the `earlier` sample of the same cells and
     /// this one — a flush window's counters.
     pub fn since(&self, earlier: &ShardSnapshot) -> ShardSnapshot {
@@ -193,7 +211,7 @@ impl ShardSnapshot {
             processed: self.processed - earlier.processed,
             forwarded: self.forwarded - earlier.forwarded,
             local_delivered: self.local_delivered - earlier.local_delivered,
-            dropped: self.dropped - earlier.dropped,
+            dropped: std::array::from_fn(|i| self.dropped[i] - earlier.dropped[i]),
             batches: self.batches - earlier.batches,
             rejected_over_budget: self.rejected_over_budget - earlier.rejected_over_budget,
             cost: self.cost - earlier.cost,
@@ -208,7 +226,9 @@ impl ShardSnapshot {
         self.processed += other.processed;
         self.forwarded += other.forwarded;
         self.local_delivered += other.local_delivered;
-        self.dropped += other.dropped;
+        for (total, add) in self.dropped.iter_mut().zip(other.dropped) {
+            *total += add;
+        }
         self.batches += other.batches;
         self.rejected_over_budget += other.rejected_over_budget;
         self.cost += other.cost;
@@ -330,7 +350,7 @@ impl PoolSnapshot {
 
     /// Total drop verdicts across all shards.
     pub fn dropped(&self) -> u64 {
-        self.total(|s| s.dropped)
+        self.total(ShardSnapshot::total_dropped)
     }
 
     /// Total packets shed at admission by exhausted cost budgets.
@@ -452,7 +472,7 @@ mod tests {
         row.shard(1).add_ingress(5, 0);
         let mut after =
             DatapathStats { received: 10, forwarded: 8, local_delivered: 1, ..Default::default() };
-        after.dropped[seg6_core::DropReason::NoRoute as usize] = 1;
+        after.dropped[DropReason::NoRoute as usize] = 1;
         row.shard(0).add_run(&DatapathStats::default(), &after, 12);
         let snap = counters.snapshot();
         assert_eq!(snap.shards.len(), 2);
@@ -462,7 +482,11 @@ mod tests {
         assert_eq!(snap.shards[0].processed, 10);
         assert_eq!(snap.shards[0].forwarded, 8);
         assert_eq!(snap.shards[0].local_delivered, 1);
-        assert_eq!(snap.shards[0].dropped, 1);
+        assert_eq!(snap.shards[0].dropped_for(DropReason::NoRoute), 1);
+        assert_eq!(snap.shards[0].total_dropped(), 1);
+        assert_eq!(snap.dropped(), 1);
+        let cell = &snap.shards[0];
+        assert_eq!(cell.processed, cell.forwarded + cell.local_delivered + cell.total_dropped());
         assert_eq!((snap.shards[0].batches, snap.shards[0].cost), (1, 12));
         assert_eq!(snap.shards[1].enqueued, 5);
         assert_eq!(snap.enqueued(), 15);

@@ -191,7 +191,7 @@ fn randomized_two_tenant_run_never_cross_routes() {
             for tenant_row in &snap.tenants {
                 let cell = &tenant_row.shards[shard];
                 assert_eq!(cell.enqueued, cell.processed, "round {round} shard {shard}");
-                assert_eq!(cell.processed, cell.forwarded + cell.local_delivered + cell.dropped);
+                assert_eq!(cell.processed, cell.forwarded + cell.local_delivered + cell.total_dropped());
                 summed.accumulate(cell);
             }
             assert_eq!(&summed, aggregate, "round {round} shard {shard}");

@@ -241,7 +241,7 @@ fn run(args: &[String]) -> ExitCode {
             tenant.totals.processed,
             tenant.totals.forwarded,
             tenant.totals.local_delivered,
-            tenant.totals.dropped,
+            tenant.totals.total_dropped(),
             tenant.totals.rejected,
             tenant.tx_frames,
             tenant.tx_drops

@@ -3,6 +3,7 @@
 //! shared control flags the main loop, the signal handlers and the
 //! control socket all write through.
 
+use seg6_core::DropReason;
 use seg6_runtime::PoolCounters;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
@@ -120,9 +121,8 @@ impl DaemonShared {
             ("processed_total", "Packets the datapath processed.", 2),
             ("forwarded_total", "Forward verdicts.", 3),
             ("local_delivered_total", "Local-delivery verdicts.", 4),
-            ("dropped_total", "Drop verdicts.", 5),
-            ("rejected_over_budget_total", "Packets shed by an exhausted cost budget.", 6),
-            ("cost_total", "Cost-model units charged for processed work.", 7),
+            ("rejected_over_budget_total", "Packets shed by an exhausted cost budget.", 5),
+            ("cost_total", "Cost-model units charged for processed work.", 6),
         ] {
             counter(&mut out, name, help);
             for (slot, tenant) in snapshot.tenants.iter().enumerate() {
@@ -134,13 +134,26 @@ impl DaemonShared {
                         row.processed,
                         row.forwarded,
                         row.local_delivered,
-                        row.dropped,
                         row.rejected_over_budget,
                         row.cost,
                     ][pick];
                     let _ = writeln!(
                         out,
                         "srv6d_{name}{{tenant=\"{label}\",slot=\"{slot}\",shard=\"{shard}\"}} {value}"
+                    );
+                }
+            }
+        }
+        counter(&mut out, "dropped_total", "Drop verdicts, by reason.");
+        for (slot, tenant) in snapshot.tenants.iter().enumerate() {
+            let label = metas.get(slot).map_or("?", |m| m.name.as_str());
+            for (shard, row) in tenant.shards.iter().enumerate() {
+                for reason in DropReason::ALL {
+                    let _ = writeln!(
+                        out,
+                        "srv6d_dropped_total{{tenant=\"{label}\",slot=\"{slot}\",shard=\"{shard}\",reason=\"{}\"}} {}",
+                        reason.name(),
+                        row.dropped_for(reason)
                     );
                 }
             }

@@ -94,7 +94,7 @@ fn outcome_of(daemon: Srv6Daemon, mut egress: Vec<Vec<u8>>, minted_in_pass_two: 
         processed: totals.processed,
         forwarded: totals.forwarded,
         local_delivered: totals.local_delivered,
-        dropped: totals.dropped,
+        dropped: totals.total_dropped(),
         rx_frames: io.rx_frames,
         tx_frames: io.tx_frames,
         tx_drops: io.tx_drops,

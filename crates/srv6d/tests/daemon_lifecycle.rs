@@ -6,6 +6,7 @@
 use netpkt::packet::build_ipv6_udp_packet;
 use netpkt::sockio::{FrameBatch, PacketRx, PacketTx};
 use netpkt::{MmsgRx, MmsgTx};
+use seg6_core::DropReason;
 use srv6d::{resolve_backend, Config, IoBackendChoice, MemBackend, Srv6Daemon};
 use std::net::Ipv6Addr;
 use std::time::{Duration, Instant};
@@ -111,7 +112,7 @@ fn loopback_end_to_end_counts_every_frame() {
     assert_eq!(totals.processed, 2 * N as u64);
     assert_eq!(totals.forwarded, 2 * N as u64);
     assert_eq!(totals.rejected, 0);
-    assert_eq!(totals.dropped, 0);
+    assert_eq!(totals.total_dropped(), 0);
 
     // Graceful drain: final counters exact, intake stopped.
     let report = daemon.drain();
@@ -263,7 +264,21 @@ fn reload_diff_under_load_preserves_untouched_tenants() {
     service_until_processed(&mut daemon, 2, K);
     let change_before = daemon.pool().counters().snapshot().tenants[1].totals();
     assert_eq!(change_before.forwarded, K, "a-prefix traffic forwarded");
-    assert_eq!(change_before.dropped, K, "b-prefix traffic has no route yet");
+    assert_eq!(change_before.total_dropped(), K, "b-prefix traffic has no route yet");
+    // `/metrics` counts those drops under their reason, and the cells
+    // balance: processed = forwarded + local_delivered + Σ dropped.
+    let metrics = daemon.shared().render_metrics();
+    let cell = |name: &str, rest: &str| {
+        metric_value(&metrics, &format!("srv6d_{name}{{tenant=\"change\",slot=\"1\",shard=\"0\"{rest}}}"))
+    };
+    assert_eq!(cell("dropped_total", ",reason=\"no_route\""), K as f64);
+    let dropped: f64 =
+        DropReason::ALL.iter().map(|r| cell("dropped_total", &format!(",reason=\"{}\"", r.name()))).sum();
+    assert_eq!(dropped, K as f64, "no drop for any other reason");
+    assert_eq!(
+        cell("processed_total", ""),
+        cell("forwarded_total", "") + cell("local_delivered_total", "") + dropped
+    );
 
     // Load is in flight on the untouched tenant while the reload lands.
     inject(&mem, "keep", "2001:db8:f::1", K);
@@ -283,7 +298,7 @@ fn reload_diff_under_load_preserves_untouched_tenants() {
     assert_eq!(keep.processed, 3 * K);
     assert_eq!(keep.forwarded, 3 * K);
     assert_eq!(keep.rejected, 0);
-    assert_eq!(keep.dropped, 0);
+    assert_eq!(keep.total_dropped(), 0);
     assert_eq!(mem.egress_backlog("keep", 1), 3 * K as usize, "all forwarded frames were emitted");
 
     // The route diff took effect live: b-prefix traffic now forwards.
@@ -291,7 +306,7 @@ fn reload_diff_under_load_preserves_untouched_tenants() {
     service_until_processed(&mut daemon, 1, 3 * K);
     let change = daemon.pool().counters().snapshot().tenants[1].totals();
     assert_eq!(change.forwarded, 2 * K, "the added route forwards what used to drop");
-    assert_eq!(change.dropped, K, "no new drops after the route landed");
+    assert_eq!(change.total_dropped(), K, "no new drops after the route landed");
 
     // The added tenant serves; the removed tenant is quiesced (its slot
     // and counters stay, its sockets are closed).
@@ -350,7 +365,7 @@ fn drain_stops_intake_and_reports_final_counters() {
     // The per-shard view of the same cells balances too.
     for shard in &report.drain.counters.shards {
         assert_eq!(shard.enqueued, shard.processed);
-        assert_eq!(shard.processed, shard.forwarded + shard.local_delivered + shard.dropped);
+        assert_eq!(shard.processed, shard.forwarded + shard.local_delivered + shard.total_dropped());
     }
     assert_eq!(report.drain.counters.processed(), N);
 }
