@@ -189,12 +189,11 @@ mod tests {
         assemble("srh_walk", &source)
     }
 
-    /// `srh_walk`'s exact native facts on the Figure 2 packet: `(micro-ops,
-    /// code bytes, spills, elided checks, inlined helper sites)`, as the
-    /// shipped programs' are pinned in
-    /// `srv6_nf::progs`. A change to the lowering, the emitter or the
-    /// verifier's facts shows here as a diff of numbers; update the tuple
-    /// only with the reason.
+    /// `srh_walk`'s exact native facts on the Figure 2 packet:
+    /// `(instructions, code bytes, spills, elided checks, inlined helper
+    /// sites)`, as the shipped programs' are pinned in `srv6_nf::progs`. A
+    /// change to the emitter or the verifier's facts shows here as a diff
+    /// of numbers; update the tuple only with the reason.
     #[test]
     fn srh_walk_compiles_to_its_pinned_native_facts() {
         if !ebpf_vm::codegen::supported() {
@@ -204,10 +203,10 @@ mod tests {
         let helpers = ebpf_vm::HelperRegistry::new();
         let loaded = ebpf_vm::program::load(srh_walk_program(template.len()), &HashMap::new(), &helpers)
             .expect("verifies");
-        let micro_ops = ebpf_vm::jit::compile(&loaded).unwrap().len();
+        let insns = loaded.program.insns.len();
         let native = loaded.native().expect("native backend available");
         let debug = native.debug_info();
-        let facts = (micro_ops, native.code_len(), debug.spills, debug.elided_checks, debug.inlined_helpers);
+        let facts = (insns, native.code_len(), debug.spills, debug.elided_checks, debug.inlined_helpers);
         assert_eq!(
             facts,
             (318, 15538, 0, 105, 0),

@@ -203,11 +203,10 @@ mod tests {
         use netpkt::ipv6::proto;
         use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
         use netpkt::srh::SegmentRoutingHeader;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use simnet::SplitMix64;
 
-        let mut rng = StdRng::seed_from_u64(0x5eed_0028);
-        let addr = |rng: &mut StdRng| Ipv6Addr::from((u128::from(rng.next_u64()) << 64) | 1);
+        let mut rng = SplitMix64::new(0x5eed_0028);
+        let addr = |rng: &mut SplitMix64| Ipv6Addr::from((u128::from(rng.next_u64()) << 64) | 1);
         let mut saved = SavedHead::default();
         for case in 0..400 {
             let payload: Vec<u8> = (0..rng.gen_range(0usize..160)).map(|_| rng.next_u64() as u8).collect();

@@ -420,8 +420,7 @@ mod tests {
     // --- the callers of the walk against the byte walks they replaced -----
 
     use crate::skb::SavedHead;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use simnet::SplitMix64;
 
     /// `find_srh` before the walk replaced it: the oracle.
     fn parent_find_srh(packet: &[u8]) -> Option<(usize, usize)> {
@@ -496,12 +495,12 @@ mod tests {
         Ok(())
     }
 
-    fn random_addr(rng: &mut StdRng) -> Ipv6Addr {
+    fn random_addr(rng: &mut SplitMix64) -> Ipv6Addr {
         Ipv6Addr::from(u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64()))
     }
 
     /// 1–4 segments, any `segments_left`, and up to three TLVs.
-    fn random_srh(rng: &mut StdRng, next_header: u8) -> SegmentRoutingHeader {
+    fn random_srh(rng: &mut SplitMix64, next_header: u8) -> SegmentRoutingHeader {
         let path: Vec<Ipv6Addr> = (0..rng.gen_range(1usize..=4)).map(|_| random_addr(rng)).collect();
         let mut srh = SegmentRoutingHeader::from_path(next_header, &path);
         srh.segments_left = rng.gen_range(0..=u32::from(srh.last_entry)) as u8;
@@ -517,7 +516,7 @@ mod tests {
 
     /// A well-formed plain or SRv6 UDP packet, encapsulated once half the
     /// time — behind an SRH (with TLVs) or directly behind the outer header.
-    fn random_packet(rng: &mut StdRng) -> Vec<u8> {
+    fn random_packet(rng: &mut SplitMix64) -> Vec<u8> {
         let payload: Vec<u8> = (0..rng.gen_range(0usize..48)).map(|_| rng.next_u64() as u8).collect();
         let (src, dst) = (random_addr(rng), random_addr(rng));
         let mut packet = if rng.gen_bool(0.5) {
@@ -543,7 +542,7 @@ mod tests {
 
     /// A well-formed packet cut short, or with a few header bytes flipped —
     /// the routing type, next-header and length octets most often.
-    fn hostile_packet(rng: &mut StdRng) -> Vec<u8> {
+    fn hostile_packet(rng: &mut SplitMix64) -> Vec<u8> {
         let mut packet = random_packet(rng);
         if rng.gen_bool(0.3) {
             packet.truncate(rng.gen_range(0..=packet.len()));
@@ -599,7 +598,7 @@ mod tests {
 
     #[test]
     fn callers_of_the_walk_give_the_parent_answers_on_well_formed_packets() {
-        let mut rng = StdRng::seed_from_u64(0x5eed_0030);
+        let mut rng = SplitMix64::new(0x5eed_0030);
         for _ in 0..2_000 {
             let packet = random_packet(&mut rng);
             let mut advanced = packet.clone();
@@ -614,7 +613,7 @@ mod tests {
 
     #[test]
     fn callers_of_the_walk_survive_hostile_bytes() {
-        let mut rng = StdRng::seed_from_u64(0x5eed_0031);
+        let mut rng = SplitMix64::new(0x5eed_0031);
         for _ in 0..10_000 {
             assert_callers_agree(&hostile_packet(&mut rng));
         }

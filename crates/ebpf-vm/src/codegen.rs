@@ -1,11 +1,12 @@
 //! Native x86-64 code generation — the `Native` execution tier.
 //!
-//! This module lowers a program's micro-op stream
-//! ([`crate::jit::compile`]) to x86-64 machine code in an executable
-//! page region. The pages are obtained with `mmap(PROT_READ|PROT_WRITE)`,
-//! the code is copied in, and the region is sealed with
-//! `mprotect(PROT_READ|PROT_EXEC)` before the first execution — W^X
-//! throughout, declared against raw libc entry points exactly like the
+//! This module lowers a verified program's instructions
+//! ([`crate::program::Program::insns`]) to x86-64 machine code in an
+//! executable page region, one instruction at a time, as the kernel's
+//! `do_jit` walks its `struct bpf_insn` array. The pages are obtained with
+//! `mmap(PROT_READ|PROT_WRITE)`, the code is copied in, and the region is
+//! sealed with `mprotect(PROT_READ|PROT_EXEC)` before the first execution —
+//! W^X throughout, declared against raw libc entry points exactly like the
 //! `signal(2)` declaration `srv6d` already ships.
 //!
 //! ## Execution model
@@ -148,10 +149,9 @@ impl std::fmt::Debug for NativeProgram {
     }
 }
 
-/// Lowers a loaded program to micro-ops ([`crate::jit::compile`]) and
-/// compiles them, with the verifier's [`LoadedProgram::access_facts`], to
-/// native code. Returns `Ok(None)` when the target has no native backend;
-/// callers then run the interpreter.
+/// Lowers a loaded program's instructions, with the verifier's
+/// [`LoadedProgram::access_facts`], to native code. Returns `Ok(None)` when
+/// the target has no native backend; callers then run the interpreter.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub fn compile(loaded: &LoadedProgram) -> Result<Option<NativeProgram>> {
     x86_64::compile(loaded).map(Some)
@@ -237,8 +237,7 @@ pub fn run(
 mod x86_64 {
     use crate::error::{Error, Result};
     use crate::helpers::ids;
-    use crate::insn::{alu, jmp, AccessSize, NUM_REGS, STACK_SIZE};
-    use crate::jit::{MicroOp, Operand};
+    use crate::insn::{alu, class, jmp, src, AccessSize, Insn, NUM_REGS, STACK_SIZE};
     use crate::maps::ArenaLayout;
     use crate::program::LoadedProgram;
     use crate::verifier::{AccessFact, AccessFacts};
@@ -730,7 +729,7 @@ mod x86_64 {
 
     /// One pending rel32 fixup.
     enum Fixup {
-        /// Branch to a micro-op slot.
+        /// Branch to an instruction slot.
         Slot(usize, u32),
         /// Branch to the shared epilogue (normal exit or already-recorded
         /// fault). In the register-allocating emitter this is the *raw*
@@ -763,7 +762,7 @@ mod x86_64 {
     /// The per-program register assignment: which BPF registers live in
     /// which host registers for the whole program.
     ///
-    /// Live intervals are computed over the expanded micro-op stream, but
+    /// Live intervals are computed over the instruction stream, but
     /// homes are fixed for the program rather than time-shared between
     /// values: the verifier only accepts forward jumps, so an interval
     /// hand-off point could be jumped over, leaving a home stale. With ten
@@ -786,24 +785,65 @@ mod x86_64 {
         spills: u32,
     }
 
-    fn plan_registers(ops: &[MicroOp], facts: &AccessFacts) -> RegPlan {
+    /// The instructions the emitter lowers, with their slots: every one but
+    /// the second slot of an `lddw`, which emits no code.
+    fn lowered(insns: &[Insn]) -> impl Iterator<Item = (usize, &Insn)> {
+        let mut second_slot = false;
+        insns.iter().enumerate().filter(move |(_, insn)| {
+            let lowered = !second_slot;
+            second_slot = lowered && insn.is_lddw();
+            lowered
+        })
+    }
+
+    /// Calls `f` with every BPF register `insn` reads or writes — the
+    /// liveness the register plan ranks by. A helper call mentions
+    /// `r0`–`r5` (arguments and return value), `exit` mentions `r0`.
+    fn for_each_reg(insn: &Insn, mut f: impl FnMut(u8)) {
+        let reads_src = insn.opcode & src::X != 0;
+        match insn.class() {
+            class::ALU | class::ALU64 => {
+                f(insn.dst);
+                if reads_src && !matches!(insn.opcode & 0xf0, alu::NEG | alu::END) {
+                    f(insn.src);
+                }
+            }
+            class::LD | class::ST => f(insn.dst),
+            class::LDX | class::STX => {
+                f(insn.dst);
+                f(insn.src);
+            }
+            _ => match insn.opcode & 0xf0 {
+                jmp::CALL => (0..6).for_each(f),
+                jmp::EXIT => f(0),
+                jmp::JA => {}
+                _ => {
+                    f(insn.dst);
+                    if reads_src {
+                        f(insn.src);
+                    }
+                }
+            },
+        }
+    }
+
+    fn plan_registers(insns: &[Insn], facts: &AccessFacts) -> RegPlan {
         let mut uses = [0u32; NUM_REGS];
         let mut first = [usize::MAX; NUM_REGS];
         let mut has_calls = false;
-        for (slot, op) in ops.iter().enumerate() {
-            op.for_each_reg(|r| {
+        for (slot, insn) in lowered(insns) {
+            for_each_reg(insn, |r| {
                 let r = usize::from(r);
                 uses[r] += 1;
                 if first[r] == usize::MAX {
                     first[r] = slot;
                 }
             });
-            has_calls |= match op {
-                MicroOp::Call { .. } => true,
-                MicroOp::Load { .. } | MicroOp::StoreReg { .. } | MicroOp::StoreImm { .. } => {
+            has_calls |= match insn.class() {
+                class::LDX | class::STX | class::ST => {
                     matches!(facts.get(slot), AccessFact::Packet | AccessFact::Other)
                 }
-                _ => false,
+                _ => insn.is_call(),
             };
         }
         // Rank r0–r9 by use count (ties: earlier live-interval start
@@ -1250,19 +1290,19 @@ mod x86_64 {
 
         // --- operations ------------------------------------------------
 
-        fn emit_alu_imm(&mut self, op: u8, is64: bool, dst: u8, imm: u64, slot: usize) -> Result<()> {
+        fn emit_alu_imm(&mut self, op: u8, is64: bool, dst: u8, imm: i32, slot: usize) -> Result<()> {
             if op == alu::MOV {
                 if let Some(h) = self.home_of(dst) {
                     // 64-bit form sign-extends, 32-bit zero-extends — both
                     // the BPF semantics.
-                    self.asm.mov_ri32(is64, h, imm as i32);
+                    self.asm.mov_ri32(is64, h, imm);
                 } else if is64 {
                     self.asm.bytes(&[0x48, 0xC7]); // mov qword [..], imm32
                     self.asm.modrm_mem(0, RBX, 8 * i32::from(dst));
-                    self.asm.i32v(imm as i32);
+                    self.asm.i32v(imm);
                 } else {
                     self.asm.b(0xB8); // mov eax, imm32
-                    self.asm.i32v(imm as u32 as i32);
+                    self.asm.i32v(imm);
                     self.store_frame(dst, RAX);
                 }
                 return Ok(());
@@ -1277,13 +1317,13 @@ mod x86_64 {
                         _ => 6, // XOR
                     };
                     let work = self.acquire(dst, is64, true);
-                    self.asm.grp81(is64, ext, work, imm as i32);
+                    self.asm.grp81(is64, ext, work, imm);
                     self.release(dst, work);
                 }
                 alu::MUL => {
                     let work = self.acquire(dst, is64, true);
                     self.asm.op_rr(&[0x69], is64, work, work); // imul r, r, imm
-                    self.asm.i32v(imm as i32);
+                    self.asm.i32v(imm);
                     self.release(dst, work);
                 }
                 alu::DIV | alu::MOD => {
@@ -1291,11 +1331,10 @@ mod x86_64 {
                     self.read_reg(RAX, dst, is64);
                     if is64 {
                         self.asm.bytes(&[0x48, 0xC7, 0xC1]); // mov rcx, imm32
-                        self.asm.i32v(imm as i32);
                     } else {
                         self.asm.b(0xB9); // mov ecx, imm32
-                        self.asm.i32v(imm as u32 as i32);
                     }
+                    self.asm.i32v(imm);
                     self.emit_divmod(op, is64, false);
                     self.write_reg(dst, RAX);
                 }
@@ -1432,15 +1471,8 @@ mod x86_64 {
             Ok(())
         }
 
-        fn emit_jump_if(
-            &mut self,
-            op: u8,
-            is64: bool,
-            dst: u8,
-            rhs: Operand,
-            target: u32,
-            slot: usize,
-        ) -> Result<()> {
+        fn emit_jump_if(&mut self, insn: &Insn, target: u32, slot: usize) -> Result<()> {
+            let (op, is64, dst) = (insn.opcode & 0xf0, insn.class() == class::JMP, insn.dst);
             let lhs = if dst == 10 {
                 self.read_reg(RAX, dst, is64);
                 RAX
@@ -1448,30 +1480,28 @@ mod x86_64 {
                 self.acquire(dst, is64, true)
             };
             let is_set = op == jmp::JSET;
-            match rhs {
-                Operand::Imm(imm) => {
-                    if is_set {
-                        self.asm.grp_f7(is64, 0, lhs); // test lhs, imm32
-                        self.asm.i32v(imm as i32);
-                    } else {
-                        self.asm.grp81(is64, 7, lhs, imm as i32); // cmp
-                    }
+            if insn.opcode & src::X == 0 {
+                if is_set {
+                    self.asm.grp_f7(is64, 0, lhs); // test lhs, imm32
+                    self.asm.i32v(insn.imm);
+                } else {
+                    self.asm.grp81(is64, 7, lhs, insn.imm); // cmp
                 }
-                Operand::Reg(src) => {
-                    let rhs_host = if src == 10 {
-                        self.asm.movabs_r(RDX, STACK_TOP);
-                        RDX
-                    } else if let Some(hs) = self.home_of(src) {
-                        hs
-                    } else {
-                        self.load_frame(RDX, src, is64);
-                        RDX
-                    };
-                    if is_set {
-                        self.asm.op_rr(&[0x85], is64, rhs_host, lhs); // test
-                    } else {
-                        self.asm.op_rr(&[0x3B], is64, lhs, rhs_host); // cmp
-                    }
+            } else {
+                let src = insn.src;
+                let rhs_host = if src == 10 {
+                    self.asm.movabs_r(RDX, STACK_TOP);
+                    RDX
+                } else if let Some(hs) = self.home_of(src) {
+                    hs
+                } else {
+                    self.load_frame(RDX, src, is64);
+                    RDX
+                };
+                if is_set {
+                    self.asm.op_rr(&[0x85], is64, rhs_host, lhs); // test
+                } else {
+                    self.asm.op_rr(&[0x3B], is64, lhs, rhs_host); // cmp
                 }
             }
             let cc = match op {
@@ -1494,17 +1524,42 @@ mod x86_64 {
             Ok(())
         }
 
-        fn emit_op(&mut self, slot: usize, op: &MicroOp) -> Result<()> {
-            match *op {
-                MicroOp::AluImm { op, is64, dst, imm } => self.emit_alu_imm(op, is64, dst, imm, slot)?,
-                MicroOp::AluReg { op, is64, dst, src } => self.emit_alu_reg(op, is64, dst, src, slot)?,
-                MicroOp::Neg { is64, dst } => {
-                    let work = self.acquire(dst, is64, true);
-                    self.asm.grp_f7(is64, 3, work); // neg
-                    self.release(dst, work);
+        /// Branch target of the jump at `slot`: `slot + 1 + off`.
+        fn branch_target(&self, slot: usize, off: i16) -> Result<u32> {
+            let target = slot as i64 + 1 + i64::from(off);
+            if target < 0 || target as usize >= self.offsets.len() {
+                return Err(Error::verifier(slot, "jump target out of bounds"));
+            }
+            Ok(target as u32)
+        }
+
+        fn emit_insn(&mut self, slot: usize, insn: &Insn) -> Result<()> {
+            let (dst, src, off) = (insn.dst, insn.src, insn.off);
+            let size = AccessSize::from_opcode(insn.opcode);
+            match insn.class() {
+                class::ALU | class::ALU64 => {
+                    let is64 = insn.class() == class::ALU64;
+                    match insn.opcode & 0xf0 {
+                        alu::NEG => {
+                            let work = self.acquire(dst, is64, true);
+                            self.asm.grp_f7(is64, 3, work); // neg
+                            self.release(dst, work);
+                        }
+                        alu::END => {
+                            self.emit_byteswap(dst, insn.imm as u8, insn.opcode & src::X != 0, slot)?
+                        }
+                        op if insn.opcode & src::X != 0 => self.emit_alu_reg(op, is64, dst, src, slot)?,
+                        op => self.emit_alu_imm(op, is64, dst, insn.imm, slot)?,
+                    }
                 }
-                MicroOp::ByteSwap { dst, bits, to_be } => self.emit_byteswap(dst, bits, to_be, slot)?,
-                MicroOp::LoadImm64 { dst, imm } => {
+                class::LD if insn.is_lddw() => {
+                    let hi = self
+                        .loaded
+                        .program
+                        .insns
+                        .get(slot + 1)
+                        .ok_or_else(|| Error::verifier(slot, "lddw missing second slot"))?;
+                    let imm = (u64::from(hi.imm as u32) << 32) | u64::from(insn.imm as u32);
                     if let Some(h) = self.home_of(dst) {
                         self.asm.movabs_r(h, imm);
                     } else {
@@ -1512,48 +1567,55 @@ mod x86_64 {
                         self.store_frame(dst, RAX);
                     }
                 }
-                MicroOp::Load { size, dst, src, off } => {
+                class::LDX => {
                     self.addr_to_rcx(src, off);
                     self.emit_load_access(slot, size, dst);
                 }
-                MicroOp::StoreReg { size, dst, src, off } => {
+                class::STX => {
                     self.addr_to_rcx(dst, off);
                     let value = self.reg_to_host(src);
                     self.emit_store_access(slot, size, value);
                 }
-                MicroOp::StoreImm { size, dst, off, imm } => {
+                class::ST => {
                     self.addr_to_rcx(dst, off);
-                    self.asm.movabs_r(RAX, imm);
+                    self.asm.movabs_r(RAX, insn.imm as i64 as u64);
                     self.emit_store_access(slot, size, RAX);
                 }
-                MicroOp::Jump { target } => {
-                    let pos = self.asm.jmp32();
-                    self.fixups.push(Fixup::Slot(pos, target));
-                }
-                MicroOp::JumpIf { op, is64, dst, rhs, target } => {
-                    self.emit_jump_if(op, is64, dst, rhs, target, slot)?
-                }
-                MicroOp::Call { idx, id } => self.emit_call(slot, idx, id),
-                MicroOp::Exit => {
-                    let pos = self.asm.jmp32();
-                    self.fixups.push(Fixup::FlushExit(pos));
-                }
-                MicroOp::Nop => {}
+                class::JMP | class::JMP32 => match insn.opcode & 0xf0 {
+                    jmp::CALL => {
+                        let id = insn.imm as u32;
+                        let idx = self
+                            .loaded
+                            .helper_index(id)
+                            .ok_or_else(|| Error::verifier(slot, format!("unknown helper {id}")))?;
+                        self.emit_call(slot, idx, id);
+                    }
+                    jmp::EXIT => {
+                        let pos = self.asm.jmp32();
+                        self.fixups.push(Fixup::FlushExit(pos));
+                    }
+                    jmp::JA => {
+                        let target = self.branch_target(slot, off)?;
+                        let pos = self.asm.jmp32();
+                        self.fixups.push(Fixup::Slot(pos, target));
+                    }
+                    _ => self.emit_jump_if(insn, self.branch_target(slot, off)?, slot)?,
+                },
+                _ => return Err(Error::verifier(slot, "unsupported instruction")),
             }
             Ok(())
         }
     }
 
     pub(super) fn compile(loaded: &LoadedProgram) -> Result<super::NativeProgram> {
-        let jit = crate::jit::compile(loaded)?;
-        let ops = jit.ops();
+        let insns = &loaded.program.insns;
         let facts = loaded.access_facts();
-        let plan = plan_registers(ops, facts);
+        let plan = plan_registers(insns, facts);
         let mut e = RegEmitter {
             asm: Asm::default(),
             facts,
             loaded,
-            offsets: vec![0usize; ops.len()],
+            offsets: vec![0usize; insns.len()],
             fixups: Vec::new(),
             home: plan.home,
             homed: plan.homed.clone(),
@@ -1581,14 +1643,18 @@ mod x86_64 {
             let (r, h) = e.homed[i];
             e.load_frame(h, r, true);
         }
-        for (slot, op) in ops.iter().enumerate() {
+        for (slot, insn) in lowered(insns) {
             e.offsets[slot] = e.asm.here();
-            e.emit_op(slot, op)?;
+            e.emit_insn(slot, insn)?;
+            if insn.is_lddw() {
+                // The second slot emits nothing but keeps its own offset.
+                e.offsets[slot + 1] = e.asm.here();
+            }
         }
         // Fell-off-the-end guard (verifier-unreachable), as a recorded
         // fault.
         e.asm.b(0xB8);
-        e.asm.i32v(ops.len() as i32 + 1);
+        e.asm.i32v(insns.len() as i32 + 1);
         // Fault label: rax holds slot + 1; record it, then fall into the
         // flush (homes are current at every guard-fault site).
         let fault_label = e.asm.here();
@@ -1627,12 +1693,12 @@ mod x86_64 {
             elided_checks: e.elided_checks,
             inlined_helpers: e.inlined_helpers,
         };
-        let live_regs = if ops.iter().any(|op| matches!(op, MicroOp::Call { .. })) {
+        let live_regs = if lowered(insns).any(|(_, insn)| insn.is_call()) {
             ALL_REGS
         } else {
             let mut mask = 0u16;
-            for op in ops {
-                op.for_each_reg(|r| mask |= 1 << r);
+            for (_, insn) in lowered(insns) {
+                for_each_reg(insn, |r| mask |= 1 << r);
             }
             mask
         };
@@ -1742,6 +1808,47 @@ mod tests {
         let mut ctx = vec![0u8; 16];
         let mut pkt = vec![0u8; 0];
         assert_eq!(run_native(prog, &mut ctx, &mut pkt).unwrap(), 17);
+    }
+
+    /// A branch lands on `slot + 1 + off`, counting an `lddw`'s second
+    /// slot: the jump at slot 1 skips the pair and lands on `exit`.
+    #[test]
+    fn native_branch_targets_resolve_to_slot_plus_one_plus_off() {
+        for (r0, expected) in [(0, 0), (1, 0x1234_5678_9abc_def0)] {
+            let insns = vec![
+                Insn::mov64_imm(0, r0),
+                Insn::jmp_imm(jmp::JEQ, 0, 0, 2),
+                Insn::lddw_lo(0, 0x1234_5678_9abc_def0),
+                Insn::lddw_hi(0x1234_5678_9abc_def0),
+                Insn::exit(),
+            ];
+            let prog = Program::new("branch", ProgramType::SocketFilter, insns);
+            let (mut ctx, mut pkt) = (vec![0u8; 16], vec![]);
+            assert_eq!(run_native(prog, &mut ctx, &mut pkt).unwrap(), expected, "r0 = {r0}");
+        }
+    }
+
+    /// An `lddw` pair lowers to one `movabs`: its second slot adds no code.
+    #[test]
+    fn native_lddw_second_slot_emits_nothing() {
+        let code_len = |pairs: usize| {
+            let mut insns = Vec::new();
+            for value in (0..pairs as u64).map(|i| 0x1111_2222_3333_4444 * (i + 1)) {
+                insns.extend([Insn::lddw_lo(0, value), Insn::lddw_hi(value)]);
+            }
+            insns.push(Insn::exit());
+            let prog = Program::new("lddw", ProgramType::SocketFilter, insns);
+            let loaded = load(prog, &HashMap::new(), &HelperRegistry::with_base_helpers()).unwrap();
+            compile(&loaded).unwrap().expect("x86-64 backend").code_len()
+        };
+        assert_eq!(code_len(2) - code_len(1), 10, "movabs r64, imm64");
+        let prog = Program::new(
+            "lddw",
+            ProgramType::SocketFilter,
+            vec![Insn::lddw_lo(0, u64::MAX - 1), Insn::lddw_hi(u64::MAX - 1), Insn::exit()],
+        );
+        let (mut ctx, mut pkt) = (vec![0u8; 16], vec![]);
+        assert_eq!(run_native(prog, &mut ctx, &mut pkt).unwrap(), u64::MAX - 1);
     }
 
     #[test]

@@ -2,11 +2,9 @@
 
 use std::fmt;
 
-/// Errors produced while decoding, verifying or executing eBPF programs.
+/// Errors produced while assembling, verifying or executing eBPF programs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
-    /// The byte stream could not be decoded into instructions.
-    Decode(String),
     /// The text assembler rejected the source.
     Assembler {
         /// 1-based source line number.
@@ -54,7 +52,6 @@ impl Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::Decode(msg) => write!(f, "decode error: {msg}"),
             Error::Assembler { line, message } => write!(f, "assembler error at line {line}: {message}"),
             Error::Verifier { insn, message } => write!(f, "verifier rejected instruction {insn}: {message}"),
             Error::Runtime { insn, message } => write!(f, "runtime fault at instruction {insn}: {message}"),

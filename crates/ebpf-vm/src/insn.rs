@@ -7,7 +7,6 @@
 //! paper as \[3\]). The 64-bit-immediate load (`lddw`) occupies two
 //! consecutive instruction slots.
 
-use crate::error::{Error, Result};
 use std::fmt;
 
 /// Number of general-purpose registers (r0–r10).
@@ -202,29 +201,10 @@ impl Insn {
         self.opcode == (class::LD | mode::IMM | size::DW)
     }
 
-    /// Encodes the instruction into its 8-byte wire form (little-endian, as
-    /// the kernel and LLVM emit it).
-    pub fn encode(&self) -> [u8; 8] {
-        let mut out = [0u8; 8];
-        out[0] = self.opcode;
-        out[1] = (self.src << 4) | (self.dst & 0x0f);
-        out[2..4].copy_from_slice(&self.off.to_le_bytes());
-        out[4..8].copy_from_slice(&self.imm.to_le_bytes());
-        out
-    }
-
-    /// Decodes an instruction from its 8-byte wire form.
-    pub fn decode(bytes: &[u8]) -> Result<Insn> {
-        if bytes.len() < 8 {
-            return Err(Error::Decode("instruction shorter than 8 bytes".into()));
-        }
-        Ok(Insn {
-            opcode: bytes[0],
-            dst: bytes[1] & 0x0f,
-            src: bytes[1] >> 4,
-            off: i16::from_le_bytes([bytes[2], bytes[3]]),
-            imm: i32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
-        })
+    /// Whether this is a helper call (`JMP` or `JMP32` class, `CALL` op).
+    /// An `lddw` second slot carries opcode 0, so it is never one.
+    pub fn is_call(&self) -> bool {
+        matches!(self.class(), class::JMP | class::JMP32) && self.opcode & 0xf0 == jmp::CALL
     }
 
     // ---- constructors -----------------------------------------------------
@@ -341,52 +321,9 @@ impl fmt::Display for Insn {
     }
 }
 
-/// Encodes a whole program into its byte representation.
-pub fn encode_program(insns: &[Insn]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(insns.len() * 8);
-    for insn in insns {
-        out.extend_from_slice(&insn.encode());
-    }
-    out
-}
-
-/// Decodes a byte buffer into instructions. The length must be a multiple of
-/// eight bytes.
-pub fn decode_program(bytes: &[u8]) -> Result<Vec<Insn>> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(Error::Decode("program length is not a multiple of 8".into()));
-    }
-    bytes.chunks_exact(8).map(Insn::decode).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let insns = vec![
-            Insn::mov64_imm(0, -1),
-            Insn::mov64_reg(6, 1),
-            Insn::load(AccessSize::Word, 2, 6, 16),
-            Insn::store_imm(AccessSize::Byte, 10, -8, 0x7f),
-            Insn::jmp_imm(jmp::JEQ, 2, 42, 3),
-            Insn::call(5),
-            Insn::exit(),
-        ];
-        for insn in insns {
-            assert_eq!(Insn::decode(&insn.encode()).unwrap(), insn);
-        }
-    }
-
-    #[test]
-    fn program_roundtrip() {
-        let prog = vec![Insn::mov64_imm(0, 0), Insn::exit()];
-        let bytes = encode_program(&prog);
-        assert_eq!(bytes.len(), 16);
-        assert_eq!(decode_program(&bytes).unwrap(), prog);
-        assert!(decode_program(&bytes[..12]).is_err());
-    }
 
     #[test]
     fn lddw_occupies_two_slots() {
@@ -413,17 +350,5 @@ mod tests {
         }
         assert_eq!(AccessSize::Byte.bytes(), 1);
         assert_eq!(AccessSize::Double.bytes(), 8);
-    }
-
-    #[test]
-    fn registers_are_packed_in_one_byte() {
-        let insn = Insn::mov64_reg(3, 7);
-        let enc = insn.encode();
-        assert_eq!(enc[1], (7 << 4) | 3);
-    }
-
-    #[test]
-    fn decode_rejects_short_slice() {
-        assert!(Insn::decode(&[0u8; 7]).is_err());
     }
 }

@@ -1,74 +1,40 @@
 //! The bytecode interpreter.
 //!
-//! This engine mirrors the kernel's `___bpf_prog_run` interpreter loop: the
-//! program is kept in its 8-byte wire encoding and every step fetches,
-//! decodes, validates and executes one instruction, checking the
-//! instruction budget as it goes. It is the execution mode the paper
-//! benchmarks when the JIT compiler is disabled (the "Add TLV no JIT" bar
-//! of Figure 2 and the Turris Omnia ARM32 case of §4.2).
+//! This engine mirrors the kernel's `___bpf_prog_run` interpreter loop: it
+//! walks the program's verified instruction array
+//! ([`crate::program::Program::insns`]), the same array the native emitter
+//! lowers, and every step fetches, validates and executes one instruction,
+//! checking the instruction budget as it goes. It is the execution mode the
+//! paper benchmarks when the JIT compiler is disabled (the "Add TLV no JIT"
+//! bar of Figure 2 and the Turris Omnia ARM32 case of §4.2).
 
 use crate::error::{Error, Result};
-use crate::insn::{class, encode_program, jmp, Insn};
-use crate::program::{LoadedProgram, Program};
+use crate::insn::Insn;
+use crate::program::LoadedProgram;
 use crate::vm::{execute_insn, Flow, HelperApi, RunContext, RunState};
 
-/// A program stored in wire form, ready for interpretation.
-#[derive(Debug, Clone)]
-pub struct InterpreterImage {
-    raw: Vec<u8>,
-    insn_count: usize,
-}
-
-impl InterpreterImage {
-    /// Encodes a program into its interpretable image.
-    pub fn new(program: &Program) -> Self {
-        let raw = encode_program(&program.insns);
-        InterpreterImage { insn_count: program.insns.len(), raw }
-    }
-
-    /// Number of instructions in the image.
-    pub fn len(&self) -> usize {
-        self.insn_count
-    }
-
-    /// Whether the image holds no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.insn_count == 0
-    }
-
-    fn fetch(&self, pc: usize) -> Result<Insn> {
-        if pc >= self.insn_count {
-            return Err(Error::runtime(pc, "program counter out of bounds"));
-        }
-        Insn::decode(&self.raw[pc * 8..pc * 8 + 8])
-    }
-}
-
-/// Runs `image` to completion and returns r0.
-pub fn run(image: &InterpreterImage, loaded: &LoadedProgram, rc: &mut RunContext<'_>) -> Result<u64> {
+/// Runs `loaded` to completion and returns r0.
+pub fn run(loaded: &LoadedProgram, rc: &mut RunContext<'_>) -> Result<u64> {
     let mut state = RunState::new(rc.ctx.len());
-    run_with_state(image, loaded, rc, &mut state)
+    run_with_state(loaded, rc, &mut state)
 }
 
-/// Runs `image` with a caller-provided state (so callers can inspect the
+/// Runs `loaded` with a caller-provided state (so callers can inspect the
 /// registers or set a custom instruction budget).
 ///
 /// Helper calls dispatch through the program's **load-time** helper table
-/// ([`LoadedProgram::helper_table`]), exactly like the JIT — helpers are
-/// fixed at verification, as in the kernel, so no engine can run a program
-/// under a different registry than it was loaded with.
-pub fn run_with_state(
-    image: &InterpreterImage,
-    loaded: &LoadedProgram,
-    rc: &mut RunContext<'_>,
-    state: &mut RunState,
-) -> Result<u64> {
+/// ([`LoadedProgram::helper_table`]), exactly like the native tier —
+/// helpers are fixed at verification, as in the kernel, so no engine can
+/// run a program under a different registry than it was loaded with.
+pub fn run_with_state(loaded: &LoadedProgram, rc: &mut RunContext<'_>, state: &mut RunState) -> Result<u64> {
+    let insns = &loaded.program.insns;
+    let fetch = |pc: usize| -> Result<&Insn> {
+        insns.get(pc).ok_or_else(|| Error::runtime(pc, "program counter out of bounds"))
+    };
     let mut pc = 0usize;
     loop {
-        let insn = image.fetch(pc)?;
-        let is_call =
-            (insn.class() == class::JMP || insn.class() == class::JMP32) && insn.opcode & 0xf0 == jmp::CALL;
-        if is_call {
+        let insn = fetch(pc)?;
+        if insn.is_call() {
             state.insn_executed += 1;
             if state.insn_executed > state.insn_budget {
                 return Err(Error::runtime(pc, "instruction budget exceeded"));
@@ -87,13 +53,13 @@ pub fn run_with_state(
             pc += 1;
             continue;
         }
-        let next = if insn.is_lddw() { Some(image.fetch(pc + 1)?) } else { None };
-        match execute_insn(state, rc, &loaded.maps, &insn, next.as_ref(), pc)? {
+        let next = if insn.is_lddw() { Some(fetch(pc + 1)?) } else { None };
+        match execute_insn(state, rc, &loaded.maps, insn, next, pc)? {
             Flow::Next => pc += 1,
             Flow::SkipOne => pc += 2,
             Flow::Branch(delta) => {
                 let target = pc as i64 + 1 + delta;
-                if target < 0 || target as usize >= image.len() {
+                if target < 0 || target as usize >= insns.len() {
                     return Err(Error::runtime(pc, "jump target out of bounds"));
                 }
                 pc = target as usize;
@@ -116,11 +82,10 @@ mod tests {
         let prog = Program::new("test", ProgramType::SocketFilter, insns);
         let helpers = HelperRegistry::with_base_helpers();
         let loaded = load(prog, &HashMap::new(), &helpers).expect("verifier");
-        let image = InterpreterImage::new(&loaded.program);
         let mut ctx = vec![0u8; 32];
         let mut env = NullEnv;
         let mut rc = RunContext::new(&mut ctx, packet, &mut env);
-        run(&image, &loaded, &mut rc)
+        run(&loaded, &mut rc)
     }
 
     #[test]
@@ -163,13 +128,12 @@ mod tests {
             let prog = Program::new("pkt", ProgramType::LwtXmit, insns);
             let helpers = HelperRegistry::with_base_helpers();
             let loaded = load(prog, &HashMap::new(), &helpers).expect("verifier");
-            let image = InterpreterImage::new(&loaded.program);
             let mut ctx = vec![0u8; 32];
             ctx[0..8].copy_from_slice(&PKT_BASE.to_le_bytes());
             ctx[8..16].copy_from_slice(&(PKT_BASE + pkt.len() as u64).to_le_bytes());
             let mut env = NullEnv;
             let mut rc = RunContext::new(&mut ctx, pkt, &mut env);
-            run(&image, &loaded, &mut rc).unwrap()
+            run(&loaded, &mut rc).unwrap()
         };
         let mut pkt = vec![0x60u8, 0, 0, 0, 0, 0, 0, 0];
         assert_eq!(run_lwt(insns.clone(), &mut pkt), 0x60);

@@ -13,8 +13,8 @@
 //!   paper relies on (no loops, no invalid memory accesses, helper gating);
 //! * two execution tiers ([`program::ExecTier`]), as in the kernel: a
 //!   faithful **interpreter** ([`interp`], the oracle) and a **native
-//!   x86-64** code generator ([`codegen`]) lowering the pre-decoded
-//!   micro-op stream ([`jit`]), auto-selected at load time (other hosts
+//!   x86-64** code generator ([`codegen`]), both reading the program's one
+//!   verified instruction array, auto-selected at load time (other hosts
 //!   run the interpreter);
 //! * **maps** ([`maps`]): array, per-CPU array and perf-event array — the
 //!   three the paper's use cases need — with both the program-side pointer
@@ -62,7 +62,6 @@ pub mod error;
 pub mod helpers;
 pub mod insn;
 pub mod interp;
-pub mod jit;
 pub mod maps;
 pub mod perf;
 pub mod program;

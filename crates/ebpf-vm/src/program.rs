@@ -2,16 +2,16 @@
 //!
 //! A [`Program`] is the unverified unit an operator writes (by hand, with
 //! the [`crate::asm`] assembler or the [`crate::builder::ProgramBuilder`]).
-//! Loading it — as `bpf(BPF_PROG_LOAD)` does in the kernel — runs the
-//! verifier and resolves the map file descriptors referenced by
-//! `lddw`-with-pseudo-map-fd instructions, laying each map out as one
-//! region of the program's address space
-//! ([`crate::maps::ProgramMaps`]), producing a [`LoadedProgram`] that the
-//! interpreter or the JIT can execute.
+//! Loading it — as `bpf(BPF_PROG_LOAD)` does in the kernel — resolves the
+//! map file descriptors referenced by `lddw`-with-pseudo-map-fd
+//! instructions, laying each map out as one region of the program's
+//! address space ([`crate::maps::ProgramMaps`]), runs the verifier and
+//! emits native code, producing a [`LoadedProgram`] whose one instruction
+//! array both the interpreter and the native code were built from.
 
 use crate::error::{Error, Result};
 use crate::helpers::{HelperDesc, HelperRegistry};
-use crate::insn::{class, jmp, Insn};
+use crate::insn::Insn;
 use crate::maps::{MapHandle, ProgramMaps};
 use crate::verifier::{self, AccessFacts, VerifierStats};
 use std::collections::HashMap;
@@ -105,7 +105,7 @@ pub enum ExecTier {
     /// The faithful per-instruction interpreter ([`crate::interp`]) — the
     /// oracle the native tier is differential-tested against.
     Interp,
-    /// Native x86-64 machine code lowered from the micro-op stream
+    /// Native x86-64 machine code lowered from the instructions
     /// ([`crate::codegen`]); execution falls back to [`ExecTier::Interp`]
     /// when the host has no backend.
     Native,
@@ -177,9 +177,10 @@ pub struct LoadedProgram {
     /// Statistics reported by the verifier.
     pub verifier_stats: VerifierStats,
     /// The helpers this program calls, resolved from the registry once at
-    /// load time. The JIT's `Call` micro-op carries an index into this
-    /// table, so the per-packet dispatch is a bounds-checked array read of
-    /// a pre-resolved function pointer — no id lookup at all.
+    /// load time. Native code calls a helper by its index into this table,
+    /// resolved at emission, so the per-packet dispatch is a
+    /// bounds-checked array read of a pre-resolved function pointer — no
+    /// id lookup at all.
     helper_table: Vec<HelperDesc>,
     /// Helper ids parallel to `helper_table`, for diagnostics and the
     /// compile-time id → index resolution.
@@ -189,8 +190,6 @@ pub struct LoadedProgram {
     access_facts: AccessFacts,
     /// The selected execution tier.
     tier: TierCell,
-    /// The interpreter's wire-form image, built at load time.
-    interp: crate::interp::InterpreterImage,
     /// The native code, built at load time as the kernel JIT compiles at
     /// `BPF_PROG_LOAD`; `None` on hosts without a backend. Shared behind an
     /// `Arc` so cloning a program shares the executable pages instead of
@@ -207,11 +206,6 @@ impl LoadedProgram {
     /// The table index of helper `id`, if the program calls it.
     pub fn helper_index(&self, id: u32) -> Option<u32> {
         self.helper_ids.iter().position(|&h| h == id).map(|idx| idx as u32)
-    }
-
-    /// The program's interpreter image.
-    pub fn interp_image(&self) -> &crate::interp::InterpreterImage {
-        &self.interp
     }
 
     /// The verifier's per-memory-instruction bounds facts.
@@ -255,23 +249,25 @@ impl std::fmt::Debug for LoadedProgram {
 /// `maps`. Fails if the program references an fd that is not provided, or if
 /// the verifier rejects it.
 pub fn load(
-    program: Program,
+    mut program: Program,
     maps: &HashMap<u32, MapHandle>,
     helpers: &HelperRegistry,
 ) -> Result<Arc<LoadedProgram>> {
     let tier = *env_tier().as_ref().map_err(|message| Error::Config(message.clone()))?;
-    // Every pseudo-map-fd lddw must resolve to a provided map.
+    // Every pseudo-map-fd lddw must resolve to a provided map. Its second
+    // slot is rewritten to the high half of the map's handle, as the
+    // kernel's `resolve_pseudo_ldimm64` writes the map's address into the
+    // pair: the pair then loads the handle the verifier types it as, on
+    // every tier.
     let mut used = HashMap::new();
-    for (idx, insn) in program.insns.iter().enumerate() {
+    for idx in 0..program.insns.len() {
+        let insn = program.insns[idx];
         if insn.is_lddw() && insn.src == PSEUDO_MAP_FD {
             let fd = insn.imm as u32;
-            match maps.get(&fd) {
-                Some(handle) => {
-                    used.insert(fd, Arc::clone(handle));
-                }
-                None => {
-                    return Err(Error::verifier(idx, format!("unknown map fd {fd}")));
-                }
+            let handle = maps.get(&fd).ok_or_else(|| Error::verifier(idx, format!("unknown map fd {fd}")))?;
+            used.insert(fd, Arc::clone(handle));
+            if let Some(hi) = program.insns.get_mut(idx + 1) {
+                hi.imm = (crate::vm::map_ptr_value(fd) >> 32) as i32;
             }
         }
     }
@@ -283,9 +279,7 @@ pub fn load(
     let mut helper_table = Vec::new();
     let mut helper_ids: Vec<u32> = Vec::new();
     for (idx, insn) in program.insns.iter().enumerate() {
-        let is_call =
-            (insn.class() == class::JMP || insn.class() == class::JMP32) && insn.opcode & 0xf0 == jmp::CALL;
-        if !is_call {
+        if !insn.is_call() {
             continue;
         }
         let id = insn.imm as u32;
@@ -296,7 +290,6 @@ pub fn load(
         helper_ids.push(id);
         helper_table.push(*desc);
     }
-    let interp = crate::interp::InterpreterImage::new(&program);
     let mut loaded = LoadedProgram {
         program,
         maps: ProgramMaps::new(&used)?,
@@ -305,7 +298,6 @@ pub fn load(
         helper_ids,
         access_facts,
         tier: TierCell::new(tier),
-        interp,
         native: None,
     };
     // Build every tier's artifact now, as the kernel JIT compiles at
@@ -391,6 +383,42 @@ mod tests {
         let loaded = load(prog, &HashMap::new(), &HelperRegistry::with_base_helpers()).unwrap();
         assert_eq!(loaded.maps.fds().count(), 0);
         assert!(loaded.verifier_stats.insns_processed >= 2);
+    }
+
+    /// A pseudo-map-fd `lddw` loads the map's handle whatever its second
+    /// slot held: `load` rewrites the slot, so the interpreter's helper
+    /// call and the native tier's inlined lookup see the same map and
+    /// return the same value pointer.
+    #[test]
+    fn pseudo_map_fd_lddw_loads_the_map_handle_on_every_tier() {
+        use crate::maps::ArrayMap;
+        use crate::vm::{map_ptr_value, run_program_with_state, NullEnv, RunContext, RunState};
+        let mut lo = Insn::lddw_lo(1, 0);
+        lo.src = PSEUDO_MAP_FD;
+        lo.imm = 1;
+        let insns = vec![
+            lo,
+            Insn::lddw_hi(0),
+            Insn::store_imm(crate::insn::AccessSize::Word, 10, -8, 0),
+            Insn::mov64_reg(2, 10),
+            Insn::alu64_imm(crate::insn::alu::ADD, 2, -8),
+            Insn::call(crate::helpers::ids::MAP_LOOKUP_ELEM),
+            Insn::exit(),
+        ];
+        let mut maps: HashMap<u32, MapHandle> = HashMap::new();
+        maps.insert(1, ArrayMap::new(8, 4));
+        let helpers = HelperRegistry::with_base_helpers();
+        let loaded = load(Program::new("lookup", ProgramType::SocketFilter, insns), &maps, &helpers).unwrap();
+        assert_eq!(loaded.program.insns[1].imm, (map_ptr_value(1) >> 32) as i32);
+        let mut results = Vec::new();
+        for tier in ExecTier::ALL {
+            let (mut ctx, mut pkt, mut env) = (vec![0u8; 32], vec![0u8; 8], NullEnv);
+            let mut rc = RunContext::new(&mut ctx, &mut pkt, &mut env);
+            let mut state = RunState::new(32);
+            results.push(run_program_with_state(&loaded, &helpers, &mut rc, tier, &mut state).unwrap());
+        }
+        assert_ne!(results[0], 0, "the lookup of key 0 hits");
+        assert_eq!(results[0], results[1], "interp and native return the same value pointer");
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   initialised at `exit`;
 //! * memory safety: stack and context accesses must fall inside their
 //!   objects with statically-known offsets, packet memory is read-only,
-//!   map-value pointers must be null-checked before being dereferenced;
+//!   map-value pointers must be null-checked (by a 64-bit compare) before
+//!   being dereferenced, pointer arithmetic is a 64-bit add or subtract of
+//!   a scalar, and no 32-bit ALU op may read a pointer;
 //! * helper gating: only helpers registered for the program's hook may be
 //!   called, and map file descriptors must resolve;
 //! * packet-pointer invalidation: a call to a helper registered as
@@ -622,11 +624,21 @@ impl<'a> Verifier<'a> {
     fn step_alu(&mut self, pc: usize, insn: &Insn, regs: &mut RegFile) -> Result<()> {
         let op = insn.opcode & 0xf0;
         let is_imm = insn.opcode & src::X == 0;
+        // A 32-bit op keeps the low half of its operands: no pointer may
+        // pass through one, as in the kernel.
+        let is32 = insn.class() == class::ALU;
         if op == alu::MOV {
             let value = if is_imm {
                 RegType::Scalar(Some(i64::from(insn.imm)))
             } else {
                 self.read_reg(pc, regs, insn.src)?
+            };
+            if is32 && value.is_pointer() {
+                return Err(Error::verifier(pc, "partial copy of pointer"));
+            }
+            let value = match value {
+                RegType::Scalar(Some(v)) if is32 => RegType::Scalar(Some(i64::from(v as u32))),
+                value => value,
             };
             return self.write_reg(pc, regs, insn.dst, value);
         }
@@ -643,6 +655,9 @@ impl<'a> Verifier<'a> {
         } else {
             self.read_reg(pc, regs, insn.src)?
         };
+        if is32 && (dst_type.is_pointer() || rhs.is_pointer()) {
+            return Err(Error::verifier(pc, "32-bit pointer arithmetic prohibited"));
+        }
         if rhs.is_pointer() && dst_type.is_pointer() {
             return Err(Error::verifier(pc, "pointer-pointer arithmetic is not allowed"));
         }
@@ -690,6 +705,14 @@ impl<'a> Verifier<'a> {
             // scalar op scalar: fold constants for the cases that matter to
             // downstream pointer arithmetic.
             let known = match (dst_type, rhs) {
+                // A 32-bit op folds as every tier computes it: on the low
+                // halves, zero-extended.
+                (RegType::Scalar(Some(a)), RegType::Scalar(Some(b))) if is32 => match op {
+                    alu::ADD | alu::SUB | alu::MUL | alu::AND | alu::OR | alu::XOR | alu::LSH | alu::RSH => {
+                        crate::vm::alu_compute(op, false, a as u64, b as u64, pc).ok().map(|v| v as i64)
+                    }
+                    _ => None,
+                },
                 (RegType::Scalar(Some(a)), RegType::Scalar(Some(b))) => match op {
                     alu::ADD => a.checked_add(b),
                     alu::SUB => a.checked_sub(b),
@@ -768,7 +791,11 @@ impl<'a> Verifier<'a> {
             jmp::JA => Ok(Step::Jump((pc as i64 + 1 + i64::from(insn.off)) as usize)),
             _ => {
                 let dst_type = self.read_reg(pc, regs, insn.dst)?;
-                let compares_to_zero_imm = insn.opcode & src::X == 0 && insn.imm == 0;
+                // Only a 64-bit compare with 0 is a null check: a map-value
+                // pointer's low 32 bits can be zero, so `jeq32` / `jne32`
+                // refine nothing (the kernel's `!is_jmp32`).
+                let compares_to_zero_imm =
+                    insn.class() == class::JMP && insn.opcode & src::X == 0 && insn.imm == 0;
                 if insn.opcode & src::X != 0 {
                     self.read_reg(pc, regs, insn.src)?;
                 }
@@ -1125,6 +1152,101 @@ mod tests {
             Insn::exit(),
         ];
         assert!(verify_insns(insns).is_err());
+    }
+
+    /// A 32-bit ALU op keeps the low half of a pointer: at run time
+    /// `add32 r2, -8` on the frame pointer leaves `0x1f8` in `r2`, and a
+    /// `mov32` copy of it does the same. Both are refused, as the kernel
+    /// refuses 32-bit pointer arithmetic and (unprivileged) partial copies.
+    #[test]
+    fn rejects_32_bit_alu_on_pointers() {
+        let add32 = vec![
+            Insn::mov64_imm(3, 7),
+            Insn::mov64_reg(2, 10),
+            Insn::alu32_imm(alu::ADD, 2, -8),
+            Insn::load(AccessSize::Double, 0, 2, 0),
+            Insn::exit(),
+        ];
+        let err = verify_insns(add32).unwrap_err();
+        assert!(err.to_string().contains("32-bit pointer arithmetic"), "{err}");
+        let mov32 = vec![
+            Insn::mov64_imm(3, 7),
+            Insn::mov32_reg(2, 10),
+            Insn::store_reg(AccessSize::Double, 2, 3, -8),
+            Insn::mov64_imm(0, 0),
+            Insn::exit(),
+        ];
+        let err = verify_insns(mov32).unwrap_err();
+        assert!(err.to_string().contains("partial copy of pointer"), "{err}");
+        // A scalar operand of a 64-bit pointer op may come from a 32-bit op.
+        let scalar = vec![
+            Insn::mov32_imm(3, 8),
+            Insn::mov64_reg(2, 10),
+            Insn::alu64_reg(alu::SUB, 2, 3),
+            Insn::load(AccessSize::Double, 0, 2, 0),
+            Insn::exit(),
+        ];
+        verify_insns(scalar).unwrap();
+    }
+
+    /// A 32-bit result is zero-extended on every tier: `mov32 r1, -8` leaves
+    /// `0xfffffff8`, not `-8`, so `fp + r1` is far outside the stack, and
+    /// so is the result of `add32` wrapping below zero.
+    #[test]
+    fn a_32_bit_constant_is_zero_extended() {
+        let through = |setup: Vec<Insn>| {
+            let mut insns = setup;
+            insns.extend([
+                Insn::mov64_reg(2, 10),
+                Insn::alu64_reg(alu::ADD, 2, 1),
+                Insn::load(AccessSize::Double, 0, 2, 0),
+                Insn::exit(),
+            ]);
+            verify_insns(insns)
+        };
+        assert!(through(vec![Insn::mov32_imm(1, -8)]).is_err());
+        assert!(through(vec![Insn::mov64_imm(1, -16), Insn::alu32_imm(alu::ADD, 1, 8)]).is_err());
+        assert!(through(vec![Insn::mov64_imm(1, -8), Insn::mov32_reg(1, 1)]).is_err());
+        // 64-bit ops keep the sign, and a 32-bit shift amount is taken mod 32.
+        through(vec![Insn::mov64_imm(1, -8)]).unwrap();
+        through(vec![
+            Insn::mov32_imm(1, 1),
+            Insn::alu32_imm(alu::LSH, 1, 35),
+            Insn::alu64_imm(alu::SUB, 1, 16),
+        ])
+        .unwrap();
+    }
+
+    /// A map-value pointer may have zero low 32 bits, so `jne32 r0, 0`
+    /// proves nothing about NULL: the fall-through must not type `r0` as
+    /// the constant 0 (which would let `fp + r0` pass as a stack pointer).
+    #[test]
+    fn a_32_bit_null_check_does_not_refine_a_map_value_pointer() {
+        let fd = 1u32;
+        let mut lddw = Insn::lddw_lo(1, map_ptr_value(fd));
+        lddw.src = PSEUDO_MAP_FD;
+        lddw.imm = fd as i32;
+        let insns = |check: Insn| {
+            vec![
+                lddw,
+                Insn::lddw_hi(map_ptr_value(fd)),
+                Insn::store_imm(AccessSize::Word, 10, -8, 0),
+                Insn::mov64_reg(2, 10),
+                Insn::alu64_imm(alu::ADD, 2, -8),
+                Insn::call(ids::MAP_LOOKUP_ELEM),
+                check,
+                Insn::mov64_reg(2, 10),
+                Insn::alu64_reg(alu::ADD, 2, 0),
+                Insn::load(AccessSize::Double, 0, 2, -8),
+                Insn::exit(),
+                Insn::mov64_imm(0, 0),
+                Insn::exit(),
+            ]
+        };
+        let err = verify_with_map(insns(Insn::jmp32_imm(jmp::JNE, 0, 0, 4))).unwrap_err();
+        assert!(err.to_string().contains("pointer-pointer arithmetic"), "{err}");
+        // The 64-bit check refines, and `fp + 0` is then a stack pointer.
+        verify_with_map(insns(Insn::jmp_imm(jmp::JNE, 0, 0, 4))).unwrap();
     }
 
     #[test]

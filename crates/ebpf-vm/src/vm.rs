@@ -491,7 +491,11 @@ impl<'r, 'a> HelperApi<'r, 'a> {
 // Instruction execution
 // ---------------------------------------------------------------------------
 
-fn alu_compute(op: u8, is64: bool, dst: u64, srcv: u64, pc: usize) -> Result<u64> {
+/// One ALU step with the BPF semantics. Inlined: it is the interpreter's
+/// per-instruction arithmetic, and the verifier's constant folding is its
+/// second caller.
+#[inline(always)]
+pub(crate) fn alu_compute(op: u8, is64: bool, dst: u64, srcv: u64, pc: usize) -> Result<u64> {
     let value = match op {
         alu::ADD => dst.wrapping_add(srcv),
         alu::SUB => dst.wrapping_sub(srcv),
@@ -720,7 +724,7 @@ pub fn run_program_with_state(
     state.reset();
     match (tier, loaded.native()) {
         (ExecTier::Native, Some(native)) => crate::codegen::run(native, loaded, rc, state),
-        _ => crate::interp::run_with_state(loaded.interp_image(), loaded, rc, state),
+        _ => crate::interp::run_with_state(loaded, rc, state),
     }
 }
 

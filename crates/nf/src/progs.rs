@@ -517,13 +517,13 @@ mod tests {
         let (state, config) = wrr_maps(5, 3, addr("fd00::a1"), addr("fd00::a2"));
         maps.insert(2u32, state);
         maps.insert(3u32, config);
-        // The exact native facts of each shipped program: `(micro-ops,
+        // The exact native facts of each shipped program: `(instructions,
         // code bytes, spills, elided checks, inlined helper sites)`. None
         // spills; `owd_encap` inlines `bpf_ktime_get_ns`, and `wrr_encap`'s
         // two array-map lookups are each inlined as the bounds compare and
         // multiply of the kernel's `array_map_gen_lookup`. A change to the
-        // lowering, the emitter or the verifier's facts shows here as a
-        // diff of numbers; update the table only with the reason.
+        // emitter or the verifier's facts shows here as a diff of numbers;
+        // update the table only with the reason.
         let cases = [
             (end_program(), (2, 36, 0, 0, 0)),
             (end_t_program(254), (11, 258, 0, 1, 0)),
@@ -546,11 +546,10 @@ mod tests {
         for (prog, expected) in cases {
             let name = prog.name.clone();
             let loaded = load(prog, &maps, &registry).unwrap_or_else(|e| panic!("{name} rejected: {e}"));
-            let micro_ops = ebpf_vm::jit::compile(&loaded).unwrap().len();
+            let insns = loaded.program.insns.len();
             let native = loaded.native().expect("native backend available");
             let debug = native.debug_info();
-            let facts =
-                (micro_ops, native.code_len(), debug.spills, debug.elided_checks, debug.inlined_helpers);
+            let facts = (insns, native.code_len(), debug.spills, debug.elided_checks, debug.inlined_helpers);
             assert_eq!(facts, expected, "{name}: native facts moved (homes {:?})", debug.assignments);
             let report = ebpf_vm::disasm::native_report(&name, debug);
             assert!(report.contains("spills=0"), "unexpected debug report: {report}");

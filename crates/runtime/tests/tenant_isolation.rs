@@ -19,10 +19,9 @@
 use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
 use netpkt::srh::SegmentRoutingHeader;
 use netpkt::PacketBuf;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use seg6_core::{BatchVerdict, Nexthop, Seg6Datapath, Seg6LocalAction, Verdict};
 use seg6_runtime::{Ingress, PoolConfig, PoolSnapshot, ShardSnapshot, TenantId, TenantQos, WorkerPool};
+use simnet::SplitMix64;
 use std::net::Ipv6Addr;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -131,7 +130,7 @@ fn check_output(tenant: TenantId, srv6: bool, verdict: &Verdict, seg6local: bool
 fn randomized_two_tenant_run_never_cross_routes() {
     const ROUNDS: usize = 40;
     const PACKETS_PER_ROUND: usize = 256;
-    let mut rng = StdRng::seed_from_u64(0x007e_4a11);
+    let mut rng = SplitMix64::new(0x007e_4a11);
 
     let config = PoolConfig {
         workers: 4,
@@ -327,7 +326,7 @@ fn qos_that_never_binds_is_equivalent_to_no_qos() {
         (ShardSnapshot { batches: 0, ..report.run }, outputs)
     }
 
-    let mut rng = StdRng::seed_from_u64(0x0a11_0ca7);
+    let mut rng = SplitMix64::new(0x0a11_0ca7);
     for round in 0..ROUNDS {
         // One tenant's burst per window, so each shard's outputs are that
         // tenant's packets in arrival order however the worker polled.

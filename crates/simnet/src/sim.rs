@@ -11,9 +11,8 @@
 use crate::app::{AppApi, Application};
 use crate::link::{Link, LinkConfig};
 use crate::node::Node;
+use crate::SplitMix64;
 use netpkt::PacketBuf;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use seg6_core::{BatchVerdict, Skb, Verdict};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -77,7 +76,7 @@ pub struct Simulator {
     queue: BinaryHeap<Reverse<Scheduled>>,
     now_ns: u64,
     seq: u64,
-    rng: StdRng,
+    rng: SplitMix64,
     /// Aggregate statistics.
     pub stats: SimStats,
     started: bool,
@@ -95,7 +94,7 @@ impl Simulator {
             queue: BinaryHeap::new(),
             now_ns: 0,
             seq: 0,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
             stats: SimStats::default(),
             started: false,
         }
