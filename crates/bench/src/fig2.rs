@@ -209,7 +209,7 @@ mod tests {
         let facts = (insns, native.code_len(), debug.spills, debug.elided_checks, debug.inlined_helpers);
         assert_eq!(
             facts,
-            (318, 15538, 0, 105, 0),
+            (318, 15546, 0, 105, 0),
             "srh_walk: native facts moved (homes {:?})",
             debug.assignments
         );

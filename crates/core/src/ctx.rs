@@ -3,9 +3,10 @@
 //! Kernel LWT-BPF programs receive a `struct __sk_buff *`; this module
 //! defines the equivalent fixed layout our programs see. The first two
 //! fields are the packet `data` / `data_end` pointers (at the offsets the
-//! `ebpf-vm` verifier expects), followed by the scalar metadata the use
-//! cases read: packet length, protocol, mark, ingress interface and the RX
-//! software timestamp that `End.DM` needs.
+//! `ebpf-vm` verifier expects), followed by the scalar metadata: packet
+//! length, protocol, mark, ingress interface and the RX software
+//! timestamp. (The kernel gives LWT programs no access to the timestamp;
+//! `End.DM` takes its time from `bpf_ktime_get_ns`.)
 
 use crate::skb::Skb;
 use ebpf_vm::vm::PKT_BASE;
@@ -35,8 +36,12 @@ pub mod offsets {
     pub const SIZE: usize = 64;
 }
 
+/// The context structure of one invocation, as the hooks keep it: a fixed
+/// array, rewritten in place for every packet.
+pub type Context = [u8; offsets::SIZE];
+
 /// Builds the context byte buffer for one program invocation, in a fresh
-/// allocation (tests only; the hooks reuse a buffer).
+/// allocation (tests only; the hooks reuse a [`Context`]).
 #[cfg(test)]
 pub fn build_context(skb: &Skb) -> Vec<u8> {
     let mut ctx = Vec::new();
@@ -44,18 +49,33 @@ pub fn build_context(skb: &Skb) -> Vec<u8> {
     ctx
 }
 
-/// Builds the context into a reusable buffer — the per-packet hot path
-/// keeps one in its scratch state instead of allocating per invocation.
+/// Writes the context of `skb`'s invocation over `ctx`, every byte of it,
+/// one 8-byte word at a time: nothing of the previous invocation's
+/// context (a mark or `cb` the program wrote) survives.
+pub fn write_context(skb: &Skb, ctx: &mut Context) {
+    const _: () = assert!(offsets::SIZE == 8 * 8, "one word per 8 bytes of context");
+    let len = skb.len() as u64;
+    let words = [
+        PKT_BASE,                                                   // DATA
+        PKT_BASE + len,                                             // DATA_END
+        len | u64::from(ETH_P_IPV6) << 32,                          // LEN, PROTOCOL
+        u64::from(skb.mark) | u64::from(skb.ingress_ifindex) << 32, // MARK, INGRESS_IFINDEX
+        skb.rx_timestamp_ns,                                        // TSTAMP
+        0,                                                          // CB ...
+        0,
+        0,
+    ];
+    for (field, word) in ctx.chunks_exact_mut(8).zip(words) {
+        field.copy_from_slice(&word.to_le_bytes());
+    }
+}
+
+/// Builds the context into a byte vector, resized to [`offsets::SIZE`],
+/// as [`write_context`] does.
 pub fn build_context_into(skb: &Skb, ctx: &mut Vec<u8>) {
-    ctx.clear();
     ctx.resize(offsets::SIZE, 0);
-    write_u64(ctx, offsets::DATA, PKT_BASE);
-    write_u64(ctx, offsets::DATA_END, PKT_BASE + skb.len() as u64);
-    write_u32(ctx, offsets::LEN, skb.len() as u32);
-    write_u32(ctx, offsets::PROTOCOL, ETH_P_IPV6);
-    write_u32(ctx, offsets::MARK, skb.mark);
-    write_u32(ctx, offsets::INGRESS_IFINDEX, skb.ingress_ifindex);
-    write_u64(ctx, offsets::TSTAMP, skb.rx_timestamp_ns);
+    let ctx: &mut Context = ctx.as_mut_slice().try_into().expect("resized to the context size");
+    write_context(skb, ctx);
 }
 
 /// Re-synchronises the `data_end` and `len` fields after a helper changed

@@ -23,9 +23,11 @@ pub struct EnvOutcome {
     pub route_override: RouteOverride,
     /// The outer IPv6 header (and SRH) were removed (End.DT6 / End.DX6).
     pub decapped: bool,
-    /// `bpf_lwt_seg6_store_bytes` or `bpf_lwt_seg6_adjust_srh` touched the
-    /// SRH; End.BPF re-validates it before forwarding.
-    pub srh_modified: bool,
+    /// `bpf_lwt_seg6_store_bytes` wrote the TLV area, or
+    /// `bpf_lwt_seg6_adjust_srh` resized it: End.BPF re-validates the SRH
+    /// before forwarding (the kernel's `srh_state->valid = false`). A flags
+    /// or tag write leaves it clear.
+    pub revalidate_srh: bool,
 }
 
 /// The environment eBPF programs run in on the SRv6 data plane. A hook
@@ -97,19 +99,22 @@ impl Seg6Env {
     /// Makes the environment the next invocation's: everything a program
     /// or helper can observe is what [`Seg6Env::new`] at `now_ns` would
     /// hand it (no decisions, the same `bpf_get_prandom_u32` sequence); the
-    /// tables and their snapshot are kept.
+    /// tables and their snapshot are kept. Each field is written in place
+    /// from what the hook holds: the flow by reference, not through a
+    /// copy on the way.
+    #[inline]
     pub fn rearm(
         &mut self,
         local_addr: Ipv6Addr,
         now_ns: u64,
         cpu: u32,
         srh_offset: Option<usize>,
-        flow: EcmpKey,
+        flow: &EcmpKey,
     ) {
         self.now_ns = now_ns;
         self.local_addr = local_addr;
         self.srh_offset = srh_offset;
-        self.flow = flow;
+        self.flow = *flow;
         self.cpu = cpu;
         self.out = EnvOutcome::default();
         self.rng_state = rng_seed(now_ns);
@@ -197,16 +202,16 @@ mod tests {
         for now_ns in [0u64, 1, 1_000, 123_456_789, u64::MAX] {
             // Leave residue behind, as a previous packet's program would.
             kept.prandom_u32();
-            kept.out.srh_modified = true;
+            kept.out.revalidate_srh = true;
             kept.out.decapped = true;
             let flow = EcmpKey { flow_label: 7, ..EcmpKey::default() };
-            kept.rearm("fc00::1".parse().unwrap(), now_ns, 2, Some(40), flow);
+            kept.rearm("fc00::1".parse().unwrap(), now_ns, 2, Some(40), &flow);
             let mut fresh = Seg6Env::new("fc00::1".parse().unwrap(), Arc::clone(&tables), now_ns);
             let draws = |e: &mut Seg6Env| (0..8).map(|_| e.prandom_u32()).collect::<Vec<u32>>();
             assert_eq!(draws(&mut kept), draws(&mut fresh), "now_ns {now_ns}");
             assert_eq!((kept.now_ns, kept.local_addr), (fresh.now_ns, fresh.local_addr));
             assert_eq!((kept.cpu, kept.srh_offset, kept.flow), (2, Some(40), flow));
-            assert!(!kept.out.srh_modified && !kept.out.decapped);
+            assert!(!kept.out.revalidate_srh && !kept.out.decapped);
             assert!(!kept.out.route_override.is_set());
         }
     }

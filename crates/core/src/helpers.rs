@@ -17,6 +17,7 @@
 use crate::ctx;
 use crate::env::Seg6Env;
 use crate::fib::MAIN_TABLE;
+use crate::skb::RouteOverride;
 use crate::srv6_ops;
 use ebpf_vm::helpers::{ids, HelperRegistry};
 use ebpf_vm::program::ProgramType;
@@ -92,10 +93,6 @@ pub fn seg6_helper_registry() -> HelperRegistry {
     registry
 }
 
-fn env_of<'e>(api: &'e mut HelperApi<'_, '_>) -> Option<&'e mut Seg6Env> {
-    api.env_any().downcast_mut::<Seg6Env>()
-}
-
 /// Stack-buffer size for variable-size parameter reads — re-exported from
 /// the shared `ebpf_vm` implementation so the two layers cannot drift.
 const PARAM_STACK: usize = ebpf_vm::helpers::MAX_STACK_PARAM;
@@ -134,20 +131,24 @@ fn read_u32_param(api: &HelperApi<'_, '_>, ptr: u64) -> Option<u32> {
 /// `long bpf_lwt_seg6_store_bytes(skb, offset, from, len)`
 ///
 /// Writes `len` bytes taken from program memory at `from` into the SRH at
-/// `offset` (relative to the start of the SRH). Only the flags octet, the
-/// tag and the TLV area may be written; anything else — the segment list,
-/// the header length, segments_left — is refused so that the program cannot
-/// "jeopardise the integrity of the SRH" (§3).
+/// `offset` (relative to the start of the SRH; the kernel's is relative to
+/// the packet). As in the kernel, a write must lie inside the TLV area or
+/// inside the flags and tag, `[5, 8)`, in one call or several; anything
+/// else — the segment list, the header length, segments_left — is refused
+/// so that the program cannot "jeopardise the integrity of the SRH" (§3).
+/// Only a TLV-area write leaves the SRH to be re-validated after the
+/// program (the kernel's `srh_state->valid = false`): flags and tag cannot
+/// break it.
 pub fn helper_seg6_store_bytes(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
     let offset = args[1] as usize;
     let len = args[3] as usize;
     let mut pbuf = [0u8; PARAM_STACK];
     let Some(bytes) = read_param(api, args[2], len, &mut pbuf) else { return -1 };
-    let Some(env) = env_of(api) else { return -1 };
-    let Some(srh_off) = env.srh_offset else { return -1 };
-    {
+    let Some(mut parts) = api.parts::<Seg6Env>() else { return -1 };
+    let Some(srh_off) = parts.env.srh_offset else { return -1 };
+    let in_tlv_area = {
         // Parse enough of the SRH to know which byte ranges are editable.
-        let packet = api.packet();
+        let packet = parts.packet();
         if packet.len() < srh_off + 8 {
             return -1;
         }
@@ -155,31 +156,27 @@ pub fn helper_seg6_store_bytes(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i
         let last_entry = usize::from(packet[srh_off + 4]);
         let tlv_start = 8 + 16 * (last_entry + 1);
         let end = offset.saturating_add(len);
-        let in_flags = offset == 5 && end <= 6;
-        let in_tag = offset >= 6 && end <= 8;
         let in_tlv_area = offset >= tlv_start && end <= srh_len;
-        if !(in_flags || in_tag || in_tlv_area) {
+        let in_flags_and_tag = offset >= 5 && end <= 8;
+        if !(in_tlv_area || in_flags_and_tag) || srh_off + end > packet.len() {
             return -1;
         }
-        if srh_off + end > packet.len() {
-            return -1;
-        }
-    }
-    api.packet_mut().bytes_mut()[srh_off + offset..srh_off + offset + len].copy_from_slice(&bytes);
-    if let Some(env) = env_of(api) {
-        env.out.srh_modified = true;
-    }
+        in_tlv_area
+    };
+    parts.packet_mut().bytes_mut()[srh_off + offset..srh_off + offset + len].copy_from_slice(&bytes);
+    parts.env.out.revalidate_srh |= in_tlv_area;
     0
 }
 
 /// `long bpf_lwt_seg6_adjust_srh(skb, offset, delta)`
 ///
 /// Grows (`delta > 0`) or shrinks (`delta < 0`) the TLV area of the SRH at
-/// `offset` bytes from the start of the SRH. `delta` must be a multiple of
-/// eight so the header length stays expressible; the IPv6 payload length,
-/// the SRH header length and the program's view of the packet (`data_end`,
-/// `len`) are all updated. The newly allocated space is zero-filled and must
-/// be turned into valid TLVs by the program before it returns, otherwise the
+/// `offset` bytes from the start of the SRH (the kernel's offset is
+/// relative to the packet). `delta` must be a multiple of eight so the
+/// header length stays expressible; the IPv6 payload length, the SRH
+/// header length and the program's view of the packet (`data_end`, `len`)
+/// are all updated. The newly allocated space is zero-filled and must be
+/// turned into valid TLVs by the program before it returns, otherwise the
 /// End.BPF post-validation drops the packet. Every check comes before the
 /// first write: a call that fails leaves the packet and the context as they
 /// were.
@@ -192,10 +189,10 @@ pub fn helper_seg6_adjust_srh(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i6
     if delta % 8 != 0 || delta.unsigned_abs() > 4096 {
         return -1;
     }
-    let Some(env) = env_of(api) else { return -1 };
-    let Some(srh_off) = env.srh_offset else { return -1 };
+    let Some(mut parts) = api.parts::<Seg6Env>() else { return -1 };
+    let Some(srh_off) = parts.env.srh_offset else { return -1 };
     let (new_hdrlen, payload_len) = {
-        let packet = api.packet();
+        let packet = parts.packet();
         if packet.len() < srh_off + 8 {
             return -1;
         }
@@ -217,7 +214,7 @@ pub fn helper_seg6_adjust_srh(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i6
     };
     // The header fields sit in front of the edit and move with the front.
     let abs_off = srh_off + offset;
-    let packet = api.packet_mut();
+    let packet = parts.packet_mut();
     let bytes = packet.bytes_mut();
     bytes[srh_off + 1] = new_hdrlen;
     srv6_ops::set_payload_length(bytes, payload_len);
@@ -226,12 +223,18 @@ pub fn helper_seg6_adjust_srh(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i6
     } else {
         packet.remove(abs_off, delta.unsigned_abs());
     }
-    let new_len = api.packet().len();
-    ctx::refresh_packet_len(api.ctx_mut(), new_len);
-    if let Some(env) = env_of(api) {
-        env.out.srh_modified = true;
-    }
+    let new_len = parts.packet().len();
+    ctx::refresh_packet_len(parts.ctx, new_len);
+    parts.env.out.revalidate_srh = true;
     0
+}
+
+/// What a `bpf_lwt_seg6_action` call reads from program memory before it
+/// touches the packet: the next hop, the table id or the SRH to push.
+enum ActionParam<'b> {
+    Nexthop(Ipv6Addr),
+    Table(u32),
+    Srh(Cow<'b, [u8]>),
 }
 
 /// `long bpf_lwt_seg6_action(skb, action, param, param_len)`
@@ -243,73 +246,71 @@ pub fn helper_seg6_adjust_srh(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i6
 pub fn helper_seg6_action(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
     let action = args[1] as u32;
     let param_len = args[3] as usize;
+    let mut pbuf = [0u8; PARAM_STACK];
+    let param = match action {
+        action_codes::END_X | action_codes::END_DX6 if param_len == 16 => {
+            read_addr_param(api, args[2]).map(ActionParam::Nexthop)
+        }
+        action_codes::END_T | action_codes::END_DT6 if param_len == 4 => {
+            read_u32_param(api, args[2]).map(ActionParam::Table)
+        }
+        action_codes::END_B6 | action_codes::END_B6_ENCAP => {
+            read_param(api, args[2], param_len, &mut pbuf).map(ActionParam::Srh)
+        }
+        _ => None,
+    };
+    let Some(param) = param else { return -1 };
+    let Some(mut parts) = api.parts::<Seg6Env>() else { return -1 };
 
     // Decisions are written back to the environment at the end; FIB
     // lookups go through its own snapshot of the tables.
-    let Some(local_addr) = env_of(api).map(|env| env.local_addr) else { return -1 };
-    let lookup = |api: &mut HelperApi<'_, '_>, table, dst| env_of(api).and_then(|env| env.lookup(table, dst));
-
     let mut decapped = false;
-    let outcome: Result<crate::skb::RouteOverride, ()> = (|| {
-        let mut over = crate::skb::RouteOverride::default();
-        match action {
-            action_codes::END_X | action_codes::END_DX6 => {
-                if param_len != 16 {
-                    return Err(());
-                }
-                let nexthop = read_addr_param(api, args[2]).ok_or(())?;
+    let mut over = RouteOverride::default();
+    let applied: Result<(), ()> = (|| {
+        match param {
+            ActionParam::Nexthop(nexthop) => {
                 if action == action_codes::END_DX6 {
-                    srv6_ops::decap_outer(api.packet_mut()).map_err(|_| ())?;
+                    srv6_ops::decap_outer(parts.packet_mut()).map_err(|_| ())?;
                     decapped = true;
                 }
                 over.nexthop = Some(nexthop);
             }
-            action_codes::END_T | action_codes::END_DT6 => {
-                if param_len != 4 {
-                    return Err(());
-                }
-                let table = read_u32_param(api, args[2]).ok_or(())?;
+            ActionParam::Table(table) => {
                 let table = if table == 0 { MAIN_TABLE } else { table };
                 if action == action_codes::END_DT6 {
-                    srv6_ops::decap_outer(api.packet_mut()).map_err(|_| ())?;
+                    srv6_ops::decap_outer(parts.packet_mut()).map_err(|_| ())?;
                     decapped = true;
                 }
-                let dst = srv6_ops::outer_dst(api.packet()).map_err(|_| ())?;
-                let result = lookup(api, table, dst).ok_or(())?;
+                let dst = srv6_ops::outer_dst(parts.packet()).map_err(|_| ())?;
+                let result = parts.env.lookup(table, dst).ok_or(())?;
                 over.table = Some(table);
                 over.nexthop = Some(result.nexthop.neighbour(dst));
                 over.oif = Some(result.nexthop.oif);
             }
-            action_codes::END_B6 => {
-                let mut pbuf = [0u8; PARAM_STACK];
-                let param = read_param(api, args[2], param_len, &mut pbuf).ok_or(())?;
-                let dst = srv6_ops::insert_srh_inline(api.packet_mut(), &param).map_err(|_| ())?;
-                if let Some(result) = lookup(api, MAIN_TABLE, dst) {
+            ActionParam::Srh(srh) => {
+                let local_addr = parts.env.local_addr;
+                let dst = if action == action_codes::END_B6 {
+                    srv6_ops::insert_srh_inline(parts.packet_mut(), &srh)
+                } else {
+                    srv6_ops::push_srh_encap(parts.packet_mut(), &srh, local_addr)
+                }
+                .map_err(|_| ())?;
+                if let Some(result) = parts.env.lookup(MAIN_TABLE, dst) {
                     over.nexthop = Some(result.nexthop.neighbour(dst));
                     over.oif = Some(result.nexthop.oif);
                 }
             }
-            action_codes::END_B6_ENCAP => {
-                let mut pbuf = [0u8; PARAM_STACK];
-                let param = read_param(api, args[2], param_len, &mut pbuf).ok_or(())?;
-                let dst = srv6_ops::push_srh_encap(api.packet_mut(), &param, local_addr).map_err(|_| ())?;
-                if let Some(result) = lookup(api, MAIN_TABLE, dst) {
-                    over.nexthop = Some(result.nexthop.neighbour(dst));
-                    over.oif = Some(result.nexthop.oif);
-                }
-            }
-            _ => return Err(()),
         }
-        Ok(over)
+        Ok(())
     })();
 
-    let Ok(over) = outcome else { return -1 };
-    let new_len = api.packet().len();
-    ctx::refresh_packet_len(api.ctx_mut(), new_len);
-    if let Some(env) = env_of(api) {
-        env.out.route_override = over;
-        env.out.decapped = decapped;
+    if applied.is_err() {
+        return -1;
     }
+    let new_len = parts.packet().len();
+    ctx::refresh_packet_len(parts.ctx, new_len);
+    parts.env.out.route_override = over;
+    parts.env.out.decapped = decapped;
     0
 }
 
@@ -325,18 +326,18 @@ pub fn helper_lwt_push_encap(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64
     let len = args[3] as usize;
     let mut pbuf = [0u8; PARAM_STACK];
     let Some(srh_bytes) = read_param(api, args[2], len, &mut pbuf) else { return -1 };
-    let Some(env) = env_of(api) else { return -1 };
-    let local_addr = env.local_addr;
+    let Some(mut parts) = api.parts::<Seg6Env>() else { return -1 };
+    let local_addr = parts.env.local_addr;
     let result = match mode {
-        encap_modes::SEG6 => srv6_ops::push_srh_encap(api.packet_mut(), &srh_bytes, local_addr),
-        encap_modes::SEG6_INLINE => srv6_ops::insert_srh_inline(api.packet_mut(), &srh_bytes),
+        encap_modes::SEG6 => srv6_ops::push_srh_encap(parts.packet_mut(), &srh_bytes, local_addr),
+        encap_modes::SEG6_INLINE => srv6_ops::insert_srh_inline(parts.packet_mut(), &srh_bytes),
         _ => return -1,
     };
     if result.is_err() {
         return -1;
     }
-    let new_len = api.packet().len();
-    ctx::refresh_packet_len(api.ctx_mut(), new_len);
+    let new_len = parts.packet().len();
+    ctx::refresh_packet_len(parts.ctx, new_len);
     0
 }
 
@@ -413,7 +414,6 @@ mod tests {
         let from = h.stage(&[0xbe, 0xef]);
         assert_eq!(h.call(helper_seg6_store_bytes, [0, 6, from, 2, 0]), 0);
         assert_eq!(&h.packet[40 + 6..40 + 8], &[0xbe, 0xef]);
-        assert!(h.env.out.srh_modified);
         // Write the flags byte.
         let from = h.stage(&[0xa5]);
         assert_eq!(h.call(helper_seg6_store_bytes, [0, 5, from, 1, 0]), 0);
@@ -428,6 +428,47 @@ mod tests {
         // Out-of-range offsets are refused.
         let from = h.stage(&[0u8; 4]);
         assert_eq!(h.call(helper_seg6_store_bytes, [0, 4000, from, 4, 0]), -1);
+    }
+
+    /// The kernel's rule: one call may write anywhere inside the flags
+    /// and tag, `[5, 8)` of the SRH, not only the flags byte or the tag
+    /// alone; a write that reaches outside them is refused.
+    #[test]
+    fn store_bytes_accepts_any_write_inside_flags_and_tag() {
+        let mut h = Harness::new(srv6_packet_with_tlv(), Arc::new(RouterTables::new()));
+        let from = h.stage(&[0x11, 0x22, 0x33]);
+        assert_eq!(h.call(helper_seg6_store_bytes, [0, 5, from, 2, 0]), 0);
+        assert_eq!(&h.packet[40 + 5..40 + 7], &[0x11, 0x22]);
+        assert_eq!(h.call(helper_seg6_store_bytes, [0, 5, from, 3, 0]), 0);
+        assert_eq!(&h.packet[40 + 5..40 + 8], &[0x11, 0x22, 0x33]);
+        assert_eq!(h.call(helper_seg6_store_bytes, [0, 7, from, 1, 0]), 0);
+        // One byte before the flags (last_entry) or past the tag is refused.
+        let before = h.packet.clone();
+        assert_eq!(h.call(helper_seg6_store_bytes, [0, 4, from, 2, 0]), -1);
+        assert_eq!(h.call(helper_seg6_store_bytes, [0, 7, from, 2, 0]), -1);
+        assert_eq!(h.packet, before);
+    }
+
+    /// Post-program validation follows the kernel's `srh_state->valid`: a
+    /// flags or tag write cannot break the SRH and leaves it valid; a
+    /// TLV-area write or an `adjust_srh` leaves it to be re-validated.
+    #[test]
+    fn only_a_tlv_write_or_an_adjust_leaves_the_srh_to_revalidate() {
+        let tables = Arc::new(RouterTables::new());
+        let mut h = Harness::new(srv6_packet_with_tlv(), Arc::clone(&tables));
+        let from = h.stage(&[0xbe, 0xef, 0x01]);
+        assert_eq!(h.call(helper_seg6_store_bytes, [0, 6, from, 2, 0]), 0);
+        assert_eq!(h.call(helper_seg6_store_bytes, [0, 5, from, 3, 0]), 0);
+        assert!(!h.env.out.revalidate_srh, "flags and tag writes");
+        let tlv_start = 8 + 2 * 16;
+        let from = h.stage(&[124, 8, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(h.call(helper_seg6_store_bytes, [0, tlv_start as u64, from, 8, 0]), 0);
+        assert!(h.env.out.revalidate_srh, "a TLV write");
+
+        let mut h = Harness::new(srv6_packet_with_tlv(), tables);
+        let srh_len = 8 + usize::from(h.packet[41]) * 8;
+        assert_eq!(h.call(helper_seg6_adjust_srh, [0, srh_len as u64, 8, 0, 0]), 0);
+        assert!(h.env.out.revalidate_srh, "adjust_srh");
     }
 
     #[test]
@@ -472,7 +513,7 @@ mod tests {
         assert!(h.packet == packet, "the packet is unchanged");
         assert_eq!(h.ctx, ctx);
         assert!(!h.state.packet_written());
-        assert!(!h.env.out.srh_modified);
+        assert!(!h.env.out.revalidate_srh);
     }
 
     /// An SRH header length claiming more bytes than the packet holds (what

@@ -1,7 +1,7 @@
 //! Reusable per-datapath scratch state.
 //!
 //! Everything a packet's journey through the datapath used to allocate —
-//! the VM register/stack state, the program context buffer, the saved
+//! the VM register/stack state, the program context, the saved
 //! packet head a failed run is undone with, the helper environment — lives
 //! here once per datapath instance (one per worker shard) and is reused for
 //! every packet. Programs and helpers edit the skb itself, so no working
@@ -9,6 +9,7 @@
 //! the steady-state hot path performs no heap allocation; the
 //! `alloc-counter` test feature proves it.
 
+use crate::ctx::{offsets, Context};
 use crate::env::Seg6Env;
 use crate::skb::SavedHead;
 use ebpf_vm::vm::RunState;
@@ -19,8 +20,9 @@ pub struct RunScratch {
     /// VM state (registers, 512-byte stack, map-value regions); reset —
     /// not reallocated — before every program run.
     pub state: RunState,
-    /// The program context buffer (the `__sk_buff` analogue).
-    pub ctx: Vec<u8>,
+    /// The program context (the `__sk_buff` analogue), rewritten in place
+    /// for every run.
+    pub ctx: Context,
     /// The head of the packet a program runs on, saved before the hook's
     /// first write and put back if the run fails.
     pub head: SavedHead,
@@ -33,7 +35,12 @@ impl RunScratch {
     /// Fresh scratch state; buffers grow to their steady-state sizes on
     /// first use and stay there.
     pub fn new() -> Self {
-        RunScratch { state: RunState::new(0), ctx: Vec::new(), head: SavedHead::default(), env: None }
+        RunScratch {
+            state: RunState::new(offsets::SIZE),
+            ctx: [0; offsets::SIZE],
+            head: SavedHead::default(),
+            env: None,
+        }
     }
 }
 

@@ -24,6 +24,7 @@ use crate::verdict::{ActionOutcome, DropReason};
 use ebpf_vm::helpers::HelperRegistry;
 use ebpf_vm::program::{retcode, LoadedProgram};
 use ebpf_vm::vm::RunContext;
+use netpkt::ipv6::IPV6_HEADER_LEN;
 use netpkt::srh::SegmentRoutingHeader;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -234,53 +235,58 @@ pub fn run_bpf(
     actx: &ActionCtx<'_>,
     scratch: &mut RunScratch,
 ) -> ActionOutcome {
-    let RunScratch { state, ctx: ctx_bytes, head, env } = scratch;
+    let RunScratch { state, ctx: context, head, env } = scratch;
     let env = match env {
         Some(env) if Arc::ptr_eq(env.tables(), actx.tables) => env,
         _ => env.insert(Seg6Env::new(actx.local_sid, Arc::clone(actx.tables), actx.now_ns)),
     };
     head.save(skb.packet.data());
     let ran = (|| {
-        // Helpers look routes up for the flow as the program sees it:
-        // End.BPF's advance has already moved the destination on.
-        let mut flow = actx.flow;
-        let srh_offset = if end_bpf {
-            flow.dst = srv6_ops::advance_srh(skb.packet.data_mut())?;
-            Some(SRH_OFFSET)
+        if end_bpf {
+            srv6_ops::advance_srh_in_place(skb.packet.data_mut())?;
+            env.rearm(actx.local_sid, actx.now_ns, actx.cpu, Some(SRH_OFFSET), &actx.flow);
+            // Helpers look routes up for the flow as the program sees it:
+            // the advance has moved the destination on, and it is copied
+            // from the header it was just written to.
+            env.flow.dst = srv6_ops::header_dst(skb.packet.data());
         } else {
-            None
-        };
-        env.rearm(actx.local_sid, actx.now_ns, actx.cpu, srh_offset, flow);
-        ctx::build_context_into(skb, ctx_bytes);
+            env.rearm(actx.local_sid, actx.now_ns, actx.cpu, None, &actx.flow);
+        }
+        ctx::write_context(skb, context);
         let code = {
             let packet = &mut SkbPacket(&mut skb.packet);
-            let mut rc = RunContext::new(ctx_bytes.as_mut_slice(), packet, &mut *env);
+            let mut rc = RunContext::new(context, packet, &mut *env);
             ebpf_vm::vm::run_program_with_state(prog, actx.helpers, &mut rc, prog.exec_tier(), state)
                 .map_err(|_| DropReason::BpfError)?
         };
-        let packet = skb.packet.data();
         // Post-program SRH validation, as the kernel performs it.
         if end_bpf
-            && env.out.srh_modified
+            && env.out.revalidate_srh
             && !env.out.decapped
-            && srv6_ops::validate_after_bpf(packet).is_err()
+            && srv6_ops::validate_after_bpf(skb.packet.data()).is_err()
         {
             return Err(DropReason::SrhValidationFailed);
         }
-        let dst = srv6_ops::outer_dst(packet).map_err(|_| DropReason::Malformed)?;
-        Ok((code, dst, env.out.route_override))
+        if skb.packet.len() < IPV6_HEADER_LEN {
+            return Err(DropReason::Malformed);
+        }
+        Ok(code)
     })();
-    let (code, dst, redirect) = match ran {
-        Ok(ran) => ran,
+    let code = match ran {
+        Ok(code) => code,
         Err(reason) => {
             head.restore(&mut skb.packet);
             return ActionOutcome::Drop(reason);
         }
     };
-    ctx::read_back(ctx_bytes, skb);
+    ctx::read_back(context, skb);
+    // The destination goes from the header straight into the outcome.
+    let dst = || srv6_ops::header_dst(skb.packet.data());
     match code {
-        retcode::BPF_OK => ActionOutcome::Forward { dst, route_override: RouteOverride::default() },
-        retcode::BPF_REDIRECT => ActionOutcome::Forward { dst, route_override: redirect },
+        retcode::BPF_OK => ActionOutcome::Forward { dst: dst(), route_override: RouteOverride::default() },
+        retcode::BPF_REDIRECT => {
+            ActionOutcome::Forward { dst: dst(), route_override: env.out.route_override }
+        }
         retcode::BPF_DROP => ActionOutcome::Drop(DropReason::BpfDrop),
         _ => ActionOutcome::Drop(DropReason::BpfError),
     }

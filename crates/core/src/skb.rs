@@ -40,8 +40,9 @@ impl RouteOverride {
 pub struct Skb {
     /// The packet bytes, starting at the outermost IPv6 header.
     pub packet: PacketBuf,
-    /// Time the packet entered the node, in simulation nanoseconds (the "RX
-    /// software timestamp" read by `End.DM`).
+    /// Time the packet entered the node, in simulation nanoseconds: the
+    /// context's RX software timestamp, and what a worker's clock (the
+    /// `bpf_ktime_get_ns` of `End.DM`) advances to.
     pub rx_timestamp_ns: u64,
     /// Interface the packet arrived on.
     pub ingress_ifindex: u32,

@@ -45,9 +45,16 @@ pub fn outer_dst(packet: &[u8]) -> OpResult<Ipv6Addr> {
     if packet.len() < IPV6_HEADER_LEN {
         return Err("packet shorter than an IPv6 header");
     }
-    let mut octets = [0u8; 16];
-    octets.copy_from_slice(&packet[DST_OFFSET..DST_OFFSET + 16]);
-    Ok(Ipv6Addr::from(octets))
+    Ok(header_dst(packet))
+}
+
+/// The outer destination of a packet known to hold an IPv6 header, as
+/// one 16-byte copy to wherever the caller puts it: inlined, so the
+/// address does not pass through a result in memory on the way.
+#[inline]
+pub fn header_dst(packet: &[u8]) -> Ipv6Addr {
+    let octets: [u8; 16] = packet[DST_OFFSET..DST_OFFSET + 16].try_into().expect("a 16-byte range");
+    Ipv6Addr::from(octets)
 }
 
 /// Reads the outer source address.
@@ -92,6 +99,15 @@ pub fn decrement_hop_limit(packet: &mut [u8]) -> OpResult<u8> {
 /// validated. Operates in place — the packet never changes size, so the
 /// hot path advances without copying it.
 pub fn advance_srh(packet: &mut [u8]) -> Result<Ipv6Addr, DropReason> {
+    advance_srh_in_place(packet)?;
+    Ok(header_dst(packet))
+}
+
+/// [`advance_srh`] without the read-back of the new destination, for a
+/// caller that reads it where it needs it ([`header_dst`]). Inlined, so
+/// `advance_srh` makes no call between the walk and the read-back.
+#[inline]
+pub fn advance_srh_in_place(packet: &mut [u8]) -> Result<(), DropReason> {
     let chain = HeaderChain::walk(packet);
     let srh = chain.srh(packet).map_err(|_| DropReason::Malformed)?.ok_or(DropReason::NoSrh)?;
     let left = srh.segments_left().checked_sub(1).ok_or(DropReason::SegmentsLeftZero)?;
@@ -101,7 +117,7 @@ pub fn advance_srh(packet: &mut [u8]) -> Result<Ipv6Addr, DropReason> {
     octets.copy_from_slice(&packet[seg..seg + 16]);
     packet[SRH_OFFSET + SRH_SEGMENTS_LEFT_OFFSET] = left;
     packet[DST_OFFSET..DST_OFFSET + 16].copy_from_slice(&octets);
-    Ok(Ipv6Addr::from(octets))
+    Ok(())
 }
 
 /// Removes the outer IPv6 header (and its routing header, if any), leaving

@@ -20,7 +20,10 @@
 //! chain on the fast path. `rbx` (callee-saved) holds the frame pointer for
 //! the whole program. BPF registers are ranked by use count and homed in
 //! host registers for the whole program (`RegPlan`); the frame is the
-//! spill area and the coherence point around trampoline calls.
+//! spill area and the coherence point around trampoline calls. The code
+//! sets every register it mentions to its initial value on entry and
+//! writes them into the [`RunState`]'s register file on exit: a run
+//! copies no register in or out.
 //!
 //! ## Verifier-derived check elision
 //!
@@ -46,9 +49,13 @@
 //!
 //! Helper calls go through a trampoline that rebuilds a [`crate::vm::HelperApi`] and
 //! dispatches through the load-time dense helper table by index — no id
-//! lookup at run time. Because helpers edit the packet where it lives —
-//! moving its front through the headroom, or reallocating it — the
-//! trampoline rebases the packet bias/length after every call. Three
+//! lookup at run time. A helper's arguments are `r1`–`r5` as the call
+//! site stored them in the frame; a helper sees no other register and
+//! writes only `r0`, so a call site stores the arguments and the
+//! caller-saved homes and reloads only the latter. Because helpers edit
+//! the packet where it lives — moving its front through the headroom, or
+//! reallocating it — the trampoline rebases the packet bias/length after
+//! a helper that took the packet for writing. Three
 //! helpers are inlined instead: `bpf_ktime_get_ns` and
 //! `bpf_get_smp_processor_id` read the environment snapshot, and
 //! `bpf_map_lookup_elem` on an array-family map the verifier pinned to the
@@ -106,12 +113,21 @@ pub struct NativeProgram {
     buf: x86_64::ExecBuf,
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     debug: NativeDebug,
-    /// The registers a run carries between the state and the frame (bit
-    /// `i` = `r_i`): those the code mentions, or all of them when a helper
-    /// call exposes the whole register file. The rest are never read or
-    /// written, so their frame words may be stale.
+    /// The registers the code mentions (bit `i` = `r_i`), `r10` aside: it
+    /// sets each of them to its initial value on entry and writes them
+    /// into the run state's register file on exit. The rest keep the
+    /// state's.
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     live_regs: u16,
+    /// Whether the code reads the environment snapshot (an inline
+    /// `bpf_ktime_get_ns` / `bpf_get_smp_processor_id` or per-CPU lookup):
+    /// only then does a run ask the environment for it.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    reads_snapshot: bool,
+    /// Whether the code reads the packet directly: only then does a run
+    /// point the frame at the packet before the first instruction.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    reads_packet: bool,
     #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
     _unconstructable: std::convert::Infallible,
 }
@@ -168,8 +184,8 @@ pub fn compile(_loaded: &LoadedProgram) -> Result<Option<NativeProgram>> {
 /// the generated code runs on and the trampoline context, in one heap
 /// block allocated by the state's first native run. Its address never
 /// changes, so the links between the two and the stack bias are written
-/// once; a run writes only what changes per run (registers, ctx / packet
-/// bias and length, the environment snapshot).
+/// once; a run writes only what changes per run (ctx / packet bias and
+/// length, the environment snapshot, for the code that reads them).
 #[derive(Debug)]
 pub(crate) struct NativeSlot {
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -327,6 +343,7 @@ mod x86_64 {
         inline_flags: u64,     // 144: bit 0 = env snapshot valid
         inline_ktime: u64,     // 152: snapshot ktime_ns
         inline_cpu: u64,       // 160: snapshot cpu_id
+        out_regs: u64,         // 168: the run state's register file
     }
 
     const OFF_STACK_BIAS: i32 = 8 * NUM_REGS as i32;
@@ -339,6 +356,7 @@ mod x86_64 {
     const OFF_INLINE_FLAGS: i32 = OFF_STACK_BIAS + 56;
     const OFF_INLINE_KTIME: i32 = OFF_STACK_BIAS + 64;
     const OFF_INLINE_CPU: i32 = OFF_STACK_BIAS + 72;
+    const OFF_OUT_REGS: i32 = OFF_STACK_BIAS + 80;
 
     /// Everything the slow-path trampolines need to re-enter safe Rust.
     /// Lives in the state's [`Bound`] block beside the frame; the generated
@@ -386,6 +404,7 @@ mod x86_64 {
                     inline_flags: 0,
                     inline_ktime: 0,
                     inline_cpu: 0,
+                    out_regs: 0,
                 },
                 tc: TrampCtx {
                     frame: std::ptr::null_mut(),
@@ -448,17 +467,11 @@ mod x86_64 {
         }
     }
 
-    /// Every BPF register, as a [`copy_regs`] mask.
-    const ALL_REGS: u16 = (1 << NUM_REGS) - 1;
-
     /// Copies the registers in `mask` (bit `i` = `r_i`) one word at a
-    /// time. The generated code stores and loads frame registers as
-    /// single words, so a vectorised copy right after (or right before)
-    /// it reads 16 bytes across two of its 8-byte stores, which defeats
-    /// store-to-load forwarding: the stall cost several nanoseconds per
-    /// run of a two-instruction program, on entry, on exit and around
-    /// every helper call. Volatile keeps the compiler from merging the
-    /// words into vector moves.
+    /// time. The generated code stores frame registers as single words,
+    /// so a vectorised copy right after it reads 16 bytes across two of
+    /// its 8-byte stores, which defeats store-to-load forwarding. Volatile
+    /// keeps the compiler from merging the words into vector moves.
     fn copy_regs(dst: &mut [u64; NUM_REGS], src: &[u64; NUM_REGS], mut mask: u16) {
         while mask != 0 {
             let r = mask.trailing_zeros() as usize;
@@ -469,34 +482,38 @@ mod x86_64 {
     }
 
     /// Points the frame's packet bias and length at where the packet's
-    /// bytes are now: at entry, and after every helper, which may have
-    /// moved the packet's front through its headroom or reallocated it.
+    /// bytes are now: at entry, for code that reads the packet, and after
+    /// a helper that wrote it, which may have moved the packet's front
+    /// through its headroom or reallocated it.
     fn rebase_packet(frame: &mut NativeFrame, rc: &mut RunContext<'_>) {
         let bytes = rc.packet.bytes_mut();
         frame.pkt_bias = (bytes.as_mut_ptr() as u64).wrapping_sub(PKT_BASE);
         frame.pkt_len = bytes.len() as u64;
     }
 
-    /// Helper-call trampoline: args come from the frame registers, the
-    /// helper runs with the same [`HelperApi`] every other tier uses, and
-    /// the packet is rebased afterwards.
+    /// Helper-call trampoline: the arguments `r1`–`r5` come from the
+    /// frame, where the generated code stored them just before the call,
+    /// and the helper runs with the same [`HelperApi`] every other tier
+    /// uses. A helper sees and writes no register but `r0`, its return
+    /// value. The packet is rebased only after a helper that took it
+    /// for writing, the only kind that can move it.
     unsafe extern "C" fn tramp_helper(tc: *mut TrampCtx, idx: u32) -> i64 {
         let tc = &mut *tc;
         let frame = &mut *tc.frame;
         let state = &mut *tc.state;
         let rc = &mut *tc.rc;
         let loaded = &*tc.loaded;
-        // Keep the RunState registers coherent around the call so a helper
-        // that inspects them sees exactly what the interpreter would show.
-        copy_regs(&mut state.regs, &frame.regs, ALL_REGS);
-        let args = [frame.regs[1], frame.regs[2], frame.regs[3], frame.regs[4], frame.regs[5]];
+        // One word each, as they were stored (see `copy_regs`).
+        // SAFETY: a reference, hence valid and aligned.
+        let arg = |r: usize| std::ptr::read_volatile(&frame.regs[r]);
+        let args = [arg(1), arg(2), arg(3), arg(4), arg(5)];
         let func = loaded.helper_table()[idx as usize].func;
-        let ret = {
-            let mut api = HelperApi { state, rc, maps: &loaded.maps };
-            func(&mut api, args)
-        };
-        copy_regs(&mut frame.regs, &state.regs, ALL_REGS);
-        rebase_packet(frame, rc);
+        let written_before = std::mem::take(&mut state.packet_written);
+        let ret = func(&mut HelperApi { state, rc, maps: &loaded.maps }, args);
+        if state.packet_written {
+            rebase_packet(frame, rc);
+        }
+        state.packet_written |= written_before;
         ret
     }
 
@@ -888,6 +905,8 @@ mod x86_64 {
         caller_homed: Vec<(u8, u8)>,
         elided_checks: u32,
         inlined_helpers: u32,
+        reads_snapshot: bool,
+        reads_packet: bool,
     }
 
     impl<'a> RegEmitter<'a> {
@@ -970,16 +989,21 @@ mod x86_64 {
                 self.store_frame(r, h);
             }
         }
-        /// Reloads every home from the frame — required after a helper,
-        /// which may write any BPF register.
-        fn reload_homes(&mut self) {
+        /// Writes back what a helper call needs in the frame: the
+        /// arguments `r1`–`r5`, which the trampoline reads there, and the
+        /// caller-saved homes, which the call clobbers. The callee-saved
+        /// homes of other registers stay put: the call preserves them and
+        /// nothing reads their frame words before the next flush.
+        fn flush_for_helper(&mut self) {
             for i in 0..self.homed.len() {
                 let (r, h) = self.homed[i];
-                self.load_frame(h, r, true);
+                if (1..=5).contains(&r) || CALLER_HOMES.contains(&h) {
+                    self.store_frame(r, h);
+                }
             }
         }
-        /// Reloads only the caller-saved homes — enough after a load/store
-        /// trampoline, which never writes BPF registers (the callee-saved
+        /// Reloads only the caller-saved homes — enough after any
+        /// trampoline, since none writes a BPF register (the callee-saved
         /// homes survive the call untouched).
         fn reload_caller_homes(&mut self) {
             for i in 0..self.caller_homed.len() {
@@ -1022,6 +1046,7 @@ mod x86_64 {
         /// every inline helper fast path on the per-invocation environment
         /// snapshot being valid.
         fn flag_check(&mut self) -> usize {
+            self.reads_snapshot = true;
             self.asm.bytes(&[0x48, 0x83]);
             self.asm.modrm_mem(7, RBX, OFF_INLINE_FLAGS);
             self.asm.b(0);
@@ -1140,6 +1165,7 @@ mod x86_64 {
                 AccessFact::Packet => {
                     // Carry + length check, falling back to the generic
                     // resolver so faults match the interpreter exactly.
+                    self.reads_packet = true;
                     self.asm.movabs_r(RSI, PKT_BASE);
                     self.asm.op_rr(&[0x8B], true, RDX, RCX); // mov rdx, rcx
                     self.asm.op_rr(&[0x2B], true, RDX, RSI); // sub rdx, rsi
@@ -1196,17 +1222,18 @@ mod x86_64 {
 
         // --- helper calls ----------------------------------------------
 
-        /// The generic helper path: flush, call [`tramp_helper`], reload
-        /// everything (a helper may write any BPF register), set r0.
+        /// The generic helper path: store the arguments and the
+        /// caller-saved homes, call [`tramp_helper`], reload the
+        /// caller-saved homes, set r0.
         fn emit_helper_tramp(&mut self, idx: u32) {
-            self.flush_homes();
+            self.flush_for_helper();
             self.load_field(RDI, OFF_TRAMP);
             self.asm.b(0xBE); // mov esi, idx
             self.asm.i32v(idx as i32);
             let f: unsafe extern "C" fn(*mut TrampCtx, u32) -> i64 = tramp_helper;
             self.asm.movabs_r(RAX, f as usize as u64);
             self.asm.bytes(&[0xFF, 0xD0]); // call rax
-            self.reload_homes();
+            self.reload_caller_homes();
             self.write_reg(0, RAX);
         }
         /// `bpf_map_lookup_elem` on an array-family map, inlined as the
@@ -1622,7 +1649,15 @@ mod x86_64 {
             caller_homed: plan.caller_homed.clone(),
             elided_checks: 0,
             inlined_helpers: 0,
+            reads_snapshot: false,
+            reads_packet: false,
         };
+        // The registers the code mentions: set on entry, written out on exit.
+        let mut live_regs = 0u16;
+        for (_, insn) in lowered(insns) {
+            for_each_reg(insn, |r| live_regs |= 1 << r);
+        }
+        live_regs &= !(1 << 10);
         // Prologue: push rbx + the callee-saved homes. Entry rsp is at
         // 8 mod 16, so an odd push count re-aligns it for the trampoline
         // call sites; pad when the count comes out even.
@@ -1638,10 +1673,19 @@ mod x86_64 {
             e.asm.bytes(&[0x48, 0x83, 0xEC, 0x08]); // sub rsp, 8
         }
         e.asm.bytes(&[0x48, 0x89, 0xFB]); // mov rbx, rdi
-                                          // Load every home: homes are architecturally current from here on.
-        for i in 0..e.homed.len() {
-            let (r, h) = e.homed[i];
-            e.load_frame(h, r, true);
+
+        // Every register the code mentions starts where a reset state's
+        // does — r1 at the context, the rest zero — written in its home or
+        // frame word: nothing is copied in, and a register the run never
+        // writes goes back out as the interpreter leaves it.
+        for r in (0..10u8).filter(|r| live_regs & (1 << r) != 0) {
+            let host = e.home_of(r).unwrap_or(RAX);
+            if r == 1 {
+                e.asm.movabs_r(host, CTX_BASE);
+            } else {
+                e.asm.op_rr(&[0x33], false, host, host); // xor r32, r32
+            }
+            e.write_reg(r, host);
         }
         for (slot, insn) in lowered(insns) {
             e.offsets[slot] = e.asm.here();
@@ -1660,12 +1704,21 @@ mod x86_64 {
         let fault_label = e.asm.here();
         e.asm.bytes(&[0x48, 0x89]);
         e.asm.modrm_mem(RAX, RBX, OFF_FAULT);
-        // Exit label: write the register-resident values back.
+        // Exit label: write every register the code mentions straight into
+        // the run state's register file — a home from its register, a
+        // frame-resident value through rax.
         let flush_label = e.asm.here();
-        e.flush_homes();
+        e.load_field(RDX, OFF_OUT_REGS);
+        for r in (0..10u8).filter(|r| live_regs & (1 << r) != 0) {
+            let value = e.home_of(r).unwrap_or_else(|| {
+                e.load_frame(RAX, r, true);
+                RAX
+            });
+            e.asm.op_rm(&[0x89], true, value, RDX, 8 * i32::from(r));
+        }
         // Raw epilogue — also the trampoline-fault target (those flushed
-        // before the call; their caller-saved homes are clobbered and must
-        // not be written back).
+        // to the frame before the call, which [`run`] copies out; their
+        // caller-saved homes are clobbered and must not be written back).
         let epilogue_label = e.asm.here();
         if pad {
             e.asm.bytes(&[0x48, 0x83, 0xC4, 0x08]); // add rsp, 8
@@ -1693,17 +1746,14 @@ mod x86_64 {
             elided_checks: e.elided_checks,
             inlined_helpers: e.inlined_helpers,
         };
-        let live_regs = if lowered(insns).any(|(_, insn)| insn.is_call()) {
-            ALL_REGS
-        } else {
-            let mut mask = 0u16;
-            for (_, insn) in lowered(insns) {
-                for_each_reg(insn, |r| mask |= 1 << r);
-            }
-            mask
-        };
         let buf = ExecBuf::new(&e.asm.code)?;
-        Ok(super::NativeProgram { buf, debug, live_regs })
+        Ok(super::NativeProgram {
+            buf,
+            debug,
+            live_regs,
+            reads_snapshot: e.reads_snapshot,
+            reads_packet: e.reads_packet,
+        })
     }
 
     pub(super) fn run(
@@ -1721,14 +1771,14 @@ mod x86_64 {
         // its raw pointer, and the trampolines only through the frame's.
         unsafe {
             let frame = &mut (*bound).frame;
-            // Per-invocation environment snapshot, for programs with
-            // inline helper fast paths only — the sole readers of these
-            // fields. When the environment opts in, they read the snapshot
-            // instead of calling back into Rust; recording environments
-            // return `None`, which zeroes `inline_flags` and sends every
-            // environment read (and per-CPU lookup) through the trampoline,
-            // so their observable call sequence is unchanged.
-            if native.debug.inlined_helpers > 0 {
+            // Per-invocation environment snapshot, for code that reads it
+            // only — the sole readers of these fields. When the environment
+            // opts in, they read the snapshot instead of calling back into
+            // Rust; recording environments return `None`, which zeroes
+            // `inline_flags` and sends every environment read (and per-CPU
+            // lookup) through the trampoline, so their observable call
+            // sequence is unchanged.
+            if native.reads_snapshot {
                 let (flags, ktime, cpu) = match rc.env.snapshot() {
                     Some(s) => (1u64, s.ktime_ns, u64::from(s.cpu_id)),
                     None => (0, 0, 0),
@@ -1737,13 +1787,17 @@ mod x86_64 {
                 frame.inline_ktime = ktime;
                 frame.inline_cpu = cpu;
             }
-            copy_regs(&mut frame.regs, &state.regs, native.live_regs);
             frame.ctx_bias = (rc.ctx.as_mut_ptr() as u64).wrapping_sub(CTX_BASE);
             frame.ctx_len = rc.ctx.len() as u64;
-            rebase_packet(frame, rc);
+            // Code with no direct packet access never reads the packet's
+            // bias or length; a helper that moves the packet rebases it.
+            if native.reads_packet {
+                rebase_packet(frame, rc);
+            }
             frame.fault = 0;
             let tc = &mut (*bound).tc;
             tc.state = state as *mut RunState;
+            frame.out_regs = std::ptr::addr_of_mut!((*tc.state).regs) as u64;
             // The lifetime is erased for storage only; the trampolines
             // dereference it during this call alone.
             tc.rc = (rc as *mut RunContext<'_>).cast();
@@ -1754,7 +1808,9 @@ mod x86_64 {
         // Every pointer in the frame and trampoline context was written
         // above for this call, and the generated code only dereferences
         // memory the verifier proved (or the emitted guards / trampolines
-        // check) to be inside the frame, stack, ctx or packet buffers.
+        // check) to be inside the frame, stack, ctx or packet buffers, and
+        // on exit the state's register file `out_regs` points at, which
+        // no reference touches during the call.
         unsafe {
             let entry: unsafe extern "C" fn(*mut NativeFrame) =
                 std::mem::transmute::<*mut u8, unsafe extern "C" fn(*mut NativeFrame)>(native.buf.ptr);
@@ -1762,15 +1818,17 @@ mod x86_64 {
         }
         // SAFETY: the call returned; nothing else refers to the block.
         let (frame, tc) = unsafe { (&(*bound).frame, &mut (*bound).tc) };
-        copy_regs(&mut state.regs, &frame.regs, native.live_regs);
         if frame.fault != 0 {
+            if let Some(error) = tc.error.take() {
+                // A trampoline fault left through the raw epilogue, with
+                // the registers in the frame.
+                copy_regs(&mut state.regs, &frame.regs, native.live_regs);
+                return Err(error);
+            }
             let insn = (frame.fault - 1) as usize;
-            return Err(tc
-                .error
-                .take()
-                .unwrap_or_else(|| Error::runtime(insn, format!("invalid memory access at insn {insn}"))));
+            return Err(Error::runtime(insn, format!("invalid memory access at insn {insn}")));
         }
-        Ok(frame.regs[0])
+        Ok(state.regs[0])
     }
 }
 

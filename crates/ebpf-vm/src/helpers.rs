@@ -11,8 +11,6 @@
 //! extend with their own helpers, exactly as the paper added four SRv6
 //! helpers to the kernel.
 
-use crate::maps::MapType;
-use crate::perf::PerfEvent;
 use crate::program::ProgramType;
 use crate::vm::HelperApi;
 use std::borrow::Cow;
@@ -228,18 +226,21 @@ pub const BPF_F_CURRENT_CPU: u64 = 0xffff_ffff;
 /// Mask of the CPU-index bits in `bpf_perf_event_output` flags.
 pub const BPF_F_INDEX_MASK: u64 = 0xffff_ffff;
 
-/// `long bpf_perf_event_output(ctx, map, flags, data, size)` — pushes `size`
-/// bytes read from the program's memory into one CPU ring of the perf
-/// buffer attached to `map`. The low 32 bits of `flags` select the ring:
-/// [`BPF_F_CURRENT_CPU`] (the default every program in this workspace uses)
-/// targets the ring of the CPU the program runs on; an explicit index must
-/// name an existing ring, as in the kernel.
+/// `-ENOSPC`: what `bpf_perf_event_output` returns when the ring has no
+/// room for the record, which the ring counts lost.
+pub const ENOSPC: i64 = -28;
+
+/// `long bpf_perf_event_output(ctx, map, flags, data, size)` — copies `size`
+/// bytes of the program's memory into one CPU ring of the perf buffer
+/// attached to `map`, straight into the ring's slot. The low 32 bits of
+/// `flags` select the ring: [`BPF_F_CURRENT_CPU`] (the default every
+/// program in this workspace uses) targets the ring of the CPU the program
+/// runs on; an explicit index must name an existing ring, as in the
+/// kernel. A full ring refuses the record with [`ENOSPC`] and counts it
+/// lost.
 fn helper_perf_event_output(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
     let Ok(map) = api.map_by_ptr(args[1]) else { return -1 };
-    if map.map_type() != MapType::PerfEventArray {
-        return -1;
-    }
-    let Some(buffer) = map.perf_buffer() else { return -1 };
+    let Some(ring) = map.perf_ring() else { return -1 };
     // The kernel rejects flags with any bit outside the index mask set
     // (e.g. a sign-extended -1); match that so programs stay portable.
     if args[2] & !BPF_F_INDEX_MASK != 0 {
@@ -248,22 +249,21 @@ fn helper_perf_event_output(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 
     let index = args[2] & BPF_F_INDEX_MASK;
     let cpu = if index == BPF_F_CURRENT_CPU {
         api.env().cpu_id()
-    } else if index < u64::from(buffer.num_rings()) {
+    } else if index < u64::from(ring.num_rings()) {
         index as u32
     } else {
         return -1;
     };
-    let size = args[4] as usize;
-    if size > 4096 {
-        return -1;
+    let mut readable = true;
+    let queued = ring.output(cpu, args[4] as usize, |slot| {
+        readable = api.read_into(args[3], slot).is_ok();
+        readable
+    });
+    match (queued, readable) {
+        (true, _) => 0,
+        (false, true) => ENOSPC,
+        (false, false) => -1,
     }
-    let mut buf = [0u8; MAX_STACK_PARAM];
-    match read_param(api, args[3], size, &mut buf) {
-        Some(Cow::Borrowed(data)) => buffer.push_bytes(cpu, data),
-        Some(Cow::Owned(data)) => buffer.push(PerfEvent { cpu, data }),
-        None => return -1,
-    }
-    0
 }
 
 /// `long bpf_skb_load_bytes(ctx, offset, to, len)` — copies packet bytes to

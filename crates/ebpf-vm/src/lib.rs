@@ -49,9 +49,9 @@
 
 #![warn(missing_docs)]
 // Unsafe code is confined to the `codegen` module (executable-page
-// management and the native-code entry point) and the `maps` arenas
-// (byte copies through raw pointers); everything else stays statically
-// free of it.
+// management and the native-code entry point), the `maps` arenas (byte
+// copies through raw pointers) and the `perf` rings' page mapping;
+// everything else stays statically free of it.
 #![deny(unsafe_code)]
 
 pub mod asm;

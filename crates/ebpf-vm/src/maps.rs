@@ -93,8 +93,14 @@ pub trait Map: Send + Sync {
     fn update(&self, key: &[u8], value: &[u8], flags: UpdateFlags) -> Result<()>;
     /// Snapshot of the current keys (user-space iteration).
     fn keys(&self) -> Vec<Vec<u8>>;
-    /// The perf-event buffer, for [`MapType::PerfEventArray`] maps only.
+    /// The perf-event buffer, for [`MapType::PerfEventArray`] maps only:
+    /// a handle for the daemons that drain it.
     fn perf_buffer(&self) -> Option<Arc<PerfEventBuffer>> {
+        None
+    }
+    /// The same buffer, borrowed: where `bpf_perf_event_output` writes,
+    /// with no reference count taken per record.
+    fn perf_ring(&self) -> Option<&PerfEventBuffer> {
         None
     }
     /// Where the values live, for the maps programs look values up in.
@@ -411,6 +417,9 @@ impl Map for PerfEventArray {
     fn perf_buffer(&self) -> Option<Arc<PerfEventBuffer>> {
         Some(Arc::clone(&self.buffer))
     }
+    fn perf_ring(&self) -> Option<&PerfEventBuffer> {
+        Some(&self.buffer)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -555,6 +564,8 @@ mod tests {
     fn perf_event_array_exposes_its_buffer() {
         let map = PerfEventArray::new(8);
         assert!(map.perf_buffer().is_some());
+        assert!(std::ptr::eq(map.perf_ring().unwrap(), &*map.perf_buffer().unwrap()));
+        assert!(ArrayMap::new(4, 1).perf_ring().is_none());
         assert!(map.update(&[0; 4], &[0; 4], UpdateFlags::Any).is_err());
         assert_eq!(map.map_type(), MapType::PerfEventArray);
     }

@@ -226,7 +226,7 @@ pub struct RunState {
     stack_dirty: usize,
     /// Whether a helper took mutable access to the packet
     /// ([`HelperApi::packet_mut`]) since the last reset.
-    packet_written: bool,
+    pub(crate) packet_written: bool,
     /// The native tier's frame and trampoline context, bound to this state
     /// by its first native run.
     pub(crate) native: crate::codegen::NativeSlot,
@@ -472,10 +472,18 @@ impl<'r, 'a> HelperApi<'r, 'a> {
         self.rc.env
     }
 
-    /// The embedder environment as `Any`, for downcasting to a concrete
-    /// type (e.g. the seg6 datapath environment).
-    pub fn env_any(&mut self) -> &mut dyn Any {
-        self.rc.env.as_any_mut()
+    /// The embedder environment downcast to `E`, with the packet and the
+    /// context beside it: a helper that needs its environment and the
+    /// packet together takes them here, with one downcast for the call.
+    /// `None` if the environment is not an `E`.
+    pub fn parts<E: Any>(&mut self) -> Option<HelperParts<'_, E>> {
+        let RunContext { ctx, packet, env } = &mut *self.rc;
+        Some(HelperParts {
+            env: env.as_any_mut().downcast_mut::<E>()?,
+            ctx,
+            packet: &mut **packet,
+            packet_written: &mut self.state.packet_written,
+        })
     }
 
     /// Resolves an opaque map pointer (produced by a pseudo-map-fd `lddw`)
@@ -484,6 +492,31 @@ impl<'r, 'a> HelperApi<'r, 'a> {
     pub fn map_by_ptr(&self, ptr: u64) -> Result<&'r MapHandle> {
         let fd = fd_from_map_ptr(ptr).ok_or_else(|| Error::Helper("argument is not a map pointer".into()))?;
         self.maps.get(fd).ok_or_else(|| Error::Helper(format!("map fd {fd} not attached to this program")))
+    }
+}
+
+/// What [`HelperApi::parts`] splits off for a helper: its environment,
+/// downcast, and the packet and context it may edit.
+pub struct HelperParts<'p, E> {
+    /// The embedder environment.
+    pub env: &'p mut E,
+    /// The context structure.
+    pub ctx: &'p mut [u8],
+    packet: &'p mut dyn Packet,
+    packet_written: &'p mut bool,
+}
+
+impl<E> HelperParts<'_, E> {
+    /// The packet bytes.
+    pub fn packet(&self) -> &[u8] {
+        self.packet.bytes()
+    }
+
+    /// The packet, for editing in place: as [`HelperApi::packet_mut`],
+    /// taking the access is what [`RunState::packet_written`] reports.
+    pub fn packet_mut(&mut self) -> &mut dyn Packet {
+        *self.packet_written = true;
+        &mut *self.packet
     }
 }
 

@@ -42,6 +42,14 @@
 //! and differs between the two runs of a leg, so each path runs after the
 //! other one has.
 //!
+//! Two of them also attack the verifier's 32-bit rules, each in about
+//! one program in twelve: [`generate`] with a 32-bit ALU op on a pointer
+//! or a "negative" 32-bit constant as a stack offset, and
+//! [`generate_map_dense`] with a `jeq32` null check of a lookup's value.
+//! Such a program is marked [`MUST_REJECT`]: it must fail verification,
+//! and the harness fails if one verifies. Beside them, [`generate`] uses
+//! 32-bit constants as packet offsets, which verify and run.
+//!
 //! Each test has an `#[ignore]`d `…_long` twin on 50 times the programs:
 //! `cargo test --release -p ebpf-vm -- --ignored`.
 
@@ -352,6 +360,54 @@ fn emit_branch(out: &mut String, rng: &mut Rng, target: u64) {
     }
 }
 
+/// Marks a snippet no sound verifier accepts: its program must be
+/// refused, never run. The assembler strips it as a comment.
+const MUST_REJECT: &str = "; must reject:";
+
+/// The 32-bit widths the verifier must follow exactly, which the fuzz
+/// did not reach before: a truncated pointer is no pointer, and a 32-bit
+/// result is zero-extended. `reject` picks a snippet no sound verifier
+/// accepts:
+///
+/// * 32-bit ALU on a pointer, then an access through the result;
+/// * a "negative" 32-bit constant (`mov32`, or an `add32` result) as a
+///   stack offset: zero-extended, it lies far past the stack.
+///
+/// Otherwise the snippet uses a 32-bit constant as a packet offset, which
+/// is accepted and range-checked on every tier. (The third width rule,
+/// the 32-bit null check, is in [`emit_map_lookup`].)
+fn emit_width_snippet(out: &mut String, rng: &mut Rng, reject: bool) {
+    let dst = rng.below(8);
+    if reject && rng.chance(50) {
+        let base = ["r8", "r9", "r10"][rng.below(3) as usize];
+        out.push_str(&format!("{MUST_REJECT} 32-bit ALU on a pointer\n"));
+        out.push_str(&format!("mov64 r3, {base}\n"));
+        match rng.below(3) {
+            0 => out.push_str("mov32 r3, r3\n"),
+            1 => out.push_str(&format!("add32 r3, {}\n", rng.below(8))),
+            _ => out.push_str(&format!("sub32 r3, {}\n", rng.below(8))),
+        }
+        out.push_str(&format!("ldxb r{dst}, [r3+0]\n"));
+    } else if reject {
+        out.push_str(&format!("{MUST_REJECT} zero-extended 32-bit offset past the stack\n"));
+        if rng.chance(50) {
+            out.push_str(&format!("mov32 r4, -{}\n", 8 * (1 + rng.below(4))));
+        } else {
+            out.push_str(&format!("mov64 r4, -{}\nadd32 r4, 8\n", 16 + 8 * rng.below(4)));
+        }
+        out.push_str("mov64 r3, r10\n");
+        out.push_str("add64 r3, r4\n");
+        out.push_str(&format!("ldxdw r{dst}, [r3+0]\n"));
+    } else {
+        out.push_str(&format!("mov32 r4, {}\n", rng.below(PACKET_LEN as u64 + 8)));
+        out.push_str("mov64 r3, r8\n");
+        out.push_str("add64 r3, r4\n");
+        out.push_str(&format!("ldxb r{dst}, [r3+0]\n"));
+    }
+    out.push_str(&format!("mov64 r3, {}\n", rng.below(256)));
+    out.push_str(&format!("mov64 r4, {}\n", rng.below(256)));
+}
+
 /// Shared prologue: pin the pointer registers, scalarise everything else,
 /// warm the stack slots loads are allowed to touch.
 fn emit_prologue(s: &mut String, rng: &mut Rng) {
@@ -369,11 +425,16 @@ fn emit_prologue(s: &mut String, rng: &mut Rng) {
 /// context/packet accesses so the fault paths get differential coverage.
 fn generate(rng: &mut Rng) -> String {
     let oob = rng.chance(4);
+    // One program in twelve carries one snippet no verifier may accept.
+    let reject_at = if rng.chance(8) { Some(rng.below(6)) } else { None };
     let mut s = String::new();
     emit_prologue(&mut s, rng);
     let snippets = 6 + rng.below(6);
     for i in 0..snippets {
         s.push_str(&format!("s{i}:\n"));
+        if reject_at == Some(i) || rng.chance(10) {
+            emit_width_snippet(&mut s, rng, reject_at == Some(i));
+        }
         for _ in 0..(2 + rng.below(5)) {
             let kind = rng.below(100);
             let oob_here = oob && rng.chance(30);
@@ -498,7 +559,7 @@ fn patch_map_loads(insns: &mut [Insn]) {
 /// map pointer, call, null-check, and hammer the value with loads and
 /// stores on the hit path. Keys sometimes exceed `max_entries` so the null
 /// path runs too. `label` disambiguates the inner join labels.
-fn emit_map_lookup(out: &mut String, rng: &mut Rng, label: usize) {
+fn emit_map_lookup(out: &mut String, rng: &mut Rng, label: usize, null_check32: bool) {
     let which = rng.below(MAP_FDS.len() as u64) as usize;
     let (fd, value_size) = (MAP_FDS[which], MAP_VALUE_SIZES[which]);
     let slot = -8 * (1 + rng.below(4) as i32);
@@ -508,7 +569,14 @@ fn emit_map_lookup(out: &mut String, rng: &mut Rng, label: usize) {
     out.push_str("mov64 r2, r10\n");
     out.push_str(&format!("add64 r2, {slot}\n"));
     out.push_str("call 1\n");
-    out.push_str(&format!("jeq r0, 0, m{label}\n"));
+    if null_check32 {
+        // A value pointer may have zero low 32 bits: `jeq32` proves
+        // nothing about NULL, so the loads below are unchecked.
+        out.push_str(&format!("{MUST_REJECT} 32-bit null check\n"));
+        out.push_str(&format!("jeq32 r0, 0, m{label}\n"));
+    } else {
+        out.push_str(&format!("jeq r0, 0, m{label}\n"));
+    }
     for _ in 0..(1 + rng.below(3)) {
         let (sz, bytes) = [("b", 1i64), ("h", 2), ("w", 4), ("dw", 8)][rng.below(4) as usize];
         // Now and then reach into the padding behind a value: every tier
@@ -587,6 +655,8 @@ fn emit_joined_lookup(out: &mut String, rng: &mut Rng, label: usize) {
 fn generate_map_dense(rng: &mut Rng) -> String {
     let mut s = String::new();
     let mut label = 0usize;
+    // One program in twelve checks one lookup for NULL with `jeq32`.
+    let mut null_check32 = rng.chance(8);
     emit_prologue(&mut s, rng);
     let snippets = 4 + rng.below(4);
     for i in 0..snippets {
@@ -594,7 +664,7 @@ fn generate_map_dense(rng: &mut Rng) -> String {
         for _ in 0..(2 + rng.below(3)) {
             match rng.below(100) {
                 0..=27 => {
-                    emit_map_lookup(&mut s, rng, label);
+                    emit_map_lookup(&mut s, rng, label, std::mem::take(&mut null_check32));
                     label += 1;
                 }
                 28..=34 => {
@@ -817,6 +887,9 @@ fn load_generated(
     // A rare reject (e.g. a shift chain the tracker widens into a
     // pointer-looking value) just costs one attempt.
     match load(prog, maps, helpers) {
+        Ok(_) if source.contains(MUST_REJECT) => {
+            panic!("the verifier accepted a program it must refuse:\n{source}")
+        }
         Ok(l) => Some(l),
         Err(e) => {
             if std::env::var("FUZZ_DEBUG_REJECTS").is_ok() {
@@ -845,6 +918,7 @@ fn randomized_round(programs: usize) {
     let mut accepted = 0usize;
     let mut faulted = 0usize;
     let mut attempts = 0usize;
+    let (mut refused, mut packet_offsets32) = (0usize, 0usize);
     let mut rng = Rng::new(0x5eed_cafe);
     while accepted < programs {
         attempts += 1;
@@ -853,17 +927,27 @@ fn randomized_round(programs: usize) {
             "generator accept rate collapsed: {accepted}/{attempts} verified"
         );
         let source = generate(&mut rng);
-        let Some(loaded) = load_generated(&source, &maps.by_fd, &helpers) else { continue };
+        let Some(loaded) = load_generated(&source, &maps.by_fd, &helpers) else {
+            refused += usize::from(source.contains(MUST_REJECT));
+            continue;
+        };
         accepted += 1;
+        packet_offsets32 += usize::from(source.contains("mov32 r4,"));
         if check_parity::<RecordingEnv>(&loaded, &helpers, &maps, &source, 1) {
             faulted += 1;
         }
     }
-    // The OOB sprinkling must actually exercise the fault paths.
+    // The OOB sprinkling must actually exercise the fault paths, and the
+    // 32-bit width snippets must reach the verifier both ways.
     assert!(faulted > 0, "no generated program faulted; fault-path parity went untested");
+    assert!(
+        refused > 0 && packet_offsets32 > 0,
+        "32-bit width snippets: {refused} refused, {packet_offsets32} run"
+    );
     eprintln!(
-        "tier differential: {accepted} programs ({attempts} attempts, {faulted} faulting) \
-         agreed across {:?}",
+        "tier differential: {accepted} programs ({attempts} attempts, {faulted} faulting, \
+         {packet_offsets32} with 32-bit packet offsets; {refused} width attacks refused) agreed \
+         across {:?}",
         ExecTier::ALL
     );
 }
@@ -937,6 +1021,7 @@ fn map_dense_round(programs: usize) {
     let mut accepted = 0usize;
     let mut attempts = 0usize;
     let mut with_lookups = 0usize;
+    let mut refused = 0usize;
     let mut rng = Rng::new(0xdeed_beef);
     while accepted < programs {
         attempts += 1;
@@ -945,7 +1030,10 @@ fn map_dense_round(programs: usize) {
             "map-dense generator accept rate collapsed: {accepted}/{attempts} verified"
         );
         let source = generate_map_dense(&mut rng);
-        let Some(loaded) = load_generated(&source, &maps.by_fd, &helpers) else { continue };
+        let Some(loaded) = load_generated(&source, &maps.by_fd, &helpers) else {
+            refused += usize::from(source.contains(MUST_REJECT));
+            continue;
+        };
         accepted += 1;
         if let Some(native) = loaded.native() {
             // Every inlined helper site past the ktime/cpu ones is an
@@ -973,9 +1061,11 @@ fn map_dense_round(programs: usize) {
             "only {with_lookups}/{accepted} programs compiled inlined lookup sites"
         );
     }
+    assert!(refused > 0, "no 32-bit null check reached the verifier");
     eprintln!(
         "map-dense differential: {accepted} programs ({attempts} attempts, {with_lookups} with \
-         inlined lookup sites) agreed across all tiers and both environments"
+         inlined lookup sites; {refused} 32-bit null checks refused) agreed across all tiers and \
+         both environments"
     );
 }
 

@@ -9,7 +9,7 @@
 //! perf-event ring buffers the programs write to.
 
 use crate::events::{DelayEvent, OamEvent};
-use ebpf_vm::perf::{PerfEvent, PerfEventBuffer};
+use ebpf_vm::perf::PerfEventBuffer;
 use parking_lot::Mutex;
 use seg6_runtime::BatchDrain;
 use std::collections::BTreeMap;
@@ -25,45 +25,32 @@ pub struct DelayCollector {
     buffer: Arc<PerfEventBuffer>,
     reports: Vec<DelayEvent>,
     malformed: u64,
-    scratch: Vec<PerfEvent>,
 }
 
 impl DelayCollector {
     /// Creates a collector reading from `buffer`.
     pub fn new(buffer: Arc<PerfEventBuffer>) -> Self {
-        DelayCollector { buffer, reports: Vec::new(), malformed: 0, scratch: Vec::new() }
+        DelayCollector { buffer, reports: Vec::new(), malformed: 0 }
     }
 
     /// Drains every pending perf event (all rings), returning how many
     /// reports were parsed.
     pub fn poll(&mut self) -> usize {
-        let events = self.buffer.drain();
-        self.ingest(events)
+        let DelayCollector { buffer, reports, malformed } = self;
+        let before = reports.len();
+        buffer.drain_with(|_, data| ingest(reports, malformed, data));
+        reports.len() - before
     }
 
     /// Drains only logical CPU `cpu`'s ring — the per-worker flavour a
-    /// shard's drain daemon calls after each batch. The internal scratch
-    /// buffer is reused, so the steady state allocates nothing.
+    /// shard's drain daemon calls after each batch. Each record is parsed
+    /// where it lies in the ring, so the steady state allocates nothing
+    /// beyond the growth of the report list.
     pub fn poll_cpu(&mut self, cpu: u32) -> usize {
-        let mut events = std::mem::take(&mut self.scratch);
-        self.buffer.take_cpu(cpu, &mut events);
-        let parsed = self.ingest(events.drain(..));
-        self.scratch = events;
-        parsed
-    }
-
-    fn ingest(&mut self, events: impl IntoIterator<Item = PerfEvent>) -> usize {
-        let mut parsed = 0;
-        for event in events {
-            match DelayEvent::parse(&event.data) {
-                Some(report) => {
-                    self.reports.push(report);
-                    parsed += 1;
-                }
-                None => self.malformed += 1,
-            }
-        }
-        parsed
+        let DelayCollector { buffer, reports, malformed } = self;
+        let before = reports.len();
+        buffer.drain_cpu_with(cpu, |data| ingest(reports, malformed, data));
+        reports.len() - before
     }
 
     /// Builds the worker-pool drain daemon for `collector`: attached to a
@@ -101,6 +88,14 @@ impl DelayCollector {
     /// Maximum one-way delay observed, in nanoseconds.
     pub fn max_owd_ns(&self) -> Option<u64> {
         self.reports.iter().map(DelayEvent::one_way_delay_ns).max()
+    }
+}
+
+/// Parses one perf record into `reports`, or counts it `malformed`.
+fn ingest(reports: &mut Vec<DelayEvent>, malformed: &mut u64, data: &[u8]) {
+    match DelayEvent::parse(data) {
+        Some(report) => reports.push(report),
+        None => *malformed += 1,
     }
 }
 
@@ -317,9 +312,14 @@ mod tests {
             ShardSetup::new(dp).with_drain(DelayCollector::shard_drain(Arc::clone(&collector)))
         });
 
-        // Every probe arrives 40 µs after it was stamped.
-        for (tx_ns, packet) in probes {
-            assert!(pool.enqueue_bytes_at(tx_ns + 40_000, packet.data()));
+        // Every probe arrives at the same instant, 40 µs after the last
+        // one was stamped. End.DM reads its RX time with
+        // `bpf_ktime_get_ns`, the shard's clock, which a run sets to its
+        // newest arrival: with one arrival time, each report's delay is
+        // exact.
+        let arrival_ns = u64::from(PROBES - 1) * 1_000 + 40_000;
+        for (_, packet) in probes {
+            assert!(pool.enqueue_bytes_at(arrival_ns, packet.data()));
         }
         let per_shard: Vec<u64> = pool.counters().snapshot().shards.iter().map(|s| s.enqueued).collect();
         assert!(per_shard.iter().all(|&n| n > 0), "steering collapsed: {per_shard:?}");
@@ -338,7 +338,8 @@ mod tests {
         let expected: Vec<u64> = (0..u64::from(PROBES)).map(|i| i * 1_000).collect();
         assert_eq!(tx_seen, expected, "reports lost or duplicated");
         for report in collector.reports() {
-            assert_eq!(report.one_way_delay_ns(), 40_000);
+            assert_eq!(report.rx_timestamp_ns, arrival_ns);
+            assert_eq!(report.one_way_delay_ns(), arrival_ns - report.tx_timestamp_ns);
             assert_eq!(report.controller, addr("2001:db8::c0"));
         }
     }

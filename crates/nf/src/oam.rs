@@ -31,11 +31,11 @@ pub fn helper_fib_ecmp_nexthops(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> 
     }
     let dst = Ipv6Addr::from(octets);
     let max = (args[2] as usize).min(16);
-    let Some(env) = api.env_any().downcast_mut::<Seg6Env>() else { return -1 };
+    let Some(parts) = api.parts::<Seg6Env>() else { return -1 };
     // At most 16 next hops of 16 bytes each: a stack buffer filled while
     // the FIB read lock is held — no allocation per call.
     let mut out = [0u8; 16 * 16];
-    let written = env.tables().with_ecmp_nexthops(dst, |nexthops| {
+    let written = parts.env.tables().with_ecmp_nexthops(dst, |nexthops| {
         let mut written = 0usize;
         for nexthop in nexthops.iter().take(max) {
             // Report the gateway when there is one, the destination itself

@@ -248,8 +248,8 @@ pub fn owd_encap_program(config: OwdEncapConfig) -> Program {
 }
 
 /// The `End.DM` program (§4.1): read the TX timestamp from the DM TLV and
-/// the controller address from its TLV, read the RX software timestamp from
-/// the context, push everything to user space as a perf event, then
+/// the controller address from its TLV, take the RX time from
+/// `bpf_ktime_get_ns`, push everything to user space as a perf event, then
 /// decapsulate with `End.DT6` and return `BPF_REDIRECT`.
 ///
 /// `perf_fd` is the map file descriptor of the perf-event array the report
@@ -271,9 +271,11 @@ pub fn end_dm_program(perf_fd: u32) -> Program {
     b.load_mem(AccessSize::Double, 2, R_DATA, dm_value);
     b.to_be(2, 64);
     b.store_mem(AccessSize::Double, 7, 2, 0);
-    // event.rx_timestamp from the context's tstamp field.
-    b.load_mem(AccessSize::Double, 2, R_CTX_SAVED, seg6_core::ctx::offsets::TSTAMP);
-    b.store_mem(AccessSize::Double, 7, 2, 8);
+    // event.rx_timestamp: the time the probe is processed. The kernel
+    // gives LWT programs no access to the skb's `tstamp`
+    // (`lwt_is_valid_access`), so End.DM asks `bpf_ktime_get_ns`.
+    b.call(ids::KTIME_GET_NS);
+    b.store_mem(AccessSize::Double, 7, 0, 8);
     // event.controller address + port (kept in network order).
     b.load_mem(AccessSize::Double, 2, R_DATA, ctrl_addr);
     b.store_mem(AccessSize::Double, 7, 2, 16);
@@ -519,17 +521,18 @@ mod tests {
         maps.insert(3u32, config);
         // The exact native facts of each shipped program: `(instructions,
         // code bytes, spills, elided checks, inlined helper sites)`. None
-        // spills; `owd_encap` inlines `bpf_ktime_get_ns`, and `wrr_encap`'s
-        // two array-map lookups are each inlined as the bounds compare and
-        // multiply of the kernel's `array_map_gen_lookup`. A change to the
-        // emitter or the verifier's facts shows here as a diff of numbers;
-        // update the table only with the reason.
+        // spills; `owd_encap` and `end_dm` inline `bpf_ktime_get_ns`, and
+        // `wrr_encap`'s two array-map lookups are each inlined as the
+        // bounds compare and multiply of the kernel's
+        // `array_map_gen_lookup`. A change to the emitter or the verifier's
+        // facts shows here as a diff of numbers; update the table only with
+        // the reason.
         let cases = [
-            (end_program(), (2, 36, 0, 0, 0)),
-            (end_t_program(254), (11, 258, 0, 1, 0)),
-            (end_x_program(addr("fe80::42")), (16, 303, 0, 2, 0)),
-            (tag_increment_program(), (19, 509, 0, 3, 0)),
-            (add_tlv_program(), (24, 640, 0, 3, 0)),
+            (end_program(), (2, 43, 0, 0, 0)),
+            (end_t_program(254), (11, 245, 0, 1, 0)),
+            (end_x_program(addr("fe80::42")), (16, 284, 0, 2, 0)),
+            (tag_increment_program(), (19, 489, 0, 3, 0)),
+            (add_tlv_program(), (24, 593, 0, 3, 0)),
             (
                 owd_encap_program(OwdEncapConfig {
                     dm_sid: addr("fc00::d1"),
@@ -537,11 +540,11 @@ mod tests {
                     controller_port: 9999,
                     ratio: 100,
                 }),
-                (43, 1208, 0, 15, 1),
+                (43, 1135, 0, 15, 1),
             ),
-            (end_dm_program(1), (35, 1276, 0, 12, 0)),
-            (wrr_encap_program(2, 3), (37, 971, 0, 6, 2)),
-            (end_oamp_program(1), (38, 1707, 0, 14, 0)),
+            (end_dm_program(1), (35, 1291, 0, 11, 1)),
+            (wrr_encap_program(2, 3), (37, 911, 0, 6, 2)),
+            (end_oamp_program(1), (38, 1665, 0, 14, 0)),
         ];
         for (prog, expected) in cases {
             let name = prog.name.clone();

@@ -771,7 +771,7 @@ fn per_cpu_perf_events_survive_pool_shutdown_exactly_once() {
         let collected = Arc::clone(&collected);
         ShardSetup::new(dp).with_drain(Box::new(move |cpu| {
             // Each shard's daemon drains only its own ring.
-            ring.take_cpu(cpu, &mut collected.lock().unwrap());
+            collected.lock().unwrap().extend(ring.drain_cpu(cpu));
         }))
     });
 
