@@ -17,7 +17,7 @@ use crate::transit::{apply_transit, TransitBehaviour, TransitTable};
 use crate::verdict::{ActionOutcome, DropReason, Verdict};
 use ebpf_vm::helpers::HelperRegistry;
 use ebpf_vm::program::{LoadedProgram, ProgramType};
-use netpkt::{Ipv6Header, Ipv6Prefix};
+use netpkt::{Ipv6Prefix, IPV6_HEADER_LEN};
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
@@ -91,6 +91,54 @@ pub struct BatchVerdict {
     pub verdict: Verdict,
     /// The work classes this packet exercised.
     pub work: WorkSummary,
+}
+
+impl BatchVerdict {
+    /// What a verdict slot of a record holds until
+    /// [`Seg6Datapath::process_batch_in_place`] writes its packet's verdict:
+    /// a drop with no work, so a slot that was never processed would fail
+    /// closed.
+    pub const UNSET: BatchVerdict = BatchVerdict {
+        verdict: Verdict::Drop(DropReason::Malformed),
+        work: WorkSummary { seg6local: false, bpf: false, transit: false },
+    };
+}
+
+/// Where a batch's packets and their verdict slots live, for
+/// [`Seg6Datapath::process_batch_in_place`]: packet `i` is processed in
+/// place, then its verdict is handed to slot `i`, for `i` in
+/// `0..len()` in order.
+pub trait BatchSlots {
+    /// Packets in the batch.
+    fn len(&self) -> usize;
+
+    /// Whether the batch holds no packet.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Packet `i`.
+    fn skb(&mut self, i: usize) -> &mut Skb;
+
+    /// Stores packet `i`'s verdict; called once per packet, after it was
+    /// processed.
+    fn set_verdict(&mut self, i: usize, verdict: BatchVerdict);
+}
+
+/// Records that carry a packet and its verdict side by side, behind a tag
+/// of the caller's (the worker pool's `(tenant, skb, verdict)` outputs).
+impl<T> BatchSlots for [(T, Skb, BatchVerdict)] {
+    fn len(&self) -> usize {
+        <[_]>::len(self)
+    }
+
+    fn skb(&mut self, i: usize) -> &mut Skb {
+        &mut self[i].1
+    }
+
+    fn set_verdict(&mut self, i: usize, verdict: BatchVerdict) {
+        self[i].2 = verdict;
+    }
 }
 
 /// How a destination address dispatches inside the datapath. Classification
@@ -339,19 +387,48 @@ impl Seg6Datapath {
     /// come back in input order, and each packet's processing is
     /// byte-identical to what [`Seg6Datapath::process`] produces.
     ///
-    /// The worker pool clears and reuses one buffer per shard, so the
-    /// steady state performs no heap allocation per packet **or per
-    /// batch**. The `alloc-counter` test feature asserts exactly that.
+    /// A caller that reuses `out` performs no heap allocation per packet
+    /// **or per batch** once it has grown; the `alloc-counter` test
+    /// feature asserts exactly that. It is
+    /// [`Seg6Datapath::process_batch_in_place`] over the skbs, with each
+    /// verdict pushed onto `out`.
     pub fn process_batch_verdicts_into(
         &mut self,
         skbs: &mut [Skb],
         now_ns: u64,
         out: &mut Vec<BatchVerdict>,
     ) {
+        /// A slice of skbs whose verdicts go behind the last one in `out`.
+        struct Appended<'a> {
+            skbs: &'a mut [Skb],
+            out: &'a mut Vec<BatchVerdict>,
+        }
+        impl BatchSlots for Appended<'_> {
+            fn len(&self) -> usize {
+                self.skbs.len()
+            }
+            fn skb(&mut self, i: usize) -> &mut Skb {
+                &mut self.skbs[i]
+            }
+            fn set_verdict(&mut self, _: usize, verdict: BatchVerdict) {
+                self.out.push(verdict);
+            }
+        }
         out.reserve(skbs.len());
+        self.process_batch_in_place(&mut Appended { skbs, out }, now_ns);
+    }
+
+    /// The one batch loop: processes each packet in turn, as
+    /// [`Seg6Datapath::process_batch_verdicts_into`] describes, and hands
+    /// its [`BatchVerdict`] to its slot. The packets and their slots stay
+    /// wherever the caller keeps them — the worker pool runs a batch over
+    /// its output records in place, so a packet is not moved to be
+    /// processed.
+    pub fn process_batch_in_place(&mut self, slots: &mut (impl BatchSlots + ?Sized), now_ns: u64) {
         let mut batch = self.batch();
-        for skb in skbs.iter_mut() {
-            out.push(batch.step(skb, now_ns));
+        for i in 0..slots.len() {
+            let verdict = batch.step(slots.skb(i), now_ns);
+            slots.set_verdict(i, verdict);
         }
     }
 
@@ -395,25 +472,45 @@ impl Batch<'_> {
     /// The per-packet step: parse, classify, execute, count.
     #[inline]
     fn step(&mut self, skb: &mut Skb, now_ns: u64) -> BatchVerdict {
-        let packet = match Ipv6Header::parse(skb.packet.data()) {
-            Err(_) => {
+        let packet = match arrived_flow(skb.packet.data()) {
+            None => {
                 BatchVerdict { verdict: Verdict::Drop(DropReason::Malformed), work: WorkSummary::default() }
             }
-            Ok(header) => {
+            Some(flow) => {
                 let dispatch = classify_dst(
                     self.local_sids,
                     self.lwt_bpf,
                     self.transit,
                     self.exec.local_addr,
                     self.exec.host_addrs,
-                    header.dst,
+                    flow.dst,
                 );
-                self.exec.execute(&dispatch, skb, &header, now_ns, &mut self.routes)
+                self.exec.execute(&dispatch, skb, flow, now_ns, &mut self.routes)
             }
         };
         self.stats.count(&packet);
         packet
     }
+}
+
+/// The fields of a packet's fixed IPv6 header that the step reads — the
+/// destination it dispatches on and the flow ECMP selection hashes — read
+/// straight from the bytes into registers, or `None` where
+/// [`Ipv6Header::parse`](netpkt::Ipv6Header::parse) fails: fewer than
+/// [`IPV6_HEADER_LEN`] bytes, or a version other than 6.
+#[inline]
+fn arrived_flow(packet: &[u8]) -> Option<EcmpKey> {
+    let header: &[u8; IPV6_HEADER_LEN] = packet.get(..IPV6_HEADER_LEN)?.try_into().ok()?;
+    let first = u32::from_be_bytes([header[0], header[1], header[2], header[3]]);
+    if first >> 28 != 6 {
+        return None;
+    }
+    let addr = |at: usize| {
+        let mut octets = [0u8; 16];
+        octets.copy_from_slice(&header[at..at + 16]);
+        Ipv6Addr::from(octets)
+    };
+    Some(EcmpKey { src: addr(8), dst: addr(24), flow_label: first & 0x000f_ffff })
 }
 
 /// The mutable execution state of a batch, split off the configuration
@@ -440,17 +537,16 @@ impl Exec<'_> {
         &mut self,
         dispatch: &Dispatch<'_>,
         skb: &mut Skb,
-        header: &Ipv6Header,
+        flow: EcmpKey,
         now_ns: u64,
         routes: &mut RouteCache,
     ) -> BatchVerdict {
-        // The flow as it arrived: what ECMP selection hashes, if a lookup
-        // lands on a multipath route at all.
-        let flow = EcmpKey::of(header);
-        // A seg6local action runs as the SID that matched; the LWT hooks
-        // run as the router itself.
+        // `flow` is the flow as it arrived: what ECMP selection hashes, if
+        // a lookup lands on a multipath route at all. A seg6local action
+        // runs as the SID that matched; the LWT hooks run as the router
+        // itself.
         let local_sid = match dispatch {
-            Dispatch::Seg6Local { local_sid, .. } => local_sid.unwrap_or(header.dst),
+            Dispatch::Seg6Local { local_sid, .. } => local_sid.unwrap_or(flow.dst),
             _ => self.local_addr,
         };
         let actx =
@@ -485,7 +581,7 @@ impl Exec<'_> {
                 apply_transit(behaviour, skb, self.local_addr)
             }
             Dispatch::Forward => {
-                ActionOutcome::Forward { dst: header.dst, route_override: RouteOverride::default() }
+                ActionOutcome::Forward { dst: flow.dst, route_override: RouteOverride::default() }
             }
         };
         BatchVerdict { verdict: self.resolve_outcome(outcome, skb, &flow, routes), work }
@@ -569,6 +665,7 @@ mod tests {
     use netpkt::ipv6::proto;
     use netpkt::packet::{build_ipv6_udp_packet, build_srv6_udp_packet};
     use netpkt::srh::SegmentRoutingHeader;
+    use netpkt::Ipv6Header;
 
     fn addr(s: &str) -> Ipv6Addr {
         s.parse().unwrap()
@@ -923,5 +1020,25 @@ mod tests {
         dp.add_route("3001::/16".parse().unwrap(), vec![Nexthop::direct(9)]);
         let mut skb = plain_skb("3001::1");
         assert_eq!(fork.process(&mut skb, 0), Verdict::Forward { oif: 9, neighbour: addr("3001::1") });
+    }
+
+    /// The step reads the fixed header straight from the bytes: on
+    /// well-formed and hostile bytes alike it accepts exactly what
+    /// `Ipv6Header::parse` accepts, with the same source, destination and
+    /// flow label.
+    #[test]
+    fn arrived_flow_reads_what_the_header_parse_reads() {
+        let mut rng = simnet::SplitMix64::new(0x5eed_0046);
+        let mut accepted = 0;
+        for case in 0..4000 {
+            let mut bytes: Vec<u8> = (0..rng.gen_range(30usize..=56)).map(|_| rng.next_u64() as u8).collect();
+            if rng.gen_bool(0.75) && !bytes.is_empty() {
+                bytes[0] = (bytes[0] & 0x0f) | 0x60;
+            }
+            let want = Ipv6Header::parse(&bytes).ok().map(|header| EcmpKey::of(&header));
+            accepted += usize::from(want.is_some());
+            assert_eq!(arrived_flow(&bytes), want, "case {case}: {bytes:02x?}");
+        }
+        assert!(accepted > 1500, "the cases reach the accepting path ({accepted})");
     }
 }

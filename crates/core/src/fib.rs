@@ -354,9 +354,8 @@ fn collect_rec(slot: &Option<Box<TrieNode>>, out: &mut Vec<Route>) {
 
 /// What identifies a flow for ECMP next-hop selection, following the
 /// 5-tuple-agnostic approach of RFC 6438: source, destination and flow
-/// label. The datapath carries the key (three copies out of the header it
-/// has already parsed) and a lookup hashes it only when it lands on a
-/// multipath route.
+/// label. The datapath reads the key out of the packet's fixed header
+/// once and a lookup hashes it only when it lands on a multipath route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EcmpKey {
     /// Source address.

@@ -84,7 +84,7 @@ pub mod verdict;
 #[cfg(feature = "alloc-counter")]
 pub mod alloc_counter;
 
-pub use datapath::{BatchVerdict, DatapathStats, Seg6Datapath, WorkSummary};
+pub use datapath::{BatchSlots, BatchVerdict, DatapathStats, Seg6Datapath, WorkSummary};
 pub use env::{EnvOutcome, Seg6Env};
 pub use error::{Error, Result};
 pub use fib::{

@@ -65,6 +65,7 @@ impl Skb {
     }
 
     /// Wraps a packet received at `rx_timestamp_ns` on `ingress_ifindex`.
+    #[inline]
     pub fn received(packet: PacketBuf, rx_timestamp_ns: u64, ingress_ifindex: u32) -> Self {
         Skb { packet, rx_timestamp_ns, ingress_ifindex, mark: 0, route_override: RouteOverride::default() }
     }
@@ -74,11 +75,13 @@ impl Skb {
     /// dispatcher returns each processed packet's storage to the
     /// `netpkt::BufPool` arena, so the next packet reuses the allocation.
     /// The metadata (timestamps, overrides) is dropped with the skb.
+    #[inline]
     pub fn into_packet(self) -> PacketBuf {
         self.packet
     }
 
     /// Packet length in bytes.
+    #[inline]
     pub fn len(&self) -> usize {
         self.packet.len()
     }

@@ -62,31 +62,37 @@ impl PacketBuf {
     }
 
     /// Current packet length in bytes (excluding headroom).
+    #[inline]
     pub fn len(&self) -> usize {
         self.storage.len() - self.offset
     }
 
     /// Whether the packet currently holds no bytes.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Remaining headroom in bytes.
+    #[inline]
     pub fn headroom(&self) -> usize {
         self.offset
     }
 
     /// Read-only view of the packet bytes.
+    #[inline]
     pub fn data(&self) -> &[u8] {
         &self.storage[self.offset..]
     }
 
     /// Mutable view of the packet bytes.
+    #[inline]
     pub fn data_mut(&mut self) -> &mut [u8] {
         &mut self.storage[self.offset..]
     }
 
     /// Appends `bytes` at the end of the packet (tail).
+    #[inline]
     pub fn append(&mut self, bytes: &[u8]) {
         self.storage.extend_from_slice(bytes);
     }
@@ -100,6 +106,7 @@ impl PacketBuf {
     }
 
     /// Removes `len` bytes from the front of the packet, like `skb_pull`.
+    #[inline]
     pub fn pull(&mut self, len: usize) -> Result<()> {
         if len > self.len() {
             return Err(Error::Truncated { needed: len, available: self.len() });
@@ -144,14 +151,6 @@ impl PacketBuf {
         self.offset += n;
     }
 
-    /// Returns `len` bytes starting at offset `at`.
-    pub fn slice(&self, at: usize, len: usize) -> Result<&[u8]> {
-        if at.checked_add(len).is_none_or(|end| end > self.len()) {
-            return Err(Error::Truncated { needed: at + len, available: self.len() });
-        }
-        Ok(&self.data()[at..at + len])
-    }
-
     /// Resets the buffer to an empty packet with `headroom` bytes of
     /// headroom, **reusing the existing allocation**. This is the recycle
     /// primitive of [`BufPool`](crate::BufPool): a drained buffer returns
@@ -161,6 +160,7 @@ impl PacketBuf {
     /// `offset` — [`PacketBuf::data`] never reaches them and
     /// [`PacketBuf::push_header`] overwrites every byte it opens. Only a
     /// buffer whose storage is shorter than `headroom` is extended.
+    #[inline]
     pub fn reset(&mut self, headroom: usize) {
         if self.storage.len() < headroom {
             self.storage.resize(headroom, 0);
@@ -177,6 +177,7 @@ impl PacketBuf {
     }
 
     /// Truncates the packet to `len` bytes (drops the tail).
+    #[inline]
     pub fn truncate(&mut self, len: usize) {
         if len < self.len() {
             self.storage.truncate(self.offset + len);
@@ -228,13 +229,6 @@ mod tests {
         buf.pull(2).unwrap();
         assert_eq!(buf.data(), &[3, 4]);
         assert!(buf.pull(10).is_err());
-    }
-
-    #[test]
-    fn slice_stays_inside_the_packet() {
-        let buf = PacketBuf::from_slice(&[0, 0, 0xaa, 0xbb, 0, 0]);
-        assert_eq!(buf.slice(2, 2).unwrap(), &[0xaa, 0xbb]);
-        assert!(buf.slice(5, 2).is_err());
     }
 
     #[test]

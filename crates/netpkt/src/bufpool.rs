@@ -90,6 +90,7 @@ impl BufPool {
     /// class's storage with nothing written to it. Allocation-free whenever
     /// a fitting buffer is free. A frame longer than [`DEFAULT_FRAME_CAP`]
     /// takes a full buffer and grows it.
+    #[inline]
     pub fn take_filled(&mut self, frame: &[u8]) -> PacketBuf {
         let class = if frame.len() <= SMALL_FRAME { SMALL } else { FULL };
         let mut buf = self.take_class(class);
@@ -98,6 +99,7 @@ impl BufPool {
     }
 
     /// A free buffer of `class` or of a larger one, or a fresh `class` one.
+    #[inline]
     fn take_class(&mut self, class: usize) -> PacketBuf {
         if let Some(buf) = self.free[class..].iter_mut().find_map(Vec::pop) {
             self.recycled += 1;
@@ -116,6 +118,7 @@ impl BufPool {
     /// accepts any `PacketBuf`) joins the small class, its storage grown to
     /// the class's once on the way in, so that no buffer in the arena grows
     /// when it is taken.
+    #[inline]
     pub fn put(&mut self, mut buf: PacketBuf) {
         let capacity = buf.storage_capacity();
         let class = if capacity >= self.headroom + DEFAULT_FRAME_CAP { FULL } else { SMALL };

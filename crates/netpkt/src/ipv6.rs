@@ -46,6 +46,7 @@ impl Ipv6Header {
     }
 
     /// Parses the first [`IPV6_HEADER_LEN`] bytes of `buf`.
+    #[inline]
     pub fn parse(buf: &[u8]) -> Result<Self> {
         ensure_len(buf, IPV6_HEADER_LEN)?;
         let version = buf[0] >> 4;

@@ -17,9 +17,11 @@
 //!   lock-free descriptor rings through the [`Ingress`] trait, with
 //!   backpressure accounting, per-batch perf-drain daemons and graceful
 //!   shutdown;
-//! * workers drain their rings in **batches** through
-//!   [`Seg6Datapath::process_batch_verdicts_into`](seg6_core::Seg6Datapath::process_batch_verdicts_into),
-//!   amortising classification;
+//! * workers take their rings' descriptors in **batches**, each packet
+//!   moved once from its ring slot into its output record, and run
+//!   [`Seg6Datapath::process_batch_in_place`](seg6_core::Seg6Datapath::process_batch_in_place)
+//!   over those records, amortising the batch's FIB snapshot and route
+//!   cache;
 //! * one counter record: per-tenant × per-shard relaxed-atomic cells
 //!   ([`PoolCounters`]) written by the dispatcher (admission) and the
 //!   workers (each tenant run's datapath-statistics delta), readable at any

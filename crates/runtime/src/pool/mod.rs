@@ -75,8 +75,10 @@
 //!   [`PoolConfig::batch_size`] and split into **tenant runs** selected
 //!   by deficit round-robin (see above): up to `batch_size` of one
 //!   tenant's queued packets execute as one
-//!   [`Seg6Datapath::process_batch_verdicts_into`] call on that tenant's
-//!   datapath, with the drain daemon run after every run — the
+//!   [`Seg6Datapath::process_batch_in_place`] call on that tenant's
+//!   datapath, in place in their output records (each packet moved once,
+//!   from its ring slot: see `shard`), with the drain daemon run after
+//!   every run — the
 //!   pre-tenancy perf-drain cadence is preserved exactly.
 //! * Packet storage is **recycled** across tenants through one loop:
 //!   workers hand every processed packet over at the flush barrier, and
@@ -508,6 +510,7 @@ impl WorkerPool {
     /// size class its storage holds. Any other buffer is accepted, and one
     /// too small for either class is grown into the small one on the way
     /// in ([`BufPool::put`]).
+    #[inline]
     pub fn recycle(&mut self, buf: PacketBuf) {
         self.bufs.put(buf);
     }

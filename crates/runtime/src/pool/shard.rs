@@ -5,12 +5,12 @@
 //! descriptor ring, the sideband control channel ([`Ctrl`]), the flush
 //! [`Barrier`] and the park/wake handshake. The worker thread owns a
 //! [`ShardState`] — one [`ShardTenant`] record per registered tenant — and
-//! runs [`worker_loop`]: NAPI-style burst dequeue, deficit-round-robin
+//! runs [`worker_loop`]: NAPI-style ring windows, deficit-round-robin
 //! tenant runs, drain daemon, barrier answers, park when idle.
 
 use super::admission::{work_cost, QosCell, COST_BASE};
 use super::{BatchDrain, PoolConfig, TenantId};
-use crate::ring::{self, Consumer, Producer};
+use crate::ring::{self, Consumer, Producer, Window};
 use crate::telemetry::{PoolCounters, TenantCounters};
 use seg6_core::{BatchVerdict, Seg6Datapath, Skb};
 use std::collections::VecDeque;
@@ -32,6 +32,9 @@ use std::time::Duration;
 /// `batch_size` keep their guarantee whatever the budget.
 pub const NAPI_BUDGET: usize = 256;
 
+// A tenant's run queue holds offsets into a poll's window as `u16`s.
+const _: () = assert!(NAPI_BUDGET <= 1 << 16);
+
 /// How long a parked worker sleeps before re-checking its inputs on its
 /// own, and a dispatcher waiting on a flush barrier before re-checking
 /// that the worker is alive. Wakeups are explicit (publish/control/answer
@@ -48,7 +51,10 @@ pub(super) struct Desc {
 
 /// What one shard answers a flush barrier with: the packets it processed
 /// since the previous one, with the tenant that executed them and their
-/// verdicts, in processing order.
+/// verdicts, in processing order. A packet's record is where the worker
+/// moves its [`Skb`] out of the ring slot, and where the datapath then
+/// processes it and writes its verdict: the one move of the packet between
+/// the ring and the dispatcher.
 pub(super) type ShardOutputs = Vec<(TenantId, Skb, BatchVerdict)>;
 
 /// Everything one shard keeps for one tenant. Built by the dispatcher and
@@ -57,10 +63,11 @@ pub(super) type ShardOutputs = Vec<(TenantId, Skb, BatchVerdict)>;
 pub(super) struct ShardTenant {
     /// The tenant's datapath, forked for this shard's CPU id.
     datapath: Seg6Datapath,
-    /// The current poll's packets of this tenant (arrival order
-    /// preserved). The DRR scheduler takes `batch_size`-capped runs off
-    /// its front.
-    queue: VecDeque<Skb>,
+    /// The current poll's packets of this tenant, as offsets into the
+    /// poll's ring [`Window`] (arrival order preserved): the packets stay
+    /// in their ring slots until a run takes them. The DRR scheduler takes
+    /// `batch_size`-capped runs off its front.
+    queue: VecDeque<u16>,
     /// DRR deficit, in [`work_cost`] tokens. Signed: a run's actual cost is
     /// only known after it executed, so a tenant may overdraw by at most
     /// one run and pays the debt out of its next quantum. Reset to (at
@@ -182,9 +189,9 @@ impl ShardTx {
     }
 }
 
-/// The state one shard thread owns for its whole life. The batch, verdict
-/// and output buffers are reused across batches: after the first batch
-/// warms them up, the shard's steady state performs zero heap allocations
+/// The state one shard thread owns for its whole life. The run queues and
+/// the output buffer are reused across batches: after the first flush
+/// window warms them up, the shard's steady state performs zero heap allocations
 /// per packet (the `alloc-counter` test feature proves it).
 struct ShardState {
     id: u32,
@@ -194,9 +201,9 @@ struct ShardState {
     /// Round-robin cursor of the DRR scheduler: the next tenant to
     /// credit. Persists across polls so the rotation is fair over time.
     drr_next: usize,
-    /// The window's processed packets, handed over at the next barrier.
+    /// The flush window's processed packets, handed over at the next
+    /// barrier.
     outputs: ShardOutputs,
-    verdicts: Vec<BatchVerdict>,
     drain: Option<BatchDrain>,
     /// Park handshake; see [`ShardTx::sleeping`].
     sleeping: Arc<AtomicBool>,
@@ -227,7 +234,6 @@ pub(super) fn spawn(
         tenants: vec![default],
         drr_next: 0,
         outputs: Vec::new(),
-        verdicts: Vec::with_capacity(NAPI_BUDGET),
         drain,
         sleeping: Arc::clone(&sleeping),
         barrier: Arc::clone(&barrier),
@@ -364,24 +370,29 @@ fn answer_barrier(
     true
 }
 
-/// One NAPI-style poll: dequeues a burst sized by the observed ring
-/// occupancy (capped at the budget) and processes it. Returns whether any
-/// descriptor moved.
+/// One NAPI-style poll: opens a window over a burst sized by the observed
+/// ring occupancy (capped at the budget) and processes it. Returns whether
+/// any descriptor moved.
 fn poll_once(
     shard: &mut ShardState,
     ring: &mut Consumer<Desc>,
     clock: &mut u64,
     config: &PoolConfig,
 ) -> bool {
-    // Descriptors go straight off the ring into the per-tenant run queues
-    // (arrival order preserved within a tenant); the shard clock advances
-    // per run inside `run_scheduler`, not per poll, so a large NAPI burst
-    // does not time-stamp its first run with its last packet's arrival.
-    let tenants = &mut shard.tenants;
-    if ring.dequeue_with(NAPI_BUDGET, |desc| tenants[desc.tenant.index()].queue.push_back(desc.skb)) == 0 {
+    // The descriptors stay in their ring slots; each tenant's run queue
+    // gets their offsets (arrival order preserved within a tenant). The
+    // shard clock advances per run inside `run_scheduler`, not per poll,
+    // so a large NAPI burst does not time-stamp its first run with its
+    // last packet's arrival.
+    let mut window = ring.window(NAPI_BUDGET);
+    if window.is_empty() {
         return false;
     }
-    run_scheduler(shard, clock, config);
+    for offset in 0..window.len() {
+        let desc = window.get(offset).expect("a fresh window has every offset");
+        shard.tenants[desc.tenant.index()].queue.push_back(offset as u16);
+    }
+    run_scheduler(shard, &mut window, clock, config);
     true
 }
 
@@ -414,7 +425,12 @@ fn run_drain(shard: &mut ShardState) {
 /// never exceeds `batch_size` packets — per-CPU perf rings sized against
 /// `batch_size` cannot overflow however large the NAPI dequeue burst
 /// was).
-fn run_scheduler(shard: &mut ShardState, clock: &mut u64, config: &PoolConfig) {
+fn run_scheduler(
+    shard: &mut ShardState,
+    window: &mut Window<'_, Desc>,
+    clock: &mut u64,
+    config: &PoolConfig,
+) {
     let limit = config.batch_size.max(1);
     let tenants = shard.tenants.len();
     let quantum_unit = limit as i64 * COST_BASE as i64;
@@ -429,7 +445,7 @@ fn run_scheduler(shard: &mut ShardState, clock: &mut u64, config: &PoolConfig) {
         tenant.deficit += i64::from(tenant.qos.weight()) * quantum_unit;
         while shard.tenants[t].deficit > 0 && !shard.tenants[t].queue.is_empty() {
             let run = limit.min(shard.tenants[t].queue.len());
-            let cost = process_run(shard, t, run, clock);
+            let cost = process_run(shard, window, t, run, clock);
             shard.tenants[t].deficit -= cost as i64;
             remaining -= run;
         }
@@ -442,40 +458,74 @@ fn run_scheduler(shard: &mut ShardState, clock: &mut u64, config: &PoolConfig) {
     }
 }
 
-/// Executes one tenant run: the next `run` packets off tenant `t`'s queue
-/// as a single batch call on its datapath, with the shard clock advanced
-/// to the run's newest RX timestamp first (the clock a kernel softirq
-/// batch would run under — bounded by `batch_size`, like the run itself,
-/// so `bpf_ktime_get_ns`/End.DM never see the timestamp spread of a whole
-/// NAPI burst). Adds the run — the delta of the datapath's own statistics —
-/// and its priced cost to the tenant's counter cell, runs the drain daemon,
-/// and appends the processed packets to the window's outputs (processing
-/// order, tagged with the tenant). Returns the run's total [`work_cost`],
+/// Executes one tenant run: moves the next `run` packets of tenant `t`'s
+/// queue out of their ring slots into the tail of the shard's outputs,
+/// hands the taken prefix of the ring window back to the producer, and
+/// runs them as a single batch call on the tenant's datapath, in place in
+/// their output records (processing order, tagged with the tenant). The
+/// shard clock is first advanced to the run's newest RX timestamp (the
+/// clock a kernel softirq batch would run under — bounded by `batch_size`,
+/// like the run itself, so `bpf_ktime_get_ns`/End.DM never see the
+/// timestamp spread of a whole NAPI burst). Adds the run — the delta of the
+/// datapath's own statistics — and its priced cost to the tenant's counter
+/// cell and runs the drain daemon. Returns the run's total [`work_cost`],
 /// which the DRR loop charges against the tenant's deficit.
-fn process_run(shard: &mut ShardState, t: usize, run: usize, clock: &mut u64) -> u64 {
+fn process_run(
+    shard: &mut ShardState,
+    window: &mut Window<'_, Desc>,
+    t: usize,
+    run: usize,
+    clock: &mut u64,
+) -> u64 {
+    let id = TenantId::from_index(t);
     let tenant = &mut shard.tenants[t];
-    let queue = &mut tenant.queue;
-    if queue.as_slices().0.len() < run {
-        queue.make_contiguous();
-    }
-    let batch = &mut queue.as_mut_slices().0[..run];
-    for skb in batch.iter() {
+    let start = shard.outputs.len();
+    for offset in tenant.queue.drain(..run) {
+        let Desc { skb, .. } = window.take(usize::from(offset));
         *clock = (*clock).max(skb.rx_timestamp_ns);
+        shard.outputs.push((id, skb, BatchVerdict::UNSET));
     }
+    // The run's slots are free once its packets left them: released
+    // before the run executes, a worker stalled in it (or in the drain
+    // after it) holds no ring slot it has already emptied.
+    window.release_taken();
     let before = tenant.datapath.stats;
-    // The verdict buffer is shard-owned and reused, index-aligned with
-    // the run: no allocation per run, no allocation per packet.
-    shard.verdicts.clear();
-    tenant.datapath.process_batch_verdicts_into(batch, *clock, &mut shard.verdicts);
-    let cost: u64 = shard.verdicts.iter().map(|bv| work_cost(&bv.work)).sum();
+    let records = &mut shard.outputs[start..];
+    tenant.datapath.process_batch_in_place(records, *clock);
+    let cost: u64 = records.iter().map(|(_, _, bv)| work_cost(&bv.work)).sum();
     // The datapath counted every packet of the run; its delta is the run.
     tenant.cells.shard(shard.id).add_run(&before, &tenant.datapath.stats, cost);
     // The drain daemon runs batch-aware: after every `batch_size`-bounded
     // run's events are in the perf ring, on the worker that produced
     // them.
     run_drain(shard);
-    let id = TenantId::from_index(t);
-    let packets = shard.tenants[t].queue.drain(..run).zip(shard.verdicts.drain(..));
-    shard.outputs.extend(packets.map(|(skb, bv)| (id, skb, bv)));
     cost
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    /// Size of what a tenant's run queue holds, read off the field's type.
+    fn queued_size<T>(_queue: fn(&ShardTenant) -> &VecDeque<T>) -> usize {
+        size_of::<T>()
+    }
+
+    /// Bytes the worker moves per packet on the hand-off from its ring slot
+    /// to its output record, as element size × moves — a deterministic
+    /// unit. A packet is moved once: `Window::take` reads its descriptor
+    /// out of the ring slot and the worker writes its `Skb` into its output
+    /// record, where the datapath processes it and writes the verdict. The
+    /// tenant run queues hold 2-byte window offsets, so no packet passes
+    /// through them (before the ring window, each `Skb` was moved twice:
+    /// ring → tenant queue → outputs, 176 bytes per packet).
+    #[test]
+    fn the_worker_moves_each_packet_once_from_its_ring_slot_to_its_output() {
+        const MOVES_PER_PACKET: usize = 1;
+        assert_eq!(size_of::<Desc>(), 96, "a ring slot");
+        assert_eq!(size_of::<(TenantId, Skb, BatchVerdict)>(), 120, "an output record");
+        assert_eq!(queued_size(|tenant| &tenant.queue), size_of::<u16>(), "the run queues hold offsets");
+        assert_eq!(size_of::<Skb>() * MOVES_PER_PACKET, 88, "bytes moved per packet");
+    }
 }

@@ -16,11 +16,16 @@
 //!   cache line so the two sides never false-share;
 //! * **burst** operations: [`Producer::enqueue_burst`] writes a whole
 //!   staging buffer of descriptors and publishes them with a *single*
-//!   release store of the tail; [`Consumer::dequeue_burst`] mirrors it on
-//!   the read side, and [`Consumer::dequeue_with`] hands the burst to a
-//!   closure instead of a vector, so a consumer that sorts descriptors as
-//!   they arrive moves each one once. Handing off a 32-packet batch costs
-//!   one atomic round-trip instead of 32 lock acquisitions;
+//!   release store of the tail. On the read side, [`Consumer::window`]
+//!   opens a burst of published descriptors *in place* (DPDK's zero-copy
+//!   dequeue, `rte_ring_dequeue_zc_burst_start`/`_finish`): the consumer
+//!   looks at each one where it lies, [`Window::take`]s each — in any
+//!   order — straight to its destination, so a descriptor is moved once,
+//!   out of its slot, and hands the slots back with one release store of
+//!   the head per [`Window::release_taken`] and one when the window drops.
+//!   [`Consumer::dequeue_burst`] is a window taken whole into a vector.
+//!   Handing off a 32-packet batch costs one atomic round-trip instead of
+//!   32 lock acquisitions;
 //! * cached peer positions: the producer re-reads the consumer's head
 //!   (and vice versa) only when its cached copy says the ring might be
 //!   full (empty), so the steady state touches the shared cache line a
@@ -43,8 +48,12 @@
 //! (free space), the consumer only reads slots in `[head, tail)`
 //! (published), and each side learns the other's index through an
 //! acquire/release pair that makes the slot contents visible before the
-//! index movement that exposes them. The two-thread stress test
-//! (`tests/ring_stress.rs`) hammers this with randomized burst sizes over
+//! index movement that exposes them. A [`Window`] borrows the consumer
+//! for its life and keeps one flag per offset, so each descriptor is read
+//! out (taken) or dropped in place exactly once, and the head only ever
+//! moves over slots already emptied — also when the window is dropped
+//! during a panic. The two-thread stress test (`tests/ring_stress.rs`)
+//! hammers this with randomized burst sizes and out-of-order takes over
 //! millions of descriptors.
 
 use std::cell::UnsafeCell;
@@ -114,6 +123,16 @@ pub struct Consumer<T> {
     head: usize,
     /// Last observed producer tail; refreshed when the ring looks empty.
     tail_cache: usize,
+    /// Ring position of the open [`Window`]'s offset 0. Its offsets below
+    /// `head - window_start` are taken and released.
+    window_start: usize,
+    /// Descriptors in the open window; 0 when none is open.
+    window_len: usize,
+    /// How many offsets of the open window were taken.
+    window_taken: usize,
+    /// Which offsets of the open window were taken; one flag per slot, so
+    /// a window of any size fits.
+    taken: Box<[bool]>,
 }
 
 /// Creates an SPSC ring holding up to `capacity` descriptors, **rounded up
@@ -131,7 +150,15 @@ pub fn spsc_ring<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     });
     (
         Producer { shared: Arc::clone(&shared), tail: 0, head_cache: 0 },
-        Consumer { shared, head: 0, tail_cache: 0 },
+        Consumer {
+            shared,
+            head: 0,
+            tail_cache: 0,
+            window_start: 0,
+            window_len: 0,
+            window_taken: 0,
+            taken: vec![false; capacity].into_boxed_slice(),
+        },
     )
 }
 
@@ -216,72 +243,225 @@ impl<T> Consumer<T> {
         self.tail_cache.wrapping_sub(self.head)
     }
 
-    /// Pops one descriptor, if any is published.
-    pub fn try_pop(&mut self) -> Option<T> {
-        if self.tail_cache == self.head {
+    /// Moves the head to `head` and hands every slot before it back to the
+    /// producer (one release store).
+    fn publish_head(&mut self, head: usize) {
+        self.head = head;
+        self.shared.head.0.store(head, Ordering::Release);
+    }
+
+    /// Opens a window over up to `max` published descriptors: the
+    /// consumer's zero-copy burst, after DPDK's
+    /// `rte_ring_dequeue_zc_burst_start` / `_finish`. The descriptors stay
+    /// in their slots until [`Window::take`] moves each one straight to
+    /// where it is going, in any order; [`Window::release_taken`] hands the
+    /// taken prefix back to the producer early, and dropping the window
+    /// drops what was not taken and releases the rest.
+    pub fn window(&mut self, max: usize) -> Window<'_, T> {
+        // A window that was leaked instead of dropped is closed here.
+        self.close_window();
+        let mut avail = self.tail_cache.wrapping_sub(self.head);
+        if avail < max {
             self.tail_cache = self.shared.tail.0.load(Ordering::Acquire);
-            if self.tail_cache == self.head {
-                return None;
-            }
+            avail = self.tail_cache.wrapping_sub(self.head);
         }
-        // SAFETY: `head < tail_cache ≤` the published tail, so this slot
-        // holds a descriptor the producer published (acquire-ordered) and
-        // will not rewrite until the release store of `head` below.
-        let item = unsafe { (*self.shared.slots[self.head & self.shared.mask].get()).assume_init_read() };
-        self.head = self.head.wrapping_add(1);
-        self.shared.head.0.store(self.head, Ordering::Release);
-        Some(item)
+        let len = avail.min(max);
+        self.taken[..len].fill(false);
+        self.window_start = self.head;
+        self.window_len = len;
+        self.window_taken = 0;
+        Window { ring: self }
     }
 
     /// Appends up to `max` published descriptors to `out`, in FIFO order,
     /// releasing all the consumed slots back to the producer with **one**
     /// store. Returns how many were moved.
     pub fn dequeue_burst(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        self.dequeue_with(max, |item| out.push(item))
+        let mut window = self.window(max);
+        let len = window.len();
+        out.extend((0..len).map(|offset| window.take(offset)));
+        len
     }
 
-    /// Hands up to `max` published descriptors to `sink`, in FIFO order —
-    /// [`Consumer::dequeue_burst`] without the intermediate vector, for a
-    /// consumer that sorts descriptors straight into their destination.
-    /// The consumed slots are released with **one** store when the burst
-    /// ends. Returns how many were moved.
-    pub fn dequeue_with(&mut self, max: usize, mut sink: impl FnMut(T)) -> usize {
-        let mut avail = self.tail_cache.wrapping_sub(self.head);
-        if avail < max {
-            self.tail_cache = self.shared.tail.0.load(Ordering::Acquire);
-            avail = self.tail_cache.wrapping_sub(self.head);
+    /// The slot of offset `offset` of the open window.
+    fn window_slot(&self, offset: usize) -> &UnsafeCell<MaybeUninit<T>> {
+        &self.shared.slots[self.window_start.wrapping_add(offset) & self.shared.mask]
+    }
+
+    /// Closes the open window, if any: drops each descriptor it holds that
+    /// was not taken, then hands all its slots back to the producer. Also
+    /// if a descriptor's own drop unwinds: the ones it has not reached yet
+    /// then leak, which is safe (the producer overwrites a slot without
+    /// dropping it).
+    fn close_window(&mut self) {
+        let len = std::mem::take(&mut self.window_len);
+        if len == 0 {
+            return;
         }
-        let n = avail.min(max);
-        if n == 0 {
-            return 0;
-        }
-        // Releases the consumed slots on the way out — also when `sink`
-        // unwinds, so a descriptor already read out is never dropped a
-        // second time with the ring.
-        struct Release<'a, T>(&'a mut Consumer<T>);
+        struct Release<'a, T>(&'a mut Consumer<T>, usize);
         impl<T> Drop for Release<'_, T> {
             fn drop(&mut self) {
-                self.0.shared.head.0.store(self.0.head, Ordering::Release);
+                self.0.publish_head(self.1);
             }
         }
-        let burst = Release(self);
-        for _ in 0..n {
-            let ring = &mut *burst.0;
-            // SAFETY: as in `try_pop`; each slot in the burst was
-            // published by the producer and is released back only by the
-            // single head store when `burst` drops, after `head` has
-            // moved past every slot read.
-            let item = unsafe { (*ring.shared.slots[ring.head & ring.shared.mask].get()).assume_init_read() };
-            ring.head = ring.head.wrapping_add(1);
-            sink(item);
+        let released = self.head.wrapping_sub(self.window_start);
+        let release = Release(self, self.window_start.wrapping_add(len));
+        let ring = &mut *release.0;
+        if ring.window_taken == len {
+            return;
         }
-        n
+        for offset in released..len {
+            if !ring.taken[offset] {
+                ring.taken[offset] = true;
+                // SAFETY: an untaken offset of the open window holds a
+                // published descriptor (see `Window::get`); the flag set
+                // above makes this its only drop, before `release` hands
+                // the slot back.
+                unsafe { (*ring.window_slot(offset).get()).assume_init_drop() };
+            }
+        }
+    }
+}
+
+impl<T> Drop for Consumer<T> {
+    fn drop(&mut self) {
+        // A leaked window's taken descriptors must not be dropped again
+        // with the ring, which drops everything between head and tail.
+        self.close_window();
+    }
+}
+
+/// Up to a burst of published descriptors, left in their ring slots until
+/// each is taken; see [`Consumer::window`]. Offset `i` is the `i`-th
+/// descriptor of the burst in FIFO order. Each offset can be taken once.
+/// Holding the window holds the consumer, and the producer cannot reuse a
+/// slot until the window releases it: the taken prefix at
+/// [`Window::release_taken`], everything when it drops — also on unwind,
+/// after dropping each descriptor not taken exactly once. The bookkeeping
+/// lives in the [`Consumer`], so a window leaked with `mem::forget` is
+/// closed the same way by the next [`Consumer::window`] or by the
+/// consumer's drop.
+pub struct Window<'r, T> {
+    ring: &'r mut Consumer<T>,
+}
+
+impl<T> Window<'_, T> {
+    /// Descriptors in the window, taken or not.
+    pub fn len(&self) -> usize {
+        self.ring.window_len
+    }
+
+    /// Whether the window holds no descriptor: the ring was empty.
+    pub fn is_empty(&self) -> bool {
+        self.ring.window_len == 0
+    }
+
+    /// The descriptor at `offset`, unless it was taken (or `offset` is
+    /// past the window).
+    pub fn get(&self, offset: usize) -> Option<&T> {
+        if offset >= self.ring.window_len || self.ring.taken[offset] {
+            return None;
+        }
+        // SAFETY: an offset inside the window that was not taken is a
+        // published slot, written by the producer (acquire-ordered by
+        // `Consumer::window`) and not handed back yet, so it holds an
+        // initialised descriptor nobody else touches.
+        Some(unsafe { (*self.ring.window_slot(offset).get()).assume_init_ref() })
+    }
+
+    /// Moves the descriptor at `offset` out of its slot.
+    ///
+    /// # Panics
+    ///
+    /// If `offset` is past the window or was taken before.
+    pub fn take(&mut self, offset: usize) -> T {
+        let len = self.ring.window_len;
+        assert!(offset < len, "offset {offset} is past a window of {len}");
+        assert!(!self.ring.taken[offset], "offset {offset} of the window was taken before");
+        self.ring.taken[offset] = true;
+        self.ring.window_taken += 1;
+        // SAFETY: as in `get`; the flag set above makes this the slot's
+        // only read, and nothing drops it again: closing the window skips
+        // taken offsets, and the producer only ever overwrites a slot.
+        unsafe { (*self.ring.window_slot(offset).get()).assume_init_read() }
+    }
+
+    /// Hands the slots of the taken prefix of the window back to the
+    /// producer with one store: every offset from the last release up to
+    /// the first one not taken. Offsets taken out of order behind an
+    /// untaken one wait for it.
+    pub fn release_taken(&mut self) {
+        let ring = &mut *self.ring;
+        let released = ring.head.wrapping_sub(ring.window_start);
+        let mut prefix = released;
+        while prefix < ring.window_len && ring.taken[prefix] {
+            prefix += 1;
+        }
+        if prefix != released {
+            ring.publish_head(ring.window_start.wrapping_add(prefix));
+        }
+    }
+}
+
+impl<T> Drop for Window<'_, T> {
+    fn drop(&mut self) {
+        self.ring.close_window();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU32;
+
+    /// A descriptor that counts its own drops in a table shared by the
+    /// test, one cell per id: a descriptor dropped twice, or never, shows.
+    struct Counted {
+        id: usize,
+        drops: Arc<[AtomicU32]>,
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops[self.id].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn drop_table(n: usize) -> Arc<[AtomicU32]> {
+        (0..n).map(|_| AtomicU32::new(0)).collect()
+    }
+
+    fn drops(table: &[AtomicU32]) -> Vec<u32> {
+        table.iter().map(|cell| cell.load(Ordering::Relaxed)).collect()
+    }
+
+    /// Fills `tx` with `n` counted descriptors, ids `0..n`.
+    fn push_counted(tx: &mut Producer<Counted>, table: &Arc<[AtomicU32]>, n: usize) {
+        for id in 0..n {
+            assert!(tx.try_push(Counted { id, drops: Arc::clone(table) }).is_ok());
+        }
+    }
+
+    /// xorshift64*: a seeded order for the out-of-order takes.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n as u64) as usize
+        }
+
+        /// A random permutation of `0..n`.
+        fn permutation(&mut self, n: usize) -> Vec<usize> {
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, self.below(i + 1));
+            }
+            order
+        }
+    }
 
     #[test]
     fn capacity_rounds_up_to_the_next_power_of_two() {
@@ -296,7 +476,8 @@ mod tests {
 
     /// The queue-depth boundary satellite: a ring filled to *exactly* its
     /// capacity accepts every descriptor, rejects precisely the next one,
-    /// and reopens one slot per pop — accounting at the boundary is exact.
+    /// and reopens one slot per descriptor taken — accounting at the
+    /// boundary is exact.
     #[test]
     fn fill_to_exact_capacity_then_reject() {
         let (mut tx, mut rx) = spsc_ring::<u64>(5); // rounds up to 8
@@ -307,8 +488,8 @@ mod tests {
         }
         assert_eq!(tx.try_push(99), Err(99), "capacity + 1 must be rejected");
         assert_eq!(tx.free_slots(), 0);
-        // One pop frees exactly one slot.
-        assert_eq!(rx.try_pop(), Some(0));
+        // One descriptor taken frees exactly one slot.
+        assert_eq!(rx.window(1).take(0), 0);
         assert!(tx.try_push(100).is_ok());
         assert_eq!(tx.try_push(101), Err(101));
         // Burst accounting at the same boundary: nothing fits, nothing is
@@ -318,7 +499,7 @@ mod tests {
         assert_eq!(staging, vec![7, 8, 9], "rejected burst stays with the caller");
         // Drain everything; FIFO order, nothing lost or duplicated.
         let mut out = Vec::new();
-        while rx.try_pop().map(|v| out.push(v)).is_some() {}
+        while rx.dequeue_burst(&mut out, 3) > 0 {}
         assert_eq!(out, (1..cap as u64).chain([100]).collect::<Vec<_>>());
     }
 
@@ -354,7 +535,9 @@ mod tests {
                 expected += 1;
             }
         }
-        while let Some(v) = rx.try_pop() {
+        out.clear();
+        rx.dequeue_burst(&mut out, 8);
+        for v in out {
             assert_eq!(v, expected);
             expected += 1;
         }
@@ -363,17 +546,16 @@ mod tests {
 
     #[test]
     fn dropping_the_ring_drops_in_flight_descriptors() {
-        let counter = Arc::new(());
-        let (mut tx, mut rx) = spsc_ring::<Arc<()>>(8);
-        for _ in 0..6 {
-            tx.try_push(Arc::clone(&counter)).unwrap();
-        }
-        assert!(rx.try_pop().is_some());
-        assert_eq!(Arc::strong_count(&counter), 6); // 1 local + 1 popped + 4 in flight...
-        drop(rx.try_pop());
-        assert_eq!(Arc::strong_count(&counter), 5);
+        let table = drop_table(6);
+        let (mut tx, mut rx) = spsc_ring::<Counted>(8);
+        push_counted(&mut tx, &table, 6);
+        let first = rx.window(1).take(0);
+        assert_eq!(drops(&table), [0; 6]);
+        drop(first);
+        drop(rx.window(1).take(0));
+        assert_eq!(drops(&table), [1, 1, 0, 0, 0, 0]);
         drop((tx, rx));
-        assert_eq!(Arc::strong_count(&counter), 1, "in-flight descriptors leaked");
+        assert_eq!(drops(&table), [1; 6], "in-flight descriptors leaked or dropped twice");
     }
 
     #[test]
@@ -385,18 +567,20 @@ mod tests {
         tx.try_push(2).unwrap();
         assert!(!rx.is_empty());
         assert_eq!(rx.len(), 2);
-        rx.try_pop();
+        rx.window(1).take(0);
         assert_eq!(rx.len(), 1);
         assert_eq!(tx.free_slots(), 3);
     }
 
-    /// The closure dequeue is `dequeue_burst` without the vector: the same
-    /// items in the same order, `max` respected, the same slots released
-    /// (the producer sees the same free space), across many wrap-arounds.
+    /// Takes in a random order give the descriptors `dequeue_burst` gives,
+    /// each at its offset; `max` is respected, the same slots are handed
+    /// back (the producer sees the same free space), across many
+    /// wrap-arounds, with prefix releases at random points in between.
     #[test]
-    fn dequeue_with_matches_dequeue_burst() {
+    fn window_takes_in_any_order_match_dequeue_burst() {
         let (mut tx_a, mut rx_a) = spsc_ring::<u64>(8);
         let (mut tx_b, mut rx_b) = spsc_ring::<u64>(8);
+        let mut rng = Rng(0x5eed_0046);
         let mut next = 0u64;
         for round in 0..1000usize {
             let push = 1 + round % 7;
@@ -407,40 +591,143 @@ mod tests {
             next += sent as u64;
             let max = round % 5; // includes 0: nothing may move
             let mut burst = Vec::new();
-            let mut with = Vec::new();
             let moved = rx_a.dequeue_burst(&mut burst, max);
-            assert_eq!(rx_b.dequeue_with(max, |item| with.push(item)), moved);
             assert!(moved <= max);
-            assert_eq!(with, burst);
+            let mut window = rx_b.window(max);
+            assert_eq!(window.len(), moved);
+            let mut taken = vec![None; moved];
+            for offset in rng.permutation(moved) {
+                assert_eq!(window.get(offset), Some(&burst[offset]));
+                taken[offset] = Some(window.take(offset));
+                assert_eq!(window.get(offset), None, "a taken offset is gone");
+                if rng.below(3) == 0 {
+                    window.release_taken();
+                }
+            }
+            drop(window);
+            assert_eq!(taken.into_iter().collect::<Option<Vec<_>>>(), Some(burst));
             assert_eq!(tx_b.free_slots(), tx_a.free_slots(), "round {round}: same slots released");
             assert_eq!(rx_b.len(), rx_a.len());
         }
         assert!(next > 8 * 100, "the positions wrapped the slot array many times");
     }
 
-    /// A sink that unwinds mid-burst has consumed what it was handed: the
-    /// slots read so far are released, the rest stay published, and
-    /// nothing is dropped twice.
+    /// A window dropped with some descriptors taken out of order and the
+    /// rest not taken drops each untaken one exactly once, and hands every
+    /// slot back.
     #[test]
-    fn dequeue_with_releases_what_a_panicking_sink_consumed() {
-        let counter = Arc::new(());
-        let (mut tx, mut rx) = spsc_ring::<Arc<()>>(8);
-        for _ in 0..6 {
-            tx.try_push(Arc::clone(&counter)).unwrap();
+    fn window_drops_each_untaken_descriptor_once() {
+        let mut rng = Rng(0x0dd_0046);
+        for round in 0..200 {
+            let table = drop_table(16);
+            let (mut tx, mut rx) = spsc_ring::<Counted>(16);
+            push_counted(&mut tx, &table, 16);
+            let mut window = rx.window(16);
+            let takes = rng.below(17);
+            let order = rng.permutation(16);
+            let taken: Vec<Counted> = order[..takes].iter().map(|&offset| window.take(offset)).collect();
+            drop(window);
+            let untaken: Vec<u32> = (0..16).map(|id| u32::from(!order[..takes].contains(&id))).collect();
+            assert_eq!(drops(&table), untaken, "round {round}: only the untaken were dropped, once each");
+            assert_eq!(tx.free_slots(), 16);
+            drop(taken);
+            assert_eq!(drops(&table), [1; 16]);
+            drop((tx, rx));
+            assert_eq!(drops(&table), [1; 16], "round {round}: the ring drops nothing again");
         }
+    }
+
+    /// A panic while a window is open — after takes out of order and a
+    /// prefix release — drops each descriptor exactly once on the unwind,
+    /// and the ring is left empty and whole.
+    #[test]
+    fn window_unwinding_mid_way_drops_each_descriptor_once() {
+        let table = drop_table(6);
+        let (mut tx, mut rx) = spsc_ring::<Counted>(8);
+        push_counted(&mut tx, &table, 6);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut seen = 0;
-            rx.dequeue_with(6, |item| {
-                seen += 1;
-                drop(item);
-                assert!(seen < 2, "sink fails on its second descriptor");
-            })
+            let mut window = rx.window(6);
+            drop(window.take(3));
+            let first = window.take(0);
+            window.release_taken();
+            drop(first);
+            panic!("a run fails with four descriptors in its window");
         }));
         assert!(unwound.is_err());
-        assert_eq!(Arc::strong_count(&counter), 5, "two consumed and dropped, four in flight");
-        assert_eq!(rx.len(), 4);
+        assert_eq!(drops(&table), [1; 6]);
+        assert_eq!(rx.len(), 0);
+        assert_eq!(tx.free_slots(), 8);
+        // The ring works on: the next descriptors come out where they
+        // were put.
+        let more = drop_table(2);
+        push_counted(&mut tx, &more, 2);
+        assert_eq!(rx.window(2).take(1).id, 1);
+        assert_eq!(drops(&more), [1, 1]);
+        assert_eq!(tx.free_slots(), 8);
+        drop((tx, rx));
+        assert_eq!(drops(&table), [1; 6]);
+    }
+
+    /// A window leaked with `mem::forget` is closed by the next window, or
+    /// by the consumer's drop: a taken descriptor is neither handed out
+    /// nor dropped again, and each untaken one is dropped once.
+    #[test]
+    fn a_leaked_window_is_closed_by_the_next_one_or_the_consumer() {
+        let table = drop_table(8);
+        let (mut tx, mut rx) = spsc_ring::<Counted>(8);
+        push_counted(&mut tx, &table, 8);
+        let mut window = rx.window(4);
+        let taken = window.take(1);
+        std::mem::forget(window);
+        assert_eq!(drops(&table), [0; 8]);
+        let mut next = rx.window(8);
+        assert_eq!(drops(&table), [1, 0, 1, 1, 0, 0, 0, 0], "the leaked window's untaken, once");
+        assert_eq!(next.len(), 4);
+        assert_eq!(next.take(0).id, 4);
+        std::mem::forget(next);
+        drop(taken);
         assert_eq!(tx.free_slots(), 4);
         drop((tx, rx));
-        assert_eq!(Arc::strong_count(&counter), 1);
+        assert_eq!(drops(&table), [1; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "taken before")]
+    fn a_second_take_of_one_offset_panics() {
+        let (mut tx, mut rx) = spsc_ring::<u64>(4);
+        tx.try_push(7).unwrap();
+        let mut window = rx.window(4);
+        assert_eq!(window.take(0), 7);
+        window.take(0);
+    }
+
+    /// Releasing the taken prefix lets the producer refill exactly the
+    /// released slots: not a taken slot behind an untaken one, not an
+    /// untaken one.
+    #[test]
+    fn prefix_release_frees_exactly_the_released_slots() {
+        let (mut tx, mut rx) = spsc_ring::<u64>(8);
+        let mut staging: Vec<u64> = (0..8).collect();
+        assert_eq!(tx.enqueue_burst(&mut staging), 8);
+        let mut window = rx.window(8);
+        assert_eq!([window.take(0), window.take(1), window.take(3)], [0, 1, 3]);
+        assert_eq!(tx.free_slots(), 0, "nothing is released before `release_taken`");
+        window.release_taken();
+        assert_eq!(tx.free_slots(), 2, "offsets 0 and 1; offset 3 waits for offset 2");
+        assert!(tx.try_push(8).is_ok());
+        assert!(tx.try_push(9).is_ok());
+        assert_eq!(tx.try_push(10), Err(10));
+        window.release_taken();
+        assert_eq!(tx.free_slots(), 0, "a release with no new prefix frees nothing");
+        assert_eq!(window.take(2), 2);
+        window.release_taken();
+        assert_eq!(tx.free_slots(), 2, "offsets 2 and 3");
+        assert_eq!(window.get(4), Some(&4));
+        drop(window);
+        assert_eq!(tx.free_slots(), 6, "the drop releases the rest of the window");
+        // The slots refilled while the window was open come out next.
+        let mut out = Vec::new();
+        rx.dequeue_burst(&mut out, 8);
+        assert_eq!(out, vec![8, 9]);
     }
 }

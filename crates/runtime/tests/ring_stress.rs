@@ -25,9 +25,11 @@ impl Rng {
 }
 
 /// Drives `total` sequence-numbered descriptors through a ring of
-/// `capacity` slots, with bursts of up to `max_burst` — the consumer
-/// picking `dequeue_burst` or the closure-taking `dequeue_with` at random —
-/// and asserts the consumer observes exactly `0..total` in order.
+/// `capacity` slots, with bursts of up to `max_burst`. The consumer opens a
+/// window per burst, takes its descriptors in a random order — handing the
+/// taken prefix back to the producer at random points, while the producer
+/// keeps refilling — and asserts that, put back at their window offsets,
+/// they are exactly `0..total` in order.
 fn stress(total: u64, capacity: usize, max_burst: usize, seed: u64) {
     let (mut tx, mut rx) = spsc_ring::<u64>(capacity);
     let producer = thread::spawn(move || {
@@ -55,18 +57,28 @@ fn stress(total: u64, capacity: usize, max_burst: usize, seed: u64) {
     let consumer = thread::spawn(move || {
         let mut rng = Rng(seed.wrapping_mul(31) | 1);
         let mut out: Vec<u64> = Vec::with_capacity(max_burst);
+        let mut order: Vec<usize> = Vec::with_capacity(max_burst);
         let mut expected = 0u64;
         let mut empty_polls = 0u64;
         while expected < total {
             let burst = 1 + (rng.next() as usize % max_burst);
+            let mut window = rx.window(burst);
+            let moved = window.len();
+            // A random order of the window's offsets (Fisher-Yates).
+            order.clear();
+            order.extend(0..moved);
+            for i in (1..moved).rev() {
+                order.swap(i, rng.next() as usize % (i + 1));
+            }
             out.clear();
-            // Both dequeue forms, mixed at random on the same ring.
-            let moved = if rng.next() & 1 == 0 {
-                rx.dequeue_burst(&mut out, burst)
-            } else {
-                rx.dequeue_with(burst, |v| out.push(v))
-            };
-            assert_eq!(moved, out.len());
+            out.resize(moved, u64::MAX);
+            for &offset in &order {
+                out[offset] = window.take(offset);
+                if rng.next().is_multiple_of(4) {
+                    window.release_taken();
+                }
+            }
+            drop(window);
             if moved == 0 {
                 empty_polls += 1;
                 if empty_polls.is_multiple_of(64) {
@@ -119,16 +131,19 @@ fn two_thread_stress_single_push_burst_pop() {
         }
     });
     let consumer = thread::spawn(move || {
-        let mut out: Vec<u64> = Vec::with_capacity(128);
         let mut expected = 0u64;
         while expected < TOTAL {
-            out.clear();
-            if rx.dequeue_burst(&mut out, 128) == 0 {
+            // Taken in FIFO order, each slot handed back as soon as its
+            // descriptor left it.
+            let mut window = rx.window(128);
+            if window.is_empty() {
+                drop(window);
                 thread::yield_now();
                 continue;
             }
-            for v in &out {
-                assert_eq!(*v, expected);
+            for offset in 0..window.len() {
+                assert_eq!(window.take(offset), expected);
+                window.release_taken();
                 expected += 1;
             }
         }

@@ -28,6 +28,10 @@
 #               than every parent run, or every one worse);
 #   no move     none of the above.
 #
+# Every run's full result line is kept, one JSON object per run
+# ({"pair", "side", "result"}), in `<change-dir>/target/ab-pairs/<workload>.jsonl`;
+# a new comparison of the same workload starts that file afresh.
+#
 # Needs bash, cargo and jq; reads and writes nothing under benchmark/.
 set -euo pipefail
 
@@ -43,6 +47,7 @@ seconds="${5:-20}"
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
+log="$change/target/ab-pairs/$workload.jsonl"
 
 for side in parent change; do
     dir="${!side}"
@@ -51,6 +56,7 @@ for side in parent change; do
         cargo build -q --release --offline --manifest-path "$dir/benchmark/Cargo.toml" >&2
     cp "$dir/target/ab-pairs/release/srv6-benchmark" "$work/$side"
 done
+: >"$log"
 
 # Runs one side once; appends {"pair", "side", "result"} to the log.
 run_side() {
@@ -58,7 +64,7 @@ run_side() {
     result="$(cd "$dir" && "$work/$side" --workload "$workload" --seed "$pair" \
         --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1)"
     jq -c --arg side "$side" --argjson pair "$pair" '{pair: $pair, side: $side, result: .}' \
-        <<<"$result" >>"$work/log.jsonl"
+        <<<"$result" >>"$log"
 }
 
 # [{name, better, bound}] of every end-to-end metric.
@@ -79,7 +85,7 @@ for pair in $(seq 1 "$pairs"); do
         | [($pair | tostring), $first, .side]
           + [.result.metrics[$m[]].value | tostring]
           + ["\(.result.correct)/\(.result.failed)"]
-        | @tsv' "$work/log.jsonl" |
+        | @tsv' "$log" |
         while IFS=$'\t' read -r -a row; do
             printf '%-4s %-6s %-7s' "${row[@]:0:3}"
             printf ' %14.6g' "${row[@]:3:${#row[@]}-4}"
@@ -125,4 +131,4 @@ jq -rs --argjson rules "$rules" --arg workload "$workload" '
           + " | ratio \(if $pmed == 0 then "-" else ($cmed / $pmed | sig) end)"
           + " | change better in \($wins)/\($n)"
           + " | bound \($rule.bound * 100) % | \($verdict)")
-' "$work/log.jsonl"
+' "$log"
