@@ -7,7 +7,7 @@
 //! directly (the lab in §3.2 measures exactly this single-router, single
 //! core forwarding path).
 
-use crate::fib::{EcmpKey, FibCache, LookupResult, Nexthop, RouterTables, TableId, MAIN_TABLE};
+use crate::fib::{EcmpKey, FibCache, Nexthop, RouterTables, TableId, MAIN_TABLE};
 use crate::lwt_bpf::{LwtBpfAttachment, LwtBpfTable, LwtHook};
 use crate::scratch::RunScratch;
 use crate::seg6local::{apply_action, run_bpf, ActionCtx, LocalSidTable, Seg6LocalAction};
@@ -105,9 +105,11 @@ impl BatchVerdict {
 }
 
 /// Where a batch's packets and their verdict slots live, for
-/// [`Seg6Datapath::process_batch_in_place`]: packet `i` is processed in
-/// place, then its verdict is handed to slot `i`, for `i` in
-/// `0..len()` in order.
+/// [`Seg6Datapath::process_batch_in_place`]: for `i` in `0..len()` in
+/// order, packet `i` is processed in place and its verdict and work are
+/// written straight into verdict slot `i`, field by field, where the caller
+/// reads them — no verdict is built elsewhere and copied in. Every slot of
+/// the batch is written.
 pub trait BatchSlots {
     /// Packets in the batch.
     fn len(&self) -> usize;
@@ -117,12 +119,9 @@ pub trait BatchSlots {
         self.len() == 0
     }
 
-    /// Packet `i`.
-    fn skb(&mut self, i: usize) -> &mut Skb;
-
-    /// Stores packet `i`'s verdict; called once per packet, after it was
-    /// processed.
-    fn set_verdict(&mut self, i: usize, verdict: BatchVerdict);
+    /// Packet `i` and its verdict slot, handed out together (two pointers,
+    /// returned in registers).
+    fn slot(&mut self, i: usize) -> (&mut Skb, &mut BatchVerdict);
 }
 
 /// Records that carry a packet and its verdict side by side, behind a tag
@@ -132,21 +131,18 @@ impl<T> BatchSlots for [(T, Skb, BatchVerdict)] {
         <[_]>::len(self)
     }
 
-    fn skb(&mut self, i: usize) -> &mut Skb {
-        &mut self[i].1
-    }
-
-    fn set_verdict(&mut self, i: usize, verdict: BatchVerdict) {
-        self[i].2 = verdict;
+    #[inline]
+    fn slot(&mut self, i: usize) -> (&mut Skb, &mut BatchVerdict) {
+        let (_, skb, verdict) = &mut self[i];
+        (skb, verdict)
     }
 }
 
 /// How a destination address dispatches inside the datapath. Classification
-/// depends only on the destination and the (batch-constant) tables, which
-/// is what lets [`Seg6Datapath::process_batch_verdicts_into`] compute it once per
-/// destination run instead of once per packet. Every variant **borrows**
-/// from the configuration tables — classifying a packet clones nothing,
-/// however large the attached behaviour (program `Arc`s, SRH templates) is.
+/// depends only on the destination and the (batch-constant) tables, and
+/// each packet is classified on its own. Every variant **borrows** from the
+/// configuration tables — classifying a packet clones nothing, however
+/// large the attached behaviour (program `Arc`s, SRH templates) is.
 enum Dispatch<'a> {
     /// A local SID matched: run its seg6local behaviour.
     Seg6Local {
@@ -208,15 +204,17 @@ fn assert_prog_type(prog: &LoadedProgram, want: ProgramType, hook: &str) {
     );
 }
 
-/// A one-entry cache of the last FIB lookup, scoped to one batch (the
-/// tables cannot change while the batch holds `&mut self`). Only
-/// flow-hash-invariant results — single-path routes and misses — are
-/// cached; ECMP routes are re-selected per packet, keeping multipath
-/// spreading intact. This is the batch-scoped analogue of the kernel's
-/// dst cache.
+/// A one-entry cache of the last FIB lookup, scoped to one batch: the
+/// `(table, dst)` it answered and the next hop it found, **borrowed** from
+/// the FIB snapshot. The borrow is what makes the cache sound: the
+/// snapshot cannot be refreshed while a batch holds it, and the borrow
+/// checker enforces that. Only flow-hash-invariant results — single-path
+/// routes and misses — are cached; ECMP routes are re-selected per packet,
+/// keeping multipath spreading intact. This is the batch-scoped analogue
+/// of the kernel's dst cache.
 #[derive(Default)]
-struct RouteCache {
-    entry: Option<(u32, Ipv6Addr, Option<LookupResult>)>,
+struct RouteCache<'a> {
+    entry: Option<(TableId, Ipv6Addr, Option<&'a Nexthop>)>,
 }
 
 /// The SRv6 datapath of one node.
@@ -374,7 +372,9 @@ impl Seg6Datapath {
     /// the same per-packet step [`Seg6Datapath::process_batch_verdicts_into`]
     /// runs, without the output buffer.
     pub fn process(&mut self, skb: &mut Skb, now_ns: u64) -> Verdict {
-        self.batch().step(skb, now_ns).verdict
+        let mut packet = BatchVerdict::UNSET;
+        self.batch().step(skb, &mut packet, now_ns);
+        packet.verdict
     }
 
     /// Processes a batch of packets, amortising the per-packet dispatch,
@@ -390,45 +390,45 @@ impl Seg6Datapath {
     /// A caller that reuses `out` performs no heap allocation per packet
     /// **or per batch** once it has grown; the `alloc-counter` test
     /// feature asserts exactly that. It is
-    /// [`Seg6Datapath::process_batch_in_place`] over the skbs, with each
-    /// verdict pushed onto `out`.
+    /// [`Seg6Datapath::process_batch_in_place`] over the skbs, with one
+    /// [`BatchVerdict::UNSET`] pushed onto `out` per packet first, which
+    /// the batch then writes over in place.
     pub fn process_batch_verdicts_into(
         &mut self,
         skbs: &mut [Skb],
         now_ns: u64,
         out: &mut Vec<BatchVerdict>,
     ) {
-        /// A slice of skbs whose verdicts go behind the last one in `out`.
-        struct Appended<'a> {
+        /// A slice of skbs and, index for index, their verdict slots.
+        struct Paired<'a> {
             skbs: &'a mut [Skb],
-            out: &'a mut Vec<BatchVerdict>,
+            verdicts: &'a mut [BatchVerdict],
         }
-        impl BatchSlots for Appended<'_> {
+        impl BatchSlots for Paired<'_> {
             fn len(&self) -> usize {
                 self.skbs.len()
             }
-            fn skb(&mut self, i: usize) -> &mut Skb {
-                &mut self.skbs[i]
-            }
-            fn set_verdict(&mut self, _: usize, verdict: BatchVerdict) {
-                self.out.push(verdict);
+            #[inline]
+            fn slot(&mut self, i: usize) -> (&mut Skb, &mut BatchVerdict) {
+                (&mut self.skbs[i], &mut self.verdicts[i])
             }
         }
-        out.reserve(skbs.len());
-        self.process_batch_in_place(&mut Appended { skbs, out }, now_ns);
+        let start = out.len();
+        out.resize(start + skbs.len(), BatchVerdict::UNSET);
+        self.process_batch_in_place(&mut Paired { skbs, verdicts: &mut out[start..] }, now_ns);
     }
 
     /// The one batch loop: processes each packet in turn, as
-    /// [`Seg6Datapath::process_batch_verdicts_into`] describes, and hands
-    /// its [`BatchVerdict`] to its slot. The packets and their slots stay
-    /// wherever the caller keeps them — the worker pool runs a batch over
-    /// its output records in place, so a packet is not moved to be
-    /// processed.
+    /// [`Seg6Datapath::process_batch_verdicts_into`] describes, writing
+    /// its verdict and work into its slot. The packets and their slots
+    /// stay wherever the caller keeps them — the worker pool runs a batch
+    /// over its output records in place, so a packet is not moved to be
+    /// processed and its verdict is not copied to be delivered.
     pub fn process_batch_in_place(&mut self, slots: &mut (impl BatchSlots + ?Sized), now_ns: u64) {
         let mut batch = self.batch();
         for i in 0..slots.len() {
-            let verdict = batch.step(slots.skb(i), now_ns);
-            slots.set_verdict(i, verdict);
+            let (skb, verdict) = slots.slot(i);
+            batch.step(skb, verdict, now_ns);
         }
     }
 
@@ -465,16 +465,18 @@ struct Batch<'a> {
     transit: &'a TransitTable,
     stats: &'a mut DatapathStats,
     exec: Exec<'a>,
-    routes: RouteCache,
+    routes: RouteCache<'a>,
 }
 
 impl Batch<'_> {
-    /// The per-packet step: parse, classify, execute, count.
+    /// The per-packet step: parse, classify, execute, count. Writes the
+    /// packet's verdict and work into `packet`, whatever it held before.
     #[inline]
-    fn step(&mut self, skb: &mut Skb, now_ns: u64) -> BatchVerdict {
-        let packet = match arrived_flow(skb.packet.data()) {
+    fn step(&mut self, skb: &mut Skb, packet: &mut BatchVerdict, now_ns: u64) {
+        match arrived_flow(skb.packet.data()) {
             None => {
-                BatchVerdict { verdict: Verdict::Drop(DropReason::Malformed), work: WorkSummary::default() }
+                packet.verdict = Verdict::Drop(DropReason::Malformed);
+                packet.work = WorkSummary::default();
             }
             Some(flow) => {
                 let dispatch = classify_dst(
@@ -485,11 +487,10 @@ impl Batch<'_> {
                     self.exec.host_addrs,
                     flow.dst,
                 );
-                self.exec.execute(&dispatch, skb, flow, now_ns, &mut self.routes)
+                self.exec.execute(&dispatch, skb, flow, now_ns, &mut self.routes, packet);
             }
-        };
-        self.stats.count(&packet);
-        packet
+        }
+        self.stats.count(packet);
     }
 }
 
@@ -526,21 +527,22 @@ struct Exec<'e> {
     cpu: u32,
 }
 
-impl Exec<'_> {
+impl<'e> Exec<'e> {
     fn is_local_addr(&self, dst: Ipv6Addr) -> bool {
         dst == self.local_addr || self.host_addrs.contains(&dst)
     }
 
-    /// Runs the packet's dispatch and reports what it did: the verdict and
-    /// the work classes exercised.
+    /// Runs the packet's dispatch and writes what it did into `packet`:
+    /// the work classes exercised and the verdict.
     fn execute(
         &mut self,
         dispatch: &Dispatch<'_>,
         skb: &mut Skb,
         flow: EcmpKey,
         now_ns: u64,
-        routes: &mut RouteCache,
-    ) -> BatchVerdict {
+        routes: &mut RouteCache<'e>,
+        packet: &mut BatchVerdict,
+    ) {
         // `flow` is the flow as it arrived: what ECMP selection hashes, if
         // a lookup lands on a multipath route at all. A seg6local action
         // runs as the SID that matched; the LWT hooks run as the router
@@ -551,7 +553,8 @@ impl Exec<'_> {
         };
         let actx =
             ActionCtx { local_sid, tables: self.tables, helpers: self.helpers, now_ns, cpu: self.cpu, flow };
-        let mut work = WorkSummary::default();
+        let work = &mut packet.work;
+        *work = WorkSummary::default();
         let outcome = match dispatch {
             Dispatch::Seg6Local { action, .. } => {
                 work.seg6local = true;
@@ -584,76 +587,87 @@ impl Exec<'_> {
                 ActionOutcome::Forward { dst: flow.dst, route_override: RouteOverride::default() }
             }
         };
-        BatchVerdict { verdict: self.resolve_outcome(outcome, skb, &flow, routes), work }
+        self.resolve_outcome(outcome, skb, &flow, routes, &mut packet.verdict);
     }
 
     /// A FIB lookup through the batch-scoped [`RouteCache`], against this
-    /// shard's lock-free snapshot. Results that cannot depend on the flow
-    /// (single next hop, or no route) are remembered and never hash it;
-    /// ECMP results always re-select.
+    /// shard's lock-free snapshot: the next hop comes back as a borrow of
+    /// the snapshot, in a register. Results that cannot depend on the flow
+    /// (single next hop, or no route: the lookup asked for no hash) are
+    /// remembered and never hash it; ECMP results always re-select.
+    #[inline]
     fn lookup_route(
         &self,
-        routes: &mut RouteCache,
-        table: u32,
+        routes: &mut RouteCache<'e>,
+        table: TableId,
         dst: Ipv6Addr,
         flow: &EcmpKey,
-    ) -> Option<LookupResult> {
-        if let Some((cached_table, cached_dst, result)) = &routes.entry {
-            if *cached_table == table && *cached_dst == dst {
-                return *result;
+    ) -> Option<&'e Nexthop> {
+        if let Some((cached_table, cached_dst, nexthop)) = routes.entry {
+            if cached_table == table && cached_dst == dst {
+                return nexthop;
             }
         }
-        let result = self.fib.lookup_with(table, dst, || flow.hash());
-        if result.as_ref().is_none_or(|r| r.ecmp_width == 1) {
-            routes.entry = Some((table, dst, result));
+        let fib: &'e FibCache = self.fib;
+        let mut multipath = false;
+        let nexthop = fib.nexthop(table, dst, || {
+            multipath = true;
+            flow.hash()
+        });
+        if !multipath {
+            routes.entry = Some((table, dst, nexthop));
         }
-        result
+        nexthop
     }
 
-    /// Resolves an [`ActionOutcome`] into a final verdict: decrements the
-    /// hop limit and performs whatever FIB lookup the outcome still needs.
+    /// Resolves an [`ActionOutcome`] into the packet's final verdict,
+    /// written into `verdict`: decrements the hop limit and performs
+    /// whatever FIB lookup the outcome still needs.
     fn resolve_outcome(
         &mut self,
         outcome: ActionOutcome,
         skb: &mut Skb,
         flow: &EcmpKey,
-        routes: &mut RouteCache,
-    ) -> Verdict {
+        routes: &mut RouteCache<'e>,
+        verdict: &mut Verdict,
+    ) {
         let (dst, over) = match outcome {
-            ActionOutcome::Drop(reason) => return Verdict::Drop(reason),
-            ActionOutcome::LocalDeliver => return Verdict::LocalDeliver,
             ActionOutcome::Forward { dst, route_override } => (dst, route_override),
+            ActionOutcome::Drop(reason) => {
+                *verdict = Verdict::Drop(reason);
+                return;
+            }
+            ActionOutcome::LocalDeliver => {
+                *verdict = Verdict::LocalDeliver;
+                return;
+            }
         };
         // A seg6local action may have re-targeted the packet at this very
         // node (e.g. the next SID is also ours after decapsulation).
         if self.is_local_addr(dst) && !over.is_set() {
-            return Verdict::LocalDeliver;
+            *verdict = Verdict::LocalDeliver;
+            return;
         }
-        match srv6_ops::decrement_hop_limit(skb.packet.data_mut()) {
-            Ok(0) | Err(_) => return Verdict::Drop(DropReason::HopLimitExceeded),
-            Ok(_) => {}
+        if let Ok(0) | Err(_) = srv6_ops::decrement_hop_limit(skb.packet.data_mut()) {
+            *verdict = Verdict::Drop(DropReason::HopLimitExceeded);
+            return;
         }
-        // Fully resolved override: nothing left to look up.
-        if let (Some(nexthop), Some(oif)) = (over.nexthop, over.oif) {
-            return Verdict::Forward { oif, neighbour: nexthop };
-        }
-        // Next hop known but not the interface: find the interface by
-        // looking the next hop itself up.
-        if let Some(nexthop) = over.nexthop {
-            return match self.lookup_route(routes, MAIN_TABLE, nexthop, flow) {
-                Some(result) => Verdict::Forward { oif: result.nexthop.oif, neighbour: nexthop },
+        *verdict = match (over.nexthop, over.oif) {
+            // Fully resolved override: nothing left to look up.
+            (Some(neighbour), Some(oif)) => Verdict::Forward { oif, neighbour },
+            // Next hop known but not the interface: find the interface by
+            // looking the next hop itself up.
+            (Some(neighbour), None) => match self.lookup_route(routes, MAIN_TABLE, neighbour, flow) {
+                Some(route) => Verdict::Forward { oif: route.oif, neighbour },
                 None => Verdict::Drop(DropReason::NoRoute),
-            };
-        }
-        // Otherwise: ordinary lookup of the destination in the requested
-        // table (End.T / End.DT6) or the main one.
-        let table = over.table.unwrap_or(MAIN_TABLE);
-        match self.lookup_route(routes, table, dst, flow) {
-            Some(result) => {
-                Verdict::Forward { oif: result.nexthop.oif, neighbour: result.nexthop.neighbour(dst) }
-            }
-            None => Verdict::Drop(DropReason::NoRoute),
-        }
+            },
+            // Otherwise: ordinary lookup of the destination in the
+            // requested table (End.T / End.DT6) or the main one.
+            (None, _) => match self.lookup_route(routes, over.table.unwrap_or(MAIN_TABLE), dst, flow) {
+                Some(route) => Verdict::Forward { oif: route.oif, neighbour: route.neighbour(dst) },
+                None => Verdict::Drop(DropReason::NoRoute),
+            },
+        };
     }
 }
 
@@ -685,7 +699,11 @@ mod tests {
     }
 
     fn plain_skb(dst: &str) -> Skb {
-        Skb::new(build_ipv6_udp_packet(addr("2001:db8::1"), addr(dst), 1, 2, &[0u8; 16], 64))
+        udp_skb("2001:db8::1", dst)
+    }
+
+    fn udp_skb(src: &str, dst: &str) -> Skb {
+        Skb::new(build_ipv6_udp_packet(addr(src), addr(dst), 1, 2, &[0u8; 16], 64))
     }
 
     #[test]
@@ -1020,6 +1038,126 @@ mod tests {
         dp.add_route("3001::/16".parse().unwrap(), vec![Nexthop::direct(9)]);
         let mut skb = plain_skb("3001::1");
         assert_eq!(fork.process(&mut skb, 0), Verdict::Forward { oif: 9, neighbour: addr("3001::1") });
+    }
+
+    /// A router whose routes reach every path of the batch's route cache:
+    /// End.T through its own table, End.X through a lookup of its next hop,
+    /// and a two-way ECMP route.
+    fn route_cache_router() -> Seg6Datapath {
+        let mut dp = router();
+        dp.add_route("fe80::/64".parse().unwrap(), vec![Nexthop::direct(7)]);
+        dp.add_route(
+            "fd00::/16".parse().unwrap(),
+            vec![Nexthop::via(addr("fe80::a"), 4), Nexthop::via(addr("fe80::b"), 5)],
+        );
+        dp.add_route_in_table(100, "fc00::/16".parse().unwrap(), vec![Nexthop::via(addr("fe80::9"), 9)]);
+        dp.add_local_sid("fc00::e3".parse().unwrap(), Seg6LocalAction::EndX { nexthop: addr("fe80::42") });
+        dp.add_local_sid("fc00::e4".parse().unwrap(), Seg6LocalAction::EndT { table: 100 });
+        dp
+    }
+
+    /// One batch that walks the route cache through every path it has.
+    fn route_cache_batch() -> Vec<Skb> {
+        let mut batch = Vec::new();
+        // 20 flows onto the ECMP route, interleaved with one single-path
+        // destination: never cached, re-selected per flow.
+        for flow in 0..20 {
+            batch.push(udp_skb(&format!("2001:db8::{:x}", flow + 1), "fd00::1"));
+            if flow % 5 == 0 {
+                batch.push(plain_skb("fc00::42"));
+            }
+        }
+        // Repeats of one destination (hits), then alternating ones (misses).
+        batch.extend((0..4).map(|_| plain_skb("fc00::42")));
+        batch.extend((0..6).map(|i| plain_skb(if i % 2 == 0 { "fc00::42" } else { "2001:db8::7" })));
+        // End.T looks fc00::22 up in table 100, right before and after the
+        // same destination in the main table; End.X looks its next hop up.
+        for _ in 0..3 {
+            batch.push(plain_skb("fc00::22"));
+            batch.push(srv6_skb(&["fc00::e4", "fc00::22"]));
+            batch.push(plain_skb("fc00::22"));
+            batch.push(srv6_skb(&["fc00::e3", "fc00::22"]));
+        }
+        // Unrouted in the first batch; its route is added before the second.
+        batch.push(plain_skb("3001::1"));
+        batch
+    }
+
+    /// A batch answers exactly what per-packet processing does on a mix
+    /// that reaches every route-cache path — table-scoped lookups, next-hop
+    /// lookups, ECMP re-selection, hits, misses — and a route added between
+    /// two batches reaches the second.
+    #[test]
+    fn batches_through_the_route_cache_match_per_packet_processing() {
+        let mut dp_single = route_cache_router();
+        let mut dp_batch = route_cache_router();
+        for round in 0..2 {
+            if round == 1 {
+                for dp in [&mut dp_single, &mut dp_batch] {
+                    dp.add_route("3001::/16".parse().unwrap(), vec![Nexthop::direct(6)]);
+                }
+            }
+            let mut singles = route_cache_batch();
+            let want: Vec<Verdict> = singles.iter_mut().map(|skb| dp_single.process(skb, 0)).collect();
+            let mut batched = route_cache_batch();
+            let mut got = Vec::new();
+            dp_batch.process_batch_verdicts_into(&mut batched, 0, &mut got);
+            assert_eq!(got.into_iter().map(|b| b.verdict).collect::<Vec<_>>(), want, "round {round}");
+            for (single, batch) in singles.iter().zip(&batched) {
+                assert_eq!(single.packet.data(), batch.packet.data());
+            }
+            let oifs: std::collections::BTreeSet<u32> = want
+                .iter()
+                .filter_map(|v| match v {
+                    Verdict::Forward { oif, .. } => Some(*oif),
+                    _ => None,
+                })
+                .collect();
+            assert!(oifs.is_superset(&[2, 3, 4, 5, 7, 9].into()), "every route was taken: {oifs:?}");
+            let added = Verdict::Forward { oif: 6, neighbour: addr("3001::1") };
+            let unrouted = if round == 0 { Verdict::Drop(DropReason::NoRoute) } else { added };
+            assert_eq!(want.last(), Some(&unrouted));
+        }
+        assert_eq!(dp_single.stats, dp_batch.stats);
+    }
+
+    /// Every slot of a batch is written, whatever it held before: no
+    /// sentinel survives, on the worker pool's records or on
+    /// `process_batch_verdicts_into`'s appended slots, and the two agree.
+    #[test]
+    fn every_verdict_slot_is_written() {
+        let sentinel = BatchVerdict {
+            verdict: Verdict::Forward { oif: u32::MAX, neighbour: addr("ffff::1") },
+            work: WorkSummary { seg6local: true, bpf: true, transit: true },
+        };
+        assert_ne!(sentinel, BatchVerdict::UNSET);
+        let mut dp = batch_router();
+        let mut records: Vec<((), Skb, BatchVerdict)> =
+            mixed_batch().into_iter().map(|skb| ((), skb, sentinel.clone())).collect();
+        dp.process_batch_in_place(records.as_mut_slice(), 0);
+        assert!(records.iter().all(|(_, _, packet)| *packet != sentinel), "a slot kept the sentinel");
+        let mut verdicts = vec![sentinel.clone()];
+        dp.process_batch_verdicts_into(&mut mixed_batch(), 0, &mut verdicts);
+        assert_eq!(verdicts[0], sentinel, "slots before the batch are left alone");
+        let in_place: Vec<&BatchVerdict> = records.iter().map(|(_, _, packet)| packet).collect();
+        assert_eq!(verdicts[1..].iter().collect::<Vec<_>>(), in_place);
+    }
+
+    /// The route lookup hands back a borrow of the snapshot's next hop: one
+    /// pointer, returned in a register, where a copied `LookupResult` is
+    /// written to the stack and read back.
+    #[test]
+    fn the_route_lookup_returns_a_register_sized_borrow() {
+        let mut dp = route_cache_router();
+        let mut batch = dp.batch();
+        let flow = EcmpKey::default();
+        for table in [MAIN_TABLE, 100] {
+            let nexthop: Option<&Nexthop> =
+                batch.exec.lookup_route(&mut batch.routes, table, addr("fc00::22"), &flow);
+            assert_eq!(std::mem::size_of_val(&nexthop), std::mem::size_of::<usize>());
+            assert_eq!(nexthop.map(|hop| hop.oif), Some(if table == MAIN_TABLE { 2 } else { 9 }));
+        }
+        assert_eq!(std::mem::size_of::<Option<&Nexthop>>(), 8);
     }
 
     /// The step reads the fixed header straight from the bytes: on

@@ -8,7 +8,7 @@
 //! helpers (`bpf_ktime_get_ns`, `bpf_get_prandom_u32`, ...) work too, and
 //! the SRv6 helpers recover it by downcasting.
 
-use crate::fib::{EcmpKey, FibCache, LookupResult, RouterTables, TableId};
+use crate::fib::{EcmpKey, FibCache, Nexthop, RouterTables, TableId};
 use crate::skb::RouteOverride;
 use ebpf_vm::vm::{EnvSnapshot, VmEnv};
 use std::any::Any;
@@ -120,12 +120,15 @@ impl Seg6Env {
         self.rng_state = rng_seed(now_ns);
     }
 
-    /// Looks `dst` up in `table` for a helper: against this environment's
-    /// own snapshot, hashing [`Seg6Env::flow`] only on a multipath route.
-    pub fn lookup(&mut self, table: TableId, dst: Ipv6Addr) -> Option<LookupResult> {
+    /// The next hop `dst` takes in `table`, for a helper: against this
+    /// environment's own snapshot, hashing [`Seg6Env::flow`] only on a
+    /// multipath route. The same borrowing lookup the datapath runs
+    /// ([`FibCache::nexthop`]), so the result is a pointer, not a copy.
+    #[inline]
+    pub fn lookup(&mut self, table: TableId, dst: Ipv6Addr) -> Option<&Nexthop> {
         self.fib.refresh(&self.tables);
         let flow = &self.flow;
-        self.fib.lookup_with(table, dst, || flow.hash())
+        self.fib.nexthop(table, dst, || flow.hash())
     }
 }
 
@@ -226,7 +229,8 @@ mod tests {
         for label in 0..32 {
             e.flow = EcmpKey { flow_label: label, ..EcmpKey::default() };
             let dst = "fc00::2".parse().unwrap();
-            assert_eq!(e.lookup(MAIN_TABLE, dst), tables.lookup_main(dst, e.flow.hash()));
+            let want = tables.lookup_main(dst, e.flow.hash()).map(|hit| hit.nexthop);
+            assert_eq!(e.lookup(MAIN_TABLE, dst).copied(), want);
         }
     }
 }

@@ -593,9 +593,12 @@ impl RouterTables {
 }
 
 /// A reader-side snapshot of a router's tables, held by each datapath
-/// (worker shard). `refresh` is a single relaxed atomic load in the steady
-/// state; lookups then walk the shard's own `Arc` snapshots — no lock, no
-/// contention, and [`LookupResult`]s that are plain `Copy` values.
+/// (worker shard) and each helper environment. `refresh` is a single
+/// relaxed atomic load in the steady state; lookups then walk the shard's
+/// own `Arc` snapshots — no lock, no contention. The per-packet lookup,
+/// [`FibCache::nexthop`], returns a borrow of the chosen next hop: a
+/// pointer, which comes back in a register where a by-value result would
+/// be written to the stack and read back.
 #[derive(Debug)]
 pub struct FibCache {
     generation: u64,
@@ -628,20 +631,26 @@ impl FibCache {
         self.tables.iter().find(|(id, _)| *id == table).map(|(_, fib)| &**fib)
     }
 
-    /// Longest-prefix-match lookup in the cached snapshot of `table`.
+    /// Longest-prefix-match lookup in the cached snapshot of `table`,
+    /// copied out: the inspection form. The per-packet paths use
+    /// [`FibCache::nexthop`].
     pub fn lookup(&self, table: TableId, dst: Ipv6Addr, flow_hash: u64) -> Option<LookupResult> {
-        self.lookup_with(table, dst, || flow_hash)
+        self.table(table)?.lookup(dst, flow_hash).map(LookupHit::to_result)
     }
 
-    /// [`FibCache::lookup`] with the flow hash computed on demand — only
-    /// a multipath route calls `flow_hash` (see [`Fib::lookup_with`]).
-    pub fn lookup_with(
+    /// The next hop `dst` takes in the cached snapshot of `table`, borrowed
+    /// from the trie. `flow_hash` is called only when the matched route
+    /// has more than one next hop (see [`Fib::lookup_with`]), so a caller
+    /// that is not asked for a hash knows the answer holds for every flow.
+    /// The one lookup the datapath and the helpers run per packet.
+    #[inline]
+    pub fn nexthop(
         &self,
         table: TableId,
         dst: Ipv6Addr,
         flow_hash: impl FnOnce() -> u64,
-    ) -> Option<LookupResult> {
-        self.table(table)?.lookup_with(dst, flow_hash).map(LookupHit::to_result)
+    ) -> Option<&Nexthop> {
+        Some(self.table(table)?.lookup_with(dst, flow_hash)?.nexthop)
     }
 }
 
@@ -793,6 +802,35 @@ mod tests {
                 hash
             });
             assert_eq!(lazy, fib.lookup(addr("fd00::1"), hash));
+            assert_eq!(asked, 1);
+        }
+    }
+
+    /// The cache's borrowing lookup finds the next hop its copying one
+    /// does, asks for the flow hash only on a multipath route, and borrows
+    /// from the snapshot rather than copying out of it.
+    #[test]
+    fn fib_cache_nexthop_borrows_what_lookup_copies() {
+        let tables = RouterTables::new();
+        tables.insert_main(prefix("fc00::/16"), vec![Nexthop::direct(1)]);
+        tables.insert_main(prefix("fd00::/16"), vec![Nexthop::direct(2), Nexthop::direct(3)]);
+        let mut cache = FibCache::new();
+        cache.refresh(&tables);
+        let single =
+            cache.nexthop(MAIN_TABLE, addr("fc00::1"), || panic!("single-path route asked for a hash"));
+        assert!(std::ptr::eq(
+            single.unwrap(),
+            &cache.table(MAIN_TABLE).unwrap().ecmp_nexthops(addr("fc00::1"))[0]
+        ));
+        assert!(cache.nexthop(MAIN_TABLE, addr("2001::1"), || panic!("a miss asked for a hash")).is_none());
+        assert!(cache.nexthop(7, addr("fc00::1"), || panic!("a missing table asked for a hash")).is_none());
+        for hash in 0..8u64 {
+            let mut asked = 0;
+            let hop = cache.nexthop(MAIN_TABLE, addr("fd00::1"), || {
+                asked += 1;
+                hash
+            });
+            assert_eq!(hop.copied(), cache.lookup(MAIN_TABLE, addr("fd00::1"), hash).map(|r| r.nexthop));
             assert_eq!(asked, 1);
         }
     }

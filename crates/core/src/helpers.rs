@@ -282,10 +282,10 @@ pub fn helper_seg6_action(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
                     decapped = true;
                 }
                 let dst = srv6_ops::outer_dst(parts.packet()).map_err(|_| ())?;
-                let result = parts.env.lookup(table, dst).ok_or(())?;
+                let route = parts.env.lookup(table, dst).ok_or(())?;
                 over.table = Some(table);
-                over.nexthop = Some(result.nexthop.neighbour(dst));
-                over.oif = Some(result.nexthop.oif);
+                over.nexthop = Some(route.neighbour(dst));
+                over.oif = Some(route.oif);
             }
             ActionParam::Srh(srh) => {
                 let local_addr = parts.env.local_addr;
@@ -295,9 +295,9 @@ pub fn helper_seg6_action(api: &mut HelperApi<'_, '_>, args: [u64; 5]) -> i64 {
                     srv6_ops::push_srh_encap(parts.packet_mut(), &srh, local_addr)
                 }
                 .map_err(|_| ())?;
-                if let Some(result) = parts.env.lookup(MAIN_TABLE, dst) {
-                    over.nexthop = Some(result.nexthop.neighbour(dst));
-                    over.oif = Some(result.nexthop.oif);
+                if let Some(route) = parts.env.lookup(MAIN_TABLE, dst) {
+                    over.nexthop = Some(route.neighbour(dst));
+                    over.oif = Some(route.oif);
                 }
             }
         }

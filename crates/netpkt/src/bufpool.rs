@@ -117,19 +117,23 @@ impl BufPool {
     /// small for either class (`seg6-runtime`'s `WorkerPool::recycle`
     /// accepts any `PacketBuf`) joins the small class, its storage grown to
     /// the class's once on the way in, so that no buffer in the arena grows
-    /// when it is taken.
+    /// when it is taken. The buffer is pushed as it came and reset where it
+    /// then lies: resetting it first would write it in pieces just before
+    /// the push reads it back whole.
     #[inline]
-    pub fn put(&mut self, mut buf: PacketBuf) {
+    pub fn put(&mut self, buf: PacketBuf) {
         let capacity = buf.storage_capacity();
         let class = if capacity >= self.headroom + DEFAULT_FRAME_CAP { FULL } else { SMALL };
-        if self.free[class].len() >= self.max_retained {
+        let free = &mut self.free[class];
+        if free.len() >= self.max_retained {
             return;
         }
+        free.push(buf);
+        let buf = free.last_mut().expect("the buffer was just pushed");
         if capacity < self.headroom + SMALL_FRAME {
             buf.reset(self.headroom + SMALL_FRAME);
         }
         buf.reset(self.headroom);
-        self.free[class].push(buf);
     }
 
     /// Free buffers currently retained, in both classes.

@@ -244,7 +244,7 @@ impl TenantAdmission {
                 match &mut self.bucket {
                     None => true,
                     Some(bucket) => {
-                        bucket.refill(staging[i].skb.rx_timestamp_ns);
+                        bucket.refill(staging[i].1.rx_timestamp_ns);
                         let paid = bucket.try_spend(COST_BASE);
                         shed_budget += u64::from(!paid);
                         paid

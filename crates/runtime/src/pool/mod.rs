@@ -136,7 +136,7 @@ use admission::{QosCell, TenantAdmission};
 use netpkt::flow::{rss_hash_packet, steer};
 use netpkt::{BufPool, PacketBuf};
 use seg6_core::{Seg6Datapath, Skb};
-use shard::{Ctrl, Desc, ShardOutputs, ShardTenant, ShardTx};
+use shard::{Ctrl, ShardOutputs, ShardTenant, ShardTx};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -541,7 +541,7 @@ impl WorkerPool {
         for frame in frames {
             let packet = self.bufs.take_filled(frame);
             let shard = self.steer_to(packet.data()) as usize;
-            self.shards[shard].staging.push(Desc { tenant, skb: Skb::received(packet, now_ns, 0) });
+            self.shards[shard].staging.push(shard::staged(tenant, Skb::received(packet, now_ns, 0)));
             if self.shards[shard].staging.len() >= burst {
                 accepted += self.publish_shard(shard, tenant);
             }
@@ -565,7 +565,7 @@ impl WorkerPool {
         if tx.staging.is_empty() {
             return 0;
         }
-        debug_assert!(tx.staging.iter().all(|desc| desc.tenant == tenant), "staging holds one tenant");
+        debug_assert!(tx.staging.iter().all(|desc| desc.0 == tenant), "staging holds one tenant");
         let record = &mut self.tenants[tenant.index()];
         let cell = record.cells.shard(shard as u32);
         let (mut shed_quota, mut shed_budget) = (0u64, 0u64);
@@ -573,14 +573,14 @@ impl WorkerPool {
             let kept;
             (kept, shed_quota, shed_budget) =
                 record.admission.filter(&mut tx.staging, &record.cells, shard as u32, self.config.workers);
-            for desc in tx.staging.drain(kept..) {
-                self.bufs.put(desc.skb.into_packet());
+            for (_, skb, _) in tx.staging.drain(kept..) {
+                self.bufs.put(skb.into_packet());
             }
         }
         let accepted = tx.ring.enqueue_burst(&mut tx.staging);
         let ring_rejected = tx.staging.len() as u64;
-        for desc in tx.staging.drain(..) {
-            self.bufs.put(desc.skb.into_packet());
+        for (_, skb, _) in tx.staging.drain(..) {
+            self.bufs.put(skb.into_packet());
         }
         cell.add_ingress(accepted as u64, shed_quota + ring_rejected);
         cell.add_over_budget(shed_budget);

@@ -19,11 +19,13 @@
 //!   release store of the tail. On the read side, [`Consumer::window`]
 //!   opens a burst of published descriptors *in place* (DPDK's zero-copy
 //!   dequeue, `rte_ring_dequeue_zc_burst_start`/`_finish`): the consumer
-//!   looks at each one where it lies, [`Window::take`]s each — in any
-//!   order — straight to its destination, so a descriptor is moved once,
-//!   out of its slot, and hands the slots back with one release store of
-//!   the head per [`Window::release_taken`] and one when the window drops.
-//!   [`Consumer::dequeue_burst`] is a window taken whole into a vector.
+//!   looks at each one where it lies, moves each — in any order — straight
+//!   from its slot onto the end of the vector it is going to with
+//!   [`Window::take_onto`] (one copy of its bytes, slot to vector, never
+//!   through the stack), and hands the slots back with one release store
+//!   of the head per [`Window::release_taken`] and one when the window
+//!   drops. [`Consumer::dequeue_burst`] is a window taken whole onto a
+//!   vector.
 //!   Handing off a 32-packet batch costs one atomic round-trip instead of
 //!   32 lock acquisitions;
 //! * cached peer positions: the producer re-reads the consumer's head
@@ -253,8 +255,8 @@ impl<T> Consumer<T> {
     /// Opens a window over up to `max` published descriptors: the
     /// consumer's zero-copy burst, after DPDK's
     /// `rte_ring_dequeue_zc_burst_start` / `_finish`. The descriptors stay
-    /// in their slots until [`Window::take`] moves each one straight to
-    /// where it is going, in any order; [`Window::release_taken`] hands the
+    /// in their slots until [`Window::take_onto`] moves each one straight
+    /// onto the vector it is going to, in any order; [`Window::release_taken`] hands the
     /// taken prefix back to the producer early, and dropping the window
     /// drops what was not taken and releases the rest.
     pub fn window(&mut self, max: usize) -> Window<'_, T> {
@@ -279,7 +281,10 @@ impl<T> Consumer<T> {
     pub fn dequeue_burst(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         let mut window = self.window(max);
         let len = window.len();
-        out.extend((0..len).map(|offset| window.take(offset)));
+        out.reserve(len);
+        for offset in 0..len {
+            window.take_onto(offset, out);
+        }
         len
     }
 
@@ -332,7 +337,8 @@ impl<T> Drop for Consumer<T> {
 }
 
 /// Up to a burst of published descriptors, left in their ring slots until
-/// each is taken; see [`Consumer::window`]. Offset `i` is the `i`-th
+/// each is taken onto a vector ([`Window::take_onto`]); see
+/// [`Consumer::window`]. Offset `i` is the `i`-th
 /// descriptor of the burst in FIFO order. Each offset can be taken once.
 /// Holding the window holds the consumer, and the producer cannot reuse a
 /// slot until the window releases it: the taken prefix at
@@ -369,21 +375,37 @@ impl<T> Window<'_, T> {
         Some(unsafe { (*self.ring.window_slot(offset).get()).assume_init_ref() })
     }
 
-    /// Moves the descriptor at `offset` out of its slot.
+    /// Moves the descriptor at `offset` out of its slot onto the end of
+    /// `out`: its bytes are copied once, from the slot straight into the
+    /// vector's spare capacity, where a by-value move would stage them on
+    /// the stack on the way.
     ///
     /// # Panics
     ///
-    /// If `offset` is past the window or was taken before.
-    pub fn take(&mut self, offset: usize) -> T {
+    /// If `offset` is past the window or was taken before; then neither
+    /// the window nor `out` changes.
+    #[inline]
+    pub fn take_onto(&mut self, offset: usize, out: &mut Vec<T>) {
         let len = self.ring.window_len;
         assert!(offset < len, "offset {offset} is past a window of {len}");
         assert!(!self.ring.taken[offset], "offset {offset} of the window was taken before");
+        // Grown before the flag is set: a panic here leaves the descriptor
+        // in its slot, untaken.
+        out.reserve(1);
         self.ring.taken[offset] = true;
         self.ring.window_taken += 1;
-        // SAFETY: as in `get`; the flag set above makes this the slot's
-        // only read, and nothing drops it again: closing the window skips
-        // taken offsets, and the producer only ever overwrites a slot.
-        unsafe { (*self.ring.window_slot(offset).get()).assume_init_read() }
+        let end = out.len();
+        // SAFETY: the slot holds an initialised descriptor (as in `get`),
+        // and `out` has room for one more element past `end` (reserved
+        // above). The flag set above makes this the slot's only read, and
+        // nothing drops it again: closing the window skips taken offsets,
+        // and the producer only ever overwrites a slot. The copy cannot
+        // unwind, so `out` owns the descriptor from `set_len` on.
+        unsafe {
+            let slot = self.ring.window_slot(offset).get().cast::<T>();
+            std::ptr::copy_nonoverlapping(slot, out.as_mut_ptr().add(end), 1);
+            out.set_len(end + 1);
+        }
     }
 
     /// Hands the slots of the taken prefix of the window back to the
@@ -433,6 +455,13 @@ mod tests {
 
     fn drops(table: &[AtomicU32]) -> Vec<u32> {
         table.iter().map(|cell| cell.load(Ordering::Relaxed)).collect()
+    }
+
+    /// The descriptor at `offset`, taken onto a vector of its own.
+    fn take<T>(window: &mut Window<'_, T>, offset: usize) -> T {
+        let mut out = Vec::with_capacity(1);
+        window.take_onto(offset, &mut out);
+        out.pop().expect("take_onto pushed the descriptor")
     }
 
     /// Fills `tx` with `n` counted descriptors, ids `0..n`.
@@ -489,7 +518,7 @@ mod tests {
         assert_eq!(tx.try_push(99), Err(99), "capacity + 1 must be rejected");
         assert_eq!(tx.free_slots(), 0);
         // One descriptor taken frees exactly one slot.
-        assert_eq!(rx.window(1).take(0), 0);
+        assert_eq!(take(&mut rx.window(1), 0), 0);
         assert!(tx.try_push(100).is_ok());
         assert_eq!(tx.try_push(101), Err(101));
         // Burst accounting at the same boundary: nothing fits, nothing is
@@ -549,10 +578,10 @@ mod tests {
         let table = drop_table(6);
         let (mut tx, mut rx) = spsc_ring::<Counted>(8);
         push_counted(&mut tx, &table, 6);
-        let first = rx.window(1).take(0);
+        let first = take(&mut rx.window(1), 0);
         assert_eq!(drops(&table), [0; 6]);
         drop(first);
-        drop(rx.window(1).take(0));
+        drop(take(&mut rx.window(1), 0));
         assert_eq!(drops(&table), [1, 1, 0, 0, 0, 0]);
         drop((tx, rx));
         assert_eq!(drops(&table), [1; 6], "in-flight descriptors leaked or dropped twice");
@@ -567,7 +596,7 @@ mod tests {
         tx.try_push(2).unwrap();
         assert!(!rx.is_empty());
         assert_eq!(rx.len(), 2);
-        rx.window(1).take(0);
+        take(&mut rx.window(1), 0);
         assert_eq!(rx.len(), 1);
         assert_eq!(tx.free_slots(), 3);
     }
@@ -598,7 +627,7 @@ mod tests {
             let mut taken = vec![None; moved];
             for offset in rng.permutation(moved) {
                 assert_eq!(window.get(offset), Some(&burst[offset]));
-                taken[offset] = Some(window.take(offset));
+                taken[offset] = Some(take(&mut window, offset));
                 assert_eq!(window.get(offset), None, "a taken offset is gone");
                 if rng.below(3) == 0 {
                     window.release_taken();
@@ -625,7 +654,10 @@ mod tests {
             let mut window = rx.window(16);
             let takes = rng.below(17);
             let order = rng.permutation(16);
-            let taken: Vec<Counted> = order[..takes].iter().map(|&offset| window.take(offset)).collect();
+            let mut taken = Vec::new();
+            for &offset in &order[..takes] {
+                window.take_onto(offset, &mut taken);
+            }
             drop(window);
             let untaken: Vec<u32> = (0..16).map(|id| u32::from(!order[..takes].contains(&id))).collect();
             assert_eq!(drops(&table), untaken, "round {round}: only the untaken were dropped, once each");
@@ -647,8 +679,8 @@ mod tests {
         push_counted(&mut tx, &table, 6);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut window = rx.window(6);
-            drop(window.take(3));
-            let first = window.take(0);
+            drop(take(&mut window, 3));
+            let first = take(&mut window, 0);
             window.release_taken();
             drop(first);
             panic!("a run fails with four descriptors in its window");
@@ -661,7 +693,7 @@ mod tests {
         // were put.
         let more = drop_table(2);
         push_counted(&mut tx, &more, 2);
-        assert_eq!(rx.window(2).take(1).id, 1);
+        assert_eq!(take(&mut rx.window(2), 1).id, 1);
         assert_eq!(drops(&more), [1, 1]);
         assert_eq!(tx.free_slots(), 8);
         drop((tx, rx));
@@ -677,18 +709,62 @@ mod tests {
         let (mut tx, mut rx) = spsc_ring::<Counted>(8);
         push_counted(&mut tx, &table, 8);
         let mut window = rx.window(4);
-        let taken = window.take(1);
+        let taken = take(&mut window, 1);
         std::mem::forget(window);
         assert_eq!(drops(&table), [0; 8]);
         let mut next = rx.window(8);
         assert_eq!(drops(&table), [1, 0, 1, 1, 0, 0, 0, 0], "the leaked window's untaken, once");
         assert_eq!(next.len(), 4);
-        assert_eq!(next.take(0).id, 4);
+        assert_eq!(take(&mut next, 0).id, 4);
         std::mem::forget(next);
         drop(taken);
         assert_eq!(tx.free_slots(), 4);
         drop((tx, rx));
         assert_eq!(drops(&table), [1; 8]);
+    }
+
+    /// `take_onto` hands each descriptor to the vector it lands in, and the
+    /// three ways a descriptor can leave a window — taken onto a vector,
+    /// left untaken, or caught in a window that unwinds — drop it exactly
+    /// once between them. A take that panics leaves the vector as it was.
+    #[test]
+    fn take_onto_drops_each_descriptor_once_taken_untaken_or_unwound() {
+        let mut rng = Rng(0x7a6e_0047);
+        for round in 0..100 {
+            let table = drop_table(8);
+            let (mut tx, mut rx) = spsc_ring::<Counted>(8);
+            push_counted(&mut tx, &table, 8);
+            let order = rng.permutation(8);
+            let takes = rng.below(9);
+            let unwind = round % 2 == 1;
+            let mut onto: Vec<Counted> = Vec::new();
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut window = rx.window(8);
+                for &offset in &order[..takes] {
+                    window.take_onto(offset, &mut onto);
+                }
+                if let Some(&again) = order[..takes].first() {
+                    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        window.take_onto(again, &mut onto);
+                    }));
+                    assert!(refused.is_err(), "a second take of offset {again} panics");
+                }
+                assert_eq!(onto.len(), takes, "a refused take pushes nothing");
+                if unwind {
+                    panic!("a run fails with its window open");
+                }
+            }));
+            assert_eq!(run.is_err(), unwind);
+            let ids: Vec<usize> = onto.iter().map(|desc| desc.id).collect();
+            assert_eq!(ids, order[..takes], "round {round}: taken onto the vector in take order");
+            let untaken: Vec<u32> = (0..8).map(|id| u32::from(!ids.contains(&id))).collect();
+            assert_eq!(drops(&table), untaken, "round {round}: only the untaken were dropped, once each");
+            drop(onto);
+            assert_eq!(drops(&table), [1; 8]);
+            assert_eq!(tx.free_slots(), 8);
+            drop((tx, rx));
+            assert_eq!(drops(&table), [1; 8], "round {round}: the ring drops nothing again");
+        }
     }
 
     #[test]
@@ -697,8 +773,8 @@ mod tests {
         let (mut tx, mut rx) = spsc_ring::<u64>(4);
         tx.try_push(7).unwrap();
         let mut window = rx.window(4);
-        assert_eq!(window.take(0), 7);
-        window.take(0);
+        assert_eq!(take(&mut window, 0), 7);
+        take(&mut window, 0);
     }
 
     /// Releasing the taken prefix lets the producer refill exactly the
@@ -710,7 +786,7 @@ mod tests {
         let mut staging: Vec<u64> = (0..8).collect();
         assert_eq!(tx.enqueue_burst(&mut staging), 8);
         let mut window = rx.window(8);
-        assert_eq!([window.take(0), window.take(1), window.take(3)], [0, 1, 3]);
+        assert_eq!([take(&mut window, 0), take(&mut window, 1), take(&mut window, 3)], [0, 1, 3]);
         assert_eq!(tx.free_slots(), 0, "nothing is released before `release_taken`");
         window.release_taken();
         assert_eq!(tx.free_slots(), 2, "offsets 0 and 1; offset 3 waits for offset 2");
@@ -719,7 +795,7 @@ mod tests {
         assert_eq!(tx.try_push(10), Err(10));
         window.release_taken();
         assert_eq!(tx.free_slots(), 0, "a release with no new prefix frees nothing");
-        assert_eq!(window.take(2), 2);
+        assert_eq!(take(&mut window, 2), 2);
         window.release_taken();
         assert_eq!(tx.free_slots(), 2, "offsets 2 and 3");
         assert_eq!(window.get(4), Some(&4));

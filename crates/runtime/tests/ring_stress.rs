@@ -71,9 +71,8 @@ fn stress(total: u64, capacity: usize, max_burst: usize, seed: u64) {
                 order.swap(i, rng.next() as usize % (i + 1));
             }
             out.clear();
-            out.resize(moved, u64::MAX);
             for &offset in &order {
-                out[offset] = window.take(offset);
+                window.take_onto(offset, &mut out);
                 if rng.next().is_multiple_of(4) {
                     window.release_taken();
                 }
@@ -86,10 +85,13 @@ fn stress(total: u64, capacity: usize, max_burst: usize, seed: u64) {
                 }
                 continue;
             }
-            for v in &out {
-                assert_eq!(*v, expected, "descriptor lost, duplicated or reordered");
-                expected += 1;
+            // `out` holds the window in take order: the descriptor taken
+            // `k`-th is the one at offset `order[k]`.
+            for (&offset, &v) in order.iter().zip(&out) {
+                assert_eq!(v, expected + offset as u64, "descriptor lost, duplicated or reordered");
             }
+            assert_eq!(out.len(), moved);
+            expected += moved as u64;
         }
         assert!(rx.is_empty(), "descriptors left behind after the full sequence");
         expected
@@ -132,6 +134,7 @@ fn two_thread_stress_single_push_burst_pop() {
     });
     let consumer = thread::spawn(move || {
         let mut expected = 0u64;
+        let mut out: Vec<u64> = Vec::with_capacity(128);
         while expected < TOTAL {
             // Taken in FIFO order, each slot handed back as soon as its
             // descriptor left it.
@@ -142,8 +145,11 @@ fn two_thread_stress_single_push_burst_pop() {
                 continue;
             }
             for offset in 0..window.len() {
-                assert_eq!(window.take(offset), expected);
+                window.take_onto(offset, &mut out);
                 window.release_taken();
+            }
+            for v in out.drain(..) {
+                assert_eq!(v, expected);
                 expected += 1;
             }
         }
