@@ -172,7 +172,6 @@ fn classify_dst<'a>(
     lwt_bpf: &'a LwtBpfTable,
     transit: &'a TransitTable,
     local_addr: Ipv6Addr,
-    host_addrs: &[Ipv6Addr],
     dst: Ipv6Addr,
 ) -> Dispatch<'a> {
     let lwt_at = |hook| lwt_bpf.lookup_where(dst, |a| a.hook == hook).map(|(_, attachment)| attachment);
@@ -180,7 +179,7 @@ fn classify_dst<'a>(
         let local_sid = (sid_prefix.len() == 128).then(|| sid_prefix.addr());
         return Dispatch::Seg6Local { local_sid, action };
     }
-    if dst == local_addr || host_addrs.contains(&dst) {
+    if dst == local_addr {
         return Dispatch::LocalIn(lwt_at(LwtHook::In));
     }
     if let Some(attachment) = lwt_at(LwtHook::Xmit) {
@@ -219,11 +218,9 @@ struct RouteCache<'a> {
 
 /// The SRv6 datapath of one node.
 pub struct Seg6Datapath {
-    /// Address identifying this node (used as encapsulation source and as a
-    /// local-delivery address).
+    /// Address identifying this node: the encapsulation source, and the
+    /// one address it delivers locally.
     pub local_addr: Ipv6Addr,
-    /// Additional addresses considered local.
-    pub host_addrs: Vec<Ipv6Addr>,
     /// FIB tables (shared with helper environments).
     pub tables: Arc<RouterTables>,
     /// seg6local My-SID table.
@@ -255,7 +252,6 @@ impl Seg6Datapath {
     pub fn new(local_addr: Ipv6Addr) -> Self {
         Seg6Datapath {
             local_addr,
-            host_addrs: Vec::new(),
             tables: Arc::new(RouterTables::new()),
             local_sids: LocalSidTable::new(),
             transit: TransitTable::new(),
@@ -266,12 +262,6 @@ impl Seg6Datapath {
             scratch: RunScratch::new(),
             fib: FibCache::new(),
         }
-    }
-
-    /// Pins this datapath instance to logical CPU `cpu` (builder form).
-    pub fn on_cpu(mut self, cpu: u32) -> Self {
-        self.cpu_id = cpu;
-        self
     }
 
     /// Clones this datapath's configuration into a new instance pinned to
@@ -286,7 +276,6 @@ impl Seg6Datapath {
     pub fn fork_for_cpu(&self, cpu: u32) -> Seg6Datapath {
         Seg6Datapath {
             local_addr: self.local_addr,
-            host_addrs: self.host_addrs.clone(),
             tables: Arc::clone(&self.tables),
             local_sids: self.local_sids.clone(),
             transit: self.transit.clone(),
@@ -296,13 +285,6 @@ impl Seg6Datapath {
             cpu_id: cpu,
             scratch: RunScratch::new(),
             fib: FibCache::new(),
-        }
-    }
-
-    /// Adds an address the node answers for (local delivery).
-    pub fn add_host_addr(&mut self, addr: Ipv6Addr) {
-        if !self.host_addrs.contains(&addr) {
-            self.host_addrs.push(addr);
         }
     }
 
@@ -359,11 +341,6 @@ impl Seg6Datapath {
     pub fn attach_lwt_bpf(&mut self, prefix: Ipv6Prefix, attachment: LwtBpfAttachment) {
         assert_prog_type(&attachment.prog, attachment.hook.program_type(), "an LWT hook");
         self.lwt_bpf.insert(prefix, attachment);
-    }
-
-    /// Whether `dst` is one of this node's local addresses.
-    pub fn is_local_addr(&self, dst: Ipv6Addr) -> bool {
-        dst == self.local_addr || self.host_addrs.contains(&dst)
     }
 
     /// Processes one packet, as the IPv6 receive path would, and returns the
@@ -444,7 +421,6 @@ impl Seg6Datapath {
             stats: &mut self.stats,
             exec: Exec {
                 local_addr: self.local_addr,
-                host_addrs: &self.host_addrs,
                 tables: &self.tables,
                 helpers: &self.helpers,
                 fib: &self.fib,
@@ -479,14 +455,8 @@ impl Batch<'_> {
                 packet.work = WorkSummary::default();
             }
             Some(flow) => {
-                let dispatch = classify_dst(
-                    self.local_sids,
-                    self.lwt_bpf,
-                    self.transit,
-                    self.exec.local_addr,
-                    self.exec.host_addrs,
-                    flow.dst,
-                );
+                let dispatch =
+                    classify_dst(self.local_sids, self.lwt_bpf, self.transit, self.exec.local_addr, flow.dst);
                 self.exec.execute(&dispatch, skb, flow, now_ns, &mut self.routes, packet);
             }
         }
@@ -519,7 +489,6 @@ fn arrived_flow(packet: &[u8]) -> Option<EcmpKey> {
 /// all by reference.
 struct Exec<'e> {
     local_addr: Ipv6Addr,
-    host_addrs: &'e [Ipv6Addr],
     tables: &'e Arc<RouterTables>,
     helpers: &'e HelperRegistry,
     fib: &'e FibCache,
@@ -528,10 +497,6 @@ struct Exec<'e> {
 }
 
 impl<'e> Exec<'e> {
-    fn is_local_addr(&self, dst: Ipv6Addr) -> bool {
-        dst == self.local_addr || self.host_addrs.contains(&dst)
-    }
-
     /// Runs the packet's dispatch and writes what it did into `packet`:
     /// the work classes exercised and the verdict.
     fn execute(
@@ -600,22 +565,22 @@ impl<'e> Exec<'e> {
         &self,
         routes: &mut RouteCache<'e>,
         table: TableId,
-        dst: Ipv6Addr,
+        dst: &Ipv6Addr,
         flow: &EcmpKey,
     ) -> Option<&'e Nexthop> {
         if let Some((cached_table, cached_dst, nexthop)) = routes.entry {
-            if cached_table == table && cached_dst == dst {
+            if cached_table == table && cached_dst == *dst {
                 return nexthop;
             }
         }
         let fib: &'e FibCache = self.fib;
         let mut multipath = false;
-        let nexthop = fib.nexthop(table, dst, || {
+        let nexthop = fib.nexthop(table, *dst, || {
             multipath = true;
             flow.hash()
         });
         if !multipath {
-            routes.entry = Some((table, dst, nexthop));
+            routes.entry = Some((table, *dst, nexthop));
         }
         nexthop
     }
@@ -631,10 +596,13 @@ impl<'e> Exec<'e> {
         routes: &mut RouteCache<'e>,
         verdict: &mut Verdict,
     ) {
-        let (dst, over) = match outcome {
+        // `dst` and the next hop stay borrowed where the action wrote them:
+        // the route lookup reads them through a pointer, and a copy rebuilt
+        // from registers would be reloaded before its stores retire.
+        let (dst, over) = match &outcome {
             ActionOutcome::Forward { dst, route_override } => (dst, route_override),
             ActionOutcome::Drop(reason) => {
-                *verdict = Verdict::Drop(reason);
+                *verdict = Verdict::Drop(*reason);
                 return;
             }
             ActionOutcome::LocalDeliver => {
@@ -644,7 +612,7 @@ impl<'e> Exec<'e> {
         };
         // A seg6local action may have re-targeted the packet at this very
         // node (e.g. the next SID is also ours after decapsulation).
-        if self.is_local_addr(dst) && !over.is_set() {
+        if *dst == self.local_addr && !over.is_set() {
             *verdict = Verdict::LocalDeliver;
             return;
         }
@@ -652,19 +620,19 @@ impl<'e> Exec<'e> {
             *verdict = Verdict::Drop(DropReason::HopLimitExceeded);
             return;
         }
-        *verdict = match (over.nexthop, over.oif) {
+        *verdict = match (&over.nexthop, over.oif) {
             // Fully resolved override: nothing left to look up.
-            (Some(neighbour), Some(oif)) => Verdict::Forward { oif, neighbour },
+            (Some(neighbour), Some(oif)) => Verdict::Forward { oif, neighbour: *neighbour },
             // Next hop known but not the interface: find the interface by
             // looking the next hop itself up.
             (Some(neighbour), None) => match self.lookup_route(routes, MAIN_TABLE, neighbour, flow) {
-                Some(route) => Verdict::Forward { oif: route.oif, neighbour },
+                Some(route) => Verdict::Forward { oif: route.oif, neighbour: *neighbour },
                 None => Verdict::Drop(DropReason::NoRoute),
             },
             // Otherwise: ordinary lookup of the destination in the
             // requested table (End.T / End.DT6) or the main one.
             (None, _) => match self.lookup_route(routes, over.table.unwrap_or(MAIN_TABLE), dst, flow) {
-                Some(route) => Verdict::Forward { oif: route.oif, neighbour: route.neighbour(dst) },
+                Some(route) => Verdict::Forward { oif: route.oif, neighbour: route.neighbour(*dst) },
                 None => Verdict::Drop(DropReason::NoRoute),
             },
         };
@@ -758,14 +726,14 @@ mod tests {
     }
 
     #[test]
-    fn local_delivery_for_host_addresses() {
+    fn local_delivery_is_for_the_local_address_alone() {
         let mut dp = router();
-        dp.add_host_addr(addr("2001:db8::99"));
-        let mut skb = plain_skb("2001:db8::99");
-        assert_eq!(dp.process(&mut skb, 0), Verdict::LocalDeliver);
         let mut skb = plain_skb("fc00::11");
         assert_eq!(dp.process(&mut skb, 0), Verdict::LocalDeliver);
-        assert_eq!(dp.stats.local_delivered, 2);
+        // A neighbouring address of the node's own prefix is routed on.
+        let mut skb = plain_skb("fc00::12");
+        assert_eq!(dp.process(&mut skb, 0), Verdict::Forward { oif: 2, neighbour: addr("fe80::2") });
+        assert_eq!(dp.stats.local_delivered, 1);
     }
 
     #[test]
@@ -989,12 +957,6 @@ mod tests {
     }
 
     #[test]
-    fn on_cpu_sets_the_worker_id() {
-        let dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(3);
-        assert_eq!(dp.cpu_id, 3);
-    }
-
-    #[test]
     fn batch_verdicts_report_per_packet_work() {
         let mut dp = batch_router();
         let mut batch = vec![
@@ -1153,7 +1115,7 @@ mod tests {
         let flow = EcmpKey::default();
         for table in [MAIN_TABLE, 100] {
             let nexthop: Option<&Nexthop> =
-                batch.exec.lookup_route(&mut batch.routes, table, addr("fc00::22"), &flow);
+                batch.exec.lookup_route(&mut batch.routes, table, &addr("fc00::22"), &flow);
             assert_eq!(std::mem::size_of_val(&nexthop), std::mem::size_of::<usize>());
             assert_eq!(nexthop.map(|hop| hop.oif), Some(if table == MAIN_TABLE { 2 } else { 9 }));
         }

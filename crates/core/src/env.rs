@@ -226,10 +226,12 @@ mod tests {
         let mut e = Seg6Env::new("fc00::1".parse().unwrap(), Arc::clone(&tables), 0);
         assert!(e.lookup(MAIN_TABLE, "fc00::2".parse().unwrap()).is_none());
         tables.insert_main("fc00::/16".parse().unwrap(), vec![Nexthop::direct(1), Nexthop::direct(2)]);
+        let mut trie = FibCache::new();
+        trie.refresh(&tables);
         for label in 0..32 {
             e.flow = EcmpKey { flow_label: label, ..EcmpKey::default() };
             let dst = "fc00::2".parse().unwrap();
-            let want = tables.lookup_main(dst, e.flow.hash()).map(|hit| hit.nexthop);
+            let want = trie.lookup(MAIN_TABLE, dst, e.flow.hash()).map(|hit| hit.nexthop);
             assert_eq!(e.lookup(MAIN_TABLE, dst).copied(), want);
         }
     }

@@ -499,33 +499,12 @@ impl RouterTables {
         self.vrfs.read().unwrap_or_else(PoisonError::into_inner).names.get(name).copied()
     }
 
-    /// Every registered VRF as `(name, table id)`, sorted by id (stable
-    /// output for inspection and export).
-    pub fn vrf_names(&self) -> Vec<(String, TableId)> {
-        let mut out: Vec<(String, TableId)> = self
-            .vrfs
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .names
-            .iter()
-            .map(|(name, id)| (name.clone(), *id))
-            .collect();
-        out.sort_by_key(|(_, id)| *id);
-        out
-    }
-
     /// Inserts a route into the VRF `name` (registering it on first use)
     /// and returns the VRF's table id.
     pub fn insert_vrf(&self, name: &str, prefix: Ipv6Prefix, nexthops: Vec<Nexthop>) -> TableId {
         let table = self.register_vrf(name);
         self.insert(table, prefix, nexthops);
         table
-    }
-
-    /// Looks `dst` up in the VRF `name` (`None` on an unregistered VRF or
-    /// a lookup miss).
-    pub fn lookup_vrf(&self, name: &str, dst: Ipv6Addr, flow_hash: u64) -> Option<LookupResult> {
-        self.lookup(self.vrf(name)?, dst, flow_hash)
     }
 
     /// Removes a route from table `table`.
@@ -555,21 +534,6 @@ impl RouterTables {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Looks `dst` up in table `table`.
-    pub fn lookup(&self, table: TableId, dst: Ipv6Addr, flow_hash: u64) -> Option<LookupResult> {
-        self.tables
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&table)
-            .and_then(|fib| fib.lookup(dst, flow_hash))
-            .map(LookupHit::to_result)
-    }
-
-    /// Looks `dst` up in the main table.
-    pub fn lookup_main(&self, dst: Ipv6Addr, flow_hash: u64) -> Option<LookupResult> {
-        self.lookup(MAIN_TABLE, dst, flow_hash)
-    }
-
     /// ECMP next hops of `dst` in the main table (for `End.OAMP`). Owned,
     /// because the borrow cannot outlive the table lock; per-packet
     /// consumers should use [`RouterTables::with_ecmp_nexthops`] instead.
@@ -584,11 +548,6 @@ impl RouterTables {
         let guard = self.tables.read().unwrap_or_else(PoisonError::into_inner);
         let nexthops = guard.get(&MAIN_TABLE).map(|fib| fib.ecmp_nexthops(dst)).unwrap_or(&[]);
         f(nexthops)
-    }
-
-    /// Number of routes across all tables.
-    pub fn total_routes(&self) -> usize {
-        self.tables.read().unwrap_or_else(PoisonError::into_inner).values().map(|fib| fib.len()).sum()
     }
 }
 
@@ -664,6 +623,14 @@ mod tests {
 
     fn prefix(s: &str) -> Ipv6Prefix {
         s.parse().unwrap()
+    }
+
+    /// The interface `dst` leaves on in `table`, read through a fresh
+    /// snapshot, as every reader of the tables reads them.
+    fn oif(tables: &RouterTables, table: TableId, dst: &str) -> Option<u32> {
+        let mut cache = FibCache::new();
+        cache.refresh(tables);
+        cache.lookup(table, addr(dst), 0).map(|hit| hit.nexthop.oif)
     }
 
     #[test]
@@ -848,12 +815,13 @@ mod tests {
         let tables = RouterTables::new();
         tables.insert_main(prefix("fc00::/16"), vec![Nexthop::direct(1)]);
         tables.insert(100, prefix("fc00::/16"), vec![Nexthop::direct(2)]);
-        assert_eq!(tables.lookup_main(addr("fc00::1"), 0).unwrap().nexthop.oif, 1);
-        assert_eq!(tables.lookup(100, addr("fc00::1"), 0).unwrap().nexthop.oif, 2);
-        assert!(tables.lookup(200, addr("fc00::1"), 0).is_none());
-        assert_eq!(tables.total_routes(), 2);
+        assert_eq!(oif(&tables, MAIN_TABLE, "fc00::1"), Some(1));
+        assert_eq!(oif(&tables, 100, "fc00::1"), Some(2));
+        assert_eq!(oif(&tables, 200, "fc00::1"), None);
         assert!(tables.remove(100, &prefix("fc00::/16")));
-        assert_eq!(tables.total_routes(), 1);
+        assert!(!tables.remove(100, &prefix("fc00::/16")), "a removed route is gone");
+        assert_eq!(oif(&tables, 100, "fc00::1"), None);
+        assert_eq!(oif(&tables, MAIN_TABLE, "fc00::1"), Some(1));
     }
 
     #[test]
@@ -866,15 +834,14 @@ mod tests {
         assert_eq!(tables.register_vrf("tenant-a"), a, "re-registration returns the same id");
         assert_eq!(tables.vrf("tenant-a"), Some(a));
         assert_eq!(tables.vrf("tenant-c"), None);
-        assert_eq!(tables.vrf_names(), vec![("tenant-a".into(), a), ("tenant-b".into(), b)]);
+        assert_eq!(tables.vrf("tenant-b"), Some(b));
 
         // Routes in one VRF are invisible to the other and to main.
         tables.insert_vrf("tenant-a", prefix("fc00::/16"), vec![Nexthop::direct(1)]);
         tables.insert_vrf("tenant-b", prefix("fc00::/16"), vec![Nexthop::direct(2)]);
-        assert_eq!(tables.lookup_vrf("tenant-a", addr("fc00::1"), 0).unwrap().nexthop.oif, 1);
-        assert_eq!(tables.lookup_vrf("tenant-b", addr("fc00::1"), 0).unwrap().nexthop.oif, 2);
-        assert!(tables.lookup_main(addr("fc00::1"), 0).is_none());
-        assert!(tables.lookup_vrf("tenant-c", addr("fc00::1"), 0).is_none());
+        assert_eq!(oif(&tables, a, "fc00::1"), Some(1));
+        assert_eq!(oif(&tables, b, "fc00::1"), Some(2));
+        assert_eq!(oif(&tables, MAIN_TABLE, "fc00::1"), None);
     }
 
     #[test]
@@ -885,7 +852,7 @@ mod tests {
         tables.insert(VRF_TABLE_BASE + 1, prefix("fc00::/16"), vec![Nexthop::direct(8)]);
         let a = tables.register_vrf("tenant-a");
         assert_eq!(a, VRF_TABLE_BASE + 2, "allocation skips occupied ids");
-        assert_eq!(tables.lookup(VRF_TABLE_BASE, addr("fc00::1"), 0).unwrap().nexthop.oif, 7);
+        assert_eq!(oif(&tables, VRF_TABLE_BASE, "fc00::1"), Some(7));
     }
 
     #[test]
@@ -943,6 +910,6 @@ mod tests {
         // snapshot keeps answering with the old state until refreshed.
         tables.insert_main(prefix("fc00::/16"), vec![Nexthop::direct(2)]);
         assert_eq!(cache.lookup(MAIN_TABLE, addr("fc00::1"), 0).unwrap().nexthop.oif, 1);
-        assert_eq!(tables.lookup_main(addr("fc00::1"), 0).unwrap().nexthop.oif, 2);
+        assert_eq!(oif(&tables, MAIN_TABLE, "fc00::1"), Some(2), "a fresh snapshot sees the write");
     }
 }

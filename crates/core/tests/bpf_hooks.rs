@@ -516,7 +516,7 @@ fn every_tier_reads_the_moved_packet_after_a_resizing_helper() {
 #[test]
 fn no_path_moves_the_payload() {
     for tier in ExecTier::ALL {
-        let (mut dp, _perf) = nf_paths::router(0, Some(tier));
+        let (mut dp, _perf) = nf_paths::router(Some(tier));
         for (path, frame) in nf_paths::steady_frames(1).iter().enumerate() {
             let mut skb = Skb::new(PacketBuf::from_slice(frame));
             let last_byte = skb.packet.data().as_ptr_range().end;

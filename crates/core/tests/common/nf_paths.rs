@@ -38,17 +38,17 @@ fn prefix(s: &str) -> Ipv6Prefix {
     s.parse().unwrap()
 }
 
-/// A router running every path of the gate on logical CPU `cpu`, its
-/// programs pinned to `tier` (`None`: the loader's pick), and the perf
+/// A router running every path of the gate, its programs pinned to
+/// `tier` (`None`: the loader's pick), and the perf
 /// ring its `End.DM` reports to.
-pub fn router(cpu: u32, tier: Option<ExecTier>) -> (Seg6Datapath, Arc<PerfEventBuffer>) {
-    let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
+pub fn router(tier: Option<ExecTier>) -> (Seg6Datapath, Arc<PerfEventBuffer>) {
+    let mut dp = Seg6Datapath::new(addr("fc00::1"));
     dp.add_route(prefix("fc00::/16"), vec![Nexthop::via(addr("fe80::2"), 2)]);
     dp.add_route(prefix("fd00::/16"), vec![Nexthop::via(addr("fe80::2"), 2)]);
     dp.add_route(prefix("2001:db8::/32"), vec![Nexthop::via(addr("fe80::3"), 3)]);
     dp.add_route_in_table(VRF, prefix("fc00::/16"), vec![Nexthop::via(addr("fe80::9"), 9)]);
 
-    let perf_array = PerfEventArray::per_cpu(4096, cpu + 1);
+    let perf_array = PerfEventArray::per_cpu(4096, 1);
     let perf = perf_array.perf_buffer().expect("a perf-event array has a buffer");
     let (wrr_state, wrr_config) = wrr_maps(2, 1, addr("fc00::a1"), addr("fc00::a2"));
     let maps: HashMap<u32, MapHandle> =

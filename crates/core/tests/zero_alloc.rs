@@ -238,7 +238,7 @@ fn steady_round_allocations(
 fn programs_and_encapsulations_are_allocation_free_on_every_tier() {
     let frames = nf_paths::steady_frames(4);
     for tier in ebpf_vm::ExecTier::ALL {
-        let (mut dp, _perf) = nf_paths::router(0, Some(tier));
+        let (mut dp, _perf) = nf_paths::router(Some(tier));
         let allocations = steady_round_allocations(&mut dp, &frames, || {});
         assert_eq!(allocations, 0, "tier {}: {} packets", tier.name(), frames.len());
         assert_eq!(dp.stats.bpf_invocations as usize, 3 * frames.len() / 2, "half the paths run a program");
@@ -254,7 +254,7 @@ fn end_dm_probes_are_allocation_free() {
     const PROBES: u16 = 16;
     let frames = nf_paths::probe_frames(PROBES);
     for tier in ebpf_vm::ExecTier::ALL {
-        let (mut dp, perf) = nf_paths::router(0, Some(tier));
+        let (mut dp, perf) = nf_paths::router(Some(tier));
         let allocations = steady_round_allocations(&mut dp, &frames, || drop(perf.drain()));
         assert_eq!(allocations, 0, "tier {}", tier.name());
         assert_eq!(perf.len(), usize::from(PROBES), "every probe of the last round reported");

@@ -462,11 +462,6 @@ impl<'r, 'a> HelperApi<'r, 'a> {
         self.rc.ctx
     }
 
-    /// Mutable access to the context structure.
-    pub fn ctx_mut(&mut self) -> &mut [u8] {
-        self.rc.ctx
-    }
-
     /// The embedder environment.
     pub fn env(&mut self) -> &mut dyn VmEnv {
         self.rc.env

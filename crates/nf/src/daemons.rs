@@ -302,8 +302,8 @@ mod tests {
         let ring = perf.perf_buffer().unwrap();
         let collector = Arc::new(Mutex::new(DelayCollector::new(Arc::clone(&ring))));
         let config = PoolConfig { workers: WORKERS, batch_size: 8, ..Default::default() };
-        let mut pool = WorkerPool::new(config, |cpu| {
-            let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
+        let mut pool = WorkerPool::new(config, |_| {
+            let mut dp = Seg6Datapath::new(addr("fc00::1"));
             dp.add_route("2001:db8:2::/48".parse().unwrap(), vec![Nexthop::via(addr("fe80::5"), 5)]);
             let mut maps: HashMap<u32, MapHandle> = HashMap::new();
             maps.insert(1, perf.clone());

@@ -28,10 +28,6 @@ pub enum PinPolicy {
     /// Shard `i` → the `i`-th available core (wrapping): dense packing,
     /// shares caches, leaves the remaining cores free.
     Compact,
-    /// Shards spread evenly across the available cores: shard `i` of `w`
-    /// → core `i * cores / w` — maximises cache and memory-channel
-    /// spacing on big hosts.
-    Spread,
     /// An explicit core list: shard `i` → `cores[i % len]`.
     Explicit(Vec<u32>),
 }
@@ -50,7 +46,6 @@ impl PinPolicy {
             .map(|i| match self {
                 PinPolicy::None => None,
                 PinPolicy::Compact => Some(cores[i % cores.len()]),
-                PinPolicy::Spread => Some(cores[(i * cores.len()) / workers % cores.len()]),
                 PinPolicy::Explicit(list) => {
                     if list.is_empty() {
                         None
@@ -66,20 +61,19 @@ impl PinPolicy {
 impl FromStr for PinPolicy {
     type Err = String;
 
-    /// Parses `none`, `compact`, `spread`, or an explicit comma-separated
+    /// Parses `none`, `compact`, or an explicit comma-separated
     /// core list like `0,2,4` — the grammar srv6d's `pin =` key uses.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim() {
             "none" => Ok(PinPolicy::None),
             "compact" => Ok(PinPolicy::Compact),
-            "spread" => Ok(PinPolicy::Spread),
             list => {
                 let cores: Result<Vec<u32>, _> = list.split(',').map(|c| c.trim().parse::<u32>()).collect();
                 match cores {
                     Ok(cores) if !cores.is_empty() => Ok(PinPolicy::Explicit(cores)),
-                    _ => Err(format!(
-                        "bad pin policy '{s}' (expected none/compact/spread or a core list like 0,2,4)"
-                    )),
+                    _ => {
+                        Err(format!("bad pin policy '{s}' (expected none/compact or a core list like 0,2,4)"))
+                    }
                 }
             }
         }
@@ -91,7 +85,6 @@ impl std::fmt::Display for PinPolicy {
         match self {
             PinPolicy::None => f.write_str("none"),
             PinPolicy::Compact => f.write_str("compact"),
-            PinPolicy::Spread => f.write_str("spread"),
             PinPolicy::Explicit(cores) => {
                 for (i, c) in cores.iter().enumerate() {
                     if i > 0 {
@@ -200,12 +193,12 @@ mod tests {
     fn policies_parse_and_display() {
         assert_eq!("none".parse::<PinPolicy>().unwrap(), PinPolicy::None);
         assert_eq!("compact".parse::<PinPolicy>().unwrap(), PinPolicy::Compact);
-        assert_eq!("spread".parse::<PinPolicy>().unwrap(), PinPolicy::Spread);
+        assert!("spread".parse::<PinPolicy>().is_err());
         assert_eq!(" 0, 2,4 ".parse::<PinPolicy>().unwrap(), PinPolicy::Explicit(vec![0, 2, 4]));
         assert!("fastest".parse::<PinPolicy>().is_err());
         assert!("".parse::<PinPolicy>().is_err());
         assert_eq!(PinPolicy::Explicit(vec![1, 3]).to_string(), "1,3");
-        assert_eq!(PinPolicy::Spread.to_string(), "spread");
+        assert_eq!(PinPolicy::Compact.to_string(), "compact");
     }
 
     #[test]
@@ -213,9 +206,6 @@ mod tests {
         let cores = [0, 1, 2, 3, 4, 5, 6, 7];
         assert_eq!(PinPolicy::None.plan(4, &cores), vec![None; 4]);
         assert_eq!(PinPolicy::Compact.plan(3, &cores), vec![Some(0), Some(1), Some(2)]);
-        // Spread spaces 2 shards half the core list apart.
-        assert_eq!(PinPolicy::Spread.plan(2, &cores), vec![Some(0), Some(4)]);
-        assert_eq!(PinPolicy::Spread.plan(4, &cores), vec![Some(0), Some(2), Some(4), Some(6)]);
         // Explicit lists wrap; oversubscription is the operator's call.
         assert_eq!(PinPolicy::Explicit(vec![6, 7]).plan(3, &cores), vec![Some(6), Some(7), Some(6)]);
         // Sparse affinity masks (cgroup cpusets) are respected, not

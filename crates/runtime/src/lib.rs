@@ -33,8 +33,8 @@
 //! use seg6_core::{Nexthop, Seg6Datapath};
 //! use netpkt::packet::build_ipv6_udp_packet;
 //!
-//! let mut pool = WorkerPool::new(PoolConfig { workers: 4, ..Default::default() }, |cpu| {
-//!     let mut dp = Seg6Datapath::new("fc00::1".parse().unwrap()).on_cpu(cpu);
+//! let mut pool = WorkerPool::new(PoolConfig { workers: 4, ..Default::default() }, |_| {
+//!     let mut dp = Seg6Datapath::new("fc00::1".parse().unwrap());
 //!     dp.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
 //!     dp
 //! });

@@ -81,11 +81,10 @@
 //!   every run — the
 //!   pre-tenancy perf-drain cadence is preserved exactly.
 //! * Packet storage is **recycled** across tenants through one loop:
-//!   workers hand every processed packet over at the flush barrier, and
-//!   [`WorkerPool::flush`] either returns them
-//!   ([`PoolConfig::collect_outputs`]; the caller hands each buffer back
-//!   with [`WorkerPool::recycle`]) or puts every buffer back into the
-//!   dispatcher's [`BufPool`] arena itself. The arena sizes each buffer
+//!   workers hand every processed packet over at the flush barrier,
+//!   [`WorkerPool::flush`] returns them, and the caller hands each buffer
+//!   back into the dispatcher's [`BufPool`] arena with
+//!   [`WorkerPool::recycle`]. The arena sizes each buffer
 //!   to its frame, in two size classes (small frames, and anything up to a
 //!   full socket frame); it mints only when no free buffer of the frame's
 //!   class or a larger one is left, and it retains per class up to an
@@ -113,8 +112,8 @@
 //!   worker exactly as a ring publish does, and the dispatcher parks until
 //!   `done` catches up (checking that the worker is still alive, so a dead
 //!   shard fails the flush loudly instead of hanging it). The report is
-//!   the window's difference of the counter cells plus the collected
-//!   outputs **in shard index order**, each carrying its [`TenantId`]; a
+//!   the window's difference of the counter cells plus the outputs **in
+//!   shard index order**, each carrying its [`TenantId`]; a
 //!   shard hands its window's vector over and starts the next window at
 //!   the same capacity, so a steady window never regrows it.
 //! * Dropping or [`WorkerPool::shutdown`]ting the pool delivers a shutdown
@@ -215,11 +214,9 @@ pub struct PoolConfig {
     /// the effective value). An enqueue onto a full ring is rejected and
     /// counted — the pool's backpressure signal.
     pub queue_depth: usize,
-    /// Have [`WorkerPool::flush`] return each processed packet and its
-    /// [`BatchVerdict`](seg6_core::BatchVerdict) (tagged with their
-    /// [`TenantId`]); hand the buffers back with [`WorkerPool::recycle`]
-    /// after reading them. Off, the flush puts every buffer back into the
-    /// arena itself — the setting for counter-only workloads.
+    /// Ignored: [`WorkerPool::flush`] always returns the outputs. The
+    /// field stays only while the benchmark harness names it in a struct
+    /// literal, and goes when that harness stops naming it.
     pub collect_outputs: bool,
     /// How shard threads pin themselves to CPU cores
     /// (`sched_setaffinity(2)` at spawn, inside the worker thread). The
@@ -253,8 +250,10 @@ pub struct PoolReport {
     /// The pool-wide counters of this flush window: what the live cells
     /// ([`WorkerPool::counters`]) counted since the previous flush.
     pub run: ShardSnapshot,
-    /// Per-shard outputs, indexed by shard id. Inner vectors are empty
-    /// unless [`PoolConfig::collect_outputs`] is set.
+    /// Per-shard outputs, indexed by shard id: each packet processed in
+    /// the window with its [`BatchVerdict`](seg6_core::BatchVerdict),
+    /// tagged with its [`TenantId`]. Hand each buffer back with
+    /// [`WorkerPool::recycle`] after reading it.
     pub outputs: Vec<ShardOutputs>,
 }
 
@@ -262,7 +261,7 @@ pub struct PoolReport {
 /// after the final flush barrier and before the worker threads exit.
 pub struct DrainReport {
     /// The final [`WorkerPool::flush`] barrier's report — the last window
-    /// of verdicts (and collected outputs) before shutdown.
+    /// of verdicts and outputs before shutdown.
     pub last_flush: PoolReport,
     /// The per-tenant × per-shard counters at quiescence. Final by
     /// construction: the drain consumed the pool, so no enqueue can
@@ -362,7 +361,7 @@ impl WorkerPool {
     /// staging, plus one slack buffer **per tenant** (each tenant's
     /// ingestion path can hold one buffer in hand mid-enqueue). Buffers
     /// come back only at the flush barrier, so the invariant is: a caller
-    /// that flushes (and recycles collected outputs) at least once per
+    /// that flushes (and recycles the outputs) at least once per
     /// [`WorkerPool::queue_capacity`] packets per shard never has more
     /// buffers out than this, so the arena never drops one it will need
     /// again — once it has served a window of a stationary mix it mints
@@ -503,23 +502,21 @@ impl WorkerPool {
         &self.bufs
     }
 
-    /// Hands a collected output's buffer back to the recycling arena — the
-    /// way to return [`PoolConfig::collect_outputs`] buffers after reading
-    /// them, closing the zero-allocation loop for output-collecting
-    /// callers. The pool's own outputs belong here: each goes back to the
-    /// size class its storage holds. Any other buffer is accepted, and one
-    /// too small for either class is grown into the small one on the way
-    /// in ([`BufPool::put`]).
+    /// Hands an output's buffer back to the recycling arena — the way to
+    /// return [`PoolReport::outputs`] buffers after reading them, closing
+    /// the zero-allocation loop. The pool's own outputs belong here: each
+    /// goes back to the size class its storage holds. Any other buffer is
+    /// accepted, and one too small for either class is grown into the
+    /// small one on the way in ([`BufPool::put`]).
     #[inline]
     pub fn recycle(&mut self, buf: PacketBuf) {
         self.bufs.put(buf);
     }
 
-    /// The shard a packet steers to. Identical steering to simnet's
-    /// per-node RSS model: the Toeplitz hash of the 5-tuple, modulo the
-    /// shard count. Steering is tenant-independent — tenants share the
-    /// shards, like VRFs share a host's CPUs. A one-shard pool has no
-    /// choice to make and does not read the frame.
+    /// The shard a packet steers to: the Toeplitz hash of the 5-tuple,
+    /// modulo the shard count. Steering is tenant-independent — tenants
+    /// share the shards, like VRFs share a host's CPUs. A one-shard pool
+    /// has no choice to make and does not read the frame.
     fn steer_to(&self, packet: &[u8]) -> u32 {
         if self.shards.len() == 1 {
             return 0;
@@ -598,11 +595,9 @@ impl WorkerPool {
 
     /// Barrier: waits until every shard has processed everything enqueued
     /// before this call, and returns what the counter cells counted since
-    /// the previous flush, plus the outputs (when collected) — always in
-    /// shard index order, regardless of which shard finished first. This is
-    /// where packet buffers come back: without
-    /// [`PoolConfig::collect_outputs`], every one goes straight into the
-    /// arena; with it, the caller [`WorkerPool::recycle`]s them.
+    /// the previous flush, plus the outputs — always in shard index order,
+    /// regardless of which shard finished first. This is where packet
+    /// buffers come back: the caller [`WorkerPool::recycle`]s each one.
     pub fn flush(&mut self) -> PoolReport {
         // Hand every shard its barrier first, then collect in index order:
         // the shards drain concurrently, the ordering is imposed only on
@@ -612,17 +607,12 @@ impl WorkerPool {
             tx.barrier.request(self.barriers);
             tx.wake();
         }
-        let mut outputs: Vec<ShardOutputs> = self
+        let outputs: Vec<ShardOutputs> = self
             .shards
             .iter()
             .zip(&self.handles)
             .map(|(tx, worker)| tx.barrier.wait(self.barriers, worker))
             .collect();
-        if !self.config.collect_outputs {
-            for (_, skb, _) in outputs.iter_mut().flat_map(|shard| shard.drain(..)) {
-                self.bufs.put(skb.into_packet());
-            }
-        }
         // Every worker added its runs to the cells before it answered, and
         // its `done` store orders those writes before these reads.
         let totals = self.totals();

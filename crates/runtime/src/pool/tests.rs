@@ -48,8 +48,8 @@ fn pinned_shards_report_their_placement() {
     assert!(snap.placement.iter().all(|p| p.pinned_core.is_none()));
 }
 
-fn forwarding_datapath(cpu: u32) -> Seg6Datapath {
-    let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
+fn forwarding_datapath(_: u32) -> Seg6Datapath {
+    let mut dp = Seg6Datapath::new(addr("fc00::1"));
     dp.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
     dp
 }
@@ -120,6 +120,16 @@ fn reference_counts(
         }
     }
     counts
+}
+
+/// One flush barrier whose outputs all go straight back to the arena;
+/// returns the window's counters.
+fn flush_recycled(pool: &mut WorkerPool) -> ShardSnapshot {
+    let report = pool.flush();
+    for (_, skb, _) in report.outputs.into_iter().flatten() {
+        pool.recycle(skb.into_packet());
+    }
+    report.run
 }
 
 /// Runs `packets` through one enqueue/flush window of `pool` (which
@@ -299,8 +309,8 @@ fn per_worker_map_state_is_disjoint() {
     let shared: MapHandle = counter.clone();
 
     let config = PoolConfig { workers: WORKERS, batch_size: 8, ..Default::default() };
-    let mut pool = WorkerPool::new(config, |cpu| {
-        let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
+    let mut pool = WorkerPool::new(config, |_| {
+        let mut dp = Seg6Datapath::new(addr("fc00::1"));
         dp.add_route("fc00::/16".parse().unwrap(), vec![Nexthop::direct(1)]);
         // Each shard loads its own program instance against the shared
         // per-CPU map, as each kernel CPU would.
@@ -513,7 +523,7 @@ fn adaptive_bursts_respect_the_napi_budget_and_batch_bound() {
 /// per-shard view.
 #[test]
 fn tenants_route_through_their_own_datapaths() {
-    let config = PoolConfig { workers: 2, batch_size: 8, collect_outputs: true, ..Default::default() };
+    let config = PoolConfig { workers: 2, batch_size: 8, ..Default::default() };
     let mut pool = WorkerPool::from_datapath(config, &oif_datapath(10));
     let tenant_b = pool.add_tenant(&oif_datapath(20), TenantQos::default());
     assert_eq!(pool.tenants(), 2);
@@ -561,7 +571,7 @@ fn tenants_route_through_their_own_datapaths() {
 
 #[test]
 fn outputs_carry_verdicts_and_rewritten_packets() {
-    let config = PoolConfig { workers: 2, batch_size: 4, collect_outputs: true, ..Default::default() };
+    let config = PoolConfig { workers: 2, batch_size: 4, ..Default::default() };
     let mut pool = WorkerPool::new(config, forwarding_datapath);
     let packets: Vec<PacketBuf> = (0..32).map(flow_packet).collect();
     pool.enqueue_bytes_all(0, frames(&packets));
@@ -651,7 +661,7 @@ fn bytes_ingestion_recycles_buffers_between_rounds() {
     // Warm-up: the first round mints fresh buffers.
     for _ in 0..2 {
         assert_eq!(pool.enqueue_bytes_all(0, frames(&packets)), 128);
-        assert_eq!(pool.flush().run.processed, 128);
+        assert_eq!(flush_recycled(&mut pool).processed, 128);
     }
     // Buffers come back only at the barrier, so a window needs exactly
     // the buffers it enqueued: the first round minted one per frame,
@@ -662,7 +672,7 @@ fn bytes_ingestion_recycles_buffers_between_rounds() {
     // Steady state: every round is served from recycled storage.
     for round in 0..4 {
         assert_eq!(pool.enqueue_bytes_all(0, frames(&packets)), 128);
-        assert_eq!(pool.flush().run.processed, 128);
+        assert_eq!(flush_recycled(&mut pool).processed, 128);
         assert_eq!(
             pool.buf_pool().allocations(),
             minted,
@@ -678,8 +688,8 @@ fn bytes_ingestion_recycles_buffers_between_rounds() {
     assert_eq!(window, reference_counts(2, &packets, forwarding_datapath));
 }
 
-/// Without collected outputs the flush barrier itself puts every
-/// buffer back into the arena: when `flush()` returns, `available()`
+/// The flush barrier hands every buffer of its window back in its
+/// report, and keeps none: once the caller recycles them, `available()`
 /// is whole again, with no later ingestion call needed to reclaim
 /// anything.
 #[test]
@@ -690,7 +700,7 @@ fn flush_returns_every_buffer_to_the_arena() {
 
     // The first window mints its buffers.
     assert_eq!(pool.enqueue_bytes_all(0, frames(&packets)), 128);
-    pool.flush();
+    flush_recycled(&mut pool);
     let available = pool.buf_pool().available();
     assert_eq!(available as u64, pool.buf_pool().allocations(), "every minted buffer is back");
 
@@ -700,7 +710,11 @@ fn flush_returns_every_buffer_to_the_arena() {
         }
         assert_eq!(pool.buf_pool().available(), available - 128);
         let report = pool.flush();
-        assert!(report.outputs.iter().all(Vec::is_empty), "nothing is collected");
+        assert_eq!(report.outputs.iter().map(Vec::len).sum::<usize>(), 128, "every buffer is in the report");
+        assert_eq!(pool.buf_pool().available(), available - 128, "the flush put none back itself");
+        for (_, skb, _) in report.outputs.into_iter().flatten() {
+            pool.recycle(skb.into_packet());
+        }
         assert_eq!(pool.buf_pool().available(), available, "round {round}: buffers stayed out");
     }
 }
@@ -759,8 +773,8 @@ fn per_cpu_perf_events_survive_pool_shutdown_exactly_once() {
     let collected: Arc<std::sync::Mutex<Vec<PerfEvent>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
 
     let config = PoolConfig { workers: WORKERS, batch_size: 8, ..Default::default() };
-    let mut pool = WorkerPool::new(config, |cpu| {
-        let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
+    let mut pool = WorkerPool::new(config, |_| {
+        let mut dp = Seg6Datapath::new(addr("fc00::1"));
         dp.add_route("fc00::/16".parse().unwrap(), vec![Nexthop::direct(1)]);
         let mut maps: HashMap<u32, MapHandle> = HashMap::new();
         maps.insert(1, Arc::clone(&counter));

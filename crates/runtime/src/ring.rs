@@ -37,8 +37,9 @@
 //! it is the transport under the pool's zero-allocation ingestion gate.
 //! Capacity rounds **up** to the next power of two ([`Producer::capacity`]
 //! reports the effective value) and the boundary is exact: a ring holds
-//! exactly `capacity` in-flight descriptors, the `capacity + 1`-th push
-//! fails, and one pop makes room for exactly one more.
+//! exactly `capacity` in-flight descriptors, a burst into a full ring
+//! accepts none of them, and each descriptor taken and released makes
+//! room for exactly one more.
 //!
 //! # Safety model
 //!
@@ -177,26 +178,6 @@ impl<T> Producer<T> {
         self.capacity() - self.tail.wrapping_sub(self.head_cache)
     }
 
-    /// Pushes one descriptor and publishes it immediately. Returns the
-    /// descriptor back when the ring is full — the caller owns the
-    /// rejection (the pool counts it as backpressure).
-    pub fn try_push(&mut self, item: T) -> Result<(), T> {
-        let cap = self.capacity();
-        if self.tail.wrapping_sub(self.head_cache) == cap {
-            self.head_cache = self.shared.head.0.load(Ordering::Acquire);
-            if self.tail.wrapping_sub(self.head_cache) == cap {
-                return Err(item);
-            }
-        }
-        // SAFETY: the ring is not full, so slot `tail & mask` is outside
-        // `[head, tail)` — the consumer will not touch it until the
-        // release store below publishes it.
-        unsafe { (*self.shared.slots[self.tail & self.shared.mask].get()).write(item) };
-        self.tail = self.tail.wrapping_add(1);
-        self.shared.tail.0.store(self.tail, Ordering::Release);
-        Ok(())
-    }
-
     /// Moves the longest prefix of `staging` that fits into the ring and
     /// publishes the whole burst with **one** release store. Returns how
     /// many descriptors were accepted; the rejected remainder stays in
@@ -214,9 +195,10 @@ impl<T> Producer<T> {
         }
         let mut pos = self.tail;
         for item in staging.drain(..n) {
-            // SAFETY: `n` positions starting at `tail` are free (see
-            // `try_push`); none is visible to the consumer until the
-            // single release store after the loop.
+            // SAFETY: `n` positions starting at `tail` are free, so they
+            // lie outside `[head, tail)` and the consumer will not touch
+            // them; none is visible to it until the single release store
+            // after the loop.
             unsafe { (*self.shared.slots[pos & self.shared.mask].get()).write(item) };
             pos = pos.wrapping_add(1);
         }
@@ -464,10 +446,20 @@ mod tests {
         out.pop().expect("take_onto pushed the descriptor")
     }
 
+    /// Publishes `item` as a burst of one, handing it back when the ring
+    /// is full.
+    fn push<T>(tx: &mut Producer<T>, item: T) -> Result<(), T> {
+        let mut staging = vec![item];
+        match tx.enqueue_burst(&mut staging) {
+            1 => Ok(()),
+            _ => Err(staging.pop().expect("a rejected burst stays staged")),
+        }
+    }
+
     /// Fills `tx` with `n` counted descriptors, ids `0..n`.
     fn push_counted(tx: &mut Producer<Counted>, table: &Arc<[AtomicU32]>, n: usize) {
         for id in 0..n {
-            assert!(tx.try_push(Counted { id, drops: Arc::clone(table) }).is_ok());
+            assert!(push(tx, Counted { id, drops: Arc::clone(table) }).is_ok());
         }
     }
 
@@ -513,14 +505,14 @@ mod tests {
         let cap = tx.capacity();
         assert_eq!(cap, 8);
         for i in 0..cap as u64 {
-            assert!(tx.try_push(i).is_ok(), "descriptor {i} of exactly capacity must fit");
+            assert!(push(&mut tx, i).is_ok(), "descriptor {i} of exactly capacity must fit");
         }
-        assert_eq!(tx.try_push(99), Err(99), "capacity + 1 must be rejected");
+        assert_eq!(push(&mut tx, 99), Err(99), "capacity + 1 must be rejected");
         assert_eq!(tx.free_slots(), 0);
         // One descriptor taken frees exactly one slot.
         assert_eq!(take(&mut rx.window(1), 0), 0);
-        assert!(tx.try_push(100).is_ok());
-        assert_eq!(tx.try_push(101), Err(101));
+        assert!(push(&mut tx, 100).is_ok());
+        assert_eq!(push(&mut tx, 101), Err(101));
         // Burst accounting at the same boundary: nothing fits, nothing is
         // silently dropped.
         let mut staging = vec![7u64, 8, 9];
@@ -592,8 +584,8 @@ mod tests {
         let (mut tx, mut rx) = spsc_ring::<u8>(4);
         assert!(rx.is_empty());
         assert_eq!(rx.len(), 0);
-        tx.try_push(1).unwrap();
-        tx.try_push(2).unwrap();
+        push(&mut tx, 1).unwrap();
+        push(&mut tx, 2).unwrap();
         assert!(!rx.is_empty());
         assert_eq!(rx.len(), 2);
         take(&mut rx.window(1), 0);
@@ -771,7 +763,7 @@ mod tests {
     #[should_panic(expected = "taken before")]
     fn a_second_take_of_one_offset_panics() {
         let (mut tx, mut rx) = spsc_ring::<u64>(4);
-        tx.try_push(7).unwrap();
+        push(&mut tx, 7).unwrap();
         let mut window = rx.window(4);
         assert_eq!(take(&mut window, 0), 7);
         take(&mut window, 0);
@@ -790,9 +782,9 @@ mod tests {
         assert_eq!(tx.free_slots(), 0, "nothing is released before `release_taken`");
         window.release_taken();
         assert_eq!(tx.free_slots(), 2, "offsets 0 and 1; offset 3 waits for offset 2");
-        assert!(tx.try_push(8).is_ok());
-        assert!(tx.try_push(9).is_ok());
-        assert_eq!(tx.try_push(10), Err(10));
+        assert!(push(&mut tx, 8).is_ok());
+        assert!(push(&mut tx, 9).is_ok());
+        assert_eq!(push(&mut tx, 10), Err(10));
         window.release_taken();
         assert_eq!(tx.free_slots(), 0, "a release with no new prefix frees nothing");
         assert_eq!(take(&mut window, 2), 2);

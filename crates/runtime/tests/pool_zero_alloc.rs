@@ -1,22 +1,23 @@
 //! Worker-pool steady-state allocation regression test.
 //!
-//! Run with `cargo test -p seg6-runtime --features alloc-counter`. Five
+//! Run with `cargo test -p seg6-runtime --features alloc-counter`. Four
 //! phases share one test (the counter is **process-wide**, so no other
 //! test may run concurrently in this binary). Every phase is held to the
 //! same **exact** count per round: the flush report's outer vector plus
 //! the one pre-sized vector each shard starts its next window with (a
-//! shard hands its window's packets over at the barrier whether or not
-//! they are collected). The barrier itself — a per-shard sequence pair, no
-//! channel — allocates nothing.
+//! shard hands its window's packets over at the barrier). The barrier
+//! itself — a per-shard sequence pair, no channel — allocates nothing.
+//! Every round hands each buffer of the report back with
+//! `WorkerPool::recycle`, which closes the buffer loop.
 //!
 //! 1. **Recycled-ingestion rounds** — frames enter as byte slices
 //!    through `enqueue_bytes_all`, are copied into buffers from the
 //!    arena, staged per shard, published through the SPSC descriptor
-//!    rings, processed with the reused batch/verdict buffers, and put
-//!    back by the flush barrier (the arena's free lists reserved to the
-//!    retention cap), with park/unpark wakeups in between. A whole
-//!    steady-state round — dispatch → ring → worker → barrier → arena —
-//!    performs **zero** buffer allocations.
+//!    rings, processed with the reused batch/verdict buffers, returned by
+//!    the flush barrier and recycled into the arena (its free lists
+//!    reserved to the retention cap), with park/unpark wakeups in
+//!    between. A whole steady-state round — dispatch → ring → worker →
+//!    barrier → arena — performs **zero** buffer allocations.
 //! 2. **Multi-tenant rounds** — a second tenant registers (its one-time
 //!    installation cost and the arena's larger retention cap happen
 //!    *outside* the measurement), then both tenants'
@@ -31,10 +32,7 @@
 //!    on one thread): packets that grow on their way through must not
 //!    cost the arena's buffers or the workers' scratch an allocation,
 //!    whichever packet lands in which buffer.
-//! 4. **Collected-output rounds** — a pool with
-//!    [`PoolConfig::collect_outputs`]: the report carries every shard's
-//!    window, and the caller's `recycle` closes the buffer loop mint-free.
-//! 5. **Mixed-size rounds** — 64-byte and 1400-byte frames interleave in
+//! 4. **Mixed-size rounds** — 64-byte and 1400-byte frames interleave in
 //!    every window: each lands in a buffer of its own size class, and once
 //!    both classes have warmed no round mints a buffer of either.
 #![cfg(feature = "alloc-counter")]
@@ -60,8 +58,8 @@ fn addr(s: &str) -> Ipv6Addr {
     s.parse().unwrap()
 }
 
-fn forwarding_datapath(cpu: u32) -> Seg6Datapath {
-    let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
+fn forwarding_datapath(_: u32) -> Seg6Datapath {
+    let mut dp = Seg6Datapath::new(addr("fc00::1"));
     dp.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
     dp
 }
@@ -80,6 +78,20 @@ fn sized_flow_packet(flow: u32, len: usize) -> PacketBuf {
         &vec![0u8; len - 48],
         64,
     )
+}
+
+/// One flush barrier whose every buffer goes straight back to the arena;
+/// returns how many packets the window processed, each of which the
+/// report carried.
+fn flush_recycled(pool: &mut WorkerPool) -> u64 {
+    let report = pool.flush();
+    let mut returned = 0;
+    for (_, skb, _) in report.outputs.into_iter().flatten() {
+        pool.recycle(skb.into_packet());
+        returned += 1;
+    }
+    assert_eq!(returned, report.run.processed, "the report carries every processed packet");
+    report.run.processed
 }
 
 #[test]
@@ -119,7 +131,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
             PACKETS_PER_ROUND,
             "warm-up round fits the rings"
         );
-        pool.flush();
+        flush_recycled(&mut pool);
     }
     let minted_after_warmup = pool.buf_pool().allocations();
 
@@ -127,7 +139,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
     let mut processed = 0u64;
     for _ in 0..MEASURED_ROUNDS {
         assert_eq!(pool.enqueue_bytes_all(0, frames.iter().map(Vec::as_slice)), PACKETS_PER_ROUND);
-        processed += pool.flush().run.processed;
+        processed += flush_recycled(&mut pool);
     }
     let allocations = global_allocations() - before;
 
@@ -161,7 +173,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
             pool.tenant(tenant_b).enqueue_bytes_all(0, frames[half..].iter().map(Vec::as_slice)),
             PACKETS_PER_ROUND - half
         );
-        pool.flush();
+        flush_recycled(&mut pool);
     }
     let minted_after_tenants = pool.buf_pool().allocations();
 
@@ -175,7 +187,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
             pool.tenant(tenant_b).enqueue_bytes_all(0, frames[half..].iter().map(Vec::as_slice)),
             PACKETS_PER_ROUND - half
         );
-        processed += pool.flush().run.processed;
+        processed += flush_recycled(&mut pool);
     }
     let allocations = global_allocations() - before;
 
@@ -200,7 +212,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
 
     // --- Phase 3: programs and encapsulations through the pool ---
 
-    let nf_tenant = pool.add_tenant(&nf_paths::router(0, None).0, TenantQos::default());
+    let nf_tenant = pool.add_tenant(&nf_paths::router(None).0, TenantQos::default());
     let nf_frames = nf_paths::steady_frames((PACKETS_PER_ROUND / 8) as u16);
     assert_eq!(nf_frames.len(), PACKETS_PER_ROUND);
     let forwarded_before = pool.counters().snapshot().tenants[nf_tenant.index()].totals().forwarded;
@@ -211,7 +223,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
             pool.tenant(nf_tenant).enqueue_bytes_all(0, nf_frames.iter().map(Vec::as_slice)),
             PACKETS_PER_ROUND
         );
-        pool.flush();
+        flush_recycled(&mut pool);
     }
     let minted_after_nf = pool.buf_pool().allocations();
 
@@ -222,7 +234,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
             pool.tenant(nf_tenant).enqueue_bytes_all(0, nf_frames.iter().map(Vec::as_slice)),
             PACKETS_PER_ROUND
         );
-        processed += pool.flush().run.processed;
+        processed += flush_recycled(&mut pool);
     }
     let allocations = global_allocations() - before;
 
@@ -243,46 +255,11 @@ fn pool_steady_state_does_not_allocate_per_packet() {
     );
     pool.shutdown();
 
-    // --- Phase 4: collected outputs ---
-
-    let mut pool =
-        WorkerPool::new(PoolConfig { collect_outputs: true, ..config.clone() }, forwarding_datapath);
-    let round = |pool: &mut WorkerPool| {
-        assert_eq!(pool.enqueue_bytes_all(0, frames.iter().map(Vec::as_slice)), PACKETS_PER_ROUND);
-        let report = pool.flush();
-        assert!(report.outputs.iter().all(|shard| !shard.is_empty()), "every shard saw traffic");
-        let mut collected = 0;
-        for (_, skb, _) in report.outputs.into_iter().flatten() {
-            pool.recycle(skb.into_packet());
-            collected += 1;
-        }
-        assert_eq!(collected, PACKETS_PER_ROUND);
-    };
-    for _ in 0..3 {
-        round(&mut pool);
-    }
-    let minted_after_warmup = pool.buf_pool().allocations();
-
-    let before = global_allocations();
-    for _ in 0..MEASURED_ROUNDS {
-        round(&mut pool);
-    }
-    let allocations = global_allocations() - before;
-
-    assert_eq!(pool.buf_pool().allocations(), minted_after_warmup, "collected rounds minted packet buffers");
-    assert_eq!(
-        allocations, expected,
-        "collected-output rounds allocated {allocations} times over {MEASURED_ROUNDS} rounds: more \
-         than the report vector plus one pre-sized output vector per shard — a shard is regrowing \
-         its outputs, or the barrier is allocating"
-    );
-    pool.shutdown();
-
-    // --- Phase 5: a stationary mix of both buffer classes ---
+    // --- Phase 4: a stationary mix of both buffer classes ---
 
     // 64-byte and 1400-byte frames interleave in every window, so the
-    // arena's small and full classes warm side by side. Outputs are
-    // collected to read each buffer's storage: a 64-byte frame must sit in
+    // arena's small and full classes warm side by side. Each output's
+    // buffer is read before it is recycled: a 64-byte frame must sit in
     // a small buffer and a 1400-byte one in a full buffer, and once both
     // classes have warmed no round mints either.
     let small = DEFAULT_HEADROOM + SMALL_FRAME;
@@ -290,7 +267,7 @@ fn pool_steady_state_does_not_allocate_per_packet() {
     let mixed: Vec<Vec<u8>> = (0..PACKETS_PER_ROUND as u32)
         .map(|f| sized_flow_packet(f, if f % 2 == 0 { 64 } else { 1400 }).data().to_vec())
         .collect();
-    let mut pool = WorkerPool::new(PoolConfig { collect_outputs: true, ..config }, forwarding_datapath);
+    let mut pool = WorkerPool::new(config, forwarding_datapath);
     let round = |pool: &mut WorkerPool| {
         assert_eq!(pool.enqueue_bytes_all(0, mixed.iter().map(Vec::as_slice)), PACKETS_PER_ROUND);
         let report = pool.flush();

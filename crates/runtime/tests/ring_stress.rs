@@ -116,19 +116,23 @@ fn two_thread_stress_tiny_ring() {
     stress(500_000, 2, 8, 0x0dd_ba11);
 }
 
-/// Single-descriptor pushes against bursty consumption (and vice versa is
-/// covered above): the mixed-mode path the pool's per-packet `enqueue`
-/// takes while a worker drains in bursts.
+/// Bursts of one against bursty consumption (and vice versa is covered
+/// above): what the pool's per-packet `Ingress::enqueue_bytes_at`
+/// publishes while a worker drains in bursts.
 #[test]
 fn two_thread_stress_single_push_burst_pop() {
     let (mut tx, mut rx) = spsc_ring::<u64>(64);
     const TOTAL: u64 = 1_000_000;
     let producer = thread::spawn(move || {
         let mut next = 0u64;
+        let mut staging = Vec::with_capacity(1);
         while next < TOTAL {
-            match tx.try_push(next) {
-                Ok(()) => next += 1,
-                Err(_) => thread::yield_now(),
+            staging.push(next);
+            if tx.enqueue_burst(&mut staging) == 1 {
+                next += 1;
+            } else {
+                staging.clear();
+                thread::yield_now();
             }
         }
     });

@@ -52,8 +52,8 @@ const SID: &str = "fc00::e1";
 /// Tenant A: plain routes on interfaces 10 (general) and 11 (fc00::/16).
 /// No SID — SRv6 packets towards `SID` are *forwarded* like any other
 /// fc00:: destination.
-fn tenant_a(cpu: u32) -> Seg6Datapath {
-    let mut dp = Seg6Datapath::new(addr("fd00::a")).on_cpu(cpu);
+fn tenant_a(_: u32) -> Seg6Datapath {
+    let mut dp = Seg6Datapath::new(addr("fd00::a"));
     dp.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(10)]);
     dp.add_route("fc00::/16".parse().unwrap(), vec![Nexthop::direct(11)]);
     dp
@@ -62,8 +62,8 @@ fn tenant_a(cpu: u32) -> Seg6Datapath {
 /// Tenant B: the same prefixes on interfaces 20/21, plus an `End` SID at
 /// `SID` — SRv6 packets towards it are seg6local-processed and leave
 /// towards the *next* segment.
-fn tenant_b(cpu: u32) -> Seg6Datapath {
-    let mut dp = Seg6Datapath::new(addr("fd00::b")).on_cpu(cpu);
+fn tenant_b() -> Seg6Datapath {
+    let mut dp = Seg6Datapath::new(addr("fd00::b"));
     dp.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(20)]);
     dp.add_route("fc00::/16".parse().unwrap(), vec![Nexthop::direct(21)]);
     dp.add_local_sid(format!("{SID}/128").parse().unwrap(), Seg6LocalAction::End);
@@ -132,15 +132,10 @@ fn randomized_two_tenant_run_never_cross_routes() {
     const PACKETS_PER_ROUND: usize = 256;
     let mut rng = SplitMix64::new(0x007e_4a11);
 
-    let config = PoolConfig {
-        workers: 4,
-        batch_size: 8,
-        queue_depth: 4 * PACKETS_PER_ROUND,
-        collect_outputs: true,
-        ..Default::default()
-    };
+    let config =
+        PoolConfig { workers: 4, batch_size: 8, queue_depth: 4 * PACKETS_PER_ROUND, ..Default::default() };
     let mut pool = WorkerPool::new(config, tenant_a);
-    let tenant_b_id = pool.add_tenant(&tenant_b(0), TenantQos::default());
+    let tenant_b_id = pool.add_tenant(&tenant_b(), TenantQos::default());
     let counters = pool.counters();
 
     let mut enqueued = [0u64; 2]; // per tenant
@@ -238,7 +233,7 @@ fn stallable_pool(config: PoolConfig) -> (WorkerPool, mpsc::Receiver<()>, mpsc::
 fn per_tenant_rejection_accounting_is_exact() {
     let config = PoolConfig { workers: 1, batch_size: 1, queue_depth: 8, ..Default::default() };
     let (mut pool, entered_rx, release_tx) = stallable_pool(config);
-    let b = pool.add_tenant(&tenant_b(0), TenantQos::default());
+    let b = pool.add_tenant(&tenant_b(), TenantQos::default());
 
     // Stall the worker, then alternate tenants into the 8-slot ring: 4 A
     // + 4 B fit, the next 3 A and 2 B are rejected.
@@ -275,19 +270,13 @@ fn per_tenant_rejection_accounting_is_exact() {
 #[test]
 fn qos_that_never_binds_is_equivalent_to_no_qos() {
     const ROUNDS: u64 = 60;
-    let config = PoolConfig {
-        workers: 2,
-        batch_size: 8,
-        queue_depth: 256,
-        collect_outputs: true,
-        ..Default::default()
-    };
+    let config = PoolConfig { workers: 2, batch_size: 8, queue_depth: 256, ..Default::default() };
     let unbinding = TenantQos { weight: 1, ring_quota: Some(1.0), cost_budget: Some(u64::MAX) };
     let mut open = WorkerPool::new(config.clone(), tenant_a);
-    let b = open.add_tenant(&tenant_b(0), TenantQos::default());
+    let b = open.add_tenant(&tenant_b(), TenantQos::default());
     let mut metered = WorkerPool::new(config, tenant_a);
     metered.update_tenant_qos(TenantId::DEFAULT, unbinding);
-    assert_eq!(metered.add_tenant(&tenant_b(0), unbinding), b);
+    assert_eq!(metered.add_tenant(&tenant_b(), unbinding), b);
 
     fn without_batches(mut snap: PoolSnapshot) -> PoolSnapshot {
         let rows = snap.tenants.iter_mut().flat_map(|t| t.shards.iter_mut());
@@ -361,7 +350,7 @@ fn qos_that_never_binds_is_equivalent_to_no_qos() {
 fn a_quota_gained_mid_run_binds_from_the_next_publish() {
     let config = PoolConfig { workers: 1, batch_size: 4, queue_depth: 16, ..Default::default() };
     let (mut pool, entered_rx, release_tx) = stallable_pool(config);
-    let b = pool.add_tenant(&tenant_b(0), TenantQos::default());
+    let b = pool.add_tenant(&tenant_b(), TenantQos::default());
     assert!(pool.enqueue_bytes_at(0, plain_packet(0).data()));
     entered_rx.recv().expect("worker stalled in the drain");
 
@@ -395,18 +384,12 @@ fn qos_bounds_the_quiet_tenant_under_a_noisy_neighbor() {
     const RING: usize = 256;
     const FLOOD: u32 = 512;
     const QUIET: usize = 64;
-    let config = || PoolConfig {
-        workers: 1,
-        batch_size: 32,
-        queue_depth: RING,
-        collect_outputs: true,
-        ..Default::default()
-    };
+    let config = || PoolConfig { workers: 1, batch_size: 32, queue_depth: RING, ..Default::default() };
 
     // Run-alone baseline: the quiet tenant with the worker to itself.
     let (baseline_accepted, baseline_last) = {
         let mut pool = WorkerPool::new(config(), tenant_a);
-        let quiet = pool.add_tenant(&tenant_b(0), TenantQos { weight: 4, ..TenantQos::default() });
+        let quiet = pool.add_tenant(&tenant_b(), TenantQos { weight: 4, ..TenantQos::default() });
         let accepted = enqueue_packets(&mut pool.tenant(quiet), (0..QUIET as u32).map(plain_packet));
         let report = pool.flush();
         let last = report.outputs[0].iter().rposition(|(t, _, _)| *t == quiet).map_or(0, |i| i + 1);
@@ -425,7 +408,7 @@ fn qos_bounds_the_quiet_tenant_under_a_noisy_neighbor() {
         TenantId::DEFAULT,
         TenantQos { weight: 1, ring_quota: Some(0.5), cost_budget: None },
     );
-    let quiet = pool.add_tenant(&tenant_b(0), TenantQos { weight: 4, ..TenantQos::default() });
+    let quiet = pool.add_tenant(&tenant_b(), TenantQos { weight: 4, ..TenantQos::default() });
 
     assert!(pool.enqueue_bytes_at(0, plain_packet(0).data()));
     entered_rx.recv().expect("worker stalled in the drain");
@@ -473,7 +456,7 @@ fn default_knobs_let_the_flood_starve_the_quiet_tenant() {
     const RING: usize = 256;
     let config = PoolConfig { workers: 1, batch_size: 32, queue_depth: RING, ..Default::default() };
     let (mut pool, entered_rx, release_tx) = stallable_pool(config);
-    let quiet = pool.add_tenant(&tenant_b(0), TenantQos::default());
+    let quiet = pool.add_tenant(&tenant_b(), TenantQos::default());
 
     assert!(pool.enqueue_bytes_at(0, plain_packet(0).data()));
     entered_rx.recv().expect("worker stalled in the drain");
@@ -497,7 +480,7 @@ fn default_knobs_let_the_flood_starve_the_quiet_tenant() {
 fn cost_budget_sheds_exactly_and_refills_on_the_shard_clock() {
     let config = PoolConfig { workers: 1, batch_size: 32, queue_depth: 1024, ..Default::default() };
     let mut pool = WorkerPool::new(config, tenant_a);
-    let b = pool.add_tenant(&tenant_b(0), TenantQos { cost_budget: Some(30), ..TenantQos::default() });
+    let b = pool.add_tenant(&tenant_b(), TenantQos { cost_budget: Some(30), ..TenantQos::default() });
 
     // Shard clock 0: ten End-SID packets spend 10 base tokens at
     // admission, leaving 20 of the 30-token burst.

@@ -123,12 +123,9 @@ pub struct Node {
     pub datapath: Seg6Datapath,
     /// CPU cost model (per core).
     pub cpu: CpuProfile,
-    /// Per-receive-queue busy horizon: `rx_queue_busy_ns[q]` is the time
-    /// until which queue `q`'s core is occupied by earlier packets. One
-    /// entry means a single-core node (the paper's setup); more entries
-    /// model an RSS-capable router whose queues are served by independent
-    /// cores, as the multi-queue runtime does outside the simulator.
-    pub rx_queue_busy_ns: Vec<u64>,
+    /// Busy horizon of the node's one core (the paper's setup): the time
+    /// until which earlier packets occupy it.
+    pub cpu_busy_until_ns: u64,
     /// Maximum backlog a CPU input queue may accumulate before dropping,
     /// in nanoseconds of work.
     pub cpu_queue_limit_ns: u64,
@@ -151,7 +148,7 @@ impl Node {
             name: name.into(),
             datapath: Seg6Datapath::new(addr),
             cpu: CpuProfile::unconstrained(),
-            rx_queue_busy_ns: vec![0],
+            cpu_busy_until_ns: 0,
             cpu_queue_limit_ns: 5_000_000, // 5 ms of CPU backlog
             cpu_drops: 0,
             interfaces: HashMap::new(),
@@ -159,28 +156,6 @@ impl Node {
             udp_sinks: HashMap::new(),
             delivered_packets: 0,
         }
-    }
-
-    /// Gives the node `queues` receive queues, each served by its own core
-    /// with the node's [`CpuProfile`]. Resets the busy horizons. Clamped to
-    /// the slot count per-CPU maps are provisioned for by default, so
-    /// queues never alias per-CPU map state.
-    pub fn set_rx_queues(&mut self, queues: usize) {
-        self.rx_queue_busy_ns = vec![0; queues.clamp(1, ebpf_vm::DEFAULT_NUM_CPUS as usize)];
-    }
-
-    /// Number of receive queues (cores) this node processes packets with.
-    pub fn rx_queues(&self) -> usize {
-        self.rx_queue_busy_ns.len()
-    }
-
-    /// The receive queue `packet` steers to, by RSS flow hash — packets of
-    /// one flow always take the same queue, preserving per-flow ordering.
-    pub fn rx_queue_for(&self, packet: &[u8]) -> usize {
-        if self.rx_queue_busy_ns.len() == 1 {
-            return 0;
-        }
-        netpkt::flow::steer(netpkt::flow::rss_hash_packet(packet), self.rx_queue_busy_ns.len())
     }
 
     /// Registers a link on a fresh interface and returns its index.

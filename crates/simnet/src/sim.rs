@@ -265,22 +265,16 @@ impl Simulator {
     }
 
     fn handle_packet(&mut self, node_id: usize, _ingress: Option<u32>, packet: Vec<u8>) {
-        // CPU admission: the packet's flow steers it to one receive queue
-        // (RSS), each queue's core processes serially, and the packet is
-        // dropped if that queue's backlog exceeds the node's limit.
+        // CPU admission: the node's core processes packets serially, and a
+        // packet is dropped if the core's backlog exceeds the node's limit.
         let node = &mut self.nodes[node_id];
-        let queue = node.rx_queue_for(&packet);
-        let queue_start_ns = node.rx_queue_busy_ns[queue].max(self.now_ns);
+        let queue_start_ns = node.cpu_busy_until_ns.max(self.now_ns);
         if queue_start_ns - self.now_ns > node.cpu_queue_limit_ns {
             node.cpu_drops += 1;
             self.stats.dropped += 1;
             return;
         }
         let mut skb = Skb::received(PacketBuf::from_slice(&packet), self.now_ns, 0);
-        // The datapath instance runs "on" the queue's core: programs
-        // observe the queue index as their CPU id, so per-CPU map slots
-        // and perf rings shard by queue inside the simulator too.
-        node.datapath.cpu_id = queue as u32;
         node.datapath.process_batch_verdicts_into(
             std::slice::from_mut(&mut skb),
             self.now_ns,
@@ -288,7 +282,7 @@ impl Simulator {
         );
         let bv = self.verdicts.pop().expect("one verdict per packet");
         let start_ns = queue_start_ns + node.cpu.cost_ns(packet.len(), &bv.work);
-        node.rx_queue_busy_ns[queue] = start_ns;
+        node.cpu_busy_until_ns = start_ns;
         let packet_after = skb.packet.data().to_vec();
         match bv.verdict {
             Verdict::Forward { oif, .. } => {
@@ -453,53 +447,13 @@ mod tests {
         assert_eq!(received + sim.node(r).cpu_drops, 1000);
     }
 
+    /// Simulated time is deterministic: a router under a workload covering
+    /// forwarding, seg6local, local delivery and unroutable drops — with a
+    /// non-zero cost for every work class, so a wrong work flag would
+    /// shift its busy horizon — reproduces the recorded arrival
+    /// timestamps and counters to the nanosecond.
     #[test]
-    fn multi_queue_router_scales_with_its_queues() {
-        // Same CPU-bound router as above, but packets come from many flows.
-        // With Q receive queues the node forwards close to Q times more
-        // before its per-queue backlogs fill.
-        let slow = CpuProfile {
-            forward_ns: 10_000,
-            seg6local_ns: 0,
-            encap_ns: 0,
-            bpf_jit_ns: 0,
-            bpf_interp_ns: 0,
-            per_byte_ns_x1000: 0,
-            jit_enabled: true,
-        };
-        let mut received = Vec::new();
-        for queues in [1usize, 4] {
-            let (mut sim, s1, r, s2) = three_node_chain(slow);
-            sim.node_mut(r).set_rx_queues(queues);
-            assert_eq!(sim.node(r).rx_queues(), queues);
-            for i in 0..2000u64 {
-                // 2000 packets over 200 distinct flows, 10x faster than one
-                // core can forward.
-                let pkt = build_ipv6_udp_packet(
-                    addr("fc00::a1"),
-                    addr("fc00::a2"),
-                    1000 + (i % 200) as u16,
-                    5001,
-                    &[0u8; 64],
-                    64,
-                );
-                sim.inject_at(i * 100, s1, pkt);
-            }
-            sim.run_to_completion();
-            received.push(sim.node(s2).sink(5001).packets);
-        }
-        let (one, four) = (received[0], received[1]);
-        assert!(four > one * 3, "1 queue: {one}, 4 queues: {four}");
-    }
-
-    /// Simulated time is deterministic: a 4-queue router under a workload
-    /// covering forwarding, seg6local, local delivery and unroutable drops
-    /// — with a non-zero cost for every work class, so a wrong work flag
-    /// would shift busy horizons — reproduces the arrival timestamps and
-    /// counters recorded before the per-packet work summary moved into
-    /// `seg6-core`, to the nanosecond.
-    #[test]
-    fn multi_queue_router_timestamps_are_pinned() {
+    fn router_timestamps_are_pinned() {
         use crate::node::SinkStats;
         use netpkt::packet::build_srv6_udp_packet;
         use netpkt::srh::SegmentRoutingHeader;
@@ -507,7 +461,6 @@ mod tests {
 
         let (mut sim, s1, r, s2) = three_node_chain(CpuProfile::xeon());
         sim.node_mut(r).datapath.add_local_sid("fc00::e1/128".parse().unwrap(), Seg6LocalAction::End);
-        sim.node_mut(r).set_rx_queues(4);
         for i in 0..1200u64 {
             let flow = (1000 + i % 100) as u16;
             let pkt = match i % 4 {
@@ -541,8 +494,8 @@ mod tests {
             last_arrival_ns,
             first_arrival_ns,
         };
-        assert_eq!(sim.node(s2).sink(5001), sink(600, 38_400, 101_684, 658_322));
-        assert_eq!(sim.node(s2).sink(5002), sink(300, 19_200, 102_501, 658_443));
+        assert_eq!(sim.node(s2).sink(5001), sink(600, 38_400, 101_684, 2_024_715));
+        assert_eq!(sim.node(s2).sink(5002), sink(300, 19_200, 106_385, 2_026_406));
         assert_eq!(sim.node(r).sink(7001), sink(300, 9_600, 50_964, 409_764));
         assert_eq!(sim.node(r).delivered_packets, 300);
         assert_eq!(sim.node(r).cpu_drops, 0);
@@ -595,8 +548,6 @@ mod tests {
             );
             dp.add_local_sid("fc00::d6/128".parse().unwrap(), Seg6LocalAction::end_dt6(vrf));
         }
-        sim.node_mut(r1).set_rx_queues(2);
-        sim.node_mut(r2).set_rx_queues(2);
 
         // IPv6-in-IPv6: outer SRH visits R1's End.T SID then R2's End.DT6
         // SID; the decapsulated inner packet is a UDP datagram to S2.

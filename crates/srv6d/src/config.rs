@@ -13,7 +13,7 @@
 //! rx-burst = 64            # datagrams pulled per socket read burst (≤ MAX_RX_BURST)
 //! stats-socket = /tmp/srv6d.sock
 //! io-backend = mmsg        # recvmmsg/sendmmsg bursts, the one backend (`auto` is read as mmsg)
-//! pin = compact            # none | compact | spread | explicit core list (0,2,4)
+//! pin = compact            # none | compact | explicit core list (0,2,4)
 //! pin-dispatcher = 0       # optionally pin the dispatcher thread too
 //!
 //! [tenant edge]
@@ -107,7 +107,7 @@ pub struct DaemonConfig {
     /// older configs load). Resolved by [`crate::io::resolve_backend`] at
     /// start.
     pub io_backend: IoBackendChoice,
-    /// Shard-thread pin policy (`pin = none|compact|spread|<core list>`).
+    /// Shard-thread pin policy (`pin = none|compact|<core list>`).
     pub pinning: PinPolicy,
     /// Pin the dispatcher thread too (`pin-dispatcher = <core>`).
     pub pin_dispatcher: Option<u32>,
@@ -1074,6 +1074,7 @@ route = ::/0 dev 7
             ("io-backend = std", "`io-backend` must be mmsg or auto"),
             ("io_backend = mmsg", "unknown [daemon] key `io_backend`"),
             ("pin = diagonal", "`pin`:"),
+            ("pin = spread", "`pin`:"),
             ("pin-dispatcher = many", "`pin-dispatcher` must be a core number"),
             ("pin_dispatcher = 1", "unknown [daemon] key `pin_dispatcher`"),
         ] {

@@ -228,9 +228,9 @@ impl Srv6Daemon {
             workers: cfg.daemon.workers,
             batch_size: cfg.daemon.batch_size,
             queue_depth: cfg.daemon.queue_depth,
-            collect_outputs: true,
             pinning: cfg.daemon.pinning.clone(),
             pin_dispatcher: cfg.daemon.pin_dispatcher,
+            ..PoolConfig::default()
         };
         let template = build_datapath(first);
         let mut pool = WorkerPool::from_datapath(pool_config, &template);

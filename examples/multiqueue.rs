@@ -1,8 +1,7 @@
 //! Walkthrough of the multi-queue batched runtime: RSS flow steering,
 //! per-shard datapath instances on a persistent worker pool, true per-CPU
 //! map slots, barrier-free live counters — the architecture a production
-//! End.BPF deployment runs on every core, reproduced in user space — and
-//! the same steering inside the simulator's multi-queue CPU model.
+//! End.BPF deployment runs on every core, reproduced in user space.
 //!
 //! ```text
 //! cargo run --release --example multiqueue
@@ -18,7 +17,6 @@ use netpkt::packet::build_srv6_udp_packet;
 use netpkt::srh::SegmentRoutingHeader;
 use seg6_core::{Nexthop, Seg6Datapath, Seg6LocalAction};
 use seg6_runtime::{Ingress, PoolConfig, WorkerPool};
-use simnet::{CpuProfile, LinkConfig, Simulator};
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -63,8 +61,8 @@ fn main() {
     println!("persistent worker pool: {ROUNDS} rounds of {PACKETS} packets on {WORKERS} shards");
     let pool_config =
         PoolConfig { workers: WORKERS, batch_size: 32, queue_depth: 16_384, ..Default::default() };
-    let mut pool = WorkerPool::new(pool_config, |cpu| {
-        let mut dp = Seg6Datapath::new(addr("fc00::1")).on_cpu(cpu);
+    let mut pool = WorkerPool::new(pool_config, |_| {
+        let mut dp = Seg6Datapath::new(addr("fc00::1"));
         dp.add_route("fc00::/16".parse().unwrap(), vec![Nexthop::direct(1)]);
         let mut maps: HashMap<u32, MapHandle> = HashMap::new();
         maps.insert(1, Arc::clone(&shared));
@@ -115,6 +113,11 @@ fn main() {
             per_shard,
             snap.rejected()
         );
+        // The flush hands every packet back: return the buffers to the
+        // pool's arena, so the next round reuses them.
+        for (_, skb, _) in report.outputs.into_iter().flatten() {
+            pool.recycle(skb.into_packet());
+        }
     }
     // At a quiet point the live counters balance: everything enqueued
     // has been processed.
@@ -148,41 +151,4 @@ fn main() {
         "  graceful shutdown — lifetime packets per shard: {:?}",
         totals.iter().map(|s| s.processed).collect::<Vec<_>>()
     );
-
-    // The same steering drives the simulator's multi-queue model: a
-    // CPU-bound router forwards ~4x more once it has four receive queues,
-    // each queue's core running the node's datapath under its own CPU id.
-    println!("\nsimnet: saturating a CPU-bound router for 50 ms of simulated time");
-    for queues in [1usize, 4] {
-        let mut sim = Simulator::new(7);
-        let src = sim.add_node("S", addr("fc00::a1"));
-        let router = sim.add_node("R", addr("fc00::11"));
-        let sink = sim.add_node("D", addr("fc00::a2"));
-        sim.connect(src, router, LinkConfig::lab_10g());
-        sim.connect(router, sink, LinkConfig::lab_10g());
-        sim.node_mut(src).datapath.add_route("::/0".parse().unwrap(), vec![Nexthop::direct(1)]);
-        {
-            let dp = &mut sim.node_mut(router).datapath;
-            dp.add_route("fc00::a2/128".parse().unwrap(), vec![Nexthop::direct(2)]);
-        }
-        sim.node_mut(router).cpu = CpuProfile::xeon();
-        sim.node_mut(router).set_rx_queues(queues);
-        for i in 0..20_000u64 {
-            let pkt = netpkt::packet::build_ipv6_udp_packet(
-                addr("fc00::a1"),
-                addr("fc00::a2"),
-                1000 + (i % 256) as u16,
-                5001,
-                &[0u8; 64],
-                64,
-            );
-            sim.inject_at(i * 500, src, pkt); // 2 Mpps offered
-        }
-        sim.run_to_completion();
-        let delivered = sim.node(sink).sink(5001).packets;
-        println!(
-            "  {queues} rx queue(s): delivered {delivered:6} of 20000 (cpu drops {})",
-            sim.node(router).cpu_drops
-        );
-    }
 }

@@ -93,8 +93,13 @@ fn main() {
         let tenant = if index.is_multiple_of(2) { TenantId::DEFAULT } else { tenant_b };
         let accepted = pool.tenant(tenant).enqueue_bytes_all(now_ns, chunk.iter().map(Vec::as_slice));
         // One flush barrier per chunk, as srv6d flushes once per pass: it
-        // puts every buffer of the chunk back into the arena.
-        processed += pool.flush().run.processed;
+        // hands every packet of the chunk back, and each buffer goes back
+        // into the arena.
+        let report = pool.flush();
+        processed += report.run.processed;
+        for (_, skb, _) in report.outputs.into_iter().flatten() {
+            pool.recycle(skb.into_packet());
+        }
         accepted
     };
     let replay_start = Instant::now();
