@@ -8,11 +8,13 @@
 //! core forwarding path).
 
 use crate::fib::{EcmpKey, FibCache, Nexthop, RouterTables, TableId, MAIN_TABLE};
+use crate::lpm::{self, Ranges};
 use crate::lwt_bpf::{LwtBpfAttachment, LwtBpfTable, LwtHook};
 use crate::scratch::RunScratch;
 use crate::seg6local::{apply_action, run_bpf, ActionCtx, LocalSidTable, Seg6LocalAction};
 use crate::skb::{RouteOverride, Skb};
 use crate::srv6_ops;
+use crate::table::NONE;
 use crate::transit::{apply_transit, TransitBehaviour, TransitTable};
 use crate::verdict::{ActionOutcome, DropReason, Verdict};
 use ebpf_vm::helpers::HelperRegistry;
@@ -161,34 +163,108 @@ enum Dispatch<'a> {
     Forward,
 }
 
-/// Decides how `dst` dispatches, in the order the IPv6 receive path
-/// consults its tables: seg6local SIDs, local delivery, LWT xmit programs,
-/// seg6 transit behaviours, then the plain FIB. A free function over the
-/// individual tables (rather than a `&self` method) so the returned
-/// borrows stay disjoint from the mutable state (`stats`, `scratch`) the
-/// execution step needs.
+/// Where a range of destinations dispatches: the configuration table
+/// entry it runs, as an index into that table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Target {
+    /// The entry at this index of the SID table.
+    Seg6Local(u32),
+    /// The local address, with the `In` hook's entry at this index, or
+    /// none at [`NONE`].
+    LocalIn(u32),
+    /// The `Xmit` hook's entry at this index.
+    Xmit(u32),
+    /// The transit table's entry at this index.
+    Transit(u32),
+    /// No entry: plain FIB forwarding.
+    Forward,
+}
+
+/// The SID table, both LWT hooks, the transit table and the local address,
+/// compiled into one range table: the range holding a destination answers
+/// with its [`Target`], already resolved in the order the IPv6 receive
+/// path consults those tables — the longest SID, local delivery, the
+/// longest prefix attached at `Xmit`, the longest transit prefix, then the
+/// FIB. Compiled again whenever one of the tables or the local address
+/// changed ([`DispatchTable::refresh`]).
+#[derive(Debug, Clone)]
+struct DispatchTable {
+    /// The versions of the four tables and the local address the ranges
+    /// were compiled from; `None` before the first compile.
+    compiled_from: Option<([u64; 4], Ipv6Addr)>,
+    ranges: Ranges<Target>,
+}
+
+impl DispatchTable {
+    fn new() -> Self {
+        DispatchTable { compiled_from: None, ranges: Ranges::new(Target::Forward) }
+    }
+
+    /// Compiles the tables again if one of them or the local address
+    /// changed since the last compile; otherwise compares five words.
+    fn refresh(
+        &mut self,
+        local_sids: &LocalSidTable,
+        lwt_bpf: &LwtBpfTable,
+        transit: &TransitTable,
+        local_addr: Ipv6Addr,
+    ) {
+        let (lwt_in, lwt_xmit) = (lwt_bpf.at(LwtHook::In), lwt_bpf.at(LwtHook::Xmit));
+        let versions = [local_sids.version(), lwt_in.version(), lwt_xmit.version(), transit.version()];
+        if self.compiled_from == Some((versions, local_addr)) {
+            return;
+        }
+        // Every range of every table starts a range here, and the local
+        // address is a range of its own.
+        let local = lpm::key(local_addr);
+        let mut starts =
+            [local_sids.bounds(), lwt_in.bounds(), lwt_xmit.bounds(), transit.bounds(), &[local]].concat();
+        starts.extend(local.checked_add(1));
+        starts.sort_unstable();
+        starts.dedup();
+        self.ranges = Ranges::build(&starts, |at| {
+            let sid = local_sids.slot_at(at);
+            let xmit = lwt_xmit.slot_at(at);
+            let transit = transit.slot_at(at);
+            if sid != NONE {
+                Target::Seg6Local(sid)
+            } else if at == local {
+                Target::LocalIn(lwt_in.slot_at(at))
+            } else if xmit != NONE {
+                Target::Xmit(xmit)
+            } else if transit != NONE {
+                Target::Transit(transit)
+            } else {
+                Target::Forward
+            }
+        });
+        self.compiled_from = Some((versions, local_addr));
+    }
+}
+
+/// Decides how `dst` dispatches: one search of the compiled `dispatch`
+/// ranges, whose answer indexes the table entry to run. A free function
+/// over the individual tables (rather than a `&self` method) so the
+/// returned borrows stay disjoint from the mutable state (`stats`,
+/// `scratch`) the execution step needs.
 fn classify_dst<'a>(
+    dispatch: &Ranges<Target>,
     local_sids: &'a LocalSidTable,
     lwt_bpf: &'a LwtBpfTable,
     transit: &'a TransitTable,
-    local_addr: Ipv6Addr,
     dst: Ipv6Addr,
 ) -> Dispatch<'a> {
-    let lwt_at = |hook| lwt_bpf.lookup_where(dst, |a| a.hook == hook).map(|(_, attachment)| attachment);
-    if let Some((sid_prefix, action)) = local_sids.lookup(dst) {
-        let local_sid = (sid_prefix.len() == 128).then(|| sid_prefix.addr());
-        return Dispatch::Seg6Local { local_sid, action };
+    match dispatch.lookup(lpm::key(dst)) {
+        Target::Seg6Local(slot) => {
+            let (sid_prefix, action) = local_sids.entry(slot);
+            let local_sid = (sid_prefix.len() == 128).then(|| sid_prefix.addr());
+            Dispatch::Seg6Local { local_sid, action }
+        }
+        Target::LocalIn(slot) => Dispatch::LocalIn(lwt_bpf.at(LwtHook::In).get(slot).map(|(_, a)| a)),
+        Target::Xmit(slot) => Dispatch::Xmit(lwt_bpf.at(LwtHook::Xmit).entry(slot).1),
+        Target::Transit(slot) => Dispatch::Transit(transit.entry(slot).1),
+        Target::Forward => Dispatch::Forward,
     }
-    if dst == local_addr {
-        return Dispatch::LocalIn(lwt_at(LwtHook::In));
-    }
-    if let Some(attachment) = lwt_at(LwtHook::Xmit) {
-        return Dispatch::Xmit(attachment);
-    }
-    if let Some((_, behaviour)) = transit.lookup(dst) {
-        return Dispatch::Transit(behaviour);
-    }
-    Dispatch::Forward
 }
 
 /// Refuses to bind `prog` where a program of type `want` must run.
@@ -244,6 +320,10 @@ pub struct Seg6Datapath {
     /// This instance's lock-free snapshot of the FIB tables, refreshed
     /// from `tables` only when routes change.
     fib: FibCache,
+    /// `local_sids`, `lwt_bpf`, `transit` and `local_addr` compiled into
+    /// one range table, compiled again by the first batch after any of
+    /// them changes.
+    dispatch: DispatchTable,
 }
 
 impl Seg6Datapath {
@@ -261,6 +341,7 @@ impl Seg6Datapath {
             cpu_id: 0,
             scratch: RunScratch::new(),
             fib: FibCache::new(),
+            dispatch: DispatchTable::new(),
         }
     }
 
@@ -269,10 +350,10 @@ impl Seg6Datapath {
     /// shard when a node's single configured datapath must run on N
     /// queues. The FIB tables stay shared (they are behind an `Arc`, and
     /// internally synchronised), so routes installed later reach every
-    /// fork. SID, transit and LWT tables are snapshots whose loaded
-    /// programs and maps remain shared handles — exactly how kernel CPUs
-    /// share map memory while per-CPU maps give each its own slot.
-    /// Statistics start at zero.
+    /// fork. SID, transit and LWT tables are snapshots, copied with their
+    /// compiled dispatch, whose loaded programs and maps remain shared
+    /// handles — exactly how kernel CPUs share map memory while per-CPU
+    /// maps give each its own slot. Statistics start at zero.
     pub fn fork_for_cpu(&self, cpu: u32) -> Seg6Datapath {
         Seg6Datapath {
             local_addr: self.local_addr,
@@ -285,6 +366,7 @@ impl Seg6Datapath {
             cpu_id: cpu,
             scratch: RunScratch::new(),
             fib: FibCache::new(),
+            dispatch: self.dispatch.clone(),
         }
     }
 
@@ -358,10 +440,10 @@ impl Seg6Datapath {
     /// and appends one [`BatchVerdict`] per packet — the verdict plus a
     /// [`WorkSummary`] of what the packet cost — to a caller-owned buffer.
     ///
-    /// The batch refreshes the FIB snapshot once and keeps a one-entry
-    /// route cache across its packets; each packet is classified (SID
-    /// table, LWT attachment and transit lookups) on its own. The verdicts
-    /// come back in input order, and each packet's processing is
+    /// The batch refreshes the FIB snapshot and the compiled dispatch once
+    /// and keeps a one-entry route cache across its packets; each packet
+    /// is classified (one search of the dispatch ranges) on its own. The
+    /// verdicts come back in input order, and each packet's processing is
     /// byte-identical to what [`Seg6Datapath::process`] produces.
     ///
     /// A caller that reuses `out` performs no heap allocation per packet
@@ -409,12 +491,15 @@ impl Seg6Datapath {
         }
     }
 
-    /// Opens a batch: refreshes the FIB snapshot and splits `self` into the
-    /// configuration tables a packet's [`Dispatch`] borrows and the
-    /// execution state each packet mutates.
+    /// Opens a batch: refreshes the FIB snapshot and the compiled
+    /// dispatch, and splits `self` into the configuration tables a
+    /// packet's [`Dispatch`] borrows and the execution state each packet
+    /// mutates.
     fn batch(&mut self) -> Batch<'_> {
         self.fib.refresh(&self.tables);
+        self.dispatch.refresh(&self.local_sids, &self.lwt_bpf, &self.transit, self.local_addr);
         Batch {
+            dispatch: &self.dispatch.ranges,
             local_sids: &self.local_sids,
             lwt_bpf: &self.lwt_bpf,
             transit: &self.transit,
@@ -434,8 +519,9 @@ impl Seg6Datapath {
 
 /// One batch in flight over a [`Seg6Datapath`]: the tables cannot change
 /// while it holds the datapath's `&mut`, which is what makes the
-/// batch-scoped route cache sound.
+/// batch-scoped route cache and the compiled dispatch's indices sound.
 struct Batch<'a> {
+    dispatch: &'a Ranges<Target>,
     local_sids: &'a LocalSidTable,
     lwt_bpf: &'a LwtBpfTable,
     transit: &'a TransitTable,
@@ -456,7 +542,7 @@ impl Batch<'_> {
             }
             Some(flow) => {
                 let dispatch =
-                    classify_dst(self.local_sids, self.lwt_bpf, self.transit, self.exec.local_addr, flow.dst);
+                    classify_dst(self.dispatch, self.local_sids, self.lwt_bpf, self.transit, flow.dst);
                 self.exec.execute(&dispatch, skb, flow, now_ns, &mut self.routes, packet);
             }
         }
@@ -638,6 +724,9 @@ impl<'e> Exec<'e> {
         };
     }
 }
+
+#[cfg(test)]
+mod dispatch_equivalence;
 
 #[cfg(test)]
 mod tests {
@@ -1000,6 +1089,80 @@ mod tests {
         dp.add_route("3001::/16".parse().unwrap(), vec![Nexthop::direct(9)]);
         let mut skb = plain_skb("3001::1");
         assert_eq!(fork.process(&mut skb, 0), Verdict::Forward { oif: 9, neighbour: addr("3001::1") });
+    }
+
+    /// A table edited between two batches is seen by the next batch,
+    /// whichever way it was edited: through the datapath's methods, through
+    /// its public fields, or by replacing a table whole. A fork carries the
+    /// compiled dispatch of its tables and recompiles only its own edits.
+    #[test]
+    fn the_next_batch_sees_every_table_edit() {
+        fn work(dp: &mut Seg6Datapath, skb: Skb) -> BatchVerdict {
+            let mut out = Vec::new();
+            dp.process_batch_verdicts_into(&mut [skb], 0, &mut out);
+            out.pop().unwrap()
+        }
+        let sid = |dp: &mut Seg6Datapath| work(dp, srv6_skb(&["fc00::e1", "fc00::22"])).work.seg6local;
+        let transit = |dp: &mut Seg6Datapath| work(dp, plain_skb("2001:db8:1::9")).work.transit;
+        let xmit = |dp: &mut Seg6Datapath| work(dp, plain_skb("2001:db8:2::9")).work.bpf;
+        let local = |dp: &mut Seg6Datapath, dst| work(dp, plain_skb(dst)).verdict == Verdict::LocalDeliver;
+
+        let mut dp = router();
+        assert!(!sid(&mut dp) && !transit(&mut dp) && !xmit(&mut dp));
+        dp.add_local_sid("fc00::e1".parse().unwrap(), Seg6LocalAction::End);
+        assert!(sid(&mut dp), "add_local_sid");
+        dp.add_transit(
+            "2001:db8:1::/48".parse().unwrap(),
+            TransitBehaviour::encap_through(&[addr("fc00::a")]),
+        );
+        assert!(transit(&mut dp), "add_transit");
+        let insns = assemble("mov64 r0, 0\nexit").unwrap();
+        let prog = load(
+            Program::new("xmit", ProgramType::LwtXmit, insns),
+            &std::collections::HashMap::new(),
+            &dp.helpers,
+        )
+        .unwrap();
+        let attachment = LwtBpfAttachment { hook: LwtHook::Xmit, prog };
+        dp.attach_lwt_bpf("2001:db8:2::/48".parse().unwrap(), attachment.clone());
+        assert!(xmit(&mut dp), "attach_lwt_bpf");
+
+        // Straight through the public fields.
+        assert!(dp.local_sids.remove(&"fc00::e1".parse().unwrap()));
+        assert!(!sid(&mut dp), "local_sids.remove");
+        dp.local_sids.insert("fc00::e1".parse().unwrap(), Seg6LocalAction::End);
+        assert!(sid(&mut dp), "local_sids.insert");
+        assert!(dp.transit.remove(&"2001:db8:1::/48".parse().unwrap()));
+        assert!(!transit(&mut dp), "transit.remove");
+        assert!(dp.lwt_bpf.remove(&"2001:db8:2::/48".parse().unwrap()));
+        assert!(!xmit(&mut dp), "lwt_bpf.remove");
+        dp.lwt_bpf.insert("2001:db8:2::/48".parse().unwrap(), attachment);
+        assert!(xmit(&mut dp), "lwt_bpf.insert");
+
+        // The local address moves.
+        assert!(local(&mut dp, "fc00::11") && !local(&mut dp, "fc00::77"));
+        dp.local_addr = addr("fc00::77");
+        assert!(!local(&mut dp, "fc00::11") && local(&mut dp, "fc00::77"), "local_addr");
+
+        // A fork starts from the compiled form of its copied tables; after
+        // that, each side sees only its own edits.
+        let mut fork = dp.fork_for_cpu(1);
+        assert!(sid(&mut fork) && xmit(&mut fork) && local(&mut fork, "fc00::77"), "fork_for_cpu");
+        fork.local_sids.remove(&"fc00::e1".parse().unwrap());
+        assert!(!sid(&mut fork) && sid(&mut dp), "the fork's edit stays on the fork");
+        dp.local_addr = addr("fc00::11");
+        assert!(
+            local(&mut fork, "fc00::77") && local(&mut dp, "fc00::11"),
+            "the original's edit stays on it"
+        );
+
+        // A table replaced whole, by an empty one or by a copy of an older
+        // state, is seen too.
+        let with_sid = dp.local_sids.clone();
+        dp.local_sids = LocalSidTable::new();
+        assert!(!sid(&mut dp), "an empty table replaced the SIDs");
+        dp.local_sids = with_sid;
+        assert!(sid(&mut dp), "the copy came back");
     }
 
     /// A router whose routes reach every path of the batch's route cache:

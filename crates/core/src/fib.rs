@@ -9,19 +9,23 @@
 //!
 //! ## Hot-path design
 //!
-//! [`Fib`] is a path-compressed binary trie over the destination bits, the
-//! same structure as the kernel's `BPF_MAP_TYPE_LPM_TRIE`: a lookup walks
-//! at most `O(prefix bits)` nodes regardless of how many routes are
-//! installed, where the previous implementation scanned every route.
-//! Lookups return [`LookupHit`] — the chosen next hop is a **borrow** into
-//! the trie, nothing is cloned per packet.
+//! A [`Fib`] is a [`PrefixTable`]: its prefixes cut the address space into
+//! ranges, each answering with the index of its longest matching route,
+//! and a lookup is one binary search over the sorted range starts
+//! (the crate's `lpm` module). This deliberately departs from the kernel, whose
+//! `fib6` tables are radix trees walked bit by bit: the search touches one
+//! flat array of addresses instead of chasing a node pointer per level,
+//! and an insert or a remove rewrites only the ranges its prefix spans.
+//! Lookups return [`LookupHit`] — the chosen next hop is a **borrow**
+//! into the table, nothing is cloned per packet.
 //!
 //! [`RouterTables`] keeps the authoritative tables behind one lock, but the
 //! datapath never takes it per packet: each worker shard holds a
-//! [`FibCache`] — `Arc` snapshots of the per-table tries, refreshed only
-//! when the write-side generation counter moves. Steady-state lookups on N
-//! shards touch no shared lock at all.
+//! [`FibCache`] — `Arc` snapshots of the tables, refreshed only when the
+//! write-side generation counter moves. Steady-state lookups on N shards
+//! touch no shared lock at all.
 
+use crate::table::PrefixTable;
 use netpkt::Ipv6Prefix;
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
@@ -75,9 +79,8 @@ impl Nexthop {
     }
 }
 
-/// A route: a prefix and its (possibly multiple, for ECMP) next hops. The
-/// trie stores next hops inline; this type is the inspection/export form
-/// returned by [`Fib::routes`].
+/// A route: a prefix and its (possibly multiple, for ECMP) next hops, in
+/// the inspection/export form [`Fib::routes`] returns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// Destination prefix.
@@ -99,7 +102,7 @@ pub struct LookupResult {
 }
 
 /// The borrowing result of a [`Fib::lookup`]: the chosen next hop points
-/// into the trie, so the per-packet path clones nothing.
+/// into the table, so the per-packet path clones nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LookupHit<'a> {
     /// The matched prefix.
@@ -117,63 +120,11 @@ impl LookupHit<'_> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The LPM trie
-// ---------------------------------------------------------------------------
-
-fn key_of(addr: Ipv6Addr) -> u128 {
-    u128::from_be_bytes(addr.octets())
-}
-
-fn mask_bits(key: u128, len: u8) -> u128 {
-    if len == 0 {
-        0
-    } else {
-        key & (u128::MAX << (128 - u32::from(len)))
-    }
-}
-
-/// The value of bit `idx` (0 = most significant) of `key`. `idx < 128`.
-fn bit_at(key: u128, idx: u8) -> usize {
-    ((key >> (127 - u32::from(idx))) & 1) as usize
-}
-
-/// Length of the common prefix of `a` and `b`, capped at `cap` bits.
-fn common_prefix(a: u128, b: u128, cap: u8) -> u8 {
-    (((a ^ b).leading_zeros()) as u8).min(cap)
-}
-
-/// One trie node: a prefix, the route bound to it (`nexthops` empty for
-/// path-compression intermediates), and up to two children whose prefixes
-/// extend this one.
-#[derive(Debug, Clone)]
-struct TrieNode {
-    /// The node's prefix bits, masked to `plen`.
-    key: u128,
-    /// The node's prefix length.
-    plen: u8,
-    /// The node's prefix in address form, precomputed so lookups return it
-    /// without rebuilding (and re-masking) it per packet.
-    prefix: Ipv6Prefix,
-    /// The route's next hops; empty for intermediate nodes.
-    nexthops: Vec<Nexthop>,
-    /// Children, indexed by the first bit after `plen`.
-    children: [Option<Box<TrieNode>>; 2],
-}
-
-impl TrieNode {
-    fn leaf(key: u128, plen: u8, nexthops: Vec<Nexthop>) -> TrieNode {
-        let prefix = Ipv6Prefix::new(Ipv6Addr::from(key.to_be_bytes()), plen)
-            .expect("trie keys carry valid prefix lengths");
-        TrieNode { key, plen, prefix, nexthops, children: [None, None] }
-    }
-}
-
-/// A single routing table: a kernel-style LPM trie with ECMP next hops.
+/// A single routing table: longest-prefix match over address ranges
+/// ([`PrefixTable`]), with ECMP next hops.
 #[derive(Debug, Default, Clone)]
 pub struct Fib {
-    root: Option<Box<TrieNode>>,
-    len: usize,
+    routes: PrefixTable<Vec<Nexthop>>,
 }
 
 impl Fib {
@@ -185,58 +136,29 @@ impl Fib {
     /// Inserts or replaces the route for `prefix`.
     pub fn insert(&mut self, prefix: Ipv6Prefix, nexthops: Vec<Nexthop>) {
         assert!(!nexthops.is_empty(), "a route needs at least one next hop");
-        let key = mask_bits(key_of(prefix.addr()), prefix.len());
-        if insert_rec(&mut self.root, key, prefix.len(), nexthops) {
-            self.len += 1;
-        }
+        self.routes.insert(prefix, nexthops);
     }
 
     /// Removes the route for `prefix`, returning whether it existed.
     pub fn remove(&mut self, prefix: &Ipv6Prefix) -> bool {
-        let key = mask_bits(key_of(prefix.addr()), prefix.len());
-        let removed = remove_rec(&mut self.root, key, prefix.len());
-        if removed {
-            self.len -= 1;
-        }
-        removed
+        self.routes.remove(prefix)
     }
 
     /// Number of routes installed.
     pub fn len(&self) -> usize {
-        self.len
+        self.routes.len()
     }
 
     /// Whether the table has no routes.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.routes.is_empty()
     }
 
-    /// Collects all routes, for inspection and export (walks the trie —
-    /// not a hot-path call).
+    /// Collects all routes, in no particular order, for inspection and
+    /// export (not a hot-path call).
     pub fn routes(&self) -> Vec<Route> {
-        let mut out = Vec::with_capacity(self.len);
-        collect_rec(&self.root, &mut out);
-        out
-    }
-
-    /// The trie node holding the longest prefix containing `dst`.
-    fn best_match(&self, dst: Ipv6Addr) -> Option<&TrieNode> {
-        let key = key_of(dst);
-        let mut best: Option<&TrieNode> = None;
-        let mut node = self.root.as_deref();
-        while let Some(n) = node {
-            if mask_bits(key, n.plen) != n.key {
-                break;
-            }
-            if !n.nexthops.is_empty() {
-                best = Some(n);
-            }
-            if n.plen == 128 {
-                break;
-            }
-            node = n.children[bit_at(key, n.plen)].as_deref();
-        }
-        best
+        let routes = self.routes.entries().iter();
+        routes.map(|(prefix, nexthops)| Route { prefix: *prefix, nexthops: nexthops.clone() }).collect()
     }
 
     /// Longest-prefix-match lookup. `flow_hash` selects among equal-cost
@@ -251,16 +173,16 @@ impl Fib {
     /// is called only when the matched route has more than one next hop,
     /// which is the only case that reads it.
     pub fn lookup_with(&self, dst: Ipv6Addr, flow_hash: impl FnOnce() -> u64) -> Option<LookupHit<'_>> {
-        let node = self.best_match(dst)?;
+        let (prefix, nexthops) = self.routes.lookup(dst)?;
         // Single-path routes (the overwhelmingly common case) skip the
         // hash and the weighted selection entirely.
-        let chosen = if node.nexthops.len() == 1 {
-            &node.nexthops[0]
+        let chosen = if nexthops.len() == 1 {
+            &nexthops[0]
         } else {
-            let total_weight: u64 = node.nexthops.iter().map(|n| u64::from(n.weight)).sum();
+            let total_weight: u64 = nexthops.iter().map(|n| u64::from(n.weight)).sum();
             let mut slot = flow_hash() % total_weight.max(1);
-            let mut chosen = &node.nexthops[0];
-            for nexthop in &node.nexthops {
+            let mut chosen = &nexthops[0];
+            for nexthop in nexthops {
                 if slot < u64::from(nexthop.weight) {
                     chosen = nexthop;
                     break;
@@ -269,87 +191,14 @@ impl Fib {
             }
             chosen
         };
-        Some(LookupHit { prefix: node.prefix, nexthop: chosen, ecmp_width: node.nexthops.len() })
+        Some(LookupHit { prefix: *prefix, nexthop: chosen, ecmp_width: nexthops.len() })
     }
 
     /// Every equal-cost next hop for `dst`, as `End.OAMP` reports them —
     /// a borrow into the table, empty on a lookup miss.
     pub fn ecmp_nexthops(&self, dst: Ipv6Addr) -> &[Nexthop] {
-        self.best_match(dst).map(|n| n.nexthops.as_slice()).unwrap_or(&[])
+        self.routes.lookup(dst).map(|(_, nexthops)| nexthops.as_slice()).unwrap_or(&[])
     }
-}
-
-/// Recursive insert; returns `true` when a new route was created (rather
-/// than an existing one replaced).
-fn insert_rec(slot: &mut Option<Box<TrieNode>>, key: u128, plen: u8, nexthops: Vec<Nexthop>) -> bool {
-    let Some(node) = slot else {
-        *slot = Some(Box::new(TrieNode::leaf(key, plen, nexthops)));
-        return true;
-    };
-    let common = common_prefix(node.key, key, node.plen.min(plen));
-    if common == node.plen && common == plen {
-        // Exactly this node's prefix: replace (or fill an intermediate).
-        let was_empty = node.nexthops.is_empty();
-        node.nexthops = nexthops;
-        return was_empty;
-    }
-    if common == node.plen {
-        // The node's prefix covers the new one: descend.
-        return insert_rec(&mut node.children[bit_at(key, node.plen)], key, plen, nexthops);
-    }
-    // The prefixes diverge before the node's length: split here.
-    if common == plen {
-        // The new prefix covers the node: the new node becomes the parent.
-        let old = std::mem::replace(&mut **node, TrieNode::leaf(key, plen, nexthops));
-        let branch = bit_at(old.key, plen);
-        node.children[branch] = Some(Box::new(old));
-    } else {
-        // Neither covers the other: an intermediate node forks the two.
-        let im = TrieNode::leaf(mask_bits(key, common), common, Vec::new());
-        let old = std::mem::replace(&mut **node, im);
-        let old_branch = bit_at(old.key, common);
-        node.children[old_branch] = Some(Box::new(old));
-        node.children[bit_at(key, common)] = Some(Box::new(TrieNode::leaf(key, plen, nexthops)));
-    }
-    true
-}
-
-/// Recursive remove with path compression: emptied nodes with zero or one
-/// child are pruned / collapsed.
-fn remove_rec(slot: &mut Option<Box<TrieNode>>, key: u128, plen: u8) -> bool {
-    let Some(node) = slot else { return false };
-    let removed = if node.plen == plen && node.key == key {
-        if node.nexthops.is_empty() {
-            return false;
-        }
-        node.nexthops = Vec::new();
-        true
-    } else if node.plen < plen && mask_bits(key, node.plen) == node.key {
-        remove_rec(&mut node.children[bit_at(key, node.plen)], key, plen)
-    } else {
-        false
-    };
-    if removed && node.nexthops.is_empty() {
-        let replacement = match (node.children[0].is_some(), node.children[1].is_some()) {
-            (false, false) => Some(None),
-            (true, false) => Some(node.children[0].take()),
-            (false, true) => Some(node.children[1].take()),
-            (true, true) => None,
-        };
-        if let Some(new_slot) = replacement {
-            *slot = new_slot;
-        }
-    }
-    removed
-}
-
-fn collect_rec(slot: &Option<Box<TrieNode>>, out: &mut Vec<Route>) {
-    let Some(node) = slot else { return };
-    if !node.nexthops.is_empty() {
-        out.push(Route { prefix: node.prefix, nexthops: node.nexthops.clone() });
-    }
-    collect_rec(&node.children[0], out);
-    collect_rec(&node.children[1], out);
 }
 
 /// What identifies a flow for ECMP next-hop selection, following the
@@ -585,7 +434,7 @@ impl FibCache {
         }
     }
 
-    /// The cached trie of `table`, if the table exists.
+    /// The cached snapshot of `table`, if the table exists.
     pub fn table(&self, table: TableId) -> Option<&Fib> {
         self.tables.iter().find(|(id, _)| *id == table).map(|(_, fib)| &**fib)
     }
@@ -598,7 +447,7 @@ impl FibCache {
     }
 
     /// The next hop `dst` takes in the cached snapshot of `table`, borrowed
-    /// from the trie. `flow_hash` is called only when the matched route
+    /// from the snapshot. `flow_hash` is called only when the matched route
     /// has more than one next hop (see [`Fib::lookup_with`]), so a caller
     /// that is not asked for a hash knows the answer holds for every flow.
     /// The one lookup the datapath and the helpers run per packet.
@@ -715,9 +564,9 @@ mod tests {
 
     #[test]
     fn intermediate_nodes_do_not_match_and_survive_removal() {
-        // fc00:a::/32 and fc00:b::/32 fork under an intermediate covering
-        // neither; the intermediate must never answer a lookup, and
-        // removing one branch must keep the other reachable.
+        // fc00:a::/32 and fc00:b::/32 leave a gap between them that no
+        // route covers; the gap must never answer a lookup, and removing
+        // one route must keep the other reachable.
         let mut fib = Fib::new();
         fib.insert(prefix("fc00:a::/32"), vec![Nexthop::direct(1)]);
         fib.insert(prefix("fc00:b::/32"), vec![Nexthop::direct(2)]);

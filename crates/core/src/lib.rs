@@ -72,6 +72,7 @@ pub mod env;
 pub mod error;
 pub mod fib;
 pub mod helpers;
+mod lpm;
 pub mod lwt_bpf;
 pub mod scratch;
 pub mod seg6local;

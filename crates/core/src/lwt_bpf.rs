@@ -22,6 +22,8 @@
 
 use crate::table::PrefixTable;
 use ebpf_vm::program::{LoadedProgram, ProgramType};
+use netpkt::Ipv6Prefix;
+use std::net::Ipv6Addr;
 use std::sync::Arc;
 
 /// Which point of the routing process the program is attached to: the
@@ -56,11 +58,64 @@ pub struct LwtBpfAttachment {
     pub prog: Arc<LoadedProgram>,
 }
 
-/// Routes with BPF programs attached, keyed by destination prefix. One
-/// prefix holds one attachment; the datapath looks a hook's program up
-/// with [`PrefixTable::lookup_where`] on [`LwtBpfAttachment::hook`], so
-/// the longest prefix *attached at that hook* wins.
-pub type LwtBpfTable = PrefixTable<LwtBpfAttachment>;
+/// Routes with BPF programs attached, keyed by destination prefix: one
+/// [`PrefixTable`] per hook, so a hook's lookup finds the longest prefix
+/// *attached at that hook*, and a longer prefix attached at the other hook
+/// does not shadow it. One prefix holds one attachment: attaching a prefix
+/// at one hook detaches it from the other.
+#[derive(Debug, Clone, Default)]
+pub struct LwtBpfTable {
+    /// The attachments at [`LwtHook::In`], then at [`LwtHook::Xmit`].
+    hooks: [PrefixTable<LwtBpfAttachment>; 2],
+}
+
+impl LwtBpfTable {
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Attaches `attachment` to `prefix` at its hook, replacing whatever
+    /// was attached to exactly that prefix at either hook.
+    pub fn insert(&mut self, prefix: Ipv6Prefix, attachment: LwtBpfAttachment) {
+        let [at_in, at_xmit] = &mut self.hooks;
+        let (hook, other) = match attachment.hook {
+            LwtHook::In => (at_in, at_xmit),
+            LwtHook::Xmit => (at_xmit, at_in),
+        };
+        other.remove(&prefix);
+        hook.insert(prefix, attachment);
+    }
+
+    /// Detaches exactly `prefix`; whether it was attached.
+    pub fn remove(&mut self, prefix: &Ipv6Prefix) -> bool {
+        let [at_in, at_xmit] = &mut self.hooks;
+        at_in.remove(prefix) | at_xmit.remove(prefix)
+    }
+
+    /// The longest prefix holding `dst` with a program attached at `hook`.
+    pub fn lookup(&self, dst: Ipv6Addr, hook: LwtHook) -> Option<(&Ipv6Prefix, &LwtBpfAttachment)> {
+        self.at(hook).lookup(dst)
+    }
+
+    /// The attachments at `hook`.
+    pub(crate) fn at(&self, hook: LwtHook) -> &PrefixTable<LwtBpfAttachment> {
+        match hook {
+            LwtHook::In => &self.hooks[0],
+            LwtHook::Xmit => &self.hooks[1],
+        }
+    }
+
+    /// Number of attached prefixes.
+    pub fn len(&self) -> usize {
+        self.hooks.iter().map(PrefixTable::len).sum()
+    }
+
+    /// Whether no prefix is attached.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -76,7 +131,6 @@ mod tests {
     use ebpf_vm::program::{load, Program};
     use netpkt::packet::build_ipv6_udp_packet;
     use std::collections::HashMap;
-    use std::net::Ipv6Addr;
 
     fn addr(s: &str) -> Ipv6Addr {
         s.parse().unwrap()
@@ -107,19 +161,28 @@ mod tests {
     #[test]
     fn table_lookup_filters_by_hook() {
         let helpers = seg6_helper_registry();
-        let prog = load_xmit("mov64 r0, 0\nexit", &helpers);
+        let xmit = LwtBpfAttachment { hook: LwtHook::Xmit, prog: load_xmit("mov64 r0, 0\nexit", &helpers) };
+        let lwt_in = LwtBpfAttachment { hook: LwtHook::In, ..xmit.clone() };
         let mut table = LwtBpfTable::new();
-        table.insert(
-            "2001:db8::/32".parse().unwrap(),
-            LwtBpfAttachment { hook: LwtHook::Xmit, prog: prog.clone() },
-        );
-        let at = |dst, hook| table.lookup_where(addr(dst), |a| a.hook == hook);
-        assert!(at("2001:db8::5", LwtHook::Xmit).is_some());
-        assert!(at("2001:db8::5", LwtHook::In).is_none());
-        assert!(at("2abc::1", LwtHook::Xmit).is_none());
-        assert_eq!(table.len(), 1);
+        table.insert("2001:db8::/32".parse().unwrap(), xmit.clone());
+        let at = |table: &LwtBpfTable, dst, hook| table.lookup(addr(dst), hook).map(|(p, _)| p.len());
+        assert_eq!(at(&table, "2001:db8::5", LwtHook::Xmit), Some(32));
+        assert!(at(&table, "2001:db8::5", LwtHook::In).is_none());
+        assert!(at(&table, "2abc::1", LwtHook::Xmit).is_none());
+        // A longer prefix at the other hook does not shadow the shorter one.
+        table.insert("2001:db8:1::/48".parse().unwrap(), lwt_in.clone());
+        assert_eq!(at(&table, "2001:db8:1::5", LwtHook::Xmit), Some(32));
+        assert_eq!(at(&table, "2001:db8:1::5", LwtHook::In), Some(48));
+        // One prefix holds one attachment: moving it to the other hook
+        // detaches it from the first.
+        table.insert("2001:db8::/32".parse().unwrap(), lwt_in);
+        assert!(at(&table, "2001:db8::5", LwtHook::Xmit).is_none());
+        assert_eq!(at(&table, "2001:db8::5", LwtHook::In), Some(32));
+        assert_eq!(table.len(), 2);
         assert!(!table.is_empty());
         assert!(table.remove(&"2001:db8::/32".parse().unwrap()));
+        assert!(!table.remove(&"2001:db8::/32".parse().unwrap()));
+        assert_eq!(table.len(), 1);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Randomized equivalence test: the LPM-trie [`seg6_core::Fib`] must agree
-//! with a straightforward reference implementation (linear scan +
-//! max-by-prefix-length, the structure the trie replaced) on every lookup —
-//! including the default route, host routes, weighted ECMP selection and
-//! post-removal state — over thousands of random prefixes and lookups.
+//! Randomized equivalence test: the range-search [`seg6_core::Fib`] must
+//! agree with a straightforward reference implementation (linear scan +
+//! max-by-prefix-length) on every lookup — including the default route,
+//! host routes, weighted ECMP selection and post-removal state — over
+//! thousands of random prefixes and lookups.
 
 use netpkt::Ipv6Prefix;
 use seg6_core::{Fib, Nexthop};
@@ -26,8 +26,8 @@ impl Rng {
     }
 }
 
-/// The reference: the linear-scan FIB the trie replaced, with the exact
-/// same weighted ECMP selection.
+/// The reference: a linear-scan FIB, with the exact same weighted ECMP
+/// selection.
 #[derive(Default)]
 struct ReferenceFib {
     routes: Vec<(Ipv6Prefix, Vec<Nexthop>)>,
@@ -111,29 +111,29 @@ fn random_nexthops(rng: &mut Rng) -> Vec<Nexthop> {
 }
 
 #[test]
-fn trie_matches_linear_reference_over_random_workload() {
+fn ranges_match_linear_reference_over_random_workload() {
     let mut rng = Rng(0x5eed_cafe_f00d_0001);
-    let mut trie = Fib::new();
+    let mut fib = Fib::new();
     let mut reference = ReferenceFib::default();
 
     // ~5k random prefixes (with deliberate replacements when a prefix
     // repeats), including an explicit default route and ECMP weights.
-    trie.insert("::/0".parse().unwrap(), vec![Nexthop::direct(999)]);
+    fib.insert("::/0".parse().unwrap(), vec![Nexthop::direct(999)]);
     reference.insert("::/0".parse().unwrap(), vec![Nexthop::direct(999)]);
     let mut inserted: Vec<Ipv6Prefix> = Vec::new();
     for _ in 0..5_000 {
         let prefix = random_prefix(&mut rng);
         let nexthops = random_nexthops(&mut rng);
-        trie.insert(prefix, nexthops.clone());
+        fib.insert(prefix, nexthops.clone());
         reference.insert(prefix, nexthops);
         inserted.push(prefix);
     }
-    assert_eq!(trie.len(), reference.routes.len());
+    assert_eq!(fib.len(), reference.routes.len());
 
     // 10k lookups: half aimed near installed prefixes (hits), half fully
     // random (mostly default-route), each with a random flow hash so the
     // weighted ECMP selection is compared too.
-    let check = |trie: &Fib, reference: &ReferenceFib, rng: &mut Rng, rounds: usize| {
+    let check = |fib: &Fib, reference: &ReferenceFib, rng: &mut Rng, rounds: usize| {
         for i in 0..rounds {
             let dst = if i % 2 == 0 {
                 let base = inserted[rng.below(inserted.len() as u64) as usize].addr();
@@ -143,24 +143,20 @@ fn trie_matches_linear_reference_over_random_workload() {
                 random_addr(rng)
             };
             let hash = rng.next();
-            let got = trie.lookup(dst, hash).map(|h| (h.prefix, *h.nexthop, h.ecmp_width));
+            let got = fib.lookup(dst, hash).map(|h| (h.prefix, *h.nexthop, h.ecmp_width));
             let want = reference.lookup(dst, hash);
             assert_eq!(got, want, "lookup({dst}, {hash}) diverged");
-            assert_eq!(
-                trie.ecmp_nexthops(dst),
-                reference.ecmp_nexthops(dst),
-                "ecmp_nexthops({dst}) diverged"
-            );
+            assert_eq!(fib.ecmp_nexthops(dst), reference.ecmp_nexthops(dst), "ecmp_nexthops({dst}) diverged");
         }
     };
-    check(&trie, &reference, &mut rng, 10_000);
+    check(&fib, &reference, &mut rng, 10_000);
 
     // Remove a random third of the routes and re-verify: removal must
-    // prune/collapse without disturbing surviving routes.
+    // hand each route's ranges back without disturbing surviving routes.
     for _ in 0..inserted.len() / 3 {
         let prefix = inserted[rng.below(inserted.len() as u64) as usize];
-        assert_eq!(trie.remove(&prefix), reference.remove(&prefix), "remove({prefix}) diverged");
+        assert_eq!(fib.remove(&prefix), reference.remove(&prefix), "remove({prefix}) diverged");
     }
-    assert_eq!(trie.len(), reference.routes.len());
-    check(&trie, &reference, &mut rng, 10_000);
+    assert_eq!(fib.len(), reference.routes.len());
+    check(&fib, &reference, &mut rng, 10_000);
 }

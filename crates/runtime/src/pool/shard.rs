@@ -192,10 +192,12 @@ impl ShardTx {
     /// make their work visible (ring publish, control send) *before*
     /// calling this; the SeqCst fence pairs with the worker's pre-park
     /// fence so either the worker sees the work, or this sees the worker
-    /// sleeping.
+    /// sleeping. A plain load reads the flag first, so a publish to a
+    /// running worker writes no shared line; only a set flag is swapped
+    /// and answered with an unpark.
     pub(super) fn wake(&self) {
         fence(Ordering::SeqCst);
-        if self.sleeping.swap(false, Ordering::SeqCst) {
+        if self.sleeping.load(Ordering::Relaxed) && self.sleeping.swap(false, Ordering::SeqCst) {
             self.thread.unpark();
         }
     }
